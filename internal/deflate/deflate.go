@@ -17,16 +17,20 @@
 // aggregation — the paper's "series of nested lower dimensional
 // sub-spaces" — with the dense solve only at the top of the hierarchy.
 //
-// The projector is fully distributed and dimension-agnostic: restriction
-// and prolongation are rank-local over the owning rank's partition extents
-// (2D Deflation and 3D Deflation3D), the coarse Galerkin matrix and every
-// per-iteration coarse residual are summed across ranks with a single
-// comm.AllReduceSumN round, and — because that reduction is
-// commutative-order deterministic on every backend — each rank factors
-// the same tiny matrix bit-identically and the coarse solve never needs a
-// broadcast. Indicator values in halo cells are filled analytically from
-// the global block geometry (a halo cell's global coordinate decides its
-// block), so assembling E needs no halo exchange at all.
+// The projector is fully distributed and dimension-agnostic: one core
+// (flux.go, over flat padded indices) serves the 2D Deflation and the 3D
+// Deflation3D, interior and deep-halo extended bounds, blocking and
+// split-phase projections alike. It never materialises W·λ and never runs
+// the stencil: A·W·λ is exactly λ_c in block interiors and differs only by
+// K_face·(λ_c − λ_nbr) on block-boundary faces, so the fine-grid half of P
+// is one read-modify-write of w (which also hands back the re-measured CG
+// curvature). The restriction Wᵀ·w is a pooled pass of fixed-lane row
+// sums folded per block in ascending row order — bit-identical for every
+// worker count. E is assembled from the same face sums through a single
+// comm.AllReduceSumN round that is order-deterministic on every backend,
+// so each rank factors the same exactly symmetric matrix and the coarse
+// solve never needs a broadcast. Block membership of halo cells comes
+// from the clamped global coordinate: no halo exchange anywhere.
 //
 // A regime note the experiments make precise: for the per-step operator
 // A = I + Δt·L the smallest eigenvalue is pinned at 1 (L has a zero mode
@@ -39,7 +43,6 @@ package deflate
 
 import (
 	"errors"
-	"fmt"
 	"math"
 
 	"tealeaf/internal/comm"
@@ -64,13 +67,6 @@ type Config struct {
 	Levels int
 }
 
-func (cfg Config) withDefaults() Config {
-	if cfg.Levels <= 0 {
-		cfg.Levels = 1
-	}
-	return cfg
-}
-
 // Geometry locates a rank's sub-grid within the global 2D mesh. The zero
 // value means "the local grid is the whole mesh" (single-rank runs).
 type Geometry struct {
@@ -81,39 +77,11 @@ type Geometry struct {
 	OffsetX, OffsetY int
 }
 
-// Deflation is the 2D coarse-space projector: the subdomain partition,
-// the hierarchy-solved coarse Galerkin matrix (replicated identically on
-// every rank), and scratch space for rank-local projections.
+// Deflation is the 2D coarse-space projector: the shared face-flux
+// projector core bound to a 5-point operator.
 type Deflation struct {
-	op     *stencil.Operator2D
-	pool   *par.Pool
-	c      comm.Communicator
-	bx, by int
-	// bpart is the BX×BY coarse block partition of the global mesh;
-	// block c covers the global cell rectangle bpart.ExtentOf(c).
-	bpart *grid.Partition
-	// local[c] is the local-coordinate intersection of block c with this
-	// rank's interior (possibly empty).
-	local []grid.Bounds
-	// xblk[j+hp] / yblk[k+hp] map the local padded coordinate
-	// j ∈ [-hp, NX+hp) (k ∈ [-hp, NY+hp), hp = Grid.Halo) to its block
-	// axis index, with out-of-mesh halo coordinates clamped to the mesh
-	// edge — which reproduces the zero-flux mirror on physical boundaries
-	// and the true neighbour block across rank boundaries. Covering the
-	// full halo (not just one cell) lets ProjectWBounds fill indicator
-	// values over the matrix-powers extended bounds.
-	xblk, yblk []int
-	hp         int
-	// coarse applies E⁻¹: dense Cholesky at Levels == 1, the nested
-	// blocks-of-blocks hierarchy above.
-	coarse *hierarchy
-	// geom and levels are retained so Refresh can re-assemble E when the
-	// operator's entries change.
-	geom   Geometry
-	levels int
-	// scratch fields and coarse-space vectors.
-	wv, av *grid.Field2D
-	cr, cl []float64
+	projector
+	op *stencil.Operator2D
 }
 
 // New builds the deflation projector for op over a cfg.BX × cfg.BY block
@@ -124,138 +92,38 @@ type Deflation struct {
 // the zero geom treats the local grid as the whole mesh.
 func New(pool *par.Pool, c comm.Communicator, op *stencil.Operator2D, geom Geometry, cfg Config) (*Deflation, error) {
 	g := op.Grid
-	cfg = cfg.withDefaults()
-	if pool == nil {
-		pool = par.Serial
-	}
-	if c == nil {
-		c = comm.NewSerial()
-	}
 	if geom.GlobalNX == 0 && geom.GlobalNY == 0 {
 		geom.GlobalNX, geom.GlobalNY = g.NX, g.NY
 	}
-	if cfg.BX < 1 || cfg.BY < 1 {
-		return nil, errors.New("deflate: need at least one subdomain per direction")
-	}
-	if cfg.BX > geom.GlobalNX || cfg.BY > geom.GlobalNY {
-		return nil, fmt.Errorf("deflate: %dx%d subdomains exceed the %dx%d global mesh",
-			cfg.BX, cfg.BY, geom.GlobalNX, geom.GlobalNY)
-	}
-	if geom.OffsetX < 0 || geom.OffsetY < 0 ||
-		geom.OffsetX+g.NX > geom.GlobalNX || geom.OffsetY+g.NY > geom.GlobalNY {
-		return nil, fmt.Errorf("deflate: local %dx%d grid at offset (%d,%d) outside the %dx%d global mesh",
-			g.NX, g.NY, geom.OffsetX, geom.OffsetY, geom.GlobalNX, geom.GlobalNY)
-	}
-	bpart, err := grid.NewPartition(geom.GlobalNX, geom.GlobalNY, cfg.BX, cfg.BY)
+	d := &Deflation{op: op, projector: projector{
+		pool: pool, c: c, dims: 2,
+		n: [3]int{g.NX, g.NY, 1}, h: [3]int{g.Halo, g.Halo, 0},
+		st: [3]int{1, g.Stride(), 0}, org: g.Index(0, 0),
+		in: box2(g.Interior()),
+		k:  [3][]float64{op.Kx.Data, op.Ky.Data, nil},
+	}}
+	err := d.init([3]int{geom.GlobalNX, geom.GlobalNY}, [3]int{geom.OffsetX, geom.OffsetY}, cfg)
 	if err != nil {
-		return nil, err
-	}
-	d := &Deflation{
-		op: op, pool: pool, c: c, bx: cfg.BX, by: cfg.BY, bpart: bpart,
-		geom: geom, levels: cfg.Levels,
-		wv: grid.NewField2D(g), av: grid.NewField2D(g),
-	}
-	nc := cfg.BX * cfg.BY
-	d.cr = make([]float64, nc)
-	d.cl = make([]float64, nc)
-
-	// Per-axis block lookup tables over the full padded coordinate range.
-	d.hp = g.Halo
-	d.xblk = make([]int, g.NX+2*d.hp)
-	for j := -d.hp; j < g.NX+d.hp; j++ {
-		d.xblk[j+d.hp] = bpart.ColumnOf(clampInt(geom.OffsetX+j, 0, geom.GlobalNX-1))
-	}
-	d.yblk = make([]int, g.NY+2*d.hp)
-	for k := -d.hp; k < g.NY+d.hp; k++ {
-		d.yblk[k+d.hp] = bpart.RowOf(clampInt(geom.OffsetY+k, 0, geom.GlobalNY-1))
-	}
-
-	// Local intersection of each global block with this rank's interior.
-	d.local = make([]grid.Bounds, nc)
-	in := g.Interior()
-	for cb := 0; cb < nc; cb++ {
-		e := bpart.ExtentOf(cb)
-		d.local[cb] = intersect2D(grid.Bounds{
-			X0: e.X0 - geom.OffsetX, X1: e.X1 - geom.OffsetX,
-			Y0: e.Y0 - geom.OffsetY, Y1: e.Y1 - geom.OffsetY,
-		}, in)
-	}
-
-	if err := d.assemble(); err != nil {
 		return nil, err
 	}
 	return d, nil
 }
 
-// assemble builds and factors the coarse Galerkin matrix E = WᵀAW from
-// the current operator. The local contribution is assembled column by
-// column: the indicator of block c is filled analytically over the
-// one-cell ring the operator reads (halo values come from the global
-// block geometry, so no exchange is needed), A is applied on the block's
-// one-cell expansion intersected with this rank, and the result is
-// integrated over the (at most 3×3) adjacent blocks — A·W_c vanishes
-// beyond them. One AllReduceSumN round then hands every rank the
-// identical global E. Collective.
-func (d *Deflation) assemble() error {
-	g := d.op.Grid
-	geom := d.geom
-	nc := d.bx * d.by
-	eflat := make([]float64, nc*nc)
-	for cb := 0; cb < nc; cb++ {
-		ge := d.bpart.ExtentOf(cb)
-		bApply := grid.Bounds{
-			X0: ge.X0 - geom.OffsetX - 1, X1: ge.X1 - geom.OffsetX + 1,
-			Y0: ge.Y0 - geom.OffsetY - 1, Y1: ge.Y1 - geom.OffsetY + 1,
-		}.ClampInterior(g)
-		if bApply.Empty() {
-			continue
-		}
-		fill := bApply.Expand(1, g)
-		cx, cy := cb%d.bx, cb/d.bx
-		for k := fill.Y0; k < fill.Y1; k++ {
-			base := g.Index(0, k)
-			inBlockY := d.yblk[k+d.hp] == cy
-			for j := fill.X0; j < fill.X1; j++ {
-				v := 0.0
-				if inBlockY && d.xblk[j+d.hp] == cx {
-					v = 1
-				}
-				d.wv.Data[base+j] = v
-			}
-		}
-		d.op.Apply(d.pool, bApply, d.wv, d.av)
-		for dy := -1; dy <= 1; dy++ {
-			for dx := -1; dx <= 1; dx++ {
-				cx2, cy2 := cx+dx, cy+dy
-				if cx2 < 0 || cx2 >= d.bx || cy2 < 0 || cy2 >= d.by {
-					continue
-				}
-				cb2 := cy2*d.bx + cx2
-				lb := intersect2D(d.local[cb2], bApply)
-				if !lb.Empty() {
-					eflat[cb2*nc+cb] += d.av.SumBounds(lb)
-				}
-			}
-		}
-	}
-	eflat = d.c.AllReduceSumN(eflat)
+func box2(b grid.Bounds) par.Box { return par.Box2D(b.X0, b.X1, b.Y0, b.Y1) }
 
-	aggs, err := aggregations(d.levels, d.bx, d.by)
-	if err != nil {
-		return err
+// data2 returns f's storage, nil for a nil field (the identity minv, or
+// "no dot" for x).
+func data2(f *grid.Field2D) []float64 {
+	if f == nil {
+		return nil
 	}
-	h, err := newHierarchy(eflat, nc, aggs)
-	if err != nil {
-		return fmt.Errorf("deflate: coarse matrix not SPD: %w", err)
-	}
-	d.coarse = h
-	return nil
+	return f.Data
 }
 
 // Refresh rebinds the projector to op — typically the operator rebuilt
 // for a new time step — and re-assembles and re-factors the coarse
 // matrix only when changed reports that the operator's entries actually
-// changed. The flag MUST be rank-uniform: assemble is collective, so
+// changed. The flag MUST be rank-uniform: assembly is collective, so
 // ranks disagreeing on it would deadlock. With changed == false the
 // cached E (and its factorization) is reused and Refresh performs no
 // communication at all — a time step whose operator is unchanged skips
@@ -265,127 +133,54 @@ func (d *Deflation) Refresh(op *stencil.Operator2D, changed bool) error {
 		return errors.New("deflate: Refresh requires an operator on the same grid")
 	}
 	d.op = op
+	d.k = [3][]float64{op.Kx.Data, op.Ky.Data, nil}
 	if !changed {
 		return nil
 	}
 	return d.assemble()
 }
 
-// Subdomains returns the coarse-space dimension BX·BY.
-func (d *Deflation) Subdomains() int { return len(d.local) }
-
-// Levels returns the coarse-hierarchy depth (1 = dense two-level solve).
-func (d *Deflation) Levels() int { return d.coarse.levels() }
-
-// restrict computes the LOCAL contribution to Wᵀ v (block sums over this
-// rank's interior) into out.
-func (d *Deflation) restrict(v *grid.Field2D, out []float64) {
-	for c, b := range d.local {
-		if b.Empty() {
-			out[c] = 0
-		} else {
-			out[c] = v.SumBounds(b)
-		}
-	}
-}
-
-// solveCoarse computes λ = E⁻¹·Wᵀ·v into d.cl: a rank-local restriction,
-// one AllReduceSumN round (the only communication a projection performs),
-// and the replicated hierarchy solve every rank executes identically.
-func (d *Deflation) solveCoarse(v *grid.Field2D) {
-	d.restrict(v, d.cr)
-	global := d.c.AllReduceSumN(d.cr)
-	d.coarse.Solve(global, d.cl)
-}
-
 // CoarseCorrect applies u += W·E⁻¹·Wᵀ·r: the coarse-grid solve that
 // zeroes the deflation-space component of the residual. Collective —
 // every rank must call it with its local fields.
-func (d *Deflation) CoarseCorrect(r, u *grid.Field2D) {
-	d.solveCoarse(r)
-	g := u.Grid
-	for c, b := range d.local {
-		if b.Empty() {
-			continue
-		}
-		v := d.cl[c]
-		for k := b.Y0; k < b.Y1; k++ {
-			base := g.Index(0, k)
-			for j := b.X0; j < b.X1; j++ {
-				u.Data[base+j] += v
-			}
-		}
-	}
-}
+func (d *Deflation) CoarseCorrect(r, u *grid.Field2D) { d.coarseCorrect(r.Data, u.Data) }
 
-// ProjectW computes w ← P·w = w − A·W·E⁻¹·Wᵀ·w in place: one coarse
-// solve (a single reduction round) plus one rank-local matrix application
-// on a piecewise-constant field. Collective.
-func (d *Deflation) ProjectW(w *grid.Field2D) {
-	d.ProjectWBounds(d.op.Grid.Interior(), w)
-}
+// ProjectW computes w ← P·w = w − A·W·E⁻¹·Wᵀ·w in place over the
+// interior: a pooled restriction, one coarse solve (a single reduction
+// round) and one read-modify-write of w that touches the operator only on
+// block-boundary faces. Collective.
+func (d *Deflation) ProjectW(w *grid.Field2D) { d.project(d.in, w.Data, nil, nil) }
 
 // ProjectWBounds is ProjectW with the fine-grid correction written over
 // the extended bounds b ⊇ interior — the deep-halo form the solver's
-// matrix-powers CG cycles need (solver.deepDeflator). The restriction
-// Wᵀ·w stays interior-only (cells beyond the interior replicate another
-// rank's interior and would be double-counted), so the coarse solve —
-// and hence λ — is identical for every b; only the region receiving the
-// A·W·λ correction grows. b.Expand(1) must fit the padded grid, which
-// holds for any extended bounds of a depth ≤ Grid.Halo cycle.
-func (d *Deflation) ProjectWBounds(b grid.Bounds, w *grid.Field2D) {
-	d.solveCoarse(w)
-	d.applyCorrection(b, w)
+// matrix-powers CG cycles need — returning the rank-local interior dot
+// (minv⊙x)·(P·w) folded by the same pass: the curvature the CG engines
+// re-measure after every projection (nil minv = identity; nil x = no dot,
+// returns 0). The restriction stays interior-only (cells beyond it
+// replicate another rank's interior), so λ is identical for every b.
+// b.Expand(1) must fit the padded grid, which holds for any extended
+// bounds of a depth ≤ Grid.Halo cycle. Collective.
+func (d *Deflation) ProjectWBounds(b grid.Bounds, w, minv, x *grid.Field2D) float64 {
+	return d.project(box2(b), w.Data, data2(minv), data2(x))
 }
 
-// deflReduceTag is the reduction tag of the split-phase coarse round
-// (comm.AllReduceSumNStartTagged): distinct from tag 0, which blocking
-// rounds and the solver's split-phase scalar round use, so both can be
-// in flight at once.
-const deflReduceTag = 1
-
-// ProjectWBoundsStart is the first half of ProjectWBounds: it restricts
-// w and posts the coarse reduction round split-phase on the projector's
-// dedicated tag, returning the in-flight handle. Callers overlap the
-// round with other work — the solver's temporal-blocked pipelined CG
-// keeps it in flight alongside the iteration's scalar round
-// (solver.splitDeflator) — and must hand the handle to
-// ProjectWBoundsFinish, or Finish and discard it on paths that abandon
-// the projection, before any blocking collective; every rank must do
-// the same. Collective.
-func (d *Deflation) ProjectWBoundsStart(w *grid.Field2D) comm.ReduceHandle {
-	d.restrict(w, d.cr)
-	return d.c.AllReduceSumNStartTagged(deflReduceTag, d.cr)
-}
+// ProjectWBoundsStart is the first half of a split projection: it
+// restricts w and posts the coarse reduction round split-phase on the
+// projector's dedicated tag, so the solver's temporal-blocked pipelined CG
+// can keep it in flight alongside the iteration's scalar round. The handle
+// must go to ProjectWBoundsFinish — or be Finished and discarded on paths
+// that abandon the projection — before any blocking collective, on every
+// rank alike. Collective.
+func (d *Deflation) ProjectWBoundsStart(w *grid.Field2D) comm.ReduceHandle { return d.start(w.Data) }
 
 // ProjectWBoundsFinish completes a projection posted by
 // ProjectWBoundsStart: finishes the coarse round, runs the replicated
 // hierarchy solve every rank executes identically, and applies the
 // fine-grid correction over b. The result is bit-identical to
-// ProjectWBounds(b, w) for the same w — the tagged round folds exactly
-// like the blocking one.
+// ProjectWBounds(b, w, nil, nil) for the same w — the tagged round folds
+// exactly like the blocking one.
 func (d *Deflation) ProjectWBoundsFinish(h comm.ReduceHandle, b grid.Bounds, w *grid.Field2D) {
-	d.coarse.Solve(h.Finish(), d.cl)
-	d.applyCorrection(b, w)
-}
-
-// applyCorrection subtracts the fine-grid correction A·W·λ (λ = d.cl,
-// left by the coarse solve) from w over b. W·λ is filled analytically
-// over the one-cell ring A reads; block membership of halo cells comes
-// from the clamped global coordinate, so rank-internal ring values are
-// exact without an exchange.
-func (d *Deflation) applyCorrection(b grid.Bounds, w *grid.Field2D) {
-	g := d.op.Grid
-	fill := b.Expand(1, g)
-	for k := fill.Y0; k < fill.Y1; k++ {
-		base := g.Index(0, k)
-		rowBase := d.yblk[k+d.hp] * d.bx
-		for j := fill.X0; j < fill.X1; j++ {
-			d.wv.Data[base+j] = d.cl[rowBase+d.xblk[j+d.hp]]
-		}
-	}
-	d.op.Apply(d.pool, b, d.wv, d.av)
-	kernels.Axpy(d.pool, b, -1, d.av, w)
+	d.finish(h, box2(b), w.Data)
 }
 
 // SolveDeflatedCG runs deflated CG on A·u = rhs — the package's
@@ -441,8 +236,7 @@ func (d *Deflation) SolveDeflatedCG(u, rhs *grid.Field2D, tol float64, maxIters 
 			return iters, 0, false, err
 		}
 		d.op.Apply(pool, in, p, w)
-		d.ProjectW(w) // w = P·A·p
-		pw := d.c.AllReduceSum(kernels.Dot(pool, in, p, w))
+		pw := d.c.AllReduceSum(d.ProjectWBounds(in, w, nil, p)) // w = P·A·p
 		if pw <= 0 {
 			break // P·A is only semi-definite outside the deflated space
 		}
@@ -477,21 +271,4 @@ func relNorm(rr, rr0 float64) float64 {
 		return 0
 	}
 	return math.Sqrt(rr / rr0)
-}
-
-func clampInt(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
-func intersect2D(a, b grid.Bounds) grid.Bounds {
-	return grid.Bounds{
-		X0: max(a.X0, b.X0), X1: min(a.X1, b.X1),
-		Y0: max(a.Y0, b.Y0), Y1: min(a.Y1, b.Y1),
-	}
 }

@@ -2,11 +2,9 @@ package deflate
 
 import (
 	"errors"
-	"fmt"
 
 	"tealeaf/internal/comm"
 	"tealeaf/internal/grid"
-	"tealeaf/internal/kernels"
 	"tealeaf/internal/par"
 	"tealeaf/internal/stencil"
 )
@@ -21,30 +19,12 @@ type Geometry3D struct {
 	OffsetX, OffsetY, OffsetZ int
 }
 
-// Deflation3D is the 3D coarse-space projector — the 7-point twin of
-// Deflation, with a BX×BY×BZ box partition of the global mesh and the
-// same rank-local restriction / single-allreduce / replicated-hierarchy
-// structure.
+// Deflation3D is the 3D coarse-space projector — the same face-flux
+// projector core as Deflation, bound to a 7-point operator and a
+// BX×BY×BZ box partition of the global mesh.
 type Deflation3D struct {
-	op         *stencil.Operator3D
-	pool       *par.Pool
-	c          comm.Communicator
-	bx, by, bz int
-	bpart      *grid.Partition3D
-	// local[c] is the local-coordinate intersection of block c with this
-	// rank's interior (possibly empty).
-	local []grid.Bounds3D
-	// xblk[i+hp] / yblk[j+hp] / zblk[k+hp] map full-halo padded
-	// coordinates to block axis indices, clamped to the mesh (see the 2D
-	// tables).
-	xblk, yblk, zblk []int
-	hp               int
-	coarse           *hierarchy
-	// geom and levels are retained for Refresh re-assembly.
-	geom   Geometry3D
-	levels int
-	wv, av *grid.Field3D
-	cr, cl []float64
+	projector
+	op *stencil.Operator3D
 }
 
 // New3D builds the 3D deflation projector for op over a cfg.BX × cfg.BY ×
@@ -55,141 +35,33 @@ type Deflation3D struct {
 // the whole mesh.
 func New3D(pool *par.Pool, c comm.Communicator, op *stencil.Operator3D, geom Geometry3D, cfg Config) (*Deflation3D, error) {
 	g := op.Grid
-	cfg = cfg.withDefaults()
-	if pool == nil {
-		pool = par.Serial
-	}
-	if c == nil {
-		c = comm.NewSerial()
-	}
 	if geom.GlobalNX == 0 && geom.GlobalNY == 0 && geom.GlobalNZ == 0 {
 		geom.GlobalNX, geom.GlobalNY, geom.GlobalNZ = g.NX, g.NY, g.NZ
 	}
-	if cfg.BX < 1 || cfg.BY < 1 || cfg.BZ < 1 {
-		return nil, errors.New("deflate: need at least one subdomain per direction")
-	}
-	if cfg.BX > geom.GlobalNX || cfg.BY > geom.GlobalNY || cfg.BZ > geom.GlobalNZ {
-		return nil, fmt.Errorf("deflate: %dx%dx%d subdomains exceed the %dx%dx%d global mesh",
-			cfg.BX, cfg.BY, cfg.BZ, geom.GlobalNX, geom.GlobalNY, geom.GlobalNZ)
-	}
-	if geom.OffsetX < 0 || geom.OffsetY < 0 || geom.OffsetZ < 0 ||
-		geom.OffsetX+g.NX > geom.GlobalNX || geom.OffsetY+g.NY > geom.GlobalNY ||
-		geom.OffsetZ+g.NZ > geom.GlobalNZ {
-		return nil, fmt.Errorf("deflate: local %dx%dx%d grid at offset (%d,%d,%d) outside the %dx%dx%d global mesh",
-			g.NX, g.NY, g.NZ, geom.OffsetX, geom.OffsetY, geom.OffsetZ,
-			geom.GlobalNX, geom.GlobalNY, geom.GlobalNZ)
-	}
-	bpart, err := grid.NewPartition3D(geom.GlobalNX, geom.GlobalNY, geom.GlobalNZ, cfg.BX, cfg.BY, cfg.BZ)
+	org := g.Index(0, 0, 0)
+	d := &Deflation3D{op: op, projector: projector{
+		pool: pool, c: c, dims: 3,
+		n: [3]int{g.NX, g.NY, g.NZ}, h: [3]int{g.Halo, g.Halo, g.Halo},
+		st: [3]int{1, g.Index(0, 1, 0) - org, g.Index(0, 0, 1) - org}, org: org,
+		in: box3(g.Interior()),
+		k:  [3][]float64{op.Kx.Data, op.Ky.Data, op.Kz.Data},
+	}}
+	err := d.init([3]int{geom.GlobalNX, geom.GlobalNY, geom.GlobalNZ},
+		[3]int{geom.OffsetX, geom.OffsetY, geom.OffsetZ}, cfg)
 	if err != nil {
-		return nil, err
-	}
-	d := &Deflation3D{
-		op: op, pool: pool, c: c, bx: cfg.BX, by: cfg.BY, bz: cfg.BZ, bpart: bpart,
-		geom: geom, levels: cfg.Levels,
-		wv: grid.NewField3D(g), av: grid.NewField3D(g),
-	}
-	nc := cfg.BX * cfg.BY * cfg.BZ
-	d.cr = make([]float64, nc)
-	d.cl = make([]float64, nc)
-
-	d.hp = g.Halo
-	d.xblk = make([]int, g.NX+2*d.hp)
-	for i := -d.hp; i < g.NX+d.hp; i++ {
-		d.xblk[i+d.hp] = bpart.ColumnOf(clampInt(geom.OffsetX+i, 0, geom.GlobalNX-1))
-	}
-	d.yblk = make([]int, g.NY+2*d.hp)
-	for j := -d.hp; j < g.NY+d.hp; j++ {
-		d.yblk[j+d.hp] = bpart.RowOf(clampInt(geom.OffsetY+j, 0, geom.GlobalNY-1))
-	}
-	d.zblk = make([]int, g.NZ+2*d.hp)
-	for k := -d.hp; k < g.NZ+d.hp; k++ {
-		d.zblk[k+d.hp] = bpart.PlaneOf(clampInt(geom.OffsetZ+k, 0, geom.GlobalNZ-1))
-	}
-
-	d.local = make([]grid.Bounds3D, nc)
-	in := g.Interior()
-	for cb := 0; cb < nc; cb++ {
-		e := bpart.ExtentOf(cb)
-		d.local[cb] = intersect3D(grid.Bounds3D{
-			X0: e.X0 - geom.OffsetX, X1: e.X1 - geom.OffsetX,
-			Y0: e.Y0 - geom.OffsetY, Y1: e.Y1 - geom.OffsetY,
-			Z0: e.Z0 - geom.OffsetZ, Z1: e.Z1 - geom.OffsetZ,
-		}, in)
-	}
-
-	if err := d.assemble(); err != nil {
 		return nil, err
 	}
 	return d, nil
 }
 
-// assemble builds and factors E = WᵀAW from the current operator, column
-// by column; see the 2D assembly for the structure. A·W_c vanishes
-// outside the block's one-cell expansion, so only the (at most 3×3×3)
-// adjacent blocks receive entries, and one AllReduceSumN round
-// replicates E exactly. Collective.
-func (d *Deflation3D) assemble() error {
-	g := d.op.Grid
-	geom := d.geom
-	nc := d.bx * d.by * d.bz
-	eflat := make([]float64, nc*nc)
-	for cb := 0; cb < nc; cb++ {
-		ge := d.bpart.ExtentOf(cb)
-		bApply := grid.Bounds3D{
-			X0: ge.X0 - geom.OffsetX - 1, X1: ge.X1 - geom.OffsetX + 1,
-			Y0: ge.Y0 - geom.OffsetY - 1, Y1: ge.Y1 - geom.OffsetY + 1,
-			Z0: ge.Z0 - geom.OffsetZ - 1, Z1: ge.Z1 - geom.OffsetZ + 1,
-		}.ClampInterior(g)
-		if bApply.Empty() {
-			continue
-		}
-		fill := bApply.Expand(1, g)
-		cx := cb % d.bx
-		cy := (cb / d.bx) % d.by
-		cz := cb / (d.bx * d.by)
-		for k := fill.Z0; k < fill.Z1; k++ {
-			inZ := d.zblk[k+d.hp] == cz
-			for j := fill.Y0; j < fill.Y1; j++ {
-				base := g.Index(0, j, k)
-				inYZ := inZ && d.yblk[j+d.hp] == cy
-				for i := fill.X0; i < fill.X1; i++ {
-					v := 0.0
-					if inYZ && d.xblk[i+d.hp] == cx {
-						v = 1
-					}
-					d.wv.Data[base+i] = v
-				}
-			}
-		}
-		d.op.Apply(d.pool, bApply, d.wv, d.av)
-		for dz := -1; dz <= 1; dz++ {
-			for dy := -1; dy <= 1; dy++ {
-				for dx := -1; dx <= 1; dx++ {
-					cx2, cy2, cz2 := cx+dx, cy+dy, cz+dz
-					if cx2 < 0 || cx2 >= d.bx || cy2 < 0 || cy2 >= d.by || cz2 < 0 || cz2 >= d.bz {
-						continue
-					}
-					cb2 := (cz2*d.by+cy2)*d.bx + cx2
-					lb := intersect3D(d.local[cb2], bApply)
-					if !lb.Empty() {
-						eflat[cb2*nc+cb] += d.av.SumBounds(lb)
-					}
-				}
-			}
-		}
-	}
-	eflat = d.c.AllReduceSumN(eflat)
+func box3(b grid.Bounds3D) par.Box { return par.Box3D(b.X0, b.X1, b.Y0, b.Y1, b.Z0, b.Z1) }
 
-	aggs, err := aggregations(d.levels, d.bx, d.by, d.bz)
-	if err != nil {
-		return err
+// data3 is the 3D twin of data2.
+func data3(f *grid.Field3D) []float64 {
+	if f == nil {
+		return nil
 	}
-	h, err := newHierarchy(eflat, nc, aggs)
-	if err != nil {
-		return fmt.Errorf("deflate: coarse matrix not SPD: %w", err)
-	}
-	d.coarse = h
-	return nil
+	return f.Data
 }
 
 // Refresh rebinds the projector to op and re-assembles the coarse matrix
@@ -200,70 +72,25 @@ func (d *Deflation3D) Refresh(op *stencil.Operator3D, changed bool) error {
 		return errors.New("deflate: Refresh requires an operator on the same grid")
 	}
 	d.op = op
+	d.k = [3][]float64{op.Kx.Data, op.Ky.Data, op.Kz.Data}
 	if !changed {
 		return nil
 	}
 	return d.assemble()
 }
 
-// Subdomains returns the coarse-space dimension BX·BY·BZ.
-func (d *Deflation3D) Subdomains() int { return len(d.local) }
-
-// Levels returns the coarse-hierarchy depth (1 = dense two-level solve).
-func (d *Deflation3D) Levels() int { return d.coarse.levels() }
-
-// restrict computes the LOCAL contribution to Wᵀ v into out.
-func (d *Deflation3D) restrict(v *grid.Field3D, out []float64) {
-	for c, b := range d.local {
-		if b.Empty() {
-			out[c] = 0
-		} else {
-			out[c] = v.SumBounds(b)
-		}
-	}
-}
-
-// solveCoarse computes λ = E⁻¹·Wᵀ·v into d.cl with one reduction round.
-func (d *Deflation3D) solveCoarse(v *grid.Field3D) {
-	d.restrict(v, d.cr)
-	global := d.c.AllReduceSumN(d.cr)
-	d.coarse.Solve(global, d.cl)
-}
-
 // CoarseCorrect applies u += W·E⁻¹·Wᵀ·r. Collective.
-func (d *Deflation3D) CoarseCorrect(r, u *grid.Field3D) {
-	d.solveCoarse(r)
-	g := u.Grid
-	for c, b := range d.local {
-		if b.Empty() {
-			continue
-		}
-		v := d.cl[c]
-		for k := b.Z0; k < b.Z1; k++ {
-			for j := b.Y0; j < b.Y1; j++ {
-				base := g.Index(0, j, k)
-				for i := b.X0; i < b.X1; i++ {
-					u.Data[base+i] += v
-				}
-			}
-		}
-	}
-}
+func (d *Deflation3D) CoarseCorrect(r, u *grid.Field3D) { d.coarseCorrect(r.Data, u.Data) }
 
-// ProjectW computes w ← P·w = w − A·W·E⁻¹·Wᵀ·w in place: one coarse
-// solve (a single reduction round) plus one rank-local 7-point
-// application on the analytically filled piecewise-constant field.
-// Collective.
-func (d *Deflation3D) ProjectW(w *grid.Field3D) {
-	d.ProjectWBounds(d.op.Grid.Interior(), w)
-}
+// ProjectW computes w ← P·w = w − A·W·E⁻¹·Wᵀ·w in place over the
+// interior. Collective.
+func (d *Deflation3D) ProjectW(w *grid.Field3D) { d.project(d.in, w.Data, nil, nil) }
 
-// ProjectWBounds is ProjectW with the fine-grid correction written over
-// the extended bounds b ⊇ interior — the deep-halo form of the 2D twin,
-// with the restriction kept interior-only for the same ownership reason.
-func (d *Deflation3D) ProjectWBounds(b grid.Bounds3D, w *grid.Field3D) {
-	d.solveCoarse(w)
-	d.applyCorrection(b, w)
+// ProjectWBounds is the 3D twin of Deflation.ProjectWBounds: the
+// correction over b ⊇ interior, the restriction interior-only, and the
+// rank-local interior dot (minv⊙x)·(P·w) from the same pass. Collective.
+func (d *Deflation3D) ProjectWBounds(b grid.Bounds3D, w, minv, x *grid.Field3D) float64 {
+	return d.project(box3(b), w.Data, data3(minv), data3(x))
 }
 
 // ProjectWBoundsStart is the 3D twin of Deflation.ProjectWBoundsStart:
@@ -271,42 +98,12 @@ func (d *Deflation3D) ProjectWBounds(b grid.Bounds3D, w *grid.Field3D) {
 // tag, under the same finish-before-any-blocking-collective contract.
 // Collective.
 func (d *Deflation3D) ProjectWBoundsStart(w *grid.Field3D) comm.ReduceHandle {
-	d.restrict(w, d.cr)
-	return d.c.AllReduceSumNStartTagged(deflReduceTag, d.cr)
+	return d.start(w.Data)
 }
 
 // ProjectWBoundsFinish completes a projection posted by
-// ProjectWBoundsStart, bit-identical to ProjectWBounds(b, w) for the
-// same w.
+// ProjectWBoundsStart, bit-identical to ProjectWBounds(b, w, nil, nil)
+// for the same w.
 func (d *Deflation3D) ProjectWBoundsFinish(h comm.ReduceHandle, b grid.Bounds3D, w *grid.Field3D) {
-	d.coarse.Solve(h.Finish(), d.cl)
-	d.applyCorrection(b, w)
-}
-
-// applyCorrection subtracts the fine-grid correction A·W·λ (λ = d.cl,
-// left by the coarse solve) from w over b, filling W·λ analytically
-// over the one-cell shell A reads as in the 2D projector.
-func (d *Deflation3D) applyCorrection(b grid.Bounds3D, w *grid.Field3D) {
-	g := d.op.Grid
-	fill := b.Expand(1, g)
-	for k := fill.Z0; k < fill.Z1; k++ {
-		zBase := d.zblk[k+d.hp] * d.by
-		for j := fill.Y0; j < fill.Y1; j++ {
-			base := g.Index(0, j, k)
-			rowBase := (zBase + d.yblk[j+d.hp]) * d.bx
-			for i := fill.X0; i < fill.X1; i++ {
-				d.wv.Data[base+i] = d.cl[rowBase+d.xblk[i+d.hp]]
-			}
-		}
-	}
-	d.op.Apply(d.pool, b, d.wv, d.av)
-	kernels.Axpy3D(d.pool, b, -1, d.av, w)
-}
-
-func intersect3D(a, b grid.Bounds3D) grid.Bounds3D {
-	return grid.Bounds3D{
-		X0: max(a.X0, b.X0), X1: min(a.X1, b.X1),
-		Y0: max(a.Y0, b.Y0), Y1: min(a.Y1, b.Y1),
-		Z0: max(a.Z0, b.Z0), Z1: min(a.Z1, b.Z1),
-	}
+	d.finish(h, box3(b), w.Data)
 }

@@ -98,7 +98,7 @@ func TestCholeskyErrors(t *testing.T) {
 
 // --- Deflation ---
 
-func pipeOperator(t *testing.T, n int) *stencil.Operator2D {
+func pipeOperator(t testing.TB, n int) *stencil.Operator2D {
 	t.Helper()
 	d := problem.CrookedPipeDeck(n, n)
 	g := grid.MustGrid2D(n, n, 2, d.XMin, d.XMax, d.YMin, d.YMax)
@@ -173,8 +173,8 @@ func TestCoarseCorrectZeroesCoarseResidual(t *testing.T) {
 	u.ReflectHalos(1)
 	op.Residual(par.Serial, g.Interior(), u, rhs, r)
 	// Wᵀ r must vanish: block sums of the corrected residual are ~0.
-	sums := make([]float64, defl.Subdomains())
-	defl.restrict(r, sums)
+	defl.restrict(r.Data)
+	sums := defl.cr
 	norm := r.Norm2Interior()
 	for c, s := range sums {
 		if math.Abs(s) > 1e-10*math.Max(1, norm) {
@@ -204,8 +204,8 @@ func TestProjectWKillsCoarseComponent(t *testing.T) {
 	ap := grid.NewField2D(g)
 	op.Apply(par.Serial, g.Interior(), p, ap)
 	defl.ProjectW(ap)
-	sums := make([]float64, defl.Subdomains())
-	defl.restrict(ap, sums)
+	defl.restrict(ap.Data)
+	sums := defl.cr
 	norm := ap.Norm2Interior()
 	for c, s := range sums {
 		if math.Abs(s) > 1e-9*math.Max(1, norm) {
@@ -242,7 +242,7 @@ func TestDeflatedCGMatchesPlainCG(t *testing.T) {
 
 // stiffOperator builds A = I + Δt·L with Δt·λ₂(L) ≫ 1: the near-steady
 // regime where the deflatable low-energy modes are actual outliers.
-func stiffOperator(t *testing.T, n int) *stencil.Operator2D {
+func stiffOperator(t testing.TB, n int) *stencil.Operator2D {
 	t.Helper()
 	g := grid.MustGrid2D(n, n, 2, 0, 1, 0, 1)
 	den := grid.NewField2D(g)

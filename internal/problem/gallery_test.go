@@ -22,9 +22,12 @@ type galleryGolden struct {
 // are exact on purpose: any solver change that shifts convergence on
 // these decks — fuzz-promoted precisely because they are the hardest —
 // must show up as a conscious golden update, not silent drift.
+// deflated-points was re-pinned by PR 14 (face-flux projector): 824 → 826
+// iterations (+0.24 %), energy 5.709657009788449e+01 → …448e+01 (2e-16
+// relative) — the projected iterates differ in the last bits.
 var galleryGoldens = map[string]galleryGolden{
 	"hot-strip":       {iters: 426, ie: 2.660088621857170e+02},
-	"deflated-points": {iters: 824, ie: 5.709657009788449e+01},
+	"deflated-points": {iters: 826, ie: 5.709657009788448e+01},
 	"near-steady":     {iters: 0, ie: 1.687500000000000e+01},
 }
 

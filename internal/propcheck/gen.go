@@ -172,12 +172,10 @@ func Gen(r *rand.Rand) *deck.Deck {
 	case rx > 5:
 		d.Eps = 1e-10
 	}
-	if d.UseDeflation && d.Eps < 1e-10 {
-		// The deflation projector re-injects O(ε·‖A‖·‖u‖) roundoff every
-		// iteration, so deflated solves stall near 1e-11 relative even on
-		// mild decks; asking for less is asking for the noise floor itself.
-		d.Eps = 1e-10
-	}
+	// Deflated decks take the same tiers: the face-flux projector (PR 14)
+	// differences λ before multiplying by the face coefficients, so it no
+	// longer re-injects O(ε·‖A‖·‖λ‖) roundoff every iteration, and the
+	// eps 1e-10 floor PR 9 put under deflated decks is gone.
 	d.MaxIters = 30000
 
 	if err := d.Validate(); err != nil {

@@ -8,6 +8,7 @@ import (
 	"tealeaf/internal/grid"
 	"tealeaf/internal/par"
 	"tealeaf/internal/precond"
+	"tealeaf/internal/stats"
 	"tealeaf/internal/stencil"
 )
 
@@ -284,6 +285,65 @@ func TestDeflationTraceExtraReductionRound(t *testing.T) {
 		if defl != plain+1 {
 			t.Errorf("fused=%v: deflated CG performs %d reduction rounds/iteration, plain %d — want exactly one more",
 				!disableFused, defl, plain)
+		}
+	}
+}
+
+// The deflated iteration's sweep profile, pinned by trace slope (counts
+// per iteration, startup cancelled): a projection is a restriction sweep
+// (traced as a dot pass), one coarse reduction round and one flux
+// correction sweep (a vector pass); the re-measured curvature rides the
+// correction, so no engine pays a separate dot or preconditioner sweep
+// for it. Fused: 3 CG sweeps + 2 projector sweeps, 2 rounds. Pipelined:
+// matvec + step + 2 projector sweeps, 2 rounds. Classic (identity M):
+// matvec, 2 axpys, ‖r‖² dot, direction update + 2 projector sweeps, 3
+// rounds.
+func TestDeflatedTraceSweepCounts(t *testing.T) {
+	type profile struct{ matvecs, vectorPasses, dots, preconds, reductions int }
+	run := func(o Options, jacobi bool, iters int) (stats.Trace, int) {
+		t.Helper()
+		p := stiffProblem(t, 32)
+		c := comm.NewSerial()
+		o.Tol, o.MaxIters, o.Comm = 1e-30, iters, c
+		if jacobi {
+			o.Precond = precondJacobi(t, p.Op)
+		}
+		defl, err := deflate.New(par.Serial, c, p.Op, deflate.Geometry{}, deflate.Config{BX: 4, BY: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		o.Deflation = defl
+		res, err := SolveCG(p, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return *c.Trace(), res.Iterations
+	}
+	for _, tc := range []struct {
+		name   string
+		o      Options
+		jacobi bool
+		want   profile
+	}{
+		{"fused", Options{}, false, profile{1, 3, 1, 0, 2}},
+		{"fused+jac_diag", Options{}, true, profile{1, 3, 1, 0, 2}},
+		{"pipelined", Options{Pipelined: true}, false, profile{1, 2, 1, 0, 2}},
+		{"pipelined+jac_diag", Options{Pipelined: true}, true, profile{1, 2, 1, 0, 2}},
+		{"classic", Options{DisableFused: true}, false, profile{1, 4, 2, 0, 3}},
+	} {
+		t1, i1 := run(tc.o, tc.jacobi, 10)
+		t2, i2 := run(tc.o, tc.jacobi, 20)
+		di := i2 - i1
+		if di <= 0 {
+			t.Fatalf("%s: iteration counts did not differ (%d vs %d)", tc.name, i1, i2)
+		}
+		got := profile{
+			(t2.Matvecs - t1.Matvecs) / di, (t2.VectorPasses - t1.VectorPasses) / di,
+			(t2.Dots - t1.Dots) / di, (t2.PrecondApplies - t1.PrecondApplies) / di,
+			(t2.Reductions - t1.Reductions) / di,
+		}
+		if got != tc.want {
+			t.Errorf("%s: per-iteration {matvecs vectorPasses dots preconds reductions} = %v, want %v", tc.name, got, tc.want)
 		}
 	}
 }

@@ -74,12 +74,11 @@ func runCGCore[F comparable, B any](e *engine[F, B], maxIters int, tol float64) 
 // Plain solves keep baseline rr0 whenever they iterate at all, so the
 // historical stop behaviour — and every pinned golden — is preserved
 // bit for bit. Costs one extra reduction round at startup.
-func (e *engine[F, B]) startupBaseSq(deflated bool, rr0, tol float64) (base float64, done bool) {
+func (e *engine[F, B]) startupBaseSq(rr0, tol float64) (base float64, done bool) {
 	bb := e.dot(e.rhs, e.rhs)
 	if rr0 <= 100*tol*tol*bb {
 		return bb, true
 	}
-	_ = deflated
 	if bb > rr0 {
 		return bb, false
 	}
@@ -91,7 +90,7 @@ func (e *engine[F, B]) startupBaseSq(deflated bool, rr0, tol float64) (base floa
 // against rr0. It leaves r holding the corrected residual and u the
 // corrected solution, so continuation solvers (the PPCG outer loop after
 // a deflated bootstrap) resume from a consistent state with Wᵀ·r = 0.
-func (e *engine[F, B]) finishDeflated(defl deflator[F], r F, rr0 float64) (float64, error) {
+func (e *engine[F, B]) finishDeflated(defl deflator[F, B], r F, rr0 float64) (float64, error) {
 	if err := e.exchange(1, e.u); err != nil {
 		return 0, err
 	}
@@ -103,20 +102,6 @@ func (e *engine[F, B]) finishDeflated(defl deflator[F], r F, rr0 float64) (float
 		return 0, err
 	}
 	return relResidual(rrTrue, rr0), nil
-}
-
-// deflDelta recomputes the local curvature δ = (M⁻¹r)·w after the
-// projection replaced w: the fused sweep's δ saw the unprojected matvec,
-// and the Chronopoulos–Gear recurrence needs the curvature of P·A. zd is
-// the M⁻¹r scratch (unused for the identity, where M⁻¹r aliases r).
-func (e *engine[F, B]) deflDelta(minv, zd, r, w F) float64 {
-	e.tr.AddDot(e.cells)
-	if isZeroF(minv) {
-		return e.sys.Dot(e.in, r, w)
-	}
-	e.sys.PrecondApply(e.in, r, zd)
-	e.tr.AddPrecond(e.cells)
-	return e.sys.Dot(e.in, zd, w)
 }
 
 // runCGFusedCore is the Chronopoulos–Gear single-reduction PCG engine
@@ -158,17 +143,14 @@ func (e *engine[F, B]) deflDelta(minv, zd, r, w F) float64 {
 // cycle trades ~4·d·halo cells of redundant sweeps for d× fewer
 // messages, the same latency-for-bandwidth trade the PPCG inner powers
 // schedule makes. Deflated solves join the cycle via ProjectWBounds,
-// which maintains w = P·A·u' on the extended bounds (deepDeflator).
+// which maintains w = P·A·u' on the extended bounds, with the
+// re-measured curvature δ folded out of the same correction pass.
 func runCGFusedCore[F comparable, B any](e *engine[F, B], minv F, maxIters int, tol float64) (Result, *cgState[F], error) {
 	sys := e.sys
 	in := e.in
 	var result Result
 
 	defl := sys.Deflation()
-	var zd F // deflated-path M⁻¹r scratch (δ must see the projected w)
-	if defl != nil && !isZeroF(minv) {
-		zd = sys.NewVec()
-	}
 
 	r := sys.NewVec()
 	w := sys.NewVec()
@@ -212,8 +194,8 @@ func runCGFusedCore[F comparable, B any](e *engine[F, B], minv F, maxIters int, 
 	gamma, delta, rr0 := sys.ApplyPreDotInit(in, minv, r, w)
 	e.tr.AddMatvec(e.cells)
 	if defl != nil {
-		defl.ProjectW(w) // w = P·A·M⁻¹r
-		delta = e.deflDelta(minv, zd, r, w)
+		// w = P·A·M⁻¹r; δ must see the projected w.
+		delta = e.projectW(defl, in, w, minv, r)
 	}
 	sums := e.reduceN([]float64{gamma, delta, rr0})
 	gamma, delta, rr0 = sums[0], sums[1], sums[2]
@@ -222,7 +204,7 @@ func runCGFusedCore[F comparable, B any](e *engine[F, B], minv F, maxIters int, 
 		return result, mkState(0, 0, 0), nil
 	}
 	var done bool
-	base, done = e.startupBaseSq(defl != nil, rr0, tol)
+	base, done = e.startupBaseSq(rr0, tol)
 	if done {
 		// The initial guess already solves the step to the achievable
 		// precision; iterating would only pump roundoff into it. Checked
@@ -240,7 +222,7 @@ func runCGFusedCore[F comparable, B any](e *engine[F, B], minv F, maxIters int, 
 		return result, mkState(gamma, rr0, rr0), fmt.Errorf("solver: startup curvature δ = %v: %w", delta, ErrBreakdown)
 	}
 
-	depth := e.haloCycleDepth(defl)
+	depth := max(e.o.HaloDepth, 1)
 	if depth > 1 && !isZeroF(minv) {
 		// The folded diagonal is sweep input on the full extended bounds;
 		// it never changes during the solve, so one deep exchange suffices.
@@ -248,13 +230,14 @@ func runCGFusedCore[F comparable, B any](e *engine[F, B], minv F, maxIters int, 
 			return result, nil, err
 		}
 	}
-	cs := newChainState(e, depth, defl)
+	cs := newChainState(e, depth)
 
 	alpha := gamma / delta
 	beta := 0.0
 	rr := rr0
 	for it := 0; it < maxIters; it++ {
 		var gammaNew, rrNew, deltaNew float64
+		mb := in // matvec bounds: extended on the deep path
 		if depth > 1 {
 			j := it % depth
 			if j == 0 {
@@ -264,8 +247,8 @@ func runCGFusedCore[F comparable, B any](e *engine[F, B], minv F, maxIters int, 
 					return result, nil, err
 				}
 			}
-			ab := sys.Extend(depth - j)     // direction/update bounds
-			mb := sys.Extend(depth - 1 - j) // matvec bounds, one cell inside
+			ab := sys.Extend(depth - j)    // direction/update bounds
+			mb = sys.Extend(depth - 1 - j) // one cell inside ab
 			if cs != nil {
 				// Temporal blocking: the same three sweeps, chained per
 				// LLC band so each band streams through cache once.
@@ -283,10 +266,6 @@ func runCGFusedCore[F comparable, B any](e *engine[F, B], minv F, maxIters int, 
 				e.vectorPass(ab)
 				deltaNew = e.applyPreDotDeep(mb, minv, r, w)
 			}
-			if defl != nil {
-				defl.(deepDeflator[F, B]).ProjectWBounds(mb, w)
-				deltaNew = e.deflDelta(minv, zd, r, w)
-			}
 		} else {
 			sys.FusedCGDirections(in, minv, r, w, beta, pvec, svec)
 			e.vectorPass(in)
@@ -297,10 +276,9 @@ func runCGFusedCore[F comparable, B any](e *engine[F, B], minv F, maxIters int, 
 			if err != nil {
 				return result, nil, err
 			}
-			if defl != nil {
-				defl.ProjectW(w)
-				deltaNew = e.deflDelta(minv, zd, r, w)
-			}
+		}
+		if defl != nil {
+			deltaNew = e.projectW(defl, mb, w, minv, r)
 		}
 		s := e.reduceN([]float64{gammaNew, rrNew, deltaNew})
 		gammaNew, rrNew, deltaNew = s[0], s[1], s[2]
@@ -406,10 +384,6 @@ func runCGPipelinedCore[F comparable, B any](e *engine[F, B], minv F, maxIters i
 	var result Result
 
 	defl := sys.Deflation()
-	var zd F // deflated-path M⁻¹r scratch (startup δ must see the projected w)
-	if defl != nil && !isZeroF(minv) {
-		zd = sys.NewVec()
-	}
 
 	r := sys.NewVec()
 	w := sys.NewVec()
@@ -453,11 +427,11 @@ func runCGPipelinedCore[F comparable, B any](e *engine[F, B], minv F, maxIters i
 	gamma, delta, rr := sys.ApplyPreDotInit(in, minv, r, w)
 	e.tr.AddMatvec(e.cells)
 	if defl != nil {
-		defl.ProjectW(w) // w = P·A·M⁻¹r
-		delta = e.deflDelta(minv, zd, r, w)
+		// w = P·A·M⁻¹r; the startup δ must see the projected w.
+		delta = e.projectW(defl, in, w, minv, r)
 	}
 
-	depth := e.haloCycleDepth(defl)
+	depth := max(e.o.HaloDepth, 1)
 	if depth > 1 && !isZeroF(minv) {
 		// One-time deep refresh of the folded diagonal (sweep input on the
 		// full extended bounds, constant across the solve).
@@ -465,11 +439,8 @@ func runCGPipelinedCore[F comparable, B any](e *engine[F, B], minv F, maxIters i
 			return result, nil, err
 		}
 	}
-	cs := newChainState(e, depth, defl)
-	var sdefl splitDeflator[F, B] // non-nil exactly when cs chains a deflated solve
-	if cs != nil && defl != nil {
-		sdefl = defl.(splitDeflator[F, B])
-	}
+	cs := newChainState(e, depth)
+	split := cs != nil && defl != nil // the chain posts the coarse round split-phase
 	// drain completes a chained pass's deferred matvec bands and posted
 	// coarse round before any exit from the loop (no-op unchained).
 	drain := func() {
@@ -479,7 +450,7 @@ func runCGPipelinedCore[F comparable, B any](e *engine[F, B], minv F, maxIters i
 	}
 
 	var alpha, gammaOld, rr0 float64
-	var mb B // this pass's matvec bounds (deep path)
+	mb := in // this pass's matvec bounds (extended on the deep path)
 	first := true
 	cyc := 0
 	for {
@@ -499,7 +470,7 @@ func runCGPipelinedCore[F comparable, B any](e *engine[F, B], minv F, maxIters i
 			}
 			mb = sys.Extend(depth - 1 - j)
 			if cs != nil {
-				cs.pipelinedMatvec(e, mb, minv, w, nvec, sdefl)
+				cs.pipelinedMatvec(e, mb, minv, w, nvec, defl)
 			} else {
 				sys.ApplyPreDot(mb, minv, w, nvec)
 				e.tr.AddMatvec(sys.Cells(mb))
@@ -523,7 +494,7 @@ func runCGPipelinedCore[F comparable, B any](e *engine[F, B], minv F, maxIters i
 				return result, mkState(0, 0, 0), nil
 			}
 			var done bool
-			base, done = e.startupBaseSq(defl != nil, rr0, tol)
+			base, done = e.startupBaseSq(rr0, tol)
 			if done {
 				// The initial guess already solves the step to the
 				// achievable precision; iterating would only pump roundoff
@@ -568,19 +539,15 @@ func runCGPipelinedCore[F comparable, B any](e *engine[F, B], minv F, maxIters i
 			drain()
 			break
 		}
-		if defl != nil {
-			switch {
-			case sdefl != nil:
-				// n = P·A·M⁻¹w consuming the coarse round the chained pass
-				// posted alongside the scalar round.
-				cs.pipelinedProject(sdefl)
-			case depth > 1:
-				// n = P·A·M⁻¹w on the extended matvec bounds, strictly after
-				// Finish (the projector's coarse round is a collective).
-				defl.(deepDeflator[F, B]).ProjectWBounds(mb, nvec)
-			default:
-				defl.ProjectW(nvec) // n = P·A·M⁻¹w, strictly after Finish
-			}
+		if split {
+			// n = P·A·M⁻¹w consuming the coarse round the chained pass
+			// posted alongside the scalar round.
+			cs.pipelinedProject(e, defl)
+		} else if defl != nil {
+			// n = P·A·M⁻¹w, strictly after Finish (the coarse round is a
+			// collective). No dot: the step sweep re-measures the curvature.
+			var zero F
+			e.projectW(defl, mb, nvec, zero, zero)
 		}
 		var beta float64
 		if first {
@@ -680,7 +647,7 @@ func runCGClassicCore[F comparable, B any](e *engine[F, B], maxIters int, tol fl
 		result.Converged = true
 		return result, &cgState[F]{r: r, z: z, w: w, pvec: pvec}, nil
 	}
-	base, done := e.startupBaseSq(defl != nil, rr0, tol)
+	base, done := e.startupBaseSq(rr0, tol)
 	if done {
 		// The initial guess already solves the step to the achievable
 		// precision; iterating would only pump roundoff into it.
@@ -723,8 +690,8 @@ func runCGClassicCore[F comparable, B any](e *engine[F, B], maxIters int, tol fl
 			// The projection P·w needs the plain matvec first; the fused
 			// matvec+dot cannot be used because the dot must see P·A·p.
 			e.matvec(in, pvec, w)
-			defl.ProjectW(w)
-			pw = e.dot(pvec, w)
+			var zero F
+			pw = e.reduce(e.projectW(defl, in, w, zero, pvec))
 			if pw <= 0 {
 				// P·A is only positive semi-definite outside the deflated
 				// subspace; a non-positive curvature means the iteration
@@ -1078,8 +1045,8 @@ func solvePPCGCore[F comparable, B any](e *engine[F, B]) (Result, error) {
 			// The projection P·w needs the plain matvec first; the fused
 			// matvec+dot cannot be used because the dot must see P·A·p.
 			e.matvec(in, pvec, w)
-			defl.ProjectW(w)
-			pw = e.dot(pvec, w)
+			var zero F
+			pw = e.reduce(e.projectW(defl, in, w, zero, pvec))
 			if pw <= 0 {
 				// P·A is only positive semi-definite outside the deflated
 				// subspace.

@@ -60,13 +60,20 @@ func ParseKind(s string) (Kind, error) {
 // satisfied by *deflate.Deflation (the contract is defined here rather
 // than importing internal/deflate so any coarse-space projector can be
 // composed in): CoarseCorrect applies u += W·E⁻¹·Wᵀ·r, zeroing the
-// deflation-space component of the residual; ProjectW applies
-// w ← P·w = w − A·W·E⁻¹·Wᵀ·w in place. Both are collective: in a
-// distributed solve every rank must reach them together (each performs
-// exactly one reduction round through the solve's communicator).
+// deflation-space component of the residual; ProjectWBounds applies
+// w ← P·w = w − A·W·E⁻¹·Wᵀ·w in place with the correction written over
+// b ⊇ interior and returns the rank-local interior dot (minv⊙x)·(P·w)
+// from the same pass (nil minv = identity, nil x = no dot);
+// ProjectWBoundsStart/Finish split that projection around its coarse
+// reduction round for the temporal-blocked pipelined engine. All are
+// collective: in a distributed solve every rank must reach them together
+// (each projection performs exactly one reduction round through the
+// solve's communicator).
 type Deflator interface {
 	CoarseCorrect(r, u *grid.Field2D)
-	ProjectW(w *grid.Field2D)
+	ProjectWBounds(b grid.Bounds, w, minv, x *grid.Field2D) float64
+	ProjectWBoundsStart(w *grid.Field2D) comm.ReduceHandle
+	ProjectWBoundsFinish(h comm.ReduceHandle, b grid.Bounds, w *grid.Field2D)
 }
 
 // Deflator3D is the 3D outer deflation projector Options.Deflation3D
@@ -74,7 +81,9 @@ type Deflator interface {
 // Deflator, with the same collective contract.
 type Deflator3D interface {
 	CoarseCorrect(r, u *grid.Field3D)
-	ProjectW(w *grid.Field3D)
+	ProjectWBounds(b grid.Bounds3D, w, minv, x *grid.Field3D) float64
+	ProjectWBoundsStart(w *grid.Field3D) comm.ReduceHandle
+	ProjectWBoundsFinish(h comm.ReduceHandle, b grid.Bounds3D, w *grid.Field3D)
 }
 
 // Problem is one linear solve A·u = rhs on a rank-local grid. U holds the

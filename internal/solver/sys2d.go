@@ -18,7 +18,7 @@ type sys2d struct {
 	op   *stencil.Operator2D
 	m    precond.Preconditioner
 	c    comm.Communicator
-	defl deflator[*grid.Field2D]
+	defl deflator[*grid.Field2D, grid.Bounds]
 }
 
 func newSys2D(p Problem, o Options) *sys2d {
@@ -206,4 +206,4 @@ func (s *sys2d) PrecondName() string { return s.m.Name() }
 
 func (s *sys2d) FoldableDiag() (*grid.Field2D, bool) { return precond.FoldableDiag(s.m) }
 
-func (s *sys2d) Deflation() deflator[*grid.Field2D] { return s.defl }
+func (s *sys2d) Deflation() deflator[*grid.Field2D, grid.Bounds] { return s.defl }

@@ -19,7 +19,7 @@ type sys3d struct {
 	op   *stencil.Operator3D
 	m    precond.Preconditioner3D
 	c    comm.Communicator
-	defl deflator[*grid.Field3D]
+	defl deflator[*grid.Field3D, grid.Bounds3D]
 }
 
 func newSys3D(p Problem3D, o Options) *sys3d {
@@ -223,4 +223,4 @@ func (s *sys3d) PrecondName() string { return s.m.Name() }
 
 func (s *sys3d) FoldableDiag() (*grid.Field3D, bool) { return precond.FoldableDiag3D(s.m) }
 
-func (s *sys3d) Deflation() deflator[*grid.Field3D] { return s.defl }
+func (s *sys3d) Deflation() deflator[*grid.Field3D, grid.Bounds3D] { return s.defl }

@@ -146,7 +146,7 @@ type system[F comparable, B any] interface {
 	FoldableDiag() (F, bool)
 
 	// Deflation returns the configured outer deflation projector, or nil.
-	Deflation() deflator[F]
+	Deflation() deflator[F, B]
 }
 
 // powersSched is the matrix-powers exchange schedule (halo.Schedule and
@@ -158,39 +158,16 @@ type powersSched[B any] interface {
 }
 
 // deflator is the outer deflation projector the CG and PPCG loops compose
-// with (§VII future work): CoarseCorrect zeroes the deflation-space
-// component of the residual, ProjectW applies w ← P·w = w − A·W·E⁻¹·Wᵀ·w.
-// Both are collective (one reduction round each). Its method set matches
-// the user-facing Deflator/Deflator3D exactly, so Options.Deflation and
-// Options.Deflation3D satisfy deflator[F] for their field type directly.
-type deflator[F any] interface {
+// with (§VII future work) — the method set of the user-facing
+// Deflator/Deflator3D, whose doc states the contract, so Options.Deflation
+// and Options.Deflation3D satisfy it directly. ProjectWBounds writes the
+// correction over b ⊇ interior so a matrix-powers cycle keeps w = P·A·u'
+// valid wherever later redundant sweeps read it; every Start must be
+// matched by exactly one Finish — on paths that abandon the projection
+// the result is discarded, which all ranks do symmetrically.
+type deflator[F any, B any] interface {
 	CoarseCorrect(r, u F)
-	ProjectW(w F)
-}
-
-// deepDeflator is the optional deflator extension the deep-halo CG
-// engines need: ProjectWBounds applies the projection with the fine-grid
-// correction written over the extended bounds b, not just the interior,
-// so the matrix-powers cycle keeps w = P·A·u' valid wherever later
-// redundant sweeps read it. The coarse solve inside stays restricted to
-// the interior (extended cells are another rank's interior — counting
-// them would double-weight the restriction) and remains collective.
-// Deflators that don't implement it cap the halo cycle at depth 1.
-type deepDeflator[F any, B any] interface {
-	ProjectWBounds(b B, w F)
-}
-
-// splitDeflator is the optional deflator extension the temporal-blocked
-// pipelined engine uses: ProjectWBoundsStart restricts w and posts the
-// projector's coarse reduction round split-phase on a dedicated tag
-// (comm.AllReduceSumNStartTagged), so it can sit in flight alongside the
-// iteration's scalar round; ProjectWBoundsFinish completes the round,
-// the replicated coarse solve and the fine-grid correction over b.
-// Every Start must be matched by exactly one Finish — on paths that
-// abandon the projection (convergence detected by the scalar round) the
-// handle is still Finished and its result discarded, which all ranks do
-// symmetrically. Deflators without it fall back to the unchained cycle.
-type splitDeflator[F any, B any] interface {
+	ProjectWBounds(b B, w, minv, x F) float64
 	ProjectWBoundsStart(w F) comm.ReduceHandle
 	ProjectWBoundsFinish(h comm.ReduceHandle, b B, w F)
 }
@@ -326,20 +303,15 @@ func (e *engine[F, B]) applyPreDotDeep(mb B, minv, r, w F) float64 {
 	return d
 }
 
-// haloCycleDepth resolves the matrix-powers cycle depth for the fused and
-// pipelined engines: Options.HaloDepth, capped to 1 when a configured
-// deflator cannot maintain the projection on extended bounds.
-func (e *engine[F, B]) haloCycleDepth(defl deflator[F]) int {
-	depth := e.o.HaloDepth
-	if depth <= 1 {
-		return 1
-	}
-	if defl != nil {
-		if _, ok := defl.(deepDeflator[F, B]); !ok {
-			return 1
-		}
-	}
-	return depth
+// projectW applies the deflation projection w ← P·w over b ⊇ interior and
+// returns the local curvature partial (minv⊙x)·(P·w) over the interior,
+// tracing the two sweeps a projection runs: the read-only restriction of
+// the interior and the flux correction's read-modify-write of b (the dot
+// rides the correction and is not a sweep of its own).
+func (e *engine[F, B]) projectW(defl deflator[F, B], b B, w, minv, x F) float64 {
+	e.tr.AddDot(e.cells)
+	e.tr.AddVectorPass(e.sys.Cells(b))
+	return defl.ProjectWBounds(b, w, minv, x)
 }
 
 // initialResidual exchanges u, computes r = rhs − A·u on the interior and

@@ -64,16 +64,10 @@ type chainState[F comparable, B any] struct {
 // is set, the cycle is deep, and the pool is tiled — par.ChainBands'
 // requirement for bit-stable folds; the deck layer refuses tl_temporal
 // on untiled pools so the silent fallback here only serves direct
-// library use. A deflated pipelined solve additionally needs the
-// projector to support the split-phase coarse round (splitDeflator).
-func newChainState[F comparable, B any](e *engine[F, B], depth int, defl deflator[F]) *chainState[F, B] {
+// library use.
+func newChainState[F comparable, B any](e *engine[F, B], depth int) *chainState[F, B] {
 	if !e.o.Temporal || depth <= 1 {
 		return nil
-	}
-	if e.o.Pipelined && defl != nil {
-		if _, ok := defl.(splitDeflator[F, B]); !ok {
-			return nil
-		}
 	}
 	bands := e.sys.ChainBands(e.o.ChainBandCells)
 	if bands == nil {
@@ -146,15 +140,15 @@ func (cs *chainState[F, B]) fusedIter(e *engine[F, B], ab, mb B, minv, r, w, pve
 }
 
 // pipelinedMatvec starts a temporal-blocked pipelined pass, inside the
-// scalar round's overlap window: with a split-capable deflator every
-// matvec band runs now (the coarse restriction needs the complete n)
-// and the projector's coarse round is posted on its own tag — two
-// tagged reductions in flight across the chained block; without one,
-// only band 0 runs here and the rest chain with the step sweeps after
-// the scalar round lands. Either way the full matvec is accounted here,
-// where the unchained engine accounts its full sweep — every exit path
-// completes the deferred bands (pipelinedDrain).
-func (cs *chainState[F, B]) pipelinedMatvec(e *engine[F, B], mb B, minv, w, n F, sd splitDeflator[F, B]) {
+// scalar round's overlap window: with a deflator sd every matvec band runs
+// now (the coarse restriction needs the complete n) and the projector's
+// coarse round is posted on its own tag — two tagged reductions in flight
+// across the chained block; without one, only band 0 runs here and the
+// rest chain with the step sweeps after the scalar round lands. Either
+// way the full matvec is accounted here, where the unchained engine
+// accounts its full sweep — every exit path completes the deferred bands
+// (pipelinedDrain).
+func (cs *chainState[F, B]) pipelinedMatvec(e *engine[F, B], mb B, minv, w, n F, sd deflator[F, B]) {
 	cs.mb, cs.minv, cs.src, cs.dst = mb, minv, w, n // matvec: n = A·(minv⊙w)
 	cs.accM.Reset()
 	cs.next = 0
@@ -164,6 +158,7 @@ func (cs *chainState[F, B]) pipelinedMatvec(e *engine[F, B], mb B, minv, w, n F,
 		}
 		cs.next = len(cs.bands)
 		e.tr.AddMatvec(e.sys.Cells(mb))
+		e.tr.AddDot(e.cells) // the restriction sweep
 		cs.h1 = sd.ProjectWBoundsStart(n)
 		return
 	}
@@ -192,7 +187,8 @@ func (cs *chainState[F, B]) pipelinedDrain(e *engine[F, B]) {
 
 // pipelinedProject consumes the posted coarse round into the deflation
 // projection n = P·A·(minv⊙w) over the pass's matvec bounds.
-func (cs *chainState[F, B]) pipelinedProject(sd splitDeflator[F, B]) {
+func (cs *chainState[F, B]) pipelinedProject(e *engine[F, B], sd deflator[F, B]) {
+	e.tr.AddVectorPass(e.sys.Cells(cs.mb)) // the flux-correction sweep
 	sd.ProjectWBoundsFinish(cs.h1, cs.mb, cs.dst)
 	cs.h1 = nil
 }
