@@ -11,14 +11,23 @@ import (
 // peer connection. Both Exchange implementations share the one phase
 // core below, so the corner-correct ordering and its validation rules
 // exist exactly once — the backends are bit-identical by construction,
-// not by parallel maintenance. The side passed to both calls is the
-// grid.Side of the RECEIVING rank at which the slab applies (the Hub's
+// not by parallel maintenance. The side passed to sendSlab and recvSlab
+// is the grid.Side of the RECEIVING rank at which the slab applies (the Hub's
 // mailbox index). Implementations must make sendSlab non-blocking with
-// respect to the peer's progress (buffered channel / writer queue):
-// the core posts all of a phase's sends before draining its receives,
-// and that is only deadlock-free if a send never waits for the peer to
-// receive.
+// respect to the peer's progress (buffered channel / a non-blocking
+// write attempt whose unwritten tail goes to a writer queue): the core
+// posts all of a phase's sends before draining its receives, and that is
+// only deadlock-free if a send never waits for the peer to receive.
+//
+// The core packs each outgoing slab into the buffer slab hands out and
+// passes it to sendSlab next, before asking for another, so a transport
+// that has serialised the slab by the time sendSlab returns (TCP) hands
+// out the same scratch buffer every time and one whose sendSlab passes
+// the slice itself to the receiver (Hub) hands out fresh memory. A slab
+// returned by recvSlab is likewise valid only until the next recvSlab.
 type slabTransport interface {
+	// slab returns an empty slice with room for n values to pack into.
+	slab(n int) []float64
 	sendSlab(to int, side grid.Side, msg []float64) error
 	recvSlab(from int, side grid.Side, wantLen int) ([]float64, error)
 }
@@ -70,12 +79,12 @@ func exchange2D(tr slabTransport, part *grid.Partition, rank int, phys PhysicalS
 	}
 	// Send before receive: deadlock-free because sendSlab is buffered.
 	if right >= 0 {
-		if err := send(right, grid.Left, packX(fields, g.NX-depth, g.NX, depth)); err != nil {
+		if err := send(right, grid.Left, packX(tr, fields, g.NX-depth, g.NX, depth)); err != nil {
 			return messages, bytes, err
 		}
 	}
 	if left >= 0 {
-		if err := send(left, grid.Right, packX(fields, 0, depth, depth)); err != nil {
+		if err := send(left, grid.Right, packX(tr, fields, 0, depth, depth)); err != nil {
 			return messages, bytes, err
 		}
 	}
@@ -100,12 +109,12 @@ func exchange2D(tr slabTransport, part *grid.Partition, rank int, phys PhysicalS
 		f.ReflectHalosSides(depth, false, false, phys.Down, phys.Up)
 	}
 	if up >= 0 {
-		if err := send(up, grid.Down, packY(fields, g.NY-depth, g.NY, depth)); err != nil {
+		if err := send(up, grid.Down, packY(tr, fields, g.NY-depth, g.NY, depth)); err != nil {
 			return messages, bytes, err
 		}
 	}
 	if down >= 0 {
-		if err := send(down, grid.Up, packY(fields, 0, depth, depth)); err != nil {
+		if err := send(down, grid.Up, packY(tr, fields, 0, depth, depth)); err != nil {
 			return messages, bytes, err
 		}
 	}
@@ -171,12 +180,12 @@ func exchange3D(tr slabTransport, part *grid.Partition3D, rank int, phys Physica
 		f.ReflectHalosSides(depth, phys.Left, phys.Right, false, false, false, false)
 	}
 	if right >= 0 {
-		if err := send(right, grid.Left, packX3(fields, g.NX-depth, g.NX, depth)); err != nil {
+		if err := send(right, grid.Left, packX3(tr, fields, g.NX-depth, g.NX, depth)); err != nil {
 			return messages, bytes, err
 		}
 	}
 	if left >= 0 {
-		if err := send(left, grid.Right, packX3(fields, 0, depth, depth)); err != nil {
+		if err := send(left, grid.Right, packX3(tr, fields, 0, depth, depth)); err != nil {
 			return messages, bytes, err
 		}
 	}
@@ -201,12 +210,12 @@ func exchange3D(tr slabTransport, part *grid.Partition3D, rank int, phys Physica
 		f.ReflectHalosSides(depth, false, false, phys.Down, phys.Up, false, false)
 	}
 	if up >= 0 {
-		if err := send(up, grid.Down, packY3(fields, g.NY-depth, g.NY, depth)); err != nil {
+		if err := send(up, grid.Down, packY3(tr, fields, g.NY-depth, g.NY, depth)); err != nil {
 			return messages, bytes, err
 		}
 	}
 	if down >= 0 {
-		if err := send(down, grid.Up, packY3(fields, 0, depth, depth)); err != nil {
+		if err := send(down, grid.Up, packY3(tr, fields, 0, depth, depth)); err != nil {
 			return messages, bytes, err
 		}
 	}
@@ -231,12 +240,12 @@ func exchange3D(tr slabTransport, part *grid.Partition3D, rank int, phys Physica
 		f.ReflectHalosSides(depth, false, false, false, false, phys.Back, phys.Front)
 	}
 	if front >= 0 {
-		if err := send(front, grid.Back, packZ3(fields, g.NZ-depth, g.NZ, depth)); err != nil {
+		if err := send(front, grid.Back, packZ3(tr, fields, g.NZ-depth, g.NZ, depth)); err != nil {
 			return messages, bytes, err
 		}
 	}
 	if back >= 0 {
-		if err := send(back, grid.Front, packZ3(fields, 0, depth, depth)); err != nil {
+		if err := send(back, grid.Front, packZ3(tr, fields, 0, depth, depth)); err != nil {
 			return messages, bytes, err
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"tealeaf/internal/grid"
+	"tealeaf/internal/place"
 	"tealeaf/internal/stats"
 )
 
@@ -135,6 +136,9 @@ func (c *RankComm) Physical3D() PhysicalSides3D {
 // channels; it is RankComm's slabTransport for the shared exchange core.
 type hubSlabs struct{ c *RankComm }
 
+// slab hands out fresh memory: sendSlab passes the slice to the receiver.
+func (h hubSlabs) slab(n int) []float64 { return make([]float64, 0, n) }
+
 func (h hubSlabs) sendSlab(to int, side grid.Side, msg []float64) error {
 	h.c.hub.mail[to][side] <- msg
 	return nil
@@ -169,9 +173,9 @@ func (c *RankComm) Exchange(depth int, fields ...*grid.Field2D) error {
 }
 
 // packX packs columns [x0,x1) over interior rows [0,NY) of every field.
-func packX(fields []*grid.Field2D, x0, x1, depth int) []float64 {
+func packX(tr slabTransport, fields []*grid.Field2D, x0, x1, depth int) []float64 {
 	g := fields[0].Grid
-	msg := make([]float64, 0, len(fields)*(x1-x0)*g.NY)
+	msg := tr.slab(len(fields) * (x1 - x0) * g.NY)
 	for _, f := range fields {
 		for k := 0; k < g.NY; k++ {
 			msg = append(msg, f.Row(k, x0, x1)...)
@@ -194,10 +198,10 @@ func unpackX(fields []*grid.Field2D, msg []float64, x0, x1, depth int) {
 
 // packY packs rows [y0,y1) spanning [-depth, NX+depth) of every field,
 // including the x-halo columns (they carry the diagonal-corner data).
-func packY(fields []*grid.Field2D, y0, y1, depth int) []float64 {
+func packY(tr slabTransport, fields []*grid.Field2D, y0, y1, depth int) []float64 {
 	g := fields[0].Grid
 	w := g.NX + 2*depth
-	msg := make([]float64, 0, len(fields)*(y1-y0)*w)
+	msg := tr.slab(len(fields) * (y1 - y0) * w)
 	for _, f := range fields {
 		for k := y0; k < y1; k++ {
 			msg = append(msg, f.Row(k, -depth, g.NX+depth)...)
@@ -451,15 +455,19 @@ func (c *RankComm) GatherInterior(local *grid.Field2D, dst *grid.Field2D) error 
 
 // Run launches fn on every rank of the partition in its own goroutine and
 // waits for all of them; the returned error is the first non-nil error by
-// rank order. This is the `mpirun` of the package.
+// rank order. This is the `mpirun` of the package, and like one it starts
+// the ranks on different CPUs (place.Spread: rank r, r CPUs on from the
+// caller's).
 func Run(part *grid.Partition, fn func(c *RankComm) error) error {
 	h := NewHub(part)
 	errs := make([]error, part.Ranks())
 	var wg sync.WaitGroup
+	cpu := place.Current()
 	for r := 0; r < part.Ranks(); r++ {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
+			place.Spread(cpu, rank)
 			errs[rank] = fn(h.Comm(rank))
 		}(r)
 	}

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"tealeaf/internal/grid"
+	"tealeaf/internal/place"
 )
 
 // Exchange3D implements Communicator for 3D fields with the three-phase
@@ -29,9 +30,9 @@ func (c *RankComm) Exchange3D(depth int, fields ...*grid.Field3D) error {
 }
 
 // packX3 packs x-slabs [x0,x1) over interior rows and planes of every field.
-func packX3(fields []*grid.Field3D, x0, x1, depth int) []float64 {
+func packX3(tr slabTransport, fields []*grid.Field3D, x0, x1, depth int) []float64 {
 	g := fields[0].Grid
-	msg := make([]float64, 0, len(fields)*(x1-x0)*g.NY*g.NZ)
+	msg := tr.slab(len(fields) * (x1 - x0) * g.NY * g.NZ)
 	for _, f := range fields {
 		for k := 0; k < g.NZ; k++ {
 			for j := 0; j < g.NY; j++ {
@@ -58,10 +59,10 @@ func unpackX3(fields []*grid.Field3D, msg []float64, x0, x1, depth int) {
 
 // packY3 packs y-slabs [y0,y1) over interior planes, spanning
 // [-depth, NX+depth) in x: the x-halo columns carry the xy-edge data.
-func packY3(fields []*grid.Field3D, y0, y1, depth int) []float64 {
+func packY3(tr slabTransport, fields []*grid.Field3D, y0, y1, depth int) []float64 {
 	g := fields[0].Grid
 	w := g.NX + 2*depth
-	msg := make([]float64, 0, len(fields)*(y1-y0)*w*g.NZ)
+	msg := tr.slab(len(fields) * (y1 - y0) * w * g.NZ)
 	for _, f := range fields {
 		for k := 0; k < g.NZ; k++ {
 			for j := y0; j < y1; j++ {
@@ -88,11 +89,11 @@ func unpackY3(fields []*grid.Field3D, msg []float64, y0, y1, depth int) {
 
 // packZ3 packs z-slabs [z0,z1) spanning the x- and y-halos: the halo rows
 // and columns carry the xz/yz-edge and corner data.
-func packZ3(fields []*grid.Field3D, z0, z1, depth int) []float64 {
+func packZ3(tr slabTransport, fields []*grid.Field3D, z0, z1, depth int) []float64 {
 	g := fields[0].Grid
 	w := g.NX + 2*depth
 	h := g.NY + 2*depth
-	msg := make([]float64, 0, len(fields)*(z1-z0)*w*h)
+	msg := tr.slab(len(fields) * (z1 - z0) * w * h)
 	for _, f := range fields {
 		for k := z0; k < z1; k++ {
 			for j := -depth; j < g.NY+depth; j++ {
@@ -185,10 +186,12 @@ func Run3D(part3 *grid.Partition3D, fn func(c *RankComm) error) error {
 	h := NewHub3D(part3)
 	errs := make([]error, part3.Ranks())
 	var wg sync.WaitGroup
+	cpu := place.Current()
 	for r := 0; r < part3.Ranks(); r++ {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
+			place.Spread(cpu, rank)
 			errs[rank] = fn(h.Comm(rank))
 		}(r)
 	}

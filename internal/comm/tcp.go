@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
 	"tealeaf/internal/grid"
+	"tealeaf/internal/place"
 	"tealeaf/internal/stats"
 )
 
@@ -44,6 +46,15 @@ type TCP struct {
 
 	ln    net.Listener
 	trace stats.Trace
+	// apart is set by RunTCP, whose ranks are goroutines of one process
+	// and so change threads whenever a receive parks them; nil otherwise.
+	apart *place.Group
+
+	// Driver-only scratch: the outgoing halo slab being packed, and the
+	// state and operand of the one blocking reduction that can be running.
+	pack    []float64
+	red     tcpReduceState
+	scalars [2]float64
 
 	mu      sync.Mutex
 	conns   map[int]*peerConn
@@ -219,24 +230,44 @@ func (t *TCP) Close() error {
 }
 
 // peerConn is one persistent connection to a peer rank. The rank's driver
-// goroutine is the only reader; writes go through a dedicated writer
-// goroutine fed by the out queue, so a send never blocks the driver even
-// when both ends of a pair post their halo slabs simultaneously (the same
+// goroutine is the only reader and, in the steady state, the only writer:
+// a send is one non-blocking write attempt on the driver (see write). The
+// writer goroutine exists for what such an attempt leaves behind — the
+// tail the kernel would not take, and the frames posted while that tail
+// is still pending — so a send never waits for the peer even when both
+// ends of a pair post their halo slabs simultaneously (the same
 // deadlock-freedom the Hub gets from buffered mailboxes).
 type peerConn struct {
 	rank int
 	nc   net.Conn
-	out  chan []byte
-	done chan struct{} // writer exited
+	raw  *rawWriter
+	fr   frameReader
+
+	// Driver-only scratch, reused frame after frame: sbuf is the frame
+	// being encoded (an inline write has completed when write returns, and
+	// a queued tail is a copy), vals the frame most recently decoded
+	// (consumed by unpack/combine/gather before the next receive).
+	sbuf []byte
+	vals []float64
 
 	// pending stashes frames that arrived ahead of the one the driver is
 	// reading for — the minimal MPI-style message matching that lets a
 	// split-phase reduction's butterfly frames interleave with halo
 	// exchange slabs on a connection shared by a rank that is both
-	// butterfly partner and grid neighbour. Only the driver goroutine
-	// touches it (overlapped exchanges hand the connection back before
-	// Finish runs), so it needs no lock.
+	// butterfly partner and grid neighbour. Each owns a copy of its
+	// payload. Only the driver goroutine touches it (overlapped exchanges
+	// hand the connection back before Finish runs), so it needs no lock.
 	pending []pendingFrame
+
+	mu   sync.Mutex
+	wake sync.Cond // signalled when queue or closing changes; L is &mu
+	// queue holds what the writer goroutine still has to put on the wire,
+	// oldest first; queue[0] stays until its Write has returned, so an
+	// empty queue means no write is in progress and the driver may write.
+	queue   [][]byte
+	sendErr error // the first failed write, inline or queued
+	closing bool
+	done    chan struct{} // writer exited
 
 	closeOnce sync.Once
 }
@@ -252,41 +283,113 @@ type pendingFrame struct {
 // growth past this is a protocol desync, not reordering.
 const maxPendingFrames = 64
 
-func newPeerConn(rank int, nc net.Conn) *peerConn {
-	pc := &peerConn{rank: rank, nc: nc, out: make(chan []byte, 16), done: make(chan struct{})}
+// newPeerConn takes over a handshaken connection. fr is the reader the
+// handshake used: it may already hold the peer's first frames.
+func newPeerConn(rank int, nc net.Conn, fr frameReader) *peerConn {
+	pc := &peerConn{rank: rank, nc: nc, raw: newRawWriter(nc), fr: fr, done: make(chan struct{})}
+	pc.wake.L = &pc.mu
 	go pc.writeLoop()
 	return pc
 }
 
-func (pc *peerConn) writeLoop() {
-	defer close(pc.done)
-	for buf := range pc.out {
-		if buf == nil { // shutdown sentinel: flush Bye, then close
-			_, _ = pc.nc.Write(floatFrame(frameBye, 0, 0, nil))
-			_ = pc.nc.Close()
-			return
-		}
-		if _, err := pc.nc.Write(buf); err != nil {
-			// Keep draining so senders never block; the failure surfaces
-			// at the peer (missing data) and at our next read.
-			for range pc.out {
-			}
-			_ = pc.nc.Close()
-			return
-		}
+// write puts one encoded frame on the wire, or in line for it, without
+// ever waiting for the peer. With nothing queued it makes a single
+// non-blocking write attempt on the calling goroutine; whatever the
+// kernel does not take goes to the writer goroutine, and while anything
+// is queued later frames queue behind it, so frames leave in the order
+// they were posted. The caller may reuse frame as soon as write returns.
+func (pc *peerConn) write(frame []byte) error {
+	pc.mu.Lock()
+	err, queued := pc.sendErr, len(pc.queue) > 0
+	if err == nil && queued {
+		pc.enqueueLocked(frame)
 	}
+	pc.mu.Unlock()
+	if err != nil || queued {
+		return err
+	}
+	// The queue is empty, so the writer goroutine is idle and only this
+	// goroutine can fill the queue: the socket is ours for the attempt.
+	n, err := pc.raw.tryWrite(frame)
+	if err != nil {
+		pc.fail(err)
+		return err
+	}
+	if n < len(frame) {
+		pc.mu.Lock()
+		pc.enqueueLocked(frame[n:])
+		pc.mu.Unlock()
+	}
+	return nil
+}
+
+func (pc *peerConn) enqueueLocked(b []byte) {
+	pc.queue = append(pc.queue, append([]byte(nil), b...))
+	pc.wake.Signal()
+}
+
+// fail records the connection's first send failure and closes the socket:
+// nothing later can be delivered in order, a read blocked on the peer
+// must not wait for an answer to bytes that never left, and every later
+// send and receive reports the recorded cause.
+func (pc *peerConn) fail(err error) {
+	pc.mu.Lock()
+	if pc.sendErr == nil {
+		pc.sendErr = err
+	}
+	pc.queue = nil
+	pc.mu.Unlock()
 	_ = pc.nc.Close()
 }
 
-// shutdown asks the writer to flush a Bye and close the socket. The
-// write deadline bounds the whole sequence: if the writer is wedged in a
-// Write against a partitioned or stalled peer (TCP window full), the
-// deadline errors it out, so Close never hangs on a dead network.
+func (pc *peerConn) sendError() error {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	return pc.sendErr
+}
+
+func (pc *peerConn) writeLoop() {
+	defer close(pc.done)
+	for {
+		pc.mu.Lock()
+		for len(pc.queue) == 0 && !pc.closing {
+			pc.wake.Wait()
+		}
+		if len(pc.queue) == 0 { // closing, and everything queued has left
+			pc.mu.Unlock()
+			_ = pc.nc.Close()
+			return
+		}
+		buf := pc.queue[0]
+		pc.mu.Unlock()
+
+		_, err := pc.nc.Write(buf)
+		if err != nil {
+			pc.fail(err)
+			continue
+		}
+		pc.mu.Lock()
+		pc.queue[0] = nil
+		pc.queue = pc.queue[1:]
+		pc.mu.Unlock()
+	}
+}
+
+// shutdown queues a Bye behind whatever is still unsent and asks the
+// writer to close the socket once it has left. The write deadline bounds
+// the whole sequence: if the writer is wedged in a Write against a
+// partitioned or stalled peer (TCP window full), the deadline errors it
+// out, so Close never hangs on a dead network.
 func (pc *peerConn) shutdown() {
 	pc.closeOnce.Do(func() {
 		_ = pc.nc.SetWriteDeadline(time.Now().Add(2 * time.Second))
-		pc.out <- nil
-		close(pc.out)
+		pc.mu.Lock()
+		if pc.sendErr == nil {
+			pc.queue = append(pc.queue, appendFloatFrame(nil, frameBye, 0, 0, nil))
+		}
+		pc.closing = true
+		pc.wake.Signal()
+		pc.mu.Unlock()
 	})
 	<-pc.done
 }
@@ -310,7 +413,8 @@ func (t *TCP) acceptLoop() {
 // the connection.
 func (t *TCP) admit(nc net.Conn) {
 	_ = nc.SetDeadline(time.Now().Add(t.dialTimeout))
-	typ, _, _, payload, err := readFrame(nc)
+	fr := frameReader{r: nc}
+	typ, _, _, payload, err := fr.next()
 	if err != nil {
 		_ = nc.Close()
 		return
@@ -361,7 +465,7 @@ func (t *TCP) admit(nc net.Conn) {
 		_ = nc.Close()
 		return
 	}
-	t.conns[peer.rank] = newPeerConn(peer.rank, nc)
+	t.conns[peer.rank] = newPeerConn(peer.rank, nc, fr)
 	close(t.connSig)
 	t.connSig = make(chan struct{})
 	t.mu.Unlock()
@@ -422,7 +526,8 @@ func (t *TCP) dial(peer int) (*peerConn, error) {
 	if _, err := nc.Write(t.handshakeFor().encode(frameHello)); err != nil {
 		return fail(err)
 	}
-	typ, _, _, payload, err := readFrame(nc)
+	fr := frameReader{r: nc}
+	typ, _, _, payload, err := fr.next()
 	if err != nil {
 		return fail(err)
 	}
@@ -455,7 +560,7 @@ func (t *TCP) dial(peer int) (*peerConn, error) {
 		_ = nc.Close()
 		return pc, nil
 	}
-	pc := newPeerConn(peer, nc)
+	pc := newPeerConn(peer, nc, fr)
 	t.conns[peer] = pc
 	close(t.connSig)
 	t.connSig = make(chan struct{})
@@ -488,9 +593,11 @@ func (t *TCP) waitForDial(peer int) (*peerConn, error) {
 	}
 }
 
-// send enqueues one frame to peer. The enqueue is decoupled from the
-// socket write, so matching send/send+recv/recv sequences between a pair
-// cannot deadlock. inst is the reduction-instance byte (zero outside
+// send posts one frame to peer: encoded into the connection's reusable
+// buffer and handed to peerConn.write, which never waits for the peer, so
+// matching send/send+recv/recv sequences between a pair cannot deadlock.
+// The frame is serialised before send returns, so the caller may reuse
+// vals at once. inst is the reduction-instance byte (zero outside
 // frameReduce).
 func (t *TCP) send(peer int, typ, tag, inst byte, vals []float64) error {
 	// Guard the frame cap on the sender, where the cause is nameable:
@@ -505,7 +612,14 @@ func (t *TCP) send(peer int, typ, tag, inst byte, vals []float64) error {
 	if err != nil {
 		return err
 	}
-	pc.out <- floatFrame(typ, tag, inst, vals)
+	pc.sbuf = appendFloatFrame(pc.sbuf[:0], typ, tag, inst, vals)
+	err = pc.write(pc.sbuf)
+	if cap(pc.sbuf) > scratchStepBytes {
+		pc.sbuf = nil
+	}
+	if err != nil {
+		return fmt.Errorf("comm: tcp rank %d: sending %s to rank %d: %w", t.rank, frameTypeName(typ), peer, err)
+	}
 	return nil
 }
 
@@ -515,50 +629,78 @@ func (t *TCP) send(peer int, typ, tag, inst byte, vals []float64) error {
 // reductions legitimately put butterfly frames on the wire ahead of the
 // exchange slabs the driver reads next, and two tagged reductions in
 // flight interleave each other's butterfly steps. A Bye, a transport
-// failure, or a stash overflow is a descriptive error.
+// failure, or a stash overflow is a descriptive error. The returned
+// slice is the connection's decode buffer: it is valid until the next
+// receive from the same peer.
 func (t *TCP) recvFloats(peer int, wantType, wantTag, wantInst byte, op string) ([]float64, error) {
 	pc, err := t.conn(peer)
 	if err != nil {
 		return nil, err
 	}
-	decode := func(payload []byte) ([]float64, error) {
-		vals, err := decodeFloats(payload)
-		if err != nil {
-			return nil, fmt.Errorf("comm: tcp rank %d: %s frame from rank %d: %w", t.rank, op, peer, err)
-		}
-		return vals, nil
-	}
 	for i, f := range pc.pending {
 		if f.typ == wantType && f.tag == wantTag && f.inst == wantInst {
-			pc.pending = append(pc.pending[:i], pc.pending[i+1:]...)
-			return decode(f.payload)
+			pc.pending = slices.Delete(pc.pending, i, i+1) // zeroes the vacated slot: no pinned payload
+			return t.decode(pc, f.payload, op)
 		}
 	}
 	for {
-		typ, tag, inst, payload, err := readFrame(pc.nc)
+		typ, tag, inst, payload, err := pc.fr.next()
 		if err != nil {
 			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, net.ErrClosed) {
-				return nil, fmt.Errorf("comm: tcp rank %d: connection to rank %d lost during %s: %w", t.rank, peer, op, err)
+				err = fmt.Errorf("comm: tcp rank %d: connection to rank %d lost during %s: %w", t.rank, peer, op, err)
+			} else {
+				err = fmt.Errorf("comm: tcp rank %d: reading from rank %d during %s: %w", t.rank, peer, op, err)
 			}
-			return nil, fmt.Errorf("comm: tcp rank %d: reading from rank %d during %s: %w", t.rank, peer, op, err)
+			if serr := pc.sendError(); serr != nil {
+				err = fmt.Errorf("%w (an earlier send to rank %d failed: %v)", err, peer, serr)
+			}
+			return nil, err
 		}
 		if typ == frameBye {
 			return nil, fmt.Errorf("comm: tcp rank %d: rank %d shut down mid-%s", t.rank, peer, op)
 		}
 		if typ == wantType && tag == wantTag && inst == wantInst {
-			return decode(payload)
+			t.apart.Check(t.rank) // next may have parked this goroutine: it can be on another thread now
+			return t.decode(pc, payload, op)
 		}
 		if len(pc.pending) >= maxPendingFrames {
 			return nil, fmt.Errorf("comm: tcp rank %d: protocol desync during %s: %d frames stashed from rank %d while waiting for %s (tag %d, instance %d); latest was %s (tag %d, instance %d)",
 				t.rank, op, len(pc.pending), peer, frameTypeName(wantType), wantTag, wantInst, frameTypeName(typ), tag, inst)
 		}
-		pc.pending = append(pc.pending, pendingFrame{typ: typ, tag: tag, inst: inst, payload: payload})
+		pc.pending = append(pc.pending, pendingFrame{typ: typ, tag: tag, inst: inst, payload: append([]byte(nil), payload...)})
 	}
+}
+
+// decode unpacks a float payload into pc's reusable decode buffer.
+func (t *TCP) decode(pc *peerConn, payload []byte, op string) ([]float64, error) {
+	vals, err := decodeFloats(floatScratch(pc.vals), payload)
+	if err != nil {
+		return nil, fmt.Errorf("comm: tcp rank %d: %s frame from rank %d: %w", t.rank, op, pc.rank, err)
+	}
+	pc.vals = vals
+	return vals, nil
 }
 
 // tcpSlabs carries exchange slabs over the peer connections; it is the
 // TCP backend's slabTransport for the shared exchange core.
 type tcpSlabs struct{ t *TCP }
+
+// slab hands out the communicator's one pack buffer: send has serialised
+// a slab by the time sendSlab returns.
+func (s tcpSlabs) slab(n int) []float64 {
+	s.t.pack = slices.Grow(floatScratch(s.t.pack), n)
+	return s.t.pack
+}
+
+// floatScratch empties a scratch buffer whose last contents have been
+// consumed for refilling — or lets it go, when an outsized frame grew it
+// past scratchStepBytes.
+func floatScratch(buf []float64) []float64 {
+	if 8*cap(buf) > scratchStepBytes {
+		return nil
+	}
+	return buf[:0]
+}
 
 func (s tcpSlabs) sendSlab(to int, side grid.Side, msg []float64) error {
 	return s.t.send(to, frameExchange, byte(side), 0, msg)
@@ -631,29 +773,30 @@ func (t *TCP) combine(op reduceOp, acc, other []float64) error {
 // startReduce posts this rank's opening sends of the recursive-doubling
 // butterfly — everything it can put on the wire without waiting on a
 // peer. Fold-in ranks (≥ p2) post their whole contribution; butterfly
-// ranks outside the fold-in window post their round-0 exchange (send is
-// an enqueue to the writer goroutine, so this never blocks); ranks that
+// ranks outside the fold-in window post their round-0 exchange (send
+// never waits for the peer, so this never blocks); ranks that
 // must first receive a folded contribution post nothing and do all their
-// work in finishReduce. send serialises the frame at enqueue time, so
-// later mutation of acc cannot corrupt a posted frame.
-func (t *TCP) startReduce(op reduceOp, inst byte, vals []float64) (*tcpReduceState, error) {
-	st := &tcpReduceState{op: op, inst: inst, vals: vals, p2: 1}
+// work in finishReduce. send serialises the frame before it returns, so
+// later mutation of acc cannot corrupt a posted frame. st is filled in
+// from scratch except for acc's backing array, which is reused.
+func (t *TCP) startReduce(st *tcpReduceState, op reduceOp, inst byte, vals []float64) error {
+	*st = tcpReduceState{op: op, inst: inst, vals: vals, acc: st.acc[:0], p2: 1}
 	for st.p2*2 <= t.size {
 		st.p2 *= 2
 	}
 	st.rem = t.size - st.p2
 	if t.rank >= st.p2 {
-		return st, t.send(t.rank-st.p2, frameReduce, tagReduceFold, inst, vals)
+		return t.send(t.rank-st.p2, frameReduce, tagReduceFold, inst, vals)
 	}
-	st.acc = append(make([]float64, 0, len(vals)), vals...)
+	st.acc = append(st.acc, vals...)
 	if t.rank < st.rem || st.p2 == 1 {
-		return st, nil
+		return nil
 	}
 	if err := t.send(t.rank^1, frameReduce, 0, inst, st.acc); err != nil {
-		return nil, err
+		return err
 	}
 	st.sentRounds = 1
-	return st, nil
+	return nil
 }
 
 // finishReduce completes the butterfly begun by startReduce: fold-in
@@ -715,16 +858,17 @@ func (t *TCP) finishReduce(st *tcpReduceState) ([]float64, error) {
 // contribution into a partner first and receive the result back after the
 // butterfly (the classic Rabenseifner pre/post step). It is literally
 // startReduce followed by finishReduce, so the blocking and split-phase
-// paths share one schedule by construction.
+// paths share one schedule by construction. Blocking reductions cannot
+// nest or overlap (one driver goroutine, no blocking collective while a
+// split-phase round is in flight), so they share one reusable state.
 func (t *TCP) reduce(op reduceOp, vals []float64) ([]float64, error) {
 	if t.size == 1 {
 		return vals, nil
 	}
-	st, err := t.startReduce(op, 0, vals)
-	if err != nil {
+	if err := t.startReduce(&t.red, op, 0, vals); err != nil {
 		return nil, err
 	}
-	return t.finishReduce(st)
+	return t.finishReduce(&t.red)
 }
 
 // mustReduce adapts reduce to the error-free reduction contract: a
@@ -742,13 +886,15 @@ func (t *TCP) mustReduce(op reduceOp, vals []float64) []float64 {
 // AllReduceSum implements Communicator.
 func (t *TCP) AllReduceSum(x float64) float64 {
 	t.trace.AddReduction(1)
-	return t.mustReduce(opSum, []float64{x})[0]
+	t.scalars[0] = x
+	return t.mustReduce(opSum, t.scalars[:1])[0]
 }
 
 // AllReduceSum2 implements Communicator: two sums, one reduction latency.
 func (t *TCP) AllReduceSum2(x, y float64) (float64, float64) {
 	t.trace.AddReduction(2)
-	r := t.mustReduce(opSum, []float64{x, y})
+	t.scalars[0], t.scalars[1] = x, y
+	r := t.mustReduce(opSum, t.scalars[:2])
 	return r[0], r[1]
 }
 
@@ -760,8 +906,8 @@ func (t *TCP) AllReduceSumN(vals []float64) []float64 {
 }
 
 // AllReduceSumNStart implements Communicator split-phase: the opening
-// butterfly sends go on the wire immediately (enqueued to the writer
-// goroutines, never blocking on a peer), and Finish performs the receives
+// butterfly sends go on the wire immediately (written by this goroutine,
+// never blocking on a peer), and Finish performs the receives
 // and remaining rounds — so the reduction's wire latency overlaps
 // whatever the caller computes in between. Transport failures panic with
 // a *TCPError exactly as the blocking reductions do.
@@ -782,21 +928,21 @@ func (t *TCP) AllReduceSumNStartTagged(tag int, vals []float64) ReduceHandle {
 	if t.size == 1 {
 		return doneHandle(vals)
 	}
-	st, err := t.startReduce(opSum, byte(tag), vals)
-	if err != nil {
+	h := &tcpReduceHandle{t: t}
+	if err := t.startReduce(&h.st, opSum, byte(tag), vals); err != nil {
 		panic(&TCPError{Err: err})
 	}
-	return &tcpReduceHandle{t: t, st: st}
+	return h
 }
 
 // tcpReduceHandle is the TCP backend's in-flight split-phase reduction.
 type tcpReduceHandle struct {
 	t  *TCP
-	st *tcpReduceState
+	st tcpReduceState
 }
 
 func (h *tcpReduceHandle) Finish() []float64 {
-	res, err := h.t.finishReduce(h.st)
+	res, err := h.t.finishReduce(&h.st)
 	if err != nil {
 		panic(&TCPError{Err: err})
 	}
@@ -806,7 +952,8 @@ func (h *tcpReduceHandle) Finish() []float64 {
 // AllReduceMax implements Communicator.
 func (t *TCP) AllReduceMax(x float64) float64 {
 	t.trace.AddReduction(1)
-	return t.mustReduce(opMax, []float64{x})[0]
+	t.scalars[0] = x
+	return t.mustReduce(opMax, t.scalars[:1])[0]
 }
 
 // Barrier implements Communicator as a zero-width reduction: every rank
@@ -924,10 +1071,12 @@ func runTCPRanks(part *grid.Partition, part3 *grid.Partition3D, n int, fn func(c
 	}
 	errs := make([]error, n)
 	var wg sync.WaitGroup
+	cpu, apart := place.Current(), place.NewGroup(n)
 	for r := 0; r < n; r++ {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
+			place.Spread(cpu, rank) // as Run does
 			c, err := NewTCP(TCPConfig{
 				Rank: rank, Peers: peers, Part: part, Part3: part3, Listener: lns[rank],
 			})
@@ -935,6 +1084,7 @@ func runTCPRanks(part *grid.Partition, part3 *grid.Partition3D, n int, fn func(c
 				errs[rank] = err
 				return
 			}
+			c.apart = apart
 			defer c.Close()
 			errs[rank] = c.Protect(func() error { return fn(c) })
 		}(r)

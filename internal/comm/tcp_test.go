@@ -354,7 +354,7 @@ func TestTCPRankCollision(t *testing.T) {
 	if _, err := nc.Write(imposter.handshakeFor().encode(frameHello)); err != nil {
 		t.Fatal(err)
 	}
-	typ, _, _, payload, err := readFrame(nc)
+	typ, _, _, payload, err := (&frameReader{r: nc}).next()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,28 +369,7 @@ func TestTCPRankCollision(t *testing.T) {
 // TestTCPMidExchangeDrop: a peer that dies between collectives surfaces
 // as a descriptive error on the survivor, not a hang or corruption.
 func TestTCPMidExchangeDrop(t *testing.T) {
-	part := grid.MustPartition(8, 8, 2, 1)
-	lns := make([]net.Listener, 2)
-	peers := make([]string, 2)
-	for r := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		lns[r] = ln
-		peers[r] = ln.Addr().String()
-	}
-	newRank := func(r int) *TCP {
-		c, err := NewTCP(TCPConfig{
-			Rank: r, Peers: peers, Part: part, Listener: lns[r], DialTimeout: 5 * time.Second,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
-	c0, c1 := newRank(0), newRank(1)
-	defer c0.Close()
+	c0, c1 := tcpPair(t)
 
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -399,7 +378,7 @@ func TestTCPMidExchangeDrop(t *testing.T) {
 		defer wg.Done()
 		g := grid.UnitGrid2D(4, 8, 2)
 		f := grid.NewField2D(g)
-		// First exchange succeeds (establishes the connection and syncs).
+		// First exchange succeeds (and syncs the ranks).
 		if err := c0.Exchange(1, f); err != nil {
 			errCh <- fmt.Errorf("first exchange: %w", err)
 			return
@@ -421,6 +400,32 @@ func TestTCPMidExchangeDrop(t *testing.T) {
 	msg := err.Error()
 	if !strings.Contains(msg, "rank 1") || !(strings.Contains(msg, "shut down") || strings.Contains(msg, "lost")) {
 		t.Errorf("want a descriptive connection-drop error, got: %v", err)
+	}
+
+	// Sender side. Rank 1's closed socket answered that exchange's slab
+	// with a reset, so a further send fails in write(2) itself. It must be
+	// reported by that send, naming frame type and peer — not swallowed to
+	// resurface as a bare EOF on some later read.
+	var sendErr error
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		sendErr = c0.Exchange(1, f)
+		if sendErr == nil {
+			t.Fatal("exchange against a dropped peer succeeded")
+		}
+		if strings.Contains(sendErr.Error(), "sending") || time.Now().After(deadline) {
+			break
+		}
+	}
+	if !strings.Contains(sendErr.Error(), "comm: tcp rank 0: sending exchange to rank 1: ") {
+		t.Errorf("want the failed send reported with frame type and peer, got: %v", sendErr)
+	}
+	// The recorded failure is part of every later error on the connection.
+	if err := c0.Exchange(1, f); err == nil || !strings.Contains(err.Error(), "sending exchange to rank 1") {
+		t.Errorf("want later sends to report the recorded send failure, got: %v", err)
+	}
+	_, recvErr := c0.recvFloats(1, frameExchange, byte(grid.Left), 0, "exchange")
+	if recvErr == nil || !strings.Contains(recvErr.Error(), "an earlier send to rank 1 failed") {
+		t.Errorf("want the receive error to carry the recorded send failure, got: %v", recvErr)
 	}
 }
 

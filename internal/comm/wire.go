@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 )
 
 // The TCP backend's length-prefixed binary wire protocol. Every message
@@ -110,49 +111,117 @@ func appendFrameHeader(buf []byte, typ, tag, inst byte, n int) []byte {
 	return append(buf, hdr[:]...)
 }
 
-// floatFrame builds a complete frame whose payload is vals.
-func floatFrame(typ, tag, inst byte, vals []float64) []byte {
-	buf := make([]byte, 0, frameHeaderBytes+8*len(vals))
-	buf = appendFrameHeader(buf, typ, tag, inst, 8*len(vals))
-	for _, v := range vals {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+// appendFloatFrame appends a complete frame whose payload is vals to buf.
+func appendFloatFrame(buf []byte, typ, tag, inst byte, vals []float64) []byte {
+	buf = appendFrameHeader(slices.Grow(buf, frameHeaderBytes+8*len(vals)), typ, tag, inst, 8*len(vals))
+	off := len(buf)
+	buf = buf[:off+8*len(vals)]
+	for i, v := range vals {
+		binary.LittleEndian.PutUint64(buf[off+8*i:], math.Float64bits(v))
 	}
 	return buf
 }
 
-// decodeFloats interprets a frame payload as packed float64s.
-func decodeFloats(payload []byte) ([]float64, error) {
+// decodeFloats interprets a frame payload as packed float64s, decoding
+// into dst's backing array when it is large enough.
+func decodeFloats(dst []float64, payload []byte) ([]float64, error) {
 	if len(payload)%8 != 0 {
 		return nil, fmt.Errorf("payload length %d is not a multiple of 8", len(payload))
 	}
-	vals := make([]float64, len(payload)/8)
-	for i := range vals {
-		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[8*i:]))
+	n := len(payload) / 8
+	dst = slices.Grow(dst[:0], n)[:n]
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[8*i:]))
 	}
-	return vals, nil
+	return dst, nil
 }
 
-// readFrame reads one complete frame from r.
-func readFrame(r io.Reader) (typ, tag, inst byte, payload []byte, err error) {
-	var hdr [frameHeaderBytes]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+const (
+	// recvBufBytes is a frameReader's starting buffer: large enough that a
+	// solve's reduce and halo frames, header and payload, arrive in one
+	// read (and several queued frames often do).
+	recvBufBytes = 64 << 10
+	// scratchStepBytes bounds how far a receive buffer may grow ahead of
+	// the bytes that have actually arrived, and is the largest per-
+	// connection scratch buffer kept between frames: a buffer an outsized
+	// frame grew past it is released once that frame has been consumed.
+	scratchStepBytes = 1 << 20
+)
+
+// frameReader reads frames through one reusable buffer. A read asks for
+// everything the socket holds, so a frame normally costs one read and
+// trailing frames that arrived with it cost none. The length prefix is
+// never trusted with memory: the buffer grows by at most
+// scratchStepBytes beyond the bytes received so far, so a corrupt or
+// hostile prefix costs one step, not the 1 GiB it may claim.
+type frameReader struct {
+	r      io.Reader
+	buf    []byte // buf[rd:wr] is received and not yet consumed
+	rd, wr int
+}
+
+// next returns the next complete frame. The payload aliases the reader's
+// buffer and is valid only until the following call.
+func (fr *frameReader) next() (typ, tag, inst byte, payload []byte, err error) {
+	if unread := fr.wr - fr.rd; len(fr.buf) > scratchStepBytes && unread <= scratchStepBytes {
+		// An outsized frame grew the buffer; keep only what is still unread.
+		kept := make([]byte, max(recvBufBytes, unread))
+		fr.wr = copy(kept, fr.buf[fr.rd:fr.wr])
+		fr.rd, fr.buf = 0, kept
+	}
+	if fr.rd == fr.wr {
+		fr.rd, fr.wr = 0, 0
+	}
+	if err := fr.fill(frameHeaderBytes); err != nil {
 		return 0, 0, 0, nil, err
 	}
+	hdr := fr.buf[fr.rd : fr.rd+frameHeaderBytes]
 	n := binary.LittleEndian.Uint32(hdr[0:4])
+	typ, tag, inst = hdr[4], hdr[5], hdr[6]
 	if n > maxFrameBytes {
 		return 0, 0, 0, nil, fmt.Errorf("frame payload of %d bytes exceeds the %d-byte cap (corrupt stream?)", n, maxFrameBytes)
 	}
-	if hdr[6] != 0 && hdr[4] != frameReduce {
-		return 0, 0, 0, nil, fmt.Errorf("non-zero reduction-instance byte on a %s frame (corrupt stream?)", frameTypeName(hdr[4]))
+	if inst != 0 && typ != frameReduce {
+		return 0, 0, 0, nil, fmt.Errorf("non-zero reduction-instance byte on a %s frame (corrupt stream?)", frameTypeName(typ))
 	}
 	if hdr[7] != 0 {
 		return 0, 0, 0, nil, fmt.Errorf("non-zero reserved byte in frame header (corrupt stream?)")
 	}
-	payload = make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	size := frameHeaderBytes + int(n)
+	if err := fr.fill(size); err != nil {
 		return 0, 0, 0, nil, fmt.Errorf("reading %d-byte payload: %w", n, err)
 	}
-	return hdr[4], hdr[5], hdr[6], payload, nil
+	payload = fr.buf[fr.rd+frameHeaderBytes : fr.rd+size]
+	fr.rd += size
+	return typ, tag, inst, payload, nil
+}
+
+// fill reads until at least need unconsumed bytes are buffered. It
+// returns io.EOF only when the stream ended with nothing buffered, and
+// io.ErrUnexpectedEOF when it ended part-way.
+func (fr *frameReader) fill(need int) error {
+	if fr.rd > 0 && len(fr.buf)-fr.rd < need {
+		// The frame would run off the end: move what has arrived to the front.
+		fr.wr = copy(fr.buf, fr.buf[fr.rd:fr.wr])
+		fr.rd = 0
+	}
+	for fr.wr-fr.rd < need {
+		if fr.wr == len(fr.buf) {
+			// Full, hence compacted above (rd == 0) and still short of need.
+			grown := make([]byte, max(recvBufBytes, min(need, fr.wr+scratchStepBytes)))
+			copy(grown, fr.buf[:fr.wr])
+			fr.buf = grown
+		}
+		n, err := fr.r.Read(fr.buf[fr.wr:])
+		fr.wr += n
+		if err != nil && fr.wr-fr.rd < need {
+			if err == io.EOF && fr.wr > fr.rd {
+				err = io.ErrUnexpectedEOF
+			}
+			return err
+		}
+	}
+	return nil
 }
 
 // handshake is the decoded payload of a Hello/Welcome frame.

@@ -21,6 +21,8 @@ package par
 import (
 	"runtime"
 	"sync"
+
+	"tealeaf/internal/place"
 )
 
 // Pool is a team of workers for data-parallel loops. The zero value is not
@@ -139,6 +141,11 @@ type team struct {
 	work     []chan job // one channel per helper worker (team size - 1)
 	quit     chan struct{}
 	stopOnce sync.Once
+	// apart keeps a helper's thread off the dispatcher's CPU (member 0)
+	// and off lower-numbered helpers': with two of them on one CPU a
+	// region's blocks run one after the other, and where the kernel does
+	// not balance threads nothing else would ever separate them.
+	apart *place.Group
 }
 
 // job is one parallel region: run computes the block for a worker id and
@@ -150,8 +157,9 @@ type job struct {
 
 func newTeam(workers int) *team {
 	t := &team{
-		work: make([]chan job, workers-1),
-		quit: make(chan struct{}),
+		work:  make([]chan job, workers-1),
+		quit:  make(chan struct{}),
+		apart: place.NewGroup(workers),
 	}
 	for i := range t.work {
 		t.work[i] = make(chan job, 1)
@@ -164,6 +172,7 @@ func (t *team) worker(i int) {
 	for {
 		select {
 		case j := <-t.work[i]:
+			t.apart.Check(i + 1)
 			j.run(i + 1) // id 0 is the dispatching caller
 			j.wg.Done()
 		case <-t.quit:
@@ -206,6 +215,7 @@ func (t *team) dispatch(nb int, run func(id int)) bool {
 	var wg sync.WaitGroup
 	wg.Add(nb - 1)
 	j := job{run: run, wg: &wg}
+	t.apart.Check(0)
 	for i := 0; i < nb-1; i++ {
 		t.work[i] <- j
 	}

@@ -1,0 +1,5 @@
+//go:build linux
+
+package place
+
+const sysGetcpu = 309

@@ -1,0 +1,105 @@
+//go:build linux && (amd64 || arm64)
+
+package place
+
+import (
+	"runtime"
+	"testing"
+)
+
+func allowedCPUs() []int {
+	var m cpuMask
+	getAffinity(&m)
+	return m.cpus()
+}
+
+// onThread runs fn on a second thread that sits on the given CPU.
+func onThread(cpus []int, cpu int, fn func()) {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		runtime.LockOSThread()
+		defer runtime.UnlockOSThread()
+		for i, c := range cpus {
+			if c == cpu {
+				Spread(cpus[(i+len(cpus)-1)%len(cpus)], 1) // one on from the CPU before it
+			}
+		}
+		fn()
+	}()
+	<-done
+}
+
+// Member 1 moves off the CPU where member 0 reported another thread, not
+// when member 0's report came from member 1's own thread, and not twice
+// within moveEvery; a Group with more members than CPUs is nil.
+func TestGroupMovesHigherMemberOff(t *testing.T) {
+	runtime.LockOSThread()
+	defer runtime.UnlockOSThread()
+	cpus := allowedCPUs()
+	if len(cpus) < 2 {
+		t.Skip("one usable CPU")
+	}
+	if g := NewGroup(len(cpus) + 1); g != nil {
+		t.Errorf("NewGroup(%d) on %d CPUs is not nil", len(cpus)+1, len(cpus))
+	}
+	(*Group)(nil).Check(3)
+
+	g := NewGroup(2)
+	here := Current()
+	g.Check(0)
+	g.Check(1)
+	if got := Current(); got != here {
+		t.Fatalf("member 1 moved from CPU %d to %d away from its own thread's report", here, got)
+	}
+	onThread(cpus, here, func() {
+		if at := Current(); at != here {
+			t.Errorf("helper thread is on CPU %d, want %d", at, here)
+		}
+		g.Check(0)
+	})
+	g.Check(1)
+	moved := Current()
+	if moved == here {
+		t.Fatalf("member 1 stayed on CPU %d beside member 0's thread", here)
+	}
+	onThread(cpus, moved, func() { g.Check(0) })
+	g.Check(1)
+	if got := Current(); got != moved {
+		t.Errorf("second move within %v: CPU %d to %d", moveEvery, moved, got)
+	}
+}
+
+// TestSpreadMovesThreadAndRestoresMask needs two CPUs this process may
+// use; it skips otherwise.
+func TestSpreadMovesThreadAndRestoresMask(t *testing.T) {
+	runtime.LockOSThread() // so Current before and after asks about one thread
+	defer runtime.UnlockOSThread()
+	base := Current()
+	before := allowedCPUs()
+	if len(before) < 2 {
+		t.Skipf("thread may use only CPUs %v", before)
+	}
+	at := 0
+	for i, c := range before {
+		if c == base {
+			at = i
+		}
+	}
+	for slot := 1; slot <= len(before); slot++ {
+		want := before[(at+slot)%len(before)]
+		Spread(base, slot)
+		if got := Current(); got != want {
+			t.Errorf("Spread(%d, %d): thread is on CPU %d, want %d of %v", base, slot, got, want, before)
+		}
+		if after := allowedCPUs(); len(after) != len(before) {
+			t.Fatalf("Spread(%d, %d) left the thread with CPUs %v, had %v", base, slot, after, before)
+		}
+		Spread(Current(), len(before)-slot) // back to base for the next slot
+	}
+	Spread(-1, 1)
+	Spread(base, 0)
+	if after := allowedCPUs(); len(after) != len(before) {
+		t.Errorf("no-op Spread calls left the thread with CPUs %v, had %v", after, before)
+	}
+}

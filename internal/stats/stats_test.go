@@ -3,7 +3,6 @@ package stats
 import (
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestTraceAccumulation(t *testing.T) {
@@ -74,29 +73,5 @@ func TestTraceString(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("String() = %q missing %q", s, want)
 		}
-	}
-}
-
-func TestTimer(t *testing.T) {
-	tm := NewTimer()
-	tm.Start("solve")
-	time.Sleep(time.Millisecond)
-	tm.Stop("solve")
-	if tm.Total("solve") <= 0 {
-		t.Error("timer must accumulate")
-	}
-	first := tm.Total("solve")
-	tm.Start("solve")
-	time.Sleep(time.Millisecond)
-	tm.Stop("solve")
-	if tm.Total("solve") <= first {
-		t.Error("timer must resume accumulation")
-	}
-	tm.Stop("never-started") // must not panic
-	tm.Start("halo")
-	tm.Stop("halo")
-	secs := tm.Sections()
-	if len(secs) != 2 || secs[0] != "halo" || secs[1] != "solve" {
-		t.Errorf("Sections = %v", secs)
 	}
 }
