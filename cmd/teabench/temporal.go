@@ -55,11 +55,14 @@ type temporalReport struct {
 }
 
 // temporalTraffic is the nominal per-cell-per-iteration field-visit
-// traffic the GB/s column is computed from: the fused deep-halo
-// iteration's three sweeps at four visits each, the BENCH_kernels
-// convention. It is a comparability convention, not a claim — the
-// pipelined engine moves slightly more and the chained path's whole
-// point is that its real DRAM traffic is far below nominal.
+// traffic the GB/s column is computed from: twelve visits, set when the
+// fused deep-halo iteration was three sweeps at four visits each (the
+// BENCH_kernels convention) and kept so rows stay comparable with the
+// committed file — the two-sweep iteration visits ten fields in its
+// merged step and five in its matvec. It is a comparability convention,
+// not a claim — the pipelined engine moves slightly more and the
+// chained path's whole point is that its real DRAM traffic is far below
+// nominal.
 const temporalTraffic = 12 * 8
 
 type temporalBenchVariant struct {
@@ -257,11 +260,11 @@ func temporalExperiment(cfg config) error {
 		Notes: []string{
 			"temporal=true (tl_temporal): each deep-halo CG iteration's extended-bounds sweeps run chained band-by-band over LLC-sized bands of whole tile rows (band_rows from machine.ChainBandRows; 0 means the working set fits and one spanning band is used), with per-tile dot partials folded in fixed tile order at the end of each chained sweep. temporal=false is the ordinary deep-halo cycle: same sweeps, each streaming the whole mesh.",
 			"Every cell runs chained and unchained back to back on ONE operator at a fixed iteration count (Tol=1e-300), single rank, serial tiled pool; the chained solution is asserted bit-identical to the unchained one before the rows are written. min-of-reps wall time per solve.",
-			"gb_per_s is effective bandwidth from a NOMINAL 12 field-visits per cell-iteration (three 4-visit sweeps, the BENCH_kernels convention), identical for every row — it exists to make rows comparable, not as a traffic claim. The chained rows' real DRAM traffic is roughly one band pass per iteration instead of one pass per sweep; nominal GB/s above the untiled DRAM roofline is the temporal win showing up.",
+			"gb_per_s is effective bandwidth from a NOMINAL 12 field-visits per cell-iteration (a convention from the three-sweep iteration, kept across the merge of its two vector sweeps), identical for every row — it exists to make rows comparable, not as a traffic claim. The chained rows' real DRAM traffic is roughly one band pass per iteration instead of one pass per sweep; nominal GB/s above the untiled DRAM roofline is the temporal win showing up.",
 			"The iteration does strictly more arithmetic at depth d > 1 (extended-bounds overlap recompute) and the chain re-walks the band-boundary trapezoids; the win is DRAM traffic, so it appears where the per-iteration working set spills the LLC (2048² and up here) and is absent at LLC-resident meshes (1024² rows are the no-regression check).",
 			"Single-core shared VM: achievable bandwidth drifts tens of percent between runs, so compare chained vs unchained within a cell (they share the time slice), not across cells or runs. One core also means no worker-level parallelism: these rows isolate the cache effect; rank/worker scaling of the same chain is covered by the solver suite's bit-identity matrix, not timed here.",
 			"drop_recovered_pct_<impl>: how much of the per-cell-iteration falloff from 1024² (LLC-resident ceiling) to 2048² the chain wins back: (unchained_2048 - chained_2048) / (unchained_2048 - unchained_1024), per cell-iteration; drop_recovered_pct_4096_<impl> is the same against the 1024²→4096² falloff. The design target was 50% at 2048² for the fused engine.",
-			"READ BEFORE QUOTING drop_recovered: the 2048² recovery divides by the 1024²→2048² falloff, which on this 105 MB-LLC host is only ~2-3 ns/cell-iter — close enough to run-to-run drift that the ratio is unstable across back-to-back idle runs (16% and 53% were both measured for the fused engine; this file carries one such run). The 4096² variant divides by a larger falloff and is steadier. Structurally, bit-identity caps the chain at ONE iteration's ~3 sweeps per band residence — CG's next α/β need this iteration's global reduction — so the depth-16 chains that recover the apply-bandwidth drop outright in BENCH_tiling.json are unreachable without speculating on scalars (a tolerance-contract follow-up, see ROADMAP). The robust claim is the per-iteration sign, not the ratio: the chained fused cycle is cheaper at every LLC-spilling mesh and exactly free where resident; the big-win regime is a host whose LLC is small relative to the mesh and whose DRAM:LLC bandwidth gap is wider than this shared VM's.",
+			"READ BEFORE QUOTING drop_recovered: the 2048² recovery divides by the 1024²→2048² falloff, which on this 105 MB-LLC host is only ~2-3 ns/cell-iter — close enough to run-to-run drift that the ratio is unstable across back-to-back idle runs (16% and 53% were both measured for the fused engine; this file carries one such run). The 4096² variant divides by a larger falloff and is steadier. Structurally, bit-identity caps the chain at ONE iteration's sweeps per band residence (3 when these rows were measured, 2 since the vector phase became one sweep) — CG's next α/β need this iteration's global reduction — so the depth-16 chains that recover the apply-bandwidth drop outright in BENCH_tiling.json are unreachable without speculating on scalars (a tolerance-contract follow-up, see ROADMAP). The robust claim is the per-iteration sign, not the ratio: the chained fused cycle is cheaper at every LLC-spilling mesh and exactly free where resident; the big-win regime is a host whose LLC is small relative to the mesh and whose DRAM:LLC bandwidth gap is wider than this shared VM's.",
 			"deflated-pipelined chained keeps two tagged reductions in flight across the chained matvec block (the projector's coarse round on its own tag) and costs exactly one extra drained coarse round per solve — trace-pinned in the solver suite; invisible at these scales on serial comm.",
 		},
 		Summary: map[string]float64{},

@@ -492,14 +492,16 @@ func AxpbyPre(p *par.Pool, b grid.Bounds, a float64, y *grid.Field2D, beta float
 	})
 }
 
-// FusedCGDirections is pass one of the single-reduction
-// (Chronopoulos–Gear) CG iteration: both direction recurrences in one
-// sweep,
+// FusedCGDirections is the direction half of the single-reduction
+// (Chronopoulos–Gear) CG vector phase as its own sweep,
 //
 //	p = (minv ⊙ r) + β·p    (= u + β·p, with the preconditioner folded)
 //	s = w + β·s             (maintains s = A·p without a second matvec)
 //
-// with nil minv selecting the identity (u = r).
+// with nil minv selecting the identity (u = r). The solver engines run
+// the merged FusedCGStep instead; this kernel and FusedCGUpdate stay as
+// the two-sweep form the merged step is pinned bitwise against (and the
+// bench harness replays).
 func FusedCGDirections(pl *par.Pool, b grid.Bounds, minv, r, w *grid.Field2D, beta float64, p, s *grid.Field2D) {
 	if b.Empty() {
 		return
@@ -560,13 +562,14 @@ func FusedCGDirections(pl *par.Pool, b grid.Bounds, minv, r, w *grid.Field2D, be
 	})
 }
 
-// FusedCGUpdate is pass two of the single-reduction CG iteration: the
-// solution and residual updates fused with both dot products the next
-// step scalar needs,
+// FusedCGUpdate is the update half of the single-reduction CG vector
+// phase as its own sweep: the solution and residual updates fused with
+// both dot products the next step scalar needs,
 //
 //	x += α·p;  r −= α·s;  γ = Σ r·(minv ⊙ r);  rr = Σ r·r
 //
-// in one sweep. nil minv selects the identity, for which γ == rr.
+// nil minv selects the identity, for which γ == rr. See FusedCGDirections
+// for its standing next to FusedCGStep.
 func FusedCGUpdate(pl *par.Pool, b grid.Bounds, alpha float64, p, s, x, r, minv *grid.Field2D) (gamma, rr float64) {
 	if b.Empty() {
 		return 0, 0
@@ -580,31 +583,7 @@ func FusedCGUpdate(pl *par.Pool, b grid.Bounds, alpha float64, p, s, x, r, minv 
 	// Row-fissioned like FusedCGDirections: the x-update burst, then the
 	// r-update burst carrying both dot products (the freshly written r row
 	// is still in cache for the γ accumulation).
-	acc := pl.ForTilesReduceN(2, box(b), fusedCGUpdateBody(g, alpha, pd, sd, xd, rd, md))
-	return acc[0], acc[1]
-}
-
-// FusedCGUpdateChain is FusedCGUpdate restricted to one chain band's
-// tile range [t0,t1): same tile body, but the (γ, rr) partials land in
-// the per-tile accumulator instead of being folded immediately, so a
-// temporal-blocked cycle can run the update band-by-band and fold once
-// at the end of the sweep with ForTilesReduceN's exact bits. With a nil
-// minv the folded acc[0] equals acc[1] (γ == rr), as in FusedCGUpdate.
-func FusedCGUpdateChain(pl *par.Pool, acc *par.ChainAccum, t0, t1 int, alpha float64, p, s, x, r, minv *grid.Field2D) {
-	g := r.Grid
-	pd, sd, xd, rd := p.Data, s.Data, x.Data, r.Data
-	var md []float64
-	if minv != nil {
-		md = minv.Data
-	}
-	pl.ForTilesChunk(acc, t0, t1, fusedCGUpdateBody(g, alpha, pd, sd, xd, rd, md))
-}
-
-// fusedCGUpdateBody is the tile body shared by FusedCGUpdate and
-// FusedCGUpdateChain — one closure, so the chained and unchained sweeps
-// cannot drift bit-wise.
-func fusedCGUpdateBody(g *grid.Grid2D, alpha float64, pd, sd, xd, rd, md []float64) func(t par.Tile, acc []float64) {
-	return func(t par.Tile, acc []float64) {
+	acc := pl.ForTilesReduceN(2, box(b), func(t par.Tile, acc []float64) {
 		tb := tileBounds(t)
 		n := tb.X1 - tb.X0
 		var g0, g1, rr0, rr1 float64
@@ -666,7 +645,8 @@ func fusedCGUpdateBody(g *grid.Grid2D, alpha float64, pd, sd, xd, rd, md []float
 			acc[0] += g0 + g1
 			acc[1] += rr0 + rr1
 		}
-	}
+	})
+	return acc[0], acc[1]
 }
 
 // FusedPPCGInner is the fused Chebyshev inner step of PPCG: the residual
@@ -793,53 +773,13 @@ func pipelinedCGStepBody(g *grid.Grid2D, beta, alpha float64, md, rd, wd, nd, pd
 		var ga, de, rra float64
 		for k := tb.Y0; k < tb.Y1; k++ {
 			rs := row(g, tb, rd, k)
-			ps := row(g, tb, pd, k)
-			xs := row(g, tb, xd, k)
-			// Burst 1: the p recurrence (old r) and the x update it feeds.
-			if md == nil {
-				j := 0
-				for ; j+3 < n; j += 4 {
-					p0 := rs[j] + beta*ps[j]
-					ps[j] = p0
-					xs[j] += alpha * p0
-					p1 := rs[j+1] + beta*ps[j+1]
-					ps[j+1] = p1
-					xs[j+1] += alpha * p1
-					p2 := rs[j+2] + beta*ps[j+2]
-					ps[j+2] = p2
-					xs[j+2] += alpha * p2
-					p3 := rs[j+3] + beta*ps[j+3]
-					ps[j+3] = p3
-					xs[j+3] += alpha * p3
-				}
-				for ; j < n; j++ {
-					p0 := rs[j] + beta*ps[j]
-					ps[j] = p0
-					xs[j] += alpha * p0
-				}
-			} else {
-				ms := row(g, tb, md, k)
-				j := 0
-				for ; j+3 < n; j += 4 {
-					p0 := ms[j]*rs[j] + beta*ps[j]
-					ps[j] = p0
-					xs[j] += alpha * p0
-					p1 := ms[j+1]*rs[j+1] + beta*ps[j+1]
-					ps[j+1] = p1
-					xs[j+1] += alpha * p1
-					p2 := ms[j+2]*rs[j+2] + beta*ps[j+2]
-					ps[j+2] = p2
-					xs[j+2] += alpha * p2
-					p3 := ms[j+3]*rs[j+3] + beta*ps[j+3]
-					ps[j+3] = p3
-					xs[j+3] += alpha * p3
-				}
-				for ; j < n; j++ {
-					p0 := ms[j]*rs[j] + beta*ps[j]
-					ps[j] = p0
-					xs[j] += alpha * p0
-				}
+			var ms []float64
+			if md != nil {
+				ms = row(g, tb, md, k)
 			}
+			// Burst 1: the p recurrence (old r) and the x update it feeds —
+			// the fused engine's, shared with FusedCGStep.
+			cgStepPX(ms, rs, row(g, tb, pd, k), row(g, tb, xd, k), beta, alpha)
 			// Burst 2: the s recurrence (old w), the r update, and rr.
 			ws := row(g, tb, wd, k)
 			ss := row(g, tb, sd, k)
@@ -894,7 +834,6 @@ func pipelinedCGStepBody(g *grid.Grid2D, beta, alpha float64, md, rd, wd, nd, pd
 				de += d0 + d1
 				continue
 			}
-			ms := row(g, tb, md, k)
 			var g0, g1, d0, d1 float64
 			j = 0
 			for ; j+1 < n; j += 2 {

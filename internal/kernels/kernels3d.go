@@ -296,9 +296,10 @@ func PrecondDot3D(p *par.Pool, b grid.Bounds3D, minv, r, z *grid.Field3D) float6
 	})[0]
 }
 
-// FusedCGDirections3D is pass one of the 3D single-reduction CG
-// iteration: p = (minv ⊙ r) + β·p and s = w + β·s in one sweep over b,
-// with nil minv selecting the identity — mirrors FusedCGDirections.
+// FusedCGDirections3D is the 3D two-sweep direction half:
+// p = (minv ⊙ r) + β·p and s = w + β·s in one sweep over b, with nil
+// minv selecting the identity — mirrors FusedCGDirections, and like it
+// is kept as the oracle of (and bench replay beside) FusedCGStep3D.
 func FusedCGDirections3D(pl *par.Pool, b grid.Bounds3D, minv, r, w *grid.Field3D, beta float64, p, s *grid.Field3D) {
 	if b.Empty() {
 		return
@@ -357,9 +358,9 @@ func FusedCGDirections3D(pl *par.Pool, b grid.Bounds3D, minv, r, w *grid.Field3D
 	})
 }
 
-// FusedCGUpdate3D is pass two of the 3D single-reduction CG iteration:
-// x += α·p, r −= α·s, γ = Σ r·(minv ⊙ r), rr = Σ r·r in one sweep over b.
-// nil minv selects the identity, for which γ == rr.
+// FusedCGUpdate3D is the 3D two-sweep update half: x += α·p, r −= α·s,
+// γ = Σ r·(minv ⊙ r), rr = Σ r·r in one sweep over b. nil minv selects
+// the identity, for which γ == rr.
 func FusedCGUpdate3D(pl *par.Pool, b grid.Bounds3D, alpha float64, p, s, x, r, minv *grid.Field3D) (gamma, rr float64) {
 	if b.Empty() {
 		return 0, 0
@@ -370,28 +371,7 @@ func FusedCGUpdate3D(pl *par.Pool, b grid.Bounds3D, alpha float64, p, s, x, r, m
 	if minv != nil {
 		md = minv.Data
 	}
-	acc := pl.ForTilesReduceN(2, box3(b), fusedCGUpdateBody3D(g, alpha, pd, sd, xd, rd, md))
-	return acc[0], acc[1]
-}
-
-// FusedCGUpdateChain3D is FusedCGUpdate3D restricted to one chain band's
-// tile range [t0,t1): same tile body, partials landing in the per-tile
-// accumulator for an end-of-sweep fold (see FusedCGUpdateChain).
-func FusedCGUpdateChain3D(pl *par.Pool, acc *par.ChainAccum, t0, t1 int, alpha float64, p, s, x, r, minv *grid.Field3D) {
-	g := r.Grid
-	pd, sd, xd, rd := p.Data, s.Data, x.Data, r.Data
-	var md []float64
-	if minv != nil {
-		md = minv.Data
-	}
-	pl.ForTilesChunk(acc, t0, t1, fusedCGUpdateBody3D(g, alpha, pd, sd, xd, rd, md))
-}
-
-// fusedCGUpdateBody3D is the tile body shared by FusedCGUpdate3D and
-// FusedCGUpdateChain3D — one closure, so the chained and unchained
-// sweeps cannot drift bit-wise.
-func fusedCGUpdateBody3D(g *grid.Grid3D, alpha float64, pd, sd, xd, rd, md []float64) func(t par.Tile, acc []float64) {
-	return func(t par.Tile, acc []float64) {
+	acc := pl.ForTilesReduceN(2, box3(b), func(t par.Tile, acc []float64) {
 		tb := tileBounds3(t)
 		n := tb.X1 - tb.X0
 		var g0, g1, rr0, rr1 float64
@@ -455,7 +435,8 @@ func fusedCGUpdateBody3D(g *grid.Grid3D, alpha float64, pd, sd, xd, rd, md []flo
 			acc[0] += g0 + g1
 			acc[1] += rr0 + rr1
 		}
-	}
+	})
+	return acc[0], acc[1]
 }
 
 // FusedPPCGInner3D is the fused Chebyshev inner step of 3D PPCG:
@@ -569,52 +550,11 @@ func pipelinedCGStepBody3D(g *grid.Grid3D, beta, alpha float64, md, rd, wd, nd, 
 		for k := tb.Z0; k < tb.Z1; k++ {
 			for j := tb.Y0; j < tb.Y1; j++ {
 				rs := row3(g, tb, rd, j, k)
-				ps := row3(g, tb, pd, j, k)
-				xs := row3(g, tb, xd, j, k)
-				if md == nil {
-					i := 0
-					for ; i+3 < n; i += 4 {
-						p0 := rs[i] + beta*ps[i]
-						ps[i] = p0
-						xs[i] += alpha * p0
-						p1 := rs[i+1] + beta*ps[i+1]
-						ps[i+1] = p1
-						xs[i+1] += alpha * p1
-						p2 := rs[i+2] + beta*ps[i+2]
-						ps[i+2] = p2
-						xs[i+2] += alpha * p2
-						p3 := rs[i+3] + beta*ps[i+3]
-						ps[i+3] = p3
-						xs[i+3] += alpha * p3
-					}
-					for ; i < n; i++ {
-						p0 := rs[i] + beta*ps[i]
-						ps[i] = p0
-						xs[i] += alpha * p0
-					}
-				} else {
-					ms := row3(g, tb, md, j, k)
-					i := 0
-					for ; i+3 < n; i += 4 {
-						p0 := ms[i]*rs[i] + beta*ps[i]
-						ps[i] = p0
-						xs[i] += alpha * p0
-						p1 := ms[i+1]*rs[i+1] + beta*ps[i+1]
-						ps[i+1] = p1
-						xs[i+1] += alpha * p1
-						p2 := ms[i+2]*rs[i+2] + beta*ps[i+2]
-						ps[i+2] = p2
-						xs[i+2] += alpha * p2
-						p3 := ms[i+3]*rs[i+3] + beta*ps[i+3]
-						ps[i+3] = p3
-						xs[i+3] += alpha * p3
-					}
-					for ; i < n; i++ {
-						p0 := ms[i]*rs[i] + beta*ps[i]
-						ps[i] = p0
-						xs[i] += alpha * p0
-					}
+				var ms []float64
+				if md != nil {
+					ms = row3(g, tb, md, j, k)
 				}
+				cgStepPX(ms, rs, row3(g, tb, pd, j, k), row3(g, tb, xd, j, k), beta, alpha)
 				ws := row3(g, tb, wd, j, k)
 				ss := row3(g, tb, sd, j, k)
 				var rr0, rr1 float64
@@ -666,7 +606,6 @@ func pipelinedCGStepBody3D(g *grid.Grid3D, beta, alpha float64, md, rd, wd, nd, 
 					de += d0 + d1
 					continue
 				}
-				ms := row3(g, tb, md, j, k)
 				var g0, g1, d0, d1 float64
 				i = 0
 				for ; i+1 < n; i += 2 {

@@ -170,6 +170,67 @@ func BenchmarkFusedCGUpdate(b *testing.B) {
 	}
 }
 
+// reportNsPerCell adds the sweep's time per grid cell to the benchmark
+// line, the unit the bench harness's per-layer numbers use.
+func reportNsPerCell(b *testing.B, cells int) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cells), "ns/cell")
+}
+
+// BenchmarkFusedCGStep is the merged sweep the fused engine runs in place
+// of the two above: ten field visits (m, r, p, x, w, s read; p, x, s, r
+// written) against their fourteen.
+func BenchmarkFusedCGStep(b *testing.B) {
+	for _, n := range sizes() {
+		b.Run(fmt.Sprintf("%dx%d", n, n), func(b *testing.B) {
+			g := benchGrid(n)
+			minv, r, w := benchField(g, 1), benchField(g, 2), benchField(g, 3)
+			p, s, x := benchField(g, 4), benchField(g, 5), benchField(g, 6)
+			in := g.Interior()
+			b.SetBytes(int64(n) * int64(n) * 8 * 10)
+			b.ResetTimer()
+			var sink float64
+			for i := 0; i < b.N; i++ {
+				gamma, rr := FusedCGStep(par.Serial, in, minv, r, w, 0.5, 1e-9, p, s, x)
+				sink += gamma + rr
+			}
+			reportNsPerCell(b, n*n)
+			_ = sink
+		})
+	}
+}
+
+// BenchmarkFusedCGStep3D is the same sweep on the bench harness's 128³
+// mesh, on one and two workers.
+func BenchmarkFusedCGStep3D(b *testing.B) {
+	const n = 128
+	g := grid.UnitGrid3D(n, n, n, 2)
+	mk := func(seed int64) *grid.Field3D {
+		f := grid.NewField3D(g)
+		rng := newRng(seed)
+		for i := range f.Data {
+			f.Data[i] = rng.Float64()
+		}
+		return f
+	}
+	minv, r, w := mk(1), mk(2), mk(3)
+	p, s, x := mk(4), mk(5), mk(6)
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			pool := par.NewPool(workers)
+			defer pool.Close()
+			b.SetBytes(int64(n*n*n) * 8 * 10)
+			b.ResetTimer()
+			var sink float64
+			for i := 0; i < b.N; i++ {
+				gamma, rr := FusedCGStep3D(pool, g.Interior(), minv, r, w, 0.5, 1e-9, p, s, x)
+				sink += gamma + rr
+			}
+			reportNsPerCell(b, n*n*n)
+			_ = sink
+		})
+	}
+}
+
 func BenchmarkFusedPPCGInner(b *testing.B) {
 	for _, n := range sizes() {
 		b.Run(fmt.Sprintf("%dx%d", n, n), func(b *testing.B) {

@@ -6,7 +6,7 @@ import "tealeaf/internal/grid"
 // identity preconditioner this is the paper's baseline "CG - 1"
 // configuration. The default fused path (Options.Fused) restructures the
 // iteration Chronopoulos–Gear style so that one reduction round carries
-// every dot product and the whole iteration is three grid sweeps; the
+// every dot product and the whole iteration is two grid sweeps; the
 // unfused path keeps the seed's two-to-three reductions and five-to-seven
 // sweeps, which is exactly the communication pattern whose log(P) latency
 // dominates strong scaling (§III-A) and which §VII proposes to fix.

@@ -106,19 +106,24 @@ func (e *engine[F, B]) finishDeflated(defl deflator[F, B], r F, rr0 float64) (fl
 
 // runCGFusedCore is the Chronopoulos–Gear single-reduction PCG engine
 // (§VII). Writing u' = M⁻¹r, it maintains p (search direction) and
-// s = A·p by recurrence, so each iteration is exactly three grid sweeps
+// s = A·p by recurrence, so each iteration is exactly two grid sweeps
 // and one reduction round:
 //
-//	sweep 1: p = u' + β·p;  s = w + β·s          (FusedCGDirections)
-//	sweep 2: x += α·p; r −= α·s; γ' = r·u'; rr = r·r   (FusedCGUpdate)
+//	sweep 1: p = u' + β·p;  x += α·p;
+//	         s = w + β·s;   r −= α·s;  γ' = r·u'; rr = r·r   (FusedCGStep)
 //	         exchange halo of r
-//	sweep 3: w = A·u';  δ = u'·w                 (ApplyPreDot)
+//	sweep 2: w = A·u';  δ = u'·w                            (ApplyPreDot)
 //	allreduce {γ', rr, δ} in one round, then
 //	β = γ'/γ,  α = γ'/(δ − β·γ'/α)
 //
-// The diagonal preconditioner is folded into the sweeps (u' is never
-// materialised); a zero minv is the identity, for which γ == rr. With
-// Options.SplitSweeps the exchange overlaps sweep 3's interior pass
+// Sweep 1 is the whole vector phase: each cache-resident row takes the
+// direction recurrences and the updates they feed back to back, so p
+// and s are never written by one pass and re-streamed by the next (the
+// first two bursts of the pipelined engine's step sweep, bit-identical
+// to the direction and update sweeps run separately). The diagonal
+// preconditioner is folded into the sweeps (u' is never materialised);
+// a zero minv is the identity, for which γ == rr. With
+// Options.SplitSweeps the exchange overlaps sweep 2's interior pass
 // (applyPreDotX).
 //
 // With a deflator configured the same recurrences run on the projected
@@ -133,14 +138,16 @@ func (e *engine[F, B]) finishDeflated(defl deflator[F, B], r F, rr0 float64) (fl
 // (§IV-C2), previously exclusive to the PPCG inner solve: one depth-d
 // exchange of {r, w, p, s} at the top of each d-iteration cycle replaces
 // the per-iteration depth-1 exchange of r. Iteration j of a cycle runs
-// its direction/update sweeps on the extended bounds ext(d−j) — the
-// interior grown by d−j cells toward every rank neighbour — and its
-// matvec on ext(d−1−j), so each sweep's inputs are valid exactly one
-// cell beyond its own bounds and the halo data ages out one cell per
-// iteration. The extended cells are redundant compute replicating the
-// neighbour's interior; all dots stay interior-only, so the reduced
+// its step sweep on the extended bounds ext(d−j) — the interior grown by
+// d−j cells toward every rank neighbour — and its matvec on ext(d−1−j),
+// so each sweep's inputs are valid exactly one cell beyond its own
+// bounds and the halo data ages out one cell per iteration. The step
+// covers the interior (with x and the dots) and then each extension
+// ring with x skipped and the dots discarded: the extended cells are
+// redundant compute replicating the neighbour's interior, and all dots
+// stay interior-only in the interior's tile order, so the reduced
 // scalars (and hence the iterates) are unchanged from depth 1 — the
-// cycle trades ~4·d·halo cells of redundant sweeps for d× fewer
+// cycle trades ~3·d·halo cells of redundant sweeps for d× fewer
 // messages, the same latency-for-bandwidth trade the PPCG inner powers
 // schedule makes. Deflated solves join the cycle via ProjectWBounds,
 // which maintains w = P·A·u' on the extended bounds, with the
@@ -247,29 +254,26 @@ func runCGFusedCore[F comparable, B any](e *engine[F, B], minv F, maxIters int, 
 					return result, nil, err
 				}
 			}
-			ab := sys.Extend(depth - j)    // direction/update bounds
+			ab := sys.Extend(depth - j)    // step bounds
 			mb = sys.Extend(depth - 1 - j) // one cell inside ab
 			if cs != nil {
-				// Temporal blocking: the same three sweeps, chained per
-				// LLC band so each band streams through cache once.
+				// Temporal blocking: the same two sweeps, chained per LLC
+				// band so each band streams through cache once.
 				gammaNew, rrNew, deltaNew = cs.fusedIter(e, ab, mb, minv, r, w, pvec, svec, alpha, beta)
 			} else {
-				sys.FusedCGDirections(ab, minv, r, w, beta, pvec, svec)
-				e.vectorPass(ab)
-				// The x update and the dots are interior-only; r's extended
-				// ring gets the matching r −= α·s separately so the next
-				// matvec reads a consistent r one cell beyond mb.
-				gammaNew, rrNew = sys.FusedCGUpdate(in, alpha, pvec, svec, e.u, r, minv)
+				// The x update and the dots are interior-only; the extended
+				// rings advance p, s and r alone so the next matvec reads a
+				// consistent r one cell beyond mb.
+				gammaNew, rrNew = sys.FusedCGStep(in, minv, r, w, beta, alpha, pvec, svec, e.u)
+				var noX F
 				for _, rb := range sys.Rings(ab) {
-					sys.Axpy(rb, -alpha, svec, r)
+					sys.FusedCGStep(rb, minv, r, w, beta, alpha, pvec, svec, noX)
 				}
 				e.vectorPass(ab)
 				deltaNew = e.applyPreDotDeep(mb, minv, r, w)
 			}
 		} else {
-			sys.FusedCGDirections(in, minv, r, w, beta, pvec, svec)
-			e.vectorPass(in)
-			gammaNew, rrNew = sys.FusedCGUpdate(in, alpha, pvec, svec, e.u, r, minv)
+			gammaNew, rrNew = sys.FusedCGStep(in, minv, r, w, beta, alpha, pvec, svec, e.u)
 			e.vectorPass(in)
 			var err error
 			deltaNew, err = e.applyPreDotX(minv, r, w)

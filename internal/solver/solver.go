@@ -156,7 +156,7 @@ type Options struct {
 	FusedDots bool
 	// Fused reports whether the fused single-reduction iteration loops
 	// are in effect (default on): a Chronopoulos–Gear CG whose iteration
-	// is three grid sweeps and one reduction round, with diagonal
+	// is two grid sweeps and one reduction round, with diagonal
 	// preconditioners folded into the sweeps, and fused Chebyshev/PPCG
 	// inner updates. The field is DERIVED: withDefaults sets it to
 	// !DisableFused, so assigning Fused directly has no effect — the one

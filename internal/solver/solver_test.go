@@ -401,8 +401,9 @@ func TestCGTraceCounts(t *testing.T) {
 
 func TestFusedCGTraceCounts(t *testing.T) {
 	// The acceptance profile of the fused single-reduction CG: per
-	// iteration at most 3 grid sweeps (1 matvec + 2 vector passes) and
-	// exactly 1 reduction round, versus ≥5 sweeps and 2–3 rounds unfused.
+	// iteration exactly 2 grid sweeps (1 matvec + 1 merged vector pass)
+	// and exactly 1 reduction round, versus ≥5 sweeps and 2–3 rounds
+	// unfused.
 	for _, precondName := range []string{"none", "jac_diag"} {
 		p := buildProblem(t, 16, 16, 1, 17)
 		c := comm.NewSerial()
@@ -421,11 +422,17 @@ func TestFusedCGTraceCounts(t *testing.T) {
 		if tr.Matvecs != iters+2 {
 			t.Errorf("%s: matvecs = %d, want %d", precondName, tr.Matvecs, iters+2)
 		}
+		// One vector pass per iteration over the whole interior, none at
+		// startup.
+		if cells := int64(iters) * int64(p.Op.Grid.Interior().Cells()); tr.VectorPasses != iters || tr.VectorCells != cells {
+			t.Errorf("%s: %d vector passes over %d cells, want %d over %d",
+				precondName, tr.VectorPasses, tr.VectorCells, iters, cells)
+		}
 		// Startup costs 3 constant sweeps (residual, init, ‖b‖² baseline
-		// dot); per iteration at most 3.
+		// dot); per iteration exactly 2.
 		sweeps := tr.Matvecs + tr.VectorPasses + tr.Dots + tr.PrecondApplies
-		if perIter := float64(sweeps-3) / float64(iters); perIter > 3 {
-			t.Errorf("%s: %.2f grid sweeps per iteration, want <= 3", precondName, perIter)
+		if sweeps != 2*iters+3 {
+			t.Errorf("%s: %d grid sweeps over %d iterations, want %d", precondName, sweeps, iters, 2*iters+3)
 		}
 		// Exactly one reduction round per iteration, +2 at startup (init
 		// scalars, ‖b‖² stop baseline).
@@ -436,6 +443,28 @@ func TestFusedCGTraceCounts(t *testing.T) {
 		if tr.HaloExchanges != iters+2 {
 			t.Errorf("%s: exchanges = %d, want %d", precondName, tr.HaloExchanges, iters+2)
 		}
+	}
+}
+
+// TestFusedDeepHaloVectorCells pins the deep-halo fused cycle's vector
+// accounting: still ONE traced pass per iteration, covering the interior
+// plus the extension rings the merged step advances — iteration it of a
+// depth-d cycle sweeps Extend(d − it mod d). Rank 0 of a 2×1 split of
+// the 24² mesh owns 12×24 cells and extends toward its right-hand
+// neighbour only, so that is (12 + d − it mod d)·24 cells.
+func TestFusedDeepHaloVectorCells(t *testing.T) {
+	const depth = 3
+	iters, _, tr := temporalRun2D(t, temporalVariants[0], 2, 1, depth, false)
+	var cells int64
+	for it := 0; it < iters; it++ {
+		cells += int64(12+depth-it%depth) * 24
+	}
+	if tr.VectorPasses != iters || tr.VectorCells != cells {
+		t.Errorf("%d vector passes over %d cells in %d iterations, want %d over %d",
+			tr.VectorPasses, tr.VectorCells, iters, iters, cells)
+	}
+	if tr.Matvecs != iters+2 {
+		t.Errorf("matvecs = %d, want %d", tr.Matvecs, iters+2)
 	}
 }
 

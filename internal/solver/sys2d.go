@@ -144,12 +144,8 @@ func (s *sys2d) AxpbyPre(b grid.Bounds, a float64, y *grid.Field2D, beta float64
 	kernels.AxpbyPre(s.p, b, a, y, beta, minv, r)
 }
 
-func (s *sys2d) FusedCGDirections(b grid.Bounds, minv, r, w *grid.Field2D, beta float64, p, sv *grid.Field2D) {
-	kernels.FusedCGDirections(s.p, b, minv, r, w, beta, p, sv)
-}
-
-func (s *sys2d) FusedCGUpdate(b grid.Bounds, alpha float64, p, sv, x, r, minv *grid.Field2D) (gamma, rr float64) {
-	return kernels.FusedCGUpdate(s.p, b, alpha, p, sv, x, r, minv)
+func (s *sys2d) FusedCGStep(b grid.Bounds, minv, r, w *grid.Field2D, beta, alpha float64, p, sv, x *grid.Field2D) (gamma, rr float64) {
+	return kernels.FusedCGStep(s.p, b, minv, r, w, beta, alpha, p, sv, x)
 }
 
 func (s *sys2d) FusedPPCGInner(b, in grid.Bounds, alpha, beta float64, w, rtemp, minv, sd, z *grid.Field2D) {
@@ -186,8 +182,8 @@ func (s *sys2d) ChainClip(b grid.Bounds, lo, hi int) (grid.Bounds, bool) {
 	return b, !b.Empty()
 }
 
-func (s *sys2d) FusedCGUpdateChain(acc *par.ChainAccum, t0, t1 int, alpha float64, p, sv, x, r, minv *grid.Field2D) {
-	kernels.FusedCGUpdateChain(s.p, acc, t0, t1, alpha, p, sv, x, r, minv)
+func (s *sys2d) FusedCGStepChain(acc *par.ChainAccum, t0, t1 int, minv, r, w *grid.Field2D, beta, alpha float64, p, sv, x *grid.Field2D) {
+	kernels.FusedCGStepChain(s.p, acc, t0, t1, minv, r, w, beta, alpha, p, sv, x)
 }
 
 func (s *sys2d) ApplyPreDotChain(acc *par.ChainAccum, t0, t1 int, minv, r, w *grid.Field2D) {

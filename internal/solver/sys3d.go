@@ -162,12 +162,8 @@ func (s *sys3d) AxpbyPre(b grid.Bounds3D, a float64, y *grid.Field3D, beta float
 	kernels.AxpbyPre3D(s.p, b, a, y, beta, minv, r)
 }
 
-func (s *sys3d) FusedCGDirections(b grid.Bounds3D, minv, r, w *grid.Field3D, beta float64, p, sv *grid.Field3D) {
-	kernels.FusedCGDirections3D(s.p, b, minv, r, w, beta, p, sv)
-}
-
-func (s *sys3d) FusedCGUpdate(b grid.Bounds3D, alpha float64, p, sv, x, r, minv *grid.Field3D) (gamma, rr float64) {
-	return kernels.FusedCGUpdate3D(s.p, b, alpha, p, sv, x, r, minv)
+func (s *sys3d) FusedCGStep(b grid.Bounds3D, minv, r, w *grid.Field3D, beta, alpha float64, p, sv, x *grid.Field3D) (gamma, rr float64) {
+	return kernels.FusedCGStep3D(s.p, b, minv, r, w, beta, alpha, p, sv, x)
 }
 
 func (s *sys3d) FusedPPCGInner(b, in grid.Bounds3D, alpha, beta float64, w, rtemp, minv, sd, z *grid.Field3D) {
@@ -203,8 +199,8 @@ func (s *sys3d) ChainClip(b grid.Bounds3D, lo, hi int) (grid.Bounds3D, bool) {
 	return b, !b.Empty()
 }
 
-func (s *sys3d) FusedCGUpdateChain(acc *par.ChainAccum, t0, t1 int, alpha float64, p, sv, x, r, minv *grid.Field3D) {
-	kernels.FusedCGUpdateChain3D(s.p, acc, t0, t1, alpha, p, sv, x, r, minv)
+func (s *sys3d) FusedCGStepChain(acc *par.ChainAccum, t0, t1 int, minv, r, w *grid.Field3D, beta, alpha float64, p, sv, x *grid.Field3D) {
+	kernels.FusedCGStepChain3D(s.p, acc, t0, t1, minv, r, w, beta, alpha, p, sv, x)
 }
 
 func (s *sys3d) ApplyPreDotChain(acc *par.ChainAccum, t0, t1 int, minv, r, w *grid.Field3D) {

@@ -89,12 +89,11 @@ type system[F comparable, B any] interface {
 	AxpyAxpy(b B, a1 float64, x1, y1 F, a2 float64, x2, y2 F)
 	// AxpbyPre computes y = a·y + beta·(minv⊙r) (zero minv = identity).
 	AxpbyPre(b B, a float64, y F, beta float64, minv, r F)
-	// FusedCGDirections is fused-CG sweep one: p = (minv⊙r) + β·p and
-	// s = w + β·s.
-	FusedCGDirections(b B, minv, r, w F, beta float64, p, s F)
-	// FusedCGUpdate is fused-CG sweep two: x += α·p, r −= α·s, returning
-	// the local γ' = r·(minv⊙r) and ‖r‖².
-	FusedCGUpdate(b B, alpha float64, p, s, x, r, minv F) (gamma, rr float64)
+	// FusedCGStep is the whole vector phase of a fused-CG iteration in one
+	// sweep: p = (minv⊙r) + β·p with x += α·p, then s = w + β·s with
+	// r −= α·s, returning the local γ' = r·(minv⊙r) and ‖r‖² of the
+	// updated r. A zero x skips the solution update (extension rings).
+	FusedCGStep(b B, minv, r, w F, beta, alpha float64, p, s, x F) (gamma, rr float64)
 	// FusedPPCGInner is the fused PPCG inner step: everything after the
 	// matvec (residual update, preconditioner, direction, accumulate) in
 	// one sweep over b, accumulating into z over in.
@@ -119,10 +118,10 @@ type system[F comparable, B any] interface {
 	// whether the intersection is non-empty — how ring and extended bounds
 	// are assigned to chain bands.
 	ChainClip(b B, lo, hi int) (B, bool)
-	// FusedCGUpdateChain is FusedCGUpdate restricted to the interior tile
+	// FusedCGStepChain is FusedCGStep restricted to the interior tile
 	// range [t0,t1), accumulating the per-tile (γ', ‖r‖²) partials into acc
 	// (same tile body as the unchained sweep).
-	FusedCGUpdateChain(acc *par.ChainAccum, t0, t1 int, alpha float64, p, s, x, r, minv F)
+	FusedCGStepChain(acc *par.ChainAccum, t0, t1 int, minv, r, w F, beta, alpha float64, p, s, x F)
 	// ApplyPreDotChain is ApplyPreDot restricted to the interior tile range
 	// [t0,t1), with the dot partial per tile in acc slot 0. acc must be at
 	// least 2 wide: the 3D identity path shares ApplyDot2's two-lane body.

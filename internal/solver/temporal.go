@@ -9,18 +9,18 @@ import (
 // behind Options.Temporal (PR 10). A deep-halo CG iteration cannot be
 // chained ACROSS iterations bit-identically — each iteration's α and β
 // depend on the previous iteration's global reduction — so the chaining
-// happens WITHIN each iteration: the fused engine's three sweeps (and
-// the pipelined engine's matvec + step pair) execute band-by-band over
-// LLC-sized bands of whole tile rows, with each band's sweeps run
-// back-to-back while the band is cache-resident. On grids whose working
-// set exceeds the LLC this turns one full-grid pass per sweep into one
-// full-grid pass per iteration.
+// happens WITHIN each iteration: the fused and the pipelined engine's
+// step + matvec sweep pairs execute band-by-band over LLC-sized bands
+// of whole tile rows, with each band's sweeps run back-to-back while
+// the band is cache-resident. On grids whose working set exceeds the
+// LLC this turns one full-grid pass per sweep into one full-grid pass
+// per iteration.
 //
 // Bit-identity with the unchained deep-halo path holds by construction:
-//   - every pointwise kernel (directions, update, step, ring BLAS1)
-//     computes each cell from the same inputs regardless of how the
-//     bounds are decomposed, and the band hazard discipline below
-//     guarantees those inputs are the same values;
+//   - every pointwise kernel (the step sweeps, ring BLAS1) computes
+//     each cell from the same inputs regardless of how the bounds are
+//     decomposed, and the band hazard discipline below guarantees
+//     those inputs are the same values;
 //   - every dot product is accumulated per interior tile into a
 //     par.ChainAccum by the SAME tile body the unchained sweep uses and
 //     folded in ascending global tile order at the end of the chained
@@ -28,11 +28,11 @@ import (
 //     count, worker count or rank count.
 //
 // Hazard discipline (2D rows / 3D planes, bands ascending):
-//   - the fused chain runs D_k (directions), U_k (update), R_k (ring
-//     residual update) on band k, then the matvec M_{k-1} on band k-1:
-//     the matvec's stencil reads r one cell into bands k-2..k, all of
-//     which have taken this iteration's update by then, and its w
-//     writes land strictly behind every direction read;
+//   - the fused chain runs S_k (the merged step) and R_k (the same step
+//     on the band's ring cells) on band k, then the matvec M_{k-1} on
+//     band k-1: the matvec's stencil reads r one cell into bands
+//     k-2..k, all of which have taken this iteration's update by then,
+//     and its w writes land strictly behind every step's read of w;
 //   - the pipelined chain runs M'_k (the speculative matvec, reading
 //     the OLD w one cell into bands k-1..k+1) before S_{k-1} (the step,
 //     which overwrites w in band k-1) — a one-band lag in the other
@@ -47,7 +47,7 @@ import (
 // state of the current pipelined pass.
 type chainState[F comparable, B any] struct {
 	bands []par.ChainBand
-	accU  *par.ChainAccum // fused update (γ', ‖r‖²) partials
+	accU  *par.ChainAccum // fused step (γ', ‖r‖²) partials
 	accM  *par.ChainAccum // matvec dot partials (δ on the fused path; discarded on the pipelined path)
 	accS  *par.ChainAccum // pipelined step (γ, δ, ‖r‖²) partials
 
@@ -103,26 +103,25 @@ func (cs *chainState[F, B]) matvecBand(e *engine[F, B], k int) {
 }
 
 // fusedIter executes one temporal-blocked iteration of the fused
-// (Chronopoulos–Gear) deep-halo cycle: per band, the direction sweep on
-// the band's clip of the extended bounds ab, the interior update with
-// chained (γ', ‖r‖²) partials, the ring residual update, then —
-// lagging one band — the matvec on mb with chained δ partials. Returns
-// the folded scalars; traces exactly what the unchained iteration
-// records. On the deflated path the caller re-projects w and discards
-// the returned δ, as the unchained cycle does.
+// (Chronopoulos–Gear) deep-halo cycle: per band, the merged step on the
+// band's interior tiles with chained (γ', ‖r‖²) partials and on the
+// band's clip of every extension ring of ab (x skipped, dots
+// discarded), then — lagging one band — the matvec on mb with chained
+// δ partials. Returns the folded scalars; traces exactly what the
+// unchained iteration records. On the deflated path the caller
+// re-projects w and discards the returned δ, as the unchained cycle
+// does.
 func (cs *chainState[F, B]) fusedIter(e *engine[F, B], ab, mb B, minv, r, w, pvec, svec F, alpha, beta float64) (gammaNew, rrNew, deltaNew float64) {
 	sys := e.sys
 	cs.mb, cs.minv, cs.src, cs.dst = mb, minv, r, w // matvec: w = A·(minv⊙r)
 	cs.accU.Reset()
 	cs.accM.Reset()
+	var noX F
 	for k, bd := range cs.bands {
-		if db, ok := sys.ChainClip(ab, bd.Lo, bd.Hi); ok {
-			sys.FusedCGDirections(db, minv, r, w, beta, pvec, svec)
-		}
-		sys.FusedCGUpdateChain(cs.accU, bd.T0, bd.T1, alpha, pvec, svec, e.u, r, minv)
+		sys.FusedCGStepChain(cs.accU, bd.T0, bd.T1, minv, r, w, beta, alpha, pvec, svec, e.u)
 		for _, rb := range sys.Rings(ab) {
 			if cb, ok := sys.ChainClip(rb, bd.Lo, bd.Hi); ok {
-				sys.Axpy(cb, -alpha, svec, r)
+				sys.FusedCGStep(cb, minv, r, w, beta, alpha, pvec, svec, noX)
 			}
 		}
 		if k > 0 {
@@ -130,7 +129,6 @@ func (cs *chainState[F, B]) fusedIter(e *engine[F, B], ab, mb B, minv, r, w, pve
 		}
 	}
 	cs.matvecBand(e, len(cs.bands)-1)
-	e.vectorPass(ab)
 	e.vectorPass(ab)
 	e.tr.AddMatvec(sys.Cells(mb))
 	u := cs.accU.Fold()

@@ -236,6 +236,10 @@ func checkTemporalTrace(t *testing.T, label string, v temporalVariant, depth int
 		t.Errorf("%s: chained matvec accounting (%d ops, %d cells) differs from unchained (%d, %d)",
 			label, ch.Matvecs, ch.MatvecCells, un.Matvecs, un.MatvecCells)
 	}
+	if ch.VectorPasses != un.VectorPasses || ch.VectorCells != un.VectorCells {
+		t.Errorf("%s: chained vector accounting (%d passes, %d cells) differs from unchained (%d, %d)",
+			label, ch.VectorPasses, ch.VectorCells, un.VectorPasses, un.VectorCells)
+	}
 	wantRed, wantVals := un.Reductions, un.ReducedValues
 	if v.pipelined && v.deflated {
 		wantRed++

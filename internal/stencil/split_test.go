@@ -72,7 +72,9 @@ func TestApplyPreDotSplitMatchesFull(t *testing.T) {
 }
 
 // TestApplyPreDotSplitMatchesFull3D is the 3D twin: interior plus
-// six-face shell equals the one-shot sweep.
+// six-face shell equals the one-shot sweep. Every 3D sweep evaluates a
+// cell through point7, so here w is held to bitwise equality; the dot
+// partials associate differently and keep the 2D test's tolerance.
 func TestApplyPreDotSplitMatchesFull3D(t *testing.T) {
 	shapes := []struct{ nx, ny, nz int }{
 		{10, 8, 6}, {5, 5, 5}, {2, 6, 4}, {6, 2, 4}, {6, 4, 2}, {1, 3, 3},
@@ -100,8 +102,7 @@ func TestApplyPreDotSplitMatchesFull3D(t *testing.T) {
 			for k := 0; k < g.NZ; k++ {
 				for j := 0; j < g.NY; j++ {
 					for i := 0; i < g.NX; i++ {
-						d := math.Abs(wSplit.At(i, j, k) - wFull.At(i, j, k))
-						if d > 1e-12*(1+math.Abs(wFull.At(i, j, k))) {
+						if wSplit.At(i, j, k) != wFull.At(i, j, k) {
 							t.Fatalf("%v minv=%v: w(%d,%d,%d) split %g != full %g",
 								sh, minv != nil, i, j, k, wSplit.At(i, j, k), wFull.At(i, j, k))
 						}

@@ -21,6 +21,7 @@ package stencil
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"tealeaf/internal/grid"
 	"tealeaf/internal/par"
@@ -419,6 +420,41 @@ func (op *Operator2D) ApplyPreDotChain(pool *par.Pool, acc *par.ChainAccum, t0, 
 	pool.ForTilesChunk(acc, t0, t1, applyPreDotBody(g, s, kx, ky, minv.Data, r.Data, w.Data))
 }
 
+// windowPool recycles the u = minv ⊙ r window buffers of the 2D and 3D
+// ApplyPreDot tile bodies, so a sweep allocates nothing once every
+// worker has run a tile: a body takes a buffer for the duration of one
+// tile and hands it back.
+var windowPool sync.Pool
+
+// getWindow returns a window buffer of n values (contents arbitrary: the
+// bodies fill every cell they read).
+func getWindow(n int) *[]float64 {
+	if buf, _ := windowPool.Get().(*[]float64); buf != nil && cap(*buf) >= n {
+		*buf = (*buf)[:n]
+		return buf
+	}
+	buf := make([]float64, n)
+	return &buf
+}
+
+func putWindow(buf *[]float64) { windowPool.Put(buf) }
+
+// fillWindowRow writes one window row of u: dst = ms ⊙ rs.
+func fillWindowRow(dst, ms, rs []float64) {
+	n := len(dst)
+	ms, rs = ms[:n], rs[:n]
+	j := 0
+	for ; j+3 < n; j += 4 {
+		dst[j] = ms[j] * rs[j]
+		dst[j+1] = ms[j+1] * rs[j+1]
+		dst[j+2] = ms[j+2] * rs[j+2]
+		dst[j+3] = ms[j+3] * rs[j+3]
+	}
+	for ; j < n; j++ {
+		dst[j] = ms[j] * rs[j]
+	}
+}
+
 // applyPreDotBody is the tile body shared by ApplyPreDot and
 // ApplyPreDotChain — one closure, so the chained and unchained sweeps
 // cannot drift bit-wise.
@@ -426,24 +462,13 @@ func applyPreDotBody(g *grid.Grid2D, s int, kx, ky, md, rd, wd []float64) func(t
 	return func(t par.Tile, acc []float64) {
 		n := t.X1 - t.X0
 		width := n + 2
-		buf := make([]float64, 3*width)
-		us := buf[0*width : 1*width : 1*width] // row k−1
-		uc := buf[1*width : 2*width : 2*width] // row k
-		un := buf[2*width : 3*width : 3*width] // row k+1
+		buf := getWindow(3 * width)
+		us := (*buf)[0*width : 1*width : 1*width] // row k−1
+		uc := (*buf)[1*width : 2*width : 2*width] // row k
+		un := (*buf)[2*width : 3*width : 3*width] // row k+1
 		fill := func(dst []float64, k int) {
 			o := g.Index(t.X0-1, k)
-			ms := md[o : o+width : o+width]
-			rs := rd[o:][:width:width]
-			j := 0
-			for ; j+3 < width; j += 4 {
-				dst[j] = ms[j] * rs[j]
-				dst[j+1] = ms[j+1] * rs[j+1]
-				dst[j+2] = ms[j+2] * rs[j+2]
-				dst[j+3] = ms[j+3] * rs[j+3]
-			}
-			for ; j < width; j++ {
-				dst[j] = ms[j] * rs[j]
-			}
+			fillWindowRow(dst, md[o:o+width:o+width], rd[o:][:width:width])
 		}
 		fill(us, t.Y0-1)
 		fill(uc, t.Y0)
@@ -481,6 +506,7 @@ func applyPreDotBody(g *grid.Grid2D, s int, kx, ky, md, rd, wd []float64) func(t
 			us, uc, un = uc, un, us
 		}
 		acc[0] += uw0 + uw1
+		putWindow(buf)
 	}
 }
 
@@ -653,7 +679,9 @@ func (op *Operator2D) ApplyPreDotInterior(pool *par.Pool, b grid.Bounds, minv, r
 	return pool.ForReduce(ib.Y0, ib.Y1, func(k0, k1 int) float64 {
 		// Rolling three-row u = minv ⊙ r window per column strip, exactly
 		// as in ApplyPreDot but tile-width wide.
-		buf := make([]float64, 3*(min(applyTileX, ib.X1-ib.X0)+2))
+		win := getWindow(3 * (min(applyTileX, ib.X1-ib.X0) + 2))
+		defer putWindow(win)
+		buf := *win
 		var uw0, uw1 float64
 		for x0 := ib.X0; x0 < ib.X1; x0 += applyTileX {
 			n := min(applyTileX, ib.X1-x0)
@@ -663,18 +691,7 @@ func (op *Operator2D) ApplyPreDotInterior(pool *par.Pool, b grid.Bounds, minv, r
 			un := buf[2*width : 3*width : 3*width]
 			fill := func(dst []float64, k int) {
 				o := g.Index(x0-1, k)
-				ms := md[o : o+width : o+width]
-				rs := rd[o:][:width:width]
-				j := 0
-				for ; j+3 < width; j += 4 {
-					dst[j] = ms[j] * rs[j]
-					dst[j+1] = ms[j+1] * rs[j+1]
-					dst[j+2] = ms[j+2] * rs[j+2]
-					dst[j+3] = ms[j+3] * rs[j+3]
-				}
-				for ; j < width; j++ {
-					dst[j] = ms[j] * rs[j]
-				}
+				fillWindowRow(dst, md[o:o+width:o+width], rd[o:][:width:width])
 			}
 			fill(us, k0-1)
 			fill(uc, k0)

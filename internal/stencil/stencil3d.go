@@ -136,46 +136,123 @@ func BuildOperator3D(pool *par.Pool, density *grid.Field3D, dt float64, coef Coe
 	return op, nil
 }
 
-// rows3 bundles the re-sliced rows the 7-point kernels read for one grid
-// row (j,k) over columns [b.X0, b.X1): the six face-coefficient rows, the
-// four lateral p rows and the centre row extended one cell each side. The
-// three-index re-slices let the compiler hoist bounds checks out of the
-// inner loop, as in the 2D sliceStencilRows.
-type rows3 struct {
-	kxs                []float64 // kxs[i] = Kx(X0+i), kxs[i+1] = east face
-	kyn, kys, kzf, kzb []float64
-	pn, ps, pf, pb     []float64
-	pc                 []float64 // centre p row, extended [X0-1, X1+1)
+// point7 evaluates one row of the 7-point operator at a cell: the
+// diagonal 1 + ΣK times the centre value c minus the six face-weighted
+// neighbours (kw/ke the west/east Kx faces with values w/e, ks/kn south
+// and north in y, kb/kf back and front in z). Every sweep in this file
+// evaluates a cell through this one expression, so their w fields agree
+// bit for bit whichever of them computed a cell.
+func point7(kw, ke, ks, kn, kb, kf, c, w, e, s, n, b, f float64) float64 {
+	return (1+(ke+kw)+(kn+ks)+(kf+kb))*c - (ke*e + kw*w) - (kn*n + ks*s) - (kf*f + kb*b)
 }
 
-func (op *Operator3D) sliceRows3(b grid.Bounds3D, p []float64, j, k int) rows3 {
+// The sweeps below walk their tiles row by row and hand each row to a
+// leaf function as thirteen equal-length slices that all start at the
+// row's first cell: the six face-coefficient rows and the seven rows of
+// the stencil's input (the west and east views are the centre row
+// shifted by one cell). The leaf re-slices every row to the output
+// row's length, which is what lets the compiler drop the per-element
+// bounds checks — it cannot see through slices held in a struct (the
+// indirection stencil.go measured at 40% of ApplyDot2's bandwidth), nor
+// relate slices of different lengths indexed at i, i+1, i+2.
+
+// strides returns the flat-index distance between y-neighbours and
+// between z-neighbours of the padded grid.
+func (op *Operator3D) strides() (sy, sz int) {
 	g := op.Grid
-	sy := g.NX + 2*g.Halo
-	sz := sy * (g.NY + 2*g.Halo)
-	o := g.Index(b.X0, j, k)
-	n := b.X1 - b.X0
-	return rows3{
-		kxs: op.Kx.Data[o : o+n+1],
-		kyn: op.Ky.Data[o+sy : o+sy+n],
-		kys: op.Ky.Data[o : o+n],
-		kzf: op.Kz.Data[o+sz : o+sz+n],
-		kzb: op.Kz.Data[o : o+n],
-		pn:  p[o+sy : o+sy+n],
-		ps:  p[o-sy : o-sy+n],
-		pf:  p[o+sz : o+sz+n],
-		pb:  p[o-sz : o-sz+n],
-		pc:  p[o-1 : o+n+1],
+	sy = g.NX + 2*g.Halo
+	return sy, sy * (g.NY + 2*g.Halo)
+}
+
+// kRows returns the face-coefficient rows of the n cells starting at
+// flat index o: west/east Kx, south/north Ky, back/front Kz.
+func (op *Operator3D) kRows(o, n, sy, sz int) (kw, ke, ks, kn, kb, kf []float64) {
+	kx, ky, kz := op.Kx.Data, op.Ky.Data, op.Kz.Data
+	return kx[o : o+n], kx[o+1 : o+1+n], ky[o : o+n], ky[o+sy : o+sy+n], kz[o : o+n], kz[o+sz : o+sz+n]
+}
+
+// pRows returns the seven rows of p the stencil reads for the n cells
+// starting at flat index o: west, centre, east, south, north, back,
+// front.
+func pRows(p []float64, o, n, sy, sz int) (pw, pc, pe, ps, pn, pb, pf []float64) {
+	return p[o-1 : o-1+n], p[o : o+n], p[o+1 : o+1+n],
+		p[o-sy : o-sy+n], p[o+sy : o+sy+n], p[o-sz : o-sz+n], p[o+sz : o+sz+n]
+}
+
+// applyRow is the plain row leaf: ws = A·p over one row.
+func applyRow(kw, ke, ks, kn, kb, kf, pw, pc, pe, ps, pn, pb, pf, ws []float64) {
+	n := len(ws)
+	kw, ke, ks, kn, kb, kf = kw[:n], ke[:n], ks[:n], kn[:n], kb[:n], kf[:n]
+	pw, pc, pe, ps, pn, pb, pf = pw[:n], pc[:n], pe[:n], ps[:n], pn[:n], pb[:n], pf[:n]
+	for i := range ws {
+		ws[i] = point7(kw[i], ke[i], ks[i], kn[i], kb[i], kf[i], pc[i], pw[i], pe[i], ps[i], pn[i], pb[i], pf[i])
 	}
+}
+
+// applyDotRow is the row leaf of ApplyDot, ApplyPreDot and
+// ApplyPreDotInit: ws = A·p over one row, adding Σ p·w to dot through
+// a single accumulator in cell order (2-way unrolled, one chain).
+func applyDotRow(kw, ke, ks, kn, kb, kf, pw, pc, pe, ps, pn, pb, pf, ws []float64, dot float64) float64 {
+	n := len(ws)
+	kw, ke, ks, kn, kb, kf = kw[:n], ke[:n], ks[:n], kn[:n], kb[:n], kf[:n]
+	pw, pc, pe, ps, pn, pb, pf = pw[:n], pc[:n], pe[:n], ps[:n], pn[:n], pb[:n], pf[:n]
+	i := 0
+	for ; i+1 < n; i += 2 {
+		c0 := pc[i]
+		v0 := point7(kw[i], ke[i], ks[i], kn[i], kb[i], kf[i], c0, pw[i], pe[i], ps[i], pn[i], pb[i], pf[i])
+		ws[i] = v0
+		dot += c0 * v0
+		c1 := pc[i+1]
+		v1 := point7(kw[i+1], ke[i+1], ks[i+1], kn[i+1], kb[i+1], kf[i+1], c1, pw[i+1], pe[i+1], ps[i+1], pn[i+1], pb[i+1], pf[i+1])
+		ws[i+1] = v1
+		dot += c1 * v1
+	}
+	for ; i < n; i++ {
+		c := pc[i]
+		v := point7(kw[i], ke[i], ks[i], kn[i], kb[i], kf[i], c, pw[i], pe[i], ps[i], pn[i], pb[i], pf[i])
+		ws[i] = v
+		dot += c * v
+	}
+	return dot
+}
+
+// dot2Lanes carries ApplyDot2's two lanes each of p·w and w·w across
+// the rows of one tile.
+type dot2Lanes struct{ pw0, pw1, ww0, ww1 float64 }
+
+// applyDot2Row is the row leaf of ApplyDot2: ws = A·p over one row with
+// p·w and w·w accumulated into the tile's lanes.
+func (l *dot2Lanes) applyDot2Row(kw, ke, ks, kn, kb, kf, pw, pc, pe, ps, pn, pb, pf, ws []float64) {
+	n := len(ws)
+	kw, ke, ks, kn, kb, kf = kw[:n], ke[:n], ks[:n], kn[:n], kb[:n], kf[:n]
+	pw, pc, pe, ps, pn, pb, pf = pw[:n], pc[:n], pe[:n], ps[:n], pn[:n], pb[:n], pf[:n]
+	pw0, pw1, ww0, ww1 := l.pw0, l.pw1, l.ww0, l.ww1
+	i := 0
+	for ; i+1 < n; i += 2 {
+		c0 := pc[i]
+		v0 := point7(kw[i], ke[i], ks[i], kn[i], kb[i], kf[i], c0, pw[i], pe[i], ps[i], pn[i], pb[i], pf[i])
+		ws[i] = v0
+		pw0 += c0 * v0
+		ww0 += v0 * v0
+		c1 := pc[i+1]
+		v1 := point7(kw[i+1], ke[i+1], ks[i+1], kn[i+1], kb[i+1], kf[i+1], c1, pw[i+1], pe[i+1], ps[i+1], pn[i+1], pb[i+1], pf[i+1])
+		ws[i+1] = v1
+		pw1 += c1 * v1
+		ww1 += v1 * v1
+	}
+	for ; i < n; i++ {
+		c := pc[i]
+		v := point7(kw[i], ke[i], ks[i], kn[i], kb[i], kf[i], c, pw[i], pe[i], ps[i], pn[i], pb[i], pf[i])
+		ws[i] = v
+		pw0 += c * v
+		ww0 += v * v
+	}
+	l.pw0, l.pw1, l.ww0, l.ww1 = pw0, pw1, ww0, ww1
 }
 
 // box3s is the par.Box for a 3D stencil bounds.
 func box3s(b grid.Bounds3D) par.Box {
 	return par.Box3D(b.X0, b.X1, b.Y0, b.Y1, b.Z0, b.Z1)
-}
-
-// tb3 is the stencil bounds for one tile.
-func tb3(t par.Tile) grid.Bounds3D {
-	return grid.Bounds3D{X0: t.X0, X1: t.X1, Y0: t.Y0, Y1: t.Y1, Z0: t.Z0, Z1: t.Z1}
 }
 
 // Apply computes w = A·p over the cells of b. p must have valid values
@@ -185,21 +262,16 @@ func (op *Operator3D) Apply(pool *par.Pool, b grid.Bounds3D, p, w *grid.Field3D)
 		return
 	}
 	g := op.Grid
+	sy, sz := op.strides()
 	pd, wd := p.Data, w.Data
 	pool.ForTiles(box3s(b), func(t par.Tile) {
-		tb := tb3(t)
-		n := tb.X1 - tb.X0
-		for k := tb.Z0; k < tb.Z1; k++ {
-			for j := tb.Y0; j < tb.Y1; j++ {
-				r := op.sliceRows3(tb, pd, j, k)
-				o := g.Index(tb.X0, j, k)
-				ws := wd[o : o+n : o+n]
-				for i := 0; i < n; i++ {
-					ws[i] = (1+(r.kxs[i+1]+r.kxs[i])+(r.kyn[i]+r.kys[i])+(r.kzf[i]+r.kzb[i]))*r.pc[i+1] -
-						(r.kxs[i+1]*r.pc[i+2] + r.kxs[i]*r.pc[i]) -
-						(r.kyn[i]*r.pn[i] + r.kys[i]*r.ps[i]) -
-						(r.kzf[i]*r.pf[i] + r.kzb[i]*r.pb[i])
-				}
+		n := t.X1 - t.X0
+		for k := t.Z0; k < t.Z1; k++ {
+			for j := t.Y0; j < t.Y1; j++ {
+				o := g.Index(t.X0, j, k)
+				kw, ke, ks, kn, kb, kf := op.kRows(o, n, sy, sz)
+				pw, pc, pe, ps, pn, pb, pf := pRows(pd, o, n, sy, sz)
+				applyRow(kw, ke, ks, kn, kb, kf, pw, pc, pe, ps, pn, pb, pf, wd[o:o+n:o+n])
 			}
 		}
 	})
@@ -211,27 +283,20 @@ func (op *Operator3D) ApplyDot(pool *par.Pool, b grid.Bounds3D, p, w *grid.Field
 		return 0
 	}
 	g := op.Grid
+	sy, sz := op.strides()
 	pd, wd := p.Data, w.Data
 	return pool.ForTilesReduceN(1, box3s(b), func(t par.Tile, acc []float64) {
-		tb := tb3(t)
-		n := tb.X1 - tb.X0
-		var pw float64
-		for k := tb.Z0; k < tb.Z1; k++ {
-			for j := tb.Y0; j < tb.Y1; j++ {
-				r := op.sliceRows3(tb, pd, j, k)
-				o := g.Index(tb.X0, j, k)
-				ws := wd[o : o+n : o+n]
-				for i := 0; i < n; i++ {
-					v := (1+(r.kxs[i+1]+r.kxs[i])+(r.kyn[i]+r.kys[i])+(r.kzf[i]+r.kzb[i]))*r.pc[i+1] -
-						(r.kxs[i+1]*r.pc[i+2] + r.kxs[i]*r.pc[i]) -
-						(r.kyn[i]*r.pn[i] + r.kys[i]*r.ps[i]) -
-						(r.kzf[i]*r.pf[i] + r.kzb[i]*r.pb[i])
-					ws[i] = v
-					pw += r.pc[i+1] * v
-				}
+		n := t.X1 - t.X0
+		var dot float64
+		for k := t.Z0; k < t.Z1; k++ {
+			for j := t.Y0; j < t.Y1; j++ {
+				o := g.Index(t.X0, j, k)
+				kw, ke, ks, kn, kb, kf := op.kRows(o, n, sy, sz)
+				pw, pc, pe, ps, pn, pb, pf := pRows(pd, o, n, sy, sz)
+				dot = applyDotRow(kw, ke, ks, kn, kb, kf, pw, pc, pe, ps, pn, pb, pf, wd[o:o+n:o+n], dot)
 			}
 		}
-		acc[0] += pw
+		acc[0] += dot
 	})[0]
 }
 
@@ -243,58 +308,29 @@ func (op *Operator3D) ApplyDot2(pool *par.Pool, b grid.Bounds3D, p, w *grid.Fiel
 	if b.Empty() {
 		return 0, 0
 	}
-	g := op.Grid
-	pd, wd := p.Data, w.Data
-	acc2 := pool.ForTilesReduceN(2, box3s(b), op.applyDot2Body(g, pd, wd))
+	acc2 := pool.ForTilesReduceN(2, box3s(b), op.applyDot2Body(p.Data, w.Data))
 	return acc2[0], acc2[1]
 }
 
 // applyDot2Body is the tile body shared by ApplyDot2 and the identity-
 // preconditioner path of ApplyPreDotChain — one closure, so the chained
 // and unchained sweeps cannot drift bit-wise.
-func (op *Operator3D) applyDot2Body(g *grid.Grid3D, pd, wd []float64) func(t par.Tile, acc []float64) {
+func (op *Operator3D) applyDot2Body(pd, wd []float64) func(t par.Tile, acc []float64) {
+	g := op.Grid
+	sy, sz := op.strides()
 	return func(t par.Tile, acc []float64) {
-		tb := tb3(t)
-		n := tb.X1 - tb.X0
-		var pw0, pw1, ww0, ww1 float64
-		for k := tb.Z0; k < tb.Z1; k++ {
-			for j := tb.Y0; j < tb.Y1; j++ {
-				r := op.sliceRows3(tb, pd, j, k)
-				o := g.Index(tb.X0, j, k)
-				ws := wd[o : o+n : o+n]
-				i := 0
-				for ; i+1 < n; i += 2 {
-					c0 := r.pc[i+1]
-					v0 := (1+(r.kxs[i+1]+r.kxs[i])+(r.kyn[i]+r.kys[i])+(r.kzf[i]+r.kzb[i]))*c0 -
-						(r.kxs[i+1]*r.pc[i+2] + r.kxs[i]*r.pc[i]) -
-						(r.kyn[i]*r.pn[i] + r.kys[i]*r.ps[i]) -
-						(r.kzf[i]*r.pf[i] + r.kzb[i]*r.pb[i])
-					ws[i] = v0
-					pw0 += c0 * v0
-					ww0 += v0 * v0
-					c1 := r.pc[i+2]
-					v1 := (1+(r.kxs[i+2]+r.kxs[i+1])+(r.kyn[i+1]+r.kys[i+1])+(r.kzf[i+1]+r.kzb[i+1]))*c1 -
-						(r.kxs[i+2]*r.pc[i+3] + r.kxs[i+1]*r.pc[i+1]) -
-						(r.kyn[i+1]*r.pn[i+1] + r.kys[i+1]*r.ps[i+1]) -
-						(r.kzf[i+1]*r.pf[i+1] + r.kzb[i+1]*r.pb[i+1])
-					ws[i+1] = v1
-					pw1 += c1 * v1
-					ww1 += v1 * v1
-				}
-				for ; i < n; i++ {
-					c := r.pc[i+1]
-					v := (1+(r.kxs[i+1]+r.kxs[i])+(r.kyn[i]+r.kys[i])+(r.kzf[i]+r.kzb[i]))*c -
-						(r.kxs[i+1]*r.pc[i+2] + r.kxs[i]*r.pc[i]) -
-						(r.kyn[i]*r.pn[i] + r.kys[i]*r.ps[i]) -
-						(r.kzf[i]*r.pf[i] + r.kzb[i]*r.pb[i])
-					ws[i] = v
-					pw0 += c * v
-					ww0 += v * v
-				}
+		n := t.X1 - t.X0
+		var l dot2Lanes
+		for k := t.Z0; k < t.Z1; k++ {
+			for j := t.Y0; j < t.Y1; j++ {
+				o := g.Index(t.X0, j, k)
+				kw, ke, ks, kn, kb, kf := op.kRows(o, n, sy, sz)
+				pw, pc, pe, ps, pn, pb, pf := pRows(pd, o, n, sy, sz)
+				l.applyDot2Row(kw, ke, ks, kn, kb, kf, pw, pc, pe, ps, pn, pb, pf, wd[o:o+n:o+n])
 			}
 		}
-		acc[0] += pw0 + pw1
-		acc[1] += ww0 + ww1
+		acc[0] += l.pw0 + l.pw1
+		acc[1] += l.ww0 + l.ww1
 	}
 }
 
@@ -312,9 +348,7 @@ func (op *Operator3D) ApplyPreDot(pool *par.Pool, b grid.Bounds3D, minv *grid.Fi
 	if b.Empty() {
 		return 0
 	}
-	g := op.Grid
-	rd, wd := r.Data, w.Data
-	return pool.ForTilesReduceN(1, box3s(b), op.applyPreDotBody(g, minv.Data, rd, wd))[0]
+	return pool.ForTilesReduceN(1, box3s(b), op.applyPreDotBody(minv.Data, r.Data, w.Data, false))[0]
 }
 
 // ApplyPreDotChain is ApplyPreDot restricted to one chain band's tile
@@ -325,41 +359,85 @@ func (op *Operator3D) ApplyPreDot(pool *par.Pool, b grid.Bounds3D, minv *grid.Fi
 // with w·w, exactly as the unchained identity path computes it), so acc
 // must be at least 2 wide.
 func (op *Operator3D) ApplyPreDotChain(pool *par.Pool, acc *par.ChainAccum, t0, t1 int, minv *grid.Field3D, r, w *grid.Field3D) {
-	g := op.Grid
 	if minv == nil {
-		pool.ForTilesChunk(acc, t0, t1, op.applyDot2Body(g, r.Data, w.Data))
+		pool.ForTilesChunk(acc, t0, t1, op.applyDot2Body(r.Data, w.Data))
 		return
 	}
-	pool.ForTilesChunk(acc, t0, t1, op.applyPreDotBody(g, minv.Data, r.Data, w.Data))
+	pool.ForTilesChunk(acc, t0, t1, op.applyPreDotBody(minv.Data, r.Data, w.Data, false))
 }
 
 // applyPreDotBody is the tile body shared by ApplyPreDot and
 // ApplyPreDotChain — one closure, so the chained and unchained sweeps
-// cannot drift bit-wise.
-func (op *Operator3D) applyPreDotBody(g *grid.Grid3D, md, rd, wd []float64) func(t par.Tile, acc []float64) {
+// cannot drift bit-wise — and, with init set, by the preconditioned
+// ApplyPreDotInit. It is the 2D body's design one dimension up: each
+// worker keeps a rolling three-plane window of u = minv ⊙ r, the tile's
+// footprint plus one cell of surround in x and y, so every product is
+// computed once and m, r stream through exactly one read each where
+// evaluating u at all seven stencil points reads them seven times. A
+// plane is filled as the front neighbour of plane k, serves as the
+// centre of k+1 and the back neighbour of k+2, and the three buffers
+// rotate. The surround's four x/y corner columns are filled but never
+// read (the stencil has no diagonal neighbours); cells recomputed by
+// the adjacent tile are the same pointwise products, so the sweep's
+// output does not depend on the tiling. δ = Σ u·w lands in acc[0]
+// through one accumulator in cell order; init moves it to acc[1] and
+// adds γ = Σ r·u in acc[0] and Σ r·r in acc[2], each likewise.
+func (op *Operator3D) applyPreDotBody(md, rd, wd []float64, init bool) func(t par.Tile, acc []float64) {
+	g := op.Grid
+	sy, sz := op.strides()
 	return func(t par.Tile, acc []float64) {
-		tb := tb3(t)
-		n := tb.X1 - tb.X0
-		var delta float64
-		for k := tb.Z0; k < tb.Z1; k++ {
-			for j := tb.Y0; j < tb.Y1; j++ {
-				s := op.sliceRows3(tb, rd, j, k)
-				m := op.sliceRows3(tb, md, j, k)
-				o := g.Index(tb.X0, j, k)
-				ws := wd[o : o+n : o+n]
-				for i := 0; i < n; i++ {
-					uc := m.pc[i+1] * s.pc[i+1]
-					v := (1+(s.kxs[i+1]+s.kxs[i])+(s.kyn[i]+s.kys[i])+(s.kzf[i]+s.kzb[i]))*uc -
-						(s.kxs[i+1]*(m.pc[i+2]*s.pc[i+2]) + s.kxs[i]*(m.pc[i]*s.pc[i])) -
-						(s.kyn[i]*(m.pn[i]*s.pn[i]) + s.kys[i]*(m.ps[i]*s.ps[i])) -
-						(s.kzf[i]*(m.pf[i]*s.pf[i]) + s.kzb[i]*(m.pb[i]*s.pb[i]))
-					ws[i] = v
-					delta += uc * v
-				}
+		n, ny := t.X1-t.X0, t.Y1-t.Y0
+		width := n + 2
+		plane := width * (ny + 2)
+		buf := getWindow(3 * plane)
+		ub := (*buf)[0*plane : 1*plane : 1*plane] // plane k−1
+		uc := (*buf)[1*plane : 2*plane : 2*plane] // plane k
+		uf := (*buf)[2*plane : 3*plane : 3*plane] // plane k+1
+		fill := func(dst []float64, k int) {
+			for jw := 0; jw < ny+2; jw++ {
+				o := g.Index(t.X0-1, t.Y0-1+jw, k)
+				fillWindowRow(dst[jw*width:][:width], md[o:o+width], rd[o:o+width])
 			}
 		}
-		acc[0] += delta
+		fill(ub, t.Z0-1)
+		fill(uc, t.Z0)
+		var gamma, delta, rr float64
+		for k := t.Z0; k < t.Z1; k++ {
+			fill(uf, k+1)
+			for j := t.Y0; j < t.Y1; j++ {
+				o := g.Index(t.X0, j, k)
+				kw, ke, ks, kn, kb, kf := op.kRows(o, n, sy, sz)
+				// Cell (X0, j) of a plane is window element wo.
+				wo := (j-t.Y0+1)*width + 1
+				delta = applyDotRow(kw, ke, ks, kn, kb, kf,
+					uc[wo-1:], uc[wo:], uc[wo+1:], uc[wo-width:], uc[wo+width:], ub[wo:], uf[wo:],
+					wd[o:o+n:o+n], delta)
+				if init {
+					gamma, rr = initDotsRow(rd[o:o+n], uc[wo:], gamma, rr)
+				}
+			}
+			ub, uc, uf = uc, uf, ub
+		}
+		if init {
+			acc[0] += gamma
+			acc[1] += delta
+			acc[2] += rr
+		} else {
+			acc[0] += delta
+		}
+		putWindow(buf)
 	}
+}
+
+// initDotsRow adds one row's Σ r·u and Σ r·r to gamma and rr, each in
+// cell order.
+func initDotsRow(rs, us []float64, gamma, rr float64) (float64, float64) {
+	us = us[:len(rs)]
+	for i, c := range rs {
+		gamma += c * us[i]
+		rr += c * c
+	}
+	return gamma, rr
 }
 
 // ApplyPreDotInit is the fused startup sweep of the 3D single-reduction
@@ -369,54 +447,32 @@ func (op *Operator3D) ApplyPreDotInit(pool *par.Pool, b grid.Bounds3D, minv *gri
 	if b.Empty() {
 		return 0, 0, 0
 	}
-	g := op.Grid
 	rd, wd := r.Data, w.Data
-	acc := pool.ForTilesReduceN(3, box3s(b), func(t par.Tile, out []float64) {
-		tb := tb3(t)
-		n := tb.X1 - tb.X0
-		var ga, de, rr2 float64
-		for k := tb.Z0; k < tb.Z1; k++ {
-			for j := tb.Y0; j < tb.Y1; j++ {
-				s := op.sliceRows3(tb, rd, j, k)
-				o := g.Index(tb.X0, j, k)
-				ws := wd[o : o+n : o+n]
-				if minv == nil {
-					// Identity: u = r, so γ = rr; still one sweep.
-					for i := 0; i < n; i++ {
-						rc := s.pc[i+1]
-						v := (1+(s.kxs[i+1]+s.kxs[i])+(s.kyn[i]+s.kys[i])+(s.kzf[i]+s.kzb[i]))*rc -
-							(s.kxs[i+1]*s.pc[i+2] + s.kxs[i]*s.pc[i]) -
-							(s.kyn[i]*s.pn[i] + s.kys[i]*s.ps[i]) -
-							(s.kzf[i]*s.pf[i] + s.kzb[i]*s.pb[i])
-						ws[i] = v
-						de += rc * v
-						rr2 += rc * rc
-					}
-					continue
-				}
-				m := op.sliceRows3(tb, minv.Data, j, k)
-				for i := 0; i < n; i++ {
-					rc := s.pc[i+1]
-					uc := m.pc[i+1] * rc
-					v := (1+(s.kxs[i+1]+s.kxs[i])+(s.kyn[i]+s.kys[i])+(s.kzf[i]+s.kzb[i]))*uc -
-						(s.kxs[i+1]*(m.pc[i+2]*s.pc[i+2]) + s.kxs[i]*(m.pc[i]*s.pc[i])) -
-						(s.kyn[i]*(m.pn[i]*s.pn[i]) + s.kys[i]*(m.ps[i]*s.ps[i])) -
-						(s.kzf[i]*(m.pf[i]*s.pf[i]) + s.kzb[i]*(m.pb[i]*s.pb[i]))
-					ws[i] = v
-					ga += rc * uc
-					de += uc * v
-					rr2 += rc * rc
+	if minv != nil {
+		acc := pool.ForTilesReduceN(3, box3s(b), op.applyPreDotBody(minv.Data, rd, wd, true))
+		return acc[0], acc[1], acc[2]
+	}
+	g := op.Grid
+	sy, sz := op.strides()
+	acc := pool.ForTilesReduceN(2, box3s(b), func(t par.Tile, out []float64) {
+		n := t.X1 - t.X0
+		var de, rr2 float64
+		for k := t.Z0; k < t.Z1; k++ {
+			for j := t.Y0; j < t.Y1; j++ {
+				o := g.Index(t.X0, j, k)
+				kw, ke, ks, kn, kb, kf := op.kRows(o, n, sy, sz)
+				pw, pc, pe, ps, pn, pb, pf := pRows(rd, o, n, sy, sz)
+				de = applyDotRow(kw, ke, ks, kn, kb, kf, pw, pc, pe, ps, pn, pb, pf, wd[o:o+n:o+n], de)
+				for _, c := range pc {
+					rr2 += c * c
 				}
 			}
 		}
-		if minv == nil {
-			ga = rr2
-		}
-		out[0] += ga
-		out[1] += de
-		out[2] += rr2
+		out[0] += de
+		out[1] += rr2
 	})
-	return acc[0], acc[1], acc[2]
+	// Identity: u = r, so γ = rr.
+	return acc[1], acc[0], acc[1]
 }
 
 // ApplyPreDotInterior is the interior pass of the split ApplyPreDot: the
@@ -444,8 +500,7 @@ func (op *Operator3D) ApplyPreDotInterior(pool *par.Pool, b grid.Bounds3D, minv 
 // boundary-shell pass.
 func (op *Operator3D) preDotSegment(md, rd, wd []float64, x0, x1, j, k int) float64 {
 	g := op.Grid
-	sy := g.NX + 2*g.Halo
-	sz := sy * (g.NY + 2*g.Halo)
+	sy, sz := op.strides()
 	kx, ky, kz := op.Kx.Data, op.Ky.Data, op.Kz.Data
 	var uw float64
 	o := g.Index(x0, j, k)
@@ -453,16 +508,13 @@ func (op *Operator3D) preDotSegment(md, rd, wd []float64, x0, x1, j, k int) floa
 		var uc, v float64
 		if md == nil {
 			uc = rd[i]
-			v = (1+(kx[i+1]+kx[i])+(ky[i+sy]+ky[i])+(kz[i+sz]+kz[i]))*uc -
-				(kx[i+1]*rd[i+1] + kx[i]*rd[i-1]) -
-				(ky[i+sy]*rd[i+sy] + ky[i]*rd[i-sy]) -
-				(kz[i+sz]*rd[i+sz] + kz[i]*rd[i-sz])
+			v = point7(kx[i], kx[i+1], ky[i], ky[i+sy], kz[i], kz[i+sz],
+				uc, rd[i-1], rd[i+1], rd[i-sy], rd[i+sy], rd[i-sz], rd[i+sz])
 		} else {
 			uc = md[i] * rd[i]
-			v = (1+(kx[i+1]+kx[i])+(ky[i+sy]+ky[i])+(kz[i+sz]+kz[i]))*uc -
-				(kx[i+1]*(md[i+1]*rd[i+1]) + kx[i]*(md[i-1]*rd[i-1])) -
-				(ky[i+sy]*(md[i+sy]*rd[i+sy]) + ky[i]*(md[i-sy]*rd[i-sy])) -
-				(kz[i+sz]*(md[i+sz]*rd[i+sz]) + kz[i]*(md[i-sz]*rd[i-sz]))
+			v = point7(kx[i], kx[i+1], ky[i], ky[i+sy], kz[i], kz[i+sz],
+				uc, md[i-1]*rd[i-1], md[i+1]*rd[i+1], md[i-sy]*rd[i-sy], md[i+sy]*rd[i+sy],
+				md[i-sz]*rd[i-sz], md[i+sz]*rd[i+sz])
 		}
 		wd[i] = v
 		uw += uc * v
@@ -514,21 +566,19 @@ func (op *Operator3D) Residual(pool *par.Pool, b grid.Bounds3D, u, rhs, r *grid.
 		return
 	}
 	g := op.Grid
+	sy, sz := op.strides()
 	ud, bd, rd := u.Data, rhs.Data, r.Data
 	n := b.X1 - b.X0
 	pool.For(b.Z0, b.Z1, func(z0, z1 int) {
 		for k := z0; k < z1; k++ {
 			for j := b.Y0; j < b.Y1; j++ {
-				s := op.sliceRows3(b, ud, j, k)
 				o := g.Index(b.X0, j, k)
-				bs := bd[o : o+n : o+n]
+				kw, ke, ks, kn, kb, kf := op.kRows(o, n, sy, sz)
+				uw, uc, ue, us, un, ub, uf := pRows(ud, o, n, sy, sz)
 				rs := rd[o : o+n : o+n]
-				for i := 0; i < n; i++ {
-					v := (1+(s.kxs[i+1]+s.kxs[i])+(s.kyn[i]+s.kys[i])+(s.kzf[i]+s.kzb[i]))*s.pc[i+1] -
-						(s.kxs[i+1]*s.pc[i+2] + s.kxs[i]*s.pc[i]) -
-						(s.kyn[i]*s.pn[i] + s.kys[i]*s.ps[i]) -
-						(s.kzf[i]*s.pf[i] + s.kzb[i]*s.pb[i])
-					rs[i] = bs[i] - v
+				applyRow(kw, ke, ks, kn, kb, kf, uw, uc, ue, us, un, ub, uf, rs)
+				for i, v := range bd[o : o+n] {
+					rs[i] = v - rs[i]
 				}
 			}
 		}

@@ -1,6 +1,7 @@
 package stencil
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -278,5 +279,176 @@ func TestBuildOperator3DRankFacesKeepCoupling(t *testing.T) {
 	}
 	if opL.Kx.At(0, 2, 2) != 0 {
 		t.Error("physical Left face must be zeroed")
+	}
+}
+
+// BenchmarkApplyPreDot3D_128 times the fused-CG matvec sweep on the
+// benchmark deck's 128³ mesh with a Jacobi-style folded diagonal, on one
+// and two workers — the sweep bm3d_cg_128_w2 spends most of its time in.
+func BenchmarkApplyPreDot3D_128(b *testing.B) {
+	const n = 128
+	g := grid.UnitGrid3D(n, n, n, 2)
+	op, err := BuildOperator3D(par.Serial, randomDensity3D(g, 1), 0.04, Conductivity, AllPhysical3D)
+	if err != nil {
+		b.Fatal(err)
+	}
+	minv := grid.NewField3D(g)
+	op.Diagonal(par.Serial, g.Interior().Expand(1, g), minv)
+	for i, d := range minv.Data {
+		if d != 0 {
+			minv.Data[i] = 1 / d
+		}
+	}
+	r, w := randomField3D(g, 2), grid.NewField3D(g)
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			pool := par.NewPool(workers)
+			defer pool.Close()
+			var sink float64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sink += op.ApplyPreDot(pool, g.Interior(), minv, r, w)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n*n*n), "ns/cell")
+			_ = sink
+		})
+	}
+}
+
+// oldApplyPreDot3D is the sweep the rolling-window ApplyPreDot replaced,
+// kept as its oracle: u = minv ⊙ r evaluated at all seven stencil points
+// of every cell, same association, the tile's δ in one accumulator in
+// cell order, run through the same scheduler so the fold is the sweep's.
+func oldApplyPreDot3D(op *Operator3D, pool *par.Pool, b grid.Bounds3D, minv, r, w *grid.Field3D) float64 {
+	g := op.Grid
+	sy := g.NX + 2*g.Halo
+	sz := sy * (g.NY + 2*g.Halo)
+	kx, ky, kz := op.Kx.Data, op.Ky.Data, op.Kz.Data
+	md, rd, wd := minv.Data, r.Data, w.Data
+	return pool.ForTilesReduceN(1, box3s(b), func(t par.Tile, acc []float64) {
+		var delta float64
+		for k := t.Z0; k < t.Z1; k++ {
+			for j := t.Y0; j < t.Y1; j++ {
+				for c := g.Index(t.X0, j, k); c < g.Index(t.X1, j, k); c++ {
+					uc := md[c] * rd[c]
+					v := (1+(kx[c+1]+kx[c])+(ky[c+sy]+ky[c])+(kz[c+sz]+kz[c]))*uc -
+						(kx[c+1]*(md[c+1]*rd[c+1]) + kx[c]*(md[c-1]*rd[c-1])) -
+						(ky[c+sy]*(md[c+sy]*rd[c+sy]) + ky[c]*(md[c-sy]*rd[c-sy])) -
+						(kz[c+sz]*(md[c+sz]*rd[c+sz]) + kz[c]*(md[c-sz]*rd[c-sz]))
+					wd[c] = v
+					delta += uc * v
+				}
+			}
+		}
+		acc[0] += delta
+	})[0]
+}
+
+// TestApplyPreDot3DMatchesOldBodyBitwise pins the window sweep to the
+// sweep it replaced, bit for bit on w and δ: over tile shapes down to
+// one row and one plane thick and ones that split X, over the interior
+// and an extended deep-halo box, chained band by band, and with NaN
+// poisoned into the four corner columns of the box's x/y surround —
+// cells the window fills and the 7-point stencil never reads.
+func TestApplyPreDot3DMatchesOldBodyBitwise(t *testing.T) {
+	g := grid.UnitGrid3D(9, 7, 6, 3)
+	op, err := BuildOperator3D(par.Serial, randomDensity3D(g, 70), 0.05, Conductivity, PhysicalSides3D{Left: true, Down: true, Back: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := g.Interior()
+	minv := positiveField3D(g, 71)
+	base := par.NewPool(2).WithGrain(1)
+	defer base.Close()
+	pools := map[string]*par.Pool{
+		"serial": par.Serial, "w2": base,
+		"planes": base.WithTiles(0, 0, 1), "rows": base.WithTiles(0, 1, 0),
+		"x-split": base.WithTiles(4, 3, 2), "cells": par.Serial.WithTiles(1, 1, 1),
+	}
+	for _, b := range []grid.Bounds3D{in, in.ExpandSides(0, 2, 0, 2, 0, 2, g), {X0: 2, X1: 3, Y0: 1, Y1: 6, Z0: 4, Z1: 5}} {
+		r := randomField3D(g, 72)
+		for _, x := range []int{b.X0 - 1, b.X1} {
+			for _, y := range []int{b.Y0 - 1, b.Y1} {
+				for z := b.Z0 - 1; z <= b.Z1; z++ {
+					r.Set(x, y, z, math.NaN())
+				}
+			}
+		}
+		for name, pool := range pools {
+			wOld, w := grid.NewField3D(g), grid.NewField3D(g)
+			want := oldApplyPreDot3D(op, pool, b, minv, r, wOld)
+			got := op.ApplyPreDot(pool, b, minv, r, w)
+			if math.IsNaN(want) || math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%s %v: δ = %v, old body %v", name, b, got, want)
+			}
+			for i := range w.Data {
+				if math.Float64bits(w.Data[i]) != math.Float64bits(wOld.Data[i]) {
+					t.Fatalf("%s %v: w differs at flat index %d: %v vs %v", name, b, i, w.Data[i], wOld.Data[i])
+				}
+			}
+			if !pool.Tiled() {
+				continue
+			}
+			// Chained: the same tiles, two bands' worth at a time.
+			box := box3s(b)
+			wCh := grid.NewField3D(g)
+			acc := pool.NewChainAccum(2, box)
+			for _, bd := range pool.ChainBands(box, 2) {
+				op.ApplyPreDotChain(pool, acc, bd.T0, bd.T1, minv, r, wCh)
+			}
+			if d := acc.Fold()[0]; math.Float64bits(d) != math.Float64bits(want) {
+				t.Errorf("%s %v: chained δ = %v, old body %v", name, b, d, want)
+			}
+			if wCh.MaxDiff(wOld) != 0 {
+				t.Errorf("%s %v: chained w differs from the old body's", name, b)
+			}
+		}
+	}
+}
+
+// dispatchAllocs is what one ForTilesReduceN dispatch of a capturing
+// k-wide body costs on pool (par's result slice, partial table, closures
+// and join barrier, plus the body closure) — the floor a sweep's
+// allocation count is pinned to; see the kernels package's twin.
+func dispatchAllocs(pool *par.Pool, k int, b par.Box) float64 {
+	x := 1.0
+	return testing.AllocsPerRun(20, func() {
+		x = pool.ForTilesReduceN(k, b, func(t par.Tile, acc []float64) { acc[0] += x })[0]
+	})
+}
+
+// TestApplyPreDotAllocatesNothing: once every worker has run a tile, the
+// 2D and 3D window sweeps allocate exactly what the scheduler dispatch
+// does on a 2-worker pool — the u window comes from the reusable scratch,
+// not from a make per tile per sweep (the 2D body's old behaviour: one
+// garbage buffer per tile per CG iteration).
+func TestApplyPreDotAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	base := par.NewPool(2).WithGrain(1)
+	defer base.Close()
+	g2 := grid.UnitGrid2D(64, 48, 2)
+	op2, err := BuildOperator2D(par.Serial, randomDensity(g2, 80), 0.04, Conductivity, AllPhysical)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m2, r2, w2 := positiveField(g2, 81), randomField(g2, 82), grid.NewField2D(g2)
+	g3 := grid.UnitGrid3D(24, 16, 12, 2)
+	op3, err := BuildOperator3D(par.Serial, randomDensity3D(g3, 83), 0.04, Conductivity, AllPhysical3D)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m3, r3, w3 := positiveField3D(g3, 84), randomField3D(g3, 85), grid.NewField3D(g3)
+	in2, in3 := g2.Interior(), g3.Interior()
+	for name, pool := range map[string]*par.Pool{"untiled": base, "tiled": base.WithTiles(16, 4, 3)} {
+		got := testing.AllocsPerRun(20, func() { op2.ApplyPreDot(pool, in2, m2, r2, w2) })
+		if want := dispatchAllocs(pool, 1, par.Box2D(in2.X0, in2.X1, in2.Y0, in2.Y1)); got != want {
+			t.Errorf("%s: 2D ApplyPreDot allocates %v per sweep, the bare dispatch %v", name, got, want)
+		}
+		got = testing.AllocsPerRun(20, func() { op3.ApplyPreDot(pool, in3, m3, r3, w3) })
+		if want := dispatchAllocs(pool, 1, box3s(in3)); got != want {
+			t.Errorf("%s: 3D ApplyPreDot allocates %v per sweep, the bare dispatch %v", name, got, want)
+		}
 	}
 }
