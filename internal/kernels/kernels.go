@@ -661,6 +661,10 @@ func FusedCGUpdate(pl *par.Pool, b grid.Bounds, alpha float64, p, s, x, r, minv 
 // b must contain in; rows outside in update rtemp/sd but not z, exactly
 // as the unfused schedule does on extended matrix-powers bounds. nil minv
 // selects the identity preconditioner.
+//
+// The solver engine no longer calls it: stencil.ChebyStep folds the
+// matvec that produces w into this sweep. It stays as that step's bitwise
+// oracle (with FusedPPCGInner3D) and because bench/ replays it.
 func FusedPPCGInner(pl *par.Pool, b, in grid.Bounds, alpha, beta float64, w, rtemp, minv, sd, z *grid.Field2D) {
 	if b.Empty() {
 		return

@@ -792,7 +792,11 @@ const chebyMaxRebootstraps = 3
 // above the phase start, the solve re-bootstraps with twice the CG
 // iterations (continuing from the current iterate — CG contracts the
 // inflated modes right back) and rebuilds the schedule from the sharper
-// estimate. Result.Rebootstraps counts the retries.
+// estimate. Result.Rebootstraps counts the retries. The guard recovers a
+// residual that has grown, however far, while it is still finite; once
+// ‖r‖² has overflowed to Inf or NaN between two checks (CheckEvery set
+// wider than the overflow takes) the iterate is lost, re-bootstrapping
+// from it cannot bring it back, and the check returns ErrBreakdown.
 func solveChebyCore[F comparable, B any](e *engine[F, B]) (Result, error) {
 	o := e.o
 	sys := e.sys
@@ -852,6 +856,9 @@ func solveChebyCore[F comparable, B any](e *engine[F, B]) (Result, error) {
 			if result.Converged {
 				return result, nil
 			}
+		}
+		if !isFinite(st.rr) {
+			return nonFinite(result, "chebyshev", "bootstrap ‖r‖²", st.rr)
 		}
 		est, err := eigen.EstimateFromCG(boot.Alphas, boot.Betas)
 		if err != nil {
@@ -927,11 +934,16 @@ func solveChebyCore[F comparable, B any](e *engine[F, B]) (Result, error) {
 				rel := relResidual(rr, rr0)
 				result.History = append(result.History, rel)
 				result.FinalResidual = rel
+				if !isFinite(rr) {
+					// The iterate is gone, and re-bootstrapping from it
+					// cannot bring it back.
+					return nonFinite(result, "chebyshev", "‖r‖²", rr)
+				}
 				if rel <= o.Tol {
 					result.Converged = true
 					return result, nil
 				}
-				if guardOn && (!isFinite(rel) || rel > chebyGuardFactor*startRel) {
+				if guardOn && rel > chebyGuardFactor*startRel {
 					diverged = true
 					break
 				}
@@ -954,6 +966,15 @@ func solveChebyCore[F comparable, B any](e *engine[F, B]) (Result, error) {
 
 func isFinite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
+// nonFinite ends a PPCG or Chebyshev solve whose globally reduced scalar
+// `name` came back NaN or Inf: res marked broken down, and an ErrBreakdown
+// error naming the iteration. The scalar is post-reduction, so every rank
+// returns here together.
+func nonFinite(res Result, solver, name string, v float64) (Result, error) {
+	res.Breakdown = true
+	return res, fmt.Errorf("solver: %s iteration %d: %s = %v: %w", solver, res.Iterations, name, v, ErrBreakdown)
+}
+
 // solvePPCGCore runs the paper's headline solver: CG preconditioned by a
 // shifted and scaled Chebyshev polynomial (CPPCG, §III). Each outer CG
 // iteration applies InnerSteps Chebyshev smoothing steps to the residual;
@@ -967,10 +988,12 @@ func isFinite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 // redundant computation for d× fewer messages.
 //
 // On the fused path (Options.Fused with a diagonal-foldable inner
-// preconditioner) each inner step is two sweeps — the matvec plus one
-// fused residual-update/preconditioner/direction/accumulate kernel —
-// versus five unfused, and the outer updates and dot products use the
-// fused two-in-one kernels.
+// preconditioner) each inner step is ONE sweep — the matvec folded into
+// the residual-update/preconditioner/direction/accumulate kernel
+// (ChebyStep) — versus five unfused; the outer solution/residual update
+// rides the inner solve's one set-up sweep, and the outer dot products
+// use the fused two-in-one kernel: per outer iteration 1 + InnerSteps
+// stencil sweeps, two vector passes and one dot pass.
 //
 // With a deflator configured the outer PCG runs on the projected operator
 // P·A (the bootstrap CG already ran deflated and left Wᵀ·r = 0): each
@@ -979,6 +1002,11 @@ func isFinite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 // coarse correction recovers the deflated solution component. The
 // bootstrap's eigenvalue estimate then describes the deflated spectrum,
 // which is exactly the interval the polynomial should target.
+//
+// A non-finite outer scalar (p·A·p, r·z or ‖r‖² — non-finite input, or a
+// polynomial overflowing on a wild spectrum estimate) ends the solve with
+// an ErrBreakdown error at the iteration it first appears. The scalars
+// are post-reduction, so every rank takes the same exit.
 func solvePPCGCore[F comparable, B any](e *engine[F, B]) (Result, error) {
 	o := e.o
 	sys := e.sys
@@ -1001,6 +1029,9 @@ func solvePPCGCore[F comparable, B any](e *engine[F, B]) (Result, error) {
 		result.Converged = true
 		result.FinalResidual = boot.FinalResidual
 		return result, nil
+	}
+	if !isFinite(st.rr) {
+		return nonFinite(result, "ppcg", "bootstrap ‖r‖²", st.rr)
 	}
 	est, err := eigen.EstimateFromCG(boot.Alphas, boot.Betas)
 	if err != nil {
@@ -1025,13 +1056,11 @@ func solvePPCGCore[F comparable, B any](e *engine[F, B]) (Result, error) {
 	if base == 0 {
 		base = rr0 // bootstrap predates the widened deflated baseline
 	}
-	z := sys.NewVec()     // accumulated polynomial correction (utemp)
-	rtemp := sys.NewVec() // inner residual
-	sd := sys.NewVec()    // inner search direction
-	zscr := sys.NewVec()  // M⁻¹·rtemp scratch
-	inner := newInnerCore(e, sched, powers, z, rtemp, sd, zscr)
+	inner := newInnerCore(e, sched, powers)
+	z := inner.z // accumulated polynomial correction (utemp)
 
-	if err := inner.apply(r); err != nil {
+	var none F
+	if err := inner.apply(0, none, none, r); err != nil {
 		return result, err
 	}
 	result.TotalInner += o.InnerSteps
@@ -1039,6 +1068,9 @@ func solvePPCGCore[F comparable, B any](e *engine[F, B]) (Result, error) {
 	e.vectorPass(in)
 
 	rz := e.dot(r, z)
+	if !isFinite(rz) {
+		return nonFinite(result, "ppcg", "r·z", rz)
+	}
 
 	for it := result.Iterations; it < o.MaxIters; it++ {
 		if err := e.exchange(1, pvec); err != nil {
@@ -1051,32 +1083,21 @@ func solvePPCGCore[F comparable, B any](e *engine[F, B]) (Result, error) {
 			e.matvec(in, pvec, w)
 			var zero F
 			pw = e.reduce(e.projectW(defl, in, w, zero, pvec))
-			if pw <= 0 {
-				// P·A is only positive semi-definite outside the deflated
-				// subspace.
-				result.Breakdown = true
-				break
-			}
 		} else {
 			pw = e.matvecDot(in, pvec, w)
-			if pw == 0 {
-				result.Breakdown = true
-				break
-			}
 		}
-		alpha := rz / pw
-		if o.Fused {
-			// u += α·p and r −= α·w share one sweep.
-			sys.AxpyAxpy(in, alpha, pvec, e.u, -alpha, w, r)
-			e.vectorPass(in)
-		} else {
-			sys.Axpy(in, alpha, pvec, e.u)
-			sys.Axpy(in, -alpha, w, r)
-			e.vectorPass(in)
-			e.vectorPass(in)
+		if !isFinite(pw) {
+			return nonFinite(result, "ppcg", "p·A·p", pw)
+		}
+		// P·A is only positive semi-definite outside the deflated subspace,
+		// so the deflated test is on the sign, the plain one on zero.
+		if pw == 0 || (defl != nil && pw < 0) {
+			result.Breakdown = true
+			break
 		}
 
-		if err := inner.apply(r); err != nil {
+		// u += α·p, r −= α·w, then z ≈ B(A)·r.
+		if err := inner.apply(rz/pw, pvec, w, r); err != nil {
 			return result, err
 		}
 		result.TotalInner += o.InnerSteps
@@ -1087,6 +1108,12 @@ func solvePPCGCore[F comparable, B any](e *engine[F, B]) (Result, error) {
 		} else {
 			rzNew = e.dot(r, z)
 			rrNew = e.dot(r, r)
+		}
+		if !isFinite(rzNew) {
+			return nonFinite(result, "ppcg", "r·z", rzNew)
+		}
+		if !isFinite(rrNew) {
+			return nonFinite(result, "ppcg", "‖r‖²", rrNew)
 		}
 		beta := rzNew / rz
 		rz = rzNew
@@ -1130,27 +1157,35 @@ type innerCore[F comparable, B any] struct {
 	powers powersSched[B]
 	z      F // output: accumulated correction
 	rtemp  F
-	sd     F
-	zscr   F
-	w      F
+	// sd is the current search direction. On the fused path it ping-pongs
+	// with alt — each step reads sd and writes alt, then the two handles
+	// swap — so whichever field holds the direction when the halo runs out
+	// is the one exchanged. Unfused, sd updates in place and alt is the
+	// matvec's target.
+	sd, alt F
+	zscr    F // M⁻¹·rtemp scratch, unfused path only
 	// minv is the folded diagonal preconditioner for the fused step (zero
 	// = identity); fused reports whether the fused kernel path is usable.
 	minv  F
 	fused bool
 }
 
-func newInnerCore[F comparable, B any](e *engine[F, B], sched *cheby.Schedule, powers powersSched[B],
-	z, rtemp, sd, zscr F) *innerCore[F, B] {
+func newInnerCore[F comparable, B any](e *engine[F, B], sched *cheby.Schedule, powers powersSched[B]) *innerCore[F, B] {
 	minv, foldable := e.sys.FoldableDiag()
-	return &innerCore[F, B]{
+	s := &innerCore[F, B]{
 		e: e, sched: sched, powers: powers,
-		z: z, rtemp: rtemp, sd: sd, zscr: zscr,
-		w:    e.sys.NewVec(),
+		z: e.sys.NewVec(), rtemp: e.sys.NewVec(), sd: e.sys.NewVec(), alt: e.sys.NewVec(),
 		minv: minv, fused: e.o.Fused && foldable,
 	}
+	if !s.fused {
+		s.zscr = e.sys.NewVec()
+	}
+	return s
 }
 
-// apply runs the inner Chebyshev iteration:
+// apply advances the outer iterate, u += α·p and r −= α·w (skipped for a
+// zero p: the pre-loop call), and runs the inner Chebyshev iteration on
+// the new residual:
 //
 //	rtemp = r;  sd = M⁻¹rtemp/θ;  z = sd
 //	repeat InnerSteps times:
@@ -1159,28 +1194,43 @@ func newInnerCore[F comparable, B any](e *engine[F, B], sched *cheby.Schedule, p
 //	    z     ← z + sd              (interior only)
 //
 // leaving the polynomial-preconditioned residual in s.z. On the fused
-// path everything after the matvec is one sweep (FusedPPCGInner).
-func (s *innerCore[F, B]) apply(r F) error {
+// path the outer update and the set-up are one pointwise sweep
+// (PPCGInnerInit) and every step is one stencil sweep (ChebyStep, traced
+// as a matvec over the step's bounds).
+func (s *innerCore[F, B]) apply(alpha float64, p, w, r F) error {
 	e := s.e
 	sys := e.sys
 	in := e.in
 
-	// rtemp starts as a copy of the outer residual; the depth-d exchange
-	// below makes its halo consistent before any extended-bounds work.
-	sys.CopyAll(s.rtemp, r)
-	e.vectorPass(in)
-
 	if s.fused {
-		// sd = (M⁻¹rtemp)/θ with the preconditioner folded, then z = sd.
-		sys.AxpbyPre(in, 0, s.sd, 1/s.sched.Theta, s.minv, s.rtemp)
+		// Interior only: the depth-d exchange below rewrites every halo
+		// cell of sd and rtemp the extended bounds read.
+		sys.PPCGInnerInit(in, alpha, p, w, e.u, r, s.rtemp, 1/s.sched.Theta, s.minv, s.sd, s.z)
 		e.vectorPass(in)
 	} else {
+		if !isZeroF(p) {
+			if e.o.Fused {
+				// u += α·p and r −= α·w share one sweep.
+				sys.AxpyAxpy(in, alpha, p, e.u, -alpha, w, r)
+				e.vectorPass(in)
+			} else {
+				sys.Axpy(in, alpha, p, e.u)
+				sys.Axpy(in, -alpha, w, r)
+				e.vectorPass(in)
+				e.vectorPass(in)
+			}
+		}
+		// rtemp starts as a copy of the outer residual; the depth-d
+		// exchange below makes its halo consistent before any
+		// extended-bounds work.
+		sys.CopyAll(s.rtemp, r)
+		e.vectorPass(in)
 		e.applyPrecond(in, s.rtemp, s.zscr)
 		sys.ScaleTo(in, 1/s.sched.Theta, s.zscr, s.sd)
 		e.vectorPass(in)
+		sys.Copy(in, s.z, s.sd)
+		e.vectorPass(in)
 	}
-	sys.Copy(in, s.z, s.sd)
-	e.vectorPass(in)
 
 	// Force a fresh exchange at the start of every inner solve: rtemp and
 	// sd were rebuilt from the outer residual.
@@ -1210,15 +1260,15 @@ func (s *innerCore[F, B]) apply(r F) error {
 			step2 = s.sched.Steps() - 1
 		}
 
-		e.matvec(b, s.sd, s.w)
 		if s.fused {
-			sys.FusedPPCGInner(b, in, s.sched.Alpha[step2], s.sched.Beta[step2],
-				s.w, s.rtemp, s.minv, s.sd, s.z)
-			e.vectorPass(b)
+			e.chebyStep(b, s.sched.Alpha[step2], s.sched.Beta[step2],
+				s.sd, s.rtemp, s.minv, s.alt, s.z)
+			s.sd, s.alt = s.alt, s.sd
 			continue
 		}
 
-		sys.Axpy(b, -1, s.w, s.rtemp) // rtemp -= A·sd
+		e.matvec(b, s.sd, s.alt)
+		sys.Axpy(b, -1, s.alt, s.rtemp) // rtemp -= A·sd
 		e.vectorPass(b)
 
 		e.applyPrecond(b, s.rtemp, s.zscr)

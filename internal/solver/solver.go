@@ -303,9 +303,13 @@ func (o Options) validate(p Problem) error {
 // ErrBreakdown reports that a Krylov solver observed a non-positive (or
 // NaN) curvature scalar at startup — the operator or preconditioner is
 // not positive definite as seen from the initial residual, so no
-// iteration can proceed. In-loop breakdowns (conjugacy lost after useful
-// progress) do not error; they stop the iteration and set
-// Result.Breakdown, like TeaLeaf's pw == 0 guard.
+// iteration can proceed — or that PPCG or Chebyshev saw a NON-FINITE
+// reduced scalar (p·A·p, r·z, ‖r‖²: non-finite input, or a polynomial
+// overflowing on a wild spectrum estimate), at the iteration it first
+// appeared: the iterate is lost and more sweeps cannot recover it. Other
+// in-loop breakdowns (conjugacy lost after useful progress) do not error;
+// they stop the iteration and set Result.Breakdown, like TeaLeaf's
+// pw == 0 guard.
 var ErrBreakdown = errors.New("solver: lost positive definiteness (breakdown)")
 
 // Result reports a solve's outcome and the op counts the scaling model

@@ -94,7 +94,9 @@ func BenchmarkCGIteration(b *testing.B) {
 }
 
 // BenchmarkPPCGInnerStep times the Chebyshev inner smoothing steps that
-// dominate PPCG wall time, fused versus unfused.
+// dominate PPCG wall time through the solver itself: fused is the one
+// merged ChebyStep sweep per step (plus the one set-up sweep per outer
+// iteration), unfused the five-sweep reference path.
 func BenchmarkPPCGInnerStep(b *testing.B) {
 	for _, disable := range []bool{false, true} {
 		label := "fused"

@@ -148,8 +148,12 @@ func (s *sys2d) FusedCGStep(b grid.Bounds, minv, r, w *grid.Field2D, beta, alpha
 	return kernels.FusedCGStep(s.p, b, minv, r, w, beta, alpha, p, sv, x)
 }
 
-func (s *sys2d) FusedPPCGInner(b, in grid.Bounds, alpha, beta float64, w, rtemp, minv, sd, z *grid.Field2D) {
-	kernels.FusedPPCGInner(s.p, b, in, alpha, beta, w, rtemp, minv, sd, z)
+func (s *sys2d) ChebyStep(b, in grid.Bounds, alpha, beta float64, sdOld, rtemp, minv, sdNew, acc *grid.Field2D) {
+	s.op.ChebyStep(s.p, b, in, alpha, beta, sdOld, rtemp, minv, sdNew, acc)
+}
+
+func (s *sys2d) PPCGInnerInit(b grid.Bounds, alpha float64, p, w, u, r, rtemp *grid.Field2D, thetaInv float64, minv, sd, z *grid.Field2D) {
+	kernels.PPCGInnerInit(s.p, b, alpha, p, w, u, r, rtemp, thetaInv, minv, sd, z)
 }
 
 func (s *sys2d) PipelinedCGStep(b grid.Bounds, minv, r, w, n *grid.Field2D, beta, alpha float64, p, sv, z, x *grid.Field2D) (gamma, delta, rr float64) {
@@ -197,8 +201,6 @@ func (s *sys2d) PipelinedCGStepChain(acc *par.ChainAccum, t0, t1 int, minv, r, w
 func (s *sys2d) PrecondApply(b grid.Bounds, r, z *grid.Field2D) { s.m.Apply(s.p, b, r, z) }
 
 func (s *sys2d) PrecondIsIdentity() bool { return isNone(s.m) }
-
-func (s *sys2d) PrecondName() string { return s.m.Name() }
 
 func (s *sys2d) FoldableDiag() (*grid.Field2D, bool) { return precond.FoldableDiag(s.m) }
 

@@ -166,8 +166,12 @@ func (s *sys3d) FusedCGStep(b grid.Bounds3D, minv, r, w *grid.Field3D, beta, alp
 	return kernels.FusedCGStep3D(s.p, b, minv, r, w, beta, alpha, p, sv, x)
 }
 
-func (s *sys3d) FusedPPCGInner(b, in grid.Bounds3D, alpha, beta float64, w, rtemp, minv, sd, z *grid.Field3D) {
-	kernels.FusedPPCGInner3D(s.p, b, in, alpha, beta, w, rtemp, minv, sd, z)
+func (s *sys3d) ChebyStep(b, in grid.Bounds3D, alpha, beta float64, sdOld, rtemp, minv, sdNew, acc *grid.Field3D) {
+	s.op.ChebyStep(s.p, b, in, alpha, beta, sdOld, rtemp, minv, sdNew, acc)
+}
+
+func (s *sys3d) PPCGInnerInit(b grid.Bounds3D, alpha float64, p, w, u, r, rtemp *grid.Field3D, thetaInv float64, minv, sd, z *grid.Field3D) {
+	kernels.PPCGInnerInit3D(s.p, b, alpha, p, w, u, r, rtemp, thetaInv, minv, sd, z)
 }
 
 func (s *sys3d) PipelinedCGStep(b grid.Bounds3D, minv, r, w, n *grid.Field3D, beta, alpha float64, p, sv, z, x *grid.Field3D) (gamma, delta, rr float64) {
@@ -214,8 +218,6 @@ func (s *sys3d) PipelinedCGStepChain(acc *par.ChainAccum, t0, t1 int, minv, r, w
 func (s *sys3d) PrecondApply(b grid.Bounds3D, r, z *grid.Field3D) { s.m.Apply3D(s.p, b, r, z) }
 
 func (s *sys3d) PrecondIsIdentity() bool { return isNone3(s.m) }
-
-func (s *sys3d) PrecondName() string { return s.m.Name() }
 
 func (s *sys3d) FoldableDiag() (*grid.Field3D, bool) { return precond.FoldableDiag3D(s.m) }
 

@@ -94,10 +94,17 @@ type system[F comparable, B any] interface {
 	// r −= α·s, returning the local γ' = r·(minv⊙r) and ‖r‖² of the
 	// updated r. A zero x skips the solution update (extension rings).
 	FusedCGStep(b B, minv, r, w F, beta, alpha float64, p, s, x F) (gamma, rr float64)
-	// FusedPPCGInner is the fused PPCG inner step: everything after the
-	// matvec (residual update, preconditioner, direction, accumulate) in
-	// one sweep over b, accumulating into z over in.
-	FusedPPCGInner(b, in B, alpha, beta float64, w, rtemp, minv, sd, z F)
+	// ChebyStep is one Chebyshev step in ONE sweep over b, the matvec folded
+	// into the update that consumes it: rtemp −= A·sdOld, sdNew = α·sdOld +
+	// β·(minv⊙rtemp), then acc += sdNew (PPCG's correction) on the cells of
+	// b inside in. sdOld is read one cell beyond b and never written: the
+	// direction ping-pongs between two fields, which is what makes the
+	// sweep safe for any tile or worker decomposition.
+	ChebyStep(b, in B, alpha, beta float64, sdOld, rtemp, minv, sdNew, acc F)
+	// PPCGInnerInit sets PPCG's inner solve up in one pointwise sweep over
+	// b: u += α·p and r −= α·w (skipped for a zero p), then rtemp = r,
+	// sd = θ⁻¹·(minv⊙r), z = sd.
+	PPCGInnerInit(b B, alpha float64, p, w, u, r, rtemp F, thetaInv float64, minv, sd, z F)
 	// PipelinedCGStep is the whole vector phase of a pipelined-CG
 	// iteration in one sweep: the direction recurrences p = (minv⊙r) + β·p,
 	// s = w + β·s, z = n + β·z with the updates they feed, x += α·p,
@@ -137,9 +144,6 @@ type system[F comparable, B any] interface {
 	// PrecondIsIdentity reports whether the configured preconditioner is
 	// the identity (its applications are free and untraced).
 	PrecondIsIdentity() bool
-	// PrecondName returns the configured preconditioner's deck name, for
-	// registry capability lookups.
-	PrecondName() string
 	// FoldableDiag returns the inverse-diagonal field to fold into fused
 	// sweeps and whether folding is possible (zero field = identity).
 	FoldableDiag() (F, bool)
@@ -246,6 +250,14 @@ func (e *engine[F, B]) reduceNStart(vals []float64) comm.ReduceHandle {
 // matvec applies w = A·p over b and traces it.
 func (e *engine[F, B]) matvec(b B, p, w F) {
 	e.sys.Apply(b, p, w)
+	e.tr.AddMatvec(e.sys.Cells(b))
+}
+
+// chebyStep runs the one-sweep Chebyshev step over b (system.ChebyStep,
+// accumulating over the interior) and traces it as the stencil sweep it
+// is: one matvec over b, no vector pass.
+func (e *engine[F, B]) chebyStep(b B, alpha, beta float64, sdOld, rtemp, minv, sdNew, acc F) {
+	e.sys.ChebyStep(b, e.in, alpha, beta, sdOld, rtemp, minv, sdNew, acc)
 	e.tr.AddMatvec(e.sys.Cells(b))
 }
 
