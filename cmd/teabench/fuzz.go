@@ -13,9 +13,9 @@ import (
 // (-seed) through the full invariant suite — conservation, engine
 // agreement, rank invariance, backend and tiled bit-equality, halo-depth
 // invariance — with automatic shrinking of any failure to a minimal
-// ready-to-run reproducer. The per-deck records land in -fuzzout
-// (BENCH_fuzz.json); a non-zero failure count is a hard error so CI
-// smoke runs fail loudly.
+// ready-to-run reproducer. -fuzzout, when given, receives the per-deck
+// records as JSON; a non-zero failure count is a hard error so CI smoke
+// runs fail loudly.
 func fuzzExperiment(cfg config) error {
 	fmt.Printf("== Fuzz: %d decks from seed %d through the invariant suite ==\n", cfg.fuzzN, cfg.fuzzSeed)
 	rep := propcheck.Run(propcheck.Config{
@@ -26,27 +26,29 @@ func fuzzExperiment(cfg config) error {
 		},
 	})
 
-	out := struct {
-		Generated string   `json:"generated"`
-		Notes     []string `json:"notes"`
-		*propcheck.Report
-	}{
-		Generated: time.Now().UTC().Format(time.RFC3339),
-		Notes: []string{
-			"Each deck is solved across every checker leg: serial base, classic/pipelined engines, 2- and 4-rank Hub, 2-rank TCP, tiled worker counts {1,2,4}, halo depths {1,2,3}.",
-			"Checker tolerances: conservation 1e-8; trajectory comparisons max(contract floor, 150*eps) relative — see internal/propcheck/invariants.go.",
-			"A failure record carries the deck and its shrunk minimal reproducer, both ready to run via the tea CLI.",
-		},
-		Report: rep,
+	if cfg.fuzzOut != "" {
+		out := struct {
+			Generated string   `json:"generated"`
+			Notes     []string `json:"notes"`
+			*propcheck.Report
+		}{
+			Generated: time.Now().UTC().Format(time.RFC3339),
+			Notes: []string{
+				"Each deck is solved across every checker leg: serial base, classic/pipelined engines, 2- and 4-rank Hub, 2-rank TCP, tiled worker counts {1,2,4}, halo depths {1,2,3}.",
+				"Checker tolerances: conservation 1e-8; trajectory comparisons max(contract floor, 150*eps) relative — see internal/propcheck/invariants.go.",
+				"A failure record carries the deck and its shrunk minimal reproducer, both ready to run via the tea CLI.",
+			},
+			Report: rep,
+		}
+		buf, err := json.MarshalIndent(out, "", "  ")
+		if err != nil {
+			return err
+		}
+		if err := os.WriteFile(cfg.fuzzOut, append(buf, '\n'), 0o644); err != nil {
+			return err
+		}
+		fmt.Printf("wrote %s\n\n", cfg.fuzzOut)
 	}
-	buf, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(cfg.fuzzOut, append(buf, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n\n", cfg.fuzzOut)
 
 	if !rep.OK() {
 		for _, c := range rep.Cases {

@@ -39,8 +39,8 @@
 //     rank of a real-network run; -rank/-peers) or launch (fork N local
 //     tcp ranks over loopback — the single-machine cluster).
 //   - cmd/teabench — regenerate Table I and Figures 3–8 plus the ablation
-//     studies, the 3D strong-scaling sweep (-exp scale3d), the deflation
-//     comparison (-exp deflation) and the CI smoke run (-exp smoke).
+//     studies; also the deck fuzzer (-exp fuzz) and the CI smoke run
+//     (-exp smoke).
 //   - examples/ — quickstart, crooked pipe, scaling study, mesh
 //     convergence, heat3d (distributed 3D PPCG), deflation.
 //
@@ -49,11 +49,8 @@
 // single-reduction solver core, the dimension-agnostic loop bodies, the
 // preconditioner capability matrix, and the comm backends including the
 // TCP wire protocol), and docs/deck-format.md for the complete deck-key
-// and CLI-flag reference. The benchmarks in
-// bench_test.go regenerate every table and figure under `go test
-// -bench`, and `teabench -exp bench` dumps hot-path timings to
-// BENCH_kernels.json so the performance trajectory is machine-readable
-// across changes.
+// and CLI-flag reference. Timings come from bench/ (see
+// bench/README.md), the benchmark BENCHMARK.json declares.
 package tealeaf
 
 // Version identifies this reproduction.

@@ -3,7 +3,7 @@
 // internal/problem/gallery.go) — and renders each final temperature
 // field as a PGM image plus a VTK file carrying both density and
 // energy, so a fuzz-found stress case can be inspected in a viewer
-// rather than only as numbers in BENCH_fuzz.json.
+// rather than only as numbers in a fuzz report.
 package main
 
 import (

@@ -1,9 +1,6 @@
 package grid
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // The two z-direction sides of a 3D sub-domain, continuing the 2D Side
 // enumeration (Left/Right/Down/Up keep their values, so 2D code is
@@ -145,39 +142,4 @@ func (p *Partition3D) MinExtent() (nx, ny, nz int) {
 func (p *Partition3D) String() string {
 	return fmt.Sprintf("Partition3D(%dx%dx%d cells over %dx%dx%d ranks)",
 		p.NX, p.NY, p.NZ, p.PX, p.PY, p.PZ)
-}
-
-// FactorNearCube splits n ranks into px × py × pz with px·py·pz == n,
-// minimising the per-rank communication surface for an nx × ny × nz grid
-// — the 3D analogue of FactorNearSquare.
-func FactorNearCube(n, nx, ny, nz int) (px, py, pz int) {
-	if n <= 0 {
-		return 1, 1, 1
-	}
-	bestX, bestY, bestZ := n, 1, 1
-	bestCost := math.Inf(1)
-	for x := 1; x <= n; x++ {
-		if n%x != 0 {
-			continue
-		}
-		rest := n / x
-		for y := 1; y <= rest; y++ {
-			if rest%y != 0 {
-				continue
-			}
-			z := rest / y
-			if x > nx || y > ny || z > nz {
-				continue
-			}
-			lx := float64(nx) / float64(x)
-			ly := float64(ny) / float64(y)
-			lz := float64(nz) / float64(z)
-			// Communication surface per rank: the sub-box's face area.
-			cost := lx*ly + ly*lz + lx*lz
-			if cost < bestCost {
-				bestCost, bestX, bestY, bestZ = cost, x, y, z
-			}
-		}
-	}
-	return bestX, bestY, bestZ
 }

@@ -75,22 +75,6 @@ func TestPartition3DValidation(t *testing.T) {
 	}
 }
 
-func TestFactorNearCube(t *testing.T) {
-	px, py, pz := FactorNearCube(8, 64, 64, 64)
-	if px*py*pz != 8 || px != 2 || py != 2 || pz != 2 {
-		t.Errorf("8 ranks on a cube: %dx%dx%d, want 2x2x2", px, py, pz)
-	}
-	px, py, pz = FactorNearCube(6, 64, 64, 64)
-	if px*py*pz != 6 {
-		t.Errorf("factorisation must multiply to n: %dx%dx%d", px, py, pz)
-	}
-	// A thin grid must not receive more ranks than cells in z.
-	px, py, pz = FactorNearCube(16, 64, 64, 2)
-	if px*py*pz != 16 || pz > 2 {
-		t.Errorf("thin grid: %dx%dx%d", px, py, pz)
-	}
-}
-
 func TestBounds3DShrinkTowardAndCells(t *testing.T) {
 	g := UnitGrid3D(8, 8, 8, 3)
 	in := g.Interior()

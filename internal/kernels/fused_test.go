@@ -53,31 +53,6 @@ func fieldsClose13(t *testing.T, name string, got, want *grid.Field2D) {
 	}
 }
 
-func TestPrecondDotMatchesMulDot(t *testing.T) {
-	g := grid.UnitGrid2D(19, 13, 2)
-	minv := testField(g, 31)
-	r := testField(g, 32)
-	for _, b := range fusionBounds(g) {
-		zRef := grid.NewField2D(g)
-		Mul(par.Serial, b, minv, r, zRef)
-		want := Dot(par.Serial, b, r, zRef)
-		for name, p := range fusionPools() {
-			z := grid.NewField2D(g)
-			got := PrecondDot(p, b, minv, r, z)
-			if !close13(got, want) {
-				t.Errorf("%s %v: PrecondDot = %v, want %v", name, b, got, want)
-			}
-			fieldsClose13(t, name, z, zRef)
-		}
-		// nil minv: identity.
-		z := grid.NewField2D(g)
-		got := PrecondDot(par.Serial, b, nil, r, z)
-		if !close13(got, Dot(par.Serial, b, r, r)) {
-			t.Errorf("identity PrecondDot = %v, want r·r", got)
-		}
-	}
-}
-
 func TestAxpyAxpyMatchesTwoAxpys(t *testing.T) {
 	g := grid.UnitGrid2D(19, 13, 2)
 	x1 := testField(g, 41)

@@ -181,31 +181,6 @@ func Copy(p *par.Pool, b grid.Bounds, dst, src *grid.Field2D) {
 	})
 }
 
-// Scale computes x *= alpha over b.
-func Scale(p *par.Pool, b grid.Bounds, alpha float64, x *grid.Field2D) {
-	if b.Empty() {
-		return
-	}
-	g := x.Grid
-	xd := x.Data
-	n := b.X1 - b.X0
-	p.For(b.Y0, b.Y1, func(k0, k1 int) {
-		for k := k0; k < k1; k++ {
-			xs := row(g, b, xd, k)
-			j := 0
-			for ; j+3 < n; j += 4 {
-				xs[j] *= alpha
-				xs[j+1] *= alpha
-				xs[j+2] *= alpha
-				xs[j+3] *= alpha
-			}
-			for ; j < n; j++ {
-				xs[j] *= alpha
-			}
-		}
-	})
-}
-
 // ScaleTo computes dst = alpha*src over b.
 func ScaleTo(p *par.Pool, b grid.Bounds, alpha float64, src, dst *grid.Field2D) {
 	if b.Empty() {
@@ -305,41 +280,6 @@ func Mul(p *par.Pool, b grid.Bounds, x, y, z *grid.Field2D) {
 	})
 }
 
-// AxpyDot fuses y += alpha*x with the dot product r·r in a single pass;
-// the fused-reduction variant of the CG residual update. Returns Σ y·y
-// over b after the update (y is typically the residual).
-func AxpyDot(p *par.Pool, b grid.Bounds, alpha float64, x, y *grid.Field2D) float64 {
-	if b.Empty() {
-		return 0
-	}
-	g := x.Grid
-	xd, yd := x.Data, y.Data
-	return p.ForTilesReduceN(1, box(b), func(t par.Tile, acc []float64) {
-		tb := tileBounds(t)
-		n := tb.X1 - tb.X0
-		var s0, s1 float64
-		for k := tb.Y0; k < tb.Y1; k++ {
-			xs := row(g, tb, xd, k)
-			ys := row(g, tb, yd, k)
-			j := 0
-			for ; j+1 < n; j += 2 {
-				v0 := ys[j] + alpha*xs[j]
-				ys[j] = v0
-				s0 += v0 * v0
-				v1 := ys[j+1] + alpha*xs[j+1]
-				ys[j+1] = v1
-				s1 += v1 * v1
-			}
-			for ; j < n; j++ {
-				v := ys[j] + alpha*xs[j]
-				ys[j] = v
-				s0 += v * v
-			}
-		}
-		acc[0] += s0 + s1
-	})[0]
-}
-
 // Dot2 computes the two dot products x·y and y·z in one pass (the paper's
 // §VII proposes restructuring the Krylov solver so multiple dot products
 // share a single reduction step).
@@ -373,49 +313,6 @@ func Dot2(p *par.Pool, b grid.Bounds, x, y, z *grid.Field2D) (xy, yz float64) {
 		acc[1] += c0 + c1
 	})
 	return acc[0], acc[1]
-}
-
-// PrecondDot fuses the diagonal preconditioner application z = minv ⊙ r
-// with the dot product r·z in one sweep (the PCG ρ = (r, M⁻¹r) setup pass
-// without a separate preconditioner sweep). A nil minv selects the
-// identity: z is filled with r (unless z aliases r) and r·r is returned.
-func PrecondDot(p *par.Pool, b grid.Bounds, minv, r, z *grid.Field2D) float64 {
-	if b.Empty() {
-		return 0
-	}
-	if minv == nil {
-		if z != r {
-			Copy(p, b, z, r)
-		}
-		return Dot(p, b, r, r)
-	}
-	g := r.Grid
-	md, rd, zd := minv.Data, r.Data, z.Data
-	return p.ForTilesReduceN(1, box(b), func(t par.Tile, acc []float64) {
-		tb := tileBounds(t)
-		n := tb.X1 - tb.X0
-		var s0, s1 float64
-		for k := tb.Y0; k < tb.Y1; k++ {
-			ms := row(g, tb, md, k)
-			rs := row(g, tb, rd, k)
-			zs := row(g, tb, zd, k)
-			j := 0
-			for ; j+1 < n; j += 2 {
-				v0 := ms[j] * rs[j]
-				zs[j] = v0
-				s0 += rs[j] * v0
-				v1 := ms[j+1] * rs[j+1]
-				zs[j+1] = v1
-				s1 += rs[j+1] * v1
-			}
-			for ; j < n; j++ {
-				v := ms[j] * rs[j]
-				zs[j] = v
-				s0 += rs[j] * v
-			}
-		}
-		acc[0] += s0 + s1
-	})[0]
 }
 
 // AxpyAxpy fuses two independent AXPYs into one sweep:

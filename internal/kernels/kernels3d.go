@@ -253,49 +253,6 @@ func AxpbyPre3D(p *par.Pool, b grid.Bounds3D, a float64, y *grid.Field3D, beta f
 	})
 }
 
-// PrecondDot3D fuses z = minv ⊙ r with r·z over b (nil minv: identity,
-// z filled from r unless aliased, returning r·r).
-func PrecondDot3D(p *par.Pool, b grid.Bounds3D, minv, r, z *grid.Field3D) float64 {
-	if b.Empty() {
-		return 0
-	}
-	if minv == nil {
-		if z != r {
-			Copy3D(p, b, z, r)
-		}
-		return Dot3D(p, b, r, r)
-	}
-	g := r.Grid
-	md, rd, zd := minv.Data, r.Data, z.Data
-	return p.ForTilesReduceN(1, box3(b), func(t par.Tile, acc []float64) {
-		tb := tileBounds3(t)
-		n := tb.X1 - tb.X0
-		var s0, s1 float64
-		for k := tb.Z0; k < tb.Z1; k++ {
-			for j := tb.Y0; j < tb.Y1; j++ {
-				ms := row3(g, tb, md, j, k)
-				rs := row3(g, tb, rd, j, k)
-				zs := row3(g, tb, zd, j, k)
-				i := 0
-				for ; i+1 < n; i += 2 {
-					v0 := ms[i] * rs[i]
-					zs[i] = v0
-					s0 += rs[i] * v0
-					v1 := ms[i+1] * rs[i+1]
-					zs[i+1] = v1
-					s1 += rs[i+1] * v1
-				}
-				for ; i < n; i++ {
-					v := ms[i] * rs[i]
-					zs[i] = v
-					s0 += rs[i] * v
-				}
-			}
-		}
-		acc[0] += s0 + s1
-	})[0]
-}
-
 // FusedCGDirections3D is the 3D two-sweep direction half:
 // p = (minv ⊙ r) + β·p and s = w + β·s in one sweep over b, with nil
 // minv selecting the identity — mirrors FusedCGDirections, and like it

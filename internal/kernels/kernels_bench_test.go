@@ -118,23 +118,6 @@ func BenchmarkApplyDot2(b *testing.B) {
 	}
 }
 
-func BenchmarkPrecondDot(b *testing.B) {
-	for _, n := range sizes() {
-		b.Run(fmt.Sprintf("%dx%d", n, n), func(b *testing.B) {
-			g := benchGrid(n)
-			minv, r, z := benchField(g, 1), benchField(g, 2), grid.NewField2D(g)
-			in := g.Interior()
-			b.SetBytes(int64(n) * int64(n) * 8 * 4)
-			b.ResetTimer()
-			var sink float64
-			for i := 0; i < b.N; i++ {
-				sink += PrecondDot(par.Serial, in, minv, r, z)
-			}
-			_ = sink
-		})
-	}
-}
-
 func BenchmarkFusedCGDirections(b *testing.B) {
 	for _, n := range sizes() {
 		b.Run(fmt.Sprintf("%dx%d", n, n), func(b *testing.B) {

@@ -125,10 +125,6 @@ func TestCopyScaleFill(t *testing.T) {
 			}
 		}
 	}
-	Scale(par.Serial, b, 2, dst)
-	if math.Abs(dst.At(3, 4)-2*src.At(3, 4)) > 1e-15 {
-		t.Error("Scale wrong")
-	}
 	Fill(par.Serial, b, 7, dst)
 	if dst.At(3, 4) != 7 || dst.At(0, 0) != 0 {
 		t.Error("Fill must only touch bounds")
@@ -152,26 +148,6 @@ func TestSubMul(t *testing.T) {
 	Mul(par.Serial, b, x, y, z)
 	if math.Abs(z.At(4, 1)-x.At(4, 1)*y.At(4, 1)) > 1e-15 {
 		t.Error("Mul wrong")
-	}
-}
-
-func TestAxpyDotFusionMatchesUnfused(t *testing.T) {
-	g := grid.UnitGrid2D(20, 14, 2)
-	b := g.Interior()
-	for name, p := range pools {
-		x := testField(g, 12)
-		y1 := testField(g, 13)
-		y2 := y1.Clone()
-		// Unfused reference.
-		Axpy(par.Serial, b, -0.3, x, y1)
-		want := Norm2Sq(par.Serial, b, y1)
-		got := AxpyDot(p, b, -0.3, x, y2)
-		if math.Abs(got-want) > 1e-12*math.Max(1, want) {
-			t.Errorf("%s: AxpyDot = %v, want %v", name, got, want)
-		}
-		if !y1.ApproxEqual(y2, 1e-14) {
-			t.Errorf("%s: fused update differs from unfused", name)
-		}
 	}
 }
 

@@ -87,8 +87,8 @@ type CaseResult struct {
 	Failure    *Failure `json:"failure,omitempty"`
 }
 
-// Report is the whole run's outcome, serialised to BENCH_fuzz.json by
-// teabench -exp fuzz.
+// Report is the whole run's outcome; teabench -exp fuzz -fuzzout
+// serialises it.
 type Report struct {
 	Seed     int64        `json:"seed"`
 	N        int          `json:"n"`

@@ -51,7 +51,7 @@ func TestGenValidAndRoundTrips(t *testing.T) {
 }
 
 // TestRunCleanCorpus: a small seeded run passes every checker and
-// reports per-deck records suitable for BENCH_fuzz.json.
+// reports one complete record per deck.
 func TestRunCleanCorpus(t *testing.T) {
 	rep := Run(Config{Seed: 1, N: 4, Log: t.Logf})
 	if !rep.OK() {

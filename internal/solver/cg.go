@@ -4,7 +4,7 @@ import "tealeaf/internal/grid"
 
 // SolveCG runs (preconditioned) conjugate gradients. With the default
 // identity preconditioner this is the paper's baseline "CG - 1"
-// configuration. The default fused path (Options.Fused) restructures the
+// configuration. The default fused path restructures the
 // iteration Chronopoulos–Gear style so that one reduction round carries
 // every dot product and the whole iteration is two grid sweeps; the
 // unfused path keeps the seed's two-to-three reductions and five-to-seven

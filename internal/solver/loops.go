@@ -40,7 +40,7 @@ type cgState[F comparable] struct {
 // Deflated solves run on either engine: the projection is applied to the
 // matvec result, at the cost of one extra reduction round per iteration.
 func runCGCore[F comparable, B any](e *engine[F, B], maxIters int, tol float64) (Result, *cgState[F], error) {
-	if e.o.Pipelined || e.o.Fused {
+	if e.o.Pipelined || !e.o.DisableFused {
 		if minv, ok := e.sys.FoldableDiag(); ok {
 			if isZeroF(minv) || e.c.Size() == 1 || e.sys.GridHalo() >= 2 {
 				if e.o.Pipelined {
@@ -885,7 +885,7 @@ func solveChebyCore[F comparable, B any](e *engine[F, B]) (Result, error) {
 		pvec := st.pvec
 
 		minv, foldable := sys.FoldableDiag()
-		fused := o.Fused && foldable
+		fused := !o.DisableFused && foldable
 
 		e.applyPrecond(in, r, z)
 		sys.ScaleTo(in, 1/sched.Theta, z, pvec) // p = z/θ
@@ -987,7 +987,7 @@ func nonFinite(res Result, solver, name string, v float64) (Result, error) {
 // extended bounds that shrink by one cell per step, trading a little
 // redundant computation for d× fewer messages.
 //
-// On the fused path (Options.Fused with a diagonal-foldable inner
+// On the fused path (the default, with a diagonal-foldable inner
 // preconditioner) each inner step is ONE sweep — the matvec folded into
 // the residual-update/preconditioner/direction/accumulate kernel
 // (ChebyStep) — versus five unfused; the outer solution/residual update
@@ -1103,7 +1103,7 @@ func solvePPCGCore[F comparable, B any](e *engine[F, B]) (Result, error) {
 		result.TotalInner += o.InnerSteps
 
 		var rzNew, rrNew float64
-		if o.Fused || o.FusedDots {
+		if !o.DisableFused || o.FusedDots {
 			rzNew, rrNew = e.dotPair(z, r)
 		} else {
 			rzNew = e.dot(r, z)
@@ -1175,7 +1175,7 @@ func newInnerCore[F comparable, B any](e *engine[F, B], sched *cheby.Schedule, p
 	s := &innerCore[F, B]{
 		e: e, sched: sched, powers: powers,
 		z: e.sys.NewVec(), rtemp: e.sys.NewVec(), sd: e.sys.NewVec(), alt: e.sys.NewVec(),
-		minv: minv, fused: e.o.Fused && foldable,
+		minv: minv, fused: !e.o.DisableFused && foldable,
 	}
 	if !s.fused {
 		s.zscr = e.sys.NewVec()
@@ -1209,7 +1209,7 @@ func (s *innerCore[F, B]) apply(alpha float64, p, w, r F) error {
 		e.vectorPass(in)
 	} else {
 		if !isZeroF(p) {
-			if e.o.Fused {
+			if !e.o.DisableFused {
 				// u += α·p and r −= α·w share one sweep.
 				sys.AxpyAxpy(in, alpha, p, e.u, -alpha, w, r)
 				e.vectorPass(in)

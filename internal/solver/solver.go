@@ -154,22 +154,17 @@ type Options struct {
 	// count only, not results. It applies to the unfused loops; the fused
 	// loops always share one reduction round.
 	FusedDots bool
-	// Fused reports whether the fused single-reduction iteration loops
-	// are in effect (default on): a Chronopoulos–Gear CG whose iteration
-	// is two grid sweeps and one reduction round, with diagonal
+	// DisableFused forces the original multi-pass solver loops; it is
+	// how equivalence tests select the reference path. The zero value
+	// runs the fused single-reduction loops: a Chronopoulos–Gear CG whose
+	// iteration is two grid sweeps and one reduction round, with diagonal
 	// preconditioners folded into the sweeps, and fused Chebyshev/PPCG
-	// inner updates. The field is DERIVED: withDefaults sets it to
-	// !DisableFused, so assigning Fused directly has no effect — the one
-	// and only opt-out knob is DisableFused (this keeps the zero Options
-	// value defaulting to on). Preconditioners that are not pure diagonal
-	// scalings (block-Jacobi) and folded preconditioners on halo-1 grids
-	// in multi-rank runs fall back to the unfused loops regardless.
+	// inner updates. Preconditioners that are not pure diagonal scalings
+	// (block-Jacobi) and folded preconditioners on halo-1 grids in
+	// multi-rank runs fall back to the unfused loops regardless.
 	// Deflated solves run fused too: the projection inserts one coarse
 	// reduction round after the matvec and the curvature dot joins the
 	// iteration's single scalar round.
-	Fused bool
-	// DisableFused forces the original multi-pass solver loops; it is
-	// how equivalence tests and benchmarks select the reference path.
 	DisableFused bool
 	// Pipelined selects the pipelined (Ghysels–Vanroose) CG engine
 	// (tl_pipelined): extra s = A·M⁻¹p and z = A·M⁻¹s recurrences let each
@@ -251,7 +246,6 @@ func (o Options) withDefaults() Options {
 	if o.CheckEvery <= 0 {
 		o.CheckEvery = 10
 	}
-	o.Fused = !o.DisableFused
 	return o
 }
 

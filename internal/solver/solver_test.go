@@ -626,13 +626,19 @@ func TestFusedMatchesUnfusedPPCG(t *testing.T) {
 }
 
 func TestFusedCGIsDefault(t *testing.T) {
-	o := Options{}.withDefaults()
-	if !o.Fused {
-		t.Error("zero Options must default Fused to on")
-	}
-	o = Options{DisableFused: true}.withDefaults()
-	if o.Fused {
-		t.Error("DisableFused must turn the fused path off")
+	// The fused engine's only standalone dot pass is the startup ‖b‖²
+	// stop baseline; the classic engine records dot passes every
+	// iteration.
+	for _, disable := range []bool{false, true} {
+		p := buildProblem(t, 16, 16, 1, 21)
+		c := comm.NewSerial()
+		res, err := SolveCG(p, Options{Tol: 1e-9, Comm: c, DisableFused: disable})
+		if err != nil || !res.Converged {
+			t.Fatalf("DisableFused=%v: %v (converged=%v)", disable, err, res.Converged)
+		}
+		if gotFused := c.Trace().Dots <= 1; gotFused == disable {
+			t.Errorf("DisableFused=%v: fused=%v (dots=%d)", disable, gotFused, c.Trace().Dots)
+		}
 	}
 }
 

@@ -313,8 +313,7 @@ func applyDotBody(g *grid.Grid2D, s int, kx, ky, pd, wd []float64) func(t par.Ti
 // breakdown one iteration earlier than p·w alone). The body mirrors
 // ApplyDot — rows hoisted into local slices, 4-way unroll — rather than
 // going through the sliceStencilRows struct: the struct-member indirection
-// defeated the compiler's bounds-check hoisting and cost this kernel 40%
-// of its bandwidth (10.5 vs 17.5 GB/s in BENCH_kernels.json).
+// defeats the compiler's bounds-check hoisting in this loop.
 func (op *Operator2D) ApplyDot2(pool *par.Pool, b grid.Bounds, p, w *grid.Field2D) (pw, ww float64) {
 	if b.Empty() {
 		return 0, 0
@@ -613,11 +612,7 @@ func (op *Operator2D) ApplyPreDotInterior(pool *par.Pool, b grid.Bounds, minv, r
 		// is computed once and reused by the neighbouring cell with the
 		// opposite sign (FX carried in a register, FY in a row buffer), so
 		// the sweep runs 10 FP ops per cell against 15 for the expanded
-		// form and never reads the south Ky or p rows at all. The sweep is
-		// FP-throughput-bound at these meshes (BENCH_kernels.json: 1024²
-		// inside LLC runs only 16% faster than 2048² out of it), so the
-		// shorter recipe, not cache blocking alone, is what buys the
-		// bandwidth back.
+		// form and never reads the south Ky or p rows at all.
 		return pool.ForReduce(ib.Y0, ib.Y1, func(k0, k1 int) float64 {
 			fybuf := make([]float64, min(applyTileX, ib.X1-ib.X0))
 			var pw0, pw1 float64
