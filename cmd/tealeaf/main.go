@@ -31,6 +31,7 @@ import (
 	"tealeaf/internal/output"
 	"tealeaf/internal/par"
 	"tealeaf/internal/problem"
+	"tealeaf/internal/simd"
 )
 
 func main() {
@@ -177,8 +178,8 @@ func run() error {
 	fmt.Printf("TeaLeaf (Go): %dx%d cells, solver=%s precond=%s%s eps=%.1e dt=%g, %d steps\n",
 		d.XCells, d.YCells, d.Solver, orNone(d.Precond), deflNote(d), d.Eps, d.InitialTimestep, nSteps)
 
+	fmt.Printf("decomposition: %dx%d ranks, %d workers/rank, leaves=%s\n", *px, *py, *workers, simd.Leaves())
 	if *px**py > 1 {
-		fmt.Printf("decomposition: %dx%d ranks, %d workers/rank\n", *px, *py, *workers)
 		res, err := core.RunDistributed(d, *px, *py, nSteps, *workers)
 		if err != nil {
 			return err
@@ -253,8 +254,8 @@ func run3D(d *deck.Deck, nSteps, px, py, pz, workers int, quiet bool) error {
 	fmt.Printf("TeaLeaf (Go): %dx%dx%d cells (3D), solver=%s precond=%s%s eps=%.1e dt=%g, %d steps\n",
 		d.XCells, d.YCells, d.ZCells, d.Solver, orNone(d.Precond), deflNote(d), d.Eps, d.InitialTimestep, nSteps)
 
+	fmt.Printf("decomposition: %dx%dx%d ranks, %d workers/rank, leaves=%s\n", px, py, pz, workers, simd.Leaves())
 	if px*py*pz > 1 {
-		fmt.Printf("decomposition: %dx%dx%d ranks, %d workers/rank\n", px, py, pz, workers)
 		res, err := core.RunDistributed3D(d, px, py, pz, nSteps, workers)
 		if err != nil {
 			return err

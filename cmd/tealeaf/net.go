@@ -26,6 +26,7 @@ import (
 	"tealeaf/internal/deck"
 	"tealeaf/internal/grid"
 	"tealeaf/internal/output"
+	"tealeaf/internal/simd"
 )
 
 // runTCPRank runs one rank of a real-network solve in this process.
@@ -72,11 +73,11 @@ func runTCPRank(d *deck.Deck, nSteps, px, py, pz, workers, rank int, peerList st
 		if d.Dims == 3 {
 			fmt.Printf("TeaLeaf (Go): %dx%dx%d cells (3D), solver=%s precond=%s%s eps=%.1e dt=%g, %d steps\n",
 				d.XCells, d.YCells, d.ZCells, d.Solver, orNone(d.Precond), deflNote(d), d.Eps, d.InitialTimestep, nSteps)
-			fmt.Printf("decomposition: %dx%dx%d ranks over tcp, %d workers/rank\n", px, py, pz, workers)
+			fmt.Printf("decomposition: %dx%dx%d ranks over tcp, %d workers/rank, leaves=%s\n", px, py, pz, workers, simd.Leaves())
 		} else {
 			fmt.Printf("TeaLeaf (Go): %dx%d cells, solver=%s precond=%s%s eps=%.1e dt=%g, %d steps\n",
 				d.XCells, d.YCells, d.Solver, orNone(d.Precond), deflNote(d), d.Eps, d.InitialTimestep, nSteps)
-			fmt.Printf("decomposition: %dx%d ranks over tcp, %d workers/rank\n", px, py, workers)
+			fmt.Printf("decomposition: %dx%d ranks over tcp, %d workers/rank, leaves=%s\n", px, py, workers, simd.Leaves())
 		}
 	}
 

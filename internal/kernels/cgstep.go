@@ -3,6 +3,7 @@ package kernels
 import (
 	"tealeaf/internal/grid"
 	"tealeaf/internal/par"
+	"tealeaf/internal/simd"
 )
 
 // FusedCGStep is the whole vector phase of a single-reduction
@@ -129,7 +130,17 @@ func fusedCGStepBody3D(beta, alpha float64, minv, r, w, p, s, x *grid.Field3D) f
 // cgStepPX is burst 1 of the merged step over one row: the p recurrence
 // on the old r and the x update it feeds (skipped for a nil xs — ring
 // rows, where the plain loops are fast enough). nil ms is the identity.
+// Rows with an x update run as AVX2 assembly computing the same bits when
+// simd.AVX2 is set (see DESIGN.md, "AVX2 row leaves").
 func cgStepPX(ms, rs, ps, xs []float64, beta, alpha float64) {
+	if simd.AVX2 && xs != nil {
+		cgStepPXAVX2(ms, rs, ps, xs, beta, alpha)
+		return
+	}
+	cgStepPXGo(ms, rs, ps, xs, beta, alpha)
+}
+
+func cgStepPXGo(ms, rs, ps, xs []float64, beta, alpha float64) {
 	n := len(ps)
 	rs = rs[:n]
 	switch {
@@ -191,13 +202,25 @@ func cgStepPX(ms, rs, ps, xs []float64, beta, alpha float64) {
 
 // cgStepLanes carries the merged step's dot partials across the rows of
 // one tile: FusedCGUpdate's two lanes per dot, so the tile's γ and rr
-// associate exactly as the two-sweep form's do.
+// associate exactly as the two-sweep form's do. The assembly leaf reads
+// and writes it as two pairs, (g0, g1) and (rr0, rr1).
 type cgStepLanes struct{ g0, g1, rr0, rr1 float64 }
 
 // cgStepSR is burst 2 of the merged step over one row: the s recurrence
 // on the old w, the r update it feeds, and both dots against the fresh
-// r still in registers. nil ms is the identity (only rr accumulates).
+// r still in registers — even cells into lane 0, odd cells into lane 1,
+// an odd row's last cell into lane 0. nil ms is the identity (only rr
+// accumulates). Runs as AVX2 assembly computing the same bits when
+// simd.AVX2 is set.
 func (l *cgStepLanes) cgStepSR(ms, rs, ws, ss []float64, beta, alpha float64) {
+	if simd.AVX2 {
+		cgStepSRAVX2(ms, rs, ws, ss, beta, alpha, l)
+		return
+	}
+	l.cgStepSRGo(ms, rs, ws, ss, beta, alpha)
+}
+
+func (l *cgStepLanes) cgStepSRGo(ms, rs, ws, ss []float64, beta, alpha float64) {
 	n := len(rs)
 	ws, ss = ws[:n], ss[:n]
 	g0, g1, rr0, rr1 := l.g0, l.g1, l.rr0, l.rr1

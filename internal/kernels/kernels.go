@@ -681,38 +681,19 @@ func pipelinedCGStepBody(g *grid.Grid2D, beta, alpha float64, md, rd, wd, nd, pd
 			// Burst 1: the p recurrence (old r) and the x update it feeds —
 			// the fused engine's, shared with FusedCGStep.
 			cgStepPX(ms, rs, row(g, tb, pd, k), row(g, tb, xd, k), beta, alpha)
-			// Burst 2: the s recurrence (old w), the r update, and rr.
+			// Burst 2: the s recurrence (old w), the r update, and rr — the
+			// fused engine's identity burst, with its lanes folded per row.
 			ws := row(g, tb, wd, k)
-			ss := row(g, tb, sd, k)
-			var rr0, rr1 float64
-			j := 0
-			for ; j+1 < n; j += 2 {
-				s0 := ws[j] + beta*ss[j]
-				ss[j] = s0
-				v0 := rs[j] - alpha*s0
-				rs[j] = v0
-				rr0 += v0 * v0
-				s1 := ws[j+1] + beta*ss[j+1]
-				ss[j+1] = s1
-				v1 := rs[j+1] - alpha*s1
-				rs[j+1] = v1
-				rr1 += v1 * v1
-			}
-			for ; j < n; j++ {
-				s0 := ws[j] + beta*ss[j]
-				ss[j] = s0
-				v := rs[j] - alpha*s0
-				rs[j] = v
-				rr0 += v * v
-			}
-			rra += rr0 + rr1
+			var l cgStepLanes
+			l.cgStepSR(nil, rs, ws, row(g, tb, sd, k), beta, alpha)
+			rra += l.rr0 + l.rr1
 			// Burst 3: the z recurrence, the w update, and γ, δ against the
 			// new r still in cache.
 			ns := row(g, tb, nd, k)
 			zs := row(g, tb, zd, k)
 			if md == nil {
 				var d0, d1 float64
-				j = 0
+				j := 0
 				for ; j+1 < n; j += 2 {
 					z0 := ns[j] + beta*zs[j]
 					zs[j] = z0
@@ -736,7 +717,7 @@ func pipelinedCGStepBody(g *grid.Grid2D, beta, alpha float64, md, rd, wd, nd, pd
 				continue
 			}
 			var g0, g1, d0, d1 float64
-			j = 0
+			j := 0
 			for ; j+1 < n; j += 2 {
 				z0 := ns[j] + beta*zs[j]
 				zs[j] = z0

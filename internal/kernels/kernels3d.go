@@ -513,34 +513,14 @@ func pipelinedCGStepBody3D(g *grid.Grid3D, beta, alpha float64, md, rd, wd, nd, 
 				}
 				cgStepPX(ms, rs, row3(g, tb, pd, j, k), row3(g, tb, xd, j, k), beta, alpha)
 				ws := row3(g, tb, wd, j, k)
-				ss := row3(g, tb, sd, j, k)
-				var rr0, rr1 float64
-				i := 0
-				for ; i+1 < n; i += 2 {
-					s0 := ws[i] + beta*ss[i]
-					ss[i] = s0
-					v0 := rs[i] - alpha*s0
-					rs[i] = v0
-					rr0 += v0 * v0
-					s1 := ws[i+1] + beta*ss[i+1]
-					ss[i+1] = s1
-					v1 := rs[i+1] - alpha*s1
-					rs[i+1] = v1
-					rr1 += v1 * v1
-				}
-				for ; i < n; i++ {
-					s0 := ws[i] + beta*ss[i]
-					ss[i] = s0
-					v := rs[i] - alpha*s0
-					rs[i] = v
-					rr0 += v * v
-				}
-				rra += rr0 + rr1
+				var l cgStepLanes
+				l.cgStepSR(nil, rs, ws, row3(g, tb, sd, j, k), beta, alpha)
+				rra += l.rr0 + l.rr1
 				ns := row3(g, tb, nd, j, k)
 				zs := row3(g, tb, zd, j, k)
 				if md == nil {
 					var d0, d1 float64
-					i = 0
+					i := 0
 					for ; i+1 < n; i += 2 {
 						z0v := ns[i] + beta*zs[i]
 						zs[i] = z0v
@@ -564,7 +544,7 @@ func pipelinedCGStepBody3D(g *grid.Grid3D, beta, alpha float64, md, rd, wd, nd, 
 					continue
 				}
 				var g0, g1, d0, d1 float64
-				i = 0
+				i := 0
 				for ; i+1 < n; i += 2 {
 					z0v := ns[i] + beta*zs[i]
 					zs[i] = z0v

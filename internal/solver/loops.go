@@ -206,6 +206,9 @@ func runCGFusedCore[F comparable, B any](e *engine[F, B], minv F, maxIters int, 
 	}
 	sums := e.reduceN([]float64{gamma, delta, rr0})
 	gamma, delta, rr0 = sums[0], sums[1], sums[2]
+	if res, err := cgNonFinite(result, scalar{"‖r‖²", rr0}, scalar{"γ", gamma}, scalar{"δ", delta}); err != nil {
+		return res, nil, err
+	}
 	if rr0 == 0 {
 		result.Converged = true
 		return result, mkState(0, 0, 0), nil
@@ -221,7 +224,7 @@ func runCGFusedCore[F comparable, B any](e *engine[F, B], minv F, maxIters int, 
 		result.FinalResidual = relResidual(rr0, base)
 		return result, mkState(gamma, rr0, rr0), nil
 	}
-	if delta <= 0 || math.IsNaN(delta) {
+	if delta <= 0 {
 		// A or M lost positive definiteness at startup; no iteration can
 		// proceed — surface it instead of returning a silent residual of 1.
 		result.FinalResidual = 1
@@ -286,6 +289,9 @@ func runCGFusedCore[F comparable, B any](e *engine[F, B], minv F, maxIters int, 
 		}
 		s := e.reduceN([]float64{gammaNew, rrNew, deltaNew})
 		gammaNew, rrNew, deltaNew = s[0], s[1], s[2]
+		if res, err := cgNonFinite(result, scalar{"‖r‖²", rrNew}, scalar{"γ", gammaNew}, scalar{"δ", deltaNew}); err != nil {
+			return res, nil, err
+		}
 
 		result.Alphas = append(result.Alphas, alpha)
 		result.Iterations++
@@ -310,7 +316,7 @@ func runCGFusedCore[F comparable, B any](e *engine[F, B], minv F, maxIters int, 
 
 		betaNew := gammaNew / gamma
 		denom := deltaNew - betaNew*gammaNew/alpha
-		if denom <= 0 || math.IsNaN(denom) || math.IsNaN(rrNew) {
+		if denom <= 0 || math.IsNaN(denom) {
 			// Breakdown: the three-term recurrences lost conjugacy (or A
 			// is numerically semi-definite). Stop like the classic path's
 			// pw == 0 guard, and record it.
@@ -489,6 +495,10 @@ func runCGPipelinedCore[F comparable, B any](e *engine[F, B], minv F, maxIters i
 		cyc++
 		sums := h.Finish()
 		gamma, delta, rr = sums[0], sums[1], sums[2]
+		if res, err := cgNonFinite(result, scalar{"‖r‖²", rr}, scalar{"γ", gamma}, scalar{"δ", delta}); err != nil {
+			drain()
+			return res, nil, err
+		}
 
 		if first {
 			rr0 = rr
@@ -509,7 +519,7 @@ func runCGPipelinedCore[F comparable, B any](e *engine[F, B], minv F, maxIters i
 				drain()
 				return result, mkState(gamma, rr0, rr0), nil
 			}
-			if delta <= 0 || math.IsNaN(delta) {
+			if delta <= 0 {
 				// A or M lost positive definiteness at startup, exactly as
 				// on the fused engine.
 				result.FinalResidual = 1
@@ -560,7 +570,7 @@ func runCGPipelinedCore[F comparable, B any](e *engine[F, B], minv F, maxIters i
 		} else {
 			betaNew := gamma / gammaOld
 			denom := delta - betaNew*gamma/alpha
-			if denom <= 0 || math.IsNaN(denom) || math.IsNaN(rr) {
+			if denom <= 0 || math.IsNaN(denom) {
 				// The three-term recurrences lost conjugacy; stop like the
 				// fused engine's in-loop guard.
 				result.Breakdown = true
@@ -637,7 +647,7 @@ func runCGClassicCore[F comparable, B any](e *engine[F, B], maxIters int, tol fl
 	if err != nil {
 		return result, nil, err
 	}
-	if defl != nil && rr0 > 0 {
+	if defl != nil && isFinite(rr0) && rr0 > 0 {
 		// Initial coarse correction: Wᵀ·r = 0 afterwards, and the
 		// projected iteration keeps it so. The corrected residual is the
 		// convergence baseline, matching deflate.SolveDeflatedCG.
@@ -646,6 +656,9 @@ func runCGClassicCore[F comparable, B any](e *engine[F, B], maxIters int, tol fl
 		if err != nil {
 			return result, nil, err
 		}
+	}
+	if res, err := cgNonFinite(result, scalar{"‖r‖²", rr0}); err != nil {
+		return res, nil, err
 	}
 	if rr0 == 0 {
 		result.Converged = true
@@ -684,6 +697,9 @@ func runCGClassicCore[F comparable, B any](e *engine[F, B], maxIters int, tol fl
 		rz = e.dot(r, z)
 		rr = e.dot(r, r)
 	}
+	if res, err := cgNonFinite(result, scalar{"r·z", rz}); err != nil {
+		return res, nil, err
+	}
 
 	for it := 0; it < maxIters; it++ {
 		if err := e.exchange(1, pvec); err != nil {
@@ -696,6 +712,9 @@ func runCGClassicCore[F comparable, B any](e *engine[F, B], maxIters int, tol fl
 			e.matvec(in, pvec, w)
 			var zero F
 			pw = e.reduce(e.projectW(defl, in, w, zero, pvec))
+			if res, err := cgNonFinite(result, scalar{"p·A·p", pw}); err != nil {
+				return res, nil, err
+			}
 			if pw <= 0 {
 				// P·A is only positive semi-definite outside the deflated
 				// subspace; a non-positive curvature means the iteration
@@ -705,6 +724,9 @@ func runCGClassicCore[F comparable, B any](e *engine[F, B], maxIters int, tol fl
 			}
 		} else {
 			pw = e.matvecDot(in, pvec, w)
+			if res, err := cgNonFinite(result, scalar{"p·A·p", pw}); err != nil {
+				return res, nil, err
+			}
 			if pw == 0 {
 				result.Breakdown = true
 				break // breakdown: direction is A-null, cannot proceed
@@ -727,6 +749,9 @@ func runCGClassicCore[F comparable, B any](e *engine[F, B], maxIters int, tol fl
 		} else {
 			rzNew = e.dot(r, z)
 			rrNew = e.dot(r, r)
+		}
+		if res, err := cgNonFinite(result, scalar{"‖r‖²", rrNew}, scalar{"r·z", rzNew}); err != nil {
+			return res, nil, err
 		}
 
 		beta := rzNew / rz
@@ -966,13 +991,33 @@ func solveChebyCore[F comparable, B any](e *engine[F, B]) (Result, error) {
 
 func isFinite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
-// nonFinite ends a PPCG or Chebyshev solve whose globally reduced scalar
-// `name` came back NaN or Inf: res marked broken down, and an ErrBreakdown
-// error naming the iteration. The scalar is post-reduction, so every rank
-// returns here together.
+// nonFinite ends a solve whose globally reduced scalar `name` came back
+// NaN or Inf: res marked broken down, and an ErrBreakdown error naming
+// the iteration. The scalar is post-reduction, so every rank returns
+// here together.
 func nonFinite(res Result, solver, name string, v float64) (Result, error) {
 	res.Breakdown = true
 	return res, fmt.Errorf("solver: %s iteration %d: %s = %v: %w", solver, res.Iterations, name, v, ErrBreakdown)
+}
+
+// scalar is a named post-reduction value for cgNonFinite.
+type scalar struct {
+	name string
+	v    float64
+}
+
+// cgNonFinite ends a CG solve (any engine) at the first of its
+// post-reduction scalars that is NaN or Inf, so a non-finite input or
+// iterate stops at the iteration it first appears instead of running to
+// the budget or passing for a converged step (an Inf residual over an
+// Inf ‖b‖ meets the stop test). err is nil when every scalar is finite.
+func cgNonFinite(res Result, scalars ...scalar) (Result, error) {
+	for _, s := range scalars {
+		if !isFinite(s.v) {
+			return nonFinite(res, "cg", s.name, s.v)
+		}
+	}
+	return res, nil
 }
 
 // solvePPCGCore runs the paper's headline solver: CG preconditioned by a

@@ -2,6 +2,7 @@ package solver
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -25,9 +26,44 @@ func wantBreakdown(t *testing.T, label string, res Result, err error) {
 	}
 }
 
-// A NaN in one right-hand-side cell never gets past the bootstrap: the
-// fused CG's startup curvature guard or, behind the classic loop, the
-// hand-over check on the bootstrap's ‖r‖².
+// ROADMAP 6d: a NaN or Inf in one right-hand-side cell ends a CG solve
+// with ErrBreakdown at the startup reduction that first sees it, on every
+// engine, 2D and 3D. Before, the classic loop ran a NaN input to its
+// iteration budget, and on every engine an Inf input made ‖r₀‖² and ‖b‖²
+// both Inf, which passes the startup "already solved" test.
+func TestNonFiniteCGInputIsBreakdown(t *testing.T) {
+	engines := []struct {
+		name string
+		o    Options
+	}{
+		{"fused", Options{Tol: 1e-10}},
+		{"pipelined", Options{Tol: 1e-10, Pipelined: true}},
+		{"classic", Options{Tol: 1e-10, DisableFused: true}},
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+		for _, eng := range engines {
+			label := fmt.Sprintf("cg %s rhs=%v", eng.name, bad)
+			p := buildProblem(t, 24, 20, 2, 3)
+			p.RHS.Set(5, 7, bad)
+			res, err := SolveCG(p, eng.o)
+			wantBreakdown(t, label+" 2D", res, err)
+			if res.Iterations != 0 {
+				t.Errorf("%s 2D: ran %d iterations", label, res.Iterations)
+			}
+
+			p3 := buildProblem3D(t, 8, 3)
+			p3.RHS.Set(2, 3, 4, bad)
+			res, err = SolveCG3D(p3, eng.o)
+			wantBreakdown(t, label+" 3D", res, err)
+			if res.Iterations != 0 {
+				t.Errorf("%s 3D: ran %d iterations", label, res.Iterations)
+			}
+		}
+	}
+}
+
+// A NaN in one right-hand-side cell never gets past the bootstrap CG's
+// startup reduction (see TestNonFiniteCGInputIsBreakdown).
 func TestNonFiniteInputIsBreakdown(t *testing.T) {
 	for _, kind := range []Kind{KindPPCG, KindCheby} {
 		for _, unfused := range []bool{false, true} {

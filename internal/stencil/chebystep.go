@@ -3,6 +3,7 @@ package stencil
 import (
 	"tealeaf/internal/grid"
 	"tealeaf/internal/par"
+	"tealeaf/internal/simd"
 )
 
 // This file is the one-sweep Chebyshev step of PPCG's inner solve. A step
@@ -36,29 +37,41 @@ func point5(kw, ke, ks, kn, c, w, e, s, n float64) float64 {
 	return (1+(kn+ks)+(ke+kw))*c - (kn*n + ks*s) - (ke*e + kw*w)
 }
 
-// The row leaves take a run of cells as equal-length rows that all start
-// at the run's first cell (the west and east views are the centre row
-// shifted by one) and re-slice them to the output's length, so the loops
-// carry no bounds checks on them. nil ms is the identity preconditioner,
-// tested per cell. A nil zs is a run outside the interior — a few ring
-// cells per row, or a few ring rows — which advances the residual and the
-// direction only; the interior loop also adds the new direction to zs
-// while it is still in a register. One loop testing zs per cell as well
-// measured 3.15 against 2.55 ns/cell (identity) and 3.35 against 2.80
-// (diagonal) on a serial 512×1024 rank; a third loop specialised on the
-// identity measured no faster than the per-cell test.
+// The row leaves take a run of n cells and re-slice every row to its
+// length, so the loops carry no bounds checks on them. nil ms is the
+// identity preconditioner, tested per cell. A nil zs is a run outside the
+// interior — a few ring cells per row, or a few ring rows — which
+// advances the residual and the direction only; the interior loop also
+// adds the new direction to zs while it is still in a register. One loop
+// testing zs per cell as well measured 3.15 against 2.55 ns/cell
+// (identity) and 3.35 against 2.80 (diagonal) on a serial 512×1024 rank;
+// a third loop specialised on the identity measured no faster than the
+// per-cell test.
 
-// chebyRow5 is the 2D row leaf. The west face coefficient and the west
-// and centre values ride in registers: each is the previous cell's east
-// one, and nothing in the sweep writes the field they come from.
-func chebyRow5(kw, ke, ks, kn, pw, pc, pe, ps, pn, rs, ms, ns, zs []float64, alpha, beta float64) {
+// chebyRow5 is the 2D row leaf. Like the other 2D leaves (see
+// applyDotRow5) it takes the x-face row kx and the direction row p
+// extended one cell each side, lengths n+1 and n+2; behind simd.AVX2 it
+// runs as assembly computing the same bits.
+func chebyRow5(kx, ks, kn, p, ps, pn, rs, ms, ns, zs []float64, alpha, beta float64) {
+	if simd.AVX2 {
+		chebyRow5AVX2(kx, ks, kn, p, ps, pn, rs, ms, ns, zs, alpha, beta)
+		return
+	}
+	chebyRow5Go(kx, ks, kn, p, ps, pn, rs, ms, ns, zs, alpha, beta)
+}
+
+// chebyRow5Go is the Go form of chebyRow5. The west face coefficient and
+// the west and centre values ride in registers: each is the previous
+// cell's east one, and nothing in the sweep writes the field they come
+// from.
+func chebyRow5Go(kx, ks, kn, p, ps, pn, rs, ms, ns, zs []float64, alpha, beta float64) {
 	n := len(ns)
 	if n == 0 {
 		return
 	}
-	ke, ks, kn = ke[:n], ks[:n], kn[:n]
-	pe, ps, pn, rs = pe[:n], ps[:n], pn[:n], rs[:n]
-	k0, w, c := kw[0], pw[0], pc[0]
+	ke, pe := kx[1:n+1], p[2:n+2]
+	ks, kn, ps, pn, rs = ks[:n], kn[:n], ps[:n], pn[:n], rs[:n]
+	k0, w, c := kx[0], p[0], p[1]
 	if zs == nil {
 		for i := range ns {
 			k1, e := ke[i], pe[i]
@@ -87,7 +100,9 @@ func chebyRow5(kw, ke, ks, kn, pw, pc, pe, ps, pn, rs, ms, ns, zs []float64, alp
 	}
 }
 
-// chebyRow7 is the 3D row leaf: chebyRow5 with the back and front faces.
+// chebyRow7 is the 3D row leaf: chebyRow5Go with the back and front
+// faces, over equal-length rows that all start at the run's first cell
+// (the west and east views are the centre row shifted by one).
 func chebyRow7(kw, ke, ks, kn, kb, kf, pw, pc, pe, ps, pn, pb, pf, rs, ms, ns, zs []float64, alpha, beta float64) {
 	n := len(ns)
 	if n == 0 {
@@ -167,8 +182,8 @@ func (op *Operator2D) ChebyStep(pool *par.Pool, b, in grid.Bounds, alpha, beta f
 				if accum {
 					zs = ad[o : o+n]
 				}
-				chebyRow5(kx[o:o+n], kx[o+1:o+1+n], ky[o:o+n], ky[o+s:o+s+n],
-					od[o-1:o-1+n], od[o:o+n], od[o+1:o+1+n], od[o-s:o-s+n], od[o+s:o+s+n],
+				chebyRow5(kx[o:o+n+1], ky[o:o+n], ky[o+s:o+s+n],
+					od[o-1:o+n+1], od[o-s:o-s+n], od[o+s:o+s+n],
 					rd[o:o+n], ms, nd[o:o+n:o+n], zs, alpha, beta)
 			})
 		}

@@ -25,6 +25,7 @@ import (
 
 	"tealeaf/internal/grid"
 	"tealeaf/internal/par"
+	"tealeaf/internal/simd"
 )
 
 // Coefficient selects how the conduction coefficient is derived from the
@@ -263,48 +264,69 @@ func (op *Operator2D) ApplyDot(pool *par.Pool, b grid.Bounds, p, w *grid.Field2D
 func applyDotBody(g *grid.Grid2D, s int, kx, ky, pd, wd []float64) func(t par.Tile, acc []float64) {
 	return func(t par.Tile, acc []float64) {
 		n := t.X1 - t.X0
-		var pw0, pw1, pw2, pw3 float64
+		var pw [4]float64
 		for k := t.Y0; k < t.Y1; k++ {
 			o := g.Index(t.X0, k)
-			kxs := kx[o : o+n+1]
-			kyn := ky[o+s : o+s+n]
-			kys := ky[o : o+n]
-			pn := pd[o+s : o+s+n]
-			pso := pd[o-s : o-s+n]
-			pc := pd[o-1 : o+n+1]
-			ws := wd[o : o+n : o+n]
-			j := 0
-			for ; j+3 < n; j += 4 {
-				pc0, pc1, pc2, pc3 := pc[j+1], pc[j+2], pc[j+3], pc[j+4]
-				v0 := (1+(kyn[j]+kys[j])+(kxs[j+1]+kxs[j]))*pc0 -
-					(kyn[j]*pn[j] + kys[j]*pso[j]) -
-					(kxs[j+1]*pc[j+2] + kxs[j]*pc[j])
-				v1 := (1+(kyn[j+1]+kys[j+1])+(kxs[j+2]+kxs[j+1]))*pc1 -
-					(kyn[j+1]*pn[j+1] + kys[j+1]*pso[j+1]) -
-					(kxs[j+2]*pc[j+3] + kxs[j+1]*pc[j+1])
-				v2 := (1+(kyn[j+2]+kys[j+2])+(kxs[j+3]+kxs[j+2]))*pc2 -
-					(kyn[j+2]*pn[j+2] + kys[j+2]*pso[j+2]) -
-					(kxs[j+3]*pc[j+4] + kxs[j+2]*pc[j+2])
-				v3 := (1+(kyn[j+3]+kys[j+3])+(kxs[j+4]+kxs[j+3]))*pc3 -
-					(kyn[j+3]*pn[j+3] + kys[j+3]*pso[j+3]) -
-					(kxs[j+4]*pc[j+5] + kxs[j+3]*pc[j+3])
-				ws[j], ws[j+1], ws[j+2], ws[j+3] = v0, v1, v2, v3
-				pw0 += pc0 * v0
-				pw1 += pc1 * v1
-				pw2 += pc2 * v2
-				pw3 += pc3 * v3
-			}
-			for ; j < n; j++ {
-				pc0 := pc[j+1]
-				v := (1+(kyn[j]+kys[j])+(kxs[j+1]+kxs[j]))*pc0 -
-					(kyn[j]*pn[j] + kys[j]*pso[j]) -
-					(kxs[j+1]*pc[j+2] + kxs[j]*pc[j])
-				ws[j] = v
-				pw0 += pc0 * v
-			}
+			applyDotRow5(kx[o:o+n+1], ky[o+s:o+s+n], ky[o:o+n],
+				pd[o+s:o+s+n], pd[o-s:o-s+n], pd[o-1:o+n+1], wd[o:o+n:o+n], &pw)
 		}
-		acc[0] += (pw0 + pw1) + (pw2 + pw3)
+		acc[0] += (pw[0] + pw[1]) + (pw[2] + pw[3])
 	}
+}
+
+// The 2D row leaves below take one row of n cells as the face
+// coefficient row kxs and the centre value row pc extended one cell each
+// side (kxs[j], kxs[j+1] are cell j's west and east faces; pc[j], pc[j+1],
+// pc[j+2] its west, centre and east values), the north/south face and
+// value rows, and the output row, whose length is n. Each has a Go form
+// and, behind simd.AVX2, an assembly form (leaves_amd64.s) that computes
+// the same bits; see DESIGN.md, "AVX2 row leaves".
+
+// applyDotRow5 is applyDotBody's row leaf: w = A·p over the row, with
+// p·w accumulated in four lanes — cell j of each aligned group of four
+// into lane j mod 4, the cells past the last full group into lane 0.
+func applyDotRow5(kxs, kyn, kys, pn, pso, pc, ws []float64, pw *[4]float64) {
+	if simd.AVX2 {
+		applyDotRow5AVX2(kxs, kyn, kys, pn, pso, pc, ws, pw)
+		return
+	}
+	applyDotRow5Go(kxs, kyn, kys, pn, pso, pc, ws, pw)
+}
+
+func applyDotRow5Go(kxs, kyn, kys, pn, pso, pc, ws []float64, pw *[4]float64) {
+	n := len(ws)
+	kxs, kyn, kys, pn, pso, pc = kxs[:n+1], kyn[:n], kys[:n], pn[:n], pso[:n], pc[:n+2]
+	pw0, pw1, pw2, pw3 := pw[0], pw[1], pw[2], pw[3]
+	j := 0
+	for ; j+3 < n; j += 4 {
+		pc0, pc1, pc2, pc3 := pc[j+1], pc[j+2], pc[j+3], pc[j+4]
+		v0 := (1+(kyn[j]+kys[j])+(kxs[j+1]+kxs[j]))*pc0 -
+			(kyn[j]*pn[j] + kys[j]*pso[j]) -
+			(kxs[j+1]*pc[j+2] + kxs[j]*pc[j])
+		v1 := (1+(kyn[j+1]+kys[j+1])+(kxs[j+2]+kxs[j+1]))*pc1 -
+			(kyn[j+1]*pn[j+1] + kys[j+1]*pso[j+1]) -
+			(kxs[j+2]*pc[j+3] + kxs[j+1]*pc[j+1])
+		v2 := (1+(kyn[j+2]+kys[j+2])+(kxs[j+3]+kxs[j+2]))*pc2 -
+			(kyn[j+2]*pn[j+2] + kys[j+2]*pso[j+2]) -
+			(kxs[j+3]*pc[j+4] + kxs[j+2]*pc[j+2])
+		v3 := (1+(kyn[j+3]+kys[j+3])+(kxs[j+4]+kxs[j+3]))*pc3 -
+			(kyn[j+3]*pn[j+3] + kys[j+3]*pso[j+3]) -
+			(kxs[j+4]*pc[j+5] + kxs[j+3]*pc[j+3])
+		ws[j], ws[j+1], ws[j+2], ws[j+3] = v0, v1, v2, v3
+		pw0 += pc0 * v0
+		pw1 += pc1 * v1
+		pw2 += pc2 * v2
+		pw3 += pc3 * v3
+	}
+	for ; j < n; j++ {
+		pc0 := pc[j+1]
+		v := (1+(kyn[j]+kys[j])+(kxs[j+1]+kxs[j]))*pc0 -
+			(kyn[j]*pn[j] + kys[j]*pso[j]) -
+			(kxs[j+1]*pc[j+2] + kxs[j]*pc[j])
+		ws[j] = v
+		pw0 += pc0 * v
+	}
+	pw[0], pw[1], pw[2], pw[3] = pw0, pw1, pw2, pw3
 }
 
 // ApplyDot2 computes w = A·p fused with the two dot products p·w and w·w
@@ -471,42 +493,59 @@ func applyPreDotBody(g *grid.Grid2D, s int, kx, ky, md, rd, wd []float64) func(t
 		}
 		fill(us, t.Y0-1)
 		fill(uc, t.Y0)
-		var uw0, uw1 float64
+		var uw [2]float64
 		for k := t.Y0; k < t.Y1; k++ {
 			fill(un, k+1)
 			o := g.Index(t.X0, k)
-			kxs := kx[o : o+n+1]
-			kyn := ky[o+s : o+s+n]
-			kys := ky[o : o+n]
-			ws := wd[o : o+n : o+n]
-			j := 0
-			for ; j+1 < n; j += 2 {
-				uc0 := uc[j+1]
-				v0 := (1+(kyn[j]+kys[j])+(kxs[j+1]+kxs[j]))*uc0 -
-					(kyn[j]*un[j+1] + kys[j]*us[j+1]) -
-					(kxs[j+1]*uc[j+2] + kxs[j]*uc[j])
-				ws[j] = v0
-				uw0 += uc0 * v0
-				uc1 := uc[j+2]
-				v1 := (1+(kyn[j+1]+kys[j+1])+(kxs[j+2]+kxs[j+1]))*uc1 -
-					(kyn[j+1]*un[j+2] + kys[j+1]*us[j+2]) -
-					(kxs[j+2]*uc[j+3] + kxs[j+1]*uc[j+1])
-				ws[j+1] = v1
-				uw1 += uc1 * v1
-			}
-			for ; j < n; j++ {
-				uc0 := uc[j+1]
-				v := (1+(kyn[j]+kys[j])+(kxs[j+1]+kxs[j]))*uc0 -
-					(kyn[j]*un[j+1] + kys[j]*us[j+1]) -
-					(kxs[j+1]*uc[j+2] + kxs[j]*uc[j])
-				ws[j] = v
-				uw0 += uc0 * v
-			}
+			applyPreDotRow5(kx[o:o+n+1], ky[o+s:o+s+n], ky[o:o+n],
+				un[1:n+1], us[1:n+1], uc, wd[o:o+n:o+n], &uw)
 			us, uc, un = uc, un, us
 		}
-		acc[0] += uw0 + uw1
+		acc[0] += uw[0] + uw[1]
 		putWindow(buf)
 	}
+}
+
+// applyPreDotRow5 is applyPreDotBody's row leaf: w = A·u over the row for
+// the window rows un, us, uc of u, with u·w accumulated in two lanes —
+// even cells into lane 0, odd cells into lane 1, an odd row's last cell
+// into lane 0.
+func applyPreDotRow5(kxs, kyn, kys, un, us, uc, ws []float64, uw *[2]float64) {
+	if simd.AVX2 {
+		applyPreDotRow5AVX2(kxs, kyn, kys, un, us, uc, ws, uw)
+		return
+	}
+	applyPreDotRow5Go(kxs, kyn, kys, un, us, uc, ws, uw)
+}
+
+func applyPreDotRow5Go(kxs, kyn, kys, un, us, uc, ws []float64, uw *[2]float64) {
+	n := len(ws)
+	kxs, kyn, kys, un, us, uc = kxs[:n+1], kyn[:n], kys[:n], un[:n], us[:n], uc[:n+2]
+	uw0, uw1 := uw[0], uw[1]
+	j := 0
+	for ; j+1 < n; j += 2 {
+		uc0 := uc[j+1]
+		v0 := (1+(kyn[j]+kys[j])+(kxs[j+1]+kxs[j]))*uc0 -
+			(kyn[j]*un[j] + kys[j]*us[j]) -
+			(kxs[j+1]*uc[j+2] + kxs[j]*uc[j])
+		ws[j] = v0
+		uw0 += uc0 * v0
+		uc1 := uc[j+2]
+		v1 := (1+(kyn[j+1]+kys[j+1])+(kxs[j+2]+kxs[j+1]))*uc1 -
+			(kyn[j+1]*un[j+1] + kys[j+1]*us[j+1]) -
+			(kxs[j+2]*uc[j+3] + kxs[j+1]*uc[j+1])
+		ws[j+1] = v1
+		uw1 += uc1 * v1
+	}
+	for ; j < n; j++ {
+		uc0 := uc[j+1]
+		v := (1+(kyn[j]+kys[j])+(kxs[j+1]+kxs[j]))*uc0 -
+			(kyn[j]*un[j] + kys[j]*us[j]) -
+			(kxs[j+1]*uc[j+2] + kxs[j]*uc[j])
+		ws[j] = v
+		uw0 += uc0 * v
+	}
+	uw[0], uw[1] = uw0, uw1
 }
 
 // ApplyPreDotInit is ApplyPreDot extended with the two extra dot products
