@@ -35,7 +35,7 @@ func fuzzExperiment(cfg config) error {
 			Generated: time.Now().UTC().Format(time.RFC3339),
 			Notes: []string{
 				"Each deck is solved across every checker leg: serial base, classic/pipelined engines, 2- and 4-rank Hub, 2-rank TCP, tiled worker counts {1,2,4}, halo depths {1,2,3}.",
-				"Checker tolerances: conservation 1e-8; trajectory comparisons max(contract floor, 150*eps) relative — see internal/propcheck/invariants.go.",
+				"Checker tolerances: conservation drift equal to what the solves' residuals account for, to rounding; trajectory comparisons max(contract floor, 150*eps) relative — see internal/propcheck/invariants.go.",
 				"A failure record carries the deck and its shrunk minimal reproducer, both ready to run via the tea CLI.",
 			},
 			Report: rep,

@@ -58,7 +58,7 @@ func TestGalleryGoldens(t *testing.T) {
 				t.Errorf("internal energy = %.15e, want %.15e (rel %.2e)", sum.InternalEnergy, want.ie, rel)
 			}
 			// All gallery decks conserve to FP roundoff (reflecting
-			// boundaries; the 1e-8 propcheck gate is very loose here).
+			// boundaries).
 			if drift := math.Abs(sum.InternalEnergy-ie0) / ie0; drift > 1e-12 {
 				t.Errorf("conservation drift %.3e above roundoff", drift)
 			}

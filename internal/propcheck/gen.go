@@ -11,9 +11,9 @@ import (
 // Generator bounds. The mesh stays small enough that a full checker
 // sweep (roughly a dozen solves per deck) is cheap, and the stiffness
 // and contrast ranges are bounded so CG/PPCG converge to the tight eps
-// the conservation checker needs: the per-step energy drift is of order
-// eps·‖r₀‖, so runaway rx = dt·k/Δx² or extreme density jumps would
-// spend the 1e-8 conservation budget on solver tolerance alone.
+// the checkers need: runaway rx = dt·k/Δx² or extreme density jumps
+// would make every solve slow and part legs by more than the multiple
+// of eps the cross-leg comparisons allow (see legTol).
 const (
 	genMinCells2D = 8
 	genMaxCells2D = 48

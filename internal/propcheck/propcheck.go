@@ -5,9 +5,9 @@
 // the equivalence contracts PRs 1–8 established:
 //
 //   - finite:               every cell of the final energy field is finite
-//   - conserve:             internal energy is conserved across steps to
-//     1e-8 relative (reflecting boundaries make the continuum fluxes
-//     telescope exactly; only solver tolerance and FP roundoff remain)
+//   - conserve:             internal energy moves by exactly what the
+//     solves' residuals account for, to rounding (reflecting boundaries
+//     make the fluxes telescope exactly, so a step changes Σu by −Σr)
 //   - engines:              fused, classic and pipelined CG/PPCG engines
 //     agree to 1e-8 relative on the final energy field
 //   - rank-invariance:      1-, 2- and 4-rank decompositions agree to
@@ -83,6 +83,8 @@ type CaseResult struct {
 	Steps      int      `json:"steps"`
 	Iterations int      `json:"iterations"`
 	Drift      float64  `json:"conservation_drift"`
+	Imbalance  float64  `json:"conservation_imbalance"`
+	Slack      float64  `json:"conservation_slack"`
 	Checkers   []string `json:"checkers"`
 	Failure    *Failure `json:"failure,omitempty"`
 }
@@ -116,8 +118,8 @@ func Run(cfg Config) *Report {
 			if cr.Failure != nil {
 				verdict = "FAIL " + cr.Failure.Checker
 			}
-			cfg.Log("deck %02d %dD %s %s steps=%d iters=%d drift=%.2e [%s] %s",
-				i, cr.Dims, cr.Mesh, cr.Solver, cr.Steps, cr.Iterations, cr.Drift,
+			cfg.Log("deck %02d %dD %s %s steps=%d iters=%d drift=%.2e imbalance=%.2e/%.2e [%s] %s",
+				i, cr.Dims, cr.Mesh, cr.Solver, cr.Steps, cr.Iterations, cr.Drift, cr.Imbalance, cr.Slack,
 				axisString(cr.Axes), verdict)
 		}
 		rep.Cases = append(rep.Cases, cr)
@@ -161,6 +163,8 @@ func CheckDeck(d *deck.Deck, cfg Config) CaseResult {
 	if base, err := h.baseRun(); err == nil {
 		cr.Iterations = base.iters
 		cr.Drift = relDrift(base)
+		cr.Imbalance = relImbalance(base)
+		cr.Slack = relSlack(base)
 	}
 	return cr
 }

@@ -1,6 +1,7 @@
 package propcheck
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -69,8 +70,8 @@ func TestRunCleanCorpus(t *testing.T) {
 		if len(c.Checkers) == 0 {
 			t.Errorf("deck %d: no checkers recorded", c.Index)
 		}
-		if c.Drift > TolConserve {
-			t.Errorf("deck %d: drift %.3e above the conservation gate", c.Index, c.Drift)
+		if c.Imbalance > c.Slack {
+			t.Errorf("deck %d: energy imbalance %.3e above its rounding slack %.3e", c.Index, c.Imbalance, c.Slack)
 		}
 	}
 }
@@ -153,6 +154,8 @@ func TestBrokenKernelDetectedAndShrunk(t *testing.T) {
 // TestTamperedBaseTripsConservation: a fault in the base leg must be
 // caught by the physics checkers, not just cross-leg comparisons — the
 // re-summarised internal energy exposes it as a conservation violation.
+// The fault is a 1e-6 relative perturbation of the leg's field after
+// its solves, which no residual accounts for.
 func TestTamperedBaseTripsConservation(t *testing.T) {
 	cfg := Config{
 		Tamper: func(leg string, energy *grid.Field2D) {
@@ -160,7 +163,11 @@ func TestTamperedBaseTripsConservation(t *testing.T) {
 				return
 			}
 			b := energy.Grid.Interior()
-			energy.Set(b.X0, b.Y0, energy.At(b.X0, b.Y0)+1)
+			for k := b.Y0; k < b.Y1; k++ {
+				for j := b.X0; j < b.X1; j++ {
+					energy.Set(j, k, energy.At(j, k)*(1+1e-6))
+				}
+			}
 		},
 	}
 	cr := CheckDeck(tamperDeck(t), cfg)
@@ -169,6 +176,70 @@ func TestTamperedBaseTripsConservation(t *testing.T) {
 	}
 	if cr.Failure.Checker != "conserve" {
 		t.Fatalf("caught by %q, want conserve (detail: %s)", cr.Failure.Checker, cr.Failure.Detail)
+	}
+}
+
+// deck106 is the shrunk reproducer of `teabench -exp fuzz -seed 1` deck
+// 106: a 3D recip_density jac_diag CG deck at tl_eps = 1e-10 whose
+// internal energy drifts 1.73e-8 relative, which a fixed 1e-8
+// conservation gate failed. The drift follows the deck's own tl_eps
+// (6.2e-11 at 1e-12, 2.3e-13 at 1e-14 on the fused engine): it is the
+// residual the solve stops at, not a 3D defect.
+const deck106 = `*tea
+dims=3
+x_cells=11
+y_cells=7
+z_cells=14
+xmin=-4.9018577232849125
+xmax=-4.170402390108395
+ymin=4.140462084017111
+ymax=4.5568319428928
+zmin=2.9874664954271255
+zmax=3.870570481916844
+initial_timestep=0.04663102455648603
+end_time=1e+12
+end_step=1
+tl_use_cg
+tl_max_iters=30000
+tl_eps=1e-10
+tl_preconditioner_type=jac_diag
+tl_coefficient_recip_density
+state 1 density=0.5543723146835569 energy=0.05225089214678922
+state 2 density=1.0085529734939715 energy=0.03373765269930603 geometry=rectangle xmin=-4.3437522055214215 xmax=-4.315088785068472 ymin=4.198534025384363 ymax=4.323459877997609 zmin=3.478435057915306 zmax=3.710159720384305
+state 3 density=0.735136800268472 energy=0.016673499323747527 geometry=rectangle xmin=-4.830069931504297 xmax=-4.7587669295296315 ymin=4.345460023903749 ymax=4.520382767412526 zmin=3.0041216829010846 zmax=3.4539276383081736
+state 4 density=18.38500086947939 energy=5.875813852418745 geometry=circle xcentre=-4.5911539795270215 ycentre=4.433025542394727 zcentre=3.503457664460237 radius=0.046993951164580904
+state 5 density=6.3255960871158345 energy=0.0468923108642938 geometry=rectangle xmin=-4.882420860315536 xmax=-4.716189607406123 ymin=4.358316210198544 ymax=4.506675117714414 zmin=2.998704940508835 zmax=3.670359191425117
+*endtea
+`
+
+// TestConserveDeck106 pins deck106 as a regression case: at its own
+// tl_eps and at two tighter ones, on the fused and pipelined engines,
+// the drift is what the solves' residuals account for, and on the fused
+// engine it shrinks with tl_eps. (The pipelined engine's recurred
+// residual parts from its true one sooner — its attainable accuracy —
+// so at tl_eps 1e-14 it drifts 2e-11, only 4× below its drift at 1e-12.)
+func TestConserveDeck106(t *testing.T) {
+	for _, pipelined := range []bool{false, true} {
+		prev := math.Inf(1)
+		for _, eps := range []float64{1e-10, 1e-12, 1e-14} {
+			d, err := deck.ParseString(deck106)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d.Eps, d.Pipelined = eps, pipelined
+			h := newHarness(d, Config{})
+			if err := checkConserve(h); err != nil {
+				t.Fatalf("eps %g pipelined %v: %v", eps, pipelined, err)
+			}
+			drift := relDrift(h.base)
+			t.Logf("eps %g pipelined %v: drift %.2e, imbalance %.2e, slack %.2e",
+				eps, pipelined, drift, relImbalance(h.base), relSlack(h.base))
+			if !pipelined && drift > prev/10 {
+				t.Errorf("eps %g pipelined %v: drift %.2e, not 10× below %.2e at 100× looser eps",
+					eps, pipelined, drift, prev)
+			}
+			prev = drift
+		}
 	}
 }
 

@@ -67,13 +67,13 @@ func runCGCore[F comparable, B any](e *engine[F, B], maxIters int, tol float64) 
 // residual; the 10× margin matches the one finishDeflated's re-measured
 // residual is allowed.
 //
-// Deflated solves additionally widen the baseline to max(‖r₀‖², ‖b‖²) —
-// the standard b-relative criterion — because the coarse projector
-// re-injects O(ε·‖A‖·‖u‖) absolute roundoff into every iterate, putting
-// any target far below ε·‖b‖ out of reach no matter where r₀ started.
-// Plain solves keep baseline rr0 whenever they iterate at all, so the
-// historical stop behaviour — and every pinned golden — is preserved
-// bit for bit. Costs one extra reduction round at startup.
+// Every solve that iterates takes the baseline max(‖r₀‖², ‖b‖²) — the
+// standard b-relative criterion whenever ‖b‖ > ‖r₀‖, which on a
+// diffusion step is the usual case. It was written for deflated solves,
+// whose coarse projector re-injects O(ε·‖A‖·‖u‖) absolute roundoff into
+// every iterate, putting any target far below ε·‖b‖ out of reach no
+// matter where r₀ started; plain solves take it too (the goldens are
+// pinned on it). Costs one extra reduction round at startup.
 func (e *engine[F, B]) startupBaseSq(rr0, tol float64) (base float64, done bool) {
 	bb := e.dot(e.rhs, e.rhs)
 	if rr0 <= 100*tol*tol*bb {

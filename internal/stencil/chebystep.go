@@ -101,16 +101,16 @@ func chebyRow5Go(kx, ks, kn, p, ps, pn, rs, ms, ns, zs []float64, alpha, beta fl
 }
 
 // chebyRow7 is the 3D row leaf: chebyRow5Go with the back and front
-// faces, over equal-length rows that all start at the run's first cell
-// (the west and east views are the centre row shifted by one).
-func chebyRow7(kw, ke, ks, kn, kb, kf, pw, pc, pe, ps, pn, pb, pf, rs, ms, ns, zs []float64, alpha, beta float64) {
+// faces, over the 3D leaves' ten stencil rows (see stencil3d.go).
+func chebyRow7(kx, ks, kn, kb, kf, p, ps, pn, pb, pf, rs, ms, ns, zs []float64, alpha, beta float64) {
 	n := len(ns)
 	if n == 0 {
 		return
 	}
-	ke, ks, kn, kb, kf = ke[:n], ks[:n], kn[:n], kb[:n], kf[:n]
-	pe, ps, pn, pb, pf, rs = pe[:n], ps[:n], pn[:n], pb[:n], pf[:n], rs[:n]
-	k0, w, c := kw[0], pw[0], pc[0]
+	ke, pe := kx[1:n+1], p[2:n+2]
+	ks, kn, kb, kf = ks[:n], kn[:n], kb[:n], kf[:n]
+	ps, pn, pb, pf, rs = ps[:n], pn[:n], pb[:n], pf[:n], rs[:n]
+	k0, w, c := kx[0], p[0], p[1]
 	if zs == nil {
 		for i := range ns {
 			k1, e := ke[i], pe[i]
@@ -210,8 +210,8 @@ func (op *Operator3D) ChebyStep(pool *par.Pool, b, in grid.Bounds3D, alpha, beta
 				row := g.Index(t.X0, j, k)
 				rowRuns(t.X1-t.X0, a0, a1, inZ && j >= in.Y0 && j < in.Y1, func(off, n int, accum bool) {
 					o := row + off
-					kw, ke, ks, kn, kb, kf := op.kRows(o, n, sy, sz)
-					pw, pc, pe, ps, pn, pb, pf := pRows(od, o, n, sy, sz)
+					kx, ks, kn, kb, kf := op.kRows(o, n, sy, sz)
+					pc, ps, pn, pb, pf := pRows(od, o, n, sy, sz)
 					var ms, zs []float64
 					if md != nil {
 						ms = md[o : o+n]
@@ -219,7 +219,7 @@ func (op *Operator3D) ChebyStep(pool *par.Pool, b, in grid.Bounds3D, alpha, beta
 					if accum {
 						zs = ad[o : o+n]
 					}
-					chebyRow7(kw, ke, ks, kn, kb, kf, pw, pc, pe, ps, pn, pb, pf,
+					chebyRow7(kx, ks, kn, kb, kf, pc, ps, pn, pb, pf,
 						rd[o:o+n], ms, nd[o:o+n:o+n], zs, alpha, beta)
 				})
 			}

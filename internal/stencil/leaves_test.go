@@ -24,6 +24,7 @@ func TestRowLeavesMatchGoBitwise(t *testing.T) {
 			for off := 0; off < 4; off++ {
 				label := fmt.Sprintf("n=%d off=%d special=%v", n, off, special)
 				checkDotRows(t, g, n, off, label)
+				checkDotRow7(t, g, n, off, label)
 				for _, pre := range []bool{false, true} {
 					for _, accum := range []bool{false, true} {
 						checkChebyRow(t, g, n, off, pre, accum, label)
@@ -87,9 +88,42 @@ func checkChebyRow(t *testing.T, g *st.Gen, n, off int, pre, accum bool, label s
 	st.SameRows(t, what+" z", zAsm, zGo)
 }
 
-// BenchmarkRowLeaves prices each 2D row leaf, Go form against AVX2
-// form, on cache-resident rows of 256 and 1024 cells.
+// rows7 draws the ten stencil rows of an n-cell 3D run, each at its own
+// offset: kx (n+1), ks, kn, kb, kf, p (n+2), ps, pn, pb, pf.
+type rows7 struct{ kx, ks, kn, kb, kf, p, ps, pn, pb, pf []float64 }
+
+func newRows7(g *st.Gen, n, off int) rows7 {
+	return rows7{
+		kx: g.Row(n+1, off), ks: g.Row(n, off+1), kn: g.Row(n, off+2), kb: g.Row(n, off+3), kf: g.Row(n, off),
+		p: g.Row(n+2, off+1), ps: g.Row(n, off+2), pn: g.Row(n, off+3), pb: g.Row(n, off), pf: g.Row(n, off+1),
+	}
+}
+
+// checkDotRow7 runs applyDotRow both ways on one set of rows, with a
+// carried-in δ.
+func checkDotRow7(t *testing.T, g *st.Gen, n, off int, label string) {
+	r := newRows7(g, n, off)
+	w := g.Row(n, off+2)
+	dot := g.Value()
+	wGo, wAsm := st.Clone(w, off+2), st.Clone(w, off+2)
+	dGo := applyDotRowGo(r.kx, r.ks, r.kn, r.kb, r.kf, r.p, r.ps, r.pn, r.pb, r.pf, wGo, dot)
+	dAsm := applyDotRowAVX2(r.kx, r.ks, r.kn, r.kb, r.kf, r.p, r.ps, r.pn, r.pb, r.pf, wAsm, dot)
+	st.SameRows(t, label+" applyDotRow w", wAsm, wGo)
+	st.SameRows(t, label+" applyDotRow δ", []float64{dAsm}, []float64{dGo})
+}
+
+// BenchmarkRowLeaves prices each row leaf, Go form against AVX2 form, on
+// cache-resident rows: the 2D leaves at 256 and 1024 cells, the 3D
+// applyDotRow at 128 (the bm3d_cg_128_w2 row) and 1024.
 func BenchmarkRowLeaves(b *testing.B) {
+	for _, n := range []int{128, 1024} {
+		g := st.NewGen(1, false)
+		r := newRows7(g, n, 0)
+		w := g.Row(n, 0)
+		st.BenchPair(b, "applyDotRow", n,
+			func() { applyDotRowGo(r.kx, r.ks, r.kn, r.kb, r.kf, r.p, r.ps, r.pn, r.pb, r.pf, w, 0) },
+			func() { applyDotRowAVX2(r.kx, r.ks, r.kn, r.kb, r.kf, r.p, r.ps, r.pn, r.pb, r.pf, w, 0) })
+	}
 	for _, n := range []int{256, 1024} {
 		g := st.NewGen(1, false)
 		kx, ky, kn := g.Row(n+1, 0), g.Row(n, 0), g.Row(n, 0)

@@ -6,6 +6,7 @@ import (
 
 	"tealeaf/internal/grid"
 	"tealeaf/internal/par"
+	"tealeaf/internal/simd"
 )
 
 // PhysicalSides3D records which faces of a 3D (sub-)grid lie on the
@@ -146,15 +147,20 @@ func point7(kw, ke, ks, kn, kb, kf, c, w, e, s, n, b, f float64) float64 {
 	return (1+(ke+kw)+(kn+ks)+(kf+kb))*c - (ke*e + kw*w) - (kn*n + ks*s) - (kf*f + kb*b)
 }
 
-// The sweeps below walk their tiles row by row and hand each row to a
-// leaf function as thirteen equal-length slices that all start at the
-// row's first cell: the six face-coefficient rows and the seven rows of
-// the stencil's input (the west and east views are the centre row
-// shifted by one cell). The leaf re-slices every row to the output
-// row's length, which is what lets the compiler drop the per-element
-// bounds checks — it cannot see through slices held in a struct (the
-// indirection stencil.go measured at 40% of ApplyDot2's bandwidth), nor
-// relate slices of different lengths indexed at i, i+1, i+2.
+// The sweeps below walk their tiles row by row and hand each row of n
+// cells to a leaf function as ten rows, laid out like the 2D leaves'
+// (see applyDotRow5): the x-face row kx extended to n+1 (kx[i], kx[i+1]
+// are cell i's west and east faces), the centre row p extended one cell
+// each side to n+2 (p[i], p[i+1], p[i+2] are its west, centre and east
+// values), and the south/north/back/front face and value rows. The Go
+// forms cut kx and p into their west/centre/east views with xRows and
+// re-slice every row to the output row's length, which is what lets the
+// compiler drop the per-element bounds checks — it cannot see through
+// slices held in a struct (the indirection stencil.go measured at 40% of
+// ApplyDot2's bandwidth), nor relate slices of different lengths indexed
+// at i, i+1, i+2. Behind simd.AVX2 applyDotRow runs as assembly
+// (leaves7_amd64.s) that computes the same bits; see DESIGN.md, "AVX2 row
+// leaves".
 
 // strides returns the flat-index distance between y-neighbours and
 // between z-neighbours of the padded grid.
@@ -165,25 +171,32 @@ func (op *Operator3D) strides() (sy, sz int) {
 }
 
 // kRows returns the face-coefficient rows of the n cells starting at
-// flat index o: west/east Kx, south/north Ky, back/front Kz.
-func (op *Operator3D) kRows(o, n, sy, sz int) (kw, ke, ks, kn, kb, kf []float64) {
-	kx, ky, kz := op.Kx.Data, op.Ky.Data, op.Kz.Data
-	return kx[o : o+n], kx[o+1 : o+1+n], ky[o : o+n], ky[o+sy : o+sy+n], kz[o : o+n], kz[o+sz : o+sz+n]
+// flat index o: Kx extended to n+1, south/north Ky, back/front Kz.
+func (op *Operator3D) kRows(o, n, sy, sz int) (kx, ks, kn, kb, kf []float64) {
+	x, y, z := op.Kx.Data, op.Ky.Data, op.Kz.Data
+	return x[o : o+n+1], y[o : o+n], y[o+sy : o+sy+n], z[o : o+n], z[o+sz : o+sz+n]
 }
 
-// pRows returns the seven rows of p the stencil reads for the n cells
-// starting at flat index o: west, centre, east, south, north, back,
-// front.
-func pRows(p []float64, o, n, sy, sz int) (pw, pc, pe, ps, pn, pb, pf []float64) {
-	return p[o-1 : o-1+n], p[o : o+n], p[o+1 : o+1+n],
-		p[o-sy : o-sy+n], p[o+sy : o+sy+n], p[o-sz : o-sz+n], p[o+sz : o+sz+n]
+// pRows returns the five rows of p the stencil reads for the n cells
+// starting at flat index o: the centre row extended one cell each side,
+// then south, north, back, front.
+func pRows(p []float64, o, n, sy, sz int) (pc, ps, pn, pb, pf []float64) {
+	return p[o-1 : o+n+1], p[o-sy : o-sy+n], p[o+sy : o+sy+n], p[o-sz : o-sz+n], p[o+sz : o+sz+n]
+}
+
+// xRows cuts the extended x-face row and centre row of an n-cell run into
+// the equal-length views the Go leaves index at i: west and east faces,
+// west, centre and east values.
+func xRows(kx, p []float64, n int) (kw, ke, pw, pc, pe []float64) {
+	return kx[:n], kx[1 : n+1], p[:n], p[1 : n+1], p[2 : n+2]
 }
 
 // applyRow is the plain row leaf: ws = A·p over one row.
-func applyRow(kw, ke, ks, kn, kb, kf, pw, pc, pe, ps, pn, pb, pf, ws []float64) {
+func applyRow(kx, ks, kn, kb, kf, p, ps, pn, pb, pf, ws []float64) {
 	n := len(ws)
-	kw, ke, ks, kn, kb, kf = kw[:n], ke[:n], ks[:n], kn[:n], kb[:n], kf[:n]
-	pw, pc, pe, ps, pn, pb, pf = pw[:n], pc[:n], pe[:n], ps[:n], pn[:n], pb[:n], pf[:n]
+	kw, ke, pw, pc, pe := xRows(kx, p, n)
+	ks, kn, kb, kf = ks[:n], kn[:n], kb[:n], kf[:n]
+	ps, pn, pb, pf = ps[:n], pn[:n], pb[:n], pf[:n]
 	for i := range ws {
 		ws[i] = point7(kw[i], ke[i], ks[i], kn[i], kb[i], kf[i], pc[i], pw[i], pe[i], ps[i], pn[i], pb[i], pf[i])
 	}
@@ -191,11 +204,23 @@ func applyRow(kw, ke, ks, kn, kb, kf, pw, pc, pe, ps, pn, pb, pf, ws []float64) 
 
 // applyDotRow is the row leaf of ApplyDot, ApplyPreDot and
 // ApplyPreDotInit: ws = A·p over one row, adding Σ p·w to dot through
-// a single accumulator in cell order (2-way unrolled, one chain).
-func applyDotRow(kw, ke, ks, kn, kb, kf, pw, pc, pe, ps, pn, pb, pf, ws []float64, dot float64) float64 {
+// a single accumulator in cell order. The assembly form computes four
+// cells' p·w in one register and still adds them to dot one at a time,
+// in cell order.
+func applyDotRow(kx, ks, kn, kb, kf, p, ps, pn, pb, pf, ws []float64, dot float64) float64 {
+	if simd.AVX2 {
+		return applyDotRowAVX2(kx, ks, kn, kb, kf, p, ps, pn, pb, pf, ws, dot)
+	}
+	return applyDotRowGo(kx, ks, kn, kb, kf, p, ps, pn, pb, pf, ws, dot)
+}
+
+// applyDotRowGo is the Go form of applyDotRow (2-way unrolled, one
+// chain).
+func applyDotRowGo(kx, ks, kn, kb, kf, p, ps, pn, pb, pf, ws []float64, dot float64) float64 {
 	n := len(ws)
-	kw, ke, ks, kn, kb, kf = kw[:n], ke[:n], ks[:n], kn[:n], kb[:n], kf[:n]
-	pw, pc, pe, ps, pn, pb, pf = pw[:n], pc[:n], pe[:n], ps[:n], pn[:n], pb[:n], pf[:n]
+	kw, ke, pw, pc, pe := xRows(kx, p, n)
+	ks, kn, kb, kf = ks[:n], kn[:n], kb[:n], kf[:n]
+	ps, pn, pb, pf = ps[:n], pn[:n], pb[:n], pf[:n]
 	i := 0
 	for ; i+1 < n; i += 2 {
 		c0 := pc[i]
@@ -222,10 +247,11 @@ type dot2Lanes struct{ pw0, pw1, ww0, ww1 float64 }
 
 // applyDot2Row is the row leaf of ApplyDot2: ws = A·p over one row with
 // p·w and w·w accumulated into the tile's lanes.
-func (l *dot2Lanes) applyDot2Row(kw, ke, ks, kn, kb, kf, pw, pc, pe, ps, pn, pb, pf, ws []float64) {
+func (l *dot2Lanes) applyDot2Row(kx, ks, kn, kb, kf, p, ps, pn, pb, pf, ws []float64) {
 	n := len(ws)
-	kw, ke, ks, kn, kb, kf = kw[:n], ke[:n], ks[:n], kn[:n], kb[:n], kf[:n]
-	pw, pc, pe, ps, pn, pb, pf = pw[:n], pc[:n], pe[:n], ps[:n], pn[:n], pb[:n], pf[:n]
+	kw, ke, pw, pc, pe := xRows(kx, p, n)
+	ks, kn, kb, kf = ks[:n], kn[:n], kb[:n], kf[:n]
+	ps, pn, pb, pf = ps[:n], pn[:n], pb[:n], pf[:n]
 	pw0, pw1, ww0, ww1 := l.pw0, l.pw1, l.ww0, l.ww1
 	i := 0
 	for ; i+1 < n; i += 2 {
@@ -269,9 +295,9 @@ func (op *Operator3D) Apply(pool *par.Pool, b grid.Bounds3D, p, w *grid.Field3D)
 		for k := t.Z0; k < t.Z1; k++ {
 			for j := t.Y0; j < t.Y1; j++ {
 				o := g.Index(t.X0, j, k)
-				kw, ke, ks, kn, kb, kf := op.kRows(o, n, sy, sz)
-				pw, pc, pe, ps, pn, pb, pf := pRows(pd, o, n, sy, sz)
-				applyRow(kw, ke, ks, kn, kb, kf, pw, pc, pe, ps, pn, pb, pf, wd[o:o+n:o+n])
+				kx, ks, kn, kb, kf := op.kRows(o, n, sy, sz)
+				pc, ps, pn, pb, pf := pRows(pd, o, n, sy, sz)
+				applyRow(kx, ks, kn, kb, kf, pc, ps, pn, pb, pf, wd[o:o+n:o+n])
 			}
 		}
 	})
@@ -291,9 +317,9 @@ func (op *Operator3D) ApplyDot(pool *par.Pool, b grid.Bounds3D, p, w *grid.Field
 		for k := t.Z0; k < t.Z1; k++ {
 			for j := t.Y0; j < t.Y1; j++ {
 				o := g.Index(t.X0, j, k)
-				kw, ke, ks, kn, kb, kf := op.kRows(o, n, sy, sz)
-				pw, pc, pe, ps, pn, pb, pf := pRows(pd, o, n, sy, sz)
-				dot = applyDotRow(kw, ke, ks, kn, kb, kf, pw, pc, pe, ps, pn, pb, pf, wd[o:o+n:o+n], dot)
+				kx, ks, kn, kb, kf := op.kRows(o, n, sy, sz)
+				pc, ps, pn, pb, pf := pRows(pd, o, n, sy, sz)
+				dot = applyDotRow(kx, ks, kn, kb, kf, pc, ps, pn, pb, pf, wd[o:o+n:o+n], dot)
 			}
 		}
 		acc[0] += dot
@@ -324,9 +350,9 @@ func (op *Operator3D) applyDot2Body(pd, wd []float64) func(t par.Tile, acc []flo
 		for k := t.Z0; k < t.Z1; k++ {
 			for j := t.Y0; j < t.Y1; j++ {
 				o := g.Index(t.X0, j, k)
-				kw, ke, ks, kn, kb, kf := op.kRows(o, n, sy, sz)
-				pw, pc, pe, ps, pn, pb, pf := pRows(pd, o, n, sy, sz)
-				l.applyDot2Row(kw, ke, ks, kn, kb, kf, pw, pc, pe, ps, pn, pb, pf, wd[o:o+n:o+n])
+				kx, ks, kn, kb, kf := op.kRows(o, n, sy, sz)
+				pc, ps, pn, pb, pf := pRows(pd, o, n, sy, sz)
+				l.applyDot2Row(kx, ks, kn, kb, kf, pc, ps, pn, pb, pf, wd[o:o+n:o+n])
 			}
 		}
 		acc[0] += l.pw0 + l.pw1
@@ -406,11 +432,11 @@ func (op *Operator3D) applyPreDotBody(md, rd, wd []float64, init bool) func(t pa
 			fill(uf, k+1)
 			for j := t.Y0; j < t.Y1; j++ {
 				o := g.Index(t.X0, j, k)
-				kw, ke, ks, kn, kb, kf := op.kRows(o, n, sy, sz)
+				kx, ks, kn, kb, kf := op.kRows(o, n, sy, sz)
 				// Cell (X0, j) of a plane is window element wo.
 				wo := (j-t.Y0+1)*width + 1
-				delta = applyDotRow(kw, ke, ks, kn, kb, kf,
-					uc[wo-1:], uc[wo:], uc[wo+1:], uc[wo-width:], uc[wo+width:], ub[wo:], uf[wo:],
+				delta = applyDotRow(kx, ks, kn, kb, kf,
+					uc[wo-1:wo+n+1], uc[wo-width:wo-width+n], uc[wo+width:wo+width+n], ub[wo:wo+n], uf[wo:wo+n],
 					wd[o:o+n:o+n], delta)
 				if init {
 					gamma, rr = initDotsRow(rd[o:o+n], uc[wo:], gamma, rr)
@@ -460,10 +486,10 @@ func (op *Operator3D) ApplyPreDotInit(pool *par.Pool, b grid.Bounds3D, minv *gri
 		for k := t.Z0; k < t.Z1; k++ {
 			for j := t.Y0; j < t.Y1; j++ {
 				o := g.Index(t.X0, j, k)
-				kw, ke, ks, kn, kb, kf := op.kRows(o, n, sy, sz)
-				pw, pc, pe, ps, pn, pb, pf := pRows(rd, o, n, sy, sz)
-				de = applyDotRow(kw, ke, ks, kn, kb, kf, pw, pc, pe, ps, pn, pb, pf, wd[o:o+n:o+n], de)
-				for _, c := range pc {
+				kx, ks, kn, kb, kf := op.kRows(o, n, sy, sz)
+				pc, ps, pn, pb, pf := pRows(rd, o, n, sy, sz)
+				de = applyDotRow(kx, ks, kn, kb, kf, pc, ps, pn, pb, pf, wd[o:o+n:o+n], de)
+				for _, c := range rd[o : o+n] {
 					rr2 += c * c
 				}
 			}
@@ -573,10 +599,10 @@ func (op *Operator3D) Residual(pool *par.Pool, b grid.Bounds3D, u, rhs, r *grid.
 		for k := z0; k < z1; k++ {
 			for j := b.Y0; j < b.Y1; j++ {
 				o := g.Index(b.X0, j, k)
-				kw, ke, ks, kn, kb, kf := op.kRows(o, n, sy, sz)
-				uw, uc, ue, us, un, ub, uf := pRows(ud, o, n, sy, sz)
+				kx, ks, kn, kb, kf := op.kRows(o, n, sy, sz)
+				uc, us, un, ub, uf := pRows(ud, o, n, sy, sz)
 				rs := rd[o : o+n : o+n]
-				applyRow(kw, ke, ks, kn, kb, kf, uw, uc, ue, us, un, ub, uf, rs)
+				applyRow(kx, ks, kn, kb, kf, uc, us, un, ub, uf, rs)
 				for i, v := range bd[o : o+n] {
 					rs[i] = v - rs[i]
 				}
