@@ -28,9 +28,9 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // dispatchNames are the region-dispatching methods of par.Pool — the
-// tiled entry points dispatch the same persistent team and are exactly
-// as non-reentrant as the band loops.
-var dispatchNames = []string{"For", "ForReduce", "ForReduce2", "ForReduceN", "ForTiles", "ForTilesReduceN"}
+// tiled entry points and the wavefront dispatch the same persistent team
+// and are exactly as non-reentrant as the band loops.
+var dispatchNames = []string{"For", "ForReduce", "ForReduce2", "ForReduceN", "ForTiles", "ForTilesReduceN", "Wavefront"}
 
 func isDispatch(info *types.Info, call *ast.CallExpr) bool {
 	fn := analysis.Callee(info, call)

@@ -95,3 +95,11 @@ func nestedInTileReduce(p *par.Pool, b par.Box, xs []float64) []float64 {
 		acc[0]++
 	})
 }
+
+// nestedInWavefront dispatches from a wavefront row callback: the
+// wavefront's regions hold the same team lock.
+func nestedInWavefront(p *par.Pool, xs []float64) {
+	p.Wavefront(2, 0, len(xs), func(step, k int) {
+		p.For(k, k+1, func(l, h int) {}) // want `Pool dispatch inside a Pool parallel region`
+	})
+}

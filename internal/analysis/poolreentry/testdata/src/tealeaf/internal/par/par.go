@@ -45,3 +45,12 @@ func (p *Pool) ForTilesReduceN(k int, b Box, body func(t Tile, acc []float64)) [
 	body(Tile{X0: b.X0, X1: b.X1, Y0: b.Y0, Y1: b.Y1, Z0: b.Z0, Z1: b.Z1}, acc)
 	return acc
 }
+
+// Wavefront mirrors par.(*Pool).Wavefront.
+func (p *Pool) Wavefront(steps, lo, hi int, row func(step, k int)) {
+	for j := 0; j < steps; j++ {
+		for k := lo; k < hi; k++ {
+			row(j, k)
+		}
+	}
+}

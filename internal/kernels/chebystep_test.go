@@ -6,19 +6,22 @@ import (
 	"testing"
 
 	"tealeaf/internal/grid"
+	"tealeaf/internal/halo"
 	"tealeaf/internal/par"
 	"tealeaf/internal/stencil"
 )
 
-// The one-sweep Chebyshev step lives in package stencil (it needs the
-// face coefficients) but its contract is stated against this package's
-// kernels, so the tests live here: ChebyStep must reproduce Apply followed
-// by FusedPPCGInner BIT FOR BIT on rtemp, the new direction and the
-// accumulator, for every pool size, tiled or not, with and without a
-// folded diagonal, on the interior and on matrix-powers bounds extended
-// on any subset of sides. And it must read
-// the old direction no further than one cell beyond those bounds and write
-// the new one nowhere outside them: the cells it may not touch are NaN.
+// The merged Chebyshev step lives in package stencil (it needs the face
+// coefficients) but its contract is stated against this package's
+// kernels, so the tests live here: one step of ChebySteps must reproduce
+// Apply followed by FusedPPCGInner BIT FOR BIT on rtemp, the new
+// direction and the accumulator, for every pool size, tiled or not, with
+// and without a folded diagonal, on the interior and on matrix-powers
+// bounds extended on any subset of sides. And it must read the old
+// direction no further than one cell beyond those bounds and write the
+// new one nowhere outside them: the cells it may not touch are NaN.
+// (That a block of steps equals its steps one sweep each is
+// stencil.TestChebyStepsMatchStepwiseBitwise.)
 
 // extraSides are interior extensions {left, right, down, up, back, front}
 // of up to three cells (the grids below have halo 4).
@@ -94,7 +97,7 @@ func TestChebyStepMatchesTwoSweepsBitwise(t *testing.T) {
 				op.Apply(pool, b, sdO, wO)
 				FusedPPCGInner(pool, b, in, alpha, beta, wO, rO, minv, sdO, accO)
 
-				op.ChebyStep(pool, b, in, alpha, beta, sdOld, rtemp, minv, sdNew, acc)
+				op.ChebySteps(pool, []grid.Bounds{b}, in, []float64{alpha}, []float64{beta}, sdOld, sdNew, rtemp, minv, acc)
 				sameOn2D(t, label, "sdNew", b, sdNew, sdO, poison)
 				sameOn2D(t, label, "rtemp", g.Interior().Expand(4, g), rtemp, rO, nil)
 				sameOn2D(t, label, "acc", g.Interior().Expand(4, g), acc, accO, nil)
@@ -167,7 +170,7 @@ func TestChebyStep3DMatchesTwoSweepsBitwise(t *testing.T) {
 				op.Apply(pool, b, sdO, wO)
 				FusedPPCGInner3D(pool, b, in, alpha, beta, wO, rO, minv, sdO, accO)
 
-				op.ChebyStep(pool, b, in, alpha, beta, sdOld, rtemp, minv, sdNew, acc)
+				op.ChebySteps(pool, []grid.Bounds3D{b}, in, []float64{alpha}, []float64{beta}, sdOld, sdNew, rtemp, minv, acc)
 				same(label, "sdNew", b, sdNew, sdO, poison)
 				same(label, "rtemp", whole, rtemp, rO, nil)
 				same(label, "acc", whole, acc, accO, nil)
@@ -260,48 +263,26 @@ func TestPPCGInnerInitMatchesFourSweepsBitwise(t *testing.T) {
 	}
 }
 
-// TestChebyStepAllocatesNothing: the merged step allocates exactly what a
-// bare ForTiles dispatch of a capturing body does, and the set-up sweep
-// what a bare For does — nothing per tile, per row or per call of their
-// own (PR 17's pin; see dispatchAllocs for why the floor is not zero).
-func TestChebyStepAllocatesNothing(t *testing.T) {
+// TestPPCGInnerInitAllocatesNothing: the set-up sweep allocates exactly
+// what a bare For dispatch of a capturing body does — nothing per row or
+// per call of its own (see dispatchAllocs for why the floor is not zero). The Chebyshev steps' pin is in package solver, beside
+// the inner solve that calls them.
+func TestPPCGInnerInitAllocatesNothing(t *testing.T) {
 	base := par.NewPool(2).WithGrain(1)
 	defer base.Close()
 	g := grid.UnitGrid2D(64, 48, 2)
 	g3 := grid.UnitGrid3D(24, 16, 12, 2)
-	op := chebyTestOp2D(g)
-	den3 := grid.NewField3D(g3)
-	den3.Fill(1.3)
-	op3, err := stencil.BuildOperator3D(par.Serial, den3, 0.04, stencil.Conductivity, stencil.AllPhysical3D)
-	if err != nil {
-		t.Fatal(err)
-	}
 	f := func() *grid.Field2D { return testField(g, 61) }
 	f3 := func() *grid.Field3D { return grid.NewField3D(g3) }
-	minv, p, w, u, r, rtemp, sd, alt, z := f(), f(), f(), f(), f(), f(), f(), f(), f()
-	minv3, p3, w3, u3, r3, rtemp3, sd3, alt3, z3 := f3(), f3(), f3(), f3(), f3(), f3(), f3(), f3(), f3()
+	minv, p, w, u, r, rtemp, sd, z := f(), f(), f(), f(), f(), f(), f(), f()
+	minv3, p3, w3, u3, r3, rtemp3, sd3, z3 := f3(), f3(), f3(), f3(), f3(), f3(), f3(), f3()
 	in, in3 := g.Interior(), g3.Interior()
-	// The bare dispatches run a body that captures (and only reads) a
-	// variable, like the sweeps' own.
+	// The bare dispatch runs a body that captures (and only reads) a
+	// variable, like the sweep's own.
 	x := []float64{1}
 	for name, pool := range map[string]*par.Pool{"untiled": base, "tiled": base.WithTiles(16, 4, 3)} {
-		tiles := func(b par.Box) float64 {
-			return testing.AllocsPerRun(20, func() { pool.ForTiles(b, func(par.Tile) { _ = x[0] }) })
-		}
-		got := testing.AllocsPerRun(20, func() {
-			op.ChebyStep(pool, in, in, 0.9, 0.1, sd, rtemp, minv, alt, z)
-		})
-		if want := tiles(box(in)); got != want {
-			t.Errorf("%s: ChebyStep allocates %v per call, the bare dispatch %v", name, got, want)
-		}
-		got = testing.AllocsPerRun(20, func() {
-			op3.ChebyStep(pool, in3, in3, 0.9, 0.1, sd3, rtemp3, minv3, alt3, z3)
-		})
-		if want := tiles(box3(in3)); got != want {
-			t.Errorf("%s: 3D ChebyStep allocates %v per call, the bare dispatch %v", name, got, want)
-		}
 		bare := testing.AllocsPerRun(20, func() { pool.For(0, in.Y1, func(lo, hi int) { _ = x[0] }) })
-		got = testing.AllocsPerRun(20, func() {
+		got := testing.AllocsPerRun(20, func() {
 			PPCGInnerInit(pool, in, 0.5, p, w, u, r, rtemp, 0.5, minv, sd, z)
 		})
 		if got != bare {
@@ -316,16 +297,41 @@ func TestChebyStepAllocatesNothing(t *testing.T) {
 	}
 }
 
-// BenchmarkChebyStep is the one sweep the fused PPCG inner step now is —
-// set it against BenchmarkApply plus BenchmarkFusedPPCGInner, the two it
-// replaced: eight field visits (Kx, Ky, sd, minv, rtemp, z read; rtemp,
-// sd', z written — nine in 3D with Kz) against their twelve.
-func BenchmarkChebyStep(b *testing.B) {
-	const n2, n3 = 1024, 128
-	g := benchGrid(n2)
-	op := benchOp(g)
-	minv, rtemp := benchField(g, 1), benchField(g, 3)
-	sd, alt, z := benchField(g, 4), benchField(g, 5), benchField(g, 6)
+// BenchmarkChebySteps is the fused PPCG inner solve between two
+// exchanges: a block of 1, 2 or 4 Chebyshev steps in one wavefront pass,
+// in ns per cell-step (one cell of one step's bounds). A step visits
+// eight fields per cell (Kx, Ky, sd, minv, rtemp, z read; rtemp, sd′, z
+// written — nine in 3D with Kz); a block of s steps streams each through
+// memory once instead of s times, so the cache-missing shapes gain most.
+// The ranks:
+//   - 512x1024+ring: one of two ranks of the 1024² pipe at depth 4 (the
+//     shape of bench/'s pipe2d_ppcg_1024_hub2 row), its bounds extended
+//     3, 2, 1, 0 columns into the neighbour's halo on the rank face;
+//   - 1024x1024 and 128x128x128: single ranks, every step on the
+//     interior. Their 1-step cases are the one-sweep-per-step form, the
+//     cases BenchmarkChebyStep measured before the wavefront.
+func BenchmarkChebySteps(b *testing.B) {
+	g := grid.UnitGrid2D(512, 1024, 4)
+	den := grid.NewField2D(g)
+	den.Fill(1.7)
+	opRank, err := stencil.BuildOperator2D(par.Serial, den, 0.04, stencil.Conductivity,
+		stencil.PhysicalSides{Left: true, Down: true, Up: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sched, err := halo.NewSchedule(g, 4, halo.Sides{Right: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sched.Refill()
+	var ring []grid.Bounds
+	for range 4 {
+		bb, _ := sched.Next()
+		ring = append(ring, bb)
+	}
+	g2 := benchGrid(1024)
+	op2 := benchOp(g2)
+	const n3 = 128
 	g3 := grid.UnitGrid3D(n3, n3, n3, 2)
 	mk3 := func(seed int64) *grid.Field3D {
 		f := grid.NewField3D(g3)
@@ -341,32 +347,52 @@ func BenchmarkChebyStep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	minv3, rtemp3 := mk3(1), mk3(3)
-	sd3, alt3, z3 := mk3(4), mk3(5), mk3(6)
-	for _, workers := range []int{1, 2} {
-		b.Run(fmt.Sprintf("%dx%d/workers=%d", n2, n2, workers), func(b *testing.B) {
-			pool := par.NewPool(workers)
-			defer pool.Close()
-			b.SetBytes(int64(n2*n2) * 8 * 9)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				op.ChebyStep(pool, g.Interior(), g.Interior(), 0.9, 0.1, sd, rtemp, minv, alt, z)
-				sd, alt = alt, sd
+	alphas, betas := []float64{0.9, 0.9, 0.9, 0.9}, []float64{0.1, 0.1, 0.1, 0.1}
+
+	// run times one block per iteration; block(pool, s) runs s steps and
+	// returns the cells they covered.
+	run := func(b *testing.B, name string, block func(pool *par.Pool, steps int) int) {
+		for _, workers := range []int{1, 2} {
+			for _, steps := range []int{1, 2, 4} {
+				b.Run(fmt.Sprintf("%s/workers=%d/steps=%d", name, workers, steps), func(b *testing.B) {
+					pool := par.NewPool(workers)
+					defer pool.Close()
+					cells := 0
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						cells = block(pool, steps)
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cells), "ns/cell-step")
+				})
 			}
-			reportNsPerCell(b, n2*n2)
-		})
-		b.Run(fmt.Sprintf("%dx%dx%d/workers=%d", n3, n3, n3, workers), func(b *testing.B) {
-			pool := par.NewPool(workers)
-			defer pool.Close()
-			b.SetBytes(int64(n3*n3*n3) * 8 * 10)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				op3.ChebyStep(pool, g3.Interior(), g3.Interior(), 0.9, 0.1, sd3, rtemp3, minv3, alt3, z3)
-				sd3, alt3 = alt3, sd3
-			}
-			reportNsPerCell(b, n3*n3*n3)
-		})
+		}
 	}
+
+	minv, rtemp, sd, alt, z := benchField(g, 1), benchField(g, 3), benchField(g, 4), benchField(g, 5), benchField(g, 6)
+	run(b, "512x1024+ring", func(pool *par.Pool, steps int) int {
+		opRank.ChebySteps(pool, ring[:steps], g.Interior(), alphas, betas, sd, alt, rtemp, minv, z)
+		cells := 0
+		for _, bb := range ring[:steps] {
+			cells += bb.Cells()
+		}
+		return cells
+	})
+
+	in2 := g2.Interior()
+	inner2 := []grid.Bounds{in2, in2, in2, in2}
+	minv2, rtemp2, sd2, alt2, z2 := benchField(g2, 1), benchField(g2, 3), benchField(g2, 4), benchField(g2, 5), benchField(g2, 6)
+	run(b, "1024x1024", func(pool *par.Pool, steps int) int {
+		op2.ChebySteps(pool, inner2[:steps], in2, alphas, betas, sd2, alt2, rtemp2, minv2, z2)
+		return steps * in2.Cells()
+	})
+
+	in3 := g3.Interior()
+	inner3 := []grid.Bounds3D{in3, in3, in3, in3}
+	minv3, rtemp3, sd3, alt3, z3 := mk3(1), mk3(3), mk3(4), mk3(5), mk3(6)
+	run(b, fmt.Sprintf("%dx%dx%d", n3, n3, n3), func(pool *par.Pool, steps int) int {
+		op3.ChebySteps(pool, inner3[:steps], in3, alphas, betas, sd3, alt3, rtemp3, minv3, z3)
+		return steps * in3.Cells()
+	})
 }
 
 // BenchmarkPPCGInnerInit is the inner solve's one set-up sweep with the

@@ -5,6 +5,7 @@ package place
 import (
 	"runtime"
 	"testing"
+	"time"
 )
 
 func allowedCPUs() []int {
@@ -49,24 +50,40 @@ func TestGroupMovesHigherMemberOff(t *testing.T) {
 	here := Current()
 	g.Check(0)
 	g.Check(1)
-	if got := Current(); got != here {
-		t.Fatalf("member 1 moved from CPU %d to %d away from its own thread's report", here, got)
+	if g.moved.Load() != 0 {
+		t.Fatalf("member 1 moved away from its own thread's report on CPU %d", here)
 	}
-	onThread(cpus, here, func() {
-		if at := Current(); at != here {
-			t.Errorf("helper thread is on CPU %d, want %d", at, here)
+	// Member 0 reports from a helper thread on member 1's CPU. While member
+	// 1 waits for the helper the kernel may wake its thread on another CPU,
+	// and then Check rightly finds nothing to move away from: set the scene
+	// again from where it woke.
+	for try := 0; g.moved.Load() == 0; try++ {
+		if try == 20 {
+			t.Fatalf("member 1 never checked in beside member 0's thread in %d tries", try)
 		}
-		g.Check(0)
-	})
-	g.Check(1)
+		here = Current()
+		onThread(cpus, here, func() {
+			if at := Current(); at != here {
+				t.Errorf("helper thread is on CPU %d, want %d", at, here)
+			}
+			g.Check(0)
+		})
+		g.Check(1)
+	}
 	moved := Current()
 	if moved == here {
 		t.Fatalf("member 1 stayed on CPU %d beside member 0's thread", here)
 	}
+	first := g.moved.Load()
+	// The second check must not move again within moveEvery. Asked through
+	// Current() this could fail by itself: once Spread hands the mask back
+	// the kernel may migrate the thread on its own. The group's own move
+	// record changes only when Check moves.
 	onThread(cpus, moved, func() { g.Check(0) })
 	g.Check(1)
-	if got := Current(); got != moved {
-		t.Errorf("second move within %v: CPU %d to %d", moveEvery, moved, got)
+	if again := g.moved.Load(); again != first {
+		t.Errorf("second move within %v: the group moved again %v after the first",
+			moveEvery, time.Duration(again-first))
 	}
 }
 

@@ -12,8 +12,18 @@ package simd
 
 // AVX2 reports that the CPU implements AVX2 and the operating system
 // saves the YMM register state across context switches — the condition
-// under which the assembly leaves run. It is always false off amd64.
-var AVX2 = hasAVX2()
+// under which the assembly leaves run. It is always false off amd64, and
+// false in a binary linked with force set to "go".
+var AVX2 = hasAVX2() && force != "go"
+
+// force is set only at link time, to run a whole test suite or binary on
+// the Go leaves that every non-AVX2 host runs:
+//
+//	go test -ldflags=-X=tealeaf/internal/simd.force=go ./...
+//
+// It is a linker string, not a runtime knob: nothing reads it after
+// package initialisation.
+var force string
 
 // Leaves names the row leaves this process runs: "avx2" or "go".
 func Leaves() string {

@@ -18,6 +18,9 @@ func TestLeavesNamesTheDispatch(t *testing.T) {
 	if runtime.GOARCH != "amd64" && AVX2 {
 		t.Errorf("AVX2 = true on %s", runtime.GOARCH)
 	}
+	if want := hasAVX2() && force != "go"; AVX2 != want {
+		t.Errorf("AVX2 = %v with the CPU reporting %v and force = %q", AVX2, hasAVX2(), force)
+	}
 }
 
 // On Linux the kernel lists "avx2" among a CPU's flags exactly when the
@@ -40,8 +43,8 @@ func TestAVX2AgreesWithProcCPUInfo(t *testing.T) {
 		for _, f := range strings.Fields(flags) {
 			listed = listed || f == "avx2"
 		}
-		if listed != AVX2 {
-			t.Errorf("/proc/cpuinfo lists avx2: %v, AVX2 = %v", listed, AVX2)
+		if listed != hasAVX2() {
+			t.Errorf("/proc/cpuinfo lists avx2: %v, CPUID reports %v", listed, hasAVX2())
 		}
 		return
 	}

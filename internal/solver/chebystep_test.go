@@ -9,6 +9,7 @@ import (
 	"sort"
 	"testing"
 
+	"tealeaf/internal/cheby"
 	"tealeaf/internal/comm"
 	"tealeaf/internal/deflate"
 	"tealeaf/internal/grid"
@@ -327,5 +328,82 @@ func TestPPCGTraceSweepCounts(t *testing.T) {
 					jacobi, depth, got, want)
 			}
 		}
+	}
+}
+
+// TestChebyStepsAllocatesNothing: a block of Chebyshev steps allocates
+// exactly what a bare par.Pool.Wavefront dispatch of a capturing callback
+// does, and a warmed-up fused inner solve (innerCore.apply) exactly what
+// its parts do when called one by one — the set-up sweep, and per block
+// one exchange and one ChebySteps call: nothing per step, per row, per
+// band or per block of its own. The floor is not zero while par's
+// dispatch itself allocates (see kernels.dispatchAllocs).
+func TestChebyStepsAllocatesNothing(t *testing.T) {
+	base := par.NewPool(2).WithGrain(1)
+	defer base.Close()
+	one := par.NewPool(1)
+	pools := map[string]*par.Pool{"w1": one, "w2": base, "w2/tiled": base.WithTiles(8, 4, 3)}
+	for name, pool := range pools {
+		o := Options{Comm: comm.NewSerial(), Pool: pool, InnerSteps: 7, HaloDepth: 3}.withDefaults()
+		p := buildProblem(t, 24, 20, 3, 3)
+		e2 := newEngine[*grid.Field2D, grid.Bounds](newSys2D(p, o), o, p.U, p.RHS)
+		innerAllocs(t, name+" 2D", e2, p.RHS.Clone(), p.Op.Grid.NY)
+		p3 := buildProblem3DHalo(t, 8, 4, 3)
+		o.Precond3D = precond.NewJacobi3D(par.Serial, p3.Op)
+		e3 := newEngine3D(p3, o)
+		innerAllocs(t, name+" 3D", e3, p3.RHS.Clone(), p3.Op.Grid.NZ)
+	}
+}
+
+// innerAllocs pins e's ChebySteps against a bare wavefront over rows
+// outer-axis rows, and a warmed-up innerCore.apply against its parts.
+func innerAllocs[F comparable, B any](t *testing.T, label string, e *engine[F, B], r F, rows int) {
+	t.Helper()
+	sys, o := e.sys, e.o
+	sched, err := cheby.NewSchedule(0.2, 1.9, o.InnerSteps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	powers, err := sys.NewPowers(o.HaloDepth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner := newInnerCore(e, sched, powers)
+	var none F
+	apply := func() {
+		if err := inner.apply(0, none, none, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	apply()
+	got := testing.AllocsPerRun(20, apply)
+
+	want := testing.AllocsPerRun(20, func() {
+		sys.PPCGInnerInit(e.in, 0, none, none, e.u, r, inner.rtemp, 1/sched.Theta, inner.minv, inner.sd, inner.z)
+	})
+	x := []float64{1}
+	powers.Refill()
+	var bs []B
+	for range o.HaloDepth {
+		b, _ := powers.Next()
+		bs = append(bs, b)
+	}
+	for step := 0; step < o.InnerSteps; step += o.HaloDepth {
+		n := min(o.HaloDepth, o.InnerSteps-step)
+		steps := testing.AllocsPerRun(20, func() {
+			sys.ChebySteps(bs[:n], e.in, sched.Alpha[:n], sched.Beta[:n], inner.sd, inner.alt, inner.rtemp, inner.minv, inner.z)
+		})
+		bare := testing.AllocsPerRun(20, func() { o.Pool.Wavefront(n, 0, rows, func(int, int) { _ = x[0] }) })
+		if steps != bare {
+			t.Errorf("%s: ChebySteps over %d steps allocates %v per call, a bare Wavefront %v", label, n, steps, bare)
+		}
+		want += steps + testing.AllocsPerRun(20, func() {
+			if err := e.exchange(o.HaloDepth, inner.sd, inner.rtemp); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if got != want {
+		t.Errorf("%s: a warmed-up inner solve allocates %v per call, its set-up sweep, exchanges and blocks %v", label, got, want)
 	}
 }

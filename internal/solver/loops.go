@@ -1033,12 +1033,15 @@ func cgNonFinite(res Result, scalars ...scalar) (Result, error) {
 // redundant computation for d× fewer messages.
 //
 // On the fused path (the default, with a diagonal-foldable inner
-// preconditioner) each inner step is ONE sweep — the matvec folded into
-// the residual-update/preconditioner/direction/accumulate kernel
-// (ChebyStep) — versus five unfused; the outer solution/residual update
+// preconditioner) each inner step is ONE stencil evaluation per cell — the
+// matvec folded into the residual-update/preconditioner/direction/
+// accumulate kernel — versus five sweeps unfused, and the steps of one
+// matrix-powers block share one pass over the grid (ChebySteps, a
+// temporal wavefront); the outer solution/residual update
 // rides the inner solve's one set-up sweep, and the outer dot products
 // use the fused two-in-one kernel: per outer iteration 1 + InnerSteps
-// stencil sweeps, two vector passes and one dot pass.
+// traced stencil sweeps (in 1 + ⌈InnerSteps/d⌉ passes over the grid), two
+// vector passes and one dot pass.
 //
 // With a deflator configured the outer PCG runs on the projected operator
 // P·A (the bootstrap CG already ran deflated and left Wᵀ·r = 0): each
@@ -1203,16 +1206,20 @@ type innerCore[F comparable, B any] struct {
 	z      F // output: accumulated correction
 	rtemp  F
 	// sd is the current search direction. On the fused path it ping-pongs
-	// with alt — each step reads sd and writes alt, then the two handles
-	// swap — so whichever field holds the direction when the halo runs out
-	// is the one exchanged. Unfused, sd updates in place and alt is the
-	// matvec's target.
+	// with alt — within a block, step j reads sd for even j and alt for odd
+	// j, and the two handles swap after a block of odd length — so
+	// whichever field holds the direction when the halo runs out is the one
+	// exchanged. Unfused, sd updates in place and alt is the matvec's
+	// target.
 	sd, alt F
 	zscr    F // M⁻¹·rtemp scratch, unfused path only
 	// minv is the folded diagonal preconditioner for the fused step (zero
 	// = identity); fused reports whether the fused kernel path is usable.
 	minv  F
 	fused bool
+	// bs holds the current block's matrix-powers bounds, one per step,
+	// reused from block to block.
+	bs []B
 }
 
 func newInnerCore[F comparable, B any](e *engine[F, B], sched *cheby.Schedule, powers powersSched[B]) *innerCore[F, B] {
@@ -1221,6 +1228,7 @@ func newInnerCore[F comparable, B any](e *engine[F, B], sched *cheby.Schedule, p
 		e: e, sched: sched, powers: powers,
 		z: e.sys.NewVec(), rtemp: e.sys.NewVec(), sd: e.sys.NewVec(), alt: e.sys.NewVec(),
 		minv: minv, fused: !e.o.DisableFused && foldable,
+		bs: make([]B, 0, powers.Depth()),
 	}
 	if !s.fused {
 		s.zscr = e.sys.NewVec()
@@ -1240,8 +1248,8 @@ func newInnerCore[F comparable, B any](e *engine[F, B], sched *cheby.Schedule, p
 //
 // leaving the polynomial-preconditioned residual in s.z. On the fused
 // path the outer update and the set-up are one pointwise sweep
-// (PPCGInnerInit) and every step is one stencil sweep (ChebyStep, traced
-// as a matvec over the step's bounds).
+// (PPCGInnerInit) and the steps one exchange buys are one pass over the
+// grid (ChebySteps, traced as a matvec per step over its bounds).
 func (s *innerCore[F, B]) apply(alpha float64, p, w, r F) error {
 	e := s.e
 	sys := e.sys
@@ -1252,30 +1260,31 @@ func (s *innerCore[F, B]) apply(alpha float64, p, w, r F) error {
 		// cell of sd and rtemp the extended bounds read.
 		sys.PPCGInnerInit(in, alpha, p, w, e.u, r, s.rtemp, 1/s.sched.Theta, s.minv, s.sd, s.z)
 		e.vectorPass(in)
-	} else {
-		if !isZeroF(p) {
-			if !e.o.DisableFused {
-				// u += α·p and r −= α·w share one sweep.
-				sys.AxpyAxpy(in, alpha, p, e.u, -alpha, w, r)
-				e.vectorPass(in)
-			} else {
-				sys.Axpy(in, alpha, p, e.u)
-				sys.Axpy(in, -alpha, w, r)
-				e.vectorPass(in)
-				e.vectorPass(in)
-			}
-		}
-		// rtemp starts as a copy of the outer residual; the depth-d
-		// exchange below makes its halo consistent before any
-		// extended-bounds work.
-		sys.CopyAll(s.rtemp, r)
-		e.vectorPass(in)
-		e.applyPrecond(in, s.rtemp, s.zscr)
-		sys.ScaleTo(in, 1/s.sched.Theta, s.zscr, s.sd)
-		e.vectorPass(in)
-		sys.Copy(in, s.z, s.sd)
-		e.vectorPass(in)
+		return s.fusedSteps()
 	}
+
+	if !isZeroF(p) {
+		if !e.o.DisableFused {
+			// u += α·p and r −= α·w share one sweep.
+			sys.AxpyAxpy(in, alpha, p, e.u, -alpha, w, r)
+			e.vectorPass(in)
+		} else {
+			sys.Axpy(in, alpha, p, e.u)
+			sys.Axpy(in, -alpha, w, r)
+			e.vectorPass(in)
+			e.vectorPass(in)
+		}
+	}
+	// rtemp starts as a copy of the outer residual; the depth-d
+	// exchange below makes its halo consistent before any
+	// extended-bounds work.
+	sys.CopyAll(s.rtemp, r)
+	e.vectorPass(in)
+	e.applyPrecond(in, s.rtemp, s.zscr)
+	sys.ScaleTo(in, 1/s.sched.Theta, s.zscr, s.sd)
+	e.vectorPass(in)
+	sys.Copy(in, s.z, s.sd)
+	e.vectorPass(in)
 
 	// Force a fresh exchange at the start of every inner solve: rtemp and
 	// sd were rebuilt from the outer residual.
@@ -1300,18 +1309,6 @@ func (s *innerCore[F, B]) apply(alpha float64, p, w, r F) error {
 			needExchange = false
 		}
 
-		step2 := step
-		if step2 >= s.sched.Steps() {
-			step2 = s.sched.Steps() - 1
-		}
-
-		if s.fused {
-			e.chebyStep(b, s.sched.Alpha[step2], s.sched.Beta[step2],
-				s.sd, s.rtemp, s.minv, s.alt, s.z)
-			s.sd, s.alt = s.alt, s.sd
-			continue
-		}
-
 		e.matvec(b, s.sd, s.alt)
 		sys.Axpy(b, -1, s.alt, s.rtemp) // rtemp -= A·sd
 		e.vectorPass(b)
@@ -1319,11 +1316,45 @@ func (s *innerCore[F, B]) apply(alpha float64, p, w, r F) error {
 		e.applyPrecond(b, s.rtemp, s.zscr)
 		// sd = α·sd + β·zscr (AxpbyPre with the identity).
 		var zero F
-		sys.AxpbyPre(b, s.sched.Alpha[step2], s.sd, s.sched.Beta[step2], zero, s.zscr)
+		sys.AxpbyPre(b, s.sched.Alpha[step], s.sd, s.sched.Beta[step], zero, s.zscr)
 		e.vectorPass(b)
 
 		sys.Axpy(in, 1, s.sd, s.z) // z += sd (interior)
 		e.vectorPass(in)
+	}
+	return nil
+}
+
+// fusedSteps runs the fused path's InnerSteps Chebyshev steps as blocks:
+// one depth-d exchange of sd and rtemp, then up to d steps on the
+// schedule's shrinking bounds in one ChebySteps pass. Every inner solve
+// starts with a fresh exchange, because rtemp and sd were rebuilt from
+// the outer residual, so there are ⌈InnerSteps/d⌉ exchanges.
+func (s *innerCore[F, B]) fusedSteps() error {
+	e := s.e
+	for step := 0; step < e.o.InnerSteps; {
+		if err := e.exchange(s.powers.Depth(), s.sd, s.rtemp); err != nil {
+			return err
+		}
+		s.powers.Refill()
+		s.bs = s.bs[:0]
+		for len(s.bs) < e.o.InnerSteps-step {
+			b, ok := s.powers.Next()
+			if !ok {
+				break
+			}
+			s.bs = append(s.bs, b)
+		}
+		n := len(s.bs)
+		if n == 0 {
+			return fmt.Errorf("solver: matrix-powers schedule empty after refill")
+		}
+		e.chebySteps(s.bs, s.sched.Alpha[step:step+n], s.sched.Beta[step:step+n],
+			s.sd, s.alt, s.rtemp, s.minv, s.z)
+		if n%2 == 1 {
+			s.sd, s.alt = s.alt, s.sd
+		}
+		step += n
 	}
 	return nil
 }

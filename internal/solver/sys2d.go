@@ -148,8 +148,8 @@ func (s *sys2d) FusedCGStep(b grid.Bounds, minv, r, w *grid.Field2D, beta, alpha
 	return kernels.FusedCGStep(s.p, b, minv, r, w, beta, alpha, p, sv, x)
 }
 
-func (s *sys2d) ChebyStep(b, in grid.Bounds, alpha, beta float64, sdOld, rtemp, minv, sdNew, acc *grid.Field2D) {
-	s.op.ChebyStep(s.p, b, in, alpha, beta, sdOld, rtemp, minv, sdNew, acc)
+func (s *sys2d) ChebySteps(bs []grid.Bounds, in grid.Bounds, alphas, betas []float64, sd, alt, rtemp, minv, acc *grid.Field2D) {
+	s.op.ChebySteps(s.p, bs, in, alphas, betas, sd, alt, rtemp, minv, acc)
 }
 
 func (s *sys2d) PPCGInnerInit(b grid.Bounds, alpha float64, p, w, u, r, rtemp *grid.Field2D, thetaInv float64, minv, sd, z *grid.Field2D) {

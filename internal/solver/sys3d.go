@@ -166,8 +166,8 @@ func (s *sys3d) FusedCGStep(b grid.Bounds3D, minv, r, w *grid.Field3D, beta, alp
 	return kernels.FusedCGStep3D(s.p, b, minv, r, w, beta, alpha, p, sv, x)
 }
 
-func (s *sys3d) ChebyStep(b, in grid.Bounds3D, alpha, beta float64, sdOld, rtemp, minv, sdNew, acc *grid.Field3D) {
-	s.op.ChebyStep(s.p, b, in, alpha, beta, sdOld, rtemp, minv, sdNew, acc)
+func (s *sys3d) ChebySteps(bs []grid.Bounds3D, in grid.Bounds3D, alphas, betas []float64, sd, alt, rtemp, minv, acc *grid.Field3D) {
+	s.op.ChebySteps(s.p, bs, in, alphas, betas, sd, alt, rtemp, minv, acc)
 }
 
 func (s *sys3d) PPCGInnerInit(b grid.Bounds3D, alpha float64, p, w, u, r, rtemp *grid.Field3D, thetaInv float64, minv, sd, z *grid.Field3D) {

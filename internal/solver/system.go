@@ -94,13 +94,16 @@ type system[F comparable, B any] interface {
 	// r −= α·s, returning the local γ' = r·(minv⊙r) and ‖r‖² of the
 	// updated r. A zero x skips the solution update (extension rings).
 	FusedCGStep(b B, minv, r, w F, beta, alpha float64, p, s, x F) (gamma, rr float64)
-	// ChebyStep is one Chebyshev step in ONE sweep over b, the matvec folded
-	// into the update that consumes it: rtemp −= A·sdOld, sdNew = α·sdOld +
-	// β·(minv⊙rtemp), then acc += sdNew (PPCG's correction) on the cells of
-	// b inside in. sdOld is read one cell beyond b and never written: the
-	// direction ping-pongs between two fields, which is what makes the
-	// sweep safe for any tile or worker decomposition.
-	ChebyStep(b, in B, alpha, beta float64, sdOld, rtemp, minv, sdNew, acc F)
+	// ChebySteps runs the Chebyshev steps of one matrix-powers block in ONE
+	// pass over the grid, step j over bs[j] with alphas[j], betas[j]: the
+	// matvec folded into the update that consumes it, rtemp −= A·sdOld,
+	// sdNew = α·sdOld + β·(minv⊙rtemp), then acc += sdNew (PPCG's
+	// correction) on the cells of bs[j] inside in. The direction ping-pongs
+	// between sd and alt — step j reads sd for even j, alt for odd j, one
+	// cell beyond bs[j], and writes the other — and a temporal wavefront
+	// orders the steps row by row (stencil.Operator2D.ChebySteps), so every
+	// field ends as if each step had been its own sweep.
+	ChebySteps(bs []B, in B, alphas, betas []float64, sd, alt, rtemp, minv, acc F)
 	// PPCGInnerInit sets PPCG's inner solve up in one pointwise sweep over
 	// b: u += α·p and r −= α·w (skipped for a zero p), then rtemp = r,
 	// sd = θ⁻¹·(minv⊙r), z = sd.
@@ -253,12 +256,15 @@ func (e *engine[F, B]) matvec(b B, p, w F) {
 	e.tr.AddMatvec(e.sys.Cells(b))
 }
 
-// chebyStep runs the one-sweep Chebyshev step over b (system.ChebyStep,
-// accumulating over the interior) and traces it as the stencil sweep it
-// is: one matvec over b, no vector pass.
-func (e *engine[F, B]) chebyStep(b B, alpha, beta float64, sdOld, rtemp, minv, sdNew, acc F) {
-	e.sys.ChebyStep(b, e.in, alpha, beta, sdOld, rtemp, minv, sdNew, acc)
-	e.tr.AddMatvec(e.sys.Cells(b))
+// chebySteps runs one matrix-powers block of Chebyshev steps in one pass
+// (system.ChebySteps, accumulating over the interior) and traces each
+// step as the stencil sweep it computes: one matvec over that step's
+// bounds, no vector pass.
+func (e *engine[F, B]) chebySteps(bs []B, alphas, betas []float64, sd, alt, rtemp, minv, acc F) {
+	e.sys.ChebySteps(bs, e.in, alphas, betas, sd, alt, rtemp, minv, acc)
+	for _, b := range bs {
+		e.tr.AddMatvec(e.sys.Cells(b))
+	}
 }
 
 // matvecDot fuses w = A·p with the global pw reduction (Listing 1).

@@ -1,34 +1,43 @@
 package stencil
 
 import (
+	"math"
+
 	"tealeaf/internal/grid"
 	"tealeaf/internal/par"
 	"tealeaf/internal/simd"
 )
 
-// This file is the one-sweep Chebyshev step of PPCG's inner solve. A step
-// needs w = A·sd only to subtract it from the residual, so the matvec is
-// folded into the update that consumes it: per cell
+// This file is PPCG's inner Chebyshev solve between two halo exchanges:
+// the steps one matrix-powers block buys, run as one pass over the grid.
+// A step needs w = A·sd only to subtract it from the residual, so the
+// matvec is folded into the update that consumes it: per cell of the
+// step's bounds b
 //
 //	w      = (A·sdOld)               (a register, never stored)
 //	rtemp -= w
 //	sdNew  = α·sdOld + β·(minv ⊙ rtemp)
 //
-// over the matrix-powers bounds b, followed by acc += sdNew (the
-// polynomial's correction) over the cells of b inside in.
+// followed by acc += sdNew (the polynomial's correction) on the cells of
+// b inside in.
 //
-// The direction ping-pongs between two fields. The stencil's input is sd
-// itself, not a product that could be recomputed, so an in-place update
-// would need the OLD values of cells a neighbouring tile, band or worker
-// may already have overwritten; with separate input and output fields
-// every read is of a field the sweep never writes and every write is
-// pointwise, so any tile, band or worker decomposition is hazard-free
-// without a window, a lag or an ordering rule. sdOld must be valid one
-// cell beyond b; sdNew is written on b only and must not alias sdOld.
+// The direction ping-pongs between two fields: step j reads sd when j is
+// even and alt when j is odd, and writes the other. The stencil's input is
+// sd itself, not a product that could be recomputed, so an in-place
+// update would need the OLD values of cells the row above may already
+// have overwritten. With two fields, one step alone is hazard-free under
+// any decomposition; several steps in one pass are not, and run in the
+// order par.Pool.Wavefront gives them: step j computes row k (a z-plane
+// in 3D) once step j−1 has finished rows k−1..k+1, and step j+1
+// overwrites row k of the field step j reads only after step j has
+// finished row k+1. Each row of Kx, Ky, rtemp, acc and both direction
+// fields then passes through cache once per block instead of once per
+// step. Tiles are not consulted: every cell is pointwise and carries no
+// dot product, so the bits do not depend on the schedule.
 //
 // Every cell is computed by the expressions of Apply followed by
-// kernels.FusedPPCGInner, operand for operand, so rtemp, sdNew and acc
-// are bit-identical to the two-sweep form.
+// kernels.FusedPPCGInner, operand for operand, so rtemp, both direction
+// fields and acc are bit-identical to running the steps one sweep each.
 
 // point5 evaluates one row of the 5-point operator at a cell: the
 // diagonal 1 + ΣK times the centre value c minus the four face-weighted
@@ -153,28 +162,84 @@ func rowRuns(n, a0, a1 int, inside bool, run func(off, n int, acc bool)) {
 	run(a1, n-a1, false)
 }
 
-// ChebyStep runs one Chebyshev step over b in a single sweep (see the
-// file comment): rtemp −= A·sdOld, sdNew = α·sdOld + β·(minv ⊙ rtemp),
-// then acc += sdNew on the cells of b inside in. nil minv selects the
-// identity preconditioner.
-func (op *Operator2D) ChebyStep(pool *par.Pool, b, in grid.Bounds, alpha, beta float64, sdOld, rtemp, minv, sdNew, acc *grid.Field2D) {
-	if b.Empty() {
-		return
+// ChebySteps runs the Chebyshev steps of one matrix-powers block in one
+// pass (see the file comment): step j runs over bs[j] with alphas[j] and
+// betas[j], rtemp −= A·sdOld, sdNew = α·sdOld + β·(minv ⊙ rtemp), then
+// acc += sdNew on the cells of bs[j] inside in, where sdOld is sd for
+// even j and alt for odd j and sdNew the other. nil minv selects the
+// identity preconditioner. Every field ends as if the steps had run one
+// sweep each, in order: step j reads its sdOld one cell beyond bs[j] and
+// writes sdNew on bs[j] only. After an odd number of steps the newest
+// direction is in alt.
+func (op *Operator2D) ChebySteps(pool *par.Pool, bs []grid.Bounds, in grid.Bounds, alphas, betas []float64, sd, alt, rtemp, minv, acc *grid.Field2D) {
+	lo, hi := math.MaxInt, math.MinInt
+	for _, b := range bs {
+		lo, hi = min(lo, b.Y0), max(hi, b.Y1)
 	}
 	g := op.Grid
 	s := g.Stride()
 	kx, ky := op.Kx.Data, op.Ky.Data
-	od, rd, nd, ad := sdOld.Data, rtemp.Data, sdNew.Data, acc.Data
+	dirs := [2][]float64{sd.Data, alt.Data}
+	rd, ad := rtemp.Data, acc.Data
 	var md []float64
 	if minv != nil {
 		md = minv.Data
 	}
-	pool.ForTiles(par.Box2D(b.X0, b.X1, b.Y0, b.Y1), func(t par.Tile) {
-		a0, a1 := max(in.X0, t.X0)-t.X0, min(in.X1, t.X1)-t.X0
-		for k := t.Y0; k < t.Y1; k++ {
-			row := g.Index(t.X0, k)
-			rowRuns(t.X1-t.X0, a0, a1, k >= in.Y0 && k < in.Y1, func(off, n int, accum bool) {
+	pool.Wavefront(len(bs), lo, hi, func(j, k int) {
+		b := bs[j]
+		if b.Empty() || k < b.Y0 || k >= b.Y1 {
+			return
+		}
+		od, nd := dirs[j&1], dirs[(j+1)&1]
+		alpha, beta := alphas[j], betas[j]
+		row := g.Index(b.X0, k)
+		a0, a1 := max(in.X0, b.X0)-b.X0, min(in.X1, b.X1)-b.X0
+		rowRuns(b.X1-b.X0, a0, a1, k >= in.Y0 && k < in.Y1, func(off, n int, accum bool) {
+			o := row + off
+			var ms, zs []float64
+			if md != nil {
+				ms = md[o : o+n]
+			}
+			if accum {
+				zs = ad[o : o+n]
+			}
+			chebyRow5(kx[o:o+n+1], ky[o:o+n], ky[o+s:o+s+n],
+				od[o-1:o+n+1], od[o-s:o-s+n], od[o+s:o+s+n],
+				rd[o:o+n], ms, nd[o:o+n:o+n], zs, alpha, beta)
+		})
+	})
+}
+
+// ChebySteps is the 3D block of Chebyshev steps — see
+// Operator2D.ChebySteps. The wavefront walks z-planes.
+func (op *Operator3D) ChebySteps(pool *par.Pool, bs []grid.Bounds3D, in grid.Bounds3D, alphas, betas []float64, sd, alt, rtemp, minv, acc *grid.Field3D) {
+	lo, hi := math.MaxInt, math.MinInt
+	for _, b := range bs {
+		lo, hi = min(lo, b.Z0), max(hi, b.Z1)
+	}
+	g := op.Grid
+	sy, sz := op.strides()
+	dirs := [2][]float64{sd.Data, alt.Data}
+	rd, ad := rtemp.Data, acc.Data
+	var md []float64
+	if minv != nil {
+		md = minv.Data
+	}
+	pool.Wavefront(len(bs), lo, hi, func(j, k int) {
+		b := bs[j]
+		if b.Empty() || k < b.Z0 || k >= b.Z1 {
+			return
+		}
+		od, nd := dirs[j&1], dirs[(j+1)&1]
+		alpha, beta := alphas[j], betas[j]
+		a0, a1 := max(in.X0, b.X0)-b.X0, min(in.X1, b.X1)-b.X0
+		inZ := k >= in.Z0 && k < in.Z1
+		for y := b.Y0; y < b.Y1; y++ {
+			row := g.Index(b.X0, y, k)
+			rowRuns(b.X1-b.X0, a0, a1, inZ && y >= in.Y0 && y < in.Y1, func(off, n int, accum bool) {
 				o := row + off
+				kx, ks, kn, kb, kf := op.kRows(o, n, sy, sz)
+				pc, ps, pn, pb, pf := pRows(od, o, n, sy, sz)
 				var ms, zs []float64
 				if md != nil {
 					ms = md[o : o+n]
@@ -182,47 +247,9 @@ func (op *Operator2D) ChebyStep(pool *par.Pool, b, in grid.Bounds, alpha, beta f
 				if accum {
 					zs = ad[o : o+n]
 				}
-				chebyRow5(kx[o:o+n+1], ky[o:o+n], ky[o+s:o+s+n],
-					od[o-1:o+n+1], od[o-s:o-s+n], od[o+s:o+s+n],
+				chebyRow7(kx, ks, kn, kb, kf, pc, ps, pn, pb, pf,
 					rd[o:o+n], ms, nd[o:o+n:o+n], zs, alpha, beta)
 			})
-		}
-	})
-}
-
-// ChebyStep is the 3D one-sweep Chebyshev step — see Operator2D.ChebyStep.
-func (op *Operator3D) ChebyStep(pool *par.Pool, b, in grid.Bounds3D, alpha, beta float64, sdOld, rtemp, minv, sdNew, acc *grid.Field3D) {
-	if b.Empty() {
-		return
-	}
-	g := op.Grid
-	sy, sz := op.strides()
-	od, rd, nd, ad := sdOld.Data, rtemp.Data, sdNew.Data, acc.Data
-	var md []float64
-	if minv != nil {
-		md = minv.Data
-	}
-	pool.ForTiles(box3s(b), func(t par.Tile) {
-		a0, a1 := max(in.X0, t.X0)-t.X0, min(in.X1, t.X1)-t.X0
-		for k := t.Z0; k < t.Z1; k++ {
-			inZ := k >= in.Z0 && k < in.Z1
-			for j := t.Y0; j < t.Y1; j++ {
-				row := g.Index(t.X0, j, k)
-				rowRuns(t.X1-t.X0, a0, a1, inZ && j >= in.Y0 && j < in.Y1, func(off, n int, accum bool) {
-					o := row + off
-					kx, ks, kn, kb, kf := op.kRows(o, n, sy, sz)
-					pc, ps, pn, pb, pf := pRows(od, o, n, sy, sz)
-					var ms, zs []float64
-					if md != nil {
-						ms = md[o : o+n]
-					}
-					if accum {
-						zs = ad[o : o+n]
-					}
-					chebyRow7(kx, ks, kn, kb, kf, pc, ps, pn, pb, pf,
-						rd[o:o+n], ms, nd[o:o+n:o+n], zs, alpha, beta)
-				})
-			}
 		}
 	})
 }
