@@ -484,37 +484,6 @@ func smokeExperiment(cfg config) error {
 	}
 	fmt.Printf("2D  deflated  2x2 ranks: iters=%d (rank-invariant)\n", resD.Summary.TotalIterations)
 
-	// Temporal-blocked deep-halo chain wiring (tl_temporal): the chained
-	// solve must agree with the plain run's physics, serial and on
-	// goroutine ranks. Chained↔unchained bit-identity itself is pinned by
-	// the solver suite and propcheck; this pins deck → core reachability.
-	dt := problem.BenchmarkDeck(32)
-	dt.Solver = "cg"
-	dt.Tiling = true
-	dt.TileY = 4
-	dt.HaloDepth = 3
-	dt.Temporal = true
-	instT, err := core.NewSerial(dt, par.NewPool(0))
-	if err != nil {
-		return err
-	}
-	sumT, err := instT.Run(2)
-	if err != nil {
-		return fmt.Errorf("2D temporal: %w", err)
-	}
-	fmt.Printf("2D  temporal  32^2 d=3: iters=%d ie=%.6g\n", sumT.TotalIterations, sumT.InternalEnergy)
-	dtd := problem.BenchmarkDeck(32)
-	dtd.Solver = "cg"
-	dtd.Tiling = true
-	dtd.TileY = 4
-	dtd.HaloDepth = 3
-	dtd.Temporal = true
-	resT, err := core.RunDistributed(dtd, 2, 2, 2, 1)
-	if err != nil {
-		return fmt.Errorf("2D distributed temporal: %w", err)
-	}
-	fmt.Printf("2D  temporal  2x2 ranks: iters=%d\n", resT.Summary.TotalIterations)
-
 	// 3D deflation with the nested two-level hierarchy, distributed.
 	ds3 := problem.StiffDeck3D(12)
 	ds3.UseDeflation = true

@@ -41,37 +41,38 @@ func main() {
 	}
 }
 
+// The command-line flags, registered on flag.CommandLine at init so the
+// flag table in docs/deck-format.md can be checked against them.
+var (
+	mesh      = flag.Int("mesh", 128, "built-in crooked-pipe mesh size (used when no deck file is given)")
+	dims      = flag.Int("dims", 0, "override deck dimensionality (3 selects the 7-point solve path; the built-in 3D deck is the two-state benchmark)")
+	steps     = flag.Int("steps", 0, "number of time steps to run (0 = deck's end_time/end_step)")
+	px        = flag.Int("px", 1, "ranks in x (goroutine ranks)")
+	py        = flag.Int("py", 1, "ranks in y")
+	pz        = flag.Int("pz", 1, "ranks in z (3D runs only)")
+	workers   = flag.Int("workers", 1, "worker threads per rank (hybrid mode)")
+	solver    = flag.String("solver", "", "override deck solver (cg|ppcg|chebyshev|jacobi)")
+	depth     = flag.Int("halo-depth", 0, "override matrix-powers halo depth")
+	stiff     = flag.Bool("stiff", false, "use the built-in stiff near-steady deck (dt=10; the deflation regime) instead of the crooked pipe; honours -dims 3")
+	deflate   = flag.Bool("deflate", false, "enable subdomain deflation (tl_use_deflation; cg/ppcg, 2D and 3D, single- or multi-rank)")
+	deflBlk   = flag.Int("deflate-blocks", 0, "override deflation subdomains per direction (tl_deflation_blocks)")
+	deflLvl   = flag.Int("deflate-levels", 0, "override nested deflation hierarchy depth (tl_deflation_levels)")
+	pipelined = flag.Bool("pipelined", false, "use pipelined CG: overlap each iteration's reduction with the matvec (tl_pipelined)")
+	split     = flag.Bool("split", false, "split matvec sweeps: overlap halo exchanges with the interior sweep (tl_split_sweeps)")
+	tiled     = flag.Bool("tiled", false, "route hot sweeps through the cache-tiled scheduler (tl_tiling; shape auto-sized from the LLC model unless -tile-x/y/z)")
+	tileX     = flag.Int("tile-x", 0, "override tile x edge (tl_tile_x; implies -tiled; 0 = auto)")
+	tileY     = flag.Int("tile-y", 0, "override tile y edge (tl_tile_y; implies -tiled; 0 = auto)")
+	tileZ     = flag.Int("tile-z", 0, "override tile z edge (tl_tile_z; implies -tiled; 0 = auto; 3D runs)")
+	netMode   = flag.String("net", "hub", "comm backend for decomposed runs: hub (goroutine ranks), tcp (this process is one rank; needs -rank/-peers), launch (fork local tcp ranks)")
+	rank      = flag.Int("rank", 0, "this process's rank (with -net tcp)")
+	peers     = flag.String("peers", "", "comma-separated host:port of every rank, indexed by rank (with -net tcp)")
+	ppm       = flag.String("ppm", "", "write final temperature heatmap to this PPM file")
+	vtk       = flag.String("vtk", "", "write final fields to this VTK file")
+	ascii     = flag.Bool("ascii", false, "print an ASCII heatmap of the final temperature")
+	quiet     = flag.Bool("quiet", false, "suppress per-step output")
+)
+
 func run() error {
-	var (
-		mesh      = flag.Int("mesh", 128, "built-in crooked-pipe mesh size (used when no deck file is given)")
-		dims      = flag.Int("dims", 0, "override deck dimensionality (3 selects the 7-point solve path; the built-in 3D deck is the two-state benchmark)")
-		steps     = flag.Int("steps", 0, "number of time steps to run (0 = deck's end_time/end_step)")
-		px        = flag.Int("px", 1, "ranks in x (goroutine ranks)")
-		py        = flag.Int("py", 1, "ranks in y")
-		pz        = flag.Int("pz", 1, "ranks in z (3D runs only)")
-		workers   = flag.Int("workers", 1, "worker threads per rank (hybrid mode)")
-		solver    = flag.String("solver", "", "override deck solver (cg|ppcg|chebyshev|jacobi)")
-		depth     = flag.Int("halo-depth", 0, "override matrix-powers halo depth")
-		stiff     = flag.Bool("stiff", false, "use the built-in stiff near-steady deck (dt=10; the deflation regime) instead of the crooked pipe; honours -dims 3")
-		deflate   = flag.Bool("deflate", false, "enable subdomain deflation (tl_use_deflation; cg/ppcg, 2D and 3D, single- or multi-rank)")
-		deflBlk   = flag.Int("deflate-blocks", 0, "override deflation subdomains per direction (tl_deflation_blocks)")
-		deflLvl   = flag.Int("deflate-levels", 0, "override nested deflation hierarchy depth (tl_deflation_levels)")
-		pipelined = flag.Bool("pipelined", false, "use pipelined CG: overlap each iteration's reduction with the matvec (tl_pipelined)")
-		split     = flag.Bool("split", false, "split matvec sweeps: overlap halo exchanges with the interior sweep (tl_split_sweeps)")
-		tiled     = flag.Bool("tiled", false, "route hot sweeps through the cache-tiled scheduler (tl_tiling; shape auto-sized from the LLC model unless -tile-x/y/z)")
-		tileX     = flag.Int("tile-x", 0, "override tile x edge (tl_tile_x; implies -tiled; 0 = auto)")
-		tileY     = flag.Int("tile-y", 0, "override tile y edge (tl_tile_y; implies -tiled; 0 = auto)")
-		tileZ     = flag.Int("tile-z", 0, "override tile z edge (tl_tile_z; implies -tiled; 0 = auto; 3D runs)")
-		temporal  = flag.Bool("temporal", false, "temporal-block deep-halo solve cycles: chain each iteration's sweeps per LLC band (tl_temporal; implies -tiled; needs -halo-depth > 1)")
-		chainB    = flag.Int("chain-bands", 0, "override chain band height in cells (tl_chain_bands; implies -temporal; 0 = auto from the LLC model)")
-		netMode   = flag.String("net", "hub", "comm backend for decomposed runs: hub (goroutine ranks), tcp (this process is one rank; needs -rank/-peers), launch (fork local tcp ranks)")
-		rank      = flag.Int("rank", 0, "this process's rank (with -net tcp)")
-		peers     = flag.String("peers", "", "comma-separated host:port of every rank, indexed by rank (with -net tcp)")
-		ppm       = flag.String("ppm", "", "write final temperature heatmap to this PPM file")
-		vtk       = flag.String("vtk", "", "write final fields to this VTK file")
-		ascii     = flag.Bool("ascii", false, "print an ASCII heatmap of the final temperature")
-		quiet     = flag.Bool("quiet", false, "suppress per-step output")
-	)
 	flag.Parse()
 
 	var d *deck.Deck
@@ -133,16 +134,6 @@ func run() error {
 		}
 		if *tileZ > 0 {
 			d.TileZ = *tileZ
-		}
-	}
-	if *temporal || *chainB > 0 {
-		// tl_temporal requires the tiled scheduler (deck.Validate enforces
-		// it); the flag implies -tiled the way tl_chain_bands implies
-		// tl_temporal.
-		d.Temporal = true
-		d.Tiling = true
-		if *chainB > 0 {
-			d.ChainBands = *chainB
 		}
 	}
 	if d.UseDeflation {

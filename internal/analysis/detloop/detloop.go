@@ -5,13 +5,13 @@
 // residuals rank to rank, which the convergence checks then disagree on.
 //
 // The check applies to the numeric packages (internal/solver, kernels,
-// deflate, stencil, precond, and — since the temporal chain scheduler
-// put an FP fold there (ChainAccum.Fold) — internal/par): a `range` over
-// a map whose body folds into a floating-point accumulator declared
-// outside the loop is flagged. The fix idiom is to extract and sort the
-// keys first (see stats.Trace's report paths) or accumulate per-key into
-// order-independent slots, as the chain accumulator does with its
-// per-tile partial table.
+// deflate, stencil, precond, and internal/par, whose ForTilesReduceN
+// fold and Wavefront schedule live there): a `range` over a map whose
+// body folds into a floating-point accumulator declared outside the loop
+// is flagged. The fix idiom is to extract and sort the keys first (see
+// stats.Trace's report paths) or accumulate per-key into
+// order-independent slots, as ForTilesReduceN does with its per-tile
+// partial table.
 package detloop
 
 import (
@@ -31,8 +31,8 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // numericPackages are the packages under the reproducibility contract.
-// internal/par joined with the chain-band scheduler: ChainAccum.Fold is
-// a floating-point fold whose order IS the determinism guarantee.
+// internal/par is among them: ForTilesReduceN's fold is a floating-point
+// fold whose order IS the determinism guarantee.
 var numericPackages = []string{
 	"internal/solver",
 	"internal/kernels",

@@ -1,20 +1,14 @@
-// Package par is under the reproducibility contract since the chain-band
-// scheduler (ChainAccum) put a floating-point fold in it: detloop must
-// flag map-order folds here exactly as in the other numeric packages.
+// Package par is under the reproducibility contract: ForTilesReduceN
+// folds per-tile partials in a fixed order, so detloop must flag
+// map-order folds here exactly as in the other numeric packages.
 package par
 
-// ChainAccum mirrors the chain scheduler's per-tile reduction table.
-type ChainAccum struct {
-	k       int
-	partial []float64
-}
-
-// badBandWeights folds per-band partials in map iteration order: the
-// chained sum would differ run to run, the exact failure ChainAccum's
-// ascending-tile-order Fold exists to rule out.
-func badBandWeights(byBand map[int][]float64) []float64 {
+// badTileWeights folds per-tile partials in map iteration order: the sum
+// would differ run to run, the exact failure ForTilesReduceN's
+// ascending-tile-order fold exists to rule out.
+func badTileWeights(byTile map[int][]float64) []float64 {
 	out := make([]float64, 1)
-	for _, p := range byBand {
+	for _, p := range byTile {
 		for _, v := range p {
 			out[0] += v // want `floating-point accumulation of out over randomized map iteration order`
 		}
@@ -22,13 +16,13 @@ func badBandWeights(byBand map[int][]float64) []float64 {
 	return out
 }
 
-// Fold mirrors the real ChainAccum.Fold: a slice walk in ascending tile
-// order — no map, no finding.
-func (a *ChainAccum) Fold() []float64 {
-	out := make([]float64, a.k)
-	for t := 0; t*a.k < len(a.partial); t++ {
-		for i := 0; i < a.k; i++ {
-			out[i] += a.partial[t*a.k+i]
+// foldTiles mirrors ForTilesReduceN's fold: a slice walk in ascending
+// tile order — no map, no finding.
+func foldTiles(partial []float64, k int) []float64 {
+	out := make([]float64, k)
+	for t := 0; t*k < len(partial); t++ {
+		for i := 0; i < k; i++ {
+			out[i] += partial[t*k+i]
 		}
 	}
 	return out

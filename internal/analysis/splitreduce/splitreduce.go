@@ -9,16 +9,9 @@
 // exchange failure in between is exactly the kind of path that leaks a
 // round and desynchronises every later collective on the communicator.
 //
-// Tagged rounds (AllReduceSumNStartTagged) deliberately overlap the
-// untagged round — the temporal-blocked deflated pipelined cycle keeps
-// its coarse projection posted on its own tag across the chained compute
-// block while the scalar round is still in flight. In this codebase such
-// long-lived rounds are always stashed in a struct field (chainState.h1),
-// so the analyzer models a field-stash as a transfer of the Finish
-// obligation out of the local frame, exactly like returning the handle:
-// the stash's owner must drain it before the next same-tag round, a
-// discipline pinned by the comm split-phase tests rather than this
-// package-local pass.
+// A handle's Finish obligation leaves the frame only by returning the
+// handle (a Start wrapper); a handle stored anywhere else, a struct
+// field included, must still be finished in the frame that started it.
 package splitreduce
 
 import (
@@ -33,7 +26,7 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "splitreduce",
 	Doc: "check that every split-phase reduction (AllReduceSumNStart) is finished exactly once on all control-flow paths, " +
-		"with no other collective in between; handles stashed in a struct field transfer the obligation to the stash's owner",
+		"with no other collective in between",
 	Run: run,
 }
 
@@ -103,28 +96,6 @@ func finishesReduction(info *types.Info, call *ast.CallExpr) bool {
 	return recv != nil && isReduceHandle(recv)
 }
 
-// stashedStarts returns the Start calls in an assignment whose handle
-// lands in a struct field (`cs.h1 = sd.ProjectWBoundsStart(n)`): the
-// Finish obligation transfers to the stash's owner, which drains the
-// round outside this frame — the temporal chain's tagged-round pattern.
-// Package-qualified names are not field selections and do not transfer.
-func stashedStarts(info *types.Info, as *ast.AssignStmt) []*ast.CallExpr {
-	if len(as.Lhs) != len(as.Rhs) {
-		return nil
-	}
-	var stashed []*ast.CallExpr
-	for i, l := range as.Lhs {
-		sel, ok := ast.Unparen(l).(*ast.SelectorExpr)
-		if !ok || info.Selections[sel] == nil {
-			continue
-		}
-		if call, ok := ast.Unparen(as.Rhs[i]).(*ast.CallExpr); ok && startsReduction(info, call) {
-			stashed = append(stashed, call)
-		}
-	}
-	return stashed
-}
-
 // returnsHandle reports whether a function signature hands a
 // ReduceHandle to its caller — such functions are wrappers around Start
 // and the in-flight obligation transfers with the returned handle.
@@ -160,18 +131,6 @@ func summarize(pass *analysis.Pass) map[*types.Func]bool {
 			if returnsHandle(fd.Type, pass.TypesInfo) {
 				continue // Start-wrapper: modelled at call sites instead
 			}
-			// Field-stashed starts post an overlapped round rather than
-			// completing a collective here: callers holding a round on a
-			// different tag may legitimately invoke this function.
-			stashed := map[*ast.CallExpr]bool{}
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if as, ok := n.(*ast.AssignStmt); ok {
-					for _, call := range stashedStarts(pass.TypesInfo, as) {
-						stashed[call] = true
-					}
-				}
-				return true
-			})
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
 				if !ok {
@@ -182,7 +141,7 @@ func summarize(pass *analysis.Pass) map[*types.Func]bool {
 					return true
 				}
 				if analysis.IsPkgFunc(fn, "internal/comm", blockingCollectives...) ||
-					(startsReduction(pass.TypesInfo, call) && !stashed[call]) {
+					startsReduction(pass.TypesInfo, call) {
 					direct[obj] = true
 				} else if fn.Pkg() == pass.Pkg {
 					callees[obj] = append(callees[obj], fn.Origin())
@@ -323,14 +282,6 @@ func (c *checker) stmt(s ast.Stmt, state int) (int, bool) {
 		}
 		for _, l := range s.Lhs {
 			state = c.scanExpr(l, state)
-		}
-		// A handle assigned to a struct field leaves this frame: the
-		// stash's owner finishes the round (temporal chain tagged-round
-		// pattern), so the local obligation ends at the assignment.
-		for range stashedStarts(c.pass.TypesInfo, s) {
-			if state > 0 {
-				state--
-			}
 		}
 		return state, false
 	case *ast.DeclStmt:

@@ -1,5 +1,6 @@
 // Package b holds split-phase reduction usage the splitreduce analyzer
-// must accept: the overlap idioms the pipelined CG engine actually uses.
+// must accept: the overlap idioms the pipelined CG engine actually uses,
+// and the field-stashed handle it must not mistake for a hand-off.
 package b
 
 import "tealeaf/internal/comm"
@@ -87,46 +88,15 @@ func balancedBranches(c comm.Communicator, p bool) []float64 {
 	return res
 }
 
-// chain mirrors the solver's chainState: a long-lived tagged round
-// stashed in a field, posted inside another round's overlap window and
-// drained by the owner before the next same-tag round.
-type chain struct {
-	c  comm.Communicator
-	h1 comm.ReduceHandle
+// holder keeps a handle in a struct field.
+type holder struct {
+	c comm.Communicator
+	h comm.ReduceHandle
 }
 
-// postTagged posts the coarse projection on its own tag and stashes the
-// handle — the temporal-blocked deflated pipelined matvec. The stash
-// transfers the Finish obligation to the chain, so returning here with
-// the round posted is the contract, not a leak.
-func (s *chain) postTagged(vals []float64) {
-	s.h1 = s.c.AllReduceSumNStartTagged(1, vals)
-}
-
-// drain finishes the stashed round; idempotent like pipelinedDrain.
-func (s *chain) drain() []float64 {
-	if s.h1 == nil {
-		return nil
-	}
-	res := s.h1.Finish()
-	s.h1 = nil
-	return res
-}
-
-// twoTagsInFlight is the deflated pipelined overlap window: the scalar
-// round (tag 0) is in flight while the tagged coarse round posts through
-// the stashing helper — legal because field-stashed rounds are the
-// owner's obligation, and the tags keep the generations apart.
-func twoTagsInFlight(s *chain, vals []float64) []float64 {
-	h := s.c.AllReduceSumNStart(vals)
-	s.postTagged(vals)
-	sums := h.Finish()
-	s.drain()
-	return sums
-}
-
-// stashDirect stashes without a helper: the assignment itself ends the
-// local obligation.
-func stashDirect(s *chain, vals []float64) {
-	s.h1 = s.c.AllReduceSumNStartTagged(1, vals)
-}
+// stashedRound stores its handle in a field and returns unfinished: only
+// returning the handle hands the Finish obligation on, so the round is
+// reported as leaked.
+func stashedRound(s *holder, vals []float64) {
+	s.h = s.c.AllReduceSumNStartTagged(1, vals)
+} // want `function ends with a split-phase reduction in flight`

@@ -64,32 +64,3 @@ func goodCounter(pool *par.Pool, x *Field) int {
 	})
 	return n
 }
-
-// badChainFold folds into a shared scalar from inside a chain-band body:
-// it bypasses ChainAccum's fixed tile-order fold, so the chained sweep's
-// sum follows the worker schedule and the temporal path loses
-// bit-identity with the unchained cycle.
-func badChainFold(pool *par.Pool, b par.Box, x, y *Field) float64 {
-	acc := pool.NewChainAccum(1, b)
-	var sum float64
-	pool.ForTilesChunk(acc, 0, 1, func(t par.Tile, _ []float64) {
-		for i := t.X0; i < t.X1; i++ {
-			sum += x.Data[i] * y.Data[i] // want `floating-point fold of sum inside a parallel ForTilesChunk body`
-		}
-	})
-	return sum
-}
-
-// goodChainFold accumulates into the per-tile acc slice — the sanctioned
-// chain pattern, folded later in fixed tile order by ChainAccum.Fold.
-func goodChainFold(pool *par.Pool, b par.Box, x, y *Field) float64 {
-	acc := pool.NewChainAccum(1, b)
-	pool.ForTilesChunk(acc, 0, 1, func(t par.Tile, a []float64) {
-		var part float64
-		for i := t.X0; i < t.X1; i++ {
-			part += x.Data[i] * y.Data[i]
-		}
-		a[0] += part
-	})
-	return acc.Fold()[0]
-}

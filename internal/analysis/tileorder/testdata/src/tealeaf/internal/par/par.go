@@ -38,22 +38,3 @@ func (p *Pool) ForTilesReduceN(k int, b Box, body func(t Tile, acc []float64)) [
 	body(Tile{X0: b.X0, X1: b.X1, Y0: b.Y0, Y1: b.Y1, Z0: b.Z0, Z1: b.Z1}, acc)
 	return acc
 }
-
-// ChainAccum mirrors par.ChainAccum.
-type ChainAccum struct {
-	k       int
-	partial []float64
-}
-
-// NewChainAccum mirrors par.(*Pool).NewChainAccum.
-func (p *Pool) NewChainAccum(k int, b Box) *ChainAccum {
-	return &ChainAccum{k: k, partial: make([]float64, k)}
-}
-
-// Fold mirrors par.(*ChainAccum).Fold.
-func (a *ChainAccum) Fold() []float64 { return a.partial }
-
-// ForTilesChunk mirrors par.(*Pool).ForTilesChunk.
-func (p *Pool) ForTilesChunk(acc *ChainAccum, t0, t1 int, body func(t Tile, acc []float64)) {
-	body(Tile{}, acc.partial)
-}

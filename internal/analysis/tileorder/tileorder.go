@@ -1,17 +1,12 @@
 // Package tileorder checks the deterministic-reduction contract of the
-// tiled sweep engine: a worker-parallel loop body (par.Pool.For,
-// ForTiles, or the temporal chain's ForTilesChunk) must never fold
-// floating-point values into an accumulator declared outside the body.
-// Worker interleaving makes such a fold's order — and with it the last
-// bits of every reduction — depend on the pool size and tile schedule,
-// exactly the nondeterminism the fixed-order reducers
-// (ForReduce/ForReduce2/ForReduceN and ForTilesReduceN, which fold
-// per-band and per-tile partials in a schedule-independent order) exist
-// to prevent. It is also a data race. Chain bodies (ForTilesChunk) must
-// put every partial in the per-tile acc slice ChainAccum hands them —
-// that is what makes the end-of-cycle Fold reproduce ForTilesReduceN's
-// bits — so a scalar fold there additionally breaks the chained
-// solve's bit-identity with the unchained cycle.
+// tiled sweep engine: a worker-parallel loop body (par.Pool.For or
+// ForTiles) must never fold floating-point values into an accumulator
+// declared outside the body. Worker interleaving makes such a fold's
+// order — and with it the last bits of every reduction — depend on the
+// pool size and tile schedule, exactly the nondeterminism the
+// fixed-order reducers (ForReduce/ForReduce2/ForReduceN and
+// ForTilesReduceN, which fold per-band and per-tile partials in a
+// schedule-independent order) exist to prevent. It is also a data race.
 //
 // Writes through an index expression (y.Data[i] += …) are not flagged:
 // partitioned element writes over disjoint ranges are the normal sweep
@@ -45,12 +40,8 @@ var numericPackages = []string{
 }
 
 // loopNames are the non-reducing parallel dispatchers: any fold inside
-// their bodies bypasses the fixed-order reducers. ForTilesChunk is the
-// temporal chain's band dispatcher: its bodies must accumulate into the
-// per-tile acc slice (an indexed write, folded later by ChainAccum.Fold
-// in fixed tile order) — a fold into a body-external scalar there has
-// worker-schedule order, exactly the bug the chain exists to avoid.
-var loopNames = []string{"For", "ForTiles", "ForTilesChunk"}
+// their bodies bypasses the fixed-order reducers.
+var loopNames = []string{"For", "ForTiles"}
 
 func run(pass *analysis.Pass) error {
 	covered := false

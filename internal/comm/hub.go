@@ -302,8 +302,7 @@ func (c *RankComm) Barrier() { c.hub.coll.reduce(opSum, c.rank) }
 // of timing (two-rank sums escape because IEEE addition is commutative,
 // which is exactly why the bug hid at small rank counts): the same deck
 // would produce different bits run to run and across per-rank worker
-// counts, breaking the solver's determinism contract and the temporal
-// chain's chained-equals-unchained guarantee.
+// counts, breaking the solver's determinism contract.
 type collective struct {
 	n       int
 	mu      sync.Mutex

@@ -157,9 +157,9 @@ func TestTCPSplitPhaseMatchesBlocking(t *testing.T) {
 	}
 }
 
-// multiTagRounds runs the temporal chain's two-tags-in-flight pattern on
-// any backend: the untagged scalar round posts first, the tagged coarse
-// round posts inside its overlap window, a halo exchange lands between
+// multiTagRounds runs a two-tags-in-flight pattern on any backend: the
+// untagged round posts first, the tagged round posts inside its overlap
+// window, a halo exchange lands between
 // the two Finishes, and the handles complete in both orders on alternate
 // iterations. Sums must match the blocking reduction on every round.
 func multiTagRounds(t *testing.T, c Communicator, part *grid.Partition, iters int) error {
@@ -270,8 +270,8 @@ func TestHubReduceFoldRankOrder(t *testing.T) {
 // path: a peer that dies while a tagged round is in flight surfaces as a
 // *TCPError panic from Finish, which Protect converts into an ordinary
 // error — the same unrecoverable-transport contract as the blocking
-// reductions, so the temporal chain's posted coarse round cannot hang or
-// silently corrupt a solve when a rank is lost.
+// reductions, so a posted tagged round cannot hang or silently corrupt a
+// solve when a rank is lost.
 func TestTCPTaggedFailureThroughProtect(t *testing.T) {
 	if testing.Short() {
 		t.Skip("TCP test in -short mode")

@@ -84,21 +84,6 @@ func tiledPool(d *deck.Deck, pool *par.Pool, nx, ny, nz int) *par.Pool {
 	return pool.WithTiles(tx, ty, tz)
 }
 
-// chainBandCells resolves tl_chain_bands for the temporal-blocked deep
-// solve cycles: an explicit value pins the band height in cells along
-// the chain axis, 0 auto-sizes it from the host's LLC model for the
-// deck's halo depth — staying 0 (one spanning band) when the working
-// set already fits the cache. The chained sweeps co-walk up to eight
-// arrays per cell (the pipelined step's recurrence vectors plus the
-// folded diagonal), same as the widest 3D tiled sweep. Pass nz = 0 for
-// 2D grids.
-func chainBandCells(d *deck.Deck, nx, ny, nz int) int {
-	if !d.Temporal || d.ChainBands > 0 {
-		return d.ChainBands
-	}
-	return machine.HostDevice().ChainBandRows(nx, ny, nz, 8, HaloFor(d))
-}
-
 // NewSerial builds a single-rank instance covering the whole deck domain.
 func NewSerial(d *deck.Deck, pool *par.Pool) (*Instance, error) {
 	g, err := grid.NewGrid2D(d.XCells, d.YCells, HaloFor(d), d.XMin, d.XMax, d.YMin, d.YMax)
@@ -169,9 +154,7 @@ func NewInstance(d *deck.Deck, g *grid.Grid2D, pool *par.Pool, c comm.Communicat
 		FusedDots:    d.FusedDots,
 		Pipelined:    d.Pipelined,
 		SplitSweeps:  d.SplitSweeps,
-		Temporal:     d.Temporal,
 	}
-	inst.opts.ChainBandCells = chainBandCells(d, g.NX, g.NY, 0)
 	if d.UseDeflation {
 		// tl_use_deflation: build the distributed coarse subdomain
 		// projector over this rank's slice of the solve operator (the

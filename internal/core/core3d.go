@@ -114,9 +114,7 @@ func NewInstance3D(d *deck.Deck, g *grid.Grid3D, pool *par.Pool, c comm.Communic
 		FusedDots:    d.FusedDots,
 		Pipelined:    d.Pipelined,
 		SplitSweeps:  d.SplitSweeps,
-		Temporal:     d.Temporal,
 	}
-	inst.opts.ChainBandCells = chainBandCells(d, g.NX, g.NY, g.NZ)
 	if d.UseDeflation {
 		// tl_use_deflation on a dims=3 deck: the 3D coarse-space projector
 		// over the global box partition, composed into CG or PPCG exactly

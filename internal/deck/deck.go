@@ -113,19 +113,6 @@ type Deck struct {
 	// the host's cache model (machine.HostDevice().TileFor) when tiling
 	// is on; an explicit value pins that axis.
 	TileX, TileY, TileZ int
-	// Temporal chains the d sweeps of each deep-halo solve iteration
-	// band-by-band over LLC-sized bands (tl_temporal): each band streams
-	// through the cache once per iteration instead of once per sweep,
-	// bit-identical to the unchained deep-halo cycle. Requires tl_tiling
-	// (the chained reduction fold needs the tiled scheduler's fixed tile
-	// order); a no-op unless the solve is deep (tl_ppcg_halo_depth > 1)
-	// and fused or pipelined. Setting tl_chain_bands implies it.
-	Temporal bool
-	// ChainBands is the approximate band height in cells along the chain
-	// axis (tl_chain_bands; Y in 2D, Z in 3D), rounded up to whole tile
-	// rows. 0 (the default) auto-sizes bands from the host's cache model
-	// (machine.HostDevice().ChainBandRows) when tl_temporal is on.
-	ChainBands int
 
 	States []State
 }
@@ -292,12 +279,6 @@ func (d *Deck) parseLine(line string) error {
 	case "tl_tile_z":
 		d.Tiling = true
 		return d.setInt(&d.TileZ, val)
-	case "tl_temporal":
-		d.Temporal = true
-		return nil
-	case "tl_chain_bands":
-		d.Temporal = true
-		return d.setInt(&d.ChainBands, val)
 	case "tl_coefficient_density":
 		d.Coefficient = "density"
 		return nil
@@ -428,10 +409,6 @@ func (d *Deck) Validate() error {
 		return fmt.Errorf("deck: halo depth must be >= 1")
 	case d.TileX < 0 || d.TileY < 0 || d.TileZ < 0:
 		return fmt.Errorf("deck: tile edges must be >= 0 (0 = auto), got %dx%dx%d", d.TileX, d.TileY, d.TileZ)
-	case d.ChainBands < 0:
-		return fmt.Errorf("deck: tl_chain_bands must be >= 0 (0 = auto), got %d", d.ChainBands)
-	case d.Temporal && !d.Tiling:
-		return fmt.Errorf("deck: tl_temporal requires tl_tiling (the chained reduction fold needs the tiled scheduler's fixed tile order)")
 	case len(d.States) == 0:
 		return fmt.Errorf("deck: need at least one state")
 	}

@@ -5,6 +5,7 @@ import (
 	"go/parser"
 	"go/token"
 	"os"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -61,8 +62,10 @@ func parserKeyStrings(t *testing.T, funcNames ...string) []string {
 
 // TestDeckFormatDocCoversAllKeys is the docs-freshness check: every deck
 // key and state attribute the parser accepts must be mentioned in
-// docs/deck-format.md. Add the key to the reference table when extending
-// the dialect — CI runs this, so the documentation cannot silently rot.
+// docs/deck-format.md, and every tl_* key it mentions must be accepted.
+// Add the key to the reference table when extending the dialect, and
+// drop it when removing one — CI runs this, so the documentation cannot
+// silently rot.
 func TestDeckFormatDocCoversAllKeys(t *testing.T) {
 	doc, err := os.ReadFile("../../docs/deck-format.md")
 	if err != nil {
@@ -81,5 +84,17 @@ func TestDeckFormatDocCoversAllKeys(t *testing.T) {
 	}
 	if len(missing) > 0 {
 		t.Errorf("docs/deck-format.md does not mention the deck key(s) %q accepted by internal/deck; add them to the reference table", missing)
+	}
+	// The other direction: every tl_* key the reference names must be one
+	// the parser accepts, so a deleted key cannot linger in the docs.
+	accepted := map[string]bool{}
+	for _, k := range keys {
+		accepted[k] = true
+	}
+	for _, k := range regexp.MustCompile(`tl_[a-z0-9_]+`).FindAllString(text, -1) {
+		if !accepted[k] {
+			t.Errorf("docs/deck-format.md documents the deck key %q, which internal/deck rejects", k)
+			accepted[k] = true // report each key once
+		}
 	}
 }

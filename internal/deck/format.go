@@ -71,12 +71,6 @@ func (d *Deck) Format() string {
 			w("tl_tile_z=%d", d.TileZ)
 		}
 	}
-	if d.Temporal {
-		w("tl_temporal")
-		if d.ChainBands != 0 {
-			w("tl_chain_bands=%d", d.ChainBands)
-		}
-	}
 	for _, s := range d.States {
 		sb.WriteString(formatState(s, g))
 	}

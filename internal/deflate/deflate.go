@@ -164,25 +164,6 @@ func (d *Deflation) ProjectWBounds(b grid.Bounds, w, minv, x *grid.Field2D) floa
 	return d.project(box2(b), w.Data, data2(minv), data2(x))
 }
 
-// ProjectWBoundsStart is the first half of a split projection: it
-// restricts w and posts the coarse reduction round split-phase on the
-// projector's dedicated tag, so the solver's temporal-blocked pipelined CG
-// can keep it in flight alongside the iteration's scalar round. The handle
-// must go to ProjectWBoundsFinish — or be Finished and discarded on paths
-// that abandon the projection — before any blocking collective, on every
-// rank alike. Collective.
-func (d *Deflation) ProjectWBoundsStart(w *grid.Field2D) comm.ReduceHandle { return d.start(w.Data) }
-
-// ProjectWBoundsFinish completes a projection posted by
-// ProjectWBoundsStart: finishes the coarse round, runs the replicated
-// hierarchy solve every rank executes identically, and applies the
-// fine-grid correction over b. The result is bit-identical to
-// ProjectWBounds(b, w, nil, nil) for the same w — the tagged round folds
-// exactly like the blocking one.
-func (d *Deflation) ProjectWBoundsFinish(h comm.ReduceHandle, b grid.Bounds, w *grid.Field2D) {
-	d.finish(h, box2(b), w.Data)
-}
-
 // SolveDeflatedCG runs deflated CG on A·u = rhs — the package's
 // self-contained reference loop, kept as the simplest executable
 // statement of the algorithm (the production path composes the same

@@ -92,18 +92,3 @@ func (d *Deflation3D) ProjectW(w *grid.Field3D) { d.project(d.in, w.Data, nil, n
 func (d *Deflation3D) ProjectWBounds(b grid.Bounds3D, w, minv, x *grid.Field3D) float64 {
 	return d.project(box3(b), w.Data, data3(minv), data3(x))
 }
-
-// ProjectWBoundsStart is the 3D twin of Deflation.ProjectWBoundsStart:
-// restrict w and post the coarse round split-phase on the projector's
-// tag, under the same finish-before-any-blocking-collective contract.
-// Collective.
-func (d *Deflation3D) ProjectWBoundsStart(w *grid.Field3D) comm.ReduceHandle {
-	return d.start(w.Data)
-}
-
-// ProjectWBoundsFinish completes a projection posted by
-// ProjectWBoundsStart, bit-identical to ProjectWBounds(b, w, nil, nil)
-// for the same w.
-func (d *Deflation3D) ProjectWBoundsFinish(h comm.ReduceHandle, b grid.Bounds3D, w *grid.Field3D) {
-	d.finish(h, box3(b), w.Data)
-}

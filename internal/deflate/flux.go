@@ -271,19 +271,6 @@ func laneSum(xs []float64) float64 {
 	return ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7))
 }
 
-// deflReduceTag is the reduction tag of the split-phase coarse round
-// (comm.AllReduceSumNStartTagged): distinct from tag 0, which blocking
-// rounds and the solver's split-phase scalar round use, so both can be
-// in flight at once.
-const deflReduceTag = 1
-
-// start restricts w and posts the coarse reduction round split-phase on
-// the projector's tag.
-func (p *projector) start(w []float64) comm.ReduceHandle {
-	p.restrict(w)
-	return p.c.AllReduceSumNStartTagged(deflReduceTag, p.cr)
-}
-
 // solveCoarse computes λ = E⁻¹·Wᵀ·v into p.cl: a rank-local restriction,
 // one AllReduceSumN round (the only communication a projection performs),
 // and the replicated hierarchy solve every rank executes identically.
@@ -330,14 +317,6 @@ func (p *projector) forRuns(t par.Tile, body func(o, i0, i1, c int)) {
 func (p *projector) project(b par.Box, w, m, x []float64) float64 {
 	p.solveCoarse(w)
 	return p.correct(b, w, m, x)
-}
-
-// finish completes a projection posted by start: the coarse round, the
-// replicated solve and the correction over b — bit-identical to project
-// for the same w, since the tagged round folds like the blocking one.
-func (p *projector) finish(h comm.ReduceHandle, b par.Box, w []float64) {
-	p.solve(h.Finish())
-	p.correct(b, w, nil, nil)
 }
 
 // correct subtracts A·W·λ (λ_c = p.lbar + p.cl[c]) from w over b ⊇ interior in one

@@ -35,19 +35,8 @@ func FusedCGStep(pl *par.Pool, b grid.Bounds, minv, r, w *grid.Field2D, beta, al
 	return acc[0], acc[1]
 }
 
-// FusedCGStepChain is FusedCGStep restricted to one chain band's tile
-// range [t0,t1): same tile body, but the (γ, rr) partials land in the
-// per-tile accumulator instead of being folded immediately, so a
-// temporal-blocked cycle can run the step band-by-band and fold once at
-// the end of the sweep with ForTilesReduceN's exact bits. With a nil
-// minv the folded acc[0] equals acc[1] (γ == rr), as in FusedCGStep.
-func FusedCGStepChain(pl *par.Pool, acc *par.ChainAccum, t0, t1 int, minv, r, w *grid.Field2D, beta, alpha float64, p, s, x *grid.Field2D) {
-	pl.ForTilesChunk(acc, t0, t1, fusedCGStepBody(beta, alpha, minv, r, w, p, s, x))
-}
-
-// fusedCGStepBody is the tile body shared by FusedCGStep and
-// FusedCGStepChain — one closure, so the chained and unchained sweeps
-// cannot drift bit-wise.
+// fusedCGStepBody is FusedCGStep's tile body: the two row bursts per row
+// of the tile, then the tile's (γ, rr) lanes folded into acc.
 func fusedCGStepBody(beta, alpha float64, minv, r, w, p, s, x *grid.Field2D) func(t par.Tile, acc []float64) {
 	g := r.Grid
 	rd, wd, pd, sd := r.Data, w.Data, p.Data, s.Data
@@ -87,15 +76,7 @@ func FusedCGStep3D(pl *par.Pool, b grid.Bounds3D, minv, r, w *grid.Field3D, beta
 	return acc[0], acc[1]
 }
 
-// FusedCGStepChain3D is FusedCGStep3D restricted to one chain band's
-// tile range [t0,t1), partials landing in the per-tile accumulator for
-// an end-of-sweep fold (see FusedCGStepChain).
-func FusedCGStepChain3D(pl *par.Pool, acc *par.ChainAccum, t0, t1 int, minv, r, w *grid.Field3D, beta, alpha float64, p, s, x *grid.Field3D) {
-	pl.ForTilesChunk(acc, t0, t1, fusedCGStepBody3D(beta, alpha, minv, r, w, p, s, x))
-}
-
-// fusedCGStepBody3D is the tile body shared by FusedCGStep3D and
-// FusedCGStepChain3D.
+// fusedCGStepBody3D is FusedCGStep3D's tile body (see fusedCGStepBody).
 func fusedCGStepBody3D(beta, alpha float64, minv, r, w, p, s, x *grid.Field3D) func(t par.Tile, acc []float64) {
 	g := r.Grid
 	rd, wd, pd, sd := r.Data, w.Data, p.Data, s.Data

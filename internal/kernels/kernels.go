@@ -649,24 +649,8 @@ func PipelinedCGStep(pl *par.Pool, b grid.Bounds, minv, r, w, nv *grid.Field2D, 
 	return acc[0], acc[1], acc[2]
 }
 
-// PipelinedCGStepChain is PipelinedCGStep restricted to one chain band's
-// tile range [t0,t1): same tile body, with the (γ, δ, rr) partials
-// landing in the per-tile accumulator for an end-of-sweep fold. With a
-// nil minv the caller maps the folded γ to rr, exactly as
-// PipelinedCGStep's return does.
-func PipelinedCGStepChain(pl *par.Pool, acc *par.ChainAccum, t0, t1 int, minv, r, w, nv *grid.Field2D, beta, alpha float64, p, s, z, x *grid.Field2D) {
-	g := r.Grid
-	rd, wd, nd, pd, sd, zd, xd := r.Data, w.Data, nv.Data, p.Data, s.Data, z.Data, x.Data
-	var md []float64
-	if minv != nil {
-		md = minv.Data
-	}
-	pl.ForTilesChunk(acc, t0, t1, pipelinedCGStepBody(g, beta, alpha, md, rd, wd, nd, pd, sd, zd, xd))
-}
-
-// pipelinedCGStepBody is the tile body shared by PipelinedCGStep and
-// PipelinedCGStepChain — one closure, so the chained and unchained
-// sweeps cannot drift bit-wise.
+// pipelinedCGStepBody is PipelinedCGStep's tile body: three row bursts
+// per row, the tile's (γ, δ, rr) partials accumulated into acc.
 func pipelinedCGStepBody(g *grid.Grid2D, beta, alpha float64, md, rd, wd, nd, pd, sd, zd, xd []float64) func(t par.Tile, acc []float64) {
 	return func(t par.Tile, acc []float64) {
 		tb := tileBounds(t)

@@ -482,23 +482,8 @@ func PipelinedCGStep3D(pl *par.Pool, b grid.Bounds3D, minv, r, w, nv *grid.Field
 	return acc[0], acc[1], acc[2]
 }
 
-// PipelinedCGStepChain3D is PipelinedCGStep3D restricted to one chain
-// band's tile range [t0,t1): same tile body, partials landing in the
-// per-tile accumulator for an end-of-sweep fold (see
-// PipelinedCGStepChain).
-func PipelinedCGStepChain3D(pl *par.Pool, acc *par.ChainAccum, t0, t1 int, minv, r, w, nv *grid.Field3D, beta, alpha float64, p, s, z, x *grid.Field3D) {
-	g := r.Grid
-	rd, wd, nd, pd, sd, zd, xd := r.Data, w.Data, nv.Data, p.Data, s.Data, z.Data, x.Data
-	var md []float64
-	if minv != nil {
-		md = minv.Data
-	}
-	pl.ForTilesChunk(acc, t0, t1, pipelinedCGStepBody3D(g, beta, alpha, md, rd, wd, nd, pd, sd, zd, xd))
-}
-
-// pipelinedCGStepBody3D is the tile body shared by PipelinedCGStep3D and
-// PipelinedCGStepChain3D — one closure, so the chained and unchained
-// sweeps cannot drift bit-wise.
+// pipelinedCGStepBody3D is PipelinedCGStep3D's tile body (see
+// pipelinedCGStepBody).
 func pipelinedCGStepBody3D(g *grid.Grid3D, beta, alpha float64, md, rd, wd, nd, pd, sd, zd, xd []float64) func(t par.Tile, acc []float64) {
 	return func(t par.Tile, acc []float64) {
 		tb := tileBounds3(t)

@@ -107,40 +107,6 @@ func (d Device) TileFor(nx, ny, nz, fields int) (tx, ty, tz int) {
 	return 0, rows, tz
 }
 
-// ChainBandRows returns the band height (rows for 2D, planes for 3D —
-// pass nz <= 1 for 2D) for a temporal-blocked deep-halo solve cycle
-// that chains a depth-d iteration's sweeps per LLC band: the band plus
-// the (depth+1)-deep trapezoid overlap the chained sweeps re-walk at
-// each band boundary must fit in half the last-level cache, as TileFor
-// budgets it. Returns 0 when the whole working set already fits (bands
-// buy nothing), never less than 4 otherwise.
-func (d Device) ChainBandRows(nx, ny, nz, fields, depth int) int {
-	budget := d.CacheBytes / 2
-	if budget <= 0 {
-		budget = 16e6 // no cache model: assume a modest 32 MB LLC
-	}
-	rowBytes := float64(fields) * 8 * float64(nx+2)
-	if nz <= 1 {
-		rows := int(budget/rowBytes) - 2*(depth+1)
-		if rows >= ny {
-			return 0
-		}
-		if rows < 4 {
-			rows = 4
-		}
-		return rows
-	}
-	planeBytes := rowBytes * float64(ny+2)
-	planes := int(budget/planeBytes) - 2*(depth+1)
-	if planes >= nz {
-		return 0
-	}
-	if planes < 4 {
-		planes = 4
-	}
-	return planes
-}
-
 // HostDevice describes the machine this process runs on, for tile-shape
 // auto-tuning: the LLC size is read from sysfs where available (Linux),
 // falling back to a nominal 32 MB; the bandwidth figures are nominal

@@ -128,36 +128,6 @@ func TestTileFor(t *testing.T) {
 	}
 }
 
-func TestChainBandRows(t *testing.T) {
-	d := Spruce().Device // 50 MB LLC, 25 MB band budget
-	// Small 2D mesh: everything fits, no banding.
-	if r := d.ChainBandRows(256, 256, 0, 8, 3); r != 0 {
-		t.Errorf("small mesh banded at %d rows, want 0", r)
-	}
-	// 4096² at 8 fields/cell outgrows the LLC: bands must split Y.
-	r := d.ChainBandRows(4096, 4096, 0, 8, 3)
-	if r < 4 || r >= 4096 {
-		t.Errorf("2D band rows = %d out of range", r)
-	}
-	// Band plus trapezoid overlap must fit the budget.
-	if ws := float64(8*8*(4096+2)) * float64(r+2*(3+1)); ws > d.CacheBytes/2 {
-		t.Errorf("2D band working set %.0f exceeds budget %.0f", ws, d.CacheBytes/2)
-	}
-	// Deeper cycles re-walk a taller trapezoid, so bands shrink (or stay
-	// at the floor) as depth grows.
-	if r2 := d.ChainBandRows(4096, 4096, 0, 8, 8); r2 > r {
-		t.Errorf("depth-8 band (%d rows) taller than depth-3 band (%d)", r2, r)
-	}
-	// 3D: 512³ at 8 fields/cell bands along Z.
-	if p := d.ChainBandRows(512, 512, 512, 8, 2); p < 4 || p >= 512 {
-		t.Errorf("3D band planes = %d out of range", p)
-	}
-	// Zero cache model falls back to a nominal budget rather than zero.
-	if r := (Device{}).ChainBandRows(8192, 8192, 0, 8, 2); r < 4 {
-		t.Errorf("no-cache-model fallback gave %d rows", r)
-	}
-}
-
 func TestHostDevice(t *testing.T) {
 	d := HostDevice()
 	if d.CacheBytes <= 0 || d.StreamBW <= 0 {

@@ -94,12 +94,12 @@ func (p *Pool) TileShape() (tx, ty, tz int) {
 }
 
 // tileCounts returns the tile grid shape for box b: total tiles and the
-// per-axis tile counts.
-func (p *Pool) tileCounts(b Box) (nt, ntx, nty, ntz int) {
+// x and y tile counts tileAt needs.
+func (p *Pool) tileCounts(b Box) (nt, ntx, nty int) {
 	ntx = (b.X1 - b.X0 + p.tx - 1) / p.tx
 	nty = (b.Y1 - b.Y0 + p.ty - 1) / p.ty
-	ntz = (b.Z1 - b.Z0 + p.tz - 1) / p.tz
-	return ntx * nty * ntz, ntx, nty, ntz
+	ntz := (b.Z1 - b.Z0 + p.tz - 1) / p.tz
+	return ntx * nty * ntz, ntx, nty
 }
 
 // tileAt returns tile t of box b in the fixed global order: X fastest,
@@ -140,7 +140,7 @@ func (p *Pool) ForTiles(b Box, body func(t Tile)) {
 		}
 		return
 	}
-	nt, ntx, nty, _ := p.tileCounts(b)
+	nt, ntx, nty := p.tileCounts(b)
 	nb := p.workers
 	if nb > nt {
 		nb = nt
@@ -204,7 +204,7 @@ func (p *Pool) ForTilesReduceN(k int, b Box, body func(t Tile, acc []float64)) [
 		}
 		return out
 	}
-	nt, ntx, nty, _ := p.tileCounts(b)
+	nt, ntx, nty := p.tileCounts(b)
 	// One padded accumulator chunk per TILE (not per worker): the fold
 	// below walks chunks in tile order, which is what makes the sum
 	// independent of how tiles were assigned to workers. The serial path

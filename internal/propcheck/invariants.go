@@ -371,13 +371,12 @@ var checkers = []checkerDef{
 	{name: "rank-invariance", run: checkRankInvariance},
 	{name: "backend-bit-equality", run: checkBackendBits},
 	{name: "tiled-bit-identity", run: checkTiled},
-	{name: "halo-depth",
-		applies: func(d *deck.Deck) bool { return d.Precond != "jac_block" },
-		run:     checkHaloDepth},
-	{name: "temporal-chain",
-		applies: func(d *deck.Deck) bool { return d.Solver == "cg" && d.Precond != "jac_block" },
-		run:     checkTemporalChain},
+	{name: "halo-depth", applies: depthApplies, run: checkHaloDepth},
 }
+
+// depthApplies gates the legs that deepen the halo: jac_block is
+// deep-halo incompatible.
+func depthApplies(d *deck.Deck) bool { return d.Precond != "jac_block" }
 
 // checkFinite: every interior cell of the final energy field is finite.
 func checkFinite(h *harness) error {
@@ -525,7 +524,10 @@ func checkBackendBits(h *harness) error {
 
 // checkTiled: tiled runs are bit-identical across pool sizes {1,2,4}
 // (the tiled scheduler folds reduction partials in fixed tile order) and
-// agree with the untiled run to TolEngine relative.
+// agree with the untiled run to TolEngine relative. A depth-1 deck whose
+// halo can deepen also runs the depth-2 cycle (extended-bounds sweeps and
+// ring updates on the tiled pool) at 1, 2 and 4 workers, which must be
+// bit-identical too.
 func checkTiled(h *harness) error {
 	un := Clone(h.d)
 	un.Tiling = false
@@ -548,29 +550,40 @@ func checkTiled(h *harness) error {
 	if err != nil {
 		return err
 	}
-	w1, err := h.runSerial(td, "tiled-w1", 1, nil)
+	w1, err := workerInvariant(h, td, "tiled")
 	if err != nil {
 		return err
-	}
-	w2, err := h.runSerial(td, "tiled-w2", 2, nil)
-	if err != nil {
-		return err
-	}
-	w4, err := h.runSerial(td, "tiled-w4", 4, nil)
-	if err != nil {
-		return err
-	}
-	if cells, worst := bitDiff(w1, w2); cells > 0 {
-		return fmt.Errorf("tiled 1 vs 2 workers differ in %d cells (worst %.3e); expected bit-identical", cells, worst)
-	}
-	if cells, worst := bitDiff(w1, w4); cells > 0 {
-		return fmt.Errorf("tiled 1 vs 4 workers differ in %d cells (worst %.3e); expected bit-identical", cells, worst)
 	}
 	tol := legTol(TolEngine, 150, h.d, untiled)
 	if diff := maxDiff(untiled, w1); diff > tol {
 		return fmt.Errorf("untiled vs tiled differ by %.3e (tol %.3e)", diff, tol)
 	}
-	return nil
+	if !depthApplies(h.d) || td.HaloDepth > 1 {
+		return nil // no deep cycle possible, or the legs above already ran one
+	}
+	deep := Clone(td)
+	deep.HaloDepth = 2
+	_, err = workerInvariant(h, deep, "tiled-d2")
+	return err
+}
+
+// workerInvariant runs d serially at 1, 2 and 4 workers and requires the
+// three final fields to be bit-identical, returning the 1-worker run.
+func workerInvariant(h *harness, d *deck.Deck, label string) (*runOut, error) {
+	w1, err := h.runSerial(d, label+"-w1", 1, nil)
+	if err != nil {
+		return nil, err
+	}
+	for _, workers := range []int{2, 4} {
+		wn, err := h.runSerial(d, fmt.Sprintf("%s-w%d", label, workers), workers, nil)
+		if err != nil {
+			return nil, err
+		}
+		if cells, worst := bitDiff(w1, wn); cells > 0 {
+			return nil, fmt.Errorf("%s 1 vs %d workers differ in %d cells (worst %.3e); expected bit-identical", label, workers, cells, worst)
+		}
+	}
+	return w1, nil
 }
 
 // checkHaloDepth: the matrix-powers deep-halo machinery must not change
@@ -600,59 +613,6 @@ func checkHaloDepth(h *harness) error {
 	}
 	if diff := maxDiff(d1, d3); diff > tol {
 		return fmt.Errorf("halo depth 3 vs 1 differ by %.3e (tol %.3e)", diff, tol)
-	}
-	return nil
-}
-
-// checkTemporalChain: the temporal-blocked chained deep-halo cycle
-// (tl_temporal) must be bit-identical to the unchained cycle — same
-// iterates, same iteration counts — at chained depths 2 and 3 and at
-// every worker count. The chain re-orders sweeps band by band but folds
-// its per-tile partials in the same fixed tile order as the unchained
-// reducers, so any deviating bit is a scheduler bug, not roundoff.
-// (jac_block is depth-incompatible and the chain only exists in the CG
-// engines, hence the applies gate.)
-func checkTemporalChain(h *harness) error {
-	for _, depth := range []int{2, 3} {
-		mk := func(temporal bool) *deck.Deck {
-			c := Clone(h.d)
-			c.HaloDepth = depth
-			c.Tiling = true
-			// Pin tile edges as checkTiled does, and force band cells small
-			// enough that the chain sees several bands on tiny meshes.
-			if c.TileX == 0 {
-				c.TileX = maxInt(4, c.XCells/2)
-			}
-			if c.TileY == 0 {
-				c.TileY = maxInt(2, c.YCells/3)
-			}
-			if c.Dims == 3 && c.TileZ == 0 {
-				c.TileZ = maxInt(2, c.ZCells/2)
-			}
-			c.Temporal = temporal
-			if temporal {
-				c.ChainBands = 5
-			}
-			return c
-		}
-		for _, workers := range []int{1, 2, 4} {
-			un, err := h.runSerial(mk(false), fmt.Sprintf("temporal-un-d%d-w%d", depth, workers), workers, nil)
-			if err != nil {
-				return err
-			}
-			ch, err := h.runSerial(mk(true), fmt.Sprintf("temporal-ch-d%d-w%d", depth, workers), workers, nil)
-			if err != nil {
-				return err
-			}
-			if un.iters != ch.iters {
-				return fmt.Errorf("depth %d workers %d: chained solve took %d iterations, unchained %d",
-					depth, workers, ch.iters, un.iters)
-			}
-			if cells, worst := bitDiff(un, ch); cells > 0 {
-				return fmt.Errorf("depth %d workers %d: chained vs unchained differ in %d cells (worst %.3e); expected bit-identical",
-					depth, workers, cells, worst)
-			}
-		}
 	}
 	return nil
 }

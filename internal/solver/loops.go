@@ -240,7 +240,6 @@ func runCGFusedCore[F comparable, B any](e *engine[F, B], minv F, maxIters int, 
 			return result, nil, err
 		}
 	}
-	cs := newChainState(e, depth)
 
 	alpha := gamma / delta
 	beta := 0.0
@@ -259,22 +258,16 @@ func runCGFusedCore[F comparable, B any](e *engine[F, B], minv F, maxIters int, 
 			}
 			ab := sys.Extend(depth - j)    // step bounds
 			mb = sys.Extend(depth - 1 - j) // one cell inside ab
-			if cs != nil {
-				// Temporal blocking: the same two sweeps, chained per LLC
-				// band so each band streams through cache once.
-				gammaNew, rrNew, deltaNew = cs.fusedIter(e, ab, mb, minv, r, w, pvec, svec, alpha, beta)
-			} else {
-				// The x update and the dots are interior-only; the extended
-				// rings advance p, s and r alone so the next matvec reads a
-				// consistent r one cell beyond mb.
-				gammaNew, rrNew = sys.FusedCGStep(in, minv, r, w, beta, alpha, pvec, svec, e.u)
-				var noX F
-				for _, rb := range sys.Rings(ab) {
-					sys.FusedCGStep(rb, minv, r, w, beta, alpha, pvec, svec, noX)
-				}
-				e.vectorPass(ab)
-				deltaNew = e.applyPreDotDeep(mb, minv, r, w)
+			// The x update and the dots are interior-only; the extended
+			// rings advance p, s and r alone so the next matvec reads a
+			// consistent r one cell beyond mb.
+			gammaNew, rrNew = sys.FusedCGStep(in, minv, r, w, beta, alpha, pvec, svec, e.u)
+			var noX F
+			for _, rb := range sys.Rings(ab) {
+				sys.FusedCGStep(rb, minv, r, w, beta, alpha, pvec, svec, noX)
 			}
+			e.vectorPass(ab)
+			deltaNew = e.applyPreDotDeep(mb, minv, r, w)
 		} else {
 			gammaNew, rrNew = sys.FusedCGStep(in, minv, r, w, beta, alpha, pvec, svec, e.u)
 			e.vectorPass(in)
@@ -449,15 +442,6 @@ func runCGPipelinedCore[F comparable, B any](e *engine[F, B], minv F, maxIters i
 			return result, nil, err
 		}
 	}
-	cs := newChainState(e, depth)
-	split := cs != nil && defl != nil // the chain posts the coarse round split-phase
-	// drain completes a chained pass's deferred matvec bands and posted
-	// coarse round before any exit from the loop (no-op unchained).
-	drain := func() {
-		if cs != nil {
-			cs.pipelinedDrain(e)
-		}
-	}
 
 	var alpha, gammaOld, rr0 float64
 	mb := in // this pass's matvec bounds (extended on the deep path)
@@ -479,12 +463,8 @@ func runCGPipelinedCore[F comparable, B any](e *engine[F, B], minv F, maxIters i
 				}
 			}
 			mb = sys.Extend(depth - 1 - j)
-			if cs != nil {
-				cs.pipelinedMatvec(e, mb, minv, w, nvec, defl)
-			} else {
-				sys.ApplyPreDot(mb, minv, w, nvec)
-				e.tr.AddMatvec(sys.Cells(mb))
-			}
+			sys.ApplyPreDot(mb, minv, w, nvec)
+			e.tr.AddMatvec(sys.Cells(mb))
 		} else if _, err := e.applyPreDotX(minv, w, nvec); err != nil {
 			// Drain the posted round before surfacing the error: the other
 			// ranks are already in the butterfly, and the communicator must
@@ -496,7 +476,6 @@ func runCGPipelinedCore[F comparable, B any](e *engine[F, B], minv F, maxIters i
 		sums := h.Finish()
 		gamma, delta, rr = sums[0], sums[1], sums[2]
 		if res, err := cgNonFinite(result, scalar{"‖r‖²", rr}, scalar{"γ", gamma}, scalar{"δ", delta}); err != nil {
-			drain()
 			return res, nil, err
 		}
 
@@ -504,7 +483,6 @@ func runCGPipelinedCore[F comparable, B any](e *engine[F, B], minv F, maxIters i
 			rr0 = rr
 			if rr0 == 0 {
 				result.Converged = true
-				drain()
 				return result, mkState(0, 0, 0), nil
 			}
 			var done bool
@@ -516,7 +494,6 @@ func runCGPipelinedCore[F comparable, B any](e *engine[F, B], minv F, maxIters i
 				// noise-scale residual can legitimately present δ ≤ 0.
 				result.Converged = true
 				result.FinalResidual = relResidual(rr0, base)
-				drain()
 				return result, mkState(gamma, rr0, rr0), nil
 			}
 			if delta <= 0 {
@@ -524,7 +501,6 @@ func runCGPipelinedCore[F comparable, B any](e *engine[F, B], minv F, maxIters i
 				// on the fused engine.
 				result.FinalResidual = 1
 				result.Breakdown = true
-				drain()
 				return result, mkState(gamma, rr0, rr0), fmt.Errorf("solver: startup curvature δ = %v: %w", delta, ErrBreakdown)
 			}
 		} else {
@@ -535,9 +511,6 @@ func runCGPipelinedCore[F comparable, B any](e *engine[F, B], minv F, maxIters i
 			if rel <= tol {
 				result.Converged = true
 				result.FinalResidual = rel
-				// Complete the chained pass before finishDeflated's
-				// collectives: a posted coarse round must be drained first.
-				drain()
 				if defl != nil {
 					rel, err := e.finishDeflated(defl, r, base)
 					if err != nil {
@@ -550,14 +523,9 @@ func runCGPipelinedCore[F comparable, B any](e *engine[F, B], minv F, maxIters i
 			}
 		}
 		if result.Iterations >= maxIters {
-			drain()
 			break
 		}
-		if split {
-			// n = P·A·M⁻¹w consuming the coarse round the chained pass
-			// posted alongside the scalar round.
-			cs.pipelinedProject(e, defl)
-		} else if defl != nil {
+		if defl != nil {
 			// n = P·A·M⁻¹w, strictly after Finish (the coarse round is a
 			// collective). No dot: the step sweep re-measures the curvature.
 			var zero F
@@ -574,7 +542,6 @@ func runCGPipelinedCore[F comparable, B any](e *engine[F, B], minv F, maxIters i
 				// The three-term recurrences lost conjugacy; stop like the
 				// fused engine's in-loop guard.
 				result.Breakdown = true
-				drain()
 				break
 			}
 			result.Betas = append(result.Betas, betaNew)
@@ -582,13 +549,6 @@ func runCGPipelinedCore[F comparable, B any](e *engine[F, B], minv F, maxIters i
 			alpha = gamma / denom
 		}
 		gammaOld = gamma
-		if cs != nil {
-			// Temporal blocking: the pass's remaining matvec bands and the
-			// step sweep chain band-by-band, the step one band behind.
-			gamma, delta, rr = cs.pipelinedStep(e, minv, r, w, nvec, beta, alpha, pvec, svec, zvec, e.u)
-			e.vectorPass(mb)
-			continue
-		}
 		gamma, delta, rr = sys.PipelinedCGStep(in, minv, r, w, nvec, beta, alpha, pvec, svec, zvec, e.u)
 		if depth > 1 {
 			// Extend every recurrence except x (a solution cell is owned by

@@ -63,17 +63,13 @@ func ParseKind(s string) (Kind, error) {
 // deflation-space component of the residual; ProjectWBounds applies
 // w ← P·w = w − A·W·E⁻¹·Wᵀ·w in place with the correction written over
 // b ⊇ interior and returns the rank-local interior dot (minv⊙x)·(P·w)
-// from the same pass (nil minv = identity, nil x = no dot);
-// ProjectWBoundsStart/Finish split that projection around its coarse
-// reduction round for the temporal-blocked pipelined engine. All are
+// from the same pass (nil minv = identity, nil x = no dot). Both are
 // collective: in a distributed solve every rank must reach them together
 // (each projection performs exactly one reduction round through the
 // solve's communicator).
 type Deflator interface {
 	CoarseCorrect(r, u *grid.Field2D)
 	ProjectWBounds(b grid.Bounds, w, minv, x *grid.Field2D) float64
-	ProjectWBoundsStart(w *grid.Field2D) comm.ReduceHandle
-	ProjectWBoundsFinish(h comm.ReduceHandle, b grid.Bounds, w *grid.Field2D)
 }
 
 // Deflator3D is the 3D outer deflation projector Options.Deflation3D
@@ -82,8 +78,6 @@ type Deflator interface {
 type Deflator3D interface {
 	CoarseCorrect(r, u *grid.Field3D)
 	ProjectWBounds(b grid.Bounds3D, w, minv, x *grid.Field3D) float64
-	ProjectWBoundsStart(w *grid.Field3D) comm.ReduceHandle
-	ProjectWBoundsFinish(h comm.ReduceHandle, b grid.Bounds3D, w *grid.Field3D)
 }
 
 // Problem is one linear solve A·u = rhs on a rank-local grid. U holds the
@@ -187,28 +181,6 @@ type Options struct {
 	// ring swept after the exchange lands. Applies to the fused and
 	// pipelined engines' A·(M⁻¹r) sweeps.
 	SplitSweeps bool
-	// Temporal enables temporal-blocked deep-halo solve cycles
-	// (tl_temporal): with HaloDepth > 1 and a tiled pool, each deep-halo
-	// iteration of the fused and pipelined CG engines executes its grid
-	// sweeps chained band-by-band over LLC-sized bands of whole tile rows,
-	// so every band streams through cache once per iteration instead of
-	// once per sweep. Per-tile dot partials are folded in fixed tile order
-	// at the end of each chained sweep, so the iterates are bit-identical
-	// to the unchained deep-halo path for every band size, worker count
-	// and rank count. On an untiled pool the engines silently fall back to
-	// the unchained cycle (the deck layer raises a validation error
-	// instead); at HaloDepth <= 1 and on the classic loop it is a no-op.
-	// A deflated pipelined solve additionally posts the projector's coarse
-	// round split-phase on its own tag, keeping two tagged reductions in
-	// flight across the chained matvec block — at the cost of exactly one
-	// drained coarse round per solve on the pass that detects convergence.
-	Temporal bool
-	// ChainBandCells is the approximate temporal-blocking band height in
-	// cells along the chain axis (tl_chain_bands; rounded up to whole tile
-	// rows). <= 0 selects one spanning band — callers wanting cache-sized
-	// bands compute them from the machine model (machine.ChainBandRows),
-	// which is what the deck layer does.
-	ChainBandCells int
 	// CheckEvery is the Chebyshev convergence-test cadence in iterations
 	// (default 10): the stand-alone Chebyshev solver is reduction-free
 	// except for these periodic checks.

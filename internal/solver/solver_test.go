@@ -454,7 +454,7 @@ func TestFusedCGTraceCounts(t *testing.T) {
 // neighbour only, so that is (12 + d − it mod d)·24 cells.
 func TestFusedDeepHaloVectorCells(t *testing.T) {
 	const depth = 3
-	iters, _, tr := temporalRun2D(t, temporalVariants[0], 2, 1, depth, false)
+	iters, _, tr := deepRun2D(t, deepVariants[0], 2, 1, depth)
 	var cells int64
 	for it := 0; it < iters; it++ {
 		cells += int64(12+depth-it%depth) * 24

@@ -160,44 +160,6 @@ func (s *sys2d) PipelinedCGStep(b grid.Bounds, minv, r, w, n *grid.Field2D, beta
 	return kernels.PipelinedCGStep(s.p, b, minv, r, w, n, beta, alpha, p, sv, z, x)
 }
 
-// interiorBox is the interior as a par iteration box — the box every
-// chained accumulator and band schedule is built over, so chain folds
-// replicate the unchained interior reductions' tile decomposition.
-func (s *sys2d) interiorBox() par.Box {
-	in := s.op.Grid.Interior()
-	return par.Box2D(in.X0, in.X1, in.Y0, in.Y1)
-}
-
-func (s *sys2d) ChainBands(bandCells int) []par.ChainBand {
-	return s.p.ChainBands(s.interiorBox(), bandCells)
-}
-
-func (s *sys2d) NewChainAccum(k int) *par.ChainAccum {
-	return s.p.NewChainAccum(k, s.interiorBox())
-}
-
-func (s *sys2d) ChainClip(b grid.Bounds, lo, hi int) (grid.Bounds, bool) {
-	if b.Y0 < lo {
-		b.Y0 = lo
-	}
-	if b.Y1 > hi {
-		b.Y1 = hi
-	}
-	return b, !b.Empty()
-}
-
-func (s *sys2d) FusedCGStepChain(acc *par.ChainAccum, t0, t1 int, minv, r, w *grid.Field2D, beta, alpha float64, p, sv, x *grid.Field2D) {
-	kernels.FusedCGStepChain(s.p, acc, t0, t1, minv, r, w, beta, alpha, p, sv, x)
-}
-
-func (s *sys2d) ApplyPreDotChain(acc *par.ChainAccum, t0, t1 int, minv, r, w *grid.Field2D) {
-	s.op.ApplyPreDotChain(s.p, acc, t0, t1, minv, r, w)
-}
-
-func (s *sys2d) PipelinedCGStepChain(acc *par.ChainAccum, t0, t1 int, minv, r, w, n *grid.Field2D, beta, alpha float64, p, sv, z, x *grid.Field2D) {
-	kernels.PipelinedCGStepChain(s.p, acc, t0, t1, minv, r, w, n, beta, alpha, p, sv, z, x)
-}
-
 func (s *sys2d) PrecondApply(b grid.Bounds, r, z *grid.Field2D) { s.m.Apply(s.p, b, r, z) }
 
 func (s *sys2d) PrecondIsIdentity() bool { return isNone(s.m) }

@@ -178,43 +178,6 @@ func (s *sys3d) PipelinedCGStep(b grid.Bounds3D, minv, r, w, n *grid.Field3D, be
 	return kernels.PipelinedCGStep3D(s.p, b, minv, r, w, n, beta, alpha, p, sv, z, x)
 }
 
-// interiorBox is the interior as a par iteration box, the 3D twin of
-// sys2d.interiorBox (chain bands cut along Z here).
-func (s *sys3d) interiorBox() par.Box {
-	in := s.op.Grid.Interior()
-	return par.Box3D(in.X0, in.X1, in.Y0, in.Y1, in.Z0, in.Z1)
-}
-
-func (s *sys3d) ChainBands(bandCells int) []par.ChainBand {
-	return s.p.ChainBands(s.interiorBox(), bandCells)
-}
-
-func (s *sys3d) NewChainAccum(k int) *par.ChainAccum {
-	return s.p.NewChainAccum(k, s.interiorBox())
-}
-
-func (s *sys3d) ChainClip(b grid.Bounds3D, lo, hi int) (grid.Bounds3D, bool) {
-	if b.Z0 < lo {
-		b.Z0 = lo
-	}
-	if b.Z1 > hi {
-		b.Z1 = hi
-	}
-	return b, !b.Empty()
-}
-
-func (s *sys3d) FusedCGStepChain(acc *par.ChainAccum, t0, t1 int, minv, r, w *grid.Field3D, beta, alpha float64, p, sv, x *grid.Field3D) {
-	kernels.FusedCGStepChain3D(s.p, acc, t0, t1, minv, r, w, beta, alpha, p, sv, x)
-}
-
-func (s *sys3d) ApplyPreDotChain(acc *par.ChainAccum, t0, t1 int, minv, r, w *grid.Field3D) {
-	s.op.ApplyPreDotChain(s.p, acc, t0, t1, minv, r, w)
-}
-
-func (s *sys3d) PipelinedCGStepChain(acc *par.ChainAccum, t0, t1 int, minv, r, w, n *grid.Field3D, beta, alpha float64, p, sv, z, x *grid.Field3D) {
-	kernels.PipelinedCGStepChain3D(s.p, acc, t0, t1, minv, r, w, n, beta, alpha, p, sv, z, x)
-}
-
 func (s *sys3d) PrecondApply(b grid.Bounds3D, r, z *grid.Field3D) { s.m.Apply3D(s.p, b, r, z) }
 
 func (s *sys3d) PrecondIsIdentity() bool { return isNone3(s.m) }

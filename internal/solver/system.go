@@ -2,7 +2,6 @@ package solver
 
 import (
 	"tealeaf/internal/comm"
-	"tealeaf/internal/par"
 	"tealeaf/internal/stats"
 )
 
@@ -115,33 +114,6 @@ type system[F comparable, B any] interface {
 	// δ = (minv⊙r)·w and ‖r‖² of the updated vectors.
 	PipelinedCGStep(b B, minv, r, w, n F, beta, alpha float64, p, s, z, x F) (gamma, delta, rr float64)
 
-	// ChainBands cuts the interior into temporal-blocking bands of whole
-	// tile rows along the outermost axis (Y in 2D, Z in 3D) of roughly
-	// bandCells cells each; nil when the pool is untiled (chained
-	// reductions need the fixed tile-order fold). See par.Pool.ChainBands.
-	ChainBands(bandCells int) []par.ChainBand
-	// NewChainAccum allocates a k-wide per-tile partial table over the
-	// interior box; its Fold reproduces ForTilesReduceN's bits when every
-	// interior tile's body ran exactly once per cycle.
-	NewChainAccum(k int) *par.ChainAccum
-	// ChainClip clips b to the chain-axis cell range [lo,hi), reporting
-	// whether the intersection is non-empty — how ring and extended bounds
-	// are assigned to chain bands.
-	ChainClip(b B, lo, hi int) (B, bool)
-	// FusedCGStepChain is FusedCGStep restricted to the interior tile
-	// range [t0,t1), accumulating the per-tile (γ', ‖r‖²) partials into acc
-	// (same tile body as the unchained sweep).
-	FusedCGStepChain(acc *par.ChainAccum, t0, t1 int, minv, r, w F, beta, alpha float64, p, s, x F)
-	// ApplyPreDotChain is ApplyPreDot restricted to the interior tile range
-	// [t0,t1), with the dot partial per tile in acc slot 0. acc must be at
-	// least 2 wide: the 3D identity path shares ApplyDot2's two-lane body.
-	ApplyPreDotChain(acc *par.ChainAccum, t0, t1 int, minv, r, w F)
-	// PipelinedCGStepChain is PipelinedCGStep restricted to the interior
-	// tile range [t0,t1), accumulating per-tile (γ, δ, ‖r‖²) partials into
-	// acc. With a zero minv the caller maps the folded γ to ‖r‖², exactly
-	// as the unchained kernel's return does.
-	PipelinedCGStepChain(acc *par.ChainAccum, t0, t1 int, minv, r, w, n F, beta, alpha float64, p, s, z, x F)
-
 	// PrecondApply applies the configured preconditioner z = M⁻¹r over b.
 	PrecondApply(b B, r, z F)
 	// PrecondIsIdentity reports whether the configured preconditioner is
@@ -168,14 +140,10 @@ type powersSched[B any] interface {
 // Deflator/Deflator3D, whose doc states the contract, so Options.Deflation
 // and Options.Deflation3D satisfy it directly. ProjectWBounds writes the
 // correction over b ⊇ interior so a matrix-powers cycle keeps w = P·A·u'
-// valid wherever later redundant sweeps read it; every Start must be
-// matched by exactly one Finish — on paths that abandon the projection
-// the result is discarded, which all ranks do symmetrically.
+// valid wherever later redundant sweeps read it.
 type deflator[F any, B any] interface {
 	CoarseCorrect(r, u F)
 	ProjectWBounds(b B, w, minv, x F) float64
-	ProjectWBoundsStart(w F) comm.ReduceHandle
-	ProjectWBoundsFinish(h comm.ReduceHandle, b B, w F)
 }
 
 // isZeroF reports whether f is the zero value of its type (a nil field

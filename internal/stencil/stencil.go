@@ -258,9 +258,8 @@ func (op *Operator2D) ApplyDot(pool *par.Pool, b grid.Bounds, p, w *grid.Field2D
 	return pool.ForTilesReduceN(1, par.Box2D(b.X0, b.X1, b.Y0, b.Y1), applyDotBody(g, s, kx, ky, pd, wd))[0]
 }
 
-// applyDotBody is the tile body shared by ApplyDot and the identity-
-// preconditioner path of ApplyPreDotChain — one closure, so the chained
-// and unchained sweeps cannot drift bit-wise.
+// applyDotBody is ApplyDot's tile body: one applyDotRow5 leaf per row,
+// the tile's four p·w lanes folded into acc[0].
 func applyDotBody(g *grid.Grid2D, s int, kx, ky, pd, wd []float64) func(t par.Tile, acc []float64) {
 	return func(t par.Tile, acc []float64) {
 		n := t.X1 - t.X0
@@ -423,24 +422,6 @@ func (op *Operator2D) ApplyPreDot(pool *par.Pool, b grid.Bounds, minv, r, w *gri
 	return pool.ForTilesReduceN(1, par.Box2D(b.X0, b.X1, b.Y0, b.Y1), applyPreDotBody(g, s, kx, ky, md, rd, wd))[0]
 }
 
-// ApplyPreDotChain is ApplyPreDot restricted to one chain band's tile
-// range [t0,t1) of the accumulator's box: same tile body, with the u·w
-// partial landing in the per-tile accumulator (width 1) instead of being
-// folded immediately, so a temporal-blocked cycle can run the matvec
-// band-by-band and fold once at the end of the sweep with
-// ForTilesReduceN's exact bits. nil minv selects the identity (u = r),
-// chunking ApplyDot's body instead.
-func (op *Operator2D) ApplyPreDotChain(pool *par.Pool, acc *par.ChainAccum, t0, t1 int, minv, r, w *grid.Field2D) {
-	g := op.Grid
-	s := g.Stride()
-	kx, ky := op.Kx.Data, op.Ky.Data
-	if minv == nil {
-		pool.ForTilesChunk(acc, t0, t1, applyDotBody(g, s, kx, ky, r.Data, w.Data))
-		return
-	}
-	pool.ForTilesChunk(acc, t0, t1, applyPreDotBody(g, s, kx, ky, minv.Data, r.Data, w.Data))
-}
-
 // windowPool recycles the u = minv ⊙ r window buffers of the 2D and 3D
 // ApplyPreDot tile bodies, so a sweep allocates nothing once every
 // worker has run a tile: a body takes a buffer for the duration of one
@@ -476,9 +457,8 @@ func fillWindowRow(dst, ms, rs []float64) {
 	}
 }
 
-// applyPreDotBody is the tile body shared by ApplyPreDot and
-// ApplyPreDotChain — one closure, so the chained and unchained sweeps
-// cannot drift bit-wise.
+// applyPreDotBody is ApplyPreDot's tile body: a rolling three-row window
+// of u = minv ⊙ r feeding one stencil row per grid row.
 func applyPreDotBody(g *grid.Grid2D, s int, kx, ky, md, rd, wd []float64) func(t par.Tile, acc []float64) {
 	return func(t par.Tile, acc []float64) {
 		n := t.X1 - t.X0

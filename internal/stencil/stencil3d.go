@@ -338,9 +338,8 @@ func (op *Operator3D) ApplyDot2(pool *par.Pool, b grid.Bounds3D, p, w *grid.Fiel
 	return acc2[0], acc2[1]
 }
 
-// applyDot2Body is the tile body shared by ApplyDot2 and the identity-
-// preconditioner path of ApplyPreDotChain — one closure, so the chained
-// and unchained sweeps cannot drift bit-wise.
+// applyDot2Body is ApplyDot2's tile body: one applyDot2Row leaf per row,
+// the tile's (p·w, w·w) lanes folded into acc.
 func (op *Operator3D) applyDot2Body(pd, wd []float64) func(t par.Tile, acc []float64) {
 	g := op.Grid
 	sy, sz := op.strides()
@@ -377,25 +376,9 @@ func (op *Operator3D) ApplyPreDot(pool *par.Pool, b grid.Bounds3D, minv *grid.Fi
 	return pool.ForTilesReduceN(1, box3s(b), op.applyPreDotBody(minv.Data, r.Data, w.Data, false))[0]
 }
 
-// ApplyPreDotChain is ApplyPreDot restricted to one chain band's tile
-// range [t0,t1) of the accumulator's box: same tile body, with the u·w
-// partial landing in slot 0 of the per-tile accumulator for an
-// end-of-sweep fold (see the 2D ApplyPreDotChain). nil minv selects the
-// identity, chunking ApplyDot2's body instead (which also fills slot 1
-// with w·w, exactly as the unchained identity path computes it), so acc
-// must be at least 2 wide.
-func (op *Operator3D) ApplyPreDotChain(pool *par.Pool, acc *par.ChainAccum, t0, t1 int, minv *grid.Field3D, r, w *grid.Field3D) {
-	if minv == nil {
-		pool.ForTilesChunk(acc, t0, t1, op.applyDot2Body(r.Data, w.Data))
-		return
-	}
-	pool.ForTilesChunk(acc, t0, t1, op.applyPreDotBody(minv.Data, r.Data, w.Data, false))
-}
-
-// applyPreDotBody is the tile body shared by ApplyPreDot and
-// ApplyPreDotChain — one closure, so the chained and unchained sweeps
-// cannot drift bit-wise — and, with init set, by the preconditioned
-// ApplyPreDotInit. It is the 2D body's design one dimension up: each
+// applyPreDotBody is the tile body of ApplyPreDot and, with init set, of
+// the preconditioned ApplyPreDotInit — one closure, so the startup and
+// in-loop sweeps cannot drift bit-wise. It is the 2D body's design one dimension up: each
 // worker keeps a rolling three-plane window of u = minv ⊙ r, the tile's
 // footprint plus one cell of surround in x and y, so every product is
 // computed once and m, r stream through exactly one read each where
