@@ -28,9 +28,9 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // dispatchNames are the region-dispatching methods of par.Pool — the
-// tiled entry points and the wavefront dispatch the same persistent team
-// and are exactly as non-reentrant as the band loops.
-var dispatchNames = []string{"For", "ForReduce", "ForReduce2", "ForReduceN", "ForTiles", "ForTilesReduceN", "Wavefront"}
+// tiled entry points, the wavefront and the lagged bands dispatch the
+// same persistent team and are exactly as non-reentrant as the band loops.
+var dispatchNames = []string{"For", "ForReduce", "ForReduce2", "ForReduceN", "ForTiles", "ForTilesReduceN", "Wavefront", "ForBandsReduceN"}
 
 func isDispatch(info *types.Info, call *ast.CallExpr) bool {
 	fn := analysis.Callee(info, call)
@@ -55,8 +55,11 @@ func run(pass *analysis.Pass) error {
 			if !ok || !isDispatch(pass.TypesInfo, call) {
 				return true
 			}
-			body := call.Args[len(call.Args)-1]
-			checkBody(pass, dispatches, body)
+			// Every function argument runs inside the region (the lagged
+			// bands take two: the edge step and the band body).
+			for _, arg := range call.Args {
+				checkBody(pass, dispatches, arg)
+			}
 			return true
 		})
 	}

@@ -103,3 +103,13 @@ func nestedInWavefront(p *par.Pool, xs []float64) {
 		p.For(k, k+1, func(l, h int) {}) // want `Pool dispatch inside a Pool parallel region`
 	})
 }
+
+// nestedInBands dispatches from a lagged-band edge callback and from a
+// band body: both run inside the scheduler's regions.
+func nestedInBands(p *par.Pool, xs []float64) {
+	p.ForBandsReduceN(1, 0, len(xs), func(k int) {
+		p.For(k, k+1, func(l, h int) {}) // want `Pool dispatch inside a Pool parallel region`
+	}, func(b0, b1 int, acc []float64) {
+		p.For(b0, b1, func(l, h int) {}) // want `Pool dispatch inside a Pool parallel region`
+	})
+}

@@ -46,6 +46,13 @@ func (p *Pool) ForTilesReduceN(k int, b Box, body func(t Tile, acc []float64)) [
 	return acc
 }
 
+// ForBandsReduceN mirrors par.(*Pool).ForBandsReduceN.
+func (p *Pool) ForBandsReduceN(k, lo, hi int, edge func(row int), body func(b0, b1 int, acc []float64)) []float64 {
+	acc := make([]float64, k)
+	body(lo, hi, acc)
+	return acc
+}
+
 // Wavefront mirrors par.(*Pool).Wavefront.
 func (p *Pool) Wavefront(steps, lo, hi int, row func(step, k int)) {
 	for j := 0; j < steps; j++ {

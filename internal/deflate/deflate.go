@@ -164,6 +164,21 @@ func (d *Deflation) ProjectWBounds(b grid.Bounds, w, minv, x *grid.Field2D) floa
 	return d.project(box2(b), w.Data, data2(minv), data2(x))
 }
 
+// RestrictRow takes row k of w's interior into the restriction of the
+// next ProjectWRestricted: the solver's one-pass fused CG iteration hands
+// each row over as soon as its matvec has finished it, while it is still
+// in cache. Rows are independent; any worker may hand over any row.
+func (d *Deflation) RestrictRow(w *grid.Field2D, k int) { d.restrictRow(w.Data, k) }
+
+// ProjectWRestricted is ProjectWBounds for a w whose every interior row
+// was handed to RestrictRow after w was last written: the restriction's
+// row sums are already taken, so it folds them and goes straight to the
+// coarse solve and the correction pass. Same bits as ProjectWBounds.
+// Collective.
+func (d *Deflation) ProjectWRestricted(b grid.Bounds, w, minv, x *grid.Field2D) float64 {
+	return d.projectRestricted(box2(b), w.Data, data2(minv), data2(x))
+}
+
 // SolveDeflatedCG runs deflated CG on A·u = rhs — the package's
 // self-contained reference loop, kept as the simplest executable
 // statement of the algorithm (the production path composes the same

@@ -92,3 +92,13 @@ func (d *Deflation3D) ProjectW(w *grid.Field3D) { d.project(d.in, w.Data, nil, n
 func (d *Deflation3D) ProjectWBounds(b grid.Bounds3D, w, minv, x *grid.Field3D) float64 {
 	return d.project(box3(b), w.Data, data3(minv), data3(x))
 }
+
+// RestrictRow takes row (j, k) of w's interior into the restriction of
+// the next ProjectWRestricted — see Deflation.RestrictRow.
+func (d *Deflation3D) RestrictRow(w *grid.Field3D, j, k int) { d.restrictRow(w.Data, k*d.n[1]+j) }
+
+// ProjectWRestricted is the 3D twin of Deflation.ProjectWRestricted.
+// Collective.
+func (d *Deflation3D) ProjectWRestricted(b grid.Bounds3D, w, minv, x *grid.Field3D) float64 {
+	return d.projectRestricted(box3(b), w.Data, data3(minv), data3(x))
+}

@@ -226,23 +226,38 @@ func (p *projector) solve(b []float64) {
 // of constant block column with eight fixed lanes into p.rows; the serial
 // fold then adds the row sums per block in ascending row order. Neither
 // step depends on how rows were dealt to workers, so the result is
-// bit-identical for every worker count, tiled or not.
+// bit-identical for every worker count, tiled or not — or for the rows
+// handed over one at a time by the fused CG pass (restrictRow), the
+// pooled half of a projection the solver takes inside its own sweep.
 func (p *projector) restrict(w []float64) {
-	nx, ny, nbx := p.n[0], p.n[1], p.nb[0]
-	nrows := ny * p.n[2]
-	p.pool.For(0, nrows, func(r0, r1 int) {
+	p.pool.For(0, p.n[1]*p.n[2], func(r0, r1 int) {
 		for r := r0; r < r1; r++ {
-			o := p.org + (r/ny)*p.st[2] + (r%ny)*p.st[1]
-			for i0 := 0; i0 < nx; {
-				cx := p.block(0, i0)
-				i1 := min(p.xend[cx], nx)
-				p.rows[r*nbx+cx] = laneSum(w[o+i0 : o+i1])
-				i0 = i1
-			}
+			p.restrictRow(w, r)
 		}
 	})
+	p.foldRows()
+}
+
+// restrictRow sums interior row r (r = z·ny + y) of w by block-column run
+// into p.rows. Rows are independent: workers may take any rows, in any
+// order, concurrently.
+func (p *projector) restrictRow(w []float64, r int) {
+	nx, ny, nbx := p.n[0], p.n[1], p.nb[0]
+	o := p.org + (r/ny)*p.st[2] + (r%ny)*p.st[1]
+	for i0 := 0; i0 < nx; {
+		cx := p.block(0, i0)
+		i1 := min(p.xend[cx], nx)
+		p.rows[r*nbx+cx] = laneSum(w[o+i0 : o+i1])
+		i0 = i1
+	}
+}
+
+// foldRows adds the row sums in p.rows into p.cr per block, in ascending
+// row order.
+func (p *projector) foldRows() {
+	ny, nbx := p.n[1], p.nb[0]
 	clear(p.cr)
-	for r := 0; r < nrows; r++ {
+	for r := 0; r < ny*p.n[2]; r++ {
 		c0 := p.block(2, r/ny)*p.bst[2] + p.block(1, r%ny)*p.bst[1]
 		for cx, s := range p.rows[r*nbx : (r+1)*nbx] {
 			p.cr[c0+cx] += s // block columns off this rank stay zero
@@ -251,19 +266,21 @@ func (p *projector) restrict(w []float64) {
 }
 
 // laneSum sums xs with eight interleaved accumulators in a fixed order
-// (enough independent chains to hide the FP-add latency).
+// (enough independent chains to hide the FP-add latency). Each group of
+// eight is re-sliced to its length so the loop carries no bounds checks.
 func laneSum(xs []float64) float64 {
 	var s0, s1, s2, s3, s4, s5, s6, s7 float64
 	i := 0
 	for ; i+7 < len(xs); i += 8 {
-		s0 += xs[i]
-		s1 += xs[i+1]
-		s2 += xs[i+2]
-		s3 += xs[i+3]
-		s4 += xs[i+4]
-		s5 += xs[i+5]
-		s6 += xs[i+6]
-		s7 += xs[i+7]
+		x := xs[i : i+8 : i+8]
+		s0 += x[0]
+		s1 += x[1]
+		s2 += x[2]
+		s3 += x[3]
+		s4 += x[4]
+		s5 += x[5]
+		s6 += x[6]
+		s7 += x[7]
 	}
 	for ; i < len(xs); i++ {
 		s0 += xs[i]
@@ -277,6 +294,15 @@ func laneSum(xs []float64) float64 {
 func (p *projector) solveCoarse(v []float64) {
 	p.restrict(v)
 	p.solve(p.c.AllReduceSumN(p.cr))
+}
+
+// projectRestricted is project for a w whose every interior row has been
+// handed to restrictRow since it was last written: the fold, the round,
+// the coarse solve and the correction. Collective.
+func (p *projector) projectRestricted(b par.Box, w, m, x []float64) float64 {
+	p.foldRows()
+	p.solve(p.c.AllReduceSumN(p.cr))
+	return p.correct(b, w, m, x)
 }
 
 // coarseCorrect applies u += W·E⁻¹·Wᵀ·r over the interior.
@@ -403,17 +429,19 @@ func (p *projector) correctTile(t par.Tile, w, m, x []float64) float64 {
 }
 
 // subDot computes ws −= lam and accumulates xs·ws into the four lanes.
+// Each group of four is re-sliced to its length, as in laneSum.
 func subDot(ws, xs []float64, lam float64, s *[4]float64) {
 	xs = xs[:len(ws)]
 	s0, s1, s2, s3 := s[0], s[1], s[2], s[3]
 	i := 0
 	for ; i+3 < len(ws); i += 4 {
-		v0, v1, v2, v3 := ws[i]-lam, ws[i+1]-lam, ws[i+2]-lam, ws[i+3]-lam
-		ws[i], ws[i+1], ws[i+2], ws[i+3] = v0, v1, v2, v3
-		s0 += xs[i] * v0
-		s1 += xs[i+1] * v1
-		s2 += xs[i+2] * v2
-		s3 += xs[i+3] * v3
+		w, x := ws[i:i+4:i+4], xs[i:i+4:i+4]
+		v0, v1, v2, v3 := w[0]-lam, w[1]-lam, w[2]-lam, w[3]-lam
+		w[0], w[1], w[2], w[3] = v0, v1, v2, v3
+		s0 += x[0] * v0
+		s1 += x[1] * v1
+		s2 += x[2] * v2
+		s3 += x[3] * v3
 	}
 	for ; i < len(ws); i++ {
 		v := ws[i] - lam
@@ -430,12 +458,13 @@ func subDotPre(ws, ms, xs []float64, lam float64, s *[4]float64) {
 	s0, s1, s2, s3 := s[0], s[1], s[2], s[3]
 	i := 0
 	for ; i+3 < len(ws); i += 4 {
-		v0, v1, v2, v3 := ws[i]-lam, ws[i+1]-lam, ws[i+2]-lam, ws[i+3]-lam
-		ws[i], ws[i+1], ws[i+2], ws[i+3] = v0, v1, v2, v3
-		s0 += ms[i] * xs[i] * v0
-		s1 += ms[i+1] * xs[i+1] * v1
-		s2 += ms[i+2] * xs[i+2] * v2
-		s3 += ms[i+3] * xs[i+3] * v3
+		w, m, x := ws[i:i+4:i+4], ms[i:i+4:i+4], xs[i:i+4:i+4]
+		v0, v1, v2, v3 := w[0]-lam, w[1]-lam, w[2]-lam, w[3]-lam
+		w[0], w[1], w[2], w[3] = v0, v1, v2, v3
+		s0 += m[0] * x[0] * v0
+		s1 += m[1] * x[1] * v1
+		s2 += m[2] * x[2] * v2
+		s3 += m[3] * x[3] * v3
 	}
 	for ; i < len(ws); i++ {
 		v := ws[i] - lam

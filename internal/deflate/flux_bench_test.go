@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"testing"
 
+	"tealeaf/internal/kernels"
 	"tealeaf/internal/par"
+	"tealeaf/internal/stencil"
 )
 
 // Per-kernel benchmarks of the face-flux projector at the two shapes the
@@ -80,6 +82,46 @@ func BenchmarkAssemble(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkCGIterDeflated is the deflated fused-CG iteration at the
+// stiff2d_defl_512_w2 row's shape (512², 8×8 blocks, identity M), in ns
+// per cell: "one-pass" is stencil's CGIter with the restriction's row
+// sums taken inside the pass, then ProjectWRestricted; "two-sweeps" is
+// the sequence it replaced, FusedCGStep, the reflection of r, ApplyPreDot
+// and ProjectWBounds.
+func BenchmarkCGIterDeflated(b *testing.B) {
+	const n = 512
+	op := stiffOperator(b, n)
+	g := op.Grid
+	in := g.Interior()
+	r, w := randomField2D(g, 2), randomField2D(g, 3)
+	p, s, x := randomField2D(g, 4), randomField2D(g, 5), randomField2D(g, 6)
+	for _, workers := range []int{1, 2} {
+		pool := par.NewPool(workers)
+		b.Cleanup(pool.Close)
+		d, err := New(pool, nil, op, Geometry{}, Config{BX: 8, BY: 8})
+		if err != nil {
+			b.Fatal(err)
+		}
+		rows := func(k int) { d.RestrictRow(w, k) }
+		b.Run(fmt.Sprintf("w%d/one-pass", workers), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				op.CGIter(pool, in, in, in, stencil.AllPhysical, nil, r, w, 0.5, 1e-9, p, s, x, rows)
+				d.ProjectWRestricted(in, w, nil, r)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n*n), "ns/cell")
+		})
+		b.Run(fmt.Sprintf("w%d/two-sweeps", workers), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				kernels.FusedCGStep(pool, in, nil, r, w, 0.5, 1e-9, p, s, x)
+				r.ReflectHalos(1)
+				op.ApplyPreDot(pool, in, nil, r, w)
+				d.ProjectWBounds(in, w, nil, r)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n*n), "ns/cell")
 		})
 	}
 }

@@ -534,3 +534,88 @@ func TestExtendedCorrectionReplicatesNeighbourInterior3D(t *testing.T) {
 		}
 	}
 }
+
+// TestProjectWRestrictedMatchesProjectWBounds: handing w's interior rows to
+// RestrictRow — in any order — and then projecting with
+// ProjectWRestricted is ProjectWBounds bit for bit, on w and on the
+// returned curvature dot, in 2D and 3D, with and without the folded
+// diagonal. That is the hand-off the fused CG pass makes.
+func TestProjectWRestrictedMatchesProjectWBounds(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	fill := func(data []float64, lo float64) {
+		for i := range data {
+			data[i] = lo + rng.Float64()
+		}
+	}
+	g := grid.UnitGrid2D(23, 17, 2)
+	den := grid.NewField2D(g)
+	fill(den.Data, 0.5)
+	op, err := stencil.BuildOperator2D(par.Serial, den, 0.9, stencil.Conductivity, stencil.AllPhysical)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g3 := grid.UnitGrid3D(9, 7, 6, 2)
+	den3 := grid.NewField3D(g3)
+	fill(den3.Data, 0.5)
+	op3, err := stencil.BuildOperator3D(par.Serial, den3, 0.9, stencil.Conductivity, stencil.AllPhysical3D)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := New(par.NewPool(3).WithGrain(1), nil, op, Geometry{}, Config{BX: 5, BY: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d3, err := New3D(par.Serial, nil, op3, Geometry3D{}, Config{BX: 2, BY: 3, BZ: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pre := range []bool{false, true} {
+		w, x, m := grid.NewField2D(g), grid.NewField2D(g), grid.NewField2D(g)
+		fill(w.Data, -0.5)
+		fill(x.Data, -0.5)
+		fill(m.Data, 0.5)
+		minv := m
+		if !pre {
+			minv = nil
+		}
+		in := g.Interior()
+		wO := w.Clone()
+		want := d.ProjectWBounds(in, wO, minv, x)
+		for k := in.Y1 - 1; k >= in.Y0; k-- {
+			d.RestrictRow(w, k)
+		}
+		if got := d.ProjectWRestricted(in, w, minv, x); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("2D minv=%v: dot %v, ProjectWBounds %v", pre, got, want)
+		}
+		for i := range w.Data {
+			if math.Float64bits(w.Data[i]) != math.Float64bits(wO.Data[i]) {
+				t.Fatalf("2D minv=%v: w differs at flat index %d", pre, i)
+			}
+		}
+
+		w3, x3, m3 := grid.NewField3D(g3), grid.NewField3D(g3), grid.NewField3D(g3)
+		fill(w3.Data, -0.5)
+		fill(x3.Data, -0.5)
+		fill(m3.Data, 0.5)
+		minv3 := m3
+		if !pre {
+			minv3 = nil
+		}
+		in3 := g3.Interior()
+		wO3 := w3.Clone()
+		want = d3.ProjectWBounds(in3, wO3, minv3, x3)
+		for k := in3.Z1 - 1; k >= in3.Z0; k-- {
+			for j := in3.Y0; j < in3.Y1; j++ {
+				d3.RestrictRow(w3, j, k)
+			}
+		}
+		if got := d3.ProjectWRestricted(in3, w3, minv3, x3); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("3D minv=%v: dot %v, ProjectWBounds %v", pre, got, want)
+		}
+		for i := range w3.Data {
+			if math.Float64bits(w3.Data[i]) != math.Float64bits(wO3.Data[i]) {
+				t.Fatalf("3D minv=%v: w differs at flat index %d", pre, i)
+			}
+		}
+	}
+}

@@ -169,52 +169,53 @@ func (f *Field2D) MaxDiff(o *Field2D) float64 {
 // diagonal halo cells (the matrix-powers extended bounds do) see coherent
 // values.
 func (f *Field2D) ReflectHalos(depth int) {
-	g := f.Grid
-	if depth > g.Halo {
-		depth = g.Halo
-	}
-	// Left and right edges: mirror columns.
-	for k := 0; k < g.NY; k++ {
-		for d := 1; d <= depth; d++ {
-			f.Set(-d, k, f.At(d-1, k))
-			f.Set(g.NX-1+d, k, f.At(g.NX-d, k))
-		}
-	}
-	// Bottom and top edges, extended across the corner columns so corners
-	// mirror the already-filled side halos.
-	for d := 1; d <= depth; d++ {
-		for j := -depth; j < g.NX+depth; j++ {
-			f.Set(j, -d, f.At(j, d-1))
-			f.Set(j, g.NY-1+d, f.At(j, g.NY-d))
-		}
-	}
+	depth = min(depth, f.Grid.Halo)
+	f.reflectX(depth, 0, f.Grid.NY, true, true)
+	f.reflectY(depth, true, true)
 }
 
 // ReflectHalosSides mirrors only the requested sides (used on ranks whose
 // sub-domain touches the physical boundary on some sides only).
 func (f *Field2D) ReflectHalosSides(depth int, left, right, down, up bool) {
-	g := f.Grid
-	if depth > g.Halo {
-		depth = g.Halo
+	depth = min(depth, f.Grid.Halo)
+	f.reflectX(depth, -depth, f.Grid.NY+depth, left, right)
+	f.reflectY(depth, down, up)
+}
+
+// reflectX mirrors the x faces of rows [k0, k1): per row, per depth d
+// outward, the left cell then the right — the order the cells were
+// always written in, which matters only on grids thinner than the depth,
+// where a mirror reads a halo cell written a step before.
+func (f *Field2D) reflectX(depth, k0, k1 int, left, right bool) {
+	if !left && !right {
+		return
 	}
-	for k := -depth; k < g.NY+depth; k++ {
+	g, data := f.Grid, f.Data
+	for k := k0; k < k1; k++ {
+		o := g.Index(0, k)
 		for d := 1; d <= depth; d++ {
 			if left {
-				f.Set(-d, k, f.At(d-1, k))
+				data[o-d] = data[o+d-1]
 			}
 			if right {
-				f.Set(g.NX-1+d, k, f.At(g.NX-d, k))
+				data[o+g.NX-1+d] = data[o+g.NX-d]
 			}
 		}
 	}
+}
+
+// reflectY mirrors the y faces as whole rows spanning the x halos: per
+// depth d outward, the row below then the row above.
+func (f *Field2D) reflectY(depth int, down, up bool) {
+	g, data := f.Grid, f.Data
+	w := g.NX + 2*depth
+	row := func(k int) []float64 { o := g.Index(-depth, k); return data[o : o+w] }
 	for d := 1; d <= depth; d++ {
-		for j := -depth; j < g.NX+depth; j++ {
-			if down {
-				f.Set(j, -d, f.At(j, d-1))
-			}
-			if up {
-				f.Set(j, g.NY-1+d, f.At(j, g.NY-d))
-			}
+		if down {
+			copy(row(-d), row(d-1))
+		}
+		if up {
+			copy(row(g.NY-1+d), row(g.NY-d))
 		}
 	}
 }

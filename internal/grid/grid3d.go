@@ -215,22 +215,26 @@ func (f *Field3D) ReflectHalos(depth int) {
 // sub-domain touches the physical boundary on some sides only). The fill
 // order — x faces over interior rows, then y faces spanning the x halos,
 // then z faces spanning both — matches the three-phase exchange, so edge
-// and corner halo cells are coherent for deep stencils.
+// and corner halo cells are coherent for deep stencils. The y and z
+// faces are whole-row copies; within a face the cells go in the order
+// they always did (which matters only on grids thinner than the depth,
+// where a mirror reads a halo cell written a step before).
 func (f *Field3D) ReflectHalosSides(depth int, left, right, down, up, back, front bool) {
-	g := f.Grid
-	if depth > g.Halo {
-		depth = g.Halo
-	}
+	g, data := f.Grid, f.Data
+	depth = min(depth, g.Halo)
+	w := g.NX + 2*depth
+	row := func(j, k int) []float64 { o := g.Index(-depth, j, k); return data[o : o+w] }
 	// X faces.
 	if left || right {
 		for k := -depth; k < g.NZ+depth; k++ {
 			for j := -depth; j < g.NY+depth; j++ {
+				o := g.Index(0, j, k)
 				for d := 1; d <= depth; d++ {
 					if left {
-						f.Set(-d, j, k, f.At(d-1, j, k))
+						data[o-d] = data[o+d-1]
 					}
 					if right {
-						f.Set(g.NX-1+d, j, k, f.At(g.NX-d, j, k))
+						data[o+g.NX-1+d] = data[o+g.NX-d]
 					}
 				}
 			}
@@ -240,13 +244,11 @@ func (f *Field3D) ReflectHalosSides(depth int, left, right, down, up, back, fron
 	if down || up {
 		for k := -depth; k < g.NZ+depth; k++ {
 			for d := 1; d <= depth; d++ {
-				for i := -depth; i < g.NX+depth; i++ {
-					if down {
-						f.Set(i, -d, k, f.At(i, d-1, k))
-					}
-					if up {
-						f.Set(i, g.NY-1+d, k, f.At(i, g.NY-d, k))
-					}
+				if down {
+					copy(row(-d, k), row(d-1, k))
+				}
+				if up {
+					copy(row(g.NY-1+d, k), row(g.NY-d, k))
 				}
 			}
 		}
@@ -255,13 +257,11 @@ func (f *Field3D) ReflectHalosSides(depth int, left, right, down, up, back, fron
 	if back || front {
 		for d := 1; d <= depth; d++ {
 			for j := -depth; j < g.NY+depth; j++ {
-				for i := -depth; i < g.NX+depth; i++ {
-					if back {
-						f.Set(i, j, -d, f.At(i, j, d-1))
-					}
-					if front {
-						f.Set(i, j, g.NZ-1+d, f.At(i, j, g.NZ-d))
-					}
+				if back {
+					copy(row(j, -d), row(j, d-1))
+				}
+				if front {
+					copy(row(j, g.NZ-1+d), row(j, g.NZ-d))
 				}
 			}
 		}

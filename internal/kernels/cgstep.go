@@ -16,11 +16,12 @@ import (
 //	s = w + β·s;           r −= α·s;  γ = Σ r·(minv ⊙ r);  rr = Σ r·r
 //
 // with the dots taken on the freshly updated r. nil minv selects the
-// identity, for which γ == rr. A nil x skips the solution update: the
-// deep-halo cycle advances p, s and r over the extension rings that
-// way (a solution cell is owned by exactly one rank) and discards the
-// returned dots, which belong to the neighbour whose interior the ring
-// replicates.
+// identity, for which γ == rr. A nil x skips the solution update (a ring
+// of extended bounds replicates a neighbour's cells, whose solution and
+// dots are the neighbour's). The fused engine runs this step as a sweep
+// of its own only beside a depth-1 rank neighbour; everywhere else
+// stencil's CGIter runs its row bursts a row ahead of the matvec, and
+// this sweep is that pass's bitwise oracle.
 //
 // Every cell is computed by the expressions of FusedCGDirections
 // followed by FusedCGUpdate and the dots keep FusedCGUpdate's lanes and
@@ -49,7 +50,7 @@ func fusedCGStepBody(beta, alpha float64, minv, r, w, p, s, x *grid.Field2D) fun
 	}
 	return func(t par.Tile, acc []float64) {
 		tb := tileBounds(t)
-		var l cgStepLanes
+		var l CGStepLanes
 		for k := tb.Y0; k < tb.Y1; k++ {
 			var ms, xs []float64
 			if md != nil {
@@ -59,10 +60,10 @@ func fusedCGStepBody(beta, alpha float64, minv, r, w, p, s, x *grid.Field2D) fun
 				xs = row(g, tb, xd, k)
 			}
 			rs := row(g, tb, rd, k)
-			cgStepPX(ms, rs, row(g, tb, pd, k), xs, beta, alpha)
-			l.cgStepSR(ms, rs, row(g, tb, wd, k), row(g, tb, sd, k), beta, alpha)
+			CGStepPX(ms, rs, row(g, tb, pd, k), xs, beta, alpha)
+			l.CGStepSR(ms, rs, row(g, tb, wd, k), row(g, tb, sd, k), beta, alpha)
 		}
-		l.fold(md == nil, acc)
+		l.Fold(md == nil, acc)
 	}
 }
 
@@ -89,7 +90,7 @@ func fusedCGStepBody3D(beta, alpha float64, minv, r, w, p, s, x *grid.Field3D) f
 	}
 	return func(t par.Tile, acc []float64) {
 		tb := tileBounds3(t)
-		var l cgStepLanes
+		var l CGStepLanes
 		for k := tb.Z0; k < tb.Z1; k++ {
 			for j := tb.Y0; j < tb.Y1; j++ {
 				var ms, xs []float64
@@ -100,20 +101,22 @@ func fusedCGStepBody3D(beta, alpha float64, minv, r, w, p, s, x *grid.Field3D) f
 					xs = row3(g, tb, xd, j, k)
 				}
 				rs := row3(g, tb, rd, j, k)
-				cgStepPX(ms, rs, row3(g, tb, pd, j, k), xs, beta, alpha)
-				l.cgStepSR(ms, rs, row3(g, tb, wd, j, k), row3(g, tb, sd, j, k), beta, alpha)
+				CGStepPX(ms, rs, row3(g, tb, pd, j, k), xs, beta, alpha)
+				l.CGStepSR(ms, rs, row3(g, tb, wd, j, k), row3(g, tb, sd, j, k), beta, alpha)
 			}
 		}
-		l.fold(md == nil, acc)
+		l.Fold(md == nil, acc)
 	}
 }
 
-// cgStepPX is burst 1 of the merged step over one row: the p recurrence
+// CGStepPX is burst 1 of the merged step over one row: the p recurrence
 // on the old r and the x update it feeds (skipped for a nil xs — ring
 // rows, where the plain loops are fast enough). nil ms is the identity.
 // Rows with an x update run as AVX2 assembly computing the same bits when
-// simd.AVX2 is set (see DESIGN.md, "AVX2 row leaves").
-func cgStepPX(ms, rs, ps, xs []float64, beta, alpha float64) {
+// simd.AVX2 is set (see DESIGN.md, "AVX2 row leaves"). It and CGStepSR are
+// exported for stencil's one-pass CG iteration, which runs them row by
+// row ahead of its matvec.
+func CGStepPX(ms, rs, ps, xs []float64, beta, alpha float64) {
 	if simd.AVX2 && xs != nil {
 		cgStepPXAVX2(ms, rs, ps, xs, beta, alpha)
 		return
@@ -181,19 +184,19 @@ func cgStepPXGo(ms, rs, ps, xs []float64, beta, alpha float64) {
 	}
 }
 
-// cgStepLanes carries the merged step's dot partials across the rows of
+// CGStepLanes carries the merged step's dot partials across the rows of
 // one tile: FusedCGUpdate's two lanes per dot, so the tile's γ and rr
 // associate exactly as the two-sweep form's do. The assembly leaf reads
 // and writes it as two pairs, (g0, g1) and (rr0, rr1).
-type cgStepLanes struct{ g0, g1, rr0, rr1 float64 }
+type CGStepLanes struct{ g0, g1, rr0, rr1 float64 }
 
-// cgStepSR is burst 2 of the merged step over one row: the s recurrence
+// CGStepSR is burst 2 of the merged step over one row: the s recurrence
 // on the old w, the r update it feeds, and both dots against the fresh
 // r still in registers — even cells into lane 0, odd cells into lane 1,
 // an odd row's last cell into lane 0. nil ms is the identity (only rr
 // accumulates). Runs as AVX2 assembly computing the same bits when
 // simd.AVX2 is set.
-func (l *cgStepLanes) cgStepSR(ms, rs, ws, ss []float64, beta, alpha float64) {
+func (l *CGStepLanes) CGStepSR(ms, rs, ws, ss []float64, beta, alpha float64) {
 	if simd.AVX2 {
 		cgStepSRAVX2(ms, rs, ws, ss, beta, alpha, l)
 		return
@@ -201,7 +204,7 @@ func (l *cgStepLanes) cgStepSR(ms, rs, ws, ss []float64, beta, alpha float64) {
 	l.cgStepSRGo(ms, rs, ws, ss, beta, alpha)
 }
 
-func (l *cgStepLanes) cgStepSRGo(ms, rs, ws, ss []float64, beta, alpha float64) {
+func (l *CGStepLanes) cgStepSRGo(ms, rs, ws, ss []float64, beta, alpha float64) {
 	n := len(rs)
 	ws, ss = ws[:n], ss[:n]
 	g0, g1, rr0, rr1 := l.g0, l.g1, l.rr0, l.rr1
@@ -254,8 +257,44 @@ func (l *cgStepLanes) cgStepSRGo(ms, rs, ws, ss []float64, beta, alpha float64) 
 	l.g0, l.g1, l.rr0, l.rr1 = g0, g1, rr0, rr1
 }
 
-// fold adds the tile's (γ, rr) to acc; for the identity γ is rr.
-func (l *cgStepLanes) fold(identity bool, acc []float64) {
+// Dots adds the dot half of CGStepSR for a row whose r it has already
+// updated: γ += m·r·r and rr += r·r on the stored r, into the same lanes in
+// the same order, so a row stepped early (next to another worker's band)
+// still lands its dots where CGStepSR would have. nil ms is the identity.
+func (l *CGStepLanes) Dots(ms, rs []float64) {
+	n := len(rs)
+	g0, g1, rr0, rr1 := l.g0, l.g1, l.rr0, l.rr1
+	j := 0
+	if ms == nil {
+		for ; j+1 < n; j += 2 {
+			v0, v1 := rs[j], rs[j+1]
+			rr0 += v0 * v0
+			rr1 += v1 * v1
+		}
+		if j < n {
+			v := rs[j]
+			rr0 += v * v
+		}
+	} else {
+		ms = ms[:n]
+		for ; j+1 < n; j += 2 {
+			v0, v1 := rs[j], rs[j+1]
+			g0 += ms[j] * v0 * v0
+			rr0 += v0 * v0
+			g1 += ms[j+1] * v1 * v1
+			rr1 += v1 * v1
+		}
+		if j < n {
+			v := rs[j]
+			g0 += ms[j] * v * v
+			rr0 += v * v
+		}
+	}
+	l.g0, l.g1, l.rr0, l.rr1 = g0, g1, rr0, rr1
+}
+
+// Fold adds the tile's (γ, rr) to acc; for the identity γ is rr.
+func (l *CGStepLanes) Fold(identity bool, acc []float64) {
 	rr := l.rr0 + l.rr1
 	if identity {
 		acc[0] += rr

@@ -1,4 +1,4 @@
-package kernels
+package kernels_test
 
 import (
 	"fmt"
@@ -7,6 +7,7 @@ import (
 
 	"tealeaf/internal/grid"
 	"tealeaf/internal/halo"
+	. "tealeaf/internal/kernels"
 	"tealeaf/internal/par"
 	"tealeaf/internal/stencil"
 )

@@ -664,12 +664,12 @@ func pipelinedCGStepBody(g *grid.Grid2D, beta, alpha float64, md, rd, wd, nd, pd
 			}
 			// Burst 1: the p recurrence (old r) and the x update it feeds —
 			// the fused engine's, shared with FusedCGStep.
-			cgStepPX(ms, rs, row(g, tb, pd, k), row(g, tb, xd, k), beta, alpha)
+			CGStepPX(ms, rs, row(g, tb, pd, k), row(g, tb, xd, k), beta, alpha)
 			// Burst 2: the s recurrence (old w), the r update, and rr — the
 			// fused engine's identity burst, with its lanes folded per row.
 			ws := row(g, tb, wd, k)
-			var l cgStepLanes
-			l.cgStepSR(nil, rs, ws, row(g, tb, sd, k), beta, alpha)
+			var l CGStepLanes
+			l.CGStepSR(nil, rs, ws, row(g, tb, sd, k), beta, alpha)
 			rra += l.rr0 + l.rr1
 			// Burst 3: the z recurrence, the w update, and γ, δ against the
 			// new r still in cache.

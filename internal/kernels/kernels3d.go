@@ -496,10 +496,10 @@ func pipelinedCGStepBody3D(g *grid.Grid3D, beta, alpha float64, md, rd, wd, nd, 
 				if md != nil {
 					ms = row3(g, tb, md, j, k)
 				}
-				cgStepPX(ms, rs, row3(g, tb, pd, j, k), row3(g, tb, xd, j, k), beta, alpha)
+				CGStepPX(ms, rs, row3(g, tb, pd, j, k), row3(g, tb, xd, j, k), beta, alpha)
 				ws := row3(g, tb, wd, j, k)
-				var l cgStepLanes
-				l.cgStepSR(nil, rs, ws, row3(g, tb, sd, j, k), beta, alpha)
+				var l CGStepLanes
+				l.CGStepSR(nil, rs, ws, row3(g, tb, sd, j, k), beta, alpha)
 				rra += l.rr0 + l.rr1
 				ns := row3(g, tb, nd, j, k)
 				zs := row3(g, tb, zd, j, k)

@@ -1,10 +1,11 @@
-package kernels
+package kernels_test
 
 import (
 	"fmt"
 	"testing"
 
 	"tealeaf/internal/grid"
+	. "tealeaf/internal/kernels"
 	"tealeaf/internal/par"
 	"tealeaf/internal/stencil"
 )

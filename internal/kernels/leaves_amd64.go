@@ -8,4 +8,4 @@ package kernels
 func cgStepPXAVX2(ms, rs, ps, xs []float64, beta, alpha float64)
 
 //go:noescape
-func cgStepSRAVX2(ms, rs, ws, ss []float64, beta, alpha float64, l *cgStepLanes)
+func cgStepSRAVX2(ms, rs, ws, ss []float64, beta, alpha float64, l *CGStepLanes)

@@ -101,7 +101,7 @@ precheck1:
 #define SR2 SR(VMOVUPD, VADDPD, VSUBPD, VMULPD, X13, X14, X0, X1)
 #define SR1 SR(VMOVSD, VADDSD, VSUBSD, VMULSD, X13, X14, X0, X1)
 
-// func cgStepSRAVX2(ms, rs, ws, ss []float64, beta, alpha float64, l *cgStepLanes)
+// func cgStepSRAVX2(ms, rs, ws, ss []float64, beta, alpha float64, l *CGStepLanes)
 //
 // Lanes (g0, g1) live in X10 and (rr0, rr1) in X11.
 TEXT ·cgStepSRAVX2(SB), NOSPLIT, $0-120

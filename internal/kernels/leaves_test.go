@@ -40,7 +40,7 @@ func TestCGStepBurstsMatchGoBitwise(t *testing.T) {
 
 					w, s := g.Row(n, off+1), g.Row(n, off+2)
 					sGo, sAsm := st.Clone(s, off+2), st.Clone(s, off+2)
-					lGo := cgStepLanes{g.Value(), g.Value(), g.Value(), g.Value()}
+					lGo := CGStepLanes{g.Value(), g.Value(), g.Value(), g.Value()}
 					lAsm := lGo
 					lGo.cgStepSRGo(ms, rGo, w, sGo, beta, alpha)
 					cgStepSRAVX2(ms, rAsm, w, sAsm, beta, alpha, &lAsm)
@@ -64,7 +64,7 @@ func BenchmarkCGStepBursts(b *testing.B) {
 		r, p, x, w, s, m := g.Row(n, 0), g.Row(n, 0), g.Row(n, 0), g.Row(n, 0), g.Row(n, 0), g.Row(n, 0)
 		for _, ms := range [][]float64{nil, m} {
 			pre := fmt.Sprintf("pre=%v", ms != nil)
-			var l cgStepLanes
+			var l CGStepLanes
 			st.BenchPair(b, "cgStepPX/"+pre, n,
 				func() { cgStepPXGo(ms, r, p, x, 0.5, 1e-9) },
 				func() { cgStepPXAVX2(ms, r, p, x, 0.5, 1e-9) })

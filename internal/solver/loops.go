@@ -106,52 +106,63 @@ func (e *engine[F, B]) finishDeflated(defl deflator[F, B], r F, rr0 float64) (fl
 
 // runCGFusedCore is the Chronopoulos–Gear single-reduction PCG engine
 // (§VII). Writing u' = M⁻¹r, it maintains p (search direction) and
-// s = A·p by recurrence, so each iteration is exactly two grid sweeps
-// and one reduction round:
+// s = A·p by recurrence, so each iteration is one pass over the grid and
+// one reduction round:
 //
-//	sweep 1: p = u' + β·p;  x += α·p;
-//	         s = w + β·s;   r −= α·s;  γ' = r·u'; rr = r·r   (FusedCGStep)
-//	         exchange halo of r
-//	sweep 2: w = A·u';  δ = u'·w                            (ApplyPreDot)
+//	step:   p = u' + β·p;  x += α·p;
+//	        s = w + β·s;   r −= α·s;  γ' = r·u'; rr = r·r
+//	matvec: w = A·u';  δ = u'·w
 //	allreduce {γ', rr, δ} in one round, then
 //	β = γ'/γ,  α = γ'/(δ − β·γ'/α)
 //
-// Sweep 1 is the whole vector phase: each cache-resident row takes the
-// direction recurrences and the updates they feed back to back, so p
-// and s are never written by one pass and re-streamed by the next (the
-// first two bursts of the pipelined engine's step sweep, bit-identical
-// to the direction and update sweeps run separately). The diagonal
-// preconditioner is folded into the sweeps (u' is never materialised);
-// a zero minv is the identity, for which γ == rr. With
-// Options.SplitSweeps the exchange overlaps sweep 2's interior pass
-// (applyPreDotX).
+// The step and the matvec run as one row-lagged pass (CGIter): row k's
+// matvec reads r on rows k−1..k+1, so it runs as soon as row k+1 has been
+// stepped, and r and w stream through cache once per iteration. The step
+// is the whole vector phase: each cache-resident row takes the direction
+// recurrences and the updates they feed back to back. The diagonal
+// preconditioner is folded into the sweeps (u' is never materialised); a
+// zero minv is the identity, for which γ == rr. Everything is bit-identical
+// to running the step and the matvec as two sweeps (FusedCGStep, then
+// ApplyPreDot).
+//
+// The matvec needs r's new values one cell beyond its bounds. A rank with
+// no neighbour gets them by reflection, which the pass writes as it steps
+// the boundary rows, so a single-rank iteration exchanges nothing. A rank
+// neighbour at halo depth 1 is the case that keeps two sweeps, with the
+// depth-1 exchange of r between them (applyPreDotX): the pass is chosen by
+// the grid's neighbours and the halo depth. Options.SplitSweeps, which
+// asks for that matvec split into interior and boundary passes around the
+// exchange, keeps the two sweeps on every depth-1 rank (its δ sums in a
+// different order, so a one-pass iteration would not reproduce its bits).
 //
 // With a deflator configured the same recurrences run on the projected
-// operator P·A: the matvec sweep is followed by the (collective)
-// projection, the curvature δ is re-measured against the projected w, and
-// coarse corrections before and after the loop recover the deflated
-// component exactly. Each iteration then pays two reduction rounds — the
+// operator P·A: the matvec is followed by the (collective) projection,
+// the curvature δ is re-measured against the projected w, and coarse
+// corrections before and after the loop recover the deflated component
+// exactly. Each iteration then pays two reduction rounds — the
 // projector's coarse round plus the scalar round — versus the plain
-// loop's one.
+// loop's one. On the one-pass paths the projector's restriction rides the
+// pass too: each finished row of w goes to its row sums while in cache,
+// and the projection keeps only the fold, the coarse solve and the
+// correction pass.
 //
 // With Options.HaloDepth d > 1 the loop runs a matrix-powers cycle
 // (§IV-C2), previously exclusive to the PPCG inner solve: one depth-d
-// exchange of {r, w, p, s} at the top of each d-iteration cycle replaces
-// the per-iteration depth-1 exchange of r. Iteration j of a cycle runs
-// its step sweep on the extended bounds ext(d−j) — the interior grown by
-// d−j cells toward every rank neighbour — and its matvec on ext(d−1−j),
-// so each sweep's inputs are valid exactly one cell beyond its own
-// bounds and the halo data ages out one cell per iteration. The step
-// covers the interior (with x and the dots) and then each extension
-// ring with x skipped and the dots discarded: the extended cells are
-// redundant compute replicating the neighbour's interior, and all dots
-// stay interior-only in the interior's tile order, so the reduced
-// scalars (and hence the iterates) are unchanged from depth 1 — the
-// cycle trades ~3·d·halo cells of redundant sweeps for d× fewer
-// messages, the same latency-for-bandwidth trade the PPCG inner powers
-// schedule makes. Deflated solves join the cycle via ProjectWBounds,
-// which maintains w = P·A·u' on the extended bounds, with the
-// re-measured curvature δ folded out of the same correction pass.
+// exchange of {r, w, s} at the top of each d-iteration cycle replaces the
+// per-iteration depth-1 exchange of r. Iteration j of a cycle steps the
+// extended bounds ext(d−j) — the interior grown by d−j cells toward
+// every rank neighbour — and runs its matvec on ext(d−1−j), so each
+// sweep's inputs are valid exactly one cell beyond its own bounds and the
+// halo data ages out one cell per iteration. On the extension rings only
+// r and s advance (p feeds x alone, and x is interior-only, so p is not
+// exchanged either); the extended cells are redundant compute replicating
+// the neighbour's interior, and all dots stay interior-only in the
+// interior's band order, so the reduced scalars (and hence the iterates)
+// are unchanged from depth 1 — the cycle trades ~2·d·halo cells of
+// redundant compute for d× fewer messages, the same latency-for-bandwidth
+// trade the PPCG inner powers schedule makes. Deflated solves join the
+// cycle: the correction pass maintains w = P·A·u' on the extended bounds,
+// with the re-measured curvature δ folded out of it.
 func runCGFusedCore[F comparable, B any](e *engine[F, B], minv F, maxIters int, tol float64) (Result, *cgState[F], error) {
 	sys := e.sys
 	in := e.in
@@ -240,6 +251,11 @@ func runCGFusedCore[F comparable, B any](e *engine[F, B], minv F, maxIters int, 
 			return result, nil, err
 		}
 	}
+	// A depth-1 iteration runs as one pass only where no rank neighbour's
+	// halo of r has to be exchanged between the step and the matvec, and
+	// where SplitSweeps has not asked for the matvec it splits (whose δ
+	// folds differently).
+	alone := sys.Cells(sys.Extend(1)) == e.cells && !e.o.SplitSweeps
 
 	alpha := gamma / delta
 	beta := 0.0
@@ -247,28 +263,23 @@ func runCGFusedCore[F comparable, B any](e *engine[F, B], minv F, maxIters int, 
 	for it := 0; it < maxIters; it++ {
 		var gammaNew, rrNew, deltaNew float64
 		mb := in // matvec bounds: extended on the deep path
-		if depth > 1 {
+		restricted := false
+		switch {
+		case depth > 1:
 			j := it % depth
 			if j == 0 {
-				// Cycle top: one deep exchange of every recurrence vector
-				// replaces depth per-iteration exchanges of r.
-				if err := e.exchange(depth, r, w, pvec, svec); err != nil {
+				// Cycle top: one deep exchange of what the cycle's ring
+				// steps and matvecs read replaces depth per-iteration
+				// exchanges of r.
+				if err := e.exchange(depth, r, w, svec); err != nil {
 					return result, nil, err
 				}
 			}
-			ab := sys.Extend(depth - j)    // step bounds
-			mb = sys.Extend(depth - 1 - j) // one cell inside ab
-			// The x update and the dots are interior-only; the extended
-			// rings advance p, s and r alone so the next matvec reads a
-			// consistent r one cell beyond mb.
-			gammaNew, rrNew = sys.FusedCGStep(in, minv, r, w, beta, alpha, pvec, svec, e.u)
-			var noX F
-			for _, rb := range sys.Rings(ab) {
-				sys.FusedCGStep(rb, minv, r, w, beta, alpha, pvec, svec, noX)
-			}
-			e.vectorPass(ab)
-			deltaNew = e.applyPreDotDeep(mb, minv, r, w)
-		} else {
+			mb = sys.Extend(depth - 1 - j)
+			gammaNew, rrNew, deltaNew, restricted = e.cgIter(sys.Extend(depth-j), mb, false, minv, r, w, beta, alpha, pvec, svec)
+		case alone:
+			gammaNew, rrNew, deltaNew, restricted = e.cgIter(in, in, true, minv, r, w, beta, alpha, pvec, svec)
+		default:
 			gammaNew, rrNew = sys.FusedCGStep(in, minv, r, w, beta, alpha, pvec, svec, e.u)
 			e.vectorPass(in)
 			var err error
@@ -277,7 +288,9 @@ func runCGFusedCore[F comparable, B any](e *engine[F, B], minv F, maxIters int, 
 				return result, nil, err
 			}
 		}
-		if defl != nil {
+		if restricted {
+			deltaNew = e.projectWRestricted(defl, mb, w, minv, r)
+		} else if defl != nil {
 			deltaNew = e.projectW(defl, mb, w, minv, r)
 		}
 		s := e.reduceN([]float64{gammaNew, rrNew, deltaNew})

@@ -151,7 +151,8 @@ type Options struct {
 	// DisableFused forces the original multi-pass solver loops; it is
 	// how equivalence tests select the reference path. The zero value
 	// runs the fused single-reduction loops: a Chronopoulos–Gear CG whose
-	// iteration is two grid sweeps and one reduction round, with diagonal
+	// iteration is one pass over the grid (two sweeps beside a depth-1 rank
+	// neighbour) and one reduction round, with diagonal
 	// preconditioners folded into the sweeps, and fused Chebyshev/PPCG
 	// inner updates. Preconditioners that are not pure diagonal scalings
 	// (block-Jacobi) and folded preconditioners on halo-1 grids in
@@ -179,7 +180,9 @@ type Options struct {
 	// interior stencil sweep (tl_split_sweeps): the sweep is split into an
 	// interior pass that never reads halo cells and a one-cell boundary
 	// ring swept after the exchange lands. Applies to the fused and
-	// pipelined engines' A·(M⁻¹r) sweeps.
+	// pipelined engines' A·(M⁻¹r) sweeps; a fused iteration it applies to
+	// keeps its two sweeps, step then split matvec, instead of the one
+	// row-lagged pass.
 	SplitSweeps bool
 	// CheckEvery is the Chebyshev convergence-test cadence in iterations
 	// (default 10): the stand-alone Chebyshev solver is reduction-free

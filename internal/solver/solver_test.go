@@ -401,9 +401,11 @@ func TestCGTraceCounts(t *testing.T) {
 
 func TestFusedCGTraceCounts(t *testing.T) {
 	// The acceptance profile of the fused single-reduction CG: per
-	// iteration exactly 2 grid sweeps (1 matvec + 1 merged vector pass)
-	// and exactly 1 reduction round, versus ≥5 sweeps and 2–3 rounds
-	// unfused.
+	// iteration exactly 2 grid sweeps' work (1 matvec + 1 merged vector
+	// step) and exactly 1 reduction round, versus ≥5 sweeps and 2–3 rounds
+	// unfused. The trace counts work, not passes over memory: the matvec
+	// and the step run as ONE row-lagged pass (CGIter), and still count as
+	// one matvec and one vector pass.
 	for _, precondName := range []string{"none", "jac_diag"} {
 		p := buildProblem(t, 16, 16, 1, 17)
 		c := comm.NewSerial()
@@ -439,19 +441,40 @@ func TestFusedCGTraceCounts(t *testing.T) {
 		if tr.Reductions != iters+2 {
 			t.Errorf("%s: reductions = %d, want %d", precondName, tr.Reductions, iters+2)
 		}
-		// One halo exchange per iteration (of r), +2 at startup (u, r).
-		if tr.HaloExchanges != iters+2 {
-			t.Errorf("%s: exchanges = %d, want %d", precondName, tr.HaloExchanges, iters+2)
+		// Two halo exchanges at startup (u, r) and none per iteration: the
+		// pass writes r's reflection on the physical sides as it steps.
+		if tr.HaloExchanges != 2 {
+			t.Errorf("%s: exchanges = %d, want 2", precondName, tr.HaloExchanges)
 		}
 	}
 }
 
-// TestFusedDeepHaloVectorCells pins the deep-halo fused cycle's vector
-// accounting: still ONE traced pass per iteration, covering the interior
-// plus the extension rings the merged step advances — iteration it of a
-// depth-d cycle sweeps Extend(d − it mod d). Rank 0 of a 2×1 split of
-// the 24² mesh owns 12×24 cells and extends toward its right-hand
-// neighbour only, so that is (12 + d − it mod d)·24 cells.
+// TestFusedCGNeighbourDepth1TraceCounts pins the one fused path that keeps
+// two sweeps: a rank neighbour at halo depth 1, whose halo of r is
+// exchanged between the step and the matvec. Rank 0 of a 2×1 split: one
+// exchange per iteration plus 2 at startup (u, r), one matvec and one
+// vector pass per iteration plus the 2 startup matvecs, one round per
+// iteration plus 2.
+func TestFusedCGNeighbourDepth1TraceCounts(t *testing.T) {
+	iters, _, tr := deepRun2D(t, deepVariants[0], 2, 1, 1)
+	if tr.HaloExchanges != iters+2 || tr.ExchangesByDepth[1] != iters+2 {
+		t.Errorf("exchanges = %d (by depth %v), want %d at depth 1", tr.HaloExchanges, tr.ExchangesByDepth, iters+2)
+	}
+	if tr.Matvecs != iters+2 || tr.VectorPasses != iters || tr.Reductions != iters+2 {
+		t.Errorf("{matvecs vectorPasses reductions} = {%d %d %d}, want {%d %d %d}",
+			tr.Matvecs, tr.VectorPasses, tr.Reductions, iters+2, iters, iters+2)
+	}
+}
+
+// TestFusedDeepHaloVectorCells pins the deep-halo fused cycle's per-
+// iteration accounting: still ONE traced vector pass per iteration,
+// covering the interior plus the extension rings the step advances —
+// iteration it of a depth-d cycle steps Extend(d − it mod d). Rank 0 of a
+// 2×1 split of the 24² mesh owns 12×24 cells and extends toward its
+// right-hand neighbour only, so that is (12 + d − it mod d)·24 cells. And
+// one depth-d exchange per cycle of three fields, {r, w, s}: p feeds x
+// alone, on the interior, so it is neither exchanged nor stepped on the
+// rings. Each exchange is one message to the right of fields·d·24 values.
 func TestFusedDeepHaloVectorCells(t *testing.T) {
 	const depth = 3
 	iters, _, tr := deepRun2D(t, deepVariants[0], 2, 1, depth)
@@ -465,6 +488,16 @@ func TestFusedDeepHaloVectorCells(t *testing.T) {
 	}
 	if tr.Matvecs != iters+2 {
 		t.Errorf("matvecs = %d, want %d", tr.Matvecs, iters+2)
+	}
+	// Startup: u and r at depth 1, the folded diagonal at depth d; then
+	// one cycle-top exchange per d iterations.
+	cycles := (iters + depth - 1) / depth
+	if tr.ExchangesByDepth[1] != 2 || tr.ExchangesByDepth[depth] != 1+cycles {
+		t.Errorf("exchanges by depth %v, want {1:2 %d:%d}", tr.ExchangesByDepth, depth, 1+cycles)
+	}
+	slab := func(fields, d int) int64 { return int64(fields*d*24) * 8 }
+	if want := 2*slab(1, 1) + slab(1, depth) + int64(cycles)*slab(3, depth); tr.HaloBytes != want {
+		t.Errorf("halo bytes = %d, want %d", tr.HaloBytes, want)
 	}
 }
 

@@ -148,6 +148,27 @@ func (s *sys2d) FusedCGStep(b grid.Bounds, minv, r, w *grid.Field2D, beta, alpha
 	return kernels.FusedCGStep(s.p, b, minv, r, w, beta, alpha, p, sv, x)
 }
 
+// rowDeflator2D is a Deflator whose restriction can ride the fused CG
+// pass (*deflate.Deflation is one): it takes w's interior rows as the
+// pass finishes them and projects from those sums.
+type rowDeflator2D interface {
+	RestrictRow(w *grid.Field2D, k int)
+	ProjectWRestricted(b grid.Bounds, w, minv, x *grid.Field2D) float64
+}
+
+func (s *sys2d) CGIter(sb, mb grid.Bounds, mirror bool, minv, r, w *grid.Field2D, beta, alpha float64, p, sv, x *grid.Field2D) (gamma, rr, delta float64, restricted bool) {
+	var phys stencil.PhysicalSides
+	if mirror {
+		phys = stencil.PhysicalSides(s.c.Physical())
+	}
+	var rows func(k int)
+	if rd, ok := s.defl.(rowDeflator2D); ok {
+		rows = func(k int) { rd.RestrictRow(w, k) }
+	}
+	gamma, rr, delta = s.op.CGIter(s.p, sb, mb, s.op.Grid.Interior(), phys, minv, r, w, beta, alpha, p, sv, x, rows)
+	return gamma, rr, delta, rows != nil
+}
+
 func (s *sys2d) ChebySteps(bs []grid.Bounds, in grid.Bounds, alphas, betas []float64, sd, alt, rtemp, minv, acc *grid.Field2D) {
 	s.op.ChebySteps(s.p, bs, in, alphas, betas, sd, alt, rtemp, minv, acc)
 }

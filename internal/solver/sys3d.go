@@ -166,6 +166,25 @@ func (s *sys3d) FusedCGStep(b grid.Bounds3D, minv, r, w *grid.Field3D, beta, alp
 	return kernels.FusedCGStep3D(s.p, b, minv, r, w, beta, alpha, p, sv, x)
 }
 
+// rowDeflator3D is the 3D twin of rowDeflator2D (*deflate.Deflation3D).
+type rowDeflator3D interface {
+	RestrictRow(w *grid.Field3D, j, k int)
+	ProjectWRestricted(b grid.Bounds3D, w, minv, x *grid.Field3D) float64
+}
+
+func (s *sys3d) CGIter(sb, mb grid.Bounds3D, mirror bool, minv, r, w *grid.Field3D, beta, alpha float64, p, sv, x *grid.Field3D) (gamma, rr, delta float64, restricted bool) {
+	var phys stencil.PhysicalSides3D
+	if mirror {
+		phys = stencil.PhysicalSides3D(s.c.Physical3D())
+	}
+	var rows func(j, k int)
+	if rd, ok := s.defl.(rowDeflator3D); ok {
+		rows = func(j, k int) { rd.RestrictRow(w, j, k) }
+	}
+	gamma, rr, delta = s.op.CGIter(s.p, sb, mb, s.op.Grid.Interior(), phys, minv, r, w, beta, alpha, p, sv, x, rows)
+	return gamma, rr, delta, rows != nil
+}
+
 func (s *sys3d) ChebySteps(bs []grid.Bounds3D, in grid.Bounds3D, alphas, betas []float64, sd, alt, rtemp, minv, acc *grid.Field3D) {
 	s.op.ChebySteps(s.p, bs, in, alphas, betas, sd, alt, rtemp, minv, acc)
 }

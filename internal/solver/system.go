@@ -93,6 +93,16 @@ type system[F comparable, B any] interface {
 	// r −= α·s, returning the local γ' = r·(minv⊙r) and ‖r‖² of the
 	// updated r. A zero x skips the solution update (extension rings).
 	FusedCGStep(b B, minv, r, w F, beta, alpha float64, p, s, x F) (gamma, rr float64)
+	// CGIter is a whole fused-CG iteration body in ONE pass over the grid
+	// (stencil.Operator2D.CGIter): the FusedCGStep vector step over sb —
+	// p, x and the dots on the interior only, s and r on all of sb — with
+	// the matvec w = A·(minv⊙r) and its local δ over mb one row behind it.
+	// mirror writes r's depth-1 reflection on the physical sides as rows
+	// are stepped, so no exchange is needed between the halves. With a
+	// deflator that supports it, w's interior rows go to the projector's
+	// restriction inside the pass, and restricted reports that
+	// ProjectWRestricted must follow instead of ProjectWBounds.
+	CGIter(sb, mb B, mirror bool, minv, r, w F, beta, alpha float64, p, s, x F) (gamma, rr, delta float64, restricted bool)
 	// ChebySteps runs the Chebyshev steps of one matrix-powers block in ONE
 	// pass over the grid, step j over bs[j] with alphas[j], betas[j]: the
 	// matvec folded into the update that consumes it, rtemp −= A·sdOld,
@@ -144,6 +154,12 @@ type powersSched[B any] interface {
 type deflator[F any, B any] interface {
 	CoarseCorrect(r, u F)
 	ProjectWBounds(b B, w, minv, x F) float64
+}
+
+// restrictedDeflator is a deflator whose restriction CGIter took inside
+// its pass (system.CGIter reports when it did).
+type restrictedDeflator[F any, B any] interface {
+	ProjectWRestricted(b B, w, minv, x F) float64
 }
 
 // isZeroF reports whether f is the zero value of its type (a nil field
@@ -272,20 +288,15 @@ func (e *engine[F, B]) applyPreDotX(minv, r, w F) (float64, error) {
 	return d, nil
 }
 
-// applyPreDotDeep computes w = A·(minv⊙r) over the extended bounds mb
-// WITHOUT an exchange — the matrix-powers deep-halo matvec. It returns
-// the interior-only local dot: the cells beyond the interior are
-// redundant compute replicating a neighbour's interior, so their dot
-// contribution belongs to (and is summed by) that neighbour. The sweep
-// is split interior-first then ring-by-ring so the traced cost and the
-// dot stay separable.
-func (e *engine[F, B]) applyPreDotDeep(mb B, minv, r, w F) float64 {
-	d := e.sys.ApplyPreDot(e.in, minv, r, w)
-	for _, rb := range e.sys.Rings(mb) {
-		e.sys.ApplyPreDot(rb, minv, r, w)
-	}
+// cgIter runs a fused-CG iteration body as one pass (system.CGIter,
+// x = the solution) and traces the work it does as the two sweeps it
+// replaced, which is what the trace counts: a vector pass over the step
+// bounds sb and a matvec over mb. restricted is CGIter's.
+func (e *engine[F, B]) cgIter(sb, mb B, mirror bool, minv, r, w F, beta, alpha float64, p, s F) (gamma, rr, delta float64, restricted bool) {
+	gamma, rr, delta, restricted = e.sys.CGIter(sb, mb, mirror, minv, r, w, beta, alpha, p, s, e.u)
+	e.vectorPass(sb)
 	e.tr.AddMatvec(e.sys.Cells(mb))
-	return d
+	return gamma, rr, delta, restricted
 }
 
 // projectW applies the deflation projection w ← P·w over b ⊇ interior and
@@ -297,6 +308,15 @@ func (e *engine[F, B]) projectW(defl deflator[F, B], b B, w, minv, x F) float64 
 	e.tr.AddDot(e.cells)
 	e.tr.AddVectorPass(e.sys.Cells(b))
 	return defl.ProjectWBounds(b, w, minv, x)
+}
+
+// projectWRestricted is projectW after a CGIter pass that took the
+// restriction's row sums: the restriction is no longer a sweep of its own
+// (it read each row of w while the matvec had it in cache), so only the
+// correction is traced.
+func (e *engine[F, B]) projectWRestricted(defl deflator[F, B], b B, w, minv, x F) float64 {
+	e.tr.AddVectorPass(e.sys.Cells(b))
+	return defl.(restrictedDeflator[F, B]).ProjectWRestricted(b, w, minv, x)
 }
 
 // initialResidual exchanges u, computes r = rhs − A·u on the interior and
