@@ -3,11 +3,12 @@
 // rank AND TAG, its handle's Finish must run on every control-flow path
 // (early error returns included) before the function returns or the next
 // same-tag reduction begins, and no blocking collective may run between
-// Start and Finish. The pipelined CG engine (Ghysels–Vanroose,
-// solver/loops.go) is the contract's main client: its overlapped round
-// is posted before the speculative matvec and finished after it, and an
-// exchange failure in between is exactly the kind of path that leaks a
-// round and desynchronises every later collective on the communicator.
+// Start and Finish. No solver engine posts a split-phase round; the
+// benchmark's timing communicator wraps the API, and this check holds
+// any caller to the contract. An overlapped round posted before some
+// work and finished after it, with an exchange failure in between, is
+// exactly the kind of path that leaks a round and desynchronises every
+// later collective on the communicator.
 //
 // A handle's Finish obligation leaves the frame only by returning the
 // handle (a Start wrapper); a handle stored anywhere else, a struct

@@ -1,13 +1,13 @@
 // Package b holds split-phase reduction usage the splitreduce analyzer
-// must accept: the overlap idioms the pipelined CG engine actually uses,
-// and the field-stashed handle it must not mistake for a hand-off.
+// must accept: the overlap idioms a split-phase client uses, and the
+// field-stashed handle it must not mistake for a hand-off.
 package b
 
 import "tealeaf/internal/comm"
 
-// pipelinedLoop mirrors runCGPipelinedCore: one round per iteration,
-// posted before the overlapped work, finished after it, with the error
-// path draining the handle before returning.
+// pipelinedLoop is a pipelined Krylov loop's shape: one round per
+// iteration, posted before the overlapped work, finished after it, with
+// the error path draining the handle before returning.
 func pipelinedLoop(c comm.Communicator, iters int, compute func() error) ([]float64, error) {
 	g, d, rr := 1.0, 2.0, 3.0
 	var out []float64
@@ -37,7 +37,7 @@ func exchangeOverlap(c comm.Communicator, x []float64) ([]float64, error) {
 }
 
 // overlapGoroutine overlaps the round with an exchange on a plain
-// goroutine, the split-sweeps idiom of engine.applyPreDotX.
+// goroutine.
 func overlapGoroutine(c comm.Communicator, x []float64) []float64 {
 	h := c.AllReduceSumNStart(x)
 	done := make(chan error, 1)
@@ -47,7 +47,7 @@ func overlapGoroutine(c comm.Communicator, x []float64) []float64 {
 }
 
 // startTraced is a Start wrapper: it hands the obligation to its caller
-// with the handle, like the solver engine's traced wrapper.
+// with the handle, like a traced engine wrapper would.
 func startTraced(c comm.Communicator, vals []float64) comm.ReduceHandle {
 	return c.AllReduceSumNStart(vals)
 }

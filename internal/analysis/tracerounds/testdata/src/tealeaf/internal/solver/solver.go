@@ -26,11 +26,6 @@ func (e *engine) reduceN(vals []float64) []float64 {
 	return e.c.AllReduceSumN(vals)
 }
 
-// reduceNStart is an allowlisted traced wrapper.
-func (e *engine) reduceNStart(vals []float64) comm.ReduceHandle {
-	return e.c.AllReduceSumNStart(vals)
-}
-
 // sys2d mirrors the 2D system backend; Exchange is its allowed
 // pass-through.
 type sys2d struct {
@@ -73,8 +68,6 @@ func (e *engine) viaWrappers(iters int, r []float64) float64 {
 		rr = e.dot(rr, rr)
 		sums := e.reduceN([]float64{rr, 1})
 		rr = sums[0]
-		h := e.reduceNStart([]float64{rr})
-		rr = h.Finish()[0]
 	}
 	return rr
 }

@@ -152,8 +152,6 @@ func NewInstance(d *deck.Deck, g *grid.Grid2D, pool *par.Pool, c comm.Communicat
 		InnerSteps:   d.InnerSteps,
 		HaloDepth:    d.HaloDepth,
 		FusedDots:    d.FusedDots,
-		Pipelined:    d.Pipelined,
-		SplitSweeps:  d.SplitSweeps,
 	}
 	if d.UseDeflation {
 		// tl_use_deflation: build the distributed coarse subdomain

@@ -112,8 +112,6 @@ func NewInstance3D(d *deck.Deck, g *grid.Grid3D, pool *par.Pool, c comm.Communic
 		InnerSteps:   d.InnerSteps,
 		HaloDepth:    d.HaloDepth,
 		FusedDots:    d.FusedDots,
-		Pipelined:    d.Pipelined,
-		SplitSweeps:  d.SplitSweeps,
 	}
 	if d.UseDeflation {
 		// tl_use_deflation on a dims=3 deck: the 3D coarse-space projector

@@ -13,16 +13,14 @@ import (
 // PPCG rides along because its bootstrap and inner smoothing reuse the
 // fused machinery.
 type tiledVariant struct {
-	name      string
-	solver    string
-	fused     bool
-	pipelined bool
+	name   string
+	solver string
+	fused  bool
 }
 
 var tiledVariants = []tiledVariant{
-	{"cg-fused", "cg", true, false},
-	{"cg-pipelined", "cg", false, true},
-	{"ppcg", "ppcg", false, false},
+	{"cg-fused", "cg", true},
+	{"ppcg", "ppcg", false},
 }
 
 func runTiled2D(t *testing.T, v tiledVariant, tile bool, workers int) *grid.Field2D {
@@ -30,7 +28,6 @@ func runTiled2D(t *testing.T, v tiledVariant, tile bool, workers int) *grid.Fiel
 	d := problem.BenchmarkDeck(48)
 	d.Solver = v.solver
 	d.FusedDots = v.fused
-	d.Pipelined = v.pipelined
 	d.Eps = 1e-11
 	d.EigenCGIters = 10
 	if tile {
@@ -57,7 +54,6 @@ func runTiled3D(t *testing.T, v tiledVariant, tile bool, workers int) *grid.Fiel
 	d := problem.BenchmarkDeck3D(16)
 	d.Solver = v.solver
 	d.FusedDots = v.fused
-	d.Pipelined = v.pipelined
 	d.Eps = 1e-11
 	d.EigenCGIters = 10
 	if tile {

@@ -6,10 +6,7 @@
 //
 // Beyond stock TeaLeaf, the dialect adds: dims/z_cells/zmin/zmax (3D
 // decks), tl_fused_dots (fused ρ/‖r‖ reductions on the unfused loops),
-// tl_pipelined (Ghysels–Vanroose pipelined CG: the iteration's single
-// reduction round overlaps the matvec sweep), tl_split_sweeps
-// (interior/boundary split matvec sweeps so halo exchanges overlap the
-// interior pass), and the deflation keys tl_use_deflation /
+// and the deflation keys tl_use_deflation /
 // tl_deflation_blocks=N / tl_deflation_levels=L (subdomain deflation as
 // an outer Krylov projector; N coarse blocks per direction over the
 // global mesh, default 8, with an L-deep nested hierarchy — composes
@@ -75,17 +72,6 @@ type Deck struct {
 	Coefficient  string // density | recip_density
 	FusedDots    bool
 	ProfilerOn   bool
-	// Pipelined selects the Ghysels–Vanroose pipelined CG engine
-	// (tl_pipelined): each iteration's single fused reduction round is
-	// started before the matvec sweep and finished after it, hiding the
-	// collective's latency behind a full sweep of local work. Same
-	// applicability rules as the fused engine (diagonal or identity
-	// preconditioner); falls back to fused/classic otherwise.
-	Pipelined bool
-	// SplitSweeps splits the fused/pipelined engines' A·(M⁻¹r) sweep into
-	// an interior pass overlapped with the halo exchange plus a
-	// boundary-ring completion (tl_split_sweeps).
-	SplitSweeps bool
 	// UseDeflation composes subdomain deflation as an outer projector
 	// around the CG or PPCG solve (tl_use_deflation; §VII future work).
 	// Works in 2D and 3D, single- and multi-rank: the coarse space is
@@ -253,12 +239,6 @@ func (d *Deck) parseLine(line string) error {
 		return nil
 	case "tl_fused_dots":
 		d.FusedDots = true
-		return nil
-	case "tl_pipelined":
-		d.Pipelined = true
-		return nil
-	case "tl_split_sweeps":
-		d.SplitSweeps = true
 		return nil
 	case "tl_use_deflation":
 		d.UseDeflation = true

@@ -120,6 +120,24 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestRemovedLeverKeysRejected pins that the deleted pipelined-CG and
+// split-sweep keys are gone from the dialect: a deck naming either is
+// rejected as an unknown option on its own line, not silently ignored.
+func TestRemovedLeverKeysRejected(t *testing.T) {
+	for _, key := range []string{"tl_pipelined", "tl_split_sweeps"} {
+		_, err := ParseString("*tea\nstate 1 density=1 energy=1\n" + key + "\n*endtea\n")
+		if err == nil {
+			t.Errorf("%s: parsed, want an unknown-option error", key)
+			continue
+		}
+		for _, want := range []string{`unknown option "` + key + `"`, "line 3"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: error %q does not mention %q", key, err, want)
+			}
+		}
+	}
+}
+
 func TestCommentsAndBlanksIgnored(t *testing.T) {
 	in := `
 ! leading comment

@@ -45,12 +45,6 @@ func (d *Deck) Format() string {
 	if d.FusedDots {
 		w("tl_fused_dots")
 	}
-	if d.Pipelined {
-		w("tl_pipelined")
-	}
-	if d.SplitSweeps {
-		w("tl_split_sweeps")
-	}
 	if d.ProfilerOn {
 		w("profiler_on")
 	}

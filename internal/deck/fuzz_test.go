@@ -17,7 +17,7 @@ var fuzzSeeds = []string{
 	"! comment only\n*tea\nstate 1 density=100 energy=0.0001\nstate 2 density=0.1 energy=25 geometry=rectangle xmin=0 xmax=1 ymin=1 ymax=3\n*endtea\n",
 	"*tea\ndims=3\nz_cells=8\nzmin=0\nzmax=1\nstate 1 density=1 energy=1\nstate 2 density=2 energy=3 geometry=circle xcentre=0.5 ycentre=0.5 zcentre=0.5 radius=0.2\n*endtea",
 	"*tea\ntl_use_ppcg\ntl_ppcg_inner_steps=4\ntl_ppcg_halo_depth=2\ntl_preconditioner_type jac_block\nstate 1 density=1 energy=1\n*endtea",
-	"*tea\ntl_use_deflation\ntl_deflation_blocks=4\ntl_deflation_levels=2\ntl_pipelined\ntl_split_sweeps\ntl_tiling\ntl_tile_y=8\nstate 1 density=1 energy=1\n*endtea",
+	"*tea\ntl_use_deflation\ntl_deflation_blocks=4\ntl_deflation_levels=2\ntl_tiling\ntl_tile_y=8\nstate 1 density=1 energy=1\n*endtea",
 	"*tea\nx_cells=-1\nstate 1 density=1 energy=1\n*endtea",
 	"*tea\nstate 1 density=nan energy=inf\n*endtea",
 	"*tea\nstate abc\n*endtea",
@@ -79,7 +79,7 @@ func TestFormatIsValidatedOutput(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := d.Format()
-	for _, absent := range []string{"tl_pipelined", "tl_tiling", "tl_use_deflation\n", "profiler_on", "radius="} {
+	for _, absent := range []string{"tl_fused_dots", "tl_tiling", "tl_use_deflation\n", "profiler_on", "radius="} {
 		if strings.Contains(text, absent) {
 			t.Errorf("canonical form of a plain deck mentions %q:\n%s", absent, text)
 		}

@@ -164,11 +164,6 @@ func (b Bounds) ExpandSides(left, right, down, up int, g *Grid2D) Bounds {
 	return e.ClampPadded(g)
 }
 
-// Shrink contracts b by d cells on every side. The result may be empty.
-func (b Bounds) Shrink(d int) Bounds {
-	return Bounds{b.X0 + d, b.X1 - d, b.Y0 + d, b.Y1 - d}
-}
-
 // ShrinkToward contracts b by d cells on each side, but never inside the
 // target bounds t: sides already at or inside t's corresponding side stay.
 // This is the matrix-powers schedule step — extended bounds shrink toward

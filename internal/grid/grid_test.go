@@ -151,10 +151,6 @@ func TestBoundsOps(t *testing.T) {
 	if e != (Bounds{-3, 11, -3, 11}) {
 		t.Fatalf("Expand(5) clamped = %v", e)
 	}
-	s := e.Shrink(3)
-	if s != in {
-		t.Fatalf("Shrink(3) = %v, want interior", s)
-	}
 	if !(Bounds{2, 2, 0, 5}).Empty() {
 		t.Error("degenerate bounds must be empty")
 	}

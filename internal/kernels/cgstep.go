@@ -7,10 +7,10 @@ import (
 )
 
 // FusedCGStep is the whole vector phase of a single-reduction
-// (Chronopoulos–Gear) CG iteration in ONE sweep — the first two bursts
-// of PipelinedCGStep. Per cache-resident row it advances both direction
-// recurrences and immediately applies the updates they feed, folding in
-// the two dot products the next step scalars need,
+// (Chronopoulos–Gear) CG iteration in ONE sweep. Per cache-resident row
+// it advances both direction recurrences and immediately applies the
+// updates they feed, folding in the two dot products the next step
+// scalars need,
 //
 //	p = (minv ⊙ r) + β·p;  x += α·p        (old r)
 //	s = w + β·s;           r −= α·s;  γ = Σ r·(minv ⊙ r);  rr = Σ r·r

@@ -612,126 +612,3 @@ func FusedPPCGInner(pl *par.Pool, b, in grid.Bounds, alpha, beta float64, w, rte
 		}
 	})
 }
-
-// PipelinedCGStep is the whole vector phase of a pipelined
-// (Ghysels–Vanroose) CG iteration in ONE sweep: per cache-resident row
-// it advances the three direction recurrences and immediately applies
-// the three updates they feed, folding in the dot products whose
-// reduction the next pass overlaps,
-//
-//	p = (minv ⊙ r) + β·p;  x += α·p
-//	s = w + β·s;           r −= α·s;  rr = Σ r·r
-//	z = n + β·z;           w −= α·z;  γ = Σ r·(minv ⊙ r);  δ = Σ (minv ⊙ r)·w
-//
-// with the dots taken on the freshly updated r and w. s tracks A·M⁻¹·p
-// and z tracks A·M⁻¹·s, so w advances by recurrence instead of a second
-// matvec. nil minv selects the identity, for which γ == rr. Fusing the
-// direction and update passes is what pays for pipelining's extra
-// vectors: the six recurrences visit eight fields, and one pass loads
-// each row from DRAM once where the textbook two-pass form streams the
-// whole working set twice — the difference between the pipelined engine
-// costing ~30% more traffic than the fused engine and running at
-// near-parity, so the overlapped reduction round is pure win.
-func PipelinedCGStep(pl *par.Pool, b grid.Bounds, minv, r, w, nv *grid.Field2D, beta, alpha float64, p, s, z, x *grid.Field2D) (gamma, delta, rr float64) {
-	if b.Empty() {
-		return 0, 0, 0
-	}
-	g := r.Grid
-	rd, wd, nd, pd, sd, zd, xd := r.Data, w.Data, nv.Data, p.Data, s.Data, z.Data, x.Data
-	var md []float64
-	if minv != nil {
-		md = minv.Data
-	}
-	acc := pl.ForTilesReduceN(3, box(b), pipelinedCGStepBody(g, beta, alpha, md, rd, wd, nd, pd, sd, zd, xd))
-	if md == nil {
-		return acc[2], acc[1], acc[2]
-	}
-	return acc[0], acc[1], acc[2]
-}
-
-// pipelinedCGStepBody is PipelinedCGStep's tile body: three row bursts
-// per row, the tile's (γ, δ, rr) partials accumulated into acc.
-func pipelinedCGStepBody(g *grid.Grid2D, beta, alpha float64, md, rd, wd, nd, pd, sd, zd, xd []float64) func(t par.Tile, acc []float64) {
-	return func(t par.Tile, acc []float64) {
-		tb := tileBounds(t)
-		n := tb.X1 - tb.X0
-		var ga, de, rra float64
-		for k := tb.Y0; k < tb.Y1; k++ {
-			rs := row(g, tb, rd, k)
-			var ms []float64
-			if md != nil {
-				ms = row(g, tb, md, k)
-			}
-			// Burst 1: the p recurrence (old r) and the x update it feeds —
-			// the fused engine's, shared with FusedCGStep.
-			CGStepPX(ms, rs, row(g, tb, pd, k), row(g, tb, xd, k), beta, alpha)
-			// Burst 2: the s recurrence (old w), the r update, and rr — the
-			// fused engine's identity burst, with its lanes folded per row.
-			ws := row(g, tb, wd, k)
-			var l CGStepLanes
-			l.CGStepSR(nil, rs, ws, row(g, tb, sd, k), beta, alpha)
-			rra += l.rr0 + l.rr1
-			// Burst 3: the z recurrence, the w update, and γ, δ against the
-			// new r still in cache.
-			ns := row(g, tb, nd, k)
-			zs := row(g, tb, zd, k)
-			if md == nil {
-				var d0, d1 float64
-				j := 0
-				for ; j+1 < n; j += 2 {
-					z0 := ns[j] + beta*zs[j]
-					zs[j] = z0
-					v0 := ws[j] - alpha*z0
-					ws[j] = v0
-					d0 += rs[j] * v0
-					z1 := ns[j+1] + beta*zs[j+1]
-					zs[j+1] = z1
-					v1 := ws[j+1] - alpha*z1
-					ws[j+1] = v1
-					d1 += rs[j+1] * v1
-				}
-				for ; j < n; j++ {
-					z0 := ns[j] + beta*zs[j]
-					zs[j] = z0
-					v := ws[j] - alpha*z0
-					ws[j] = v
-					d0 += rs[j] * v
-				}
-				de += d0 + d1
-				continue
-			}
-			var g0, g1, d0, d1 float64
-			j := 0
-			for ; j+1 < n; j += 2 {
-				z0 := ns[j] + beta*zs[j]
-				zs[j] = z0
-				v0 := ws[j] - alpha*z0
-				ws[j] = v0
-				u0 := ms[j] * rs[j]
-				g0 += u0 * rs[j]
-				d0 += u0 * v0
-				z1 := ns[j+1] + beta*zs[j+1]
-				zs[j+1] = z1
-				v1 := ws[j+1] - alpha*z1
-				ws[j+1] = v1
-				u1 := ms[j+1] * rs[j+1]
-				g1 += u1 * rs[j+1]
-				d1 += u1 * v1
-			}
-			for ; j < n; j++ {
-				z0 := ns[j] + beta*zs[j]
-				zs[j] = z0
-				v := ws[j] - alpha*z0
-				ws[j] = v
-				u := ms[j] * rs[j]
-				g0 += u * rs[j]
-				d0 += u * v
-			}
-			ga += g0 + g1
-			de += d0 + d1
-		}
-		acc[0] += ga
-		acc[1] += de
-		acc[2] += rra
-	}
-}

@@ -458,109 +458,3 @@ func FusedPPCGInner3D(pl *par.Pool, b, in grid.Bounds3D, alpha, beta float64, w,
 		}
 	})
 }
-
-// PipelinedCGStep3D is the whole vector phase of a 3D pipelined CG
-// iteration in one sweep: p = (minv ⊙ r) + β·p with x += α·p, then
-// s = w + β·s with r −= α·s and rr, then z = n + β·z with w −= α·z and
-// γ = Σ r·(minv ⊙ r), δ = Σ (minv ⊙ r)·w on the updated r and w. nil
-// minv selects the identity, for which γ == rr. See PipelinedCGStep for
-// why the direction and update passes are fused.
-func PipelinedCGStep3D(pl *par.Pool, b grid.Bounds3D, minv, r, w, nv *grid.Field3D, beta, alpha float64, p, s, z, x *grid.Field3D) (gamma, delta, rr float64) {
-	if b.Empty() {
-		return 0, 0, 0
-	}
-	g := r.Grid
-	rd, wd, nd, pd, sd, zd, xd := r.Data, w.Data, nv.Data, p.Data, s.Data, z.Data, x.Data
-	var md []float64
-	if minv != nil {
-		md = minv.Data
-	}
-	acc := pl.ForTilesReduceN(3, box3(b), pipelinedCGStepBody3D(g, beta, alpha, md, rd, wd, nd, pd, sd, zd, xd))
-	if md == nil {
-		return acc[2], acc[1], acc[2]
-	}
-	return acc[0], acc[1], acc[2]
-}
-
-// pipelinedCGStepBody3D is PipelinedCGStep3D's tile body (see
-// pipelinedCGStepBody).
-func pipelinedCGStepBody3D(g *grid.Grid3D, beta, alpha float64, md, rd, wd, nd, pd, sd, zd, xd []float64) func(t par.Tile, acc []float64) {
-	return func(t par.Tile, acc []float64) {
-		tb := tileBounds3(t)
-		n := tb.X1 - tb.X0
-		var ga, de, rra float64
-		for k := tb.Z0; k < tb.Z1; k++ {
-			for j := tb.Y0; j < tb.Y1; j++ {
-				rs := row3(g, tb, rd, j, k)
-				var ms []float64
-				if md != nil {
-					ms = row3(g, tb, md, j, k)
-				}
-				CGStepPX(ms, rs, row3(g, tb, pd, j, k), row3(g, tb, xd, j, k), beta, alpha)
-				ws := row3(g, tb, wd, j, k)
-				var l CGStepLanes
-				l.CGStepSR(nil, rs, ws, row3(g, tb, sd, j, k), beta, alpha)
-				rra += l.rr0 + l.rr1
-				ns := row3(g, tb, nd, j, k)
-				zs := row3(g, tb, zd, j, k)
-				if md == nil {
-					var d0, d1 float64
-					i := 0
-					for ; i+1 < n; i += 2 {
-						z0v := ns[i] + beta*zs[i]
-						zs[i] = z0v
-						v0 := ws[i] - alpha*z0v
-						ws[i] = v0
-						d0 += rs[i] * v0
-						z1v := ns[i+1] + beta*zs[i+1]
-						zs[i+1] = z1v
-						v1 := ws[i+1] - alpha*z1v
-						ws[i+1] = v1
-						d1 += rs[i+1] * v1
-					}
-					for ; i < n; i++ {
-						zv := ns[i] + beta*zs[i]
-						zs[i] = zv
-						v := ws[i] - alpha*zv
-						ws[i] = v
-						d0 += rs[i] * v
-					}
-					de += d0 + d1
-					continue
-				}
-				var g0, g1, d0, d1 float64
-				i := 0
-				for ; i+1 < n; i += 2 {
-					z0v := ns[i] + beta*zs[i]
-					zs[i] = z0v
-					v0 := ws[i] - alpha*z0v
-					ws[i] = v0
-					u0 := ms[i] * rs[i]
-					g0 += u0 * rs[i]
-					d0 += u0 * v0
-					z1v := ns[i+1] + beta*zs[i+1]
-					zs[i+1] = z1v
-					v1 := ws[i+1] - alpha*z1v
-					ws[i+1] = v1
-					u1 := ms[i+1] * rs[i+1]
-					g1 += u1 * rs[i+1]
-					d1 += u1 * v1
-				}
-				for ; i < n; i++ {
-					zv := ns[i] + beta*zs[i]
-					zs[i] = zv
-					v := ws[i] - alpha*zv
-					ws[i] = v
-					u := ms[i] * rs[i]
-					g0 += u * rs[i]
-					d0 += u * v
-				}
-				ga += g0 + g1
-				de += d0 + d1
-			}
-		}
-		acc[0] += ga
-		acc[1] += de
-		acc[2] += rra
-	}
-}

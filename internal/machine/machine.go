@@ -66,9 +66,9 @@ func (d Device) EffectiveBW(ws float64) float64 {
 // fits in half the last-level cache (the other half is left to the
 // other solver vectors and the next tile's prefetch stream). X is never
 // split: full rows keep the hardware prefetchers streaming, and the
-// repo's earlier column-tiling experiment (stencil.applyTileX) showed
-// broken X streams cost more than residency gains. Pass nz <= 1 for 2D
-// sweeps. A zero return for an axis means "do not split that axis"; an
+// repo's earlier column-tiling experiment (strip-mined stencil rows)
+// showed broken X streams cost more than residency gains. Pass nz <= 1
+// for 2D sweeps. A zero return for an axis means "do not split that axis"; an
 // all-zero return means the whole sweep already fits and tiling is
 // pointless.
 func (d Device) TileFor(nx, ny, nz, fields int) (tx, ty, tz int) {

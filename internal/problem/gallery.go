@@ -45,10 +45,9 @@ func GalleryHotStripDeck() *deck.Deck {
 // GalleryDeflatedPointsDeck is promoted from fuzz seed 1, deck 24 — the
 // hardest deck of the corpus (~275 iterations per step). A stiff
 // operator (Δt ≈ 2.27 on ~0.17-wide cells, rx ≈ 77) over a 44× density
-// contrast, seeded with two point states, solved by the pipelined
-// fused-dot CG with two-block subdomain deflation and depth-3 halos —
-// the exact configuration stack whose interplay the fuzzer exists to
-// cross-check.
+// contrast, seeded with two point states, solved by fused-dot CG with
+// two-block subdomain deflation and depth-3 halos — the exact
+// configuration stack whose interplay the fuzzer exists to cross-check.
 func GalleryDeflatedPointsDeck() *deck.Deck {
 	d := deck.Default()
 	d.XCells, d.YCells = 35, 31
@@ -62,7 +61,6 @@ func GalleryDeflatedPointsDeck() *deck.Deck {
 	d.Eps = 1e-9
 	d.HaloDepth = 3
 	d.FusedDots = true
-	d.Pipelined = true
 	d.UseDeflation = true
 	d.DeflationBlocks = 2
 	d.DeflationLevels = 1
@@ -85,7 +83,7 @@ func GalleryDeflatedPointsDeck() *deck.Deck {
 // single-state deck whose exact initial residual is zero, so the
 // computed ‖r₀‖ is pure stencil roundoff (~ε·‖A‖·‖u‖). An r₀-relative
 // stopping rule then asks for tol·‖r₀‖ — below the attainable floor —
-// and the pipelined recurrence random-walks into a breakdown guard.
+// and the CG recurrence random-walks into a breakdown guard.
 // The fix (internal/solver/loops.go, startupBaseSq) detects
 // ‖r₀‖ ≤ 10·tol·‖b‖ at startup and declares victory in zero iterations;
 // this deck pins that behaviour.
@@ -100,7 +98,6 @@ func GalleryNearSteadyDeck() *deck.Deck {
 	d.Solver = "cg"
 	d.Coefficient = "density"
 	d.Eps = 1e-10
-	d.Pipelined = true // the engine the pathology broke hardest
 	d.States = []deck.State{
 		{Index: 1, Density: 2.5, Energy: 0.75},
 	}

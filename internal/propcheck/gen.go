@@ -33,8 +33,8 @@ const (
 // and cell sizes, density/recip_density conductivity, a background plus
 // up to four high-contrast regions (boxes, discs/spheres, points), the
 // implicit-step stiffness regime (via dt), cg/ppcg, all three
-// preconditioners, deep halos, fused dots, pipelined, split sweeps,
-// tiling with explicit or auto tile edges, and the deflation hierarchy.
+// preconditioners, deep halos, fused dots, tiling with explicit or auto
+// tile edges, and the deflation hierarchy.
 func Gen(r *rand.Rand) *deck.Deck {
 	d := deck.Default()
 	d.EndStep = 1 + r.Intn(genMaxSteps)
@@ -58,9 +58,10 @@ func Gen(r *rand.Rand) *deck.Deck {
 	// Domain: random origin; cell sizes share a log-uniform base edge
 	// with per-axis spread capped at √3 each way, so the directional
 	// stiffness ratio (Δmax/Δmin)² stays ≤ 9. Unbounded anisotropy pushes
-	// the operator's condition number past what the pipelined engine's
+	// the operator's condition number past what a recurred-residual CG's
 	// attainable-accuracy floor tolerates at tight eps (fuzz-found: a
-	// 315× cell-aspect deck stalled its pipelined leg at 5e-10 relative).
+	// 315× cell-aspect deck stalled the since-deleted pipelined engine at
+	// 5e-10 relative).
 	edge := logUniform(r, 0.05, 1.5)
 	spread := func() float64 { return edge * logUniform(r, 1/math.Sqrt(3), math.Sqrt(3)) }
 	d.XMin = uniform(r, -5, 5)
@@ -103,12 +104,10 @@ func Gen(r *rand.Rand) *deck.Deck {
 	if r.Float64() < 0.30 {
 		d.FusedDots = true
 	}
-	if r.Float64() < 0.25 {
-		d.Pipelined = true
-	}
-	if r.Float64() < 0.25 {
-		d.SplitSweeps = true
-	}
+	// Two draws of the deleted pipelined/split-sweep axes, kept so every
+	// seed still generates the same decks on the remaining axes.
+	r.Float64()
+	r.Float64()
 	if r.Float64() < 0.30 {
 		d.Tiling = true
 		if r.Float64() < 0.5 {
@@ -158,10 +157,10 @@ func Gen(r *rand.Rand) *deck.Deck {
 
 	// eps tiers: the stop tolerance must sit above the engine family's
 	// attainable-accuracy floor, which grows with the implicit-step
-	// stiffness (the pipelined three-term recurrences lose the most —
-	// fuzz-found stalls at ~3e-11 relative near rx ≈ 45). Mild decks keep
-	// the tight 1e-12/1e-11 regime that stresses the rank, halo and
-	// bit-identity contracts hardest.
+	// stiffness (the since-deleted pipelined engine's recurrences lost
+	// the most — fuzz-found stalls at ~3e-11 relative near rx ≈ 45). Mild
+	// decks keep the tight 1e-12/1e-11 regime that stresses the rank, halo
+	// and bit-identity contracts hardest.
 	d.Eps = 1e-12
 	if r.Float64() < 0.5 {
 		d.Eps = 1e-11

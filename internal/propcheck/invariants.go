@@ -29,7 +29,7 @@ import (
 // The conservation gate has no constant: checkConserve compares the
 // drift with the residuals the solves stopped at, to rounding.
 const (
-	TolEngine = 1e-8  // fused vs classic vs pipelined
+	TolEngine = 1e-8  // fused vs classic
 	TolRank   = 2e-10 // floor: serial vs 2- and 4-rank decompositions
 	TolHalo   = 2e-10 // floor: halo depth 2,3 vs 1
 )
@@ -82,7 +82,7 @@ func newHarness(d *deck.Deck, cfg Config) *harness {
 
 // runSerial solves d in-process with the given worker count, applying
 // mutate to the solver options before the first step (how the classic
-// and pipelined legs are selected without re-parsing the deck). The
+// leg is selected without re-parsing the deck). The
 // leg name feeds the Tamper fault-injection hook; the base leg also
 // keeps the energy book checkConserve reads.
 func (h *harness) runSerial(d *deck.Deck, leg string, workers int, mutate func(*solver.Options)) (*runOut, error) {
@@ -444,10 +444,10 @@ func checkConserve(h *harness) error {
 	return nil
 }
 
-// checkEngines: the fused (default), classic (DisableFused) and
-// pipelined solver engines agree on the final field. Engines that do
-// not apply to the deck's solver/preconditioner fall back silently, in
-// which case the comparison is trivially exact — also correct.
+// checkEngines: the fused (default) and classic (DisableFused) solver
+// engines agree on the final field. Where the fused engine does not
+// apply to the deck's solver/preconditioner both legs run the classic
+// loop, and the comparison is trivially exact — also correct.
 func checkEngines(h *harness) error {
 	base, err := h.baseRun()
 	if err != nil {
@@ -455,14 +455,6 @@ func checkEngines(h *harness) error {
 	}
 	classic, err := h.runSerial(h.d, "classic", 1, func(o *solver.Options) {
 		o.DisableFused = true
-		o.Pipelined = false
-	})
-	if err != nil {
-		return err
-	}
-	piped, err := h.runSerial(h.d, "pipelined", 1, func(o *solver.Options) {
-		o.DisableFused = false
-		o.Pipelined = true
 	})
 	if err != nil {
 		return err
@@ -470,9 +462,6 @@ func checkEngines(h *harness) error {
 	tol := legTol(TolEngine, 150, h.d, base)
 	if diff := maxDiff(base, classic); diff > tol {
 		return fmt.Errorf("base vs classic engines differ by %.3e (tol %.3e)", diff, tol)
-	}
-	if diff := maxDiff(base, piped); diff > tol {
-		return fmt.Errorf("base vs pipelined engines differ by %.3e (tol %.3e)", diff, tol)
 	}
 	return nil
 }

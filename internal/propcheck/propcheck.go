@@ -8,8 +8,8 @@
 //   - conserve:             internal energy moves by exactly what the
 //     solves' residuals account for, to rounding (reflecting boundaries
 //     make the fluxes telescope exactly, so a step changes Σu by −Σr)
-//   - engines:              fused, classic and pipelined CG/PPCG engines
-//     agree to 1e-8 relative on the final energy field
+//   - engines:              fused and classic CG/PPCG engines agree to
+//     1e-8 relative on the final energy field
 //   - rank-invariance:      1-, 2- and 4-rank decompositions agree to
 //     2e-10 relative (2× the golden contract; see invariants.go on why
 //     fuzz decks' tighter eps earns the slack)
@@ -42,7 +42,7 @@ import (
 
 // TamperFunc is the fault-injection hook: when set, every 2D checker leg
 // hands its final energy field here (after the run, before comparisons)
-// along with the leg's name — "base", "classic", "pipelined", "rank2x1",
+// along with the leg's name — "base", "classic", "rank2x1",
 // "rank2x2", "hub2", "tcp2", "untiled", "tiled-w1", "tiled-w2",
 // "tiled-w4", "halo1", "halo2", "halo3". Perturbing one leg simulates a
 // kernel bug confined to that configuration; tests use it to demonstrate
@@ -184,12 +184,6 @@ func deckAxes(d *deck.Deck) []string {
 	}
 	if d.FusedDots {
 		axes = append(axes, "fused_dots")
-	}
-	if d.Pipelined {
-		axes = append(axes, "pipelined")
-	}
-	if d.SplitSweeps {
-		axes = append(axes, "split_sweeps")
 	}
 	if d.UseDeflation {
 		axes = append(axes, fmt.Sprintf("deflation=%dx%d", d.DeflationBlocks, d.DeflationLevels))

@@ -213,33 +213,27 @@ state 5 density=6.3255960871158345 energy=0.0468923108642938 geometry=rectangle 
 `
 
 // TestConserveDeck106 pins deck106 as a regression case: at its own
-// tl_eps and at two tighter ones, on the fused and pipelined engines,
-// the drift is what the solves' residuals account for, and on the fused
-// engine it shrinks with tl_eps. (The pipelined engine's recurred
-// residual parts from its true one sooner — its attainable accuracy —
-// so at tl_eps 1e-14 it drifts 2e-11, only 4× below its drift at 1e-12.)
+// tl_eps and at two tighter ones the drift is what the solves' residuals
+// account for, and it shrinks with tl_eps.
 func TestConserveDeck106(t *testing.T) {
-	for _, pipelined := range []bool{false, true} {
-		prev := math.Inf(1)
-		for _, eps := range []float64{1e-10, 1e-12, 1e-14} {
-			d, err := deck.ParseString(deck106)
-			if err != nil {
-				t.Fatal(err)
-			}
-			d.Eps, d.Pipelined = eps, pipelined
-			h := newHarness(d, Config{})
-			if err := checkConserve(h); err != nil {
-				t.Fatalf("eps %g pipelined %v: %v", eps, pipelined, err)
-			}
-			drift := relDrift(h.base)
-			t.Logf("eps %g pipelined %v: drift %.2e, imbalance %.2e, slack %.2e",
-				eps, pipelined, drift, relImbalance(h.base), relSlack(h.base))
-			if !pipelined && drift > prev/10 {
-				t.Errorf("eps %g pipelined %v: drift %.2e, not 10× below %.2e at 100× looser eps",
-					eps, pipelined, drift, prev)
-			}
-			prev = drift
+	prev := math.Inf(1)
+	for _, eps := range []float64{1e-10, 1e-12, 1e-14} {
+		d, err := deck.ParseString(deck106)
+		if err != nil {
+			t.Fatal(err)
 		}
+		d.Eps = eps
+		h := newHarness(d, Config{})
+		if err := checkConserve(h); err != nil {
+			t.Fatalf("eps %g: %v", eps, err)
+		}
+		drift := relDrift(h.base)
+		t.Logf("eps %g: drift %.2e, imbalance %.2e, slack %.2e",
+			eps, drift, relImbalance(h.base), relSlack(h.base))
+		if drift > prev/10 {
+			t.Errorf("eps %g: drift %.2e, not 10× below %.2e at 100× looser eps", eps, drift, prev)
+		}
+		prev = drift
 	}
 }
 
@@ -249,8 +243,6 @@ func TestShrinkReachesFloors(t *testing.T) {
 	d := tamperDeck(t)
 	d.Solver = "ppcg"
 	d.Precond = "jac_diag"
-	d.Pipelined = true
-	d.SplitSweeps = true
 	d.FusedDots = true
 	d.HaloDepth = 3
 	d.Tiling = true
@@ -277,7 +269,7 @@ func TestShrinkReachesFloors(t *testing.T) {
 	if len(shrunk.States) != 1 {
 		t.Errorf("states = %d, want 1", len(shrunk.States))
 	}
-	if shrunk.UseDeflation || shrunk.Pipelined || shrunk.SplitSweeps || shrunk.FusedDots || shrunk.Tiling {
+	if shrunk.UseDeflation || shrunk.FusedDots || shrunk.Tiling {
 		t.Errorf("options not fully stripped: %+v", shrunk)
 	}
 	if shrunk.Precond != "none" || shrunk.HaloDepth != 1 || shrunk.Solver != "cg" {

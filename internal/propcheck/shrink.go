@@ -78,20 +78,6 @@ var shrinkSteps = []shrinkStep{
 		d.DeflationLevels = 1
 		return true
 	}},
-	{"no-pipelined", func(d *deck.Deck) bool {
-		if !d.Pipelined {
-			return false
-		}
-		d.Pipelined = false
-		return true
-	}},
-	{"no-split-sweeps", func(d *deck.Deck) bool {
-		if !d.SplitSweeps {
-			return false
-		}
-		d.SplitSweeps = false
-		return true
-	}},
 	{"no-fused-dots", func(d *deck.Deck) bool {
 		if !d.FusedDots {
 			return false

@@ -4,12 +4,15 @@ import "tealeaf/internal/grid"
 
 // SolveCG runs (preconditioned) conjugate gradients. With the default
 // identity preconditioner this is the paper's baseline "CG - 1"
-// configuration. The default fused path restructures the
-// iteration Chronopoulos–Gear style so that one reduction round carries
-// every dot product and the whole iteration is two grid sweeps; the
-// unfused path keeps the seed's two-to-three reductions and five-to-seven
-// sweeps, which is exactly the communication pattern whose log(P) latency
-// dominates strong scaling (§III-A) and which §VII proposes to fix.
+// configuration. CG has two engines. The default fused engine
+// restructures the iteration Chronopoulos–Gear style so that one
+// reduction round carries every dot product and the whole iteration is
+// one pass over the grid (two sweeps beside a depth-1 rank neighbour).
+// The classic engine keeps the seed's two-to-three reductions and
+// five-to-seven sweeps, which is exactly the communication pattern whose
+// log(P) latency dominates strong scaling (§III-A) and which §VII
+// proposes to fix; it runs under Options.DisableFused and wherever the
+// preconditioner does not fold into the fused sweeps (jac_block).
 //
 // With Options.Deflation set, either loop runs deflated CG: the
 // iteration operates on the projected operator P·A with the coarse

@@ -20,16 +20,13 @@ import (
 
 // deepVariant names one engine combination under test.
 type deepVariant struct {
-	name      string
-	pipelined bool
-	deflated  bool
+	name     string
+	deflated bool
 }
 
 var deepVariants = []deepVariant{
-	{"fused", false, false},
-	{"pipelined", true, false},
-	{"deflated-fused", false, true},
-	{"deflated-pipelined", true, true},
+	{"fused", false},
+	{"deflated-fused", true},
 }
 
 // deepPool builds a rank's tiled worker pool with tile rows short enough
@@ -42,11 +39,8 @@ func deepPool(workers, dims int) *par.Pool {
 	return p.WithTiles(0, 4, 0)
 }
 
-func deepOpts(v deepVariant, pool *par.Pool, c comm.Communicator, depth int) Options {
-	return Options{
-		Tol: 1e-10, Comm: c, Pool: pool,
-		HaloDepth: depth, Pipelined: v.pipelined,
-	}
+func deepOpts(pool *par.Pool, c comm.Communicator, depth int) Options {
+	return Options{Tol: 1e-10, Comm: c, Pool: pool, HaloDepth: depth}
 }
 
 // deepRun2D solves the deterministic denAt2D/rhsAt2D problem with the
@@ -92,7 +86,7 @@ func deepRun2D(t *testing.T, v deepVariant, ranks, workers, depth int) (int, *gr
 		if err != nil {
 			return err
 		}
-		opts := deepOpts(v, pool, c, depth)
+		opts := deepOpts(pool, c, depth)
 		opts.Precond = precond.NewJacobi(pool, op)
 		if v.deflated {
 			defl, err := deflate.New(par.Serial, c, op,
@@ -172,7 +166,7 @@ func deepRun3D(t *testing.T, v deepVariant, ranks, workers, depth int) (int, *gr
 		if err != nil {
 			return err
 		}
-		opts := deepOpts(v, pool, c, depth)
+		opts := deepOpts(pool, c, depth)
 		opts.Precond3D = precond.NewJacobi3D(pool, op)
 		if v.deflated {
 			defl, err := deflate.New3D(par.Serial, c, op,

@@ -296,8 +296,7 @@ func TestDeflationTraceExtraReductionRound(t *testing.T) {
 // correction, so no engine pays a separate dot or preconditioner sweep
 // for it. Fused: the matvec and the merged step (one pass, counted as
 // the work of both), whose pass also takes the restriction's row sums,
-// + 1 correction sweep, 2 rounds. Pipelined: matvec + step + 2
-// projector sweeps, 2 rounds. Classic (identity M):
+// + 1 correction sweep, 2 rounds. Classic (identity M):
 // matvec, 2 axpys, ‖r‖² dot, direction update + 2 projector sweeps, 3
 // rounds.
 func TestDeflatedTraceSweepCounts(t *testing.T) {
@@ -329,8 +328,6 @@ func TestDeflatedTraceSweepCounts(t *testing.T) {
 	}{
 		{"fused", Options{}, false, profile{1, 2, 0, 0, 2}},
 		{"fused+jac_diag", Options{}, true, profile{1, 2, 0, 0, 2}},
-		{"pipelined", Options{Pipelined: true}, false, profile{1, 2, 1, 0, 2}},
-		{"pipelined+jac_diag", Options{Pipelined: true}, true, profile{1, 2, 1, 0, 2}},
 		{"classic", Options{DisableFused: true}, false, profile{1, 4, 2, 0, 3}},
 	} {
 		t1, i1 := run(tc.o, tc.jacobi, 10)

@@ -25,10 +25,10 @@ type cgState[F comparable] struct {
 	base float64
 }
 
-// runCGCore dispatches to the pipelined engine (Options.Pipelined), the
-// fused single-reduction engine, or the classic multi-pass engine. All
-// three record the (α, β) scalars and return the final state for solvers
-// that continue the run.
+// runCGCore dispatches to the fused single-reduction engine where the
+// diagonal preconditioner folds, and to the classic multi-pass engine
+// otherwise (or under Options.DisableFused). Both record the (α, β)
+// scalars and return the final state for solvers that continue the run.
 //
 // Folding a diagonal preconditioner needs minv valid one cell beyond the
 // interior. The Jacobi constructors can only evaluate the matrix diagonal
@@ -40,12 +40,9 @@ type cgState[F comparable] struct {
 // Deflated solves run on either engine: the projection is applied to the
 // matvec result, at the cost of one extra reduction round per iteration.
 func runCGCore[F comparable, B any](e *engine[F, B], maxIters int, tol float64) (Result, *cgState[F], error) {
-	if e.o.Pipelined || !e.o.DisableFused {
+	if !e.o.DisableFused {
 		if minv, ok := e.sys.FoldableDiag(); ok {
 			if isZeroF(minv) || e.c.Size() == 1 || e.sys.GridHalo() >= 2 {
-				if e.o.Pipelined {
-					return runCGPipelinedCore(e, minv, maxIters, tol)
-				}
 				return runCGFusedCore(e, minv, maxIters, tol)
 			}
 		}
@@ -129,11 +126,8 @@ func (e *engine[F, B]) finishDeflated(defl deflator[F, B], r F, rr0 float64) (fl
 // no neighbour gets them by reflection, which the pass writes as it steps
 // the boundary rows, so a single-rank iteration exchanges nothing. A rank
 // neighbour at halo depth 1 is the case that keeps two sweeps, with the
-// depth-1 exchange of r between them (applyPreDotX): the pass is chosen by
-// the grid's neighbours and the halo depth. Options.SplitSweeps, which
-// asks for that matvec split into interior and boundary passes around the
-// exchange, keeps the two sweeps on every depth-1 rank (its δ sums in a
-// different order, so a one-pass iteration would not reproduce its bits).
+// depth-1 exchange of r between them: the pass is chosen by the grid's
+// neighbours and the halo depth.
 //
 // With a deflator configured the same recurrences run on the projected
 // operator P·A: the matvec is followed by the (collective) projection,
@@ -252,10 +246,8 @@ func runCGFusedCore[F comparable, B any](e *engine[F, B], minv F, maxIters int, 
 		}
 	}
 	// A depth-1 iteration runs as one pass only where no rank neighbour's
-	// halo of r has to be exchanged between the step and the matvec, and
-	// where SplitSweeps has not asked for the matvec it splits (whose δ
-	// folds differently).
-	alone := sys.Cells(sys.Extend(1)) == e.cells && !e.o.SplitSweeps
+	// halo of r has to be exchanged between the step and the matvec.
+	alone := sys.Cells(sys.Extend(1)) == e.cells
 
 	alpha := gamma / delta
 	beta := 0.0
@@ -282,11 +274,11 @@ func runCGFusedCore[F comparable, B any](e *engine[F, B], minv F, maxIters int, 
 		default:
 			gammaNew, rrNew = sys.FusedCGStep(in, minv, r, w, beta, alpha, pvec, svec, e.u)
 			e.vectorPass(in)
-			var err error
-			deltaNew, err = e.applyPreDotX(minv, r, w)
-			if err != nil {
+			if err := e.exchange(1, r); err != nil {
 				return result, nil, err
 			}
+			deltaNew = sys.ApplyPreDot(in, minv, r, w)
+			e.tr.AddMatvec(e.cells)
 		}
 		if restricted {
 			deltaNew = e.projectWRestricted(defl, mb, w, minv, r)
@@ -339,251 +331,6 @@ func runCGFusedCore[F comparable, B any](e *engine[F, B], minv F, maxIters int, 
 		// Iteration budget exhausted (or breakdown): still apply the final
 		// coarse correction so the state handed to a continuation solver is
 		// consistent, and report the true residual.
-		rel, err := e.finishDeflated(defl, r, base)
-		if err != nil {
-			return result, nil, err
-		}
-		result.FinalResidual = rel
-	}
-	return result, mkState(gamma, rr, rr0), nil
-}
-
-// runCGPipelinedCore is the pipelined (Ghysels–Vanroose) single-reduction
-// PCG engine behind Options.Pipelined. Where the Chronopoulos–Gear fused
-// engine coalesces each iteration's reductions into one round, this
-// engine removes that round from the critical path entirely: two extra
-// recurrences (s tracking A·M⁻¹p and z tracking A·M⁻¹s) shift the matvec
-// onto the auxiliary vector n = A·M⁻¹w, whose sweep does not depend on
-// the iteration's scalars — so the round is STARTED before the sweep and
-// FINISHED after it, hiding the allreduce latency (the scaling bottleneck
-// of CG per §III-A) behind a full matvec of local compute. Writing
-// u' = M⁻¹r, each iteration is
-//
-//	start allreduce {γ, δ, rr}            (split-phase, comm.ReduceHandle)
-//	exchange halo of w;  n = A·(M⁻¹w)     (overlapped with the round)
-//	finish allreduce, then β = γ/γ₋, α = γ/(δ − β·γ/α₋)
-//	one sweep (PipelinedCGStep): p = u' + β·p; s = w + β·s; z = n + β·z;
-//	    x += α·p; r −= α·s; w −= α·z;  γ = r·u'; δ = u'·w; rr = r·r
-//
-// — exactly one reduction round per iteration, never serialised against
-// compute. The price over the fused engine is two extra vectors (z and
-// the n scratch) and one speculative matvec at convergence (the round
-// that detects it has already computed the next n); fusing all six
-// recurrences into ONE sweep (rather than the textbook direction/update
-// pair) keeps the engine's memory traffic at parity with the fused
-// engine — see kernels.PipelinedCGStep. With Options.SplitSweeps the
-// overlapped matvec additionally splits into interior and boundary-ring
-// passes so the w exchange also hides behind compute (applyPreDotX).
-//
-// With a deflator configured the recurrences run on the projected
-// operator P·A: the projection is applied to n strictly AFTER the round
-// finishes — the split-phase contract forbids other collectives while a
-// reduction is in flight — which preserves the invariants w = P·A·M⁻¹r,
-// s = P·A·M⁻¹p and z = P·A·M⁻¹s by induction, at the cost of the
-// projector's extra reduction round per iteration (exactly as on the
-// fused and classic engines).
-//
-// With Options.HaloDepth d > 1 the engine runs the same matrix-powers
-// cycle as the fused engine: one depth-d exchange of all five recurrence
-// vectors per d passes, placed INSIDE the overlap window (after the
-// round is posted — exchanges are point-to-point and safe to interleave
-// with a split reduction, exactly as applyPreDotX's overlapped exchange
-// already is). Pass j of a cycle computes its matvec on ext(d−1−j) and
-// then extends ALL five vector recurrences over that same region's rings
-// — p, s, z must age in lockstep with r, w because pass j+1's matvec
-// reads w one cell beyond its bounds and the recurrences that produced
-// that w read the others at the same cell. Dots stay interior-only, so
-// the reduced scalars match depth 1.
-func runCGPipelinedCore[F comparable, B any](e *engine[F, B], minv F, maxIters int, tol float64) (Result, *cgState[F], error) {
-	sys := e.sys
-	in := e.in
-	var result Result
-
-	defl := sys.Deflation()
-
-	r := sys.NewVec()
-	w := sys.NewVec()
-	pvec := sys.NewVec()
-	svec := sys.NewVec()
-	zvec := sys.NewVec() // z = A·M⁻¹s by recurrence
-	nvec := sys.NewVec() // n = A·M⁻¹w, the per-iteration matvec target
-	// Like the fused engine, z = M⁻¹r is never materialised; the
-	// continuation state's z aliases r for the identity.
-	z := r
-	if !isZeroF(minv) {
-		var zero F
-		z = zero
-	}
-	base := 0.0 // stop-test baseline, widened from rr0 once it is known
-	mkState := func(gamma, rr, rr0 float64) *cgState[F] {
-		return &cgState[F]{r: r, z: z, w: w, pvec: pvec, rz: gamma, rr: rr, rr0: rr0, base: base}
-	}
-
-	// Startup: identical to the fused engine — r = rhs − A·u (with the
-	// deflated coarse correction if configured), then one fused sweep
-	// produces w = A·M⁻¹r and the three local startup scalars. Their
-	// reduction is NOT performed here: it becomes the first loop pass's
-	// split-phase round, overlapped with the first speculative matvec.
-	if err := e.exchange(1, e.u); err != nil {
-		return result, nil, err
-	}
-	sys.Residual(in, e.u, e.rhs, r)
-	e.tr.AddMatvec(e.cells)
-	if defl != nil {
-		defl.CoarseCorrect(r, e.u)
-		if err := e.exchange(1, e.u); err != nil {
-			return result, nil, err
-		}
-		sys.Residual(in, e.u, e.rhs, r)
-		e.tr.AddMatvec(e.cells)
-	}
-	if err := e.exchange(1, r); err != nil {
-		return result, nil, err
-	}
-	gamma, delta, rr := sys.ApplyPreDotInit(in, minv, r, w)
-	e.tr.AddMatvec(e.cells)
-	if defl != nil {
-		// w = P·A·M⁻¹r; the startup δ must see the projected w.
-		delta = e.projectW(defl, in, w, minv, r)
-	}
-
-	depth := max(e.o.HaloDepth, 1)
-	if depth > 1 && !isZeroF(minv) {
-		// One-time deep refresh of the folded diagonal (sweep input on the
-		// full extended bounds, constant across the solve).
-		if err := e.exchange(depth, minv); err != nil {
-			return result, nil, err
-		}
-	}
-
-	var alpha, gammaOld, rr0 float64
-	mb := in // this pass's matvec bounds (extended on the deep path)
-	first := true
-	cyc := 0
-	for {
-		// Loop invariant: gamma, delta and rr hold the LOCAL partials of
-		// γ = r·(M⁻¹r), δ = (M⁻¹r)·w and ‖r‖² for the current r, w; the
-		// round reducing them overlaps the next Krylov basis extension.
-		h := e.reduceNStart([]float64{gamma, delta, rr})
-		if depth > 1 {
-			j := cyc % depth
-			if j == 0 {
-				// Cycle top, inside the overlap window: the deep exchange of
-				// all five recurrence vectors hides behind the round too.
-				if err := e.exchange(depth, r, w, pvec, svec, zvec); err != nil {
-					h.Finish()
-					return result, nil, err
-				}
-			}
-			mb = sys.Extend(depth - 1 - j)
-			sys.ApplyPreDot(mb, minv, w, nvec)
-			e.tr.AddMatvec(sys.Cells(mb))
-		} else if _, err := e.applyPreDotX(minv, w, nvec); err != nil {
-			// Drain the posted round before surfacing the error: the other
-			// ranks are already in the butterfly, and the communicator must
-			// be quiescent for whatever the caller does next.
-			h.Finish()
-			return result, nil, err
-		}
-		cyc++
-		sums := h.Finish()
-		gamma, delta, rr = sums[0], sums[1], sums[2]
-		if res, err := cgNonFinite(result, scalar{"‖r‖²", rr}, scalar{"γ", gamma}, scalar{"δ", delta}); err != nil {
-			return res, nil, err
-		}
-
-		if first {
-			rr0 = rr
-			if rr0 == 0 {
-				result.Converged = true
-				return result, mkState(0, 0, 0), nil
-			}
-			var done bool
-			base, done = e.startupBaseSq(rr0, tol)
-			if done {
-				// The initial guess already solves the step to the
-				// achievable precision; iterating would only pump roundoff
-				// into it. Checked before the curvature guard — a
-				// noise-scale residual can legitimately present δ ≤ 0.
-				result.Converged = true
-				result.FinalResidual = relResidual(rr0, base)
-				return result, mkState(gamma, rr0, rr0), nil
-			}
-			if delta <= 0 {
-				// A or M lost positive definiteness at startup, exactly as
-				// on the fused engine.
-				result.FinalResidual = 1
-				result.Breakdown = true
-				return result, mkState(gamma, rr0, rr0), fmt.Errorf("solver: startup curvature δ = %v: %w", delta, ErrBreakdown)
-			}
-		} else {
-			result.Alphas = append(result.Alphas, alpha)
-			result.Iterations++
-			rel := relResidual(rr, base)
-			result.History = append(result.History, rel)
-			if rel <= tol {
-				result.Converged = true
-				result.FinalResidual = rel
-				if defl != nil {
-					rel, err := e.finishDeflated(defl, r, base)
-					if err != nil {
-						return result, nil, err
-					}
-					result.FinalResidual = rel
-					result.Converged = rel <= 10*tol
-				}
-				return result, mkState(gamma, rr, rr0), nil
-			}
-		}
-		if result.Iterations >= maxIters {
-			break
-		}
-		if defl != nil {
-			// n = P·A·M⁻¹w, strictly after Finish (the coarse round is a
-			// collective). No dot: the step sweep re-measures the curvature.
-			var zero F
-			e.projectW(defl, mb, nvec, zero, zero)
-		}
-		var beta float64
-		if first {
-			alpha = gamma / delta
-			first = false
-		} else {
-			betaNew := gamma / gammaOld
-			denom := delta - betaNew*gamma/alpha
-			if denom <= 0 || math.IsNaN(denom) {
-				// The three-term recurrences lost conjugacy; stop like the
-				// fused engine's in-loop guard.
-				result.Breakdown = true
-				break
-			}
-			result.Betas = append(result.Betas, betaNew)
-			beta = betaNew
-			alpha = gamma / denom
-		}
-		gammaOld = gamma
-		gamma, delta, rr = sys.PipelinedCGStep(in, minv, r, w, nvec, beta, alpha, pvec, svec, zvec, e.u)
-		if depth > 1 {
-			// Extend every recurrence except x (a solution cell is owned by
-			// exactly one rank) over the matvec bounds' rings, in the same
-			// order the fused step applies them so old-value reads (s reads
-			// the pre-update w; r, w read the fresh s, z) are preserved.
-			for _, rb := range sys.Rings(mb) {
-				sys.AxpbyPre(rb, beta, pvec, 1, minv, r) // p = u' + β·p
-				sys.Xpay(rb, w, beta, svec)              // s = w + β·s
-				sys.Xpay(rb, nvec, beta, zvec)           // z = n + β·z
-				sys.Axpy(rb, -alpha, svec, r)            // r −= α·s
-				sys.Axpy(rb, -alpha, zvec, w)            // w −= α·z
-			}
-			e.vectorPass(mb)
-		} else {
-			e.vectorPass(in)
-		}
-	}
-	result.FinalResidual = relResidual(rr, base)
-	if defl != nil && rr0 > 0 {
-		// Budget exhausted or breakdown: apply the final coarse correction
-		// so continuation state is consistent, and report the true residual.
 		rel, err := e.finishDeflated(defl, r, base)
 		if err != nil {
 			return result, nil, err

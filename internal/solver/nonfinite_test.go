@@ -37,7 +37,6 @@ func TestNonFiniteCGInputIsBreakdown(t *testing.T) {
 		o    Options
 	}{
 		{"fused", Options{Tol: 1e-10}},
-		{"pipelined", Options{Tol: 1e-10, Pipelined: true}},
 		{"classic", Options{Tol: 1e-10, DisableFused: true}},
 	}
 	for _, bad := range []float64{math.NaN(), math.Inf(1)} {

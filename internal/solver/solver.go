@@ -135,8 +135,8 @@ type Options struct {
 	InnerSteps int
 	// HaloDepth is the matrix-powers exchange depth (default 1 = classic
 	// exchange-per-application; §IV-C2). Depth d > 1 drives the PPCG inner
-	// Chebyshev smoothing's powers schedule AND the fused/pipelined CG
-	// engines' deep-halo cycle (one depth-d exchange of the recurrence
+	// Chebyshev smoothing's powers schedule AND the fused CG engine's
+	// deep-halo cycle (one depth-d exchange of the recurrence
 	// vectors per d iterations, sweeps on extended bounds), including
 	// deflated solves — iterates are unchanged from depth 1 to within
 	// round-off. It is incompatible with preconditioners whose registry
@@ -161,29 +161,6 @@ type Options struct {
 	// reduction round after the matvec and the curvature dot joins the
 	// iteration's single scalar round.
 	DisableFused bool
-	// Pipelined selects the pipelined (Ghysels–Vanroose) CG engine
-	// (tl_pipelined): extra s = A·M⁻¹p and z = A·M⁻¹s recurrences let each
-	// iteration START its single three-scalar reduction before the matvec
-	// sweep and FINISH it after, hiding the reduction latency behind a full
-	// grid sweep instead of serialising them (§III-A identifies the
-	// allreduce as CG's scaling bottleneck; this removes it from the
-	// critical path entirely, where the Chronopoulos–Gear fused engine only
-	// coalesces it). Costs one extra vector (plus one matvec target) of
-	// memory and slightly more vector traffic per iteration. Same
-	// applicability rules as the fused engine: the preconditioner must be
-	// diagonal-foldable, and folded preconditioners on halo-1 grids in
-	// multi-rank runs fall back (to fused or classic). Deflated solves run
-	// pipelined with the projection applied after the reduction finishes —
-	// collectives are forbidden while a split-phase reduction is in flight.
-	Pipelined bool
-	// SplitSweeps overlaps each CG matvec's halo exchange with the
-	// interior stencil sweep (tl_split_sweeps): the sweep is split into an
-	// interior pass that never reads halo cells and a one-cell boundary
-	// ring swept after the exchange lands. Applies to the fused and
-	// pipelined engines' A·(M⁻¹r) sweeps; a fused iteration it applies to
-	// keeps its two sweeps, step then split matvec, instead of the one
-	// row-lagged pass.
-	SplitSweeps bool
 	// CheckEvery is the Chebyshev convergence-test cadence in iterations
 	// (default 10): the stand-alone Chebyshev solver is reduction-free
 	// except for these periodic checks.

@@ -66,26 +66,6 @@ func (s *sys2d) Extend(n int) grid.Bounds {
 	return in.ExpandSides(l, r, d, u, s.op.Grid)
 }
 
-// Rings returns outer ∖ interior as at most four disjoint rectangles:
-// full-width south/north slabs, then west/east strips at interior height.
-func (s *sys2d) Rings(outer grid.Bounds) []grid.Bounds {
-	in := s.op.Grid.Interior()
-	var rs []grid.Bounds
-	if outer.Y0 < in.Y0 {
-		rs = append(rs, grid.Bounds{X0: outer.X0, X1: outer.X1, Y0: outer.Y0, Y1: in.Y0})
-	}
-	if outer.Y1 > in.Y1 {
-		rs = append(rs, grid.Bounds{X0: outer.X0, X1: outer.X1, Y0: in.Y1, Y1: outer.Y1})
-	}
-	if outer.X0 < in.X0 {
-		rs = append(rs, grid.Bounds{X0: outer.X0, X1: in.X0, Y0: in.Y0, Y1: in.Y1})
-	}
-	if outer.X1 > in.X1 {
-		rs = append(rs, grid.Bounds{X0: in.X1, X1: outer.X1, Y0: in.Y0, Y1: in.Y1})
-	}
-	return rs
-}
-
 func (s *sys2d) Residual(b grid.Bounds, u, rhs, r *grid.Field2D) {
 	s.op.Residual(s.p, b, u, rhs, r)
 }
@@ -102,14 +82,6 @@ func (s *sys2d) ApplyPreDot(b grid.Bounds, minv, r, w *grid.Field2D) float64 {
 
 func (s *sys2d) ApplyPreDotInit(b grid.Bounds, minv, r, w *grid.Field2D) (gamma, delta, rr float64) {
 	return s.op.ApplyPreDotInit(s.p, b, minv, r, w)
-}
-
-func (s *sys2d) ApplyPreDotInterior(b grid.Bounds, minv, r, w *grid.Field2D) float64 {
-	return s.op.ApplyPreDotInterior(s.p, b, minv, r, w)
-}
-
-func (s *sys2d) ApplyPreDotBoundary(b grid.Bounds, minv, r, w *grid.Field2D) float64 {
-	return s.op.ApplyPreDotBoundary(s.p, b, minv, r, w)
 }
 
 func (s *sys2d) Dot(b grid.Bounds, x, y *grid.Field2D) float64 {
@@ -175,10 +147,6 @@ func (s *sys2d) ChebySteps(bs []grid.Bounds, in grid.Bounds, alphas, betas []flo
 
 func (s *sys2d) PPCGInnerInit(b grid.Bounds, alpha float64, p, w, u, r, rtemp *grid.Field2D, thetaInv float64, minv, sd, z *grid.Field2D) {
 	kernels.PPCGInnerInit(s.p, b, alpha, p, w, u, r, rtemp, thetaInv, minv, sd, z)
-}
-
-func (s *sys2d) PipelinedCGStep(b grid.Bounds, minv, r, w, n *grid.Field2D, beta, alpha float64, p, sv, z, x *grid.Field2D) (gamma, delta, rr float64) {
-	return kernels.PipelinedCGStep(s.p, b, minv, r, w, n, beta, alpha, p, sv, z, x)
 }
 
 func (s *sys2d) PrecondApply(b grid.Bounds, r, z *grid.Field2D) { s.m.Apply(s.p, b, r, z) }

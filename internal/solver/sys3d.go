@@ -77,33 +77,6 @@ func (s *sys3d) Extend(n int) grid.Bounds3D {
 	return in.ExpandSides(l, r, d, u, bk, f, s.op.Grid)
 }
 
-// Rings returns outer ∖ interior as at most six disjoint boxes:
-// full-outer-XY back/front z-slabs, then full-outer-X south/north y-slabs
-// at interior depth, then west/east strips at interior height and depth.
-func (s *sys3d) Rings(outer grid.Bounds3D) []grid.Bounds3D {
-	in := s.op.Grid.Interior()
-	var rs []grid.Bounds3D
-	if outer.Z0 < in.Z0 {
-		rs = append(rs, grid.Bounds3D{X0: outer.X0, X1: outer.X1, Y0: outer.Y0, Y1: outer.Y1, Z0: outer.Z0, Z1: in.Z0})
-	}
-	if outer.Z1 > in.Z1 {
-		rs = append(rs, grid.Bounds3D{X0: outer.X0, X1: outer.X1, Y0: outer.Y0, Y1: outer.Y1, Z0: in.Z1, Z1: outer.Z1})
-	}
-	if outer.Y0 < in.Y0 {
-		rs = append(rs, grid.Bounds3D{X0: outer.X0, X1: outer.X1, Y0: outer.Y0, Y1: in.Y0, Z0: in.Z0, Z1: in.Z1})
-	}
-	if outer.Y1 > in.Y1 {
-		rs = append(rs, grid.Bounds3D{X0: outer.X0, X1: outer.X1, Y0: in.Y1, Y1: outer.Y1, Z0: in.Z0, Z1: in.Z1})
-	}
-	if outer.X0 < in.X0 {
-		rs = append(rs, grid.Bounds3D{X0: outer.X0, X1: in.X0, Y0: in.Y0, Y1: in.Y1, Z0: in.Z0, Z1: in.Z1})
-	}
-	if outer.X1 > in.X1 {
-		rs = append(rs, grid.Bounds3D{X0: in.X1, X1: outer.X1, Y0: in.Y0, Y1: in.Y1, Z0: in.Z0, Z1: in.Z1})
-	}
-	return rs
-}
-
 func (s *sys3d) Residual(b grid.Bounds3D, u, rhs, r *grid.Field3D) {
 	s.op.Residual(s.p, b, u, rhs, r)
 }
@@ -120,14 +93,6 @@ func (s *sys3d) ApplyPreDot(b grid.Bounds3D, minv, r, w *grid.Field3D) float64 {
 
 func (s *sys3d) ApplyPreDotInit(b grid.Bounds3D, minv, r, w *grid.Field3D) (gamma, delta, rr float64) {
 	return s.op.ApplyPreDotInit(s.p, b, minv, r, w)
-}
-
-func (s *sys3d) ApplyPreDotInterior(b grid.Bounds3D, minv, r, w *grid.Field3D) float64 {
-	return s.op.ApplyPreDotInterior(s.p, b, minv, r, w)
-}
-
-func (s *sys3d) ApplyPreDotBoundary(b grid.Bounds3D, minv, r, w *grid.Field3D) float64 {
-	return s.op.ApplyPreDotBoundary(s.p, b, minv, r, w)
 }
 
 func (s *sys3d) Dot(b grid.Bounds3D, x, y *grid.Field3D) float64 {
@@ -191,10 +156,6 @@ func (s *sys3d) ChebySteps(bs []grid.Bounds3D, in grid.Bounds3D, alphas, betas [
 
 func (s *sys3d) PPCGInnerInit(b grid.Bounds3D, alpha float64, p, w, u, r, rtemp *grid.Field3D, thetaInv float64, minv, sd, z *grid.Field3D) {
 	kernels.PPCGInnerInit3D(s.p, b, alpha, p, w, u, r, rtemp, thetaInv, minv, sd, z)
-}
-
-func (s *sys3d) PipelinedCGStep(b grid.Bounds3D, minv, r, w, n *grid.Field3D, beta, alpha float64, p, sv, z, x *grid.Field3D) (gamma, delta, rr float64) {
-	return kernels.PipelinedCGStep3D(s.p, b, minv, r, w, n, beta, alpha, p, sv, z, x)
 }
 
 func (s *sys3d) PrecondApply(b grid.Bounds3D, r, z *grid.Field3D) { s.m.Apply3D(s.p, b, r, z) }

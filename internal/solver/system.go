@@ -45,10 +45,6 @@ type system[F comparable, B any] interface {
 	// zero-flux mirrors, not data) — the matrix-powers extended bounds the
 	// deep-halo CG cycles sweep. n <= 0 returns the interior.
 	Extend(n int) B
-	// Rings decomposes outer ∖ interior into disjoint rectangular bounds
-	// (at most 4 in 2D, 6 in 3D; empty when outer equals the interior),
-	// for ring-only vector updates on the extended region.
-	Rings(outer B) []B
 
 	// Residual computes r = rhs − A·u over b.
 	Residual(b B, u, rhs, r F)
@@ -62,13 +58,6 @@ type system[F comparable, B any] interface {
 	// ApplyPreDotInit is the fused-CG startup sweep: w = A·(minv⊙r) with
 	// the local γ = r·(minv⊙r), δ = (minv⊙r)·w and ‖r‖² scalars.
 	ApplyPreDotInit(b B, minv, r, w F) (gamma, delta, rr float64)
-	// ApplyPreDotInterior is the interior pass of the split ApplyPreDot:
-	// the cells of b whose stencil never reads b's one-cell surround, so a
-	// depth-1 halo exchange of r can run concurrently with the sweep.
-	ApplyPreDotInterior(b B, minv, r, w F) float64
-	// ApplyPreDotBoundary is the matching one-cell-ring pass, run after
-	// the exchange has landed; the two dot partials sum to ApplyPreDot's.
-	ApplyPreDotBoundary(b B, minv, r, w F) float64
 
 	// Dot computes the local x·y over b.
 	Dot(b B, x, y F) float64
@@ -117,12 +106,6 @@ type system[F comparable, B any] interface {
 	// b: u += α·p and r −= α·w (skipped for a zero p), then rtemp = r,
 	// sd = θ⁻¹·(minv⊙r), z = sd.
 	PPCGInnerInit(b B, alpha float64, p, w, u, r, rtemp F, thetaInv float64, minv, sd, z F)
-	// PipelinedCGStep is the whole vector phase of a pipelined-CG
-	// iteration in one sweep: the direction recurrences p = (minv⊙r) + β·p,
-	// s = w + β·s, z = n + β·z with the updates they feed, x += α·p,
-	// r −= α·s, w −= α·z, returning the local γ = r·(minv⊙r),
-	// δ = (minv⊙r)·w and ‖r‖² of the updated vectors.
-	PipelinedCGStep(b B, minv, r, w, n F, beta, alpha float64, p, s, z, x F) (gamma, delta, rr float64)
 
 	// PrecondApply applies the configured preconditioner z = M⁻¹r over b.
 	PrecondApply(b B, r, z F)
@@ -226,14 +209,6 @@ func (e *engine[F, B]) reduceN(vals []float64) []float64 {
 	return e.c.AllReduceSumN(vals)
 }
 
-// reduceNStart posts reduceN's round split-phase and returns its handle;
-// the pipelined loop overlaps the round with the next matvec. Every
-// control-flow path must Finish the handle before the next collective —
-// error paths included — which the splitreduce analyzer enforces.
-func (e *engine[F, B]) reduceNStart(vals []float64) comm.ReduceHandle {
-	return e.c.AllReduceSumNStart(vals)
-}
-
 // matvec applies w = A·p over b and traces it.
 func (e *engine[F, B]) matvec(b B, p, w F) {
 	e.sys.Apply(b, p, w)
@@ -257,35 +232,6 @@ func (e *engine[F, B]) matvecDot(b B, p, w F) float64 {
 	e.tr.AddMatvec(e.sys.Cells(b))
 	e.tr.AddDot(e.sys.Cells(b))
 	return e.c.AllReduceSum(local)
-}
-
-// applyPreDotX refreshes r's depth-1 halo and computes w = A·(minv⊙r)
-// over the interior, returning the local (minv⊙r)·w dot. It is the
-// matvec step of the fused and pipelined CG engines. With
-// Options.SplitSweeps the exchange runs concurrently with the interior
-// sweep — the exchange only writes halo cells and reads the interior ring,
-// which the interior sweep never touches — and the boundary-ring pass
-// completes the field once the fresh halo has landed. The exchange runs in
-// a plain goroutine (the comm paths never touch the par.Pool, which is not
-// reentrant); the channel receive orders its Trace writes before ours.
-func (e *engine[F, B]) applyPreDotX(minv, r, w F) (float64, error) {
-	if !e.o.SplitSweeps {
-		if err := e.exchange(1, r); err != nil {
-			return 0, err
-		}
-		d := e.sys.ApplyPreDot(e.in, minv, r, w)
-		e.tr.AddMatvec(e.cells)
-		return d, nil
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- e.exchange(1, r) }()
-	d := e.sys.ApplyPreDotInterior(e.in, minv, r, w)
-	if err := <-errc; err != nil {
-		return 0, err
-	}
-	d += e.sys.ApplyPreDotBoundary(e.in, minv, r, w)
-	e.tr.AddMatvec(e.cells)
-	return d, nil
 }
 
 // cgIter runs a fused-CG iteration body as one pass (system.CGIter,

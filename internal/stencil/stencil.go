@@ -588,222 +588,6 @@ func (op *Operator2D) ApplyPreDotInit(pool *par.Pool, b grid.Bounds, minv, r, w 
 	return out[0], out[1], out[2]
 }
 
-// applyTileX is the column-block width of the tiled interior sweeps. The
-// textbook motivation is L1 residency of the stencil's vertical row reuse
-// (at 2048 columns the five streamed rows between two touches of the same
-// p row span ~80KB, past L1 into L2), but on the benchmark machine any
-// strip narrower than the row measured SLOWER: Intel's L2 streamers stop
-// at 4KB page boundaries, and a 512-column strip (4KB segments on a 16KB
-// row stride) makes every row restart the prefetch while the L2-vs-L1
-// reuse it buys back is already hidden by out-of-order execution. Full
-// rows keep the seven streams long and prefetch-friendly, so the tile is
-// effectively disabled; the strip-mining structure is kept (and tested at
-// widths straddling the constant) for machines where the balance tips the
-// other way.
-var applyTileX = 1 << 20
-
-// ApplyPreDotInterior is the interior pass of the split ApplyPreDot: it
-// computes w = A·u (u = minv ⊙ r, nil minv selects the identity) fused
-// with its Σ u·w partial over the cells of b that lie strictly inside it —
-// the sub-rectangle whose stencil never reads b's one-cell surround — so a
-// halo exchange of r can run concurrently with this sweep. The
-// unpreconditioned path uses the flux form of the stencil (see below);
-// both paths are strip-mined in applyTileX-wide column blocks, which on
-// the benchmark machine are effectively full rows (see applyTileX).
-// ApplyPreDotBoundary completes the one-cell ring once the exchange
-// has landed; the two partials sum to ApplyPreDot's return over b.
-func (op *Operator2D) ApplyPreDotInterior(pool *par.Pool, b grid.Bounds, minv, r, w *grid.Field2D) float64 {
-	ib := b.Shrink(1)
-	if ib.Empty() {
-		return 0
-	}
-	g := op.Grid
-	s := g.Stride()
-	kx, ky := op.Kx.Data, op.Ky.Data
-	rd, wd := r.Data, w.Data
-	if minv == nil {
-		// Flux form of the same stencil row: with the face fluxes
-		//
-		//	FX(j) = Kx(j)·(p(j)−p(j−1)),   FY_k(j) = Ky(j,k)·(p(j,k)−p(j,k−1))
-		//
-		// the row is w = pc + FY_k − FY_k+1 + FX(j) − FX(j+1) — expand and
-		// collect pc to recover the Listing 1 expression exactly. Each flux
-		// is computed once and reused by the neighbouring cell with the
-		// opposite sign (FX carried in a register, FY in a row buffer), so
-		// the sweep runs 10 FP ops per cell against 15 for the expanded
-		// form and never reads the south Ky or p rows at all.
-		return pool.ForReduce(ib.Y0, ib.Y1, func(k0, k1 int) float64 {
-			fybuf := make([]float64, min(applyTileX, ib.X1-ib.X0))
-			var pw0, pw1 float64
-			for x0 := ib.X0; x0 < ib.X1; x0 += applyTileX {
-				n := min(applyTileX, ib.X1-x0)
-				fy := fybuf[:n:n]
-				{
-					// Seed the south-face fluxes of the chunk's first row.
-					o := g.Index(x0, k0)
-					kys := ky[o : o+n]
-					pc := rd[o : o+n]
-					pso := rd[o-s : o-s+n]
-					for j := 0; j < n; j++ {
-						fy[j] = kys[j] * (pc[j] - pso[j])
-					}
-				}
-				for k := k0; k < k1; k++ {
-					o := g.Index(x0, k)
-					kxs := kx[o : o+n+1]
-					kyn := ky[o+s : o+s+n]
-					pn := rd[o+s : o+s+n]
-					pc := rd[o-1 : o+n+1]
-					ws := wd[o : o+n : o+n]
-					fx := kxs[0] * (pc[1] - pc[0])
-					j := 0
-					for ; j+1 < n; j += 2 {
-						c0 := pc[j+1]
-						fxe0 := kxs[j+1] * (pc[j+2] - c0)
-						fyn0 := kyn[j] * (pn[j] - c0)
-						v0 := c0 + (fy[j] - fyn0) + (fx - fxe0)
-						fy[j] = fyn0
-						ws[j] = v0
-						pw0 += c0 * v0
-						c1 := pc[j+2]
-						fxe1 := kxs[j+2] * (pc[j+3] - c1)
-						fyn1 := kyn[j+1] * (pn[j+1] - c1)
-						v1 := c1 + (fy[j+1] - fyn1) + (fxe0 - fxe1)
-						fy[j+1] = fyn1
-						ws[j+1] = v1
-						pw1 += c1 * v1
-						fx = fxe1
-					}
-					for ; j < n; j++ {
-						c0 := pc[j+1]
-						fxe := kxs[j+1] * (pc[j+2] - c0)
-						fyn := kyn[j] * (pn[j] - c0)
-						v := c0 + (fy[j] - fyn) + (fx - fxe)
-						fy[j] = fyn
-						ws[j] = v
-						pw0 += c0 * v
-						fx = fxe
-					}
-				}
-			}
-			return pw0 + pw1
-		})
-	}
-	md := minv.Data
-	return pool.ForReduce(ib.Y0, ib.Y1, func(k0, k1 int) float64 {
-		// Rolling three-row u = minv ⊙ r window per column strip, exactly
-		// as in ApplyPreDot but tile-width wide.
-		win := getWindow(3 * (min(applyTileX, ib.X1-ib.X0) + 2))
-		defer putWindow(win)
-		buf := *win
-		var uw0, uw1 float64
-		for x0 := ib.X0; x0 < ib.X1; x0 += applyTileX {
-			n := min(applyTileX, ib.X1-x0)
-			width := n + 2
-			us := buf[0*width : 1*width : 1*width]
-			uc := buf[1*width : 2*width : 2*width]
-			un := buf[2*width : 3*width : 3*width]
-			fill := func(dst []float64, k int) {
-				o := g.Index(x0-1, k)
-				fillWindowRow(dst, md[o:o+width:o+width], rd[o:][:width:width])
-			}
-			fill(us, k0-1)
-			fill(uc, k0)
-			for k := k0; k < k1; k++ {
-				fill(un, k+1)
-				o := g.Index(x0, k)
-				kxs := kx[o : o+n+1]
-				kyn := ky[o+s : o+s+n]
-				kys := ky[o : o+n]
-				ws := wd[o : o+n : o+n]
-				j := 0
-				for ; j+1 < n; j += 2 {
-					uc0 := uc[j+1]
-					v0 := (1+(kyn[j]+kys[j])+(kxs[j+1]+kxs[j]))*uc0 -
-						(kyn[j]*un[j+1] + kys[j]*us[j+1]) -
-						(kxs[j+1]*uc[j+2] + kxs[j]*uc[j])
-					ws[j] = v0
-					uw0 += uc0 * v0
-					uc1 := uc[j+2]
-					v1 := (1+(kyn[j+1]+kys[j+1])+(kxs[j+2]+kxs[j+1]))*uc1 -
-						(kyn[j+1]*un[j+2] + kys[j+1]*us[j+2]) -
-						(kxs[j+2]*uc[j+3] + kxs[j+1]*uc[j+1])
-					ws[j+1] = v1
-					uw1 += uc1 * v1
-				}
-				for ; j < n; j++ {
-					uc0 := uc[j+1]
-					v := (1+(kyn[j]+kys[j])+(kxs[j+1]+kxs[j]))*uc0 -
-						(kyn[j]*un[j+1] + kys[j]*us[j+1]) -
-						(kxs[j+1]*uc[j+2] + kxs[j]*uc[j])
-					ws[j] = v
-					uw0 += uc0 * v
-				}
-				us, uc, un = uc, un, us
-			}
-		}
-		return uw0 + uw1
-	})
-}
-
-// preDotSegment computes w = A·u over the x-run [x0,x1) of row k and
-// returns its Σ u·w contribution; nil md selects u = r. Scalar, for the
-// boundary-ring pass — O(perimeter) work where unrolling buys nothing.
-func (op *Operator2D) preDotSegment(md, rd, wd []float64, x0, x1, k int) float64 {
-	g := op.Grid
-	s := g.Stride()
-	kx, ky := op.Kx.Data, op.Ky.Data
-	var uw float64
-	o := g.Index(x0, k)
-	for i := o; i < o+(x1-x0); i++ {
-		var uc, v float64
-		if md == nil {
-			uc = rd[i]
-			v = (1+(ky[i+s]+ky[i])+(kx[i+1]+kx[i]))*uc -
-				(ky[i+s]*rd[i+s] + ky[i]*rd[i-s]) -
-				(kx[i+1]*rd[i+1] + kx[i]*rd[i-1])
-		} else {
-			uc = md[i] * rd[i]
-			v = (1+(ky[i+s]+ky[i])+(kx[i+1]+kx[i]))*uc -
-				(ky[i+s]*(md[i+s]*rd[i+s]) + ky[i]*(md[i-s]*rd[i-s])) -
-				(kx[i+1]*(md[i+1]*rd[i+1]) + kx[i]*(md[i-1]*rd[i-1]))
-		}
-		wd[i] = v
-		uw += uc * v
-	}
-	return uw
-}
-
-// ApplyPreDotBoundary is the boundary pass of the split ApplyPreDot: the
-// one-cell ring of b that ApplyPreDotInterior leaves untouched, swept
-// after the overlapped halo exchange has landed (the ring's stencil reads
-// the fresh halo). Returns its Σ u·w partial. Degenerate thin domains
-// (one or two cells across) have no interior and the ring is all of b.
-func (op *Operator2D) ApplyPreDotBoundary(pool *par.Pool, b grid.Bounds, minv, r, w *grid.Field2D) float64 {
-	if b.Empty() {
-		return 0
-	}
-	var md []float64
-	if minv != nil {
-		md = minv.Data
-	}
-	rd, wd := r.Data, w.Data
-	return pool.ForReduce(b.Y0, b.Y1, func(k0, k1 int) float64 {
-		var uw float64
-		for k := k0; k < k1; k++ {
-			if k == b.Y0 || k == b.Y1-1 {
-				uw += op.preDotSegment(md, rd, wd, b.X0, b.X1, k)
-				continue
-			}
-			uw += op.preDotSegment(md, rd, wd, b.X0, b.X0+1, k)
-			if b.X1-1 > b.X0 {
-				uw += op.preDotSegment(md, rd, wd, b.X1-1, b.X1, k)
-			}
-		}
-		return uw
-	})
-}
-
 // Residual computes r = rhs − A·u over b.
 func (op *Operator2D) Residual(pool *par.Pool, b grid.Bounds, u, rhs, r *grid.Field2D) {
 	if b.Empty() {

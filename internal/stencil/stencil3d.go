@@ -484,91 +484,6 @@ func (op *Operator3D) ApplyPreDotInit(pool *par.Pool, b grid.Bounds3D, minv *gri
 	return acc[1], acc[0], acc[1]
 }
 
-// ApplyPreDotInterior is the interior pass of the split ApplyPreDot: the
-// cells of b strictly inside all six faces, whose stencil never reads b's
-// one-cell surround, so a halo exchange of r can run concurrently with
-// this sweep. ApplyPreDotBoundary completes the six-face shell once the
-// exchange has landed; the two partials sum to ApplyPreDot's return over
-// b. The 3D interior delegates to ApplyPreDot over the shrunk bounds: a
-// 3D slab pair already outgrows L1 at any practical mesh, so the 2D-style
-// column tiling has nothing to recover here — the win is the overlap.
-func (op *Operator3D) ApplyPreDotInterior(pool *par.Pool, b grid.Bounds3D, minv *grid.Field3D, r, w *grid.Field3D) float64 {
-	ib := grid.Bounds3D{
-		X0: b.X0 + 1, X1: b.X1 - 1,
-		Y0: b.Y0 + 1, Y1: b.Y1 - 1,
-		Z0: b.Z0 + 1, Z1: b.Z1 - 1,
-	}
-	if ib.Empty() {
-		return 0
-	}
-	return op.ApplyPreDot(pool, ib, minv, r, w)
-}
-
-// preDotSegment computes w = A·u over the x-run [x0,x1) of row (j,k) and
-// returns its Σ u·w contribution; nil md selects u = r. Scalar, for the
-// boundary-shell pass.
-func (op *Operator3D) preDotSegment(md, rd, wd []float64, x0, x1, j, k int) float64 {
-	g := op.Grid
-	sy, sz := op.strides()
-	kx, ky, kz := op.Kx.Data, op.Ky.Data, op.Kz.Data
-	var uw float64
-	o := g.Index(x0, j, k)
-	for i := o; i < o+(x1-x0); i++ {
-		var uc, v float64
-		if md == nil {
-			uc = rd[i]
-			v = point7(kx[i], kx[i+1], ky[i], ky[i+sy], kz[i], kz[i+sz],
-				uc, rd[i-1], rd[i+1], rd[i-sy], rd[i+sy], rd[i-sz], rd[i+sz])
-		} else {
-			uc = md[i] * rd[i]
-			v = point7(kx[i], kx[i+1], ky[i], ky[i+sy], kz[i], kz[i+sz],
-				uc, md[i-1]*rd[i-1], md[i+1]*rd[i+1], md[i-sy]*rd[i-sy], md[i+sy]*rd[i+sy],
-				md[i-sz]*rd[i-sz], md[i+sz]*rd[i+sz])
-		}
-		wd[i] = v
-		uw += uc * v
-	}
-	return uw
-}
-
-// ApplyPreDotBoundary is the boundary pass of the split ApplyPreDot: the
-// one-cell six-face shell of b that ApplyPreDotInterior leaves untouched,
-// swept after the overlapped halo exchange has landed. Returns its Σ u·w
-// partial. Degenerate thin slabs have no interior and the shell is all of
-// b.
-func (op *Operator3D) ApplyPreDotBoundary(pool *par.Pool, b grid.Bounds3D, minv *grid.Field3D, r, w *grid.Field3D) float64 {
-	if b.Empty() {
-		return 0
-	}
-	var md []float64
-	if minv != nil {
-		md = minv.Data
-	}
-	rd, wd := r.Data, w.Data
-	return pool.ForReduce(b.Z0, b.Z1, func(z0, z1 int) float64 {
-		var uw float64
-		for k := z0; k < z1; k++ {
-			if k == b.Z0 || k == b.Z1-1 {
-				for j := b.Y0; j < b.Y1; j++ {
-					uw += op.preDotSegment(md, rd, wd, b.X0, b.X1, j, k)
-				}
-				continue
-			}
-			for j := b.Y0; j < b.Y1; j++ {
-				if j == b.Y0 || j == b.Y1-1 {
-					uw += op.preDotSegment(md, rd, wd, b.X0, b.X1, j, k)
-					continue
-				}
-				uw += op.preDotSegment(md, rd, wd, b.X0, b.X0+1, j, k)
-				if b.X1-1 > b.X0 {
-					uw += op.preDotSegment(md, rd, wd, b.X1-1, b.X1, j, k)
-				}
-			}
-		}
-		return uw
-	})
-}
-
 // Residual computes r = rhs − A·u over b.
 func (op *Operator3D) Residual(pool *par.Pool, b grid.Bounds3D, u, rhs, r *grid.Field3D) {
 	if b.Empty() {

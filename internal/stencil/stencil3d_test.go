@@ -37,6 +37,15 @@ func randomField3D(g *grid.Grid3D, seed int64) *grid.Field3D {
 	return f
 }
 
+// positiveField3D is positiveField on a 3D grid.
+func positiveField3D(g *grid.Grid3D, seed int64) *grid.Field3D {
+	f := randomField3D(g, seed)
+	for i, v := range f.Data {
+		f.Data[i] = 1 + v/2
+	}
+	return f
+}
+
 func dot3D(a, b *grid.Field3D) float64 {
 	g := a.Grid
 	var s float64

@@ -39,6 +39,16 @@ func randomField(g *grid.Grid2D, seed int64) *grid.Field2D {
 	return f
 }
 
+// positiveField returns a field of values in (0.5, 1.5) over the whole
+// padded region, usable as a Jacobi-style minv.
+func positiveField(g *grid.Grid2D, seed int64) *grid.Field2D {
+	f := randomField(g, seed)
+	for i, v := range f.Data {
+		f.Data[i] = 1 + v/2
+	}
+	return f
+}
+
 func TestBuildValidation(t *testing.T) {
 	g := grid.UnitGrid2D(4, 4, 2)
 	d := uniformDensity(g, 1)
@@ -398,5 +408,36 @@ func TestApplyPreDotMatchesComposed(t *testing.T) {
 	gamma, delta, rr := op.ApplyPreDotInit(par.Serial, in, nil, r, w2)
 	if gamma != rr || math.Abs(delta-wantID) > 1e-12*math.Abs(wantID) {
 		t.Errorf("identity ApplyPreDotInit = (%v,%v,%v)", gamma, delta, rr)
+	}
+}
+
+// TestApplyDot2MatchesApplyDot pins the rewritten 4-way-unrolled
+// ApplyDot2 to ApplyDot on the same inputs.
+func TestApplyDot2MatchesApplyDot(t *testing.T) {
+	g := grid.UnitGrid2D(23, 11, 2)
+	op, err := BuildOperator2D(par.Serial, randomDensity(g, 7), 0.05, RecipConductivity, AllPhysical)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := randomField(g, 8)
+	b := g.Interior()
+	w1 := grid.NewField2D(g)
+	pwWant := op.ApplyDot(par.Serial, b, p, w1)
+	w2 := grid.NewField2D(g)
+	pw, ww := op.ApplyDot2(par.Serial, b, p, w2)
+	if math.Abs(pw-pwWant) > 1e-10*(1+math.Abs(pwWant)) {
+		t.Errorf("pw %g != %g", pw, pwWant)
+	}
+	var wwWant float64
+	for k := 0; k < g.NY; k++ {
+		for j := 0; j < g.NX; j++ {
+			if w1.At(j, k) != w2.At(j, k) {
+				t.Fatalf("w(%d,%d) %g != %g", j, k, w2.At(j, k), w1.At(j, k))
+			}
+			wwWant += w1.At(j, k) * w1.At(j, k)
+		}
+	}
+	if math.Abs(ww-wwWant) > 1e-10*(1+wwWant) {
+		t.Errorf("ww %g != %g", ww, wwWant)
 	}
 }
