@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"fmt"
 	"testing"
 
 	"tealeaf/internal/comm"
@@ -287,5 +288,107 @@ func TestDistributed3DPPCGMatrixPowersAcceptance(t *testing.T) {
 	if got := tr.ExchangesByDepth[depth]; got != wantDeep {
 		t.Errorf("depth-%d exchanges = %d, want %d (%d inner applies of 4 steps)",
 			depth, got, wantDeep, innerApplies)
+	}
+}
+
+// TestFusedCGHubMatchesSerialClassic: the fused engine on the in-process
+// hub at ranks {1, 2, 4}, unpreconditioned and with the folded Jacobi
+// diagonal, against the single-rank classic engine (the test oracle):
+// solution within 1e-10, iterations within ±2, and every rank stopping
+// at the same iteration.
+func TestFusedCGHubMatchesSerialClassic(t *testing.T) {
+	const nx, ny, halo = 24, 24, 2
+	layouts := []struct {
+		ranks  int
+		px, py int
+	}{{1, 1, 1}, {2, 2, 1}, {4, 2, 2}}
+	for _, precondName := range []string{"none", "jac_diag"} {
+		opts := func(op *stencil.Operator2D) Options {
+			o := Options{Tol: 1e-12}
+			if precondName == "jac_diag" {
+				o.Precond = precond.NewJacobi(par.Serial, op)
+			}
+			return o
+		}
+		g := grid.UnitGrid2D(nx, ny, halo)
+		den, rhs := grid.NewField2D(g), grid.NewField2D(g)
+		for k := 0; k < ny; k++ {
+			for j := 0; j < nx; j++ {
+				den.Set(j, k, denAt2D(j, k))
+				rhs.Set(j, k, rhsAt2D(j, k))
+			}
+		}
+		den.ReflectHalos(halo)
+		op, err := stencil.BuildOperator2D(par.Serial, den, 0.04, stencil.Conductivity, stencil.AllPhysical)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := Problem{Op: op, U: rhs.Clone(), RHS: rhs}
+		oRef := opts(op)
+		oRef.DisableFused = true
+		refRes, err := SolveCG(ref, oRef)
+		if err != nil || !refRes.Converged {
+			t.Fatalf("%s classic reference: %v %+v", precondName, err, refRes)
+		}
+		for _, l := range layouts {
+			t.Run(fmt.Sprintf("%s/ranks=%d", precondName, l.ranks), func(t *testing.T) {
+				part := grid.MustPartition(nx, ny, l.px, l.py)
+				gathered := grid.NewField2D(g)
+				iters := make([]int, part.Ranks())
+				err := comm.Run(part, func(c *comm.RankComm) error {
+					ext := part.ExtentOf(c.Rank())
+					sub, err := g.Sub(ext.X0, ext.X1, ext.Y0, ext.Y1)
+					if err != nil {
+						return err
+					}
+					den, rhs := grid.NewField2D(sub), grid.NewField2D(sub)
+					for k := 0; k < sub.NY; k++ {
+						for j := 0; j < sub.NX; j++ {
+							den.Set(j, k, denAt2D(ext.X0+j, ext.Y0+k))
+							rhs.Set(j, k, rhsAt2D(ext.X0+j, ext.Y0+k))
+						}
+					}
+					if err := c.Exchange(sub.Halo, den); err != nil {
+						return err
+					}
+					phys := c.Physical()
+					op, err := stencil.BuildOperator2D(par.Serial, den, 0.04, stencil.Conductivity,
+						stencil.PhysicalSides{Left: phys.Left, Right: phys.Right, Down: phys.Down, Up: phys.Up})
+					if err != nil {
+						return err
+					}
+					p := Problem{Op: op, U: rhs.Clone(), RHS: rhs}
+					o := opts(op)
+					o.Comm = c
+					res, err := SolveCG(p, o)
+					if err != nil {
+						return err
+					}
+					if !res.Converged {
+						t.Errorf("rank %d: not converged: %+v", c.Rank(), res)
+					}
+					iters[c.Rank()] = res.Iterations
+					var dst *grid.Field2D
+					if c.Rank() == 0 {
+						dst = gathered
+					}
+					return c.GatherInterior(p.U, dst)
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for r, it := range iters {
+					if it != iters[0] {
+						t.Errorf("rank %d stopped at iteration %d, rank 0 at %d", r, it, iters[0])
+					}
+				}
+				if d := iters[0] - refRes.Iterations; d < -2 || d > 2 {
+					t.Errorf("%d iterations vs serial classic %d (want ±2)", iters[0], refRes.Iterations)
+				}
+				if d := gathered.MaxDiff(ref.U); d > 1e-10 {
+					t.Errorf("solution differs from serial classic by %v", d)
+				}
+			})
+		}
 	}
 }

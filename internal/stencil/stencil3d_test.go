@@ -445,3 +445,43 @@ func TestApplyPreDotAllocatesNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestApplyPreDot3DShapes is the 3D twin of TestApplyPreDotShapes, down
+// to one-cell-thick slabs and a single cell.
+func TestApplyPreDot3DShapes(t *testing.T) {
+	shapes := []struct{ nx, ny, nz int }{
+		{10, 8, 6}, {5, 5, 5}, {2, 6, 4}, {6, 2, 4}, {6, 4, 2}, {1, 3, 3}, {1, 1, 1},
+	}
+	tiled := par.NewPool(3).WithGrain(1).WithTiles(0, 0, 4)
+	defer tiled.Close()
+	for _, sh := range shapes {
+		g := grid.UnitGrid3D(sh.nx, sh.ny, sh.nz, 2)
+		op, err := BuildOperator3D(par.Serial, randomDensity3D(g, 4), 0.03, Conductivity, AllPhysical3D)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := randomField3D(g, 5)
+		in := g.Interior()
+		for _, minv := range []*grid.Field3D{nil, positiveField3D(g, 6)} {
+			u := r.Clone()
+			if minv != nil {
+				for i := range u.Data {
+					u.Data[i] = minv.Data[i] * r.Data[i]
+				}
+			}
+			wRef := grid.NewField3D(g)
+			op.Apply(par.Serial, in, u, wRef)
+			want := dot3D(u, wRef)
+			for name, pool := range map[string]*par.Pool{"serial": par.Serial, "tiled": tiled} {
+				w := grid.NewField3D(g)
+				got := op.ApplyPreDot(pool, in, minv, r, w)
+				if math.Abs(got-want) > 1e-12*(1+math.Abs(want)) {
+					t.Errorf("%v minv=%v %s: ApplyPreDot = %g, want %g", sh, minv != nil, name, got, want)
+				}
+				if d := w.MaxDiff(wRef); d > 1e-13 {
+					t.Errorf("%v minv=%v %s: w differs from A·u by %g", sh, minv != nil, name, d)
+				}
+			}
+		}
+	}
+}

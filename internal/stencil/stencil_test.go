@@ -441,3 +441,50 @@ func TestApplyDot2MatchesApplyDot(t *testing.T) {
 		t.Errorf("ww %g != %g", ww, wwWant)
 	}
 }
+
+// TestApplyPreDotShapes holds the one-shot ApplyPreDot to the composed
+// reference (u = minv ⊙ r materialised, w = A·u, Σ u·w) on meshes from
+// a single cell through thin strips to several tile rows, with and
+// without a diagonal scaling, serially and on a tiled pool.
+func TestApplyPreDotShapes(t *testing.T) {
+	shapes := []struct{ nx, ny int }{
+		{17, 13}, {23, 9}, {35, 5}, {1, 1}, {2, 7}, {7, 2}, {3, 3}, {1, 9},
+	}
+	tiled := par.NewPool(3).WithGrain(1).WithTiles(0, 4, 0)
+	defer tiled.Close()
+	for _, sh := range shapes {
+		g := grid.UnitGrid2D(sh.nx, sh.ny, 2)
+		op, err := BuildOperator2D(par.Serial, randomDensity(g, 1), 0.04, Conductivity, AllPhysical)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := randomField(g, 2)
+		in := g.Interior()
+		for _, minv := range []*grid.Field2D{nil, positiveField(g, 3)} {
+			u := r.Clone()
+			if minv != nil {
+				for i := range u.Data {
+					u.Data[i] = minv.Data[i] * r.Data[i]
+				}
+			}
+			wRef := grid.NewField2D(g)
+			op.Apply(par.Serial, in, u, wRef)
+			want := kernels.Dot(par.Serial, in, u, wRef)
+			for name, pool := range map[string]*par.Pool{"serial": par.Serial, "tiled": tiled} {
+				w := grid.NewField2D(g)
+				got := op.ApplyPreDot(pool, in, minv, r, w)
+				if math.Abs(got-want) > 1e-12*(1+math.Abs(want)) {
+					t.Errorf("%dx%d minv=%v %s: ApplyPreDot = %g, want %g", sh.nx, sh.ny, minv != nil, name, got, want)
+				}
+				for k := 0; k < g.NY; k++ {
+					for j := 0; j < g.NX; j++ {
+						if d := math.Abs(w.At(j, k) - wRef.At(j, k)); d > 1e-13*(1+math.Abs(wRef.At(j, k))) {
+							t.Fatalf("%dx%d minv=%v %s: w(%d,%d) = %g, want %g",
+								sh.nx, sh.ny, minv != nil, name, j, k, w.At(j, k), wRef.At(j, k))
+						}
+					}
+				}
+			}
+		}
+	}
+}
