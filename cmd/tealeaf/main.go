@@ -57,10 +57,6 @@ var (
 	deflate = flag.Bool("deflate", false, "enable subdomain deflation (tl_use_deflation; cg/ppcg, 2D and 3D, single- or multi-rank)")
 	deflBlk = flag.Int("deflate-blocks", 0, "override deflation subdomains per direction (tl_deflation_blocks)")
 	deflLvl = flag.Int("deflate-levels", 0, "override nested deflation hierarchy depth (tl_deflation_levels)")
-	tiled   = flag.Bool("tiled", false, "route hot sweeps through the cache-tiled scheduler (tl_tiling; shape auto-sized from the LLC model unless -tile-x/y/z)")
-	tileX   = flag.Int("tile-x", 0, "override tile x edge (tl_tile_x; implies -tiled; 0 = auto)")
-	tileY   = flag.Int("tile-y", 0, "override tile y edge (tl_tile_y; implies -tiled; 0 = auto)")
-	tileZ   = flag.Int("tile-z", 0, "override tile z edge (tl_tile_z; implies -tiled; 0 = auto; 3D runs)")
 	netMode = flag.String("net", "hub", "comm backend for decomposed runs: hub (goroutine ranks), tcp (this process is one rank; needs -rank/-peers), launch (fork local tcp ranks)")
 	rank    = flag.Int("rank", 0, "this process's rank (with -net tcp)")
 	peers   = flag.String("peers", "", "comma-separated host:port of every rank, indexed by rank (with -net tcp)")
@@ -115,18 +111,6 @@ func run() error {
 	}
 	if *deflLvl > 0 {
 		d.DeflationLevels = *deflLvl
-	}
-	if *tiled || *tileX > 0 || *tileY > 0 || *tileZ > 0 {
-		d.Tiling = true
-		if *tileX > 0 {
-			d.TileX = *tileX
-		}
-		if *tileY > 0 {
-			d.TileY = *tileY
-		}
-		if *tileZ > 0 {
-			d.TileZ = *tileZ
-		}
 	}
 	if d.UseDeflation {
 		// Surface the geometry errors (blocks/levels vs mesh) before the

@@ -10,7 +10,7 @@ import (
 
 // docFlagNames returns the flag names the `tealeaf` flag table in
 // docs/deck-format.md documents (without the dash). A combined row such
-// as `-tile-x/-tile-y/-tile-z N` names each of its flags.
+// as `-px/-py/-pz N` names each of its flags.
 func docFlagNames(t *testing.T) map[string]bool {
 	t.Helper()
 	doc, err := os.ReadFile("../../docs/deck-format.md")

@@ -5,12 +5,12 @@
 // residuals rank to rank, which the convergence checks then disagree on.
 //
 // The check applies to the numeric packages (internal/solver, kernels,
-// deflate, stencil, precond, and internal/par, whose ForTilesReduceN
-// fold and Wavefront schedule live there): a `range` over a map whose
+// deflate, stencil, precond, and internal/par, whose ForReduceN fold
+// and Wavefront schedule live there): a `range` over a map whose
 // body folds into a floating-point accumulator declared outside the loop
 // is flagged. The fix idiom is to extract and sort the keys first (see
 // stats.Trace's report paths) or accumulate per-key into
-// order-independent slots, as ForTilesReduceN does with its per-tile
+// order-independent slots, as ForReduceN does with its per-band
 // partial table.
 package detloop
 

@@ -1,11 +1,11 @@
-// Package par is under the reproducibility contract: ForTilesReduceN
-// folds per-tile partials in a fixed order, so detloop must flag
+// Package par is under the reproducibility contract: ForReduceN folds
+// per-band partials in a fixed order, so detloop must flag
 // map-order folds here exactly as in the other numeric packages.
 package par
 
 // badTileWeights folds per-tile partials in map iteration order: the sum
-// would differ run to run, the exact failure ForTilesReduceN's
-// ascending-tile-order fold exists to rule out.
+// would differ run to run, the exact failure ForReduceN's band-order
+// fold exists to rule out.
 func badTileWeights(byTile map[int][]float64) []float64 {
 	out := make([]float64, 1)
 	for _, p := range byTile {

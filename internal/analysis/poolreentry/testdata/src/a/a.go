@@ -76,8 +76,8 @@ func dispatchBody(lo, hi int) {
 	shared.For(lo, hi, func(l, h int) {})
 }
 
-// nestedTiles dispatches a band loop from inside a tiled region body:
-// the tiled entry points hold the same team lock.
+// nestedTiles dispatches a band loop from inside a box region body:
+// the box entry points hold the same team lock.
 func nestedTiles(p *par.Pool, b par.Box, xs []float64) {
 	p.ForTiles(b, func(t par.Tile) {
 		p.For(t.X0, t.X1, func(l, h int) { // want `Pool dispatch inside a Pool parallel region`
@@ -88,7 +88,7 @@ func nestedTiles(p *par.Pool, b par.Box, xs []float64) {
 	})
 }
 
-// nestedInTileReduce dispatches from a tiled reduction body.
+// nestedInTileReduce dispatches from a box reduction body.
 func nestedInTileReduce(p *par.Pool, b par.Box, xs []float64) []float64 {
 	return p.ForTilesReduceN(1, b, func(t par.Tile, acc []float64) {
 		p.ForTiles(b, func(par.Tile) {}) // want `Pool dispatch inside a Pool parallel region`

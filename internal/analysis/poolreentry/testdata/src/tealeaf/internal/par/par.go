@@ -16,11 +16,6 @@ func (p *Pool) ForReduce(lo, hi int, body func(lo, hi int) float64) float64 {
 	return body(lo, hi)
 }
 
-// ForReduce2 mirrors par.(*Pool).ForReduce2.
-func (p *Pool) ForReduce2(lo, hi int, body func(lo, hi int) (float64, float64)) (float64, float64) {
-	return body(lo, hi)
-}
-
 // ForReduceN mirrors par.(*Pool).ForReduceN.
 func (p *Pool) ForReduceN(k, lo, hi int, body func(lo, hi int, acc []float64)) []float64 {
 	acc := make([]float64, k)

@@ -1,12 +1,12 @@
 // Package tileorder checks the deterministic-reduction contract of the
-// tiled sweep engine: a worker-parallel loop body (par.Pool.For or
+// band-split sweeps: a worker-parallel loop body (par.Pool.For or
 // ForTiles) must never fold floating-point values into an accumulator
 // declared outside the body. Worker interleaving makes such a fold's
-// order — and with it the last bits of every reduction — depend on the
-// pool size and tile schedule, exactly the nondeterminism the
-// fixed-order reducers (ForReduce/ForReduce2/ForReduceN and
-// ForTilesReduceN, which fold per-band and per-tile partials in a
-// schedule-independent order) exist to prevent. It is also a data race.
+// order — and with it the last bits of every reduction — depend on
+// which worker finishes first, exactly the nondeterminism the
+// fixed-order reducers (ForReduce/ForReduceN and ForTilesReduceN, which
+// fold per-band partials in band order) exist to prevent. It is also a
+// data race.
 //
 // Writes through an index expression (y.Data[i] += …) are not flagged:
 // partitioned element writes over disjoint ranges are the normal sweep

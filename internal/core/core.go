@@ -18,7 +18,6 @@ import (
 	"tealeaf/internal/deck"
 	"tealeaf/internal/deflate"
 	"tealeaf/internal/grid"
-	"tealeaf/internal/machine"
 	"tealeaf/internal/par"
 	"tealeaf/internal/precond"
 	"tealeaf/internal/problem"
@@ -60,30 +59,6 @@ func HaloFor(d *deck.Deck) int {
 	return h
 }
 
-// tiledPool applies the deck's cache-tiling keys to the rank's thread
-// team: explicit tl_tile_* edges pin the shape, and with all three at 0
-// the shape is auto-tuned from the host's LLC model. The widest fused
-// sweeps co-walk about six arrays per cell in 2D and eight in 3D
-// (coefficients, recurrence vectors and the folded diagonal), which is
-// what the auto-tuner sizes tiles for. Pass nz = 0 for 2D grids.
-func tiledPool(d *deck.Deck, pool *par.Pool, nx, ny, nz int) *par.Pool {
-	if !d.Tiling {
-		return pool
-	}
-	tx, ty, tz := d.TileX, d.TileY, d.TileZ
-	if tx == 0 && ty == 0 && tz == 0 {
-		fields := 6
-		if nz > 1 {
-			fields = 8
-		}
-		tx, ty, tz = machine.HostDevice().TileFor(nx, ny, nz, fields)
-		if tx == 0 && ty == 0 && tz == 0 {
-			return pool // the whole sweep is LLC-resident; tiling buys nothing
-		}
-	}
-	return pool.WithTiles(tx, ty, tz)
-}
-
 // NewSerial builds a single-rank instance covering the whole deck domain.
 func NewSerial(d *deck.Deck, pool *par.Pool) (*Instance, error) {
 	g, err := grid.NewGrid2D(d.XCells, d.YCells, HaloFor(d), d.XMin, d.XMax, d.YMin, d.YMax)
@@ -103,7 +78,6 @@ func NewInstance(d *deck.Deck, g *grid.Grid2D, pool *par.Pool, c comm.Communicat
 	if pool == nil {
 		pool = par.Serial
 	}
-	pool = tiledPool(d, pool, g.NX, g.NY, 0)
 	inst := &Instance{
 		Deck: d, Grid: g, Pool: pool, Comm: c,
 		dt:      d.InitialTimestep,

@@ -62,7 +62,6 @@ func NewInstance3D(d *deck.Deck, g *grid.Grid3D, pool *par.Pool, c comm.Communic
 	if pool == nil {
 		pool = par.Serial
 	}
-	pool = tiledPool(d, pool, g.NX, g.NY, g.NZ)
 	inst := &Instance3D{
 		Deck: d, Grid: g, Pool: pool, Comm: c,
 		dt:      d.InitialTimestep,

@@ -89,16 +89,6 @@ type Deck struct {
 	// aggregations, with the dense solve only at the top — the paper's
 	// §VII "series of nested lower dimensional sub-spaces".
 	DeflationLevels int
-	// Tiling routes the hot sweeps through the cache-tiled scheduler
-	// (tl_tiling): the iteration space is cut into LLC-sized tiles with
-	// reduction partials folded in a fixed tile order, bit-identical
-	// across worker counts. Setting any tl_tile_* key implies it.
-	Tiling bool
-	// TileX/TileY/TileZ are the tile edge lengths in cells (tl_tile_x /
-	// tl_tile_y / tl_tile_z). 0 (the default) auto-tunes the shape from
-	// the host's cache model (machine.HostDevice().TileFor) when tiling
-	// is on; an explicit value pins that axis.
-	TileX, TileY, TileZ int
 
 	States []State
 }
@@ -247,18 +237,6 @@ func (d *Deck) parseLine(line string) error {
 		return d.setInt(&d.DeflationBlocks, val)
 	case "tl_deflation_levels":
 		return d.setInt(&d.DeflationLevels, val)
-	case "tl_tiling":
-		d.Tiling = true
-		return nil
-	case "tl_tile_x":
-		d.Tiling = true
-		return d.setInt(&d.TileX, val)
-	case "tl_tile_y":
-		d.Tiling = true
-		return d.setInt(&d.TileY, val)
-	case "tl_tile_z":
-		d.Tiling = true
-		return d.setInt(&d.TileZ, val)
 	case "tl_coefficient_density":
 		d.Coefficient = "density"
 		return nil
@@ -387,8 +365,6 @@ func (d *Deck) Validate() error {
 		return fmt.Errorf("deck: tl_eps must be positive")
 	case d.HaloDepth < 1:
 		return fmt.Errorf("deck: halo depth must be >= 1")
-	case d.TileX < 0 || d.TileY < 0 || d.TileZ < 0:
-		return fmt.Errorf("deck: tile edges must be >= 0 (0 = auto), got %dx%dx%d", d.TileX, d.TileY, d.TileZ)
 	case len(d.States) == 0:
 		return fmt.Errorf("deck: need at least one state")
 	}

@@ -138,6 +138,26 @@ func TestRemovedLeverKeysRejected(t *testing.T) {
 	}
 }
 
+// TestRemovedTilingKeysRejected pins that the deleted cache-tiling keys
+// are gone from the dialect: each is rejected as an unknown option on
+// its own line, with or without a value, not silently ignored.
+func TestRemovedTilingKeysRejected(t *testing.T) {
+	for _, line := range []string{"tl_tiling", "tl_tile_x=16", "tl_tile_y=256", "tl_tile_z=16"} {
+		key, _, _ := strings.Cut(line, "=")
+		t.Run(key, func(t *testing.T) {
+			_, err := ParseString("*tea\nstate 1 density=1 energy=1\n" + line + "\n*endtea\n")
+			if err == nil {
+				t.Fatalf("%s: parsed, want an unknown-option error", line)
+			}
+			for _, want := range []string{`unknown option "` + key + `"`, "line 3"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("%s: error %q does not mention %q", line, err, want)
+				}
+			}
+		})
+	}
+}
+
 func TestCommentsAndBlanksIgnored(t *testing.T) {
 	in := `
 ! leading comment
@@ -237,33 +257,6 @@ func TestFusedDotsAndEigenIters(t *testing.T) {
 	}
 	if !d.FusedDots || d.EigenCGIters != 8 || d.HaloDepth != 4 {
 		t.Errorf("extensions not parsed: %+v", d)
-	}
-}
-
-func TestTilingKeys(t *testing.T) {
-	// tl_tiling alone: auto tile shape.
-	d, err := ParseString("*tea\nstate 1 density=1 energy=1\ntl_tiling\n*endtea")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !d.Tiling || d.TileX != 0 || d.TileY != 0 || d.TileZ != 0 {
-		t.Errorf("tl_tiling: got Tiling=%v tiles %dx%dx%d, want auto (true, 0x0x0)", d.Tiling, d.TileX, d.TileY, d.TileZ)
-	}
-	// Any explicit edge implies tiling.
-	d, err = ParseString("*tea\nstate 1 density=1 energy=1\ntl_tile_y=128\ntl_tile_z=4\n*endtea")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !d.Tiling || d.TileX != 0 || d.TileY != 128 || d.TileZ != 4 {
-		t.Errorf("tile edges: got Tiling=%v tiles %dx%dx%d, want true, 0x128x4", d.Tiling, d.TileX, d.TileY, d.TileZ)
-	}
-	// Negative edges are rejected.
-	if _, err := ParseString("*tea\nstate 1 density=1 energy=1\ntl_tile_x=-2\n*endtea"); err == nil {
-		t.Error("negative tile edge must fail validation")
-	}
-	// Default decks stay untiled (byte-stable legacy schedules).
-	if d := Default(); d.Tiling {
-		t.Error("Default() must not enable tiling")
 	}
 }
 

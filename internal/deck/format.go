@@ -53,18 +53,6 @@ func (d *Deck) Format() string {
 	}
 	w("tl_deflation_blocks=%d", d.DeflationBlocks)
 	w("tl_deflation_levels=%d", d.DeflationLevels)
-	if d.Tiling {
-		w("tl_tiling")
-		if d.TileX != 0 {
-			w("tl_tile_x=%d", d.TileX)
-		}
-		if d.TileY != 0 {
-			w("tl_tile_y=%d", d.TileY)
-		}
-		if d.TileZ != 0 {
-			w("tl_tile_z=%d", d.TileZ)
-		}
-	}
 	for _, s := range d.States {
 		sb.WriteString(formatState(s, g))
 	}

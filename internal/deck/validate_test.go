@@ -57,7 +57,6 @@ func TestEveryRejectionPath(t *testing.T) {
 		{"no horizon", deck(base, "end_time=0", "end_step=0"), "need end_time or end_step"},
 		{"zero eps", deck(base, "tl_eps=0"), "tl_eps must be positive"},
 		{"zero halo depth", deck(base, "halo_depth=0"), "halo depth must be >= 1"},
-		{"negative tile edge", deck(base, "tl_tile_y=-4"), "tile edges must be >= 0"},
 		{"no states", deck("x_cells=8"), "need at least one state"},
 
 		// Validate: deflation geometry.

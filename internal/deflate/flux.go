@@ -226,7 +226,7 @@ func (p *projector) solve(b []float64) {
 // of constant block column with eight fixed lanes into p.rows; the serial
 // fold then adds the row sums per block in ascending row order. Neither
 // step depends on how rows were dealt to workers, so the result is
-// bit-identical for every worker count, tiled or not — or for the rows
+// bit-identical for every worker count — or for the rows
 // handed over one at a time by the fused CG pass (restrictRow), the
 // pooled half of a projection the solver takes inside its own sweep.
 func (p *projector) restrict(w []float64) {
@@ -347,7 +347,7 @@ func (p *projector) project(b par.Box, w, m, x []float64) float64 {
 
 // correct subtracts A·W·λ (λ_c = p.lbar + p.cl[c]) from w over b ⊇ interior in one
 // read-modify-write and returns Σ (m⊙x)·w over the INTERIOR of the
-// corrected w (nil m = identity; nil x = no dot, 0), folded in fixed tile
+// corrected w (nil m = identity; nil x = no dot, 0), folded in fixed band
 // order like every other solver dot. Cells of b beyond the interior
 // replicate a neighbour rank's interior and stay out of the dot; they are
 // corrected by the same per-cell arithmetic, so they replicate it bitwise.

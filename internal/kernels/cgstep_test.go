@@ -13,8 +13,7 @@ import (
 // fused_test.go: FusedCGStep must reproduce FusedCGDirections followed
 // by FusedCGUpdate — or, with x skipped on a ring, followed by the ring
 // Axpy(−α) the deep-halo cycle used to run — BIT FOR BIT on p, s, x, r,
-// γ and rr, for every pool size, tiled or not, with and without a folded
-// diagonal. That is what lets the solver engines swap the two sweeps for
+// γ and rr, for every pool size, with and without a folded diagonal. That is what lets the solver engines swap the two sweeps for
 // one without moving a single golden.
 
 // firstDiff returns the first index at which a and b differ bitwise, or
@@ -28,17 +27,6 @@ func firstDiff(a, b []float64) int {
 	return -1
 }
 
-// stepPools is the pool ladder {1,2,4,7} × untiled/tiled; tile edges
-// that do not divide the test grids, and split X.
-func stepPools(tx, ty, tz int) map[string]*par.Pool {
-	pools := map[string]*par.Pool{}
-	for name, p := range fusionPools() {
-		pools[name] = p
-		pools[name+"/tiled"] = p.WithTiles(tx, ty, tz)
-	}
-	return pools
-}
-
 func TestFusedCGStepMatchesTwoSweepsBitwise(t *testing.T) {
 	g := grid.UnitGrid2D(19, 13, 2)
 	in := g.Interior()
@@ -50,7 +38,7 @@ func TestFusedCGStepMatchesTwoSweepsBitwise(t *testing.T) {
 		{X0: in.X1, X1: out.X1, Y0: in.Y0, Y1: in.Y1},
 	}
 	const alpha, beta = 0.31, 0.73
-	for name, pool := range stepPools(5, 3, 0) {
+	for name, pool := range fusionPools() {
 		for _, minv := range []*grid.Field2D{nil, testField(g, 41)} {
 			label := fmt.Sprintf("%s minv=%v", name, minv != nil)
 			r, w := testField(g, 42), testField(g, 43)
@@ -107,7 +95,7 @@ func TestFusedCGStep3DMatchesTwoSweepsBitwise(t *testing.T) {
 		{X0: in.X1, X1: out.X1, Y0: in.Y0, Y1: in.Y1, Z0: in.Z0, Z1: in.Z1},
 	}
 	const alpha, beta = 0.31, 0.73
-	for name, pool := range stepPools(4, 3, 2) {
+	for name, pool := range fusionPools() {
 		for _, minv := range []*grid.Field3D{nil, mk(51)} {
 			label := fmt.Sprintf("%s minv=%v", name, minv != nil)
 			r, w := mk(52), mk(53)
@@ -149,30 +137,28 @@ func dispatchAllocs(pool *par.Pool, k int, b par.Box) float64 {
 	})
 }
 
-// TestFusedCGStepAllocatesNothing: on a 2-worker pool, untiled and cut
-// into many tiles, the merged step allocates exactly what the scheduler
-// dispatch does — nothing per tile, per row or per call of its own.
+// TestFusedCGStepAllocatesNothing: on a 2-worker pool the merged step
+// allocates exactly what the scheduler dispatch does — nothing per band,
+// per row or per call of its own.
 func TestFusedCGStepAllocatesNothing(t *testing.T) {
-	base := par.NewPool(2).WithGrain(1)
-	defer base.Close()
+	pool := par.NewPool(2).WithGrain(1)
+	defer pool.Close()
 	g := grid.UnitGrid2D(64, 48, 2)
 	g3 := grid.UnitGrid3D(24, 16, 12, 2)
 	f := func() *grid.Field2D { return testField(g, 61) }
 	f3 := func() *grid.Field3D { return grid.NewField3D(g3) }
 	minv, r, w, p, s, x := f(), f(), f(), f(), f(), f()
 	minv3, r3, w3, p3, s3, x3 := f3(), f3(), f3(), f3(), f3(), f3()
-	for name, pool := range map[string]*par.Pool{"untiled": base, "tiled": base.WithTiles(16, 4, 3)} {
-		got := testing.AllocsPerRun(20, func() {
-			FusedCGStep(pool, g.Interior(), minv, r, w, 0.5, 1e-3, p, s, x)
-		})
-		if want := dispatchAllocs(pool, 2, box(g.Interior())); got != want {
-			t.Errorf("%s: FusedCGStep allocates %v per call, the bare dispatch %v", name, got, want)
-		}
-		got = testing.AllocsPerRun(20, func() {
-			FusedCGStep3D(pool, g3.Interior(), minv3, r3, w3, 0.5, 1e-3, p3, s3, x3)
-		})
-		if want := dispatchAllocs(pool, 2, box3(g3.Interior())); got != want {
-			t.Errorf("%s: FusedCGStep3D allocates %v per call, the bare dispatch %v", name, got, want)
-		}
+	got := testing.AllocsPerRun(20, func() {
+		FusedCGStep(pool, g.Interior(), minv, r, w, 0.5, 1e-3, p, s, x)
+	})
+	if want := dispatchAllocs(pool, 2, box(g.Interior())); got != want {
+		t.Errorf("FusedCGStep allocates %v per call, the bare dispatch %v", got, want)
+	}
+	got = testing.AllocsPerRun(20, func() {
+		FusedCGStep3D(pool, g3.Interior(), minv3, r3, w3, 0.5, 1e-3, p3, s3, x3)
+	})
+	if want := dispatchAllocs(pool, 2, box3(g3.Interior())); got != want {
+		t.Errorf("FusedCGStep3D allocates %v per call, the bare dispatch %v", got, want)
 	}
 }

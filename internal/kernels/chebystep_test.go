@@ -16,8 +16,8 @@ import (
 // coefficients) but its contract is stated against this package's
 // kernels, so the tests live here: one step of ChebySteps must reproduce
 // Apply followed by FusedPPCGInner BIT FOR BIT on rtemp, the new
-// direction and the accumulator, for every pool size, tiled or not, with
-// and without a folded diagonal, on the interior and on matrix-powers
+// direction and the accumulator, for every pool size, with and without
+// a folded diagonal, on the interior and on matrix-powers
 // bounds extended on any subset of sides. And it must read the old
 // direction no further than one cell beyond those bounds and write the
 // new one nowhere outside them: the cells it may not touch are NaN.
@@ -82,7 +82,7 @@ func TestChebyStepMatchesTwoSweepsBitwise(t *testing.T) {
 	in := g.Interior()
 	op := chebyTestOp2D(g)
 	const alpha, beta = 0.83, 0.29
-	for name, pool := range stepPools(5, 3, 0) {
+	for name, pool := range fusionPools() {
 		for _, minv := range []*grid.Field2D{nil, testField(g, 72)} {
 			for _, ex := range extraSides {
 				b := in.ExpandSides(ex[0], ex[1], ex[2], ex[3], g)
@@ -156,7 +156,7 @@ func TestChebyStep3DMatchesTwoSweepsBitwise(t *testing.T) {
 	}
 	whole := grid.Bounds3D{X0: -4, X1: g.NX + 4, Y0: -4, Y1: g.NY + 4, Z0: -4, Z1: g.NZ + 4}
 	const alpha, beta = 0.83, 0.29
-	for name, pool := range stepPools(4, 3, 2) {
+	for name, pool := range fusionPools() {
 		for _, minv := range []*grid.Field3D{nil, mk(82)} {
 			for _, ex := range extraSides {
 				b := grid.Bounds3D{X0: in.X0 - ex[0], X1: in.X1 + ex[1], Y0: in.Y0 - ex[2], Y1: in.Y1 + ex[3], Z0: in.Z0 - ex[4], Z1: in.Z1 + ex[5]}
@@ -269,8 +269,8 @@ func TestPPCGInnerInitMatchesFourSweepsBitwise(t *testing.T) {
 // per call of its own (see dispatchAllocs for why the floor is not zero). The Chebyshev steps' pin is in package solver, beside
 // the inner solve that calls them.
 func TestPPCGInnerInitAllocatesNothing(t *testing.T) {
-	base := par.NewPool(2).WithGrain(1)
-	defer base.Close()
+	pool := par.NewPool(2).WithGrain(1)
+	defer pool.Close()
 	g := grid.UnitGrid2D(64, 48, 2)
 	g3 := grid.UnitGrid3D(24, 16, 12, 2)
 	f := func() *grid.Field2D { return testField(g, 61) }
@@ -281,20 +281,18 @@ func TestPPCGInnerInitAllocatesNothing(t *testing.T) {
 	// The bare dispatch runs a body that captures (and only reads) a
 	// variable, like the sweep's own.
 	x := []float64{1}
-	for name, pool := range map[string]*par.Pool{"untiled": base, "tiled": base.WithTiles(16, 4, 3)} {
-		bare := testing.AllocsPerRun(20, func() { pool.For(0, in.Y1, func(lo, hi int) { _ = x[0] }) })
-		got := testing.AllocsPerRun(20, func() {
-			PPCGInnerInit(pool, in, 0.5, p, w, u, r, rtemp, 0.5, minv, sd, z)
-		})
-		if got != bare {
-			t.Errorf("%s: PPCGInnerInit allocates %v per call, a bare For %v", name, got, bare)
-		}
-		got = testing.AllocsPerRun(20, func() {
-			PPCGInnerInit3D(pool, in3, 0.5, p3, w3, u3, r3, rtemp3, 0.5, minv3, sd3, z3)
-		})
-		if got != bare {
-			t.Errorf("%s: PPCGInnerInit3D allocates %v per call, a bare For %v", name, got, bare)
-		}
+	bare := testing.AllocsPerRun(20, func() { pool.For(0, in.Y1, func(lo, hi int) { _ = x[0] }) })
+	got := testing.AllocsPerRun(20, func() {
+		PPCGInnerInit(pool, in, 0.5, p, w, u, r, rtemp, 0.5, minv, sd, z)
+	})
+	if got != bare {
+		t.Errorf("PPCGInnerInit allocates %v per call, a bare For %v", got, bare)
+	}
+	got = testing.AllocsPerRun(20, func() {
+		PPCGInnerInit3D(pool, in3, 0.5, p3, w3, u3, r3, rtemp3, 0.5, minv3, sd3, z3)
+	})
+	if got != bare {
+		t.Errorf("PPCGInnerInit3D allocates %v per call, a bare For %v", got, bare)
 	}
 }
 

@@ -7,7 +7,6 @@ package kernels
 var (
 	TestField   = testField
 	NewRng      = newRng
-	StepPools   = stepPools
 	FusionPools = fusionPools
 	FirstDiff   = firstDiff
 )

@@ -6,7 +6,6 @@ import . "tealeaf/internal/kernels"
 var (
 	testField   = TestField
 	newRng      = NewRng
-	stepPools   = StepPools
 	fusionPools = FusionPools
 	firstDiff   = FirstDiff
 )

@@ -60,58 +60,10 @@ func (d Device) EffectiveBW(ws float64) float64 {
 	return 1 / ((1-f)/d.StreamBW + f/d.CacheBW)
 }
 
-// TileFor returns the tile edge lengths (tx, ty, tz) for a sweep over an
-// nx×ny(×nz) box that co-walks `fields` float64 arrays per cell, sized
-// so one tile's working set — including the one-cell stencil surround —
-// fits in half the last-level cache (the other half is left to the
-// other solver vectors and the next tile's prefetch stream). X is never
-// split: full rows keep the hardware prefetchers streaming, and the
-// repo's earlier column-tiling experiment (strip-mined stencil rows)
-// showed broken X streams cost more than residency gains. Pass nz <= 1
-// for 2D sweeps. A zero return for an axis means "do not split that axis"; an
-// all-zero return means the whole sweep already fits and tiling is
-// pointless.
-func (d Device) TileFor(nx, ny, nz, fields int) (tx, ty, tz int) {
-	budget := d.CacheBytes / 2
-	if budget <= 0 {
-		budget = 16e6 // no cache model: assume a modest 32 MB LLC
-	}
-	rowBytes := float64(fields) * 8 * float64(nx+2)
-	if nz <= 1 {
-		rows := int(budget/rowBytes) - 2
-		if rows >= ny {
-			return 0, 0, 0
-		}
-		if rows < 4 {
-			rows = 4
-		}
-		return 0, rows, 0
-	}
-	planeBytes := rowBytes * float64(ny+2)
-	planes := int(budget/planeBytes) - 2
-	if planes >= nz {
-		return 0, 0, 0
-	}
-	if planes >= 4 {
-		return 0, 0, planes
-	}
-	// Full XY planes outgrow the cache: block Y too, under a thin Z slab.
-	tz = 4
-	rows := int(budget/(rowBytes*float64(tz+2))) - 2
-	if rows >= ny {
-		return 0, 0, tz
-	}
-	if rows < 4 {
-		rows = 4
-	}
-	return 0, rows, tz
-}
-
-// HostDevice describes the machine this process runs on, for tile-shape
-// auto-tuning: the LLC size is read from sysfs where available (Linux),
-// falling back to a nominal 32 MB; the bandwidth figures are nominal
-// single-socket numbers and only matter for roofline annotations, not
-// for the tile shape.
+// HostDevice describes the machine this process runs on: the LLC size
+// is read from sysfs where available (Linux), falling back to a nominal
+// 32 MB; the bandwidth figures are nominal single-socket numbers and
+// only matter for roofline annotations.
 func HostDevice() Device {
 	d := Device{
 		Name:          "host",

@@ -83,51 +83,6 @@ func TestEffectiveBWCacheModel(t *testing.T) {
 	}
 }
 
-func TestTileFor(t *testing.T) {
-	d := Spruce().Device // 50 MB LLC, 25 MB tile budget
-	// Small 2D mesh: everything fits, no tiling.
-	if tx, ty, tz := d.TileFor(256, 256, 0, 5); tx != 0 || ty != 0 || tz != 0 {
-		t.Errorf("small mesh tiled as (%d,%d,%d), want untiled", tx, ty, tz)
-	}
-	// 4096² at 5 fields/cell is ~671 MB: Y must split, X never.
-	tx, ty, tz := d.TileFor(4096, 4096, 0, 5)
-	if tx != 0 || tz != 0 {
-		t.Errorf("2D tile must split only Y, got (%d,%d,%d)", tx, ty, tz)
-	}
-	if ty < 4 || ty >= 4096 {
-		t.Errorf("ty = %d out of range", ty)
-	}
-	// The tile working set must fit the budget.
-	if ws := float64(5*8*(4096+2)) * float64(ty+2); ws > d.CacheBytes/2 {
-		t.Errorf("2D tile working set %.0f exceeds budget %.0f", ws, d.CacheBytes/2)
-	}
-	// 256×256×512 at 7 fields/cell: one XY plane is ~3.7 MB so a block
-	// of Z planes fits the 25 MB budget; Y stays whole.
-	tx, ty, tz = d.TileFor(256, 256, 512, 7)
-	if tx != 0 || ty != 0 {
-		t.Errorf("3D tile with fitting planes must split only Z, got (%d,%d,%d)", tx, ty, tz)
-	}
-	if tz < 1 || tz >= 512 {
-		t.Errorf("tz = %d out of range", tz)
-	}
-	// 2048×2048×128 at 7 fields/cell: one plane is ~235 MB, so Y must
-	// split too under a thin Z slab.
-	tx, ty, tz = d.TileFor(2048, 2048, 128, 7)
-	if tx != 0 {
-		t.Errorf("X must never split, got tx=%d", tx)
-	}
-	if ty == 0 || tz == 0 {
-		t.Errorf("fat planes must force a Y split under a Z slab, got (%d,%d,%d)", tx, ty, tz)
-	}
-	if ws := float64(7*8*(2048+2)) * float64(ty+2) * float64(tz+2); ws > 2*d.CacheBytes {
-		t.Errorf("3D tile working set %.0f far exceeds budget", ws)
-	}
-	// Zero cache model falls back to a nominal budget rather than zero.
-	if _, ty, _ := (Device{}).TileFor(8192, 8192, 0, 5); ty < 4 {
-		t.Errorf("no-cache-model fallback gave ty=%d", ty)
-	}
-}
-
 func TestHostDevice(t *testing.T) {
 	d := HostDevice()
 	if d.CacheBytes <= 0 || d.StreamBW <= 0 {

@@ -1,10 +1,10 @@
 package par
 
-// ForBandsReduceN runs body once per band of the untiled schedule of an
-// outer-axis range [lo, hi) — the bands ForTilesReduceN cuts an untiled
-// box with those outer rows into — with k sums folded exactly as it folds
-// them: each band accumulates into its own acc (len k, zeroed), and the
-// partials are summed in band order. It is for a sweep whose row k reads
+// ForBandsReduceN runs body once per band of an outer-axis range
+// [lo, hi) — the bands ForTilesReduceN cuts a box with those outer rows
+// into — with k sums folded exactly as it folds them: each band
+// accumulates into its own acc (len k, zeroed), and the partials are
+// summed in band order. It is for a sweep whose row k reads
 // rows k−1..k+1 of something the same sweep writes one row ahead (the
 // fused CG iteration in internal/stencil steps r on row k+1, then runs the
 // matvec of row k): before any band runs, edge(row) is called once for
@@ -13,11 +13,8 @@ package par
 // its own. A band may then read an edge row of its neighbour without
 // further synchronisation, provided body writes nothing its neighbours
 // read. With one band (one worker, or a range below the grain) edge is
-// never called and body runs inline over [lo, hi).
-//
-// The pool's tiling is not consulted: callers wanting ForTilesReduceN's
-// per-tile fold on a tiled pool must use it. The reentrancy rules of For
-// apply.
+// never called and body runs inline over [lo, hi). The reentrancy rules
+// of For apply.
 func (p *Pool) ForBandsReduceN(k, lo, hi int, edge func(row int), body func(b0, b1 int, acc []float64)) []float64 {
 	out := make([]float64, k)
 	if hi <= lo || k == 0 {

@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// TestForBandsReduceN: the bands are ForTilesReduceN's untiled bands and
+// TestForBandsReduceN: the bands are ForTilesReduceN's bands and
 // the partials fold the same way, bit for bit; edge runs exactly once for
 // each row next to an internal cut — the first row of every band but the
 // first and the last of every band but the last — and every edge call

@@ -5,13 +5,11 @@
 // worker, mirroring an OpenMP static schedule so each worker touches a
 // contiguous, cache-friendly band of the grid.
 //
-// Pools come in two flavours. NewPool builds a persistent worker team:
-// long-lived goroutines parked on per-worker channels, so For/ForReduce
-// dispatch with two channel operations per worker instead of a goroutine
-// spawn — the same reuse an OpenMP runtime gets from its thread team.
-// NewForkPool preserves the original fork-per-call behaviour for
-// comparison benchmarks and callers that cannot tolerate resident
-// goroutines.
+// NewPool builds a persistent worker team: long-lived goroutines parked
+// on per-worker channels, so For/ForReduce dispatch with two channel
+// operations per worker instead of a goroutine spawn — the same reuse an
+// OpenMP runtime gets from its thread team. A closed pool falls back to
+// forking goroutines per region.
 //
 // The pool is explicit rather than implicit (no package-level state) so
 // that distributed runs can give each simulated rank its own thread team,
@@ -26,7 +24,7 @@ import (
 )
 
 // Pool is a team of workers for data-parallel loops. The zero value is not
-// usable; construct with NewPool or NewForkPool. A Pool with one worker
+// usable; construct with NewPool. A Pool with one worker
 // executes inline with no synchronisation overhead.
 type Pool struct {
 	workers int
@@ -35,19 +33,14 @@ type Pool struct {
 	// costs more than the rows themselves (the same trade-off as an
 	// OpenMP `if` clause).
 	minGrain int
-	// team is the persistent worker set; nil selects fork-per-call mode.
+	// team is the persistent worker set; nil on one-worker pools, which
+	// always run inline.
 	team *team
 	// hold keeps the garbage-collection backstop from stopping the team
 	// while any Pool copy (WithGrain shares the team) is still reachable:
 	// the AddCleanup in NewPool is attached to this handle, not to the
 	// team itself (which the parked workers always reference).
 	hold *teamRef
-	// tx, ty, tz are the tile edge lengths the ForTiles/ForTilesReduceN
-	// schedulers decompose iteration boxes into, and tiled selects the
-	// tiled schedule at all (see WithTiles). An untiled pool degenerates
-	// to the legacy one-band-per-worker split along the outermost axis.
-	tx, ty, tz int
-	tiled      bool
 }
 
 // teamRef is the reachability proxy for a shared worker team; see
@@ -79,17 +72,6 @@ func NewPool(workers int) *Pool {
 	return p
 }
 
-// NewForkPool returns a pool with the seed's original behaviour: fresh
-// goroutines forked for every parallel region. It exists for A/B
-// benchmarks against the persistent team and for short-lived pools where
-// resident goroutines are unwanted.
-func NewForkPool(workers int) *Pool {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return &Pool{workers: workers, minGrain: DefaultGrain}
-}
-
 // Serial is a single-worker pool that always executes inline.
 var Serial = &Pool{workers: 1, minGrain: DefaultGrain}
 
@@ -99,8 +81,7 @@ func (p *Pool) WithGrain(grain int) *Pool {
 	if grain < 1 {
 		grain = 1
 	}
-	return &Pool{workers: p.workers, minGrain: grain, team: p.team, hold: p.hold,
-		tx: p.tx, ty: p.ty, tz: p.tz, tiled: p.tiled}
+	return &Pool{workers: p.workers, minGrain: grain, team: p.team, hold: p.hold}
 }
 
 // Workers returns the worker count.
@@ -249,8 +230,8 @@ func (p *Pool) region(nb int, run func(id int)) {
 // Parallel regions on a persistent-team pool are NOT reentrant: body
 // must not call For/ForReduce* on the same pool (the team's dispatch
 // lock is held for the whole region, so a nested region would deadlock).
-// Kernels never nest; use separate pools or NewForkPool if a future
-// caller needs nesting.
+// Kernels never nest; use separate pools if a future caller needs
+// nesting.
 func (p *Pool) For(lo, hi int, body func(lo, hi int)) {
 	if hi <= lo {
 		return
@@ -288,30 +269,6 @@ func (p *Pool) ForReduce(lo, hi int, body func(lo, hi int) float64) float64 {
 		sum += v
 	}
 	return sum
-}
-
-// ForReduce2 is ForReduce with two simultaneous sum reductions, used by the
-// fused-dot-product solver variants (§VII of the paper proposes combining
-// multiple dot products into a single communication/reduction step).
-func (p *Pool) ForReduce2(lo, hi int, body func(lo, hi int) (float64, float64)) (float64, float64) {
-	if hi <= lo {
-		return 0, 0
-	}
-	nb := p.blocks(lo, hi)
-	if nb == 1 {
-		return body(lo, hi)
-	}
-	n := hi - lo
-	pa := make([]float64, 2*nb)
-	p.region(nb, func(id int) {
-		pa[2*id], pa[2*id+1] = body(lo+id*n/nb, lo+(id+1)*n/nb)
-	})
-	var sa, sb float64
-	for i := 0; i < nb; i++ {
-		sa += pa[2*i]
-		sb += pa[2*i+1]
-	}
-	return sa, sb
 }
 
 // ForReduceN runs body over contiguous sub-ranges covering [lo, hi) with k

@@ -88,28 +88,6 @@ func TestForReduceDeterministic(t *testing.T) {
 	}
 }
 
-func TestForReduce2(t *testing.T) {
-	p := NewPool(4).WithGrain(1)
-	n := 5000
-	sa, sb := p.ForReduce2(0, n, func(lo, hi int) (float64, float64) {
-		var a, b float64
-		for i := lo; i < hi; i++ {
-			a += float64(i)
-			b += 2 * float64(i)
-		}
-		return a, b
-	})
-	want := float64(n*(n-1)) / 2
-	if sa != want || sb != 2*want {
-		t.Errorf("ForReduce2 = (%v,%v), want (%v,%v)", sa, sb, want, 2*want)
-	}
-	// Empty range.
-	sa, sb = p.ForReduce2(3, 3, func(lo, hi int) (float64, float64) { return 1, 1 })
-	if sa != 0 || sb != 0 {
-		t.Error("empty range must reduce to zero")
-	}
-}
-
 func TestNewPoolDefaults(t *testing.T) {
 	if NewPool(0).Workers() < 1 {
 		t.Error("NewPool(0) must pick at least one worker")
@@ -165,6 +143,9 @@ func TestPersistentTeamReuse(t *testing.T) {
 	}
 }
 
+// TestForkAndPersistentAgree: a closed pool's regions fork goroutines
+// instead of dispatching to the team, over the same blocks — so the
+// same sums, bit for bit.
 func TestForkAndPersistentAgree(t *testing.T) {
 	body := func(lo, hi int) float64 {
 		var s float64
@@ -175,10 +156,10 @@ func TestForkAndPersistentAgree(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2, 4, 7} {
 		pp := NewPool(workers).WithGrain(1)
-		fp := NewForkPool(workers).WithGrain(1)
+		fp := NewPool(workers).WithGrain(1)
+		fp.Close()
 		a := pp.ForReduce(0, 50000, body)
 		b := fp.ForReduce(0, 50000, body)
-		// Identical block split => bit-identical partial sums.
 		if a != b {
 			t.Errorf("workers=%d: persistent %v != fork %v", workers, a, b)
 		}

@@ -9,21 +9,23 @@ import (
 func TestForTilesCoversBoxExactlyOnce(t *testing.T) {
 	nx, ny, nz := 37, 23, 11
 	for _, workers := range []int{1, 2, 4, 7} {
-		for _, shape := range [][3]int{{8, 8, 4}, {16, 5, 0}, {0, 7, 3}, {1, 1, 1}, {64, 64, 64}} {
-			p := NewPool(workers).WithTiles(shape[0], shape[1], shape[2])
-			hits := make([]int32, nx*ny*nz)
-			p.ForTiles(Box3D(0, nx, 0, ny, 0, nz), func(tl Tile) {
-				for k := tl.Z0; k < tl.Z1; k++ {
-					for j := tl.Y0; j < tl.Y1; j++ {
-						for i := tl.X0; i < tl.X1; i++ {
-							atomic.AddInt32(&hits[(k*ny+j)*nx+i], 1)
+		for _, grain := range []int{DefaultGrain, 1} {
+			p := NewPool(workers).WithGrain(grain)
+			for _, b := range []Box{Box3D(0, nx, 0, ny, 0, nz), Box2D(0, nx, 0, ny*nz)} {
+				hits := make([]int32, nx*ny*nz)
+				p.ForTiles(b, func(tl Tile) {
+					for k := tl.Z0; k < tl.Z1; k++ {
+						for j := tl.Y0; j < tl.Y1; j++ {
+							for i := tl.X0; i < tl.X1; i++ {
+								atomic.AddInt32(&hits[(k*ny+j)*nx+i], 1)
+							}
 						}
 					}
-				}
-			})
-			for i, h := range hits {
-				if h != 1 {
-					t.Fatalf("workers=%d shape=%v: cell %d hit %d times", workers, shape, i, h)
+				})
+				for i, h := range hits {
+					if h != 1 {
+						t.Fatalf("workers=%d grain=%d dims=%d: cell %d hit %d times", workers, grain, b.dims, i, h)
+					}
 				}
 			}
 			p.Close()
@@ -34,7 +36,7 @@ func TestForTilesCoversBoxExactlyOnce(t *testing.T) {
 func TestForTiles2DCoversOffsetBox(t *testing.T) {
 	// 2D boxes with non-zero origins (interior bounds start at 0 but
 	// matrix-powers boxes go negative).
-	p := NewPool(4).WithTiles(5, 3, 0)
+	p := NewPool(4).WithGrain(1)
 	defer p.Close()
 	x0, x1, y0, y1 := -2, 31, -4, 17
 	nx, ny := x1-x0, y1-y0
@@ -42,6 +44,9 @@ func TestForTiles2DCoversOffsetBox(t *testing.T) {
 	p.ForTiles(Box2D(x0, x1, y0, y1), func(tl Tile) {
 		if tl.Z0 != 0 || tl.Z1 != 1 {
 			t.Errorf("2D tile has Z bounds [%d,%d)", tl.Z0, tl.Z1)
+		}
+		if tl.X0 != x0 || tl.X1 != x1 {
+			t.Errorf("2D tile splits x: [%d,%d)", tl.X0, tl.X1)
 		}
 		for j := tl.Y0; j < tl.Y1; j++ {
 			for i := tl.X0; i < tl.X1; i++ {
@@ -57,7 +62,7 @@ func TestForTiles2DCoversOffsetBox(t *testing.T) {
 }
 
 func TestForTilesEmptyBox(t *testing.T) {
-	p := NewPool(4).WithTiles(8, 8, 0)
+	p := NewPool(4).WithGrain(1)
 	defer p.Close()
 	called := false
 	p.ForTiles(Box2D(5, 5, 0, 10), func(Tile) { called = true })
@@ -65,14 +70,16 @@ func TestForTilesEmptyBox(t *testing.T) {
 	if called {
 		t.Error("body must not run on an empty box")
 	}
-	got := p.ForTilesReduceN(2, Box2D(7, 2, 0, 5), func(Tile, []float64) {})
-	if got[0] != 0 || got[1] != 0 {
-		t.Errorf("empty box reduced to %v", got)
+	for _, b := range []Box{Box2D(7, 2, 0, 5), Box3D(0, 4, 0, 4, 2, 2)} {
+		got := p.ForTilesReduceN(2, b, func(Tile, []float64) { called = true })
+		if called || len(got) != 2 || got[0] != 0 || got[1] != 0 {
+			t.Errorf("empty box %+v reduced to %v (body called: %v)", b, got, called)
+		}
 	}
 }
 
 // tileHarmonic is a reduction whose value depends on association order,
-// so bit-equality across worker counts actually tests the fold order.
+// so bit-equality with ForReduceN actually tests the bands and the fold.
 func tileHarmonic(nx int) func(tl Tile, acc []float64) {
 	return func(tl Tile, acc []float64) {
 		for k := tl.Z0; k < tl.Z1; k++ {
@@ -87,55 +94,40 @@ func tileHarmonic(nx int) func(tl Tile, acc []float64) {
 	}
 }
 
-func TestForTilesReduceNBitIdenticalAcrossWorkers(t *testing.T) {
-	// The tiled contract: for a FIXED tile shape the reduction is
-	// bit-identical for every worker count — per-tile partials folded in
-	// global tile order, never worker order.
-	for _, shape := range [][3]int{{8, 8, 4}, {16, 3, 2}, {0, 5, 0}, {7, 7, 7}} {
-		var ref []float64
-		for _, workers := range []int{1, 2, 4, 7} {
-			p := NewPool(workers).WithTiles(shape[0], shape[1], shape[2])
-			got := p.ForTilesReduceN(2, Box3D(0, 33, 0, 19, 0, 9), tileHarmonic(33))
-			p.Close()
-			if ref == nil {
-				ref = got
-				continue
-			}
-			if got[0] != ref[0] || got[1] != ref[1] {
-				t.Fatalf("shape=%v workers=%d: %v != serial %v", shape, workers, got, ref)
-			}
-		}
-	}
-}
-
-func TestForTilesReduceNUntiledMatchesLegacy(t *testing.T) {
-	// On an untiled pool the tile API must reproduce ForReduceN's bands
-	// and fold bit-for-bit: converting a kernel changes nothing until
-	// tiling is switched on.
+func TestForTilesReduceNMatchesForReduceN(t *testing.T) {
+	// The box API must reproduce ForReduceN's bands and fold bit for bit
+	// along the outermost axis: Y in 2D, Z in 3D.
 	for _, workers := range []int{1, 2, 4, 7} {
 		p := NewPool(workers).WithGrain(1)
-		nx, ny := 41, 29
+		nx, ny, nz := 41, 29, 9
 		legacy := p.ForReduceN(2, 0, ny, func(lo, hi int, acc []float64) {
 			tileHarmonic(nx)(Tile{X0: 0, X1: nx, Y0: lo, Y1: hi, Z0: 0, Z1: 1}, acc)
 		})
 		viaTiles := p.ForTilesReduceN(2, Box2D(0, nx, 0, ny), tileHarmonic(nx))
-		p.Close()
 		if legacy[0] != viaTiles[0] || legacy[1] != viaTiles[1] {
-			t.Fatalf("workers=%d: untiled tile path %v != legacy %v", workers, viaTiles, legacy)
+			t.Fatalf("workers=%d 2D: tile path %v != ForReduceN %v", workers, viaTiles, legacy)
 		}
+		legacy = p.ForReduceN(2, 0, nz, func(lo, hi int, acc []float64) {
+			tileHarmonic(nx)(Tile{X0: 0, X1: nx, Y0: 0, Y1: ny, Z0: lo, Z1: hi}, acc)
+		})
+		viaTiles = p.ForTilesReduceN(2, Box3D(0, nx, 0, ny, 0, nz), tileHarmonic(nx))
+		if legacy[0] != viaTiles[0] || legacy[1] != viaTiles[1] {
+			t.Fatalf("workers=%d 3D: tile path %v != ForReduceN %v", workers, viaTiles, legacy)
+		}
+		p.Close()
 	}
 }
 
-func TestForTilesReduceNSerialTiledMatchesParallelTiled(t *testing.T) {
-	// quick-check over random box extents and tile shapes.
-	f := func(sx, sy, tu, tv uint8) bool {
-		nx, ny := int(sx%60)+1, int(sy%60)+1
-		tx, ty := int(tu%17), int(tv%17) // 0 means full extent
-		serial := NewPool(1).WithTiles(tx, ty, 0)
-		parallel := NewPool(5).WithTiles(tx, ty, 0)
-		defer parallel.Close()
-		a := serial.ForTilesReduceN(2, Box2D(0, nx, 0, ny), tileHarmonic(nx))
-		b := parallel.ForTilesReduceN(2, Box2D(0, nx, 0, ny), tileHarmonic(nx))
+func TestForTilesReduceNMatchesForReduceNQuick(t *testing.T) {
+	// quick-check over random box extents, origins and worker counts.
+	f := func(sx, sy, oy, w uint8) bool {
+		nx, ny, y0 := int(sx%60)+1, int(sy%60)+1, int(oy%7)-3
+		p := NewPool(int(w%6) + 1).WithGrain(1)
+		defer p.Close()
+		a := p.ForReduceN(2, y0, y0+ny, func(lo, hi int, acc []float64) {
+			tileHarmonic(nx)(Tile{X0: 0, X1: nx, Y0: lo, Y1: hi, Z0: 0, Z1: 1}, acc)
+		})
+		b := p.ForTilesReduceN(2, Box2D(0, nx, y0, y0+ny), tileHarmonic(nx))
 		return a[0] == b[0] && a[1] == b[1]
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -143,37 +135,8 @@ func TestForTilesReduceNSerialTiledMatchesParallelTiled(t *testing.T) {
 	}
 }
 
-func TestWithTilesSharesTeamAndUntiledRoundTrip(t *testing.T) {
-	p := NewPool(3)
-	defer p.Close()
-	q := p.WithTiles(0, 16, 0)
-	if !q.Persistent() {
-		t.Fatal("WithTiles must share the persistent team")
-	}
-	if !q.Tiled() {
-		t.Fatal("WithTiles must enable the tiled schedule")
-	}
-	if tx, ty, tz := q.TileShape(); tx != 0 || ty != 16 || tz != 0 {
-		t.Fatalf("TileShape = (%d,%d,%d), want (0,16,0)", tx, ty, tz)
-	}
-	if p.Tiled() {
-		t.Fatal("WithTiles must not mutate the receiver")
-	}
-	u := q.Untiled()
-	if u.Tiled() {
-		t.Fatal("Untiled must disable the tiled schedule")
-	}
-	if !u.Persistent() {
-		t.Fatal("Untiled must keep the worker team")
-	}
-	// WithGrain on a tiled pool keeps the tiling.
-	if !q.WithGrain(1).Tiled() {
-		t.Fatal("WithGrain must preserve the tile configuration")
-	}
-}
-
-func TestForTilesUntiledMatchesFor(t *testing.T) {
-	// Untiled ForTiles bands exactly like For along the outer axis.
+func TestForTilesMatchesFor(t *testing.T) {
+	// ForTiles bands exactly like For along the outer axis.
 	for _, workers := range []int{1, 2, 4, 7} {
 		p := NewPool(workers).WithGrain(1)
 		ny := 57

@@ -33,8 +33,7 @@ const (
 // and cell sizes, density/recip_density conductivity, a background plus
 // up to four high-contrast regions (boxes, discs/spheres, points), the
 // implicit-step stiffness regime (via dt), cg/ppcg, all three
-// preconditioners, deep halos, fused dots, tiling with explicit or auto
-// tile edges, and the deflation hierarchy.
+// preconditioners, deep halos, fused dots and the deflation hierarchy.
 func Gen(r *rand.Rand) *deck.Deck {
 	d := deck.Default()
 	d.EndStep = 1 + r.Intn(genMaxSteps)
@@ -108,16 +107,16 @@ func Gen(r *rand.Rand) *deck.Deck {
 	// seed still generates the same decks on the remaining axes.
 	r.Float64()
 	r.Float64()
+	// The deleted tiling axis's draws, kept so seeds keep their decks.
 	if r.Float64() < 0.30 {
-		d.Tiling = true
 		if r.Float64() < 0.5 {
-			d.TileX = 4 + r.Intn(13)
+			r.Intn(13)
 		}
 		if r.Float64() < 0.5 {
-			d.TileY = 2 + r.Intn(7)
+			r.Intn(7)
 		}
 		if d.Dims == 3 && r.Float64() < 0.5 {
-			d.TileZ = 2 + r.Intn(5)
+			r.Intn(5)
 		}
 	}
 	minCells := d.XCells

@@ -12,9 +12,8 @@ import (
 	"tealeaf/internal/solver"
 )
 
-// Checker tolerances. The exact-equality checkers (backend at 2 ranks,
-// tiled across worker counts) take no tolerance at all: those contracts
-// are bit-identity, pinned as such since PRs 4 and 8. The rest are
+// Checker tolerances. The exact-equality checker (backend at 2 ranks)
+// takes no tolerance at all: that contract is bit-identity. The rest are
 // relative to the final energy field's magnitude, matching the golden
 // tests that established them.
 // TolRank and TolHalo are floors, not the whole tolerance: the rank and
@@ -39,13 +38,15 @@ const (
 // and mult× the deck's stop tolerance, scaled by the field magnitude.
 // The goldens pin 1e-10 at eps=1e-9 on decks with benign spectra;
 // across arbitrary decks the stop error is O(eps·κ) with a
-// leg-dependent direction, so the spread scales with eps. Rank and halo
-// legs share the recurrence structure and differ only in summation
-// order (observed spread ≤ ~8·eps → mult 30); engine and tiled-vs-
-// untiled legs run structurally different recurrences with nearly
-// independent stop errors (observed ≤ ~85·eps → mult 150). Both stay
-// sharp invariants — a kernel bug perturbs fields at O(1)·Δ, decades
-// above either bound.
+// leg-dependent direction, so the spread scales with eps. Rank, halo
+// and worker legs share the recurrence structure and differ only in
+// summation order; engine legs run structurally different recurrences
+// with nearly independent stop errors (observed ≤ ~85·eps). Every
+// checker uses mult 150: summation order alone can move a loose-eps
+// stop by a few iterations — two 3D seed-1 decks at eps 1e-9 landed
+// 42–45·eps apart on 2 workers (88 vs 91 and 81 vs 80 iterations), a
+// gap that shrinks with eps. The bound stays a sharp invariant — a
+// kernel bug perturbs fields at O(1)·Δ, decades above it.
 func legTol(floor, mult float64, d *deck.Deck, base *runOut) float64 {
 	t := floor
 	if e := mult * d.Eps; e > t {
@@ -82,13 +83,14 @@ func newHarness(d *deck.Deck, cfg Config) *harness {
 
 // runSerial solves d in-process with the given worker count, applying
 // mutate to the solver options before the first step (how the classic
-// leg is selected without re-parsing the deck). The
-// leg name feeds the Tamper fault-injection hook; the base leg also
-// keeps the energy book checkConserve reads.
+// leg is selected without re-parsing the deck). A multi-worker pool has
+// grain 1: the fuzz meshes are below the default grain and would
+// otherwise never split. The leg name feeds the Tamper fault-injection
+// hook; the base leg also keeps the energy book checkConserve reads.
 func (h *harness) runSerial(d *deck.Deck, leg string, workers int, mutate func(*solver.Options)) (*runOut, error) {
 	pool := par.Serial
 	if workers > 1 {
-		pool = par.NewPool(workers)
+		pool = par.NewPool(workers).WithGrain(1)
 		defer pool.Close()
 	}
 	if d.Dims == 3 {
@@ -370,7 +372,7 @@ var checkers = []checkerDef{
 	{name: "engines", run: checkEngines},
 	{name: "rank-invariance", run: checkRankInvariance},
 	{name: "backend-bit-equality", run: checkBackendBits},
-	{name: "tiled-bit-identity", run: checkTiled},
+	{name: "workers", run: checkWorkers},
 	{name: "halo-depth", applies: depthApplies, run: checkHaloDepth},
 }
 
@@ -511,68 +513,40 @@ func checkBackendBits(h *harness) error {
 	return nil
 }
 
-// checkTiled: tiled runs are bit-identical across pool sizes {1,2,4}
-// (the tiled scheduler folds reduction partials in fixed tile order) and
-// agree with the untiled run to TolEngine relative. A depth-1 deck whose
-// halo can deepen also runs the depth-2 cycle (extended-bounds sweeps and
-// ring updates on the tiled pool) at 1, 2 and 4 workers, which must be
-// bit-identical too.
-func checkTiled(h *harness) error {
-	un := Clone(h.d)
-	un.Tiling = false
-	un.TileX, un.TileY, un.TileZ = 0, 0, 0
-	td := Clone(h.d)
-	td.Tiling = true
-	// Pin explicit tile edges when the deck leaves them to the
-	// auto-tuner: tiny meshes may auto-tune to a single tile, which
-	// would make the cross-worker comparison vacuous.
-	if td.TileX == 0 {
-		td.TileX = maxInt(4, td.XCells/2)
-	}
-	if td.TileY == 0 {
-		td.TileY = maxInt(2, td.YCells/3)
-	}
-	if td.Dims == 3 && td.TileZ == 0 {
-		td.TileZ = maxInt(2, td.ZCells/2)
-	}
-	untiled, err := h.runSerial(un, "untiled", 1, nil)
+// checkWorkers: the band split changes only the order the dots are
+// summed in, as a rank decomposition does — so 2- and 4-worker runs
+// reproduce the 1-worker base to the rank legs' tolerance (see legTol).
+// A depth-1 deck whose halo can deepen also runs the depth-2 cycle at 2
+// workers (extended-bounds sweeps, ring updates and the fused CG pass's
+// band cuts on a split pool), which a single rank keeps bit-identical
+// to depth 1, so it is held to the same tolerance.
+func checkWorkers(h *harness) error {
+	base, err := h.baseRun()
 	if err != nil {
 		return err
 	}
-	w1, err := workerInvariant(h, td, "tiled")
-	if err != nil {
-		return err
-	}
-	tol := legTol(TolEngine, 150, h.d, untiled)
-	if diff := maxDiff(untiled, w1); diff > tol {
-		return fmt.Errorf("untiled vs tiled differ by %.3e (tol %.3e)", diff, tol)
-	}
-	if !depthApplies(h.d) || td.HaloDepth > 1 {
-		return nil // no deep cycle possible, or the legs above already ran one
-	}
-	deep := Clone(td)
-	deep.HaloDepth = 2
-	_, err = workerInvariant(h, deep, "tiled-d2")
-	return err
-}
-
-// workerInvariant runs d serially at 1, 2 and 4 workers and requires the
-// three final fields to be bit-identical, returning the 1-worker run.
-func workerInvariant(h *harness, d *deck.Deck, label string) (*runOut, error) {
-	w1, err := h.runSerial(d, label+"-w1", 1, nil)
-	if err != nil {
-		return nil, err
+	tol := legTol(TolRank, 150, h.d, base)
+	cmp := func(d *deck.Deck, leg string, workers int) error {
+		out, err := h.runSerial(d, leg, workers, nil)
+		if err != nil {
+			return err
+		}
+		if diff := maxDiff(base, out); diff > tol {
+			return fmt.Errorf("1 vs %d workers (%s) differ by %.3e (tol %.3e)", workers, leg, diff, tol)
+		}
+		return nil
 	}
 	for _, workers := range []int{2, 4} {
-		wn, err := h.runSerial(d, fmt.Sprintf("%s-w%d", label, workers), workers, nil)
-		if err != nil {
-			return nil, err
-		}
-		if cells, worst := bitDiff(w1, wn); cells > 0 {
-			return nil, fmt.Errorf("%s 1 vs %d workers differ in %d cells (worst %.3e); expected bit-identical", label, workers, cells, worst)
+		if err := cmp(h.d, fmt.Sprintf("workers-w%d", workers), workers); err != nil {
+			return err
 		}
 	}
-	return w1, nil
+	if !depthApplies(h.d) || h.d.HaloDepth > 1 {
+		return nil // no deep cycle possible, or the legs above already ran one
+	}
+	deep := Clone(h.d)
+	deep.HaloDepth = 2
+	return cmp(deep, "workers-d2-w2", 2)
 }
 
 // checkHaloDepth: the matrix-powers deep-halo machinery must not change
@@ -604,11 +578,4 @@ func checkHaloDepth(h *harness) error {
 		return fmt.Errorf("halo depth 3 vs 1 differ by %.3e (tol %.3e)", diff, tol)
 	}
 	return nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -17,8 +17,8 @@
 //     ranks (with two ranks FP addition is commutative, so the Hub's
 //     arrival-order sums cannot differ from TCP's fixed butterfly; at
 //     three or more ranks only the 1e-10 golden contract holds)
-//   - tiled-bit-identity:   tiled runs are bit-identical across worker
-//     counts {1,2,4} and agree with the untiled run to 1e-8 relative
+//   - workers:              2- and 4-worker runs (and a depth-2 run at 2
+//     workers) agree with the 1-worker base to the rank legs' tolerance
 //   - halo-depth:           tl_ppcg_halo_depth ∈ {1,2,3} agree to 2e-10
 //     relative (skipped for jac_block, which is depth-incompatible)
 //
@@ -43,8 +43,8 @@ import (
 // TamperFunc is the fault-injection hook: when set, every 2D checker leg
 // hands its final energy field here (after the run, before comparisons)
 // along with the leg's name — "base", "classic", "rank2x1",
-// "rank2x2", "hub2", "tcp2", "untiled", "tiled-w1", "tiled-w2",
-// "tiled-w4", "halo1", "halo2", "halo3". Perturbing one leg simulates a
+// "rank2x2", "hub2", "tcp2", "workers-w2", "workers-w4",
+// "workers-d2-w2", "halo1", "halo2", "halo3". Perturbing one leg simulates a
 // kernel bug confined to that configuration; tests use it to demonstrate
 // detection and shrinking without actually breaking a kernel.
 type TamperFunc func(leg string, energy *grid.Field2D)
@@ -187,9 +187,6 @@ func deckAxes(d *deck.Deck) []string {
 	}
 	if d.UseDeflation {
 		axes = append(axes, fmt.Sprintf("deflation=%dx%d", d.DeflationBlocks, d.DeflationLevels))
-	}
-	if d.Tiling {
-		axes = append(axes, "tiling")
 	}
 	return axes
 }

@@ -96,32 +96,50 @@ func tamperDeck(t *testing.T) *deck.Deck {
 	return d
 }
 
-// TestBrokenKernelDetectedAndShrunk is the acceptance demo: a fault
-// injected into exactly one checker leg (the 2-worker tiled run, i.e. a
-// simulated tiling-scheduler bug) is caught by the tiled-bit-identity
-// checker and shrunk to a minimal ready-to-run reproducer that still
-// fails.
-func TestBrokenKernelDetectedAndShrunk(t *testing.T) {
-	cfg := Config{
-		Tamper: func(leg string, energy *grid.Field2D) {
-			if leg != "tiled-w2" {
-				return
-			}
-			b := energy.Grid.Interior()
-			// One cell, one ULP-scale nudge: far below every relative
-			// tolerance, visible only to the bit-identity contract.
-			energy.Set(b.X0, b.Y0, energy.At(b.X0, b.Y0)*(1+1e-9))
-		},
+// tamperCell returns a TamperFunc that scales one interior cell of the
+// named leg's energy field by 1+rel.
+func tamperCell(leg string, rel float64) TamperFunc {
+	return func(l string, energy *grid.Field2D) {
+		if l != leg {
+			return
+		}
+		b := energy.Grid.Interior()
+		energy.Set(b.X0, b.Y0, energy.At(b.X0, b.Y0)*(1+rel))
 	}
+}
+
+// TestTamperedWorkerLegsTripWorkers: a fault confined to any one
+// multi-worker leg — a simulated band-split bug — fails the workers
+// checker, naming the leg.
+func TestTamperedWorkerLegsTripWorkers(t *testing.T) {
+	for _, leg := range []string{"workers-w2", "workers-w4", "workers-d2-w2"} {
+		t.Run(leg, func(t *testing.T) {
+			cr := CheckDeck(tamperDeck(t), Config{Tamper: tamperCell(leg, 1e-4), ShrinkBudget: 1})
+			if cr.Failure == nil {
+				t.Fatalf("tampered %s leg was not detected", leg)
+			}
+			if cr.Failure.Checker != "workers" {
+				t.Fatalf("caught by %q, want workers (detail: %s)", cr.Failure.Checker, cr.Failure.Detail)
+			}
+			if !strings.Contains(cr.Failure.Detail, leg) {
+				t.Errorf("detail %q does not name the %s leg", cr.Failure.Detail, leg)
+			}
+		})
+	}
+}
+
+// TestBrokenKernelDetectedAndShrunk is the acceptance demo: a fault
+// injected into exactly one checker leg (the 2-worker run, i.e. a
+// simulated band-split bug) is caught by the workers checker and shrunk
+// to a minimal ready-to-run reproducer that still fails.
+func TestBrokenKernelDetectedAndShrunk(t *testing.T) {
+	cfg := Config{Tamper: tamperCell("workers-w2", 1e-4)}
 	cr := CheckDeck(tamperDeck(t), cfg)
 	if cr.Failure == nil {
-		t.Fatal("tampered tiled-w2 leg was not detected")
+		t.Fatal("tampered workers-w2 leg was not detected")
 	}
-	if cr.Failure.Checker != "tiled-bit-identity" {
-		t.Fatalf("caught by %q, want tiled-bit-identity (detail: %s)", cr.Failure.Checker, cr.Failure.Detail)
-	}
-	if !strings.Contains(cr.Failure.Detail, "expected bit-identical") {
-		t.Errorf("detail %q does not state the bit-identity contract", cr.Failure.Detail)
+	if cr.Failure.Checker != "workers" {
+		t.Fatalf("caught by %q, want workers (detail: %s)", cr.Failure.Checker, cr.Failure.Detail)
 	}
 	if cr.Failure.ShrinkAttempts == 0 {
 		t.Error("shrinker recorded no attempts")
@@ -134,7 +152,7 @@ func TestBrokenKernelDetectedAndShrunk(t *testing.T) {
 	}
 	// ...that still trips the same checker...
 	re := CheckDeck(shrunk, cfg)
-	if re.Failure == nil || re.Failure.Checker != "tiled-bit-identity" {
+	if re.Failure == nil || re.Failure.Checker != "workers" {
 		t.Fatalf("shrunk deck no longer reproduces the failure: %+v", re.Failure)
 	}
 	// ...and is minimal: the fault fires on every candidate, so the
@@ -245,8 +263,6 @@ func TestShrinkReachesFloors(t *testing.T) {
 	d.Precond = "jac_diag"
 	d.FusedDots = true
 	d.HaloDepth = 3
-	d.Tiling = true
-	d.TileX, d.TileY = 4, 4
 	d.XCells, d.YCells = 24, 24
 	d.UseDeflation = true
 	d.DeflationBlocks = 4
@@ -269,7 +285,7 @@ func TestShrinkReachesFloors(t *testing.T) {
 	if len(shrunk.States) != 1 {
 		t.Errorf("states = %d, want 1", len(shrunk.States))
 	}
-	if shrunk.UseDeflation || shrunk.FusedDots || shrunk.Tiling {
+	if shrunk.UseDeflation || shrunk.FusedDots {
 		t.Errorf("options not fully stripped: %+v", shrunk)
 	}
 	if shrunk.Precond != "none" || shrunk.HaloDepth != 1 || shrunk.Solver != "cg" {

@@ -99,14 +99,6 @@ var shrinkSteps = []shrinkStep{
 		d.HaloDepth = 1
 		return true
 	}},
-	{"no-tiling", func(d *deck.Deck) bool {
-		if !d.Tiling && d.TileX == 0 && d.TileY == 0 && d.TileZ == 0 {
-			return false
-		}
-		d.Tiling = false
-		d.TileX, d.TileY, d.TileZ = 0, 0, 0
-		return true
-	}},
 	{"solver-cg", func(d *deck.Deck) bool {
 		if d.Solver == "cg" {
 			return false

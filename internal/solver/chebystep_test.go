@@ -342,7 +342,7 @@ func TestChebyStepsAllocatesNothing(t *testing.T) {
 	base := par.NewPool(2).WithGrain(1)
 	defer base.Close()
 	one := par.NewPool(1)
-	pools := map[string]*par.Pool{"w1": one, "w2": base, "w2/tiled": base.WithTiles(8, 4, 3)}
+	pools := map[string]*par.Pool{"w1": one, "w2": base}
 	for name, pool := range pools {
 		o := Options{Comm: comm.NewSerial(), Pool: pool, InnerSteps: 7, HaloDepth: 3}.withDefaults()
 		p := buildProblem(t, 24, 20, 3, 3)

@@ -18,15 +18,13 @@ import (
 // ApplyPreDot, operand for operand, and the dots keep their lanes and
 // their fold: each band accumulates its step lanes and its matvec lanes
 // over its own interior rows in row order, and the bands' partials fold
-// in band order (par.Pool.ForBandsReduceN, the untiled ForTilesReduceN
-// split of the interior). With several workers the rows next to an
+// in band order (par.Pool.ForBandsReduceN, the ForTilesReduceN split of
+// the interior). With several workers the rows next to an
 // internal band cut are stepped first, in a region of their own, without
 // their dots; the band that owns such a row later re-reads its stored r
 // into the step lanes (kernels.CGStepLanes.Dots) at the point of its walk
 // where it would have stepped it. Every matvec next to a cut therefore
-// reads final r, and no band writes a row another band reads. On a tiled
-// pool, whose dots fold per tile, the interior runs as the two sweeps the
-// pass replaces.
+// reads final r, and no band writes a row another band reads.
 
 // CGIter runs one fused-CG iteration body in one pass: over sb
 //
@@ -54,24 +52,11 @@ func (op *Operator2D) CGIter(pool *par.Pool, sb, mb, in grid.Bounds, mirror Phys
 	if minv != nil {
 		c.md = minv.Data
 	}
-	if pool.Tiled() {
-		gamma, rr = kernels.FusedCGStep(pool, in, minv, r, w, beta, alpha, p, s, x)
-		c.ringsOnly = true
-		var discard [3]float64
-		c.band(in.Y0, in.Y1, discard[:])
-		delta = op.ApplyPreDot(pool, in, minv, r, w)
-		for k := in.Y0; rows != nil && k < in.Y1; k++ {
-			rows(k)
-		}
-		return gamma, rr, delta
-	}
 	acc := pool.ForBandsReduceN(3, in.Y0, in.Y1, c.edge, c.band)
 	return acc[0], acc[1], acc[2]
 }
 
-// cgIter2D is one CGIter call: its bounds, fields and scalars. With
-// ringsOnly set (tiled pools) it skips the cells of in, which the two
-// interior sweeps cover.
+// cgIter2D is one CGIter call: its bounds, fields and scalars.
 type cgIter2D struct {
 	op                     *Operator2D
 	sb, mb, in             grid.Bounds
@@ -79,7 +64,6 @@ type cgIter2D struct {
 	md, rd, wd, pd, sd, xd []float64
 	beta, alpha            float64
 	rows                   func(k int)
-	ringsOnly              bool
 }
 
 // edge steps a row next to a band cut, its dots left for the owner.
@@ -129,7 +113,7 @@ func (c *cgIter2D) band(b0, b1 int, acc []float64) {
 			c.fill(un, k+1)
 		}
 		c.matvec(k, &pw, &uw, us, uc, un)
-		if c.rows != nil && !c.ringsOnly && k >= lo && k < hi {
+		if c.rows != nil && k >= lo && k < hi {
 			c.rows(k)
 		}
 		us, uc, un = uc, un, us
@@ -155,7 +139,7 @@ func (c *cgIter2D) step(k int, l *kernels.CGStepLanes) {
 	row := g.Index(sb.X0, k)
 	a0, a1 := max(in.X0, sb.X0)-sb.X0, min(in.X1, sb.X1)-sb.X0
 	rowRuns(sb.X1-sb.X0, a0, a1, k >= in.Y0 && k < in.Y1, func(off, n int, interior bool) {
-		if n == 0 || (interior && c.ringsOnly) {
+		if n == 0 {
 			return
 		}
 		o := row + off
@@ -229,7 +213,7 @@ func (c *cgIter2D) matvec(k int, pw *[4]float64, uw *[2]float64, us, uc, un []fl
 	row := g.Index(mb.X0, k)
 	a0, a1 := max(in.X0, mb.X0)-mb.X0, min(in.X1, mb.X1)-mb.X0
 	rowRuns(mb.X1-mb.X0, a0, a1, k >= in.Y0 && k < in.Y1, func(off, n int, interior bool) {
-		if n == 0 || (interior && c.ringsOnly) {
+		if n == 0 {
 			return
 		}
 		o := row + off
@@ -262,19 +246,6 @@ func (op *Operator3D) CGIter(pool *par.Pool, sb, mb, in grid.Bounds3D, mirror Ph
 	if minv != nil {
 		c.md = minv.Data
 	}
-	if pool.Tiled() {
-		gamma, rr = kernels.FusedCGStep3D(pool, in, minv, r, w, beta, alpha, p, s, x)
-		c.ringsOnly = true
-		var discard [3]float64
-		c.band(in.Z0, in.Z1, discard[:])
-		delta = op.ApplyPreDot(pool, in, minv, r, w)
-		for k := in.Z0; rows != nil && k < in.Z1; k++ {
-			for j := in.Y0; j < in.Y1; j++ {
-				rows(j, k)
-			}
-		}
-		return gamma, rr, delta
-	}
 	acc := pool.ForBandsReduceN(3, in.Z0, in.Z1, c.edge, c.band)
 	return acc[0], acc[1], acc[2]
 }
@@ -287,7 +258,6 @@ type cgIter3D struct {
 	md, rd, wd, pd, sd, xd []float64
 	beta, alpha            float64
 	rows                   func(j, k int)
-	ringsOnly              bool
 }
 
 func (c *cgIter3D) edge(k int) { c.step(k, nil) }
@@ -334,7 +304,7 @@ func (c *cgIter3D) band(b0, b1 int, acc []float64) {
 			c.fill(uf, k+1)
 		}
 		c.matvec(k, &dl, &delta, ub, uc, uf)
-		if c.rows != nil && !c.ringsOnly && k >= lo && k < hi {
+		if c.rows != nil && k >= lo && k < hi {
 			for j := c.in.Y0; j < c.in.Y1; j++ {
 				c.rows(j, k)
 			}
@@ -364,7 +334,7 @@ func (c *cgIter3D) step(k int, l *kernels.CGStepLanes) {
 	for j := sb.Y0; j < sb.Y1; j++ {
 		row := g.Index(sb.X0, j, k)
 		rowRuns(sb.X1-sb.X0, a0, a1, inZ && j >= in.Y0 && j < in.Y1, func(off, n int, interior bool) {
-			if n == 0 || (interior && c.ringsOnly) {
+			if n == 0 {
 				return
 			}
 			o := row + off
@@ -468,7 +438,7 @@ func (c *cgIter3D) matvec(k int, dl *dot2Lanes, delta *float64, ub, uc, uf []flo
 	for j := mb.Y0; j < mb.Y1; j++ {
 		row := g.Index(mb.X0, j, k)
 		rowRuns(mb.X1-mb.X0, a0, a1, inZ && j >= in.Y0 && j < in.Y1, func(off, n int, interior bool) {
-			if n == 0 || (interior && c.ringsOnly) {
+			if n == 0 {
 				return
 			}
 			o := row + off

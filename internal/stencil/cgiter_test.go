@@ -20,19 +20,16 @@ import (
 // reads it, and must leave it alone there). The rows hook must see every
 // interior row of w exactly once, already final. Pools {1, 2, 4, 7} at
 // the default grain and at grain 1 (bands of one and two rows, every row
-// an edge row), untiled and tiled; minv nil and not; the single-rank
+// an edge row); minv nil and not; the single-rank
 // depth-1 pass (mirror) and depth-1..3 cycles extended toward 0–4
 // neighbours.
 
 // cgIterPools is the pool ladder the pass is held to.
-func cgIterPools(tx, ty, tz int) map[string]*par.Pool {
+func cgIterPools() map[string]*par.Pool {
 	pools := map[string]*par.Pool{}
 	for _, w := range []int{1, 2, 4, 7} {
 		for _, grain := range []int{par.DefaultGrain, 1} {
-			p := par.NewPool(w).WithGrain(grain)
-			name := fmt.Sprintf("w%d/grain%d", w, grain)
-			pools[name] = p
-			pools[name+"/tiled"] = p.WithTiles(tx, ty, tz)
+			pools[fmt.Sprintf("w%d/grain%d", w, grain)] = par.NewPool(w).WithGrain(grain)
 		}
 	}
 	return pools
@@ -96,7 +93,7 @@ func TestCGIterMatchesTwoSweepsBitwise(t *testing.T) {
 	}
 	in := g.Interior()
 	const beta, alpha = 0.73, 0.31
-	pools := cgIterPools(5, 3, 0)
+	pools := cgIterPools()
 	defer func() {
 		for _, p := range pools {
 			p.Close()
@@ -213,7 +210,7 @@ func TestCGIter3DMatchesTwoSweepsBitwise(t *testing.T) {
 	}
 	in := g.Interior()
 	const beta, alpha = 0.73, 0.31
-	pools := cgIterPools(4, 3, 2)
+	pools := cgIterPools()
 	defer func() {
 		for _, p := range pools {
 			p.Close()

@@ -32,8 +32,8 @@ import (
 // overwrites row k of the field step j reads only after step j has
 // finished row k+1. Each row of Kx, Ky, rtemp, acc and both direction
 // fields then passes through cache once per block instead of once per
-// step. Tiles are not consulted: every cell is pointwise and carries no
-// dot product, so the bits do not depend on the schedule.
+// step. Every cell is pointwise and carries no dot product, so the bits
+// do not depend on the schedule.
 //
 // Every cell is computed by the expressions of Apply followed by
 // kernels.FusedPPCGInner, operand for operand, so rtemp, both direction

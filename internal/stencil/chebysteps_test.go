@@ -84,15 +84,11 @@ func (op *Operator3D) chebyStep(pool *par.Pool, b, in grid.Bounds3D, alpha, beta
 	})
 }
 
-// wavePools are the worker counts the wavefront is held to, each untiled
-// and cut into small tiles (which the oracle uses and ChebySteps must
-// ignore).
+// wavePools are the worker counts the wavefront is held to.
 func wavePools() map[string]*par.Pool {
 	pools := map[string]*par.Pool{}
 	for _, w := range []int{1, 2, 3, 4, 7} {
-		p := par.NewPool(w).WithGrain(1)
-		pools[fmt.Sprintf("w%d", w)] = p
-		pools[fmt.Sprintf("w%d/tiled", w)] = p.WithTiles(5, 3, 2)
+		pools[fmt.Sprintf("w%d", w)] = par.NewPool(w).WithGrain(1)
 	}
 	return pools
 }
@@ -133,7 +129,7 @@ func sameBits(got, want []float64) int {
 // TestChebyStepsMatchStepwiseBitwise: one ChebySteps call over a
 // matrix-powers block reproduces its steps run one sweep each — sd, alt,
 // rtemp and the accumulator, every cell of the padded grid, bit for bit —
-// for every worker count, tiled or not, minv nil or not, 1–4 steps, the
+// for every worker count, minv nil or not, 1–4 steps, the
 // block's bounds extended 0–3 cells on each exchanged side, and meshes
 // from too thin for two bands to many bands. Every cell no step may read
 // is NaN: sd beyond bs[0] plus one, alt beyond bs[1] plus one (the stale

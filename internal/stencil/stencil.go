@@ -416,9 +416,9 @@ func (op *Operator2D) ApplyPreDot(pool *par.Pool, b grid.Bounds, minv, r, w *gri
 	// Each worker keeps a rolling three-row window of u = minv ⊙ r
 	// (extended one cell left/right), so every product is computed once
 	// and m, r stream through exactly one read each — the buffer rows
-	// stay L1-resident across the stencil evaluation. Under tiling the
-	// window is tile-wide; edge cells recomputed by the adjacent tile are
-	// the same pointwise products, so the sweep's output is unchanged.
+	// stay L1-resident across the stencil evaluation. Edge rows recomputed
+	// by the adjacent band are the same pointwise products, so the sweep's
+	// output does not depend on the worker count.
 	return pool.ForTilesReduceN(1, par.Box2D(b.X0, b.X1, b.Y0, b.Y1), applyPreDotBody(g, s, kx, ky, md, rd, wd))[0]
 }
 

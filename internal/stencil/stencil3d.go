@@ -386,9 +386,9 @@ func (op *Operator3D) ApplyPreDot(pool *par.Pool, b grid.Bounds3D, minv *grid.Fi
 // plane is filled as the front neighbour of plane k, serves as the
 // centre of k+1 and the back neighbour of k+2, and the three buffers
 // rotate. The surround's four x/y corner columns are filled but never
-// read (the stencil has no diagonal neighbours); cells recomputed by
-// the adjacent tile are the same pointwise products, so the sweep's
-// output does not depend on the tiling. δ = Σ u·w lands in acc[0]
+// read (the stencil has no diagonal neighbours); planes recomputed by
+// the adjacent band are the same pointwise products, so the sweep's
+// output does not depend on the worker count. δ = Σ u·w lands in acc[0]
 // through one accumulator in cell order; init moves it to acc[1] and
 // adds γ = Σ r·u in acc[0] and Σ r·r in acc[2], each likewise.
 func (op *Operator3D) applyPreDotBody(md, rd, wd []float64, init bool) func(t par.Tile, acc []float64) {

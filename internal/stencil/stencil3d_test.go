@@ -367,12 +367,11 @@ func TestApplyPreDot3DMatchesOldBodyBitwise(t *testing.T) {
 	}
 	in := g.Interior()
 	minv := positiveField3D(g, 71)
-	base := par.NewPool(2).WithGrain(1)
-	defer base.Close()
-	pools := map[string]*par.Pool{
-		"serial": par.Serial, "w2": base,
-		"planes": base.WithTiles(0, 0, 1), "rows": base.WithTiles(0, 1, 0),
-		"x-split": base.WithTiles(4, 3, 2), "cells": par.Serial.WithTiles(1, 1, 1),
+	pools := map[string]*par.Pool{"serial": par.Serial}
+	for _, w := range []int{2, 3, 6} {
+		p := par.NewPool(w).WithGrain(1)
+		defer p.Close()
+		pools[fmt.Sprintf("w%d", w)] = p
 	}
 	for _, b := range []grid.Bounds3D{in, in.ExpandSides(0, 2, 0, 2, 0, 2, g), {X0: 2, X1: 3, Y0: 1, Y1: 6, Z0: 4, Z1: 5}} {
 		r := randomField3D(g, 72)
@@ -410,17 +409,17 @@ func dispatchAllocs(pool *par.Pool, k int, b par.Box) float64 {
 	})
 }
 
-// TestApplyPreDotAllocatesNothing: once every worker has run a tile, the
+// TestApplyPreDotAllocatesNothing: once every worker has run a band, the
 // 2D and 3D window sweeps allocate exactly what the scheduler dispatch
 // does on a 2-worker pool — the u window comes from the reusable scratch,
-// not from a make per tile per sweep (the 2D body's old behaviour: one
-// garbage buffer per tile per CG iteration).
+// not from a make per band per sweep (the 2D body's old behaviour: one
+// garbage buffer per band per CG iteration).
 func TestApplyPreDotAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
-	base := par.NewPool(2).WithGrain(1)
-	defer base.Close()
+	pool := par.NewPool(2).WithGrain(1)
+	defer pool.Close()
 	g2 := grid.UnitGrid2D(64, 48, 2)
 	op2, err := BuildOperator2D(par.Serial, randomDensity(g2, 80), 0.04, Conductivity, AllPhysical)
 	if err != nil {
@@ -434,15 +433,13 @@ func TestApplyPreDotAllocatesNothing(t *testing.T) {
 	}
 	m3, r3, w3 := positiveField3D(g3, 84), randomField3D(g3, 85), grid.NewField3D(g3)
 	in2, in3 := g2.Interior(), g3.Interior()
-	for name, pool := range map[string]*par.Pool{"untiled": base, "tiled": base.WithTiles(16, 4, 3)} {
-		got := testing.AllocsPerRun(20, func() { op2.ApplyPreDot(pool, in2, m2, r2, w2) })
-		if want := dispatchAllocs(pool, 1, par.Box2D(in2.X0, in2.X1, in2.Y0, in2.Y1)); got != want {
-			t.Errorf("%s: 2D ApplyPreDot allocates %v per sweep, the bare dispatch %v", name, got, want)
-		}
-		got = testing.AllocsPerRun(20, func() { op3.ApplyPreDot(pool, in3, m3, r3, w3) })
-		if want := dispatchAllocs(pool, 1, box3s(in3)); got != want {
-			t.Errorf("%s: 3D ApplyPreDot allocates %v per sweep, the bare dispatch %v", name, got, want)
-		}
+	got := testing.AllocsPerRun(20, func() { op2.ApplyPreDot(pool, in2, m2, r2, w2) })
+	if want := dispatchAllocs(pool, 1, par.Box2D(in2.X0, in2.X1, in2.Y0, in2.Y1)); got != want {
+		t.Errorf("2D ApplyPreDot allocates %v per sweep, the bare dispatch %v", got, want)
+	}
+	got = testing.AllocsPerRun(20, func() { op3.ApplyPreDot(pool, in3, m3, r3, w3) })
+	if want := dispatchAllocs(pool, 1, box3s(in3)); got != want {
+		t.Errorf("3D ApplyPreDot allocates %v per sweep, the bare dispatch %v", got, want)
 	}
 }
 
@@ -452,8 +449,8 @@ func TestApplyPreDot3DShapes(t *testing.T) {
 	shapes := []struct{ nx, ny, nz int }{
 		{10, 8, 6}, {5, 5, 5}, {2, 6, 4}, {6, 2, 4}, {6, 4, 2}, {1, 3, 3}, {1, 1, 1},
 	}
-	tiled := par.NewPool(3).WithGrain(1).WithTiles(0, 0, 4)
-	defer tiled.Close()
+	w3 := par.NewPool(3).WithGrain(1)
+	defer w3.Close()
 	for _, sh := range shapes {
 		g := grid.UnitGrid3D(sh.nx, sh.ny, sh.nz, 2)
 		op, err := BuildOperator3D(par.Serial, randomDensity3D(g, 4), 0.03, Conductivity, AllPhysical3D)
@@ -472,7 +469,7 @@ func TestApplyPreDot3DShapes(t *testing.T) {
 			wRef := grid.NewField3D(g)
 			op.Apply(par.Serial, in, u, wRef)
 			want := dot3D(u, wRef)
-			for name, pool := range map[string]*par.Pool{"serial": par.Serial, "tiled": tiled} {
+			for name, pool := range map[string]*par.Pool{"serial": par.Serial, "w3": w3} {
 				w := grid.NewField3D(g)
 				got := op.ApplyPreDot(pool, in, minv, r, w)
 				if math.Abs(got-want) > 1e-12*(1+math.Abs(want)) {

@@ -444,14 +444,14 @@ func TestApplyDot2MatchesApplyDot(t *testing.T) {
 
 // TestApplyPreDotShapes holds the one-shot ApplyPreDot to the composed
 // reference (u = minv ⊙ r materialised, w = A·u, Σ u·w) on meshes from
-// a single cell through thin strips to several tile rows, with and
-// without a diagonal scaling, serially and on a tiled pool.
+// a single cell through thin strips to several bands, with and
+// without a diagonal scaling, serially and on three workers.
 func TestApplyPreDotShapes(t *testing.T) {
 	shapes := []struct{ nx, ny int }{
 		{17, 13}, {23, 9}, {35, 5}, {1, 1}, {2, 7}, {7, 2}, {3, 3}, {1, 9},
 	}
-	tiled := par.NewPool(3).WithGrain(1).WithTiles(0, 4, 0)
-	defer tiled.Close()
+	w3 := par.NewPool(3).WithGrain(1)
+	defer w3.Close()
 	for _, sh := range shapes {
 		g := grid.UnitGrid2D(sh.nx, sh.ny, 2)
 		op, err := BuildOperator2D(par.Serial, randomDensity(g, 1), 0.04, Conductivity, AllPhysical)
@@ -470,7 +470,7 @@ func TestApplyPreDotShapes(t *testing.T) {
 			wRef := grid.NewField2D(g)
 			op.Apply(par.Serial, in, u, wRef)
 			want := kernels.Dot(par.Serial, in, u, wRef)
-			for name, pool := range map[string]*par.Pool{"serial": par.Serial, "tiled": tiled} {
+			for name, pool := range map[string]*par.Pool{"serial": par.Serial, "w3": w3} {
 				w := grid.NewField2D(g)
 				got := op.ApplyPreDot(pool, in, minv, r, w)
 				if math.Abs(got-want) > 1e-12*(1+math.Abs(want)) {
