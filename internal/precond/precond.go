@@ -70,12 +70,7 @@ func NewJacobi(pool *par.Pool, op *stencil.Operator2D) *Jacobi {
 	g := op.Grid
 	d := grid.NewField2D(g)
 	inner := grid.Bounds{X0: -g.Halo + 1, X1: g.NX + g.Halo - 1, Y0: -g.Halo + 1, Y1: g.NY + g.Halo - 1}
-	op.Diagonal(pool, inner, d)
-	for k := inner.Y0; k < inner.Y1; k++ {
-		for j := inner.X0; j < inner.X1; j++ {
-			d.Set(j, k, 1/d.At(j, k))
-		}
-	}
+	op.InvDiagonal(pool, inner, d)
 	return &Jacobi{invDiag: d}
 }
 

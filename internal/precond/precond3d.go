@@ -62,14 +62,7 @@ func NewJacobi3D(pool *par.Pool, op *stencil.Operator3D) *Jacobi3D {
 		Y0: -g.Halo + 1, Y1: g.NY + g.Halo - 1,
 		Z0: -g.Halo + 1, Z1: g.NZ + g.Halo - 1,
 	}
-	op.Diagonal(pool, inner, d)
-	for k := inner.Z0; k < inner.Z1; k++ {
-		for j := inner.Y0; j < inner.Y1; j++ {
-			for i := inner.X0; i < inner.X1; i++ {
-				d.Set(i, j, k, 1/d.At(i, j, k))
-			}
-		}
-	}
+	op.InvDiagonal(pool, inner, d)
 	return &Jacobi3D{invDiag: d}
 }
 

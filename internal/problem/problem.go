@@ -7,6 +7,7 @@ package problem
 
 import (
 	"fmt"
+	"sort"
 
 	"tealeaf/internal/deck"
 	"tealeaf/internal/grid"
@@ -17,47 +18,129 @@ import (
 // overwrite cells whose centres fall inside their shape. Because sub-grids
 // carry true physical coordinates, the same call paints a rank-local grid
 // correctly with no offset bookkeeping.
+//
+// Each state holds on one run of cells per row (see between, containing
+// and dip), so it paints whole row runs, located by evaluating its
+// per-cell test at O(log n) cells of a row rather than at every cell.
 func Paint(states []deck.State, density, energy *grid.Field2D) error {
+	if err := checkStates(states); err != nil {
+		return err
+	}
+	g := density.Grid
+	paint := func(st deck.State, k, j0, j1 int) {
+		fill(density.Row(k, j0, j1), st.Density)
+		fill(energy.Row(k, j0, j1), st.Energy)
+	}
+	for _, st := range states {
+		x0, x1, y0, y1 := 0, g.NX, 0, g.NY // GeomNone: the whole interior
+		switch st.Geometry {
+		case deck.GeomRectangle:
+			x0, x1 = between(g.NX, g.CellCenterX, st.XMin, st.XMax)
+			y0, y1 = between(g.NY, g.CellCenterY, st.YMin, st.YMax)
+		case deck.GeomPoint:
+			x0, x1 = containing(g.NX, g.VertexX, st.CX)
+			y0, y1 = containing(g.NY, g.VertexY, st.CY)
+		case deck.GeomCircle:
+			piv := pivot(g.NX, g.CellCenterX, st.CX)
+			for k := 0; k < g.NY; k++ {
+				cy := g.CellCenterY(k)
+				j0, j1 := dip(g.NX, piv, func(j int) bool { return inCircle(st, g.CellCenterX(j), cy) })
+				paint(st, k, j0, j1)
+			}
+			continue
+		case deck.GeomNone:
+		default:
+			continue // an unknown geometry paints nothing, as before
+		}
+		for k := y0; k < y1; k++ {
+			paint(st, k, x0, x1)
+		}
+	}
+	return nil
+}
+
+func checkStates(states []deck.State) error {
 	if len(states) == 0 {
 		return fmt.Errorf("problem: no states to paint")
 	}
 	if states[0].Geometry != deck.GeomNone {
 		return fmt.Errorf("problem: first state must be the background (no geometry)")
 	}
-	g := density.Grid
-	bg := states[0]
-	density.FillBounds(g.Interior(), bg.Density)
-	energy.FillBounds(g.Interior(), bg.Energy)
-
-	for _, st := range states[1:] {
-		for k := 0; k < g.NY; k++ {
-			cy := g.CellCenterY(k)
-			for j := 0; j < g.NX; j++ {
-				cx := g.CellCenterX(j)
-				if inside(st, cx, cy, g, j, k) {
-					density.Set(j, k, st.Density)
-					energy.Set(j, k, st.Energy)
-				}
-			}
-		}
-	}
 	return nil
 }
 
-func inside(st deck.State, cx, cy float64, g *grid.Grid2D, j, k int) bool {
-	switch st.Geometry {
-	case deck.GeomRectangle:
-		return cx >= st.XMin && cx <= st.XMax && cy >= st.YMin && cy <= st.YMax
-	case deck.GeomCircle:
-		dx, dy := cx-st.CX, cy-st.CY
-		return dx*dx+dy*dy <= st.Radius*st.Radius
-	case deck.GeomPoint:
-		return st.CX >= g.VertexX(j) && st.CX < g.VertexX(j+1) &&
-			st.CY >= g.VertexY(k) && st.CY < g.VertexY(k+1)
-	case deck.GeomNone:
-		return true
+// inCircle is the circle state's test of a cell centre (cx, cy).
+func inCircle(st deck.State, cx, cy float64) bool {
+	dx, dy := cx-st.CX, cy-st.CY
+	return dx*dx+dy*dy <= st.Radius*st.Radius
+}
+
+// The painter's row runs. Along any axis a cell centre c(i) = min +
+// (i+0.5)·d and a vertex v(i) = min + i·d are non-decreasing in i: i+0.5
+// is exact, d > 0, and rounding a product or a sum is monotone. So a
+// bound test on c or v holds on a prefix or a suffix of the cells, and
+// the cells passing two such tests form one run, found by binary search
+// with the very comparisons the per-cell test makes.
+
+// between returns the run [a, b) of the n cells whose centre passes
+// lo <= c(i) && c(i) <= hi. A NaN bound fails every cell, as it does
+// per cell.
+func between(n int, c func(int) float64, lo, hi float64) (a, b int) {
+	a = sort.Search(n, func(i int) bool { return c(i) >= lo })
+	b = sort.Search(n, func(i int) bool { return !(c(i) <= hi) })
+	return a, max(a, b)
+}
+
+// notBeyond is between for the 3D box test, which rejects a cell with
+// c(i) < lo || c(i) > hi; the two differ only on a NaN bound, which this
+// test ignores.
+func notBeyond(n int, c func(int) float64, lo, hi float64) (a, b int) {
+	a = sort.Search(n, func(i int) bool { return !(c(i) < lo) })
+	b = sort.Search(n, func(i int) bool { return c(i) > hi })
+	return a, max(a, b)
+}
+
+// containing returns the run of cells whose half-open extent
+// v(i) <= p < v(i+1) holds p: the one containing cell, or none when p
+// lies outside [v(0), v(n)).
+func containing(n int, v func(int) float64, p float64) (a, b int) {
+	a = sort.Search(n, func(i int) bool { return p < v(i+1) })
+	b = sort.Search(n, func(i int) bool { return !(p >= v(i)) })
+	return a, max(a, b)
+}
+
+// pivot returns the first of the n cells whose centre is at or beyond
+// the circle's centre p: dx = c(i) − p is negative before it and
+// non-negative from it on.
+func pivot(n int, c func(int) float64, p float64) int {
+	return sort.Search(n, func(i int) bool { return c(i) >= p })
+}
+
+// dip returns the run [a, b) of the n cells of a row that pass a circle
+// or sphere test in. Along the row, dx·dx falls up to the pivot cell and
+// rises from it (dx is non-decreasing and changes sign at piv), and the
+// rounded sum the test compares with r² is monotone in dx·dx, so the cells
+// passing form one run. If it is not empty it holds the minimum, at piv−1
+// or piv; from there each end is a binary search.
+func dip(n, piv int, in func(int) bool) (a, b int) {
+	s := -1
+	if piv > 0 && in(piv-1) {
+		s = piv - 1
+	} else if piv < n && in(piv) {
+		s = piv
 	}
-	return false
+	if s < 0 {
+		return 0, 0
+	}
+	a = sort.Search(s, in)
+	b = s + 1 + sort.Search(n-s-1, func(i int) bool { return !in(s + 1 + i) })
+	return a, b
+}
+
+func fill(row []float64, v float64) {
+	for i := range row {
+		row[i] = v
+	}
 }
 
 // EnergyToU computes the solve variable u = density · energy (TeaLeaf's
@@ -66,9 +149,7 @@ func inside(st deck.State, cx, cy float64, g *grid.Grid2D, j, k int) bool {
 func EnergyToU(density, energy, u *grid.Field2D) {
 	g := density.Grid
 	for k := 0; k < g.NY; k++ {
-		for j := 0; j < g.NX; j++ {
-			u.Set(j, k, density.At(j, k)*energy.At(j, k))
-		}
+		mulRow(u.Row(k, 0, g.NX), density.Row(k, 0, g.NX), energy.Row(k, 0, g.NX))
 	}
 }
 
@@ -76,9 +157,24 @@ func EnergyToU(density, energy, u *grid.Field2D) {
 func UToEnergy(density, u, energy *grid.Field2D) {
 	g := density.Grid
 	for k := 0; k < g.NY; k++ {
-		for j := 0; j < g.NX; j++ {
-			energy.Set(j, k, u.At(j, k)/density.At(j, k))
-		}
+		divRow(energy.Row(k, 0, g.NX), u.Row(k, 0, g.NX), density.Row(k, 0, g.NX))
+	}
+}
+
+// mulRow writes dst[i] = a[i]·b[i]; the re-slices to len(dst) let the
+// compiler drop the bounds checks.
+func mulRow(dst, a, b []float64) {
+	a, b = a[:len(dst)], b[:len(dst)]
+	for i := range dst {
+		dst[i] = a[i] * b[i]
+	}
+}
+
+// divRow writes dst[i] = a[i]/b[i].
+func divRow(dst, a, b []float64) {
+	a, b = a[:len(dst)], b[:len(dst)]
+	for i := range dst {
+		dst[i] = a[i] / b[i]
 	}
 }
 

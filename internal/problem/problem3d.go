@@ -1,8 +1,6 @@
 package problem
 
 import (
-	"fmt"
-
 	"tealeaf/internal/deck"
 	"tealeaf/internal/grid"
 )
@@ -16,59 +14,57 @@ import (
 // true physical coordinates, the same call paints a rank-local grid
 // correctly with no offset bookkeeping.
 func Paint3D(states []deck.State, density, energy *grid.Field3D) error {
-	if len(states) == 0 {
-		return fmt.Errorf("problem: no states to paint")
-	}
-	if states[0].Geometry != deck.GeomNone {
-		return fmt.Errorf("problem: first state must be the background (no geometry)")
+	if err := checkStates(states); err != nil {
+		return err
 	}
 	g := density.Grid
-	bg := states[0]
-	for k := 0; k < g.NZ; k++ {
-		for j := 0; j < g.NY; j++ {
-			for i := 0; i < g.NX; i++ {
-				density.Set(i, j, k, bg.Density)
-				energy.Set(i, j, k, bg.Energy)
-			}
-		}
+	paint := func(st deck.State, j, k, i0, i1 int) {
+		fill(density.Row(j, k, i0, i1), st.Density)
+		fill(energy.Row(j, k, i0, i1), st.Energy)
 	}
-	for _, st := range states[1:] {
-		for k := 0; k < g.NZ; k++ {
-			for j := 0; j < g.NY; j++ {
-				for i := 0; i < g.NX; i++ {
-					cx, cy, cz := g.CellCenter(i, j, k)
-					if inside3D(st, cx, cy, cz, g, i, j, k) {
-						density.Set(i, j, k, st.Density)
-						energy.Set(i, j, k, st.Energy)
-					}
+	cx := func(i int) float64 { x, _, _ := g.CellCenter(i, 0, 0); return x }
+	cy := func(j int) float64 { _, y, _ := g.CellCenter(0, j, 0); return y }
+	cz := func(k int) float64 { _, _, z := g.CellCenter(0, 0, k); return z }
+	for _, st := range states {
+		x0, x1, y0, y1, z0, z1 := 0, g.NX, 0, g.NY, 0, g.NZ // GeomNone: the whole interior
+		switch st.Geometry {
+		case deck.GeomRectangle:
+			x0, x1 = notBeyond(g.NX, cx, st.XMin, st.XMax)
+			y0, y1 = notBeyond(g.NY, cy, st.YMin, st.YMax)
+			if st.ZMax > st.ZMin {
+				z0, z1 = between(g.NZ, cz, st.ZMin, st.ZMax)
+			} // else an empty z-range: the state extrudes through z
+		case deck.GeomPoint:
+			x0, x1 = containing(g.NX, g.VertexX, st.CX)
+			y0, y1 = containing(g.NY, g.VertexY, st.CY)
+			z0, z1 = containing(g.NZ, g.VertexZ, st.CZ)
+		case deck.GeomCircle:
+			piv := pivot(g.NX, cx, st.CX)
+			for k := 0; k < g.NZ; k++ {
+				for j := 0; j < g.NY; j++ {
+					_, y, z := g.CellCenter(0, j, k)
+					i0, i1 := dip(g.NX, piv, func(i int) bool { return inSphere(st, cx(i), y, z) })
+					paint(st, j, k, i0, i1)
 				}
+			}
+			continue
+		case deck.GeomNone:
+		default:
+			continue // an unknown geometry paints nothing, as before
+		}
+		for k := z0; k < z1; k++ {
+			for j := y0; j < y1; j++ {
+				paint(st, j, k, x0, x1)
 			}
 		}
 	}
 	return nil
 }
 
-func inside3D(st deck.State, cx, cy, cz float64, g *grid.Grid3D, i, j, k int) bool {
-	switch st.Geometry {
-	case deck.GeomRectangle:
-		if cx < st.XMin || cx > st.XMax || cy < st.YMin || cy > st.YMax {
-			return false
-		}
-		if st.ZMax > st.ZMin {
-			return cz >= st.ZMin && cz <= st.ZMax
-		}
-		return true // empty z-range: the state extrudes through z
-	case deck.GeomCircle:
-		dx, dy, dz := cx-st.CX, cy-st.CY, cz-st.CZ
-		return dx*dx+dy*dy+dz*dz <= st.Radius*st.Radius
-	case deck.GeomPoint:
-		return st.CX >= g.VertexX(i) && st.CX < g.VertexX(i+1) &&
-			st.CY >= g.VertexY(j) && st.CY < g.VertexY(j+1) &&
-			st.CZ >= g.VertexZ(k) && st.CZ < g.VertexZ(k+1)
-	case deck.GeomNone:
-		return true
-	}
-	return false
+// inSphere is the circle state's 3D test of a cell centre (cx, cy, cz).
+func inSphere(st deck.State, cx, cy, cz float64) bool {
+	dx, dy, dz := cx-st.CX, cy-st.CY, cz-st.CZ
+	return dx*dx+dy*dy+dz*dz <= st.Radius*st.Radius
 }
 
 // EnergyToU3D computes the solve variable u = density · energy over the
@@ -77,9 +73,7 @@ func EnergyToU3D(density, energy, u *grid.Field3D) {
 	g := density.Grid
 	for k := 0; k < g.NZ; k++ {
 		for j := 0; j < g.NY; j++ {
-			for i := 0; i < g.NX; i++ {
-				u.Set(i, j, k, density.At(i, j, k)*energy.At(i, j, k))
-			}
+			mulRow(u.Row(j, k, 0, g.NX), density.Row(j, k, 0, g.NX), energy.Row(j, k, 0, g.NX))
 		}
 	}
 }
@@ -89,9 +83,7 @@ func UToEnergy3D(density, u, energy *grid.Field3D) {
 	g := density.Grid
 	for k := 0; k < g.NZ; k++ {
 		for j := 0; j < g.NY; j++ {
-			for i := 0; i < g.NX; i++ {
-				energy.Set(i, j, k, u.At(i, j, k)/density.At(i, j, k))
-			}
+			divRow(energy.Row(j, k, 0, g.NX), u.Row(j, k, 0, g.NX), density.Row(j, k, 0, g.NX))
 		}
 	}
 }

@@ -2,6 +2,7 @@ package problem
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"tealeaf/internal/deck"
@@ -194,6 +195,57 @@ func TestEnergyToURoundTrip(t *testing.T) {
 	UToEnergy(den, u, out)
 	if out.MaxDiff(en) > 1e-15 {
 		t.Error("round trip broke energy")
+	}
+}
+
+// TestEnergyConversionsMatchPerCell pins the row-slice conversions to
+// the per-cell u = ρ·e and e = u/ρ bit for bit, 2D and 3D, and requires
+// them to leave the halos alone.
+func TestEnergyConversionsMatchPerCell(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	fill := func(data []float64) {
+		for i := range data {
+			data[i] = math.Pow(10, rng.Float64()*6-3)
+		}
+	}
+	g := grid.MustGrid2D(13, 7, 2, 0, 1, 0, 1)
+	den, en, u := grid.NewField2D(g), grid.NewField2D(g), grid.NewField2D(g)
+	fill(den.Data)
+	fill(en.Data)
+	fill(u.Data)
+	u0, en0 := u.Clone(), en.Clone()
+	EnergyToU(den, en, u)
+	UToEnergy(den, u0, en)
+	for i := range den.Data {
+		wantU, wantE := u0.Data[i], en0.Data[i]
+		if j, k := g.Coords(i); g.InInterior(j, k) {
+			wantU, wantE = den.Data[i]*en0.Data[i], u0.Data[i]/den.Data[i]
+		}
+		if math.Float64bits(u.Data[i]) != math.Float64bits(wantU) || math.Float64bits(en.Data[i]) != math.Float64bits(wantE) {
+			t.Fatalf("2D conversions differ from the per-cell forms at flat index %d", i)
+		}
+	}
+
+	g3 := grid.UnitGrid3D(5, 3, 4, 2)
+	den3, en3, u3 := grid.NewField3D(g3), grid.NewField3D(g3), grid.NewField3D(g3)
+	fill(den3.Data)
+	fill(en3.Data)
+	fill(u3.Data)
+	u30, en30 := u3.Clone(), en3.Clone()
+	EnergyToU3D(den3, en3, u3)
+	UToEnergy3D(den3, u30, en3)
+	for k := -2; k < g3.NZ+2; k++ {
+		for j := -2; j < g3.NY+2; j++ {
+			for i := -2; i < g3.NX+2; i++ {
+				wantU, wantE := u30.At(i, j, k), en30.At(i, j, k)
+				if g3.InInterior(i, j, k) {
+					wantU, wantE = den3.At(i, j, k)*en30.At(i, j, k), u30.At(i, j, k)/den3.At(i, j, k)
+				}
+				if math.Float64bits(u3.At(i, j, k)) != math.Float64bits(wantU) || math.Float64bits(en3.At(i, j, k)) != math.Float64bits(wantE) {
+					t.Fatalf("3D conversions differ from the per-cell forms at (%d,%d,%d)", i, j, k)
+				}
+			}
+		}
 	}
 }
 

@@ -99,44 +99,29 @@ func BuildOperator2D(pool *par.Pool, density *grid.Field2D, dt float64, coef Coe
 		Ry:   dt / (g.DY * g.DY),
 	}
 
-	// Per-cell conduction coefficient over the full padded region.
-	w := grid.NewField2D(g)
+	// Face coefficients wherever both adjacent cells are addressable:
+	// rows and columns from −h+1. Each band rolls two padded rows of the
+	// per-cell coefficient w (rows k−1 and k) through its rows, so every
+	// padded row of density passes through some band and is checked.
 	h := g.Halo
-	pool.For(-h, g.NY+h, func(k0, k1 int) {
+	s := g.Stride()
+	recip := coef == RecipConductivity
+	rho, kx, ky := density.Data, op.Kx.Data, op.Ky.Data
+	bad := pool.ForReduce(-h+1, g.NY+h, func(k0, k1 int) float64 {
+		below, cur := make([]float64, s), make([]float64, s)
+		o := g.Index(-h, k0-1)
+		n := coefRow(below, rho[o:o+s], recip)
 		for k := k0; k < k1; k++ {
-			for j := -h; j < g.NX+h; j++ {
-				rho := density.At(j, k)
-				if rho <= 0 || math.IsNaN(rho) {
-					// Density must be physical; poison the coefficient so
-					// the validation pass below reports it.
-					w.Set(j, k, math.NaN())
-					continue
-				}
-				if coef == RecipConductivity {
-					w.Set(j, k, 1/rho)
-				} else {
-					w.Set(j, k, rho)
-				}
-			}
+			o += s
+			n += coefRow(cur, rho[o:o+s], recip)
+			faceRow2D(kx[o:o+s], ky[o:o+s], below, cur, op.Rx, op.Ry)
+			below, cur = cur, below
 		}
+		return n
 	})
-	for _, v := range w.Data {
-		if math.IsNaN(v) {
-			return nil, fmt.Errorf("stencil: non-positive or NaN density encountered")
-		}
+	if bad > 0 {
+		return nil, fmt.Errorf("stencil: non-positive or NaN density encountered")
 	}
-
-	// Face coefficients wherever both adjacent cells are addressable.
-	pool.For(-h+1, g.NY+h, func(k0, k1 int) {
-		for k := k0; k < k1; k++ {
-			for j := -h + 1; j < g.NX+h; j++ {
-				wl, wc := w.At(j-1, k), w.At(j, k)
-				op.Kx.Set(j, k, op.Rx*(wl+wc)/(2*wl*wc))
-				wd := w.At(j, k-1)
-				op.Ky.Set(j, k, op.Ry*(wd+wc)/(2*wd*wc))
-			}
-		}
-	})
 
 	// Zero-flux physical boundaries: no conduction through outer faces.
 	if phys.Left {
@@ -168,6 +153,40 @@ func BuildOperator2D(pool *par.Pool, density *grid.Field2D, dt float64, coef Coe
 		}
 	}
 	return op, nil
+}
+
+// coefRow writes the per-cell conduction coefficient w of one padded row
+// of density (ρ, or 1/ρ under RecipConductivity) and returns how many of
+// its densities are non-positive or NaN.
+func coefRow(w, rho []float64, recip bool) float64 {
+	rho = rho[:len(w)]
+	var bad float64
+	for i, r := range rho {
+		if r <= 0 || math.IsNaN(r) {
+			bad++
+		}
+		if recip {
+			w[i] = 1 / r
+		} else {
+			w[i] = r
+		}
+	}
+	return bad
+}
+
+// faceRow2D writes one padded row of the 2D face coefficients from the
+// coefficient rows cur (this row) and below (row k−1), every cell but
+// the first, whose west neighbour is not addressable:
+//
+//	Kx = rx·(w(j−1)+w(j)) / (2·w(j−1)·w(j)),  Ky likewise with w(k−1).
+func faceRow2D(kx, ky, below, cur []float64, rx, ry float64) {
+	n := len(cur)
+	kx, ky, below = kx[:n], ky[:n], below[:n]
+	for j := 1; j < n; j++ {
+		wl, wc, wd := cur[j-1], cur[j], below[j]
+		kx[j] = rx * (wl + wc) / (2 * wl * wc)
+		ky[j] = ry * (wd + wc) / (2 * wd * wc)
+	}
 }
 
 // stencilRows bundles the re-sliced rows the 5-point kernels read for one
@@ -611,9 +630,18 @@ func (op *Operator2D) Residual(pool *par.Pool, b grid.Bounds, u, rhs, r *grid.Fi
 	})
 }
 
-// Diagonal writes the matrix diagonal 1 + ΣK over b into d; the
-// point-Jacobi preconditioner is its reciprocal.
+// Diagonal writes the matrix diagonal 1 + ΣK over b into d.
 func (op *Operator2D) Diagonal(pool *par.Pool, b grid.Bounds, d *grid.Field2D) {
+	op.diagonal(pool, b, d, false)
+}
+
+// InvDiagonal writes the reciprocal of the diagonal over b into d: the
+// point-Jacobi preconditioner, in the same pass.
+func (op *Operator2D) InvDiagonal(pool *par.Pool, b grid.Bounds, d *grid.Field2D) {
+	op.diagonal(pool, b, d, true)
+}
+
+func (op *Operator2D) diagonal(pool *par.Pool, b grid.Bounds, d *grid.Field2D, inv bool) {
 	if b.Empty() {
 		return
 	}
@@ -621,12 +649,19 @@ func (op *Operator2D) Diagonal(pool *par.Pool, b grid.Bounds, d *grid.Field2D) {
 	s := g.Stride()
 	kx, ky := op.Kx.Data, op.Ky.Data
 	dd := d.Data
+	n := b.X1 - b.X0
 	pool.For(b.Y0, b.Y1, func(k0, k1 int) {
 		for k := k0; k < k1; k++ {
-			base := g.Index(0, k)
-			for j := b.X0; j < b.X1; j++ {
-				i := base + j
-				dd[i] = 1 + (ky[i+s] + ky[i]) + (kx[i+1] + kx[i])
+			o := g.Index(b.X0, k)
+			ds := dd[o : o+n : o+n]
+			kyn, kys := ky[o+s : o+s+n][:len(ds)], ky[o : o+n][:len(ds)]
+			kxe, kxw := kx[o+1 : o+n+1][:len(ds)], kx[o : o+n][:len(ds)]
+			for i := range ds {
+				v := 1 + (kyn[i] + kys[i]) + (kxe[i] + kxw[i])
+				if inv {
+					v = 1 / v
+				}
+				ds[i] = v
 			}
 		}
 	})

@@ -47,44 +47,33 @@ func BuildOperator3D(pool *par.Pool, density *grid.Field3D, dt float64, coef Coe
 		Kx:   grid.NewField3D(g), Ky: grid.NewField3D(g), Kz: grid.NewField3D(g),
 		Rx: dt / (g.DX * g.DX), Ry: dt / (g.DY * g.DY), Rz: dt / (g.DZ * g.DZ),
 	}
+	// Face coefficients at every cell whose west, south and back
+	// neighbours are addressable: planes, rows and columns from −h+1. Each band rolls two padded planes of
+	// the per-cell coefficient w (planes k−1 and k) through its planes,
+	// so every padded plane of density passes through some band and is
+	// checked.
 	h := g.Halo
-	w := grid.NewField3D(g)
-	pool.For(-h, g.NZ+h, func(k0, k1 int) {
+	sy, sz := op.strides()
+	recip := coef == RecipConductivity
+	rho, kx, ky, kz := density.Data, op.Kx.Data, op.Ky.Data, op.Kz.Data
+	bad := pool.ForReduce(-h+1, g.NZ+h, func(k0, k1 int) float64 {
+		back, cur := make([]float64, sz), make([]float64, sz)
+		o := g.Index(-h, -h, k0-1)
+		n := coefRow(back, rho[o:o+sz], recip)
 		for k := k0; k < k1; k++ {
-			for j := -h; j < g.NY+h; j++ {
-				for i := -h; i < g.NX+h; i++ {
-					rho := density.At(i, j, k)
-					if rho <= 0 || math.IsNaN(rho) {
-						w.Set(i, j, k, math.NaN())
-						continue
-					}
-					if coef == RecipConductivity {
-						w.Set(i, j, k, 1/rho)
-					} else {
-						w.Set(i, j, k, rho)
-					}
-				}
+			o += sz
+			n += coefRow(cur, rho[o:o+sz], recip)
+			for r := sy; r < sz; r += sy {
+				faceRow3D(kx[o+r:o+r+sy], ky[o+r:o+r+sy], kz[o+r:o+r+sy],
+					cur[r-sy:r], cur[r:r+sy], back[r:r+sy], op.Rx, op.Ry, op.Rz)
 			}
+			back, cur = cur, back
 		}
+		return n
 	})
-	for _, v := range w.Data {
-		if math.IsNaN(v) {
-			return nil, fmt.Errorf("stencil: non-positive or NaN density encountered")
-		}
+	if bad > 0 {
+		return nil, fmt.Errorf("stencil: non-positive or NaN density encountered")
 	}
-	face := func(a, b float64) float64 { return (a + b) / (2 * a * b) }
-	pool.For(-h+1, g.NZ+h, func(k0, k1 int) {
-		for k := k0; k < k1; k++ {
-			for j := -h + 1; j < g.NY+h; j++ {
-				for i := -h + 1; i < g.NX+h; i++ {
-					wc := w.At(i, j, k)
-					op.Kx.Set(i, j, k, op.Rx*face(w.At(i-1, j, k), wc))
-					op.Ky.Set(i, j, k, op.Ry*face(w.At(i, j-1, k), wc))
-					op.Kz.Set(i, j, k, op.Rz*face(w.At(i, j, k-1), wc))
-				}
-			}
-		}
-	})
 	// Zero-flux on the physical faces only.
 	if phys.Left || phys.Right {
 		for k := -h; k < g.NZ+h; k++ {
@@ -135,6 +124,22 @@ func BuildOperator3D(pool *par.Pool, density *grid.Field3D, dt float64, coef Coe
 		}
 	}
 	return op, nil
+}
+
+// faceRow3D writes one padded row of the 3D face coefficients from the
+// coefficient rows cur (this row), south (row j−1) and back (plane k−1),
+// every cell but the first:
+//
+//	Kx = rx·((w(i−1)+w(i)) / (2·w(i−1)·w(i))),  Ky, Kz likewise.
+func faceRow3D(kx, ky, kz, south, cur, back []float64, rx, ry, rz float64) {
+	n := len(cur)
+	kx, ky, kz, south, back = kx[:n], ky[:n], kz[:n], south[:n], back[:n]
+	for i := 1; i < n; i++ {
+		wl, wc, ws, wb := cur[i-1], cur[i], south[i], back[i]
+		kx[i] = rx * ((wl + wc) / (2 * wl * wc))
+		ky[i] = ry * ((ws + wc) / (2 * ws * wc))
+		kz[i] = rz * ((wb + wc) / (2 * wb * wc))
+	}
 }
 
 // point7 evaluates one row of the 7-point operator at a cell: the
@@ -513,6 +518,16 @@ func (op *Operator3D) Residual(pool *par.Pool, b grid.Bounds3D, u, rhs, r *grid.
 // coefficients one cell beyond each cell, so b must stay one cell inside
 // the padded region.
 func (op *Operator3D) Diagonal(pool *par.Pool, b grid.Bounds3D, d *grid.Field3D) {
+	op.diagonal(pool, b, d, false)
+}
+
+// InvDiagonal writes the reciprocal of diag(A) over b into d: the
+// point-Jacobi preconditioner, in the same pass.
+func (op *Operator3D) InvDiagonal(pool *par.Pool, b grid.Bounds3D, d *grid.Field3D) {
+	op.diagonal(pool, b, d, true)
+}
+
+func (op *Operator3D) diagonal(pool *par.Pool, b grid.Bounds3D, d *grid.Field3D, inv bool) {
 	if b.Empty() {
 		return
 	}
@@ -526,14 +541,16 @@ func (op *Operator3D) Diagonal(pool *par.Pool, b grid.Bounds3D, d *grid.Field3D)
 		for k := z0; k < z1; k++ {
 			for j := b.Y0; j < b.Y1; j++ {
 				o := g.Index(b.X0, j, k)
-				kxs := kx[o : o+n+1]
-				kyn := ky[o+sy : o+sy+n]
-				kys := ky[o : o+n]
-				kzf := kz[o+sz : o+sz+n]
-				kzb := kz[o : o+n]
 				ds := dd[o : o+n : o+n]
-				for i := 0; i < n; i++ {
-					ds[i] = 1 + (kxs[i+1] + kxs[i]) + (kyn[i] + kys[i]) + (kzf[i] + kzb[i])
+				kxe, kxw := kx[o+1 : o+n+1][:len(ds)], kx[o : o+n][:len(ds)]
+				kyn, kys := ky[o+sy : o+sy+n][:len(ds)], ky[o : o+n][:len(ds)]
+				kzf, kzb := kz[o+sz : o+sz+n][:len(ds)], kz[o : o+n][:len(ds)]
+				for i := range ds {
+					v := 1 + (kxe[i] + kxw[i]) + (kyn[i] + kys[i]) + (kzf[i] + kzb[i])
+					if inv {
+						v = 1 / v
+					}
+					ds[i] = v
 				}
 			}
 		}
