@@ -10,10 +10,10 @@ import (
 )
 
 // fuzzExperiment runs the propcheck deck fuzzer: -n seeded random decks
-// (-seed) through the full invariant suite — conservation, engine
-// agreement, rank invariance, backend bit-equality, worker-count and
-// halo-depth invariance — with automatic shrinking of any failure to a
-// minimal ready-to-run reproducer. -fuzzout, when given, receives the per-deck
+// (-seed) through the full invariant suite — conservation, rank
+// invariance, backend bit-equality, worker-count and halo-depth
+// invariance — with automatic shrinking of any failure to a minimal
+// ready-to-run reproducer. -fuzzout, when given, receives the per-deck
 // records as JSON; a non-zero failure count is a hard error so CI smoke
 // runs fail loudly.
 func fuzzExperiment(cfg config) error {
@@ -34,7 +34,7 @@ func fuzzExperiment(cfg config) error {
 		}{
 			Generated: time.Now().UTC().Format(time.RFC3339),
 			Notes: []string{
-				"Each deck is solved across every checker leg: serial base, classic engine, 2- and 4-rank Hub, 2-rank TCP, 2 and 4 workers (and depth 2 at 2 workers), halo depths {1,2,3}.",
+				"Each deck is solved across every checker leg: serial base, 2- and 4-rank Hub, 2-rank TCP, 2 and 4 workers (and depth 2 at 2 workers), halo depths {1,2,3}.",
 				"Checker tolerances: conservation drift equal to what the solves' residuals account for, to rounding; trajectory comparisons max(contract floor, 150*eps) relative — see internal/propcheck/invariants.go.",
 				"A failure record carries the deck and its shrunk minimal reproducer, both ready to run via the tea CLI.",
 			},

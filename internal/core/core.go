@@ -125,7 +125,6 @@ func NewInstance(d *deck.Deck, g *grid.Grid2D, pool *par.Pool, c comm.Communicat
 		EigenCGIters: d.EigenCGIters,
 		InnerSteps:   d.InnerSteps,
 		HaloDepth:    d.HaloDepth,
-		FusedDots:    d.FusedDots,
 	}
 	if d.UseDeflation {
 		// tl_use_deflation: build the distributed coarse subdomain

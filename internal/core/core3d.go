@@ -110,7 +110,6 @@ func NewInstance3D(d *deck.Deck, g *grid.Grid3D, pool *par.Pool, c comm.Communic
 		EigenCGIters: d.EigenCGIters,
 		InnerSteps:   d.InnerSteps,
 		HaloDepth:    d.HaloDepth,
-		FusedDots:    d.FusedDots,
 	}
 	if d.UseDeflation {
 		// tl_use_deflation on a dims=3 deck: the 3D coarse-space projector

@@ -14,7 +14,6 @@ func TestDeepHaloFusedCGDeckTrace(t *testing.T) {
 	run := func(depth int) (*Instance, int) {
 		d := problem.BenchmarkDeck(32)
 		d.Solver = "cg"
-		d.FusedDots = true
 		d.HaloDepth = depth
 		d.Eps = 1e-11
 		inst, err := NewSerial(d, nil)
@@ -53,7 +52,6 @@ func TestDeepHaloDeflatedCGDeckTrace(t *testing.T) {
 	run := func(depth int) (*Instance, int) {
 		d := problem.BenchmarkDeck(32)
 		d.Solver = "cg"
-		d.FusedDots = true
 		d.UseDeflation = true
 		d.DeflationBlocks = 4
 		d.HaloDepth = depth

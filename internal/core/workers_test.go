@@ -24,7 +24,7 @@ func TestWorkerCounts2D(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/depth%d", solver, depth), func(t *testing.T) {
 				run := func(workers int) *Instance {
 					d := problem.BenchmarkDeck(48)
-					d.Solver, d.FusedDots, d.HaloDepth = solver, true, depth
+					d.Solver, d.HaloDepth = solver, depth
 					d.Eps = 1e-11
 					d.EigenCGIters = 10
 					pool := par.NewPool(workers).WithGrain(1)
@@ -56,7 +56,7 @@ func TestWorkerCounts3D(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/depth%d", solver, depth), func(t *testing.T) {
 				run := func(workers int) *Instance3D {
 					d := problem.BenchmarkDeck3D(16)
-					d.Solver, d.FusedDots, d.HaloDepth = solver, true, depth
+					d.Solver, d.HaloDepth = solver, depth
 					d.Eps = 1e-11
 					d.EigenCGIters = 10
 					pool := par.NewPool(workers).WithGrain(1)

@@ -5,8 +5,7 @@
 // starting with '!' or '#'.
 //
 // Beyond stock TeaLeaf, the dialect adds: dims/z_cells/zmin/zmax (3D
-// decks), tl_fused_dots (fused ρ/‖r‖ reductions on the unfused loops),
-// and the deflation keys tl_use_deflation /
+// decks) and the deflation keys tl_use_deflation /
 // tl_deflation_blocks=N / tl_deflation_levels=L (subdomain deflation as
 // an outer Krylov projector; N coarse blocks per direction over the
 // global mesh, default 8, with an L-deep nested hierarchy — composes
@@ -70,7 +69,6 @@ type Deck struct {
 	EigenCGIters int
 	Precond      string // none | jac_diag | jac_block
 	Coefficient  string // density | recip_density
-	FusedDots    bool
 	ProfilerOn   bool
 	// UseDeflation composes subdomain deflation as an outer projector
 	// around the CG or PPCG solve (tl_use_deflation; §VII future work).
@@ -226,9 +224,6 @@ func (d *Deck) parseLine(line string) error {
 		return nil
 	case "tl_use_ppcg":
 		d.Solver = "ppcg"
-		return nil
-	case "tl_fused_dots":
-		d.FusedDots = true
 		return nil
 	case "tl_use_deflation":
 		d.UseDeflation = true

@@ -120,11 +120,12 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
-// TestRemovedLeverKeysRejected pins that the deleted pipelined-CG and
-// split-sweep keys are gone from the dialect: a deck naming either is
-// rejected as an unknown option on its own line, not silently ignored.
+// TestRemovedLeverKeysRejected pins that the deleted pipelined-CG,
+// split-sweep and fused-dots keys are gone from the dialect: a deck naming
+// any of them is rejected as an unknown option on its own line, not
+// silently ignored.
 func TestRemovedLeverKeysRejected(t *testing.T) {
-	for _, key := range []string{"tl_pipelined", "tl_split_sweeps"} {
+	for _, key := range []string{"tl_pipelined", "tl_split_sweeps", "tl_fused_dots"} {
 		_, err := ParseString("*tea\nstate 1 density=1 energy=1\n" + key + "\n*endtea\n")
 		if err == nil {
 			t.Errorf("%s: parsed, want an unknown-option error", key)
@@ -250,12 +251,12 @@ func TestParseReaderError(t *testing.T) {
 	}
 }
 
-func TestFusedDotsAndEigenIters(t *testing.T) {
-	d, err := ParseString("*tea\nstate 1 density=1 energy=1\ntl_fused_dots\ntl_eigen_cg_iters=8\ntl_ppcg_halo_depth=4\n*endtea")
+func TestEigenItersAndHaloDepth(t *testing.T) {
+	d, err := ParseString("*tea\nstate 1 density=1 energy=1\ntl_eigen_cg_iters=8\ntl_ppcg_halo_depth=4\n*endtea")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !d.FusedDots || d.EigenCGIters != 8 || d.HaloDepth != 4 {
+	if d.EigenCGIters != 8 || d.HaloDepth != 4 {
 		t.Errorf("extensions not parsed: %+v", d)
 	}
 }

@@ -22,7 +22,7 @@ var fuzzSeeds = []string{
 	"*tea\nstate 1 density=nan energy=inf\n*endtea",
 	"*tea\nstate abc\n*endtea",
 	"*TEA\nSTATE 1 DENSITY=2 ENERGY=3\n*ENDTEA",
-	"*tea\ntest_problem 5\nvisit_frequency=10\nprofiler_on\ntl_fused_dots\ntl_coefficient_recip_density\nstate 1 density=1 energy=1\n*endtea",
+	"*tea\ntest_problem 5\nvisit_frequency=10\nprofiler_on\ntl_coefficient_recip_density\nstate 1 density=1 energy=1\n*endtea",
 }
 
 // FuzzParseString asserts the parser's two safety properties on
@@ -79,7 +79,7 @@ func TestFormatIsValidatedOutput(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := d.Format()
-	for _, absent := range []string{"tl_fused_dots", "tl_use_deflation\n", "profiler_on", "radius="} {
+	for _, absent := range []string{"tl_use_deflation\n", "profiler_on", "radius="} {
 		if strings.Contains(text, absent) {
 			t.Errorf("canonical form of a plain deck mentions %q:\n%s", absent, text)
 		}

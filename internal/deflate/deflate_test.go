@@ -231,7 +231,7 @@ func TestDeflatedCGMatchesPlainCG(t *testing.T) {
 		t.Fatal(err)
 	}
 	u := rhs.Clone()
-	iters, rel, ok, err := defl.SolveDeflatedCG(u, rhs, 1e-11, 10000)
+	iters, rel, ok, err := defl.solveDeflatedCG(u, rhs, 1e-11, 10000)
 	if err != nil || !ok {
 		t.Fatalf("deflated CG did not converge: %d iters, rel %v, err %v", iters, rel, err)
 	}
@@ -276,7 +276,7 @@ func TestDeflationReducesIterationsInStiffRegime(t *testing.T) {
 		t.Fatal(err)
 	}
 	u := rhs.Clone()
-	iters, _, ok, err := defl.SolveDeflatedCG(u, rhs, 1e-9, 10000)
+	iters, _, ok, err := defl.solveDeflatedCG(u, rhs, 1e-9, 10000)
 	if err != nil || !ok {
 		t.Fatalf("deflated CG did not converge: %v", err)
 	}
@@ -307,7 +307,7 @@ func TestDeflationNeutralInTimeStepRegime(t *testing.T) {
 		t.Fatal(err)
 	}
 	u := rhs.Clone()
-	iters, _, ok, err := defl.SolveDeflatedCG(u, rhs, 1e-9, 10000)
+	iters, _, ok, err := defl.solveDeflatedCG(u, rhs, 1e-9, 10000)
 	if err != nil || !ok {
 		t.Fatalf("deflated CG did not converge: %v", err)
 	}
@@ -325,7 +325,7 @@ func TestDeflatedCGZeroRHS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	iters, rel, ok, err := defl.SolveDeflatedCG(u, rhs, 1e-10, 100)
+	iters, rel, ok, err := defl.solveDeflatedCG(u, rhs, 1e-10, 100)
 	if err != nil || !ok || iters != 0 || rel != 0 {
 		t.Errorf("zero RHS: iters=%d rel=%v ok=%v err=%v", iters, rel, ok, err)
 	}
@@ -352,7 +352,7 @@ func TestSolveDeflatedCGRankInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 	uS := rhsS.Clone()
-	itersS, _, okS, err := deflS.SolveDeflatedCG(uS, rhsS, tol, 10000)
+	itersS, _, okS, err := deflS.solveDeflatedCG(uS, rhsS, tol, 10000)
 	if err != nil || !okS {
 		t.Fatalf("serial deflated CG did not converge: %v", err)
 	}
@@ -393,7 +393,7 @@ func TestSolveDeflatedCGRankInvariance(t *testing.T) {
 			return err
 		}
 		u := rhs.Clone()
-		it, _, ok, err := defl.SolveDeflatedCG(u, rhs, tol, 10000)
+		it, _, ok, err := defl.solveDeflatedCG(u, rhs, tol, 10000)
 		if err != nil {
 			return err
 		}

@@ -45,7 +45,7 @@ func GalleryHotStripDeck() *deck.Deck {
 // GalleryDeflatedPointsDeck is promoted from fuzz seed 1, deck 24 — the
 // hardest deck of the corpus (~275 iterations per step). A stiff
 // operator (Δt ≈ 2.27 on ~0.17-wide cells, rx ≈ 77) over a 44× density
-// contrast, seeded with two point states, solved by fused-dot CG with
+// contrast, seeded with two point states, solved by CG with
 // two-block subdomain deflation and depth-3 halos — the exact
 // configuration stack whose interplay the fuzzer exists to cross-check.
 func GalleryDeflatedPointsDeck() *deck.Deck {
@@ -60,7 +60,6 @@ func GalleryDeflatedPointsDeck() *deck.Deck {
 	d.Coefficient = "density"
 	d.Eps = 1e-9
 	d.HaloDepth = 3
-	d.FusedDots = true
 	d.UseDeflation = true
 	d.DeflationBlocks = 2
 	d.DeflationLevels = 1

@@ -33,7 +33,7 @@ const (
 // and cell sizes, density/recip_density conductivity, a background plus
 // up to four high-contrast regions (boxes, discs/spheres, points), the
 // implicit-step stiffness regime (via dt), cg/ppcg, all three
-// preconditioners, deep halos, fused dots and the deflation hierarchy.
+// preconditioners, deep halos and the deflation hierarchy.
 func Gen(r *rand.Rand) *deck.Deck {
 	d := deck.Default()
 	d.EndStep = 1 + r.Intn(genMaxSteps)
@@ -100,11 +100,10 @@ func Gen(r *rand.Rand) *deck.Deck {
 	if d.Precond != "jac_block" && r.Float64() < 0.35 {
 		d.HaloDepth = 2 + r.Intn(2)
 	}
-	if r.Float64() < 0.30 {
-		d.FusedDots = true
-	}
-	// Two draws of the deleted pipelined/split-sweep axes, kept so every
-	// seed still generates the same decks on the remaining axes.
+	// Three draws of the deleted fused-dots, pipelined and split-sweep
+	// axes, kept so every seed still generates the same decks on the
+	// remaining axes.
+	r.Float64()
 	r.Float64()
 	r.Float64()
 	// The deleted tiling axis's draws, kept so seeds keep their decks.

@@ -9,7 +9,6 @@ import (
 	"tealeaf/internal/grid"
 	"tealeaf/internal/par"
 	"tealeaf/internal/problem"
-	"tealeaf/internal/solver"
 )
 
 // Checker tolerances. The exact-equality checker (backend at 2 ranks)
@@ -28,7 +27,7 @@ import (
 // The conservation gate has no constant: checkConserve compares the
 // drift with the residuals the solves stopped at, to rounding.
 const (
-	TolEngine = 1e-8  // fused vs classic
+	TolEngine = 1e-8  // CG engine vs the textbook PCG oracle (solver tests)
 	TolRank   = 2e-10 // floor: serial vs 2- and 4-rank decompositions
 	TolHalo   = 2e-10 // floor: halo depth 2,3 vs 1
 )
@@ -81,13 +80,11 @@ func newHarness(d *deck.Deck, cfg Config) *harness {
 	return &harness{d: d, cfg: cfg}
 }
 
-// runSerial solves d in-process with the given worker count, applying
-// mutate to the solver options before the first step (how the classic
-// leg is selected without re-parsing the deck). A multi-worker pool has
-// grain 1: the fuzz meshes are below the default grain and would
+// runSerial solves d in-process with the given worker count. A
+// multi-worker pool has grain 1: the fuzz meshes are below the default grain and would
 // otherwise never split. The leg name feeds the Tamper fault-injection
 // hook; the base leg also keeps the energy book checkConserve reads.
-func (h *harness) runSerial(d *deck.Deck, leg string, workers int, mutate func(*solver.Options)) (*runOut, error) {
+func (h *harness) runSerial(d *deck.Deck, leg string, workers int) (*runOut, error) {
 	pool := par.Serial
 	if workers > 1 {
 		pool = par.NewPool(workers).WithGrain(1)
@@ -99,9 +96,6 @@ func (h *harness) runSerial(d *deck.Deck, leg string, workers int, mutate func(*
 			return nil, fmt.Errorf("%s: %w", leg, err)
 		}
 		out := &runOut{ie0: inst.Summarise().InternalEnergy}
-		if mutate != nil {
-			mutate(inst.Options())
-		}
 		var bk *book
 		if leg == "base" {
 			bk = book3D(inst)
@@ -117,9 +111,6 @@ func (h *harness) runSerial(d *deck.Deck, leg string, workers int, mutate func(*
 		return nil, fmt.Errorf("%s: %w", leg, err)
 	}
 	out := &runOut{ie0: inst.Summarise().InternalEnergy}
-	if mutate != nil {
-		mutate(inst.Options())
-	}
 	var bk *book
 	if leg == "base" {
 		bk = book2D(inst)
@@ -253,11 +244,11 @@ func (h *harness) runDist(d *deck.Deck, leg string, px, py, pz int, backend core
 }
 
 // baseRun lazily computes and caches the plain serial solve of the deck
-// exactly as written, shared by the finite, conserve and engines
+// exactly as written, shared by the finite, conserve, rank and worker
 // checkers and by the report's iteration/drift columns.
 func (h *harness) baseRun() (*runOut, error) {
 	if h.base == nil && h.baseErr == nil {
-		h.base, h.baseErr = h.runSerial(h.d, "base", 1, nil)
+		h.base, h.baseErr = h.runSerial(h.d, "base", 1)
 	}
 	return h.base, h.baseErr
 }
@@ -369,7 +360,6 @@ type checkerDef struct {
 var checkers = []checkerDef{
 	{name: "finite", run: checkFinite},
 	{name: "conserve", run: checkConserve},
-	{name: "engines", run: checkEngines},
 	{name: "rank-invariance", run: checkRankInvariance},
 	{name: "backend-bit-equality", run: checkBackendBits},
 	{name: "workers", run: checkWorkers},
@@ -446,28 +436,6 @@ func checkConserve(h *harness) error {
 	return nil
 }
 
-// checkEngines: the fused (default) and classic (DisableFused) solver
-// engines agree on the final field. Where the fused engine does not
-// apply to the deck's solver/preconditioner both legs run the classic
-// loop, and the comparison is trivially exact — also correct.
-func checkEngines(h *harness) error {
-	base, err := h.baseRun()
-	if err != nil {
-		return err
-	}
-	classic, err := h.runSerial(h.d, "classic", 1, func(o *solver.Options) {
-		o.DisableFused = true
-	})
-	if err != nil {
-		return err
-	}
-	tol := legTol(TolEngine, 150, h.d, base)
-	if diff := maxDiff(base, classic); diff > tol {
-		return fmt.Errorf("base vs classic engines differ by %.3e (tol %.3e)", diff, tol)
-	}
-	return nil
-}
-
 // checkRankInvariance: 2- and 4-rank Hub decompositions reproduce the
 // serial answer to TolRank relative.
 func checkRankInvariance(h *harness) error {
@@ -527,7 +495,7 @@ func checkWorkers(h *harness) error {
 	}
 	tol := legTol(TolRank, 150, h.d, base)
 	cmp := func(d *deck.Deck, leg string, workers int) error {
-		out, err := h.runSerial(d, leg, workers, nil)
+		out, err := h.runSerial(d, leg, workers)
 		if err != nil {
 			return err
 		}
@@ -558,15 +526,15 @@ func checkHaloDepth(h *harness) error {
 		c.HaloDepth = depth
 		return c
 	}
-	d1, err := h.runSerial(mk(1), "halo1", 1, nil)
+	d1, err := h.runSerial(mk(1), "halo1", 1)
 	if err != nil {
 		return err
 	}
-	d2, err := h.runSerial(mk(2), "halo2", 1, nil)
+	d2, err := h.runSerial(mk(2), "halo2", 1)
 	if err != nil {
 		return err
 	}
-	d3, err := h.runSerial(mk(3), "halo3", 1, nil)
+	d3, err := h.runSerial(mk(3), "halo3", 1)
 	if err != nil {
 		return err
 	}

@@ -8,8 +8,6 @@
 //   - conserve:             internal energy moves by exactly what the
 //     solves' residuals account for, to rounding (reflecting boundaries
 //     make the fluxes telescope exactly, so a step changes Σu by −Σr)
-//   - engines:              fused and classic CG/PPCG engines agree to
-//     1e-8 relative on the final energy field
 //   - rank-invariance:      1-, 2- and 4-rank decompositions agree to
 //     2e-10 relative (2× the golden contract; see invariants.go on why
 //     fuzz decks' tighter eps earns the slack)
@@ -21,6 +19,10 @@
 //     workers) agree with the 1-worker base to the rank legs' tolerance
 //   - halo-depth:           tl_ppcg_halo_depth ∈ {1,2,3} agree to 2e-10
 //     relative (skipped for jac_block, which is depth-incompatible)
+//
+// The CG engine is checked against the textbook PCG loop, kept as a test
+// oracle, by the solver package's tests (FuzzEngineMatchesClassic) over
+// the same generator, at TolEngine with legTol's scaling.
 //
 // A failing deck is automatically shrunk (shrink.go) to a minimal
 // reproducer — halve the mesh, drop regions, cut steps, strip options —
@@ -42,7 +44,7 @@ import (
 
 // TamperFunc is the fault-injection hook: when set, every 2D checker leg
 // hands its final energy field here (after the run, before comparisons)
-// along with the leg's name — "base", "classic", "rank2x1",
+// along with the leg's name — "base", "rank2x1",
 // "rank2x2", "hub2", "tcp2", "workers-w2", "workers-w4",
 // "workers-d2-w2", "halo1", "halo2", "halo3". Perturbing one leg simulates a
 // kernel bug confined to that configuration; tests use it to demonstrate
@@ -181,9 +183,6 @@ func deckAxes(d *deck.Deck) []string {
 	axes := []string{"precond=" + d.Precond, "coeff=" + d.Coefficient}
 	if d.HaloDepth > 1 {
 		axes = append(axes, fmt.Sprintf("halo=%d", d.HaloDepth))
-	}
-	if d.FusedDots {
-		axes = append(axes, "fused_dots")
 	}
 	if d.UseDeflation {
 		axes = append(axes, fmt.Sprintf("deflation=%dx%d", d.DeflationBlocks, d.DeflationLevels))

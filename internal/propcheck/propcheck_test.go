@@ -261,7 +261,6 @@ func TestShrinkReachesFloors(t *testing.T) {
 	d := tamperDeck(t)
 	d.Solver = "ppcg"
 	d.Precond = "jac_diag"
-	d.FusedDots = true
 	d.HaloDepth = 3
 	d.XCells, d.YCells = 24, 24
 	d.UseDeflation = true
@@ -285,7 +284,7 @@ func TestShrinkReachesFloors(t *testing.T) {
 	if len(shrunk.States) != 1 {
 		t.Errorf("states = %d, want 1", len(shrunk.States))
 	}
-	if shrunk.UseDeflation || shrunk.FusedDots {
+	if shrunk.UseDeflation {
 		t.Errorf("options not fully stripped: %+v", shrunk)
 	}
 	if shrunk.Precond != "none" || shrunk.HaloDepth != 1 || shrunk.Solver != "cg" {

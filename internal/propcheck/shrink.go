@@ -78,13 +78,6 @@ var shrinkSteps = []shrinkStep{
 		d.DeflationLevels = 1
 		return true
 	}},
-	{"no-fused-dots", func(d *deck.Deck) bool {
-		if !d.FusedDots {
-			return false
-		}
-		d.FusedDots = false
-		return true
-	}},
 	{"precond-none", func(d *deck.Deck) bool {
 		if d.Precond == "none" {
 			return false

@@ -4,22 +4,20 @@ import "tealeaf/internal/grid"
 
 // SolveCG runs (preconditioned) conjugate gradients. With the default
 // identity preconditioner this is the paper's baseline "CG - 1"
-// configuration. CG has two engines. The default fused engine
-// restructures the iteration Chronopoulos–Gear style so that one
-// reduction round carries every dot product and the whole iteration is
-// one pass over the grid (two sweeps beside a depth-1 rank neighbour).
-// The classic engine keeps the seed's two-to-three reductions and
-// five-to-seven sweeps, which is exactly the communication pattern whose
-// log(P) latency dominates strong scaling (§III-A) and which §VII
-// proposes to fix; it runs under Options.DisableFused and wherever the
-// preconditioner does not fold into the fused sweeps (jac_block).
+// configuration. CG has one engine, for every preconditioner: the
+// iteration is restructured Chronopoulos–Gear style so that one
+// reduction round carries every dot product (§VII), instead of the
+// textbook loop's two to three rounds, whose log(P) latency dominates
+// strong scaling (§III-A). A diagonal preconditioner is folded into the
+// sweeps and the whole iteration is one pass over the grid (two sweeps
+// beside a depth-1 rank neighbour); a block preconditioner (jac_block)
+// applies z = M⁻¹r explicitly, in six sweeps and still one round.
 //
-// With Options.Deflation set, either loop runs deflated CG: the
-// iteration operates on the projected operator P·A with the coarse
-// subdomain modes removed from the spectrum, and coarse corrections
-// before and after the loop recover them exactly (see internal/deflate).
-// The projection is fully distributed and costs one extra reduction
-// round per iteration on both engines.
+// With Options.Deflation set the loop runs deflated CG: the iteration
+// operates on the projected operator P·A with the coarse subdomain modes
+// removed from the spectrum, and coarse corrections before and after the
+// loop recover them exactly (see internal/deflate). The projection is
+// fully distributed and costs one extra reduction round per iteration.
 //
 // The iteration body itself lives in loops.go (runCGCore) and is shared
 // verbatim with SolveCG3D.

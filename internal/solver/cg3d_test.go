@@ -144,7 +144,7 @@ func TestFusedMatchesUnfusedCG3D(t *testing.T) {
 		if err != nil || !resF.Converged {
 			t.Fatalf("w%d fused: %v (converged=%v)", workers, err, resF.Converged)
 		}
-		resU, err := SolveCG3D(pu, Options{Tol: 1e-10, Pool: pool, DisableFused: true})
+		resU, err := solveCGClassic3D(pu, Options{Tol: 1e-10, Pool: pool})
 		if err != nil || !resU.Converged {
 			t.Fatalf("w%d unfused: %v", workers, err)
 		}
@@ -158,7 +158,7 @@ func TestFusedMatchesUnfusedCG3D(t *testing.T) {
 	}
 }
 
-// Jacobi-preconditioned fused CG must agree with the unfused
+// Jacobi-preconditioned fused CG must agree with the unfused textbook
 // preconditioned loop and actually reduce iterations on a stiff problem.
 func TestSolveCG3DJacobiPreconditioned(t *testing.T) {
 	pf := buildProblem3DHalo(t, 12, 7, 2)
@@ -169,7 +169,7 @@ func TestSolveCG3DJacobiPreconditioned(t *testing.T) {
 	if err != nil || !resF.Converged {
 		t.Fatalf("fused jacobi: %v %+v", err, resF)
 	}
-	resU, err := SolveCG3D(pu, Options{Tol: 1e-10, Precond3D: mu, DisableFused: true})
+	resU, err := solveCGClassic3D(pu, Options{Tol: 1e-10, Precond3D: mu})
 	if err != nil || !resU.Converged {
 		t.Fatalf("unfused jacobi: %v", err)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"tealeaf/internal/grid"
 	"tealeaf/internal/par"
+	"tealeaf/internal/precond"
 	"tealeaf/internal/stencil"
 )
 
@@ -64,27 +65,30 @@ func smoothProblem3D(t *testing.T, n int) Problem3D {
 // The bootstrap guard regression, 2D: with EigenCGIters well under 20 on
 // the smooth problem the unguarded Chebyshev iteration diverges; the
 // residual-growth guard must detect it, re-bootstrap with more CG
-// iterations, and still converge — in both the fused and unfused loops.
+// iterations, and still converge — in both the folded main loop (no
+// preconditioner) and the explicit-z one a block preconditioner runs.
 func TestChebyBootstrapGuard2D(t *testing.T) {
-	for _, disableFused := range []bool{false, true} {
+	for _, block := range []bool{false, true} {
 		p := smoothProblem2D(t, 32)
-		res, err := SolveChebyshev(p, Options{
-			Tol: 1e-10, EigenCGIters: 8, MaxIters: 2000, DisableFused: disableFused,
-		})
+		o := Options{Tol: 1e-10, EigenCGIters: 8, MaxIters: 2000}
+		if block {
+			o.Precond = precond.NewBlockJacobi(par.Serial, p.Op, 0)
+		}
+		res, err := SolveChebyshev(p, o)
 		if err != nil {
-			t.Fatalf("fused=%v: %v", !disableFused, err)
+			t.Fatalf("jac_block=%v: %v", block, err)
 		}
 		if !res.Converged {
-			t.Fatalf("fused=%v: did not converge: %+v", !disableFused, res)
+			t.Fatalf("jac_block=%v: did not converge: %+v", block, res)
 		}
 		if res.Rebootstraps < 1 {
-			t.Errorf("fused=%v: guard did not fire (Rebootstraps=0) — the λmax underestimate went undetected", !disableFused)
+			t.Errorf("jac_block=%v: guard did not fire (Rebootstraps=0) — the λmax underestimate went undetected", block)
 		}
 		if rr := trueRelResidual(t, p); rr > 1e-8 {
-			t.Errorf("fused=%v: true residual %v", !disableFused, rr)
+			t.Errorf("jac_block=%v: true residual %v", block, rr)
 		}
-		t.Logf("fused=%v: converged in %d iterations after %d re-bootstrap(s)",
-			!disableFused, res.Iterations, res.Rebootstraps)
+		t.Logf("jac_block=%v: converged in %d iterations after %d re-bootstrap(s)",
+			block, res.Iterations, res.Rebootstraps)
 	}
 }
 

@@ -19,15 +19,29 @@ import (
 // count itself changes only the order each dot's band partials are
 // summed in.
 
-// deepVariant names one engine combination under test.
+// deepVariant names one engine combination under test: jac_diag unless
+// block selects jac_block, on a grid of halo max(depth, 2) unless halo is
+// set, solved by the engine unless oracle selects the textbook PCG loop.
 type deepVariant struct {
 	name     string
 	deflated bool
+	block    bool
+	halo     int
+	oracle   bool
+}
+
+// gridHalo is the halo depth v's grid is allocated with for a solve at
+// the given matrix-powers depth.
+func (v deepVariant) gridHalo(depth int) int {
+	if v.halo > 0 {
+		return v.halo
+	}
+	return max(depth, 2)
 }
 
 var deepVariants = []deepVariant{
-	{"fused", false},
-	{"deflated-fused", true},
+	{name: "fused"},
+	{name: "deflated-fused", deflated: true},
 }
 
 // deepPool builds a rank's worker pool at grain 1, so the test meshes,
@@ -46,10 +60,7 @@ func deepOpts(pool *par.Pool, c comm.Communicator, depth int) Options {
 func deepRun2D(t *testing.T, v deepVariant, ranks, workers, depth int) (int, *grid.Field2D, stats.Trace) {
 	t.Helper()
 	const n = 24
-	halo := depth
-	if halo < 2 {
-		halo = 2
-	}
+	halo := v.gridHalo(depth)
 	layouts := map[int][2]int{1: {1, 1}, 2: {2, 1}, 4: {2, 2}}
 	pxpy, ok := layouts[ranks]
 	if !ok {
@@ -85,6 +96,9 @@ func deepRun2D(t *testing.T, v deepVariant, ranks, workers, depth int) (int, *gr
 		}
 		opts := deepOpts(pool, c, depth)
 		opts.Precond = precond.NewJacobi(pool, op)
+		if v.block {
+			opts.Precond = precond.NewBlockJacobi(pool, op, 0)
+		}
 		if v.deflated {
 			defl, err := deflate.New(par.Serial, c, op,
 				deflate.Geometry{GlobalNX: n, GlobalNY: n, OffsetX: ext.X0, OffsetY: ext.Y0},
@@ -96,7 +110,11 @@ func deepRun2D(t *testing.T, v deepVariant, ranks, workers, depth int) (int, *gr
 		}
 		p := Problem{Op: op, U: rhs.Clone(), RHS: rhs}
 		c.Trace().Reset() // setup exchanges are not part of the solve
-		res, err := SolveCG(p, opts)
+		solve := SolveCG
+		if v.oracle {
+			solve = solveCGClassic
+		}
+		res, err := solve(p, opts)
 		if err != nil {
 			return err
 		}
@@ -123,10 +141,7 @@ func deepRun2D(t *testing.T, v deepVariant, ranks, workers, depth int) (int, *gr
 func deepRun3D(t *testing.T, v deepVariant, ranks, workers, depth int) (int, *grid.Field3D, stats.Trace) {
 	t.Helper()
 	const n = 12
-	halo := depth
-	if halo < 2 {
-		halo = 2
-	}
+	halo := v.gridHalo(depth)
 	layouts := map[int][3]int{1: {1, 1, 1}, 2: {1, 1, 2}, 4: {1, 2, 2}}
 	pl, ok := layouts[ranks]
 	if !ok {
@@ -165,6 +180,9 @@ func deepRun3D(t *testing.T, v deepVariant, ranks, workers, depth int) (int, *gr
 		}
 		opts := deepOpts(pool, c, depth)
 		opts.Precond3D = precond.NewJacobi3D(pool, op)
+		if v.block {
+			opts.Precond3D = precond.NewBlockJacobi3D(pool, op, 0)
+		}
 		if v.deflated {
 			defl, err := deflate.New3D(par.Serial, c, op,
 				deflate.Geometry3D{GlobalNX: n, GlobalNY: n, GlobalNZ: n,
@@ -177,7 +195,11 @@ func deepRun3D(t *testing.T, v deepVariant, ranks, workers, depth int) (int, *gr
 		}
 		p := Problem3D{Op: op, U: rhs.Clone(), RHS: rhs}
 		c.Trace().Reset()
-		res, err := SolveCG3D(p, opts)
+		solve := SolveCG3D
+		if v.oracle {
+			solve = solveCGClassic3D
+		}
+		res, err := solve(p, opts)
 		if err != nil {
 			return err
 		}

@@ -7,15 +7,9 @@ import (
 	"tealeaf/internal/deflate"
 	"tealeaf/internal/grid"
 	"tealeaf/internal/par"
-	"tealeaf/internal/precond"
 	"tealeaf/internal/stats"
 	"tealeaf/internal/stencil"
 )
-
-func precondJacobi(t *testing.T, op *stencil.Operator2D) precond.Preconditioner {
-	t.Helper()
-	return precond.NewJacobi(par.Serial, op)
-}
 
 // stiffProblem builds A = I + Δt·L with Δt·λ₂(L) ≫ 1 — the near-steady
 // regime where the low-energy subdomain modes are genuine spectral
@@ -120,59 +114,56 @@ func TestDeflationValidation(t *testing.T) {
 	}
 }
 
-// The deflated path must also work with a preconditioner, on both the
-// fused (default) and classic engines, converging to the plain solution.
+// The deflated path must also work with a preconditioner, folded
+// (jac_diag) or with an explicit z (jac_block), converging to the plain
+// solution.
 func TestDeflationWithPreconditioner(t *testing.T) {
 	plain := stiffProblem(t, 32)
 	plainRes, err := SolveCG(plain, Options{Tol: 1e-9})
 	if err != nil || !plainRes.Converged {
 		t.Fatalf("plain CG: %v", err)
 	}
-	for _, disableFused := range []bool{false, true} {
+	for _, name := range []string{"jac_diag", "jac_block"} {
 		p := stiffProblem(t, 32)
-		res, err := SolveCG(p, Options{Tol: 1e-9, DisableFused: disableFused,
+		res, err := SolveCG(p, Options{Tol: 1e-9,
 			Deflation: newDeflation(t, p.Op, 4, 1),
-			Precond:   precondJacobi(t, p.Op)})
+			Precond:   fusedPrecondFor(name, p)})
 		if err != nil || !res.Converged {
-			t.Fatalf("deflated+jacobi CG (fused=%v): %v %+v", !disableFused, err, res)
+			t.Fatalf("deflated %s CG: %v %+v", name, err, res)
 		}
 		if d := p.U.MaxDiff(plain.U); d > 1e-6 {
-			t.Errorf("deflated+jacobi solution (fused=%v) differs by %v", !disableFused, d)
+			t.Errorf("deflated %s solution differs by %v", name, d)
 		}
 		if res.Iterations >= plainRes.Iterations {
-			t.Errorf("deflated+jacobi CG (fused=%v) took %d iterations, plain %d",
-				!disableFused, res.Iterations, plainRes.Iterations)
+			t.Errorf("deflated %s CG took %d iterations, plain %d", name, res.Iterations, plainRes.Iterations)
 		}
 	}
 }
 
-// The fused Chronopoulos–Gear engine and the classic engine must agree on
-// the deflated iteration: same solution and iteration counts within ±1,
-// with and without a foldable preconditioner.
+// The engine and the textbook PCG oracle must agree on the deflated
+// iteration: same solution and iteration counts within ±1, with no
+// preconditioner, a folded one and an explicit one.
 func TestDeflationFusedMatchesClassic(t *testing.T) {
 	const n = 48
-	for _, withPrecond := range []bool{false, true} {
-		run := func(disableFused bool) (Result, Problem) {
+	for _, name := range []string{"none", "jac_diag", "jac_block"} {
+		run := func(solve func(Problem, Options) (Result, error)) (Result, Problem) {
 			p := stiffProblem(t, n)
-			o := Options{Tol: 1e-10, DisableFused: disableFused,
-				Deflation: newDeflation(t, p.Op, 6, 1)}
-			if withPrecond {
-				o.Precond = precondJacobi(t, p.Op)
-			}
-			res, err := SolveCG(p, o)
+			o := Options{Tol: 1e-10, Deflation: newDeflation(t, p.Op, 6, 1),
+				Precond: fusedPrecondFor(name, p)}
+			res, err := solve(p, o)
 			if err != nil || !res.Converged {
-				t.Fatalf("deflated CG (fused=%v precond=%v): %v %+v", !disableFused, withPrecond, err, res)
+				t.Fatalf("deflated CG (precond=%s): %v %+v", name, err, res)
 			}
 			return res, p
 		}
-		fused, pf := run(false)
-		classic, pc := run(true)
-		if d := fused.Iterations - classic.Iterations; d < -1 || d > 1 {
-			t.Errorf("precond=%v: fused took %d iterations, classic %d (want ±1)",
-				withPrecond, fused.Iterations, classic.Iterations)
+		engine, pe := run(SolveCG)
+		oracle, po := run(solveCGClassic)
+		if d := engine.Iterations - oracle.Iterations; d < -1 || d > 1 {
+			t.Errorf("precond=%s: engine took %d iterations, oracle %d (want ±1)",
+				name, engine.Iterations, oracle.Iterations)
 		}
-		if d := pf.U.MaxDiff(pc.U); d > 1e-8 {
-			t.Errorf("precond=%v: fused and classic deflated solutions differ by %v", withPrecond, d)
+		if d := pe.U.MaxDiff(po.U); d > 1e-8 {
+			t.Errorf("precond=%s: engine and oracle deflated solutions differ by %v", name, d)
 		}
 	}
 }
@@ -242,18 +233,16 @@ func TestDeflatedPPCGOnStiffProblem(t *testing.T) {
 
 // The projection's communication price, pinned by trace: a deflated CG
 // iteration performs exactly ONE more reduction round than its plain
-// counterpart — the coarse-residual allreduce — on the fused engine
-// (1 → 2 rounds) and the classic engine (2 → 3 with fused dots) alike.
-// Measured as the slope of rounds over iterations so startup rounds
-// cancel.
+// counterpart — the coarse-residual allreduce — folded or with an
+// explicit z (jac_block) alike (1 → 2 rounds). Measured as the slope of
+// rounds over iterations so startup rounds cancel.
 func TestDeflationTraceExtraReductionRound(t *testing.T) {
 	const n = 32
-	rounds := func(disableFused, deflated bool, iters int) (reductions, itersRan int) {
+	rounds := func(name string, deflated bool, iters int) (reductions, itersRan int) {
 		t.Helper()
 		p := stiffProblem(t, n)
 		c := comm.NewSerial()
-		o := Options{Tol: 1e-30, MaxIters: iters, Comm: c,
-			DisableFused: disableFused, FusedDots: true}
+		o := Options{Tol: 1e-30, MaxIters: iters, Comm: c, Precond: fusedPrecondFor(name, p)}
 		if deflated {
 			defl, err := deflate.New(par.Serial, c, p.Op, deflate.Geometry{},
 				deflate.Config{BX: 4, BY: 4})
@@ -268,10 +257,10 @@ func TestDeflationTraceExtraReductionRound(t *testing.T) {
 		}
 		return c.Trace().Reductions, res.Iterations
 	}
-	for _, disableFused := range []bool{false, true} {
+	for _, name := range []string{"none", "jac_block"} {
 		slope := func(deflated bool) int {
-			r1, i1 := rounds(disableFused, deflated, 10)
-			r2, i2 := rounds(disableFused, deflated, 20)
+			r1, i1 := rounds(name, deflated, 10)
+			r2, i2 := rounds(name, deflated, 20)
 			if i2 == i1 {
 				t.Fatalf("iteration counts did not differ (%d vs %d)", i1, i2)
 			}
@@ -282,9 +271,9 @@ func TestDeflationTraceExtraReductionRound(t *testing.T) {
 		}
 		plain := slope(false)
 		defl := slope(true)
-		if defl != plain+1 {
-			t.Errorf("fused=%v: deflated CG performs %d reduction rounds/iteration, plain %d — want exactly one more",
-				!disableFused, defl, plain)
+		if plain != 1 || defl != 2 {
+			t.Errorf("precond=%s: deflated CG performs %d reduction rounds/iteration, plain %d — want 2 and 1",
+				name, defl, plain)
 		}
 	}
 }
@@ -294,21 +283,18 @@ func TestDeflationTraceExtraReductionRound(t *testing.T) {
 // (traced as a dot pass), one coarse reduction round and one flux
 // correction sweep (a vector pass); the re-measured curvature rides the
 // correction, so no engine pays a separate dot or preconditioner sweep
-// for it. Fused: the matvec and the merged step (one pass, counted as
+// for it. Folded: the matvec and the merged step (one pass, counted as
 // the work of both), whose pass also takes the restriction's row sums,
-// + 1 correction sweep, 2 rounds. Classic (identity M):
-// matvec, 2 axpys, ‖r‖² dot, direction update + 2 projector sweeps, 3
-// rounds.
+// + 1 correction sweep, 2 rounds. Explicit z (jac_block): 3 vector
+// sweeps, the block solve, the matvec, the γ/‖r‖² dot + the 2 projector
+// sweeps, 2 rounds.
 func TestDeflatedTraceSweepCounts(t *testing.T) {
 	type profile struct{ matvecs, vectorPasses, dots, preconds, reductions int }
-	run := func(o Options, jacobi bool, iters int) (stats.Trace, int) {
+	run := func(name string, iters int) (stats.Trace, int) {
 		t.Helper()
 		p := stiffProblem(t, 32)
 		c := comm.NewSerial()
-		o.Tol, o.MaxIters, o.Comm = 1e-30, iters, c
-		if jacobi {
-			o.Precond = precondJacobi(t, p.Op)
-		}
+		o := Options{Tol: 1e-30, MaxIters: iters, Comm: c, Precond: fusedPrecondFor(name, p)}
 		defl, err := deflate.New(par.Serial, c, p.Op, deflate.Geometry{}, deflate.Config{BX: 4, BY: 4})
 		if err != nil {
 			t.Fatal(err)
@@ -321,17 +307,15 @@ func TestDeflatedTraceSweepCounts(t *testing.T) {
 		return *c.Trace(), res.Iterations
 	}
 	for _, tc := range []struct {
-		name   string
-		o      Options
-		jacobi bool
-		want   profile
+		name string
+		want profile
 	}{
-		{"fused", Options{}, false, profile{1, 2, 0, 0, 2}},
-		{"fused+jac_diag", Options{}, true, profile{1, 2, 0, 0, 2}},
-		{"classic", Options{DisableFused: true}, false, profile{1, 4, 2, 0, 3}},
+		{"none", profile{1, 2, 0, 0, 2}},
+		{"jac_diag", profile{1, 2, 0, 0, 2}},
+		{"jac_block", profile{1, 4, 2, 1, 2}},
 	} {
-		t1, i1 := run(tc.o, tc.jacobi, 10)
-		t2, i2 := run(tc.o, tc.jacobi, 20)
+		t1, i1 := run(tc.name, 10)
+		t2, i2 := run(tc.name, 20)
 		di := i2 - i1
 		if di <= 0 {
 			t.Fatalf("%s: iteration counts did not differ (%d vs %d)", tc.name, i1, i2)

@@ -291,24 +291,24 @@ func TestDistributed3DPPCGMatrixPowersAcceptance(t *testing.T) {
 	}
 }
 
-// TestFusedCGHubMatchesSerialClassic: the fused engine on the in-process
-// hub at ranks {1, 2, 4}, unpreconditioned and with the folded Jacobi
-// diagonal, against the single-rank classic engine (the test oracle):
-// solution within 1e-10, iterations within ±2, and every rank stopping
-// at the same iteration.
+// TestFusedCGHubMatchesSerialClassic: the CG engine on the in-process
+// hub at ranks {1, 2, 4}, unpreconditioned, with the folded Jacobi
+// diagonal and with jac_block's explicit z, against the single-rank
+// textbook PCG oracle: solution within 1e-10, iterations within ±2, and
+// every rank stopping at the same iteration.
 func TestFusedCGHubMatchesSerialClassic(t *testing.T) {
 	const nx, ny, halo = 24, 24, 2
 	layouts := []struct {
 		ranks  int
 		px, py int
 	}{{1, 1, 1}, {2, 2, 1}, {4, 2, 2}}
-	for _, precondName := range []string{"none", "jac_diag"} {
+	for _, precondName := range []string{"none", "jac_diag", "jac_block"} {
 		opts := func(op *stencil.Operator2D) Options {
-			o := Options{Tol: 1e-12}
-			if precondName == "jac_diag" {
-				o.Precond = precond.NewJacobi(par.Serial, op)
+			m, err := precond.FromName(precondName, par.Serial, op)
+			if err != nil {
+				t.Fatal(err)
 			}
-			return o
+			return Options{Tol: 1e-12, Precond: m}
 		}
 		g := grid.UnitGrid2D(nx, ny, halo)
 		den, rhs := grid.NewField2D(g), grid.NewField2D(g)
@@ -324,9 +324,7 @@ func TestFusedCGHubMatchesSerialClassic(t *testing.T) {
 			t.Fatal(err)
 		}
 		ref := Problem{Op: op, U: rhs.Clone(), RHS: rhs}
-		oRef := opts(op)
-		oRef.DisableFused = true
-		refRes, err := SolveCG(ref, oRef)
+		refRes, err := solveCGClassic(ref, opts(op))
 		if err != nil || !refRes.Converged {
 			t.Fatalf("%s classic reference: %v %+v", precondName, err, refRes)
 		}

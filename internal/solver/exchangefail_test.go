@@ -52,6 +52,7 @@ func (f *failComm) Exchange3D(depth int, fields ...*grid.Field3D) error {
 
 func TestSolversSurfaceExchangeFailure(t *testing.T) {
 	jacobi := func(p Problem, o *Options) { o.Precond = precond.NewJacobi(par.Serial, p.Op) }
+	block := func(p Problem, o *Options) { o.Precond = precond.NewBlockJacobi(par.Serial, p.Op, 4) }
 	cases := []struct {
 		name string
 		dims int
@@ -69,19 +70,22 @@ func TestSolversSurfaceExchangeFailure(t *testing.T) {
 		{name: "cg-fused-deflated", dims: 2, kind: KindCG, halo: 2, setup: func(p Problem, o *Options) {
 			o.Deflation = newDeflation(t, p.Op, 4, 1)
 		}},
-		{name: "cg-classic", dims: 2, kind: KindCG, halo: 2, o: Options{DisableFused: true}},
-		{name: "cg-classic-jac_block", dims: 2, kind: KindCG, halo: 2, setup: func(p Problem, o *Options) {
-			o.Precond = precond.NewBlockJacobi(par.Serial, p.Op, 4)
+		{name: "cg-jac_block", dims: 2, kind: KindCG, halo: 2, setup: block},
+		{name: "cg-jac_block-deflated", dims: 2, kind: KindCG, halo: 2, setup: func(p Problem, o *Options) {
+			block(p, o)
+			o.Deflation = newDeflation(t, p.Op, 4, 1)
 		}},
-		{name: "cg-classic-deflated", dims: 2, kind: KindCG, halo: 2, o: Options{DisableFused: true},
-			setup: func(p Problem, o *Options) { o.Deflation = newDeflation(t, p.Op, 4, 1) }},
 		{name: "chebyshev", dims: 2, kind: KindCheby, halo: 2, setup: jacobi},
+		{name: "chebyshev-jac_block", dims: 2, kind: KindCheby, halo: 2, setup: block},
 		{name: "ppcg", dims: 2, kind: KindPPCG, halo: 2, setup: jacobi},
+		{name: "ppcg-jac_block", dims: 2, kind: KindPPCG, halo: 2, setup: block},
 		{name: "ppcg-depth3", dims: 2, kind: KindPPCG, halo: 3, o: Options{HaloDepth: 3}, setup: jacobi},
 		{name: "cg3d-fused", dims: 3, kind: KindCG, halo: 2, setup3D: func(p Problem3D, o *Options) {
 			o.Precond3D = precond.NewJacobi3D(par.Serial, p.Op)
 		}},
-		{name: "cg3d-classic", dims: 3, kind: KindCG, halo: 2, o: Options{DisableFused: true}},
+		{name: "cg3d-jac_block", dims: 3, kind: KindCG, halo: 2, setup3D: func(p Problem3D, o *Options) {
+			o.Precond3D = precond.NewBlockJacobi3D(par.Serial, p.Op, 4)
+		}},
 		{name: "ppcg3d", dims: 3, kind: KindPPCG, halo: 2, setup3D: func(p Problem3D, o *Options) {
 			o.Precond3D = precond.NewJacobi3D(par.Serial, p.Op)
 		}},

@@ -21,7 +21,13 @@ import (
 // immediately before they were collapsed; the refactored code must
 // reproduce every entry to iteration count ±1 and solution L2 norm within
 // a 1e-10 relative tolerance, across {CG, Chebyshev, PPCG} × {2D, 3D} ×
-// ranks {1, 4} × {fused, unfused}.
+// ranks {1, 4} × two legs. The "fused" leg is the default solve with the
+// folded Jacobi diagonal. The second leg of CG is the textbook PCG oracle
+// (classic_test.go) with the same preconditioner; the second leg of
+// Chebyshev and PPCG is a jac_block solve, which runs their explicit-z
+// branches. The jac_block rows were generated at the commit before CG's
+// jac_block solves moved from the textbook loop onto the single-reduction
+// engine, and the engine meets them to the same contract.
 //
 // Regenerate (e.g. after an intentional numerical change) with:
 //
@@ -31,7 +37,7 @@ type goldenKey struct {
 	kind  Kind
 	dims  int
 	ranks int
-	fused bool
+	leg   string // "fused", "oracle" (CG) or "jac_block" (Chebyshev, PPCG)
 }
 
 type goldenVal struct {
@@ -40,40 +46,37 @@ type goldenVal struct {
 }
 
 func (k goldenKey) String() string {
-	f := "unfused"
-	if k.fused {
-		f = "fused"
-	}
-	return fmt.Sprintf("%s/%dD/ranks=%d/%s", k.kind, k.dims, k.ranks, f)
+	return fmt.Sprintf("%s/%dD/ranks=%d/%s", k.kind, k.dims, k.ranks, k.leg)
 }
 
 // goldenTable holds the pre-refactor behaviour, generated at commit
-// 4670adc (the last commit with separate 2D/3D loop bodies).
+// 4670adc (the last commit with separate 2D/3D loop bodies); the
+// jac_block rows were generated at commit 1c34a1a.
 var goldenTable = map[goldenKey]goldenVal{
-	{"cg", 2, 1, true}:         {86, 61.3053574334986},
-	{"cg", 2, 1, false}:        {86, 61.3053574334986},
-	{"cg", 2, 4, true}:         {86, 61.3053574334986},
-	{"cg", 2, 4, false}:        {86, 61.3053574334986},
-	{"cg", 3, 1, true}:         {54, 106.271376985618},
-	{"cg", 3, 1, false}:        {54, 106.271376985618},
-	{"cg", 3, 4, true}:         {54, 106.271376985618},
-	{"cg", 3, 4, false}:        {54, 106.271376985618},
-	{"chebyshev", 2, 1, true}:  {340, 61.3053572496858},
-	{"chebyshev", 2, 1, false}: {340, 61.3053572496858},
-	{"chebyshev", 2, 4, true}:  {340, 61.3053572496858},
-	{"chebyshev", 2, 4, false}: {340, 61.3053572496858},
-	{"chebyshev", 3, 1, true}:  {130, 106.271376920425},
-	{"chebyshev", 3, 1, false}: {130, 106.271376920425},
-	{"chebyshev", 3, 4, true}:  {130, 106.271376920425},
-	{"chebyshev", 3, 4, false}: {130, 106.271376920425},
-	{"ppcg", 2, 1, true}:       {29, 61.3053574334739},
-	{"ppcg", 2, 1, false}:      {29, 61.3053574334738},
-	{"ppcg", 2, 4, true}:       {29, 61.3053574334739},
-	{"ppcg", 2, 4, false}:      {29, 61.3053574334739},
-	{"ppcg", 3, 1, true}:       {21, 106.271376985734},
-	{"ppcg", 3, 1, false}:      {21, 106.271376985734},
-	{"ppcg", 3, 4, true}:       {21, 106.271376985734},
-	{"ppcg", 3, 4, false}:      {21, 106.271376985734},
+	{"cg", 2, 1, "fused"}:            {86, 61.3053574334986},
+	{"cg", 2, 1, "oracle"}:           {86, 61.3053574334986},
+	{"cg", 2, 4, "fused"}:            {86, 61.3053574334986},
+	{"cg", 2, 4, "oracle"}:           {86, 61.3053574334986},
+	{"cg", 3, 1, "fused"}:            {54, 106.271376985618},
+	{"cg", 3, 1, "oracle"}:           {54, 106.271376985618},
+	{"cg", 3, 4, "fused"}:            {54, 106.271376985618},
+	{"cg", 3, 4, "oracle"}:           {54, 106.271376985618},
+	{"chebyshev", 2, 1, "fused"}:     {340, 61.3053572496858},
+	{"chebyshev", 2, 1, "jac_block"}: {240, 61.3053572463082},
+	{"chebyshev", 2, 4, "fused"}:     {340, 61.3053572496858},
+	{"chebyshev", 2, 4, "jac_block"}: {240, 61.3053572463082},
+	{"chebyshev", 3, 1, "fused"}:     {130, 106.271376920425},
+	{"chebyshev", 3, 1, "jac_block"}: {100, 106.271376929796},
+	{"chebyshev", 3, 4, "fused"}:     {130, 106.271376920425},
+	{"chebyshev", 3, 4, "jac_block"}: {100, 106.271376929796},
+	{"ppcg", 2, 1, "fused"}:          {29, 61.3053574334739},
+	{"ppcg", 2, 1, "jac_block"}:      {25, 61.3053574339337},
+	{"ppcg", 2, 4, "fused"}:          {29, 61.3053574334739},
+	{"ppcg", 2, 4, "jac_block"}:      {25, 61.3053574339338},
+	{"ppcg", 3, 1, "fused"}:          {21, 106.271376985734},
+	{"ppcg", 3, 1, "jac_block"}:      {19, 106.271376985592},
+	{"ppcg", 3, 4, "fused"}:          {21, 106.271376985734},
+	{"ppcg", 3, 4, "jac_block"}:      {19, 106.271376985592},
 }
 
 const (
@@ -83,19 +86,41 @@ const (
 	goldenTol  = 1e-10
 )
 
-func goldenOpts(c comm.Communicator, m precond.Preconditioner, m3 precond.Preconditioner3D, fused bool) Options {
-	return Options{
-		Tol: goldenTol, Comm: c,
-		Precond: m, Precond3D: m3,
-		EigenCGIters: 10, InnerSteps: 4, HaloDepth: 1,
-		DisableFused: !fused,
+func goldenOpts(c comm.Communicator) Options {
+	return Options{Tol: goldenTol, Comm: c, EigenCGIters: 10, InnerSteps: 4, HaloDepth: 1}
+}
+
+// goldenRun2D solves one 2D combo's problem with its leg's
+// preconditioner and loop.
+func goldenRun2D(kind Kind, leg string, p Problem, c comm.Communicator) (Result, error) {
+	o := goldenOpts(c)
+	o.Precond = precond.NewJacobi(par.Serial, p.Op)
+	switch leg {
+	case "jac_block":
+		o.Precond = precond.NewBlockJacobi(par.Serial, p.Op, 0)
+	case "oracle":
+		return solveCGClassic(p, o)
 	}
+	return Solve(kind, p, o)
+}
+
+// goldenRun3D is goldenRun2D's 3D twin.
+func goldenRun3D(kind Kind, leg string, p Problem3D, c comm.Communicator) (Result, error) {
+	o := goldenOpts(c)
+	o.Precond3D = precond.NewJacobi3D(par.Serial, p.Op)
+	switch leg {
+	case "jac_block":
+		o.Precond3D = precond.NewBlockJacobi3D(par.Serial, p.Op, 0)
+	case "oracle":
+		return solveCGClassic3D(p, o)
+	}
+	return Solve3D(kind, p, o)
 }
 
 // goldenSolve2D runs one 2D combo on the deterministic denAt2D/rhsAt2D
 // fields and returns rank 0's iteration count and the gathered solution
 // L2 norm.
-func goldenSolve2D(t *testing.T, kind Kind, ranks int, fused bool) (int, float64) {
+func goldenSolve2D(t *testing.T, kind Kind, ranks int, leg string) (int, float64) {
 	t.Helper()
 	const n = goldenN2D
 	if ranks == 1 {
@@ -113,7 +138,7 @@ func goldenSolve2D(t *testing.T, kind Kind, ranks int, fused bool) (int, float64
 			t.Fatal(err)
 		}
 		p := Problem{Op: op, U: rhs.Clone(), RHS: rhs}
-		res, err := Solve(kind, p, goldenOpts(nil, precond.NewJacobi(par.Serial, op), nil, fused))
+		res, err := goldenRun2D(kind, leg, p, nil)
 		if err != nil {
 			t.Fatalf("serial 2D %s: %v", kind, err)
 		}
@@ -150,7 +175,7 @@ func goldenSolve2D(t *testing.T, kind Kind, ranks int, fused bool) (int, float64
 			return err
 		}
 		p := Problem{Op: op, U: rhs.Clone(), RHS: rhs}
-		res, err := Solve(kind, p, goldenOpts(c, precond.NewJacobi(par.Serial, op), nil, fused))
+		res, err := goldenRun2D(kind, leg, p, c)
 		if err != nil {
 			return err
 		}
@@ -186,7 +211,7 @@ func norm3D(f *grid.Field3D) float64 {
 
 // goldenSolve3D is the 3D twin of goldenSolve2D on the denAt3D/rhsAt3D
 // fields.
-func goldenSolve3D(t *testing.T, kind Kind, ranks int, fused bool) (int, float64) {
+func goldenSolve3D(t *testing.T, kind Kind, ranks int, leg string) (int, float64) {
 	t.Helper()
 	const n = goldenN3D
 	if ranks == 1 {
@@ -206,7 +231,7 @@ func goldenSolve3D(t *testing.T, kind Kind, ranks int, fused bool) (int, float64
 			t.Fatal(err)
 		}
 		p := Problem3D{Op: op, U: rhs.Clone(), RHS: rhs}
-		res, err := Solve3D(kind, p, goldenOpts(nil, nil, precond.NewJacobi3D(par.Serial, op), fused))
+		res, err := goldenRun3D(kind, leg, p, nil)
 		if err != nil {
 			t.Fatalf("serial 3D %s: %v", kind, err)
 		}
@@ -246,7 +271,7 @@ func goldenSolve3D(t *testing.T, kind Kind, ranks int, fused bool) (int, float64
 			return err
 		}
 		p := Problem3D{Op: op, U: rhs.Clone(), RHS: rhs}
-		res, err := Solve3D(kind, p, goldenOpts(c, nil, precond.NewJacobi3D(par.Serial, op), fused))
+		res, err := goldenRun3D(kind, leg, p, c)
 		if err != nil {
 			return err
 		}
@@ -272,8 +297,12 @@ func TestGoldenEquivalence(t *testing.T) {
 	for _, kind := range []Kind{KindCG, KindCheby, KindPPCG} {
 		for _, dims := range []int{2, 3} {
 			for _, ranks := range []int{1, 4} {
-				for _, fused := range []bool{true, false} {
-					keys = append(keys, goldenKey{kind, dims, ranks, fused})
+				second := "jac_block"
+				if kind == KindCG {
+					second = "oracle"
+				}
+				for _, leg := range []string{"fused", second} {
+					keys = append(keys, goldenKey{kind, dims, ranks, leg})
 				}
 			}
 		}
@@ -286,12 +315,12 @@ func TestGoldenEquivalence(t *testing.T) {
 			var iters int
 			var norm float64
 			if key.dims == 2 {
-				iters, norm = goldenSolve2D(t, key.kind, key.ranks, key.fused)
+				iters, norm = goldenSolve2D(t, key.kind, key.ranks, key.leg)
 			} else {
-				iters, norm = goldenSolve3D(t, key.kind, key.ranks, key.fused)
+				iters, norm = goldenSolve3D(t, key.kind, key.ranks, key.leg)
 			}
 			if gen {
-				fmt.Printf("\t{%q, %d, %d, %v}: {%d, %.15g},\n", key.kind, key.dims, key.ranks, key.fused, iters, norm)
+				fmt.Printf("\t{%q, %d, %d, %q}: {%d, %.15g},\n", key.kind, key.dims, key.ranks, key.leg, iters, norm)
 				return
 			}
 			want, ok := goldenTable[key]

@@ -25,31 +25,6 @@ type cgState[F comparable] struct {
 	base float64
 }
 
-// runCGCore dispatches to the fused single-reduction engine where the
-// diagonal preconditioner folds, and to the classic multi-pass engine
-// otherwise (or under Options.DisableFused). Both record the (α, β)
-// scalars and return the final state for solvers that continue the run.
-//
-// Folding a diagonal preconditioner needs minv valid one cell beyond the
-// interior. The Jacobi constructors can only evaluate the matrix diagonal
-// on the padded region minus its outermost layer, so on a halo-1 grid the
-// ring the fused matvec reads is exactly that missing layer. Single-rank
-// that is harmless (physical-boundary face coefficients are zero, so the
-// ring is multiplied away), but across rank boundaries the coupling is
-// real — fall back to the classic loop rather than silently dropping it.
-// Deflated solves run on either engine: the projection is applied to the
-// matvec result, at the cost of one extra reduction round per iteration.
-func runCGCore[F comparable, B any](e *engine[F, B], maxIters int, tol float64) (Result, *cgState[F], error) {
-	if !e.o.DisableFused {
-		if minv, ok := e.sys.FoldableDiag(); ok {
-			if isZeroF(minv) || e.c.Size() == 1 || e.sys.GridHalo() >= 2 {
-				return runCGFusedCore(e, minv, maxIters, tol)
-			}
-		}
-	}
-	return runCGClassicCore(e, maxIters, tol)
-}
-
 // startupBaseSq decides a solve's convergence baseline (the squared norm
 // the relative stop test divides by) from the initial squared residual
 // rr0, and whether the solve is already done at startup.
@@ -101,33 +76,48 @@ func (e *engine[F, B]) finishDeflated(defl deflator[F, B], r F, rr0 float64) (fl
 	return relResidual(rrTrue, rr0), nil
 }
 
-// runCGFusedCore is the Chronopoulos–Gear single-reduction PCG engine
-// (§VII). Writing u' = M⁻¹r, it maintains p (search direction) and
-// s = A·p by recurrence, so each iteration is one pass over the grid and
+// runCGCore is the one CG engine, the Chronopoulos–Gear single-reduction
+// PCG (§VII), for every preconditioner. Writing z = M⁻¹r, it maintains p
+// (search direction) and s = A·p by recurrence, so each iteration needs
 // one reduction round:
 //
-//	step:   p = u' + β·p;  x += α·p;
-//	        s = w + β·s;   r −= α·s;  γ' = r·u'; rr = r·r
-//	matvec: w = A·u';  δ = u'·w
+//	step:   p = z + β·p;  x += α·p;
+//	        s = w + β·s;  r −= α·s;  z = M⁻¹r;  γ' = r·z; rr = r·r
+//	matvec: w = A·z;  δ = z·w
 //	allreduce {γ', rr, δ} in one round, then
 //	β = γ'/γ,  α = γ'/(δ − β·γ'/α)
 //
-// The step and the matvec run as one row-lagged pass (CGIter): row k's
-// matvec reads r on rows k−1..k+1, so it runs as soon as row k+1 has been
-// stepped, and r and w stream through cache once per iteration. The step
-// is the whole vector phase: each cache-resident row takes the direction
-// recurrences and the updates they feed back to back. The diagonal
-// preconditioner is folded into the sweeps (u' is never materialised); a
-// zero minv is the identity, for which γ == rr. Everything is bit-identical
-// to running the step and the matvec as two sweeps (FusedCGStep, then
-// ApplyPreDot).
+// It records the (α, β) scalars and returns the final state for solvers
+// that continue the run.
+//
+// A diagonal preconditioner (or the identity) is folded into the sweeps:
+// z = minv⊙r is never materialised, and a zero minv is the identity, for
+// which γ == rr. The step and the matvec then run as one row-lagged pass
+// (CGIter): row k's matvec reads r on rows k−1..k+1, so it runs as soon as
+// row k+1 has been stepped, and r and w stream through cache once per
+// iteration. The step is the whole vector phase: each cache-resident row
+// takes the direction recurrences and the updates they feed back to back.
+// Everything is bit-identical to running the step and the matvec as two
+// sweeps (FusedCGStep, then ApplyPreDot).
 //
 // The matvec needs r's new values one cell beyond its bounds. A rank with
 // no neighbour gets them by reflection, which the pass writes as it steps
 // the boundary rows, so a single-rank iteration exchanges nothing. A rank
 // neighbour at halo depth 1 is the case that keeps two sweeps, with the
 // depth-1 exchange of r between them: the pass is chosen by the grid's
-// neighbours and the halo depth.
+// neighbours and the halo depth. The folded sweeps read minv one cell
+// beyond their bounds too. The Jacobi constructors can only evaluate the
+// diagonal on the padded region minus its outermost layer, so on a halo-1
+// grid with a rank neighbour (and on any deep-halo cycle) minv is
+// exchanged once before the solve; a physical side's ring is multiplied
+// by a zero face coefficient and needs nothing.
+//
+// A preconditioner that does not fold (jac_block's strip and z-line
+// solves) runs the same recurrences with an explicit z: the step is three
+// vector sweeps, then z = M⁻¹r, a depth-1 exchange of z, the matvec with
+// δ fused in and one dot sweep for γ' and rr — still one reduction round
+// per iteration. It runs at depth 1 only: block preconditioners are
+// barred from deep halos (Options.HaloDepth).
 //
 // With a deflator configured the same recurrences run on the projected
 // operator P·A: the matvec is followed by the (collective) projection,
@@ -155,26 +145,31 @@ func (e *engine[F, B]) finishDeflated(defl deflator[F, B], r F, rr0 float64) (fl
 // are unchanged from depth 1 — the cycle trades ~2·d·halo cells of
 // redundant compute for d× fewer messages, the same latency-for-bandwidth
 // trade the PPCG inner powers schedule makes. Deflated solves join the
-// cycle: the correction pass maintains w = P·A·u' on the extended bounds,
+// cycle: the correction pass maintains w = P·A·z on the extended bounds,
 // with the re-measured curvature δ folded out of it.
-func runCGFusedCore[F comparable, B any](e *engine[F, B], minv F, maxIters int, tol float64) (Result, *cgState[F], error) {
+func runCGCore[F comparable, B any](e *engine[F, B], maxIters int, tol float64) (Result, *cgState[F], error) {
 	sys := e.sys
 	in := e.in
 	var result Result
 
 	defl := sys.Deflation()
+	minv, folded := sys.FoldableDiag()
 
 	r := sys.NewVec()
 	w := sys.NewVec()
 	pvec := sys.NewVec()
 	svec := sys.NewVec()
-	// The fused loop never materialises z = M⁻¹r. For the identity the
-	// continuation state's z aliases r (like the classic path); for a
-	// folded preconditioner it stays zero and the Chebyshev continuation
-	// allocates its own scratch on demand.
-	z := r
-	if !isZeroF(minv) {
-		var zero F
+	// z = M⁻¹r. For the identity it aliases r; a folded diagonal never
+	// materialises it (the Chebyshev continuation allocates its own
+	// scratch on demand); an unfoldable preconditioner writes it every
+	// iteration. The curvature δ = z·w is measured against (pm⊙px): the
+	// folded minv⊙r, or the explicit z.
+	var zero F
+	z, pm, px := r, minv, r
+	if !folded {
+		z = sys.NewVec()
+		pm, px = zero, z
+	} else if !isZeroF(minv) {
 		z = zero
 	}
 	base := 0.0 // stop-test baseline, widened from rr0 once it is known
@@ -182,7 +177,20 @@ func runCGFusedCore[F comparable, B any](e *engine[F, B], minv F, maxIters int, 
 		return &cgState[F]{r: r, z: z, w: w, pvec: pvec, rz: gamma, rr: rr, rr0: rr0, base: base}
 	}
 
-	// Startup: r = rhs − A·u, then one fused stencil sweep produces
+	depth := max(e.o.HaloDepth, 1)
+	// A depth-1 iteration runs as one pass only where no rank neighbour's
+	// halo of r has to be exchanged between the step and the matvec.
+	alone := sys.Cells(sys.Extend(1)) == e.cells
+	if !isZeroF(minv) && (depth > 1 || (!alone && sys.GridHalo() == 1)) {
+		// The folded diagonal is sweep input one cell beyond every bounds
+		// the solve sweeps; it never changes during the solve, so one
+		// exchange suffices.
+		if err := e.exchange(depth, minv); err != nil {
+			return result, nil, err
+		}
+	}
+
+	// Startup: r = rhs − A·x, then the preconditioned matvec produces
 	// w = A·M⁻¹r with all three startup scalars, reduced in one round.
 	if err := e.exchange(1, e.u); err != nil {
 		return result, nil, err
@@ -200,14 +208,22 @@ func runCGFusedCore[F comparable, B any](e *engine[F, B], minv F, maxIters int, 
 		sys.Residual(in, e.u, e.rhs, r)
 		e.tr.AddMatvec(e.cells)
 	}
-	if err := e.exchange(1, r); err != nil {
-		return result, nil, err
+	var gamma, delta, rr0 float64
+	if folded {
+		if err := e.exchange(1, r); err != nil {
+			return result, nil, err
+		}
+		gamma, delta, rr0 = sys.ApplyPreDotInit(in, minv, r, w)
+		e.tr.AddMatvec(e.cells)
+	} else {
+		var err error
+		if gamma, rr0, delta, err = e.precondMatvec(r, z, w); err != nil {
+			return result, nil, err
+		}
 	}
-	gamma, delta, rr0 := sys.ApplyPreDotInit(in, minv, r, w)
-	e.tr.AddMatvec(e.cells)
 	if defl != nil {
 		// w = P·A·M⁻¹r; δ must see the projected w.
-		delta = e.projectW(defl, in, w, minv, r)
+		delta = e.projectW(defl, in, w, pm, px)
 	}
 	sums := e.reduceN([]float64{gamma, delta, rr0})
 	gamma, delta, rr0 = sums[0], sums[1], sums[2]
@@ -237,18 +253,6 @@ func runCGFusedCore[F comparable, B any](e *engine[F, B], minv F, maxIters int, 
 		return result, mkState(gamma, rr0, rr0), fmt.Errorf("solver: startup curvature δ = %v: %w", delta, ErrBreakdown)
 	}
 
-	depth := max(e.o.HaloDepth, 1)
-	if depth > 1 && !isZeroF(minv) {
-		// The folded diagonal is sweep input on the full extended bounds;
-		// it never changes during the solve, so one deep exchange suffices.
-		if err := e.exchange(depth, minv); err != nil {
-			return result, nil, err
-		}
-	}
-	// A depth-1 iteration runs as one pass only where no rank neighbour's
-	// halo of r has to be exchanged between the step and the matvec.
-	alone := sys.Cells(sys.Extend(1)) == e.cells
-
 	alpha := gamma / delta
 	beta := 0.0
 	rr := rr0
@@ -257,6 +261,17 @@ func runCGFusedCore[F comparable, B any](e *engine[F, B], minv F, maxIters int, 
 		mb := in // matvec bounds: extended on the deep path
 		restricted := false
 		switch {
+		case !folded:
+			sys.Xpay(in, z, beta, pvec)
+			sys.Xpay(in, w, beta, svec)
+			sys.AxpyAxpy(in, alpha, pvec, e.u, -alpha, svec, r)
+			e.vectorPass(in)
+			e.vectorPass(in)
+			e.vectorPass(in)
+			var err error
+			if gammaNew, rrNew, deltaNew, err = e.precondMatvec(r, z, w); err != nil {
+				return result, nil, err
+			}
 		case depth > 1:
 			j := it % depth
 			if j == 0 {
@@ -283,7 +298,7 @@ func runCGFusedCore[F comparable, B any](e *engine[F, B], minv F, maxIters int, 
 		if restricted {
 			deltaNew = e.projectWRestricted(defl, mb, w, minv, r)
 		} else if defl != nil {
-			deltaNew = e.projectW(defl, mb, w, minv, r)
+			deltaNew = e.projectW(defl, mb, w, pm, px)
 		}
 		s := e.reduceN([]float64{gammaNew, rrNew, deltaNew})
 		gammaNew, rrNew, deltaNew = s[0], s[1], s[2]
@@ -300,8 +315,7 @@ func runCGFusedCore[F comparable, B any](e *engine[F, B], minv F, maxIters int, 
 			result.FinalResidual = rel
 			if defl != nil {
 				// Final coarse correction + true-residual re-measure, with
-				// the same 10× projection round-off margin as the classic
-				// engine.
+				// a 10× margin for the projection's round-off.
 				rel, err := e.finishDeflated(defl, r, base)
 				if err != nil {
 					return result, nil, err
@@ -316,8 +330,8 @@ func runCGFusedCore[F comparable, B any](e *engine[F, B], minv F, maxIters int, 
 		denom := deltaNew - betaNew*gammaNew/alpha
 		if denom <= 0 || math.IsNaN(denom) {
 			// Breakdown: the three-term recurrences lost conjugacy (or A
-			// is numerically semi-definite). Stop like the classic path's
-			// pw == 0 guard, and record it.
+			// is numerically semi-definite). Stop like the textbook PCG
+			// loop's pw == 0 guard, and record it.
 			result.Breakdown = true
 			rr = rrNew
 			break
@@ -340,175 +354,6 @@ func runCGFusedCore[F comparable, B any](e *engine[F, B], minv F, maxIters int, 
 	return result, mkState(gamma, rr, rr0), nil
 }
 
-// runCGClassicCore is the seed's multi-pass PCG engine, the reference
-// path behind Options.DisableFused and for preconditioners that cannot
-// be folded into fused sweeps. With a deflator configured the iteration
-// runs on the projected operator P·A (every matvec is projected, one
-// extra reduction round per iteration), the initial residual is aligned
-// with the deflated subspace by a coarse correction, and a final coarse
-// correction recovers the deflation-space component of the solution the
-// projected iteration cannot see — the same composition the fused engine
-// applies to its recurrences.
-func runCGClassicCore[F comparable, B any](e *engine[F, B], maxIters int, tol float64) (Result, *cgState[F], error) {
-	sys := e.sys
-	in := e.in
-	var result Result
-
-	r := sys.NewVec()
-	w := sys.NewVec()
-	pvec := sys.NewVec()
-	z := r // identity preconditioner: z aliases r
-	if !sys.PrecondIsIdentity() {
-		z = sys.NewVec()
-	}
-	defl := sys.Deflation()
-
-	rr0, err := e.initialResidual(e.u, e.rhs, r)
-	if err != nil {
-		return result, nil, err
-	}
-	if defl != nil && isFinite(rr0) && rr0 > 0 {
-		// Initial coarse correction: Wᵀ·r = 0 afterwards, and the
-		// projected iteration keeps it so. The corrected residual is the
-		// convergence baseline, matching deflate.SolveDeflatedCG.
-		defl.CoarseCorrect(r, e.u)
-		rr0, err = e.initialResidual(e.u, e.rhs, r)
-		if err != nil {
-			return result, nil, err
-		}
-	}
-	if res, err := cgNonFinite(result, scalar{"‖r‖²", rr0}); err != nil {
-		return res, nil, err
-	}
-	if rr0 == 0 {
-		result.Converged = true
-		return result, &cgState[F]{r: r, z: z, w: w, pvec: pvec}, nil
-	}
-	base, done := e.startupBaseSq(rr0, tol)
-	if done {
-		// The initial guess already solves the step to the achievable
-		// precision; iterating would only pump roundoff into it.
-		result.Converged = true
-		result.FinalResidual = relResidual(rr0, base)
-		return result, &cgState[F]{r: r, z: z, w: w, pvec: pvec, rr: rr0, rr0: rr0, base: base}, nil
-	}
-
-	// finish re-measures the true residual after a final coarse
-	// correction on the deflated path; without deflation it is the plain
-	// relative residual.
-	finish := func(rr float64) (float64, error) {
-		if defl == nil {
-			return relResidual(rr, base), nil
-		}
-		return e.finishDeflated(defl, r, base)
-	}
-
-	e.applyPrecond(in, r, z)
-	sys.Copy(in, pvec, z)
-	e.vectorPass(in)
-
-	var rz, rr float64
-	if z == r {
-		rz = e.dot(r, r)
-		rr = rz
-	} else if e.o.FusedDots {
-		rz, rr = e.dotPair(z, r)
-	} else {
-		rz = e.dot(r, z)
-		rr = e.dot(r, r)
-	}
-	if res, err := cgNonFinite(result, scalar{"r·z", rz}); err != nil {
-		return res, nil, err
-	}
-
-	for it := 0; it < maxIters; it++ {
-		if err := e.exchange(1, pvec); err != nil {
-			return result, nil, err
-		}
-		var pw float64
-		if defl != nil {
-			// The projection P·w needs the plain matvec first; the fused
-			// matvec+dot cannot be used because the dot must see P·A·p.
-			e.matvec(in, pvec, w)
-			var zero F
-			pw = e.reduce(e.projectW(defl, in, w, zero, pvec))
-			if res, err := cgNonFinite(result, scalar{"p·A·p", pw}); err != nil {
-				return res, nil, err
-			}
-			if pw <= 0 {
-				// P·A is only positive semi-definite outside the deflated
-				// subspace; a non-positive curvature means the iteration
-				// has run out of representable directions.
-				result.Breakdown = true
-				break
-			}
-		} else {
-			pw = e.matvecDot(in, pvec, w)
-			if res, err := cgNonFinite(result, scalar{"p·A·p", pw}); err != nil {
-				return res, nil, err
-			}
-			if pw == 0 {
-				result.Breakdown = true
-				break // breakdown: direction is A-null, cannot proceed
-			}
-		}
-		alpha := rz / pw
-		sys.Axpy(in, alpha, pvec, e.u)
-		sys.Axpy(in, -alpha, w, r)
-		e.vectorPass(in)
-		e.vectorPass(in)
-
-		e.applyPrecond(in, r, z)
-
-		var rzNew, rrNew float64
-		if z == r {
-			rzNew = e.dot(r, r)
-			rrNew = rzNew
-		} else if e.o.FusedDots {
-			rzNew, rrNew = e.dotPair(z, r)
-		} else {
-			rzNew = e.dot(r, z)
-			rrNew = e.dot(r, r)
-		}
-		if res, err := cgNonFinite(result, scalar{"‖r‖²", rrNew}, scalar{"r·z", rzNew}); err != nil {
-			return res, nil, err
-		}
-
-		beta := rzNew / rz
-		result.Alphas = append(result.Alphas, alpha)
-		result.Iterations++
-		rel := relResidual(rrNew, base)
-		result.History = append(result.History, rel)
-		rz, rr = rzNew, rrNew
-		if rel <= tol {
-			rel, err = finish(rr)
-			if err != nil {
-				return result, nil, err
-			}
-			result.FinalResidual = rel
-			// The deflated path re-measures the residual after the final
-			// coarse correction, which carries projection round-off; allow
-			// the same 10× margin as deflate.SolveDeflatedCG.
-			if defl != nil {
-				result.Converged = rel <= 10*tol
-			} else {
-				result.Converged = true
-			}
-			return result, &cgState[F]{r: r, z: z, w: w, pvec: pvec, rz: rz, rr: rr, rr0: rr0, base: base}, nil
-		}
-		result.Betas = append(result.Betas, beta)
-
-		sys.Xpay(in, z, beta, pvec)
-		e.vectorPass(in)
-	}
-	rel, err := finish(rr)
-	if err != nil {
-		return result, nil, err
-	}
-	result.FinalResidual = rel
-	return result, &cgState[F]{r: r, z: z, w: w, pvec: pvec, rz: rz, rr: rr, rr0: rr0, base: base}, nil
-}
-
 // chebyGuardFactor is the residual-growth threshold of the bootstrap
 // guard: a periodic convergence check observing the relative residual
 // above this multiple of the value at the start of the Chebyshev phase
@@ -526,9 +371,9 @@ const chebyMaxRebootstraps = 3
 // solveChebyCore runs the stand-alone Chebyshev iteration: EigenCGIters
 // of CG estimate the extremal eigenvalues (§III-D), then the main loop is
 // reduction-free except for a convergence check every CheckEvery
-// iterations. On the fused path each iteration is three sweeps — the
-// matvec, a fused u/r update, and the direction update with the diagonal
-// preconditioner folded in — versus five unfused.
+// iterations. With a diagonal preconditioner (or none) each iteration is
+// three sweeps — the matvec, a fused u/r update, and the direction update
+// with the diagonal folded in; a block preconditioner takes five.
 //
 // A residual-growth guard protects the bootstrap (ROADMAP): a short CG
 // bootstrap can underestimate λmax on smooth problems, which makes the
@@ -619,9 +464,9 @@ func solveChebyCore[F comparable, B any](e *engine[F, B]) (Result, error) {
 		// --- Chebyshev main loop, continuing from the CG state. ---
 		r, z, w := st.r, st.z, st.w
 		if isZeroF(z) {
-			// The fused CG engine folds diagonal preconditioners and leaves
-			// no z scratch behind; the startup (and the unfused branch
-			// below) still need one.
+			// The CG engine folds diagonal preconditioners and leaves no z
+			// scratch behind; the startup (and the block-preconditioner
+			// branch below) still need one.
 			if isZeroF(zscr) {
 				zscr = sys.NewVec()
 			}
@@ -629,8 +474,7 @@ func solveChebyCore[F comparable, B any](e *engine[F, B]) (Result, error) {
 		}
 		pvec := st.pvec
 
-		minv, foldable := sys.FoldableDiag()
-		fused := !o.DisableFused && foldable
+		minv, fused := sys.FoldableDiag()
 
 		e.applyPrecond(in, r, z)
 		sys.ScaleTo(in, 1/sched.Theta, z, pvec) // p = z/θ
@@ -752,10 +596,10 @@ func cgNonFinite(res Result, scalars ...scalar) (Result, error) {
 // extended bounds that shrink by one cell per step, trading a little
 // redundant computation for d× fewer messages.
 //
-// On the fused path (the default, with a diagonal-foldable inner
-// preconditioner) each inner step is ONE stencil evaluation per cell — the
-// matvec folded into the residual-update/preconditioner/direction/
-// accumulate kernel — versus five sweeps unfused, and the steps of one
+// With a diagonal-foldable inner preconditioner (or none) each inner step
+// is ONE stencil evaluation per cell — the matvec folded into the
+// residual-update/preconditioner/direction/accumulate kernel — versus
+// five sweeps for a block preconditioner, and the steps of one
 // matrix-powers block share one pass over the grid (ChebySteps, a
 // temporal wavefront); the outer solution/residual update
 // rides the inner solve's one set-up sweep, and the outer dot products
@@ -870,13 +714,7 @@ func solvePPCGCore[F comparable, B any](e *engine[F, B]) (Result, error) {
 		}
 		result.TotalInner += o.InnerSteps
 
-		var rzNew, rrNew float64
-		if !o.DisableFused || o.FusedDots {
-			rzNew, rrNew = e.dotPair(z, r)
-		} else {
-			rzNew = e.dot(r, z)
-			rrNew = e.dot(r, r)
-		}
+		rzNew, rrNew := e.dotPair(z, r)
 		if !isFinite(rzNew) {
 			return nonFinite(result, "ppcg", "r·z", rzNew)
 		}
@@ -943,11 +781,11 @@ type innerCore[F comparable, B any] struct {
 }
 
 func newInnerCore[F comparable, B any](e *engine[F, B], sched *cheby.Schedule, powers powersSched[B]) *innerCore[F, B] {
-	minv, foldable := e.sys.FoldableDiag()
+	minv, fused := e.sys.FoldableDiag()
 	s := &innerCore[F, B]{
 		e: e, sched: sched, powers: powers,
 		z: e.sys.NewVec(), rtemp: e.sys.NewVec(), sd: e.sys.NewVec(), alt: e.sys.NewVec(),
-		minv: minv, fused: !e.o.DisableFused && foldable,
+		minv: minv, fused: fused,
 		bs: make([]B, 0, powers.Depth()),
 	}
 	if !s.fused {
@@ -984,16 +822,9 @@ func (s *innerCore[F, B]) apply(alpha float64, p, w, r F) error {
 	}
 
 	if !isZeroF(p) {
-		if !e.o.DisableFused {
-			// u += α·p and r −= α·w share one sweep.
-			sys.AxpyAxpy(in, alpha, p, e.u, -alpha, w, r)
-			e.vectorPass(in)
-		} else {
-			sys.Axpy(in, alpha, p, e.u)
-			sys.Axpy(in, -alpha, w, r)
-			e.vectorPass(in)
-			e.vectorPass(in)
-		}
+		// u += α·p and r −= α·w share one sweep.
+		sys.AxpyAxpy(in, alpha, p, e.u, -alpha, w, r)
+		e.vectorPass(in)
 	}
 	// rtemp starts as a copy of the outer residual; the depth-d
 	// exchange below makes its halo consistent before any

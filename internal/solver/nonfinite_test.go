@@ -9,12 +9,24 @@ import (
 	"tealeaf/internal/comm"
 	"tealeaf/internal/grid"
 	"tealeaf/internal/par"
+	"tealeaf/internal/precond"
 	"tealeaf/internal/stencil"
 )
 
 // ROADMAP 6e for PPCG and Chebyshev: a non-finite globally reduced scalar
 // ends the solve with an ErrBreakdown error at the iteration it first
 // appears — not MaxIters × InnerSteps sweeps of NaN arithmetic later.
+
+// withBlock returns o with jac_block on both problems when block is set:
+// the preconditioner that does not fold, and so the one that drives the
+// explicit-z branches of the CG, Chebyshev and PPCG loops.
+func withBlock(o Options, block bool, p Problem, p3 Problem3D) Options {
+	if block {
+		o.Precond = precond.NewBlockJacobi(par.Serial, p.Op, 0)
+		o.Precond3D = precond.NewBlockJacobi3D(par.Serial, p3.Op, 0)
+	}
+	return o
+}
 
 func wantBreakdown(t *testing.T, label string, res Result, err error) {
 	t.Helper()
@@ -27,32 +39,25 @@ func wantBreakdown(t *testing.T, label string, res Result, err error) {
 }
 
 // ROADMAP 6d: a NaN or Inf in one right-hand-side cell ends a CG solve
-// with ErrBreakdown at the startup reduction that first sees it, on every
-// engine, 2D and 3D. Before, the classic loop ran a NaN input to its
-// iteration budget, and on every engine an Inf input made ‖r₀‖² and ‖b‖²
-// both Inf, which passes the startup "already solved" test.
+// with ErrBreakdown at the startup reduction that first sees it, folded
+// or with an explicit z (jac_block), 2D and 3D. An Inf input makes ‖r₀‖²
+// and ‖b‖² both Inf, which would pass the startup "already solved" test.
 func TestNonFiniteCGInputIsBreakdown(t *testing.T) {
-	engines := []struct {
-		name string
-		o    Options
-	}{
-		{"fused", Options{Tol: 1e-10}},
-		{"classic", Options{Tol: 1e-10, DisableFused: true}},
-	}
 	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
-		for _, eng := range engines {
-			label := fmt.Sprintf("cg %s rhs=%v", eng.name, bad)
+		for _, block := range []bool{false, true} {
+			label := fmt.Sprintf("cg jac_block=%v rhs=%v", block, bad)
 			p := buildProblem(t, 24, 20, 2, 3)
 			p.RHS.Set(5, 7, bad)
-			res, err := SolveCG(p, eng.o)
+			p3 := buildProblem3D(t, 8, 3)
+			p3.RHS.Set(2, 3, 4, bad)
+			o := withBlock(Options{Tol: 1e-10}, block, p, p3)
+			res, err := SolveCG(p, o)
 			wantBreakdown(t, label+" 2D", res, err)
 			if res.Iterations != 0 {
 				t.Errorf("%s 2D: ran %d iterations", label, res.Iterations)
 			}
 
-			p3 := buildProblem3D(t, 8, 3)
-			p3.RHS.Set(2, 3, 4, bad)
-			res, err = SolveCG3D(p3, eng.o)
+			res, err = SolveCG3D(p3, o)
 			wantBreakdown(t, label+" 3D", res, err)
 			if res.Iterations != 0 {
 				t.Errorf("%s 3D: ran %d iterations", label, res.Iterations)
@@ -65,23 +70,23 @@ func TestNonFiniteCGInputIsBreakdown(t *testing.T) {
 // startup reduction (see TestNonFiniteCGInputIsBreakdown).
 func TestNonFiniteInputIsBreakdown(t *testing.T) {
 	for _, kind := range []Kind{KindPPCG, KindCheby} {
-		for _, unfused := range []bool{false, true} {
-			o := Options{Tol: 1e-10, EigenCGIters: 6, InnerSteps: 7, DisableFused: unfused}
-
+		for _, block := range []bool{false, true} {
 			p := buildProblem(t, 24, 20, 2, 3)
 			p.RHS.Set(5, 7, math.NaN())
+			p3 := buildProblem3D(t, 8, 3)
+			p3.RHS.Set(2, 3, 4, math.NaN())
+			o := withBlock(Options{Tol: 1e-10, EigenCGIters: 6, InnerSteps: 7}, block, p, p3)
+
 			res, err := Solve(kind, p, o)
 			wantBreakdown(t, string(kind)+" 2D", res, err)
 			if res.Iterations > o.EigenCGIters || res.TotalInner != 0 {
-				t.Errorf("%s 2D unfused=%v: ran %d iterations, %d inner steps on NaN input", kind, unfused, res.Iterations, res.TotalInner)
+				t.Errorf("%s 2D jac_block=%v: ran %d iterations, %d inner steps on NaN input", kind, block, res.Iterations, res.TotalInner)
 			}
 
-			p3 := buildProblem3D(t, 8, 3)
-			p3.RHS.Set(2, 3, 4, math.NaN())
 			res, err = Solve3D(kind, p3, o)
 			wantBreakdown(t, string(kind)+" 3D", res, err)
 			if res.Iterations > o.EigenCGIters || res.TotalInner != 0 {
-				t.Errorf("%s 3D unfused=%v: ran %d iterations, %d inner steps on NaN input", kind, unfused, res.Iterations, res.TotalInner)
+				t.Errorf("%s 3D jac_block=%v: ran %d iterations, %d inner steps on NaN input", kind, block, res.Iterations, res.TotalInner)
 			}
 		}
 	}
@@ -95,19 +100,25 @@ func TestNonFiniteInputIsBreakdown(t *testing.T) {
 // collective the other never posts.
 func TestOverflowingPolynomialIsBreakdown(t *testing.T) {
 	const inner = 1500
-	for _, unfused := range []bool{false, true} {
-		o := Options{Tol: 1e-10, EigenCGIters: 1, InnerSteps: inner, DisableFused: unfused}
+	for _, block := range []bool{false, true} {
 		p := buildProblem(t, 24, 20, 2, 3)
+		p3 := buildProblem3D(t, 8, 3)
+		if block {
+			// Block Jacobi keeps these problems' spectra within twice the
+			// one-step Ritz value, where the polynomial still damps every
+			// mode; a smooth residual puts that value near λmin instead.
+			p, p3 = smoothProblem2D(t, 32), smoothProblem3D(t, 8)
+		}
+		o := withBlock(Options{Tol: 1e-10, EigenCGIters: 1, InnerSteps: inner}, block, p, p3)
 		res, err := SolvePPCG(p, o)
 		wantBreakdown(t, "ppcg 2D", res, err)
 		if res.TotalInner > 2*inner {
-			t.Errorf("ppcg 2D unfused=%v: %d inner steps before the overflow was reported", unfused, res.TotalInner)
+			t.Errorf("ppcg 2D jac_block=%v: %d inner steps before the overflow was reported", block, res.TotalInner)
 		}
-		p3 := buildProblem3D(t, 8, 3)
 		res, err = SolvePPCG3D(p3, o)
 		wantBreakdown(t, "ppcg 3D", res, err)
 		if res.TotalInner > 2*inner {
-			t.Errorf("ppcg 3D unfused=%v: %d inner steps before the overflow was reported", unfused, res.TotalInner)
+			t.Errorf("ppcg 3D jac_block=%v: %d inner steps before the overflow was reported", block, res.TotalInner)
 		}
 	}
 

@@ -117,8 +117,7 @@ type Options struct {
 	// recover them exactly. Build one with deflate.New over the solve
 	// operator (*deflate.Deflation satisfies Deflator); the projector is
 	// fully distributed — restriction and prolongation are rank-local and
-	// each projection costs one extra reduction round per iteration,
-	// on the fused and classic engines alike.
+	// each projection costs one extra reduction round per iteration.
 	Deflation Deflator
 	// Deflation3D is the projector the 3D solve paths compose (built with
 	// deflate.New3D; *deflate.Deflation3D satisfies Deflator3D). Same
@@ -140,27 +139,8 @@ type Options struct {
 	// vectors per d iterations, sweeps on extended bounds), including
 	// deflated solves — iterates are unchanged from depth 1 to within
 	// round-off. It is incompatible with preconditioners whose registry
-	// entry is not deep-halo compatible (jac_block in either dimension),
-	// and the classic (unfused) CG loop ignores it.
+	// entry is not deep-halo compatible (jac_block in either dimension).
 	HaloDepth int
-	// FusedDots combines the ρ and ‖r‖ reductions of each PCG iteration
-	// into a single allreduce (§VII future work). Affects communication
-	// count only, not results. It applies to the unfused loops; the fused
-	// loops always share one reduction round.
-	FusedDots bool
-	// DisableFused forces the original multi-pass solver loops; it is
-	// how equivalence tests select the reference path. The zero value
-	// runs the fused single-reduction loops: a Chronopoulos–Gear CG whose
-	// iteration is one pass over the grid (two sweeps beside a depth-1 rank
-	// neighbour) and one reduction round, with diagonal
-	// preconditioners folded into the sweeps, and fused Chebyshev/PPCG
-	// inner updates. Preconditioners that are not pure diagonal scalings
-	// (block-Jacobi) and folded preconditioners on halo-1 grids in
-	// multi-rank runs fall back to the unfused loops regardless.
-	// Deflated solves run fused too: the projection inserts one coarse
-	// reduction round after the matvec and the curvature dot joins the
-	// iteration's single scalar round.
-	DisableFused bool
 	// CheckEvery is the Chebyshev convergence-test cadence in iterations
 	// (default 10): the stand-alone Chebyshev solver is reduction-free
 	// except for these periodic checks.

@@ -160,27 +160,6 @@ func TestPreconditioningReducesIterations(t *testing.T) {
 	}
 }
 
-func TestFusedDotsIdenticalResults(t *testing.T) {
-	a := buildProblem(t, 24, 24, 1, 6)
-	b := buildProblem(t, 24, 24, 1, 6)
-	m1 := precond.NewJacobi(par.Serial, a.Op)
-	m2 := precond.NewJacobi(par.Serial, b.Op)
-	r1, err := SolveCG(a, Options{Tol: 1e-11, Precond: m1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := SolveCG(b, Options{Tol: 1e-11, Precond: m2, FusedDots: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Iterations != r2.Iterations {
-		t.Errorf("fused dots changed iteration count: %d vs %d", r1.Iterations, r2.Iterations)
-	}
-	if d := a.U.MaxDiff(b.U); d != 0 {
-		t.Errorf("fused dots changed the solution by %v", d)
-	}
-}
-
 func TestSolveJacobiConverges(t *testing.T) {
 	p := buildProblem(t, 16, 16, 1, 7)
 	res, err := SolveJacobi(p, Options{Tol: 1e-9, MaxIters: 50000})
@@ -375,10 +354,12 @@ func TestParseKind(t *testing.T) {
 	}
 }
 
+// TestCGTraceCounts pins the textbook PCG oracle's communication, the
+// profile the engine's single round is measured against.
 func TestCGTraceCounts(t *testing.T) {
 	p := buildProblem(t, 16, 16, 1, 17)
 	c := comm.NewSerial()
-	res, err := SolveCG(p, Options{Tol: 1e-9, Comm: c, DisableFused: true})
+	res, err := solveCGClassic(p, Options{Tol: 1e-9, Comm: c})
 	if err != nil || !res.Converged {
 		t.Fatal(err)
 	}
@@ -564,7 +545,8 @@ func TestRelResidual(t *testing.T) {
 	}
 }
 
-// fusedPrecondFor builds the named preconditioner for a problem.
+// fusedPrecondFor builds the named preconditioner ("none", "jac_diag" or
+// "jac_block") for a problem.
 func fusedPrecondFor(name string, p Problem) precond.Preconditioner {
 	switch name {
 	case "jac_diag":
@@ -576,9 +558,9 @@ func fusedPrecondFor(name string, p Problem) precond.Preconditioner {
 }
 
 func TestFusedMatchesUnfusedCG(t *testing.T) {
-	// The fused single-reduction CG and the classic multi-pass CG must
-	// converge to the same solution in the same iteration count (±1),
-	// for every foldable preconditioner and across pool sizes.
+	// The single-reduction CG engine and the textbook multi-pass PCG
+	// oracle must converge to the same solution in the same iteration
+	// count (±1), for every preconditioner and across pool sizes.
 	for _, precondName := range []string{"none", "jac_diag", "jac_block"} {
 		for _, workers := range []int{1, 2, 4, 7} {
 			pool := par.NewPool(workers).WithGrain(1)
@@ -588,7 +570,7 @@ func TestFusedMatchesUnfusedCG(t *testing.T) {
 			if err != nil || !resF.Converged {
 				t.Fatalf("%s w%d fused: %v (converged=%v)", precondName, workers, err, resF.Converged)
 			}
-			resU, err := SolveCG(pu, Options{Tol: 1e-10, Pool: pool, Precond: fusedPrecondFor(precondName, pu), DisableFused: true})
+			resU, err := solveCGClassic(pu, Options{Tol: 1e-10, Pool: pool, Precond: fusedPrecondFor(precondName, pu)})
 			if err != nil || !resU.Converged {
 				t.Fatalf("%s w%d unfused: %v", precondName, workers, err)
 			}
@@ -605,108 +587,44 @@ func TestFusedMatchesUnfusedCG(t *testing.T) {
 	}
 }
 
-func TestFusedMatchesUnfusedChebyshev(t *testing.T) {
+// TestBlockJacobiChebyshevMatchesFolded: jac_block, which does not fold,
+// drives the Chebyshev main loop's explicit-z branch (five sweeps per
+// iteration); it must reach the solution the folded jac_diag loop does.
+func TestBlockJacobiChebyshevMatchesFolded(t *testing.T) {
 	pf := buildProblem(t, 24, 24, 1, 55)
-	pu := buildProblem(t, 24, 24, 1, 55)
-	mf := precond.NewJacobi(par.Serial, pf.Op)
-	mu := precond.NewJacobi(par.Serial, pu.Op)
-	resF, err := SolveChebyshev(pf, Options{Tol: 1e-9, EigenCGIters: 8, Precond: mf})
+	pb := buildProblem(t, 24, 24, 1, 55)
+	resF, err := SolveChebyshev(pf, Options{Tol: 1e-9, EigenCGIters: 8, Precond: fusedPrecondFor("jac_diag", pf)})
 	if err != nil || !resF.Converged {
-		t.Fatalf("fused: %v (converged=%v)", err, resF.Converged)
+		t.Fatalf("jac_diag: %v (converged=%v)", err, resF.Converged)
 	}
-	resU, err := SolveChebyshev(pu, Options{Tol: 1e-9, EigenCGIters: 8, Precond: mu, DisableFused: true})
-	if err != nil || !resU.Converged {
-		t.Fatalf("unfused: %v", err)
+	resB, err := SolveChebyshev(pb, Options{Tol: 1e-9, EigenCGIters: 8, Precond: fusedPrecondFor("jac_block", pb)})
+	if err != nil || !resB.Converged {
+		t.Fatalf("jac_block: %v (converged=%v)", err, resB.Converged)
 	}
-	// The Chebyshev convergence test runs every CheckEvery iterations, so
-	// allow one cadence of slack on the iteration count.
-	if d := resF.Iterations - resU.Iterations; d < -10 || d > 10 {
-		t.Errorf("iterations: fused %d vs unfused %d", resF.Iterations, resU.Iterations)
-	}
-	if d := pf.U.MaxDiff(pu.U); d > 1e-7 {
+	if d := pf.U.MaxDiff(pb.U); d > 1e-7 {
 		t.Errorf("solutions differ by %v", d)
 	}
 }
 
-func TestFusedMatchesUnfusedPPCG(t *testing.T) {
-	for _, precondName := range []string{"none", "jac_diag"} {
-		for _, depth := range []int{1, 2} {
-			pf := buildProblem(t, 30, 26, 2, 77)
-			pu := buildProblem(t, 30, 26, 2, 77)
-			of := Options{Tol: 1e-10, EigenCGIters: 8, InnerSteps: 6, HaloDepth: depth,
-				Precond: fusedPrecondFor(precondName, pf)}
-			ou := of
-			ou.Precond = fusedPrecondFor(precondName, pu)
-			ou.DisableFused = true
-			resF, err := SolvePPCG(pf, of)
-			if err != nil || !resF.Converged {
-				t.Fatalf("%s d%d fused: %v (converged=%v)", precondName, depth, err, resF.Converged)
-			}
-			resU, err := SolvePPCG(pu, ou)
-			if err != nil || !resU.Converged {
-				t.Fatalf("%s d%d unfused: %v", precondName, depth, err)
-			}
-			dIter := resF.Iterations - resU.Iterations
-			if dIter < -1 || dIter > 1 {
-				t.Errorf("%s d%d: fused %d iterations vs unfused %d (want ±1)",
-					precondName, depth, resF.Iterations, resU.Iterations)
-			}
-			if d := pf.U.MaxDiff(pu.U); d > 1e-8 {
-				t.Errorf("%s d%d: solutions differ by %v", precondName, depth, d)
-			}
-		}
+// TestBlockJacobiPPCGMatchesFolded: jac_block drives the PPCG inner
+// solve's explicit-z branch (five sweeps per step); it must reach the
+// solution the folded jac_diag inner solve does.
+func TestBlockJacobiPPCGMatchesFolded(t *testing.T) {
+	pf := buildProblem(t, 30, 26, 2, 77)
+	pb := buildProblem(t, 30, 26, 2, 77)
+	o := Options{Tol: 1e-10, EigenCGIters: 8, InnerSteps: 6}
+	of, ob := o, o
+	of.Precond = fusedPrecondFor("jac_diag", pf)
+	ob.Precond = fusedPrecondFor("jac_block", pb)
+	resF, err := SolvePPCG(pf, of)
+	if err != nil || !resF.Converged {
+		t.Fatalf("jac_diag: %v (converged=%v)", err, resF.Converged)
 	}
-}
-
-func TestFusedCGIsDefault(t *testing.T) {
-	// The fused engine's only standalone dot pass is the startup ‖b‖²
-	// stop baseline; the classic engine records dot passes every
-	// iteration.
-	for _, disable := range []bool{false, true} {
-		p := buildProblem(t, 16, 16, 1, 21)
-		c := comm.NewSerial()
-		res, err := SolveCG(p, Options{Tol: 1e-9, Comm: c, DisableFused: disable})
-		if err != nil || !res.Converged {
-			t.Fatalf("DisableFused=%v: %v (converged=%v)", disable, err, res.Converged)
-		}
-		if gotFused := c.Trace().Dots <= 1; gotFused == disable {
-			t.Errorf("DisableFused=%v: fused=%v (dots=%d)", disable, gotFused, c.Trace().Dots)
-		}
+	resB, err := SolvePPCG(pb, ob)
+	if err != nil || !resB.Converged {
+		t.Fatalf("jac_block: %v (converged=%v)", err, resB.Converged)
 	}
-}
-
-// fakeMultiRank wraps comm.Serial but reports two ranks, so dispatch
-// decisions that depend on Comm.Size() can be tested without a hub.
-type fakeMultiRank struct{ *comm.Serial }
-
-func (fakeMultiRank) Size() int { return 2 }
-
-func TestFusedJacobiFoldRequiresHaloOnMultiRank(t *testing.T) {
-	// precond.NewJacobi cannot evaluate the matrix diagonal on the
-	// outermost padded layer, so on a halo-1 grid the ring the fused
-	// matvec would read is invalid. Multi-rank runs must fall back to the
-	// classic loop (which exchanges pvec instead); halo>=2 grids may fuse.
-	for _, tc := range []struct {
-		halo      int
-		wantFused bool
-	}{
-		{1, false},
-		{2, true},
-	} {
-		p := buildProblem(t, 16, 16, tc.halo, 21)
-		c := &fakeMultiRank{comm.NewSerial()}
-		res, err := SolveCG(p, Options{Tol: 1e-9, Comm: c, Precond: precond.NewJacobi(par.Serial, p.Op)})
-		if err != nil || !res.Converged {
-			t.Fatalf("halo=%d: %v (converged=%v)", tc.halo, err, res.Converged)
-		}
-		// The fused engine produces every per-iteration dot product inside
-		// fused sweeps — its only standalone dot is the startup ‖b‖² stop
-		// baseline; the classic engine records standalone dot passes every
-		// iteration.
-		gotFused := c.Trace().Dots <= 1
-		if gotFused != tc.wantFused {
-			t.Errorf("halo=%d: fused=%v (dots=%d), want fused=%v",
-				tc.halo, gotFused, c.Trace().Dots, tc.wantFused)
-		}
+	if d := pf.U.MaxDiff(pb.U); d > 1e-8 {
+		t.Errorf("solutions differ by %v", d)
 	}
 }

@@ -245,6 +245,23 @@ func (e *engine[F, B]) cgIter(sb, mb B, mirror bool, minv, r, w F, beta, alpha f
 	return gamma, rr, delta, restricted
 }
 
+// precondMatvec is the explicit-z half of a CG iteration for a
+// preconditioner that does not fold into the sweeps: z = M⁻¹r, a depth-1
+// exchange of z, w = A·z with the local δ = z·w from the same sweep, and
+// one dot sweep for the local γ = r·z and ‖r‖², all three for the
+// iteration's one reduction round.
+func (e *engine[F, B]) precondMatvec(r, z, w F) (gamma, rr, delta float64, err error) {
+	e.applyPrecond(e.in, r, z)
+	if err := e.exchange(1, z); err != nil {
+		return 0, 0, 0, err
+	}
+	delta = e.sys.ApplyDot(e.in, z, w)
+	e.tr.AddMatvec(e.cells)
+	gamma, rr = e.sys.Dot2(e.in, z, r, r)
+	e.tr.AddDot(e.cells)
+	return gamma, rr, delta, nil
+}
+
 // projectW applies the deflation projection w ← P·w over b ⊇ interior and
 // returns the local curvature partial (minv⊙x)·(P·w) over the interior,
 // tracing the two sweeps a projection runs: the read-only restriction of
