@@ -1,7 +1,7 @@
 // Command tealint runs the repo's static-analysis suite (see
-// internal/analysis): splitreduce, poolreentry, protectpanic, detloop,
-// tracerounds and tileorder — the machine-checked forms of the
-// codebase's concurrency and determinism contracts.
+// internal/analysis): splitreduce, poolreentry, protectpanic, detloop
+// and tracerounds — the machine-checked forms of the codebase's
+// concurrency and determinism contracts.
 //
 // It speaks cmd/go's unit-checking (vettool) protocol, so the supported
 // way to run it over the whole repository is through the build system:
@@ -34,7 +34,6 @@ import (
 	"tealeaf/internal/analysis/poolreentry"
 	"tealeaf/internal/analysis/protectpanic"
 	"tealeaf/internal/analysis/splitreduce"
-	"tealeaf/internal/analysis/tileorder"
 	"tealeaf/internal/analysis/tracerounds"
 )
 
@@ -45,7 +44,6 @@ var suite = []*analysis.Analyzer{
 	protectpanic.Analyzer,
 	detloop.Analyzer,
 	tracerounds.Analyzer,
-	tileorder.Analyzer,
 }
 
 func main() {

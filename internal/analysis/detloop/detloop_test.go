@@ -8,5 +8,5 @@ import (
 )
 
 func TestDetLoop(t *testing.T) {
-	analysistest.Run(t, analysistest.TestData(), detloop.Analyzer, "tealeaf/internal/solver", "tealeaf/internal/par", "a")
+	analysistest.Run(t, analysistest.TestData(), detloop.Analyzer, "tealeaf/internal/solver", "tealeaf/internal/kernels", "tealeaf/internal/par", "a")
 }

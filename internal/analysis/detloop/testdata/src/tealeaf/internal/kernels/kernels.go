@@ -1,4 +1,4 @@
-// Package kernels holds the tile-fold violations tileorder must flag
+// Package kernels holds the For-body fold violations detloop must flag
 // inside a numeric package, plus the sweeps and reductions it must
 // accept.
 package kernels
@@ -20,15 +20,15 @@ func badBandFold(pool *par.Pool, x, y *Field) float64 {
 	return sum
 }
 
-// badTileFold does the same from a ForTiles body, spelled as x = x + v,
-// through a struct field.
+// badFieldFold does the same spelled as x = x + v, through a struct
+// field.
 type accum struct{ total float64 }
 
-func badTileFold(pool *par.Pool, b par.Box, x *Field) float64 {
+func badFieldFold(pool *par.Pool, x *Field) float64 {
 	var a accum
-	pool.ForTiles(b, func(t par.Tile) {
-		for i := t.X0; i < t.X1; i++ {
-			a.total = a.total + x.Data[i] // want `floating-point fold of a inside a parallel ForTiles body`
+	pool.For(0, len(x.Data), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			a.total = a.total + x.Data[i] // want `floating-point fold of a inside a parallel For body`
 		}
 	})
 	return a.total
@@ -43,12 +43,12 @@ func goodSweep(pool *par.Pool, alpha float64, x, y *Field) {
 	})
 }
 
-// goodTileReduce folds through the fixed-order reducer with a body-local
+// goodBandReduce folds through the fixed-order reducer with a body-local
 // partial: the sanctioned pattern.
-func goodTileReduce(pool *par.Pool, b par.Box, x, y *Field) float64 {
-	acc := pool.ForTilesReduceN(1, b, func(t par.Tile, acc []float64) {
+func goodBandReduce(pool *par.Pool, x, y *Field) float64 {
+	acc := pool.ForReduceN(1, 0, len(x.Data), func(lo, hi int, acc []float64) {
 		var part float64
-		for i := t.X0; i < t.X1; i++ {
+		for i := lo; i < hi; i++ {
 			part += x.Data[i] * y.Data[i]
 		}
 		acc[0] += part

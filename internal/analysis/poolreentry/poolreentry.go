@@ -27,10 +27,10 @@ var Analyzer = &analysis.Analyzer{
 	Run: run,
 }
 
-// dispatchNames are the region-dispatching methods of par.Pool — the box
-// entry points, the wavefront and the lagged bands dispatch the same
-// persistent team and are exactly as non-reentrant as the band loops.
-var dispatchNames = []string{"For", "ForReduce", "ForReduceN", "ForTiles", "ForTilesReduceN", "Wavefront", "ForBandsReduceN"}
+// dispatchNames are the region-dispatching methods of par.Pool — the
+// wavefront and the lagged bands dispatch the same persistent team and
+// are exactly as non-reentrant as the band loops.
+var dispatchNames = []string{"For", "ForReduce", "ForReduceN", "Wavefront", "ForBandsReduceN"}
 
 func isDispatch(info *types.Info, call *ast.CallExpr) bool {
 	fn := analysis.Callee(info, call)

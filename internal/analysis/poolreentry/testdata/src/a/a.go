@@ -76,22 +76,16 @@ func dispatchBody(lo, hi int) {
 	shared.For(lo, hi, func(l, h int) {})
 }
 
-// nestedTiles dispatches a band loop from inside a box region body:
-// the box entry points hold the same team lock.
-func nestedTiles(p *par.Pool, b par.Box, xs []float64) {
-	p.ForTiles(b, func(t par.Tile) {
-		p.For(t.X0, t.X1, func(l, h int) { // want `Pool dispatch inside a Pool parallel region`
+// nestedInReduceN dispatches a band loop and a reduction from inside a
+// k-sum reduction body: the reducers hold the same team lock.
+func nestedInReduceN(p *par.Pool, xs []float64) []float64 {
+	return p.ForReduceN(1, 0, len(xs), func(lo, hi int, acc []float64) {
+		p.For(lo, hi, func(l, h int) { // want `Pool dispatch inside a Pool parallel region`
 			for i := l; i < h; i++ {
 				xs[i]++
 			}
 		})
-	})
-}
-
-// nestedInTileReduce dispatches from a box reduction body.
-func nestedInTileReduce(p *par.Pool, b par.Box, xs []float64) []float64 {
-	return p.ForTilesReduceN(1, b, func(t par.Tile, acc []float64) {
-		p.ForTiles(b, func(par.Tile) {}) // want `Pool dispatch inside a Pool parallel region`
+		p.ForReduceN(1, lo, hi, func(int, int, []float64) {}) // want `Pool dispatch inside a Pool parallel region`
 		acc[0]++
 	})
 }

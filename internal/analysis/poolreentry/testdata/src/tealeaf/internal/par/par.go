@@ -23,24 +23,6 @@ func (p *Pool) ForReduceN(k, lo, hi int, body func(lo, hi int, acc []float64)) [
 	return acc
 }
 
-// Box mirrors par.Box.
-type Box struct{ X0, X1, Y0, Y1, Z0, Z1 int }
-
-// Tile mirrors par.Tile.
-type Tile struct{ X0, X1, Y0, Y1, Z0, Z1 int }
-
-// ForTiles mirrors par.(*Pool).ForTiles.
-func (p *Pool) ForTiles(b Box, body func(t Tile)) {
-	body(Tile{X0: b.X0, X1: b.X1, Y0: b.Y0, Y1: b.Y1, Z0: b.Z0, Z1: b.Z1})
-}
-
-// ForTilesReduceN mirrors par.(*Pool).ForTilesReduceN.
-func (p *Pool) ForTilesReduceN(k int, b Box, body func(t Tile, acc []float64)) []float64 {
-	acc := make([]float64, k)
-	body(Tile{X0: b.X0, X1: b.X1, Y0: b.Y0, Y1: b.Y1, Z0: b.Z0, Z1: b.Z1}, acc)
-	return acc
-}
-
 // ForBandsReduceN mirrors par.(*Pool).ForBandsReduceN.
 func (p *Pool) ForBandsReduceN(k, lo, hi int, edge func(row int), body func(b0, b1 int, acc []float64)) []float64 {
 	acc := make([]float64, k)

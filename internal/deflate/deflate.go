@@ -107,15 +107,9 @@ func New(pool *par.Pool, c comm.Communicator, op *stencil.Operator2D, geom Geome
 	return d, nil
 }
 
-func box2(b grid.Bounds) par.Box { return par.Box2D(b.X0, b.X1, b.Y0, b.Y1) }
-
-// data2 returns f's storage, nil for a nil field (the identity minv, or
-// "no dot" for x).
-func data2(f *grid.Field2D) []float64 {
-	if f == nil {
-		return nil
-	}
-	return f.Data
+// box2 is b as the projector's box: the one-plane z ∈ [0, 1) case.
+func box2(b grid.Bounds) grid.Bounds3D {
+	return grid.Bounds3D{X0: b.X0, X1: b.X1, Y0: b.Y0, Y1: b.Y1, Z1: 1}
 }
 
 // Refresh rebinds the projector to op — typically the operator rebuilt
@@ -159,7 +153,7 @@ func (d *Deflation) ProjectW(w *grid.Field2D) { d.project(d.in, w.Data, nil, nil
 // b.Expand(1) must fit the padded grid, which holds for any extended
 // bounds of a depth ≤ Grid.Halo cycle. Collective.
 func (d *Deflation) ProjectWBounds(b grid.Bounds, w, minv, x *grid.Field2D) float64 {
-	return d.project(box2(b), w.Data, data2(minv), data2(x))
+	return d.project(box2(b), w.Data, minv.DataOrNil(), x.DataOrNil())
 }
 
 // RestrictRow takes row k of w's interior into the restriction of the
@@ -174,5 +168,5 @@ func (d *Deflation) RestrictRow(w *grid.Field2D, k int) { d.restrictRow(w.Data, 
 // coarse solve and the correction pass. Same bits as ProjectWBounds.
 // Collective.
 func (d *Deflation) ProjectWRestricted(b grid.Bounds, w, minv, x *grid.Field2D) float64 {
-	return d.projectRestricted(box2(b), w.Data, data2(minv), data2(x))
+	return d.projectRestricted(box2(b), w.Data, minv.DataOrNil(), x.DataOrNil())
 }

@@ -43,7 +43,7 @@ func New3D(pool *par.Pool, c comm.Communicator, op *stencil.Operator3D, geom Geo
 		pool: pool, c: c, dims: 3,
 		n: [3]int{g.NX, g.NY, g.NZ}, h: [3]int{g.Halo, g.Halo, g.Halo},
 		st: [3]int{1, g.Index(0, 1, 0) - org, g.Index(0, 0, 1) - org}, org: org,
-		in: box3(g.Interior()),
+		in: g.Interior(),
 		k:  [3][]float64{op.Kx.Data, op.Ky.Data, op.Kz.Data},
 	}}
 	err := d.init([3]int{geom.GlobalNX, geom.GlobalNY, geom.GlobalNZ},
@@ -52,16 +52,6 @@ func New3D(pool *par.Pool, c comm.Communicator, op *stencil.Operator3D, geom Geo
 		return nil, err
 	}
 	return d, nil
-}
-
-func box3(b grid.Bounds3D) par.Box { return par.Box3D(b.X0, b.X1, b.Y0, b.Y1, b.Z0, b.Z1) }
-
-// data3 is the 3D twin of data2.
-func data3(f *grid.Field3D) []float64 {
-	if f == nil {
-		return nil
-	}
-	return f.Data
 }
 
 // Refresh rebinds the projector to op and re-assembles the coarse matrix
@@ -90,7 +80,7 @@ func (d *Deflation3D) ProjectW(w *grid.Field3D) { d.project(d.in, w.Data, nil, n
 // correction over b ⊇ interior, the restriction interior-only, and the
 // rank-local interior dot (minv⊙x)·(P·w) from the same pass. Collective.
 func (d *Deflation3D) ProjectWBounds(b grid.Bounds3D, w, minv, x *grid.Field3D) float64 {
-	return d.project(box3(b), w.Data, data3(minv), data3(x))
+	return d.project(b, w.Data, minv.DataOrNil(), x.DataOrNil())
 }
 
 // RestrictRow takes row (j, k) of w's interior into the restriction of
@@ -100,5 +90,5 @@ func (d *Deflation3D) RestrictRow(w *grid.Field3D, j, k int) { d.restrictRow(w.D
 // ProjectWRestricted is the 3D twin of Deflation.ProjectWRestricted.
 // Collective.
 func (d *Deflation3D) ProjectWRestricted(b grid.Bounds3D, w, minv, x *grid.Field3D) float64 {
-	return d.projectRestricted(box3(b), w.Data, data3(minv), data3(x))
+	return d.projectRestricted(b, w.Data, minv.DataOrNil(), x.DataOrNil())
 }

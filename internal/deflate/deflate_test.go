@@ -329,7 +329,7 @@ func TestDeflatedCGZeroRHS(t *testing.T) {
 	if err != nil || !ok || iters != 0 || rel != 0 {
 		t.Errorf("zero RHS: iters=%d rel=%v ok=%v err=%v", iters, rel, ok, err)
 	}
-	if kernels.Norm2(par.Serial, g.Interior(), u) != 0 {
+	if kernels.Dot(par.Serial, g.Interior(), u, u) != 0 {
 		t.Error("zero RHS must leave u at zero")
 	}
 }

@@ -32,10 +32,11 @@ type projector struct {
 	dims int
 
 	// Layout: cell (i,j,k) lives at org + k·st[2] + j·st[1] + i; n is the
-	// interior extent and h the halo depth per axis; in is the interior.
+	// interior extent and h the halo depth per axis; in is the interior
+	// (z ∈ [0, 1) in 2D).
 	n, h, st [3]int
 	org      int
-	in       par.Box
+	in       grid.Bounds3D
 	// k[a][idx] is the face coefficient coupling cell idx to cell
 	// idx − st[a] (the operator's Kx, Ky, Kz data; nil for z in 2D).
 	k [3][]float64
@@ -197,8 +198,27 @@ func (p *projector) assemble() error {
 	return nil
 }
 
-// whole returns the interior as one tile.
-func (p *projector) whole() par.Tile { return par.Tile{X1: p.n[0], Y1: p.n[1], Z1: p.n[2]} }
+// whole returns the interior as one box.
+func (p *projector) whole() grid.Bounds3D { return grid.Bounds3D{X1: p.n[0], Y1: p.n[1], Z1: p.n[2]} }
+
+// outer returns the range of b's outer axis, the one a pool splits it
+// along — z in 3D, y in 2D, as the kernels' row walker splits its boxes.
+func (p *projector) outer(b grid.Bounds3D) (lo, hi int) {
+	if p.dims == 3 {
+		return b.Z0, b.Z1
+	}
+	return b.Y0, b.Y1
+}
+
+// band returns the part of b whose outer coordinate lies in [lo, hi).
+func (p *projector) band(b grid.Bounds3D, lo, hi int) grid.Bounds3D {
+	if p.dims == 3 {
+		b.Z0, b.Z1 = lo, hi
+	} else {
+		b.Y0, b.Y1 = lo, hi
+	}
+	return b
+}
 
 // solve computes λ = E⁻¹·b as λ̄·1 + μ (p.lbar, p.cl). E·1 is exactly the
 // vector of block cell counts — every flux vanishes on a constant — so
@@ -299,7 +319,7 @@ func (p *projector) solveCoarse(v []float64) {
 // projectRestricted is project for a w whose every interior row has been
 // handed to restrictRow since it was last written: the fold, the round,
 // the coarse solve and the correction. Collective.
-func (p *projector) projectRestricted(b par.Box, w, m, x []float64) float64 {
+func (p *projector) projectRestricted(b grid.Bounds3D, w, m, x []float64) float64 {
 	p.foldRows()
 	p.solve(p.c.AllReduceSumN(p.cr))
 	return p.correct(b, w, m, x)
@@ -308,8 +328,9 @@ func (p *projector) projectRestricted(b par.Box, w, m, x []float64) float64 {
 // coarseCorrect applies u += W·E⁻¹·Wᵀ·r over the interior.
 func (p *projector) coarseCorrect(r, u []float64) {
 	p.solveCoarse(r)
-	p.pool.ForTiles(p.in, func(t par.Tile) {
-		p.forRuns(t, func(o, i0, i1, c int) {
+	lo, hi := p.outer(p.in)
+	p.pool.For(lo, hi, func(k0, k1 int) {
+		p.forRuns(p.band(p.in, k0, k1), func(o, i0, i1, c int) {
 			lam := p.lbar + p.cl[c]
 			us := u[o+i0 : o+i1]
 			for i := range us {
@@ -319,9 +340,9 @@ func (p *projector) coarseCorrect(r, u []float64) {
 	})
 }
 
-// forRuns calls body once per run of constant block index c in tile t:
+// forRuns calls body once per run of constant block index c in box t:
 // the cells [i0,i1) of the grid row starting at flat offset o.
-func (p *projector) forRuns(t par.Tile, body func(o, i0, i1, c int)) {
+func (p *projector) forRuns(t grid.Bounds3D, body func(o, i0, i1, c int)) {
 	for k := t.Z0; k < t.Z1; k++ {
 		for j := t.Y0; j < t.Y1; j++ {
 			o := p.org + k*p.st[2] + j*p.st[1]
@@ -340,7 +361,7 @@ func (p *projector) forRuns(t par.Tile, body func(o, i0, i1, c int)) {
 // written over b ⊇ interior and returns the local interior partial of
 // (m⊙x)·(P·w) from the same pass (see correct). Collective: one
 // reduction round.
-func (p *projector) project(b par.Box, w, m, x []float64) float64 {
+func (p *projector) project(b grid.Bounds3D, w, m, x []float64) float64 {
 	p.solveCoarse(w)
 	return p.correct(b, w, m, x)
 }
@@ -353,21 +374,26 @@ func (p *projector) project(b par.Box, w, m, x []float64) float64 {
 // corrected by the same per-cell arithmetic, so they replicate it bitwise.
 // b.Expand(1) must fit the padded grid, which holds for the extended
 // bounds of any depth ≤ halo matrix-powers cycle.
-func (p *projector) correct(b par.Box, w, m, x []float64) float64 {
-	dot := p.pool.ForTilesReduceN(1, p.in, func(t par.Tile, acc []float64) {
-		acc[0] += p.correctTile(t, w, m, x)
+func (p *projector) correct(b grid.Bounds3D, w, m, x []float64) float64 {
+	lo, hi := p.outer(p.in)
+	dot := p.pool.ForReduceN(1, lo, hi, func(k0, k1 int, acc []float64) {
+		acc[0] += p.correctBox(p.band(p.in, k0, k1), w, m, x)
 	})[0]
 	for _, rb := range rings(b, p.in) {
-		p.pool.ForTiles(rb, func(t par.Tile) { p.correctTile(t, w, nil, nil) })
+		if rb.Empty() {
+			continue
+		}
+		lo, hi := p.outer(rb)
+		p.pool.For(lo, hi, func(k0, k1 int) { p.correctBox(p.band(rb, k0, k1), w, nil, nil) })
 	}
 	return dot
 }
 
-// correctTile applies the correction to one tile. Per cell, in this
-// order whatever the tile shape: the two x faces (only the end cells of
+// correctBox applies the correction to one box. Per cell, in this
+// order whatever the box shape: the two x faces (only the end cells of
 // a block-column run have one), then the y and z faces (only rows on a
 // block boundary have any), then λ_c itself with the optional dot.
-func (p *projector) correctTile(t par.Tile, w, m, x []float64) float64 {
+func (p *projector) correctBox(t grid.Bounds3D, w, m, x []float64) float64 {
 	var s [4]float64
 	kx := p.k[0]
 	for k := t.Z0; k < t.Z1; k++ {
@@ -477,7 +503,7 @@ func subDotPre(ws, ms, xs []float64, lam float64, s *[4]float64) {
 // rings decomposes outer ∖ in into six disjoint boxes, any of them
 // possibly empty: z slabs at full extent, y slabs at interior depth, x
 // strips at interior depth and height.
-func rings(outer, in par.Box) [6]par.Box {
+func rings(outer, in grid.Bounds3D) [6]grid.Bounds3D {
 	zlo, zhi := outer, outer
 	zlo.Z1, zhi.Z0 = in.Z0, in.Z1
 	outer.Z0, outer.Z1 = in.Z0, in.Z1
@@ -486,5 +512,5 @@ func rings(outer, in par.Box) [6]par.Box {
 	outer.Y0, outer.Y1 = in.Y0, in.Y1
 	xlo, xhi := outer, outer
 	xlo.X1, xhi.X0 = in.X0, in.X1
-	return [6]par.Box{zlo, zhi, ylo, yhi, xlo, xhi}
+	return [6]grid.Bounds3D{zlo, zhi, ylo, yhi, xlo, xhi}
 }

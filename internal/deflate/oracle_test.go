@@ -46,7 +46,7 @@ func (d *Deflation) solveDeflatedCG(u, rhs *grid.Field2D, tol float64, maxIters 
 	if err := residual(); err != nil {
 		return 0, 0, false, err
 	}
-	rr := d.c.AllReduceSum(kernels.Norm2Sq(pool, in, r))
+	rr := d.c.AllReduceSum(kernels.Dot(pool, in, r, r))
 	rr0 := rr
 	if rr0 == 0 {
 		return 0, 0, true, nil
@@ -66,7 +66,7 @@ func (d *Deflation) solveDeflatedCG(u, rhs *grid.Field2D, tol float64, maxIters 
 		alpha := rr / pw
 		kernels.Axpy(pool, in, alpha, p, u)
 		kernels.Axpy(pool, in, -alpha, w, r)
-		rrNew := d.c.AllReduceSum(kernels.Norm2Sq(pool, in, r))
+		rrNew := d.c.AllReduceSum(kernels.Dot(pool, in, r, r))
 		if rrNew <= tol*tol*rr0 {
 			rr = rrNew
 			iters++
@@ -85,7 +85,7 @@ func (d *Deflation) solveDeflatedCG(u, rhs *grid.Field2D, tol float64, maxIters 
 	if err := residual(); err != nil {
 		return iters, 0, false, err
 	}
-	rel := relNorm(d.c.AllReduceSum(kernels.Norm2Sq(pool, in, r)), rr0)
+	rel := relNorm(d.c.AllReduceSum(kernels.Dot(pool, in, r, r)), rr0)
 	return iters, rel, rel <= tol*10, nil // allow the projection round-off margin
 }
 

@@ -20,6 +20,15 @@ func NewField2D(g *Grid2D) *Field2D {
 	return &Field2D{Grid: g, Data: make([]float64, g.Len())}
 }
 
+// DataOrNil returns f's storage, nil for a nil field: the form the
+// kernels take an optional operand in (a nil minv is the identity).
+func (f *Field2D) DataOrNil() []float64 {
+	if f == nil {
+		return nil
+	}
+	return f.Data
+}
+
 // At returns the value at cell (j,k). j,k may address halo cells.
 func (f *Field2D) At(j, k int) float64 { return f.Data[f.Grid.Index(j, k)] }
 

@@ -120,6 +120,15 @@ func NewField3D(g *Grid3D) *Field3D {
 	return &Field3D{Grid: g, Data: make([]float64, g.Len())}
 }
 
+// DataOrNil returns f's storage, nil for a nil field (see
+// Field2D.DataOrNil).
+func (f *Field3D) DataOrNil() []float64 {
+	if f == nil {
+		return nil
+	}
+	return f.Data
+}
+
 // At returns the value at (i,j,k).
 func (f *Field3D) At(i, j, k int) float64 { return f.Data[f.Grid.Index(i, j, k)] }
 

@@ -25,88 +25,45 @@ import (
 //
 // Every cell is computed by the expressions of FusedCGDirections
 // followed by FusedCGUpdate and the dots keep FusedCGUpdate's lanes and
-// ForTilesReduceN fold, so p, s, x, r, γ and rr are bit-identical to the
-// two-sweep form; the merged sweep just stops p and s being written to
-// memory by one pass and streamed back by the next.
+// band fold, so p, s, x, r, γ and rr are bit-identical to the two-sweep
+// form; the merged sweep just stops p and s being written to memory by
+// one pass and streamed back by the next.
 func FusedCGStep(pl *par.Pool, b grid.Bounds, minv, r, w *grid.Field2D, beta, alpha float64, p, s, x *grid.Field2D) (gamma, rr float64) {
-	if b.Empty() {
-		return 0, 0
-	}
-	acc := pl.ForTilesReduceN(2, box(b), fusedCGStepBody(beta, alpha, minv, r, w, p, s, x))
-	return acc[0], acc[1]
+	return fusedCGStep(pl, r.Grid.Rows(b), minv.DataOrNil(), r.Data, w.Data, beta, alpha, p.Data, s.Data, x.DataOrNil())
 }
 
-// fusedCGStepBody is FusedCGStep's tile body: the two row bursts per row
-// of the tile, then the tile's (γ, rr) lanes folded into acc.
-func fusedCGStepBody(beta, alpha float64, minv, r, w, p, s, x *grid.Field2D) func(t par.Tile, acc []float64) {
-	g := r.Grid
-	rd, wd, pd, sd := r.Data, w.Data, p.Data, s.Data
-	var md, xd []float64
-	if minv != nil {
-		md = minv.Data
-	}
-	if x != nil {
-		xd = x.Data
-	}
-	return func(t par.Tile, acc []float64) {
-		tb := tileBounds(t)
-		var l CGStepLanes
-		for k := tb.Y0; k < tb.Y1; k++ {
-			var ms, xs []float64
-			if md != nil {
-				ms = row(g, tb, md, k)
-			}
-			if xd != nil {
-				xs = row(g, tb, xd, k)
-			}
-			rs := row(g, tb, rd, k)
-			CGStepPX(ms, rs, row(g, tb, pd, k), xs, beta, alpha)
-			l.CGStepSR(ms, rs, row(g, tb, wd, k), row(g, tb, sd, k), beta, alpha)
-		}
-		l.Fold(md == nil, acc)
-	}
-}
-
-// FusedCGStep3D is the 3D merged single-reduction CG step over b — see
-// FusedCGStep; the two share their row bursts.
+// FusedCGStep3D is FusedCGStep over a 3D box.
 func FusedCGStep3D(pl *par.Pool, b grid.Bounds3D, minv, r, w *grid.Field3D, beta, alpha float64, p, s, x *grid.Field3D) (gamma, rr float64) {
+	return fusedCGStep(pl, r.Grid.Rows(b), minv.DataOrNil(), r.Data, w.Data, beta, alpha, p.Data, s.Data, x.DataOrNil())
+}
+
+// fusedCGStep runs the two row bursts per row of each band, then folds
+// the band's (γ, rr) lanes into acc.
+func fusedCGStep(pl *par.Pool, b grid.Rows, md, rd, wd []float64, beta, alpha float64, pd, sd, xd []float64) (gamma, rr float64) {
 	if b.Empty() {
 		return 0, 0
 	}
-	acc := pl.ForTilesReduceN(2, box3(b), fusedCGStepBody3D(beta, alpha, minv, r, w, p, s, x))
-	return acc[0], acc[1]
-}
-
-// fusedCGStepBody3D is FusedCGStep3D's tile body (see fusedCGStepBody).
-func fusedCGStepBody3D(beta, alpha float64, minv, r, w, p, s, x *grid.Field3D) func(t par.Tile, acc []float64) {
-	g := r.Grid
-	rd, wd, pd, sd := r.Data, w.Data, p.Data, s.Data
-	var md, xd []float64
-	if minv != nil {
-		md = minv.Data
-	}
-	if x != nil {
-		xd = x.Data
-	}
-	return func(t par.Tile, acc []float64) {
-		tb := tileBounds3(t)
+	n := b.N()
+	acc := pl.ForReduceN(2, b.K0, b.K1, func(k0, k1 int, acc []float64) {
 		var l CGStepLanes
-		for k := tb.Z0; k < tb.Z1; k++ {
-			for j := tb.Y0; j < tb.Y1; j++ {
+		for k := k0; k < k1; k++ {
+			for j := b.J0; j < b.J1; j++ {
+				o := b.Off(j, k)
 				var ms, xs []float64
 				if md != nil {
-					ms = row3(g, tb, md, j, k)
+					ms = row(md, o, n)
 				}
 				if xd != nil {
-					xs = row3(g, tb, xd, j, k)
+					xs = row(xd, o, n)
 				}
-				rs := row3(g, tb, rd, j, k)
-				CGStepPX(ms, rs, row3(g, tb, pd, j, k), xs, beta, alpha)
-				l.CGStepSR(ms, rs, row3(g, tb, wd, j, k), row3(g, tb, sd, j, k), beta, alpha)
+				rs := row(rd, o, n)
+				CGStepPX(ms, rs, row(pd, o, n), xs, beta, alpha)
+				l.CGStepSR(ms, rs, row(wd, o, n), row(sd, o, n), beta, alpha)
 			}
 		}
 		l.Fold(md == nil, acc)
-	}
+	})
+	return acc[0], acc[1]
 }
 
 // CGStepPX is burst 1 of the merged step over one row: the p recurrence
@@ -185,7 +142,7 @@ func cgStepPXGo(ms, rs, ps, xs []float64, beta, alpha float64) {
 }
 
 // CGStepLanes carries the merged step's dot partials across the rows of
-// one tile: FusedCGUpdate's two lanes per dot, so the tile's γ and rr
+// one band: FusedCGUpdate's two lanes per dot, so the band's γ and rr
 // associate exactly as the two-sweep form's do. The assembly leaf reads
 // and writes it as two pairs, (g0, g1) and (rr0, rr1).
 type CGStepLanes struct{ g0, g1, rr0, rr1 float64 }
@@ -293,7 +250,7 @@ func (l *CGStepLanes) Dots(ms, rs []float64) {
 	l.g0, l.g1, l.rr0, l.rr1 = g0, g1, rr0, rr1
 }
 
-// Fold adds the tile's (γ, rr) to acc; for the identity γ is rr.
+// Fold adds the band's (γ, rr) to acc; for the identity γ is rr.
 func (l *CGStepLanes) Fold(identity bool, acc []float64) {
 	rr := l.rr0 + l.rr1
 	if identity {

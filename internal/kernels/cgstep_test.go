@@ -125,15 +125,15 @@ func TestFusedCGStep3DMatchesTwoSweepsBitwise(t *testing.T) {
 	}
 }
 
-// dispatchAllocs is what one ForTilesReduceN dispatch of a capturing
-// k-wide body costs on pool: par's own result slice, partial table,
-// closures and join barrier, plus the body closure. A sweep can be
-// pinned to add nothing to it; it cannot be pinned to zero while the
-// scheduler itself allocates per call.
-func dispatchAllocs(pool *par.Pool, k int, b par.Box) float64 {
+// dispatchAllocs is what one ForReduceN dispatch of a capturing k-wide
+// body over the outer index of b costs on pool: par's own result slice,
+// partial table, closure and join barrier, plus the body closure. A
+// sweep can be pinned to add nothing to it; it cannot be pinned to zero
+// while the scheduler itself allocates per call.
+func dispatchAllocs(pool *par.Pool, k int, b grid.Rows) float64 {
 	x := 1.0
 	return testing.AllocsPerRun(20, func() {
-		x = pool.ForTilesReduceN(k, b, func(t par.Tile, acc []float64) { acc[0] += x })[0]
+		x = pool.ForReduceN(k, b.K0, b.K1, func(k0, k1 int, acc []float64) { acc[0] += x })[0]
 	})
 }
 
@@ -152,13 +152,13 @@ func TestFusedCGStepAllocatesNothing(t *testing.T) {
 	got := testing.AllocsPerRun(20, func() {
 		FusedCGStep(pool, g.Interior(), minv, r, w, 0.5, 1e-3, p, s, x)
 	})
-	if want := dispatchAllocs(pool, 2, box(g.Interior())); got != want {
+	if want := dispatchAllocs(pool, 2, g.Rows(g.Interior())); got != want {
 		t.Errorf("FusedCGStep allocates %v per call, the bare dispatch %v", got, want)
 	}
 	got = testing.AllocsPerRun(20, func() {
 		FusedCGStep3D(pool, g3.Interior(), minv3, r3, w3, 0.5, 1e-3, p3, s3, x3)
 	})
-	if want := dispatchAllocs(pool, 2, box3(g3.Interior())); got != want {
+	if want := dispatchAllocs(pool, 2, g3.Rows(g3.Interior())); got != want {
 		t.Errorf("FusedCGStep3D allocates %v per call, the bare dispatch %v", got, want)
 	}
 }

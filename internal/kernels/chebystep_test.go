@@ -278,21 +278,23 @@ func TestPPCGInnerInitAllocatesNothing(t *testing.T) {
 	minv, p, w, u, r, rtemp, sd, z := f(), f(), f(), f(), f(), f(), f(), f()
 	minv3, p3, w3, u3, r3, rtemp3, sd3, z3 := f3(), f3(), f3(), f3(), f3(), f3(), f3(), f3()
 	in, in3 := g.Interior(), g3.Interior()
-	// The bare dispatch runs a body that captures (and only reads) a
-	// variable, like the sweep's own.
-	x := []float64{1}
-	bare := testing.AllocsPerRun(20, func() { pool.For(0, in.Y1, func(lo, hi int) { _ = x[0] }) })
+	// The bare dispatch is a For over the walker's outer range whose
+	// body captures (and only reads) a variable, like the sweep's own.
+	bare := func(w grid.Rows) float64 {
+		x := []float64{1}
+		return testing.AllocsPerRun(20, func() { pool.For(w.K0, w.K1, func(lo, hi int) { _ = x[0] }) })
+	}
 	got := testing.AllocsPerRun(20, func() {
 		PPCGInnerInit(pool, in, 0.5, p, w, u, r, rtemp, 0.5, minv, sd, z)
 	})
-	if got != bare {
-		t.Errorf("PPCGInnerInit allocates %v per call, a bare For %v", got, bare)
+	if want := bare(g.Rows(in)); got != want {
+		t.Errorf("PPCGInnerInit allocates %v per call, a bare For %v", got, want)
 	}
 	got = testing.AllocsPerRun(20, func() {
 		PPCGInnerInit3D(pool, in3, 0.5, p3, w3, u3, r3, rtemp3, 0.5, minv3, sd3, z3)
 	})
-	if got != bare {
-		t.Errorf("PPCGInnerInit3D allocates %v per call, a bare For %v", got, bare)
+	if want := bare(g3.Rows(in3)); got != want {
+		t.Errorf("PPCGInnerInit3D allocates %v per call, a bare For %v", got, want)
 	}
 }
 

@@ -78,9 +78,9 @@ func TestAxpbyPreMatchesMulAxpby(t *testing.T) {
 		for name, p := range fusionPools() {
 			yRef := testField(g, 53)
 			z := grid.NewField2D(g)
-			Mul(par.Serial, b, minv, r, z)
+			mulRef(b, minv, r, z)
 			tmp := grid.NewField2D(g)
-			Axpby(par.Serial, b, 0.9, yRef, 0.4, z, tmp)
+			axpbyRef(b, 0.9, yRef, 0.4, z, tmp)
 			Copy(par.Serial, b, yRef, tmp)
 
 			y := testField(g, 53)
@@ -90,7 +90,7 @@ func TestAxpbyPreMatchesMulAxpby(t *testing.T) {
 			// Identity variant.
 			yID := testField(g, 54)
 			yIDRef := testField(g, 54)
-			Axpby(par.Serial, b, 0.9, yIDRef, 0.4, r, tmp)
+			axpbyRef(b, 0.9, yIDRef, 0.4, r, tmp)
 			Copy(par.Serial, b, yIDRef, tmp)
 			AxpbyPre(p, b, 0.9, yID, 0.4, nil, r)
 			fieldsClose13(t, name+" identity", yID, yIDRef)
@@ -108,7 +108,7 @@ func TestFusedCGDirectionsMatchesComposed(t *testing.T) {
 		for name, pool := range fusionPools() {
 			// Reference: u = minv⊙r; p = u + β·p; s = w + β·s.
 			u := grid.NewField2D(g)
-			Mul(par.Serial, b, minv, r, u)
+			mulRef(b, minv, r, u)
 			pRef, sRef := testField(g, 64), testField(g, 65)
 			Xpay(par.Serial, b, u, beta, pRef)
 			Xpay(par.Serial, b, w, beta, sRef)
@@ -143,7 +143,7 @@ func TestFusedCGUpdateMatchesComposed(t *testing.T) {
 			Axpy(par.Serial, b, alpha, pv, xRef)
 			Axpy(par.Serial, b, -alpha, sv, rRef)
 			u := grid.NewField2D(g)
-			Mul(par.Serial, b, minv, rRef, u)
+			mulRef(b, minv, rRef, u)
 			gammaRef := Dot(par.Serial, b, rRef, u)
 			rrRef := Dot(par.Serial, b, rRef, rRef)
 
@@ -183,9 +183,9 @@ func TestFusedPPCGInnerMatchesComposed(t *testing.T) {
 			rtempRef, sdRef, zRef := testField(g, 83), testField(g, 84), testField(g, 85)
 			Axpy(par.Serial, b, -1, w, rtempRef)
 			zscr := grid.NewField2D(g)
-			Mul(par.Serial, b, minv, rtempRef, zscr)
+			mulRef(b, minv, rtempRef, zscr)
 			tmp := grid.NewField2D(g)
-			Axpby(par.Serial, b, alpha, sdRef, beta, zscr, tmp)
+			axpbyRef(b, alpha, sdRef, beta, zscr, tmp)
 			Copy(par.Serial, b, sdRef, tmp)
 			Axpy(par.Serial, in, 1, sdRef, zRef)
 

@@ -230,3 +230,63 @@ func BenchmarkFusedPPCGInner(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkPointwise3D runs the pointwise kernels through their 3D
+// adapters on the bench harness's 128³ mesh, on one and two workers: the
+// row walker's 3D case (NY rows per z-plane, bands of whole planes),
+// next to the 2D sweeps above. SetBytes counts field visits as above;
+// PPCGInnerInit3D is its pre-loop form (no outer update).
+func BenchmarkPointwise3D(b *testing.B) {
+	const n = 128
+	g := grid.UnitGrid3D(n, n, n, 2)
+	var f [6]*grid.Field3D
+	for i := range f {
+		f[i] = grid.NewField3D(g)
+		rng := newRng(int64(i + 1))
+		for c := range f[i].Data {
+			f[i].Data[c] = 0.5 + rng.Float64()
+		}
+	}
+	in := g.Interior()
+	var sink float64
+	cases := []struct {
+		name   string
+		visits int
+		run    func(p *par.Pool)
+	}{
+		{"Dot3D", 2, func(p *par.Pool) { sink += Dot3D(p, in, f[0], f[1]) }},
+		{"Dot23D", 3, func(p *par.Pool) {
+			xy, yz := Dot23D(p, in, f[0], f[1], f[2])
+			sink += xy + yz
+		}},
+		{"Axpy3D", 3, func(p *par.Pool) { Axpy3D(p, in, 1e-9, f[0], f[1]) }},
+		{"Xpay3D", 3, func(p *par.Pool) { Xpay3D(p, in, f[0], 0.5, f[1]) }},
+		{"Copy3D", 2, func(p *par.Pool) { Copy3D(p, in, f[1], f[0]) }},
+		{"ScaleTo3D", 2, func(p *par.Pool) { ScaleTo3D(p, in, 1, f[0], f[1]) }},
+		{"AxpyAxpy3D", 6, func(p *par.Pool) { AxpyAxpy3D(p, in, 1e-9, f[0], f[1], -1e-9, f[2], f[3]) }},
+		{"AxpbyPre3D", 4, func(p *par.Pool) { AxpbyPre3D(p, in, 0.5, f[0], 0.5, f[1], f[2]) }},
+		{"FusedCGDirections3D", 7, func(p *par.Pool) { FusedCGDirections3D(p, in, f[0], f[1], f[2], 0.5, f[3], f[4]) }},
+		{"FusedCGUpdate3D", 7, func(p *par.Pool) {
+			gamma, rr := FusedCGUpdate3D(p, in, 1e-9, f[0], f[1], f[2], f[3], f[4])
+			sink += gamma + rr
+		}},
+		{"FusedPPCGInner3D", 8, func(p *par.Pool) { FusedPPCGInner3D(p, in, in, 0.9, 0.1, f[0], f[1], f[2], f[3], f[4]) }},
+		{"PPCGInnerInit3D", 5, func(p *par.Pool) {
+			PPCGInnerInit3D(p, in, 0, nil, nil, nil, f[0], f[1], 0.5, f[2], f[3], f[4])
+		}},
+	}
+	for _, workers := range []int{1, 2} {
+		pool := par.NewPool(workers)
+		for _, c := range cases {
+			b.Run(fmt.Sprintf("%s/workers=%d", c.name, workers), func(b *testing.B) {
+				b.SetBytes(int64(n*n*n) * 8 * int64(c.visits))
+				for i := 0; i < b.N; i++ {
+					c.run(pool)
+				}
+				reportNsPerCell(b, n*n*n)
+			})
+		}
+		pool.Close()
+	}
+	_ = sink
+}

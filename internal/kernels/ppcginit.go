@@ -23,58 +23,33 @@ import (
 // the result only where θ⁻¹·(minv ⊙ r) is itself a zero, and then only
 // in that zero's sign. nil minv selects the identity preconditioner.
 func PPCGInnerInit(pl *par.Pool, b grid.Bounds, alpha float64, p, w, u, r, rtemp *grid.Field2D, thetaInv float64, minv, sd, z *grid.Field2D) {
-	if b.Empty() {
-		return
-	}
-	g := r.Grid
-	rd, td, sdd, zd := r.Data, rtemp.Data, sd.Data, z.Data
-	var pd, wd, ud, md []float64
-	if p != nil {
-		pd, wd, ud = p.Data, w.Data, u.Data
-	}
-	if minv != nil {
-		md = minv.Data
-	}
-	pl.For(b.Y0, b.Y1, func(k0, k1 int) {
-		for k := k0; k < k1; k++ {
-			var ps, ws, us, ms []float64
-			if pd != nil {
-				ps, ws, us = row(g, b, pd, k), row(g, b, wd, k), row(g, b, ud, k)
-			}
-			if md != nil {
-				ms = row(g, b, md, k)
-			}
-			ppcgInitRow(ps, ws, us, row(g, b, rd, k), row(g, b, td, k), ms, row(g, b, sdd, k), row(g, b, zd, k), alpha, thetaInv)
-		}
-	})
+	ppcgInnerInit(pl, r.Grid.Rows(b), alpha, p.DataOrNil(), w.DataOrNil(), u.DataOrNil(), r.Data, rtemp.Data, thetaInv, minv.DataOrNil(), sd.Data, z.Data)
 }
 
-// PPCGInnerInit3D is the 3D set-up sweep — see PPCGInnerInit; the two
-// share their row leaf.
+// PPCGInnerInit3D is PPCGInnerInit over a 3D box.
 func PPCGInnerInit3D(pl *par.Pool, b grid.Bounds3D, alpha float64, p, w, u, r, rtemp *grid.Field3D, thetaInv float64, minv, sd, z *grid.Field3D) {
+	ppcgInnerInit(pl, r.Grid.Rows(b), alpha, p.DataOrNil(), w.DataOrNil(), u.DataOrNil(), r.Data, rtemp.Data, thetaInv, minv.DataOrNil(), sd.Data, z.Data)
+}
+
+// ppcgInnerInit runs ppcgInitRow over every row of b; nil pd skips the
+// outer update (wd and ud are then not read).
+func ppcgInnerInit(pl *par.Pool, b grid.Rows, alpha float64, pd, wd, ud, rd, td []float64, thetaInv float64, md, sdd, zd []float64) {
 	if b.Empty() {
 		return
 	}
-	g := r.Grid
-	rd, td, sdd, zd := r.Data, rtemp.Data, sd.Data, z.Data
-	var pd, wd, ud, md []float64
-	if p != nil {
-		pd, wd, ud = p.Data, w.Data, u.Data
-	}
-	if minv != nil {
-		md = minv.Data
-	}
-	pl.For(b.Z0, b.Z1, func(z0, z1 int) {
-		for k := z0; k < z1; k++ {
-			for j := b.Y0; j < b.Y1; j++ {
+	n := b.N()
+	pl.For(b.K0, b.K1, func(k0, k1 int) {
+		for k := k0; k < k1; k++ {
+			for j := b.J0; j < b.J1; j++ {
+				o := b.Off(j, k)
 				var ps, ws, us, ms []float64
 				if pd != nil {
-					ps, ws, us = row3(g, b, pd, j, k), row3(g, b, wd, j, k), row3(g, b, ud, j, k)
+					ps, ws, us = row(pd, o, n), row(wd, o, n), row(ud, o, n)
 				}
 				if md != nil {
-					ms = row3(g, b, md, j, k)
+					ms = row(md, o, n)
 				}
-				ppcgInitRow(ps, ws, us, row3(g, b, rd, j, k), row3(g, b, td, j, k), ms, row3(g, b, sdd, j, k), row3(g, b, zd, j, k), alpha, thetaInv)
+				ppcgInitRow(ps, ws, us, row(rd, o, n), row(td, o, n), ms, row(sdd, o, n), row(zd, o, n), alpha, thetaInv)
 			}
 		}
 	})

@@ -1,10 +1,9 @@
 package par
 
-// ForBandsReduceN runs body once per band of an outer-axis range
-// [lo, hi) — the bands ForTilesReduceN cuts a box with those outer rows
-// into — with k sums folded exactly as it folds them: each band
-// accumulates into its own acc (len k, zeroed), and the partials are
-// summed in band order. It is for a sweep whose row k reads
+// ForBandsReduceN runs body once per band of [lo, hi) — the bands
+// ForReduceN cuts the range into — with k sums folded exactly as it folds
+// them: each band accumulates into its own acc (len k, zeroed), and the
+// partials are summed in band order. It is for a sweep whose row k reads
 // rows k−1..k+1 of something the same sweep writes one row ahead (the
 // fused CG iteration in internal/stencil steps r on row k+1, then runs the
 // matvec of row k): before any band runs, edge(row) is called once for
@@ -36,16 +35,11 @@ func (p *Pool) ForBandsReduceN(k, lo, hi int, edge func(row int), body func(b0, 
 			edge(b1 - 1)
 		}
 	})
-	stride := max(k, 8) // a cache line per band, as in ForReduceN
-	partial := make([]float64, nb*stride)
+	sums := newBandSums(k, nb)
 	p.region(nb, func(id int) {
 		b0, b1 := band(id)
-		body(b0, b1, partial[id*stride:id*stride+k:id*stride+k])
+		body(b0, b1, sums.acc(id))
 	})
-	for bi := 0; bi < nb; bi++ {
-		for i := 0; i < k; i++ {
-			out[i] += partial[bi*stride+i]
-		}
-	}
+	sums.fold(out)
 	return out
 }

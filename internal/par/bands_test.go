@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// TestForBandsReduceN: the bands are ForTilesReduceN's bands and
+// TestForBandsReduceN: the bands are ForReduceN's bands and
 // the partials fold the same way, bit for bit; edge runs exactly once for
 // each row next to an internal cut — the first row of every band but the
 // first and the last of every band but the last — and every edge call
@@ -22,8 +22,8 @@ func TestForBandsReduceN(t *testing.T) {
 				// A non-associative per-row term, so a different split or
 				// fold order shows in the bits.
 				term := func(k int) float64 { return 1 / float64(3+k*k) }
-				want := p.ForTilesReduceN(2, Box2D(0, 1, lo, hi), func(tl Tile, acc []float64) {
-					for k := tl.Y0; k < tl.Y1; k++ {
+				want := p.ForReduceN(2, lo, hi, func(b0, b1 int, acc []float64) {
+					for k := b0; k < b1; k++ {
 						acc[0] += term(k)
 						acc[1] += float64(k)
 					}
@@ -51,7 +51,7 @@ func TestForBandsReduceN(t *testing.T) {
 				})
 				for i := range want {
 					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-						t.Errorf("%s: sum %d = %v, ForTilesReduceN %v", label, i, got[i], want[i])
+						t.Errorf("%s: sum %d = %v, ForReduceN %v", label, i, got[i], want[i])
 					}
 				}
 				wantEdges := map[int]int{}

@@ -288,21 +288,40 @@ func (p *Pool) ForReduceN(k, lo, hi int, body func(lo, hi int, acc []float64)) [
 		return out
 	}
 	n := hi - lo
-	// Pad each worker's accumulator chunk to a cache line: bodies may
-	// read-modify-write acc per element, and adjacent k-sized chunks
-	// would otherwise false-share.
-	stride := k
-	if stride < 8 {
-		stride = 8
-	}
-	partial := make([]float64, nb*stride)
+	sums := newBandSums(k, nb)
 	p.region(nb, func(id int) {
-		body(lo+id*n/nb, lo+(id+1)*n/nb, partial[id*stride:id*stride+k:id*stride+k])
+		body(lo+id*n/nb, lo+(id+1)*n/nb, sums.acc(id))
 	})
-	for b := 0; b < nb; b++ {
-		for i := 0; i < k; i++ {
-			out[i] += partial[b*stride+i]
+	sums.fold(out)
+	return out
+}
+
+// bandSums is the partial table of a k-sum reduction over nb bands: one
+// zeroed acc per band, each padded to a cache line (bodies may
+// read-modify-write acc per element, and adjacent k-sized chunks would
+// otherwise false-share). ForReduceN and ForBandsReduceN both fold it,
+// in band order.
+type bandSums struct {
+	buf       []float64
+	k, stride int
+}
+
+func newBandSums(k, nb int) bandSums {
+	stride := max(k, 8)
+	return bandSums{buf: make([]float64, nb*stride), k: k, stride: stride}
+}
+
+// acc returns band id's accumulator.
+func (s bandSums) acc(id int) []float64 {
+	o := id * s.stride
+	return s.buf[o : o+s.k : o+s.k]
+}
+
+// fold adds the bands' partials into out, band 0 first.
+func (s bandSums) fold(out []float64) {
+	for o := 0; o < len(s.buf); o += s.stride {
+		for i := 0; i < s.k; i++ {
+			out[i] += s.buf[o+i]
 		}
 	}
-	return out
 }

@@ -18,8 +18,8 @@ import (
 // ApplyPreDot, operand for operand, and the dots keep their lanes and
 // their fold: each band accumulates its step lanes and its matvec lanes
 // over its own interior rows in row order, and the bands' partials fold
-// in band order (par.Pool.ForBandsReduceN, the ForTilesReduceN split of
-// the interior). With several workers the rows next to an
+// in band order (par.Pool.ForBandsReduceN, the ForReduceN split of the
+// interior's outer axis: y in 2D, z in 3D). With several workers the rows next to an
 // internal band cut are stepped first, in a region of their own, without
 // their dots; the band that owns such a row later re-reads its stored r
 // into the step lanes (kernels.CGStepLanes.Dots) at the point of its walk

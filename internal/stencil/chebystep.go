@@ -148,7 +148,7 @@ func chebyRow7(kx, ks, kn, kb, kf, p, ps, pn, pb, pf, rs, ms, ns, zs []float64, 
 	}
 }
 
-// rowRuns cuts the n cells of a tile row into its runs outside and inside
+// rowRuns cuts the n cells of a band row into its runs outside and inside
 // the interior columns [a0,a1) (offsets into the row) and hands each to
 // run with its offset, length and whether it accumulates; inside reports
 // whether the row lies in the interior's other axes at all.

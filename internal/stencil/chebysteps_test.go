@@ -12,7 +12,7 @@ import (
 )
 
 // chebyStep is the per-step form ChebySteps replaced: one Chebyshev step
-// over b in its own sweep through the pool's tile scheduler, reading
+// over b in its own sweep through the pool's band split, reading
 // sdOld and writing sdNew. It is the oracle a block of steps is held to.
 func (op *Operator2D) chebyStep(pool *par.Pool, b, in grid.Bounds, alpha, beta float64, sdOld, rtemp, minv, sdNew, acc *grid.Field2D) {
 	if b.Empty() {
@@ -26,11 +26,11 @@ func (op *Operator2D) chebyStep(pool *par.Pool, b, in grid.Bounds, alpha, beta f
 	if minv != nil {
 		md = minv.Data
 	}
-	pool.ForTiles(par.Box2D(b.X0, b.X1, b.Y0, b.Y1), func(t par.Tile) {
-		a0, a1 := max(in.X0, t.X0)-t.X0, min(in.X1, t.X1)-t.X0
-		for k := t.Y0; k < t.Y1; k++ {
-			row := g.Index(t.X0, k)
-			rowRuns(t.X1-t.X0, a0, a1, k >= in.Y0 && k < in.Y1, func(off, n int, accum bool) {
+	pool.For(b.Y0, b.Y1, func(k0, k1 int) {
+		a0, a1 := max(in.X0, b.X0)-b.X0, min(in.X1, b.X1)-b.X0
+		for k := k0; k < k1; k++ {
+			row := g.Index(b.X0, k)
+			rowRuns(b.X1-b.X0, a0, a1, k >= in.Y0 && k < in.Y1, func(off, n int, accum bool) {
 				o := row + off
 				var ms, zs []float64
 				if md != nil {
@@ -59,13 +59,13 @@ func (op *Operator3D) chebyStep(pool *par.Pool, b, in grid.Bounds3D, alpha, beta
 	if minv != nil {
 		md = minv.Data
 	}
-	pool.ForTiles(box3s(b), func(t par.Tile) {
-		a0, a1 := max(in.X0, t.X0)-t.X0, min(in.X1, t.X1)-t.X0
-		for k := t.Z0; k < t.Z1; k++ {
+	pool.For(b.Z0, b.Z1, func(k0, k1 int) {
+		a0, a1 := max(in.X0, b.X0)-b.X0, min(in.X1, b.X1)-b.X0
+		for k := k0; k < k1; k++ {
 			inZ := k >= in.Z0 && k < in.Z1
-			for j := t.Y0; j < t.Y1; j++ {
-				row := g.Index(t.X0, j, k)
-				rowRuns(t.X1-t.X0, a0, a1, inZ && j >= in.Y0 && j < in.Y1, func(off, n int, accum bool) {
+			for j := b.Y0; j < b.Y1; j++ {
+				row := g.Index(b.X0, j, k)
+				rowRuns(b.X1-b.X0, a0, a1, inZ && j >= in.Y0 && j < in.Y1, func(off, n int, accum bool) {
 					o := row + off
 					kx, ks, kn, kb, kf := op.kRows(o, n, sy, sz)
 					pc, ps, pn, pb, pf := pRows(od, o, n, sy, sz)

@@ -226,10 +226,10 @@ func (op *Operator2D) Apply(pool *par.Pool, b grid.Bounds, p, w *grid.Field2D) {
 	s := g.Stride()
 	kx, ky := op.Kx.Data, op.Ky.Data
 	pd, wd := p.Data, w.Data
-	pool.ForTiles(par.Box2D(b.X0, b.X1, b.Y0, b.Y1), func(t par.Tile) {
-		n := t.X1 - t.X0
-		for k := t.Y0; k < t.Y1; k++ {
-			o := g.Index(t.X0, k)
+	pool.For(b.Y0, b.Y1, func(k0, k1 int) {
+		n := b.X1 - b.X0
+		for k := k0; k < k1; k++ {
+			o := g.Index(b.X0, k)
 			kxs := kx[o : o+n+1]
 			kyn := ky[o+s : o+s+n]
 			kys := ky[o : o+n]
@@ -274,17 +274,17 @@ func (op *Operator2D) ApplyDot(pool *par.Pool, b grid.Bounds, p, w *grid.Field2D
 	s := g.Stride()
 	kx, ky := op.Kx.Data, op.Ky.Data
 	pd, wd := p.Data, w.Data
-	return pool.ForTilesReduceN(1, par.Box2D(b.X0, b.X1, b.Y0, b.Y1), applyDotBody(g, s, kx, ky, pd, wd))[0]
+	return pool.ForReduceN(1, b.Y0, b.Y1, applyDotBody(g, b, s, kx, ky, pd, wd))[0]
 }
 
-// applyDotBody is ApplyDot's tile body: one applyDotRow5 leaf per row,
-// the tile's four p·w lanes folded into acc[0].
-func applyDotBody(g *grid.Grid2D, s int, kx, ky, pd, wd []float64) func(t par.Tile, acc []float64) {
-	return func(t par.Tile, acc []float64) {
-		n := t.X1 - t.X0
+// applyDotBody is ApplyDot's band body: one applyDotRow5 leaf per row,
+// the band's four p·w lanes folded into acc[0].
+func applyDotBody(g *grid.Grid2D, b grid.Bounds, s int, kx, ky, pd, wd []float64) func(k0, k1 int, acc []float64) {
+	return func(k0, k1 int, acc []float64) {
+		n := b.X1 - b.X0
 		var pw [4]float64
-		for k := t.Y0; k < t.Y1; k++ {
-			o := g.Index(t.X0, k)
+		for k := k0; k < k1; k++ {
+			o := g.Index(b.X0, k)
 			applyDotRow5(kx[o:o+n+1], ky[o+s:o+s+n], ky[o:o+n],
 				pd[o+s:o+s+n], pd[o-s:o-s+n], pd[o-1:o+n+1], wd[o:o+n:o+n], &pw)
 		}
@@ -362,12 +362,12 @@ func (op *Operator2D) ApplyDot2(pool *par.Pool, b grid.Bounds, p, w *grid.Field2
 	s := g.Stride()
 	kx, ky := op.Kx.Data, op.Ky.Data
 	pd, wd := p.Data, w.Data
-	acc := pool.ForTilesReduceN(2, par.Box2D(b.X0, b.X1, b.Y0, b.Y1), func(t par.Tile, acc []float64) {
-		n := t.X1 - t.X0
+	acc := pool.ForReduceN(2, b.Y0, b.Y1, func(k0, k1 int, acc []float64) {
+		n := b.X1 - b.X0
 		var pw0, pw1, pw2, pw3 float64
 		var ww0, ww1, ww2, ww3 float64
-		for k := t.Y0; k < t.Y1; k++ {
-			o := g.Index(t.X0, k)
+		for k := k0; k < k1; k++ {
+			o := g.Index(b.X0, k)
 			kxs := kx[o : o+n+1]
 			kyn := ky[o+s : o+s+n]
 			kys := ky[o : o+n]
@@ -438,13 +438,13 @@ func (op *Operator2D) ApplyPreDot(pool *par.Pool, b grid.Bounds, minv, r, w *gri
 	// stay L1-resident across the stencil evaluation. Edge rows recomputed
 	// by the adjacent band are the same pointwise products, so the sweep's
 	// output does not depend on the worker count.
-	return pool.ForTilesReduceN(1, par.Box2D(b.X0, b.X1, b.Y0, b.Y1), applyPreDotBody(g, s, kx, ky, md, rd, wd))[0]
+	return pool.ForReduceN(1, b.Y0, b.Y1, applyPreDotBody(g, b, s, kx, ky, md, rd, wd))[0]
 }
 
 // windowPool recycles the u = minv ⊙ r window buffers of the 2D and 3D
-// ApplyPreDot tile bodies, so a sweep allocates nothing once every
-// worker has run a tile: a body takes a buffer for the duration of one
-// tile and hands it back.
+// ApplyPreDot band bodies, so a sweep allocates nothing once every
+// worker has run a band: a body takes a buffer for the duration of one
+// band and hands it back.
 var windowPool sync.Pool
 
 // getWindow returns a window buffer of n values (contents arbitrary: the
@@ -476,26 +476,26 @@ func fillWindowRow(dst, ms, rs []float64) {
 	}
 }
 
-// applyPreDotBody is ApplyPreDot's tile body: a rolling three-row window
+// applyPreDotBody is ApplyPreDot's band body: a rolling three-row window
 // of u = minv ⊙ r feeding one stencil row per grid row.
-func applyPreDotBody(g *grid.Grid2D, s int, kx, ky, md, rd, wd []float64) func(t par.Tile, acc []float64) {
-	return func(t par.Tile, acc []float64) {
-		n := t.X1 - t.X0
+func applyPreDotBody(g *grid.Grid2D, b grid.Bounds, s int, kx, ky, md, rd, wd []float64) func(k0, k1 int, acc []float64) {
+	return func(k0, k1 int, acc []float64) {
+		n := b.X1 - b.X0
 		width := n + 2
 		buf := getWindow(3 * width)
 		us := (*buf)[0*width : 1*width : 1*width] // row k−1
 		uc := (*buf)[1*width : 2*width : 2*width] // row k
 		un := (*buf)[2*width : 3*width : 3*width] // row k+1
 		fill := func(dst []float64, k int) {
-			o := g.Index(t.X0-1, k)
+			o := g.Index(b.X0-1, k)
 			fillWindowRow(dst, md[o:o+width:o+width], rd[o:][:width:width])
 		}
-		fill(us, t.Y0-1)
-		fill(uc, t.Y0)
+		fill(us, k0-1)
+		fill(uc, k0)
 		var uw [2]float64
-		for k := t.Y0; k < t.Y1; k++ {
+		for k := k0; k < k1; k++ {
 			fill(un, k+1)
-			o := g.Index(t.X0, k)
+			o := g.Index(b.X0, k)
 			applyPreDotRow5(kx[o:o+n+1], ky[o+s:o+s+n], ky[o:o+n],
 				un[1:n+1], us[1:n+1], uc, wd[o:o+n:o+n], &uw)
 			us, uc, un = uc, un, us
@@ -564,8 +564,8 @@ func (op *Operator2D) ApplyPreDotInit(pool *par.Pool, b grid.Bounds, minv, r, w 
 	if minv != nil {
 		md = minv.Data
 	}
-	out := pool.ForTilesReduceN(3, par.Box2D(b.X0, b.X1, b.Y0, b.Y1), func(t par.Tile, acc []float64) {
-		tb := grid.Bounds{X0: t.X0, X1: t.X1, Y0: t.Y0, Y1: t.Y1}
+	out := pool.ForReduceN(3, b.Y0, b.Y1, func(k0, k1 int, acc []float64) {
+		tb := grid.Bounds{X0: b.X0, X1: b.X1, Y0: k0, Y1: k1}
 		n := tb.X1 - tb.X0
 		var ga, de, rs float64
 		for k := tb.Y0; k < tb.Y1; k++ {

@@ -152,7 +152,7 @@ func point7(kw, ke, ks, kn, kb, kf, c, w, e, s, n, b, f float64) float64 {
 	return (1+(ke+kw)+(kn+ks)+(kf+kb))*c - (ke*e + kw*w) - (kn*n + ks*s) - (kf*f + kb*b)
 }
 
-// The sweeps below walk their tiles row by row and hand each row of n
+// The sweeps below walk their bands row by row and hand each row of n
 // cells to a leaf function as ten rows, laid out like the 2D leaves'
 // (see applyDotRow5): the x-face row kx extended to n+1 (kx[i], kx[i+1]
 // are cell i's west and east faces), the centre row p extended one cell
@@ -247,11 +247,11 @@ func applyDotRowGo(kx, ks, kn, kb, kf, p, ps, pn, pb, pf, ws []float64, dot floa
 }
 
 // dot2Lanes carries ApplyDot2's two lanes each of p·w and w·w across
-// the rows of one tile.
+// the rows of one band.
 type dot2Lanes struct{ pw0, pw1, ww0, ww1 float64 }
 
 // applyDot2Row is the row leaf of ApplyDot2: ws = A·p over one row with
-// p·w and w·w accumulated into the tile's lanes.
+// p·w and w·w accumulated into the band's lanes.
 func (l *dot2Lanes) applyDot2Row(kx, ks, kn, kb, kf, p, ps, pn, pb, pf, ws []float64) {
 	n := len(ws)
 	kw, ke, pw, pc, pe := xRows(kx, p, n)
@@ -281,11 +281,6 @@ func (l *dot2Lanes) applyDot2Row(kx, ks, kn, kb, kf, p, ps, pn, pb, pf, ws []flo
 	l.pw0, l.pw1, l.ww0, l.ww1 = pw0, pw1, ww0, ww1
 }
 
-// box3s is the par.Box for a 3D stencil bounds.
-func box3s(b grid.Bounds3D) par.Box {
-	return par.Box3D(b.X0, b.X1, b.Y0, b.Y1, b.Z0, b.Z1)
-}
-
 // Apply computes w = A·p over the cells of b. p must have valid values
 // one cell beyond b on every side.
 func (op *Operator3D) Apply(pool *par.Pool, b grid.Bounds3D, p, w *grid.Field3D) {
@@ -295,11 +290,11 @@ func (op *Operator3D) Apply(pool *par.Pool, b grid.Bounds3D, p, w *grid.Field3D)
 	g := op.Grid
 	sy, sz := op.strides()
 	pd, wd := p.Data, w.Data
-	pool.ForTiles(box3s(b), func(t par.Tile) {
-		n := t.X1 - t.X0
-		for k := t.Z0; k < t.Z1; k++ {
-			for j := t.Y0; j < t.Y1; j++ {
-				o := g.Index(t.X0, j, k)
+	pool.For(b.Z0, b.Z1, func(k0, k1 int) {
+		n := b.X1 - b.X0
+		for k := k0; k < k1; k++ {
+			for j := b.Y0; j < b.Y1; j++ {
+				o := g.Index(b.X0, j, k)
 				kx, ks, kn, kb, kf := op.kRows(o, n, sy, sz)
 				pc, ps, pn, pb, pf := pRows(pd, o, n, sy, sz)
 				applyRow(kx, ks, kn, kb, kf, pc, ps, pn, pb, pf, wd[o:o+n:o+n])
@@ -316,12 +311,12 @@ func (op *Operator3D) ApplyDot(pool *par.Pool, b grid.Bounds3D, p, w *grid.Field
 	g := op.Grid
 	sy, sz := op.strides()
 	pd, wd := p.Data, w.Data
-	return pool.ForTilesReduceN(1, box3s(b), func(t par.Tile, acc []float64) {
-		n := t.X1 - t.X0
+	return pool.ForReduceN(1, b.Z0, b.Z1, func(k0, k1 int, acc []float64) {
+		n := b.X1 - b.X0
 		var dot float64
-		for k := t.Z0; k < t.Z1; k++ {
-			for j := t.Y0; j < t.Y1; j++ {
-				o := g.Index(t.X0, j, k)
+		for k := k0; k < k1; k++ {
+			for j := b.Y0; j < b.Y1; j++ {
+				o := g.Index(b.X0, j, k)
 				kx, ks, kn, kb, kf := op.kRows(o, n, sy, sz)
 				pc, ps, pn, pb, pf := pRows(pd, o, n, sy, sz)
 				dot = applyDotRow(kx, ks, kn, kb, kf, pc, ps, pn, pb, pf, wd[o:o+n:o+n], dot)
@@ -339,21 +334,21 @@ func (op *Operator3D) ApplyDot2(pool *par.Pool, b grid.Bounds3D, p, w *grid.Fiel
 	if b.Empty() {
 		return 0, 0
 	}
-	acc2 := pool.ForTilesReduceN(2, box3s(b), op.applyDot2Body(p.Data, w.Data))
+	acc2 := pool.ForReduceN(2, b.Z0, b.Z1, op.applyDot2Body(b, p.Data, w.Data))
 	return acc2[0], acc2[1]
 }
 
-// applyDot2Body is ApplyDot2's tile body: one applyDot2Row leaf per row,
-// the tile's (p·w, w·w) lanes folded into acc.
-func (op *Operator3D) applyDot2Body(pd, wd []float64) func(t par.Tile, acc []float64) {
+// applyDot2Body is ApplyDot2's band body: one applyDot2Row leaf per row,
+// the band's (p·w, w·w) lanes folded into acc.
+func (op *Operator3D) applyDot2Body(b grid.Bounds3D, pd, wd []float64) func(k0, k1 int, acc []float64) {
 	g := op.Grid
 	sy, sz := op.strides()
-	return func(t par.Tile, acc []float64) {
-		n := t.X1 - t.X0
+	return func(k0, k1 int, acc []float64) {
+		n := b.X1 - b.X0
 		var l dot2Lanes
-		for k := t.Z0; k < t.Z1; k++ {
-			for j := t.Y0; j < t.Y1; j++ {
-				o := g.Index(t.X0, j, k)
+		for k := k0; k < k1; k++ {
+			for j := b.Y0; j < b.Y1; j++ {
+				o := g.Index(b.X0, j, k)
 				kx, ks, kn, kb, kf := op.kRows(o, n, sy, sz)
 				pc, ps, pn, pb, pf := pRows(pd, o, n, sy, sz)
 				l.applyDot2Row(kx, ks, kn, kb, kf, pc, ps, pn, pb, pf, wd[o:o+n:o+n])
@@ -378,13 +373,13 @@ func (op *Operator3D) ApplyPreDot(pool *par.Pool, b grid.Bounds3D, minv *grid.Fi
 	if b.Empty() {
 		return 0
 	}
-	return pool.ForTilesReduceN(1, box3s(b), op.applyPreDotBody(minv.Data, r.Data, w.Data, false))[0]
+	return pool.ForReduceN(1, b.Z0, b.Z1, op.applyPreDotBody(b, minv.Data, r.Data, w.Data, false))[0]
 }
 
-// applyPreDotBody is the tile body of ApplyPreDot and, with init set, of
+// applyPreDotBody is the band body of ApplyPreDot and, with init set, of
 // the preconditioned ApplyPreDotInit — one closure, so the startup and
 // in-loop sweeps cannot drift bit-wise. It is the 2D body's design one dimension up: each
-// worker keeps a rolling three-plane window of u = minv ⊙ r, the tile's
+// worker keeps a rolling three-plane window of u = minv ⊙ r, the band's
 // footprint plus one cell of surround in x and y, so every product is
 // computed once and m, r stream through exactly one read each where
 // evaluating u at all seven stencil points reads them seven times. A
@@ -396,11 +391,11 @@ func (op *Operator3D) ApplyPreDot(pool *par.Pool, b grid.Bounds3D, minv *grid.Fi
 // output does not depend on the worker count. δ = Σ u·w lands in acc[0]
 // through one accumulator in cell order; init moves it to acc[1] and
 // adds γ = Σ r·u in acc[0] and Σ r·r in acc[2], each likewise.
-func (op *Operator3D) applyPreDotBody(md, rd, wd []float64, init bool) func(t par.Tile, acc []float64) {
+func (op *Operator3D) applyPreDotBody(b grid.Bounds3D, md, rd, wd []float64, init bool) func(k0, k1 int, acc []float64) {
 	g := op.Grid
 	sy, sz := op.strides()
-	return func(t par.Tile, acc []float64) {
-		n, ny := t.X1-t.X0, t.Y1-t.Y0
+	return func(k0, k1 int, acc []float64) {
+		n, ny := b.X1-b.X0, b.Y1-b.Y0
 		width := n + 2
 		plane := width * (ny + 2)
 		buf := getWindow(3 * plane)
@@ -409,20 +404,20 @@ func (op *Operator3D) applyPreDotBody(md, rd, wd []float64, init bool) func(t pa
 		uf := (*buf)[2*plane : 3*plane : 3*plane] // plane k+1
 		fill := func(dst []float64, k int) {
 			for jw := 0; jw < ny+2; jw++ {
-				o := g.Index(t.X0-1, t.Y0-1+jw, k)
+				o := g.Index(b.X0-1, b.Y0-1+jw, k)
 				fillWindowRow(dst[jw*width:][:width], md[o:o+width], rd[o:o+width])
 			}
 		}
-		fill(ub, t.Z0-1)
-		fill(uc, t.Z0)
+		fill(ub, k0-1)
+		fill(uc, k0)
 		var gamma, delta, rr float64
-		for k := t.Z0; k < t.Z1; k++ {
+		for k := k0; k < k1; k++ {
 			fill(uf, k+1)
-			for j := t.Y0; j < t.Y1; j++ {
-				o := g.Index(t.X0, j, k)
+			for j := b.Y0; j < b.Y1; j++ {
+				o := g.Index(b.X0, j, k)
 				kx, ks, kn, kb, kf := op.kRows(o, n, sy, sz)
 				// Cell (X0, j) of a plane is window element wo.
-				wo := (j-t.Y0+1)*width + 1
+				wo := (j-b.Y0+1)*width + 1
 				delta = applyDotRow(kx, ks, kn, kb, kf,
 					uc[wo-1:wo+n+1], uc[wo-width:wo-width+n], uc[wo+width:wo+width+n], ub[wo:wo+n], uf[wo:wo+n],
 					wd[o:o+n:o+n], delta)
@@ -463,17 +458,17 @@ func (op *Operator3D) ApplyPreDotInit(pool *par.Pool, b grid.Bounds3D, minv *gri
 	}
 	rd, wd := r.Data, w.Data
 	if minv != nil {
-		acc := pool.ForTilesReduceN(3, box3s(b), op.applyPreDotBody(minv.Data, rd, wd, true))
+		acc := pool.ForReduceN(3, b.Z0, b.Z1, op.applyPreDotBody(b, minv.Data, rd, wd, true))
 		return acc[0], acc[1], acc[2]
 	}
 	g := op.Grid
 	sy, sz := op.strides()
-	acc := pool.ForTilesReduceN(2, box3s(b), func(t par.Tile, out []float64) {
-		n := t.X1 - t.X0
+	acc := pool.ForReduceN(2, b.Z0, b.Z1, func(k0, k1 int, out []float64) {
+		n := b.X1 - b.X0
 		var de, rr2 float64
-		for k := t.Z0; k < t.Z1; k++ {
-			for j := t.Y0; j < t.Y1; j++ {
-				o := g.Index(t.X0, j, k)
+		for k := k0; k < k1; k++ {
+			for j := b.Y0; j < b.Y1; j++ {
+				o := g.Index(b.X0, j, k)
 				kx, ks, kn, kb, kf := op.kRows(o, n, sy, sz)
 				pc, ps, pn, pb, pf := pRows(rd, o, n, sy, sz)
 				de = applyDotRow(kx, ks, kn, kb, kf, pc, ps, pn, pb, pf, wd[o:o+n:o+n], de)

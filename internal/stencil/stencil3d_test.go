@@ -326,7 +326,7 @@ func BenchmarkApplyPreDot3D_128(b *testing.B) {
 
 // oldApplyPreDot3D is the sweep the rolling-window ApplyPreDot replaced,
 // kept as its oracle: u = minv ⊙ r evaluated at all seven stencil points
-// of every cell, same association, the tile's δ in one accumulator in
+// of every cell, same association, the band's δ in one accumulator in
 // cell order, run through the same scheduler so the fold is the sweep's.
 func oldApplyPreDot3D(op *Operator3D, pool *par.Pool, b grid.Bounds3D, minv, r, w *grid.Field3D) float64 {
 	g := op.Grid
@@ -334,11 +334,11 @@ func oldApplyPreDot3D(op *Operator3D, pool *par.Pool, b grid.Bounds3D, minv, r, 
 	sz := sy * (g.NY + 2*g.Halo)
 	kx, ky, kz := op.Kx.Data, op.Ky.Data, op.Kz.Data
 	md, rd, wd := minv.Data, r.Data, w.Data
-	return pool.ForTilesReduceN(1, box3s(b), func(t par.Tile, acc []float64) {
+	return pool.ForReduceN(1, b.Z0, b.Z1, func(k0, k1 int, acc []float64) {
 		var delta float64
-		for k := t.Z0; k < t.Z1; k++ {
-			for j := t.Y0; j < t.Y1; j++ {
-				for c := g.Index(t.X0, j, k); c < g.Index(t.X1, j, k); c++ {
+		for k := k0; k < k1; k++ {
+			for j := b.Y0; j < b.Y1; j++ {
+				for c := g.Index(b.X0, j, k); c < g.Index(b.X1, j, k); c++ {
 					uc := md[c] * rd[c]
 					v := (1+(kx[c+1]+kx[c])+(ky[c+sy]+ky[c])+(kz[c+sz]+kz[c]))*uc -
 						(kx[c+1]*(md[c+1]*rd[c+1]) + kx[c]*(md[c-1]*rd[c-1])) -
@@ -354,8 +354,8 @@ func oldApplyPreDot3D(op *Operator3D, pool *par.Pool, b grid.Bounds3D, minv, r, 
 }
 
 // TestApplyPreDot3DMatchesOldBodyBitwise pins the window sweep to the
-// sweep it replaced, bit for bit on w and δ: over tile shapes down to
-// one row and one plane thick and ones that split X, over the interior
+// sweep it replaced, bit for bit on w and δ: over band shapes down to
+// one row and one plane thick, over the interior
 // and an extended deep-halo box, and with NaN
 // poisoned into the four corner columns of the box's x/y surround —
 // cells the window fills and the 7-point stencil never reads.
@@ -398,14 +398,15 @@ func TestApplyPreDot3DMatchesOldBodyBitwise(t *testing.T) {
 	}
 }
 
-// dispatchAllocs is what one ForTilesReduceN dispatch of a capturing
-// k-wide body costs on pool (par's result slice, partial table, closures
-// and join barrier, plus the body closure) — the floor a sweep's
-// allocation count is pinned to; see the kernels package's twin.
-func dispatchAllocs(pool *par.Pool, k int, b par.Box) float64 {
+// dispatchAllocs is what one ForReduceN dispatch of a capturing k-wide
+// body over the outer range [lo, hi) costs on pool (par's result slice,
+// partial table, closure and join barrier, plus the body closure) — the
+// floor a sweep's allocation count is pinned to; see the kernels
+// package's twin.
+func dispatchAllocs(pool *par.Pool, k, lo, hi int) float64 {
 	x := 1.0
 	return testing.AllocsPerRun(20, func() {
-		x = pool.ForTilesReduceN(k, b, func(t par.Tile, acc []float64) { acc[0] += x })[0]
+		x = pool.ForReduceN(k, lo, hi, func(k0, k1 int, acc []float64) { acc[0] += x })[0]
 	})
 }
 
@@ -434,11 +435,11 @@ func TestApplyPreDotAllocatesNothing(t *testing.T) {
 	m3, r3, w3 := positiveField3D(g3, 84), randomField3D(g3, 85), grid.NewField3D(g3)
 	in2, in3 := g2.Interior(), g3.Interior()
 	got := testing.AllocsPerRun(20, func() { op2.ApplyPreDot(pool, in2, m2, r2, w2) })
-	if want := dispatchAllocs(pool, 1, par.Box2D(in2.X0, in2.X1, in2.Y0, in2.Y1)); got != want {
+	if want := dispatchAllocs(pool, 1, in2.Y0, in2.Y1); got != want {
 		t.Errorf("2D ApplyPreDot allocates %v per sweep, the bare dispatch %v", got, want)
 	}
 	got = testing.AllocsPerRun(20, func() { op3.ApplyPreDot(pool, in3, m3, r3, w3) })
-	if want := dispatchAllocs(pool, 1, box3s(in3)); got != want {
+	if want := dispatchAllocs(pool, 1, in3.Z0, in3.Z1); got != want {
 		t.Errorf("3D ApplyPreDot allocates %v per sweep, the bare dispatch %v", got, want)
 	}
 }
