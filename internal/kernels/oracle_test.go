@@ -15,7 +15,8 @@ import (
 // every cell of every operand field, halo included, and every returned
 // dot, on interior, depth-2 extended, ragged (width mod 4 ∈ {1, 2, 3}),
 // offset and empty bounds, with and without a folded diagonal, on 1, 2
-// and 4 workers at grain 1.
+// and 4 workers at grain 1. Each kernel is its own subtest, so
+// -run TestKernelsMatchOracle2DBitwise/FusedCGStep checks one body.
 
 // oraclePools are the worker counts the bitwise tests run on.
 func oraclePools() map[string]*par.Pool {
@@ -207,29 +208,34 @@ func TestKernelsMatchOracle2DBitwise(t *testing.T) {
 		{X0: 9, X1: 3, Y0: 8, Y1: 2},   // empty: inverted
 	}
 	mk := func(seed int64) *grid.Field2D { return testField(g, seed) }
-	for pname, pool := range oraclePools() {
+	pools := oraclePools()
+	for _, pool := range pools {
 		defer pool.Close()
-		for _, c := range oracleCases2 {
-			for _, b := range bounds {
-				for _, folded := range []bool{false, true} {
-					var m *grid.Field2D
-					if folded {
-						m = mk(99)
-					}
-					got, want := make([]*grid.Field2D, oracleFields), make([]*grid.Field2D, oracleFields)
-					gotD, wantD := make([][]float64, oracleFields), make([][]float64, oracleFields)
-					for i := range got {
-						got[i], want[i] = mk(int64(i+1)), mk(int64(i+1))
-						gotD[i], wantD[i] = got[i].Data, want[i].Data
-					}
-					sg := c.run(pool, b, got, m, false)
-					sw := c.run(pool, b, want, m, true)
-					if d := sameBits(sg, sw, gotD, wantD); d != "" {
-						t.Errorf("%s %s %v minv=%v: %s", pname, c.name, b, folded, d)
+	}
+	for _, c := range oracleCases2 {
+		t.Run(c.name, func(t *testing.T) {
+			for pname, pool := range pools {
+				for _, b := range bounds {
+					for _, folded := range []bool{false, true} {
+						var m *grid.Field2D
+						if folded {
+							m = mk(99)
+						}
+						got, want := make([]*grid.Field2D, oracleFields), make([]*grid.Field2D, oracleFields)
+						gotD, wantD := make([][]float64, oracleFields), make([][]float64, oracleFields)
+						for i := range got {
+							got[i], want[i] = mk(int64(i+1)), mk(int64(i+1))
+							gotD[i], wantD[i] = got[i].Data, want[i].Data
+						}
+						sg := c.run(pool, b, got, m, false)
+						sw := c.run(pool, b, want, m, true)
+						if d := sameBits(sg, sw, gotD, wantD); d != "" {
+							t.Errorf("%s %v minv=%v: %s", pname, b, folded, d)
+						}
 					}
 				}
 			}
-		}
+		})
 	}
 }
 
@@ -255,28 +261,33 @@ func TestKernelsMatchOracle3DBitwise(t *testing.T) {
 		}
 		return f
 	}
-	for pname, pool := range oraclePools() {
+	pools := oraclePools()
+	for _, pool := range pools {
 		defer pool.Close()
-		for _, c := range oracleCases3 {
-			for _, b := range bounds {
-				for _, folded := range []bool{false, true} {
-					var m *grid.Field3D
-					if folded {
-						m = mk(99)
-					}
-					got, want := make([]*grid.Field3D, oracleFields), make([]*grid.Field3D, oracleFields)
-					gotD, wantD := make([][]float64, oracleFields), make([][]float64, oracleFields)
-					for i := range got {
-						got[i], want[i] = mk(int64(i+1)), mk(int64(i+1))
-						gotD[i], wantD[i] = got[i].Data, want[i].Data
-					}
-					sg := c.run(pool, b, got, m, false)
-					sw := c.run(pool, b, want, m, true)
-					if d := sameBits(sg, sw, gotD, wantD); d != "" {
-						t.Errorf("%s %s %v minv=%v: %s", pname, c.name, b, folded, d)
+	}
+	for _, c := range oracleCases3 {
+		t.Run(c.name, func(t *testing.T) {
+			for pname, pool := range pools {
+				for _, b := range bounds {
+					for _, folded := range []bool{false, true} {
+						var m *grid.Field3D
+						if folded {
+							m = mk(99)
+						}
+						got, want := make([]*grid.Field3D, oracleFields), make([]*grid.Field3D, oracleFields)
+						gotD, wantD := make([][]float64, oracleFields), make([][]float64, oracleFields)
+						for i := range got {
+							got[i], want[i] = mk(int64(i+1)), mk(int64(i+1))
+							gotD[i], wantD[i] = got[i].Data, want[i].Data
+						}
+						sg := c.run(pool, b, got, m, false)
+						sw := c.run(pool, b, want, m, true)
+						if d := sameBits(sg, sw, gotD, wantD); d != "" {
+							t.Errorf("%s %v minv=%v: %s", pname, b, folded, d)
+						}
 					}
 				}
 			}
-		}
+		})
 	}
 }
