@@ -66,59 +66,6 @@ func BenchmarkAxpy(b *testing.B) {
 	}
 }
 
-func BenchmarkApply(b *testing.B) {
-	for _, n := range sizes() {
-		b.Run(fmt.Sprintf("%dx%d", n, n), func(b *testing.B) {
-			g := benchGrid(n)
-			op := benchOp(g)
-			p, w := benchField(g, 1), grid.NewField2D(g)
-			in := g.Interior()
-			b.SetBytes(int64(n) * int64(n) * 8 * 5)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				op.Apply(par.Serial, in, p, w)
-			}
-		})
-	}
-}
-
-func BenchmarkApplyDot(b *testing.B) {
-	for _, n := range sizes() {
-		b.Run(fmt.Sprintf("%dx%d", n, n), func(b *testing.B) {
-			g := benchGrid(n)
-			op := benchOp(g)
-			p, w := benchField(g, 1), grid.NewField2D(g)
-			in := g.Interior()
-			b.SetBytes(int64(n) * int64(n) * 8 * 5)
-			b.ResetTimer()
-			var sink float64
-			for i := 0; i < b.N; i++ {
-				sink += op.ApplyDot(par.Serial, in, p, w)
-			}
-			_ = sink
-		})
-	}
-}
-
-func BenchmarkApplyDot2(b *testing.B) {
-	for _, n := range sizes() {
-		b.Run(fmt.Sprintf("%dx%d", n, n), func(b *testing.B) {
-			g := benchGrid(n)
-			op := benchOp(g)
-			p, w := benchField(g, 1), grid.NewField2D(g)
-			in := g.Interior()
-			b.SetBytes(int64(n) * int64(n) * 8 * 5)
-			b.ResetTimer()
-			var sink float64
-			for i := 0; i < b.N; i++ {
-				pw, ww := op.ApplyDot2(par.Serial, in, p, w)
-				sink += pw + ww
-			}
-			_ = sink
-		})
-	}
-}
-
 func BenchmarkFusedCGDirections(b *testing.B) {
 	for _, n := range sizes() {
 		b.Run(fmt.Sprintf("%dx%d", n, n), func(b *testing.B) {

@@ -53,7 +53,7 @@ func (op *Operator3D) chebyStep(pool *par.Pool, b, in grid.Bounds3D, alpha, beta
 		return
 	}
 	g := op.Grid
-	sy, sz := op.strides()
+	sy, sz := op.oracleStrides()
 	od, rd, nd, ad := sdOld.Data, rtemp.Data, sdNew.Data, acc.Data
 	var md []float64
 	if minv != nil {
@@ -67,8 +67,8 @@ func (op *Operator3D) chebyStep(pool *par.Pool, b, in grid.Bounds3D, alpha, beta
 				row := g.Index(b.X0, j, k)
 				rowRuns(b.X1-b.X0, a0, a1, inZ && j >= in.Y0 && j < in.Y1, func(off, n int, accum bool) {
 					o := row + off
-					kx, ks, kn, kb, kf := op.kRows(o, n, sy, sz)
-					pc, ps, pn, pb, pf := pRows(od, o, n, sy, sz)
+					kx, ks, kn, kb, kf := op.oracleKRows(o, n, sy, sz)
+					pc, ps, pn, pb, pf := oraclePRows(od, o, n, sy, sz)
 					var ms, zs []float64
 					if md != nil {
 						ms = md[o : o+n]

@@ -118,23 +118,43 @@ func TestOperator3DSymmetricPositive(t *testing.T) {
 	}
 }
 
+// TestApplyDot3DMatches holds ApplyDot's w to Apply's bit for bit and its
+// p·w to a serial dot, on the interior of a ragged mesh (width 9) and
+// its depth-1 extended box, on 1, 2, 4 and 7 workers.
 func TestApplyDot3DMatches(t *testing.T) {
-	g := grid.UnitGrid3D(6, 6, 6, 1)
-	op, err := BuildOperator3D(par.Serial, randomDensity3D(g, 7), 0.02, Conductivity, AllPhysical3D)
+	g, err := grid.NewGrid3D(9, 7, 6, 2, 0, 1, 0, 1, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := randomField3D(g, 8)
-	w1 := grid.NewField3D(g)
-	w2 := grid.NewField3D(g)
-	op.Apply(par.Serial, g.Interior(), p, w1)
-	want := dot3D(p, w1)
-	got := op.ApplyDot(par.Serial, g.Interior(), p, w2)
-	if math.Abs(got-want) > 1e-12*math.Max(1, math.Abs(want)) {
-		t.Errorf("ApplyDot = %v, want %v", got, want)
+	op, err := BuildOperator3D(par.Serial, randomDensity3D(g, 41), 0.05, Conductivity, AllPhysical3D)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if w1.MaxDiff(w2) > 1e-14 {
-		t.Error("fused w differs")
+	p := randomField3D(g, 42)
+	p.ReflectHalos(2)
+	for _, b := range []grid.Bounds3D{g.Interior(), g.Interior().Expand(1, g)} {
+		w1 := grid.NewField3D(g)
+		op.Apply(par.Serial, b, p, w1)
+		var want float64
+		for k := b.Z0; k < b.Z1; k++ {
+			for j := b.Y0; j < b.Y1; j++ {
+				for i := b.X0; i < b.X1; i++ {
+					want += p.At(i, j, k) * w1.At(i, j, k)
+				}
+			}
+		}
+		for _, workers := range []int{1, 2, 4, 7} {
+			pool := par.NewPool(workers).WithGrain(1)
+			w2 := grid.NewField3D(g)
+			got := op.ApplyDot(pool, b, p, w2)
+			if math.Abs(got-want) > 1e-12*math.Max(1, math.Abs(want)) {
+				t.Errorf("workers=%d %v: ApplyDot = %v, want %v", workers, b, got, want)
+			}
+			if i := sameBits(w2.Data, w1.Data); i >= 0 {
+				t.Errorf("workers=%d %v: fused w differs at flat index %d", workers, b, i)
+			}
+			pool.Close()
+		}
 	}
 }
 
@@ -157,35 +177,6 @@ func TestResidual3D(t *testing.T) {
 					t.Fatal("3D residual identity broken")
 				}
 			}
-		}
-	}
-}
-
-func TestApplyDot23DMatches(t *testing.T) {
-	g, err := grid.NewGrid3D(9, 7, 6, 1, 0, 1, 0, 1, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	op, err := BuildOperator3D(par.Serial, randomDensity3D(g, 41), 0.05, Conductivity, AllPhysical3D)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := randomField3D(g, 42)
-	p.ReflectHalos(1)
-	w1 := grid.NewField3D(g)
-	op.Apply(par.Serial, g.Interior(), p, w1)
-	wantPW := dot3D(p, w1)
-	wantWW := dot3D(w1, w1)
-	for _, workers := range []int{1, 2, 4, 7} {
-		pool := par.NewPool(workers).WithGrain(1)
-		w2 := grid.NewField3D(g)
-		pw, ww := op.ApplyDot2(pool, g.Interior(), p, w2)
-		if math.Abs(pw-wantPW) > 1e-12*math.Max(1, math.Abs(wantPW)) ||
-			math.Abs(ww-wantWW) > 1e-12*math.Max(1, math.Abs(wantWW)) {
-			t.Errorf("workers=%d: ApplyDot2 = (%v,%v), want (%v,%v)", workers, pw, ww, wantPW, wantWW)
-		}
-		if w1.MaxDiff(w2) > 1e-13 {
-			t.Errorf("workers=%d: fused w differs", workers)
 		}
 	}
 }
@@ -291,37 +282,59 @@ func TestBuildOperator3DRankFacesKeepCoupling(t *testing.T) {
 	}
 }
 
-// BenchmarkApplyPreDot3D_128 times the fused-CG matvec sweep on the
-// benchmark deck's 128³ mesh with a Jacobi-style folded diagonal, on one
-// and two workers — the sweep bm3d_cg_128_w2 spends most of its time in.
-func BenchmarkApplyPreDot3D_128(b *testing.B) {
-	const n = 128
-	g := grid.UnitGrid3D(n, n, n, 2)
-	op, err := BuildOperator3D(par.Serial, randomDensity3D(g, 1), 0.04, Conductivity, AllPhysical3D)
+// BenchmarkStencilSweeps times the stencil sweeps through both
+// adapters, in ns per cell: Apply, ApplyDot and ApplyPreDot (identity and
+// with a Jacobi-style folded diagonal) on the 2D 1024² mesh of the
+// pipe2d rows and the 3D 128³ mesh of bm3d_cg_128_w2, on one and two
+// workers. The folded 3D ApplyPreDot is the sweep bm3d_cg_128_w2 spends
+// most of its time in.
+func BenchmarkStencilSweeps(b *testing.B) {
+	const n2, n3 = 1024, 128
+	g2 := grid.UnitGrid2D(n2, n2, 2)
+	op2, err := BuildOperator2D(par.Serial, uniformDensity(g2, 1.7), 0.04, Conductivity, AllPhysical)
 	if err != nil {
 		b.Fatal(err)
 	}
-	minv := grid.NewField3D(g)
-	op.Diagonal(par.Serial, g.Interior().Expand(1, g), minv)
-	for i, d := range minv.Data {
-		if d != 0 {
-			minv.Data[i] = 1 / d
+	m2 := grid.NewField2D(g2)
+	op2.InvDiagonal(par.Serial, g2.Interior().Expand(1, g2), m2)
+	p2, w2 := randomField(g2, 1), grid.NewField2D(g2)
+	g3 := grid.UnitGrid3D(n3, n3, n3, 2)
+	op3, err := BuildOperator3D(par.Serial, randomDensity3D(g3, 1), 0.04, Conductivity, AllPhysical3D)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m3 := grid.NewField3D(g3)
+	op3.InvDiagonal(par.Serial, g3.Interior().Expand(1, g3), m3)
+	p3, w3 := randomField3D(g3, 2), grid.NewField3D(g3)
+	in2, in3 := g2.Interior(), g3.Interior()
+	var sink float64
+	for _, workers := range []int{1, 2} {
+		pool := par.NewPool(workers)
+		b.Cleanup(pool.Close)
+		sweeps := []struct {
+			name  string
+			cells int
+			run   func()
+		}{
+			{"2D/Apply", in2.Cells(), func() { op2.Apply(pool, in2, p2, w2) }},
+			{"2D/ApplyDot", in2.Cells(), func() { sink += op2.ApplyDot(pool, in2, p2, w2) }},
+			{"2D/ApplyPreDot", in2.Cells(), func() { sink += op2.ApplyPreDot(pool, in2, nil, p2, w2) }},
+			{"2D/ApplyPreDot/diag", in2.Cells(), func() { sink += op2.ApplyPreDot(pool, in2, m2, p2, w2) }},
+			{"3D/Apply", in3.Cells(), func() { op3.Apply(pool, in3, p3, w3) }},
+			{"3D/ApplyDot", in3.Cells(), func() { sink += op3.ApplyDot(pool, in3, p3, w3) }},
+			{"3D/ApplyPreDot", in3.Cells(), func() { sink += op3.ApplyPreDot(pool, in3, nil, p3, w3) }},
+			{"3D/ApplyPreDot/diag", in3.Cells(), func() { sink += op3.ApplyPreDot(pool, in3, m3, p3, w3) }},
+		}
+		for _, sw := range sweeps {
+			b.Run(fmt.Sprintf("%s/workers=%d", sw.name, workers), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					sw.run()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(sw.cells), "ns/cell")
+			})
 		}
 	}
-	r, w := randomField3D(g, 2), grid.NewField3D(g)
-	for _, workers := range []int{1, 2} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			pool := par.NewPool(workers)
-			defer pool.Close()
-			var sink float64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sink += op.ApplyPreDot(pool, g.Interior(), minv, r, w)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n*n*n), "ns/cell")
-			_ = sink
-		})
-	}
+	_ = sink
 }
 
 // oldApplyPreDot3D is the sweep the rolling-window ApplyPreDot replaced,

@@ -146,8 +146,15 @@ func TestRowSumsAreOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if worst := op.RowSumCheck(par.Serial, g.Interior()); worst > 1e-13 {
-		t.Errorf("max |row sum - 1| = %v", worst)
+	ones, w := grid.NewField2D(g), grid.NewField2D(g)
+	ones.Fill(1)
+	op.Apply(par.Serial, g.Interior(), ones, w)
+	for k := 0; k < g.NY; k++ {
+		for j := 0; j < g.NX; j++ {
+			if d := math.Abs(w.At(j, k) - 1); d > 1e-13 {
+				t.Errorf("|row sum - 1| at (%d,%d) = %v", j, k, d)
+			}
+		}
 	}
 }
 
@@ -211,25 +218,34 @@ func TestOperatorPositiveDefinite(t *testing.T) {
 	}
 }
 
+// TestApplyDotMatchesApply holds ApplyDot's w to Apply's bit for bit and
+// its p·w to the kernels' dot, on the interior, a ragged box (width 15)
+// and the depth-1 extended box, on 1, 2, 4 and 7 workers.
 func TestApplyDotMatchesApply(t *testing.T) {
-	g := grid.UnitGrid2D(14, 11, 2)
-	op, err := BuildOperator2D(par.Serial, randomDensity(g, 8), 0.03, RecipConductivity, AllPhysical)
+	g := grid.UnitGrid2D(17, 13, 2)
+	op, err := BuildOperator2D(par.Serial, randomDensity(g, 21), 0.03, RecipConductivity, AllPhysical)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := g.Interior()
-	p := randomField(g, 9)
-	w1 := grid.NewField2D(g)
-	w2 := grid.NewField2D(g)
-	op.Apply(par.Serial, b, p, w1)
-	want := kernels.Dot(par.Serial, b, p, w1)
-	for name, pool := range map[string]*par.Pool{"serial": par.Serial, "par": par.NewPool(4).WithGrain(1)} {
-		got := op.ApplyDot(pool, b, p, w2)
-		if math.Abs(got-want) > 1e-11*math.Max(1, math.Abs(want)) {
-			t.Errorf("%s: ApplyDot = %v, want %v", name, got, want)
-		}
-		if !w1.ApproxEqual(w2, 1e-13) {
-			t.Errorf("%s: fused w differs", name)
+	p := randomField(g, 22)
+	for _, b := range []grid.Bounds{g.Interior(), {X0: 1, X1: 16, Y0: 3, Y1: 8}, g.Interior().Expand(1, g)} {
+		w1 := grid.NewField2D(g)
+		op.Apply(par.Serial, b, p, w1)
+		want := kernels.Dot(par.Serial, b, p, w1)
+		for name, pool := range map[string]*par.Pool{
+			"w1": par.NewPool(1), "w2": par.NewPool(2).WithGrain(1),
+			"w4": par.NewPool(4).WithGrain(1), "w7": par.NewPool(7).WithGrain(1),
+		} {
+			w2 := grid.NewField2D(g)
+			got := op.ApplyDot(pool, b, p, w2)
+			if math.Abs(got-want) > 1e-12*math.Max(1, math.Abs(want)) {
+				t.Errorf("%s %v: ApplyDot = %v, want %v", name, b, got, want)
+			}
+			if i := sameBits(w2.Data, w1.Data); i >= 0 {
+				j, k := g.Coords(i)
+				t.Errorf("%s %v: fused w differs at (%d,%d)", name, b, j, k)
+			}
+			pool.Close()
 		}
 	}
 }
@@ -309,39 +325,6 @@ func TestCoefficientString(t *testing.T) {
 	}
 }
 
-func TestApplyDot2MatchesApply(t *testing.T) {
-	g := grid.UnitGrid2D(17, 13, 2)
-	op, err := BuildOperator2D(par.Serial, randomDensity(g, 21), 0.03, RecipConductivity, AllPhysical)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := randomField(g, 22)
-	w1 := grid.NewField2D(g)
-	for _, b := range []grid.Bounds{g.Interior(), {X0: 1, X1: 16, Y0: 3, Y1: 8}} {
-		op.Apply(par.Serial, b, p, w1)
-		wantPW := kernels.Dot(par.Serial, b, p, w1)
-		wantWW := kernels.Dot(par.Serial, b, w1, w1)
-		for name, pool := range map[string]*par.Pool{
-			"w1": par.NewPool(1), "w2": par.NewPool(2).WithGrain(1),
-			"w4": par.NewPool(4).WithGrain(1), "w7": par.NewPool(7).WithGrain(1),
-		} {
-			w2 := grid.NewField2D(g)
-			pw, ww := op.ApplyDot2(pool, b, p, w2)
-			if math.Abs(pw-wantPW) > 1e-12*math.Max(1, math.Abs(wantPW)) ||
-				math.Abs(ww-wantWW) > 1e-12*math.Max(1, math.Abs(wantWW)) {
-				t.Errorf("%s %v: ApplyDot2 = (%v,%v), want (%v,%v)", name, b, pw, ww, wantPW, wantWW)
-			}
-			for k := b.Y0; k < b.Y1; k++ {
-				for j := b.X0; j < b.X1; j++ {
-					if math.Abs(w2.At(j, k)-w1.At(j, k)) > 1e-13 {
-						t.Fatalf("%s: w differs at (%d,%d)", name, j, k)
-					}
-				}
-			}
-		}
-	}
-}
-
 func TestApplyPreDotMatchesComposed(t *testing.T) {
 	g := grid.UnitGrid2D(15, 11, 2)
 	op, err := BuildOperator2D(par.Serial, randomDensity(g, 31), 0.04, Conductivity, AllPhysical)
@@ -412,37 +395,6 @@ func TestApplyPreDotMatchesComposed(t *testing.T) {
 	gamma, delta, rr := op.ApplyPreDotInit(par.Serial, in, nil, r, w2)
 	if gamma != rr || math.Abs(delta-wantID) > 1e-12*math.Abs(wantID) {
 		t.Errorf("identity ApplyPreDotInit = (%v,%v,%v)", gamma, delta, rr)
-	}
-}
-
-// TestApplyDot2MatchesApplyDot pins the rewritten 4-way-unrolled
-// ApplyDot2 to ApplyDot on the same inputs.
-func TestApplyDot2MatchesApplyDot(t *testing.T) {
-	g := grid.UnitGrid2D(23, 11, 2)
-	op, err := BuildOperator2D(par.Serial, randomDensity(g, 7), 0.05, RecipConductivity, AllPhysical)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := randomField(g, 8)
-	b := g.Interior()
-	w1 := grid.NewField2D(g)
-	pwWant := op.ApplyDot(par.Serial, b, p, w1)
-	w2 := grid.NewField2D(g)
-	pw, ww := op.ApplyDot2(par.Serial, b, p, w2)
-	if math.Abs(pw-pwWant) > 1e-10*(1+math.Abs(pwWant)) {
-		t.Errorf("pw %g != %g", pw, pwWant)
-	}
-	var wwWant float64
-	for k := 0; k < g.NY; k++ {
-		for j := 0; j < g.NX; j++ {
-			if w1.At(j, k) != w2.At(j, k) {
-				t.Fatalf("w(%d,%d) %g != %g", j, k, w2.At(j, k), w1.At(j, k))
-			}
-			wwWant += w1.At(j, k) * w1.At(j, k)
-		}
-	}
-	if math.Abs(ww-wwWant) > 1e-10*(1+wwWant) {
-		t.Errorf("ww %g != %g", ww, wwWant)
 	}
 }
 
