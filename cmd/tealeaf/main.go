@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"os"
 
+	"tealeaf/internal/comm"
 	"tealeaf/internal/core"
 	"tealeaf/internal/deck"
 	"tealeaf/internal/grid"
@@ -32,6 +33,7 @@ import (
 	"tealeaf/internal/par"
 	"tealeaf/internal/problem"
 	"tealeaf/internal/simd"
+	"tealeaf/internal/solver"
 )
 
 func main() {
@@ -51,7 +53,7 @@ var (
 	py      = flag.Int("py", 1, "ranks in y")
 	pz      = flag.Int("pz", 1, "ranks in z (3D runs only)")
 	workers = flag.Int("workers", 1, "worker threads per rank (hybrid mode)")
-	solver  = flag.String("solver", "", "override deck solver (cg|ppcg|chebyshev|jacobi)")
+	solName = flag.String("solver", "", "override deck solver (cg|ppcg|chebyshev|jacobi)")
 	depth   = flag.Int("halo-depth", 0, "override matrix-powers halo depth")
 	stiff   = flag.Bool("stiff", false, "use the built-in stiff near-steady deck (dt=10; the deflation regime) instead of the crooked pipe; honours -dims 3")
 	deflate = flag.Bool("deflate", false, "enable subdomain deflation (tl_use_deflation; cg/ppcg, 2D and 3D, single- or multi-rank)")
@@ -97,8 +99,8 @@ func run() error {
 	if *dims > 0 {
 		d.Dims = *dims
 	}
-	if *solver != "" {
-		d.Solver = *solver
+	if *solName != "" {
+		d.Solver = *solName
 	}
 	if *depth > 0 {
 		d.HaloDepth = *depth
@@ -122,6 +124,10 @@ func run() error {
 	nSteps := *steps
 	if nSteps <= 0 {
 		nSteps = d.Steps()
+	}
+
+	if err := check2DOutputs(d, *ascii, *ppm, *vtk); err != nil {
+		return err
 	}
 
 	switch *netMode {
@@ -174,25 +180,9 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	var totalIters, totalInner int
-	for s := 0; s < nSteps; s++ {
-		res, err := inst.Step()
-		if err != nil {
-			return err
-		}
-		totalIters += res.Iterations
-		totalInner += res.TotalInner
-		if !*quiet {
-			fmt.Printf("step %4d  time %8.4f  iters %5d  inner %6d  residual %.3e\n",
-				s+1, inst.Time(), res.Iterations, res.TotalInner, res.FinalResidual)
-		}
+	if err := runSerial(inst, inst.Comm, nSteps, *quiet); err != nil {
+		return err
 	}
-	sum := inst.Summarise()
-	sum.TotalIterations = totalIters
-	sum.TotalInner = totalInner
-	printSummary(sum)
-	tr := inst.Comm.Trace()
-	fmt.Printf("comm trace: %s\n", tr)
 
 	if *ascii {
 		fmt.Print(output.ASCIIHeatmap(inst.Energy, 72, 36))
@@ -235,6 +225,19 @@ func run3D(d *deck.Deck, nSteps, px, py, pz, workers int, quiet bool) error {
 	if err != nil {
 		return err
 	}
+	return runSerial(inst, inst.Comm, nSteps, quiet)
+}
+
+// serial is a single-rank instance of either dimension.
+type serial interface {
+	Step() (solver.Result, error)
+	Time() float64
+	Summarise() core.Summary
+}
+
+// runSerial advances inst nSteps steps, printing each step's solver
+// statistics unless quiet, then the summary and c's comm trace.
+func runSerial(inst serial, c comm.Communicator, nSteps int, quiet bool) error {
 	var totalIters, totalInner int
 	for s := 0; s < nSteps; s++ {
 		res, err := inst.Step()
@@ -252,7 +255,24 @@ func run3D(d *deck.Deck, nSteps, px, py, pz, workers int, quiet bool) error {
 	sum.TotalIterations = totalIters
 	sum.TotalInner = totalInner
 	printSummary(sum)
-	fmt.Printf("comm trace: %s\n", inst.Comm.Trace())
+	fmt.Printf("comm trace: %s\n", c.Trace())
+	return nil
+}
+
+// check2DOutputs rejects the output flags that only have 2D writers on a
+// dims=3 deck, naming the flag, rather than silently dropping it.
+func check2DOutputs(d *deck.Deck, ascii bool, ppm, vtk string) error {
+	if d.Dims != 3 {
+		return nil
+	}
+	for _, f := range []struct {
+		name string
+		set  bool
+	}{{"-ascii", ascii}, {"-ppm", ppm != ""}, {"-vtk", vtk != ""}} {
+		if f.set {
+			return fmt.Errorf("%s writes 2D fields only and cannot be used with a dims=3 deck", f.name)
+		}
+	}
 	return nil
 }
 

@@ -6,6 +6,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"tealeaf/internal/deck"
 )
 
 // docFlagNames returns the flag names the `tealeaf` flag table in
@@ -50,5 +52,34 @@ func TestFlagTableDocumented(t *testing.T) {
 	})
 	for name := range documented {
 		t.Errorf("docs/deck-format.md documents flag -%s, which tealeaf does not declare", name)
+	}
+}
+
+// TestOutputFlagsRejectedIn3D: -ascii, -ppm and -vtk have 2D writers
+// only, so a dims=3 run rejects each of them by name before any rank
+// starts, and a 2D run accepts them.
+func TestOutputFlagsRejectedIn3D(t *testing.T) {
+	for _, tc := range []struct {
+		dims     int
+		ascii    bool
+		ppm, vtk string
+		want     string // "" = accepted
+	}{
+		{dims: 3, ascii: true, want: "-ascii"},
+		{dims: 3, ppm: "t.ppm", want: "-ppm"},
+		{dims: 3, vtk: "t.vtk", want: "-vtk"},
+		{dims: 3},
+		{dims: 2, ascii: true, ppm: "t.ppm", vtk: "t.vtk"},
+		{dims: 0, ascii: true, ppm: "t.ppm", vtk: "t.vtk"},
+	} {
+		d := deck.Default()
+		d.Dims = tc.dims
+		err := check2DOutputs(d, tc.ascii, tc.ppm, tc.vtk)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%+v: rejected: %v", tc, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%+v: error %v does not name %s", tc, err, tc.want)
+		}
 	}
 }

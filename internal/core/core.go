@@ -8,6 +8,12 @@
 // loopback TCP sockets with WithBackend(BackendTCP). Multi-machine runs
 // use one process per rank (cmd/tealeaf -net tcp) around the same
 // NewInstance code.
+//
+// Instance (2D) and Instance3D keep their typed fields around one
+// embedded instance, which holds the lifecycle written once: deck
+// validation, set-up, Step, SetTimestep, Run and Summarise. Each typed
+// half supplies only what its dimension decides (the fields interface):
+// its fields, operator, preconditioner and deflation projector.
 package core
 
 import (
@@ -29,19 +35,17 @@ import (
 // classic depth-1 exchanges plus the coefficient build's one-cell reach.
 const MinHalo = 2
 
-// Instance is one rank's view of a TeaLeaf run.
-type Instance struct {
+// instance is the half of an Instance or Instance3D that does not depend
+// on the dimension: the deck, pool and communicator, the solver's kind and
+// options, the step clock, and the typed half's hooks. The lifecycle —
+// validation, set-up, Step, SetTimestep, Run and Summarise — is written
+// once here, over those hooks.
+type instance struct {
 	Deck *deck.Deck
-	Grid *grid.Grid2D
 	Pool *par.Pool
 	Comm comm.Communicator
 
-	Density *grid.Field2D
-	Energy  *grid.Field2D
-	U       *grid.Field2D // solve variable u = density·energy
-	u0      *grid.Field2D // per-step right-hand side
-	Op      *stencil.Operator2D
-
+	fields  fields
 	kind    solver.Kind
 	opts    solver.Options
 	stepNum int
@@ -49,15 +53,53 @@ type Instance struct {
 	dt      float64
 }
 
+// fields is what an instance's typed half does at each stage of the
+// lifecycle; *Instance and *Instance3D implement it over their fields.
+type fields interface {
+	// paint allocates the fields, paints the deck's states and exchanges
+	// density to the full halo depth.
+	paint() error
+	// operator builds the operator and preconditioner for time step dt,
+	// refreshes a configured deflation projector to it, and installs both.
+	operator(dt float64) error
+	// deflation builds the deflation projector over the installed operator.
+	deflation() error
+	// solve sets u⁰ = ρ·e, starts u at u⁰ and solves A·u = u⁰.
+	solve() (solver.Result, error)
+	// energy recovers e = u/ρ after a converged solve.
+	energy()
+	// interior returns the interior as rows, the density and energy
+	// storage, and the volume (area in 2D) of one cell.
+	interior() (w grid.Rows, density, energy []float64, cellVol float64)
+}
+
+// Instance is one rank's view of a TeaLeaf run.
+type Instance struct {
+	instance
+	Grid    *grid.Grid2D
+	Density *grid.Field2D
+	Energy  *grid.Field2D
+	U       *grid.Field2D // solve variable u = density·energy
+	u0      *grid.Field2D // per-step right-hand side
+	Op      *stencil.Operator2D
+}
+
+// Instance3D is one rank's view of a 3D TeaLeaf run (deck Dims == 3): the
+// same deck → operator → solve → energy-update cycle as Instance, on the
+// 7-point operator.
+type Instance3D struct {
+	instance
+	Grid    *grid.Grid3D
+	Density *grid.Field3D
+	Energy  *grid.Field3D
+	U       *grid.Field3D // solve variable u = density·energy
+	u0      *grid.Field3D // per-step right-hand side
+	Op      *stencil.Operator3D
+}
+
 // HaloFor returns the grid halo depth a deck requires: at least MinHalo,
 // and at least the matrix-powers exchange depth.
-func HaloFor(d *deck.Deck) int {
-	h := MinHalo
-	if d.HaloDepth > h {
-		h = d.HaloDepth
-	}
-	return h
-}
+func HaloFor(d *deck.Deck) int { return max(MinHalo, d.HaloDepth) }
 
 // NewSerial builds a single-rank instance covering the whole deck domain.
 func NewSerial(d *deck.Deck, pool *par.Pool) (*Instance, error) {
@@ -68,117 +110,237 @@ func NewSerial(d *deck.Deck, pool *par.Pool) (*Instance, error) {
 	return NewInstance(d, g, pool, comm.NewSerial())
 }
 
+// NewSerial3D builds a single-rank 3D instance covering the whole deck
+// domain.
+func NewSerial3D(d *deck.Deck, pool *par.Pool) (*Instance3D, error) {
+	g, err := grid.NewGrid3D(d.XCells, d.YCells, d.ZCells, HaloFor(d),
+		d.XMin, d.XMax, d.YMin, d.YMax, d.ZMin, d.ZMax)
+	if err != nil {
+		return nil, err
+	}
+	return NewInstance3D(d, g, pool, comm.NewSerial())
+}
+
 // NewInstance builds one rank's instance on the given (sub-)grid. The grid
 // must carry true physical coordinates (grid.Grid2D.Sub does) so state
 // painting and coefficients agree across ranks.
 func NewInstance(d *deck.Deck, g *grid.Grid2D, pool *par.Pool, c comm.Communicator) (*Instance, error) {
-	if err := d.Validate(); err != nil {
+	inst := &Instance{Grid: g}
+	if err := inst.start(d, pool, c, inst, 2); err != nil {
 		return nil, err
-	}
-	if pool == nil {
-		pool = par.Serial
-	}
-	inst := &Instance{
-		Deck: d, Grid: g, Pool: pool, Comm: c,
-		dt:      d.InitialTimestep,
-		Density: grid.NewField2D(g),
-		Energy:  grid.NewField2D(g),
-		U:       grid.NewField2D(g),
-		u0:      grid.NewField2D(g),
-	}
-	if err := problem.Paint(d.States, inst.Density, inst.Energy); err != nil {
-		return nil, err
-	}
-	// Coefficients need density halos one cell beyond any bounds the
-	// solvers compute on: exchange/reflect to the full allocated depth.
-	if err := c.Exchange(g.Halo, inst.Density); err != nil {
-		return nil, err
-	}
-
-	coef := stencil.Conductivity
-	if d.Coefficient == "recip_density" {
-		coef = stencil.RecipConductivity
-	}
-	phys := c.Physical()
-	op, err := stencil.BuildOperator2D(pool, inst.Density, d.InitialTimestep, coef,
-		stencil.PhysicalSides{Left: phys.Left, Right: phys.Right, Down: phys.Down, Up: phys.Up})
-	if err != nil {
-		return nil, err
-	}
-	inst.Op = op
-
-	kind, err := solver.ParseKind(d.Solver)
-	if err != nil {
-		return nil, err
-	}
-	inst.kind = kind
-	m, err := precond.FromName(d.Precond, pool, op)
-	if err != nil {
-		return nil, err
-	}
-	inst.opts = solver.Options{
-		Tol:          d.Eps,
-		MaxIters:     d.MaxIters,
-		Pool:         pool,
-		Comm:         c,
-		Precond:      m,
-		EigenCGIters: d.EigenCGIters,
-		InnerSteps:   d.InnerSteps,
-		HaloDepth:    d.HaloDepth,
-	}
-	if d.UseDeflation {
-		// tl_use_deflation: build the distributed coarse subdomain
-		// projector over this rank's slice of the solve operator (the
-		// coarse partition spans the GLOBAL mesh; the constructor is
-		// collective) and compose it into the CG or PPCG solve.
-		if kind != solver.KindCG && kind != solver.KindPPCG {
-			return nil, fmt.Errorf("core: tl_use_deflation composes with tl_use_cg and tl_use_ppcg only (deck selects %s)", kind)
-		}
-		defl, err := deflate.New(pool, c, op, deflGeometry(d, g), deflate.Config{
-			BX: d.DeflationBlocks, BY: d.DeflationBlocks, Levels: d.DeflationLevels,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("core: tl_use_deflation: %w", err)
-		}
-		inst.opts.Deflation = defl
 	}
 	return inst, nil
 }
 
-// deflGeometry locates a rank's sub-grid inside the deck's global mesh.
-// Sub-grids carry true physical coordinates (grid.Grid2D.Sub), so the
-// offset is the vertex distance in cell widths, exact up to rounding.
-func deflGeometry(d *deck.Deck, g *grid.Grid2D) deflate.Geometry {
-	return deflate.Geometry{
-		GlobalNX: d.XCells, GlobalNY: d.YCells,
-		OffsetX: int(math.Round((g.XMin - d.XMin) / g.DX)),
-		OffsetY: int(math.Round((g.YMin - d.YMin) / g.DY)),
+// NewInstance3D builds one rank's 3D instance on the given (sub-)grid,
+// which must carry true physical coordinates (grid.Grid3D.Sub does).
+func NewInstance3D(d *deck.Deck, g *grid.Grid3D, pool *par.Pool, c comm.Communicator) (*Instance3D, error) {
+	inst := &Instance3D{Grid: g}
+	if err := inst.start(d, pool, c, inst, 3); err != nil {
+		return nil, err
 	}
+	return inst, nil
+}
+
+// start validates the deck and sets the instance up through f: the
+// painted fields, the operator and preconditioner at the deck's time
+// step, and — with tl_use_deflation — the distributed coarse subdomain
+// projector over this rank's slice of the operator (the coarse partition
+// spans the GLOBAL mesh; its constructor is collective), composed into
+// the CG or PPCG solve.
+func (r *instance) start(d *deck.Deck, pool *par.Pool, c comm.Communicator, f fields, dims int) error {
+	if err := d.Validate(); err != nil {
+		return err
+	}
+	if dims == 3 && d.Dims != 3 {
+		return fmt.Errorf("core: 3D instance needs a dims=3 deck, got dims=%d", d.Dims)
+	}
+	kind, err := solver.ParseKind(d.Solver)
+	if err != nil {
+		return err
+	}
+	if pool == nil {
+		pool = par.Serial
+	}
+	r.Deck, r.Pool, r.Comm, r.fields, r.kind = d, pool, c, f, kind
+	r.opts = solver.Options{
+		Tol:          d.Eps,
+		MaxIters:     d.MaxIters,
+		Pool:         pool,
+		Comm:         c,
+		EigenCGIters: d.EigenCGIters,
+		InnerSteps:   d.InnerSteps,
+		HaloDepth:    d.HaloDepth,
+	}
+	if err := f.paint(); err != nil {
+		return err
+	}
+	if err := f.operator(d.InitialTimestep); err != nil {
+		return err
+	}
+	r.dt = d.InitialTimestep
+	if d.UseDeflation {
+		if kind != solver.KindCG && kind != solver.KindPPCG {
+			return fmt.Errorf("core: tl_use_deflation composes with tl_use_cg and tl_use_ppcg only (deck selects %s)", kind)
+		}
+		if err := f.deflation(); err != nil {
+			return fmt.Errorf("core: tl_use_deflation: %w", err)
+		}
+	}
+	return nil
+}
+
+// coefficient is the face-coefficient mode the deck selects.
+func coefficient(d *deck.Deck) stencil.Coefficient {
+	if d.Coefficient == "recip_density" {
+		return stencil.RecipConductivity
+	}
+	return stencil.Conductivity
+}
+
+func (inst *Instance) paint() error {
+	g := inst.Grid
+	inst.Density, inst.Energy = grid.NewField2D(g), grid.NewField2D(g)
+	inst.U, inst.u0 = grid.NewField2D(g), grid.NewField2D(g)
+	if err := problem.Paint(inst.Deck.States, inst.Density, inst.Energy); err != nil {
+		return err
+	}
+	// Coefficients need density halos one cell beyond any bounds the
+	// solvers compute on: exchange/reflect to the full allocated depth.
+	return inst.Comm.Exchange(g.Halo, inst.Density)
+}
+
+func (inst *Instance3D) paint() error {
+	g := inst.Grid
+	inst.Density, inst.Energy = grid.NewField3D(g), grid.NewField3D(g)
+	inst.U, inst.u0 = grid.NewField3D(g), grid.NewField3D(g)
+	if err := problem.Paint3D(inst.Deck.States, inst.Density, inst.Energy); err != nil {
+		return err
+	}
+	return inst.Comm.Exchange3D(g.Halo, inst.Density)
+}
+
+func (inst *Instance) operator(dt float64) error {
+	op, err := stencil.BuildOperator2D(inst.Pool, inst.Density, dt, coefficient(inst.Deck),
+		stencil.PhysicalSides(inst.Comm.Physical()))
+	if err != nil {
+		return err
+	}
+	m, err := precond.FromName(inst.Deck.Precond, inst.Pool, op)
+	if err != nil {
+		return err
+	}
+	if defl, ok := inst.opts.Deflation.(*deflate.Deflation); ok && defl != nil {
+		if err := defl.Refresh(op, true); err != nil {
+			return err
+		}
+	}
+	inst.Op, inst.opts.Precond = op, m
+	return nil
+}
+
+func (inst *Instance3D) operator(dt float64) error {
+	op, err := stencil.BuildOperator3D(inst.Pool, inst.Density, dt, coefficient(inst.Deck),
+		stencil.PhysicalSides3D(inst.Comm.Physical3D()))
+	if err != nil {
+		return err
+	}
+	m, err := precond.FromName3D(inst.Deck.Precond, inst.Pool, op)
+	if err != nil {
+		return err
+	}
+	if defl, ok := inst.opts.Deflation3D.(*deflate.Deflation3D); ok && defl != nil {
+		if err := defl.Refresh(op, true); err != nil {
+			return err
+		}
+	}
+	inst.Op, inst.opts.Precond3D = op, m
+	return nil
+}
+
+func (inst *Instance) deflation() error {
+	d, g := inst.Deck, inst.Grid
+	defl, err := deflate.New(inst.Pool, inst.Comm, inst.Op, deflate.Geometry{
+		GlobalNX: d.XCells, GlobalNY: d.YCells,
+		OffsetX: offset(g.XMin, d.XMin, g.DX), OffsetY: offset(g.YMin, d.YMin, g.DY),
+	}, deflate.Config{BX: d.DeflationBlocks, BY: d.DeflationBlocks, Levels: d.DeflationLevels})
+	if err != nil {
+		return err
+	}
+	inst.opts.Deflation = defl
+	return nil
+}
+
+func (inst *Instance3D) deflation() error {
+	d, g := inst.Deck, inst.Grid
+	defl, err := deflate.New3D(inst.Pool, inst.Comm, inst.Op, deflate.Geometry3D{
+		GlobalNX: d.XCells, GlobalNY: d.YCells, GlobalNZ: d.ZCells,
+		OffsetX: offset(g.XMin, d.XMin, g.DX), OffsetY: offset(g.YMin, d.YMin, g.DY),
+		OffsetZ: offset(g.ZMin, d.ZMin, g.DZ),
+	}, deflate.Config{BX: d.DeflationBlocks, BY: d.DeflationBlocks, BZ: d.DeflationBlocks,
+		Levels: d.DeflationLevels})
+	if err != nil {
+		return err
+	}
+	inst.opts.Deflation3D = defl
+	return nil
+}
+
+// offset locates a rank's sub-grid inside the deck's global mesh along
+// one axis. Sub-grids carry true physical coordinates (grid.Grid2D.Sub,
+// grid.Grid3D.Sub), so the offset is the vertex distance in cell widths,
+// exact up to rounding.
+func offset(subMin, deckMin, width float64) int {
+	return int(math.Round((subMin - deckMin) / width))
+}
+
+func (inst *Instance) solve() (solver.Result, error) {
+	problem.EnergyToU(inst.Density, inst.Energy, inst.u0)
+	inst.U.CopyFrom(inst.u0) // initial guess: previous energy density
+	return solver.Solve(inst.kind, solver.Problem{Op: inst.Op, U: inst.U, RHS: inst.u0}, inst.opts)
+}
+
+func (inst *Instance3D) solve() (solver.Result, error) {
+	problem.EnergyToU3D(inst.Density, inst.Energy, inst.u0)
+	inst.U.CopyFrom(inst.u0)
+	return solver.Solve3D(inst.kind, solver.Problem3D{Op: inst.Op, U: inst.U, RHS: inst.u0}, inst.opts)
+}
+
+func (inst *Instance) energy() { problem.UToEnergy(inst.Density, inst.U, inst.Energy) }
+
+func (inst *Instance3D) energy() { problem.UToEnergy3D(inst.Density, inst.U, inst.Energy) }
+
+func (inst *Instance) interior() (grid.Rows, []float64, []float64, float64) {
+	g := inst.Grid
+	return g.Rows(g.Interior()), inst.Density.Data, inst.Energy.Data, g.CellArea()
+}
+
+func (inst *Instance3D) interior() (grid.Rows, []float64, []float64, float64) {
+	g := inst.Grid
+	return g.Rows(g.Interior()), inst.Density.Data, inst.Energy.Data, g.CellVolume()
 }
 
 // Options exposes the derived solver options (for harnesses that tweak
 // them between steps).
-func (inst *Instance) Options() *solver.Options { return &inst.opts }
+func (r *instance) Options() *solver.Options { return &r.opts }
 
 // Kind returns the solver algorithm the deck selected.
-func (inst *Instance) Kind() solver.Kind { return inst.kind }
+func (r *instance) Kind() solver.Kind { return r.kind }
 
 // Step advances one implicit time step: u⁰ = ρ·e, solve A·u = u⁰, then
 // e = u/ρ. Returns the solver result for the step.
-func (inst *Instance) Step() (solver.Result, error) {
-	problem.EnergyToU(inst.Density, inst.Energy, inst.u0)
-	inst.U.CopyFrom(inst.u0) // initial guess: previous energy density
-	res, err := solver.Solve(inst.kind, solver.Problem{Op: inst.Op, U: inst.U, RHS: inst.u0}, inst.opts)
+func (r *instance) Step() (solver.Result, error) {
+	res, err := r.fields.solve()
 	if err != nil {
-		return res, fmt.Errorf("core: step %d: %w", inst.stepNum+1, err)
+		return res, fmt.Errorf("core: step %d: %w", r.stepNum+1, err)
 	}
 	if !res.Converged {
 		return res, fmt.Errorf("core: step %d: solver did not converge (residual %.3e after %d iterations)",
-			inst.stepNum+1, res.FinalResidual, res.Iterations)
+			r.stepNum+1, res.FinalResidual, res.Iterations)
 	}
-	problem.UToEnergy(inst.Density, inst.U, inst.Energy)
-	inst.stepNum++
-	inst.simTime += inst.dt
+	r.fields.energy()
+	r.stepNum++
+	r.simTime += r.dt
 	return res, nil
 }
 
@@ -191,44 +353,25 @@ func (inst *Instance) Step() (solver.Result, error) {
 // is why harnesses stepping at constant dt pay the coarse assembly
 // exactly once. Collective when the dt actually changes and deflation
 // is configured.
-func (inst *Instance) SetTimestep(dt float64) error {
+func (r *instance) SetTimestep(dt float64) error {
 	if dt <= 0 {
 		return fmt.Errorf("core: SetTimestep requires dt > 0, got %g", dt)
 	}
-	if dt == inst.dt {
+	if dt == r.dt {
 		return nil
 	}
-	d := inst.Deck
-	coef := stencil.Conductivity
-	if d.Coefficient == "recip_density" {
-		coef = stencil.RecipConductivity
-	}
-	phys := inst.Comm.Physical()
-	op, err := stencil.BuildOperator2D(inst.Pool, inst.Density, dt, coef,
-		stencil.PhysicalSides{Left: phys.Left, Right: phys.Right, Down: phys.Down, Up: phys.Up})
-	if err != nil {
+	if err := r.fields.operator(dt); err != nil {
 		return fmt.Errorf("core: SetTimestep: %w", err)
 	}
-	m, err := precond.FromName(d.Precond, inst.Pool, op)
-	if err != nil {
-		return fmt.Errorf("core: SetTimestep: %w", err)
-	}
-	if defl, ok := inst.opts.Deflation.(*deflate.Deflation); ok && defl != nil {
-		if err := defl.Refresh(op, true); err != nil {
-			return fmt.Errorf("core: SetTimestep: %w", err)
-		}
-	}
-	inst.Op = op
-	inst.opts.Precond = m
-	inst.dt = dt
+	r.dt = dt
 	return nil
 }
 
 // StepCount returns the number of completed steps.
-func (inst *Instance) StepCount() int { return inst.stepNum }
+func (r *instance) StepCount() int { return r.stepNum }
 
 // Time returns the simulated time.
-func (inst *Instance) Time() float64 { return inst.simTime }
+func (r *instance) Time() float64 { return r.simTime }
 
 // Summary is TeaLeaf's field summary, globally reduced.
 type Summary struct {
@@ -246,52 +389,57 @@ type Summary struct {
 }
 
 // Summarise computes the global field summary (collective: every rank
-// must call it).
-func (inst *Instance) Summarise() Summary {
-	g := inst.Grid
-	cellVol := g.CellArea()
-	vol := cellVol * float64(g.Cells())
+// must call it). The local sums walk the interior serially, k, j, i.
+func (r *instance) Summarise() Summary {
+	w, den, en, cellVol := r.fields.interior()
+	n := w.N()
+	vol := cellVol * float64(n*(w.J1-w.J0)*(w.K1-w.K0))
 	var mass, ie, temp float64
-	for k := 0; k < g.NY; k++ {
-		for j := 0; j < g.NX; j++ {
-			mass += inst.Density.At(j, k) * cellVol
-			ie += inst.Density.At(j, k) * inst.Energy.At(j, k) * cellVol
-			// Temperature is the specific energy (unit heat capacity);
-			// unlike ρ·e, its mesh average is NOT conserved by diffusion
-			// through variable-density material, which is what makes the
-			// Fig. 4 convergence study meaningful.
-			temp += inst.Energy.At(j, k) * cellVol
+	for k := w.K0; k < w.K1; k++ {
+		for j := w.J0; j < w.J1; j++ {
+			o := w.Off(j, k)
+			ds, es := den[o:o+n], en[o:o+n]
+			for i := range ds {
+				mass += ds[i] * cellVol
+				ie += ds[i] * es[i] * cellVol
+				// Temperature is the specific energy (unit heat
+				// capacity); unlike ρ·e, its mesh average is NOT
+				// conserved by diffusion through variable-density
+				// material, which is what makes the Fig. 4 convergence
+				// study meaningful.
+				temp += es[i] * cellVol
+			}
 		}
 	}
-	gvol := inst.Comm.AllReduceSum(vol)
-	gmass, gie := inst.Comm.AllReduceSum2(mass, ie)
-	gtemp := inst.Comm.AllReduceSum(temp)
+	gvol := r.Comm.AllReduceSum(vol)
+	gmass, gie := r.Comm.AllReduceSum2(mass, ie)
+	gtemp := r.Comm.AllReduceSum(temp)
 	return Summary{
 		Volume:         gvol,
 		Mass:           gmass,
 		InternalEnergy: gie,
 		AvgTemperature: gtemp / gvol,
-		Steps:          inst.stepNum,
-		SimTime:        inst.simTime,
+		Steps:          r.stepNum,
+		SimTime:        r.simTime,
 	}
 }
 
 // Run advances the given number of steps (or the deck's own step count if
 // steps <= 0) and returns the final summary.
-func (inst *Instance) Run(steps int) (Summary, error) {
+func (r *instance) Run(steps int) (Summary, error) {
 	if steps <= 0 {
-		steps = inst.Deck.Steps()
+		steps = r.Deck.Steps()
 	}
 	var totalIters, totalInner int
 	for s := 0; s < steps; s++ {
-		res, err := inst.Step()
+		res, err := r.Step()
 		if err != nil {
 			return Summary{}, err
 		}
 		totalIters += res.Iterations
 		totalInner += res.TotalInner
 	}
-	sum := inst.Summarise()
+	sum := r.Summarise()
 	sum.TotalIterations = totalIters
 	sum.TotalInner = totalInner
 	return sum, nil
@@ -301,6 +449,13 @@ func (inst *Instance) Run(steps int) (Summary, error) {
 // energy field and the global summary.
 type DistResult struct {
 	Energy  *grid.Field2D
+	Summary Summary
+}
+
+// DistResult3D is what RunDistributed3D hands back: the gathered global
+// energy field and the global summary.
+type DistResult3D struct {
+	Energy  *grid.Field3D
 	Summary Summary
 }
 
@@ -334,14 +489,6 @@ func WithBackend(b Backend) DistOption {
 	return func(c *distConfig) { c.backend = b }
 }
 
-func applyDistOptions(opts []DistOption) distConfig {
-	cfg := distConfig{backend: BackendHub}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return cfg
-}
-
 // RunRank executes one rank of a distributed 2D run: the communicator
 // must span the given partition (its Rank selects the sub-domain). On
 // rank 0 the returned DistResult carries the gathered global energy
@@ -363,11 +510,7 @@ func RunRank(d *deck.Deck, part *grid.Partition, c comm.Communicator, steps, wor
 	if err != nil {
 		return nil, err
 	}
-	pool := par.Serial
-	if workersPerRank > 1 {
-		pool = par.NewPool(workersPerRank)
-	}
-	inst, err := NewInstance(d, sub, pool, c)
+	inst, err := NewInstance(d, sub, rankPool(workersPerRank), c)
 	if err != nil {
 		return nil, err
 	}
@@ -385,6 +528,50 @@ func RunRank(d *deck.Deck, part *grid.Partition, c comm.Communicator, steps, wor
 	return out, nil
 }
 
+// RunRank3D is RunRank for a dims=3 deck over a box partition, and the
+// per-process entry point of a real-network dims=3 run.
+func RunRank3D(d *deck.Deck, part *grid.Partition3D, c comm.Communicator, steps, workersPerRank int) (*DistResult3D, error) {
+	if part.NX != d.XCells || part.NY != d.YCells || part.NZ != d.ZCells {
+		return nil, fmt.Errorf("core: partition %dx%dx%d does not match the deck's %dx%dx%d cells",
+			part.NX, part.NY, part.NZ, d.XCells, d.YCells, d.ZCells)
+	}
+	gg, err := grid.NewGrid3D(d.XCells, d.YCells, d.ZCells, HaloFor(d),
+		d.XMin, d.XMax, d.YMin, d.YMax, d.ZMin, d.ZMax)
+	if err != nil {
+		return nil, err
+	}
+	ext := part.ExtentOf(c.Rank())
+	sub, err := gg.Sub(ext.X0, ext.X1, ext.Y0, ext.Y1, ext.Z0, ext.Z1)
+	if err != nil {
+		return nil, err
+	}
+	inst, err := NewInstance3D(d, sub, rankPool(workersPerRank), c)
+	if err != nil {
+		return nil, err
+	}
+	sum, err := inst.Run(steps)
+	if err != nil {
+		return nil, err
+	}
+	out := &DistResult3D{Summary: sum}
+	if c.Rank() == 0 {
+		out.Energy = grid.NewField3D(gg)
+	}
+	if err := c.GatherInterior3D(inst.Energy, out.Energy); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// rankPool is one rank's thread team: workers goroutines, or the caller
+// alone for workers <= 1.
+func rankPool(workers int) *par.Pool {
+	if workers > 1 {
+		return par.NewPool(workers)
+	}
+	return par.Serial
+}
+
 // RunDistributed runs the deck for the given number of steps on a px×py
 // rank decomposition and gathers the final energy field. workersPerRank
 // sizes each rank's thread team (the hybrid MPI+OpenMP configuration of
@@ -392,14 +579,42 @@ func RunRank(d *deck.Deck, part *grid.Partition, c comm.Communicator, steps, wor
 // through a comm.Hub; WithBackend(BackendTCP) runs the same rank code
 // over real loopback TCP sockets instead.
 func RunDistributed(d *deck.Deck, px, py, steps, workersPerRank int, opts ...DistOption) (*DistResult, error) {
-	cfg := applyDistOptions(opts)
 	part, err := grid.NewPartition(d.XCells, d.YCells, px, py)
 	if err != nil {
 		return nil, err
 	}
-	out := &DistResult{}
-	rank := func(c comm.Communicator) error {
-		res, err := RunRank(d, part, c, steps, workersPerRank)
+	return distribute(opts, part, comm.RunTCP, comm.Run, func(c comm.Communicator) (*DistResult, error) {
+		return RunRank(d, part, c, steps, workersPerRank)
+	})
+}
+
+// RunDistributed3D runs a dims=3 deck for the given number of steps on a
+// px×py×pz rank decomposition and gathers the final energy field, over
+// the same backends as RunDistributed.
+func RunDistributed3D(d *deck.Deck, px, py, pz, steps, workersPerRank int, opts ...DistOption) (*DistResult3D, error) {
+	part, err := grid.NewPartition3D(d.XCells, d.YCells, d.ZCells, px, py, pz)
+	if err != nil {
+		return nil, err
+	}
+	return distribute(opts, part, comm.RunTCP3D, comm.Run3D, func(c comm.Communicator) (*DistResult3D, error) {
+		return RunRank3D(d, part, c, steps, workersPerRank)
+	})
+}
+
+// distribute runs rank on every rank of part over the backend the options
+// select — tcp or hub, the comm package's runners for P — and returns
+// rank 0's result.
+func distribute[P any, R any](opts []DistOption, part P,
+	tcp func(P, func(comm.Communicator) error) error,
+	hub func(P, func(*comm.RankComm) error) error,
+	rank func(comm.Communicator) (*R, error)) (*R, error) {
+	cfg := distConfig{backend: BackendHub}
+	for _, o := range opts {
+		o(&cfg)
+	}
+	out := new(R)
+	body := func(c comm.Communicator) error {
+		res, err := rank(c)
 		if err != nil {
 			return err
 		}
@@ -408,11 +623,12 @@ func RunDistributed(d *deck.Deck, px, py, steps, workersPerRank int, opts ...Dis
 		}
 		return nil
 	}
+	var err error
 	switch cfg.backend {
 	case BackendTCP:
-		err = comm.RunTCP(part, rank)
+		err = tcp(part, body)
 	case BackendHub:
-		err = comm.Run(part, func(c *comm.RankComm) error { return rank(c) })
+		err = hub(part, func(c *comm.RankComm) error { return body(c) })
 	default:
 		// An unknown backend must not silently run as a hub: callers
 		// comparing backends would then compare hub against hub.

@@ -84,7 +84,7 @@ func TestFromName3D(t *testing.T) {
 	}
 	// The error must enumerate every supported name so the user can fix
 	// the deck without reading source.
-	for _, name := range Names(0) {
+	for _, name := range Names() {
 		if !strings.Contains(err.Error(), name) {
 			t.Errorf("unknown-name error %q does not mention supported name %q", err, name)
 		}

@@ -238,7 +238,7 @@ func TestFromName(t *testing.T) {
 	if err == nil {
 		t.Fatal("unknown name must error")
 	}
-	for _, name := range Names(0) {
+	for _, name := range Names() {
 		if !strings.Contains(err.Error(), name) {
 			t.Errorf("unknown-name error %q does not mention supported name %q", err, name)
 		}
@@ -246,48 +246,43 @@ func TestFromName(t *testing.T) {
 }
 
 // The registry is the single source of truth: every entry must be
-// constructible in every dimensionality it claims, its capability flags
-// must agree with the behavioural interfaces (DiagonalFoldable), and the
-// dimensionality-restriction error must name what is supported.
+// constructible in both dimensionalities, and the diagonal folding the
+// fused loops rely on and the deep-halo capability the solver's option
+// validation reads must be what each preconditioner is.
 func TestRegistryCapabilities(t *testing.T) {
 	op := testOperator(t, 6, 6, 1, 16)
-	if len(Specs()) != len(Names(0)) {
-		t.Fatalf("Specs()/Names() disagree: %d vs %d", len(Specs()), len(Names(0)))
+	op3 := testOperator3D(t, 4, 1)
+	want := map[string]struct{ foldable, deepHalo bool }{
+		"none":      {true, true},
+		"jac_diag":  {true, true},
+		"jac_block": {false, false},
+	}
+	if len(Specs()) != len(want) || len(Names()) != len(want) {
+		t.Fatalf("registry has %d specs and %d names, want %d", len(Specs()), len(Names()), len(want))
 	}
 	for _, s := range Specs() {
-		if !s.CommFree {
-			t.Errorf("%s: every registered preconditioner must be comm-free (§IV-C1)", s.Name)
+		w, ok := want[s.Name]
+		if !ok {
+			t.Errorf("unexpected registry entry %q", s.Name)
+			continue
 		}
-		if s.Dims2 {
-			m, err := FromName(s.Name, par.Serial, op)
-			if err != nil {
-				t.Errorf("%s claims Dims2 but FromName failed: %v", s.Name, err)
-				continue
-			}
-			if _, foldable := FoldableDiag(m); foldable != s.Foldable {
-				t.Errorf("%s: registry Foldable=%v but FoldableDiag says %v", s.Name, s.Foldable, foldable)
-			}
+		if s.DeepHalo != w.deepHalo {
+			t.Errorf("%s: registry DeepHalo=%v, want %v", s.Name, s.DeepHalo, w.deepHalo)
+		}
+		m, err := FromName(s.Name, par.Serial, op)
+		if err != nil {
+			t.Errorf("%s: FromName: %v", s.Name, err)
+		} else if _, foldable := FoldableDiag(m); foldable != w.foldable {
+			t.Errorf("%s: FoldableDiag says %v, want %v", s.Name, foldable, w.foldable)
+		}
+		m3, err := FromName3D(s.Name, par.Serial, op3)
+		if err != nil {
+			t.Errorf("%s: FromName3D: %v", s.Name, err)
+		} else if _, foldable := FoldableDiag3D(m3); foldable != w.foldable {
+			t.Errorf("%s: FoldableDiag3D says %v, want %v", s.Name, foldable, w.foldable)
 		}
 	}
 	if _, ok := Lookup(""); !ok {
 		t.Error("empty name must resolve to the identity entry")
-	}
-	if s, ok := Lookup("jac_block"); !ok || s.DeepHalo {
-		t.Error("jac_block must be registered as deep-halo incompatible")
-	}
-	// The dimensionality-restriction error path: a synthetic spec check
-	// through lookupFor, so the message shape stays pinned even while every
-	// real entry supports both dimensionalities.
-	saved := registry
-	registry = append(append([]Spec(nil), registry...),
-		Spec{Name: "test_2donly", Summary: "synthetic", Dims2: true, CommFree: true})
-	defer func() { registry = saved }()
-	_, err := lookupFor("test_2donly", 3)
-	if err == nil {
-		t.Fatal("2D-only entry must be rejected on the 3D path")
-	}
-	msg := err.Error()
-	if !strings.Contains(msg, "3D") || !strings.Contains(msg, "jac_diag") {
-		t.Errorf("dimensionality-restriction error %q must state the restriction and enumerate the supported names", msg)
 	}
 }

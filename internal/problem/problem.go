@@ -3,6 +3,10 @@
 // paper's workloads — most importantly the "crooked pipe" heat-diffusion
 // test of §V-B, a dense low-conduction material crossed by a kinked pipe of
 // low-density, high-conduction material with a heat source at its inlet.
+//
+// The painter and the energy conversions are each written once over the
+// interior's grid.Rows walker; Paint and Paint3D differ only in how a
+// state's shape is located on their grid (plane and volume).
 package problem
 
 import (
@@ -18,61 +22,131 @@ import (
 // overwrite cells whose centres fall inside their shape. Because sub-grids
 // carry true physical coordinates, the same call paints a rank-local grid
 // correctly with no offset bookkeeping.
-//
-// Each state holds on one run of cells per row (see between, containing
-// and dip), so it paints whole row runs, located by evaluating its
-// per-cell test at O(log n) cells of a row rather than at every cell.
 func Paint(states []deck.State, density, energy *grid.Field2D) error {
-	if err := checkStates(states); err != nil {
-		return err
-	}
 	g := density.Grid
-	paint := func(st deck.State, k, j0, j1 int) {
-		fill(density.Row(k, j0, j1), st.Density)
-		fill(energy.Row(k, j0, j1), st.Energy)
-	}
-	for _, st := range states {
-		x0, x1, y0, y1 := 0, g.NX, 0, g.NY // GeomNone: the whole interior
-		switch st.Geometry {
-		case deck.GeomRectangle:
-			x0, x1 = between(g.NX, g.CellCenterX, st.XMin, st.XMax)
-			y0, y1 = between(g.NY, g.CellCenterY, st.YMin, st.YMax)
-		case deck.GeomPoint:
-			x0, x1 = containing(g.NX, g.VertexX, st.CX)
-			y0, y1 = containing(g.NY, g.VertexY, st.CY)
-		case deck.GeomCircle:
-			piv := pivot(g.NX, g.CellCenterX, st.CX)
-			for k := 0; k < g.NY; k++ {
-				cy := g.CellCenterY(k)
-				j0, j1 := dip(g.NX, piv, func(j int) bool { return inCircle(st, g.CellCenterX(j), cy) })
-				paint(st, k, j0, j1)
-			}
-			continue
-		case deck.GeomNone:
-		default:
-			continue // an unknown geometry paints nothing, as before
-		}
-		for k := y0; k < y1; k++ {
-			paint(st, k, x0, x1)
-		}
-	}
-	return nil
+	return paint(states, g.Rows(g.Interior()), density.Data, energy.Data, plane{g}.region)
 }
 
-func checkStates(states []deck.State) error {
+// Paint3D is Paint on a 3D grid. A rectangle state is an axis-aligned box;
+// a state with an empty z-range spans the whole domain in z, so 2D state
+// definitions extrude naturally. A circle state is a sphere around
+// (CX, CY, CZ).
+func Paint3D(states []deck.State, density, energy *grid.Field3D) error {
+	g := density.Grid
+	return paint(states, g.Rows(g.Interior()), density.Data, energy.Data, volume{g}.region)
+}
+
+// region is where one state holds on a grid's interior, in the terms of
+// its grid.Rows walker: the rows j ∈ [j0, j1) of the outer indices
+// k ∈ [k0, k1), and on each row the run of cells [x0, x1) = run(j, k).
+type region struct {
+	j0, j1, k0, k1 int
+	run            func(j, k int) (x0, x1 int)
+}
+
+// box is the region of one x-run on every row.
+func box(j0, j1, k0, k1, x0, x1 int) region {
+	return region{j0, j1, k0, k1, func(int, int) (int, int) { return x0, x1 }}
+}
+
+// paint is the painter in both dimensions. Each state holds on one run of
+// cells per row (see between, containing and dip), so it paints whole row
+// runs, located by evaluating its per-cell test at O(log n) cells of a row
+// rather than at every cell. locate gives a state's region; false (an
+// unknown geometry) paints nothing.
+func paint(states []deck.State, w grid.Rows, dd, ed []float64, locate func(deck.State) (region, bool)) error {
 	if len(states) == 0 {
 		return fmt.Errorf("problem: no states to paint")
 	}
 	if states[0].Geometry != deck.GeomNone {
 		return fmt.Errorf("problem: first state must be the background (no geometry)")
 	}
+	for _, st := range states {
+		r, ok := locate(st)
+		if !ok {
+			continue
+		}
+		for k := r.k0; k < r.k1; k++ {
+			for j := r.j0; j < r.j1; j++ {
+				o := w.Off(j, k) // the interior walker's rows start at x = 0
+				x0, x1 := r.run(j, k)
+				fill(dd[o+x0:o+x1], st.Density)
+				fill(ed[o+x0:o+x1], st.Energy)
+			}
+		}
+	}
 	return nil
+}
+
+// plane locates states on a 2D grid: one row per y (j ∈ [0, 1), k = y).
+type plane struct{ g *grid.Grid2D }
+
+func (p plane) region(st deck.State) (region, bool) {
+	g := p.g
+	x0, x1, y0, y1 := 0, g.NX, 0, g.NY // GeomNone: the whole interior
+	switch st.Geometry {
+	case deck.GeomRectangle:
+		x0, x1 = between(g.NX, g.CellCenterX, st.XMin, st.XMax)
+		y0, y1 = between(g.NY, g.CellCenterY, st.YMin, st.YMax)
+	case deck.GeomPoint:
+		x0, x1 = containing(g.NX, g.VertexX, st.CX)
+		y0, y1 = containing(g.NY, g.VertexY, st.CY)
+	case deck.GeomCircle:
+		piv := pivot(g.NX, g.CellCenterX, st.CX)
+		return region{0, 1, 0, g.NY, func(_, k int) (int, int) {
+			cy := g.CellCenterY(k)
+			return dip(g.NX, piv, func(j int) bool { return inCircle(st, g.CellCenterX(j), cy) })
+		}}, true
+	case deck.GeomNone:
+	default:
+		return region{}, false
+	}
+	return box(0, 1, y0, y1, x0, x1), true
+}
+
+// volume locates states on a 3D grid: NY rows per z (j = y, k = z).
+type volume struct{ g *grid.Grid3D }
+
+func (v volume) region(st deck.State) (region, bool) {
+	g := v.g
+	cx := func(i int) float64 { x, _, _ := g.CellCenter(i, 0, 0); return x }
+	cy := func(j int) float64 { _, y, _ := g.CellCenter(0, j, 0); return y }
+	cz := func(k int) float64 { _, _, z := g.CellCenter(0, 0, k); return z }
+	x0, x1, y0, y1, z0, z1 := 0, g.NX, 0, g.NY, 0, g.NZ // GeomNone: the whole interior
+	switch st.Geometry {
+	case deck.GeomRectangle:
+		x0, x1 = notBeyond(g.NX, cx, st.XMin, st.XMax)
+		y0, y1 = notBeyond(g.NY, cy, st.YMin, st.YMax)
+		if st.ZMax > st.ZMin {
+			z0, z1 = between(g.NZ, cz, st.ZMin, st.ZMax)
+		} // else an empty z-range: the state extrudes through z
+	case deck.GeomPoint:
+		x0, x1 = containing(g.NX, g.VertexX, st.CX)
+		y0, y1 = containing(g.NY, g.VertexY, st.CY)
+		z0, z1 = containing(g.NZ, g.VertexZ, st.CZ)
+	case deck.GeomCircle:
+		piv := pivot(g.NX, cx, st.CX)
+		return region{0, g.NY, 0, g.NZ, func(j, k int) (int, int) {
+			_, y, z := g.CellCenter(0, j, k)
+			return dip(g.NX, piv, func(i int) bool { return inSphere(st, cx(i), y, z) })
+		}}, true
+	case deck.GeomNone:
+	default:
+		return region{}, false
+	}
+	return box(y0, y1, z0, z1, x0, x1), true
 }
 
 // inCircle is the circle state's test of a cell centre (cx, cy).
 func inCircle(st deck.State, cx, cy float64) bool {
 	dx, dy := cx-st.CX, cy-st.CY
 	return dx*dx+dy*dy <= st.Radius*st.Radius
+}
+
+// inSphere is the circle state's 3D test of a cell centre (cx, cy, cz).
+func inSphere(st deck.State, cx, cy, cz float64) bool {
+	dx, dy, dz := cx-st.CX, cy-st.CY, cz-st.CZ
+	return dx*dx+dy*dy+dz*dz <= st.Radius*st.Radius
 }
 
 // The painter's row runs. Along any axis a cell centre c(i) = min +
@@ -148,16 +222,36 @@ func fill(row []float64, v float64) {
 // interior.
 func EnergyToU(density, energy, u *grid.Field2D) {
 	g := density.Grid
-	for k := 0; k < g.NY; k++ {
-		mulRow(u.Row(k, 0, g.NX), density.Row(k, 0, g.NX), energy.Row(k, 0, g.NX))
-	}
+	eachRow(g.Rows(g.Interior()), u.Data, density.Data, energy.Data, mulRow)
+}
+
+// EnergyToU3D is EnergyToU on a 3D grid.
+func EnergyToU3D(density, energy, u *grid.Field3D) {
+	g := density.Grid
+	eachRow(g.Rows(g.Interior()), u.Data, density.Data, energy.Data, mulRow)
 }
 
 // UToEnergy recovers energy = u / density after a solve.
 func UToEnergy(density, u, energy *grid.Field2D) {
 	g := density.Grid
-	for k := 0; k < g.NY; k++ {
-		divRow(energy.Row(k, 0, g.NX), u.Row(k, 0, g.NX), density.Row(k, 0, g.NX))
+	eachRow(g.Rows(g.Interior()), energy.Data, u.Data, density.Data, divRow)
+}
+
+// UToEnergy3D is UToEnergy on a 3D grid.
+func UToEnergy3D(density, u, energy *grid.Field3D) {
+	g := density.Grid
+	eachRow(g.Rows(g.Interior()), energy.Data, u.Data, density.Data, divRow)
+}
+
+// eachRow applies the row operation f(dst, a, b) to every row of w, in
+// one serial pass in storage order.
+func eachRow(w grid.Rows, dst, a, b []float64, f func(dst, a, b []float64)) {
+	n := w.N()
+	for k := w.K0; k < w.K1; k++ {
+		for j := w.J0; j < w.J1; j++ {
+			o := w.Off(j, k)
+			f(dst[o:o+n], a[o:o+n], b[o:o+n])
+		}
 	}
 }
 
@@ -276,6 +370,16 @@ func StiffDeck(n int) *deck.Deck {
 	return d
 }
 
+// StiffDeck3D is StiffDeck on the unit cube: the same near-steady
+// regime, with the hot corner extended to an octant (z ∈ [0, 0.25]).
+func StiffDeck3D(n int) *deck.Deck {
+	d := StiffDeck(n)
+	d.Dims, d.ZCells = 3, n
+	d.ZMin, d.ZMax = 0, 1
+	d.States[1].ZMin, d.States[1].ZMax = 0, 0.25
+	return d
+}
+
 // BenchmarkDeck is the stock tea.in two-state benchmark (the tea_bm
 // series): background of dense cold material with one hot low-density
 // rectangle in the corner. Useful as a quick-running validation problem.
@@ -298,5 +402,18 @@ func BenchmarkDeck(n int) *deck.Deck {
 		{Index: 2, Density: 0.1, Energy: 25, Geometry: deck.GeomRectangle,
 			XMin: 0, XMax: 1, YMin: 1, YMax: 3},
 	}
+	return d
+}
+
+// BenchmarkDeck3D is the 3D extension of the stock two-state benchmark: a
+// dense cold background with one hot low-density box in the corner, on a
+// 10×10×10 domain. The solver default is PPCG with jac_diag — the
+// configuration the 3D scaling experiment sweeps.
+func BenchmarkDeck3D(n int) *deck.Deck {
+	d := BenchmarkDeck(n)
+	d.Dims, d.ZCells = 3, n
+	d.ZMin, d.ZMax = 0, 10
+	d.Solver, d.Precond = "ppcg", "jac_diag"
+	d.States[1].ZMin, d.States[1].ZMax = 1, 3
 	return d
 }

@@ -2,9 +2,8 @@
 // preconditioner (§IV-C1 of the paper) splits the mesh into 4×1 strips whose
 // 4×4 blocks of the system matrix are tridiagonal; TeaLeaf solves each strip
 // serially with the Thomas algorithm, which the paper notes is faster than
-// parallel tridiagonal methods at this block size. Cyclic reduction — the
-// parallel alternative the paper cites (Zhang, Cohen & Owens) — is also
-// implemented so the trade-off can be benchmarked directly.
+// parallel tridiagonal methods (such as cyclic reduction) at this block
+// size.
 package tridiag
 
 import (
@@ -57,129 +56,3 @@ func Thomas(a, b, c, d, x, w []float64) error {
 }
 
 const tiny = 1e-300
-
-// Solve is Thomas with internally allocated workspace, for callers that do
-// not solve in a loop.
-func Solve(a, b, c, d []float64) ([]float64, error) {
-	x := make([]float64, len(b))
-	w := make([]float64, len(b))
-	if err := Thomas(a, b, c, d, x, w); err != nil {
-		return nil, err
-	}
-	return x, nil
-}
-
-// CyclicReduction solves the same system by cyclic reduction, the
-// parallel-friendly tridiagonal algorithm. Each reduction level halves the
-// number of unknowns; on a serial machine it performs roughly 2.7× the
-// arithmetic of Thomas, which is why TeaLeaf solves its tiny 4-row blocks
-// serially. Inputs follow the Thomas convention and are not modified.
-func CyclicReduction(a, b, c, d []float64) ([]float64, error) {
-	n := len(b)
-	if len(a) != n || len(c) != n || len(d) != n {
-		return nil, fmt.Errorf("tridiag: inconsistent lengths a=%d b=%d c=%d d=%d",
-			len(a), len(b), len(c), len(d))
-	}
-	if n == 0 {
-		return []float64{}, nil
-	}
-	// Work on copies padded to simplify the index arithmetic.
-	aa := append([]float64(nil), a...)
-	bb := append([]float64(nil), b...)
-	cc := append([]float64(nil), c...)
-	dd := append([]float64(nil), d...)
-	aa[0], cc[n-1] = 0, 0
-
-	x := make([]float64, n)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	if err := crRecurse(aa, bb, cc, dd, x, idx); err != nil {
-		return nil, err
-	}
-	return x, nil
-}
-
-// crRecurse performs one cyclic-reduction level over the active equations
-// listed in idx: equations at odd list positions are rewritten in terms of
-// their odd-position neighbours (eliminating the even-position unknowns),
-// the half-size system is solved recursively, and the even-position
-// unknowns are back-substituted.
-func crRecurse(a, b, c, d, x []float64, idx []int) error {
-	m := len(idx)
-	if m == 1 {
-		i := idx[0]
-		if math.Abs(b[i]) < tiny {
-			return ErrSingular
-		}
-		x[i] = d[i] / b[i]
-		return nil
-	}
-	// Forward reduction: fold even-position equations into odd-position ones.
-	for p := 1; p < m; p += 2 {
-		i, lo := idx[p], idx[p-1]
-		if math.Abs(b[lo]) < tiny {
-			return ErrSingular
-		}
-		f1 := a[i] / b[lo]
-		na := -f1 * a[lo]
-		nb := b[i] - f1*c[lo]
-		nd := d[i] - f1*d[lo]
-		nc := c[i]
-		if p+1 < m {
-			hi := idx[p+1]
-			if math.Abs(b[hi]) < tiny {
-				return ErrSingular
-			}
-			f2 := c[i] / b[hi]
-			nc = -f2 * c[hi]
-			nb -= f2 * a[hi]
-			nd -= f2 * d[hi]
-		} else {
-			nc = 0
-		}
-		a[i], b[i], c[i], d[i] = na, nb, nc, nd
-	}
-	reduced := make([]int, 0, m/2)
-	for p := 1; p < m; p += 2 {
-		reduced = append(reduced, idx[p])
-	}
-	if err := crRecurse(a, b, c, d, x, reduced); err != nil {
-		return err
-	}
-	// Back substitution for the even-position unknowns. In a parallel
-	// implementation every iteration of this loop is independent.
-	for p := 0; p < m; p += 2 {
-		i := idx[p]
-		v := d[i]
-		if p > 0 {
-			v -= a[i] * x[idx[p-1]]
-		}
-		if p+1 < m {
-			v -= c[i] * x[idx[p+1]]
-		}
-		if math.Abs(b[i]) < tiny {
-			return ErrSingular
-		}
-		x[i] = v / b[i]
-	}
-	return nil
-}
-
-// MatVec computes y = T x for the tridiagonal matrix T given by (a,b,c),
-// used by tests to verify solutions.
-func MatVec(a, b, c, x []float64) []float64 {
-	n := len(b)
-	y := make([]float64, n)
-	for i := 0; i < n; i++ {
-		y[i] = b[i] * x[i]
-		if i > 0 {
-			y[i] += a[i] * x[i-1]
-		}
-		if i < n-1 {
-			y[i] += c[i] * x[i+1]
-		}
-	}
-	return y
-}

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 // diagDominant builds a random strictly diagonally dominant tridiagonal
@@ -25,6 +24,32 @@ func diagDominant(n int, rng *rand.Rand) (a, b, c, d []float64) {
 		d[i] = rng.Float64()*2 - 1
 	}
 	return
+}
+
+// Solve is Thomas with internally allocated workspace.
+func Solve(a, b, c, d []float64) ([]float64, error) {
+	x := make([]float64, len(b))
+	w := make([]float64, len(b))
+	if err := Thomas(a, b, c, d, x, w); err != nil {
+		return nil, err
+	}
+	return x, nil
+}
+
+// MatVec computes y = T x for the tridiagonal matrix T given by (a,b,c).
+func MatVec(a, b, c, x []float64) []float64 {
+	n := len(b)
+	y := make([]float64, n)
+	for i := 0; i < n; i++ {
+		y[i] = b[i] * x[i]
+		if i > 0 {
+			y[i] += a[i] * x[i-1]
+		}
+		if i < n-1 {
+			y[i] += c[i] * x[i+1]
+		}
+	}
+	return y
 }
 
 func residualInf(a, b, c, d, x []float64) float64 {
@@ -115,62 +140,6 @@ func TestThomasErrors(t *testing.T) {
 	// Empty system is trivially solved.
 	if err := Thomas(nil, nil, nil, nil, nil, nil); err != nil {
 		t.Errorf("empty system: %v", err)
-	}
-}
-
-func TestCyclicReductionMatchesThomas(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for _, n := range []int{1, 2, 3, 4, 7, 8, 9, 31, 32, 33, 100} {
-		a, b, c, d := diagDominant(n, rng)
-		want, err := Solve(a, b, c, d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := CyclicReduction(a, b, c, d)
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		for i := range want {
-			if math.Abs(got[i]-want[i]) > 1e-10 {
-				t.Errorf("n=%d: x[%d] CR=%v Thomas=%v", n, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-func TestCyclicReductionErrors(t *testing.T) {
-	if _, err := CyclicReduction([]float64{0}, []float64{1, 2}, []float64{0}, []float64{1}); err == nil {
-		t.Error("length mismatch must error")
-	}
-	if _, err := CyclicReduction([]float64{0}, []float64{0}, []float64{0}, []float64{1}); err != ErrSingular {
-		t.Error("singular must error")
-	}
-	x, err := CyclicReduction(nil, nil, nil, nil)
-	if err != nil || len(x) != 0 {
-		t.Error("empty system must solve trivially")
-	}
-}
-
-func TestSolversAgreeQuick(t *testing.T) {
-	cfg := &quick.Config{MaxCount: 60}
-	f := func(seed int64, nu uint8) bool {
-		n := int(nu%20) + 1
-		rng := rand.New(rand.NewSource(seed))
-		a, b, c, d := diagDominant(n, rng)
-		xt, err1 := Solve(a, b, c, d)
-		xc, err2 := CyclicReduction(a, b, c, d)
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		for i := range xt {
-			if math.Abs(xt[i]-xc[i]) > 1e-9 {
-				return false
-			}
-		}
-		return residualInf(a, b, c, d, xt) < 1e-10
-	}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Fatal(err)
 	}
 }
 
