@@ -87,7 +87,19 @@ type RankComm struct {
 	hub   *Hub
 	rank  int
 	trace stats.Trace
+	// free holds the exchange slabs this rank may pack into, and held the
+	// slab its last recvSlab returned, which joins free at the next
+	// recvSlab (its lifetime under slabTransport's contract). Slabs
+	// travel with the messages they carry, so a rank packs into slabs its
+	// neighbours sent it, and a warmed exchange allocates none. Owned by
+	// the rank's goroutine, like every method.
+	free [][]float64
+	held []float64
 }
+
+// maxFreeSlabs bounds a rank's free list: an exchange sends at most one
+// slab per side, so more than two per side are never all needed.
+const maxFreeSlabs = 2 * int(grid.NumSides3D)
 
 var _ Communicator = (*RankComm)(nil)
 
@@ -136,8 +148,26 @@ func (c *RankComm) Physical3D() PhysicalSides3D {
 // channels; it is RankComm's slabTransport for the shared exchange core.
 type hubSlabs struct{ c *RankComm }
 
-// slab hands out fresh memory: sendSlab passes the slice to the receiver.
-func (h hubSlabs) slab(n int) []float64 { return make([]float64, 0, n) }
+// slab hands out the smallest free slab with room for n values, or
+// fresh memory when none has: sendSlab passes the slice itself to the
+// receiver, so it must not be one this rank still reads.
+func (h hubSlabs) slab(n int) []float64 {
+	c := h.c
+	best := -1
+	for i, s := range c.free {
+		if cap(s) >= n && (best < 0 || cap(s) < cap(c.free[best])) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return make([]float64, 0, n)
+	}
+	s := c.free[best]
+	last := len(c.free) - 1
+	c.free[best], c.free[last] = c.free[last], nil
+	c.free = c.free[:last]
+	return s[:0]
+}
 
 func (h hubSlabs) sendSlab(to int, side grid.Side, msg []float64) error {
 	h.c.hub.mail[to][side] <- msg
@@ -145,7 +175,15 @@ func (h hubSlabs) sendSlab(to int, side grid.Side, msg []float64) error {
 }
 
 func (h hubSlabs) recvSlab(from int, side grid.Side, wantLen int) ([]float64, error) {
-	msg := <-h.c.hub.mail[h.c.rank][side]
+	c := h.c
+	if c.held != nil && len(c.free) < maxFreeSlabs {
+		if c.free == nil {
+			c.free = make([][]float64, 0, maxFreeSlabs)
+		}
+		c.free = append(c.free, c.held)
+	}
+	msg := <-c.hub.mail[c.rank][side]
+	c.held = msg
 	if len(msg) != wantLen {
 		return nil, fmt.Errorf("comm: rank %d: exchange slab from rank %d has %d values, want %d (mismatched field sets across ranks?)",
 			h.c.rank, from, len(msg), wantLen)

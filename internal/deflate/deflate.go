@@ -19,18 +19,29 @@
 //
 // The projector is fully distributed and dimension-agnostic: one core
 // (flux.go, over flat padded indices) serves the 2D Deflation and the 3D
-// Deflation3D, interior and deep-halo extended bounds, blocking and
-// split-phase projections alike. It never materialises W·λ and never runs
-// the stencil: A·W·λ is exactly λ_c in block interiors and differs only by
-// K_face·(λ_c − λ_nbr) on block-boundary faces, so the fine-grid half of P
-// is one read-modify-write of w (which also hands back the re-measured CG
-// curvature). The restriction Wᵀ·w is a pooled pass of fixed-lane row
-// sums folded per block in ascending row order — bit-identical for every
+// Deflation3D, interior and deep-halo extended bounds alike. It never
+// materialises W·λ and never runs the stencil: A·W·λ is exactly λ_c in
+// block interiors and differs only by K_face·(λ_c − λ_nbr) on
+// block-boundary faces, so the fine-grid half of P is one
+// read-modify-write of w. The restriction Wᵀ·w is fixed-lane row sums
+// folded per block in ascending row order — bit-identical for every
 // worker count. E is assembled from the same face sums through a single
 // comm.AllReduceSumN round that is order-deterministic on every backend,
 // so each rank factors the same exactly symmetric matrix and the coarse
 // solve never needs a broadcast. Block membership of halo cells comes
 // from the clamped global coordinate: no halo exchange anywhere.
+//
+// A projection has two forms. ProjectW/ProjectWBounds is a whole one —
+// a restriction sweep, a reduction round of its own, the coarse solve and
+// a correction sweep that also re-measures a curvature dot — and serves
+// the PPCG outer loop. The CG engine instead takes the projection into
+// its own pass and round, one row at a time: RestrictRow as its matvec
+// finishes each row of w, Restriction for the rank's share of Wᵀ·w,
+// which travels in the engine's scalar round, SolveCoarse on the summed b
+// (returning bᵀλ, which is z·(A·W·λ) by the symmetry of A, so the engine
+// needs no sweep to project its curvature), and CorrectRow or
+// CorrectRowFaces as the next sweep first reads each row of w. The
+// per-cell arithmetic is the same in both forms.
 //
 // A regime note the experiments make precise: for the per-step operator
 // A = I + Δt·L the smallest eigenvalue is pinned at 1 (L has a zero mode
@@ -156,17 +167,29 @@ func (d *Deflation) ProjectWBounds(b grid.Bounds, w, minv, x *grid.Field2D) floa
 	return d.project(box2(b), w.Data, minv.DataOrNil(), x.DataOrNil())
 }
 
-// RestrictRow takes row k of w's interior into the restriction of the
-// next ProjectWRestricted: the solver's one-pass fused CG iteration hands
-// each row over as soon as its matvec has finished it, while it is still
-// in cache. Rows are independent; any worker may hand over any row.
+// RestrictRow takes row k of w's interior into the restriction the next
+// Restriction folds: a solver sweep hands each row over as soon as it has
+// finished w there, while the row is still in cache. Rows are
+// independent; any worker may hand over any row.
 func (d *Deflation) RestrictRow(w *grid.Field2D, k int) { d.restrictRow(w.Data, k) }
 
-// ProjectWRestricted is ProjectWBounds for a w whose every interior row
-// was handed to RestrictRow after w was last written: the restriction's
-// row sums are already taken, so it folds them and goes straight to the
-// coarse solve and the correction pass. Same bits as ProjectWBounds.
-// Collective.
-func (d *Deflation) ProjectWRestricted(b grid.Bounds, w, minv, x *grid.Field2D) float64 {
-	return d.projectRestricted(box2(b), w.Data, minv.DataOrNil(), x.DataOrNil())
+// CorrectRow applies the correction w −= A·W·λ of the last SolveCoarse to
+// the cells of row k inside b ⊇ interior, with ProjectWBounds' per-cell
+// arithmetic: a solver sweep calls it just before it first reads the
+// row. Cells of b beyond the interior replicate a neighbour rank's
+// interior bitwise, as in ProjectWBounds. Rows are independent.
+func (d *Deflation) CorrectRow(b grid.Bounds, w *grid.Field2D, k int) {
+	d.correctRow(b.X0, b.X1, k, 0, w.Data, nil, nil, nil)
+}
+
+// CorrectRowFaces is the first half of CorrectRow, for a sweep that takes
+// the second into its own arithmetic: it applies the correction's
+// block-face terms to the cells of row k inside b and returns their λ_c,
+// one per cell from b.X0, which the caller must take off w before anything
+// else reads the row (the CG step computes s = (w − λ_c) + β·s in
+// registers). Per cell the correction keeps CorrectRow's order: faces,
+// then λ_c. The slice is the projector's, valid until the next coarse
+// solve; rows are independent.
+func (d *Deflation) CorrectRowFaces(b grid.Bounds, w *grid.Field2D, k int) []float64 {
+	return d.faceRow(b.X0, b.X1, k, 0, w.Data)
 }

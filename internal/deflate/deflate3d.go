@@ -83,12 +83,19 @@ func (d *Deflation3D) ProjectWBounds(b grid.Bounds3D, w, minv, x *grid.Field3D) 
 	return d.project(b, w.Data, minv.DataOrNil(), x.DataOrNil())
 }
 
-// RestrictRow takes row (j, k) of w's interior into the restriction of
-// the next ProjectWRestricted — see Deflation.RestrictRow.
+// RestrictRow takes row (j, k) of w's interior into the restriction the
+// next Restriction folds — see Deflation.RestrictRow.
 func (d *Deflation3D) RestrictRow(w *grid.Field3D, j, k int) { d.restrictRow(w.Data, k*d.n[1]+j) }
 
-// ProjectWRestricted is the 3D twin of Deflation.ProjectWRestricted.
-// Collective.
-func (d *Deflation3D) ProjectWRestricted(b grid.Bounds3D, w, minv, x *grid.Field3D) float64 {
-	return d.projectRestricted(b, w.Data, minv.DataOrNil(), x.DataOrNil())
+// CorrectRow applies the pending correction to the cells of row (j, k)
+// inside b ⊇ interior — see Deflation.CorrectRow.
+func (d *Deflation3D) CorrectRow(b grid.Bounds3D, w *grid.Field3D, j, k int) {
+	d.correctRow(b.X0, b.X1, j, k, w.Data, nil, nil, nil)
+}
+
+// CorrectRowFaces applies the face terms of the pending correction to the
+// cells of row (j, k) inside b and returns their λ_c — see
+// Deflation.CorrectRowFaces.
+func (d *Deflation3D) CorrectRowFaces(b grid.Bounds3D, w *grid.Field3D, j, k int) []float64 {
+	return d.faceRow(b.X0, b.X1, j, k, w.Data)
 }

@@ -7,6 +7,7 @@ import (
 	"tealeaf/internal/comm"
 	"tealeaf/internal/grid"
 	"tealeaf/internal/par"
+	"tealeaf/internal/simd"
 )
 
 // projector is the dimension-free core Deflation and Deflation3D embed:
@@ -61,9 +62,10 @@ type projector struct {
 	cnt []float64
 	// cr is the coarse residual Wᵀ·w; the coarse solution is
 	// λ_c = lbar + cl[c] (see solve); rows holds the restriction's per-row,
-	// per-block-column partial sums.
-	cr, cl, rows []float64
-	lbar         float64
+	// per-block-column partial sums; lams holds λ_c per padded column for
+	// each block row (see fillLams).
+	cr, cl, rows, lams []float64
+	lbar               float64
 }
 
 // init validates the block geometry (the p.dims leading axes of global,
@@ -122,6 +124,7 @@ func (p *projector) init(global, off [3]int, cfg Config) error {
 		}
 	}
 	p.rows = make([]float64, p.n[1]*p.n[2]*p.nb[0])
+	p.lams = make([]float64, p.nb[1]*p.nb[2]*(p.n[0]+2*p.h[0]))
 	return p.assemble()
 }
 
@@ -220,15 +223,16 @@ func (p *projector) band(b grid.Bounds3D, lo, hi int) grid.Bounds3D {
 	return b
 }
 
-// solve computes λ = E⁻¹·b as λ̄·1 + μ (p.lbar, p.cl). E·1 is exactly the
-// vector of block cell counts — every flux vanishes on a constant — so
-// the constant mode is split off in closed form, λ̄ = Σb/Σ|c|, and only
-// the deviation μ = E⁻¹·(b − λ̄·|c|) goes through the hierarchy solve.
-// The fluxes ΣK·(λ_c − λ_c') the correction applies then difference μ,
-// not λ: stored whole, λ would quantise them at ε·ΣK·|λ̄|, which on a
-// stiff operator is the projector's entire error. Replicated: every rank
-// computes identical bits.
-func (p *projector) solve(b []float64) {
+// solve computes λ = E⁻¹·b as λ̄·1 + μ (p.lbar, p.cl) and returns Σb.
+// E·1 is exactly the vector of block cell counts — every flux vanishes on
+// a constant — so the constant mode is split off in closed form,
+// λ̄ = Σb/Σ|c|, and only the deviation μ = E⁻¹·(b − λ̄·|c|) goes through
+// the hierarchy solve; b − λ̄·|c| stays in p.cr. The fluxes
+// ΣK·(λ_c − λ_c') the correction applies then difference μ, not λ:
+// stored whole, λ would quantise them at ε·ΣK·|λ̄|, which on a stiff
+// operator is the projector's entire error. b may alias p.cr.
+// Replicated: every rank computes identical bits.
+func (p *projector) solve(b []float64) float64 {
 	var sb, sn float64
 	for c, n := range p.cnt {
 		sb += b[c]
@@ -239,6 +243,38 @@ func (p *projector) solve(b []float64) {
 		p.cr[c] = b[c] - p.lbar*n
 	}
 	p.coarse.Solve(p.cr, p.cl)
+	p.fillLams()
+	return sb
+}
+
+// Restriction folds the row sums RestrictRow has taken since w was last
+// written — every interior row exactly once — and returns this rank's
+// share of b = Wᵀ·w, one value per block (blocks off this rank zero).
+// The caller sums it over ranks, inside its own reduction round, and
+// hands the sum to SolveCoarse. The slice is the projector's scratch:
+// valid until the next Restriction, SolveCoarse or projection.
+func (p *projector) Restriction() []float64 {
+	p.foldRows()
+	return p.cr
+}
+
+// SolveCoarse solves E·λ = b for the rank-summed restriction b = Wᵀ·w of
+// w = A·z, makes λ the correction CorrectRow applies, and returns bᵀλ —
+// which is z·(A·W·λ), since the face-flux A is exactly symmetric:
+// z·(A·W·λ) = (Wᵀ·A·z)·λ. The CG engine's projected curvature
+// z·(P·w) = z·w − bᵀλ thus needs no sweep over w. bᵀλ is formed in the
+// solve's λ̄ + μ split, as λ̄·Σb + (b − λ̄·|c|)·μ: both terms are
+// non-negative quadratic forms ((Σb)²/Σ|c| and b'ᵀE⁻¹b'), and the term
+// |c|·μ = 1ᵀ·E·μ, zero in exact arithmetic, is left out rather than
+// added as roundoff. Replicated: every rank passes the same b and gets
+// the same bits.
+func (p *projector) SolveCoarse(b []float64) float64 {
+	sb := p.solve(b)
+	var q float64
+	for c, v := range p.cr {
+		q += v * p.cl[c]
+	}
+	return p.lbar*sb + q
 }
 
 // restrict computes the LOCAL contribution to Wᵀ·w (block sums over this
@@ -246,9 +282,9 @@ func (p *projector) solve(b []float64) {
 // of constant block column with eight fixed lanes into p.rows; the serial
 // fold then adds the row sums per block in ascending row order. Neither
 // step depends on how rows were dealt to workers, so the result is
-// bit-identical for every worker count — or for the rows
-// handed over one at a time by the fused CG pass (restrictRow), the
-// pooled half of a projection the solver takes inside its own sweep.
+// bit-identical for every worker count — or for the rows handed over one
+// at a time by a solver sweep (RestrictRow, then Restriction), which
+// takes the restriction inside its own pass.
 func (p *projector) restrict(w []float64) {
 	p.pool.For(0, p.n[1]*p.n[2], func(r0, r1 int) {
 		for r := r0; r < r1; r++ {
@@ -286,10 +322,26 @@ func (p *projector) foldRows() {
 }
 
 // laneSum sums xs with eight interleaved accumulators in a fixed order
-// (enough independent chains to hide the FP-add latency). Each group of
-// eight is re-sliced to its length so the loop carries no bounds checks.
+// (enough independent chains to hide the FP-add latency): cell i of each
+// full group of eight goes to lane i, the cells past the last full group
+// to lane 0, and the lanes fold pairwise. The lanes run as AVX2 assembly
+// computing the same bits when simd.AVX2 is set — lanes 0–3 and 4–7 are
+// one ymm register each — and the fold stays here.
 func laneSum(xs []float64) float64 {
-	var s0, s1, s2, s3, s4, s5, s6, s7 float64
+	var l [8]float64
+	if simd.AVX2 {
+		laneSumAVX2(xs, &l)
+	} else {
+		laneSumGo(xs, &l)
+	}
+	return ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]))
+}
+
+// laneSumGo adds xs into the lanes l as laneSum assigns cells to them.
+// Each group of eight is re-sliced to its length so the loop carries no
+// bounds checks.
+func laneSumGo(xs []float64, l *[8]float64) {
+	s0, s1, s2, s3, s4, s5, s6, s7 := l[0], l[1], l[2], l[3], l[4], l[5], l[6], l[7]
 	i := 0
 	for ; i+7 < len(xs); i += 8 {
 		x := xs[i : i+8 : i+8]
@@ -305,29 +357,21 @@ func laneSum(xs []float64) float64 {
 	for ; i < len(xs); i++ {
 		s0 += xs[i]
 	}
-	return ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7))
+	*l = [8]float64{s0, s1, s2, s3, s4, s5, s6, s7}
 }
 
-// solveCoarse computes λ = E⁻¹·Wᵀ·v into p.cl: a rank-local restriction,
-// one AllReduceSumN round (the only communication a projection performs),
-// and the replicated hierarchy solve every rank executes identically.
-func (p *projector) solveCoarse(v []float64) {
+// restrictSolve computes λ = E⁻¹·Wᵀ·v into p.cl: a rank-local
+// restriction, one AllReduceSumN round (the only communication a
+// projection performs), and the replicated hierarchy solve every rank
+// executes identically.
+func (p *projector) restrictSolve(v []float64) {
 	p.restrict(v)
 	p.solve(p.c.AllReduceSumN(p.cr))
 }
 
-// projectRestricted is project for a w whose every interior row has been
-// handed to restrictRow since it was last written: the fold, the round,
-// the coarse solve and the correction. Collective.
-func (p *projector) projectRestricted(b grid.Bounds3D, w, m, x []float64) float64 {
-	p.foldRows()
-	p.solve(p.c.AllReduceSumN(p.cr))
-	return p.correct(b, w, m, x)
-}
-
 // coarseCorrect applies u += W·E⁻¹·Wᵀ·r over the interior.
 func (p *projector) coarseCorrect(r, u []float64) {
-	p.solveCoarse(r)
+	p.restrictSolve(r)
 	lo, hi := p.outer(p.in)
 	p.pool.For(lo, hi, func(k0, k1 int) {
 		p.forRuns(p.band(p.in, k0, k1), func(o, i0, i1, c int) {
@@ -362,7 +406,7 @@ func (p *projector) forRuns(t grid.Bounds3D, body func(o, i0, i1, c int)) {
 // (m⊙x)·(P·w) from the same pass (see correct). Collective: one
 // reduction round.
 func (p *projector) project(b grid.Bounds3D, w, m, x []float64) float64 {
-	p.solveCoarse(w)
+	p.restrictSolve(w)
 	return p.correct(b, w, m, x)
 }
 
@@ -389,69 +433,116 @@ func (p *projector) correct(b grid.Bounds3D, w, m, x []float64) float64 {
 	return dot
 }
 
-// correctBox applies the correction to one box. Per cell, in this
-// order whatever the box shape: the two x faces (only the end cells of
-// a block-column run have one), then the y and z faces (only rows on a
-// block boundary have any), then λ_c itself with the optional dot.
+// correctBox applies the correction to one box, row by row (correctRow),
+// and returns the box's (m⊙x)·w lanes folded.
 func (p *projector) correctBox(t grid.Bounds3D, w, m, x []float64) float64 {
 	var s [4]float64
-	kx := p.k[0]
 	for k := t.Z0; k < t.Z1; k++ {
 		for j := t.Y0; j < t.Y1; j++ {
-			o := p.org + k*p.st[2] + j*p.st[1]
-			c0 := p.block(2, k)*p.bst[2] + p.block(1, j)*p.bst[1]
-			// The row's y/z block faces: coefficient array, its row offset
-			// and the neighbour block-index delta.
-			var faces [4]struct {
-				ka      []float64
-				off, dc int
-			}
-			nf := 0
-			for a, q := 1, [3]int{0, j, k}; a < 3; a++ {
-				if p.block(a, q[a]-1) != p.block(a, q[a]) {
-					faces[nf].ka, faces[nf].off, faces[nf].dc = p.k[a], o, -p.bst[a]
-					nf++
-				}
-				if p.block(a, q[a]+1) != p.block(a, q[a]) {
-					faces[nf].ka, faces[nf].off, faces[nf].dc = p.k[a], o+p.st[a], p.bst[a]
-					nf++
-				}
-			}
-			for i0 := t.X0; i0 < t.X1; {
-				cx := p.block(0, i0)
-				i1 := min(p.xend[cx], t.X1)
-				c := c0 + cx
-				mu := p.cl[c]
-				lam := p.lbar + mu
-				ws := w[o+i0 : o+i1]
-				if p.block(0, i0-1) != cx {
-					ws[0] -= kx[o+i0] * (mu - p.cl[c-1])
-				}
-				if p.block(0, i1) != cx {
-					ws[len(ws)-1] -= kx[o+i1] * (mu - p.cl[c+1])
-				}
-				for _, f := range faces[:nf] {
-					d := mu - p.cl[c+f.dc]
-					ks := f.ka[f.off+i0 : f.off+i1]
-					for i := range ws {
-						ws[i] -= ks[i] * d
-					}
-				}
-				switch {
-				case x == nil:
-					for i := range ws {
-						ws[i] -= lam
-					}
-				case m == nil:
-					subDot(ws, x[o+i0:o+i1], lam, &s)
-				default:
-					subDotPre(ws, m[o+i0:o+i1], x[o+i0:o+i1], lam, &s)
-				}
-				i0 = i1
-			}
+			p.correctRow(t.X0, t.X1, j, k, w, m, x, &s)
 		}
 	}
 	return (s[0] + s[1]) + (s[2] + s[3])
+}
+
+// correctRow applies the correction to the cells [x0, x1) of row (j, k):
+// the face terms (faceTerms), then λ_c itself, with the optional dot into
+// s. Every cell therefore takes, in this order whatever the run, its two
+// x faces (only the end cells of a block-column run have one), its y and
+// z faces (only rows on a block boundary have any), then λ_c.
+func (p *projector) correctRow(x0, x1, j, k int, w, m, x []float64, s *[4]float64) {
+	p.faceTerms(x0, x1, j, k, w)
+	o := p.org + k*p.st[2] + j*p.st[1]
+	c0 := p.block(2, k)*p.bst[2] + p.block(1, j)*p.bst[1]
+	for i0 := x0; i0 < x1; {
+		cx := p.block(0, i0)
+		i1 := min(p.xend[cx], x1)
+		lam := p.lbar + p.cl[c0+cx]
+		ws := w[o+i0 : o+i1]
+		switch {
+		case x == nil:
+			for i := range ws {
+				ws[i] -= lam
+			}
+		case m == nil:
+			subDot(ws, x[o+i0:o+i1], lam, s)
+		default:
+			subDotPre(ws, m[o+i0:o+i1], x[o+i0:o+i1], lam, s)
+		}
+		i0 = i1
+	}
+}
+
+// faceTerms applies the block-face terms of the correction to the cells
+// [x0, x1) of row (j, k): the x faces at the ends of block-column runs,
+// then the y and z faces of a row on a block boundary, each
+// ΣK·(μ_c − μ_nbr).
+func (p *projector) faceTerms(x0, x1, j, k int, w []float64) {
+	kx := p.k[0]
+	o := p.org + k*p.st[2] + j*p.st[1]
+	c0 := p.block(2, k)*p.bst[2] + p.block(1, j)*p.bst[1]
+	// The row's y/z block faces: coefficient array, its row offset and
+	// the neighbour block-index delta.
+	var faces [4]struct {
+		ka      []float64
+		off, dc int
+	}
+	nf := 0
+	for a, q := 1, [3]int{0, j, k}; a < 3; a++ {
+		if p.block(a, q[a]-1) != p.block(a, q[a]) {
+			faces[nf].ka, faces[nf].off, faces[nf].dc = p.k[a], o, -p.bst[a]
+			nf++
+		}
+		if p.block(a, q[a]+1) != p.block(a, q[a]) {
+			faces[nf].ka, faces[nf].off, faces[nf].dc = p.k[a], o+p.st[a], p.bst[a]
+			nf++
+		}
+	}
+	for i0 := x0; i0 < x1; {
+		cx := p.block(0, i0)
+		i1 := min(p.xend[cx], x1)
+		c := c0 + cx
+		mu := p.cl[c]
+		ws := w[o+i0 : o+i1]
+		if p.block(0, i0-1) != cx {
+			ws[0] -= kx[o+i0] * (mu - p.cl[c-1])
+		}
+		if p.block(0, i1) != cx {
+			ws[len(ws)-1] -= kx[o+i1] * (mu - p.cl[c+1])
+		}
+		for _, f := range faces[:nf] {
+			d := mu - p.cl[c+f.dc]
+			ks := f.ka[f.off+i0 : f.off+i1]
+			for i := range ws {
+				ws[i] -= ks[i] * d
+			}
+		}
+		i0 = i1
+	}
+}
+
+// faceRow applies the face terms to the cells [x0, x1) of row (j, k) of w
+// and returns their λ_c from p.lams, for the caller to take off w itself:
+// the split a solver sweep uses to apply the correction inside its own
+// arithmetic (see Deflation.CorrectRowFaces).
+func (p *projector) faceRow(x0, x1, j, k int, w []float64) []float64 {
+	p.faceTerms(x0, x1, j, k, w)
+	width := p.n[0] + 2*p.h[0]
+	o := (p.block(2, k)*p.nb[1]+p.block(1, j))*width + p.h[0]
+	return p.lams[o+x0 : o+x1]
+}
+
+// fillLams writes p.lams: for each block row (y, z) the λ_c = λ̄ + μ_c of
+// every column x ∈ [−h, nx+h) of the padded row, as correctRow forms it.
+func (p *projector) fillLams() {
+	width := p.n[0] + 2*p.h[0]
+	for byz := 0; byz < p.nb[1]*p.nb[2]; byz++ {
+		cl := p.cl[byz*p.nb[0] : (byz+1)*p.nb[0]]
+		row := p.lams[byz*width : (byz+1)*width]
+		for q := range row {
+			row[q] = p.lbar + cl[p.block(0, q-p.h[0])]
+		}
+	}
 }
 
 // subDot computes ws −= lam and accumulates xs·ws into the four lanes.

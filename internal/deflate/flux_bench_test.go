@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"testing"
 
-	"tealeaf/internal/kernels"
+	"tealeaf/internal/comm"
 	"tealeaf/internal/par"
 	"tealeaf/internal/stencil"
 )
@@ -86,12 +86,16 @@ func BenchmarkAssemble(b *testing.B) {
 	}
 }
 
-// BenchmarkCGIterDeflated is the deflated fused-CG iteration at the
+// BenchmarkCGIterDeflated is one deflated fused-CG iteration at the
 // stiff2d_defl_512_w2 row's shape (512², 8×8 blocks, identity M), in ns
-// per cell: "one-pass" is stencil's CGIter with the restriction's row
-// sums taken inside the pass, then ProjectWRestricted; "two-sweeps" is
-// the sequence it replaced, FusedCGStep, the reflection of r, ApplyPreDot
-// and ProjectWBounds.
+// per cell. "one-pass" is the engine's iteration: stencil's CGIter with
+// the pending correction's face terms applied to each row of w before the
+// step reads it, λ_c taken off w inside the step, and the restriction's
+// row sums taken after the matvec, then the
+// iteration's one reduction round carrying the scalars and Wᵀ·w, and the
+// coarse solve that yields λ and bᵀλ. "parent" is the iteration it
+// replaced: CGIter with the row sums, then the projection's own round,
+// solve and correction sweep (projectRestricted), then the scalar round.
 func BenchmarkCGIterDeflated(b *testing.B) {
 	const n = 512
 	op := stiffOperator(b, n)
@@ -99,27 +103,29 @@ func BenchmarkCGIterDeflated(b *testing.B) {
 	in := g.Interior()
 	r, w := randomField2D(g, 2), randomField2D(g, 3)
 	p, s, x := randomField2D(g, 4), randomField2D(g, 5), randomField2D(g, 6)
+	c := comm.NewSerial()
 	for _, workers := range []int{1, 2} {
 		pool := par.NewPool(workers)
 		b.Cleanup(pool.Close)
-		d, err := New(pool, nil, op, Geometry{}, Config{BX: 8, BY: 8})
+		d, err := New(pool, c, op, Geometry{}, Config{BX: 8, BY: 8})
 		if err != nil {
 			b.Fatal(err)
 		}
+		pre := func(k int) []float64 { return d.CorrectRowFaces(in, w, k) }
 		rows := func(k int) { d.RestrictRow(w, k) }
 		b.Run(fmt.Sprintf("w%d/one-pass", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				op.CGIter(pool, in, in, in, stencil.AllPhysical, nil, r, w, 0.5, 1e-9, p, s, x, rows)
-				d.ProjectWRestricted(in, w, nil, r)
+				gamma, rr, delta := op.CGIter(pool, in, in, in, stencil.AllPhysical, nil, r, w, 0.5, 1e-9, p, s, x, pre, rows)
+				sums := c.AllReduceSumN(append([]float64{gamma, rr, delta}, d.Restriction()...))
+				sums[2] -= d.SolveCoarse(sums[3:])
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n*n), "ns/cell")
 		})
-		b.Run(fmt.Sprintf("w%d/two-sweeps", workers), func(b *testing.B) {
+		b.Run(fmt.Sprintf("w%d/parent", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				kernels.FusedCGStep(pool, in, nil, r, w, 0.5, 1e-9, p, s, x)
-				r.ReflectHalos(1)
-				op.ApplyPreDot(pool, in, nil, r, w)
-				d.ProjectWBounds(in, w, nil, r)
+				gamma, rr, _ := op.CGIter(pool, in, in, in, stencil.AllPhysical, nil, r, w, 0.5, 1e-9, p, s, x, nil, rows)
+				delta := d.projectRestricted(d.in, w.Data, nil, r.Data)
+				c.AllReduceSumN([]float64{gamma, rr, delta})
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n*n), "ns/cell")
 		})

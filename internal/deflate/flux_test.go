@@ -178,7 +178,7 @@ func TestFluxCorrectionMatchesApplyOracle(t *testing.T) {
 		p := c.p
 		w := randomFlat(p, 3)
 		x, m := randomFlat(p, 4), randomFlat(p, 5)
-		p.solveCoarse(w)
+		p.restrictSolve(w)
 		want := append([]float64(nil), w...)
 		c.oracle(want)
 		got := append([]float64(nil), w...)
@@ -277,7 +277,7 @@ func TestFluxWorkerInvariance(t *testing.T) {
 			w, x := randomFlat(p, 3), randomFlat(p, 4)
 			p.restrict(w)
 			cr := append([]float64(nil), p.cr...)
-			p.solveCoarse(w)
+			p.restrictSolve(w)
 			dot := p.correct(p.in, w, nil, x)
 			outs = append(outs, outcome{cr, w, dot})
 		}
@@ -529,12 +529,15 @@ func TestExtendedCorrectionReplicatesNeighbourInterior3D(t *testing.T) {
 	}
 }
 
-// TestProjectWRestrictedMatchesProjectWBounds: handing w's interior rows to
-// RestrictRow — in any order — and then projecting with
-// ProjectWRestricted is ProjectWBounds bit for bit, on w and on the
-// returned curvature dot, in 2D and 3D, with and without the folded
-// diagonal. That is the hand-off the fused CG pass makes.
-func TestProjectWRestrictedMatchesProjectWBounds(t *testing.T) {
+// TestRowHandOffMatchesProjectWBounds: the projection the CG engine
+// takes inside its sweeps — w's interior rows handed to RestrictRow in
+// any order, Restriction, SolveCoarse on the (single-rank) sums, then
+// CorrectRow on every row of b, or CorrectRowFaces with its λ_c taken
+// off afterwards — leaves w bit for bit as ProjectWBounds does, over the
+// interior and over extended bounds alike, in 2D and 3D; the parent's
+// two-pass form (projectRestricted) matches both, dot included.
+// SolveCoarse returns bᵀλ for the λ it leaves pending.
+func TestRowHandOffMatchesProjectWBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	fill := func(data []float64, lo float64) {
 		for i := range data {
@@ -563,53 +566,83 @@ func TestProjectWRestrictedMatchesProjectWBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pre := range []bool{false, true} {
-		w, x, m := grid.NewField2D(g), grid.NewField2D(g), grid.NewField2D(g)
-		fill(w.Data, -0.5)
-		fill(x.Data, -0.5)
-		fill(m.Data, 0.5)
-		minv := m
-		if !pre {
-			minv = nil
+	// checkBTL checks SolveCoarse's bᵀλ against Σ b_c·λ_c.
+	checkBTL := func(label string, p *projector, b []float64, got float64) {
+		t.Helper()
+		var want, mag float64
+		for c, v := range b {
+			lam := p.lbar + p.cl[c]
+			want += v * lam
+			mag += math.Abs(v * lam)
 		}
-		in := g.Interior()
-		wO := w.Clone()
-		want := d.ProjectWBounds(in, wO, minv, x)
-		for k := in.Y1 - 1; k >= in.Y0; k-- {
-			d.RestrictRow(w, k)
+		if math.Abs(got-want) > 1e-12*mag {
+			t.Errorf("%s: SolveCoarse = %v, Σ b·λ = %v", label, got, want)
 		}
-		if got := d.ProjectWRestricted(in, w, minv, x); math.Float64bits(got) != math.Float64bits(want) {
-			t.Errorf("2D minv=%v: dot %v, ProjectWBounds %v", pre, got, want)
-		}
-		for i := range w.Data {
-			if math.Float64bits(w.Data[i]) != math.Float64bits(wO.Data[i]) {
-				t.Fatalf("2D minv=%v: w differs at flat index %d", pre, i)
+	}
+	same := func(label string, got, want []float64) {
+		t.Helper()
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: w differs at flat index %d: %v vs %v", label, i, got[i], want[i])
 			}
 		}
+	}
+	for _, ext := range []int{0, 1} {
+		in := g.Interior()
+		b := in.Expand(ext, g)
+		w, x := grid.NewField2D(g), grid.NewField2D(g)
+		fill(w.Data, -0.5)
+		fill(x.Data, -0.5)
+		wO, wP := w.Clone(), w.Clone()
+		want := d.ProjectWBounds(b, wO, nil, x)
+		for k := in.Y1 - 1; k >= in.Y0; k-- {
+			d.RestrictRow(w, k)
+			d.RestrictRow(wP, k)
+		}
+		sums := append([]float64(nil), d.Restriction()...)
+		label := fmt.Sprintf("2D ext=%d", ext)
+		checkBTL(label, &d.projector, sums, d.SolveCoarse(sums))
+		wF := w.Clone()
+		for k := b.Y0; k < b.Y1; k++ {
+			d.CorrectRow(b, w, k)
+			row := wF.Row(k, b.X0, b.X1)
+			for i, lam := range d.CorrectRowFaces(b, wF, k) {
+				row[i] -= lam
+			}
+		}
+		same(label, w.Data, wO.Data)
+		same(label+" faces", wF.Data, wO.Data)
+		if got := d.projectRestricted(box2(b), wP.Data, nil, x.Data); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%s: parent projection dot %v, ProjectWBounds %v", label, got, want)
+		}
+		same(label+" parent", wP.Data, wO.Data)
 
-		w3, x3, m3 := grid.NewField3D(g3), grid.NewField3D(g3), grid.NewField3D(g3)
+		in3 := g3.Interior()
+		b3 := in3.Expand(ext, g3)
+		w3, x3 := grid.NewField3D(g3), grid.NewField3D(g3)
 		fill(w3.Data, -0.5)
 		fill(x3.Data, -0.5)
-		fill(m3.Data, 0.5)
-		minv3 := m3
-		if !pre {
-			minv3 = nil
-		}
-		in3 := g3.Interior()
 		wO3 := w3.Clone()
-		want = d3.ProjectWBounds(in3, wO3, minv3, x3)
+		d3.ProjectWBounds(b3, wO3, nil, x3)
 		for k := in3.Z1 - 1; k >= in3.Z0; k-- {
 			for j := in3.Y0; j < in3.Y1; j++ {
 				d3.RestrictRow(w3, j, k)
 			}
 		}
-		if got := d3.ProjectWRestricted(in3, w3, minv3, x3); math.Float64bits(got) != math.Float64bits(want) {
-			t.Errorf("3D minv=%v: dot %v, ProjectWBounds %v", pre, got, want)
-		}
-		for i := range w3.Data {
-			if math.Float64bits(w3.Data[i]) != math.Float64bits(wO3.Data[i]) {
-				t.Fatalf("3D minv=%v: w differs at flat index %d", pre, i)
+		sums = append(sums[:0], d3.Restriction()...)
+		label = fmt.Sprintf("3D ext=%d", ext)
+		checkBTL(label, &d3.projector, sums, d3.SolveCoarse(sums))
+		wF3 := w3.Clone()
+		for k := b3.Z0; k < b3.Z1; k++ {
+			for j := b3.Y0; j < b3.Y1; j++ {
+				d3.CorrectRow(b3, w3, j, k)
+				row := wF3.Row(j, k, b3.X0, b3.X1)
+				for i, lam := range d3.CorrectRowFaces(b3, wF3, j, k) {
+					row[i] -= lam
+				}
 			}
 		}
+		same(label, w3.Data, wO3.Data)
+		same(label+" faces", wF3.Data, wO3.Data)
 	}
 }

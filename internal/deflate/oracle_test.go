@@ -95,3 +95,17 @@ func relNorm(rr, rr0 float64) float64 {
 	}
 	return math.Sqrt(rr / rr0)
 }
+
+// projectRestricted is the projection the CG engine ran after its pass
+// before the engine took the projection into its own sweeps and round:
+// the fold of the row sums RestrictRow took, a reduction round of its
+// own, the coarse solve and the correction sweep over b ⊇ interior with
+// the curvature dot (m⊙x)·(P·w) re-measured against the corrected w. Kept
+// as the oracle the row hand-off (RestrictRow, Restriction, SolveCoarse,
+// CorrectRow) is held to, and as the parent form BenchmarkCGIterDeflated
+// times.
+func (p *projector) projectRestricted(b grid.Bounds3D, w, m, x []float64) float64 {
+	p.foldRows()
+	p.solve(p.c.AllReduceSumN(p.cr))
+	return p.correct(b, w, m, x)
+}

@@ -41,3 +41,21 @@ func (w Rows) N() int { return w.X1 - w.X0 }
 
 // Off returns the flat index of the first cell (column X0) of row (j, k).
 func (w Rows) Off(j, k int) int { return w.org + k*w.sk + j*w.sj + w.X0 }
+
+// RowFunc2D adapts a 2D per-row callback, which takes the row's y, to the
+// walker's (j, k) form (k is y, j always 0). nil stays nil.
+func RowFunc2D(f func(y int)) func(j, k int) {
+	if f == nil {
+		return nil
+	}
+	return func(_, k int) { f(k) }
+}
+
+// RowSliceFunc2D is RowFunc2D for a callback that returns a row of
+// values.
+func RowSliceFunc2D(f func(y int) []float64) func(j, k int) []float64 {
+	if f == nil {
+		return nil
+	}
+	return func(_, k int) []float64 { return f(k) }
+}

@@ -29,17 +29,35 @@ import (
 // form; the merged sweep just stops p and s being written to memory by
 // one pass and streamed back by the next.
 func FusedCGStep(pl *par.Pool, b grid.Bounds, minv, r, w *grid.Field2D, beta, alpha float64, p, s, x *grid.Field2D) (gamma, rr float64) {
-	return fusedCGStep(pl, r.Grid.Rows(b), minv.DataOrNil(), r.Data, w.Data, beta, alpha, p.Data, s.Data, x.DataOrNil())
+	return FusedCGStepRows(pl, b, minv, r, w, beta, alpha, p, s, x, nil)
+}
+
+// FusedCGStepRows is FusedCGStep calling pre(y), when non-nil, once for
+// each row y of b just before the step reads it, from the worker that
+// steps the row. A non-nil row pre returns is λ for the row's cells of b,
+// which the step takes off w in registers: s = (w − λ) + β·s (CGStepSRL).
+// The deflation projector applies its pending correction that way — the
+// face terms to w's row in the hook, the row of λ in the step — so the
+// correction costs no pass over w of its own.
+func FusedCGStepRows(pl *par.Pool, b grid.Bounds, minv, r, w *grid.Field2D, beta, alpha float64, p, s, x *grid.Field2D, pre func(y int) []float64) (gamma, rr float64) {
+	return fusedCGStep(pl, r.Grid.Rows(b), minv.DataOrNil(), r.Data, w.Data, beta, alpha, p.Data, s.Data, x.DataOrNil(), grid.RowSliceFunc2D(pre))
 }
 
 // FusedCGStep3D is FusedCGStep over a 3D box.
 func FusedCGStep3D(pl *par.Pool, b grid.Bounds3D, minv, r, w *grid.Field3D, beta, alpha float64, p, s, x *grid.Field3D) (gamma, rr float64) {
-	return fusedCGStep(pl, r.Grid.Rows(b), minv.DataOrNil(), r.Data, w.Data, beta, alpha, p.Data, s.Data, x.DataOrNil())
+	return FusedCGStepRows3D(pl, b, minv, r, w, beta, alpha, p, s, x, nil)
 }
 
-// fusedCGStep runs the two row bursts per row of each band, then folds
-// the band's (γ, rr) lanes into acc.
-func fusedCGStep(pl *par.Pool, b grid.Rows, md, rd, wd []float64, beta, alpha float64, pd, sd, xd []float64) (gamma, rr float64) {
+// FusedCGStepRows3D is FusedCGStepRows over a 3D box, pre called with
+// each row (j, k).
+func FusedCGStepRows3D(pl *par.Pool, b grid.Bounds3D, minv, r, w *grid.Field3D, beta, alpha float64, p, s, x *grid.Field3D, pre func(j, k int) []float64) (gamma, rr float64) {
+	return fusedCGStep(pl, r.Grid.Rows(b), minv.DataOrNil(), r.Data, w.Data, beta, alpha, p.Data, s.Data, x.DataOrNil(), pre)
+}
+
+// fusedCGStep runs the two row bursts per row of each band, each row
+// after its pre callback and with the λ row it returns, then folds the
+// band's (γ, rr) lanes into acc.
+func fusedCGStep(pl *par.Pool, b grid.Rows, md, rd, wd []float64, beta, alpha float64, pd, sd, xd []float64, pre func(j, k int) []float64) (gamma, rr float64) {
 	if b.Empty() {
 		return 0, 0
 	}
@@ -48,6 +66,10 @@ func fusedCGStep(pl *par.Pool, b grid.Rows, md, rd, wd []float64, beta, alpha fl
 		var l CGStepLanes
 		for k := k0; k < k1; k++ {
 			for j := b.J0; j < b.J1; j++ {
+				var ls []float64
+				if pre != nil {
+					ls = pre(j, k)
+				}
 				o := b.Off(j, k)
 				var ms, xs []float64
 				if md != nil {
@@ -58,7 +80,7 @@ func fusedCGStep(pl *par.Pool, b grid.Rows, md, rd, wd []float64, beta, alpha fl
 				}
 				rs := row(rd, o, n)
 				CGStepPX(ms, rs, row(pd, o, n), xs, beta, alpha)
-				l.CGStepSR(ms, rs, row(wd, o, n), row(sd, o, n), beta, alpha)
+				l.CGStepSRL(ms, rs, row(wd, o, n), ls, row(sd, o, n), beta, alpha)
 			}
 		}
 		l.Fold(md == nil, acc)
@@ -154,11 +176,78 @@ type CGStepLanes struct{ g0, g1, rr0, rr1 float64 }
 // accumulates). Runs as AVX2 assembly computing the same bits when
 // simd.AVX2 is set.
 func (l *CGStepLanes) CGStepSR(ms, rs, ws, ss []float64, beta, alpha float64) {
+	l.CGStepSRL(ms, rs, ws, nil, ss, beta, alpha)
+}
+
+// CGStepSRL is CGStepSR with a row ls of values taken off w in registers
+// before the s recurrence: s = (w − λ) + β·s, w itself left as it is.
+// The deflated CG step applies the λ_c of its pending correction this
+// way, after the correction's face terms are in w, so every s holds the
+// bits of the step on the corrected w. nil ls is CGStepSR.
+func (l *CGStepLanes) CGStepSRL(ms, rs, ws, ls, ss []float64, beta, alpha float64) {
 	if simd.AVX2 {
-		cgStepSRAVX2(ms, rs, ws, ss, beta, alpha, l)
+		cgStepSRAVX2(ms, rs, ws, ls, ss, beta, alpha, l)
+		return
+	}
+	if ls != nil {
+		l.cgStepSRLGo(ms, rs, ws, ls, ss, beta, alpha)
 		return
 	}
 	l.cgStepSRGo(ms, rs, ws, ss, beta, alpha)
+}
+
+// cgStepSRLGo is cgStepSRGo with the row ls taken off w.
+func (l *CGStepLanes) cgStepSRLGo(ms, rs, ws, ls, ss []float64, beta, alpha float64) {
+	n := len(rs)
+	ws, ls, ss = ws[:n], ls[:n], ss[:n]
+	g0, g1, rr0, rr1 := l.g0, l.g1, l.rr0, l.rr1
+	j := 0
+	if ms == nil {
+		for ; j+1 < n; j += 2 {
+			s0 := (ws[j] - ls[j]) + beta*ss[j]
+			ss[j] = s0
+			v0 := rs[j] - alpha*s0
+			rs[j] = v0
+			rr0 += v0 * v0
+			s1 := (ws[j+1] - ls[j+1]) + beta*ss[j+1]
+			ss[j+1] = s1
+			v1 := rs[j+1] - alpha*s1
+			rs[j+1] = v1
+			rr1 += v1 * v1
+		}
+		for ; j < n; j++ {
+			s0 := (ws[j] - ls[j]) + beta*ss[j]
+			ss[j] = s0
+			v := rs[j] - alpha*s0
+			rs[j] = v
+			rr0 += v * v
+		}
+	} else {
+		ms = ms[:n]
+		for ; j+1 < n; j += 2 {
+			s0 := (ws[j] - ls[j]) + beta*ss[j]
+			ss[j] = s0
+			v0 := rs[j] - alpha*s0
+			rs[j] = v0
+			g0 += ms[j] * v0 * v0
+			rr0 += v0 * v0
+			s1 := (ws[j+1] - ls[j+1]) + beta*ss[j+1]
+			ss[j+1] = s1
+			v1 := rs[j+1] - alpha*s1
+			rs[j+1] = v1
+			g1 += ms[j+1] * v1 * v1
+			rr1 += v1 * v1
+		}
+		for ; j < n; j++ {
+			s0 := (ws[j] - ls[j]) + beta*ss[j]
+			ss[j] = s0
+			v := rs[j] - alpha*s0
+			rs[j] = v
+			g0 += ms[j] * v * v
+			rr0 += v * v
+		}
+	}
+	l.g0, l.g1, l.rr0, l.rr1 = g0, g1, rr0, rr1
 }
 
 func (l *CGStepLanes) cgStepSRGo(ms, rs, ws, ss []float64, beta, alpha float64) {

@@ -156,15 +156,27 @@ func axpy(p *par.Pool, b grid.Rows, alpha float64, xd, yd []float64) {
 // Xpay computes y = x + beta*y over b (the CG direction update
 // p = z + βp).
 func Xpay(p *par.Pool, b grid.Bounds, x *grid.Field2D, beta float64, y *grid.Field2D) {
-	xpay(p, x.Grid.Rows(b), x.Data, beta, y.Data)
+	xpay(p, x.Grid.Rows(b), x.Data, beta, y.Data, nil)
+}
+
+// XpayRows is Xpay calling pre(y), when non-nil, once for each row y of
+// b just before the row is read, from the worker that updates it (the
+// deflation projector applies its pending correction to x's row there).
+func XpayRows(p *par.Pool, b grid.Bounds, x *grid.Field2D, beta float64, y *grid.Field2D, pre func(y int)) {
+	xpay(p, x.Grid.Rows(b), x.Data, beta, y.Data, grid.RowFunc2D(pre))
 }
 
 // Xpay3D computes y = x + beta*y over b.
 func Xpay3D(p *par.Pool, b grid.Bounds3D, x *grid.Field3D, beta float64, y *grid.Field3D) {
-	xpay(p, x.Grid.Rows(b), x.Data, beta, y.Data)
+	xpay(p, x.Grid.Rows(b), x.Data, beta, y.Data, nil)
 }
 
-func xpay(p *par.Pool, b grid.Rows, xd []float64, beta float64, yd []float64) {
+// XpayRows3D is XpayRows over a 3D box, pre called with each row (j, k).
+func XpayRows3D(p *par.Pool, b grid.Bounds3D, x *grid.Field3D, beta float64, y *grid.Field3D, pre func(j, k int)) {
+	xpay(p, x.Grid.Rows(b), x.Data, beta, y.Data, pre)
+}
+
+func xpay(p *par.Pool, b grid.Rows, xd []float64, beta float64, yd []float64, pre func(j, k int)) {
 	if b.Empty() {
 		return
 	}
@@ -172,6 +184,9 @@ func xpay(p *par.Pool, b grid.Rows, xd []float64, beta float64, yd []float64) {
 	p.For(b.K0, b.K1, func(k0, k1 int) {
 		for k := k0; k < k1; k++ {
 			for j := b.J0; j < b.J1; j++ {
+				if pre != nil {
+					pre(j, k)
+				}
 				o := b.Off(j, k)
 				xs, ys := row(xd, o, n), row(yd, o, n)
 				i := 0

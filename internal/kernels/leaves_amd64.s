@@ -101,25 +101,47 @@ precheck1:
 #define SR2 SR(VMOVUPD, VADDPD, VSUBPD, VMULPD, X13, X14, X0, X1)
 #define SR1 SR(VMOVSD, VADDSD, VSUBSD, VMULSD, X13, X14, X0, X1)
 
-// func cgStepSRAVX2(ms, rs, ws, ss []float64, beta, alpha float64, l *CGStepLanes)
+// SRL is SR with the row of λ at R10 taken off w first, in T:
+// S = (w − λ) + β·s, as cgStepSRLGo spells it (the add commutes).
+#define SRL(LD, ADD, SUB, MUL, BETA, ALPHA, S, V, T) \
+	LD  (DI)(AX*8), T;     \
+	SUB (R10)(AX*8), T, T; \
+	LD  (R9)(AX*8), S;     \
+	MUL S, BETA, S;        \
+	ADD T, S, S;           \
+	LD  S, (R9)(AX*8);     \
+	MUL S, ALPHA, S;       \
+	LD  (SI)(AX*8), V;     \
+	SUB S, V, V;           \
+	LD  V, (SI)(AX*8)
+
+#define SRL4 SRL(VMOVUPD, VADDPD, VSUBPD, VMULPD, Y13, Y14, Y0, Y1, Y4)
+#define SRL2 SRL(VMOVUPD, VADDPD, VSUBPD, VMULPD, X13, X14, X0, X1, X4)
+#define SRL1 SRL(VMOVSD, VADDSD, VSUBSD, VMULSD, X13, X14, X0, X1, X4)
+
+// func cgStepSRAVX2(ms, rs, ws, ls, ss []float64, beta, alpha float64, l *CGStepLanes)
 //
-// Lanes (g0, g1) live in X10 and (rr0, rr1) in X11.
-TEXT ·cgStepSRAVX2(SB), NOSPLIT, $0-120
+// Lanes (g0, g1) live in X10 and (rr0, rr1) in X11. A nil ls runs the SR
+// loops, a non-nil one the SRL loops, which are the same code with SRL.
+TEXT ·cgStepSRAVX2(SB), NOSPLIT, $0-144
 	MOVQ         ms_base+0(FP), R8
 	MOVQ         rs_base+24(FP), SI
 	MOVQ         rs_len+32(FP), CX
 	MOVQ         ws_base+48(FP), DI
-	MOVQ         ss_base+72(FP), R9
-	VMOVSD       beta+96(FP), X13
+	MOVQ         ls_base+72(FP), R10
+	MOVQ         ss_base+96(FP), R9
+	VMOVSD       beta+120(FP), X13
 	VBROADCASTSD X13, Y13
-	VMOVSD       alpha+104(FP), X14
+	VMOVSD       alpha+128(FP), X14
 	VBROADCASTSD X14, Y14
-	MOVQ         l+112(FP), DX
+	MOVQ         l+136(FP), DX
 	VMOVUPD      (DX), X10
 	VMOVUPD      16(DX), X11
 	XORQ         AX, AX
 	MOVQ         CX, BX
 	ANDQ         $-4, BX
+	TESTQ        R10, R10
+	JNZ          lambda
 	TESTQ        R8, R8
 	JNZ          precheck4
 	JMP          idcheck4
@@ -182,6 +204,76 @@ precheck1:
 	CMPQ AX, CX
 	JGE  done
 	SR1
+	VMULSD (R8)(AX*8), X1, X3
+	VMULSD X1, X3, X3
+	VADDSD X3, X10, X10
+	VMULSD X1, X1, X2
+	VADDSD X2, X11, X11
+	JMP    done
+
+lambda:
+	TESTQ R8, R8
+	JNZ   lprecheck4
+	JMP   lidcheck4
+
+lidloop4:
+	SRL4
+	VMULPD       Y1, Y1, Y2
+	VADDPD       X2, X11, X11
+	VEXTRACTF128 $1, Y2, X2
+	VADDPD       X2, X11, X11
+	ADDQ         $4, AX
+
+lidcheck4:
+	CMPQ AX, BX
+	JLT  lidloop4
+	LEAQ 2(AX), BX
+	CMPQ BX, CX
+	JGT  lidcheck1
+	SRL2
+	VMULPD X1, X1, X2
+	VADDPD X2, X11, X11
+	MOVQ   BX, AX
+
+lidcheck1:
+	CMPQ AX, CX
+	JGE  done
+	SRL1
+	VMULSD X1, X1, X2
+	VADDSD X2, X11, X11
+	JMP    done
+
+lpreloop4:
+	SRL4
+	VMULPD       (R8)(AX*8), Y1, Y3
+	VMULPD       Y1, Y3, Y3
+	VADDPD       X3, X10, X10
+	VEXTRACTF128 $1, Y3, X3
+	VADDPD       X3, X10, X10
+	VMULPD       Y1, Y1, Y2
+	VADDPD       X2, X11, X11
+	VEXTRACTF128 $1, Y2, X2
+	VADDPD       X2, X11, X11
+	ADDQ         $4, AX
+
+lprecheck4:
+	CMPQ AX, BX
+	JLT  lpreloop4
+	LEAQ 2(AX), BX
+	CMPQ BX, CX
+	JGT  lprecheck1
+	SRL2
+	VMULPD (R8)(AX*8), X1, X3
+	VMULPD X1, X3, X3
+	VADDPD X3, X10, X10
+	VMULPD X1, X1, X2
+	VADDPD X2, X11, X11
+	MOVQ   BX, AX
+
+lprecheck1:
+	CMPQ AX, CX
+	JGE  done
+	SRL1
 	VMULSD (R8)(AX*8), X1, X3
 	VMULSD X1, X3, X3
 	VADDSD X3, X10, X10

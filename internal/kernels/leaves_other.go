@@ -9,6 +9,6 @@ func cgStepPXAVX2(ms, rs, ps, xs []float64, beta, alpha float64) {
 	panic("kernels: AVX2 leaf called off amd64")
 }
 
-func cgStepSRAVX2(ms, rs, ws, ss []float64, beta, alpha float64, l *CGStepLanes) {
+func cgStepSRAVX2(ms, rs, ws, ls, ss []float64, beta, alpha float64, l *CGStepLanes) {
 	panic("kernels: AVX2 leaf called off amd64")
 }

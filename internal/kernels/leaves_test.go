@@ -8,8 +8,9 @@ import (
 	st "tealeaf/internal/simd/simdtest"
 )
 
-// The AVX2 bursts must write exactly the bits the Go bursts write: every
-// output cell and every dot lane, for row lengths 0–67 (every remainder
+// The AVX2 bursts must write exactly the bits the Go bursts write — burst
+// 2 with and without a row of λ taken off w — for every output cell and
+// every dot lane, for row lengths 0–67 (every remainder
 // path after zero to sixteen full groups), every start offset modulo 32
 // bytes, carried-in lanes that are not zero, and inputs holding −0,
 // subnormals, ±Inf and NaN (any NaN matches any NaN — see package
@@ -38,17 +39,25 @@ func TestCGStepBurstsMatchGoBitwise(t *testing.T) {
 					st.SameRows(t, label+" cgStepPX p", pAsm, pGo)
 					st.SameRows(t, label+" cgStepPX x", xAsm, xGo)
 
-					w, s := g.Row(n, off+1), g.Row(n, off+2)
-					sGo, sAsm := st.Clone(s, off+2), st.Clone(s, off+2)
-					lGo := CGStepLanes{g.Value(), g.Value(), g.Value(), g.Value()}
-					lAsm := lGo
-					lGo.cgStepSRGo(ms, rGo, w, sGo, beta, alpha)
-					cgStepSRAVX2(ms, rAsm, w, sAsm, beta, alpha, &lAsm)
-					st.SameRows(t, label+" cgStepSR s", sAsm, sGo)
-					st.SameRows(t, label+" cgStepSR r", rAsm, rGo)
-					st.SameRows(t, label+" cgStepSR lanes",
-						[]float64{lAsm.g0, lAsm.g1, lAsm.rr0, lAsm.rr1},
-						[]float64{lGo.g0, lGo.g1, lGo.rr0, lGo.rr1})
+					w, s, lam := g.Row(n, off+1), g.Row(n, off+2), g.Row(n, off+3)
+					for _, ls := range [][]float64{nil, lam} {
+						label := fmt.Sprintf("%s λ=%v", label, ls != nil)
+						sGo, sAsm := st.Clone(s, off+2), st.Clone(s, off+2)
+						rGo, rAsm := st.Clone(rGo, off), st.Clone(rAsm, off)
+						lGo := CGStepLanes{g.Value(), g.Value(), g.Value(), g.Value()}
+						lAsm := lGo
+						if ls == nil {
+							lGo.cgStepSRGo(ms, rGo, w, sGo, beta, alpha)
+						} else {
+							lGo.cgStepSRLGo(ms, rGo, w, ls, sGo, beta, alpha)
+						}
+						cgStepSRAVX2(ms, rAsm, w, ls, sAsm, beta, alpha, &lAsm)
+						st.SameRows(t, label+" cgStepSR s", sAsm, sGo)
+						st.SameRows(t, label+" cgStepSR r", rAsm, rGo)
+						st.SameRows(t, label+" cgStepSR lanes",
+							[]float64{lAsm.g0, lAsm.g1, lAsm.rr0, lAsm.rr1},
+							[]float64{lGo.g0, lGo.g1, lGo.rr0, lGo.rr1})
+					}
 				}
 			}
 		}
@@ -70,7 +79,10 @@ func BenchmarkCGStepBursts(b *testing.B) {
 				func() { cgStepPXAVX2(ms, r, p, x, 0.5, 1e-9) })
 			st.BenchPair(b, "cgStepSR/"+pre, n,
 				func() { l.cgStepSRGo(ms, r, w, s, 0.5, 1e-9) },
-				func() { cgStepSRAVX2(ms, r, w, s, 0.5, 1e-9, &l) })
+				func() { cgStepSRAVX2(ms, r, w, nil, s, 0.5, 1e-9, &l) })
+			st.BenchPair(b, "cgStepSRL/"+pre, n,
+				func() { l.cgStepSRLGo(ms, r, w, m, s, 0.5, 1e-9) },
+				func() { cgStepSRAVX2(ms, r, w, m, s, 0.5, 1e-9, &l) })
 		}
 	}
 }

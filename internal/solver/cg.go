@@ -17,7 +17,9 @@ import "tealeaf/internal/grid"
 // operates on the projected operator P·A with the coarse subdomain modes
 // removed from the spectrum, and coarse corrections before and after the
 // loop recover them exactly (see internal/deflate). The projection is
-// fully distributed and costs one extra reduction round per iteration.
+// fully distributed and rides the iteration's one pass and one reduction
+// round: the restriction inside the matvec, the coarse residual inside
+// the scalar round, the correction inside the next step.
 //
 // The iteration body itself lives in loops.go (runCGCore) and is shared
 // verbatim with SolveCG3D.

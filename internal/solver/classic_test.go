@@ -183,7 +183,7 @@ func runCGClassicCore[F comparable, B any](e *engine[F, B], maxIters int, tol fl
 		}
 		result.Betas = append(result.Betas, beta)
 
-		sys.Xpay(in, z, beta, pvec)
+		sys.Xpay(in, z, beta, pvec, deflRows{})
 		e.vectorPass(in)
 	}
 	rel, err := finish(rr)

@@ -231,12 +231,14 @@ func TestDeflatedPPCGOnStiffProblem(t *testing.T) {
 	t.Logf("stiff %dx%d PPCG outer iterations: plain %d, deflated %d", n, n, plainRes.Iterations, res.Iterations)
 }
 
-// The projection's communication price, pinned by trace: a deflated CG
-// iteration performs exactly ONE more reduction round than its plain
-// counterpart — the coarse-residual allreduce — folded or with an
-// explicit z (jac_block) alike (1 → 2 rounds). Measured as the slope of
-// rounds over iterations so startup rounds cancel.
-func TestDeflationTraceExtraReductionRound(t *testing.T) {
+// The projection's communication price, pinned by trace: none. A
+// deflated CG iteration performs exactly the one reduction round of its
+// plain counterpart — the coarse residual Wᵀ·w travels in the scalar
+// round, and every rank solves for λ from the same sums — folded or with
+// an explicit z (jac_block) alike (1 round each; the projector's own
+// round made it 2 before). Measured as the slope of rounds over
+// iterations so startup rounds cancel.
+func TestDeflationTraceNoExtraReductionRound(t *testing.T) {
 	const n = 32
 	rounds := func(name string, deflated bool, iters int) (reductions, itersRan int) {
 		t.Helper()
@@ -271,23 +273,22 @@ func TestDeflationTraceExtraReductionRound(t *testing.T) {
 		}
 		plain := slope(false)
 		defl := slope(true)
-		if plain != 1 || defl != 2 {
-			t.Errorf("precond=%s: deflated CG performs %d reduction rounds/iteration, plain %d — want 2 and 1",
+		if plain != 1 || defl != 1 {
+			t.Errorf("precond=%s: deflated CG performs %d reduction rounds/iteration, plain %d — want 1 and 1",
 				name, defl, plain)
 		}
 	}
 }
 
 // The deflated iteration's sweep profile, pinned by trace slope (counts
-// per iteration, startup cancelled): a projection is a restriction sweep
-// (traced as a dot pass), one coarse reduction round and one flux
-// correction sweep (a vector pass); the re-measured curvature rides the
-// correction, so no engine pays a separate dot or preconditioner sweep
-// for it. Folded: the matvec and the merged step (one pass, counted as
-// the work of both), whose pass also takes the restriction's row sums,
-// + 1 correction sweep, 2 rounds. Explicit z (jac_block): 3 vector
-// sweeps, the block solve, the matvec, the γ/‖r‖² dot + the 2 projector
-// sweeps, 2 rounds.
+// per iteration, startup cancelled): the projection is no sweep of its
+// own and no round of its own. The restriction's row sums ride the
+// matvec, Wᵀ·w rides the scalar round, the curvature comes from the
+// coarse solve (δ − bᵀλ), and the flux correction rides the next sweep
+// that reads w. Folded: the matvec and the merged step (one pass,
+// counted as the work of both), 1 round — the plain iteration's profile.
+// Explicit z (jac_block): 3 vector sweeps (the correction inside the
+// s = w + β·s one), the block solve, the matvec, the γ/‖r‖² dot, 1 round.
 func TestDeflatedTraceSweepCounts(t *testing.T) {
 	type profile struct{ matvecs, vectorPasses, dots, preconds, reductions int }
 	run := func(name string, iters int) (stats.Trace, int) {
@@ -310,9 +311,9 @@ func TestDeflatedTraceSweepCounts(t *testing.T) {
 		name string
 		want profile
 	}{
-		{"none", profile{1, 2, 0, 0, 2}},
-		{"jac_diag", profile{1, 2, 0, 0, 2}},
-		{"jac_block", profile{1, 4, 2, 1, 2}},
+		{"none", profile{1, 1, 0, 0, 1}},
+		{"jac_diag", profile{1, 1, 0, 0, 1}},
+		{"jac_block", profile{1, 3, 1, 1, 1}},
 	} {
 		t1, i1 := run(tc.name, 10)
 		t2, i2 := run(tc.name, 20)

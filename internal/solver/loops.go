@@ -14,7 +14,10 @@ import (
 // are no per-dimension copies of the CG, Chebyshev or PPCG loops.
 
 // cgState is the live state runCGCore leaves behind so Chebyshev/PPCG can
-// continue from the bootstrap phase without recomputing the residual.
+// continue from the bootstrap phase without recomputing the residual. On
+// a deflated solve w is left uncorrected — the raw A·z of the last
+// matvec, its projection never applied — which is safe because both
+// continuations use w only as scratch that they overwrite first.
 type cgState[F comparable] struct {
 	r, z, w, pvec F
 	rz, rr, rr0   float64
@@ -120,15 +123,25 @@ func (e *engine[F, B]) finishDeflated(defl deflator[F, B], r F, rr0 float64) (fl
 // barred from deep halos (Options.HaloDepth).
 //
 // With a deflator configured the same recurrences run on the projected
-// operator P·A: the matvec is followed by the (collective) projection,
-// the curvature δ is re-measured against the projected w, and coarse
-// corrections before and after the loop recover the deflated component
-// exactly. Each iteration then pays two reduction rounds — the
-// projector's coarse round plus the scalar round — versus the plain
-// loop's one. On the one-pass paths the projector's restriction rides the
-// pass too: each finished row of w goes to its row sums while in cache,
-// and the projection keeps only the fold, the coarse solve and the
-// correction pass.
+// operator P·A = (I − A·W·E⁻¹·Wᵀ)·A, with coarse corrections before and
+// after the loop recovering the deflated component exactly — still one
+// pass and one reduction round per iteration. The matvec produces the raw
+// w = A·z and δ = z·w and hands each finished row of w to the
+// projector's restriction, so b = Wᵀ·w rides the pass; b travels in the
+// scalar round with γ', rr and δ (reduceCG). Every rank then solves
+// E·λ = b from the same sums and takes the projected curvature from the
+// coarse solve: the face-flux A is exactly symmetric, so
+// z·(A·W·λ) = (Wᵀ·A·z)·λ = bᵀλ and z·(P·w) = δ − bᵀλ, no sweep needed.
+// The correction w −= A·W·λ is left pending and applied row by row by
+// the next sweep that reads w, just before it does: in the step, the
+// block-face terms go into w's row and λ_c is taken off w in the step's
+// own arithmetic (s = (w − λ_c) + β·s); jac_block's s = w + β·s sweep
+// applies the whole correction to the row first. Per cell that is the
+// old correction sweep's arithmetic, so only δ's rounding differs from
+// projecting w after the pass. One exception: the first step of a deep
+// cycle reads w on ext(d), whose outermost ring's far faces lie beyond
+// the padded grid, so there the correction is a sweep over the interior
+// before the cycle's exchange.
 //
 // With Options.HaloDepth d > 1 the loop runs a matrix-powers cycle
 // (§IV-C2), previously exclusive to the PPCG inner solve: one depth-d
@@ -145,8 +158,8 @@ func (e *engine[F, B]) finishDeflated(defl deflator[F, B], r F, rr0 float64) (fl
 // are unchanged from depth 1 — the cycle trades ~2·d·halo cells of
 // redundant compute for d× fewer messages, the same latency-for-bandwidth
 // trade the PPCG inner powers schedule makes. Deflated solves join the
-// cycle: the correction pass maintains w = P·A·z on the extended bounds,
-// with the re-measured curvature δ folded out of it.
+// cycle: each step applies the pending correction on its own extended
+// bounds, where the rings replicate the neighbour's arithmetic bitwise.
 func runCGCore[F comparable, B any](e *engine[F, B], maxIters int, tol float64) (Result, *cgState[F], error) {
 	sys := e.sys
 	in := e.in
@@ -162,14 +175,12 @@ func runCGCore[F comparable, B any](e *engine[F, B], maxIters int, tol float64) 
 	// z = M⁻¹r. For the identity it aliases r; a folded diagonal never
 	// materialises it (the Chebyshev continuation allocates its own
 	// scratch on demand); an unfoldable preconditioner writes it every
-	// iteration. The curvature δ = z·w is measured against (pm⊙px): the
-	// folded minv⊙r, or the explicit z.
-	var zero F
-	z, pm, px := r, minv, r
+	// iteration.
+	z := r
 	if !folded {
 		z = sys.NewVec()
-		pm, px = zero, z
 	} else if !isZeroF(minv) {
+		var zero F
 		z = zero
 	}
 	base := 0.0 // stop-test baseline, widened from rr0 once it is known
@@ -208,25 +219,24 @@ func runCGCore[F comparable, B any](e *engine[F, B], maxIters int, tol float64) 
 		sys.Residual(in, e.u, e.rhs, r)
 		e.tr.AddMatvec(e.cells)
 	}
+	// With a deflator every matvec hands w's rows to the restriction and
+	// every sweep that next reads w corrects its rows first (deflRows).
+	dr := deflRows{correct: defl != nil, restrict: defl != nil}
 	var gamma, delta, rr0 float64
 	if folded {
 		if err := e.exchange(1, r); err != nil {
 			return result, nil, err
 		}
-		gamma, delta, rr0 = sys.ApplyPreDotInit(in, minv, r, w)
+		gamma, delta, rr0 = sys.ApplyPreDotInit(in, minv, r, w, dr)
 		e.tr.AddMatvec(e.cells)
 	} else {
 		var err error
-		if gamma, rr0, delta, err = e.precondMatvec(r, z, w); err != nil {
+		if gamma, rr0, delta, err = e.precondMatvec(r, z, w, dr); err != nil {
 			return result, nil, err
 		}
 	}
-	if defl != nil {
-		// w = P·A·M⁻¹r; δ must see the projected w.
-		delta = e.projectW(defl, in, w, pm, px)
-	}
-	sums := e.reduceN([]float64{gamma, delta, rr0})
-	gamma, delta, rr0 = sums[0], sums[1], sums[2]
+	// Deflated, δ comes back projected: z·(P·w) (reduceCG).
+	gamma, rr0, delta = e.reduceCG(defl, gamma, rr0, delta)
 	if res, err := cgNonFinite(result, scalar{"‖r‖²", rr0}, scalar{"γ", gamma}, scalar{"δ", delta}); err != nil {
 		return res, nil, err
 	}
@@ -258,23 +268,32 @@ func runCGCore[F comparable, B any](e *engine[F, B], maxIters int, tol float64) 
 	rr := rr0
 	for it := 0; it < maxIters; it++ {
 		var gammaNew, rrNew, deltaNew float64
-		mb := in // matvec bounds: extended on the deep path
-		restricted := false
 		switch {
 		case !folded:
-			sys.Xpay(in, z, beta, pvec)
-			sys.Xpay(in, w, beta, svec)
+			sys.Xpay(in, z, beta, pvec, deflRows{})
+			sys.Xpay(in, w, beta, svec, dr)
 			sys.AxpyAxpy(in, alpha, pvec, e.u, -alpha, svec, r)
 			e.vectorPass(in)
 			e.vectorPass(in)
 			e.vectorPass(in)
 			var err error
-			if gammaNew, rrNew, deltaNew, err = e.precondMatvec(r, z, w); err != nil {
+			if gammaNew, rrNew, deltaNew, err = e.precondMatvec(r, z, w, dr); err != nil {
 				return result, nil, err
 			}
 		case depth > 1:
 			j := it % depth
+			d := dr
 			if j == 0 {
+				if defl != nil {
+					// The cycle's first step reads w on ext(depth), and
+					// correcting its outermost ring would need face
+					// coefficients beyond the padded grid; so the pending
+					// correction is a sweep of its own over the interior,
+					// before the exchange ships the corrected w.
+					sys.Correct(in, w)
+					e.vectorPass(in)
+					d.correct = false
+				}
 				// Cycle top: one deep exchange of what the cycle's ring
 				// steps and matvecs read replaces depth per-iteration
 				// exchanges of r.
@@ -282,26 +301,19 @@ func runCGCore[F comparable, B any](e *engine[F, B], maxIters int, tol float64) 
 					return result, nil, err
 				}
 			}
-			mb = sys.Extend(depth - 1 - j)
-			gammaNew, rrNew, deltaNew, restricted = e.cgIter(sys.Extend(depth-j), mb, false, minv, r, w, beta, alpha, pvec, svec)
+			gammaNew, rrNew, deltaNew = e.cgIter(sys.Extend(depth-j), sys.Extend(depth-1-j), false, minv, r, w, beta, alpha, pvec, svec, d)
 		case alone:
-			gammaNew, rrNew, deltaNew, restricted = e.cgIter(in, in, true, minv, r, w, beta, alpha, pvec, svec)
+			gammaNew, rrNew, deltaNew = e.cgIter(in, in, true, minv, r, w, beta, alpha, pvec, svec, dr)
 		default:
-			gammaNew, rrNew = sys.FusedCGStep(in, minv, r, w, beta, alpha, pvec, svec, e.u)
+			gammaNew, rrNew = sys.FusedCGStep(in, minv, r, w, beta, alpha, pvec, svec, e.u, dr)
 			e.vectorPass(in)
 			if err := e.exchange(1, r); err != nil {
 				return result, nil, err
 			}
-			deltaNew = sys.ApplyPreDot(in, minv, r, w)
+			deltaNew = sys.ApplyPreDot(in, minv, r, w, dr)
 			e.tr.AddMatvec(e.cells)
 		}
-		if restricted {
-			deltaNew = e.projectWRestricted(defl, mb, w, minv, r)
-		} else if defl != nil {
-			deltaNew = e.projectW(defl, mb, w, pm, px)
-		}
-		s := e.reduceN([]float64{gammaNew, rrNew, deltaNew})
-		gammaNew, rrNew, deltaNew = s[0], s[1], s[2]
+		gammaNew, rrNew, deltaNew = e.reduceCG(defl, gammaNew, rrNew, deltaNew)
 		if res, err := cgNonFinite(result, scalar{"‖r‖²", rrNew}, scalar{"γ", gammaNew}, scalar{"δ", deltaNew}); err != nil {
 			return res, nil, err
 		}
@@ -739,7 +751,7 @@ func solvePPCGCore[F comparable, B any](e *engine[F, B]) (Result, error) {
 			}
 			return result, nil
 		}
-		sys.Xpay(in, z, beta, pvec)
+		sys.Xpay(in, z, beta, pvec, deflRows{})
 		e.vectorPass(in)
 	}
 	if defl != nil && rr0 > 0 {

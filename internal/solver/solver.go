@@ -59,25 +59,49 @@ func ParseKind(s string) (Kind, error) {
 // Deflator is the outer deflation projector Options.Deflation carries,
 // satisfied by *deflate.Deflation (the contract is defined here rather
 // than importing internal/deflate so any coarse-space projector can be
-// composed in): CoarseCorrect applies u += W·E⁻¹·Wᵀ·r, zeroing the
+// composed in). CoarseCorrect applies u += W·E⁻¹·Wᵀ·r, zeroing the
 // deflation-space component of the residual; ProjectWBounds applies
 // w ← P·w = w − A·W·E⁻¹·Wᵀ·w in place with the correction written over
 // b ⊇ interior and returns the rank-local interior dot (minv⊙x)·(P·w)
 // from the same pass (nil minv = identity, nil x = no dot). Both are
 // collective: in a distributed solve every rank must reach them together
-// (each projection performs exactly one reduction round through the
-// solve's communicator).
+// (each performs exactly one reduction round through the solve's
+// communicator).
+//
+// The CG engine projects without a round of the projector's own, in
+// three parts that ride its sweeps and its reduction: RestrictRow takes
+// row y of the interior of w into the restriction as the matvec finishes
+// it; Restriction returns the rank-local Wᵀ·w those rows make, which the
+// engine sums inside its one scalar round; SolveCoarse solves E·λ = b on
+// the summed b (replicated, no communication), returns bᵀλ and leaves
+// the correction w −= A·W·λ pending, which the next sweep to read w
+// applies to each row y of its bounds b ⊇ interior just before reading
+// it: whole (CorrectRow), or as the block-face terms (CorrectRowFaces)
+// with the returned λ_c taken off w in the sweep's own arithmetic.
+// RestrictRow, CorrectRow and CorrectRowFaces are called concurrently
+// for distinct rows.
 type Deflator interface {
 	CoarseCorrect(r, u *grid.Field2D)
 	ProjectWBounds(b grid.Bounds, w, minv, x *grid.Field2D) float64
+	RestrictRow(w *grid.Field2D, y int)
+	Restriction() []float64
+	SolveCoarse(b []float64) float64
+	CorrectRow(b grid.Bounds, w *grid.Field2D, y int)
+	CorrectRowFaces(b grid.Bounds, w *grid.Field2D, y int) []float64
 }
 
 // Deflator3D is the 3D outer deflation projector Options.Deflation3D
 // carries, satisfied by *deflate.Deflation3D — the Field3D twin of
-// Deflator, with the same collective contract.
+// Deflator, with the same contract; its per-row methods take the row
+// (j, k) = (y, z).
 type Deflator3D interface {
 	CoarseCorrect(r, u *grid.Field3D)
 	ProjectWBounds(b grid.Bounds3D, w, minv, x *grid.Field3D) float64
+	RestrictRow(w *grid.Field3D, j, k int)
+	Restriction() []float64
+	SolveCoarse(b []float64) float64
+	CorrectRow(b grid.Bounds3D, w *grid.Field3D, j, k int)
+	CorrectRowFaces(b grid.Bounds3D, w *grid.Field3D, j, k int) []float64
 }
 
 // Problem is one linear solve A·u = rhs on a rank-local grid. U holds the
@@ -116,8 +140,9 @@ type Options struct {
 	// modes projected out, and coarse corrections before/after the loop
 	// recover them exactly. Build one with deflate.New over the solve
 	// operator (*deflate.Deflation satisfies Deflator); the projector is
-	// fully distributed — restriction and prolongation are rank-local and
-	// each projection costs one extra reduction round per iteration.
+	// fully distributed — restriction and prolongation are rank-local,
+	// and CG's projection rides its one reduction round per iteration
+	// (PPCG's outer projection still takes a round of its own).
 	Deflation Deflator
 	// Deflation3D is the projector the 3D solve paths compose (built with
 	// deflate.New3D; *deflate.Deflation3D satisfies Deflator3D). Same

@@ -18,15 +18,11 @@ type sys2d struct {
 	op   *stencil.Operator2D
 	m    precond.Preconditioner
 	c    comm.Communicator
-	defl deflator[*grid.Field2D, grid.Bounds]
+	defl Deflator
 }
 
 func newSys2D(p Problem, o Options) *sys2d {
-	s := &sys2d{p: o.Pool, op: p.Op, m: o.Precond, c: o.Comm}
-	if o.Deflation != nil {
-		s.defl = o.Deflation
-	}
-	return s
+	return &sys2d{p: o.Pool, op: p.Op, m: o.Precond, c: o.Comm, defl: o.Deflation}
 }
 
 func (s *sys2d) NewVec() *grid.Field2D   { return grid.NewField2D(s.op.Grid) }
@@ -72,16 +68,16 @@ func (s *sys2d) Residual(b grid.Bounds, u, rhs, r *grid.Field2D) {
 
 func (s *sys2d) Apply(b grid.Bounds, p, w *grid.Field2D) { s.op.Apply(s.p, b, p, w) }
 
-func (s *sys2d) ApplyDot(b grid.Bounds, p, w *grid.Field2D) float64 {
-	return s.op.ApplyDot(s.p, b, p, w)
+func (s *sys2d) ApplyDot(b grid.Bounds, p, w *grid.Field2D, d deflRows) float64 {
+	return s.op.ApplyDotRows(s.p, b, p, w, s.restrict(d, w))
 }
 
-func (s *sys2d) ApplyPreDot(b grid.Bounds, minv, r, w *grid.Field2D) float64 {
-	return s.op.ApplyPreDot(s.p, b, minv, r, w)
+func (s *sys2d) ApplyPreDot(b grid.Bounds, minv, r, w *grid.Field2D, d deflRows) float64 {
+	return s.op.ApplyPreDotRows(s.p, b, minv, r, w, s.restrict(d, w))
 }
 
-func (s *sys2d) ApplyPreDotInit(b grid.Bounds, minv, r, w *grid.Field2D) (gamma, delta, rr float64) {
-	return s.op.ApplyPreDotInit(s.p, b, minv, r, w)
+func (s *sys2d) ApplyPreDotInit(b grid.Bounds, minv, r, w *grid.Field2D, d deflRows) (gamma, delta, rr float64) {
+	return s.op.ApplyPreDotInitRows(s.p, b, minv, r, w, s.restrict(d, w))
 }
 
 func (s *sys2d) Dot(b grid.Bounds, x, y *grid.Field2D) float64 {
@@ -96,8 +92,8 @@ func (s *sys2d) Axpy(b grid.Bounds, alpha float64, x, y *grid.Field2D) {
 	kernels.Axpy(s.p, b, alpha, x, y)
 }
 
-func (s *sys2d) Xpay(b grid.Bounds, x *grid.Field2D, beta float64, y *grid.Field2D) {
-	kernels.Xpay(s.p, b, x, beta, y)
+func (s *sys2d) Xpay(b grid.Bounds, x *grid.Field2D, beta float64, y *grid.Field2D, d deflRows) {
+	kernels.XpayRows(s.p, b, x, beta, y, s.correct(d, b, x))
 }
 
 func (s *sys2d) Copy(b grid.Bounds, dst, src *grid.Field2D) { kernels.Copy(s.p, b, dst, src) }
@@ -116,29 +112,43 @@ func (s *sys2d) AxpbyPre(b grid.Bounds, a float64, y *grid.Field2D, beta float64
 	kernels.AxpbyPre(s.p, b, a, y, beta, minv, r)
 }
 
-func (s *sys2d) FusedCGStep(b grid.Bounds, minv, r, w *grid.Field2D, beta, alpha float64, p, sv, x *grid.Field2D) (gamma, rr float64) {
-	return kernels.FusedCGStep(s.p, b, minv, r, w, beta, alpha, p, sv, x)
+func (s *sys2d) FusedCGStep(b grid.Bounds, minv, r, w *grid.Field2D, beta, alpha float64, p, sv, x *grid.Field2D, d deflRows) (gamma, rr float64) {
+	return kernels.FusedCGStepRows(s.p, b, minv, r, w, beta, alpha, p, sv, x, s.correctFaces(d, b, w))
 }
 
-// rowDeflator2D is a Deflator whose restriction can ride the fused CG
-// pass (*deflate.Deflation is one): it takes w's interior rows as the
-// pass finishes them and projects from those sums.
-type rowDeflator2D interface {
-	RestrictRow(w *grid.Field2D, k int)
-	ProjectWRestricted(b grid.Bounds, w, minv, x *grid.Field2D) float64
+// correct is the row callback that applies s.defl's pending correction
+// to w over b, when d asks for it (nil otherwise).
+func (s *sys2d) correct(d deflRows, b grid.Bounds, w *grid.Field2D) func(y int) {
+	if !d.correct {
+		return nil
+	}
+	return func(y int) { s.defl.CorrectRow(b, w, y) }
 }
 
-func (s *sys2d) CGIter(sb, mb grid.Bounds, mirror bool, minv, r, w *grid.Field2D, beta, alpha float64, p, sv, x *grid.Field2D) (gamma, rr, delta float64, restricted bool) {
+// correctFaces is correct for a step sweep: the callback applies the
+// face terms and returns the λ_c row the step takes off w itself.
+func (s *sys2d) correctFaces(d deflRows, b grid.Bounds, w *grid.Field2D) func(y int) []float64 {
+	if !d.correct {
+		return nil
+	}
+	return func(y int) []float64 { return s.defl.CorrectRowFaces(b, w, y) }
+}
+
+// restrict is the row callback that hands w's interior rows to s.defl's
+// restriction, when d asks for it (nil otherwise).
+func (s *sys2d) restrict(d deflRows, w *grid.Field2D) func(y int) {
+	if !d.restrict {
+		return nil
+	}
+	return func(y int) { s.defl.RestrictRow(w, y) }
+}
+
+func (s *sys2d) CGIter(sb, mb grid.Bounds, mirror bool, minv, r, w *grid.Field2D, beta, alpha float64, p, sv, x *grid.Field2D, d deflRows) (gamma, rr, delta float64) {
 	var phys stencil.PhysicalSides
 	if mirror {
 		phys = stencil.PhysicalSides(s.c.Physical())
 	}
-	var rows func(k int)
-	if rd, ok := s.defl.(rowDeflator2D); ok {
-		rows = func(k int) { rd.RestrictRow(w, k) }
-	}
-	gamma, rr, delta = s.op.CGIter(s.p, sb, mb, s.op.Grid.Interior(), phys, minv, r, w, beta, alpha, p, sv, x, rows)
-	return gamma, rr, delta, rows != nil
+	return s.op.CGIter(s.p, sb, mb, s.op.Grid.Interior(), phys, minv, r, w, beta, alpha, p, sv, x, s.correctFaces(d, sb, w), s.restrict(d, w))
 }
 
 func (s *sys2d) ChebySteps(bs []grid.Bounds, in grid.Bounds, alphas, betas []float64, sd, alt, rtemp, minv, acc *grid.Field2D) {
@@ -156,3 +166,11 @@ func (s *sys2d) PrecondIsIdentity() bool { return isNone(s.m) }
 func (s *sys2d) FoldableDiag() (*grid.Field2D, bool) { return precond.FoldableDiag(s.m) }
 
 func (s *sys2d) Deflation() deflator[*grid.Field2D, grid.Bounds] { return s.defl }
+
+func (s *sys2d) Correct(b grid.Bounds, w *grid.Field2D) {
+	s.p.For(b.Y0, b.Y1, func(y0, y1 int) {
+		for y := y0; y < y1; y++ {
+			s.defl.CorrectRow(b, w, y)
+		}
+	})
+}

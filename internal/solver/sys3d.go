@@ -19,15 +19,11 @@ type sys3d struct {
 	op   *stencil.Operator3D
 	m    precond.Preconditioner3D
 	c    comm.Communicator
-	defl deflator[*grid.Field3D, grid.Bounds3D]
+	defl Deflator3D
 }
 
 func newSys3D(p Problem3D, o Options) *sys3d {
-	s := &sys3d{p: o.Pool, op: p.Op, m: o.Precond3D, c: o.Comm}
-	if o.Deflation3D != nil {
-		s.defl = o.Deflation3D
-	}
-	return s
+	return &sys3d{p: o.Pool, op: p.Op, m: o.Precond3D, c: o.Comm, defl: o.Deflation3D}
 }
 
 func (s *sys3d) NewVec() *grid.Field3D     { return grid.NewField3D(s.op.Grid) }
@@ -83,16 +79,16 @@ func (s *sys3d) Residual(b grid.Bounds3D, u, rhs, r *grid.Field3D) {
 
 func (s *sys3d) Apply(b grid.Bounds3D, p, w *grid.Field3D) { s.op.Apply(s.p, b, p, w) }
 
-func (s *sys3d) ApplyDot(b grid.Bounds3D, p, w *grid.Field3D) float64 {
-	return s.op.ApplyDot(s.p, b, p, w)
+func (s *sys3d) ApplyDot(b grid.Bounds3D, p, w *grid.Field3D, d deflRows) float64 {
+	return s.op.ApplyDotRows(s.p, b, p, w, s.restrict(d, w))
 }
 
-func (s *sys3d) ApplyPreDot(b grid.Bounds3D, minv, r, w *grid.Field3D) float64 {
-	return s.op.ApplyPreDot(s.p, b, minv, r, w)
+func (s *sys3d) ApplyPreDot(b grid.Bounds3D, minv, r, w *grid.Field3D, d deflRows) float64 {
+	return s.op.ApplyPreDotRows(s.p, b, minv, r, w, s.restrict(d, w))
 }
 
-func (s *sys3d) ApplyPreDotInit(b grid.Bounds3D, minv, r, w *grid.Field3D) (gamma, delta, rr float64) {
-	return s.op.ApplyPreDotInit(s.p, b, minv, r, w)
+func (s *sys3d) ApplyPreDotInit(b grid.Bounds3D, minv, r, w *grid.Field3D, d deflRows) (gamma, delta, rr float64) {
+	return s.op.ApplyPreDotInitRows(s.p, b, minv, r, w, s.restrict(d, w))
 }
 
 func (s *sys3d) Dot(b grid.Bounds3D, x, y *grid.Field3D) float64 {
@@ -107,8 +103,8 @@ func (s *sys3d) Axpy(b grid.Bounds3D, alpha float64, x, y *grid.Field3D) {
 	kernels.Axpy3D(s.p, b, alpha, x, y)
 }
 
-func (s *sys3d) Xpay(b grid.Bounds3D, x *grid.Field3D, beta float64, y *grid.Field3D) {
-	kernels.Xpay3D(s.p, b, x, beta, y)
+func (s *sys3d) Xpay(b grid.Bounds3D, x *grid.Field3D, beta float64, y *grid.Field3D, d deflRows) {
+	kernels.XpayRows3D(s.p, b, x, beta, y, s.correct(d, b, x))
 }
 
 func (s *sys3d) Copy(b grid.Bounds3D, dst, src *grid.Field3D) { kernels.Copy3D(s.p, b, dst, src) }
@@ -127,27 +123,40 @@ func (s *sys3d) AxpbyPre(b grid.Bounds3D, a float64, y *grid.Field3D, beta float
 	kernels.AxpbyPre3D(s.p, b, a, y, beta, minv, r)
 }
 
-func (s *sys3d) FusedCGStep(b grid.Bounds3D, minv, r, w *grid.Field3D, beta, alpha float64, p, sv, x *grid.Field3D) (gamma, rr float64) {
-	return kernels.FusedCGStep3D(s.p, b, minv, r, w, beta, alpha, p, sv, x)
+func (s *sys3d) FusedCGStep(b grid.Bounds3D, minv, r, w *grid.Field3D, beta, alpha float64, p, sv, x *grid.Field3D, d deflRows) (gamma, rr float64) {
+	return kernels.FusedCGStepRows3D(s.p, b, minv, r, w, beta, alpha, p, sv, x, s.correctFaces(d, b, w))
 }
 
-// rowDeflator3D is the 3D twin of rowDeflator2D (*deflate.Deflation3D).
-type rowDeflator3D interface {
-	RestrictRow(w *grid.Field3D, j, k int)
-	ProjectWRestricted(b grid.Bounds3D, w, minv, x *grid.Field3D) float64
+// correct is the 3D twin of sys2d.correct.
+func (s *sys3d) correct(d deflRows, b grid.Bounds3D, w *grid.Field3D) func(j, k int) {
+	if !d.correct {
+		return nil
+	}
+	return func(j, k int) { s.defl.CorrectRow(b, w, j, k) }
 }
 
-func (s *sys3d) CGIter(sb, mb grid.Bounds3D, mirror bool, minv, r, w *grid.Field3D, beta, alpha float64, p, sv, x *grid.Field3D) (gamma, rr, delta float64, restricted bool) {
+// correctFaces is the 3D twin of sys2d.correctFaces.
+func (s *sys3d) correctFaces(d deflRows, b grid.Bounds3D, w *grid.Field3D) func(j, k int) []float64 {
+	if !d.correct {
+		return nil
+	}
+	return func(j, k int) []float64 { return s.defl.CorrectRowFaces(b, w, j, k) }
+}
+
+// restrict is the 3D twin of sys2d.restrict.
+func (s *sys3d) restrict(d deflRows, w *grid.Field3D) func(j, k int) {
+	if !d.restrict {
+		return nil
+	}
+	return func(j, k int) { s.defl.RestrictRow(w, j, k) }
+}
+
+func (s *sys3d) CGIter(sb, mb grid.Bounds3D, mirror bool, minv, r, w *grid.Field3D, beta, alpha float64, p, sv, x *grid.Field3D, d deflRows) (gamma, rr, delta float64) {
 	var phys stencil.PhysicalSides3D
 	if mirror {
 		phys = stencil.PhysicalSides3D(s.c.Physical3D())
 	}
-	var rows func(j, k int)
-	if rd, ok := s.defl.(rowDeflator3D); ok {
-		rows = func(j, k int) { rd.RestrictRow(w, j, k) }
-	}
-	gamma, rr, delta = s.op.CGIter(s.p, sb, mb, s.op.Grid.Interior(), phys, minv, r, w, beta, alpha, p, sv, x, rows)
-	return gamma, rr, delta, rows != nil
+	return s.op.CGIter(s.p, sb, mb, s.op.Grid.Interior(), phys, minv, r, w, beta, alpha, p, sv, x, s.correctFaces(d, sb, w), s.restrict(d, w))
 }
 
 func (s *sys3d) ChebySteps(bs []grid.Bounds3D, in grid.Bounds3D, alphas, betas []float64, sd, alt, rtemp, minv, acc *grid.Field3D) {
@@ -165,3 +174,13 @@ func (s *sys3d) PrecondIsIdentity() bool { return isNone3(s.m) }
 func (s *sys3d) FoldableDiag() (*grid.Field3D, bool) { return precond.FoldableDiag3D(s.m) }
 
 func (s *sys3d) Deflation() deflator[*grid.Field3D, grid.Bounds3D] { return s.defl }
+
+func (s *sys3d) Correct(b grid.Bounds3D, w *grid.Field3D) {
+	s.p.For(b.Z0, b.Z1, func(k0, k1 int) {
+		for k := k0; k < k1; k++ {
+			for j := b.Y0; j < b.Y1; j++ {
+				s.defl.CorrectRow(b, w, j, k)
+			}
+		}
+	})
+}

@@ -50,14 +50,16 @@ type system[F comparable, B any] interface {
 	Residual(b B, u, rhs, r F)
 	// Apply computes w = A·p over b.
 	Apply(b B, p, w F)
-	// ApplyDot fuses w = A·p with the local p·w dot.
-	ApplyDot(b B, p, w F) float64
+	// ApplyDot fuses w = A·p with the local p·w dot, taking the
+	// restriction of w's rows when d.restrict is set (b the interior).
+	ApplyDot(b B, p, w F, d deflRows) float64
 	// ApplyPreDot computes w = A·(minv⊙r) with the local (minv⊙r)·w dot
-	// (zero minv = identity).
-	ApplyPreDot(b B, minv, r, w F) float64
+	// (zero minv = identity), restricting w as ApplyDot does.
+	ApplyPreDot(b B, minv, r, w F, d deflRows) float64
 	// ApplyPreDotInit is the fused-CG startup sweep: w = A·(minv⊙r) with
-	// the local γ = r·(minv⊙r), δ = (minv⊙r)·w and ‖r‖² scalars.
-	ApplyPreDotInit(b B, minv, r, w F) (gamma, delta, rr float64)
+	// the local γ = r·(minv⊙r), δ = (minv⊙r)·w and ‖r‖² scalars,
+	// restricting w as ApplyDot does.
+	ApplyPreDotInit(b B, minv, r, w F, d deflRows) (gamma, delta, rr float64)
 
 	// Dot computes the local x·y over b.
 	Dot(b B, x, y F) float64
@@ -65,8 +67,10 @@ type system[F comparable, B any] interface {
 	Dot2(b B, x, y, z F) (xy, yz float64)
 	// Axpy computes y += alpha·x over b.
 	Axpy(b B, alpha float64, x, y F)
-	// Xpay computes y = x + beta·y over b.
-	Xpay(b B, x F, beta float64, y F)
+	// Xpay computes y = x + beta·y over b; with d.correct set, x is the
+	// CG engine's w and each of its rows takes the pending deflation
+	// correction just before it is read.
+	Xpay(b B, x F, beta float64, y F, d deflRows)
 	// Copy copies src to dst over b.
 	Copy(b B, dst, src F)
 	// CopyAll copies the whole field including halos.
@@ -81,17 +85,18 @@ type system[F comparable, B any] interface {
 	// sweep: p = (minv⊙r) + β·p with x += α·p, then s = w + β·s with
 	// r −= α·s, returning the local γ' = r·(minv⊙r) and ‖r‖² of the
 	// updated r. A zero x skips the solution update (extension rings).
-	FusedCGStep(b B, minv, r, w F, beta, alpha float64, p, s, x F) (gamma, rr float64)
+	// With d.correct set each row of w takes the pending deflation
+	// correction just before the step reads it.
+	FusedCGStep(b B, minv, r, w F, beta, alpha float64, p, s, x F, d deflRows) (gamma, rr float64)
 	// CGIter is a whole fused-CG iteration body in ONE pass over the grid
 	// (stencil.Operator2D.CGIter): the FusedCGStep vector step over sb —
 	// p, x and the dots on the interior only, s and r on all of sb — with
 	// the matvec w = A·(minv⊙r) and its local δ over mb one row behind it.
 	// mirror writes r's depth-1 reflection on the physical sides as rows
-	// are stepped, so no exchange is needed between the halves. With a
-	// deflator that supports it, w's interior rows go to the projector's
-	// restriction inside the pass, and restricted reports that
-	// ProjectWRestricted must follow instead of ProjectWBounds.
-	CGIter(sb, mb B, mirror bool, minv, r, w F, beta, alpha float64, p, s, x F) (gamma, rr, delta float64, restricted bool)
+	// are stepped, so no exchange is needed between the halves. d's
+	// correction rides the step's rows of sb and its restriction the
+	// matvec's interior rows.
+	CGIter(sb, mb B, mirror bool, minv, r, w F, beta, alpha float64, p, s, x F, d deflRows) (gamma, rr, delta float64)
 	// ChebySteps runs the Chebyshev steps of one matrix-powers block in ONE
 	// pass over the grid, step j over bs[j] with alphas[j], betas[j]: the
 	// matvec folded into the update that consumes it, rtemp −= A·sdOld,
@@ -118,6 +123,10 @@ type system[F comparable, B any] interface {
 
 	// Deflation returns the configured outer deflation projector, or nil.
 	Deflation() deflator[F, B]
+	// Correct applies the deflation projector's pending correction
+	// w −= A·W·λ to w over b ⊇ interior as a sweep of its own (b.Expand(1)
+	// must fit the padded grid).
+	Correct(b B, w F)
 }
 
 // powersSched is the matrix-powers exchange schedule (halo.Schedule and
@@ -129,21 +138,26 @@ type powersSched[B any] interface {
 }
 
 // deflator is the outer deflation projector the CG and PPCG loops compose
-// with (§VII future work) — the method set of the user-facing
-// Deflator/Deflator3D, whose doc states the contract, so Options.Deflation
-// and Options.Deflation3D satisfy it directly. ProjectWBounds writes the
-// correction over b ⊇ interior so a matrix-powers cycle keeps w = P·A·u'
-// valid wherever later redundant sweeps read it.
+// with (§VII future work): the dimension-free part of the user-facing
+// Deflator/Deflator3D, whose doc states the contract, so
+// Options.Deflation and Options.Deflation3D satisfy it directly. Their
+// per-row methods (RestrictRow, CorrectRow) ride the sweeps inside the
+// system, which deflRows switches on.
 type deflator[F any, B any] interface {
 	CoarseCorrect(r, u F)
 	ProjectWBounds(b B, w, minv, x F) float64
+	Restriction() []float64
+	SolveCoarse(b []float64) float64
 }
 
-// restrictedDeflator is a deflator whose restriction CGIter took inside
-// its pass (system.CGIter reports when it did).
-type restrictedDeflator[F any, B any] interface {
-	ProjectWRestricted(b B, w, minv, x F) float64
-}
+// deflRows says what a sweep does for the deflation projector as it
+// passes the rows of the CG engine's w (the zero value: nothing).
+// correct: the sweep that first reads w applies the pending correction
+// w −= A·W·λ to each row of its bounds just before reading it (the step,
+// or jac_block's s = w + β·s). restrict: the matvec hands each interior
+// row of the new w to the restriction once it is final. A sweep honours
+// the half that applies to it.
+type deflRows struct{ correct, restrict bool }
 
 // isZeroF reports whether f is the zero value of its type (a nil field
 // pointer: the identity preconditioner in folded form).
@@ -166,6 +180,9 @@ type engine[F comparable, B any] struct {
 	// u holds the initial guess on entry and the solution on exit; rhs is
 	// the right-hand side. Both live on the system's grid.
 	u, rhs F
+	// red is reduceCG's buffer: the scalars and, deflated, one value per
+	// coarse block, every iteration.
+	red []float64
 }
 
 func newEngine[F comparable, B any](sys system[F, B], o Options, u, rhs F) *engine[F, B] {
@@ -228,7 +245,7 @@ func (e *engine[F, B]) chebySteps(bs []B, alphas, betas []float64, sd, alt, rtem
 
 // matvecDot fuses w = A·p with the global pw reduction (Listing 1).
 func (e *engine[F, B]) matvecDot(b B, p, w F) float64 {
-	local := e.sys.ApplyDot(b, p, w)
+	local := e.sys.ApplyDot(b, p, w, deflRows{})
 	e.tr.AddMatvec(e.sys.Cells(b))
 	e.tr.AddDot(e.sys.Cells(b))
 	return e.c.AllReduceSum(local)
@@ -237,29 +254,47 @@ func (e *engine[F, B]) matvecDot(b B, p, w F) float64 {
 // cgIter runs a fused-CG iteration body as one pass (system.CGIter,
 // x = the solution) and traces the work it does as the two sweeps it
 // replaced, which is what the trace counts: a vector pass over the step
-// bounds sb and a matvec over mb. restricted is CGIter's.
-func (e *engine[F, B]) cgIter(sb, mb B, mirror bool, minv, r, w F, beta, alpha float64, p, s F) (gamma, rr, delta float64, restricted bool) {
-	gamma, rr, delta, restricted = e.sys.CGIter(sb, mb, mirror, minv, r, w, beta, alpha, p, s, e.u)
+// bounds sb and a matvec over mb.
+func (e *engine[F, B]) cgIter(sb, mb B, mirror bool, minv, r, w F, beta, alpha float64, p, s F, d deflRows) (gamma, rr, delta float64) {
+	gamma, rr, delta = e.sys.CGIter(sb, mb, mirror, minv, r, w, beta, alpha, p, s, e.u, d)
 	e.vectorPass(sb)
 	e.tr.AddMatvec(e.sys.Cells(mb))
-	return gamma, rr, delta, restricted
+	return gamma, rr, delta
 }
 
 // precondMatvec is the explicit-z half of a CG iteration for a
 // preconditioner that does not fold into the sweeps: z = M⁻¹r, a depth-1
-// exchange of z, w = A·z with the local δ = z·w from the same sweep, and
-// one dot sweep for the local γ = r·z and ‖r‖², all three for the
-// iteration's one reduction round.
-func (e *engine[F, B]) precondMatvec(r, z, w F) (gamma, rr, delta float64, err error) {
+// exchange of z, w = A·z with the local δ = z·w from the same sweep (and
+// d's restriction of w), and one dot sweep for the local γ = r·z and
+// ‖r‖², all three for the iteration's one reduction round.
+func (e *engine[F, B]) precondMatvec(r, z, w F, d deflRows) (gamma, rr, delta float64, err error) {
 	e.applyPrecond(e.in, r, z)
 	if err := e.exchange(1, z); err != nil {
 		return 0, 0, 0, err
 	}
-	delta = e.sys.ApplyDot(e.in, z, w)
+	delta = e.sys.ApplyDot(e.in, z, w, d)
 	e.tr.AddMatvec(e.cells)
 	gamma, rr = e.sys.Dot2(e.in, z, r, r)
 	e.tr.AddDot(e.cells)
 	return gamma, rr, delta, nil
+}
+
+// reduceCG sums a CG iteration's local (γ, rr, δ) in ONE reduction
+// round. With a deflator the round also carries the local restriction
+// b = Wᵀ·w the iteration's matvec took; every rank then solves E·λ = b
+// from the same sums and returns the projected curvature
+// z·(P·w) = δ − bᵀλ in δ's place (deflator.SolveCoarse), leaving the
+// correction w −= A·W·λ pending for the next sweep that reads w.
+func (e *engine[F, B]) reduceCG(defl deflator[F, B], gamma, rr, delta float64) (float64, float64, float64) {
+	e.red = append(e.red[:0], gamma, rr, delta)
+	if defl != nil {
+		e.red = append(e.red, defl.Restriction()...)
+	}
+	s := e.reduceN(e.red)
+	if defl != nil {
+		s[2] -= defl.SolveCoarse(s[3:])
+	}
+	return s[0], s[1], s[2]
 }
 
 // projectW applies the deflation projection w ← P·w over b ⊇ interior and
@@ -271,15 +306,6 @@ func (e *engine[F, B]) projectW(defl deflator[F, B], b B, w, minv, x F) float64 
 	e.tr.AddDot(e.cells)
 	e.tr.AddVectorPass(e.sys.Cells(b))
 	return defl.ProjectWBounds(b, w, minv, x)
-}
-
-// projectWRestricted is projectW after a CGIter pass that took the
-// restriction's row sums: the restriction is no longer a sweep of its own
-// (it read each row of w while the matvec had it in cache), so only the
-// correction is traced.
-func (e *engine[F, B]) projectWRestricted(defl deflator[F, B], b B, w, minv, x F) float64 {
-	e.tr.AddVectorPass(e.sys.Cells(b))
-	return defl.(restrictedDeflator[F, B]).ProjectWRestricted(b, w, minv, x)
 }
 
 // initialResidual exchanges u, computes r = rhs − A·u on the interior and

@@ -41,32 +41,31 @@ import (
 // either inside sb or supplied by mirror: on each side set there CGIter
 // writes r's depth-1 mirror halo as it steps the rows next to it, as the
 // communicator's reflection would, so a single-rank iteration needs no
-// exchange between its two halves. rows, when non-nil, is called once for
-// each row k of in as soon as w's cells on it are final, from whichever
-// worker computed them (the deflation projector takes its restriction
-// sums there).
-func (op *Operator2D) CGIter(pool *par.Pool, sb, mb, in grid.Bounds, mirror PhysicalSides, minv, r, w *grid.Field2D, beta, alpha float64, p, s, x *grid.Field2D, rows func(k int)) (gamma, rr, delta float64) {
+// exchange between its two halves.
+//
+// Two per-row callbacks let the deflation projector ride the pass, each
+// called from whichever worker does the row's work. pre, when non-nil,
+// is called once for each row y of sb just before the step first reads
+// w there; a non-nil row it returns holds a λ for each of the row's
+// cells of sb, which the step takes off w in registers, s = (w − λ) + β·s
+// (kernels.CGStepLanes.CGStepSRL), leaving w as pre left it. The
+// projector applies its pending correction w −= A·W·λ that way: the
+// block-face terms to the row in pre, λ_c in the step. rows, when
+// non-nil, is called once for each row y of in as soon as w's cells on
+// it are final (the projector takes its restriction sums there).
+func (op *Operator2D) CGIter(pool *par.Pool, sb, mb, in grid.Bounds, mirror PhysicalSides, minv, r, w *grid.Field2D, beta, alpha float64, p, s, x *grid.Field2D, pre func(y int) []float64, rows func(y int)) (gamma, rr, delta float64) {
 	return (&cgIter{s: op.sten(), sb: op.Grid.Rows(sb), mb: op.Grid.Rows(mb), in: op.Grid.Rows(in), grid: op.Grid.Rows(op.Grid.Interior()),
 		mirror: mirror.walker(), md: minv.DataOrNil(), rd: r.Data, wd: w.Data, pd: p.Data, sd: s.Data, xd: x.Data,
-		beta: beta, alpha: alpha, rows: rows2D(rows)}).run(pool)
-}
-
-// rows2D is a 2D rows callback as the walker calls it, with the row of
-// its one-row plane.
-func rows2D(rows func(k int)) func(j, k int) {
-	if rows == nil {
-		return nil
-	}
-	return func(_, k int) { rows(k) }
+		beta: beta, alpha: alpha, pre: grid.RowSliceFunc2D(pre), rows: grid.RowFunc2D(rows)}).run(pool)
 }
 
 // CGIter is the 3D one-pass fused-CG iteration body — see
-// Operator2D.CGIter. The matvec lags the step by one z-plane; rows is
-// called with (j, k) for each row of in.
-func (op *Operator3D) CGIter(pool *par.Pool, sb, mb, in grid.Bounds3D, mirror PhysicalSides3D, minv, r, w *grid.Field3D, beta, alpha float64, p, s, x *grid.Field3D, rows func(j, k int)) (gamma, rr, delta float64) {
+// Operator2D.CGIter. The matvec lags the step by one z-plane; pre and
+// rows are called with (j, k) for each row of sb and of in.
+func (op *Operator3D) CGIter(pool *par.Pool, sb, mb, in grid.Bounds3D, mirror PhysicalSides3D, minv, r, w *grid.Field3D, beta, alpha float64, p, s, x *grid.Field3D, pre func(j, k int) []float64, rows func(j, k int)) (gamma, rr, delta float64) {
 	return (&cgIter{s: op.sten(), sb: op.Grid.Rows(sb), mb: op.Grid.Rows(mb), in: op.Grid.Rows(in), grid: op.Grid.Rows(op.Grid.Interior()),
 		mirror: mirror, md: minv.DataOrNil(), rd: r.Data, wd: w.Data, pd: p.Data, sd: s.Data, xd: x.Data,
-		beta: beta, alpha: alpha, rows: rows}).run(pool)
+		beta: beta, alpha: alpha, pre: pre, rows: rows}).run(pool)
 }
 
 // cgIter is one CGIter call: its walkers, fields and scalars. grid walks
@@ -77,6 +76,7 @@ type cgIter struct {
 	mirror                 PhysicalSides3D
 	md, rd, wd, pd, sd, xd []float64
 	beta, alpha            float64
+	pre                    func(j, k int) []float64
 	rows                   func(j, k int)
 }
 
@@ -140,9 +140,10 @@ func (c *cgIter) band(b0, b1 int, acc []float64) {
 	acc[2] += dl.sum()
 }
 
-// step advances row k over sb's rows and columns (see CGIter), the
-// interior runs' dots into l (discarded for a nil l), then writes the
-// row's mirror halo.
+// step advances row k over sb's rows and columns (see CGIter), each row
+// after its pre callback and with the λ row it returns, the interior
+// runs' dots into l (discarded for a nil l), then writes the row's mirror
+// halo.
 func (c *cgIter) step(k int, l *kernels.CGStepLanes) {
 	sb, in := c.sb, c.in
 	var spare kernels.CGStepLanes
@@ -152,6 +153,10 @@ func (c *cgIter) step(k int, l *kernels.CGStepLanes) {
 	a0, a1 := max(in.X0, sb.X0)-sb.X0, min(in.X1, sb.X1)-sb.X0
 	inK := k >= in.K0 && k < in.K1
 	for j := sb.J0; j < sb.J1; j++ {
+		var lam []float64
+		if c.pre != nil {
+			lam = c.pre(j, k)
+		}
 		row := sb.Off(j, k)
 		rowRuns(sb.N(), a0, a1, inK && j >= in.J0 && j < in.J1, func(off, n int, interior bool) {
 			if n == 0 {
@@ -162,13 +167,17 @@ func (c *cgIter) step(k int, l *kernels.CGStepLanes) {
 			if c.md != nil {
 				ms = c.md[o : o+n]
 			}
+			var ls []float64
+			if lam != nil {
+				ls = lam[off : off+n]
+			}
 			rs, ws, ss := c.rd[o:o+n], c.wd[o:o+n], c.sd[o:o+n]
 			if interior {
 				kernels.CGStepPX(ms, rs, c.pd[o:o+n], c.xd[o:o+n], c.beta, c.alpha)
-				l.CGStepSR(ms, rs, ws, ss, c.beta, c.alpha)
+				l.CGStepSRL(ms, rs, ws, ls, ss, c.beta, c.alpha)
 				return
 			}
-			spare.CGStepSR(ms, rs, ws, ss, c.beta, c.alpha)
+			spare.CGStepSRL(ms, rs, ws, ls, ss, c.beta, c.alpha)
 		})
 	}
 	c.reflect(k)

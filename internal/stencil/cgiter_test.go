@@ -85,6 +85,23 @@ func rings2D(outer, in grid.Bounds) []grid.Bounds {
 
 func sameFloat(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
+// lamRow is a λ row for the cells [x0, x1) of row (j, k): a value of
+// each cell's own coordinates, whatever box the row is cut from.
+func lamRow(x0, x1, j, k int) []float64 {
+	ls := make([]float64, x1-x0)
+	for i := range ls {
+		ls[i] = 0.01*float64(x0+i) - 0.003*float64(j) + 0.007*float64(k)
+	}
+	return ls
+}
+
+// halve halves every value of a row in place.
+func halve(row []float64) {
+	for i := range row {
+		row[i] *= 0.5
+	}
+}
+
 func TestCGIterMatchesTwoSweepsBitwise(t *testing.T) {
 	g := grid.UnitGrid2D(19, 13, 4)
 	op, err := BuildOperator2D(par.Serial, randomDensity(g, 90), 0.04, Conductivity, PhysicalSides{})
@@ -114,9 +131,25 @@ func TestCGIterMatchesTwoSweepsBitwise(t *testing.T) {
 				p, s, x := randomField(g, 94), randomField(g, 95), randomField(g, 96)
 				rO, wO, pO, sO, xO, p0 := r.Clone(), w.Clone(), p.Clone(), s.Clone(), x.Clone(), p.Clone()
 
-				gO, rrO := kernels.FusedCGStep(pool, in, minv, rO, wO, beta, alpha, pO, sO, xO)
+				// pre halves w on its row of sb and returns a λ row; the
+				// oracle halves all of sb first and hands the step sweeps
+				// the same λ, so agreement shows each row halved once,
+				// before the step read it, and λ taken off w cell for cell.
+				for k := sb.Y0; k < sb.Y1; k++ {
+					halve(wO.Row(k, sb.X0, sb.X1))
+				}
+				preCalls := make([]int, sb.Y1-sb.Y0)
+				pre := func(k int) []float64 {
+					preCalls[k-sb.Y0]++
+					halve(w.Row(k, sb.X0, sb.X1))
+					return lamRow(sb.X0, sb.X1, 0, k)
+				}
+				lamOf := func(b grid.Bounds) func(k int) []float64 {
+					return func(k int) []float64 { return lamRow(b.X0, b.X1, 0, k) }
+				}
+				gO, rrO := kernels.FusedCGStepRows(pool, in, minv, rO, wO, beta, alpha, pO, sO, xO, lamOf(in))
 				for _, rb := range rings2D(sb, in) {
-					kernels.FusedCGStep(pool, rb, minv, rO, wO, beta, alpha, pO, sO, nil)
+					kernels.FusedCGStepRows(pool, rb, minv, rO, wO, beta, alpha, pO, sO, nil, lamOf(rb))
 				}
 				if tc.mirror {
 					rO.ReflectHalos(1)
@@ -132,9 +165,14 @@ func TestCGIterMatchesTwoSweepsBitwise(t *testing.T) {
 					calls[k-in.Y0]++
 					snap[k-in.Y0] = append([]float64(nil), w.Row(k, in.X0, in.X1)...)
 				}
-				gam, rr, del := op.CGIter(pool, sb, mb, in, mirror, minv, r, w, beta, alpha, p, s, x, hook)
+				gam, rr, del := op.CGIter(pool, sb, mb, in, mirror, minv, r, w, beta, alpha, p, s, x, pre, hook)
 				if !sameFloat(gam, gO) || !sameFloat(rr, rrO) || !sameFloat(del, dO) {
 					t.Errorf("%s: (γ,rr,δ) = (%v,%v,%v), two sweeps (%v,%v,%v)", label, gam, rr, del, gO, rrO, dO)
+				}
+				for k, n := range preCalls {
+					if n != 1 {
+						t.Errorf("%s: pre(%d) called %d times", label, sb.Y0+k, n)
+					}
 				}
 				for _, f := range []struct {
 					name      string
@@ -229,9 +267,26 @@ func TestCGIter3DMatchesTwoSweepsBitwise(t *testing.T) {
 				p, s, x := fullField3D(g, 104, false), fullField3D(g, 105, false), fullField3D(g, 106, false)
 				rO, wO, pO, sO, xO, p0 := r.Clone(), w.Clone(), p.Clone(), s.Clone(), x.Clone(), p.Clone()
 
-				gO, rrO := kernels.FusedCGStep3D(pool, in, minv, rO, wO, beta, alpha, pO, sO, xO)
+				// pre halves w on its row of sb and returns a λ row, as in
+				// the 2D test.
+				ny := sb.Y1 - sb.Y0
+				for k := sb.Z0; k < sb.Z1; k++ {
+					for j := sb.Y0; j < sb.Y1; j++ {
+						halve(wO.Row(j, k, sb.X0, sb.X1))
+					}
+				}
+				preCalls := make([]int, ny*(sb.Z1-sb.Z0))
+				pre := func(j, k int) []float64 {
+					preCalls[(k-sb.Z0)*ny+j-sb.Y0]++
+					halve(w.Row(j, k, sb.X0, sb.X1))
+					return lamRow(sb.X0, sb.X1, j, k)
+				}
+				lamOf := func(b grid.Bounds3D) func(j, k int) []float64 {
+					return func(j, k int) []float64 { return lamRow(b.X0, b.X1, j, k) }
+				}
+				gO, rrO := kernels.FusedCGStepRows3D(pool, in, minv, rO, wO, beta, alpha, pO, sO, xO, lamOf(in))
 				for _, rb := range rings3D(sb, in) {
-					kernels.FusedCGStep3D(pool, rb, minv, rO, wO, beta, alpha, pO, sO, nil)
+					kernels.FusedCGStepRows3D(pool, rb, minv, rO, wO, beta, alpha, pO, sO, nil, lamOf(rb))
 				}
 				if tc.mirror {
 					rO.ReflectHalos(1)
@@ -248,9 +303,14 @@ func TestCGIter3DMatchesTwoSweepsBitwise(t *testing.T) {
 					calls[slot(j, k)]++
 					snap[slot(j, k)] = append([]float64(nil), w.Row(j, k, in.X0, in.X1)...)
 				}
-				gam, rr, del := op.CGIter(pool, sb, mb, in, mirror, minv, r, w, beta, alpha, p, s, x, hook)
+				gam, rr, del := op.CGIter(pool, sb, mb, in, mirror, minv, r, w, beta, alpha, p, s, x, pre, hook)
 				if !sameFloat(gam, gO) || !sameFloat(rr, rrO) || !sameFloat(del, dO) {
 					t.Errorf("%s: (γ,rr,δ) = (%v,%v,%v), two sweeps (%v,%v,%v)", label, gam, rr, del, gO, rrO, dO)
+				}
+				for i, n := range preCalls {
+					if n != 1 {
+						t.Errorf("%s: pre(%d,%d) called %d times", label, sb.Y0+i%ny, sb.Z0+i/ny, n)
+					}
 				}
 				for _, f := range []struct {
 					name      string
@@ -338,13 +398,13 @@ func TestCGIterAllocatesNothing(t *testing.T) {
 			mm2, mm3 = nil, nil
 		}
 		got := testing.AllocsPerRun(20, func() {
-			op2.CGIter(pool, in2, in2, in2, AllPhysical, mm2, r2, w2, beta, alpha, p2, s2, x2, nil)
+			op2.CGIter(pool, in2, in2, in2, AllPhysical, mm2, r2, w2, beta, alpha, p2, s2, x2, nil, nil)
 		})
 		if want := bandsAllocs(pool, in2.Y0, in2.Y1); got != want {
 			t.Errorf("minv=%v: 2D CGIter allocates %v per call, the bare dispatch %v", pre, got, want)
 		}
 		got = testing.AllocsPerRun(20, func() {
-			op3.CGIter(pool, in3, in3, in3, AllPhysical3D, mm3, r3, w3, beta, alpha, p3, s3, x3, nil)
+			op3.CGIter(pool, in3, in3, in3, AllPhysical3D, mm3, r3, w3, beta, alpha, p3, s3, x3, nil, nil)
 		})
 		if want := bandsAllocs(pool, in3.Z0, in3.Z1); got != want {
 			t.Errorf("minv=%v: 3D CGIter allocates %v per call, the bare dispatch %v", pre, got, want)
@@ -387,7 +447,7 @@ func BenchmarkCGIter(b *testing.B) {
 		b.Cleanup(pool.Close)
 		b.Run(fmt.Sprintf("%dx%d/workers=%d/one-pass", n2, n2, workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				op2.CGIter(pool, in2, in2, in2, AllPhysical, nil, r2, w2, beta, alpha, p2, s2, x2, nil)
+				op2.CGIter(pool, in2, in2, in2, AllPhysical, nil, r2, w2, beta, alpha, p2, s2, x2, nil, nil)
 			}
 			perCell(b, in2.Cells())
 		})
@@ -401,7 +461,7 @@ func BenchmarkCGIter(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("%dx%dx%d/workers=%d/one-pass", n3, n3, n3, workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				op3.CGIter(pool, in3, in3, in3, AllPhysical3D, m3, r3, w3, beta, alpha, p3, s3, x3, nil)
+				op3.CGIter(pool, in3, in3, in3, AllPhysical3D, m3, r3, w3, beta, alpha, p3, s3, x3, nil, nil)
 			}
 			perCell(b, in3.Cells())
 		})

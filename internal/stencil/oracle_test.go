@@ -279,7 +279,12 @@ func TestCGIterMatchesOracleBitwise(t *testing.T) {
 			e, d := sh.sb, sh.mb
 			sb := in.ExpandSides(e[0], e[1], e[2], e[3], g)
 			mb := in.ExpandSides(d[0], d[1], d[2], d[3], g)
-			gamma, rr, delta := pick(oracle, op.CGIter, op.oracleCGIter)(pool, sb, mb, in, mirror, m, f[0], f[1], 0.73, 0.31, f[2], f[3], f[4], rows)
+			// The oracle predates CGIter's pre callback; nil pre is the
+			// pass it describes.
+			cgIter := func(pool *par.Pool, sb, mb, in grid.Bounds, mirror PhysicalSides, minv, r, w *grid.Field2D, beta, alpha float64, p, s, x *grid.Field2D, rows func(k int)) (float64, float64, float64) {
+				return op.CGIter(pool, sb, mb, in, mirror, minv, r, w, beta, alpha, p, s, x, nil, rows)
+			}
+			gamma, rr, delta := pick(oracle, cgIter, op.oracleCGIter)(pool, sb, mb, in, mirror, m, f[0], f[1], 0.73, 0.31, f[2], f[3], f[4], rows)
 			c.scalars = []float64{gamma, rr, delta}
 			return c
 		}
@@ -317,7 +322,10 @@ func TestCGIterMatchesOracleBitwise(t *testing.T) {
 				rows = func(j, k int) { c.calls[k*g.NY+j]++ }
 			}
 			sb, mb := expand3D(in, sh.sb), expand3D(in, sh.mb)
-			gamma, rr, delta := pick(oracle, op.CGIter, op.oracleCGIter)(pool, sb, mb, in, mirror, m, f[0], f[1], 0.73, 0.31, f[2], f[3], f[4], rows)
+			cgIter := func(pool *par.Pool, sb, mb, in grid.Bounds3D, mirror PhysicalSides3D, minv, r, w *grid.Field3D, beta, alpha float64, p, s, x *grid.Field3D, rows func(j, k int)) (float64, float64, float64) {
+				return op.CGIter(pool, sb, mb, in, mirror, minv, r, w, beta, alpha, p, s, x, nil, rows)
+			}
+			gamma, rr, delta := pick(oracle, cgIter, op.oracleCGIter)(pool, sb, mb, in, mirror, m, f[0], f[1], 0.73, 0.31, f[2], f[3], f[4], rows)
 			c.scalars = []float64{gamma, rr, delta}
 			return c
 		}

@@ -197,12 +197,26 @@ func (op *Operator3D) Apply(pool *par.Pool, b grid.Bounds3D, p, w *grid.Field3D)
 // ApplyDot is Listing 1 exactly: w = A·p fused with the dot product
 // pw = p·w in a single pass over b.
 func (op *Operator2D) ApplyDot(pool *par.Pool, b grid.Bounds, p, w *grid.Field2D) float64 {
-	return op.sten().preDot(pool, fieldDot, op.Grid.Rows(b), nil, p.Data, w.Data)[1]
+	return op.ApplyDotRows(pool, b, p, w, nil)
+}
+
+// ApplyDotRows is ApplyDot calling rows(y), when non-nil, once for each
+// row y of b as soon as w's cells on it are final, from whichever worker
+// computed them (the deflation projector takes its restriction sums
+// there, so b must then be the interior).
+func (op *Operator2D) ApplyDotRows(pool *par.Pool, b grid.Bounds, p, w *grid.Field2D, rows func(y int)) float64 {
+	return op.sten().preDot(pool, fieldDot, op.Grid.Rows(b), nil, p.Data, w.Data, grid.RowFunc2D(rows))[1]
 }
 
 // ApplyDot fuses w = A·p with pw = p·w over b.
 func (op *Operator3D) ApplyDot(pool *par.Pool, b grid.Bounds3D, p, w *grid.Field3D) float64 {
-	return op.sten().preDot(pool, fieldDot, op.Grid.Rows(b), nil, p.Data, w.Data)[1]
+	return op.ApplyDotRows(pool, b, p, w, nil)
+}
+
+// ApplyDotRows is ApplyDot calling rows(j, k) for each row of b once w's
+// cells on it are final — see Operator2D.ApplyDotRows.
+func (op *Operator3D) ApplyDotRows(pool *par.Pool, b grid.Bounds3D, p, w *grid.Field3D, rows func(j, k int)) float64 {
+	return op.sten().preDot(pool, fieldDot, op.Grid.Rows(b), nil, p.Data, w.Data, rows)[1]
 }
 
 // ApplyPreDot is the matvec pass of the fused single-reduction CG: with
@@ -211,14 +225,25 @@ func (op *Operator3D) ApplyDot(pool *par.Pool, b grid.Bounds3D, p, w *grid.Field
 // r (and minv) must be valid one cell beyond b on every side. nil minv
 // selects the identity (u = r).
 func (op *Operator2D) ApplyPreDot(pool *par.Pool, b grid.Bounds, minv, r, w *grid.Field2D) float64 {
-	return op.sten().preDot(pool, preDotKind(minv == nil), op.Grid.Rows(b), minv.DataOrNil(), r.Data, w.Data)[1]
+	return op.ApplyPreDotRows(pool, b, minv, r, w, nil)
+}
+
+// ApplyPreDotRows is ApplyPreDot with ApplyDotRows' per-row callback.
+func (op *Operator2D) ApplyPreDotRows(pool *par.Pool, b grid.Bounds, minv, r, w *grid.Field2D, rows func(y int)) float64 {
+	return op.sten().preDot(pool, preDotKind(minv == nil), op.Grid.Rows(b), minv.DataOrNil(), r.Data, w.Data, grid.RowFunc2D(rows))[1]
 }
 
 // ApplyPreDot is the 3D ApplyPreDot. minv must be valid one cell beyond
 // b on every side, which NewJacobi3D guarantees on the padded region
 // minus its outermost layer.
 func (op *Operator3D) ApplyPreDot(pool *par.Pool, b grid.Bounds3D, minv *grid.Field3D, r, w *grid.Field3D) float64 {
-	return op.sten().preDot(pool, preDotKind(minv == nil), op.Grid.Rows(b), minv.DataOrNil(), r.Data, w.Data)[1]
+	return op.ApplyPreDotRows(pool, b, minv, r, w, nil)
+}
+
+// ApplyPreDotRows is the 3D ApplyPreDot with ApplyDotRows' per-row
+// callback.
+func (op *Operator3D) ApplyPreDotRows(pool *par.Pool, b grid.Bounds3D, minv *grid.Field3D, r, w *grid.Field3D, rows func(j, k int)) float64 {
+	return op.sten().preDot(pool, preDotKind(minv == nil), op.Grid.Rows(b), minv.DataOrNil(), r.Data, w.Data, rows)[1]
 }
 
 // ApplyPreDotInit is ApplyPreDot extended with the two extra dot products
@@ -226,12 +251,24 @@ func (op *Operator3D) ApplyPreDot(pool *par.Pool, b grid.Bounds3D, minv *grid.Fi
 // (Σ r·u, Σ u·w, Σ r·r) for u = minv ⊙ r, w = A·u, in one sweep. nil minv
 // selects the identity (γ == rr).
 func (op *Operator2D) ApplyPreDotInit(pool *par.Pool, b grid.Bounds, minv, r, w *grid.Field2D) (gamma, delta, rr float64) {
-	return unpack3(op.sten().preDot(pool, initDot, op.Grid.Rows(b), minv.DataOrNil(), r.Data, w.Data))
+	return op.ApplyPreDotInitRows(pool, b, minv, r, w, nil)
+}
+
+// ApplyPreDotInitRows is ApplyPreDotInit with ApplyDotRows' per-row
+// callback.
+func (op *Operator2D) ApplyPreDotInitRows(pool *par.Pool, b grid.Bounds, minv, r, w *grid.Field2D, rows func(y int)) (gamma, delta, rr float64) {
+	return unpack3(op.sten().preDot(pool, initDot, op.Grid.Rows(b), minv.DataOrNil(), r.Data, w.Data, grid.RowFunc2D(rows)))
 }
 
 // ApplyPreDotInit is the 3D ApplyPreDotInit.
 func (op *Operator3D) ApplyPreDotInit(pool *par.Pool, b grid.Bounds3D, minv *grid.Field3D, r, w *grid.Field3D) (gamma, delta, rr float64) {
-	return unpack3(op.sten().preDot(pool, initDot, op.Grid.Rows(b), minv.DataOrNil(), r.Data, w.Data))
+	return op.ApplyPreDotInitRows(pool, b, minv, r, w, nil)
+}
+
+// ApplyPreDotInitRows is the 3D ApplyPreDotInit with ApplyDotRows'
+// per-row callback.
+func (op *Operator3D) ApplyPreDotInitRows(pool *par.Pool, b grid.Bounds3D, minv *grid.Field3D, r, w *grid.Field3D, rows func(j, k int)) (gamma, delta, rr float64) {
+	return unpack3(op.sten().preDot(pool, initDot, op.Grid.Rows(b), minv.DataOrNil(), r.Data, w.Data, rows))
 }
 
 // Residual computes r = rhs − A·u over b.

@@ -168,8 +168,9 @@ func (s sten) apply(pool *par.Pool, b grid.Rows, pd, bd, wd []float64) {
 // md, and otherwise minv ⊙ r through a rolling window (see window), so
 // every product is computed once and m, r stream through one read each.
 // initDot adds γ = Σ r·u and Σ r·r, each through one accumulator in cell
-// order. It returns (γ, δ, rr).
-func (s sten) preDot(pool *par.Pool, kind dotKind, b grid.Rows, md, rd, wd []float64) [3]float64 {
+// order. rows, when non-nil, is called with each row of b once w is
+// final there. It returns (γ, δ, rr).
+func (s sten) preDot(pool *par.Pool, kind dotKind, b grid.Rows, md, rd, wd []float64, rows func(j, k int)) [3]float64 {
 	if b.Empty() {
 		return [3]float64{}
 	}
@@ -199,6 +200,9 @@ func (s sten) preDot(pool *par.Pool, kind dotKind, b grid.Rows, md, rd, wd []flo
 				s.dotRow(kind, o, &v, wd[o:o+n:o+n], &l)
 				if kind == initDot {
 					gamma, rr = initDotsRow(rd[o:o+n], v.c[1:], gamma, rr)
+				}
+				if rows != nil {
+					rows(j, k)
 				}
 			}
 			w.rotate()
