@@ -9,8 +9,10 @@
 // `-net launch` is the single-machine convenience wrapper: it reserves
 // one loopback port per rank, forks this same binary once per rank with
 // the matching `-net tcp -rank R -peers ...` flags, and streams rank 0's
-// output through. It exists so the full multi-process TCP path can be
-// exercised (and smoke-tested in CI) without a cluster.
+// output through. Each rank process moves itself rank CPUs on from the
+// CPU it started on (place.Spread), as goroutine ranks do. It exists so
+// the full multi-process TCP path can be exercised (and smoke-tested in
+// CI) without a cluster.
 package main
 
 import (
@@ -26,6 +28,7 @@ import (
 	"tealeaf/internal/deck"
 	"tealeaf/internal/grid"
 	"tealeaf/internal/output"
+	"tealeaf/internal/place"
 	"tealeaf/internal/simd"
 )
 
@@ -48,6 +51,12 @@ func runTCPRank(d *deck.Deck, nSteps, px, py, pz, workers, rank int, peerList st
 	if rank < 0 || rank >= ranks {
 		return fmt.Errorf("-rank %d outside [0,%d)", rank, ranks)
 	}
+
+	// Start rank r r CPUs on from the CPU this process started on, as
+	// comm.Run does for goroutine ranks. Under -net launch every rank
+	// process starts on the launcher's CPU, and where the host does not
+	// balance load the ranks would otherwise share it.
+	place.Spread(place.Current(), rank)
 
 	cfg := comm.TCPConfig{Rank: rank, Peers: peers}
 	var part *grid.Partition

@@ -36,18 +36,21 @@ import (
 const MinHalo = 2
 
 // instance is the half of an Instance or Instance3D that does not depend
-// on the dimension: the deck, pool and communicator, the solver's kind and
-// options, the step clock, and the typed half's hooks. The lifecycle —
-// validation, set-up, Step, SetTimestep, Run and Summarise — is written
-// once here, over those hooks.
+// on the dimension: the deck, pool and communicator, the solver's kind,
+// options and workspace, the step clock, and the typed half's hooks. The
+// lifecycle — validation, set-up, Step, SetTimestep, Run and Summarise —
+// is written once here, over those hooks.
 type instance struct {
 	Deck *deck.Deck
 	Pool *par.Pool
 	Comm comm.Communicator
 
-	fields  fields
-	kind    solver.Kind
-	opts    solver.Options
+	fields fields
+	kind   solver.Kind
+	opts   solver.Options
+	// ws holds the solver's work fields from step to step: the first
+	// Step allocates them, every later one clears and reuses them.
+	ws      solver.Workspace
 	stepNum int
 	simTime float64
 	dt      float64
@@ -297,13 +300,13 @@ func offset(subMin, deckMin, width float64) int {
 func (inst *Instance) solve() (solver.Result, error) {
 	problem.EnergyToU(inst.Density, inst.Energy, inst.u0)
 	inst.U.CopyFrom(inst.u0) // initial guess: previous energy density
-	return solver.Solve(inst.kind, solver.Problem{Op: inst.Op, U: inst.U, RHS: inst.u0}, inst.opts)
+	return inst.ws.Solve(inst.kind, solver.Problem{Op: inst.Op, U: inst.U, RHS: inst.u0}, inst.opts)
 }
 
 func (inst *Instance3D) solve() (solver.Result, error) {
 	problem.EnergyToU3D(inst.Density, inst.Energy, inst.u0)
 	inst.U.CopyFrom(inst.u0)
-	return solver.Solve3D(inst.kind, solver.Problem3D{Op: inst.Op, U: inst.U, RHS: inst.u0}, inst.opts)
+	return inst.ws.Solve3D(inst.kind, solver.Problem3D{Op: inst.Op, U: inst.U, RHS: inst.u0}, inst.opts)
 }
 
 func (inst *Instance) energy() { problem.UToEnergy(inst.Density, inst.U, inst.Energy) }

@@ -21,7 +21,9 @@ import (
 // four sweeps' own expressions, with one difference: sd drops
 // AxpbyPre's leading 0·sd term, which for finite sd is ±0 and can change
 // the result only where θ⁻¹·(minv ⊙ r) is itself a zero, and then only
-// in that zero's sign. nil minv selects the identity preconditioner.
+// in that zero's sign. nil minv selects the identity preconditioner. w
+// and rtemp may be one field (PPCG's inner solve runs rtemp in the outer
+// w): each row's update reads w before the set-up writes rtemp.
 func PPCGInnerInit(pl *par.Pool, b grid.Bounds, alpha float64, p, w, u, r, rtemp *grid.Field2D, thetaInv float64, minv, sd, z *grid.Field2D) {
 	ppcgInnerInit(pl, r.Grid.Rows(b), alpha, p.DataOrNil(), w.DataOrNil(), u.DataOrNil(), r.Data, rtemp.Data, thetaInv, minv.DataOrNil(), sd.Data, z.Data)
 }

@@ -1,7 +1,5 @@
 package solver
 
-import "tealeaf/internal/grid"
-
 // SolveCG runs (preconditioned) conjugate gradients. With the default
 // identity preconditioner this is the paper's baseline "CG - 1"
 // configuration. CG has one engine, for every preconditioner: the
@@ -24,11 +22,14 @@ import "tealeaf/internal/grid"
 // The iteration body itself lives in loops.go (runCGCore) and is shared
 // verbatim with SolveCG3D.
 func SolveCG(p Problem, o Options) (Result, error) {
-	o = o.withDefaults()
-	if err := o.validate(p); err != nil {
-		return Result{}, err
-	}
-	e := newEngine[*grid.Field2D, grid.Bounds](newSys2D(p, o), o, p.U, p.RHS)
-	res, _, err := runCGCore(e, o.MaxIters, o.Tol)
-	return res, err
+	return new(Workspace).Solve(KindCG, p, o)
+}
+
+// SolveCG3D runs (preconditioned) conjugate gradients on a 3D problem:
+// the same runCGCore loop as the 2D SolveCG, over the sys3d backend. It
+// runs identically single-rank (reflective physical boundaries) and
+// distributed over a grid.Partition3D (face exchanges through the
+// communicator).
+func SolveCG3D(p Problem3D, o Options) (Result, error) {
+	return new(Workspace).Solve3D(KindCG, p, o)
 }

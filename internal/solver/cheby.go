@@ -1,7 +1,5 @@
 package solver
 
-import "tealeaf/internal/grid"
-
 // SolveChebyshev runs the stand-alone Chebyshev iteration: EigenCGIters
 // of CG estimate the extremal eigenvalues (§III-D), then the main loop
 //
@@ -14,12 +12,13 @@ import "tealeaf/internal/grid"
 // when the eigenvalue estimate proves divergent; see solveChebyCore in
 // loops.go, which this constructor shares verbatim with SolveCheby3D.
 func SolveChebyshev(p Problem, o Options) (Result, error) {
-	o = o.withDefaults()
-	if err := o.validate(p); err != nil {
-		return Result{}, err
-	}
-	if err := o.requireNoDeflation(KindCheby); err != nil {
-		return Result{}, err
-	}
-	return solveChebyCore(newEngine[*grid.Field2D, grid.Bounds](newSys2D(p, o), o, p.U, p.RHS))
+	return new(Workspace).Solve(KindCheby, p, o)
+}
+
+// SolveCheby3D runs the stand-alone Chebyshev iteration on a 3D problem:
+// the same solveChebyCore loop as the 2D SolveChebyshev — bootstrap,
+// reduction-free main loop, periodic checks, and the residual-growth
+// re-bootstrap guard — over the sys3d backend.
+func SolveCheby3D(p Problem3D, o Options) (Result, error) {
+	return new(Workspace).Solve3D(KindCheby, p, o)
 }

@@ -346,11 +346,11 @@ func TestChebyStepsAllocatesNothing(t *testing.T) {
 	for name, pool := range pools {
 		o := Options{Comm: comm.NewSerial(), Pool: pool, InnerSteps: 7, HaloDepth: 3}.withDefaults()
 		p := buildProblem(t, 24, 20, 3, 3)
-		e2 := newEngine[*grid.Field2D, grid.Bounds](newSys2D(p, o), o, p.U, p.RHS)
+		e2 := newEngine[*grid.Field2D, grid.Bounds](newSys2D(p, o, new(Workspace)), o, p.U, p.RHS)
 		innerAllocs(t, name+" 2D", e2, p.RHS.Clone(), p.Op.Grid.NY)
 		p3 := buildProblem3DHalo(t, 8, 4, 3)
 		o.Precond3D = precond.NewJacobi3D(par.Serial, p3.Op)
-		e3 := newEngine3D(p3, o)
+		e3 := newEngine[*grid.Field3D, grid.Bounds3D](newSys3D(p3, o, new(Workspace)), o, p3.U, p3.RHS)
 		innerAllocs(t, name+" 3D", e3, p3.RHS.Clone(), p3.Op.Grid.NZ)
 	}
 }
@@ -368,7 +368,8 @@ func innerAllocs[F comparable, B any](t *testing.T, label string, e *engine[F, B
 	if err != nil {
 		t.Fatal(err)
 	}
-	inner := newInnerCore(e, sched, powers)
+	st := &cgState[F]{w: sys.Vec(vecW), s: sys.Vec(vecS), z: sys.Vec(vecZ)}
+	inner := newInnerCore(e, st, sched, powers)
 	var none F
 	apply := func() {
 		if err := inner.apply(0, none, none, r); err != nil {

@@ -13,7 +13,7 @@ func solveCGClassic(p Problem, o Options) (Result, error) {
 	if err := o.validate(p); err != nil {
 		return Result{}, err
 	}
-	e := newEngine[*grid.Field2D, grid.Bounds](newSys2D(p, o), o, p.U, p.RHS)
+	e := newEngine[*grid.Field2D, grid.Bounds](newSys2D(p, o, new(Workspace)), o, p.U, p.RHS)
 	res, _, err := runCGClassicCore(e, o.MaxIters, o.Tol)
 	return res, err
 }
@@ -24,7 +24,7 @@ func solveCGClassic3D(p Problem3D, o Options) (Result, error) {
 	if err := o.validate3(p); err != nil {
 		return Result{}, err
 	}
-	res, _, err := runCGClassicCore(newEngine3D(p, o), o.MaxIters, o.Tol)
+	res, _, err := runCGClassicCore(newEngine[*grid.Field3D, grid.Bounds3D](newSys3D(p, o, new(Workspace)), o, p.U, p.RHS), o.MaxIters, o.Tol)
 	return res, err
 }
 
@@ -43,12 +43,12 @@ func runCGClassicCore[F comparable, B any](e *engine[F, B], maxIters int, tol fl
 	in := e.in
 	var result Result
 
-	r := sys.NewVec()
-	w := sys.NewVec()
-	pvec := sys.NewVec()
+	r := sys.Vec(vecR)
+	w := sys.Vec(vecW)
+	pvec := sys.Vec(vecP)
 	z := r // identity preconditioner: z aliases r
 	if !sys.PrecondIsIdentity() {
-		z = sys.NewVec()
+		z = sys.Vec(vecZ)
 	}
 	defl := sys.Deflation()
 

@@ -28,7 +28,8 @@ func SolveCGProbed(p Problem, o Options, check func(merged, twoPass, scale float
 	if err := o.validate(p); err != nil {
 		return Result{}, err
 	}
-	sys := newProbe[*grid.Field2D, grid.Bounds](newSys2D(p, o), o.Comm, absDot2D, check)
+	vec := func() *grid.Field2D { return grid.NewField2D(p.Op.Grid) }
+	sys := newProbe[*grid.Field2D, grid.Bounds](newSys2D(p, o, new(Workspace)), o.Comm, absDot2D, vec, check)
 	res, _, err := runCGCore(newEngine[*grid.Field2D, grid.Bounds](sys, o, p.U, p.RHS), o.MaxIters, o.Tol)
 	return res, err
 }
@@ -39,7 +40,8 @@ func SolveCGProbed3D(p Problem3D, o Options, check func(merged, twoPass, scale f
 	if err := o.validate3(p); err != nil {
 		return Result{}, err
 	}
-	sys := newProbe[*grid.Field3D, grid.Bounds3D](newSys3D(p, o), o.Comm, absDot3D, check)
+	vec := func() *grid.Field3D { return grid.NewField3D(p.Op.Grid) }
+	sys := newProbe[*grid.Field3D, grid.Bounds3D](newSys3D(p, o, new(Workspace)), o.Comm, absDot3D, vec, check)
 	res, _, err := runCGCore(newEngine[*grid.Field3D, grid.Bounds3D](sys, o, p.U, p.RHS), o.MaxIters, o.Tol)
 	return res, err
 }
@@ -56,13 +58,14 @@ type probeDefl[F comparable, B any] struct {
 	m, x, w F       // the last restricting matvec's z = m⊙x and raw w
 	delta   float64 // its local z·w
 	absDot  func(b B, m, x, w F) float64
+	vec     func() F // a fresh field for the oracle's copies of w
 	check   func(merged, twoPass, scale float64)
 }
 
-func newProbe[F comparable, B any](sys system[F, B], c comm.Communicator, absDot func(b B, m, x, w F) float64, check func(merged, twoPass, scale float64)) *probeSys[F, B] {
+func newProbe[F comparable, B any](sys system[F, B], c comm.Communicator, absDot func(b B, m, x, w F) float64, vec func() F, check func(merged, twoPass, scale float64)) *probeSys[F, B] {
 	ps := &probeSys[F, B]{system: sys}
 	if d := sys.Deflation(); d != nil {
-		ps.defl = &probeDefl[F, B]{deflator: d, sys: sys, c: c, absDot: absDot, check: check}
+		ps.defl = &probeDefl[F, B]{deflator: d, sys: sys, c: c, absDot: absDot, vec: vec, check: check}
 	}
 	return ps
 }
@@ -108,10 +111,10 @@ func (p *probeDefl[F, B]) SolveCoarse(b []float64) float64 {
 	btl := p.deflator.SolveCoarse(b)
 	merged := p.c.AllReduceSum(p.delta) - btl
 	in := p.sys.Interior()
-	pw := p.sys.NewVec()
+	pw := p.vec()
 	p.sys.CopyAll(pw, p.w)
 	twoPass := p.c.AllReduceSum(p.deflator.ProjectWBounds(in, pw, p.m, p.x))
-	awl := p.sys.NewVec() // A·W·λ = w − P·w
+	awl := p.vec() // A·W·λ = w − P·w
 	p.sys.CopyAll(awl, p.w)
 	p.sys.Axpy(in, -1, pw, awl)
 	scale := p.c.AllReduceSum(p.absDot(in, p.m, p.x, p.w) + p.absDot(in, p.m, p.x, awl))

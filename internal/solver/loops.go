@@ -17,10 +17,11 @@ import (
 // continue from the bootstrap phase without recomputing the residual. On
 // a deflated solve w is left uncorrected — the raw A·z of the last
 // matvec, its projection never applied — which is safe because both
-// continuations use w only as scratch that they overwrite first.
+// continuations use w only as scratch that they overwrite first. s is
+// dead once the loop ends; PPCG's inner solve takes it over as its sd.
 type cgState[F comparable] struct {
-	r, z, w, pvec F
-	rz, rr, rr0   float64
+	r, z, w, pvec, s F
+	rz, rr, rr0      float64
 	// base is the squared baseline the relative stop test divides by:
 	// rr0 on the plain paths, max(rr0, ‖b‖²) on deflated solves (see
 	// deflStopBaseSq). Continuation loops must reuse it so bootstrap and
@@ -168,24 +169,23 @@ func runCGCore[F comparable, B any](e *engine[F, B], maxIters int, tol float64) 
 	defl := sys.Deflation()
 	minv, folded := sys.FoldableDiag()
 
-	r := sys.NewVec()
-	w := sys.NewVec()
-	pvec := sys.NewVec()
-	svec := sys.NewVec()
+	r := sys.Vec(vecR)
+	w := sys.Vec(vecW)
+	pvec := sys.Vec(vecP)
+	svec := sys.Vec(vecS)
 	// z = M⁻¹r. For the identity it aliases r; a folded diagonal never
-	// materialises it (the Chebyshev continuation allocates its own
-	// scratch on demand); an unfoldable preconditioner writes it every
-	// iteration.
+	// materialises it (the Chebyshev continuation takes its own scratch
+	// on demand); an unfoldable preconditioner writes it every iteration.
 	z := r
 	if !folded {
-		z = sys.NewVec()
+		z = sys.Vec(vecZ)
 	} else if !isZeroF(minv) {
 		var zero F
 		z = zero
 	}
 	base := 0.0 // stop-test baseline, widened from rr0 once it is known
 	mkState := func(gamma, rr, rr0 float64) *cgState[F] {
-		return &cgState[F]{r: r, z: z, w: w, pvec: pvec, rz: gamma, rr: rr, rr0: rr0, base: base}
+		return &cgState[F]{r: r, z: z, w: w, pvec: pvec, s: svec, rz: gamma, rr: rr, rr0: rr0, base: base}
 	}
 
 	depth := max(e.o.HaloDepth, 1)
@@ -404,7 +404,7 @@ func solveChebyCore[F comparable, B any](e *engine[F, B]) (Result, error) {
 	sys := e.sys
 	in := e.in
 	var result Result
-	var zscr F // lazily allocated preconditioner scratch
+	var zscr F // preconditioner scratch, taken on first need
 	var rr0 float64
 	bootIters := o.EigenCGIters
 
@@ -477,10 +477,10 @@ func solveChebyCore[F comparable, B any](e *engine[F, B]) (Result, error) {
 		r, z, w := st.r, st.z, st.w
 		if isZeroF(z) {
 			// The CG engine folds diagonal preconditioners and leaves no z
-			// scratch behind; the startup (and the block-preconditioner
-			// branch below) still need one.
+			// scratch behind, so its slot is free; the startup still
+			// needs one.
 			if isZeroF(zscr) {
-				zscr = sys.NewVec()
+				zscr = sys.Vec(vecZ)
 			}
 			z = zscr
 		}
@@ -680,7 +680,7 @@ func solvePPCGCore[F comparable, B any](e *engine[F, B]) (Result, error) {
 	if base == 0 {
 		base = rr0 // bootstrap predates the widened deflated baseline
 	}
-	inner := newInnerCore(e, sched, powers)
+	inner := newInnerCore(e, st, sched, powers)
 	z := inner.z // accumulated polynomial correction (utemp)
 
 	var none F
@@ -774,15 +774,18 @@ type innerCore[F comparable, B any] struct {
 	sched  *cheby.Schedule
 	powers powersSched[B]
 	z      F // output: accumulated correction
-	rtemp  F
+	// rtemp is the outer loop's w: apply's set-up reads w before it
+	// writes rtemp, cell by cell, and the next outer matvec rewrites w.
+	rtemp F
 	// sd is the current search direction. On the fused path it ping-pongs
 	// with alt — within a block, step j reads sd for even j and alt for odd
 	// j, and the two handles swap after a block of odd length — so
 	// whichever field holds the direction when the halo runs out is the one
 	// exchanged. Unfused, sd updates in place and alt is the matvec's
-	// target.
+	// target. sd starts as the bootstrap's s, which nothing reads after
+	// the bootstrap.
 	sd, alt F
-	zscr    F // M⁻¹·rtemp scratch, unfused path only
+	zscr    F // M⁻¹·rtemp scratch, unfused path only: the bootstrap's z
 	// minv is the folded diagonal preconditioner for the fused step (zero
 	// = identity); fused reports whether the fused kernel path is usable.
 	minv  F
@@ -792,16 +795,18 @@ type innerCore[F comparable, B any] struct {
 	bs []B
 }
 
-func newInnerCore[F comparable, B any](e *engine[F, B], sched *cheby.Schedule, powers powersSched[B]) *innerCore[F, B] {
+// newInnerCore sets the inner solve up over the bootstrap's state st,
+// whose w, s and (unfused) z it takes over.
+func newInnerCore[F comparable, B any](e *engine[F, B], st *cgState[F], sched *cheby.Schedule, powers powersSched[B]) *innerCore[F, B] {
 	minv, fused := e.sys.FoldableDiag()
 	s := &innerCore[F, B]{
 		e: e, sched: sched, powers: powers,
-		z: e.sys.NewVec(), rtemp: e.sys.NewVec(), sd: e.sys.NewVec(), alt: e.sys.NewVec(),
+		z: e.sys.Vec(vecInnerZ), rtemp: st.w, sd: st.s, alt: e.sys.Vec(vecAlt),
 		minv: minv, fused: fused,
 		bs: make([]B, 0, powers.Depth()),
 	}
 	if !s.fused {
-		s.zscr = e.sys.NewVec()
+		s.zscr = st.z
 	}
 	return s
 }

@@ -1,7 +1,5 @@
 package solver
 
-import "tealeaf/internal/grid"
-
 // SolvePPCG runs the paper's headline solver: CG preconditioned by a
 // shifted and scaled Chebyshev polynomial (CPPCG, §III), with the
 // matrix-powers kernel (§IV-C2) at HaloDepth > 1. The iteration body —
@@ -13,9 +11,14 @@ import "tealeaf/internal/grid"
 // projector with the polynomial preconditioner: deflation removes the
 // lowest subdomain modes, the Chebyshev inner steps smooth the rest.
 func SolvePPCG(p Problem, o Options) (Result, error) {
-	o = o.withDefaults()
-	if err := o.validate(p); err != nil {
-		return Result{}, err
-	}
-	return solvePPCGCore(newEngine[*grid.Field2D, grid.Bounds](newSys2D(p, o), o, p.U, p.RHS))
+	return new(Workspace).Solve(KindPPCG, p, o)
+}
+
+// SolvePPCG3D runs the paper's headline solver on a 3D problem: the same
+// solvePPCGCore loop as the 2D SolvePPCG — outer PCG, reduction-free
+// inner Chebyshev smoothing with the 3D matrix-powers schedule at
+// HaloDepth > 1 — over the sys3d backend. Options.Deflation3D composes
+// the coarse-space projector exactly as Options.Deflation does in 2D.
+func SolvePPCG3D(p Problem3D, o Options) (Result, error) {
+	return new(Workspace).Solve3D(KindPPCG, p, o)
 }

@@ -14,6 +14,16 @@
 // implementation of each solver loop, written against the system
 // abstraction in system.go, and the 2D/3D entry points (SolveCG /
 // SolveCG3D, ...) are thin constructors over the sys2d/sys3d backends.
+//
+// The loops take their grid-sized work fields from a Workspace
+// (workspace.go), which keeps them from one solve to the next: a caller
+// that solves once per time step (core.Instance) allocates them in its
+// first step and clears them in every later one, bit-identical to fresh
+// fields. PPCG's inner solve runs on two fields its outer loop is not
+// reading at the time (the bootstrap's s, and w until the next matvec),
+// so CPPCG keeps six work fields per rank: r, w, p, s, the inner
+// correction z and the ping-pong direction. The package-level Solve*
+// functions run on a fresh Workspace of their own.
 package solver
 
 import (
@@ -305,19 +315,9 @@ func isNone(m precond.Preconditioner) bool {
 	return ok
 }
 
-// Solve dispatches on kind.
+// Solve dispatches on kind, on a fresh Workspace.
 func Solve(kind Kind, p Problem, o Options) (Result, error) {
-	switch kind {
-	case KindJacobi:
-		return SolveJacobi(p, o)
-	case KindCG:
-		return SolveCG(p, o)
-	case KindCheby:
-		return SolveChebyshev(p, o)
-	case KindPPCG:
-		return SolvePPCG(p, o)
-	}
-	return Result{}, fmt.Errorf("solver: unknown kind %q", kind)
+	return new(Workspace).Solve(kind, p, o)
 }
 
 // requireNoDeflation rejects deflation for the solver kinds it does not

@@ -2,7 +2,6 @@ package solver
 
 import (
 	"errors"
-	"fmt"
 
 	"tealeaf/internal/grid"
 	"tealeaf/internal/precond"
@@ -34,11 +33,6 @@ func (o Options) validate3(p Problem3D) error {
 	return o.validateCommon(g.Halo, o.Precond3D.Name(), 3)
 }
 
-// newEngine3D builds the 3D engine over a validated problem.
-func newEngine3D(p Problem3D, o Options) *engine[*grid.Field3D, grid.Bounds3D] {
-	return newEngine[*grid.Field3D, grid.Bounds3D](newSys3D(p, o), o, p.U, p.RHS)
-}
-
 // isNone3 reports whether m is the identity preconditioner.
 func isNone3(m precond.Preconditioner3D) bool {
 	_, ok := m.(precond.None3D)
@@ -47,17 +41,7 @@ func isNone3(m precond.Preconditioner3D) bool {
 
 // Solve3D dispatches a 3D solve on kind: every solver kind — Jacobi, CG,
 // Chebyshev and PPCG — now has a 3D loop, so the kind × dims matrix has
-// no holes.
+// no holes. It runs on a fresh Workspace.
 func Solve3D(kind Kind, p Problem3D, o Options) (Result, error) {
-	switch kind {
-	case KindJacobi:
-		return SolveJacobi3D(p, o)
-	case KindCG:
-		return SolveCG3D(p, o)
-	case KindCheby:
-		return SolveCheby3D(p, o)
-	case KindPPCG:
-		return SolvePPCG3D(p, o)
-	}
-	return Result{}, fmt.Errorf("solver: unknown 3D kind %q", kind)
+	return new(Workspace).Solve3D(kind, p, o)
 }

@@ -19,16 +19,17 @@ type sys2d struct {
 	m    precond.Preconditioner
 	c    comm.Communicator
 	defl Deflator
+	ws   *Workspace
 }
 
-func newSys2D(p Problem, o Options) *sys2d {
-	return &sys2d{p: o.Pool, op: p.Op, m: o.Precond, c: o.Comm, defl: o.Deflation}
+func newSys2D(p Problem, o Options, ws *Workspace) *sys2d {
+	return &sys2d{p: o.Pool, op: p.Op, m: o.Precond, c: o.Comm, defl: o.Deflation, ws: ws}
 }
 
-func (s *sys2d) NewVec() *grid.Field2D   { return grid.NewField2D(s.op.Grid) }
-func (s *sys2d) Interior() grid.Bounds   { return s.op.Grid.Interior() }
-func (s *sys2d) GridHalo() int           { return s.op.Grid.Halo }
-func (s *sys2d) Cells(b grid.Bounds) int { return b.Cells() }
+func (s *sys2d) Vec(slot int) *grid.Field2D { return s.ws.vec2(slot, s.op.Grid) }
+func (s *sys2d) Interior() grid.Bounds      { return s.op.Grid.Interior() }
+func (s *sys2d) GridHalo() int              { return s.op.Grid.Halo }
+func (s *sys2d) Cells(b grid.Bounds) int    { return b.Cells() }
 
 func (s *sys2d) Exchange(depth int, fields ...*grid.Field2D) error {
 	return s.c.Exchange(depth, fields...)

@@ -20,16 +20,17 @@ type sys3d struct {
 	m    precond.Preconditioner3D
 	c    comm.Communicator
 	defl Deflator3D
+	ws   *Workspace
 }
 
-func newSys3D(p Problem3D, o Options) *sys3d {
-	return &sys3d{p: o.Pool, op: p.Op, m: o.Precond3D, c: o.Comm, defl: o.Deflation3D}
+func newSys3D(p Problem3D, o Options, ws *Workspace) *sys3d {
+	return &sys3d{p: o.Pool, op: p.Op, m: o.Precond3D, c: o.Comm, defl: o.Deflation3D, ws: ws}
 }
 
-func (s *sys3d) NewVec() *grid.Field3D     { return grid.NewField3D(s.op.Grid) }
-func (s *sys3d) Interior() grid.Bounds3D   { return s.op.Grid.Interior() }
-func (s *sys3d) GridHalo() int             { return s.op.Grid.Halo }
-func (s *sys3d) Cells(b grid.Bounds3D) int { return b.Cells() }
+func (s *sys3d) Vec(slot int) *grid.Field3D { return s.ws.vec3(slot, s.op.Grid) }
+func (s *sys3d) Interior() grid.Bounds3D    { return s.op.Grid.Interior() }
+func (s *sys3d) GridHalo() int              { return s.op.Grid.Halo }
+func (s *sys3d) Cells(b grid.Bounds3D) int  { return b.Cells() }
 
 func (s *sys3d) Exchange(depth int, fields ...*grid.Field3D) error {
 	return s.c.Exchange3D(depth, fields...)

@@ -15,8 +15,8 @@ import (
 // dimensionalities (the Chebyshev tail-check fix in PR 2 had to be made
 // twice; its successors will not).
 
-// system abstracts one dimensionality's execution backend: vector
-// allocation, the stencil operator (plain, fused-dot and folded-
+// system abstracts one dimensionality's execution backend: the work
+// fields, the stencil operator (plain, fused-dot and folded-
 // preconditioner forms), the BLAS1 and fused update kernels, the
 // configured preconditioner, halo exchange, and the matrix-powers
 // schedule. F is the field type (*grid.Field2D or *grid.Field3D) and B
@@ -26,8 +26,9 @@ import (
 // with stats.Trace accounting and global reductions, so the loops never
 // touch a dimension-specific type.
 type system[F comparable, B any] interface {
-	// NewVec allocates a zeroed field on the operator's grid.
-	NewVec() F
+	// Vec takes the solve's work field for a workspace slot (vecR, …):
+	// zeroed whole, on the operator's grid (Workspace).
+	Vec(slot int) F
 	// Interior returns the rank-local interior bounds.
 	Interior() B
 	// GridHalo returns the allocated halo depth of the grid.
