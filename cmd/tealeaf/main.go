@@ -54,7 +54,7 @@ var (
 	pz      = flag.Int("pz", 1, "ranks in z (3D runs only)")
 	workers = flag.Int("workers", 1, "worker threads per rank (hybrid mode)")
 	solName = flag.String("solver", "", "override deck solver (cg|ppcg|chebyshev|jacobi)")
-	depth   = flag.Int("halo-depth", 0, "override matrix-powers halo depth")
+	depth   = flag.Int("halo-depth", 0, "override PPCG's inner matrix-powers halo depth (tl_ppcg_halo_depth; other solvers take 1 only)")
 	stiff   = flag.Bool("stiff", false, "use the built-in stiff near-steady deck (dt=10; the deflation regime) instead of the crooked pipe; honours -dims 3")
 	deflate = flag.Bool("deflate", false, "enable subdomain deflation (tl_use_deflation; cg/ppcg, 2D and 3D, single- or multi-rank)")
 	deflBlk = flag.Int("deflate-blocks", 0, "override deflation subdomains per direction (tl_deflation_blocks)")
@@ -114,12 +114,11 @@ func run() error {
 	if *deflLvl > 0 {
 		d.DeflationLevels = *deflLvl
 	}
-	if d.UseDeflation {
-		// Surface the geometry errors (blocks/levels vs mesh) before the
-		// run starts, with the deck re-validated after the overrides.
-		if err := d.Validate(); err != nil {
-			return err
-		}
+	// Surface deck errors the overrides can make (deflation blocks and
+	// levels against the mesh, a halo depth on a solver other than PPCG)
+	// before any rank starts.
+	if err := d.Validate(); err != nil {
+		return err
 	}
 	nSteps := *steps
 	if nSteps <= 0 {

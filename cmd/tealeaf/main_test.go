@@ -83,3 +83,14 @@ func TestOutputFlagsRejectedIn3D(t *testing.T) {
 		}
 	}
 }
+
+// TestCGHaloDepthRejected: -halo-depth is PPCG's inner matrix-powers
+// depth, so a cg run given one above 1 fails deck validation, naming the
+// key, before any rank starts.
+func TestCGHaloDepthRejected(t *testing.T) {
+	defer func(args []string) { os.Args = args }(os.Args)
+	os.Args = []string{"tealeaf", "-solver", "cg", "-halo-depth", "3", "-mesh", "16", "-steps", "1", "-quiet"}
+	if err := run(); err == nil || !strings.Contains(err.Error(), "tl_ppcg_halo_depth 3 is PPCG's inner matrix-powers depth") {
+		t.Fatalf("tealeaf -solver cg -halo-depth 3: err = %v, want the PPCG-only halo depth error", err)
+	}
+}

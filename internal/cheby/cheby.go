@@ -72,16 +72,15 @@ type Schedule struct {
 	Alpha, Beta          []float64 // length = MaxSteps
 }
 
-// NewSchedule precomputes steps Chebyshev coefficients for the interval
-// [lambdaMin, lambdaMax].
-func NewSchedule(lambdaMin, lambdaMax float64, steps int) (*Schedule, error) {
+// NewInterval returns the schedule of [lambdaMin, lambdaMax] with no
+// coefficient tables: an iteration of unknown length takes its
+// coefficients from Coefs as it consumes them.
+func NewInterval(lambdaMin, lambdaMax float64) (*Schedule, error) {
 	switch {
 	case !(lambdaMin > 0) || math.IsInf(lambdaMin, 0) || math.IsNaN(lambdaMin):
 		return nil, fmt.Errorf("cheby: lambdaMin = %v must be positive and finite (SPD operator)", lambdaMin)
 	case !(lambdaMax > lambdaMin) || math.IsInf(lambdaMax, 0) || math.IsNaN(lambdaMax):
 		return nil, fmt.Errorf("cheby: need lambdaMax > lambdaMin > 0, got [%v, %v]", lambdaMin, lambdaMax)
-	case steps < 1:
-		return nil, errors.New("cheby: need at least one step")
 	}
 	s := &Schedule{
 		LambdaMin: lambdaMin, LambdaMax: lambdaMax,
@@ -89,20 +88,45 @@ func NewSchedule(lambdaMin, lambdaMax float64, steps int) (*Schedule, error) {
 		Delta: (lambdaMax - lambdaMin) / 2,
 	}
 	s.Sigma = s.Theta / s.Delta
+	return s, nil
+}
+
+// NewSchedule precomputes steps Chebyshev coefficients for the interval
+// [lambdaMin, lambdaMax].
+func NewSchedule(lambdaMin, lambdaMax float64, steps int) (*Schedule, error) {
+	s, err := NewInterval(lambdaMin, lambdaMax)
+	if err != nil {
+		return nil, err
+	}
+	if steps < 1 {
+		return nil, errors.New("cheby: need at least one step")
+	}
 	s.Alpha = make([]float64, steps)
 	s.Beta = make([]float64, steps)
-	rhoOld := 1 / s.Sigma
-	for k := 0; k < steps; k++ {
-		rhoNew := 1 / (2*s.Sigma - rhoOld)
-		s.Alpha[k] = rhoNew * rhoOld
-		s.Beta[k] = 2 * rhoNew / s.Delta
-		rhoOld = rhoNew
+	c := s.Coefs()
+	for k := range steps {
+		s.Alpha[k], s.Beta[k] = c.Next()
 	}
 	return s, nil
 }
 
 // Steps returns the number of precomputed iterations.
 func (s *Schedule) Steps() int { return len(s.Alpha) }
+
+// Coefs generates the schedule's coefficients in order, one step per
+// Next, by the recurrence above.
+type Coefs struct{ sigma, delta, rho float64 }
+
+// Coefs returns the generator of (α_k, β_k) from k = 0.
+func (s *Schedule) Coefs() Coefs { return Coefs{sigma: s.Sigma, delta: s.Delta, rho: 1 / s.Sigma} }
+
+// Next returns the next step's (α_k, β_k).
+func (c *Coefs) Next() (alpha, beta float64) {
+	rhoNew := 1 / (2*c.sigma - c.rho)
+	alpha, beta = rhoNew*c.rho, 2*rhoNew/c.delta
+	c.rho = rhoNew
+	return alpha, beta
+}
 
 // ErrorBound returns the standard Chebyshev iteration error contraction
 // after m steps: 1/|T_m(σ)| — the max-norm of the residual polynomial over

@@ -13,14 +13,23 @@ import (
 // 1-worker energy field to solver tolerance. Grain 1 makes the 48² and
 // 16³ meshes, below the default grain, split into one band per worker.
 // PPCG rides along because its bootstrap and inner smoothing reuse the
-// fused machinery.
+// fused machinery, at depth 1 and on deep inner matrix powers.
 
 var workerSolvers = []string{"cg", "ppcg"}
+
+// workerDepths is the halo depths a worker-count test runs solver at:
+// deep is PPCG's inner matrix-powers depth under test.
+func workerDepths(solver string, deep int) []int {
+	if solver == "ppcg" {
+		return []int{1, deep}
+	}
+	return []int{1}
+}
 
 // TestWorkerCounts2D: fused CG and PPCG from a 2D deck, 2 steps.
 func TestWorkerCounts2D(t *testing.T) {
 	for _, solver := range workerSolvers {
-		for _, depth := range []int{1, 3} {
+		for _, depth := range workerDepths(solver, 3) {
 			t.Run(fmt.Sprintf("%s/depth%d", solver, depth), func(t *testing.T) {
 				run := func(workers int) *Instance {
 					d := problem.BenchmarkDeck(48)
@@ -49,10 +58,10 @@ func TestWorkerCounts2D(t *testing.T) {
 	}
 }
 
-// TestWorkerCounts3D is the 3D twin at depths 1 and 2.
+// TestWorkerCounts3D is the 3D twin, PPCG at depths 1 and 2.
 func TestWorkerCounts3D(t *testing.T) {
 	for _, solver := range workerSolvers {
-		for _, depth := range []int{1, 2} {
+		for _, depth := range workerDepths(solver, 2) {
 			t.Run(fmt.Sprintf("%s/depth%d", solver, depth), func(t *testing.T) {
 				run := func(workers int) *Instance3D {
 					d := problem.BenchmarkDeck3D(16)

@@ -79,15 +79,25 @@ func stepper3D(inst *Instance3D) stepper {
 	return stepper{inst.Step, func() [][]float64 { return [][]float64{inst.Density.Data, inst.Energy.Data, inst.U.Data} }}
 }
 
-// newStepper builds rank c.Rank()'s instance of d over a 1×… (serial) or
-// ranks×1 partition.
-func newStepper(d *deck.Deck, ranks int, c comm.Communicator) (stepper, error) {
+// stepLayout is the px×py(×1) rank grid a run decomposes over, on Hub
+// ranks or (tcp) on loopback TCP ranks.
+type stepLayout struct {
+	px, py int
+	tcp    bool
+}
+
+// ranks is the layout's rank count.
+func (l stepLayout) ranks() int { return l.px * l.py }
+
+// newStepper builds rank c.Rank()'s instance of d over the layout's
+// partition.
+func newStepper(d *deck.Deck, l stepLayout, c comm.Communicator) (stepper, error) {
 	if d.Dims == 3 {
 		gg, err := grid.NewGrid3D(d.XCells, d.YCells, d.ZCells, HaloFor(d), d.XMin, d.XMax, d.YMin, d.YMax, d.ZMin, d.ZMax)
 		if err != nil {
 			return stepper{}, err
 		}
-		part, err := grid.NewPartition3D(d.XCells, d.YCells, d.ZCells, ranks, 1, 1)
+		part, err := grid.NewPartition3D(d.XCells, d.YCells, d.ZCells, l.px, l.py, 1)
 		if err != nil {
 			return stepper{}, err
 		}
@@ -106,7 +116,7 @@ func newStepper(d *deck.Deck, ranks int, c comm.Communicator) (stepper, error) {
 	if err != nil {
 		return stepper{}, err
 	}
-	part, err := grid.NewPartition(d.XCells, d.YCells, ranks, 1)
+	part, err := grid.NewPartition(d.XCells, d.YCells, l.px, l.py)
 	if err != nil {
 		return stepper{}, err
 	}
@@ -126,10 +136,16 @@ func newStepper(d *deck.Deck, ranks int, c comm.Communicator) (stepper, error) {
 // ranks, and returns rank 0's iteration count per step and one hash of
 // every rank's field bits after every step.
 func stepRun(d *deck.Deck, ranks, steps int) ([]int, uint64, error) {
+	return stepRunOn(d, stepLayout{px: ranks, py: 1}, steps)
+}
+
+// stepRunOn is stepRun over the ranks of layout l.
+func stepRunOn(d *deck.Deck, l stepLayout, steps int) ([]int, uint64, error) {
+	ranks := l.ranks()
 	iters := make([]int, steps)
 	sums := make([]uint64, ranks)
 	body := func(c comm.Communicator) error {
-		s, err := newStepper(d, ranks, c)
+		s, err := newStepper(d, l, c)
 		if err != nil {
 			return err
 		}
@@ -158,17 +174,25 @@ func stepRun(d *deck.Deck, ranks, steps int) ([]int, uint64, error) {
 	case ranks == 1:
 		err = body(comm.NewSerial())
 	case d.Dims == 3:
-		part, perr := grid.NewPartition3D(d.XCells, d.YCells, d.ZCells, ranks, 1, 1)
+		part, perr := grid.NewPartition3D(d.XCells, d.YCells, d.ZCells, l.px, l.py, 1)
 		if perr != nil {
 			return nil, 0, perr
 		}
-		err = comm.Run3D(part, func(c *comm.RankComm) error { return body(c) })
+		if l.tcp {
+			err = comm.RunTCP3D(part, body)
+		} else {
+			err = comm.Run3D(part, func(c *comm.RankComm) error { return body(c) })
+		}
 	default:
-		part, perr := grid.NewPartition(d.XCells, d.YCells, ranks, 1)
+		part, perr := grid.NewPartition(d.XCells, d.YCells, l.px, l.py)
 		if perr != nil {
 			return nil, 0, perr
 		}
-		err = comm.Run(part, func(c *comm.RankComm) error { return body(c) })
+		if l.tcp {
+			err = comm.RunTCP(part, body)
+		} else {
+			err = comm.Run(part, func(c *comm.RankComm) error { return body(c) })
+		}
 	}
 	if err != nil {
 		return nil, 0, err
@@ -267,12 +291,13 @@ func TestWorkspaceStepsBitIdentical(t *testing.T) {
 
 // TestStepAllocatesLessThanAField: once the first Step has allocated the
 // workspace, a Step of any case allocates less than one field's bytes
-// (runtime.MemStats.TotalAlloc across the call), in 2D and 3D. What is
-// left is small and per iteration (the Result's slices, the par
-// dispatch closures) or per solve (the Chebyshev schedule, sized by
-// MaxIters), so the cases run on the benchmark deck, whose few dozen
-// to few hundred iterations keep it well under a field of these sizes
-// (at a tolerance tight enough for PPCG to run past its bootstrap).
+// (runtime.MemStats.TotalAlloc across the call), in 2D and 3D, at the
+// deck's own iteration budget. What is left is small and per iteration
+// (the Result's slices, the par dispatch closures) — the stand-alone
+// Chebyshev solve generates its coefficients as it consumes them — so
+// the cases run on the benchmark deck, whose few dozen to few hundred
+// iterations keep it well under a field of these sizes (at a tolerance
+// tight enough for PPCG to run past its bootstrap).
 func TestStepAllocatesLessThanAField(t *testing.T) {
 	for _, tc := range stepCases {
 		for _, dims := range []int{2, 3} {
@@ -282,7 +307,7 @@ func TestStepAllocatesLessThanAField(t *testing.T) {
 			}
 			name := fmt.Sprintf("%s/%dd", tc.name, dims)
 			d := stepDeck(false, tc.set, dims, n)
-			d.MaxIters, d.Eps = 2000, 1e-12
+			d.Eps = 1e-12
 			var s stepper
 			if dims == 3 {
 				inst, err := NewSerial3D(d, par.Serial)

@@ -360,6 +360,8 @@ func (d *Deck) Validate() error {
 		return fmt.Errorf("deck: tl_eps must be positive")
 	case d.HaloDepth < 1:
 		return fmt.Errorf("deck: halo depth must be >= 1")
+	case d.HaloDepth > 1 && !isPPCG(d.Solver):
+		return fmt.Errorf("deck: tl_ppcg_halo_depth %d is PPCG's inner matrix-powers depth; the %q solver exchanges at depth 1 (set tl_ppcg_halo_depth=1 or tl_use_ppcg)", d.HaloDepth, d.Solver)
 	case len(d.States) == 0:
 		return fmt.Errorf("deck: need at least one state")
 	}
@@ -408,6 +410,16 @@ func (d *Deck) Validate() error {
 		}
 	}
 	return nil
+}
+
+// isPPCG reports whether solver names PPCG, under any of the names
+// solver.ParseKind accepts for it.
+func isPPCG(solver string) bool {
+	switch solver {
+	case "ppcg", "cppcg", "tl_use_ppcg":
+		return true
+	}
+	return false
 }
 
 // finiteAll reports whether every value is a finite float: NaN and ±Inf

@@ -57,6 +57,9 @@ func TestEveryRejectionPath(t *testing.T) {
 		{"no horizon", deck(base, "end_time=0", "end_step=0"), "need end_time or end_step"},
 		{"zero eps", deck(base, "tl_eps=0"), "tl_eps must be positive"},
 		{"zero halo depth", deck(base, "halo_depth=0"), "halo depth must be >= 1"},
+		{"cg halo depth", deck(base, "tl_use_cg", "tl_ppcg_halo_depth=3"), "tl_ppcg_halo_depth 3 is PPCG's inner matrix-powers depth"},
+		{"chebyshev halo depth", deck(base, "tl_use_chebyshev", "halo_depth=2"), "tl_ppcg_halo_depth 2 is PPCG's inner matrix-powers depth"},
+		{"jacobi halo depth", deck(base, "tl_use_jacobi", "tl_ppcg_halo_depth=4"), "tl_ppcg_halo_depth 4 is PPCG's inner matrix-powers depth"},
 		{"no states", deck("x_cells=8"), "need at least one state"},
 
 		// Validate: deflation geometry.
@@ -106,6 +109,8 @@ func TestValidateAcceptsBoundaryValues(t *testing.T) {
 		"deflation one block": "*tea\ntl_use_deflation\ntl_deflation_blocks=1\nstate 1 density=1 energy=1\n*endtea",
 		"levels at hierarchy": "*tea\ntl_use_deflation\ntl_deflation_blocks=4\ntl_deflation_levels=3\nstate 1 density=1 energy=1\n*endtea",
 		"geometry later":      "*tea\nstate 1 density=1 energy=1\nstate 2 density=2 energy=3 geometry=point xcentre=5 ycentre=5\n*endtea",
+		"ppcg halo depth":     "*tea\ntl_use_ppcg\ntl_ppcg_halo_depth=4\nstate 1 density=1 energy=1\n*endtea",
+		"cg halo depth 1":     "*tea\ntl_use_cg\ntl_ppcg_halo_depth=1\nstate 1 density=1 energy=1\n*endtea",
 	} {
 		t.Run(name, func(t *testing.T) {
 			if _, err := ParseString(in); err != nil {

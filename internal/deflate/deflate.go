@@ -19,7 +19,7 @@
 //
 // The projector is fully distributed and dimension-agnostic: one core
 // (flux.go, over flat padded indices) serves the 2D Deflation and the 3D
-// Deflation3D, interior and deep-halo extended bounds alike. It never
+// Deflation3D. It never
 // materialises W·λ and never runs the stencil: A·W·λ is exactly λ_c in
 // block interiors and differs only by K_face·(λ_c − λ_nbr) on
 // block-boundary faces, so the fine-grid half of P is one
@@ -31,7 +31,7 @@
 // solve never needs a broadcast. Block membership of halo cells comes
 // from the clamped global coordinate: no halo exchange anywhere.
 //
-// A projection has two forms. ProjectW/ProjectWBounds is a whole one —
+// A projection has two forms. ProjectW/ProjectWDot is a whole one —
 // a restriction sweep, a reduction round of its own, the coarse solve and
 // a correction sweep that also re-measures a curvature dot — and serves
 // the PPCG outer loop. The CG engine instead takes the projection into
@@ -106,7 +106,7 @@ func New(pool *par.Pool, c comm.Communicator, op *stencil.Operator2D, geom Geome
 	}
 	d := &Deflation{op: op, projector: projector{
 		pool: pool, c: c, dims: 2,
-		n: [3]int{g.NX, g.NY, 1}, h: [3]int{g.Halo, g.Halo, 0},
+		n:  [3]int{g.NX, g.NY, 1},
 		st: [3]int{1, g.Stride(), 0}, org: g.Index(0, 0),
 		in: box2(g.Interior()),
 		k:  [3][]float64{op.Kx.Data, op.Ky.Data, nil},
@@ -152,19 +152,14 @@ func (d *Deflation) CoarseCorrect(r, u *grid.Field2D) { d.coarseCorrect(r.Data, 
 // interior: a pooled restriction, one coarse solve (a single reduction
 // round) and one read-modify-write of w that touches the operator only on
 // block-boundary faces. Collective.
-func (d *Deflation) ProjectW(w *grid.Field2D) { d.project(d.in, w.Data, nil, nil) }
+func (d *Deflation) ProjectW(w *grid.Field2D) { d.project(w.Data, nil, nil) }
 
-// ProjectWBounds is ProjectW with the fine-grid correction written over
-// the extended bounds b ⊇ interior — the deep-halo form the solver's
-// matrix-powers CG cycles need — returning the rank-local interior dot
-// (minv⊙x)·(P·w) folded by the same pass: the curvature the CG engines
-// re-measure after every projection (nil minv = identity; nil x = no dot,
-// returns 0). The restriction stays interior-only (cells beyond it
-// replicate another rank's interior), so λ is identical for every b.
-// b.Expand(1) must fit the padded grid, which holds for any extended
-// bounds of a depth ≤ Grid.Halo cycle. Collective.
-func (d *Deflation) ProjectWBounds(b grid.Bounds, w, minv, x *grid.Field2D) float64 {
-	return d.project(box2(b), w.Data, minv.DataOrNil(), x.DataOrNil())
+// ProjectWDot is ProjectW returning the rank-local dot (minv⊙x)·(P·w)
+// folded by the same pass: the curvature PPCG's outer loop measures
+// after every projection (nil minv = identity; nil x = no dot, returns
+// 0). Collective.
+func (d *Deflation) ProjectWDot(w, minv, x *grid.Field2D) float64 {
+	return d.project(w.Data, minv.DataOrNil(), x.DataOrNil())
 }
 
 // RestrictRow takes row k of w's interior into the restriction the next
@@ -174,22 +169,21 @@ func (d *Deflation) ProjectWBounds(b grid.Bounds, w, minv, x *grid.Field2D) floa
 func (d *Deflation) RestrictRow(w *grid.Field2D, k int) { d.restrictRow(w.Data, k) }
 
 // CorrectRow applies the correction w −= A·W·λ of the last SolveCoarse to
-// the cells of row k inside b ⊇ interior, with ProjectWBounds' per-cell
-// arithmetic: a solver sweep calls it just before it first reads the
-// row. Cells of b beyond the interior replicate a neighbour rank's
-// interior bitwise, as in ProjectWBounds. Rows are independent.
-func (d *Deflation) CorrectRow(b grid.Bounds, w *grid.Field2D, k int) {
-	d.correctRow(b.X0, b.X1, k, 0, w.Data, nil, nil, nil)
+// the interior cells of row k, with ProjectWDot's per-cell arithmetic: a
+// solver sweep calls it just before it first reads the row. Rows are
+// independent.
+func (d *Deflation) CorrectRow(w *grid.Field2D, k int) {
+	d.correctRow(k, 0, w.Data, nil, nil, nil)
 }
 
 // CorrectRowFaces is the first half of CorrectRow, for a sweep that takes
 // the second into its own arithmetic: it applies the correction's
-// block-face terms to the cells of row k inside b and returns their λ_c,
-// one per cell from b.X0, which the caller must take off w before anything
-// else reads the row (the CG step computes s = (w − λ_c) + β·s in
-// registers). Per cell the correction keeps CorrectRow's order: faces,
-// then λ_c. The slice is the projector's, valid until the next coarse
-// solve; rows are independent.
-func (d *Deflation) CorrectRowFaces(b grid.Bounds, w *grid.Field2D, k int) []float64 {
-	return d.faceRow(b.X0, b.X1, k, 0, w.Data)
+// block-face terms to the interior cells of row k and returns their λ_c,
+// one per cell, which the caller must take off w before anything else
+// reads the row (the CG step computes s = (w − λ_c) + β·s in registers).
+// Per cell the correction keeps CorrectRow's order: faces, then λ_c. The
+// slice is the projector's, valid until the next coarse solve; rows are
+// independent.
+func (d *Deflation) CorrectRowFaces(w *grid.Field2D, k int) []float64 {
+	return d.faceRow(k, 0, w.Data)
 }

@@ -41,7 +41,7 @@ func New3D(pool *par.Pool, c comm.Communicator, op *stencil.Operator3D, geom Geo
 	org := g.Index(0, 0, 0)
 	d := &Deflation3D{op: op, projector: projector{
 		pool: pool, c: c, dims: 3,
-		n: [3]int{g.NX, g.NY, g.NZ}, h: [3]int{g.Halo, g.Halo, g.Halo},
+		n:  [3]int{g.NX, g.NY, g.NZ},
 		st: [3]int{1, g.Index(0, 1, 0) - org, g.Index(0, 0, 1) - org}, org: org,
 		in: g.Interior(),
 		k:  [3][]float64{op.Kx.Data, op.Ky.Data, op.Kz.Data},
@@ -74,28 +74,27 @@ func (d *Deflation3D) CoarseCorrect(r, u *grid.Field3D) { d.coarseCorrect(r.Data
 
 // ProjectW computes w ← P·w = w − A·W·E⁻¹·Wᵀ·w in place over the
 // interior. Collective.
-func (d *Deflation3D) ProjectW(w *grid.Field3D) { d.project(d.in, w.Data, nil, nil) }
+func (d *Deflation3D) ProjectW(w *grid.Field3D) { d.project(w.Data, nil, nil) }
 
-// ProjectWBounds is the 3D twin of Deflation.ProjectWBounds: the
-// correction over b ⊇ interior, the restriction interior-only, and the
-// rank-local interior dot (minv⊙x)·(P·w) from the same pass. Collective.
-func (d *Deflation3D) ProjectWBounds(b grid.Bounds3D, w, minv, x *grid.Field3D) float64 {
-	return d.project(b, w.Data, minv.DataOrNil(), x.DataOrNil())
+// ProjectWDot is the 3D twin of Deflation.ProjectWDot: the projection
+// and the rank-local dot (minv⊙x)·(P·w) from the same pass. Collective.
+func (d *Deflation3D) ProjectWDot(w, minv, x *grid.Field3D) float64 {
+	return d.project(w.Data, minv.DataOrNil(), x.DataOrNil())
 }
 
 // RestrictRow takes row (j, k) of w's interior into the restriction the
 // next Restriction folds — see Deflation.RestrictRow.
 func (d *Deflation3D) RestrictRow(w *grid.Field3D, j, k int) { d.restrictRow(w.Data, k*d.n[1]+j) }
 
-// CorrectRow applies the pending correction to the cells of row (j, k)
-// inside b ⊇ interior — see Deflation.CorrectRow.
-func (d *Deflation3D) CorrectRow(b grid.Bounds3D, w *grid.Field3D, j, k int) {
-	d.correctRow(b.X0, b.X1, j, k, w.Data, nil, nil, nil)
+// CorrectRow applies the pending correction to the interior cells of row
+// (j, k) — see Deflation.CorrectRow.
+func (d *Deflation3D) CorrectRow(w *grid.Field3D, j, k int) {
+	d.correctRow(j, k, w.Data, nil, nil, nil)
 }
 
 // CorrectRowFaces applies the face terms of the pending correction to the
-// cells of row (j, k) inside b and returns their λ_c — see
+// interior cells of row (j, k) and returns their λ_c — see
 // Deflation.CorrectRowFaces.
-func (d *Deflation3D) CorrectRowFaces(b grid.Bounds3D, w *grid.Field3D, j, k int) []float64 {
-	return d.faceRow(b.X0, b.X1, j, k, w.Data)
+func (d *Deflation3D) CorrectRowFaces(w *grid.Field3D, j, k int) []float64 {
+	return d.faceRow(j, k, w.Data)
 }

@@ -33,25 +33,24 @@ type projector struct {
 	dims int
 
 	// Layout: cell (i,j,k) lives at org + k·st[2] + j·st[1] + i; n is the
-	// interior extent and h the halo depth per axis; in is the interior
-	// (z ∈ [0, 1) in 2D).
-	n, h, st [3]int
-	org      int
-	in       grid.Bounds3D
+	// interior extent per axis; in is the interior (z ∈ [0, 1) in 2D).
+	n, st [3]int
+	org   int
+	in    grid.Bounds3D
 	// k[a][idx] is the face coefficient coupling cell idx to cell
 	// idx − st[a] (the operator's Kx, Ky, Kz data; nil for z in 2D).
 	k [3][]float64
 
 	// nb and bst are the block counts and block-index strides per axis.
 	nb, bst [3]int
-	// blk[a][p+h[a]+1] is the block-axis index of local coordinate
-	// p ∈ [−h[a]−1, n[a]+h[a]], with out-of-mesh coordinates clamped to
-	// the mesh edge: that reproduces the zero-flux mirror on physical
-	// boundaries (no block face there) and the true neighbour block across
-	// rank boundaries, so halo and extended-bounds cells need no exchange.
+	// blk[a][p+1] is the block-axis index of local coordinate
+	// p ∈ [−1, n[a]], with out-of-mesh coordinates clamped to the mesh
+	// edge: that reproduces the zero-flux mirror on physical boundaries
+	// (no block face there) and the true neighbour block across rank
+	// boundaries, so the halo cells next to the interior need no exchange.
 	blk [3][]int
-	// xend[cx] is the local x coordinate one past block column cx (the
-	// last column never ends).
+	// xend[cx] is the local x coordinate one past block column cx within
+	// the interior.
 	xend []int
 
 	// coarse applies E⁻¹: dense Cholesky at levels == 1, the nested
@@ -62,8 +61,8 @@ type projector struct {
 	cnt []float64
 	// cr is the coarse residual Wᵀ·w; the coarse solution is
 	// λ_c = lbar + cl[c] (see solve); rows holds the restriction's per-row,
-	// per-block-column partial sums; lams holds λ_c per padded column for
-	// each block row (see fillLams).
+	// per-block-column partial sums; lams holds λ_c per interior column
+	// for each block row (see fillLams).
 	cr, cl, rows, lams []float64
 	lbar               float64
 }
@@ -109,27 +108,27 @@ func (p *projector) init(global, off [3]int, cfg Config) error {
 
 	blockOf := [3]func(int) int{bpart.ColumnOf, bpart.RowOf, bpart.PlaneOf}
 	for a := 0; a < 3; a++ {
-		p.blk[a] = make([]int, p.n[a]+2*p.h[a]+2)
+		p.blk[a] = make([]int, p.n[a]+2)
 		for q := range p.blk[a] {
-			p.blk[a][q] = blockOf[a](min(max(off[a]+q-p.h[a]-1, 0), global[a]-1))
+			p.blk[a][q] = blockOf[a](min(max(off[a]+q-1, 0), global[a]-1))
 		}
 	}
 	p.xend = make([]int, p.nb[0])
 	for cx := range p.xend {
-		p.xend[cx] = p.n[0] + p.h[0] + 1
+		p.xend[cx] = p.n[0]
 	}
-	for q := -p.h[0]; q <= p.n[0]+p.h[0]; q++ {
+	for q := 1; q < p.n[0]; q++ {
 		if cx := p.block(0, q-1); cx != p.block(0, q) {
 			p.xend[cx] = q
 		}
 	}
 	p.rows = make([]float64, p.n[1]*p.n[2]*p.nb[0])
-	p.lams = make([]float64, p.nb[1]*p.nb[2]*(p.n[0]+2*p.h[0]))
+	p.lams = make([]float64, p.nb[1]*p.nb[2]*p.n[0])
 	return p.assemble()
 }
 
 // block returns the block-axis index of local coordinate q on axis a.
-func (p *projector) block(a, q int) int { return p.blk[a][q+p.h[a]+1] }
+func (p *projector) block(a, q int) int { return p.blk[a][q+1] }
 
 // Subdomains returns the coarse-space dimension (the block count).
 func (p *projector) Subdomains() int { return len(p.cl) }
@@ -401,62 +400,44 @@ func (p *projector) forRuns(t grid.Bounds3D, body func(o, i0, i1, c int)) {
 	}
 }
 
-// project computes w ← P·w = w − A·W·E⁻¹·Wᵀ·w with the correction
-// written over b ⊇ interior and returns the local interior partial of
-// (m⊙x)·(P·w) from the same pass (see correct). Collective: one
-// reduction round.
-func (p *projector) project(b grid.Bounds3D, w, m, x []float64) float64 {
+// project computes w ← P·w = w − A·W·E⁻¹·Wᵀ·w over the interior and
+// returns the local partial of (m⊙x)·(P·w) from the same pass (see
+// correct). Collective: one reduction round.
+func (p *projector) project(w, m, x []float64) float64 {
 	p.restrictSolve(w)
-	return p.correct(b, w, m, x)
+	return p.correct(w, m, x)
 }
 
-// correct subtracts A·W·λ (λ_c = p.lbar + p.cl[c]) from w over b ⊇ interior in one
-// read-modify-write and returns Σ (m⊙x)·w over the INTERIOR of the
+// correct subtracts A·W·λ (λ_c = p.lbar + p.cl[c]) from w over the
+// interior in one read-modify-write and returns Σ (m⊙x)·w over the
 // corrected w (nil m = identity; nil x = no dot, 0), folded in fixed band
-// order like every other solver dot. Cells of b beyond the interior
-// replicate a neighbour rank's interior and stay out of the dot; they are
-// corrected by the same per-cell arithmetic, so they replicate it bitwise.
-// b.Expand(1) must fit the padded grid, which holds for the extended
-// bounds of any depth ≤ halo matrix-powers cycle.
-func (p *projector) correct(b grid.Bounds3D, w, m, x []float64) float64 {
+// order like every other solver dot.
+func (p *projector) correct(w, m, x []float64) float64 {
 	lo, hi := p.outer(p.in)
-	dot := p.pool.ForReduceN(1, lo, hi, func(k0, k1 int, acc []float64) {
-		acc[0] += p.correctBox(p.band(p.in, k0, k1), w, m, x)
+	return p.pool.ForReduceN(1, lo, hi, func(k0, k1 int, acc []float64) {
+		t := p.band(p.in, k0, k1)
+		var s [4]float64
+		for k := t.Z0; k < t.Z1; k++ {
+			for j := t.Y0; j < t.Y1; j++ {
+				p.correctRow(j, k, w, m, x, &s)
+			}
+		}
+		acc[0] += (s[0] + s[1]) + (s[2] + s[3])
 	})[0]
-	for _, rb := range rings(b, p.in) {
-		if rb.Empty() {
-			continue
-		}
-		lo, hi := p.outer(rb)
-		p.pool.For(lo, hi, func(k0, k1 int) { p.correctBox(p.band(rb, k0, k1), w, nil, nil) })
-	}
-	return dot
 }
 
-// correctBox applies the correction to one box, row by row (correctRow),
-// and returns the box's (m⊙x)·w lanes folded.
-func (p *projector) correctBox(t grid.Bounds3D, w, m, x []float64) float64 {
-	var s [4]float64
-	for k := t.Z0; k < t.Z1; k++ {
-		for j := t.Y0; j < t.Y1; j++ {
-			p.correctRow(t.X0, t.X1, j, k, w, m, x, &s)
-		}
-	}
-	return (s[0] + s[1]) + (s[2] + s[3])
-}
-
-// correctRow applies the correction to the cells [x0, x1) of row (j, k):
+// correctRow applies the correction to the interior cells of row (j, k):
 // the face terms (faceTerms), then λ_c itself, with the optional dot into
 // s. Every cell therefore takes, in this order whatever the run, its two
 // x faces (only the end cells of a block-column run have one), its y and
 // z faces (only rows on a block boundary have any), then λ_c.
-func (p *projector) correctRow(x0, x1, j, k int, w, m, x []float64, s *[4]float64) {
-	p.faceTerms(x0, x1, j, k, w)
+func (p *projector) correctRow(j, k int, w, m, x []float64, s *[4]float64) {
+	p.faceTerms(j, k, w)
 	o := p.org + k*p.st[2] + j*p.st[1]
 	c0 := p.block(2, k)*p.bst[2] + p.block(1, j)*p.bst[1]
-	for i0 := x0; i0 < x1; {
+	for i0 := 0; i0 < p.n[0]; {
 		cx := p.block(0, i0)
-		i1 := min(p.xend[cx], x1)
+		i1 := p.xend[cx]
 		lam := p.lbar + p.cl[c0+cx]
 		ws := w[o+i0 : o+i1]
 		switch {
@@ -473,11 +454,11 @@ func (p *projector) correctRow(x0, x1, j, k int, w, m, x []float64, s *[4]float6
 	}
 }
 
-// faceTerms applies the block-face terms of the correction to the cells
-// [x0, x1) of row (j, k): the x faces at the ends of block-column runs,
-// then the y and z faces of a row on a block boundary, each
+// faceTerms applies the block-face terms of the correction to the
+// interior cells of row (j, k): the x faces at the ends of block-column
+// runs, then the y and z faces of a row on a block boundary, each
 // ΣK·(μ_c − μ_nbr).
-func (p *projector) faceTerms(x0, x1, j, k int, w []float64) {
+func (p *projector) faceTerms(j, k int, w []float64) {
 	kx := p.k[0]
 	o := p.org + k*p.st[2] + j*p.st[1]
 	c0 := p.block(2, k)*p.bst[2] + p.block(1, j)*p.bst[1]
@@ -498,9 +479,9 @@ func (p *projector) faceTerms(x0, x1, j, k int, w []float64) {
 			nf++
 		}
 	}
-	for i0 := x0; i0 < x1; {
+	for i0 := 0; i0 < p.n[0]; {
 		cx := p.block(0, i0)
-		i1 := min(p.xend[cx], x1)
+		i1 := p.xend[cx]
 		c := c0 + cx
 		mu := p.cl[c]
 		ws := w[o+i0 : o+i1]
@@ -521,26 +502,26 @@ func (p *projector) faceTerms(x0, x1, j, k int, w []float64) {
 	}
 }
 
-// faceRow applies the face terms to the cells [x0, x1) of row (j, k) of w
-// and returns their λ_c from p.lams, for the caller to take off w itself:
-// the split a solver sweep uses to apply the correction inside its own
-// arithmetic (see Deflation.CorrectRowFaces).
-func (p *projector) faceRow(x0, x1, j, k int, w []float64) []float64 {
-	p.faceTerms(x0, x1, j, k, w)
-	width := p.n[0] + 2*p.h[0]
-	o := (p.block(2, k)*p.nb[1]+p.block(1, j))*width + p.h[0]
-	return p.lams[o+x0 : o+x1]
+// faceRow applies the face terms to the interior cells of row (j, k) of
+// w and returns their λ_c from p.lams, for the caller to take off w
+// itself: the split a solver sweep uses to apply the correction inside
+// its own arithmetic (see Deflation.CorrectRowFaces).
+func (p *projector) faceRow(j, k int, w []float64) []float64 {
+	p.faceTerms(j, k, w)
+	nx := p.n[0]
+	o := (p.block(2, k)*p.nb[1] + p.block(1, j)) * nx
+	return p.lams[o : o+nx]
 }
 
 // fillLams writes p.lams: for each block row (y, z) the λ_c = λ̄ + μ_c of
-// every column x ∈ [−h, nx+h) of the padded row, as correctRow forms it.
+// every interior column, as correctRow forms it.
 func (p *projector) fillLams() {
-	width := p.n[0] + 2*p.h[0]
+	nx := p.n[0]
 	for byz := 0; byz < p.nb[1]*p.nb[2]; byz++ {
 		cl := p.cl[byz*p.nb[0] : (byz+1)*p.nb[0]]
-		row := p.lams[byz*width : (byz+1)*width]
+		row := p.lams[byz*nx : (byz+1)*nx]
 		for q := range row {
-			row[q] = p.lbar + cl[p.block(0, q-p.h[0])]
+			row[q] = p.lbar + cl[p.block(0, q)]
 		}
 	}
 }
@@ -589,19 +570,4 @@ func subDotPre(ws, ms, xs []float64, lam float64, s *[4]float64) {
 		s0 += ms[i] * xs[i] * v
 	}
 	s[0], s[1], s[2], s[3] = s0, s1, s2, s3
-}
-
-// rings decomposes outer ∖ in into six disjoint boxes, any of them
-// possibly empty: z slabs at full extent, y slabs at interior depth, x
-// strips at interior depth and height.
-func rings(outer, in grid.Bounds3D) [6]grid.Bounds3D {
-	zlo, zhi := outer, outer
-	zlo.Z1, zhi.Z0 = in.Z0, in.Z1
-	outer.Z0, outer.Z1 = in.Z0, in.Z1
-	ylo, yhi := outer, outer
-	ylo.Y1, yhi.Y0 = in.Y0, in.Y1
-	outer.Y0, outer.Y1 = in.Y0, in.Y1
-	xlo, xhi := outer, outer
-	xlo.X1, xhi.X0 = in.X0, in.X1
-	return [6]grid.Bounds3D{zlo, zhi, ylo, yhi, xlo, xhi}
 }

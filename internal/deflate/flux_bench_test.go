@@ -54,7 +54,7 @@ func BenchmarkProjectW(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			b.SetBytes(c.cells() * 8 * 3)
 			for i := 0; i < b.N; i++ {
-				c.p.project(c.p.in, c.w, nil, nil)
+				c.p.project(c.w, nil, nil)
 			}
 		})
 	}
@@ -111,11 +111,11 @@ func BenchmarkCGIterDeflated(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		pre := func(k int) []float64 { return d.CorrectRowFaces(in, w, k) }
+		pre := func(k int) []float64 { return d.CorrectRowFaces(w, k) }
 		rows := func(k int) { d.RestrictRow(w, k) }
 		b.Run(fmt.Sprintf("w%d/one-pass", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				gamma, rr, delta := op.CGIter(pool, in, in, in, stencil.AllPhysical, nil, r, w, 0.5, 1e-9, p, s, x, pre, rows)
+				gamma, rr, delta := op.CGIter(pool, in, stencil.AllPhysical, nil, r, w, 0.5, 1e-9, p, s, x, pre, rows)
 				sums := c.AllReduceSumN(append([]float64{gamma, rr, delta}, d.Restriction()...))
 				sums[2] -= d.SolveCoarse(sums[3:])
 			}
@@ -123,8 +123,8 @@ func BenchmarkCGIterDeflated(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("w%d/parent", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				gamma, rr, _ := op.CGIter(pool, in, in, in, stencil.AllPhysical, nil, r, w, 0.5, 1e-9, p, s, x, nil, rows)
-				delta := d.projectRestricted(d.in, w.Data, nil, r.Data)
+				gamma, rr, _ := op.CGIter(pool, in, stencil.AllPhysical, nil, r, w, 0.5, 1e-9, p, s, x, nil, rows)
+				delta := d.projectRestricted(w.Data, nil, r.Data)
 				c.AllReduceSumN([]float64{gamma, rr, delta})
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n*n), "ns/cell")

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"tealeaf/internal/comm"
 	"tealeaf/internal/deck"
 	"tealeaf/internal/grid"
 	"tealeaf/internal/kernels"
@@ -182,7 +181,7 @@ func TestFluxCorrectionMatchesApplyOracle(t *testing.T) {
 		want := append([]float64(nil), w...)
 		c.oracle(want)
 		got := append([]float64(nil), w...)
-		dot := p.correct(p.in, got, m, x)
+		dot := p.correct(got, m, x)
 		scale := maxAbsInterior(p, w, nil)
 		if d := maxAbsInterior(p, got, want); d > 1e-9*scale {
 			t.Errorf("%s: flux correction differs from the Apply oracle by %v (‖w‖∞ = %v)", c.name, d, scale)
@@ -200,9 +199,9 @@ func TestFluxCorrectionMatchesApplyOracle(t *testing.T) {
 		// Identity-preconditioner lane and the dot-free path must write the
 		// same bits.
 		again := append([]float64(nil), w...)
-		p.correct(p.in, again, nil, nil)
+		p.correct(again, nil, nil)
 		ident := append([]float64(nil), w...)
-		p.correct(p.in, ident, nil, x)
+		p.correct(ident, nil, x)
 		if maxAbsInterior(p, again, got) != 0 || maxAbsInterior(p, ident, got) != 0 {
 			t.Errorf("%s: the dot variants of the correction write different fields", c.name)
 		}
@@ -278,7 +277,7 @@ func TestFluxWorkerInvariance(t *testing.T) {
 			p.restrict(w)
 			cr := append([]float64(nil), p.cr...)
 			p.restrictSolve(w)
-			dot := p.correct(p.in, w, nil, x)
+			dot := p.correct(w, nil, x)
 			outs = append(outs, outcome{cr, w, dot})
 		}
 		return outs
@@ -321,7 +320,7 @@ func TestProjectorQualityOnStiffDeck(t *testing.T) {
 		p := c.p
 		for seed, w := range [][]float64{c.applyA(randomFlat(p, 8)), randomFlat(p, 9)} {
 			scale := maxAbsInterior(p, w, nil)
-			p.project(p.in, w, nil, nil)
+			p.project(w, nil, nil)
 			pw := append([]float64(nil), w...)
 			p.restrict(pw)
 			for cb, s := range p.cr {
@@ -330,7 +329,7 @@ func TestProjectorQualityOnStiffDeck(t *testing.T) {
 					break
 				}
 			}
-			p.project(p.in, w, nil, nil)
+			p.project(w, nil, nil)
 			if d := maxAbsInterior(p, w, pw); d > 1e-13*scale {
 				t.Errorf("%s w#%d: ‖P·P·w − P·w‖∞ = %.3e, want ≤ 1e-13·‖w‖∞ = %.3e", c.name, seed, d, 1e-13*scale)
 			}
@@ -377,167 +376,14 @@ func deckOperator3D(t testing.TB, d *deck.Deck) *stencil.Operator3D {
 	return op
 }
 
-// Deep-halo replication: with a depth-3 halo the correction over the
-// extended bounds ext(2) must reproduce, bit for bit, what the
-// neighbouring rank computes for the same global cells in its own
-// interior — at ranks {1,2,4}, with block boundaries that do not align
-// with the rank boundaries. Every cell any rank corrected is compared
-// against its owner's value.
-func TestExtendedCorrectionReplicatesNeighbourInterior2D(t *testing.T) {
-	const n, halo = 24, 3
-	den := func(j, k int) float64 { return 0.6 + 4*float64((j*31+k*17)%23)/23 }
-	val := func(j, k int) float64 { return math.Sin(0.37*float64(j)) + math.Cos(0.23*float64(k)*float64(j+1)) }
-	for ranks, pxpy := range map[int][2]int{1: {1, 1}, 2: {2, 1}, 4: {2, 2}} {
-		part := grid.MustPartition(n, n, pxpy[0], pxpy[1])
-		gg := grid.UnitGrid2D(n, n, halo)
-		type rankOut struct {
-			ext grid.Extent
-			b   grid.Bounds
-			w   *grid.Field2D
-		}
-		outs := make([]rankOut, ranks)
-		err := comm.Run(part, func(c *comm.RankComm) error {
-			ext := part.ExtentOf(c.Rank())
-			sub, err := gg.Sub(ext.X0, ext.X1, ext.Y0, ext.Y1)
-			if err != nil {
-				return err
-			}
-			df, w := grid.NewField2D(sub), grid.NewField2D(sub)
-			for k := 0; k < sub.NY; k++ {
-				for j := 0; j < sub.NX; j++ {
-					df.Set(j, k, den(ext.X0+j, ext.Y0+k))
-					w.Set(j, k, val(ext.X0+j, ext.Y0+k))
-				}
-			}
-			if err := c.Exchange(halo, df, w); err != nil {
-				return err
-			}
-			phys := c.Physical()
-			op, err := stencil.BuildOperator2D(par.Serial, df, 0.9, stencil.Conductivity,
-				stencil.PhysicalSides{Left: phys.Left, Right: phys.Right, Down: phys.Down, Up: phys.Up})
-			if err != nil {
-				return err
-			}
-			d, err := New(par.Serial, c, op,
-				Geometry{GlobalNX: n, GlobalNY: n, OffsetX: ext.X0, OffsetY: ext.Y0}, Config{BX: 5, BY: 3})
-			if err != nil {
-				return err
-			}
-			side := func(physical bool) int {
-				if physical {
-					return 0
-				}
-				return halo - 1
-			}
-			b := sub.Interior().ExpandSides(side(phys.Left), side(phys.Right), side(phys.Down), side(phys.Up), sub)
-			d.ProjectWBounds(b, w, nil, nil)
-			outs[c.Rank()] = rankOut{ext, b, w}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for r, o := range outs {
-			for k := o.b.Y0; k < o.b.Y1; k++ {
-				for j := o.b.X0; j < o.b.X1; j++ {
-					gj, gk := o.ext.X0+j, o.ext.Y0+k
-					own := outs[part.OwnerOf(gj, gk)]
-					if got, want := o.w.At(j, k), own.w.At(gj-own.ext.X0, gk-own.ext.Y0); got != want {
-						t.Fatalf("ranks=%d: rank %d holds %v at global (%d,%d), its owner %v", ranks, r, got, gj, gk, want)
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestExtendedCorrectionReplicatesNeighbourInterior3D(t *testing.T) {
-	const n, halo = 12, 3
-	den := func(i, j, k int) float64 { return 0.6 + 4*float64((i*31+j*17+k*13)%23)/23 }
-	val := func(i, j, k int) float64 {
-		return math.Sin(0.37*float64(i)) + math.Cos(0.23*float64(k)*float64(j+1))
-	}
-	for ranks, pl := range map[int][3]int{1: {1, 1, 1}, 2: {1, 1, 2}, 4: {1, 2, 2}} {
-		part := grid.MustPartition3D(n, n, n, pl[0], pl[1], pl[2])
-		gg := grid.UnitGrid3D(n, n, n, halo)
-		type rankOut struct {
-			ext grid.Extent3D
-			b   grid.Bounds3D
-			w   *grid.Field3D
-		}
-		outs := make([]rankOut, ranks)
-		err := comm.Run3D(part, func(c *comm.RankComm) error {
-			ext := part.ExtentOf(c.Rank())
-			sub, err := gg.Sub(ext.X0, ext.X1, ext.Y0, ext.Y1, ext.Z0, ext.Z1)
-			if err != nil {
-				return err
-			}
-			df, w := grid.NewField3D(sub), grid.NewField3D(sub)
-			for k := 0; k < sub.NZ; k++ {
-				for j := 0; j < sub.NY; j++ {
-					for i := 0; i < sub.NX; i++ {
-						df.Set(i, j, k, den(ext.X0+i, ext.Y0+j, ext.Z0+k))
-						w.Set(i, j, k, val(ext.X0+i, ext.Y0+j, ext.Z0+k))
-					}
-				}
-			}
-			if err := c.Exchange3D(halo, df, w); err != nil {
-				return err
-			}
-			phys := c.Physical3D()
-			op, err := stencil.BuildOperator3D(par.Serial, df, 0.9, stencil.Conductivity,
-				stencil.PhysicalSides3D{Left: phys.Left, Right: phys.Right, Down: phys.Down,
-					Up: phys.Up, Back: phys.Back, Front: phys.Front})
-			if err != nil {
-				return err
-			}
-			d, err := New3D(par.Serial, c, op, Geometry3D{GlobalNX: n, GlobalNY: n, GlobalNZ: n,
-				OffsetX: ext.X0, OffsetY: ext.Y0, OffsetZ: ext.Z0}, Config{BX: 2, BY: 5, BZ: 5})
-			if err != nil {
-				return err
-			}
-			side := func(physical bool) int {
-				if physical {
-					return 0
-				}
-				return halo - 1
-			}
-			b := sub.Interior().ExpandSides(side(phys.Left), side(phys.Right), side(phys.Down),
-				side(phys.Up), side(phys.Back), side(phys.Front), sub)
-			d.ProjectWBounds(b, w, nil, nil)
-			outs[c.Rank()] = rankOut{ext, b, w}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for r, o := range outs {
-			for k := o.b.Z0; k < o.b.Z1; k++ {
-				for j := o.b.Y0; j < o.b.Y1; j++ {
-					for i := o.b.X0; i < o.b.X1; i++ {
-						gi, gj, gk := o.ext.X0+i, o.ext.Y0+j, o.ext.Z0+k
-						own := outs[part.RankAt(part.ColumnOf(gi), part.RowOf(gj), part.PlaneOf(gk))]
-						got, want := o.w.At(i, j, k), own.w.At(gi-own.ext.X0, gj-own.ext.Y0, gk-own.ext.Z0)
-						if got != want {
-							t.Fatalf("ranks=%d: rank %d holds %v at global (%d,%d,%d), its owner %v",
-								ranks, r, got, gi, gj, gk, want)
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestRowHandOffMatchesProjectWBounds: the projection the CG engine
-// takes inside its sweeps — w's interior rows handed to RestrictRow in
-// any order, Restriction, SolveCoarse on the (single-rank) sums, then
-// CorrectRow on every row of b, or CorrectRowFaces with its λ_c taken
-// off afterwards — leaves w bit for bit as ProjectWBounds does, over the
-// interior and over extended bounds alike, in 2D and 3D; the parent's
-// two-pass form (projectRestricted) matches both, dot included.
-// SolveCoarse returns bᵀλ for the λ it leaves pending.
-func TestRowHandOffMatchesProjectWBounds(t *testing.T) {
+// TestRowHandOffMatchesProjectWDot: the projection the CG engine takes
+// inside its sweeps — w's interior rows handed to RestrictRow in any
+// order, Restriction, SolveCoarse on the (single-rank) sums, then
+// CorrectRow on every interior row, or CorrectRowFaces with its λ_c
+// taken off afterwards — leaves w bit for bit as ProjectWDot does, in 2D
+// and 3D; the parent's two-pass form (projectRestricted) matches both,
+// dot included. SolveCoarse returns bᵀλ for the λ it leaves pending.
+func TestRowHandOffMatchesProjectWDot(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	fill := func(data []float64, lo float64) {
 		for i := range data {
@@ -587,62 +433,56 @@ func TestRowHandOffMatchesProjectWBounds(t *testing.T) {
 			}
 		}
 	}
-	for _, ext := range []int{0, 1} {
-		in := g.Interior()
-		b := in.Expand(ext, g)
-		w, x := grid.NewField2D(g), grid.NewField2D(g)
-		fill(w.Data, -0.5)
-		fill(x.Data, -0.5)
-		wO, wP := w.Clone(), w.Clone()
-		want := d.ProjectWBounds(b, wO, nil, x)
-		for k := in.Y1 - 1; k >= in.Y0; k-- {
-			d.RestrictRow(w, k)
-			d.RestrictRow(wP, k)
+	in := g.Interior()
+	w, x := grid.NewField2D(g), grid.NewField2D(g)
+	fill(w.Data, -0.5)
+	fill(x.Data, -0.5)
+	wO, wP := w.Clone(), w.Clone()
+	want := d.ProjectWDot(wO, nil, x)
+	for k := in.Y1 - 1; k >= in.Y0; k-- {
+		d.RestrictRow(w, k)
+		d.RestrictRow(wP, k)
+	}
+	sums := append([]float64(nil), d.Restriction()...)
+	checkBTL("2D", &d.projector, sums, d.SolveCoarse(sums))
+	wF := w.Clone()
+	for k := in.Y0; k < in.Y1; k++ {
+		d.CorrectRow(w, k)
+		row := wF.Row(k, in.X0, in.X1)
+		for i, lam := range d.CorrectRowFaces(wF, k) {
+			row[i] -= lam
 		}
-		sums := append([]float64(nil), d.Restriction()...)
-		label := fmt.Sprintf("2D ext=%d", ext)
-		checkBTL(label, &d.projector, sums, d.SolveCoarse(sums))
-		wF := w.Clone()
-		for k := b.Y0; k < b.Y1; k++ {
-			d.CorrectRow(b, w, k)
-			row := wF.Row(k, b.X0, b.X1)
-			for i, lam := range d.CorrectRowFaces(b, wF, k) {
+	}
+	same("2D", w.Data, wO.Data)
+	same("2D faces", wF.Data, wO.Data)
+	if got := d.projectRestricted(wP.Data, nil, x.Data); math.Float64bits(got) != math.Float64bits(want) {
+		t.Errorf("2D: parent projection dot %v, ProjectWDot %v", got, want)
+	}
+	same("2D parent", wP.Data, wO.Data)
+
+	in3 := g3.Interior()
+	w3, x3 := grid.NewField3D(g3), grid.NewField3D(g3)
+	fill(w3.Data, -0.5)
+	fill(x3.Data, -0.5)
+	wO3 := w3.Clone()
+	d3.ProjectWDot(wO3, nil, x3)
+	for k := in3.Z1 - 1; k >= in3.Z0; k-- {
+		for j := in3.Y0; j < in3.Y1; j++ {
+			d3.RestrictRow(w3, j, k)
+		}
+	}
+	sums = append(sums[:0], d3.Restriction()...)
+	checkBTL("3D", &d3.projector, sums, d3.SolveCoarse(sums))
+	wF3 := w3.Clone()
+	for k := in3.Z0; k < in3.Z1; k++ {
+		for j := in3.Y0; j < in3.Y1; j++ {
+			d3.CorrectRow(w3, j, k)
+			row := wF3.Row(j, k, in3.X0, in3.X1)
+			for i, lam := range d3.CorrectRowFaces(wF3, j, k) {
 				row[i] -= lam
 			}
 		}
-		same(label, w.Data, wO.Data)
-		same(label+" faces", wF.Data, wO.Data)
-		if got := d.projectRestricted(box2(b), wP.Data, nil, x.Data); math.Float64bits(got) != math.Float64bits(want) {
-			t.Errorf("%s: parent projection dot %v, ProjectWBounds %v", label, got, want)
-		}
-		same(label+" parent", wP.Data, wO.Data)
-
-		in3 := g3.Interior()
-		b3 := in3.Expand(ext, g3)
-		w3, x3 := grid.NewField3D(g3), grid.NewField3D(g3)
-		fill(w3.Data, -0.5)
-		fill(x3.Data, -0.5)
-		wO3 := w3.Clone()
-		d3.ProjectWBounds(b3, wO3, nil, x3)
-		for k := in3.Z1 - 1; k >= in3.Z0; k-- {
-			for j := in3.Y0; j < in3.Y1; j++ {
-				d3.RestrictRow(w3, j, k)
-			}
-		}
-		sums = append(sums[:0], d3.Restriction()...)
-		label = fmt.Sprintf("3D ext=%d", ext)
-		checkBTL(label, &d3.projector, sums, d3.SolveCoarse(sums))
-		wF3 := w3.Clone()
-		for k := b3.Z0; k < b3.Z1; k++ {
-			for j := b3.Y0; j < b3.Y1; j++ {
-				d3.CorrectRow(b3, w3, j, k)
-				row := wF3.Row(j, k, b3.X0, b3.X1)
-				for i, lam := range d3.CorrectRowFaces(b3, wF3, j, k) {
-					row[i] -= lam
-				}
-			}
-		}
-		same(label, w3.Data, wO3.Data)
-		same(label+" faces", wF3.Data, wO3.Data)
 	}
+	same("3D", w3.Data, wO3.Data)
+	same("3D faces", wF3.Data, wO3.Data)
 }

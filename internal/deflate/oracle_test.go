@@ -59,7 +59,7 @@ func (d *Deflation) solveDeflatedCG(u, rhs *grid.Field2D, tol float64, maxIters 
 			return iters, 0, false, err
 		}
 		d.op.Apply(pool, in, p, w)
-		pw := d.c.AllReduceSum(d.ProjectWBounds(in, w, nil, p)) // w = P·A·p
+		pw := d.c.AllReduceSum(d.ProjectWDot(w, nil, p)) // w = P·A·p
 		if pw <= 0 {
 			break // P·A is only semi-definite outside the deflated space
 		}
@@ -99,13 +99,13 @@ func relNorm(rr, rr0 float64) float64 {
 // projectRestricted is the projection the CG engine ran after its pass
 // before the engine took the projection into its own sweeps and round:
 // the fold of the row sums RestrictRow took, a reduction round of its
-// own, the coarse solve and the correction sweep over b ⊇ interior with
+// own, the coarse solve and the correction sweep over the interior with
 // the curvature dot (m⊙x)·(P·w) re-measured against the corrected w. Kept
 // as the oracle the row hand-off (RestrictRow, Restriction, SolveCoarse,
 // CorrectRow) is held to, and as the parent form BenchmarkCGIterDeflated
 // times.
-func (p *projector) projectRestricted(b grid.Bounds3D, w, m, x []float64) float64 {
+func (p *projector) projectRestricted(w, m, x []float64) float64 {
 	p.foldRows()
 	p.solve(p.c.AllReduceSumN(p.cr))
-	return p.correct(b, w, m, x)
+	return p.correct(w, m, x)
 }

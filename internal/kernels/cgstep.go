@@ -16,10 +16,8 @@ import (
 //	s = w + β·s;           r −= α·s;  γ = Σ r·(minv ⊙ r);  rr = Σ r·r
 //
 // with the dots taken on the freshly updated r. nil minv selects the
-// identity, for which γ == rr. A nil x skips the solution update (a ring
-// of extended bounds replicates a neighbour's cells, whose solution and
-// dots are the neighbour's). The fused engine runs this step as a sweep
-// of its own only beside a depth-1 rank neighbour; everywhere else
+// identity, for which γ == rr. The fused engine runs this step as a sweep
+// of its own only beside a rank neighbour; everywhere else
 // stencil's CGIter runs its row bursts a row ahead of the matvec, and
 // this sweep is that pass's bitwise oracle.
 //
@@ -40,7 +38,7 @@ func FusedCGStep(pl *par.Pool, b grid.Bounds, minv, r, w *grid.Field2D, beta, al
 // face terms to w's row in the hook, the row of λ in the step — so the
 // correction costs no pass over w of its own.
 func FusedCGStepRows(pl *par.Pool, b grid.Bounds, minv, r, w *grid.Field2D, beta, alpha float64, p, s, x *grid.Field2D, pre func(y int) []float64) (gamma, rr float64) {
-	return fusedCGStep(pl, r.Grid.Rows(b), minv.DataOrNil(), r.Data, w.Data, beta, alpha, p.Data, s.Data, x.DataOrNil(), grid.RowSliceFunc2D(pre))
+	return fusedCGStep(pl, r.Grid.Rows(b), minv.DataOrNil(), r.Data, w.Data, beta, alpha, p.Data, s.Data, x.Data, grid.RowSliceFunc2D(pre))
 }
 
 // FusedCGStep3D is FusedCGStep over a 3D box.
@@ -51,7 +49,7 @@ func FusedCGStep3D(pl *par.Pool, b grid.Bounds3D, minv, r, w *grid.Field3D, beta
 // FusedCGStepRows3D is FusedCGStepRows over a 3D box, pre called with
 // each row (j, k).
 func FusedCGStepRows3D(pl *par.Pool, b grid.Bounds3D, minv, r, w *grid.Field3D, beta, alpha float64, p, s, x *grid.Field3D, pre func(j, k int) []float64) (gamma, rr float64) {
-	return fusedCGStep(pl, r.Grid.Rows(b), minv.DataOrNil(), r.Data, w.Data, beta, alpha, p.Data, s.Data, x.DataOrNil(), pre)
+	return fusedCGStep(pl, r.Grid.Rows(b), minv.DataOrNil(), r.Data, w.Data, beta, alpha, p.Data, s.Data, x.Data, pre)
 }
 
 // fusedCGStep runs the two row bursts per row of each band, each row
@@ -71,15 +69,12 @@ func fusedCGStep(pl *par.Pool, b grid.Rows, md, rd, wd []float64, beta, alpha fl
 					ls = pre(j, k)
 				}
 				o := b.Off(j, k)
-				var ms, xs []float64
+				var ms []float64
 				if md != nil {
 					ms = row(md, o, n)
 				}
-				if xd != nil {
-					xs = row(xd, o, n)
-				}
 				rs := row(rd, o, n)
-				CGStepPX(ms, rs, row(pd, o, n), xs, beta, alpha)
+				CGStepPX(ms, rs, row(pd, o, n), row(xd, o, n), beta, alpha)
 				l.CGStepSRL(ms, rs, row(wd, o, n), ls, row(sd, o, n), beta, alpha)
 			}
 		}
@@ -89,14 +84,13 @@ func fusedCGStep(pl *par.Pool, b grid.Rows, md, rd, wd []float64, beta, alpha fl
 }
 
 // CGStepPX is burst 1 of the merged step over one row: the p recurrence
-// on the old r and the x update it feeds (skipped for a nil xs — ring
-// rows, where the plain loops are fast enough). nil ms is the identity.
-// Rows with an x update run as AVX2 assembly computing the same bits when
-// simd.AVX2 is set (see DESIGN.md, "AVX2 row leaves"). It and CGStepSR are
+// on the old r and the x update it feeds. nil ms is the identity. It runs
+// as AVX2 assembly computing the same bits when simd.AVX2 is set (see
+// DESIGN.md, "AVX2 row leaves"). It and CGStepSR are
 // exported for stencil's one-pass CG iteration, which runs them row by
 // row ahead of its matvec.
 func CGStepPX(ms, rs, ps, xs []float64, beta, alpha float64) {
-	if simd.AVX2 && xs != nil {
+	if simd.AVX2 {
 		cgStepPXAVX2(ms, rs, ps, xs, beta, alpha)
 		return
 	}
@@ -107,15 +101,6 @@ func cgStepPXGo(ms, rs, ps, xs []float64, beta, alpha float64) {
 	n := len(ps)
 	rs = rs[:n]
 	switch {
-	case xs == nil && ms == nil:
-		for j := range ps {
-			ps[j] = rs[j] + beta*ps[j]
-		}
-	case xs == nil:
-		ms = ms[:n]
-		for j := range ps {
-			ps[j] = ms[j]*rs[j] + beta*ps[j]
-		}
 	case ms == nil:
 		xs = xs[:n]
 		j := 0

@@ -91,10 +91,6 @@ var oracleCases2 = []oracleCase2{
 		gamma, rr := pick(o, FusedCGStep, oracleFusedCGStep)(p, b, m, f[0], f[1], 0.73, 0.31, f[2], f[3], f[4])
 		return []float64{gamma, rr}
 	}},
-	{"FusedCGStep/ring", func(p *par.Pool, b grid.Bounds, f []*grid.Field2D, m *grid.Field2D, o bool) []float64 {
-		gamma, rr := pick(o, FusedCGStep, oracleFusedCGStep)(p, b, m, f[0], f[1], 0.73, 0.31, f[2], f[3], nil)
-		return []float64{gamma, rr}
-	}},
 	{"PPCGInnerInit", func(p *par.Pool, b grid.Bounds, f []*grid.Field2D, m *grid.Field2D, o bool) []float64 {
 		pick(o, PPCGInnerInit, oraclePPCGInnerInit)(p, b, 0.37, f[0], f[1], f[2], f[3], f[4], 1/1.9, m, f[5], f[6])
 		return nil
@@ -158,10 +154,6 @@ var oracleCases3 = []oracleCase3{
 	}},
 	{"FusedCGStep3D", func(p *par.Pool, b grid.Bounds3D, f []*grid.Field3D, m *grid.Field3D, o bool) []float64 {
 		gamma, rr := pick(o, FusedCGStep3D, oracleFusedCGStep3D)(p, b, m, f[0], f[1], 0.73, 0.31, f[2], f[3], f[4])
-		return []float64{gamma, rr}
-	}},
-	{"FusedCGStep3D/ring", func(p *par.Pool, b grid.Bounds3D, f []*grid.Field3D, m *grid.Field3D, o bool) []float64 {
-		gamma, rr := pick(o, FusedCGStep3D, oracleFusedCGStep3D)(p, b, m, f[0], f[1], 0.73, 0.31, f[2], f[3], nil)
 		return []float64{gamma, rr}
 	}},
 	{"PPCGInnerInit3D", func(p *par.Pool, b grid.Bounds3D, f []*grid.Field3D, m *grid.Field3D, o bool) []float64 {

@@ -45,9 +45,10 @@ func GalleryHotStripDeck() *deck.Deck {
 // GalleryDeflatedPointsDeck is promoted from fuzz seed 1, deck 24 — the
 // hardest deck of the corpus (~275 iterations per step). A stiff
 // operator (Δt ≈ 2.27 on ~0.17-wide cells, rx ≈ 77) over a 44× density
-// contrast, seeded with two point states, solved by CG with
-// two-block subdomain deflation and depth-3 halos — the exact
-// configuration stack whose interplay the fuzzer exists to cross-check.
+// contrast, seeded with two point states, solved by CG with two-block
+// subdomain deflation — the configuration stack whose interplay the
+// fuzzer exists to cross-check. (The fuzzer drew it with depth-3 halos,
+// which CG no longer takes: the halo depth is PPCG's.)
 func GalleryDeflatedPointsDeck() *deck.Deck {
 	d := deck.Default()
 	d.XCells, d.YCells = 35, 31
@@ -59,7 +60,6 @@ func GalleryDeflatedPointsDeck() *deck.Deck {
 	d.Solver = "cg"
 	d.Coefficient = "density"
 	d.Eps = 1e-9
-	d.HaloDepth = 3
 	d.UseDeflation = true
 	d.DeflationBlocks = 2
 	d.DeflationLevels = 1

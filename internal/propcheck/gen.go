@@ -97,8 +97,13 @@ func Gen(r *rand.Rand) *deck.Deck {
 	case p < 0.45:
 		d.Precond = "jac_block"
 	}
+	// The halo depth is PPCG's inner matrix-powers depth: the draws are
+	// made for every deck, so each seed keeps its other axes, and kept on
+	// PPCG decks only.
 	if d.Precond != "jac_block" && r.Float64() < 0.35 {
-		d.HaloDepth = 2 + r.Intn(2)
+		if depth := 2 + r.Intn(2); d.Solver == "ppcg" {
+			d.HaloDepth = depth
+		}
 	}
 	// Three draws of the deleted fused-dots, pipelined and split-sweep
 	// axes, kept so every seed still generates the same decks on the

@@ -366,9 +366,9 @@ var checkers = []checkerDef{
 	{name: "halo-depth", applies: depthApplies, run: checkHaloDepth},
 }
 
-// depthApplies gates the legs that deepen the halo: jac_block is
-// deep-halo incompatible.
-func depthApplies(d *deck.Deck) bool { return d.Precond != "jac_block" }
+// depthApplies gates the legs that deepen the halo: the depth is PPCG's
+// inner matrix-powers depth, and jac_block is deep-halo incompatible.
+func depthApplies(d *deck.Deck) bool { return d.Solver == "ppcg" && d.Precond != "jac_block" }
 
 // checkFinite: every interior cell of the final energy field is finite.
 func checkFinite(h *harness) error {
@@ -484,10 +484,9 @@ func checkBackendBits(h *harness) error {
 // checkWorkers: the band split changes only the order the dots are
 // summed in, as a rank decomposition does — so 2- and 4-worker runs
 // reproduce the 1-worker base to the rank legs' tolerance (see legTol).
-// A depth-1 deck whose halo can deepen also runs the depth-2 cycle at 2
-// workers (extended-bounds sweeps, ring updates and the fused CG pass's
-// band cuts on a split pool), which a single rank keeps bit-identical
-// to depth 1, so it is held to the same tolerance.
+// A depth-1 PPCG deck whose halo can deepen also runs its depth-2 inner
+// matrix powers at 2 workers (extended-bounds Chebyshev steps on a split
+// pool), held to the same tolerance.
 func checkWorkers(h *harness) error {
 	base, err := h.baseRun()
 	if err != nil {
@@ -510,16 +509,17 @@ func checkWorkers(h *harness) error {
 		}
 	}
 	if !depthApplies(h.d) || h.d.HaloDepth > 1 {
-		return nil // no deep cycle possible, or the legs above already ran one
+		return nil // no deep halo possible, or the legs above already ran one
 	}
 	deep := Clone(h.d)
 	deep.HaloDepth = 2
 	return cmp(deep, "workers-d2-w2", 2)
 }
 
-// checkHaloDepth: the matrix-powers deep-halo machinery must not change
-// the answer — depths 2 and 3 reproduce depth 1 to TolHalo relative.
-// (jac_block is depth-incompatible and gated out via applies.)
+// checkHaloDepth: PPCG's inner matrix powers must not change the answer
+// — depths 2 and 3 reproduce depth 1 to TolHalo relative. (Other solvers
+// have no halo depth, and jac_block is depth-incompatible; applies gates
+// both out.)
 func checkHaloDepth(h *harness) error {
 	mk := func(depth int) *deck.Deck {
 		c := Clone(h.d)

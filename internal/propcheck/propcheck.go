@@ -15,10 +15,12 @@
 //     ranks (with two ranks FP addition is commutative, so the Hub's
 //     arrival-order sums cannot differ from TCP's fixed butterfly; at
 //     three or more ranks only the 1e-10 golden contract holds)
-//   - workers:              2- and 4-worker runs (and a depth-2 run at 2
-//     workers) agree with the 1-worker base to the rank legs' tolerance
-//   - halo-depth:           tl_ppcg_halo_depth ∈ {1,2,3} agree to 2e-10
-//     relative (skipped for jac_block, which is depth-incompatible)
+//   - workers:              2- and 4-worker runs (and, for PPCG, a depth-2
+//     run at 2 workers) agree with the 1-worker base to the rank legs'
+//     tolerance
+//   - halo-depth:           PPCG at tl_ppcg_halo_depth ∈ {1,2,3} agrees to
+//     2e-10 relative (skipped for jac_block, which is depth-incompatible,
+//     and for every other solver, which has no halo depth)
 //
 // The CG engine is checked against the textbook PCG loop, kept as a test
 // oracle, by the solver package's tests (FuzzEngineMatchesClassic) over

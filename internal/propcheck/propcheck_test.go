@@ -110,11 +110,15 @@ func tamperCell(leg string, rel float64) TamperFunc {
 
 // TestTamperedWorkerLegsTripWorkers: a fault confined to any one
 // multi-worker leg — a simulated band-split bug — fails the workers
-// checker, naming the leg.
+// checker, naming the leg. The depth-2 leg runs on PPCG decks only.
 func TestTamperedWorkerLegsTripWorkers(t *testing.T) {
 	for _, leg := range []string{"workers-w2", "workers-w4", "workers-d2-w2"} {
 		t.Run(leg, func(t *testing.T) {
-			cr := CheckDeck(tamperDeck(t), Config{Tamper: tamperCell(leg, 1e-4), ShrinkBudget: 1})
+			d := tamperDeck(t)
+			if leg == "workers-d2-w2" {
+				d.Solver = "ppcg"
+			}
+			cr := CheckDeck(d, Config{Tamper: tamperCell(leg, 1e-4), ShrinkBudget: 1})
 			if cr.Failure == nil {
 				t.Fatalf("tampered %s leg was not detected", leg)
 			}
@@ -123,6 +127,31 @@ func TestTamperedWorkerLegsTripWorkers(t *testing.T) {
 			}
 			if !strings.Contains(cr.Failure.Detail, leg) {
 				t.Errorf("detail %q does not name the %s leg", cr.Failure.Detail, leg)
+			}
+		})
+	}
+}
+
+// TestDepthLegsArePPCGOnly: the halo depth is PPCG's inner matrix-powers
+// depth, so a CG deck runs neither the halo-depth checker's legs nor the
+// workers checker's depth-2 leg — a fault confined to one of them goes
+// unseen — while on a PPCG deck the same fault fails its checker.
+func TestDepthLegsArePPCGOnly(t *testing.T) {
+	for _, tc := range []struct{ leg, checker string }{
+		{"workers-d2-w2", "workers"},
+		{"halo2", "halo-depth"},
+		{"halo3", "halo-depth"},
+	} {
+		t.Run(tc.leg, func(t *testing.T) {
+			cfg := Config{Tamper: tamperCell(tc.leg, 1e-4), ShrinkBudget: 1}
+			if cr := CheckDeck(tamperDeck(t), cfg); cr.Failure != nil {
+				t.Errorf("cg deck ran the %s leg: %s failed: %s", tc.leg, cr.Failure.Checker, cr.Failure.Detail)
+			}
+			d := tamperDeck(t)
+			d.Solver = "ppcg"
+			cr := CheckDeck(d, cfg)
+			if cr.Failure == nil || cr.Failure.Checker != tc.checker {
+				t.Errorf("ppcg deck with a tampered %s leg: failure %+v, want the %s checker", tc.leg, cr.Failure, tc.checker)
 			}
 		})
 	}

@@ -85,6 +85,8 @@ var shrinkSteps = []shrinkStep{
 		d.Precond = "none"
 		return true
 	}},
+	// A deck above depth 1 is PPCG (the depth is its inner matrix powers),
+	// and solver-cg's candidate is invalid until halo-1 has applied.
 	{"halo-1", func(d *deck.Deck) bool {
 		if d.HaloDepth <= 1 {
 			return false

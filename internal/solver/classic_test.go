@@ -118,7 +118,7 @@ func runCGClassicCore[F comparable, B any](e *engine[F, B], maxIters int, tol fl
 			// matvec+dot cannot be used because the dot must see P·A·p.
 			e.matvec(in, pvec, w)
 			var zero F
-			pw = e.reduce(e.projectW(defl, in, w, zero, pvec))
+			pw = e.reduce(e.projectW(defl, w, zero, pvec))
 			if res, err := cgNonFinite(result, scalar{"p·A·p", pw}); err != nil {
 				return res, nil, err
 			}

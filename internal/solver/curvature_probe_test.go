@@ -13,9 +13,9 @@ import (
 // (z = m⊙x, the raw w = A·z and the local δ = z·w), and the deflator it
 // hands the engine wraps the real one so that every SolveCoarse — the
 // point where the engine forms δ − bᵀλ — also evaluates the parent's
-// two-pass form on a copy of the raw w: ProjectWBounds (the restriction
+// two-pass form on a copy of the raw w: ProjectWDot (the restriction
 // sweep, the projector's own reduction round and the correction sweep)
-// with z·(P·w) re-measured from the corrected copy. ProjectWBounds is
+// with z·(P·w) re-measured from the corrected copy. ProjectWDot is
 // bitwise the parent's post-pass projection (the deflate package pins
 // that against its projectRestricted oracle).
 
@@ -52,7 +52,7 @@ type probeSys[F comparable, B any] struct {
 }
 
 type probeDefl[F comparable, B any] struct {
-	deflator[F, B]
+	deflator[F]
 	sys     system[F, B]
 	c       comm.Communicator
 	m, x, w F       // the last restricting matvec's z = m⊙x and raw w
@@ -70,7 +70,7 @@ func newProbe[F comparable, B any](sys system[F, B], c comm.Communicator, absDot
 	return ps
 }
 
-func (s *probeSys[F, B]) Deflation() deflator[F, B] {
+func (s *probeSys[F, B]) Deflation() deflator[F] {
 	if s.defl == nil {
 		return nil
 	}
@@ -99,8 +99,8 @@ func (s *probeSys[F, B]) ApplyPreDotInit(b B, minv, r, w F, d deflRows) (gamma, 
 	return gamma, s.record(d, minv, r, w, delta), rr
 }
 
-func (s *probeSys[F, B]) CGIter(sb, mb B, mirror bool, minv, r, w F, beta, alpha float64, p, sv, x F, d deflRows) (gamma, rr, delta float64) {
-	gamma, rr, delta = s.system.CGIter(sb, mb, mirror, minv, r, w, beta, alpha, p, sv, x, d)
+func (s *probeSys[F, B]) CGIter(minv, r, w F, beta, alpha float64, p, sv, x F, d deflRows) (gamma, rr, delta float64) {
+	gamma, rr, delta = s.system.CGIter(minv, r, w, beta, alpha, p, sv, x, d)
 	return gamma, rr, s.record(d, minv, r, w, delta)
 }
 
@@ -113,7 +113,7 @@ func (p *probeDefl[F, B]) SolveCoarse(b []float64) float64 {
 	in := p.sys.Interior()
 	pw := p.vec()
 	p.sys.CopyAll(pw, p.w)
-	twoPass := p.c.AllReduceSum(p.deflator.ProjectWBounds(in, pw, p.m, p.x))
+	twoPass := p.c.AllReduceSum(p.deflator.ProjectWDot(pw, p.m, p.x))
 	awl := p.vec() // A·W·λ = w − P·w
 	p.sys.CopyAll(awl, p.w)
 	p.sys.Axpy(in, -1, pw, awl)

@@ -16,12 +16,18 @@ import (
 
 // engineMatchesClassic solves the first time step of d with the CG engine
 // and with the textbook PCG oracle, from the same initial guess and with
-// the deck's preconditioner, deflation and halo depth, and requires the
-// two solutions to agree at propcheck.TolEngine with legTol's scaling:
+// the deck's preconditioner, deflation and grid, and requires the two
+// solutions to agree at propcheck.TolEngine with legTol's scaling:
 // max(TolEngine, 150·eps) relative to the solution's magnitude. Whatever
-// solver the deck names, both legs run CG.
+// solver the deck names, both legs run CG, which exchanges at depth 1 (a
+// PPCG deck's halo depth is its inner matrix-powers depth).
 func engineMatchesClassic(t *testing.T, d *deck.Deck) {
 	t.Helper()
+	cgOpts := func(o *solver.Options) solver.Options {
+		c := *o
+		c.HaloDepth = 1
+		return c
+	}
 	var diff, scale float64
 	if d.Dims == 3 {
 		inst, err := core.NewSerial3D(d, nil)
@@ -33,8 +39,8 @@ func engineMatchesClassic(t *testing.T, d *deck.Deck) {
 		pe := solver.Problem3D{Op: inst.Op, U: rhs.Clone(), RHS: rhs}
 		po := solver.Problem3D{Op: inst.Op, U: rhs.Clone(), RHS: rhs}
 		solveBoth(t, d,
-			func() (solver.Result, error) { return solver.SolveCG3D(pe, *inst.Options()) },
-			func() (solver.Result, error) { return solver.SolveCGClassic3D(po, *inst.Options()) })
+			func() (solver.Result, error) { return solver.SolveCG3D(pe, cgOpts(inst.Options())) },
+			func() (solver.Result, error) { return solver.SolveCGClassic3D(po, cgOpts(inst.Options())) })
 		diff, scale = pe.U.MaxDiff(po.U), po.U.MaxDiff(grid.NewField3D(inst.Grid))
 	} else {
 		inst, err := core.NewSerial(d, nil)
@@ -46,8 +52,8 @@ func engineMatchesClassic(t *testing.T, d *deck.Deck) {
 		pe := solver.Problem{Op: inst.Op, U: rhs.Clone(), RHS: rhs}
 		po := solver.Problem{Op: inst.Op, U: rhs.Clone(), RHS: rhs}
 		solveBoth(t, d,
-			func() (solver.Result, error) { return solver.SolveCG(pe, *inst.Options()) },
-			func() (solver.Result, error) { return solver.SolveCGClassic(po, *inst.Options()) })
+			func() (solver.Result, error) { return solver.SolveCG(pe, cgOpts(inst.Options())) },
+			func() (solver.Result, error) { return solver.SolveCGClassic(po, cgOpts(inst.Options())) })
 		diff, scale = pe.U.MaxDiff(po.U), po.U.MaxDiff(grid.NewField2D(inst.Grid))
 	}
 	tol := math.Max(propcheck.TolEngine, 150*d.Eps) * math.Max(scale, 1)

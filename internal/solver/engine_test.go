@@ -27,16 +27,16 @@ func profileOf(tr stats.Trace) cgProfile {
 // matvec, the preconditioned matvec with its dot sweep, the ‖b‖² stop
 // baseline's dot and round, and the exchanges of x and z.
 func TestBlockJacobiCGTraceCounts(t *testing.T) {
-	v := deepVariant{name: "jac_block", block: true}
+	v := engineVariant{name: "jac_block", block: true}
 	for _, dims := range []int{2, 3} {
 		for _, ranks := range []int{1, 2} {
 			t.Run(fmt.Sprintf("%dD/ranks=%d", dims, ranks), func(t *testing.T) {
 				var iters int
 				var tr stats.Trace
 				if dims == 2 {
-					iters, _, tr = deepRun2D(t, v, ranks, 1, 1)
+					iters, _, tr = rankRun2D(t, v, ranks, 1)
 				} else {
-					iters, _, tr = deepRun3D(t, v, ranks, 1, 1)
+					iters, _, tr = rankRun3D(t, v, ranks, 1)
 				}
 				want := cgProfile{
 					matvecs: iters + 2, vectorPasses: 3 * iters, dots: iters + 2,
@@ -55,17 +55,17 @@ func TestBlockJacobiCGTraceCounts(t *testing.T) {
 // PCG oracle agree on jac_block, 2D and 3D, one and two ranks — same
 // iteration count to ±1 and the same solution to 1e-8.
 func TestBlockJacobiCGMatchesOracle(t *testing.T) {
-	engine := deepVariant{name: "jac_block", block: true}
-	oracle := deepVariant{name: "jac_block-oracle", block: true, oracle: true}
+	engine := engineVariant{name: "jac_block", block: true}
+	oracle := engineVariant{name: "jac_block-oracle", block: true, oracle: true}
 	for _, ranks := range []int{1, 2} {
-		ei, eu, _ := deepRun2D(t, engine, ranks, 1, 1)
-		oi, ou, _ := deepRun2D(t, oracle, ranks, 1, 1)
+		ei, eu, _ := rankRun2D(t, engine, ranks, 1)
+		oi, ou, _ := rankRun2D(t, oracle, ranks, 1)
 		if d := ei - oi; d < -1 || d > 1 || eu.MaxDiff(ou) > 1e-8 {
 			t.Errorf("2D ranks=%d: engine %d iterations vs oracle %d, solutions differ by %v",
 				ranks, ei, oi, eu.MaxDiff(ou))
 		}
-		ei3, eu3, _ := deepRun3D(t, engine, ranks, 1, 1)
-		oi3, ou3, _ := deepRun3D(t, oracle, ranks, 1, 1)
+		ei3, eu3, _ := rankRun3D(t, engine, ranks, 1)
+		oi3, ou3, _ := rankRun3D(t, oracle, ranks, 1)
 		if d := ei3 - oi3; d < -1 || d > 1 || eu3.MaxDiff(ou3) > 1e-8 {
 			t.Errorf("3D ranks=%d: engine %d iterations vs oracle %d, solutions differ by %v",
 				ranks, ei3, oi3, eu3.MaxDiff(ou3))
@@ -81,13 +81,13 @@ func TestBlockJacobiCGMatchesOracle(t *testing.T) {
 // one depth-1 exchange (of r) per iteration — and it matches the serial
 // textbook PCG oracle on the same grid.
 func TestFoldedJacobiHaloOneOnRanks(t *testing.T) {
-	engine := deepVariant{name: "halo1", halo: 1}
-	oracle := deepVariant{name: "halo1-oracle", halo: 1, oracle: true}
-	oi, ou, _ := deepRun2D(t, oracle, 1, 1, 1)
-	oi3, ou3, _ := deepRun3D(t, oracle, 1, 1, 1)
+	engine := engineVariant{name: "halo1", halo: 1}
+	oracle := engineVariant{name: "halo1-oracle", halo: 1, oracle: true}
+	oi, ou, _ := rankRun2D(t, oracle, 1, 1)
+	oi3, ou3, _ := rankRun3D(t, oracle, 1, 1)
 	for _, ranks := range []int{2, 4} {
-		iters, u, tr := deepRun2D(t, engine, ranks, 1, 1)
-		iters3, u3, tr3 := deepRun3D(t, engine, ranks, 1, 1)
+		iters, u, tr := rankRun2D(t, engine, ranks, 1)
+		iters3, u3, tr3 := rankRun3D(t, engine, ranks, 1)
 		for _, c := range []struct {
 			label     string
 			iters, oi int

@@ -66,7 +66,6 @@ func TestSolversSurfaceExchangeFailure(t *testing.T) {
 	}{
 		{name: "cg-fused", dims: 2, kind: KindCG, halo: 2},
 		{name: "cg-fused-jac_diag", dims: 2, kind: KindCG, halo: 2, setup: jacobi},
-		{name: "cg-fused-depth3", dims: 2, kind: KindCG, halo: 3, o: Options{HaloDepth: 3}, setup: jacobi},
 		{name: "cg-fused-deflated", dims: 2, kind: KindCG, halo: 2, setup: func(p Problem, o *Options) {
 			o.Deflation = newDeflation(t, p.Op, 4, 1)
 		}},

@@ -66,7 +66,7 @@ func (e *engine[F, B]) startupBaseSq(rr0, tol float64) (base float64, done bool)
 // against rr0. It leaves r holding the corrected residual and u the
 // corrected solution, so continuation solvers (the PPCG outer loop after
 // a deflated bootstrap) resume from a consistent state with Wᵀ·r = 0.
-func (e *engine[F, B]) finishDeflated(defl deflator[F, B], r F, rr0 float64) (float64, error) {
+func (e *engine[F, B]) finishDeflated(defl deflator[F], r F, rr0 float64) (float64, error) {
 	if err := e.exchange(1, e.u); err != nil {
 		return 0, err
 	}
@@ -107,21 +107,19 @@ func (e *engine[F, B]) finishDeflated(defl deflator[F, B], r F, rr0 float64) (fl
 // The matvec needs r's new values one cell beyond its bounds. A rank with
 // no neighbour gets them by reflection, which the pass writes as it steps
 // the boundary rows, so a single-rank iteration exchanges nothing. A rank
-// neighbour at halo depth 1 is the case that keeps two sweeps, with the
-// depth-1 exchange of r between them: the pass is chosen by the grid's
-// neighbours and the halo depth. The folded sweeps read minv one cell
-// beyond their bounds too. The Jacobi constructors can only evaluate the
-// diagonal on the padded region minus its outermost layer, so on a halo-1
-// grid with a rank neighbour (and on any deep-halo cycle) minv is
-// exchanged once before the solve; a physical side's ring is multiplied
-// by a zero face coefficient and needs nothing.
+// neighbour is the case that keeps two sweeps, with the depth-1 exchange
+// of r between them: the pass is chosen by the grid's neighbours alone.
+// The folded sweeps read minv one cell beyond their bounds too. The
+// Jacobi constructors can only evaluate the diagonal on the padded region
+// minus its outermost layer, so on a halo-1 grid with a rank neighbour
+// minv is exchanged once before the solve; a physical side's ring is
+// multiplied by a zero face coefficient and needs nothing.
 //
 // A preconditioner that does not fold (jac_block's strip and z-line
 // solves) runs the same recurrences with an explicit z: the step is three
 // vector sweeps, then z = M⁻¹r, a depth-1 exchange of z, the matvec with
 // δ fused in and one dot sweep for γ' and rr — still one reduction round
-// per iteration. It runs at depth 1 only: block preconditioners are
-// barred from deep halos (Options.HaloDepth).
+// per iteration.
 //
 // With a deflator configured the same recurrences run on the projected
 // operator P·A = (I − A·W·E⁻¹·Wᵀ)·A, with coarse corrections before and
@@ -139,28 +137,11 @@ func (e *engine[F, B]) finishDeflated(defl deflator[F, B], r F, rr0 float64) (fl
 // own arithmetic (s = (w − λ_c) + β·s); jac_block's s = w + β·s sweep
 // applies the whole correction to the row first. Per cell that is the
 // old correction sweep's arithmetic, so only δ's rounding differs from
-// projecting w after the pass. One exception: the first step of a deep
-// cycle reads w on ext(d), whose outermost ring's far faces lie beyond
-// the padded grid, so there the correction is a sweep over the interior
-// before the cycle's exchange.
+// projecting w after the pass.
 //
-// With Options.HaloDepth d > 1 the loop runs a matrix-powers cycle
-// (§IV-C2), previously exclusive to the PPCG inner solve: one depth-d
-// exchange of {r, w, s} at the top of each d-iteration cycle replaces the
-// per-iteration depth-1 exchange of r. Iteration j of a cycle steps the
-// extended bounds ext(d−j) — the interior grown by d−j cells toward
-// every rank neighbour — and runs its matvec on ext(d−1−j), so each
-// sweep's inputs are valid exactly one cell beyond its own bounds and the
-// halo data ages out one cell per iteration. On the extension rings only
-// r and s advance (p feeds x alone, and x is interior-only, so p is not
-// exchanged either); the extended cells are redundant compute replicating
-// the neighbour's interior, and all dots stay interior-only in the
-// interior's band order, so the reduced scalars (and hence the iterates)
-// are unchanged from depth 1 — the cycle trades ~2·d·halo cells of
-// redundant compute for d× fewer messages, the same latency-for-bandwidth
-// trade the PPCG inner powers schedule makes. Deflated solves join the
-// cycle: each step applies the pending correction on its own extended
-// bounds, where the rings replicate the neighbour's arithmetic bitwise.
+// Every iteration exchanges at depth 1 whatever Options.HaloDepth says:
+// the halo depth is PPCG's inner matrix-powers depth, and its CG
+// bootstrap runs this loop unchanged.
 func runCGCore[F comparable, B any](e *engine[F, B], maxIters int, tol float64) (Result, *cgState[F], error) {
 	sys := e.sys
 	in := e.in
@@ -188,15 +169,13 @@ func runCGCore[F comparable, B any](e *engine[F, B], maxIters int, tol float64) 
 		return &cgState[F]{r: r, z: z, w: w, pvec: pvec, s: svec, rz: gamma, rr: rr, rr0: rr0, base: base}
 	}
 
-	depth := max(e.o.HaloDepth, 1)
-	// A depth-1 iteration runs as one pass only where no rank neighbour's
-	// halo of r has to be exchanged between the step and the matvec.
-	alone := sys.Cells(sys.Extend(1)) == e.cells
-	if !isZeroF(minv) && (depth > 1 || (!alone && sys.GridHalo() == 1)) {
-		// The folded diagonal is sweep input one cell beyond every bounds
-		// the solve sweeps; it never changes during the solve, so one
-		// exchange suffices.
-		if err := e.exchange(depth, minv); err != nil {
+	// An iteration runs as one pass only where no rank neighbour's halo
+	// of r has to be exchanged between the step and the matvec.
+	alone := sys.Alone()
+	if !isZeroF(minv) && !alone && sys.GridHalo() == 1 {
+		// The folded diagonal is sweep input one cell beyond the interior;
+		// it never changes during the solve, so one exchange suffices.
+		if err := e.exchange(1, minv); err != nil {
 			return result, nil, err
 		}
 	}
@@ -280,30 +259,8 @@ func runCGCore[F comparable, B any](e *engine[F, B], maxIters int, tol float64) 
 			if gammaNew, rrNew, deltaNew, err = e.precondMatvec(r, z, w, dr); err != nil {
 				return result, nil, err
 			}
-		case depth > 1:
-			j := it % depth
-			d := dr
-			if j == 0 {
-				if defl != nil {
-					// The cycle's first step reads w on ext(depth), and
-					// correcting its outermost ring would need face
-					// coefficients beyond the padded grid; so the pending
-					// correction is a sweep of its own over the interior,
-					// before the exchange ships the corrected w.
-					sys.Correct(in, w)
-					e.vectorPass(in)
-					d.correct = false
-				}
-				// Cycle top: one deep exchange of what the cycle's ring
-				// steps and matvecs read replaces depth per-iteration
-				// exchanges of r.
-				if err := e.exchange(depth, r, w, svec); err != nil {
-					return result, nil, err
-				}
-			}
-			gammaNew, rrNew, deltaNew = e.cgIter(sys.Extend(depth-j), sys.Extend(depth-1-j), false, minv, r, w, beta, alpha, pvec, svec, d)
 		case alone:
-			gammaNew, rrNew, deltaNew = e.cgIter(in, in, true, minv, r, w, beta, alpha, pvec, svec, dr)
+			gammaNew, rrNew, deltaNew = e.cgIter(minv, r, w, beta, alpha, pvec, svec, dr)
 		default:
 			gammaNew, rrNew = sys.FusedCGStep(in, minv, r, w, beta, alpha, pvec, svec, e.u, dr)
 			e.vectorPass(in)
@@ -468,10 +425,11 @@ func solveChebyCore[F comparable, B any](e *engine[F, B]) (Result, error) {
 		}
 		result.Eigen = &est
 
-		sched, err := cheby.NewSchedule(est.Min, est.Max, o.MaxIters)
+		sched, err := cheby.NewInterval(est.Min, est.Max)
 		if err != nil {
 			return result, fmt.Errorf("solver: chebyshev schedule: %w", err)
 		}
+		coefs := sched.Coefs()
 
 		// --- Chebyshev main loop, continuing from the CG state. ---
 		r, z, w := st.r, st.z, st.w
@@ -500,17 +458,14 @@ func solveChebyCore[F comparable, B any](e *engine[F, B]) (Result, error) {
 			if err := e.exchange(1, pvec); err != nil {
 				return result, err
 			}
-			step := it
-			if step >= sched.Steps() {
-				step = sched.Steps() - 1 // coefficients have converged by then
-			}
+			alpha, beta := coefs.Next()
 			e.matvec(in, pvec, w)
 			if fused {
 				// u += p and r −= A·p share one sweep; the direction update
 				// p = α·p + β·M⁻¹r folds the preconditioner into a second.
 				sys.AxpyAxpy(in, 1, pvec, e.u, -1, w, r)
 				e.vectorPass(in)
-				sys.AxpbyPre(in, sched.Alpha[step], pvec, sched.Beta[step], minv, r)
+				sys.AxpbyPre(in, alpha, pvec, beta, minv, r)
 				e.vectorPass(in)
 			} else {
 				sys.Axpy(in, 1, pvec, e.u) // u += p
@@ -521,7 +476,7 @@ func solveChebyCore[F comparable, B any](e *engine[F, B]) (Result, error) {
 				e.applyPrecond(in, r, z)
 				// p = α·p + β·z (AxpbyPre with the identity).
 				var zero F
-				sys.AxpbyPre(in, sched.Alpha[step], pvec, sched.Beta[step], zero, z)
+				sys.AxpbyPre(in, alpha, pvec, beta, zero, z)
 				e.vectorPass(in)
 			}
 
@@ -706,7 +661,7 @@ func solvePPCGCore[F comparable, B any](e *engine[F, B]) (Result, error) {
 			// matvec+dot cannot be used because the dot must see P·A·p.
 			e.matvec(in, pvec, w)
 			var zero F
-			pw = e.reduce(e.projectW(defl, in, w, zero, pvec))
+			pw = e.reduce(e.projectW(defl, w, zero, pvec))
 		} else {
 			pw = e.matvecDot(in, pvec, w)
 		}

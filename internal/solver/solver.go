@@ -70,10 +70,10 @@ func ParseKind(s string) (Kind, error) {
 // satisfied by *deflate.Deflation (the contract is defined here rather
 // than importing internal/deflate so any coarse-space projector can be
 // composed in). CoarseCorrect applies u += W·E⁻¹·Wᵀ·r, zeroing the
-// deflation-space component of the residual; ProjectWBounds applies
-// w ← P·w = w − A·W·E⁻¹·Wᵀ·w in place with the correction written over
-// b ⊇ interior and returns the rank-local interior dot (minv⊙x)·(P·w)
-// from the same pass (nil minv = identity, nil x = no dot). Both are
+// deflation-space component of the residual; ProjectWDot applies
+// w ← P·w = w − A·W·E⁻¹·Wᵀ·w in place over the interior and returns the
+// rank-local dot (minv⊙x)·(P·w) from the same pass (nil minv = identity,
+// nil x = no dot). Both are
 // collective: in a distributed solve every rank must reach them together
 // (each performs exactly one reduction round through the solve's
 // communicator).
@@ -85,19 +85,19 @@ func ParseKind(s string) (Kind, error) {
 // engine sums inside its one scalar round; SolveCoarse solves E·λ = b on
 // the summed b (replicated, no communication), returns bᵀλ and leaves
 // the correction w −= A·W·λ pending, which the next sweep to read w
-// applies to each row y of its bounds b ⊇ interior just before reading
-// it: whole (CorrectRow), or as the block-face terms (CorrectRowFaces)
-// with the returned λ_c taken off w in the sweep's own arithmetic.
+// applies to each interior row y just before reading it: whole
+// (CorrectRow), or as the block-face terms (CorrectRowFaces) with the
+// returned λ_c taken off w in the sweep's own arithmetic.
 // RestrictRow, CorrectRow and CorrectRowFaces are called concurrently
 // for distinct rows.
 type Deflator interface {
 	CoarseCorrect(r, u *grid.Field2D)
-	ProjectWBounds(b grid.Bounds, w, minv, x *grid.Field2D) float64
+	ProjectWDot(w, minv, x *grid.Field2D) float64
 	RestrictRow(w *grid.Field2D, y int)
 	Restriction() []float64
 	SolveCoarse(b []float64) float64
-	CorrectRow(b grid.Bounds, w *grid.Field2D, y int)
-	CorrectRowFaces(b grid.Bounds, w *grid.Field2D, y int) []float64
+	CorrectRow(w *grid.Field2D, y int)
+	CorrectRowFaces(w *grid.Field2D, y int) []float64
 }
 
 // Deflator3D is the 3D outer deflation projector Options.Deflation3D
@@ -106,12 +106,12 @@ type Deflator interface {
 // (j, k) = (y, z).
 type Deflator3D interface {
 	CoarseCorrect(r, u *grid.Field3D)
-	ProjectWBounds(b grid.Bounds3D, w, minv, x *grid.Field3D) float64
+	ProjectWDot(w, minv, x *grid.Field3D) float64
 	RestrictRow(w *grid.Field3D, j, k int)
 	Restriction() []float64
 	SolveCoarse(b []float64) float64
-	CorrectRow(b grid.Bounds3D, w *grid.Field3D, j, k int)
-	CorrectRowFaces(b grid.Bounds3D, w *grid.Field3D, j, k int) []float64
+	CorrectRow(w *grid.Field3D, j, k int)
+	CorrectRowFaces(w *grid.Field3D, j, k int) []float64
 }
 
 // Problem is one linear solve A·u = rhs on a rank-local grid. U holds the
@@ -167,14 +167,13 @@ type Options struct {
 	// InnerSteps is the PPCG Chebyshev inner-step count per outer
 	// iteration (default 10, TeaLeaf's tl_ppcg_inner_steps).
 	InnerSteps int
-	// HaloDepth is the matrix-powers exchange depth (default 1 = classic
-	// exchange-per-application; §IV-C2). Depth d > 1 drives the PPCG inner
-	// Chebyshev smoothing's powers schedule AND the fused CG engine's
-	// deep-halo cycle (one depth-d exchange of the recurrence
-	// vectors per d iterations, sweeps on extended bounds), including
-	// deflated solves — iterates are unchanged from depth 1 to within
-	// round-off. It is incompatible with preconditioners whose registry
-	// entry is not deep-halo compatible (jac_block in either dimension).
+	// HaloDepth is PPCG's inner matrix-powers depth (default 1 = one
+	// exchange per Chebyshev step; §IV-C2): one depth-d exchange buys d
+	// inner steps on extended bounds. Every other exchange of every solver
+	// is depth 1 (PPCG's CG bootstrap included), so depth > 1 is rejected
+	// for every kind but KindPPCG. It is incompatible with preconditioners
+	// whose registry entry is not deep-halo compatible (jac_block in
+	// either dimension).
 	HaloDepth int
 	// CheckEvery is the Chebyshev convergence-test cadence in iterations
 	// (default 10): the stand-alone Chebyshev solver is reduction-free
@@ -320,12 +319,16 @@ func Solve(kind Kind, p Problem, o Options) (Result, error) {
 	return new(Workspace).Solve(kind, p, o)
 }
 
-// requireNoDeflation rejects deflation for the solver kinds it does not
-// compose with: CG and PPCG run on the projected operator (in 2D and 3D,
-// single- or multi-rank); Jacobi and the stand-alone Chebyshev iteration
-// do not.
-func (o Options) requireNoDeflation(kind Kind) error {
-	if o.Deflation != nil || o.Deflation3D != nil {
+// validateKind checks the options against the solver kind: deflation
+// composes with CG and PPCG only (they run on the projected operator, in
+// 2D and 3D, single- or multi-rank; Jacobi and the stand-alone Chebyshev
+// iteration do not), and a halo depth above 1 is PPCG's inner
+// matrix-powers depth, which no other kind has.
+func (o Options) validateKind(kind Kind) error {
+	if kind != KindPPCG && o.HaloDepth > 1 {
+		return fmt.Errorf("solver: halo depth %d given to the %s solver: tl_ppcg_halo_depth is PPCG's inner matrix-powers depth, and every other solver exchanges at depth 1; set it to 1 or switch to tl_use_ppcg", o.HaloDepth, kind)
+	}
+	if (kind == KindJacobi || kind == KindCheby) && (o.Deflation != nil || o.Deflation3D != nil) {
 		return fmt.Errorf("solver: deflation composes with the cg and ppcg solvers only (got %s); drop tl_use_deflation or switch to tl_use_cg / tl_use_ppcg", kind)
 	}
 	return nil

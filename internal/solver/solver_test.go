@@ -3,6 +3,7 @@ package solver
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"tealeaf/internal/comm"
@@ -117,6 +118,31 @@ func TestSolveCGValidation(t *testing.T) {
 		t.Error("block-Jacobi with matrix powers must error")
 	}
 	_ = bj
+}
+
+// TestHaloDepthIsPPCGOnly: a halo depth above 1 is PPCG's inner
+// matrix-powers depth, so a Workspace solve of any other kind rejects it,
+// naming the key, in 2D and 3D; PPCG takes it.
+func TestHaloDepthIsPPCGOnly(t *testing.T) {
+	p := buildProblem(t, 12, 12, 3, 3)
+	p3 := buildProblem3DHalo(t, 6, 3, 3)
+	ws := new(Workspace)
+	for _, kind := range []Kind{KindCG, KindCheby, KindJacobi} {
+		for _, solve := range []func() error{
+			func() error { _, err := ws.Solve(kind, p, Options{HaloDepth: 3}); return err },
+			func() error { _, err := ws.Solve3D(kind, p3, Options{HaloDepth: 3}); return err },
+		} {
+			if err := solve(); err == nil || !strings.Contains(err.Error(), "tl_ppcg_halo_depth is PPCG's inner matrix-powers depth") {
+				t.Errorf("%s at halo depth 3: err = %v, want the PPCG-only depth error", kind, err)
+			}
+		}
+		if _, err := ws.Solve(kind, p, Options{HaloDepth: 1}); err != nil {
+			t.Errorf("%s at halo depth 1: %v", kind, err)
+		}
+	}
+	if res, err := ws.Solve(KindPPCG, p, Options{HaloDepth: 3}); err != nil || !res.Converged {
+		t.Errorf("ppcg at halo depth 3: %v (converged %v)", err, res.Converged)
+	}
 }
 
 func TestPCGVariantsAgree(t *testing.T) {
@@ -437,48 +463,13 @@ func TestFusedCGTraceCounts(t *testing.T) {
 // vector pass per iteration plus the 2 startup matvecs, one round per
 // iteration plus 2.
 func TestFusedCGNeighbourDepth1TraceCounts(t *testing.T) {
-	iters, _, tr := deepRun2D(t, deepVariants[0], 2, 1, 1)
+	iters, _, tr := rankRun2D(t, engineVariant{name: "fused"}, 2, 1)
 	if tr.HaloExchanges != iters+2 || tr.ExchangesByDepth[1] != iters+2 {
 		t.Errorf("exchanges = %d (by depth %v), want %d at depth 1", tr.HaloExchanges, tr.ExchangesByDepth, iters+2)
 	}
 	if tr.Matvecs != iters+2 || tr.VectorPasses != iters || tr.Reductions != iters+2 {
 		t.Errorf("{matvecs vectorPasses reductions} = {%d %d %d}, want {%d %d %d}",
 			tr.Matvecs, tr.VectorPasses, tr.Reductions, iters+2, iters, iters+2)
-	}
-}
-
-// TestFusedDeepHaloVectorCells pins the deep-halo fused cycle's per-
-// iteration accounting: still ONE traced vector pass per iteration,
-// covering the interior plus the extension rings the step advances —
-// iteration it of a depth-d cycle steps Extend(d − it mod d). Rank 0 of a
-// 2×1 split of the 24² mesh owns 12×24 cells and extends toward its
-// right-hand neighbour only, so that is (12 + d − it mod d)·24 cells. And
-// one depth-d exchange per cycle of three fields, {r, w, s}: p feeds x
-// alone, on the interior, so it is neither exchanged nor stepped on the
-// rings. Each exchange is one message to the right of fields·d·24 values.
-func TestFusedDeepHaloVectorCells(t *testing.T) {
-	const depth = 3
-	iters, _, tr := deepRun2D(t, deepVariants[0], 2, 1, depth)
-	var cells int64
-	for it := 0; it < iters; it++ {
-		cells += int64(12+depth-it%depth) * 24
-	}
-	if tr.VectorPasses != iters || tr.VectorCells != cells {
-		t.Errorf("%d vector passes over %d cells in %d iterations, want %d over %d",
-			tr.VectorPasses, tr.VectorCells, iters, iters, cells)
-	}
-	if tr.Matvecs != iters+2 {
-		t.Errorf("matvecs = %d, want %d", tr.Matvecs, iters+2)
-	}
-	// Startup: u and r at depth 1, the folded diagonal at depth d; then
-	// one cycle-top exchange per d iterations.
-	cycles := (iters + depth - 1) / depth
-	if tr.ExchangesByDepth[1] != 2 || tr.ExchangesByDepth[depth] != 1+cycles {
-		t.Errorf("exchanges by depth %v, want {1:2 %d:%d}", tr.ExchangesByDepth, depth, 1+cycles)
-	}
-	slab := func(fields, d int) int64 { return int64(fields*d*24) * 8 }
-	if want := 2*slab(1, 1) + slab(1, depth) + int64(cycles)*slab(3, depth); tr.HaloBytes != want {
-		t.Errorf("halo bytes = %d, want %d", tr.HaloBytes, want)
 	}
 }
 

@@ -41,27 +41,7 @@ func (s *sys2d) NewPowers(depth int) (powersSched[grid.Bounds], error) {
 	return halo.NewSchedule(s.op.Grid, depth, adj)
 }
 
-func (s *sys2d) Extend(n int) grid.Bounds {
-	in := s.op.Grid.Interior()
-	if n <= 0 {
-		return in
-	}
-	phys := s.c.Physical()
-	var l, r, d, u int
-	if !phys.Left {
-		l = n
-	}
-	if !phys.Right {
-		r = n
-	}
-	if !phys.Down {
-		d = n
-	}
-	if !phys.Up {
-		u = n
-	}
-	return in.ExpandSides(l, r, d, u, s.op.Grid)
-}
+func (s *sys2d) Alone() bool { return stencil.PhysicalSides(s.c.Physical()) == stencil.AllPhysical }
 
 func (s *sys2d) Residual(b grid.Bounds, u, rhs, r *grid.Field2D) {
 	s.op.Residual(s.p, b, u, rhs, r)
@@ -94,7 +74,7 @@ func (s *sys2d) Axpy(b grid.Bounds, alpha float64, x, y *grid.Field2D) {
 }
 
 func (s *sys2d) Xpay(b grid.Bounds, x *grid.Field2D, beta float64, y *grid.Field2D, d deflRows) {
-	kernels.XpayRows(s.p, b, x, beta, y, s.correct(d, b, x))
+	kernels.XpayRows(s.p, b, x, beta, y, s.correct(d, x))
 }
 
 func (s *sys2d) Copy(b grid.Bounds, dst, src *grid.Field2D) { kernels.Copy(s.p, b, dst, src) }
@@ -114,25 +94,26 @@ func (s *sys2d) AxpbyPre(b grid.Bounds, a float64, y *grid.Field2D, beta float64
 }
 
 func (s *sys2d) FusedCGStep(b grid.Bounds, minv, r, w *grid.Field2D, beta, alpha float64, p, sv, x *grid.Field2D, d deflRows) (gamma, rr float64) {
-	return kernels.FusedCGStepRows(s.p, b, minv, r, w, beta, alpha, p, sv, x, s.correctFaces(d, b, w))
+	return kernels.FusedCGStepRows(s.p, b, minv, r, w, beta, alpha, p, sv, x, s.correctFaces(d, w))
 }
 
 // correct is the row callback that applies s.defl's pending correction
-// to w over b, when d asks for it (nil otherwise).
-func (s *sys2d) correct(d deflRows, b grid.Bounds, w *grid.Field2D) func(y int) {
+// to w's interior rows, when d asks for it (nil otherwise). The sweeps
+// that take it run over the interior.
+func (s *sys2d) correct(d deflRows, w *grid.Field2D) func(y int) {
 	if !d.correct {
 		return nil
 	}
-	return func(y int) { s.defl.CorrectRow(b, w, y) }
+	return func(y int) { s.defl.CorrectRow(w, y) }
 }
 
 // correctFaces is correct for a step sweep: the callback applies the
 // face terms and returns the λ_c row the step takes off w itself.
-func (s *sys2d) correctFaces(d deflRows, b grid.Bounds, w *grid.Field2D) func(y int) []float64 {
+func (s *sys2d) correctFaces(d deflRows, w *grid.Field2D) func(y int) []float64 {
 	if !d.correct {
 		return nil
 	}
-	return func(y int) []float64 { return s.defl.CorrectRowFaces(b, w, y) }
+	return func(y int) []float64 { return s.defl.CorrectRowFaces(w, y) }
 }
 
 // restrict is the row callback that hands w's interior rows to s.defl's
@@ -144,12 +125,8 @@ func (s *sys2d) restrict(d deflRows, w *grid.Field2D) func(y int) {
 	return func(y int) { s.defl.RestrictRow(w, y) }
 }
 
-func (s *sys2d) CGIter(sb, mb grid.Bounds, mirror bool, minv, r, w *grid.Field2D, beta, alpha float64, p, sv, x *grid.Field2D, d deflRows) (gamma, rr, delta float64) {
-	var phys stencil.PhysicalSides
-	if mirror {
-		phys = stencil.PhysicalSides(s.c.Physical())
-	}
-	return s.op.CGIter(s.p, sb, mb, s.op.Grid.Interior(), phys, minv, r, w, beta, alpha, p, sv, x, s.correctFaces(d, sb, w), s.restrict(d, w))
+func (s *sys2d) CGIter(minv, r, w *grid.Field2D, beta, alpha float64, p, sv, x *grid.Field2D, d deflRows) (gamma, rr, delta float64) {
+	return s.op.CGIter(s.p, s.op.Grid.Interior(), stencil.PhysicalSides(s.c.Physical()), minv, r, w, beta, alpha, p, sv, x, s.correctFaces(d, w), s.restrict(d, w))
 }
 
 func (s *sys2d) ChebySteps(bs []grid.Bounds, in grid.Bounds, alphas, betas []float64, sd, alt, rtemp, minv, acc *grid.Field2D) {
@@ -166,12 +143,4 @@ func (s *sys2d) PrecondIsIdentity() bool { return isNone(s.m) }
 
 func (s *sys2d) FoldableDiag() (*grid.Field2D, bool) { return precond.FoldableDiag(s.m) }
 
-func (s *sys2d) Deflation() deflator[*grid.Field2D, grid.Bounds] { return s.defl }
-
-func (s *sys2d) Correct(b grid.Bounds, w *grid.Field2D) {
-	s.p.For(b.Y0, b.Y1, func(y0, y1 int) {
-		for y := y0; y < y1; y++ {
-			s.defl.CorrectRow(b, w, y)
-		}
-	})
-}
+func (s *sys2d) Deflation() deflator[*grid.Field2D] { return s.defl }

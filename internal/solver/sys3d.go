@@ -46,32 +46,8 @@ func (s *sys3d) NewPowers(depth int) (powersSched[grid.Bounds3D], error) {
 	return halo.NewSchedule3D(s.op.Grid, depth, adj)
 }
 
-func (s *sys3d) Extend(n int) grid.Bounds3D {
-	in := s.op.Grid.Interior()
-	if n <= 0 {
-		return in
-	}
-	phys := s.c.Physical3D()
-	var l, r, d, u, bk, f int
-	if !phys.Left {
-		l = n
-	}
-	if !phys.Right {
-		r = n
-	}
-	if !phys.Down {
-		d = n
-	}
-	if !phys.Up {
-		u = n
-	}
-	if !phys.Back {
-		bk = n
-	}
-	if !phys.Front {
-		f = n
-	}
-	return in.ExpandSides(l, r, d, u, bk, f, s.op.Grid)
+func (s *sys3d) Alone() bool {
+	return stencil.PhysicalSides3D(s.c.Physical3D()) == stencil.AllPhysical3D
 }
 
 func (s *sys3d) Residual(b grid.Bounds3D, u, rhs, r *grid.Field3D) {
@@ -105,7 +81,7 @@ func (s *sys3d) Axpy(b grid.Bounds3D, alpha float64, x, y *grid.Field3D) {
 }
 
 func (s *sys3d) Xpay(b grid.Bounds3D, x *grid.Field3D, beta float64, y *grid.Field3D, d deflRows) {
-	kernels.XpayRows3D(s.p, b, x, beta, y, s.correct(d, b, x))
+	kernels.XpayRows3D(s.p, b, x, beta, y, s.correct(d, x))
 }
 
 func (s *sys3d) Copy(b grid.Bounds3D, dst, src *grid.Field3D) { kernels.Copy3D(s.p, b, dst, src) }
@@ -125,23 +101,23 @@ func (s *sys3d) AxpbyPre(b grid.Bounds3D, a float64, y *grid.Field3D, beta float
 }
 
 func (s *sys3d) FusedCGStep(b grid.Bounds3D, minv, r, w *grid.Field3D, beta, alpha float64, p, sv, x *grid.Field3D, d deflRows) (gamma, rr float64) {
-	return kernels.FusedCGStepRows3D(s.p, b, minv, r, w, beta, alpha, p, sv, x, s.correctFaces(d, b, w))
+	return kernels.FusedCGStepRows3D(s.p, b, minv, r, w, beta, alpha, p, sv, x, s.correctFaces(d, w))
 }
 
 // correct is the 3D twin of sys2d.correct.
-func (s *sys3d) correct(d deflRows, b grid.Bounds3D, w *grid.Field3D) func(j, k int) {
+func (s *sys3d) correct(d deflRows, w *grid.Field3D) func(j, k int) {
 	if !d.correct {
 		return nil
 	}
-	return func(j, k int) { s.defl.CorrectRow(b, w, j, k) }
+	return func(j, k int) { s.defl.CorrectRow(w, j, k) }
 }
 
 // correctFaces is the 3D twin of sys2d.correctFaces.
-func (s *sys3d) correctFaces(d deflRows, b grid.Bounds3D, w *grid.Field3D) func(j, k int) []float64 {
+func (s *sys3d) correctFaces(d deflRows, w *grid.Field3D) func(j, k int) []float64 {
 	if !d.correct {
 		return nil
 	}
-	return func(j, k int) []float64 { return s.defl.CorrectRowFaces(b, w, j, k) }
+	return func(j, k int) []float64 { return s.defl.CorrectRowFaces(w, j, k) }
 }
 
 // restrict is the 3D twin of sys2d.restrict.
@@ -152,12 +128,8 @@ func (s *sys3d) restrict(d deflRows, w *grid.Field3D) func(j, k int) {
 	return func(j, k int) { s.defl.RestrictRow(w, j, k) }
 }
 
-func (s *sys3d) CGIter(sb, mb grid.Bounds3D, mirror bool, minv, r, w *grid.Field3D, beta, alpha float64, p, sv, x *grid.Field3D, d deflRows) (gamma, rr, delta float64) {
-	var phys stencil.PhysicalSides3D
-	if mirror {
-		phys = stencil.PhysicalSides3D(s.c.Physical3D())
-	}
-	return s.op.CGIter(s.p, sb, mb, s.op.Grid.Interior(), phys, minv, r, w, beta, alpha, p, sv, x, s.correctFaces(d, sb, w), s.restrict(d, w))
+func (s *sys3d) CGIter(minv, r, w *grid.Field3D, beta, alpha float64, p, sv, x *grid.Field3D, d deflRows) (gamma, rr, delta float64) {
+	return s.op.CGIter(s.p, s.op.Grid.Interior(), stencil.PhysicalSides3D(s.c.Physical3D()), minv, r, w, beta, alpha, p, sv, x, s.correctFaces(d, w), s.restrict(d, w))
 }
 
 func (s *sys3d) ChebySteps(bs []grid.Bounds3D, in grid.Bounds3D, alphas, betas []float64, sd, alt, rtemp, minv, acc *grid.Field3D) {
@@ -174,14 +146,4 @@ func (s *sys3d) PrecondIsIdentity() bool { return isNone3(s.m) }
 
 func (s *sys3d) FoldableDiag() (*grid.Field3D, bool) { return precond.FoldableDiag3D(s.m) }
 
-func (s *sys3d) Deflation() deflator[*grid.Field3D, grid.Bounds3D] { return s.defl }
-
-func (s *sys3d) Correct(b grid.Bounds3D, w *grid.Field3D) {
-	s.p.For(b.Z0, b.Z1, func(k0, k1 int) {
-		for k := k0; k < k1; k++ {
-			for j := b.Y0; j < b.Y1; j++ {
-				s.defl.CorrectRow(b, w, j, k)
-			}
-		}
-	})
-}
+func (s *sys3d) Deflation() deflator[*grid.Field3D] { return s.defl }

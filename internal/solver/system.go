@@ -41,11 +41,9 @@ type system[F comparable, B any] interface {
 	// NewPowers builds the matrix-powers exchange schedule for the given
 	// depth, with adjacency taken from the communicator's physical sides.
 	NewPowers(depth int) (powersSched[B], error)
-	// Extend returns the interior expanded by n cells on every side with a
-	// rank neighbour (physical sides never extend: their halos are
-	// zero-flux mirrors, not data) — the matrix-powers extended bounds the
-	// deep-halo CG cycles sweep. n <= 0 returns the interior.
-	Extend(n int) B
+	// Alone reports whether every side of the rank-local grid is physical:
+	// no rank neighbour, so no halo of it is ever another rank's data.
+	Alone() bool
 
 	// Residual computes r = rhs − A·u over b.
 	Residual(b B, u, rhs, r F)
@@ -85,19 +83,17 @@ type system[F comparable, B any] interface {
 	// FusedCGStep is the whole vector phase of a fused-CG iteration in one
 	// sweep: p = (minv⊙r) + β·p with x += α·p, then s = w + β·s with
 	// r −= α·s, returning the local γ' = r·(minv⊙r) and ‖r‖² of the
-	// updated r. A zero x skips the solution update (extension rings).
-	// With d.correct set each row of w takes the pending deflation
+	// updated r. With d.correct set each row of w takes the pending deflation
 	// correction just before the step reads it.
 	FusedCGStep(b B, minv, r, w F, beta, alpha float64, p, s, x F, d deflRows) (gamma, rr float64)
-	// CGIter is a whole fused-CG iteration body in ONE pass over the grid
-	// (stencil.Operator2D.CGIter): the FusedCGStep vector step over sb —
-	// p, x and the dots on the interior only, s and r on all of sb — with
-	// the matvec w = A·(minv⊙r) and its local δ over mb one row behind it.
-	// mirror writes r's depth-1 reflection on the physical sides as rows
-	// are stepped, so no exchange is needed between the halves. d's
-	// correction rides the step's rows of sb and its restriction the
-	// matvec's interior rows.
-	CGIter(sb, mb B, mirror bool, minv, r, w F, beta, alpha float64, p, s, x F, d deflRows) (gamma, rr, delta float64)
+	// CGIter is a whole fused-CG iteration body in ONE pass over the
+	// interior (stencil.Operator2D.CGIter): the FusedCGStep vector step
+	// with the matvec w = A·(minv⊙r) and its local δ one row behind it.
+	// The pass writes r's depth-1 reflection on the physical sides as rows
+	// are stepped, so a rank with no neighbour (Alone) needs no exchange
+	// between the halves. d's correction rides the step's rows and its
+	// restriction the matvec's.
+	CGIter(minv, r, w F, beta, alpha float64, p, s, x F, d deflRows) (gamma, rr, delta float64)
 	// ChebySteps runs the Chebyshev steps of one matrix-powers block in ONE
 	// pass over the grid, step j over bs[j] with alphas[j], betas[j]: the
 	// matvec folded into the update that consumes it, rtemp −= A·sdOld,
@@ -123,11 +119,7 @@ type system[F comparable, B any] interface {
 	FoldableDiag() (F, bool)
 
 	// Deflation returns the configured outer deflation projector, or nil.
-	Deflation() deflator[F, B]
-	// Correct applies the deflation projector's pending correction
-	// w −= A·W·λ to w over b ⊇ interior as a sweep of its own (b.Expand(1)
-	// must fit the padded grid).
-	Correct(b B, w F)
+	Deflation() deflator[F]
 }
 
 // powersSched is the matrix-powers exchange schedule (halo.Schedule and
@@ -144,9 +136,9 @@ type powersSched[B any] interface {
 // Options.Deflation and Options.Deflation3D satisfy it directly. Their
 // per-row methods (RestrictRow, CorrectRow) ride the sweeps inside the
 // system, which deflRows switches on.
-type deflator[F any, B any] interface {
+type deflator[F any] interface {
 	CoarseCorrect(r, u F)
-	ProjectWBounds(b B, w, minv, x F) float64
+	ProjectWDot(w, minv, x F) float64
 	Restriction() []float64
 	SolveCoarse(b []float64) float64
 }
@@ -154,7 +146,7 @@ type deflator[F any, B any] interface {
 // deflRows says what a sweep does for the deflation projector as it
 // passes the rows of the CG engine's w (the zero value: nothing).
 // correct: the sweep that first reads w applies the pending correction
-// w −= A·W·λ to each row of its bounds just before reading it (the step,
+// w −= A·W·λ to each interior row just before reading it (the step,
 // or jac_block's s = w + β·s). restrict: the matvec hands each interior
 // row of the new w to the restriction once it is final. A sweep honours
 // the half that applies to it.
@@ -254,12 +246,12 @@ func (e *engine[F, B]) matvecDot(b B, p, w F) float64 {
 
 // cgIter runs a fused-CG iteration body as one pass (system.CGIter,
 // x = the solution) and traces the work it does as the two sweeps it
-// replaced, which is what the trace counts: a vector pass over the step
-// bounds sb and a matvec over mb.
-func (e *engine[F, B]) cgIter(sb, mb B, mirror bool, minv, r, w F, beta, alpha float64, p, s F, d deflRows) (gamma, rr, delta float64) {
-	gamma, rr, delta = e.sys.CGIter(sb, mb, mirror, minv, r, w, beta, alpha, p, s, e.u, d)
-	e.vectorPass(sb)
-	e.tr.AddMatvec(e.sys.Cells(mb))
+// replaced, which is what the trace counts: a vector pass and a matvec
+// over the interior.
+func (e *engine[F, B]) cgIter(minv, r, w F, beta, alpha float64, p, s F, d deflRows) (gamma, rr, delta float64) {
+	gamma, rr, delta = e.sys.CGIter(minv, r, w, beta, alpha, p, s, e.u, d)
+	e.vectorPass(e.in)
+	e.tr.AddMatvec(e.cells)
 	return gamma, rr, delta
 }
 
@@ -286,7 +278,7 @@ func (e *engine[F, B]) precondMatvec(r, z, w F, d deflRows) (gamma, rr, delta fl
 // from the same sums and returns the projected curvature
 // z·(P·w) = δ − bᵀλ in δ's place (deflator.SolveCoarse), leaving the
 // correction w −= A·W·λ pending for the next sweep that reads w.
-func (e *engine[F, B]) reduceCG(defl deflator[F, B], gamma, rr, delta float64) (float64, float64, float64) {
+func (e *engine[F, B]) reduceCG(defl deflator[F], gamma, rr, delta float64) (float64, float64, float64) {
 	e.red = append(e.red[:0], gamma, rr, delta)
 	if defl != nil {
 		e.red = append(e.red, defl.Restriction()...)
@@ -298,15 +290,15 @@ func (e *engine[F, B]) reduceCG(defl deflator[F, B], gamma, rr, delta float64) (
 	return s[0], s[1], s[2]
 }
 
-// projectW applies the deflation projection w ← P·w over b ⊇ interior and
-// returns the local curvature partial (minv⊙x)·(P·w) over the interior,
-// tracing the two sweeps a projection runs: the read-only restriction of
-// the interior and the flux correction's read-modify-write of b (the dot
-// rides the correction and is not a sweep of its own).
-func (e *engine[F, B]) projectW(defl deflator[F, B], b B, w, minv, x F) float64 {
+// projectW applies the deflation projection w ← P·w over the interior
+// and returns the local curvature partial (minv⊙x)·(P·w), tracing the two
+// sweeps a projection runs: the read-only restriction and the flux
+// correction's read-modify-write (the dot rides the correction and is
+// not a sweep of its own).
+func (e *engine[F, B]) projectW(defl deflator[F], w, minv, x F) float64 {
 	e.tr.AddDot(e.cells)
-	e.tr.AddVectorPass(e.sys.Cells(b))
-	return defl.ProjectWBounds(b, w, minv, x)
+	e.tr.AddVectorPass(e.cells)
+	return defl.ProjectWDot(w, minv, x)
 }
 
 // initialResidual exchanges u, computes r = rhs − A·u on the interior and

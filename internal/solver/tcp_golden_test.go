@@ -14,7 +14,7 @@ import (
 // Golden equivalence: the TCP backend must reproduce the Hub reference —
 // same solver code, same partition, same deterministic problem — to a
 // solution max-diff ≤ 1e-10 and iteration counts ±1, across
-// ranks {1,2,4} × halo depth {1,2,3} × {CG, PPCG} × {2D, 3D}. The Hub is
+// ranks {1,2,4} × {CG, PPCG at halo depth {1,2,3}} × {2D, 3D}. The Hub is
 // the reference implementation; these tests are what lets every future
 // change to the wire protocol be checked against it mechanically.
 
@@ -135,7 +135,7 @@ func TestTCPGoldenVsHub2D(t *testing.T) {
 	const nx, ny = 24, 24
 	layouts := [][2]int{{1, 1}, {2, 1}, {2, 2}}
 	for _, kind := range []Kind{KindCG, KindPPCG} {
-		for _, depth := range []int{1, 2, 3} {
+		for _, depth := range depthsOf(kind) {
 			halo := depth
 			if halo < 2 {
 				halo = 2
@@ -168,7 +168,7 @@ func TestTCPGoldenVsHub3D(t *testing.T) {
 	const n = 12
 	layouts := [][3]int{{1, 1, 1}, {2, 1, 1}, {2, 2, 1}}
 	for _, kind := range []Kind{KindCG, KindPPCG} {
-		for _, depth := range []int{1, 2, 3} {
+		for _, depth := range depthsOf(kind) {
 			halo := depth
 			if halo < 2 {
 				halo = 2

@@ -72,11 +72,8 @@ func (ws *Workspace) Solve3D(kind Kind, p Problem3D, o Options) (Result, error) 
 // solveKind runs the loop of kind on e; jacobi is the dimension's Jacobi
 // loop, which reads the face coefficients directly.
 func solveKind[F comparable, B any](kind Kind, e *engine[F, B], jacobi func() (Result, error)) (Result, error) {
-	switch kind {
-	case KindJacobi, KindCheby:
-		if err := e.o.requireNoDeflation(kind); err != nil {
-			return Result{}, err
-		}
+	if err := e.o.validateKind(kind); err != nil {
+		return Result{}, err
 	}
 	switch kind {
 	case KindJacobi:

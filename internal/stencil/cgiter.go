@@ -26,53 +26,49 @@ import (
 // where it would have stepped it. Every matvec next to a cut therefore
 // reads final r, and no band writes a row another band reads.
 
-// CGIter runs one fused-CG iteration body in one pass: over sb
+// CGIter runs one fused-CG iteration body in one pass over in:
 //
-//	s = w + β·s;  r −= α·s
+//	s = w + β·s;  r −= α·s;  p = (minv ⊙ r_old) + β·p;  x += α·p
 //
-// and on the cells of sb inside in also p = (minv ⊙ r_old) + β·p,
-// x += α·p and the dots γ = Σ r·(minv ⊙ r), rr = Σ r·r of the new r
-// (kernels.FusedCGStep); then over mb w = A·u, u = minv ⊙ r, with
-// δ = Σ u·w on the cells inside in (ApplyPreDot). nil minv is the
-// identity. p and x are read and written on in only: on a matrix-powers
-// ring only r and s advance, the recurrences a later matvec reads.
+// with the dots γ = Σ r·(minv ⊙ r), rr = Σ r·r of the new r
+// (kernels.FusedCGStep); then w = A·u, u = minv ⊙ r, with δ = Σ u·w
+// (ApplyPreDot). nil minv is the identity.
 //
-// Requires in ⊆ mb ⊆ sb, with r's new values needed one cell beyond mb
-// either inside sb or supplied by mirror: on each side set there CGIter
-// writes r's depth-1 mirror halo as it steps the rows next to it, as the
-// communicator's reflection would, so a single-rank iteration needs no
-// exchange between its two halves.
+// The matvec needs r's new values one cell beyond in. On each side set
+// in mirror CGIter writes r's depth-1 mirror halo as it steps the rows
+// next to it, as the communicator's reflection would, so a single-rank
+// iteration needs no exchange between its two halves; on the other sides
+// the matvec reads the halo of r as it finds it.
 //
 // Two per-row callbacks let the deflation projector ride the pass, each
 // called from whichever worker does the row's work. pre, when non-nil,
-// is called once for each row y of sb just before the step first reads
+// is called once for each row y of in just before the step first reads
 // w there; a non-nil row it returns holds a λ for each of the row's
-// cells of sb, which the step takes off w in registers, s = (w − λ) + β·s
+// cells, which the step takes off w in registers, s = (w − λ) + β·s
 // (kernels.CGStepLanes.CGStepSRL), leaving w as pre left it. The
 // projector applies its pending correction w −= A·W·λ that way: the
 // block-face terms to the row in pre, λ_c in the step. rows, when
 // non-nil, is called once for each row y of in as soon as w's cells on
 // it are final (the projector takes its restriction sums there).
-func (op *Operator2D) CGIter(pool *par.Pool, sb, mb, in grid.Bounds, mirror PhysicalSides, minv, r, w *grid.Field2D, beta, alpha float64, p, s, x *grid.Field2D, pre func(y int) []float64, rows func(y int)) (gamma, rr, delta float64) {
-	return (&cgIter{s: op.sten(), sb: op.Grid.Rows(sb), mb: op.Grid.Rows(mb), in: op.Grid.Rows(in), grid: op.Grid.Rows(op.Grid.Interior()),
-		mirror: mirror.walker(), md: minv.DataOrNil(), rd: r.Data, wd: w.Data, pd: p.Data, sd: s.Data, xd: x.Data,
+func (op *Operator2D) CGIter(pool *par.Pool, in grid.Bounds, mirror PhysicalSides, minv, r, w *grid.Field2D, beta, alpha float64, p, s, x *grid.Field2D, pre func(y int) []float64, rows func(y int)) (gamma, rr, delta float64) {
+	return (&cgIter{s: op.sten(), in: op.Grid.Rows(in), mirror: mirror.walker(),
+		md: minv.DataOrNil(), rd: r.Data, wd: w.Data, pd: p.Data, sd: s.Data, xd: x.Data,
 		beta: beta, alpha: alpha, pre: grid.RowSliceFunc2D(pre), rows: grid.RowFunc2D(rows)}).run(pool)
 }
 
 // CGIter is the 3D one-pass fused-CG iteration body — see
 // Operator2D.CGIter. The matvec lags the step by one z-plane; pre and
-// rows are called with (j, k) for each row of sb and of in.
-func (op *Operator3D) CGIter(pool *par.Pool, sb, mb, in grid.Bounds3D, mirror PhysicalSides3D, minv, r, w *grid.Field3D, beta, alpha float64, p, s, x *grid.Field3D, pre func(j, k int) []float64, rows func(j, k int)) (gamma, rr, delta float64) {
-	return (&cgIter{s: op.sten(), sb: op.Grid.Rows(sb), mb: op.Grid.Rows(mb), in: op.Grid.Rows(in), grid: op.Grid.Rows(op.Grid.Interior()),
-		mirror: mirror, md: minv.DataOrNil(), rd: r.Data, wd: w.Data, pd: p.Data, sd: s.Data, xd: x.Data,
+// rows are called with (j, k) for each row of in.
+func (op *Operator3D) CGIter(pool *par.Pool, in grid.Bounds3D, mirror PhysicalSides3D, minv, r, w *grid.Field3D, beta, alpha float64, p, s, x *grid.Field3D, pre func(j, k int) []float64, rows func(j, k int)) (gamma, rr, delta float64) {
+	return (&cgIter{s: op.sten(), in: op.Grid.Rows(in), mirror: mirror,
+		md: minv.DataOrNil(), rd: r.Data, wd: w.Data, pd: p.Data, sd: s.Data, xd: x.Data,
 		beta: beta, alpha: alpha, pre: pre, rows: rows}).run(pool)
 }
 
-// cgIter is one CGIter call: its walkers, fields and scalars. grid walks
-// the whole interior, whose mirror sides mirror names.
+// cgIter is one CGIter call: its walker, fields and scalars.
 type cgIter struct {
 	s                      sten
-	sb, mb, in, grid       grid.Rows
+	in                     grid.Rows
 	mirror                 PhysicalSides3D
 	md, rd, wd, pd, sd, xd []float64
 	beta, alpha            float64
@@ -80,7 +76,7 @@ type cgIter struct {
 	rows                   func(j, k int)
 }
 
-// run is the pass over the interior's outer axis; it returns (γ, rr, δ).
+// run is the pass over in's outer axis; it returns (γ, rr, δ).
 func (c *cgIter) run(pool *par.Pool) (gamma, rr, delta float64) {
 	acc := pool.ForBandsReduceN(3, c.in.K0, c.in.K1, c.edge, c.band)
 	return acc[0], acc[1], acc[2]
@@ -89,22 +85,14 @@ func (c *cgIter) run(pool *par.Pool) (gamma, rr, delta float64) {
 // edge steps a row next to a band cut, its dots left for the owner.
 func (c *cgIter) edge(k int) { c.step(k, nil) }
 
-// band walks rows [b0, b1) of in — extended to sb's and mb's rows beyond
-// in for the first and last band — stepping row k+1 before the matvec of
+// band walks rows [b0, b1) of in, stepping row k+1 before the matvec of
 // row k, and adds its (γ, rr, δ) partials to acc.
 func (c *cgIter) band(b0, b1 int, acc []float64) {
 	lo, hi := c.in.K0, c.in.K1
-	s0, s1, m0, m1 := b0, b1, b0, b1
-	if b0 == lo {
-		s0, m0 = c.sb.K0, c.mb.K0
-	}
-	if b1 == hi {
-		s1, m1 = c.sb.K1, c.mb.K1
-	}
 	var l kernels.CGStepLanes
-	next := s0
+	next := b0
 	stepTo := func(k int) {
-		for ; next <= k && next < s1; next++ {
+		for ; next <= k && next < b1; next++ {
 			if (next == b0 && b0 != lo) || (next == b1-1 && b1 != hi) {
 				c.dots(next, &l)
 			} else {
@@ -115,70 +103,53 @@ func (c *cgIter) band(b0, b1 int, acc []float64) {
 	var dl lanes
 	var w window
 	if c.md != nil {
-		w = c.s.window(c.mb, c.md, c.rd)
+		w = c.s.window(c.in, c.md, c.rd)
 		defer w.put()
 	}
-	for k := m0; k < m1; k++ {
+	for k := b0; k < b1; k++ {
 		stepTo(k + 1)
 		if c.md != nil {
-			if k == m0 {
+			if k == b0 {
 				w.fill(w.back, k-1)
 				w.fill(w.cur, k)
 			}
 			w.fill(w.front, k+1)
 		}
 		c.matvec(k, &dl, &w)
-		if c.rows != nil && k >= lo && k < hi {
+		if c.rows != nil {
 			for j := c.in.J0; j < c.in.J1; j++ {
 				c.rows(j, k)
 			}
 		}
 		w.rotate()
 	}
-	stepTo(s1 - 1)
 	l.Fold(c.md == nil, acc)
 	acc[2] += dl.sum()
 }
 
-// step advances row k over sb's rows and columns (see CGIter), each row
-// after its pre callback and with the λ row it returns, the interior
-// runs' dots into l (discarded for a nil l), then writes the row's mirror
-// halo.
+// step advances row k (see CGIter), each row after its pre callback and
+// with the λ row it returns, its dots into l (discarded for a nil l),
+// then writes the row's mirror halo.
 func (c *cgIter) step(k int, l *kernels.CGStepLanes) {
-	sb, in := c.sb, c.in
+	in := c.in
 	var spare kernels.CGStepLanes
 	if l == nil {
 		l = &spare
 	}
-	a0, a1 := max(in.X0, sb.X0)-sb.X0, min(in.X1, sb.X1)-sb.X0
-	inK := k >= in.K0 && k < in.K1
-	for j := sb.J0; j < sb.J1; j++ {
+	n := in.N()
+	for j := in.J0; j < in.J1; j++ {
 		var lam []float64
 		if c.pre != nil {
 			lam = c.pre(j, k)
 		}
-		row := sb.Off(j, k)
-		rowRuns(sb.N(), a0, a1, inK && j >= in.J0 && j < in.J1, func(off, n int, interior bool) {
-			if n == 0 {
-				return
-			}
-			o := row + off
-			var ms []float64
-			if c.md != nil {
-				ms = c.md[o : o+n]
-			}
-			var ls []float64
-			if lam != nil {
-				ls = lam[off : off+n]
-			}
-			rs, ws, ss := c.rd[o:o+n], c.wd[o:o+n], c.sd[o:o+n]
-			if interior {
-				kernels.CGStepPX(ms, rs, c.pd[o:o+n], c.xd[o:o+n], c.beta, c.alpha)
-				l.CGStepSRL(ms, rs, ws, ls, ss, c.beta, c.alpha)
-				return
-			}
-			spare.CGStepSRL(ms, rs, ws, ls, ss, c.beta, c.alpha)
-		})
+		o := in.Off(j, k)
+		var ms []float64
+		if c.md != nil {
+			ms = c.md[o : o+n]
+		}
+		rs := c.rd[o : o+n]
+		kernels.CGStepPX(ms, rs, c.pd[o:o+n], c.xd[o:o+n], c.beta, c.alpha)
+		l.CGStepSRL(ms, rs, c.wd[o:o+n], lam, c.sd[o:o+n], c.beta, c.alpha)
 	}
 	c.reflect(k)
 }
@@ -204,10 +175,7 @@ func (c *cgIter) dots(k int, l *kernels.CGStepLanes) {
 // the whole row behind (in front), x-halo cells and (3D) y-halo rows
 // included. In 2D the y sides are the outer axis's back and front.
 func (c *cgIter) reflect(k int) {
-	g, m, rd := c.grid, c.mirror, c.rd
-	if k < g.K0 || k >= g.K1 {
-		return
-	}
+	g, m, rd := c.in, c.mirror, c.rd
 	nx := g.N()
 	for j := g.J0; j < g.J1; j++ {
 		o := g.Off(j, k)
@@ -243,33 +211,20 @@ func (c *cgIter) reflect(k int) {
 	}
 }
 
-// matvec computes w = A·u over row k of mb, adding the interior runs'
-// u·w to dl: from r itself (identity), or from the window w of
-// u = minv ⊙ r.
+// matvec computes w = A·u over row k of in, adding u·w to dl: from r
+// itself (identity), or from the window w of u = minv ⊙ r.
 func (c *cgIter) matvec(k int, dl *lanes, w *window) {
-	mb, in := c.mb, c.in
+	in := c.in
 	kind := preDotKind(c.md == nil)
-	var spare lanes
+	n := in.N()
 	var v vals
-	a0, a1 := max(in.X0, mb.X0)-mb.X0, min(in.X1, mb.X1)-mb.X0
-	inK := k >= in.K0 && k < in.K1
-	for j := mb.J0; j < mb.J1; j++ {
-		row := mb.Off(j, k)
-		rowRuns(mb.N(), a0, a1, inK && j >= in.J0 && j < in.J1, func(off, n int, interior bool) {
-			if n == 0 {
-				return
-			}
-			o := row + off
-			l := &spare
-			if interior {
-				l = dl
-			}
-			if c.md != nil {
-				w.vals(&v, j, off, n)
-			} else {
-				c.s.field(&v, c.rd, o, n)
-			}
-			c.s.dotRow(kind, o, &v, c.wd[o:o+n:o+n], l)
-		})
+	for j := in.J0; j < in.J1; j++ {
+		o := in.Off(j, k)
+		if c.md != nil {
+			w.vals(&v, j, 0, n)
+		} else {
+			c.s.field(&v, c.rd, o, n)
+		}
+		c.s.dotRow(kind, o, &v, c.wd[o:o+n:o+n], dl)
 	}
 }

@@ -12,17 +12,13 @@ import (
 )
 
 // CGIter's contract: one pass reproduces the sequence it replaced in the
-// fused CG engine — kernels.FusedCGStep on the interior, the same step
-// with x skipped on the extension rings, the communicator's reflection of
-// r on physical sides, ApplyPreDot on the interior and on the matvec
-// bounds' rings — BIT FOR BIT on r, s, w, x, γ, rr and δ, and on p over
-// the interior (the pass no longer advances p on the rings, where nothing
-// reads it, and must leave it alone there). The rows hook must see every
-// interior row of w exactly once, already final. Pools {1, 2, 4, 7} at
-// the default grain and at grain 1 (bands of one and two rows, every row
-// an edge row); minv nil and not; the single-rank
-// depth-1 pass (mirror) and depth-1..3 cycles extended toward 0–4
-// neighbours.
+// fused CG engine — kernels.FusedCGStep on the interior, the
+// communicator's reflection of r on physical sides, ApplyPreDot on the
+// interior — BIT FOR BIT on r, s, w, x, p, γ, rr and δ. The rows hook
+// must see every interior row of w exactly once, already final. Pools
+// {1, 2, 4, 7} at the default grain and at grain 1 (bands of one and two
+// rows, every row an edge row); minv nil and not; the single-rank pass
+// (every side mirrored) and a pass that mirrors no side.
 
 // cgIterPools is the pool ladder the pass is held to.
 func cgIterPools() map[string]*par.Pool {
@@ -33,54 +29,6 @@ func cgIterPools() map[string]*par.Pool {
 		}
 	}
 	return pools
-}
-
-// cgIterCase is one (step bounds, matvec bounds, mirror) shape: ext cells
-// of step bounds on each side in {left, right, down, up, back, front}
-// (the matvec bounds one fewer on each extended side).
-type cgIterCase struct {
-	name   string
-	ext    [6]int
-	mirror bool
-}
-
-func cgIterCases(dims int) []cgIterCase {
-	cases := []cgIterCase{{name: "1 rank, depth 1", mirror: true}, {name: "1 rank, deep"}}
-	sides := [][6]int{{0, 1, 0, 0, 0, 0}, {1, 0, 0, 1, 0, 1}, {1, 1, 1, 1, 1, 1}}
-	for _, sd := range sides {
-		for e := 1; e <= 3; e++ {
-			var ext [6]int
-			for a := 0; a < 2*dims; a++ {
-				ext[a] = sd[a] * e
-			}
-			cases = append(cases, cgIterCase{name: fmt.Sprintf("ext %v", ext), ext: ext})
-		}
-	}
-	return cases
-}
-
-// shrink is the matvec bounds of a case: one cell less on each extended
-// side.
-func shrink(ext [6]int) [6]int {
-	for a, e := range ext {
-		ext[a] = max(e-1, 0)
-	}
-	return ext
-}
-
-func rings2D(outer, in grid.Bounds) []grid.Bounds {
-	var rs []grid.Bounds
-	for _, b := range []grid.Bounds{
-		{X0: outer.X0, X1: outer.X1, Y0: outer.Y0, Y1: in.Y0},
-		{X0: outer.X0, X1: outer.X1, Y0: in.Y1, Y1: outer.Y1},
-		{X0: outer.X0, X1: in.X0, Y0: in.Y0, Y1: in.Y1},
-		{X0: in.X1, X1: outer.X1, Y0: in.Y0, Y1: in.Y1},
-	} {
-		if !b.Empty() {
-			rs = append(rs, b)
-		}
-	}
-	return rs
 }
 
 func sameFloat(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
@@ -118,46 +66,35 @@ func TestCGIterMatchesTwoSweepsBitwise(t *testing.T) {
 	}()
 	for name, pool := range pools {
 		for _, minv := range []*grid.Field2D{nil, positiveField(g, 91)} {
-			for _, tc := range cgIterCases(2) {
-				label := fmt.Sprintf("%s minv=%v %s", name, minv != nil, tc.name)
-				e, m := tc.ext, shrink(tc.ext)
-				sb := in.ExpandSides(e[0], e[1], e[2], e[3], g)
-				mb := in.ExpandSides(m[0], m[1], m[2], m[3], g)
+			for _, mirrored := range []bool{true, false} {
+				label := fmt.Sprintf("%s minv=%v mirror=%v", name, minv != nil, mirrored)
 				var mirror PhysicalSides
-				if tc.mirror {
+				if mirrored {
 					mirror = AllPhysical
 				}
 				r, w := randomField(g, 92), randomField(g, 93)
 				p, s, x := randomField(g, 94), randomField(g, 95), randomField(g, 96)
-				rO, wO, pO, sO, xO, p0 := r.Clone(), w.Clone(), p.Clone(), s.Clone(), x.Clone(), p.Clone()
+				rO, wO, pO, sO, xO := r.Clone(), w.Clone(), p.Clone(), s.Clone(), x.Clone()
 
-				// pre halves w on its row of sb and returns a λ row; the
-				// oracle halves all of sb first and hands the step sweeps
+				// pre halves w on its row and returns a λ row; the oracle
+				// halves the whole interior first and hands the step sweep
 				// the same λ, so agreement shows each row halved once,
 				// before the step read it, and λ taken off w cell for cell.
-				for k := sb.Y0; k < sb.Y1; k++ {
-					halve(wO.Row(k, sb.X0, sb.X1))
+				for k := in.Y0; k < in.Y1; k++ {
+					halve(wO.Row(k, in.X0, in.X1))
 				}
-				preCalls := make([]int, sb.Y1-sb.Y0)
+				preCalls := make([]int, in.Y1-in.Y0)
 				pre := func(k int) []float64 {
-					preCalls[k-sb.Y0]++
-					halve(w.Row(k, sb.X0, sb.X1))
-					return lamRow(sb.X0, sb.X1, 0, k)
+					preCalls[k-in.Y0]++
+					halve(w.Row(k, in.X0, in.X1))
+					return lamRow(in.X0, in.X1, 0, k)
 				}
-				lamOf := func(b grid.Bounds) func(k int) []float64 {
-					return func(k int) []float64 { return lamRow(b.X0, b.X1, 0, k) }
-				}
-				gO, rrO := kernels.FusedCGStepRows(pool, in, minv, rO, wO, beta, alpha, pO, sO, xO, lamOf(in))
-				for _, rb := range rings2D(sb, in) {
-					kernels.FusedCGStepRows(pool, rb, minv, rO, wO, beta, alpha, pO, sO, nil, lamOf(rb))
-				}
-				if tc.mirror {
+				gO, rrO := kernels.FusedCGStepRows(pool, in, minv, rO, wO, beta, alpha, pO, sO, xO,
+					func(k int) []float64 { return lamRow(in.X0, in.X1, 0, k) })
+				if mirrored {
 					rO.ReflectHalos(1)
 				}
 				dO := op.ApplyPreDot(pool, in, minv, rO, wO)
-				for _, rb := range rings2D(mb, in) {
-					op.ApplyPreDot(pool, rb, minv, rO, wO)
-				}
 
 				calls := make([]int, in.Y1-in.Y0)
 				snap := make([][]float64, in.Y1-in.Y0)
@@ -165,33 +102,22 @@ func TestCGIterMatchesTwoSweepsBitwise(t *testing.T) {
 					calls[k-in.Y0]++
 					snap[k-in.Y0] = append([]float64(nil), w.Row(k, in.X0, in.X1)...)
 				}
-				gam, rr, del := op.CGIter(pool, sb, mb, in, mirror, minv, r, w, beta, alpha, p, s, x, pre, hook)
+				gam, rr, del := op.CGIter(pool, in, mirror, minv, r, w, beta, alpha, p, s, x, pre, hook)
 				if !sameFloat(gam, gO) || !sameFloat(rr, rrO) || !sameFloat(del, dO) {
 					t.Errorf("%s: (γ,rr,δ) = (%v,%v,%v), two sweeps (%v,%v,%v)", label, gam, rr, del, gO, rrO, dO)
 				}
 				for k, n := range preCalls {
 					if n != 1 {
-						t.Errorf("%s: pre(%d) called %d times", label, sb.Y0+k, n)
+						t.Errorf("%s: pre(%d) called %d times", label, in.Y0+k, n)
 					}
 				}
 				for _, f := range []struct {
 					name      string
 					got, want *grid.Field2D
-				}{{"r", r, rO}, {"s", s, sO}, {"w", w, wO}, {"x", x, xO}} {
+				}{{"r", r, rO}, {"s", s, sO}, {"w", w, wO}, {"x", x, xO}, {"p", p, pO}} {
 					if i := sameBits(f.got.Data, f.want.Data); i >= 0 {
 						j, k := g.Coords(i)
 						t.Errorf("%s: %s differs at (%d,%d): %v vs %v", label, f.name, j, k, f.got.Data[i], f.want.Data[i])
-					}
-				}
-				for i := range p.Data {
-					want := p0.Data[i]
-					if j, k := g.Coords(i); in.Contains(j, k) {
-						want = pO.Data[i]
-					}
-					if !sameFloat(p.Data[i], want) {
-						j, k := g.Coords(i)
-						t.Errorf("%s: p differs at (%d,%d): %v vs %v", label, j, k, p.Data[i], want)
-						break
 					}
 				}
 				for k := in.Y0; k < in.Y1; k++ {
@@ -219,27 +145,6 @@ func fullField3D(g *grid.Grid3D, seed int64, positive bool) *grid.Field3D {
 	return f
 }
 
-func rings3D(outer, in grid.Bounds3D) []grid.Bounds3D {
-	var rs []grid.Bounds3D
-	o := outer
-	add := func(b grid.Bounds3D) {
-		if !b.Empty() {
-			rs = append(rs, b)
-		}
-	}
-	add(grid.Bounds3D{X0: o.X0, X1: o.X1, Y0: o.Y0, Y1: o.Y1, Z0: o.Z0, Z1: in.Z0})
-	add(grid.Bounds3D{X0: o.X0, X1: o.X1, Y0: o.Y0, Y1: o.Y1, Z0: in.Z1, Z1: o.Z1})
-	add(grid.Bounds3D{X0: o.X0, X1: o.X1, Y0: o.Y0, Y1: in.Y0, Z0: in.Z0, Z1: in.Z1})
-	add(grid.Bounds3D{X0: o.X0, X1: o.X1, Y0: in.Y1, Y1: o.Y1, Z0: in.Z0, Z1: in.Z1})
-	add(grid.Bounds3D{X0: o.X0, X1: in.X0, Y0: in.Y0, Y1: in.Y1, Z0: in.Z0, Z1: in.Z1})
-	add(grid.Bounds3D{X0: in.X1, X1: o.X1, Y0: in.Y0, Y1: in.Y1, Z0: in.Z0, Z1: in.Z1})
-	return rs
-}
-
-func expand3D(in grid.Bounds3D, e [6]int) grid.Bounds3D {
-	return grid.Bounds3D{X0: in.X0 - e[0], X1: in.X1 + e[1], Y0: in.Y0 - e[2], Y1: in.Y1 + e[3], Z0: in.Z0 - e[4], Z1: in.Z1 + e[5]}
-}
-
 func TestCGIter3DMatchesTwoSweepsBitwise(t *testing.T) {
 	g := grid.UnitGrid3D(11, 7, 13, 4)
 	op, err := BuildOperator3D(par.Serial, randomDensity3D(g, 100), 0.04, Conductivity, PhysicalSides3D{})
@@ -256,45 +161,36 @@ func TestCGIter3DMatchesTwoSweepsBitwise(t *testing.T) {
 	}()
 	for name, pool := range pools {
 		for _, minv := range []*grid.Field3D{nil, fullField3D(g, 101, true)} {
-			for _, tc := range cgIterCases(3) {
-				label := fmt.Sprintf("%s minv=%v %s", name, minv != nil, tc.name)
-				sb, mb := expand3D(in, tc.ext), expand3D(in, shrink(tc.ext))
+			for _, mirrored := range []bool{true, false} {
+				label := fmt.Sprintf("%s minv=%v mirror=%v", name, minv != nil, mirrored)
 				var mirror PhysicalSides3D
-				if tc.mirror {
+				if mirrored {
 					mirror = AllPhysical3D
 				}
 				r, w := fullField3D(g, 102, false), fullField3D(g, 103, false)
 				p, s, x := fullField3D(g, 104, false), fullField3D(g, 105, false), fullField3D(g, 106, false)
-				rO, wO, pO, sO, xO, p0 := r.Clone(), w.Clone(), p.Clone(), s.Clone(), x.Clone(), p.Clone()
+				rO, wO, pO, sO, xO := r.Clone(), w.Clone(), p.Clone(), s.Clone(), x.Clone()
 
-				// pre halves w on its row of sb and returns a λ row, as in
-				// the 2D test.
-				ny := sb.Y1 - sb.Y0
-				for k := sb.Z0; k < sb.Z1; k++ {
-					for j := sb.Y0; j < sb.Y1; j++ {
-						halve(wO.Row(j, k, sb.X0, sb.X1))
+				// pre halves w on its row and returns a λ row, as in the
+				// 2D test.
+				ny := in.Y1 - in.Y0
+				for k := in.Z0; k < in.Z1; k++ {
+					for j := in.Y0; j < in.Y1; j++ {
+						halve(wO.Row(j, k, in.X0, in.X1))
 					}
 				}
-				preCalls := make([]int, ny*(sb.Z1-sb.Z0))
+				preCalls := make([]int, ny*(in.Z1-in.Z0))
 				pre := func(j, k int) []float64 {
-					preCalls[(k-sb.Z0)*ny+j-sb.Y0]++
-					halve(w.Row(j, k, sb.X0, sb.X1))
-					return lamRow(sb.X0, sb.X1, j, k)
+					preCalls[(k-in.Z0)*ny+j-in.Y0]++
+					halve(w.Row(j, k, in.X0, in.X1))
+					return lamRow(in.X0, in.X1, j, k)
 				}
-				lamOf := func(b grid.Bounds3D) func(j, k int) []float64 {
-					return func(j, k int) []float64 { return lamRow(b.X0, b.X1, j, k) }
-				}
-				gO, rrO := kernels.FusedCGStepRows3D(pool, in, minv, rO, wO, beta, alpha, pO, sO, xO, lamOf(in))
-				for _, rb := range rings3D(sb, in) {
-					kernels.FusedCGStepRows3D(pool, rb, minv, rO, wO, beta, alpha, pO, sO, nil, lamOf(rb))
-				}
-				if tc.mirror {
+				gO, rrO := kernels.FusedCGStepRows3D(pool, in, minv, rO, wO, beta, alpha, pO, sO, xO,
+					func(j, k int) []float64 { return lamRow(in.X0, in.X1, j, k) })
+				if mirrored {
 					rO.ReflectHalos(1)
 				}
 				dO := op.ApplyPreDot(pool, in, minv, rO, wO)
-				for _, rb := range rings3D(mb, in) {
-					op.ApplyPreDot(pool, rb, minv, rO, wO)
-				}
 
 				calls := make([]int, in.Cells())
 				snap := make([][]float64, len(calls))
@@ -303,32 +199,22 @@ func TestCGIter3DMatchesTwoSweepsBitwise(t *testing.T) {
 					calls[slot(j, k)]++
 					snap[slot(j, k)] = append([]float64(nil), w.Row(j, k, in.X0, in.X1)...)
 				}
-				gam, rr, del := op.CGIter(pool, sb, mb, in, mirror, minv, r, w, beta, alpha, p, s, x, pre, hook)
+				gam, rr, del := op.CGIter(pool, in, mirror, minv, r, w, beta, alpha, p, s, x, pre, hook)
 				if !sameFloat(gam, gO) || !sameFloat(rr, rrO) || !sameFloat(del, dO) {
 					t.Errorf("%s: (γ,rr,δ) = (%v,%v,%v), two sweeps (%v,%v,%v)", label, gam, rr, del, gO, rrO, dO)
 				}
 				for i, n := range preCalls {
 					if n != 1 {
-						t.Errorf("%s: pre(%d,%d) called %d times", label, sb.Y0+i%ny, sb.Z0+i/ny, n)
+						t.Errorf("%s: pre(%d,%d) called %d times", label, in.Y0+i%ny, in.Z0+i/ny, n)
 					}
 				}
 				for _, f := range []struct {
 					name      string
 					got, want *grid.Field3D
-				}{{"r", r, rO}, {"s", s, sO}, {"w", w, wO}, {"x", x, xO}} {
+				}{{"r", r, rO}, {"s", s, sO}, {"w", w, wO}, {"x", x, xO}, {"p", p, pO}} {
 					if i := sameBits(f.got.Data, f.want.Data); i >= 0 {
 						t.Errorf("%s: %s differs at flat index %d: %v vs %v", label, f.name, i, f.got.Data[i], f.want.Data[i])
 					}
-				}
-				pIn := pO.Clone()
-				copy(pIn.Data, p0.Data)
-				for k := in.Z0; k < in.Z1; k++ {
-					for j := in.Y0; j < in.Y1; j++ {
-						copy(pIn.Row(j, k, in.X0, in.X1), pO.Row(j, k, in.X0, in.X1))
-					}
-				}
-				if i := sameBits(p.Data, pIn.Data); i >= 0 {
-					t.Errorf("%s: p differs at flat index %d: %v vs %v", label, i, p.Data[i], pIn.Data[i])
 				}
 				for k := in.Z0; k < in.Z1; k++ {
 					for j := in.Y0; j < in.Y1; j++ {
@@ -398,13 +284,13 @@ func TestCGIterAllocatesNothing(t *testing.T) {
 			mm2, mm3 = nil, nil
 		}
 		got := testing.AllocsPerRun(20, func() {
-			op2.CGIter(pool, in2, in2, in2, AllPhysical, mm2, r2, w2, beta, alpha, p2, s2, x2, nil, nil)
+			op2.CGIter(pool, in2, AllPhysical, mm2, r2, w2, beta, alpha, p2, s2, x2, nil, nil)
 		})
 		if want := bandsAllocs(pool, in2.Y0, in2.Y1); got != want {
 			t.Errorf("minv=%v: 2D CGIter allocates %v per call, the bare dispatch %v", pre, got, want)
 		}
 		got = testing.AllocsPerRun(20, func() {
-			op3.CGIter(pool, in3, in3, in3, AllPhysical3D, mm3, r3, w3, beta, alpha, p3, s3, x3, nil, nil)
+			op3.CGIter(pool, in3, AllPhysical3D, mm3, r3, w3, beta, alpha, p3, s3, x3, nil, nil)
 		})
 		if want := bandsAllocs(pool, in3.Z0, in3.Z1); got != want {
 			t.Errorf("minv=%v: 3D CGIter allocates %v per call, the bare dispatch %v", pre, got, want)
@@ -447,7 +333,7 @@ func BenchmarkCGIter(b *testing.B) {
 		b.Cleanup(pool.Close)
 		b.Run(fmt.Sprintf("%dx%d/workers=%d/one-pass", n2, n2, workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				op2.CGIter(pool, in2, in2, in2, AllPhysical, nil, r2, w2, beta, alpha, p2, s2, x2, nil, nil)
+				op2.CGIter(pool, in2, AllPhysical, nil, r2, w2, beta, alpha, p2, s2, x2, nil, nil)
 			}
 			perCell(b, in2.Cells())
 		})
@@ -461,7 +347,7 @@ func BenchmarkCGIter(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("%dx%dx%d/workers=%d/one-pass", n3, n3, n3, workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				op3.CGIter(pool, in3, in3, in3, AllPhysical3D, m3, r3, w3, beta, alpha, p3, s3, x3, nil, nil)
+				op3.CGIter(pool, in3, AllPhysical3D, m3, r3, w3, beta, alpha, p3, s3, x3, nil, nil)
 			}
 			perCell(b, in3.Cells())
 		})

@@ -223,19 +223,6 @@ func TestSweepsMatchOracle3DBitwise(t *testing.T) {
 	}
 }
 
-// cgShape is one CGIter (step bounds, matvec bounds) shape as the cells
-// each extends the interior by on {left, right, down, up, back, front}.
-type cgShape struct {
-	name   string
-	sb, mb [6]int
-}
-
-var cgShapes = []cgShape{
-	{"depth 1", [6]int{}, [6]int{}},
-	{"deep, all sides", [6]int{2, 2, 2, 2, 2, 2}, [6]int{1, 1, 1, 1, 1, 1}},
-	{"deep, right up front", [6]int{0, 2, 0, 1, 0, 2}, [6]int{0, 1, 0, 0, 0, 1}},
-}
-
 // cgCall is the state of one CGIter call: its fields, its scalars and
 // how often the rows callback saw each row of in.
 type cgCall struct {
@@ -265,7 +252,7 @@ func TestCGIterMatchesOracleBitwise(t *testing.T) {
 			t.Fatal(err)
 		}
 		in := g.Interior()
-		run := func(pool *par.Pool, sh cgShape, mirror PhysicalSides, m *grid.Field2D, hook, oracle bool) cgCall {
+		run := func(pool *par.Pool, mirror PhysicalSides, m *grid.Field2D, hook, oracle bool) cgCall {
 			f := make([]*grid.Field2D, 5)
 			c := cgCall{fields: make([][]float64, 5), calls: make([]int, g.NY)}
 			for i := range f {
@@ -276,27 +263,23 @@ func TestCGIterMatchesOracleBitwise(t *testing.T) {
 			if hook {
 				rows = func(k int) { c.calls[k]++ }
 			}
-			e, d := sh.sb, sh.mb
-			sb := in.ExpandSides(e[0], e[1], e[2], e[3], g)
-			mb := in.ExpandSides(d[0], d[1], d[2], d[3], g)
-			// The oracle predates CGIter's pre callback; nil pre is the
-			// pass it describes.
-			cgIter := func(pool *par.Pool, sb, mb, in grid.Bounds, mirror PhysicalSides, minv, r, w *grid.Field2D, beta, alpha float64, p, s, x *grid.Field2D, rows func(k int)) (float64, float64, float64) {
-				return op.CGIter(pool, sb, mb, in, mirror, minv, r, w, beta, alpha, p, s, x, nil, rows)
+			// The oracle predates CGIter's pre callback (nil pre is the
+			// pass it describes) and takes its step and matvec bounds
+			// apart; CGIter's are both the interior.
+			cgIter := func(pool *par.Pool, _, _, in grid.Bounds, mirror PhysicalSides, minv, r, w *grid.Field2D, beta, alpha float64, p, s, x *grid.Field2D, rows func(k int)) (float64, float64, float64) {
+				return op.CGIter(pool, in, mirror, minv, r, w, beta, alpha, p, s, x, nil, rows)
 			}
-			gamma, rr, delta := pick(oracle, cgIter, op.oracleCGIter)(pool, sb, mb, in, mirror, m, f[0], f[1], 0.73, 0.31, f[2], f[3], f[4], rows)
+			gamma, rr, delta := pick(oracle, cgIter, op.oracleCGIter)(pool, in, in, in, mirror, m, f[0], f[1], 0.73, 0.31, f[2], f[3], f[4], rows)
 			c.scalars = []float64{gamma, rr, delta}
 			return c
 		}
-		for _, sh := range cgShapes {
-			for mask := 0; mask < 1<<4; mask++ {
-				mirror := PhysicalSides{Left: mask&1 != 0, Right: mask&2 != 0, Down: mask&4 != 0, Up: mask&8 != 0}
-				for pname, pool := range pools {
-					for _, m := range []*grid.Field2D{nil, positiveField(g, 219)} {
-						for _, hook := range []bool{false, true} {
-							if d := run(pool, sh, mirror, m, hook, false).diff(run(pool, sh, mirror, m, hook, true)); d != "" {
-								t.Errorf("%s %s mirror=%+v minv=%v rows=%v: %s", sh.name, pname, mirror, m != nil, hook, d)
-							}
+		for mask := 0; mask < 1<<4; mask++ {
+			mirror := PhysicalSides{Left: mask&1 != 0, Right: mask&2 != 0, Down: mask&4 != 0, Up: mask&8 != 0}
+			for pname, pool := range pools {
+				for _, m := range []*grid.Field2D{nil, positiveField(g, 219)} {
+					for _, hook := range []bool{false, true} {
+						if d := run(pool, mirror, m, hook, false).diff(run(pool, mirror, m, hook, true)); d != "" {
+							t.Errorf("%s mirror=%+v minv=%v rows=%v: %s", pname, mirror, m != nil, hook, d)
 						}
 					}
 				}
@@ -310,7 +293,7 @@ func TestCGIterMatchesOracleBitwise(t *testing.T) {
 			t.Fatal(err)
 		}
 		in := g.Interior()
-		run := func(pool *par.Pool, sh cgShape, mirror PhysicalSides3D, m *grid.Field3D, hook, oracle bool) cgCall {
+		run := func(pool *par.Pool, mirror PhysicalSides3D, m *grid.Field3D, hook, oracle bool) cgCall {
 			f := make([]*grid.Field3D, 5)
 			c := cgCall{fields: make([][]float64, 5), calls: make([]int, g.NY*g.NZ)}
 			for i := range f {
@@ -321,24 +304,21 @@ func TestCGIterMatchesOracleBitwise(t *testing.T) {
 			if hook {
 				rows = func(j, k int) { c.calls[k*g.NY+j]++ }
 			}
-			sb, mb := expand3D(in, sh.sb), expand3D(in, sh.mb)
-			cgIter := func(pool *par.Pool, sb, mb, in grid.Bounds3D, mirror PhysicalSides3D, minv, r, w *grid.Field3D, beta, alpha float64, p, s, x *grid.Field3D, rows func(j, k int)) (float64, float64, float64) {
-				return op.CGIter(pool, sb, mb, in, mirror, minv, r, w, beta, alpha, p, s, x, nil, rows)
+			cgIter := func(pool *par.Pool, _, _, in grid.Bounds3D, mirror PhysicalSides3D, minv, r, w *grid.Field3D, beta, alpha float64, p, s, x *grid.Field3D, rows func(j, k int)) (float64, float64, float64) {
+				return op.CGIter(pool, in, mirror, minv, r, w, beta, alpha, p, s, x, nil, rows)
 			}
-			gamma, rr, delta := pick(oracle, cgIter, op.oracleCGIter)(pool, sb, mb, in, mirror, m, f[0], f[1], 0.73, 0.31, f[2], f[3], f[4], rows)
+			gamma, rr, delta := pick(oracle, cgIter, op.oracleCGIter)(pool, in, in, in, mirror, m, f[0], f[1], 0.73, 0.31, f[2], f[3], f[4], rows)
 			c.scalars = []float64{gamma, rr, delta}
 			return c
 		}
-		for _, sh := range cgShapes {
-			for mask := 0; mask < 1<<6; mask++ {
-				mirror := PhysicalSides3D{Left: mask&1 != 0, Right: mask&2 != 0, Down: mask&4 != 0,
-					Up: mask&8 != 0, Back: mask&16 != 0, Front: mask&32 != 0}
-				for pname, pool := range pools {
-					for _, m := range []*grid.Field3D{nil, fullField3D(g, 229, true)} {
-						for _, hook := range []bool{false, true} {
-							if d := run(pool, sh, mirror, m, hook, false).diff(run(pool, sh, mirror, m, hook, true)); d != "" {
-								t.Errorf("%s %s mirror=%+v minv=%v rows=%v: %s", sh.name, pname, mirror, m != nil, hook, d)
-							}
+		for mask := 0; mask < 1<<6; mask++ {
+			mirror := PhysicalSides3D{Left: mask&1 != 0, Right: mask&2 != 0, Down: mask&4 != 0,
+				Up: mask&8 != 0, Back: mask&16 != 0, Front: mask&32 != 0}
+			for pname, pool := range pools {
+				for _, m := range []*grid.Field3D{nil, fullField3D(g, 229, true)} {
+					for _, hook := range []bool{false, true} {
+						if d := run(pool, mirror, m, hook, false).diff(run(pool, mirror, m, hook, true)); d != "" {
+							t.Errorf("%s mirror=%+v minv=%v rows=%v: %s", pname, mirror, m != nil, hook, d)
 						}
 					}
 				}
