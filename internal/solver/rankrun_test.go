@@ -67,6 +67,7 @@ func rankRun2D(t *testing.T, v engineVariant, ranks, workers int) (int, *grid.Fi
 			return err
 		}
 		pool := par.NewPool(workers).WithGrain(1)
+		defer pool.Close()
 		phys := c.Physical()
 		op, err := stencil.BuildOperator2D(pool, den, 0.04, stencil.Conductivity,
 			stencil.PhysicalSides{Left: phys.Left, Right: phys.Right, Down: phys.Down, Up: phys.Up})
@@ -150,6 +151,7 @@ func rankRun3D(t *testing.T, v engineVariant, ranks, workers int) (int, *grid.Fi
 			return err
 		}
 		pool := par.NewPool(workers).WithGrain(1)
+		defer pool.Close()
 		phys := c.Physical3D()
 		op, err := stencil.BuildOperator3D(pool, den, 0.04, stencil.Conductivity,
 			stencil.PhysicalSides3D{Left: phys.Left, Right: phys.Right, Down: phys.Down,
