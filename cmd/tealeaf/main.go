@@ -100,7 +100,13 @@ func run() error {
 		d.Dims = *dims
 	}
 	if *solName != "" {
-		d.Solver = *solName
+		// The deck holds the canonical name (ppcg for cppcg, …), which
+		// Validate's halo-depth rule compares against.
+		kind, err := solver.ParseKind(*solName)
+		if err != nil {
+			return err
+		}
+		d.Solver = string(kind)
 	}
 	if *depth > 0 {
 		d.HaloDepth = *depth

@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -84,13 +85,49 @@ func TestOutputFlagsRejectedIn3D(t *testing.T) {
 	}
 }
 
+// runTealeaf runs the command on args with every tealeaf flag first put
+// back to its default, as a fresh process would have them.
+func runTealeaf(t *testing.T, args ...string) error {
+	t.Helper()
+	defer func(args []string) { os.Args = args }(os.Args)
+	flag.CommandLine.VisitAll(func(f *flag.Flag) {
+		if !strings.HasPrefix(f.Name, "test.") {
+			if err := f.Value.Set(f.DefValue); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	os.Args = append([]string{"tealeaf"}, args...)
+	return run()
+}
+
 // TestCGHaloDepthRejected: -halo-depth is PPCG's inner matrix-powers
 // depth, so a cg run given one above 1 fails deck validation, naming the
 // key, before any rank starts.
 func TestCGHaloDepthRejected(t *testing.T) {
-	defer func(args []string) { os.Args = args }(os.Args)
-	os.Args = []string{"tealeaf", "-solver", "cg", "-halo-depth", "3", "-mesh", "16", "-steps", "1", "-quiet"}
-	if err := run(); err == nil || !strings.Contains(err.Error(), "tl_ppcg_halo_depth 3 is PPCG's inner matrix-powers depth") {
+	err := runTealeaf(t, "-solver", "cg", "-halo-depth", "3", "-mesh", "16", "-steps", "1", "-quiet")
+	if err == nil || !strings.Contains(err.Error(), "tl_ppcg_halo_depth 3 is PPCG's inner matrix-powers depth") {
 		t.Fatalf("tealeaf -solver cg -halo-depth 3: err = %v, want the PPCG-only halo depth error", err)
+	}
+}
+
+// TestSolverFlagOverDeckFileDepth: the halo depth is checked against the
+// solver after the flags are applied, so -solver ppcg, under each of its
+// names, runs a CG deck file that sets tl_ppcg_halo_depth, while the deck
+// file alone is refused.
+func TestSolverFlagOverDeckFileDepth(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cg-depth.in")
+	in := "*tea\nx_cells=16\ny_cells=16\nend_step=1\ntl_use_cg\ntl_ppcg_halo_depth=3\n" +
+		"state 1 density=1 energy=1\nstate 2 density=2 energy=3 geometry=rectangle xmin=0 xmax=5 ymin=0 ymax=5\n*endtea\n"
+	if err := os.WriteFile(path, []byte(in), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"ppcg", "cppcg", "tl_use_ppcg"} {
+		if err := runTealeaf(t, "-solver", name, "-quiet", path); err != nil {
+			t.Errorf("tealeaf -solver %s over a CG deck with tl_ppcg_halo_depth=3: %v", name, err)
+		}
+	}
+	if err := runTealeaf(t, "-quiet", path); err == nil || !strings.Contains(err.Error(), "tl_ppcg_halo_depth 3 is PPCG's inner matrix-powers depth") {
+		t.Errorf("tealeaf over a CG deck with tl_ppcg_halo_depth=3: err = %v, want the PPCG-only halo depth error", err)
 	}
 }

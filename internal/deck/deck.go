@@ -150,7 +150,7 @@ func Parse(r io.Reader) (*Deck, error) {
 	if !sawBlock {
 		return nil, fmt.Errorf("deck: no *tea block found")
 	}
-	if err := d.Validate(); err != nil {
+	if err := d.validateParsed(); err != nil {
 		return nil, err
 	}
 	return d, nil
@@ -328,11 +328,25 @@ func parseFloatInto(dst *float64, val string) error {
 	return nil
 }
 
-// Validate checks deck consistency. It never mutates the deck: a shared
+// Validate checks deck consistency: every check Parse makes, then the
+// halo depth against the solver, which Parse leaves to Validate because
+// a caller may still change either after parsing (the tealeaf command's
+// -solver and -halo-depth flags). It never mutates the deck: a shared
 // *Deck is validated concurrently by every rank goroutine of a
-// distributed run. A zero Dims (zero-value decks built in code) is read
-// as 2D.
+// distributed run.
 func (d *Deck) Validate() error {
+	if err := d.validateParsed(); err != nil {
+		return err
+	}
+	if d.HaloDepth > 1 && d.Solver != "ppcg" {
+		return fmt.Errorf("deck: tl_ppcg_halo_depth %d is PPCG's inner matrix-powers depth; the %q solver exchanges at depth 1 (set tl_ppcg_halo_depth=1 or tl_use_ppcg)", d.HaloDepth, d.Solver)
+	}
+	return nil
+}
+
+// validateParsed is every check of Validate but the halo depth against
+// the solver. A zero Dims (zero-value decks built in code) is read as 2D.
+func (d *Deck) validateParsed() error {
 	dims := d.Dims
 	if dims == 0 {
 		dims = 2
@@ -360,8 +374,6 @@ func (d *Deck) Validate() error {
 		return fmt.Errorf("deck: tl_eps must be positive")
 	case d.HaloDepth < 1:
 		return fmt.Errorf("deck: halo depth must be >= 1")
-	case d.HaloDepth > 1 && !isPPCG(d.Solver):
-		return fmt.Errorf("deck: tl_ppcg_halo_depth %d is PPCG's inner matrix-powers depth; the %q solver exchanges at depth 1 (set tl_ppcg_halo_depth=1 or tl_use_ppcg)", d.HaloDepth, d.Solver)
 	case len(d.States) == 0:
 		return fmt.Errorf("deck: need at least one state")
 	}
@@ -410,16 +422,6 @@ func (d *Deck) Validate() error {
 		}
 	}
 	return nil
-}
-
-// isPPCG reports whether solver names PPCG, under any of the names
-// solver.ParseKind accepts for it.
-func isPPCG(solver string) bool {
-	switch solver {
-	case "ppcg", "cppcg", "tl_use_ppcg":
-		return true
-	}
-	return false
 }
 
 // finiteAll reports whether every value is a finite float: NaN and ±Inf

@@ -252,7 +252,7 @@ func TestParseReaderError(t *testing.T) {
 }
 
 func TestEigenItersAndHaloDepth(t *testing.T) {
-	d, err := ParseString("*tea\nstate 1 density=1 energy=1\ntl_use_ppcg\ntl_eigen_cg_iters=8\ntl_ppcg_halo_depth=4\n*endtea")
+	d, err := ParseString("*tea\nstate 1 density=1 energy=1\ntl_eigen_cg_iters=8\ntl_ppcg_halo_depth=4\n*endtea")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,9 +6,9 @@ import (
 )
 
 // TestEveryRejectionPath drives every parse- and validation-rejection
-// message in the package through ParseString at least once, asserting on
-// a distinctive fragment of each message so a reworded or dead error
-// path fails loudly. The deck snippets are minimal: `base` is the
+// message in the package through ParseString and then Validate at least
+// once, asserting on a distinctive fragment of each message so a
+// reworded or dead error path fails loudly. The deck snippets are minimal: `base` is the
 // smallest accepted deck, and each case perturbs exactly one thing.
 func TestEveryRejectionPath(t *testing.T) {
 	const base = "state 1 density=1 energy=1\n"
@@ -57,10 +57,12 @@ func TestEveryRejectionPath(t *testing.T) {
 		{"no horizon", deck(base, "end_time=0", "end_step=0"), "need end_time or end_step"},
 		{"zero eps", deck(base, "tl_eps=0"), "tl_eps must be positive"},
 		{"zero halo depth", deck(base, "halo_depth=0"), "halo depth must be >= 1"},
+		{"no states", deck("x_cells=8"), "need at least one state"},
+
+		// Validate only, after parsing: the halo depth against the solver.
 		{"cg halo depth", deck(base, "tl_use_cg", "tl_ppcg_halo_depth=3"), "tl_ppcg_halo_depth 3 is PPCG's inner matrix-powers depth"},
 		{"chebyshev halo depth", deck(base, "tl_use_chebyshev", "halo_depth=2"), "tl_ppcg_halo_depth 2 is PPCG's inner matrix-powers depth"},
 		{"jacobi halo depth", deck(base, "tl_use_jacobi", "tl_ppcg_halo_depth=4"), "tl_ppcg_halo_depth 4 is PPCG's inner matrix-powers depth"},
-		{"no states", deck("x_cells=8"), "need at least one state"},
 
 		// Validate: deflation geometry.
 		{"zero deflation blocks", deck(base, "tl_use_deflation", "tl_deflation_blocks=0"),
@@ -88,7 +90,10 @@ func TestEveryRejectionPath(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := ParseString(tc.in)
+			d, err := ParseString(tc.in)
+			if err == nil {
+				err = d.Validate()
+			}
 			if err == nil {
 				t.Fatalf("deck accepted; want error containing %q\ndeck:\n%s", tc.want, tc.in)
 			}
@@ -113,9 +118,31 @@ func TestValidateAcceptsBoundaryValues(t *testing.T) {
 		"cg halo depth 1":     "*tea\ntl_use_cg\ntl_ppcg_halo_depth=1\nstate 1 density=1 energy=1\n*endtea",
 	} {
 		t.Run(name, func(t *testing.T) {
-			if _, err := ParseString(in); err != nil {
+			d, err := ParseString(in)
+			if err == nil {
+				err = d.Validate()
+			}
+			if err != nil {
 				t.Fatalf("boundary deck rejected: %v\ndeck:\n%s", err, in)
 			}
 		})
+	}
+}
+
+// TestHaloDepthCheckedAfterOverrides: Parse accepts a CG deck that sets
+// tl_ppcg_halo_depth, since a caller may still switch its solver to
+// PPCG; Validate refuses it as parsed and accepts it once the solver is
+// PPCG.
+func TestHaloDepthCheckedAfterOverrides(t *testing.T) {
+	d, err := ParseString("*tea\ntl_use_cg\ntl_ppcg_halo_depth=3\nstate 1 density=1 energy=1\n*endtea")
+	if err != nil {
+		t.Fatalf("Parse refused a CG deck with a halo depth: %v", err)
+	}
+	if err := d.Validate(); err == nil || !strings.Contains(err.Error(), "tl_ppcg_halo_depth 3 is PPCG's inner matrix-powers depth") {
+		t.Fatalf("Validate: err = %v, want the PPCG-only halo depth error", err)
+	}
+	d.Solver = "ppcg"
+	if err := d.Validate(); err != nil {
+		t.Fatalf("Validate after switching to ppcg: %v", err)
 	}
 }

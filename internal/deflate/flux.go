@@ -301,7 +301,7 @@ func (p *projector) restrictRow(w []float64, r int) {
 	o := p.org + (r/ny)*p.st[2] + (r%ny)*p.st[1]
 	for i0 := 0; i0 < nx; {
 		cx := p.block(0, i0)
-		i1 := min(p.xend[cx], nx)
+		i1 := p.xend[cx]
 		p.rows[r*nbx+cx] = laneSum(w[o+i0 : o+i1])
 		i0 = i1
 	}

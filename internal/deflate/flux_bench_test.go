@@ -6,7 +6,6 @@ import (
 
 	"tealeaf/internal/comm"
 	"tealeaf/internal/par"
-	"tealeaf/internal/stencil"
 )
 
 // Per-kernel benchmarks of the face-flux projector at the two shapes the
@@ -100,7 +99,6 @@ func BenchmarkCGIterDeflated(b *testing.B) {
 	const n = 512
 	op := stiffOperator(b, n)
 	g := op.Grid
-	in := g.Interior()
 	r, w := randomField2D(g, 2), randomField2D(g, 3)
 	p, s, x := randomField2D(g, 4), randomField2D(g, 5), randomField2D(g, 6)
 	c := comm.NewSerial()
@@ -115,7 +113,7 @@ func BenchmarkCGIterDeflated(b *testing.B) {
 		rows := func(k int) { d.RestrictRow(w, k) }
 		b.Run(fmt.Sprintf("w%d/one-pass", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				gamma, rr, delta := op.CGIter(pool, in, stencil.AllPhysical, nil, r, w, 0.5, 1e-9, p, s, x, pre, rows)
+				gamma, rr, delta := op.CGIter(pool, nil, r, w, 0.5, 1e-9, p, s, x, pre, rows)
 				sums := c.AllReduceSumN(append([]float64{gamma, rr, delta}, d.Restriction()...))
 				sums[2] -= d.SolveCoarse(sums[3:])
 			}
@@ -123,7 +121,7 @@ func BenchmarkCGIterDeflated(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("w%d/parent", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				gamma, rr, _ := op.CGIter(pool, in, stencil.AllPhysical, nil, r, w, 0.5, 1e-9, p, s, x, nil, rows)
+				gamma, rr, _ := op.CGIter(pool, nil, r, w, 0.5, 1e-9, p, s, x, nil, rows)
 				delta := d.projectRestricted(w.Data, nil, r.Data)
 				c.AllReduceSumN([]float64{gamma, rr, delta})
 			}

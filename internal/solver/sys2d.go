@@ -126,7 +126,7 @@ func (s *sys2d) restrict(d deflRows, w *grid.Field2D) func(y int) {
 }
 
 func (s *sys2d) CGIter(minv, r, w *grid.Field2D, beta, alpha float64, p, sv, x *grid.Field2D, d deflRows) (gamma, rr, delta float64) {
-	return s.op.CGIter(s.p, s.op.Grid.Interior(), stencil.PhysicalSides(s.c.Physical()), minv, r, w, beta, alpha, p, sv, x, s.correctFaces(d, w), s.restrict(d, w))
+	return s.op.CGIter(s.p, minv, r, w, beta, alpha, p, sv, x, s.correctFaces(d, w), s.restrict(d, w))
 }
 
 func (s *sys2d) ChebySteps(bs []grid.Bounds, in grid.Bounds, alphas, betas []float64, sd, alt, rtemp, minv, acc *grid.Field2D) {

@@ -129,7 +129,7 @@ func (s *sys3d) restrict(d deflRows, w *grid.Field3D) func(j, k int) {
 }
 
 func (s *sys3d) CGIter(minv, r, w *grid.Field3D, beta, alpha float64, p, sv, x *grid.Field3D, d deflRows) (gamma, rr, delta float64) {
-	return s.op.CGIter(s.p, s.op.Grid.Interior(), stencil.PhysicalSides3D(s.c.Physical3D()), minv, r, w, beta, alpha, p, sv, x, s.correctFaces(d, w), s.restrict(d, w))
+	return s.op.CGIter(s.p, minv, r, w, beta, alpha, p, sv, x, s.correctFaces(d, w), s.restrict(d, w))
 }
 
 func (s *sys3d) ChebySteps(bs []grid.Bounds3D, in grid.Bounds3D, alphas, betas []float64, sd, alt, rtemp, minv, acc *grid.Field3D) {

@@ -89,10 +89,10 @@ type system[F comparable, B any] interface {
 	// CGIter is a whole fused-CG iteration body in ONE pass over the
 	// interior (stencil.Operator2D.CGIter): the FusedCGStep vector step
 	// with the matvec w = A·(minv⊙r) and its local δ one row behind it.
-	// The pass writes r's depth-1 reflection on the physical sides as rows
-	// are stepped, so a rank with no neighbour (Alone) needs no exchange
-	// between the halves. d's correction rides the step's rows and its
-	// restriction the matvec's.
+	// The pass writes r's depth-1 reflection on every side as rows are
+	// stepped: it is the iteration of a rank with no neighbour (Alone),
+	// which needs no exchange between the halves. d's correction rides the
+	// step's rows and its restriction the matvec's.
 	CGIter(minv, r, w F, beta, alpha float64, p, s, x F, d deflRows) (gamma, rr, delta float64)
 	// ChebySteps runs the Chebyshev steps of one matrix-powers block in ONE
 	// pass over the grid, step j over bs[j] with alphas[j], betas[j]: the

@@ -26,7 +26,7 @@ import (
 // where it would have stepped it. Every matvec next to a cut therefore
 // reads final r, and no band writes a row another band reads.
 
-// CGIter runs one fused-CG iteration body in one pass over in:
+// CGIter runs one fused-CG iteration body in one pass over the interior:
 //
 //	s = w + β·s;  r −= α·s;  p = (minv ⊙ r_old) + β·p;  x += α·p
 //
@@ -34,49 +34,49 @@ import (
 // (kernels.FusedCGStep); then w = A·u, u = minv ⊙ r, with δ = Σ u·w
 // (ApplyPreDot). nil minv is the identity.
 //
-// The matvec needs r's new values one cell beyond in. On each side set
-// in mirror CGIter writes r's depth-1 mirror halo as it steps the rows
-// next to it, as the communicator's reflection would, so a single-rank
-// iteration needs no exchange between its two halves; on the other sides
-// the matvec reads the halo of r as it finds it.
+// The matvec needs r's new values one cell beyond the interior. CGIter
+// is the pass of a grid whose every side is physical: it writes r's
+// depth-1 mirror halo on every side as it steps the rows next to it, as
+// the communicator's reflection would, so a single-rank iteration needs
+// no exchange between its two halves.
 //
 // Two per-row callbacks let the deflation projector ride the pass, each
 // called from whichever worker does the row's work. pre, when non-nil,
-// is called once for each row y of in just before the step first reads
-// w there; a non-nil row it returns holds a λ for each of the row's
+// is called once for each interior row y just before the step first
+// reads w there; a non-nil row it returns holds a λ for each of the row's
 // cells, which the step takes off w in registers, s = (w − λ) + β·s
 // (kernels.CGStepLanes.CGStepSRL), leaving w as pre left it. The
 // projector applies its pending correction w −= A·W·λ that way: the
 // block-face terms to the row in pre, λ_c in the step. rows, when
-// non-nil, is called once for each row y of in as soon as w's cells on
-// it are final (the projector takes its restriction sums there).
-func (op *Operator2D) CGIter(pool *par.Pool, in grid.Bounds, mirror PhysicalSides, minv, r, w *grid.Field2D, beta, alpha float64, p, s, x *grid.Field2D, pre func(y int) []float64, rows func(y int)) (gamma, rr, delta float64) {
-	return (&cgIter{s: op.sten(), in: op.Grid.Rows(in), mirror: mirror.walker(),
+// non-nil, is called once for each interior row y as soon as w's cells
+// on it are final (the projector takes its restriction sums there).
+func (op *Operator2D) CGIter(pool *par.Pool, minv, r, w *grid.Field2D, beta, alpha float64, p, s, x *grid.Field2D, pre func(y int) []float64, rows func(y int)) (gamma, rr, delta float64) {
+	return (&cgIter{s: op.sten(), in: op.Grid.Rows(op.Grid.Interior()),
 		md: minv.DataOrNil(), rd: r.Data, wd: w.Data, pd: p.Data, sd: s.Data, xd: x.Data,
 		beta: beta, alpha: alpha, pre: grid.RowSliceFunc2D(pre), rows: grid.RowFunc2D(rows)}).run(pool)
 }
 
 // CGIter is the 3D one-pass fused-CG iteration body — see
 // Operator2D.CGIter. The matvec lags the step by one z-plane; pre and
-// rows are called with (j, k) for each row of in.
-func (op *Operator3D) CGIter(pool *par.Pool, in grid.Bounds3D, mirror PhysicalSides3D, minv, r, w *grid.Field3D, beta, alpha float64, p, s, x *grid.Field3D, pre func(j, k int) []float64, rows func(j, k int)) (gamma, rr, delta float64) {
-	return (&cgIter{s: op.sten(), in: op.Grid.Rows(in), mirror: mirror,
+// rows are called with (j, k) for each interior row.
+func (op *Operator3D) CGIter(pool *par.Pool, minv, r, w *grid.Field3D, beta, alpha float64, p, s, x *grid.Field3D, pre func(j, k int) []float64, rows func(j, k int)) (gamma, rr, delta float64) {
+	return (&cgIter{s: op.sten(), in: op.Grid.Rows(op.Grid.Interior()),
 		md: minv.DataOrNil(), rd: r.Data, wd: w.Data, pd: p.Data, sd: s.Data, xd: x.Data,
 		beta: beta, alpha: alpha, pre: pre, rows: rows}).run(pool)
 }
 
-// cgIter is one CGIter call: its walker, fields and scalars.
+// cgIter is one CGIter call: its walker over the interior, fields and
+// scalars.
 type cgIter struct {
 	s                      sten
 	in                     grid.Rows
-	mirror                 PhysicalSides3D
 	md, rd, wd, pd, sd, xd []float64
 	beta, alpha            float64
 	pre                    func(j, k int) []float64
 	rows                   func(j, k int)
 }
 
-// run is the pass over in's outer axis; it returns (γ, rr, δ).
+// run is the pass over the interior's outer axis; it returns (γ, rr, δ).
 func (c *cgIter) run(pool *par.Pool) (gamma, rr, delta float64) {
 	acc := pool.ForBandsReduceN(3, c.in.K0, c.in.K1, c.edge, c.band)
 	return acc[0], acc[1], acc[2]
@@ -85,8 +85,8 @@ func (c *cgIter) run(pool *par.Pool) (gamma, rr, delta float64) {
 // edge steps a row next to a band cut, its dots left for the owner.
 func (c *cgIter) edge(k int) { c.step(k, nil) }
 
-// band walks rows [b0, b1) of in, stepping row k+1 before the matvec of
-// row k, and adds its (γ, rr, δ) partials to acc.
+// band walks rows [b0, b1) of the interior, stepping row k+1 before the
+// matvec of row k, and adds its (γ, rr, δ) partials to acc.
 func (c *cgIter) band(b0, b1 int, acc []float64) {
 	lo, hi := c.in.K0, c.in.K1
 	var l kernels.CGStepLanes
@@ -175,44 +175,38 @@ func (c *cgIter) dots(k int, l *kernels.CGStepLanes) {
 // the whole row behind (in front), x-halo cells and (3D) y-halo rows
 // included. In 2D the y sides are the outer axis's back and front.
 func (c *cgIter) reflect(k int) {
-	g, m, rd := c.in, c.mirror, c.rd
+	g, rd := c.in, c.rd
 	nx := g.N()
 	for j := g.J0; j < g.J1; j++ {
 		o := g.Off(j, k)
-		if m.Left {
-			rd[o-1] = rd[o]
-		}
-		if m.Right {
-			rd[o+nx] = rd[o+nx-1]
-		}
+		rd[o-1] = rd[o]
+		rd[o+nx] = rd[o+nx-1]
 	}
 	// mirror copies row (j, k), x-halo cells included, to (j+dj, k+dk).
 	mirror := func(j, dj, dk int) {
 		o, d := g.Off(j, k)-1, g.Off(j+dj, k+dk)-1
 		copy(rd[d:d+nx+2], rd[o:o+nx+2])
 	}
-	if m.Down {
+	sur := c.s.surround()
+	if sur > 0 {
 		mirror(g.J0, -1, 0)
-	}
-	if m.Up {
 		mirror(g.J1-1, 1, 0)
 	}
-	sur := c.s.surround()
 	plane := func(dk int) {
 		for j := g.J0 - sur; j < g.J1+sur; j++ {
 			mirror(j, 0, dk)
 		}
 	}
-	if m.Back && k == g.K0 {
+	if k == g.K0 {
 		plane(-1)
 	}
-	if m.Front && k == g.K1-1 {
+	if k == g.K1-1 {
 		plane(1)
 	}
 }
 
-// matvec computes w = A·u over row k of in, adding u·w to dl: from r
-// itself (identity), or from the window w of u = minv ⊙ r.
+// matvec computes w = A·u over row k of the interior, adding u·w to dl:
+// from r itself (identity), or from the window w of u = minv ⊙ r.
 func (c *cgIter) matvec(k int, dl *lanes, w *window) {
 	in := c.in
 	kind := preDotKind(c.md == nil)

@@ -13,12 +13,11 @@ import (
 
 // CGIter's contract: one pass reproduces the sequence it replaced in the
 // fused CG engine — kernels.FusedCGStep on the interior, the
-// communicator's reflection of r on physical sides, ApplyPreDot on the
+// communicator's single-rank reflection of r, ApplyPreDot on the
 // interior — BIT FOR BIT on r, s, w, x, p, γ, rr and δ. The rows hook
 // must see every interior row of w exactly once, already final. Pools
 // {1, 2, 4, 7} at the default grain and at grain 1 (bands of one and two
-// rows, every row an edge row); minv nil and not; the single-rank pass
-// (every side mirrored) and a pass that mirrors no side.
+// rows, every row an edge row); minv nil and not.
 
 // cgIterPools is the pool ladder the pass is held to.
 func cgIterPools() map[string]*par.Pool {
@@ -66,66 +65,58 @@ func TestCGIterMatchesTwoSweepsBitwise(t *testing.T) {
 	}()
 	for name, pool := range pools {
 		for _, minv := range []*grid.Field2D{nil, positiveField(g, 91)} {
-			for _, mirrored := range []bool{true, false} {
-				label := fmt.Sprintf("%s minv=%v mirror=%v", name, minv != nil, mirrored)
-				var mirror PhysicalSides
-				if mirrored {
-					mirror = AllPhysical
-				}
-				r, w := randomField(g, 92), randomField(g, 93)
-				p, s, x := randomField(g, 94), randomField(g, 95), randomField(g, 96)
-				rO, wO, pO, sO, xO := r.Clone(), w.Clone(), p.Clone(), s.Clone(), x.Clone()
+			label := fmt.Sprintf("%s minv=%v", name, minv != nil)
+			r, w := randomField(g, 92), randomField(g, 93)
+			p, s, x := randomField(g, 94), randomField(g, 95), randomField(g, 96)
+			rO, wO, pO, sO, xO := r.Clone(), w.Clone(), p.Clone(), s.Clone(), x.Clone()
 
-				// pre halves w on its row and returns a λ row; the oracle
-				// halves the whole interior first and hands the step sweep
-				// the same λ, so agreement shows each row halved once,
-				// before the step read it, and λ taken off w cell for cell.
-				for k := in.Y0; k < in.Y1; k++ {
-					halve(wO.Row(k, in.X0, in.X1))
-				}
-				preCalls := make([]int, in.Y1-in.Y0)
-				pre := func(k int) []float64 {
-					preCalls[k-in.Y0]++
-					halve(w.Row(k, in.X0, in.X1))
-					return lamRow(in.X0, in.X1, 0, k)
-				}
-				gO, rrO := kernels.FusedCGStepRows(pool, in, minv, rO, wO, beta, alpha, pO, sO, xO,
-					func(k int) []float64 { return lamRow(in.X0, in.X1, 0, k) })
-				if mirrored {
-					rO.ReflectHalos(1)
-				}
-				dO := op.ApplyPreDot(pool, in, minv, rO, wO)
+			// pre halves w on its row and returns a λ row; the oracle
+			// halves the whole interior first and hands the step sweep
+			// the same λ, so agreement shows each row halved once,
+			// before the step read it, and λ taken off w cell for cell.
+			for k := in.Y0; k < in.Y1; k++ {
+				halve(wO.Row(k, in.X0, in.X1))
+			}
+			preCalls := make([]int, in.Y1-in.Y0)
+			pre := func(k int) []float64 {
+				preCalls[k-in.Y0]++
+				halve(w.Row(k, in.X0, in.X1))
+				return lamRow(in.X0, in.X1, 0, k)
+			}
+			gO, rrO := kernels.FusedCGStepRows(pool, in, minv, rO, wO, beta, alpha, pO, sO, xO,
+				func(k int) []float64 { return lamRow(in.X0, in.X1, 0, k) })
+			rO.ReflectHalos(1)
+			dO := op.ApplyPreDot(pool, in, minv, rO, wO)
 
-				calls := make([]int, in.Y1-in.Y0)
-				snap := make([][]float64, in.Y1-in.Y0)
-				hook := func(k int) {
-					calls[k-in.Y0]++
-					snap[k-in.Y0] = append([]float64(nil), w.Row(k, in.X0, in.X1)...)
+			calls := make([]int, in.Y1-in.Y0)
+			snap := make([][]float64, in.Y1-in.Y0)
+			hook := func(k int) {
+				calls[k-in.Y0]++
+				snap[k-in.Y0] = append([]float64(nil), w.Row(k, in.X0, in.X1)...)
+			}
+			gam, rr, del := op.CGIter(pool, minv, r, w, beta, alpha, p, s, x, pre, hook)
+			if !sameFloat(gam, gO) || !sameFloat(rr, rrO) || !sameFloat(del, dO) {
+				t.Errorf("%s: (γ,rr,δ) = (%v,%v,%v), two sweeps (%v,%v,%v)", label, gam, rr, del, gO, rrO, dO)
+			}
+			for k, n := range preCalls {
+				if n != 1 {
+					t.Errorf("%s: pre(%d) called %d times", label, in.Y0+k, n)
 				}
-				gam, rr, del := op.CGIter(pool, in, mirror, minv, r, w, beta, alpha, p, s, x, pre, hook)
-				if !sameFloat(gam, gO) || !sameFloat(rr, rrO) || !sameFloat(del, dO) {
-					t.Errorf("%s: (γ,rr,δ) = (%v,%v,%v), two sweeps (%v,%v,%v)", label, gam, rr, del, gO, rrO, dO)
+			}
+			for _, f := range []struct {
+				name      string
+				got, want *grid.Field2D
+			}{{"r", r, rO}, {"s", s, sO}, {"w", w, wO}, {"x", x, xO}, {"p", p, pO}} {
+				if i := sameBits(f.got.Data, f.want.Data); i >= 0 {
+					j, k := g.Coords(i)
+					t.Errorf("%s: %s differs at (%d,%d): %v vs %v", label, f.name, j, k, f.got.Data[i], f.want.Data[i])
 				}
-				for k, n := range preCalls {
-					if n != 1 {
-						t.Errorf("%s: pre(%d) called %d times", label, in.Y0+k, n)
-					}
-				}
-				for _, f := range []struct {
-					name      string
-					got, want *grid.Field2D
-				}{{"r", r, rO}, {"s", s, sO}, {"w", w, wO}, {"x", x, xO}, {"p", p, pO}} {
-					if i := sameBits(f.got.Data, f.want.Data); i >= 0 {
-						j, k := g.Coords(i)
-						t.Errorf("%s: %s differs at (%d,%d): %v vs %v", label, f.name, j, k, f.got.Data[i], f.want.Data[i])
-					}
-				}
-				for k := in.Y0; k < in.Y1; k++ {
-					if calls[k-in.Y0] != 1 {
-						t.Errorf("%s: rows(%d) called %d times", label, k, calls[k-in.Y0])
-					} else if i := sameBits(snap[k-in.Y0], w.Row(k, in.X0, in.X1)); i >= 0 {
-						t.Errorf("%s: rows(%d) saw w(%d) = %v before it was final (%v)", label, k, in.X0+i, snap[k-in.Y0][i], w.At(in.X0+i, k))
-					}
+			}
+			for k := in.Y0; k < in.Y1; k++ {
+				if calls[k-in.Y0] != 1 {
+					t.Errorf("%s: rows(%d) called %d times", label, k, calls[k-in.Y0])
+				} else if i := sameBits(snap[k-in.Y0], w.Row(k, in.X0, in.X1)); i >= 0 {
+					t.Errorf("%s: rows(%d) saw w(%d) = %v before it was final (%v)", label, k, in.X0+i, snap[k-in.Y0][i], w.At(in.X0+i, k))
 				}
 			}
 		}
@@ -161,68 +152,60 @@ func TestCGIter3DMatchesTwoSweepsBitwise(t *testing.T) {
 	}()
 	for name, pool := range pools {
 		for _, minv := range []*grid.Field3D{nil, fullField3D(g, 101, true)} {
-			for _, mirrored := range []bool{true, false} {
-				label := fmt.Sprintf("%s minv=%v mirror=%v", name, minv != nil, mirrored)
-				var mirror PhysicalSides3D
-				if mirrored {
-					mirror = AllPhysical3D
-				}
-				r, w := fullField3D(g, 102, false), fullField3D(g, 103, false)
-				p, s, x := fullField3D(g, 104, false), fullField3D(g, 105, false), fullField3D(g, 106, false)
-				rO, wO, pO, sO, xO := r.Clone(), w.Clone(), p.Clone(), s.Clone(), x.Clone()
+			label := fmt.Sprintf("%s minv=%v", name, minv != nil)
+			r, w := fullField3D(g, 102, false), fullField3D(g, 103, false)
+			p, s, x := fullField3D(g, 104, false), fullField3D(g, 105, false), fullField3D(g, 106, false)
+			rO, wO, pO, sO, xO := r.Clone(), w.Clone(), p.Clone(), s.Clone(), x.Clone()
 
-				// pre halves w on its row and returns a λ row, as in the
-				// 2D test.
-				ny := in.Y1 - in.Y0
-				for k := in.Z0; k < in.Z1; k++ {
-					for j := in.Y0; j < in.Y1; j++ {
-						halve(wO.Row(j, k, in.X0, in.X1))
-					}
+			// pre halves w on its row and returns a λ row, as in the
+			// 2D test.
+			ny := in.Y1 - in.Y0
+			for k := in.Z0; k < in.Z1; k++ {
+				for j := in.Y0; j < in.Y1; j++ {
+					halve(wO.Row(j, k, in.X0, in.X1))
 				}
-				preCalls := make([]int, ny*(in.Z1-in.Z0))
-				pre := func(j, k int) []float64 {
-					preCalls[(k-in.Z0)*ny+j-in.Y0]++
-					halve(w.Row(j, k, in.X0, in.X1))
-					return lamRow(in.X0, in.X1, j, k)
-				}
-				gO, rrO := kernels.FusedCGStepRows3D(pool, in, minv, rO, wO, beta, alpha, pO, sO, xO,
-					func(j, k int) []float64 { return lamRow(in.X0, in.X1, j, k) })
-				if mirrored {
-					rO.ReflectHalos(1)
-				}
-				dO := op.ApplyPreDot(pool, in, minv, rO, wO)
+			}
+			preCalls := make([]int, ny*(in.Z1-in.Z0))
+			pre := func(j, k int) []float64 {
+				preCalls[(k-in.Z0)*ny+j-in.Y0]++
+				halve(w.Row(j, k, in.X0, in.X1))
+				return lamRow(in.X0, in.X1, j, k)
+			}
+			gO, rrO := kernels.FusedCGStepRows3D(pool, in, minv, rO, wO, beta, alpha, pO, sO, xO,
+				func(j, k int) []float64 { return lamRow(in.X0, in.X1, j, k) })
+			rO.ReflectHalos(1)
+			dO := op.ApplyPreDot(pool, in, minv, rO, wO)
 
-				calls := make([]int, in.Cells())
-				snap := make([][]float64, len(calls))
-				slot := func(j, k int) int { return (k-in.Z0)*(in.Y1-in.Y0) + j - in.Y0 }
-				hook := func(j, k int) {
-					calls[slot(j, k)]++
-					snap[slot(j, k)] = append([]float64(nil), w.Row(j, k, in.X0, in.X1)...)
+			calls := make([]int, in.Cells())
+			snap := make([][]float64, len(calls))
+			slot := func(j, k int) int { return (k-in.Z0)*(in.Y1-in.Y0) + j - in.Y0 }
+			hook := func(j, k int) {
+				calls[slot(j, k)]++
+				snap[slot(j, k)] = append([]float64(nil), w.Row(j, k, in.X0, in.X1)...)
+			}
+			gam, rr, del := op.CGIter(pool, minv, r, w, beta, alpha, p, s, x, pre, hook)
+			if !sameFloat(gam, gO) || !sameFloat(rr, rrO) || !sameFloat(del, dO) {
+				t.Errorf("%s: (γ,rr,δ) = (%v,%v,%v), two sweeps (%v,%v,%v)", label, gam, rr, del, gO, rrO, dO)
+			}
+			for i, n := range preCalls {
+				if n != 1 {
+					t.Errorf("%s: pre(%d,%d) called %d times", label, in.Y0+i%ny, in.Z0+i/ny, n)
 				}
-				gam, rr, del := op.CGIter(pool, in, mirror, minv, r, w, beta, alpha, p, s, x, pre, hook)
-				if !sameFloat(gam, gO) || !sameFloat(rr, rrO) || !sameFloat(del, dO) {
-					t.Errorf("%s: (γ,rr,δ) = (%v,%v,%v), two sweeps (%v,%v,%v)", label, gam, rr, del, gO, rrO, dO)
+			}
+			for _, f := range []struct {
+				name      string
+				got, want *grid.Field3D
+			}{{"r", r, rO}, {"s", s, sO}, {"w", w, wO}, {"x", x, xO}, {"p", p, pO}} {
+				if i := sameBits(f.got.Data, f.want.Data); i >= 0 {
+					t.Errorf("%s: %s differs at flat index %d: %v vs %v", label, f.name, i, f.got.Data[i], f.want.Data[i])
 				}
-				for i, n := range preCalls {
-					if n != 1 {
-						t.Errorf("%s: pre(%d,%d) called %d times", label, in.Y0+i%ny, in.Z0+i/ny, n)
-					}
-				}
-				for _, f := range []struct {
-					name      string
-					got, want *grid.Field3D
-				}{{"r", r, rO}, {"s", s, sO}, {"w", w, wO}, {"x", x, xO}, {"p", p, pO}} {
-					if i := sameBits(f.got.Data, f.want.Data); i >= 0 {
-						t.Errorf("%s: %s differs at flat index %d: %v vs %v", label, f.name, i, f.got.Data[i], f.want.Data[i])
-					}
-				}
-				for k := in.Z0; k < in.Z1; k++ {
-					for j := in.Y0; j < in.Y1; j++ {
-						if n := calls[slot(j, k)]; n != 1 {
-							t.Errorf("%s: rows(%d,%d) called %d times", label, j, k, n)
-						} else if i := sameBits(snap[slot(j, k)], w.Row(j, k, in.X0, in.X1)); i >= 0 {
-							t.Errorf("%s: rows(%d,%d) saw w before it was final", label, j, k)
-						}
+			}
+			for k := in.Z0; k < in.Z1; k++ {
+				for j := in.Y0; j < in.Y1; j++ {
+					if n := calls[slot(j, k)]; n != 1 {
+						t.Errorf("%s: rows(%d,%d) called %d times", label, j, k, n)
+					} else if i := sameBits(snap[slot(j, k)], w.Row(j, k, in.X0, in.X1)); i >= 0 {
+						t.Errorf("%s: rows(%d,%d) saw w before it was final", label, j, k)
 					}
 				}
 			}
@@ -284,13 +267,13 @@ func TestCGIterAllocatesNothing(t *testing.T) {
 			mm2, mm3 = nil, nil
 		}
 		got := testing.AllocsPerRun(20, func() {
-			op2.CGIter(pool, in2, AllPhysical, mm2, r2, w2, beta, alpha, p2, s2, x2, nil, nil)
+			op2.CGIter(pool, mm2, r2, w2, beta, alpha, p2, s2, x2, nil, nil)
 		})
 		if want := bandsAllocs(pool, in2.Y0, in2.Y1); got != want {
 			t.Errorf("minv=%v: 2D CGIter allocates %v per call, the bare dispatch %v", pre, got, want)
 		}
 		got = testing.AllocsPerRun(20, func() {
-			op3.CGIter(pool, in3, AllPhysical3D, mm3, r3, w3, beta, alpha, p3, s3, x3, nil, nil)
+			op3.CGIter(pool, mm3, r3, w3, beta, alpha, p3, s3, x3, nil, nil)
 		})
 		if want := bandsAllocs(pool, in3.Z0, in3.Z1); got != want {
 			t.Errorf("minv=%v: 3D CGIter allocates %v per call, the bare dispatch %v", pre, got, want)
@@ -333,7 +316,7 @@ func BenchmarkCGIter(b *testing.B) {
 		b.Cleanup(pool.Close)
 		b.Run(fmt.Sprintf("%dx%d/workers=%d/one-pass", n2, n2, workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				op2.CGIter(pool, in2, AllPhysical, nil, r2, w2, beta, alpha, p2, s2, x2, nil, nil)
+				op2.CGIter(pool, nil, r2, w2, beta, alpha, p2, s2, x2, nil, nil)
 			}
 			perCell(b, in2.Cells())
 		})
@@ -347,7 +330,7 @@ func BenchmarkCGIter(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("%dx%dx%d/workers=%d/one-pass", n3, n3, n3, workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				op3.CGIter(pool, in3, AllPhysical3D, m3, r3, w3, beta, alpha, p3, s3, x3, nil, nil)
+				op3.CGIter(pool, m3, r3, w3, beta, alpha, p3, s3, x3, nil, nil)
 			}
 			perCell(b, in3.Cells())
 		})

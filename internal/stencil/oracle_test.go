@@ -16,9 +16,8 @@ import (
 // every returned scalar. The sweeps run on interior, depth-2 extended,
 // ragged (width mod 4 ∈ {1, 2, 3}), halo-reaching, one-row, one-column,
 // one-plane and empty bounds, with and without a folded diagonal, on 1, 2
-// and 4 workers at grain 1; CGIter under every combination of mirror
-// sides, with and without a rows callback; ChebySteps in blocks of 1, 2
-// and 4 steps. Each sweep is its own subtest, so
+// and 4 workers at grain 1; CGIter with every side mirrored, with and
+// without a rows callback; ChebySteps in blocks of 1, 2 and 4 steps. Each sweep is its own subtest, so
 // -run TestSweepsMatchOracle2DBitwise/ApplyPreDot checks one body.
 
 // oraclePools are the worker counts the bitwise tests run on.
@@ -252,7 +251,7 @@ func TestCGIterMatchesOracleBitwise(t *testing.T) {
 			t.Fatal(err)
 		}
 		in := g.Interior()
-		run := func(pool *par.Pool, mirror PhysicalSides, m *grid.Field2D, hook, oracle bool) cgCall {
+		run := func(pool *par.Pool, m *grid.Field2D, hook, oracle bool) cgCall {
 			f := make([]*grid.Field2D, 5)
 			c := cgCall{fields: make([][]float64, 5), calls: make([]int, g.NY)}
 			for i := range f {
@@ -264,23 +263,21 @@ func TestCGIterMatchesOracleBitwise(t *testing.T) {
 				rows = func(k int) { c.calls[k]++ }
 			}
 			// The oracle predates CGIter's pre callback (nil pre is the
-			// pass it describes) and takes its step and matvec bounds
-			// apart; CGIter's are both the interior.
-			cgIter := func(pool *par.Pool, _, _, in grid.Bounds, mirror PhysicalSides, minv, r, w *grid.Field2D, beta, alpha float64, p, s, x *grid.Field2D, rows func(k int)) (float64, float64, float64) {
-				return op.CGIter(pool, in, mirror, minv, r, w, beta, alpha, p, s, x, nil, rows)
+			// pass it describes) and takes its step bounds, matvec bounds,
+			// interior and mirrored sides apart; CGIter's are the interior
+			// three times over, every side mirrored.
+			cgIter := func(pool *par.Pool, _, _, _ grid.Bounds, _ PhysicalSides, minv, r, w *grid.Field2D, beta, alpha float64, p, s, x *grid.Field2D, rows func(k int)) (float64, float64, float64) {
+				return op.CGIter(pool, minv, r, w, beta, alpha, p, s, x, nil, rows)
 			}
-			gamma, rr, delta := pick(oracle, cgIter, op.oracleCGIter)(pool, in, in, in, mirror, m, f[0], f[1], 0.73, 0.31, f[2], f[3], f[4], rows)
+			gamma, rr, delta := pick(oracle, cgIter, op.oracleCGIter)(pool, in, in, in, AllPhysical, m, f[0], f[1], 0.73, 0.31, f[2], f[3], f[4], rows)
 			c.scalars = []float64{gamma, rr, delta}
 			return c
 		}
-		for mask := 0; mask < 1<<4; mask++ {
-			mirror := PhysicalSides{Left: mask&1 != 0, Right: mask&2 != 0, Down: mask&4 != 0, Up: mask&8 != 0}
-			for pname, pool := range pools {
-				for _, m := range []*grid.Field2D{nil, positiveField(g, 219)} {
-					for _, hook := range []bool{false, true} {
-						if d := run(pool, mirror, m, hook, false).diff(run(pool, mirror, m, hook, true)); d != "" {
-							t.Errorf("%s mirror=%+v minv=%v rows=%v: %s", pname, mirror, m != nil, hook, d)
-						}
+		for pname, pool := range pools {
+			for _, m := range []*grid.Field2D{nil, positiveField(g, 219)} {
+				for _, hook := range []bool{false, true} {
+					if d := run(pool, m, hook, false).diff(run(pool, m, hook, true)); d != "" {
+						t.Errorf("%s minv=%v rows=%v: %s", pname, m != nil, hook, d)
 					}
 				}
 			}
@@ -293,7 +290,7 @@ func TestCGIterMatchesOracleBitwise(t *testing.T) {
 			t.Fatal(err)
 		}
 		in := g.Interior()
-		run := func(pool *par.Pool, mirror PhysicalSides3D, m *grid.Field3D, hook, oracle bool) cgCall {
+		run := func(pool *par.Pool, m *grid.Field3D, hook, oracle bool) cgCall {
 			f := make([]*grid.Field3D, 5)
 			c := cgCall{fields: make([][]float64, 5), calls: make([]int, g.NY*g.NZ)}
 			for i := range f {
@@ -304,22 +301,18 @@ func TestCGIterMatchesOracleBitwise(t *testing.T) {
 			if hook {
 				rows = func(j, k int) { c.calls[k*g.NY+j]++ }
 			}
-			cgIter := func(pool *par.Pool, _, _, in grid.Bounds3D, mirror PhysicalSides3D, minv, r, w *grid.Field3D, beta, alpha float64, p, s, x *grid.Field3D, rows func(j, k int)) (float64, float64, float64) {
-				return op.CGIter(pool, in, mirror, minv, r, w, beta, alpha, p, s, x, nil, rows)
+			cgIter := func(pool *par.Pool, _, _, _ grid.Bounds3D, _ PhysicalSides3D, minv, r, w *grid.Field3D, beta, alpha float64, p, s, x *grid.Field3D, rows func(j, k int)) (float64, float64, float64) {
+				return op.CGIter(pool, minv, r, w, beta, alpha, p, s, x, nil, rows)
 			}
-			gamma, rr, delta := pick(oracle, cgIter, op.oracleCGIter)(pool, in, in, in, mirror, m, f[0], f[1], 0.73, 0.31, f[2], f[3], f[4], rows)
+			gamma, rr, delta := pick(oracle, cgIter, op.oracleCGIter)(pool, in, in, in, AllPhysical3D, m, f[0], f[1], 0.73, 0.31, f[2], f[3], f[4], rows)
 			c.scalars = []float64{gamma, rr, delta}
 			return c
 		}
-		for mask := 0; mask < 1<<6; mask++ {
-			mirror := PhysicalSides3D{Left: mask&1 != 0, Right: mask&2 != 0, Down: mask&4 != 0,
-				Up: mask&8 != 0, Back: mask&16 != 0, Front: mask&32 != 0}
-			for pname, pool := range pools {
-				for _, m := range []*grid.Field3D{nil, fullField3D(g, 229, true)} {
-					for _, hook := range []bool{false, true} {
-						if d := run(pool, mirror, m, hook, false).diff(run(pool, mirror, m, hook, true)); d != "" {
-							t.Errorf("%s mirror=%+v minv=%v rows=%v: %s", pname, mirror, m != nil, hook, d)
-						}
+		for pname, pool := range pools {
+			for _, m := range []*grid.Field3D{nil, fullField3D(g, 229, true)} {
+				for _, hook := range []bool{false, true} {
+					if d := run(pool, m, hook, false).diff(run(pool, m, hook, true)); d != "" {
+						t.Errorf("%s minv=%v rows=%v: %s", pname, m != nil, hook, d)
 					}
 				}
 			}
