@@ -3,6 +3,7 @@ package comm
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"tealeaf/internal/grid"
 	"tealeaf/internal/place"
@@ -29,6 +30,10 @@ type Hub struct {
 	colls  map[int]*collective
 	gat    chan gatherMsg
 	gat3   chan gatherMsg3
+	// apart keeps the ranks off each other's CPUs (see place.Group); set
+	// by Run and Run3D, whose ranks change threads whenever a receive
+	// parks them, nil on a bare NewHub.
+	apart *place.Group
 }
 
 // NewHub builds the communication fabric for the given 2D partition.
@@ -182,7 +187,19 @@ func (h hubSlabs) recvSlab(from int, side grid.Side, wantLen int) ([]float64, er
 		}
 		c.free = append(c.free, c.held)
 	}
-	msg := <-c.hub.mail[c.rank][side]
+	box := c.hub.mail[c.rank][side]
+	var msg []float64
+	if !place.Spin(func() bool {
+		select {
+		case msg = <-box:
+			return true
+		default:
+			return false
+		}
+	}) {
+		msg = <-box
+	}
+	c.hub.apart.Check(c.rank) // the wait may have moved this goroutine to another thread
 	c.held = msg
 	if len(msg) != wantLen {
 		return nil, fmt.Errorf("comm: rank %d: exchange slab from rank %d has %d values, want %d (mismatched field sets across ranks?)",
@@ -314,6 +331,7 @@ func (h *Hub) collFor(tag int) *collective {
 	coll, ok := h.colls[tag]
 	if !ok {
 		coll = newCollective(h.Ranks())
+		coll.apart = h.apart
 		h.colls[tag] = coll
 	}
 	return coll
@@ -329,10 +347,12 @@ func (c *RankComm) AllReduceMax(x float64) float64 {
 func (c *RankComm) Barrier() { c.hub.coll.reduce(opSum, c.rank) }
 
 // collective is a generation-counted all-reduce accumulator. Every rank
-// calls reduce once per generation; the last arrival publishes the result
-// and releases the waiters. The published result is stable until every
-// rank of the *next* generation has arrived, which cannot happen before
-// all waiters of this generation have returned.
+// joins each generation once; the last arrival folds the contributions,
+// publishes the result and releases the waiters. The published result is
+// stable until every rank of the *next* generation has arrived, which
+// cannot happen before all waiters of this generation have returned, so
+// one result buffer serves every generation and a warmed round allocates
+// nothing.
 //
 // Contributions are stashed per rank and folded in ascending RANK order at
 // publication — never in arrival order. Arrival order depends on goroutine
@@ -348,10 +368,32 @@ type collective struct {
 	width   int
 	contrib [][]float64
 	res     []float64
-	done    chan struct{}
+	// gen counts the published generations: a rank that joined while it
+	// read g has its result once gen passes g. Waiters spin on it, then
+	// park on their own wake channel after setting parked under mu; the
+	// last arrival sends a token to every parked rank.
+	gen    atomic.Uint64
+	parked []bool
+	wake   []chan struct{}
+	// handles holds each rank's split-phase handle, reused round after
+	// round (one reduction in flight per rank and collective).
+	handles []collHandle
+	apart   *place.Group
 }
 
-func newCollective(n int) *collective { return &collective{n: n} }
+func newCollective(n int) *collective {
+	c := &collective{
+		n:       n,
+		contrib: make([][]float64, n),
+		parked:  make([]bool, n),
+		wake:    make([]chan struct{}, n),
+		handles: make([]collHandle, n),
+	}
+	for r := range c.wake {
+		c.wake[r] = make(chan struct{}, 1)
+	}
+	return c
+}
 
 type reduceOp int
 
@@ -366,70 +408,97 @@ const (
 // that callers may mutate the returned slice, so handing out one shared
 // slice would let rank A's mutation corrupt rank B's result.
 //
-// It is literally start followed by Finish, so the blocking and
-// split-phase paths share one generation protocol by construction.
+// It is join followed by wait, as the split-phase path's start and
+// Finish are, so both share one generation protocol by construction.
 func (c *collective) reduce(op reduceOp, rank int, vals ...float64) []float64 {
-	return c.start(op, rank, vals).Finish()
+	c.wait(rank, c.join(op, rank, vals))
+	copy(vals, c.res)
+	return vals
 }
 
 // start contributes vals to the collective's current generation without
 // waiting for the other ranks — the Hub's half of the split-phase
-// contract (Start may not block on peers) — and returns the handle whose
-// Finish waits for the generation to complete. The last arrival folds the
-// stashed contributions in ascending rank order, publishes the result and
-// releases every waiter at start time, so its Finish is free.
+// contract (Start may not block on peers) — and returns the rank's handle,
+// whose Finish waits for the generation to complete.
 func (c *collective) start(op reduceOp, rank int, vals []float64) *collHandle {
+	h := &c.handles[rank]
+	*h = collHandle{coll: c, rank: rank, gen: c.join(op, rank, vals), vals: vals}
+	return h
+}
+
+// join adds vals to the current generation and returns its number. The
+// last arrival folds the stashed contributions in ascending rank order,
+// publishes the result and wakes the parked waiters, so its own wait is
+// free.
+func (c *collective) join(op reduceOp, rank int, vals []float64) uint64 {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.cnt == 0 {
 		c.width = len(vals)
-		if c.contrib == nil {
-			c.contrib = make([][]float64, c.n)
-		}
-		c.done = make(chan struct{})
 	} else if len(vals) != c.width {
-		c.mu.Unlock()
 		panic(fmt.Sprintf("comm: collective value-count mismatch: this rank contributed %d values but the generation started with %d (every rank must pass the same number of values to each reduction)",
 			len(vals), c.width))
 	}
+	g := c.gen.Load()
 	c.contrib[rank] = append(c.contrib[rank][:0], vals...)
 	c.cnt++
-	if c.cnt == c.n {
-		c.cnt = 0
-		res := make([]float64, c.width)
-		copy(res, c.contrib[0])
-		for r := 1; r < c.n; r++ {
-			for i, v := range c.contrib[r] {
-				switch op {
-				case opSum:
-					res[i] += v
-				case opMax:
-					if v > res[i] {
-						res[i] = v
-					}
+	if c.cnt < c.n {
+		return g
+	}
+	c.cnt = 0
+	c.res = append(c.res[:0], c.contrib[0]...)
+	for r := 1; r < c.n; r++ {
+		for i, v := range c.contrib[r] {
+			switch op {
+			case opSum:
+				c.res[i] += v
+			case opMax:
+				if v > c.res[i] {
+					c.res[i] = v
 				}
 			}
 		}
-		c.res = res
-		close(c.done)
 	}
-	done := c.done
-	c.mu.Unlock()
-	return &collHandle{coll: c, vals: vals, done: done}
+	c.gen.Store(g + 1)
+	// A wake channel is empty here, so the send never blocks under mu: a
+	// parked rank takes its token before it can join, let alone park,
+	// again.
+	for r, p := range c.parked {
+		if p {
+			c.parked[r] = false
+			c.wake[r] <- struct{}{}
+		}
+	}
+	return g
 }
 
-// collHandle is the Hub's in-flight split-phase reduction. The published
-// result (coll.res, a fresh allocation per generation) is stable until
-// every rank of the *next* generation has arrived, which — under the
-// one-outstanding-reduction-per-rank contract — cannot happen before
-// every Finish of this generation has returned.
+// wait returns once generation g has been published: at once for its last
+// arrival, after a spin for a rank that arrives shortly before it, parked
+// on the rank's wake channel otherwise.
+func (c *collective) wait(rank int, g uint64) {
+	if !place.Spin(func() bool { return c.gen.Load() > g }) {
+		c.mu.Lock()
+		parks := c.gen.Load() == g
+		c.parked[rank] = parks
+		c.mu.Unlock()
+		if parks {
+			<-c.wake[rank]
+		}
+	}
+	c.apart.Check(rank) // the wait may have moved this goroutine to another thread
+}
+
+// collHandle is the Hub's in-flight split-phase reduction: the rank's
+// generation and the slice its result is copied back into.
 type collHandle struct {
 	coll *collective
+	rank int
+	gen  uint64
 	vals []float64
-	done chan struct{}
 }
 
 func (h *collHandle) Finish() []float64 {
-	<-h.done
+	h.coll.wait(h.rank, h.gen)
 	copy(h.vals, h.coll.res)
 	return h.vals
 }
@@ -494,13 +563,23 @@ func (c *RankComm) GatherInterior(local *grid.Field2D, dst *grid.Field2D) error 
 // waits for all of them; the returned error is the first non-nil error by
 // rank order. This is the `mpirun` of the package, and like one it starts
 // the ranks on different CPUs (place.Spread: rank r, r CPUs on from the
-// caller's).
+// caller's) and keeps them apart (place.Group).
 func Run(part *grid.Partition, fn func(c *RankComm) error) error {
-	h := NewHub(part)
-	errs := make([]error, part.Ranks())
+	return runRanks(NewHub(part), fn)
+}
+
+// runRanks runs fn on every rank of h, as Run and Run3D do. The ranks
+// beside the caller's own thread are claimed on the host's CPUs while
+// they run.
+func runRanks(h *Hub, fn func(c *RankComm) error) error {
+	n := h.Ranks()
+	defer place.Claim(n - 1)()
+	h.apart = place.NewGroup(n)
+	h.coll.apart = h.apart
+	errs := make([]error, n)
 	var wg sync.WaitGroup
 	cpu := place.Current()
-	for r := 0; r < part.Ranks(); r++ {
+	for r := 0; r < n; r++ {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()

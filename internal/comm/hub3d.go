@@ -2,10 +2,8 @@ package comm
 
 import (
 	"fmt"
-	"sync"
 
 	"tealeaf/internal/grid"
-	"tealeaf/internal/place"
 )
 
 // Exchange3D implements Communicator for 3D fields with the three-phase
@@ -183,23 +181,5 @@ func (c *RankComm) GatherInterior3D(local *grid.Field3D, dst *grid.Field3D) erro
 // goroutine and waits for all of them; the returned error is the first
 // non-nil error by rank order. This is the `mpirun` of the 3D path.
 func Run3D(part3 *grid.Partition3D, fn func(c *RankComm) error) error {
-	h := NewHub3D(part3)
-	errs := make([]error, part3.Ranks())
-	var wg sync.WaitGroup
-	cpu := place.Current()
-	for r := 0; r < part3.Ranks(); r++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			place.Spread(cpu, rank)
-			errs[rank] = fn(h.Comm(rank))
-		}(r)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return runRanks(NewHub3D(part3), fn)
 }

@@ -12,3 +12,11 @@ type rawWriter struct{}
 func newRawWriter(net.Conn) *rawWriter { return &rawWriter{} }
 
 func (*rawWriter) tryWrite([]byte) (int, error) { return 0, nil }
+
+// rawReader is the fallback for platforms without a raw non-blocking
+// socket read: there is none, so a frameReader parks in Read at once.
+type rawReader struct{}
+
+func newRawReader(net.Conn) *rawReader { return nil }
+
+func (*rawReader) tryRead([]byte) (int, error) { return 0, nil }

@@ -3,6 +3,7 @@
 package comm
 
 import (
+	"io"
 	"net"
 	"os"
 	"syscall"
@@ -58,4 +59,59 @@ func (w *rawWriter) tryWrite(buf []byte) (int, error) {
 		err = os.NewSyscallError("write", w.err)
 	}
 	return max(w.n, 0), err // a failed write(2) reports -1
+}
+
+// rawReader is rawWriter's read-side twin: single non-blocking read
+// attempts, which let frameReader spin on a socket before the parking
+// Read (see place.Spin).
+type rawReader struct {
+	rc  syscall.RawConn
+	fn  func(fd uintptr) bool
+	buf []byte
+	n   int
+	err error
+}
+
+// newRawReader returns nil when the connection gives no raw access.
+func newRawReader(nc net.Conn) *rawReader {
+	sc, ok := nc.(syscall.Conn)
+	if !ok {
+		return nil
+	}
+	rc, err := sc.SyscallConn()
+	if err != nil {
+		return nil
+	}
+	r := &rawReader{rc: rc}
+	r.fn = r.attempt
+	return r
+}
+
+func (r *rawReader) attempt(fd uintptr) bool {
+	for {
+		r.n, r.err = syscall.Read(int(fd), r.buf)
+		if r.err != syscall.EINTR {
+			return true // read, empty (EAGAIN), ended or failed: never wait for readability
+		}
+	}
+}
+
+// tryRead reads what the socket holds right now into buf, which must not
+// be empty: n > 0 bytes, io.EOF at the end of the stream, (0, nil) when
+// nothing has arrived, or the error of a failed read.
+func (r *rawReader) tryRead(buf []byte) (int, error) {
+	r.buf, r.n, r.err = buf, 0, nil
+	err := r.rc.Read(r.fn)
+	r.buf = nil
+	switch {
+	case err != nil:
+		return 0, err
+	case r.err == syscall.EAGAIN:
+		return 0, nil
+	case r.err != nil:
+		return 0, os.NewSyscallError("read", r.err)
+	case r.n == 0:
+		return 0, io.EOF
+	}
+	return r.n, nil
 }

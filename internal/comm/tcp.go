@@ -49,6 +49,9 @@ type TCP struct {
 	// apart is set by RunTCP, whose ranks are goroutines of one process
 	// and so change threads whenever a receive parks them; nil otherwise.
 	apart *place.Group
+	// release gives back the claim NewTCP made on the host's CPUs for
+	// the peers that run on it (see loopbackPeers).
+	release func()
 
 	// Driver-only scratch: the outgoing halo slab being packed, and the
 	// state and operand of the one blocking reduction that can be running.
@@ -107,6 +110,13 @@ func (e *TCPError) Unwrap() error { return e.Err }
 // up yet — connections are established lazily, with redials until
 // DialTimeout, so ranks may start in any order.
 func NewTCP(cfg TCPConfig) (*TCP, error) {
+	return newTCP(cfg, false)
+}
+
+// newTCP is NewTCP for the ranks of one process too: RunTCP's peers are
+// goroutines beside this one, claimed on the host's CPUs as threads of
+// this process, not as processes of their own.
+func newTCP(cfg TCPConfig, inProcess bool) (*TCP, error) {
 	n := len(cfg.Peers)
 	if n == 0 {
 		return nil, fmt.Errorf("comm: tcp: empty peer list")
@@ -155,8 +165,29 @@ func NewTCP(cfg TCPConfig) (*TCP, error) {
 		}
 	}
 	t.ln = ln
+	t.release = func() {}
+	if !inProcess {
+		t.release = place.ClaimPeers(loopbackPeers(cfg.Peers, cfg.Rank))
+	}
 	go t.acceptLoop()
 	return t, nil
+}
+
+// loopbackPeers counts the peers other than rank whose address is on this
+// host's loopback interface: processes that compete with this one for its
+// CPUs. Names are not resolved; only "localhost" and loopback IPs count.
+func loopbackPeers(peers []string, rank int) int {
+	n := 0
+	for r, addr := range peers {
+		host, _, err := net.SplitHostPort(addr)
+		if err != nil || r == rank {
+			continue
+		}
+		if ip := net.ParseIP(host); host == "localhost" || ip != nil && ip.IsLoopback() {
+			n++
+		}
+	}
+	return n
 }
 
 // Rank implements Communicator.
@@ -213,6 +244,7 @@ func (t *TCP) Close() error {
 		return nil
 	}
 	t.closed = true
+	t.release()
 	conns := make([]*peerConn, 0, len(t.conns))
 	for _, pc := range t.conns {
 		conns = append(conns, pc)
@@ -286,6 +318,7 @@ const maxPendingFrames = 64
 // newPeerConn takes over a handshaken connection. fr is the reader the
 // handshake used: it may already hold the peer's first frames.
 func newPeerConn(rank int, nc net.Conn, fr frameReader) *peerConn {
+	fr.raw = newRawReader(nc)
 	pc := &peerConn{rank: rank, nc: nc, raw: newRawWriter(nc), fr: fr, done: make(chan struct{})}
 	pc.wake.L = &pc.mu
 	go pc.writeLoop()
@@ -1069,6 +1102,7 @@ func runTCPRanks(part *grid.Partition, part3 *grid.Partition3D, n int, fn func(c
 		lns[r] = ln
 		peers[r] = ln.Addr().String()
 	}
+	defer place.Claim(n - 1)()
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	cpu, apart := place.Current(), place.NewGroup(n)
@@ -1077,9 +1111,9 @@ func runTCPRanks(part *grid.Partition, part3 *grid.Partition3D, n int, fn func(c
 		go func(rank int) {
 			defer wg.Done()
 			place.Spread(cpu, rank) // as Run does
-			c, err := NewTCP(TCPConfig{
+			c, err := newTCP(TCPConfig{
 				Rank: rank, Peers: peers, Part: part, Part3: part3, Listener: lns[rank],
-			})
+			}, true)
 			if err != nil {
 				errs[rank] = err
 				return

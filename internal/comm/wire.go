@@ -6,6 +6,8 @@ import (
 	"io"
 	"math"
 	"slices"
+
+	"tealeaf/internal/place"
 )
 
 // The TCP backend's length-prefixed binary wire protocol. Every message
@@ -156,7 +158,8 @@ const (
 // hostile prefix costs one step, not the 1 GiB it may claim.
 type frameReader struct {
 	r      io.Reader
-	buf    []byte // buf[rd:wr] is received and not yet consumed
+	raw    *rawReader // set: spin on non-blocking reads before r.Read parks
+	buf    []byte     // buf[rd:wr] is received and not yet consumed
 	rd, wr int
 }
 
@@ -212,7 +215,7 @@ func (fr *frameReader) fill(need int) error {
 			copy(grown, fr.buf[:fr.wr])
 			fr.buf = grown
 		}
-		n, err := fr.r.Read(fr.buf[fr.wr:])
+		n, err := fr.read(fr.buf[fr.wr:])
 		fr.wr += n
 		if err != nil && fr.wr-fr.rd < need {
 			if err == io.EOF && fr.wr > fr.rd {
@@ -222,6 +225,19 @@ func (fr *frameReader) fill(need int) error {
 		}
 	}
 	return nil
+}
+
+// read reads what has arrived into p, which is not empty: through the raw
+// reader's non-blocking attempts while they get something within the spin
+// window, then through r.Read, which parks until something arrives.
+func (fr *frameReader) read(p []byte) (n int, err error) {
+	if fr.raw != nil && place.Spin(func() bool {
+		n, err = fr.raw.tryRead(p)
+		return n > 0 || err != nil
+	}) {
+		return n, err
+	}
+	return fr.r.Read(p)
 }
 
 // handshake is the decoded payload of a Hello/Welcome frame.

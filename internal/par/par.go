@@ -5,11 +5,13 @@
 // worker, mirroring an OpenMP static schedule so each worker touches a
 // contiguous, cache-friendly band of the grid.
 //
-// NewPool builds a persistent worker team: long-lived goroutines parked
-// on per-worker channels, so For/ForReduce dispatch with two channel
-// operations per worker instead of a goroutine spawn — the same reuse an
-// OpenMP runtime gets from its thread team. A closed pool falls back to
-// forking goroutines per region.
+// NewPool builds a persistent worker team: long-lived goroutines that
+// wait for a region on per-worker channels, so a region costs one channel
+// send per worker and one token back instead of a goroutine spawn — the
+// same reuse an OpenMP runtime gets from its thread team. Like an OpenMP
+// runtime, a waiting worker (and a dispatcher waiting for the join) spins
+// for place.SpinWindow before it parks, while the run has a CPU per
+// thread. A closed pool falls back to forking goroutines per region.
 //
 // The pool is explicit rather than implicit (no package-level state) so
 // that distributed runs can give each simulated rank its own thread team,
@@ -19,6 +21,7 @@ package par
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"tealeaf/internal/place"
 )
@@ -112,53 +115,100 @@ func (p *Pool) blocks(lo, hi int) int {
 	return w
 }
 
-// team is a set of long-lived worker goroutines parked on per-worker job
-// channels. Dispatch is epoch-style: the caller hands every worker the
-// same job descriptor (sharing one WaitGroup as the join barrier), runs
-// block 0 itself, and waits. A mutex serialises dispatches so concurrent
-// callers (multiple ranks sharing a team) stay correct, if serialised.
+// team is a set of long-lived worker goroutines, each waiting for a token
+// on its own channel. Dispatch is epoch-style: the caller stores the
+// region in the team, hands every helper a token, runs block 0 itself and
+// waits for the join — a count of helpers still running and one token
+// back from the last of them, so a region allocates nothing. A mutex
+// serialises dispatches so concurrent callers (multiple ranks sharing a
+// team) stay correct, if serialised.
 type team struct {
 	mu       sync.Mutex
-	work     []chan job // one channel per helper worker (team size - 1)
+	work     []chan struct{} // one channel per helper worker (team size - 1)
 	quit     chan struct{}
+	stopping atomic.Bool // set just before quit closes
 	stopOnce sync.Once
 	// apart keeps a helper's thread off the dispatcher's CPU (member 0)
 	// and off lower-numbered helpers': with two of them on one CPU a
 	// region's blocks run one after the other, and where the kernel does
 	// not balance threads nothing else would ever separate them.
 	apart *place.Group
+	// release gives back the helpers' claim on the host's CPUs.
+	release func()
+
+	// The region in flight: written under mu before the helpers' tokens
+	// are sent, read by the helpers after they receive one.
+	cur job
+	// left counts the helpers still running cur; the one that takes it to
+	// zero puts the join token on joined.
+	left   atomic.Int32
+	joined chan struct{}
 }
 
-// job is one parallel region: run computes the block for a worker id and
-// wg is the join barrier.
+// job is one parallel region: block id runs run(id), or, when body is
+// set, body over the id-th of nb equal slices of [lo, lo+n) — For's form,
+// which needs no closure of its own.
 type job struct {
-	run func(id int)
-	wg  *sync.WaitGroup
+	run       func(id int)
+	body      func(lo, hi int)
+	lo, n, nb int
+}
+
+func (j *job) do(id int) {
+	if j.body != nil {
+		j.body(j.lo+id*j.n/j.nb, j.lo+(id+1)*j.n/j.nb)
+		return
+	}
+	j.run(id)
 }
 
 func newTeam(workers int) *team {
 	t := &team{
-		work:  make([]chan job, workers-1),
-		quit:  make(chan struct{}),
-		apart: place.NewGroup(workers),
+		work:    make([]chan struct{}, workers-1),
+		quit:    make(chan struct{}),
+		apart:   place.NewGroup(workers),
+		release: place.Claim(workers - 1),
+		joined:  make(chan struct{}, 1),
 	}
 	for i := range t.work {
-		t.work[i] = make(chan job, 1)
+		t.work[i] = make(chan struct{}, 1)
 		go t.worker(i)
 	}
 	return t
 }
 
 func (t *team) worker(i int) {
-	for {
-		select {
-		case j := <-t.work[i]:
-			t.apart.Check(i + 1)
-			j.run(i + 1) // id 0 is the dispatching caller
-			j.wg.Done()
-		case <-t.quit:
-			return
+	// A helper spins only between regions: before its first, its thread
+	// may still share the creator's CPU (see apart), and nothing is
+	// waiting for it yet.
+	for ran := false; t.wait(i, ran); ran = true {
+		t.apart.Check(i + 1)
+		t.cur.do(i + 1) // id 0 is the dispatching caller
+		if t.left.Add(-1) == 0 {
+			t.joined <- struct{}{}
 		}
+	}
+}
+
+// wait blocks helper i until it has a region to run (true) or the team is
+// stopping (false), spinning first if spin is set.
+func (t *team) wait(i int, spin bool) bool {
+	got := false
+	if spin && place.Spin(func() bool {
+		select {
+		case <-t.work[i]:
+			got = true
+		default:
+		}
+		return got || t.stopping.Load()
+	}) {
+		return got
+	}
+	select {
+	case <-t.work[i]:
+		return true
+	case <-t.quit:
+		return false
 	}
 }
 
@@ -167,59 +217,72 @@ func (t *team) worker(i int) {
 func (t *team) stop() {
 	t.stopOnce.Do(func() {
 		t.mu.Lock()
+		t.stopping.Store(true)
 		close(t.quit)
 		t.mu.Unlock()
+		t.release()
 	})
 }
 
-// stopped reports whether the team has been shut down.
-func (t *team) stopped() bool {
-	select {
-	case <-t.quit:
-		return true
-	default:
-		return false
-	}
-}
-
-// dispatch runs run(id) for id in [0, nb) across the team (block 0 on the
-// caller) and returns true when all blocks are done. nb must be ≤ team
+// dispatch runs j's blocks [0, j.nb) across the team (block 0 on the
+// caller) and returns true when all blocks are done. j.nb must be ≤ team
 // size. It returns false without running anything if the team has been
 // stopped — the check happens under the dispatch mutex, so a concurrent
 // stop can never strand a queued job.
-func (t *team) dispatch(nb int, run func(id int)) bool {
+func (t *team) dispatch(j job) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.stopped() {
+	if t.stopping.Load() {
 		return false
 	}
-	var wg sync.WaitGroup
-	wg.Add(nb - 1)
-	j := job{run: run, wg: &wg}
+	t.cur = j
+	t.left.Store(int32(j.nb - 1))
 	t.apart.Check(0)
-	for i := 0; i < nb-1; i++ {
-		t.work[i] <- j
+	for i := 0; i < j.nb-1; i++ {
+		t.work[i] <- struct{}{}
 	}
-	run(0)
-	wg.Wait()
+	t.cur.do(0)
+	if !place.Spin(func() bool {
+		select {
+		case <-t.joined:
+			return true
+		default:
+			return false
+		}
+	}) {
+		<-t.joined
+	}
+	t.cur = job{} // let the region's closures go
 	return true
 }
 
-// region runs run(id) for nb blocks using the persistent team when
-// available (and alive), forking goroutines otherwise.
-func (p *Pool) region(nb int, run func(id int)) {
-	if p.team != nil && p.team.dispatch(nb, run) {
+// region runs run(id) for nb blocks.
+func (p *Pool) region(nb int, run func(id int)) { p.launch(job{nb: nb, run: run}) }
+
+// launch runs j's blocks using the persistent team when available (and
+// alive), forking goroutines otherwise.
+func (p *Pool) launch(j job) {
+	if j.nb == 1 {
+		j.do(0)
 		return
 	}
+	if p.team != nil && p.team.dispatch(j) {
+		return
+	}
+	fork(j)
+}
+
+// fork runs j's blocks on goroutines of their own.
+func fork(j job) {
 	var wg sync.WaitGroup
-	wg.Add(nb - 1)
-	for b := 1; b < nb; b++ {
+	wg.Add(j.nb - 1)
+	for b := 1; b < j.nb; b++ {
 		go func(id int) {
 			defer wg.Done()
-			run(id)
+			j.do(id)
 		}(b)
 	}
-	run(0)
+	j.do(0)
 	wg.Wait()
 }
 
@@ -241,10 +304,7 @@ func (p *Pool) For(lo, hi int, body func(lo, hi int)) {
 		body(lo, hi)
 		return
 	}
-	n := hi - lo
-	p.region(nb, func(id int) {
-		body(lo+id*n/nb, lo+(id+1)*n/nb)
-	})
+	p.launch(job{body: body, lo: lo, n: hi - lo, nb: nb})
 }
 
 // ForReduce runs body over contiguous sub-ranges covering [lo, hi) and

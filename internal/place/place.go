@@ -18,4 +18,8 @@
 // balance stays free to move the thread again. A Group repeats the nudge
 // for goroutines that have changed threads. On platforms without the
 // calls Current reports -1, Spread does nothing and NewGroup returns nil.
+//
+// Spin keeps a waiting goroutine on its thread, and its thread on its CPU,
+// for a short window before the goroutine parks — but only while the
+// run's busy threads, as Claim and ClaimPeers record them, fit the CPUs.
 package place
