@@ -513,7 +513,9 @@ func RunRank(d *deck.Deck, part *grid.Partition, c comm.Communicator, steps, wor
 	if err != nil {
 		return nil, err
 	}
-	inst, err := NewInstance(d, sub, rankPool(workersPerRank), c)
+	pool := rankPool(workersPerRank)
+	defer pool.Close() // gives the team's claim on the CPUs back with its workers
+	inst, err := NewInstance(d, sub, pool, c)
 	if err != nil {
 		return nil, err
 	}
@@ -548,7 +550,9 @@ func RunRank3D(d *deck.Deck, part *grid.Partition3D, c comm.Communicator, steps,
 	if err != nil {
 		return nil, err
 	}
-	inst, err := NewInstance3D(d, sub, rankPool(workersPerRank), c)
+	pool := rankPool(workersPerRank)
+	defer pool.Close() // gives the team's claim on the CPUs back with its workers
+	inst, err := NewInstance3D(d, sub, pool, c)
 	if err != nil {
 		return nil, err
 	}

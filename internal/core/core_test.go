@@ -6,6 +6,7 @@ import (
 
 	"tealeaf/internal/grid"
 	"tealeaf/internal/par"
+	"tealeaf/internal/place"
 	"tealeaf/internal/problem"
 )
 
@@ -161,9 +162,13 @@ func TestHybridWorkersMatchFlat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	busy := place.Busy()
 	hybrid, err := RunDistributed(d, 2, 1, 2, 4)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if place.Busy() != busy { // each rank closes its team, giving its claim back
+		t.Errorf("%d busy threads after a 2-rank × 4-worker run, %d before", place.Busy(), busy)
 	}
 	var diff float64
 	for k := 0; k < 24; k++ {
