@@ -286,6 +286,34 @@ func TestDeflationDeckEndToEnd(t *testing.T) {
 	t.Logf("stiff deck iterations: plain CG %d, deflated CG %d", plain.TotalIterations, defl.TotalIterations)
 }
 
+// The built-in stiff deflated deck (`tealeaf -stiff -mesh 512 -deflate
+// -deflate-blocks 8`) steps four times: at step 3 the recurred residual
+// meets the tolerance while the re-measured true one misses the 10·tol
+// margin, and CG restarts from the corrected iterate instead of failing.
+func TestStiffDeflatedDeckSteps(t *testing.T) {
+	d := problem.StiffDeck(512)
+	d.UseDeflation = true
+	d.DeflationBlocks = 8
+	if err := d.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	inst, err := NewSerial(d, par.Serial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum0 := inst.Summarise()
+	sum, err := inst.Run(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Steps != 4 {
+		t.Fatalf("steps = %d", sum.Steps)
+	}
+	if rel := math.Abs(sum.InternalEnergy-sum0.InternalEnergy) / sum0.InternalEnergy; rel > 1e-8 {
+		t.Errorf("internal energy not conserved: rel drift %v", rel)
+	}
+}
+
 // Composition rules surface as actionable errors at instance build time:
 // deflation composes with cg and ppcg only (in 2D and 3D, distributed or
 // not), and the coarse geometry must fit the mesh and hierarchy.

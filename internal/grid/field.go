@@ -15,9 +15,10 @@ type Field2D struct {
 	Data []float64
 }
 
-// NewField2D allocates a zeroed field on g.
+// NewField2D allocates a zeroed field on g (see newData for where its
+// storage starts).
 func NewField2D(g *Grid2D) *Field2D {
-	return &Field2D{Grid: g, Data: make([]float64, g.Len())}
+	return &Field2D{Grid: g, Data: newData(g.Len())}
 }
 
 // DataOrNil returns f's storage, nil for a nil field: the form the

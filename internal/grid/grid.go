@@ -8,6 +8,14 @@
 // matrix-free stencil operators and the deep-halo matrix-powers kernel can
 // read neighbour data without bounds checks. Interior cell (0,0) is the
 // bottom-left cell; halo cells carry negative indices down to -Halo.
+//
+// NewField2D and NewField3D are the one allocator of field storage. On
+// Linux a field of 4 MiB or more is an ordinary Go slice advised onto
+// 2 MiB transparent huge pages, each field starting at its own staggered
+// offset into its first huge page so that equal indices of different
+// fields do not share cache sets; smaller fields, and other platforms,
+// take a plain make. Either way a field is zeroed, GC-managed and has
+// len == cap.
 package grid
 
 import (

@@ -115,9 +115,10 @@ type Field3D struct {
 	Data []float64
 }
 
-// NewField3D allocates a zeroed field on g.
+// NewField3D allocates a zeroed field on g (see newData for where its
+// storage starts).
 func NewField3D(g *Grid3D) *Field3D {
-	return &Field3D{Grid: g, Data: make([]float64, g.Len())}
+	return &Field3D{Grid: g, Data: newData(g.Len())}
 }
 
 // DataOrNil returns f's storage, nil for a nil field (see

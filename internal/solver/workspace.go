@@ -79,14 +79,32 @@ func solveKind[F comparable, B any](kind Kind, e *engine[F, B], jacobi func() (R
 	case KindJacobi:
 		return jacobi()
 	case KindCG:
-		res, _, err := runCGCore(e, e.o.MaxIters, e.o.Tol)
-		return res, err
+		return solveCG(e)
 	case KindCheby:
 		return solveChebyCore(e)
 	case KindPPCG:
 		return solvePPCGCore(e)
 	}
 	return Result{}, fmt.Errorf("solver: unknown kind %q", kind)
+}
+
+// solveCG runs CG to e's iteration budget. A deflated solve can meet the
+// tolerance on its recurred residual and then fail finishDeflated's
+// re-measure of the true one (the coarse projector's roundoff drifts the
+// two apart); while it ends so — not converged, not broken down, budget
+// left — CG restarts from the corrected iterate with the iterations left.
+// The restart's startup takes the same ‖b‖ baseline, so History stays on
+// one scale; Alphas and Betas stay the first run's, one Krylov sequence.
+func solveCG[F comparable, B any](e *engine[F, B]) (Result, error) {
+	res, _, err := runCGCore(e, e.o.MaxIters, e.o.Tol)
+	for err == nil && e.sys.Deflation() != nil && !res.Converged && !res.Breakdown && res.Iterations < e.o.MaxIters {
+		var more Result
+		more, _, err = runCGCore(e, e.o.MaxIters-res.Iterations, e.o.Tol)
+		res.Iterations += more.Iterations
+		res.History = append(res.History, more.History...)
+		res.Converged, res.Breakdown, res.FinalResidual = more.Converged, more.Breakdown, more.FinalResidual
+	}
+	return res, err
 }
 
 // vec2 takes slot's field on grid g.
