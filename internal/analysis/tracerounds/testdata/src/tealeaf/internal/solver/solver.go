@@ -16,9 +16,9 @@ func (e *engine) dot(x, y float64) float64 {
 	return e.c.AllReduceSum(x * y)
 }
 
-// dotPair is an allowlisted traced wrapper.
-func (e *engine) dotPair(x, y float64) (float64, float64) {
-	return e.c.AllReduceSum2(x, y)
+// reduce is an allowlisted traced wrapper.
+func (e *engine) reduce(x float64) float64 {
+	return e.c.AllReduceSum(x)
 }
 
 // reduceN is an allowlisted traced wrapper.

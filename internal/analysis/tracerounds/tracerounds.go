@@ -7,9 +7,8 @@
 // reduction-round counts (single-reduction CG, Table 1) drift from the
 // implementation.
 //
-// The wrapper surface is an explicit allowlist — engine.dot, dotPair,
-// matvecDot, reduce, reduceN, and the system implementations' Exchange
-// pass-throughs. Adding a wrapper means adding
+// The wrapper surface is an explicit allowlist — engine.dot, reduce,
+// reduceN, and the system implementations' Exchange pass-throughs. Adding a wrapper means adding
 // it here; that is the point of the check.
 package tracerounds
 
@@ -45,7 +44,7 @@ var collectives = map[string]bool{
 // wrappers is the allowed surface: receiver type name → method names
 // that may touch the raw Communicator.
 var wrappers = map[string][]string{
-	"engine": {"dot", "dotPair", "matvecDot", "reduce", "reduceN"},
+	"engine": {"dot", "reduce", "reduceN"},
 	"sys2d":  {"Exchange"},
 	"sys3d":  {"Exchange"},
 }
@@ -77,7 +76,7 @@ func run(pass *analysis.Pass) error {
 				if named == nil || !analysis.PkgPathIs(named.Obj().Pkg(), "internal/comm") {
 					return true
 				}
-				pass.Reportf(call.Pos(), "direct Communicator %s in the solver: route it through a traced engine wrapper (dot/dotPair/matvecDot/reduce/reduceN/exchange)", fn.Name())
+				pass.Reportf(call.Pos(), "direct Communicator %s in the solver: route it through a traced engine wrapper (dot/reduce/reduceN/exchange)", fn.Name())
 				return true
 			})
 		}

@@ -11,8 +11,10 @@ import (
 // 20-iteration CG bootstrap runs the ordinary depth-1 CG iteration
 // whatever tl_ppcg_halo_depth says. These pins were captured while the
 // bootstrap still ran the CG engine's own depth-d exchange cycle, on the
-// runs where that cycle ran (rank neighbours, depth > 1), so they hold the
-// depth-1 bootstrap to the bits the cycle gave.
+// runs where that cycle ran (rank neighbours, depth > 1), so they held the
+// depth-1 bootstrap to the bits the cycle gave. The hashes were re-pinned
+// when PPCG's outer iteration moved onto the CG engine; every iteration
+// count stayed.
 
 // ppcgDepthLayouts are the decompositions pinned: 2 and 4 Hub ranks and
 // 2 loopback TCP ranks.
@@ -28,30 +30,30 @@ var ppcgDepthLayouts = []struct {
 // ppcgDepthPins: three steps of the stiff deck (32² in 2D, 12³ in 3D),
 // PPCG with jac_diag, plain or with 4×4(×4) deflation blocks.
 var ppcgDepthPins = map[string]stepPin{
-	"2d/d2/defl=false/hub2": {[]int{39, 51, 49}, 0xce60ce1c918c4b83},
-	"2d/d2/defl=false/hub4": {[]int{39, 51, 49}, 0xd809d4b0571ece13},
-	"2d/d2/defl=false/tcp2": {[]int{39, 51, 49}, 0xce60ce1c918c4b83},
-	"2d/d2/defl=true/hub2":  {[]int{32, 32, 30}, 0xcf9a7e4e7b3888f2},
-	"2d/d2/defl=true/hub4":  {[]int{32, 32, 30}, 0x6df932ed2ef26372},
-	"2d/d2/defl=true/tcp2":  {[]int{32, 32, 30}, 0xcf9a7e4e7b3888f2},
-	"2d/d4/defl=false/hub2": {[]int{39, 51, 49}, 0x76e1c9870dc2d931},
-	"2d/d4/defl=false/hub4": {[]int{39, 51, 49}, 0x20bfa463e79f0a8b},
-	"2d/d4/defl=false/tcp2": {[]int{39, 51, 49}, 0x76e1c9870dc2d931},
-	"2d/d4/defl=true/hub2":  {[]int{32, 32, 30}, 0x672808326f1ff3c8},
-	"2d/d4/defl=true/hub4":  {[]int{32, 32, 30}, 0x4412ce1e66cc060a},
-	"2d/d4/defl=true/tcp2":  {[]int{32, 32, 30}, 0x672808326f1ff3c8},
-	"3d/d2/defl=false/hub2": {[]int{32, 35, 32}, 0x74a5d0f98f4676ea},
-	"3d/d2/defl=false/hub4": {[]int{32, 35, 32}, 0x308109f95873e057},
-	"3d/d2/defl=false/tcp2": {[]int{32, 35, 32}, 0x74a5d0f98f4676ea},
-	"3d/d2/defl=true/hub2":  {[]int{25, 25, 22}, 0xa657f3b26abf3d05},
-	"3d/d2/defl=true/hub4":  {[]int{25, 25, 22}, 0xa135ab67d5704977},
-	"3d/d2/defl=true/tcp2":  {[]int{25, 25, 22}, 0xa657f3b26abf3d05},
-	"3d/d4/defl=false/hub2": {[]int{32, 35, 32}, 0x8d808770c2a389e8},
-	"3d/d4/defl=false/hub4": {[]int{32, 35, 32}, 0xb69c3f2073c3433b},
-	"3d/d4/defl=false/tcp2": {[]int{32, 35, 32}, 0x8d808770c2a389e8},
-	"3d/d4/defl=true/hub2":  {[]int{25, 25, 22}, 0xdc00e36db3af54a1},
-	"3d/d4/defl=true/hub4":  {[]int{25, 25, 22}, 0x21f1b2e0da8a7c09},
-	"3d/d4/defl=true/tcp2":  {[]int{25, 25, 22}, 0xdc00e36db3af54a1},
+	"2d/d2/defl=false/hub2": {[]int{39, 51, 49}, 0x453a8646e37b190b},
+	"2d/d2/defl=false/hub4": {[]int{39, 51, 49}, 0x9aeaf926f6955fb6},
+	"2d/d2/defl=false/tcp2": {[]int{39, 51, 49}, 0x453a8646e37b190b},
+	"2d/d2/defl=true/hub2":  {[]int{32, 32, 30}, 0x44dc723958e5a59d},
+	"2d/d2/defl=true/hub4":  {[]int{32, 32, 30}, 0x66cfe3ccf6e7e7e},
+	"2d/d2/defl=true/tcp2":  {[]int{32, 32, 30}, 0x44dc723958e5a59d},
+	"2d/d4/defl=false/hub2": {[]int{39, 51, 49}, 0xa713fdb451edd418},
+	"2d/d4/defl=false/hub4": {[]int{39, 51, 49}, 0x972385257d6fc20b},
+	"2d/d4/defl=false/tcp2": {[]int{39, 51, 49}, 0xa713fdb451edd418},
+	"2d/d4/defl=true/hub2":  {[]int{32, 32, 30}, 0x22432566728a8154},
+	"2d/d4/defl=true/hub4":  {[]int{32, 32, 30}, 0xb950a6e16cfe77a},
+	"2d/d4/defl=true/tcp2":  {[]int{32, 32, 30}, 0x22432566728a8154},
+	"3d/d2/defl=false/hub2": {[]int{32, 35, 32}, 0xf165176a7b77d9b5},
+	"3d/d2/defl=false/hub4": {[]int{32, 35, 32}, 0xed7b94f7f67a663f},
+	"3d/d2/defl=false/tcp2": {[]int{32, 35, 32}, 0xf165176a7b77d9b5},
+	"3d/d2/defl=true/hub2":  {[]int{25, 25, 22}, 0x5545c4c409d7d944},
+	"3d/d2/defl=true/hub4":  {[]int{25, 25, 22}, 0x9e7606fdc507f823},
+	"3d/d2/defl=true/tcp2":  {[]int{25, 25, 22}, 0x5545c4c409d7d944},
+	"3d/d4/defl=false/hub2": {[]int{32, 35, 32}, 0x53e2f3707dceda43},
+	"3d/d4/defl=false/hub4": {[]int{32, 35, 32}, 0xabfe83ea802175d6},
+	"3d/d4/defl=false/tcp2": {[]int{32, 35, 32}, 0x53e2f3707dceda43},
+	"3d/d4/defl=true/hub2":  {[]int{25, 25, 22}, 0x253357dd0cbea198},
+	"3d/d4/defl=true/hub4":  {[]int{25, 25, 22}, 0x98652e808d2aa2b0},
+	"3d/d4/defl=true/tcp2":  {[]int{25, 25, 22}, 0x253357dd0cbea198},
 }
 
 func TestPPCGDepthPins(t *testing.T) {

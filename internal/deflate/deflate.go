@@ -31,11 +31,12 @@
 // solve never needs a broadcast. Block membership of halo cells comes
 // from the clamped global coordinate: no halo exchange anywhere.
 //
-// A projection has two forms. ProjectW/ProjectWDot is a whole one —
-// a restriction sweep, a reduction round of its own, the coarse solve and
-// a correction sweep that also re-measures a curvature dot — and serves
-// the PPCG outer loop. The CG engine instead takes the projection into
-// its own pass and round, one row at a time: RestrictRow as its matvec
+// A projection has two forms. ProjectW is a whole one — a restriction
+// sweep, a reduction round of its own, the coarse solve and a correction
+// sweep — which measures the projection on its own and is the tests'
+// reference. The CG engine, which runs CG's and PPCG's outer iteration,
+// instead takes the projection into its own pass and round, one row at a
+// time: RestrictRow as its matvec
 // finishes each row of w, Restriction for the rank's share of Wᵀ·w,
 // which travels in the engine's scalar round, SolveCoarse on the summed b
 // (returning bᵀλ, which is z·(A·W·λ) by the symmetry of A, so the engine
@@ -152,15 +153,7 @@ func (d *Deflation) CoarseCorrect(r, u *grid.Field2D) { d.coarseCorrect(r.Data, 
 // interior: a pooled restriction, one coarse solve (a single reduction
 // round) and one read-modify-write of w that touches the operator only on
 // block-boundary faces. Collective.
-func (d *Deflation) ProjectW(w *grid.Field2D) { d.project(w.Data, nil, nil) }
-
-// ProjectWDot is ProjectW returning the rank-local dot (minv⊙x)·(P·w)
-// folded by the same pass: the curvature PPCG's outer loop measures
-// after every projection (nil minv = identity; nil x = no dot, returns
-// 0). Collective.
-func (d *Deflation) ProjectWDot(w, minv, x *grid.Field2D) float64 {
-	return d.project(w.Data, minv.DataOrNil(), x.DataOrNil())
-}
+func (d *Deflation) ProjectW(w *grid.Field2D) { d.project(w.Data) }
 
 // RestrictRow takes row k of w's interior into the restriction the next
 // Restriction folds: a solver sweep hands each row over as soon as it has
@@ -169,12 +162,10 @@ func (d *Deflation) ProjectWDot(w, minv, x *grid.Field2D) float64 {
 func (d *Deflation) RestrictRow(w *grid.Field2D, k int) { d.restrictRow(w.Data, k) }
 
 // CorrectRow applies the correction w −= A·W·λ of the last SolveCoarse to
-// the interior cells of row k, with ProjectWDot's per-cell arithmetic: a
+// the interior cells of row k, with ProjectW's per-cell arithmetic: a
 // solver sweep calls it just before it first reads the row. Rows are
 // independent.
-func (d *Deflation) CorrectRow(w *grid.Field2D, k int) {
-	d.correctRow(k, 0, w.Data, nil, nil, nil)
-}
+func (d *Deflation) CorrectRow(w *grid.Field2D, k int) { d.correctRow(k, 0, w.Data) }
 
 // CorrectRowFaces is the first half of CorrectRow, for a sweep that takes
 // the second into its own arithmetic: it applies the correction's

@@ -74,13 +74,7 @@ func (d *Deflation3D) CoarseCorrect(r, u *grid.Field3D) { d.coarseCorrect(r.Data
 
 // ProjectW computes w ← P·w = w − A·W·E⁻¹·Wᵀ·w in place over the
 // interior. Collective.
-func (d *Deflation3D) ProjectW(w *grid.Field3D) { d.project(w.Data, nil, nil) }
-
-// ProjectWDot is the 3D twin of Deflation.ProjectWDot: the projection
-// and the rank-local dot (minv⊙x)·(P·w) from the same pass. Collective.
-func (d *Deflation3D) ProjectWDot(w, minv, x *grid.Field3D) float64 {
-	return d.project(w.Data, minv.DataOrNil(), x.DataOrNil())
-}
+func (d *Deflation3D) ProjectW(w *grid.Field3D) { d.project(w.Data) }
 
 // RestrictRow takes row (j, k) of w's interior into the restriction the
 // next Restriction folds — see Deflation.RestrictRow.
@@ -88,9 +82,7 @@ func (d *Deflation3D) RestrictRow(w *grid.Field3D, j, k int) { d.restrictRow(w.D
 
 // CorrectRow applies the pending correction to the interior cells of row
 // (j, k) — see Deflation.CorrectRow.
-func (d *Deflation3D) CorrectRow(w *grid.Field3D, j, k int) {
-	d.correctRow(j, k, w.Data, nil, nil, nil)
-}
+func (d *Deflation3D) CorrectRow(w *grid.Field3D, j, k int) { d.correctRow(j, k, w.Data) }
 
 // CorrectRowFaces applies the face terms of the pending correction to the
 // interior cells of row (j, k) and returns their λ_c — see

@@ -400,38 +400,33 @@ func (p *projector) forRuns(t grid.Bounds3D, body func(o, i0, i1, c int)) {
 	}
 }
 
-// project computes w ← P·w = w − A·W·E⁻¹·Wᵀ·w over the interior and
-// returns the local partial of (m⊙x)·(P·w) from the same pass (see
-// correct). Collective: one reduction round.
-func (p *projector) project(w, m, x []float64) float64 {
+// project computes w ← P·w = w − A·W·E⁻¹·Wᵀ·w over the interior.
+// Collective: one reduction round.
+func (p *projector) project(w []float64) {
 	p.restrictSolve(w)
-	return p.correct(w, m, x)
+	p.correct(w)
 }
 
 // correct subtracts A·W·λ (λ_c = p.lbar + p.cl[c]) from w over the
-// interior in one read-modify-write and returns Σ (m⊙x)·w over the
-// corrected w (nil m = identity; nil x = no dot, 0), folded in fixed band
-// order like every other solver dot.
-func (p *projector) correct(w, m, x []float64) float64 {
+// interior in one read-modify-write.
+func (p *projector) correct(w []float64) {
 	lo, hi := p.outer(p.in)
-	return p.pool.ForReduceN(1, lo, hi, func(k0, k1 int, acc []float64) {
+	p.pool.For(lo, hi, func(k0, k1 int) {
 		t := p.band(p.in, k0, k1)
-		var s [4]float64
 		for k := t.Z0; k < t.Z1; k++ {
 			for j := t.Y0; j < t.Y1; j++ {
-				p.correctRow(j, k, w, m, x, &s)
+				p.correctRow(j, k, w)
 			}
 		}
-		acc[0] += (s[0] + s[1]) + (s[2] + s[3])
-	})[0]
+	})
 }
 
 // correctRow applies the correction to the interior cells of row (j, k):
-// the face terms (faceTerms), then λ_c itself, with the optional dot into
-// s. Every cell therefore takes, in this order whatever the run, its two
-// x faces (only the end cells of a block-column run have one), its y and
-// z faces (only rows on a block boundary have any), then λ_c.
-func (p *projector) correctRow(j, k int, w, m, x []float64, s *[4]float64) {
+// the face terms (faceTerms), then λ_c itself. Every cell therefore
+// takes, in this order whatever the run, its two x faces (only the end
+// cells of a block-column run have one), its y and z faces (only rows on
+// a block boundary have any), then λ_c.
+func (p *projector) correctRow(j, k int, w []float64) {
 	p.faceTerms(j, k, w)
 	o := p.org + k*p.st[2] + j*p.st[1]
 	c0 := p.block(2, k)*p.bst[2] + p.block(1, j)*p.bst[1]
@@ -440,15 +435,8 @@ func (p *projector) correctRow(j, k int, w, m, x []float64, s *[4]float64) {
 		i1 := p.xend[cx]
 		lam := p.lbar + p.cl[c0+cx]
 		ws := w[o+i0 : o+i1]
-		switch {
-		case x == nil:
-			for i := range ws {
-				ws[i] -= lam
-			}
-		case m == nil:
-			subDot(ws, x[o+i0:o+i1], lam, s)
-		default:
-			subDotPre(ws, m[o+i0:o+i1], x[o+i0:o+i1], lam, s)
+		for i := range ws {
+			ws[i] -= lam
 		}
 		i0 = i1
 	}
@@ -524,50 +512,4 @@ func (p *projector) fillLams() {
 			row[q] = p.lbar + cl[p.block(0, q)]
 		}
 	}
-}
-
-// subDot computes ws −= lam and accumulates xs·ws into the four lanes.
-// Each group of four is re-sliced to its length, as in laneSum.
-func subDot(ws, xs []float64, lam float64, s *[4]float64) {
-	xs = xs[:len(ws)]
-	s0, s1, s2, s3 := s[0], s[1], s[2], s[3]
-	i := 0
-	for ; i+3 < len(ws); i += 4 {
-		w, x := ws[i:i+4:i+4], xs[i:i+4:i+4]
-		v0, v1, v2, v3 := w[0]-lam, w[1]-lam, w[2]-lam, w[3]-lam
-		w[0], w[1], w[2], w[3] = v0, v1, v2, v3
-		s0 += x[0] * v0
-		s1 += x[1] * v1
-		s2 += x[2] * v2
-		s3 += x[3] * v3
-	}
-	for ; i < len(ws); i++ {
-		v := ws[i] - lam
-		ws[i] = v
-		s0 += xs[i] * v
-	}
-	s[0], s[1], s[2], s[3] = s0, s1, s2, s3
-}
-
-// subDotPre is subDot with the folded diagonal: it accumulates
-// (ms⊙xs)·ws.
-func subDotPre(ws, ms, xs []float64, lam float64, s *[4]float64) {
-	xs, ms = xs[:len(ws)], ms[:len(ws)]
-	s0, s1, s2, s3 := s[0], s[1], s[2], s[3]
-	i := 0
-	for ; i+3 < len(ws); i += 4 {
-		w, m, x := ws[i:i+4:i+4], ms[i:i+4:i+4], xs[i:i+4:i+4]
-		v0, v1, v2, v3 := w[0]-lam, w[1]-lam, w[2]-lam, w[3]-lam
-		w[0], w[1], w[2], w[3] = v0, v1, v2, v3
-		s0 += m[0] * x[0] * v0
-		s1 += m[1] * x[1] * v1
-		s2 += m[2] * x[2] * v2
-		s3 += m[3] * x[3] * v3
-	}
-	for ; i < len(ws); i++ {
-		v := ws[i] - lam
-		ws[i] = v
-		s0 += ms[i] * xs[i] * v
-	}
-	s[0], s[1], s[2], s[3] = s0, s1, s2, s3
 }

@@ -53,7 +53,7 @@ func BenchmarkProjectW(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			b.SetBytes(c.cells() * 8 * 3)
 			for i := 0; i < b.N; i++ {
-				c.p.project(c.w, nil, nil)
+				c.p.project(c.w)
 			}
 		})
 	}

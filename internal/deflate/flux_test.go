@@ -170,8 +170,8 @@ func maxAbsInterior(p *projector, a, b []float64) float64 {
 }
 
 // The flux correction must agree with the materialise-and-Apply oracle to
-// 1e-9·‖w‖∞ on random and stiff operators, 2D and 3D, and its fused dot
-// with the dot of the corrected field.
+// 1e-9·‖w‖∞ on random and stiff operators, 2D and 3D, and correctDot's
+// dot with the dot of the corrected field.
 func TestFluxCorrectionMatchesApplyOracle(t *testing.T) {
 	for _, c := range fluxCases(t, par.Serial) {
 		p := c.p
@@ -181,7 +181,7 @@ func TestFluxCorrectionMatchesApplyOracle(t *testing.T) {
 		want := append([]float64(nil), w...)
 		c.oracle(want)
 		got := append([]float64(nil), w...)
-		dot := p.correct(got, m, x)
+		dot := p.correctDot(got, m, x)
 		scale := maxAbsInterior(p, w, nil)
 		if d := maxAbsInterior(p, got, want); d > 1e-9*scale {
 			t.Errorf("%s: flux correction differs from the Apply oracle by %v (‖w‖∞ = %v)", c.name, d, scale)
@@ -196,14 +196,11 @@ func TestFluxCorrectionMatchesApplyOracle(t *testing.T) {
 		if math.Abs(dot-ref) > 1e-13*abs {
 			t.Errorf("%s: fused dot %v, want %v", c.name, dot, ref)
 		}
-		// Identity-preconditioner lane and the dot-free path must write the
-		// same bits.
+		// The dot-free path must write the same bits.
 		again := append([]float64(nil), w...)
-		p.correct(again, nil, nil)
-		ident := append([]float64(nil), w...)
-		p.correct(ident, nil, x)
-		if maxAbsInterior(p, again, got) != 0 || maxAbsInterior(p, ident, got) != 0 {
-			t.Errorf("%s: the dot variants of the correction write different fields", c.name)
+		p.correct(again)
+		if maxAbsInterior(p, again, got) != 0 {
+			t.Errorf("%s: correct and correctDot write different fields", c.name)
 		}
 	}
 }
@@ -261,8 +258,8 @@ func TestFaceSumCoarseMatrix(t *testing.T) {
 // Restriction and correction field must be bit-identical for every
 // worker count: the restriction by construction (fixed-lane row sums
 // folded in ascending row order), the correction because it is
-// pointwise. The fused dot folds per band like every solver dot, so it
-// is bit-identical run to run on one pool and agrees with the serial
+// pointwise. correctDot's dot folds per band like every solver dot, so
+// it is bit-identical run to run on one pool and agrees with the serial
 // dot to rounding.
 func TestFluxWorkerInvariance(t *testing.T) {
 	type outcome struct {
@@ -277,7 +274,7 @@ func TestFluxWorkerInvariance(t *testing.T) {
 			p.restrict(w)
 			cr := append([]float64(nil), p.cr...)
 			p.restrictSolve(w)
-			dot := p.correct(w, nil, x)
+			dot := p.correctDot(w, nil, x)
 			outs = append(outs, outcome{cr, w, dot})
 		}
 		return outs
@@ -320,7 +317,7 @@ func TestProjectorQualityOnStiffDeck(t *testing.T) {
 		p := c.p
 		for seed, w := range [][]float64{c.applyA(randomFlat(p, 8)), randomFlat(p, 9)} {
 			scale := maxAbsInterior(p, w, nil)
-			p.project(w, nil, nil)
+			p.project(w)
 			pw := append([]float64(nil), w...)
 			p.restrict(pw)
 			for cb, s := range p.cr {
@@ -329,7 +326,7 @@ func TestProjectorQualityOnStiffDeck(t *testing.T) {
 					break
 				}
 			}
-			p.project(w, nil, nil)
+			p.project(w)
 			if d := maxAbsInterior(p, w, pw); d > 1e-13*scale {
 				t.Errorf("%s w#%d: ‖P·P·w − P·w‖∞ = %.3e, want ≤ 1e-13·‖w‖∞ = %.3e", c.name, seed, d, 1e-13*scale)
 			}
@@ -376,14 +373,14 @@ func deckOperator3D(t testing.TB, d *deck.Deck) *stencil.Operator3D {
 	return op
 }
 
-// TestRowHandOffMatchesProjectWDot: the projection the CG engine takes
+// TestRowHandOffMatchesProjectW: the projection the CG engine takes
 // inside its sweeps — w's interior rows handed to RestrictRow in any
 // order, Restriction, SolveCoarse on the (single-rank) sums, then
 // CorrectRow on every interior row, or CorrectRowFaces with its λ_c
-// taken off afterwards — leaves w bit for bit as ProjectWDot does, in 2D
-// and 3D; the parent's two-pass form (projectRestricted) matches both,
-// dot included. SolveCoarse returns bᵀλ for the λ it leaves pending.
-func TestRowHandOffMatchesProjectWDot(t *testing.T) {
+// taken off afterwards — leaves w bit for bit as ProjectW does, in 2D
+// and 3D; the parent's two-pass form (projectRestricted) matches both.
+// SolveCoarse returns bᵀλ for the λ it leaves pending.
+func TestRowHandOffMatchesProjectW(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	fill := func(data []float64, lo float64) {
 		for i := range data {
@@ -438,7 +435,7 @@ func TestRowHandOffMatchesProjectWDot(t *testing.T) {
 	fill(w.Data, -0.5)
 	fill(x.Data, -0.5)
 	wO, wP := w.Clone(), w.Clone()
-	want := d.ProjectWDot(wO, nil, x)
+	d.ProjectW(wO)
 	for k := in.Y1 - 1; k >= in.Y0; k-- {
 		d.RestrictRow(w, k)
 		d.RestrictRow(wP, k)
@@ -455,9 +452,7 @@ func TestRowHandOffMatchesProjectWDot(t *testing.T) {
 	}
 	same("2D", w.Data, wO.Data)
 	same("2D faces", wF.Data, wO.Data)
-	if got := d.projectRestricted(wP.Data, nil, x.Data); math.Float64bits(got) != math.Float64bits(want) {
-		t.Errorf("2D: parent projection dot %v, ProjectWDot %v", got, want)
-	}
+	d.projectRestricted(wP.Data, nil, x.Data)
 	same("2D parent", wP.Data, wO.Data)
 
 	in3 := g3.Interior()
@@ -465,7 +460,7 @@ func TestRowHandOffMatchesProjectWDot(t *testing.T) {
 	fill(w3.Data, -0.5)
 	fill(x3.Data, -0.5)
 	wO3 := w3.Clone()
-	d3.ProjectWDot(wO3, nil, x3)
+	d3.ProjectW(wO3)
 	for k := in3.Z1 - 1; k >= in3.Z0; k-- {
 		for j := in3.Y0; j < in3.Y1; j++ {
 			d3.RestrictRow(w3, j, k)

@@ -10,8 +10,9 @@ import (
 // solveDeflatedCG runs deflated CG on A·u = rhs — the package's
 // self-contained oracle, kept as the simplest executable statement of the
 // algorithm (the production path composes the same projector into the
-// solver package's CG engine and PPCG outer loop). It is rank-correct: halos flow through the communicator the projector was
-// built with and every dot product is globally reduced. A coarse
+// solver package's CG engine, which runs CG and PPCG's outer iteration).
+// It is rank-correct: halos flow through the communicator the projector
+// was built with and every dot product is globally reduced. A coarse
 // correction aligns the initial residual with the deflated subspace,
 // every matvec is projected by P, and a final coarse correction recovers
 // the exact solution. Returns (iterations, final relative residual,
@@ -59,7 +60,8 @@ func (d *Deflation) solveDeflatedCG(u, rhs *grid.Field2D, tol float64, maxIters 
 			return iters, 0, false, err
 		}
 		d.op.Apply(pool, in, p, w)
-		pw := d.c.AllReduceSum(d.ProjectWDot(w, nil, p)) // w = P·A·p
+		d.ProjectW(w) // w = P·A·p
+		pw := d.c.AllReduceSum(kernels.Dot(pool, in, p, w))
 		if pw <= 0 {
 			break // P·A is only semi-definite outside the deflated space
 		}
@@ -100,12 +102,36 @@ func relNorm(rr, rr0 float64) float64 {
 // before the engine took the projection into its own sweeps and round:
 // the fold of the row sums RestrictRow took, a reduction round of its
 // own, the coarse solve and the correction sweep over the interior with
-// the curvature dot (m⊙x)·(P·w) re-measured against the corrected w. Kept
-// as the oracle the row hand-off (RestrictRow, Restriction, SolveCoarse,
-// CorrectRow) is held to, and as the parent form BenchmarkCGIterDeflated
-// times.
+// the curvature dot (m⊙x)·(P·w) re-measured against the corrected w
+// (correctDot). Kept as the oracle the row hand-off (RestrictRow,
+// Restriction, SolveCoarse, CorrectRow) is held to, and as the parent
+// form BenchmarkCGIterDeflated times.
 func (p *projector) projectRestricted(w, m, x []float64) float64 {
 	p.foldRows()
 	p.solve(p.c.AllReduceSumN(p.cr))
-	return p.correct(w, m, x)
+	return p.correctDot(w, m, x)
+}
+
+// correctDot is correct returning Σ (m⊙x)·w over the corrected w (nil m
+// = identity), each band's rows summed once corrected: the correction
+// with its curvature dot, as the whole projection once ran it.
+func (p *projector) correctDot(w, m, x []float64) float64 {
+	lo, hi := p.outer(p.in)
+	return p.pool.ForReduceN(1, lo, hi, func(k0, k1 int, acc []float64) {
+		t := p.band(p.in, k0, k1)
+		for k := t.Z0; k < t.Z1; k++ {
+			for j := t.Y0; j < t.Y1; j++ {
+				p.correctRow(j, k, w)
+			}
+		}
+		p.forRuns(t, func(o, i0, i1, _ int) {
+			for i := o + i0; i < o+i1; i++ {
+				z := x[i]
+				if m != nil {
+					z *= m[i]
+				}
+				acc[0] += z * w[i]
+			}
+		})
+	})[0]
 }

@@ -180,14 +180,13 @@ func TestChebyStep3DMatchesTwoSweepsBitwise(t *testing.T) {
 	}
 }
 
-// TestPPCGInnerInitMatchesFourSweepsBitwise: the one-sweep set-up equals
-// AxpyAxpy + whole-field copy + AxpbyPre(0, …) + Copy on every interior
-// cell of u, r, rtemp, sd and z, with and without the outer update and
-// the folded diagonal. rtemp's halo is NaN before the call and must still
-// be NaN after it (the old whole-field copy overwrote it with r's halo —
-// values the depth-d exchange that follows replaced before anything read
-// them); sd's and z's halos are likewise untouched.
-func TestPPCGInnerInitMatchesFourSweepsBitwise(t *testing.T) {
+// TestPPCGStepMatchesSweepsBitwise: the one-sweep step and set-up equals
+// Xpay + Xpay + AxpyAxpy + copy + AxpbyPre(0, …) + Copy on every interior
+// cell of p, s, u, r, w (rtemp), sd and z, with and without the step and
+// the folded diagonal. w's and sd's halos are NaN before the call and
+// must still be NaN after it (the depth-d exchange that follows rewrites
+// the halo cells the inner solve reads).
+func TestPPCGStepMatchesSweepsBitwise(t *testing.T) {
 	g := grid.UnitGrid2D(19, 13, 3)
 	in := g.Interior()
 	g3 := grid.UnitGrid3D(9, 7, 5, 2)
@@ -201,60 +200,79 @@ func TestPPCGInnerInitMatchesFourSweepsBitwise(t *testing.T) {
 		return f
 	}
 	nan := math.NaN()
-	const alpha, thetaInv = 0.37, 1 / 1.9
+	const beta, alpha, thetaInv = 0.61, 0.37, 1 / 1.9
 	for name, pool := range fusionPools() {
-		for _, update := range []bool{false, true} {
+		for _, step := range []bool{false, true} {
 			for _, folded := range []bool{false, true} {
-				label := fmt.Sprintf("%s update=%v minv=%v", name, update, folded)
+				label := fmt.Sprintf("%s step=%v minv=%v", name, step, folded)
 
-				p, w, u, r := testField(g, 91), testField(g, 92), testField(g, 93), testField(g, 94)
-				rtemp, sd, z := testField(g, 95), testField(g, 96), testField(g, 97)
+				p, sv, u, z := testField(g, 91), testField(g, 92), testField(g, 93), testField(g, 94)
+				w, r, sd := testField(g, 95), testField(g, 96), testField(g, 97)
 				var minv *grid.Field2D
 				if folded {
 					minv = testField(g, 98)
 				}
-				poisonOutside2D(rtemp, in)
-				uO, rO, rtO, sdO, zO := u.Clone(), r.Clone(), rtemp.Clone(), sd.Clone(), z.Clone()
-				if update {
-					AxpyAxpy(pool, in, alpha, p, uO, -alpha, w, rO)
+				poisonOutside2D(w, in)
+				poisonOutside2D(sd, in)
+				pO, sO, uO, zO, wO, rO, sdO := p.Clone(), sv.Clone(), u.Clone(), z.Clone(), w.Clone(), r.Clone(), sd.Clone()
+				if step {
+					Xpay(pool, in, zO, beta, pO)
+					Xpay(pool, in, wO, beta, sO)
+					AxpyAxpy(pool, in, alpha, pO, uO, -alpha, sO, rO)
 				} else {
-					p, w = nil, nil
+					p, sv, u = nil, nil, nil
 				}
-				Copy(pool, in, rtO, rO) // interior of the whole-field copy
-				AxpbyPre(pool, in, 0, sdO, thetaInv, minv, rtO)
+				Copy(pool, in, wO, rO)
+				AxpbyPre(pool, in, 0, sdO, thetaInv, minv, wO)
 				Copy(pool, in, zO, sdO)
-				PPCGInnerInit(pool, in, alpha, p, w, u, r, rtemp, thetaInv, minv, sd, z)
-				for _, f := range []struct {
+				PPCGStep(pool, in, beta, alpha, p, sv, u, z, w, r, thetaInv, minv, sd, nil)
+				fields := []struct {
 					name      string
 					got, want *grid.Field2D
-				}{{"u", u, uO}, {"r", r, rO}, {"rtemp", rtemp, rtO}, {"sd", sd, sdO}, {"z", z, zO}} {
+				}{{"z", z, zO}, {"r", r, rO}, {"w", w, wO}, {"sd", sd, sdO}}
+				if step {
+					fields = append(fields, []struct {
+						name      string
+						got, want *grid.Field2D
+					}{{"p", p, pO}, {"s", sv, sO}, {"u", u, uO}}...)
+				}
+				for _, f := range fields {
 					if i := firstDiff(f.got.Data, f.want.Data); i >= 0 {
 						j, k := g.Coords(i)
 						t.Errorf("%s: %s differs at (%d,%d): %v vs %v", label, f.name, j, k, f.got.Data[i], f.want.Data[i])
 					}
 				}
 
-				p3, w3, u3, r3 := mk3(91), mk3(92), mk3(93), mk3(94)
-				rt3, sd3, z3 := mk3(95), mk3(96), mk3(97)
+				p3, s3, u3, z3 := mk3(91), mk3(92), mk3(93), mk3(94)
+				w3, r3, sd3 := mk3(95), mk3(96), mk3(97)
 				var minv3 *grid.Field3D
 				if folded {
 					minv3 = mk3(98)
 				}
-				rt3.Data[0], rt3.Data[len(rt3.Data)-1] = nan, nan // two halo corners
-				uO3, rO3, rtO3, sdO3, zO3 := u3.Clone(), r3.Clone(), rt3.Clone(), sd3.Clone(), z3.Clone()
-				if update {
-					AxpyAxpy3D(pool, in3, alpha, p3, uO3, -alpha, w3, rO3)
+				w3.Data[0], w3.Data[len(w3.Data)-1] = nan, nan // two halo corners
+				pO3, sO3, uO3, zO3, wO3, rO3, sdO3 := p3.Clone(), s3.Clone(), u3.Clone(), z3.Clone(), w3.Clone(), r3.Clone(), sd3.Clone()
+				if step {
+					Xpay3D(pool, in3, zO3, beta, pO3)
+					Xpay3D(pool, in3, wO3, beta, sO3)
+					AxpyAxpy3D(pool, in3, alpha, pO3, uO3, -alpha, sO3, rO3)
 				} else {
-					p3, w3 = nil, nil
+					p3, s3, u3 = nil, nil, nil
 				}
-				Copy3D(pool, in3, rtO3, rO3)
-				AxpbyPre3D(pool, in3, 0, sdO3, thetaInv, minv3, rtO3)
+				Copy3D(pool, in3, wO3, rO3)
+				AxpbyPre3D(pool, in3, 0, sdO3, thetaInv, minv3, wO3)
 				Copy3D(pool, in3, zO3, sdO3)
-				PPCGInnerInit3D(pool, in3, alpha, p3, w3, u3, r3, rt3, thetaInv, minv3, sd3, z3)
-				for _, f := range []struct {
+				PPCGStep3D(pool, in3, beta, alpha, p3, s3, u3, z3, w3, r3, thetaInv, minv3, sd3, nil)
+				fields3 := []struct {
 					name      string
 					got, want *grid.Field3D
-				}{{"u", u3, uO3}, {"r", r3, rO3}, {"rtemp", rt3, rtO3}, {"sd", sd3, sdO3}, {"z", z3, zO3}} {
+				}{{"z", z3, zO3}, {"r", r3, rO3}, {"w", w3, wO3}, {"sd", sd3, sdO3}}
+				if step {
+					fields3 = append(fields3, []struct {
+						name      string
+						got, want *grid.Field3D
+					}{{"p", p3, pO3}, {"s", s3, sO3}, {"u", u3, uO3}}...)
+				}
+				for _, f := range fields3 {
 					if i := firstDiff(f.got.Data, f.want.Data); i >= 0 {
 						t.Errorf("%s: 3D %s differs at flat index %d: %v vs %v", label, f.name, i, f.got.Data[i], f.want.Data[i])
 					}
@@ -264,19 +282,20 @@ func TestPPCGInnerInitMatchesFourSweepsBitwise(t *testing.T) {
 	}
 }
 
-// TestPPCGInnerInitAllocatesNothing: the set-up sweep allocates exactly
-// what a bare For dispatch of a capturing body does — nothing per row or
-// per call of its own (see dispatchAllocs for why the floor is not zero). The Chebyshev steps' pin is in package solver, beside
-// the inner solve that calls them.
-func TestPPCGInnerInitAllocatesNothing(t *testing.T) {
+// TestPPCGStepAllocatesNothing: the step and set-up sweep allocates
+// exactly what a bare For dispatch of a capturing body does — nothing per
+// row or per call of its own (see dispatchAllocs for why the floor is not
+// zero). The Chebyshev steps' pin is in package solver, beside the inner
+// solve that calls them.
+func TestPPCGStepAllocatesNothing(t *testing.T) {
 	pool := par.NewPool(2).WithGrain(1)
 	defer pool.Close()
 	g := grid.UnitGrid2D(64, 48, 2)
 	g3 := grid.UnitGrid3D(24, 16, 12, 2)
 	f := func() *grid.Field2D { return testField(g, 61) }
 	f3 := func() *grid.Field3D { return grid.NewField3D(g3) }
-	minv, p, w, u, r, rtemp, sd, z := f(), f(), f(), f(), f(), f(), f(), f()
-	minv3, p3, w3, u3, r3, rtemp3, sd3, z3 := f3(), f3(), f3(), f3(), f3(), f3(), f3(), f3()
+	minv, p, sv, u, z, w, r, sd := f(), f(), f(), f(), f(), f(), f(), f()
+	minv3, p3, sv3, u3, z3, w3, r3, sd3 := f3(), f3(), f3(), f3(), f3(), f3(), f3(), f3()
 	in, in3 := g.Interior(), g3.Interior()
 	// The bare dispatch is a For over the walker's outer range whose
 	// body captures (and only reads) a variable, like the sweep's own.
@@ -285,16 +304,16 @@ func TestPPCGInnerInitAllocatesNothing(t *testing.T) {
 		return testing.AllocsPerRun(20, func() { pool.For(w.K0, w.K1, func(lo, hi int) { _ = x[0] }) })
 	}
 	got := testing.AllocsPerRun(20, func() {
-		PPCGInnerInit(pool, in, 0.5, p, w, u, r, rtemp, 0.5, minv, sd, z)
+		PPCGStep(pool, in, 0.5, 1e-3, p, sv, u, z, w, r, 0.5, minv, sd, nil)
 	})
 	if want := bare(g.Rows(in)); got != want {
-		t.Errorf("PPCGInnerInit allocates %v per call, a bare For %v", got, want)
+		t.Errorf("PPCGStep allocates %v per call, a bare For %v", got, want)
 	}
 	got = testing.AllocsPerRun(20, func() {
-		PPCGInnerInit3D(pool, in3, 0.5, p3, w3, u3, r3, rtemp3, 0.5, minv3, sd3, z3)
+		PPCGStep3D(pool, in3, 0.5, 1e-3, p3, sv3, u3, z3, w3, r3, 0.5, minv3, sd3, nil)
 	})
 	if want := bare(g3.Rows(in3)); got != want {
-		t.Errorf("PPCGInnerInit3D allocates %v per call, a bare For %v", got, want)
+		t.Errorf("PPCGStep3D allocates %v per call, a bare For %v", got, want)
 	}
 }
 
@@ -396,17 +415,18 @@ func BenchmarkChebySteps(b *testing.B) {
 	})
 }
 
-// BenchmarkPPCGInnerInit is the inner solve's one set-up sweep with the
-// outer update riding it (once per outer iteration; it replaced four).
-func BenchmarkPPCGInnerInit(b *testing.B) {
+// BenchmarkPPCGStep is PPCG's one step sweep: the CG engine's step with
+// the inner solve's set-up riding it (once per outer iteration; it
+// replaced six).
+func BenchmarkPPCGStep(b *testing.B) {
 	const n = 1024
 	g := benchGrid(n)
-	minv, p, w, u := benchField(g, 1), benchField(g, 2), benchField(g, 3), benchField(g, 4)
-	r, rtemp, sd, z := benchField(g, 5), benchField(g, 6), benchField(g, 7), benchField(g, 8)
-	b.SetBytes(int64(n*n) * 8 * 10)
+	minv, p, sv, u := benchField(g, 1), benchField(g, 2), benchField(g, 3), benchField(g, 4)
+	z, w, r, sd := benchField(g, 5), benchField(g, 6), benchField(g, 7), benchField(g, 8)
+	b.SetBytes(int64(n*n) * 8 * 14)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		PPCGInnerInit(par.Serial, g.Interior(), 1e-9, p, w, u, r, rtemp, 0.5, minv, sd, z)
+		PPCGStep(par.Serial, g.Interior(), 0.5, 1e-9, p, sv, u, z, w, r, 0.5, minv, sd, nil)
 	}
 	reportNsPerCell(b, n*n)
 }

@@ -266,7 +266,8 @@ func scaleTo(p *par.Pool, b grid.Rows, alpha float64, sd, dd []float64) {
 
 // AxpyAxpy fuses two independent AXPYs into one sweep:
 // y1 += a1*x1 and y2 += a2*x2. It is the fused solution/residual update
-// u += α·p, r −= α·w shared by the Chebyshev and PPCG outer loops.
+// u += α·p, r −= α·w of the Chebyshev loop and the CG engine's
+// explicit-z step.
 func AxpyAxpy(p *par.Pool, b grid.Bounds, a1 float64, x1, y1 *grid.Field2D, a2 float64, x2, y2 *grid.Field2D) {
 	axpyAxpy(p, x1.Grid.Rows(b), a1, x1.Data, y1.Data, a2, x2.Data, y2.Data)
 }

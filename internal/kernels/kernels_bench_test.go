@@ -182,7 +182,7 @@ func BenchmarkFusedPPCGInner(b *testing.B) {
 // adapters on the bench harness's 128³ mesh, on one and two workers: the
 // row walker's 3D case (NY rows per z-plane, bands of whole planes),
 // next to the 2D sweeps above. SetBytes counts field visits as above;
-// PPCGInnerInit3D is its pre-loop form (no outer update).
+// PPCGStep3D is its startup form (no step).
 func BenchmarkPointwise3D(b *testing.B) {
 	const n = 128
 	g := grid.UnitGrid3D(n, n, n, 2)
@@ -218,8 +218,8 @@ func BenchmarkPointwise3D(b *testing.B) {
 			sink += gamma + rr
 		}},
 		{"FusedPPCGInner3D", 8, func(p *par.Pool) { FusedPPCGInner3D(p, in, in, 0.9, 0.1, f[0], f[1], f[2], f[3], f[4]) }},
-		{"PPCGInnerInit3D", 5, func(p *par.Pool) {
-			PPCGInnerInit3D(p, in, 0, nil, nil, nil, f[0], f[1], 0.5, f[2], f[3], f[4])
+		{"PPCGStep3D", 5, func(p *par.Pool) {
+			PPCGStep3D(p, in, 0, 0, nil, nil, nil, f[0], f[1], f[2], 0.5, f[3], f[4], nil)
 		}},
 	}
 	for _, workers := range []int{1, 2} {

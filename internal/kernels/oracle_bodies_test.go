@@ -923,42 +923,43 @@ func oracleFusedCGStepBody3D(b grid.Bounds3D, beta, alpha float64, minv, r, w, p
 	}
 }
 
-func oraclePPCGInnerInit(pl *par.Pool, b grid.Bounds, alpha float64, p, w, u, r, rtemp *grid.Field2D, thetaInv float64, minv, sd, z *grid.Field2D) {
+func oraclePPCGStep(pl *par.Pool, b grid.Bounds, beta, alpha float64, p, sv, u, z, w, r *grid.Field2D, thetaInv float64, minv, sd *grid.Field2D, pre func(y int)) {
 	if b.Empty() {
 		return
 	}
 	g := r.Grid
-	rd, td, sdd, zd := r.Data, rtemp.Data, sd.Data, z.Data
-	var pd, wd, ud, md []float64
+	var pd, svd, ud, md []float64
 	if p != nil {
-		pd, wd, ud = p.Data, w.Data, u.Data
+		pd, svd, ud = p.Data, sv.Data, u.Data
 	}
 	if minv != nil {
 		md = minv.Data
 	}
 	pl.For(b.Y0, b.Y1, func(k0, k1 int) {
 		for k := k0; k < k1; k++ {
-			var ps, ws, us, ms []float64
+			if pre != nil {
+				pre(k)
+			}
+			var ps, ss, us, ms []float64
 			if pd != nil {
-				ps, ws, us = oracleRow(g, b, pd, k), oracleRow(g, b, wd, k), oracleRow(g, b, ud, k)
+				ps, ss, us = oracleRow(g, b, pd, k), oracleRow(g, b, svd, k), oracleRow(g, b, ud, k)
 			}
 			if md != nil {
 				ms = oracleRow(g, b, md, k)
 			}
-			ppcgInitRow(ps, ws, us, oracleRow(g, b, rd, k), oracleRow(g, b, td, k), ms, oracleRow(g, b, sdd, k), oracleRow(g, b, zd, k), alpha, thetaInv)
+			ppcgStepRow(ps, ss, us, oracleRow(g, b, z.Data, k), oracleRow(g, b, w.Data, k), oracleRow(g, b, r.Data, k), ms, oracleRow(g, b, sd.Data, k), beta, alpha, thetaInv)
 		}
 	})
 }
 
-func oraclePPCGInnerInit3D(pl *par.Pool, b grid.Bounds3D, alpha float64, p, w, u, r, rtemp *grid.Field3D, thetaInv float64, minv, sd, z *grid.Field3D) {
+func oraclePPCGStep3D(pl *par.Pool, b grid.Bounds3D, beta, alpha float64, p, sv, u, z, w, r *grid.Field3D, thetaInv float64, minv, sd *grid.Field3D, pre func(j, k int)) {
 	if b.Empty() {
 		return
 	}
 	g := r.Grid
-	rd, td, sdd, zd := r.Data, rtemp.Data, sd.Data, z.Data
-	var pd, wd, ud, md []float64
+	var pd, svd, ud, md []float64
 	if p != nil {
-		pd, wd, ud = p.Data, w.Data, u.Data
+		pd, svd, ud = p.Data, sv.Data, u.Data
 	}
 	if minv != nil {
 		md = minv.Data
@@ -966,14 +967,17 @@ func oraclePPCGInnerInit3D(pl *par.Pool, b grid.Bounds3D, alpha float64, p, w, u
 	pl.For(b.Z0, b.Z1, func(z0, z1 int) {
 		for k := z0; k < z1; k++ {
 			for j := b.Y0; j < b.Y1; j++ {
-				var ps, ws, us, ms []float64
+				if pre != nil {
+					pre(j, k)
+				}
+				var ps, ss, us, ms []float64
 				if pd != nil {
-					ps, ws, us = oracleRow3(g, b, pd, j, k), oracleRow3(g, b, wd, j, k), oracleRow3(g, b, ud, j, k)
+					ps, ss, us = oracleRow3(g, b, pd, j, k), oracleRow3(g, b, svd, j, k), oracleRow3(g, b, ud, j, k)
 				}
 				if md != nil {
 					ms = oracleRow3(g, b, md, j, k)
 				}
-				ppcgInitRow(ps, ws, us, oracleRow3(g, b, rd, j, k), oracleRow3(g, b, td, j, k), ms, oracleRow3(g, b, sdd, j, k), oracleRow3(g, b, zd, j, k), alpha, thetaInv)
+				ppcgStepRow(ps, ss, us, oracleRow3(g, b, z.Data, j, k), oracleRow3(g, b, w.Data, j, k), oracleRow3(g, b, r.Data, j, k), ms, oracleRow3(g, b, sd.Data, j, k), beta, alpha, thetaInv)
 			}
 		}
 	})

@@ -91,12 +91,12 @@ var oracleCases2 = []oracleCase2{
 		gamma, rr := pick(o, FusedCGStep, oracleFusedCGStep)(p, b, m, f[0], f[1], 0.73, 0.31, f[2], f[3], f[4])
 		return []float64{gamma, rr}
 	}},
-	{"PPCGInnerInit", func(p *par.Pool, b grid.Bounds, f []*grid.Field2D, m *grid.Field2D, o bool) []float64 {
-		pick(o, PPCGInnerInit, oraclePPCGInnerInit)(p, b, 0.37, f[0], f[1], f[2], f[3], f[4], 1/1.9, m, f[5], f[6])
+	{"PPCGStep", func(p *par.Pool, b grid.Bounds, f []*grid.Field2D, m *grid.Field2D, o bool) []float64 {
+		pick(o, PPCGStep, oraclePPCGStep)(p, b, 0.61, 0.37, f[0], f[1], f[2], f[3], f[4], f[5], 1/1.9, m, f[6], nil)
 		return nil
 	}},
-	{"PPCGInnerInit/pre-loop", func(p *par.Pool, b grid.Bounds, f []*grid.Field2D, m *grid.Field2D, o bool) []float64 {
-		pick(o, PPCGInnerInit, oraclePPCGInnerInit)(p, b, 0.37, nil, nil, f[2], f[3], f[4], 1/1.9, m, f[5], f[6])
+	{"PPCGStep/startup", func(p *par.Pool, b grid.Bounds, f []*grid.Field2D, m *grid.Field2D, o bool) []float64 {
+		pick(o, PPCGStep, oraclePPCGStep)(p, b, 0.61, 0.37, nil, nil, nil, f[3], f[4], f[5], 1/1.9, m, f[6], nil)
 		return nil
 	}},
 }
@@ -156,12 +156,12 @@ var oracleCases3 = []oracleCase3{
 		gamma, rr := pick(o, FusedCGStep3D, oracleFusedCGStep3D)(p, b, m, f[0], f[1], 0.73, 0.31, f[2], f[3], f[4])
 		return []float64{gamma, rr}
 	}},
-	{"PPCGInnerInit3D", func(p *par.Pool, b grid.Bounds3D, f []*grid.Field3D, m *grid.Field3D, o bool) []float64 {
-		pick(o, PPCGInnerInit3D, oraclePPCGInnerInit3D)(p, b, 0.37, f[0], f[1], f[2], f[3], f[4], 1/1.9, m, f[5], f[6])
+	{"PPCGStep3D", func(p *par.Pool, b grid.Bounds3D, f []*grid.Field3D, m *grid.Field3D, o bool) []float64 {
+		pick(o, PPCGStep3D, oraclePPCGStep3D)(p, b, 0.61, 0.37, f[0], f[1], f[2], f[3], f[4], f[5], 1/1.9, m, f[6], nil)
 		return nil
 	}},
-	{"PPCGInnerInit3D/pre-loop", func(p *par.Pool, b grid.Bounds3D, f []*grid.Field3D, m *grid.Field3D, o bool) []float64 {
-		pick(o, PPCGInnerInit3D, oraclePPCGInnerInit3D)(p, b, 0.37, nil, nil, f[2], f[3], f[4], 1/1.9, m, f[5], f[6])
+	{"PPCGStep3D/startup", func(p *par.Pool, b grid.Bounds3D, f []*grid.Field3D, m *grid.Field3D, o bool) []float64 {
+		pick(o, PPCGStep3D, oraclePPCGStep3D)(p, b, 0.61, 0.37, nil, nil, nil, f[3], f[4], f[5], 1/1.9, m, f[6], nil)
 		return nil
 	}},
 }

@@ -295,16 +295,17 @@ func TestChebyStepSolvesMatchParentBitwise(t *testing.T) {
 
 // TestPPCGTraceSweepCounts pins what one fused PPCG outer iteration costs
 // in grid passes, as slopes over the outer iteration count so start-up
-// cancels: the outer matvec plus ONE merged sweep per inner step (traced
-// as a matvec over that step's matrix-powers bounds), two vector passes
-// (the inner solve's set-up, which carries the outer u/r update, and the
-// direction Xpay), two dot passes (the one fused into the outer matvec
-// and the ρ/‖r‖² pair), no preconditioner pass, two reduction rounds and
-// 1 + ⌈InnerSteps/depth⌉ exchanges.
+// cancels: ONE merged sweep per inner step (traced as a matvec over that
+// step's matrix-powers bounds) plus the engine's matvec w = A·z, whose
+// δ = z·w rides it; one vector pass (the CG engine's step, which carries
+// the inner solve's set-up); one dot pass (γ = r·z and ‖r‖²); no
+// preconditioner pass; ONE reduction round; and 1 + ⌈InnerSteps/depth⌉
+// exchanges. Deflated, the restriction rides the matvec and the scalar
+// round, and the correction the step: the same profile, still one round.
 func TestPPCGTraceSweepCounts(t *testing.T) {
 	type profile struct{ matvecs, vectorPasses, dots, preconds, reductions, exchanges int }
 	const inner = 7
-	run := func(depth, iters int, jacobi bool) (stats.Trace, int) {
+	run := func(depth, iters int, jacobi, deflated bool) (stats.Trace, int) {
 		t.Helper()
 		p := buildProblem(t, 24, 20, 4, 3)
 		c := comm.NewSerial()
@@ -312,29 +313,38 @@ func TestPPCGTraceSweepCounts(t *testing.T) {
 		if jacobi {
 			o.Precond = precond.NewJacobi(par.Serial, p.Op)
 		}
+		if deflated {
+			defl, err := deflate.New(par.Serial, c, p.Op, deflate.Geometry{}, deflate.Config{BX: 4, BY: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			o.Deflation = defl
+		}
 		res, err := SolvePPCG(p, o)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return *c.Trace(), res.Iterations
 	}
-	for _, jacobi := range []bool{false, true} {
-		for depth := 1; depth <= 4; depth++ {
-			t1, i1 := run(depth, 10, jacobi)
-			t2, i2 := run(depth, 16, jacobi)
-			di := i2 - i1
-			if di <= 0 {
-				t.Fatalf("depth %d: iteration counts did not differ (%d vs %d)", depth, i1, i2)
-			}
-			got := profile{
-				(t2.Matvecs - t1.Matvecs) / di, (t2.VectorPasses - t1.VectorPasses) / di,
-				(t2.Dots - t1.Dots) / di, (t2.PrecondApplies - t1.PrecondApplies) / di,
-				(t2.Reductions - t1.Reductions) / di, (t2.HaloExchanges - t1.HaloExchanges) / di,
-			}
-			want := profile{1 + inner, 2, 2, 0, 2, 1 + (inner+depth-1)/depth}
-			if got != want {
-				t.Errorf("jacobi=%v depth %d: per-outer-iteration {matvecs vectorPasses dots preconds reductions exchanges} = %v, want %v",
-					jacobi, depth, got, want)
+	for _, deflated := range []bool{false, true} {
+		for _, jacobi := range []bool{false, true} {
+			for depth := 1; depth <= 4; depth++ {
+				t1, i1 := run(depth, 10, jacobi, deflated)
+				t2, i2 := run(depth, 16, jacobi, deflated)
+				di := i2 - i1
+				if di <= 0 {
+					t.Fatalf("depth %d: iteration counts did not differ (%d vs %d)", depth, i1, i2)
+				}
+				got := profile{
+					(t2.Matvecs - t1.Matvecs) / di, (t2.VectorPasses - t1.VectorPasses) / di,
+					(t2.Dots - t1.Dots) / di, (t2.PrecondApplies - t1.PrecondApplies) / di,
+					(t2.Reductions - t1.Reductions) / di, (t2.HaloExchanges - t1.HaloExchanges) / di,
+				}
+				want := profile{1 + inner, 1, 1, 0, 1, 1 + (inner+depth-1)/depth}
+				if got != want {
+					t.Errorf("deflated=%v jacobi=%v depth %d: per-outer-iteration {matvecs vectorPasses dots preconds reductions exchanges} = %v, want %v",
+						deflated, jacobi, depth, got, want)
+				}
 			}
 		}
 	}
@@ -342,8 +352,9 @@ func TestPPCGTraceSweepCounts(t *testing.T) {
 
 // TestChebyStepsAllocatesNothing: a block of Chebyshev steps allocates
 // exactly what a bare par.Pool.Wavefront dispatch of a capturing callback
-// does, and a warmed-up fused inner solve (innerCore.apply) exactly what
-// its parts do when called one by one — the set-up sweep, and per block
+// does, and a warmed-up fused inner solve (innerCore.apply, with the CG
+// engine's step riding it) exactly what its parts do when called one by
+// one — the step and set-up sweep, and per block
 // one exchange and one ChebySteps call: nothing per step, per row, per
 // band or per block of its own. The floor is not zero while par's
 // dispatch itself allocates (see kernels.dispatchAllocs).
@@ -377,11 +388,11 @@ func innerAllocs[F comparable, B any](t *testing.T, label string, e *engine[F, B
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := &cgState[F]{w: sys.Vec(vecW), s: sys.Vec(vecS), z: sys.Vec(vecZ)}
-	inner := newInnerCore(e, st, sched, powers)
-	var none F
+	w, z := sys.Vec(vecW), sys.Vec(vecZ)
+	st := &cgStep[F]{beta: 0.5, alpha: 1e-3, p: sys.Vec(vecP), s: sys.Vec(vecS)}
+	inner := newInnerCore(e, sched, powers)
 	apply := func() {
-		if err := inner.apply(0, none, none, r); err != nil {
+		if err := inner.apply(st, r, z, w); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -389,7 +400,7 @@ func innerAllocs[F comparable, B any](t *testing.T, label string, e *engine[F, B
 	got := testing.AllocsPerRun(20, apply)
 
 	want := testing.AllocsPerRun(20, func() {
-		sys.PPCGInnerInit(e.in, 0, none, none, e.u, r, inner.rtemp, 1/sched.Theta, inner.minv, inner.sd, inner.z)
+		sys.PPCGStep(e.in, st.beta, st.alpha, st.p, st.s, e.u, z, w, r, 1/sched.Theta, inner.minv, inner.sd, deflRows{})
 	})
 	x := []float64{1}
 	powers.Refill()
@@ -401,19 +412,19 @@ func innerAllocs[F comparable, B any](t *testing.T, label string, e *engine[F, B
 	for step := 0; step < o.InnerSteps; step += o.HaloDepth {
 		n := min(o.HaloDepth, o.InnerSteps-step)
 		steps := testing.AllocsPerRun(20, func() {
-			sys.ChebySteps(bs[:n], e.in, sched.Alpha[:n], sched.Beta[:n], inner.sd, inner.alt, inner.rtemp, inner.minv, inner.z)
+			sys.ChebySteps(bs[:n], e.in, sched.Alpha[:n], sched.Beta[:n], inner.sd, inner.alt, w, inner.minv, z)
 		})
 		bare := testing.AllocsPerRun(20, func() { o.Pool.Wavefront(n, 0, rows, func(int, int) { _ = x[0] }) })
 		if steps != bare {
 			t.Errorf("%s: ChebySteps over %d steps allocates %v per call, a bare Wavefront %v", label, n, steps, bare)
 		}
 		want += steps + testing.AllocsPerRun(20, func() {
-			if err := e.exchange(o.HaloDepth, inner.sd, inner.rtemp); err != nil {
+			if err := e.exchange(o.HaloDepth, inner.sd, w); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
 	if got != want {
-		t.Errorf("%s: a warmed-up inner solve allocates %v per call, its set-up sweep, exchanges and blocks %v", label, got, want)
+		t.Errorf("%s: a warmed-up inner solve allocates %v per call, its step sweep, exchanges and blocks %v", label, got, want)
 	}
 }

@@ -1,11 +1,17 @@
 package solver
 
-import "tealeaf/internal/grid"
+import (
+	"tealeaf/internal/cheby"
+	"tealeaf/internal/eigen"
+	"tealeaf/internal/grid"
+)
 
-// This file keeps the seed's textbook PCG loop as a test oracle: the
-// engine tests (golden_test.go, the trace pins, and the propcheck-driven
-// engine test and fuzz target in engine_oracle_test.go) solve the same
-// problem with runCGCore and with runCGClassicCore and compare.
+// This file keeps the seed's textbook PCG loop and the textbook PPCG
+// outer loop as test oracles: the engine tests (golden_test.go, the trace
+// pins, and the propcheck-driven engine tests and fuzz target in
+// engine_oracle_test.go) solve the same problem with the one CG engine
+// (runCGCore, solvePPCGCore) and with runCGClassicCore or
+// solvePPCGClassicCore and compare.
 
 // solveCGClassic is SolveCG over the oracle loop.
 func solveCGClassic(p Problem, o Options) (Result, error) {
@@ -114,11 +120,7 @@ func runCGClassicCore[F comparable, B any](e *engine[F, B], maxIters int, tol fl
 		}
 		var pw float64
 		if defl != nil {
-			// The projection P·w needs the plain matvec first; the fused
-			// matvec+dot cannot be used because the dot must see P·A·p.
-			e.matvec(in, pvec, w)
-			var zero F
-			pw = e.reduce(e.projectW(defl, w, zero, pvec))
+			pw = projectedCurvature(e, defl, pvec, w)
 			if res, err := cgNonFinite(result, scalar{"p·A·p", pw}); err != nil {
 				return res, nil, err
 			}
@@ -130,7 +132,8 @@ func runCGClassicCore[F comparable, B any](e *engine[F, B], maxIters int, tol fl
 				break
 			}
 		} else {
-			pw = e.matvecDot(in, pvec, w)
+			pw = e.reduce(e.sys.ApplyDot(in, pvec, w, deflRows{}))
+			e.tr.AddMatvec(e.cells)
 			if res, err := cgNonFinite(result, scalar{"p·A·p", pw}); err != nil {
 				return res, nil, err
 			}
@@ -179,7 +182,7 @@ func runCGClassicCore[F comparable, B any](e *engine[F, B], maxIters int, tol fl
 			} else {
 				result.Converged = true
 			}
-			return result, &cgState[F]{r: r, z: z, w: w, pvec: pvec, rz: rz, rr: rr, rr0: rr0, base: base}, nil
+			return result, &cgState[F]{r: r, z: z, w: w, pvec: pvec, rr: rr, rr0: rr0, base: base}, nil
 		}
 		result.Betas = append(result.Betas, beta)
 
@@ -191,5 +194,126 @@ func runCGClassicCore[F comparable, B any](e *engine[F, B], maxIters int, tol fl
 		return result, nil, err
 	}
 	result.FinalResidual = rel
-	return result, &cgState[F]{r: r, z: z, w: w, pvec: pvec, rz: rz, rr: rr, rr0: rr0, base: base}, nil
+	return result, &cgState[F]{r: r, z: z, w: w, pvec: pvec, rr: rr, rr0: rr0, base: base}, nil
+}
+
+// projectedCurvature is the textbook deflated curvature: w = A·p, the
+// whole projection w ← P·w (a restriction sweep, a reduction round of
+// the projector's own, the coarse solve and a correction sweep) and
+// p·(P·w) in a round of its own. The projector must have the
+// whole-projection form ProjectW (*deflate.Deflation and
+// *deflate.Deflation3D do).
+func projectedCurvature[F comparable, B any](e *engine[F, B], defl deflator[F], p, w F) float64 {
+	e.matvec(e.in, p, w)
+	defl.(interface{ ProjectW(w F) }).ProjectW(w)
+	e.tr.AddDot(e.cells)
+	e.tr.AddVectorPass(e.cells)
+	return e.dot(p, w)
+}
+
+// solvePPCGClassic is SolvePPCG over the oracle PPCG loop.
+func solvePPCGClassic(p Problem, o Options) (Result, error) {
+	o = o.withDefaults()
+	if err := o.validate(p); err != nil {
+		return Result{}, err
+	}
+	return solvePPCGClassicCore(newEngine[*grid.Field2D, grid.Bounds](newSys2D(p, o, new(Workspace)), o, p.U, p.RHS))
+}
+
+// solvePPCGClassic3D is SolvePPCG3D over the oracle PPCG loop.
+func solvePPCGClassic3D(p Problem3D, o Options) (Result, error) {
+	o = o.withDefaults()
+	if err := o.validate3(p); err != nil {
+		return Result{}, err
+	}
+	return solvePPCGClassicCore(newEngine[*grid.Field3D, grid.Bounds3D](newSys3D(p, o, new(Workspace)), o, p.U, p.RHS))
+}
+
+// solvePPCGClassicCore is PPCG with the textbook outer loop the CG engine
+// replaced: the same eigenvalue bootstrap and inner Chebyshev solve, then
+// PCG with p = z (β = 0) from the bootstrap's residual and, per outer
+// iteration, w = A·p with p·w (projected through the whole projection on
+// a deflated solve), the u/r update, the inner solve, and r·z with ‖r‖²
+// in a round of their own — two rounds per iteration, three deflated. It
+// stops on the recurred ‖r‖ against the bootstrap's baseline, with a
+// deflated solve's final coarse correction and 10× re-measure margin.
+func solvePPCGClassicCore[F comparable, B any](e *engine[F, B]) (Result, error) {
+	o, sys, in := e.o, e.sys, e.in
+	defl := sys.Deflation()
+	boot, st, err := runCGCore(e, nil, o.EigenCGIters, 0)
+	if err != nil {
+		return boot, err
+	}
+	result := Result{Iterations: boot.Iterations, BootstrapIters: boot.Iterations, History: boot.History}
+	if boot.Converged {
+		result.Converged, result.FinalResidual = true, boot.FinalResidual
+		return result, nil
+	}
+	est, err := eigen.EstimateFromCG(boot.Alphas, boot.Betas)
+	if err != nil {
+		return result, err
+	}
+	sched, err := cheby.NewSchedule(est.Min, est.Max, o.InnerSteps)
+	if err != nil {
+		return result, err
+	}
+	powers, err := sys.NewPowers(o.HaloDepth)
+	if err != nil {
+		return result, err
+	}
+	inner := newInnerCore(e, sched, powers)
+	r, base := st.r, st.base
+	// The oracle's own fields: z for the inner correction, w for A·p, and
+	// rtemp for the inner solve's residual.
+	z, w, pvec, rtemp := sys.Vec(vecZ), sys.Vec(vecW), sys.Vec(vecP), sys.Vec(vecS)
+	if err := inner.apply(nil, r, z, rtemp); err != nil {
+		return result, err
+	}
+	sys.Copy(in, pvec, z)
+	rz := e.dot(r, z)
+
+	for it := result.Iterations; it < o.MaxIters; it++ {
+		if err := e.exchange(1, pvec); err != nil {
+			return result, err
+		}
+		var pw float64
+		if defl != nil {
+			pw = projectedCurvature(e, defl, pvec, w)
+		} else {
+			pw = e.reduce(sys.ApplyDot(in, pvec, w, deflRows{}))
+		}
+		if !isFinite(pw) || pw == 0 || (defl != nil && pw < 0) {
+			result.Breakdown = true
+			break
+		}
+		alpha := rz / pw
+		sys.AxpyAxpy(in, alpha, pvec, e.u, -alpha, w, r)
+		if err := inner.apply(nil, r, z, rtemp); err != nil {
+			return result, err
+		}
+		rzNew, rr := e.dot(r, z), e.dot(r, r)
+		if !isFinite(rzNew) || !isFinite(rr) {
+			return nonFinite(result, "ppcg", "r·z or ‖r‖²", rr)
+		}
+		result.Iterations++
+		rel := relResidual(rr, base)
+		result.History = append(result.History, rel)
+		result.FinalResidual = rel
+		if rel <= o.Tol {
+			result.Converged = true
+			break
+		}
+		sys.Xpay(in, z, rzNew/rz, pvec, deflRows{})
+		rz = rzNew
+	}
+	result.TotalInner = inner.applies * o.InnerSteps
+	if defl != nil {
+		rel, err := e.finishDeflated(defl, r, base)
+		if err != nil {
+			return result, err
+		}
+		result.FinalResidual = rel
+		result.Converged = result.Converged && rel <= 10*o.Tol
+	}
+	return result, nil
 }

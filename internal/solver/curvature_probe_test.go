@@ -13,11 +13,11 @@ import (
 // (z = m⊙x, the raw w = A·z and the local δ = z·w), and the deflator it
 // hands the engine wraps the real one so that every SolveCoarse — the
 // point where the engine forms δ − bᵀλ — also evaluates the parent's
-// two-pass form on a copy of the raw w: ProjectWDot (the restriction
+// two-pass form on a copy of the raw w: ProjectW (the restriction
 // sweep, the projector's own reduction round and the correction sweep)
-// with z·(P·w) re-measured from the corrected copy. ProjectWDot is
-// bitwise the parent's post-pass projection (the deflate package pins
-// that against its projectRestricted oracle).
+// with z·(P·w) re-measured from the corrected copy. ProjectW is bitwise
+// the parent's post-pass projection (the deflate package pins that
+// against its projectRestricted oracle).
 
 // SolveCGProbed is SolveCG with check called, on every rank, for each
 // curvature the deflated engine forms (startup and every iteration):
@@ -29,8 +29,8 @@ func SolveCGProbed(p Problem, o Options, check func(merged, twoPass, scale float
 		return Result{}, err
 	}
 	vec := func() *grid.Field2D { return grid.NewField2D(p.Op.Grid) }
-	sys := newProbe[*grid.Field2D, grid.Bounds](newSys2D(p, o, new(Workspace)), o.Comm, absDot2D, vec, check)
-	res, _, err := runCGCore(newEngine[*grid.Field2D, grid.Bounds](sys, o, p.U, p.RHS), o.MaxIters, o.Tol)
+	sys := newProbe[*grid.Field2D, grid.Bounds](newSys2D(p, o, new(Workspace)), o.Comm, dots2D, vec, check)
+	res, _, err := runCGCore(newEngine[*grid.Field2D, grid.Bounds](sys, o, p.U, p.RHS), nil, o.MaxIters, 0)
 	return res, err
 }
 
@@ -41,8 +41,8 @@ func SolveCGProbed3D(p Problem3D, o Options, check func(merged, twoPass, scale f
 		return Result{}, err
 	}
 	vec := func() *grid.Field3D { return grid.NewField3D(p.Op.Grid) }
-	sys := newProbe[*grid.Field3D, grid.Bounds3D](newSys3D(p, o, new(Workspace)), o.Comm, absDot3D, vec, check)
-	res, _, err := runCGCore(newEngine[*grid.Field3D, grid.Bounds3D](sys, o, p.U, p.RHS), o.MaxIters, o.Tol)
+	sys := newProbe[*grid.Field3D, grid.Bounds3D](newSys3D(p, o, new(Workspace)), o.Comm, dots3D, vec, check)
+	res, _, err := runCGCore(newEngine[*grid.Field3D, grid.Bounds3D](sys, o, p.U, p.RHS), nil, o.MaxIters, 0)
 	return res, err
 }
 
@@ -57,15 +57,15 @@ type probeDefl[F comparable, B any] struct {
 	c       comm.Communicator
 	m, x, w F       // the last restricting matvec's z = m⊙x and raw w
 	delta   float64 // its local z·w
-	absDot  func(b B, m, x, w F) float64
+	dots    func(b B, m, x, w F) (dot, abs float64)
 	vec     func() F // a fresh field for the oracle's copies of w
 	check   func(merged, twoPass, scale float64)
 }
 
-func newProbe[F comparable, B any](sys system[F, B], c comm.Communicator, absDot func(b B, m, x, w F) float64, vec func() F, check func(merged, twoPass, scale float64)) *probeSys[F, B] {
+func newProbe[F comparable, B any](sys system[F, B], c comm.Communicator, dots func(b B, m, x, w F) (dot, abs float64), vec func() F, check func(merged, twoPass, scale float64)) *probeSys[F, B] {
 	ps := &probeSys[F, B]{system: sys}
 	if d := sys.Deflation(); d != nil {
-		ps.defl = &probeDefl[F, B]{deflator: d, sys: sys, c: c, absDot: absDot, vec: vec, check: check}
+		ps.defl = &probeDefl[F, B]{deflator: d, sys: sys, c: c, dots: dots, vec: vec, check: check}
 	}
 	return ps
 }
@@ -113,34 +113,39 @@ func (p *probeDefl[F, B]) SolveCoarse(b []float64) float64 {
 	in := p.sys.Interior()
 	pw := p.vec()
 	p.sys.CopyAll(pw, p.w)
-	twoPass := p.c.AllReduceSum(p.deflator.ProjectWDot(pw, p.m, p.x))
+	p.deflator.(interface{ ProjectW(w F) }).ProjectW(pw)
+	pwDot, _ := p.dots(in, p.m, p.x, pw)
+	twoPass := p.c.AllReduceSum(pwDot)
 	awl := p.vec() // A·W·λ = w − P·w
 	p.sys.CopyAll(awl, p.w)
 	p.sys.Axpy(in, -1, pw, awl)
-	scale := p.c.AllReduceSum(p.absDot(in, p.m, p.x, p.w) + p.absDot(in, p.m, p.x, awl))
+	_, wAbs := p.dots(in, p.m, p.x, p.w)
+	_, awlAbs := p.dots(in, p.m, p.x, awl)
+	scale := p.c.AllReduceSum(wAbs + awlAbs)
 	p.deflator.SolveCoarse(b)
 	p.check(merged, twoPass, scale)
 	return btl
 }
 
-// absDot2D returns Σ|(m⊙x)_i·w_i| over b (nil m = identity).
-func absDot2D(b grid.Bounds, m, x, w *grid.Field2D) float64 {
-	var s float64
+// dots2D returns Σ (m⊙x)_i·w_i and Σ|(m⊙x)_i·w_i| over b (nil m =
+// identity).
+func dots2D(b grid.Bounds, m, x, w *grid.Field2D) (dot, abs float64) {
 	for k := b.Y0; k < b.Y1; k++ {
 		for j := b.X0; j < b.X1; j++ {
 			z := x.At(j, k)
 			if m != nil {
 				z *= m.At(j, k)
 			}
-			s += math.Abs(z * w.At(j, k))
+			v := z * w.At(j, k)
+			dot += v
+			abs += math.Abs(v)
 		}
 	}
-	return s
+	return dot, abs
 }
 
-// absDot3D is absDot2D over a 3D box.
-func absDot3D(b grid.Bounds3D, m, x, w *grid.Field3D) float64 {
-	var s float64
+// dots3D is dots2D over a 3D box.
+func dots3D(b grid.Bounds3D, m, x, w *grid.Field3D) (dot, abs float64) {
 	for k := b.Z0; k < b.Z1; k++ {
 		for j := b.Y0; j < b.Y1; j++ {
 			for i := b.X0; i < b.X1; i++ {
@@ -148,9 +153,11 @@ func absDot3D(b grid.Bounds3D, m, x, w *grid.Field3D) float64 {
 				if m != nil {
 					z *= m.At(i, j, k)
 				}
-				s += math.Abs(z * w.At(i, j, k))
+				v := z * w.At(i, j, k)
+				dot += v
+				abs += math.Abs(v)
 			}
 		}
 	}
-	return s
+	return dot, abs
 }

@@ -11,22 +11,32 @@ import (
 // This file holds the one and only implementation of each solver
 // iteration body. Every loop is generic over the system abstraction
 // (system.go), so the 2D and 3D entry points share it verbatim — there
-// are no per-dimension copies of the CG, Chebyshev or PPCG loops.
+// are no per-dimension copies of the CG, Chebyshev or PPCG loops. There
+// is one CG engine, runCGCore: CG runs it, Chebyshev bootstraps on it,
+// and PPCG both bootstraps on it and runs its outer iteration on it,
+// with the inner Chebyshev solve (innerCore) as the preconditioner.
 
-// cgState is the live state runCGCore leaves behind so Chebyshev/PPCG can
-// continue from the bootstrap phase without recomputing the residual. On
-// a deflated solve w is left uncorrected — the raw A·z of the last
-// matvec, its projection never applied — which is safe because both
-// continuations use w only as scratch that they overwrite first. s is
-// dead once the loop ends; PPCG's inner solve takes it over as its sd.
+// cgState is the live state runCGCore leaves behind so Chebyshev and
+// PPCG can continue from the bootstrap phase. On a deflated solve w is
+// left uncorrected — the raw A·z of the last matvec, its projection never
+// applied — which is safe because Chebyshev uses w only as scratch that
+// it overwrites first.
 type cgState[F comparable] struct {
-	r, z, w, pvec, s F
-	rz, rr, rr0      float64
-	// base is the squared baseline the relative stop test divides by:
-	// rr0 on the plain paths, max(rr0, ‖b‖²) on deflated solves (see
-	// deflStopBaseSq). Continuation loops must reuse it so bootstrap and
+	r, z, w, pvec F
+	rr, rr0       float64
+	// base is the squared baseline the relative stop test divided by
+	// (startupBaseSq). PPCG's outer iteration reuses it so bootstrap and
 	// outer iteration measure convergence against the same denominator.
 	base float64
+}
+
+// cgStep is the operands of one CG engine step with an explicit z:
+// p = z + β·p, x += α·p, s = w + β·s, r −= α·s, with d's pending
+// deflation correction applied to w's rows before the step reads them.
+type cgStep[F comparable] struct {
+	beta, alpha float64
+	p, s        F
+	d           deflRows
 }
 
 // startupBaseSq decides a solve's convergence baseline (the squared norm
@@ -64,8 +74,9 @@ func (e *engine[F, B]) startupBaseSq(rr0, tol float64) (base float64, done bool)
 // finishDeflated applies the final coarse correction of a deflated solve
 // and re-measures the true residual, returning the relative residual
 // against rr0. It leaves r holding the corrected residual and u the
-// corrected solution, so continuation solvers (the PPCG outer loop after
-// a deflated bootstrap) resume from a consistent state with Wᵀ·r = 0.
+// corrected solution, so a solver that continues from a deflated run
+// (PPCG's outer iteration after its bootstrap, a restart in solveCG)
+// resumes from a consistent state with Wᵀ·r = 0.
 func (e *engine[F, B]) finishDeflated(defl deflator[F], r F, rr0 float64) (float64, error) {
 	if err := e.exchange(1, e.u); err != nil {
 		return 0, err
@@ -81,9 +92,10 @@ func (e *engine[F, B]) finishDeflated(defl deflator[F], r F, rr0 float64) (float
 }
 
 // runCGCore is the one CG engine, the Chronopoulos–Gear single-reduction
-// PCG (§VII), for every preconditioner. Writing z = M⁻¹r, it maintains p
-// (search direction) and s = A·p by recurrence, so each iteration needs
-// one reduction round:
+// PCG (§VII), for every preconditioner — the configured one, or, when m
+// is non-nil, PPCG's inner Chebyshev solve. Writing z = M⁻¹r, it
+// maintains p (search direction) and s = A·p by recurrence, so each
+// iteration needs one reduction round:
 //
 //	step:   p = z + β·p;  x += α·p;
 //	        s = w + β·s;  r −= α·s;  z = M⁻¹r;  γ' = r·z; rr = r·r
@@ -91,8 +103,11 @@ func (e *engine[F, B]) finishDeflated(defl deflator[F], r F, rr0 float64) (float
 //	allreduce {γ', rr, δ} in one round, then
 //	β = γ'/γ,  α = γ'/(δ − β·γ'/α)
 //
-// It records the (α, β) scalars and returns the final state for solvers
-// that continue the run.
+// It runs at most maxIters iterations against the tolerance Options.Tol,
+// records the (α, β) scalars and returns the final state for solvers
+// that continue the run. A non-zero base is an earlier phase's stop
+// baseline: the stop test keeps it (or rr0, if larger) instead of taking
+// one at startup.
 //
 // A diagonal preconditioner (or the identity) is folded into the sweeps:
 // z = minv⊙r is never materialised, and a zero minv is the identity, for
@@ -119,7 +134,10 @@ func (e *engine[F, B]) finishDeflated(defl deflator[F], r F, rr0 float64) (float
 // solves) runs the same recurrences with an explicit z: the step is three
 // vector sweeps, then z = M⁻¹r, a depth-1 exchange of z, the matvec with
 // δ fused in and one dot sweep for γ' and rr — still one reduction round
-// per iteration.
+// per iteration (precondMatvec). PPCG's inner solve m is the other
+// explicit z: on its fused path the step rides the inner solve's set-up
+// sweep (PPCGStep), and the ChebySteps blocks follow before the same
+// exchange, matvec, dot sweep and round.
 //
 // With a deflator configured the same recurrences run on the projected
 // operator P·A = (I − A·W·E⁻¹·Wᵀ)·A, with coarse corrections before and
@@ -140,15 +158,22 @@ func (e *engine[F, B]) finishDeflated(defl deflator[F], r F, rr0 float64) (float
 // projecting w after the pass.
 //
 // Every iteration exchanges at depth 1 whatever Options.HaloDepth says:
-// the halo depth is PPCG's inner matrix-powers depth, and its CG
-// bootstrap runs this loop unchanged.
-func runCGCore[F comparable, B any](e *engine[F, B], maxIters int, tol float64) (Result, *cgState[F], error) {
+// the halo depth is PPCG's inner matrix-powers depth, which only m's
+// steps use.
+func runCGCore[F comparable, B any](e *engine[F, B], m *innerCore[F, B], maxIters int, base float64) (Result, *cgState[F], error) {
 	sys := e.sys
 	in := e.in
+	tol := e.o.Tol
 	var result Result
 
 	defl := sys.Deflation()
 	minv, folded := sys.FoldableDiag()
+	if m != nil {
+		// The inner solve is an explicit z; it folds the diagonal into its
+		// own sweeps.
+		var zero F
+		minv, folded = zero, false
+	}
 
 	r := sys.Vec(vecR)
 	w := sys.Vec(vecW)
@@ -164,9 +189,8 @@ func runCGCore[F comparable, B any](e *engine[F, B], maxIters int, tol float64) 
 		var zero F
 		z = zero
 	}
-	base := 0.0 // stop-test baseline, widened from rr0 once it is known
-	mkState := func(gamma, rr, rr0 float64) *cgState[F] {
-		return &cgState[F]{r: r, z: z, w: w, pvec: pvec, s: svec, rz: gamma, rr: rr, rr0: rr0, base: base}
+	mkState := func(rr, rr0 float64) *cgState[F] {
+		return &cgState[F]{r: r, z: z, w: w, pvec: pvec, rr: rr, rr0: rr0, base: base}
 	}
 
 	// An iteration runs as one pass only where no rank neighbour's halo
@@ -210,7 +234,7 @@ func runCGCore[F comparable, B any](e *engine[F, B], maxIters int, tol float64) 
 		e.tr.AddMatvec(e.cells)
 	} else {
 		var err error
-		if gamma, rr0, delta, err = e.precondMatvec(r, z, w, dr); err != nil {
+		if gamma, rr0, delta, err = e.precondMatvec(m, nil, r, z, w, dr); err != nil {
 			return result, nil, err
 		}
 	}
@@ -221,10 +245,19 @@ func runCGCore[F comparable, B any](e *engine[F, B], maxIters int, tol float64) 
 	}
 	if rr0 == 0 {
 		result.Converged = true
-		return result, mkState(0, 0, 0), nil
+		return result, mkState(0, 0), nil
 	}
 	var done bool
-	base, done = e.startupBaseSq(rr0, tol)
+	if base > 0 {
+		// A continuation keeps the earlier phase's baseline and stops on
+		// the iteration's own test: the startup's 10× noise margin is for
+		// the first residual of a step, not for one an earlier phase has
+		// already brought close to the tolerance.
+		base = max(base, rr0)
+		done = rr0 <= tol*tol*base
+	} else {
+		base, done = e.startupBaseSq(rr0, tol)
+	}
 	if done {
 		// The initial guess already solves the step to the achievable
 		// precision; iterating would only pump roundoff into it. Checked
@@ -232,14 +265,14 @@ func runCGCore[F comparable, B any](e *engine[F, B], maxIters int, tol float64) 
 		// legitimately present δ ≤ 0.
 		result.Converged = true
 		result.FinalResidual = relResidual(rr0, base)
-		return result, mkState(gamma, rr0, rr0), nil
+		return result, mkState(rr0, rr0), nil
 	}
 	if delta <= 0 {
 		// A or M lost positive definiteness at startup; no iteration can
 		// proceed — surface it instead of returning a silent residual of 1.
 		result.FinalResidual = 1
 		result.Breakdown = true
-		return result, mkState(gamma, rr0, rr0), fmt.Errorf("solver: startup curvature δ = %v: %w", delta, ErrBreakdown)
+		return result, mkState(rr0, rr0), fmt.Errorf("solver: startup curvature δ = %v: %w", delta, ErrBreakdown)
 	}
 
 	alpha := gamma / delta
@@ -249,14 +282,9 @@ func runCGCore[F comparable, B any](e *engine[F, B], maxIters int, tol float64) 
 		var gammaNew, rrNew, deltaNew float64
 		switch {
 		case !folded:
-			sys.Xpay(in, z, beta, pvec, deflRows{})
-			sys.Xpay(in, w, beta, svec, dr)
-			sys.AxpyAxpy(in, alpha, pvec, e.u, -alpha, svec, r)
-			e.vectorPass(in)
-			e.vectorPass(in)
-			e.vectorPass(in)
 			var err error
-			if gammaNew, rrNew, deltaNew, err = e.precondMatvec(r, z, w, dr); err != nil {
+			step := cgStep[F]{beta: beta, alpha: alpha, p: pvec, s: svec, d: dr}
+			if gammaNew, rrNew, deltaNew, err = e.precondMatvec(m, &step, r, z, w, dr); err != nil {
 				return result, nil, err
 			}
 		case alone:
@@ -292,15 +320,15 @@ func runCGCore[F comparable, B any](e *engine[F, B], maxIters int, tol float64) 
 				result.FinalResidual = rel
 				result.Converged = rel <= 10*tol
 			}
-			return result, mkState(gammaNew, rrNew, rr0), nil
+			return result, mkState(rrNew, rr0), nil
 		}
 
 		betaNew := gammaNew / gamma
 		denom := deltaNew - betaNew*gammaNew/alpha
 		if denom <= 0 || math.IsNaN(denom) {
 			// Breakdown: the three-term recurrences lost conjugacy (or A
-			// is numerically semi-definite). Stop like the textbook PCG
-			// loop's pw == 0 guard, and record it.
+			// or M is numerically semi-definite). Stop like the textbook
+			// PCG loop's pw == 0 guard, and record it.
 			result.Breakdown = true
 			rr = rrNew
 			break
@@ -320,7 +348,7 @@ func runCGCore[F comparable, B any](e *engine[F, B], maxIters int, tol float64) 
 		}
 		result.FinalResidual = rel
 	}
-	return result, mkState(gamma, rr, rr0), nil
+	return result, mkState(rr, rr0), nil
 }
 
 // chebyGuardFactor is the residual-growth threshold of the bootstrap
@@ -376,7 +404,7 @@ func solveChebyCore[F comparable, B any](e *engine[F, B]) (Result, error) {
 		}
 
 		// --- Bootstrap: CG for eigenvalue estimation (also advances u). ---
-		boot, st, err := runCGCore(e, cgIters, o.Tol)
+		boot, st, err := runCGCore(e, nil, cgIters, 0)
 		first := result.BootstrapIters == 0
 		result.Iterations += boot.Iterations
 		result.BootstrapIters += boot.Iterations
@@ -558,42 +586,28 @@ func cgNonFinite(res Result, scalars ...scalar) (Result, error) {
 // exchanges — no global reductions — so the number of global dot products
 // drops by roughly √(κ_cg/κ_pcg) (eqs. 6–7).
 //
+// EigenCGIters of CG with the configured preconditioner estimate the
+// spectrum of M⁻¹A (§III-D); the outer iteration then restarts from the
+// bootstrap's iterate (β = 0) on the one CG engine, runCGCore, with the
+// inner Chebyshev solve as its explicit-z preconditioner (innerCore), and
+// through solveCG, so a deflated solve restarts after a failed re-measure
+// exactly as deflated CG does. The restart keeps the bootstrap's stop
+// baseline, so both phases measure convergence against one denominator
+// and History stays on one scale. Per outer iteration that is one
+// reduction round — γ, ‖r‖², δ and, deflated, the restriction b = Wᵀ·w,
+// which the engine takes into the round and projects with (reduceCG).
+//
 // With HaloDepth d > 1 the inner loop uses the matrix-powers kernel
 // (§IV-C2): one depth-d exchange buys d inner applications computed on
 // extended bounds that shrink by one cell per step, trading a little
 // redundant computation for d× fewer messages.
 //
-// With a diagonal-foldable inner preconditioner (or none) each inner step
-// is ONE stencil evaluation per cell — the matvec folded into the
-// residual-update/preconditioner/direction/accumulate kernel — versus
-// five sweeps for a block preconditioner, and the steps of one
-// matrix-powers block share one pass over the grid (ChebySteps, a
-// temporal wavefront); the outer solution/residual update
-// rides the inner solve's one set-up sweep, and the outer dot products
-// use the fused two-in-one kernel: per outer iteration 1 + InnerSteps
-// traced stencil sweeps (in 1 + ⌈InnerSteps/d⌉ passes over the grid), two
-// vector passes and one dot pass.
-//
-// With a deflator configured the outer PCG runs on the projected operator
-// P·A (the bootstrap CG already ran deflated and left Wᵀ·r = 0): each
-// outer matvec is projected at the cost of one extra reduction round, the
-// reduction-free inner Chebyshev smoothing is untouched, and a final
-// coarse correction recovers the deflated solution component. The
-// bootstrap's eigenvalue estimate then describes the deflated spectrum,
-// which is exactly the interval the polynomial should target.
-//
-// A non-finite outer scalar (p·A·p, r·z or ‖r‖² — non-finite input, or a
-// polynomial overflowing on a wild spectrum estimate) ends the solve with
-// an ErrBreakdown error at the iteration it first appears. The scalars
-// are post-reduction, so every rank takes the same exit.
+// A non-finite outer scalar (non-finite input, or a polynomial
+// overflowing on a wild spectrum estimate) ends the solve with an
+// ErrBreakdown error at the iteration it first appears, as it ends CG.
 func solvePPCGCore[F comparable, B any](e *engine[F, B]) (Result, error) {
 	o := e.o
-	sys := e.sys
-	in := e.in
-	defl := sys.Deflation()
-
-	// --- Bootstrap: PCG for eigenvalue estimation (spectrum of M⁻¹A). ---
-	boot, st, err := runCGCore(e, o.EigenCGIters, o.Tol)
+	boot, st, err := runCGCore(e, nil, o.EigenCGIters, 0)
 	if err != nil {
 		return boot, err
 	}
@@ -617,158 +631,64 @@ func solvePPCGCore[F comparable, B any](e *engine[F, B]) (Result, error) {
 		return result, fmt.Errorf("solver: eigenvalue bootstrap failed: %w", err)
 	}
 	result.Eigen = &est
-
 	sched, err := cheby.NewSchedule(est.Min, est.Max, o.InnerSteps)
 	if err != nil {
 		return result, fmt.Errorf("solver: chebyshev schedule: %w", err)
 	}
-
-	powers, err := sys.NewPowers(o.HaloDepth)
+	powers, err := e.sys.NewPowers(o.HaloDepth)
 	if err != nil {
 		return result, err
 	}
 
-	// --- Outer PCG with the Chebyshev polynomial as preconditioner. ---
-	r, w, pvec := st.r, st.w, st.pvec
-	rr0 := st.rr0
-	base := st.base
-	if base == 0 {
-		base = rr0 // bootstrap predates the widened deflated baseline
-	}
-	inner := newInnerCore(e, st, sched, powers)
-	z := inner.z // accumulated polynomial correction (utemp)
-
-	var none F
-	if err := inner.apply(0, none, none, r); err != nil {
-		return result, err
-	}
-	result.TotalInner += o.InnerSteps
-	sys.Copy(in, pvec, z)
-	e.vectorPass(in)
-
-	rz := e.dot(r, z)
-	if !isFinite(rz) {
-		return nonFinite(result, "ppcg", "r·z", rz)
-	}
-
-	for it := result.Iterations; it < o.MaxIters; it++ {
-		if err := e.exchange(1, pvec); err != nil {
-			return result, err
-		}
-		var pw float64
-		if defl != nil {
-			// The projection P·w needs the plain matvec first; the fused
-			// matvec+dot cannot be used because the dot must see P·A·p.
-			e.matvec(in, pvec, w)
-			var zero F
-			pw = e.reduce(e.projectW(defl, w, zero, pvec))
-		} else {
-			pw = e.matvecDot(in, pvec, w)
-		}
-		if !isFinite(pw) {
-			return nonFinite(result, "ppcg", "p·A·p", pw)
-		}
-		// P·A is only positive semi-definite outside the deflated subspace,
-		// so the deflated test is on the sign, the plain one on zero.
-		if pw == 0 || (defl != nil && pw < 0) {
-			result.Breakdown = true
-			break
-		}
-
-		// u += α·p, r −= α·w, then z ≈ B(A)·r.
-		if err := inner.apply(rz/pw, pvec, w, r); err != nil {
-			return result, err
-		}
-		result.TotalInner += o.InnerSteps
-
-		rzNew, rrNew := e.dotPair(z, r)
-		if !isFinite(rzNew) {
-			return nonFinite(result, "ppcg", "r·z", rzNew)
-		}
-		if !isFinite(rrNew) {
-			return nonFinite(result, "ppcg", "‖r‖²", rrNew)
-		}
-		beta := rzNew / rz
-		rz = rzNew
-		result.Iterations++
-		rel := relResidual(rrNew, base)
-		result.History = append(result.History, rel)
-		result.FinalResidual = rel
-		if rel <= o.Tol {
-			result.Converged = true
-			if defl != nil {
-				rel, err := e.finishDeflated(defl, r, base)
-				if err != nil {
-					return result, err
-				}
-				result.FinalResidual = rel
-				result.Converged = rel <= 10*o.Tol
-			}
-			return result, nil
-		}
-		sys.Xpay(in, z, beta, pvec, deflRows{})
-		e.vectorPass(in)
-	}
-	if defl != nil && rr0 > 0 {
-		// Budget exhausted or breakdown: the final coarse correction still
-		// applies, and FinalResidual reports the true residual.
-		rel, err := e.finishDeflated(defl, r, base)
-		if err != nil {
-			return result, err
-		}
-		result.FinalResidual = rel
-	}
-	return result, nil
+	m := newInnerCore(e, sched, powers)
+	outer, err := solveCG(e, m, o.MaxIters-result.Iterations, st.base)
+	result.Iterations += outer.Iterations
+	result.TotalInner = m.applies * o.InnerSteps
+	result.History = append(result.History, outer.History...)
+	result.Converged, result.Breakdown, result.FinalResidual = outer.Converged, outer.Breakdown, outer.FinalResidual
+	return result, err
 }
 
-// innerCore applies the Chebyshev polynomial preconditioner z ≈ B(A)·r
-// via InnerSteps smoothing steps (TeaLeaf's tl_ppcg inner solve), using
-// the matrix-powers schedule for its halo exchanges.
+// innerCore is PPCG's preconditioner z ≈ B(A)·r: InnerSteps Chebyshev
+// smoothing steps (TeaLeaf's tl_ppcg inner solve), using the
+// matrix-powers schedule for its halo exchanges. It runs on the CG
+// engine's fields: its rtemp is the engine's w, which the step reads
+// before the set-up writes rtemp and the engine's matvec rewrites after
+// the solve, and its correction is the engine's z.
 type innerCore[F comparable, B any] struct {
 	e      *engine[F, B]
 	sched  *cheby.Schedule
 	powers powersSched[B]
-	z      F // output: accumulated correction
-	// rtemp is the outer loop's w: apply's set-up reads w before it
-	// writes rtemp, cell by cell, and the next outer matvec rewrites w.
-	rtemp F
 	// sd is the current search direction. On the fused path it ping-pongs
 	// with alt — within a block, step j reads sd for even j and alt for odd
 	// j, and the two handles swap after a block of odd length — so
 	// whichever field holds the direction when the halo runs out is the one
 	// exchanged. Unfused, sd updates in place and alt is the matvec's
-	// target. sd starts as the bootstrap's s, which nothing reads after
-	// the bootstrap.
+	// target, then the M⁻¹·rtemp scratch.
 	sd, alt F
-	zscr    F // M⁻¹·rtemp scratch, unfused path only: the bootstrap's z
-	// minv is the folded diagonal preconditioner for the fused step (zero
+	// minv is the folded diagonal preconditioner for the fused steps (zero
 	// = identity); fused reports whether the fused kernel path is usable.
 	minv  F
 	fused bool
 	// bs holds the current block's matrix-powers bounds, one per step,
 	// reused from block to block.
 	bs []B
+	// applies counts the inner solves run, for Result.TotalInner.
+	applies int
 }
 
-// newInnerCore sets the inner solve up over the bootstrap's state st,
-// whose w, s and (unfused) z it takes over.
-func newInnerCore[F comparable, B any](e *engine[F, B], st *cgState[F], sched *cheby.Schedule, powers powersSched[B]) *innerCore[F, B] {
+func newInnerCore[F comparable, B any](e *engine[F, B], sched *cheby.Schedule, powers powersSched[B]) *innerCore[F, B] {
 	minv, fused := e.sys.FoldableDiag()
-	s := &innerCore[F, B]{
+	return &innerCore[F, B]{
 		e: e, sched: sched, powers: powers,
-		z: e.sys.Vec(vecInnerZ), rtemp: st.w, sd: st.s, alt: e.sys.Vec(vecAlt),
+		sd: e.sys.Vec(vecSD), alt: e.sys.Vec(vecAlt),
 		minv: minv, fused: fused,
 		bs: make([]B, 0, powers.Depth()),
 	}
-	if !s.fused {
-		s.zscr = st.z
-	}
-	return s
 }
 
-// apply advances the outer iterate, u += α·p and r −= α·w (skipped for a
-// zero p: the pre-loop call), and runs the inner Chebyshev iteration on
-// the new residual:
+// apply runs the engine's step st (none at the engine's startup) and the
+// inner Chebyshev iteration on the new residual, running rtemp in w:
 //
 //	rtemp = r;  sd = M⁻¹rtemp/θ;  z = sd
 //	repeat InnerSteps times:
@@ -776,37 +696,39 @@ func newInnerCore[F comparable, B any](e *engine[F, B], st *cgState[F], sched *c
 //	    sd    ← α_k·sd + β_k·M⁻¹rtemp
 //	    z     ← z + sd              (interior only)
 //
-// leaving the polynomial-preconditioned residual in s.z. On the fused
-// path the outer update and the set-up are one pointwise sweep
-// (PPCGInnerInit) and the steps one exchange buys are one pass over the
-// grid (ChebySteps, traced as a matvec per step over its bounds).
-func (s *innerCore[F, B]) apply(alpha float64, p, w, r F) error {
+// leaving the polynomial-preconditioned residual in z. On the fused path
+// the step and the set-up are one pointwise sweep (PPCGStep) and the
+// steps one exchange buys are one pass over the grid (ChebySteps, traced
+// as a matvec per step over its bounds). Unfused, the step is the
+// engine's three vector sweeps.
+func (s *innerCore[F, B]) apply(st *cgStep[F], r, z, w F) error {
 	e := s.e
 	sys := e.sys
 	in := e.in
+	s.applies++
 
 	if s.fused {
+		if st == nil {
+			st = &cgStep[F]{} // a zero p: no step
+		}
 		// Interior only: the depth-d exchange below rewrites every halo
 		// cell of sd and rtemp the extended bounds read.
-		sys.PPCGInnerInit(in, alpha, p, w, e.u, r, s.rtemp, 1/s.sched.Theta, s.minv, s.sd, s.z)
+		sys.PPCGStep(in, st.beta, st.alpha, st.p, st.s, e.u, z, w, r, 1/s.sched.Theta, s.minv, s.sd, st.d)
 		e.vectorPass(in)
-		return s.fusedSteps()
+		return s.fusedSteps(z, w)
 	}
 
-	if !isZeroF(p) {
-		// u += α·p and r −= α·w share one sweep.
-		sys.AxpyAxpy(in, alpha, p, e.u, -alpha, w, r)
-		e.vectorPass(in)
+	if st != nil {
+		e.step(st, z, w, r)
 	}
-	// rtemp starts as a copy of the outer residual; the depth-d
-	// exchange below makes its halo consistent before any
-	// extended-bounds work.
-	sys.CopyAll(s.rtemp, r)
+	// rtemp starts as a copy of r; the depth-d exchange below makes its
+	// halo consistent before any extended-bounds work.
+	sys.CopyAll(w, r)
 	e.vectorPass(in)
-	e.applyPrecond(in, s.rtemp, s.zscr)
-	sys.ScaleTo(in, 1/s.sched.Theta, s.zscr, s.sd)
+	e.applyPrecond(in, w, s.alt)
+	sys.ScaleTo(in, 1/s.sched.Theta, s.alt, s.sd)
 	e.vectorPass(in)
-	sys.Copy(in, s.z, s.sd)
+	sys.Copy(in, z, s.sd)
 	e.vectorPass(in)
 
 	// Force a fresh exchange at the start of every inner solve: rtemp and
@@ -820,7 +742,7 @@ func (s *innerCore[F, B]) apply(alpha float64, p, w, r F) error {
 			needExchange = !ok
 		}
 		if needExchange {
-			if err := e.exchange(s.powers.Depth(), s.sd, s.rtemp); err != nil {
+			if err := e.exchange(s.powers.Depth(), s.sd, w); err != nil {
 				return err
 			}
 			s.powers.Refill()
@@ -833,16 +755,16 @@ func (s *innerCore[F, B]) apply(alpha float64, p, w, r F) error {
 		}
 
 		e.matvec(b, s.sd, s.alt)
-		sys.Axpy(b, -1, s.alt, s.rtemp) // rtemp -= A·sd
+		sys.Axpy(b, -1, s.alt, w) // rtemp -= A·sd
 		e.vectorPass(b)
 
-		e.applyPrecond(b, s.rtemp, s.zscr)
-		// sd = α·sd + β·zscr (AxpbyPre with the identity).
+		e.applyPrecond(b, w, s.alt)
+		// sd = α·sd + β·M⁻¹rtemp (AxpbyPre with the identity).
 		var zero F
-		sys.AxpbyPre(b, s.sched.Alpha[step], s.sd, s.sched.Beta[step], zero, s.zscr)
+		sys.AxpbyPre(b, s.sched.Alpha[step], s.sd, s.sched.Beta[step], zero, s.alt)
 		e.vectorPass(b)
 
-		sys.Axpy(in, 1, s.sd, s.z) // z += sd (interior)
+		sys.Axpy(in, 1, s.sd, z) // z += sd (interior)
 		e.vectorPass(in)
 	}
 	return nil
@@ -850,13 +772,14 @@ func (s *innerCore[F, B]) apply(alpha float64, p, w, r F) error {
 
 // fusedSteps runs the fused path's InnerSteps Chebyshev steps as blocks:
 // one depth-d exchange of sd and rtemp, then up to d steps on the
-// schedule's shrinking bounds in one ChebySteps pass. Every inner solve
-// starts with a fresh exchange, because rtemp and sd were rebuilt from
-// the outer residual, so there are ⌈InnerSteps/d⌉ exchanges.
-func (s *innerCore[F, B]) fusedSteps() error {
+// schedule's shrinking bounds in one ChebySteps pass, accumulating into
+// z. Every inner solve starts with a fresh exchange, because rtemp and sd
+// were rebuilt from the outer residual, so there are ⌈InnerSteps/d⌉
+// exchanges.
+func (s *innerCore[F, B]) fusedSteps(z, rtemp F) error {
 	e := s.e
 	for step := 0; step < e.o.InnerSteps; {
-		if err := e.exchange(s.powers.Depth(), s.sd, s.rtemp); err != nil {
+		if err := e.exchange(s.powers.Depth(), s.sd, rtemp); err != nil {
 			return err
 		}
 		s.powers.Refill()
@@ -873,7 +796,7 @@ func (s *innerCore[F, B]) fusedSteps() error {
 			return fmt.Errorf("solver: matrix-powers schedule empty after refill")
 		}
 		e.chebySteps(s.bs, s.sched.Alpha[step:step+n], s.sched.Beta[step:step+n],
-			s.sd, s.alt, s.rtemp, s.minv, s.z)
+			s.sd, s.alt, rtemp, s.minv, z)
 		if n%2 == 1 {
 			s.sd, s.alt = s.alt, s.sd
 		}

@@ -19,11 +19,12 @@
 // (workspace.go), which keeps them from one solve to the next: a caller
 // that solves once per time step (core.Instance) allocates them in its
 // first step and clears them in every later one, bit-identical to fresh
-// fields. PPCG's inner solve runs on two fields its outer loop is not
-// reading at the time (the bootstrap's s, and w until the next matvec),
-// so CPPCG keeps six work fields per rank: r, w, p, s, the inner
-// correction z and the ping-pong direction. The package-level Solve*
-// functions run on a fresh Workspace of their own.
+// fields. PPCG's outer iteration is the CG engine with the inner
+// Chebyshev solve as its preconditioner, whose rtemp runs in the engine's
+// w (not read between the step and the next matvec), so CPPCG keeps
+// seven work fields per rank: r, w, p, s, the inner correction z and the
+// two ping-pong directions. The package-level Solve* functions run on a
+// fresh Workspace of their own.
 package solver
 
 import (
@@ -70,16 +71,13 @@ func ParseKind(s string) (Kind, error) {
 // satisfied by *deflate.Deflation (the contract is defined here rather
 // than importing internal/deflate so any coarse-space projector can be
 // composed in). CoarseCorrect applies u += W·E⁻¹·Wᵀ·r, zeroing the
-// deflation-space component of the residual; ProjectWDot applies
-// w ← P·w = w − A·W·E⁻¹·Wᵀ·w in place over the interior and returns the
-// rank-local dot (minv⊙x)·(P·w) from the same pass (nil minv = identity,
-// nil x = no dot). Both are
-// collective: in a distributed solve every rank must reach them together
-// (each performs exactly one reduction round through the solve's
-// communicator).
+// deflation-space component of the residual. It is collective: in a
+// distributed solve every rank must reach it together (it performs
+// exactly one reduction round through the solve's communicator).
 //
-// The CG engine projects without a round of the projector's own, in
-// three parts that ride its sweeps and its reduction: RestrictRow takes
+// The CG engine — CG's and PPCG's outer iteration — applies the
+// projection P = I − A·W·E⁻¹·Wᵀ without a round of the projector's own,
+// in three parts that ride its sweeps and its reduction: RestrictRow takes
 // row y of the interior of w into the restriction as the matvec finishes
 // it; Restriction returns the rank-local Wᵀ·w those rows make, which the
 // engine sums inside its one scalar round; SolveCoarse solves E·λ = b on
@@ -92,7 +90,6 @@ func ParseKind(s string) (Kind, error) {
 // for distinct rows.
 type Deflator interface {
 	CoarseCorrect(r, u *grid.Field2D)
-	ProjectWDot(w, minv, x *grid.Field2D) float64
 	RestrictRow(w *grid.Field2D, y int)
 	Restriction() []float64
 	SolveCoarse(b []float64) float64
@@ -106,7 +103,6 @@ type Deflator interface {
 // (j, k) = (y, z).
 type Deflator3D interface {
 	CoarseCorrect(r, u *grid.Field3D)
-	ProjectWDot(w, minv, x *grid.Field3D) float64
 	RestrictRow(w *grid.Field3D, j, k int)
 	Restriction() []float64
 	SolveCoarse(b []float64) float64
@@ -151,8 +147,8 @@ type Options struct {
 	// recover them exactly. Build one with deflate.New over the solve
 	// operator (*deflate.Deflation satisfies Deflator); the projector is
 	// fully distributed — restriction and prolongation are rank-local,
-	// and CG's projection rides its one reduction round per iteration
-	// (PPCG's outer projection still takes a round of its own).
+	// and the projection rides the CG engine's one reduction round per
+	// iteration, CG's and PPCG's outer iteration alike.
 	Deflation Deflator
 	// Deflation3D is the projector the 3D solve paths compose (built with
 	// deflate.New3D; *deflate.Deflation3D satisfies Deflator3D). Same
@@ -263,13 +259,13 @@ func (o Options) validate(p Problem) error {
 // ErrBreakdown reports that a Krylov solver observed a non-positive (or
 // NaN) curvature scalar at startup — the operator or preconditioner is
 // not positive definite as seen from the initial residual, so no
-// iteration can proceed — or that PPCG or Chebyshev saw a NON-FINITE
-// reduced scalar (p·A·p, r·z, ‖r‖²: non-finite input, or a polynomial
-// overflowing on a wild spectrum estimate), at the iteration it first
-// appeared: the iterate is lost and more sweeps cannot recover it. Other
-// in-loop breakdowns (conjugacy lost after useful progress) do not error;
-// they stop the iteration and set Result.Breakdown, like TeaLeaf's
-// pw == 0 guard.
+// iteration can proceed — or that a solver saw a NON-FINITE reduced
+// scalar (γ, δ, ‖r‖²: non-finite input, or PPCG's polynomial overflowing
+// on a wild spectrum estimate), at the iteration it first appeared: the
+// iterate is lost and more sweeps cannot recover it. Other in-loop
+// breakdowns (conjugacy lost after useful progress) do not error; they
+// stop the iteration and set Result.Breakdown, like TeaLeaf's pw == 0
+// guard.
 var ErrBreakdown = errors.New("solver: lost positive definiteness (breakdown)")
 
 // Result reports a solve's outcome and the op counts the scaling model

@@ -271,6 +271,23 @@ func TestSolvePPCGConverges(t *testing.T) {
 	}
 }
 
+// TestPPCGRestartStopsAtTol: PPCG's outer iteration continues from a
+// bootstrap that stopped just above the tolerance (31 bootstrap
+// iterations on this problem leave the iterate at 1.3·Tol), so it must
+// iterate on to Tol, not take the 10× margin a step's first residual
+// gets at startup.
+func TestPPCGRestartStopsAtTol(t *testing.T) {
+	const tol = 1e-10
+	p := buildProblem(t, 8, 8, 2, 7)
+	res, err := SolvePPCG(p, Options{Tol: tol, EigenCGIters: 31, InnerSteps: 6})
+	if err != nil || !res.Converged {
+		t.Fatalf("ppcg: %v (converged %v)", err, res.Converged)
+	}
+	if res.FinalResidual > tol || res.Iterations == res.BootstrapIters {
+		t.Errorf("ppcg stopped at relative residual %.3e (Tol %.0e) after %d outer iterations", res.FinalResidual, tol, res.Iterations-res.BootstrapIters)
+	}
+}
+
 func TestPPCGMatchesCGSolution(t *testing.T) {
 	a := buildProblem(t, 24, 24, 1, 12)
 	b := buildProblem(t, 24, 24, 1, 12)

@@ -133,8 +133,8 @@ func (s *sys2d) ChebySteps(bs []grid.Bounds, in grid.Bounds, alphas, betas []flo
 	s.op.ChebySteps(s.p, bs, in, alphas, betas, sd, alt, rtemp, minv, acc)
 }
 
-func (s *sys2d) PPCGInnerInit(b grid.Bounds, alpha float64, p, w, u, r, rtemp *grid.Field2D, thetaInv float64, minv, sd, z *grid.Field2D) {
-	kernels.PPCGInnerInit(s.p, b, alpha, p, w, u, r, rtemp, thetaInv, minv, sd, z)
+func (s *sys2d) PPCGStep(b grid.Bounds, beta, alpha float64, p, sv, u, z, w, r *grid.Field2D, thetaInv float64, minv, sd *grid.Field2D, d deflRows) {
+	kernels.PPCGStep(s.p, b, beta, alpha, p, sv, u, z, w, r, thetaInv, minv, sd, s.correct(d, w))
 }
 
 func (s *sys2d) PrecondApply(b grid.Bounds, r, z *grid.Field2D) { s.m.Apply(s.p, b, r, z) }

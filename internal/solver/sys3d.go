@@ -136,8 +136,8 @@ func (s *sys3d) ChebySteps(bs []grid.Bounds3D, in grid.Bounds3D, alphas, betas [
 	s.op.ChebySteps(s.p, bs, in, alphas, betas, sd, alt, rtemp, minv, acc)
 }
 
-func (s *sys3d) PPCGInnerInit(b grid.Bounds3D, alpha float64, p, w, u, r, rtemp *grid.Field3D, thetaInv float64, minv, sd, z *grid.Field3D) {
-	kernels.PPCGInnerInit3D(s.p, b, alpha, p, w, u, r, rtemp, thetaInv, minv, sd, z)
+func (s *sys3d) PPCGStep(b grid.Bounds3D, beta, alpha float64, p, sv, u, z, w, r *grid.Field3D, thetaInv float64, minv, sd *grid.Field3D, d deflRows) {
+	kernels.PPCGStep3D(s.p, b, beta, alpha, p, sv, u, z, w, r, thetaInv, minv, sd, s.correct(d, w))
 }
 
 func (s *sys3d) PrecondApply(b grid.Bounds3D, r, z *grid.Field3D) { s.m.Apply3D(s.p, b, r, z) }

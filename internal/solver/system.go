@@ -6,8 +6,8 @@ import (
 )
 
 // This file defines the dimension-agnostic solver core. The CG, Chebyshev
-// and PPCG single-reduction loops in loops.go are written exactly once,
-// against the system interface below; sys2d.go and sys3d.go back it with
+// and PPCG loops in loops.go are written exactly once, against the
+// system interface below; sys2d.go and sys3d.go back it with
 // the existing 2D and 3D kernels, operators and exchange paths. The
 // per-dimension Solve* entry points are thin constructors: they build a
 // system and an engine and hand control to the shared loops, so a solver
@@ -104,10 +104,17 @@ type system[F comparable, B any] interface {
 	// orders the steps row by row (stencil.Operator2D.ChebySteps), so every
 	// field ends as if each step had been its own sweep.
 	ChebySteps(bs []B, in B, alphas, betas []float64, sd, alt, rtemp, minv, acc F)
-	// PPCGInnerInit sets PPCG's inner solve up in one pointwise sweep over
-	// b: u += α·p and r −= α·w (skipped for a zero p), then rtemp = r,
-	// sd = θ⁻¹·(minv⊙r), z = sd.
-	PPCGInnerInit(b B, alpha float64, p, w, u, r, rtemp F, thetaInv float64, minv, sd, z F)
+	// PPCGStep is the CG engine's explicit-z step and the set-up of PPCG's
+	// inner solve in one pointwise sweep over b: p = z + β·p, u += α·p,
+	// s = w + β·s, r −= α·s (skipped for a zero p), then rtemp = r into
+	// w, sd = θ⁻¹·(minv⊙r), z = sd. With d.correct set each row of w takes
+	// the pending deflation correction just before it is read.
+	PPCGStep(b B, beta, alpha float64, p, s, u, z, w, r F, thetaInv float64, minv, sd F, d deflRows)
+
+	// JacobiSweep is the point-Jacobi update u = (rhs + Σ K·un(nbrs))/diag
+	// over the interior, reading the face coefficients directly, and
+	// returns the local Σ|u − un|.
+	JacobiSweep(u, un, rhs F) float64
 
 	// PrecondApply applies the configured preconditioner z = M⁻¹r over b.
 	PrecondApply(b B, r, z F)
@@ -130,15 +137,14 @@ type powersSched[B any] interface {
 	Refill()
 }
 
-// deflator is the outer deflation projector the CG and PPCG loops compose
-// with (§VII future work): the dimension-free part of the user-facing
+// deflator is the outer deflation projector the CG engine composes with
+// (§VII future work): the dimension-free part of the user-facing
 // Deflator/Deflator3D, whose doc states the contract, so
 // Options.Deflation and Options.Deflation3D satisfy it directly. Their
 // per-row methods (RestrictRow, CorrectRow) ride the sweeps inside the
 // system, which deflRows switches on.
 type deflator[F any] interface {
 	CoarseCorrect(r, u F)
-	ProjectWDot(w, minv, x F) float64
 	Restriction() []float64
 	SolveCoarse(b []float64) float64
 }
@@ -146,10 +152,10 @@ type deflator[F any] interface {
 // deflRows says what a sweep does for the deflation projector as it
 // passes the rows of the CG engine's w (the zero value: nothing).
 // correct: the sweep that first reads w applies the pending correction
-// w −= A·W·λ to each interior row just before reading it (the step,
-// or jac_block's s = w + β·s). restrict: the matvec hands each interior
-// row of the new w to the restriction once it is final. A sweep honours
-// the half that applies to it.
+// w −= A·W·λ to each interior row just before reading it (the step: CG's
+// fused one, the explicit-z s = w + β·s, or PPCG's). restrict: the
+// matvec hands each interior row of the new w to the restriction once it
+// is final. A sweep honours the half that applies to it.
 type deflRows struct{ correct, restrict bool }
 
 // isZeroF reports whether f is the zero value of its type (a nil field
@@ -197,14 +203,6 @@ func (e *engine[F, B]) dot(x, y F) float64 {
 	return e.c.AllReduceSum(e.sys.Dot(e.in, x, y))
 }
 
-// dotPair computes (r·z, r·r) in a single grid sweep and a single
-// reduction round, the fused form of the ρ/‖r‖ pair every PCG iteration
-// needs.
-func (e *engine[F, B]) dotPair(z, r F) (rz, rr float64) {
-	e.tr.AddDot(e.cells)
-	return e.c.AllReduceSum2(e.sys.Dot2(e.in, z, r, r))
-}
-
 // reduce performs one globally reduced scalar sum. The round itself is
 // counted by the communicator's trace; funneling it through the engine
 // keeps the iteration loops off the raw Communicator (the tracerounds
@@ -236,14 +234,6 @@ func (e *engine[F, B]) chebySteps(bs []B, alphas, betas []float64, sd, alt, rtem
 	}
 }
 
-// matvecDot fuses w = A·p with the global pw reduction (Listing 1).
-func (e *engine[F, B]) matvecDot(b B, p, w F) float64 {
-	local := e.sys.ApplyDot(b, p, w, deflRows{})
-	e.tr.AddMatvec(e.sys.Cells(b))
-	e.tr.AddDot(e.sys.Cells(b))
-	return e.c.AllReduceSum(local)
-}
-
 // cgIter runs a fused-CG iteration body as one pass (system.CGIter,
 // x = the solution) and traces the work it does as the two sweeps it
 // replaced, which is what the trace counts: a vector pass and a matvec
@@ -255,13 +245,24 @@ func (e *engine[F, B]) cgIter(minv, r, w F, beta, alpha float64, p, s F, d deflR
 	return gamma, rr, delta
 }
 
-// precondMatvec is the explicit-z half of a CG iteration for a
-// preconditioner that does not fold into the sweeps: z = M⁻¹r, a depth-1
-// exchange of z, w = A·z with the local δ = z·w from the same sweep (and
-// d's restriction of w), and one dot sweep for the local γ = r·z and
-// ‖r‖², all three for the iteration's one reduction round.
-func (e *engine[F, B]) precondMatvec(r, z, w F, d deflRows) (gamma, rr, delta float64, err error) {
-	e.applyPrecond(e.in, r, z)
+// precondMatvec is a CG iteration with an explicit z, for a
+// preconditioner that does not fold into the sweeps: the step st (nil at
+// startup), z = M⁻¹r — PPCG's inner solve m, which runs st itself, or
+// the configured preconditioner when m is nil — a depth-1 exchange of z,
+// w = A·z with the local δ = z·w from the same sweep (and d's
+// restriction of w), and one dot sweep for the local γ = r·z and ‖r‖²,
+// all three for the iteration's one reduction round.
+func (e *engine[F, B]) precondMatvec(m *innerCore[F, B], st *cgStep[F], r, z, w F, d deflRows) (gamma, rr, delta float64, err error) {
+	if m != nil {
+		if err := m.apply(st, r, z, w); err != nil {
+			return 0, 0, 0, err
+		}
+	} else {
+		if st != nil {
+			e.step(st, z, w, r)
+		}
+		e.applyPrecond(e.in, r, z)
+	}
 	if err := e.exchange(1, z); err != nil {
 		return 0, 0, 0, err
 	}
@@ -270,6 +271,18 @@ func (e *engine[F, B]) precondMatvec(r, z, w F, d deflRows) (gamma, rr, delta fl
 	gamma, rr = e.sys.Dot2(e.in, z, r, r)
 	e.tr.AddDot(e.cells)
 	return gamma, rr, delta, nil
+}
+
+// step runs st as three vector sweeps: p = z + β·p, then s = w + β·s
+// with st.d's pending correction applied to w's rows first, then
+// x += α·p and r −= α·s.
+func (e *engine[F, B]) step(st *cgStep[F], z, w, r F) {
+	e.sys.Xpay(e.in, z, st.beta, st.p, deflRows{})
+	e.sys.Xpay(e.in, w, st.beta, st.s, st.d)
+	e.sys.AxpyAxpy(e.in, st.alpha, st.p, e.u, -st.alpha, st.s, r)
+	e.vectorPass(e.in)
+	e.vectorPass(e.in)
+	e.vectorPass(e.in)
 }
 
 // reduceCG sums a CG iteration's local (γ, rr, δ) in ONE reduction
@@ -288,17 +301,6 @@ func (e *engine[F, B]) reduceCG(defl deflator[F], gamma, rr, delta float64) (flo
 		s[2] -= defl.SolveCoarse(s[3:])
 	}
 	return s[0], s[1], s[2]
-}
-
-// projectW applies the deflation projection w ← P·w over the interior
-// and returns the local curvature partial (minv⊙x)·(P·w), tracing the two
-// sweeps a projection runs: the read-only restriction and the flux
-// correction's read-modify-write (the dot rides the correction and is
-// not a sweep of its own).
-func (e *engine[F, B]) projectW(defl deflator[F], w, minv, x F) float64 {
-	e.tr.AddDot(e.cells)
-	e.tr.AddVectorPass(e.cells)
-	return defl.ProjectWDot(w, minv, x)
 }
 
 // initialResidual exchanges u, computes r = rhs − A·u on the interior and

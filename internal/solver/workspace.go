@@ -27,12 +27,14 @@ type Workspace struct {
 // and a field an engine no longer reads serves the next as it is:
 //
 //   - CG takes r, w, p and s, and z for a preconditioner that does not
-//     fold (jac_block's explicit z = M⁻¹r).
-//   - PPCG's inner solve takes its correction z and the ping-pong
-//     direction alt. Its rtemp is CG's w: the set-up sweep reads w[i]
-//     before it writes rtemp[i], and the next outer matvec rewrites w.
-//     Its sd is the bootstrap's s, which nothing reads after the
-//     bootstrap. Unfolded, its M⁻¹·rtemp scratch is the bootstrap's z.
+//     fold (jac_block's explicit z = M⁻¹r, or PPCG's inner solve).
+//   - PPCG's outer iteration is CG with the inner Chebyshev solve as M:
+//     the inner correction is CG's z, and the inner solve takes the
+//     ping-pong directions sd and alt. Its rtemp is CG's w: the step
+//     sweep reads w[i] before it writes rtemp[i], and the matvec after
+//     the inner solve rewrites w. Unfolded, its M⁻¹·rtemp scratch is
+//     alt, which each step's matvec has finished with. CG keeps s = A·p
+//     live across the inner solve, so PPCG takes all seven slots.
 //   - Chebyshev takes z for its scratch when CG folded the diagonal and
 //     left no z behind.
 //   - Jacobi takes r for its final residual and w for the previous
@@ -43,7 +45,7 @@ const (
 	vecP
 	vecS
 	vecZ
-	vecInnerZ
+	vecSD
 	vecAlt
 	numVecs
 )
@@ -55,7 +57,7 @@ func (ws *Workspace) Solve(kind Kind, p Problem, o Options) (Result, error) {
 		return Result{}, err
 	}
 	e := newEngine[*grid.Field2D, grid.Bounds](newSys2D(p, o, ws), o, p.U, p.RHS)
-	return solveKind(kind, e, func() (Result, error) { return jacobi2D(e, p.Op) })
+	return solveKind(kind, e)
 }
 
 // Solve3D runs the kind of solver on the 3D problem p with the work
@@ -66,20 +68,19 @@ func (ws *Workspace) Solve3D(kind Kind, p Problem3D, o Options) (Result, error) 
 		return Result{}, err
 	}
 	e := newEngine[*grid.Field3D, grid.Bounds3D](newSys3D(p, o, ws), o, p.U, p.RHS)
-	return solveKind(kind, e, func() (Result, error) { return jacobi3D(e, p.Op) })
+	return solveKind(kind, e)
 }
 
-// solveKind runs the loop of kind on e; jacobi is the dimension's Jacobi
-// loop, which reads the face coefficients directly.
-func solveKind[F comparable, B any](kind Kind, e *engine[F, B], jacobi func() (Result, error)) (Result, error) {
+// solveKind runs the loop of kind on e.
+func solveKind[F comparable, B any](kind Kind, e *engine[F, B]) (Result, error) {
 	if err := e.o.validateKind(kind); err != nil {
 		return Result{}, err
 	}
 	switch kind {
 	case KindJacobi:
-		return jacobi()
+		return solveJacobi(e)
 	case KindCG:
-		return solveCG(e)
+		return solveCG(e, nil, e.o.MaxIters, 0)
 	case KindCheby:
 		return solveChebyCore(e)
 	case KindPPCG:
@@ -88,18 +89,20 @@ func solveKind[F comparable, B any](kind Kind, e *engine[F, B], jacobi func() (R
 	return Result{}, fmt.Errorf("solver: unknown kind %q", kind)
 }
 
-// solveCG runs CG to e's iteration budget. A deflated solve can meet the
-// tolerance on its recurred residual and then fail finishDeflated's
-// re-measure of the true one (the coarse projector's roundoff drifts the
-// two apart); while it ends so — not converged, not broken down, budget
-// left — CG restarts from the corrected iterate with the iterations left.
-// The restart's startup takes the same ‖b‖ baseline, so History stays on
-// one scale; Alphas and Betas stay the first run's, one Krylov sequence.
-func solveCG[F comparable, B any](e *engine[F, B]) (Result, error) {
-	res, _, err := runCGCore(e, e.o.MaxIters, e.o.Tol)
-	for err == nil && e.sys.Deflation() != nil && !res.Converged && !res.Breakdown && res.Iterations < e.o.MaxIters {
+// solveCG runs CG — PPCG's outer iteration when m is its inner solve —
+// to the iteration budget maxIters, from the stop baseline base (see
+// runCGCore). A deflated solve can meet the tolerance on its recurred
+// residual and then fail finishDeflated's re-measure of the true one (the
+// coarse projector's roundoff drifts the two apart); while it ends so —
+// not converged, not broken down, budget left — CG restarts from the
+// corrected iterate with the iterations left. The restart's startup
+// takes the same ‖b‖ baseline, so History stays on one scale; Alphas and
+// Betas stay the first run's, one Krylov sequence.
+func solveCG[F comparable, B any](e *engine[F, B], m *innerCore[F, B], maxIters int, base float64) (Result, error) {
+	res, _, err := runCGCore(e, m, maxIters, base)
+	for err == nil && e.sys.Deflation() != nil && !res.Converged && !res.Breakdown && res.Iterations < maxIters {
 		var more Result
-		more, _, err = runCGCore(e, e.o.MaxIters-res.Iterations, e.o.Tol)
+		more, _, err = runCGCore(e, m, maxIters-res.Iterations, base)
 		res.Iterations += more.Iterations
 		res.History = append(res.History, more.History...)
 		res.Converged, res.Breakdown, res.FinalResidual = more.Converged, more.Breakdown, more.FinalResidual
