@@ -14,6 +14,11 @@
 // validation, set-up, Step, SetTimestep, Run and Summarise. Each typed
 // half supplies only what its dimension decides (the fields interface):
 // its fields, operator, preconditioner and deflation projector.
+//
+// Every grid-sized field an instance holds — its state fields, the face
+// coefficients, the preconditioner's field and the solver workspace's —
+// is carved from one grid.Arena, sized at set-up for the deck's solver
+// kind and preconditioner (see the slot constants).
 package core
 
 import (
@@ -48,8 +53,15 @@ type instance struct {
 	fields fields
 	kind   solver.Kind
 	opts   solver.Options
+	// arena holds every grid-sized field of the instance, one per slot;
+	// dims and spec locate its coefficient, preconditioner and
+	// workspace slots.
+	arena *grid.Arena
+	dims  int
+	spec  precond.Spec
 	// ws holds the solver's work fields from step to step: the first
-	// Step allocates them, every later one clears and reuses them.
+	// Step takes them from the arena, every later one clears and reuses
+	// them.
 	ws      solver.Workspace
 	stepNum int
 	simTime float64
@@ -75,6 +87,20 @@ type fields interface {
 	// storage, and the volume (area in 2D) of one cell.
 	interior() (w grid.Rows, density, energy []float64, cellVol float64)
 }
+
+// An instance's arena slots: the state fields, then the face
+// coefficients Kx, Ky (and Kz in 3D) from slotKx on, then the
+// preconditioner's field when it holds one (precond.Spec.Field), then the
+// workspace's fields (solver.WorkspaceFields). A Δt change rebuilds the
+// coefficients and the preconditioner's field into their own slots, so
+// SetTimestep never grows the instance.
+const (
+	slotDensity = iota
+	slotEnergy
+	slotU
+	slotU0
+	slotKx
+)
 
 // Instance is one rank's view of a TeaLeaf run.
 type Instance struct {
@@ -129,7 +155,7 @@ func NewSerial3D(d *deck.Deck, pool *par.Pool) (*Instance3D, error) {
 // painting and coefficients agree across ranks.
 func NewInstance(d *deck.Deck, g *grid.Grid2D, pool *par.Pool, c comm.Communicator) (*Instance, error) {
 	inst := &Instance{Grid: g}
-	if err := inst.start(d, pool, c, inst, 2); err != nil {
+	if err := inst.start(d, pool, c, inst, 2, g.Len()); err != nil {
 		return nil, err
 	}
 	return inst, nil
@@ -139,19 +165,19 @@ func NewInstance(d *deck.Deck, g *grid.Grid2D, pool *par.Pool, c comm.Communicat
 // which must carry true physical coordinates (grid.Grid3D.Sub does).
 func NewInstance3D(d *deck.Deck, g *grid.Grid3D, pool *par.Pool, c comm.Communicator) (*Instance3D, error) {
 	inst := &Instance3D{Grid: g}
-	if err := inst.start(d, pool, c, inst, 3); err != nil {
+	if err := inst.start(d, pool, c, inst, 3, g.Len()); err != nil {
 		return nil, err
 	}
 	return inst, nil
 }
 
-// start validates the deck and sets the instance up through f: the
-// painted fields, the operator and preconditioner at the deck's time
-// step, and — with tl_use_deflation — the distributed coarse subdomain
-// projector over this rank's slice of the operator (the coarse partition
-// spans the GLOBAL mesh; its constructor is collective), composed into
-// the CG or PPCG solve.
-func (r *instance) start(d *deck.Deck, pool *par.Pool, c comm.Communicator, f fields, dims int) error {
+// start validates the deck and sets the instance up through f: the arena
+// for fields of n cells, the painted fields, the operator and
+// preconditioner at the deck's time step, and — with tl_use_deflation —
+// the distributed coarse subdomain projector over this rank's slice of
+// the operator (the coarse partition spans the GLOBAL mesh; its
+// constructor is collective), composed into the CG or PPCG solve.
+func (r *instance) start(d *deck.Deck, pool *par.Pool, c comm.Communicator, f fields, dims, n int) error {
 	if err := d.Validate(); err != nil {
 		return err
 	}
@@ -165,7 +191,17 @@ func (r *instance) start(d *deck.Deck, pool *par.Pool, c comm.Communicator, f fi
 	if pool == nil {
 		pool = par.Serial
 	}
+	// An unknown preconditioner sizes the arena as the identity and fails
+	// in operator, with the registry's error.
+	spec, _ := precond.Lookup(d.Precond)
 	r.Deck, r.Pool, r.Comm, r.fields, r.kind = d, pool, c, f, kind
+	r.dims, r.spec = dims, spec
+	first := r.precondSlot()
+	if spec.Field {
+		first++
+	}
+	r.arena = grid.NewArena(n, first+solver.WorkspaceFields(kind, spec))
+	r.ws = solver.NewWorkspace(r.arena, first, kind, spec)
 	r.opts = solver.Options{
 		Tol:          d.Eps,
 		MaxIters:     d.MaxIters,
@@ -201,10 +237,14 @@ func coefficient(d *deck.Deck) stencil.Coefficient {
 	return stencil.Conductivity
 }
 
+// precondSlot returns the arena slot of the preconditioner's field, the
+// one after the face coefficients.
+func (r *instance) precondSlot() int { return slotKx + r.dims }
+
 func (inst *Instance) paint() error {
-	g := inst.Grid
-	inst.Density, inst.Energy = grid.NewField2D(g), grid.NewField2D(g)
-	inst.U, inst.u0 = grid.NewField2D(g), grid.NewField2D(g)
+	g, a := inst.Grid, inst.arena
+	inst.Density, inst.Energy = a.Field2D(slotDensity, g), a.Field2D(slotEnergy, g)
+	inst.U, inst.u0 = a.Field2D(slotU, g), a.Field2D(slotU0, g)
 	if err := problem.Paint(inst.Deck.States, inst.Density, inst.Energy); err != nil {
 		return err
 	}
@@ -214,9 +254,9 @@ func (inst *Instance) paint() error {
 }
 
 func (inst *Instance3D) paint() error {
-	g := inst.Grid
-	inst.Density, inst.Energy = grid.NewField3D(g), grid.NewField3D(g)
-	inst.U, inst.u0 = grid.NewField3D(g), grid.NewField3D(g)
+	g, a := inst.Grid, inst.arena
+	inst.Density, inst.Energy = a.Field3D(slotDensity, g), a.Field3D(slotEnergy, g)
+	inst.U, inst.u0 = a.Field3D(slotU, g), a.Field3D(slotU0, g)
 	if err := problem.Paint3D(inst.Deck.States, inst.Density, inst.Energy); err != nil {
 		return err
 	}
@@ -224,12 +264,17 @@ func (inst *Instance3D) paint() error {
 }
 
 func (inst *Instance) operator(dt float64) error {
-	op, err := stencil.BuildOperator2D(inst.Pool, inst.Density, dt, coefficient(inst.Deck),
-		stencil.PhysicalSides(inst.Comm.Physical()))
+	g, a := inst.Grid, inst.arena
+	op, err := stencil.BuildOperator2DInto(inst.Pool, inst.Density, dt, coefficient(inst.Deck),
+		stencil.PhysicalSides(inst.Comm.Physical()), a.Field2D(slotKx, g), a.Field2D(slotKx+1, g))
 	if err != nil {
 		return err
 	}
-	m, err := precond.FromName(inst.Deck.Precond, inst.Pool, op)
+	var d *grid.Field2D
+	if inst.spec.Field {
+		d = a.Field2D(inst.precondSlot(), g)
+	}
+	m, err := precond.FromNameInto(inst.Deck.Precond, inst.Pool, op, d)
 	if err != nil {
 		return err
 	}
@@ -243,12 +288,17 @@ func (inst *Instance) operator(dt float64) error {
 }
 
 func (inst *Instance3D) operator(dt float64) error {
-	op, err := stencil.BuildOperator3D(inst.Pool, inst.Density, dt, coefficient(inst.Deck),
-		stencil.PhysicalSides3D(inst.Comm.Physical3D()))
+	g, a := inst.Grid, inst.arena
+	op, err := stencil.BuildOperator3DInto(inst.Pool, inst.Density, dt, coefficient(inst.Deck),
+		stencil.PhysicalSides3D(inst.Comm.Physical3D()), a.Field3D(slotKx, g), a.Field3D(slotKx+1, g), a.Field3D(slotKx+2, g))
 	if err != nil {
 		return err
 	}
-	m, err := precond.FromName3D(inst.Deck.Precond, inst.Pool, op)
+	var d *grid.Field3D
+	if inst.spec.Field {
+		d = a.Field3D(inst.precondSlot(), g)
+	}
+	m, err := precond.FromName3DInto(inst.Deck.Precond, inst.Pool, op, d)
 	if err != nil {
 		return err
 	}
@@ -349,16 +399,20 @@ func (r *instance) Step() (solver.Result, error) {
 
 // SetTimestep changes the implicit time-step size for subsequent Steps.
 // The solve operator A = I + dt·div(k·grad) depends on dt, so a changed
-// dt rebuilds the operator and preconditioner and re-assembles the
-// deflation projector's coarse matrix E = WᵀAW (one reduction round).
+// dt rebuilds the operator and preconditioner — into the arena slots
+// their fields already hold, so the instance does not grow — and
+// re-assembles the deflation projector's coarse matrix E = WᵀAW (one
+// reduction round).
 // An unchanged dt is a no-op: the operator, factorization and cached E
 // all carry over with zero computation and zero communication — which
 // is why harnesses stepping at constant dt pay the coarse assembly
 // exactly once. Collective when the dt actually changes and deflation
 // is configured.
 func (r *instance) SetTimestep(dt float64) error {
-	if dt <= 0 {
-		return fmt.Errorf("core: SetTimestep requires dt > 0, got %g", dt)
+	// Checked before the rebuild: it clears the coefficient slots the
+	// installed operator reads before the builder could reject dt.
+	if !(dt > 0) || math.IsInf(dt, 1) {
+		return fmt.Errorf("core: SetTimestep requires a finite dt > 0, got %g", dt)
 	}
 	if dt == r.dt {
 		return nil

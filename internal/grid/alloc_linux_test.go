@@ -7,13 +7,10 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"unsafe"
 )
 
-func addr(d []float64) uintptr { return uintptr(unsafe.Pointer(&d[0])) }
-
-// Every field, small or large, is zeroed with len == cap == n; a large one
-// starts on a cache line.
+// Every field made outside an instance, small or large, is zeroed with
+// len == cap == n; a large one starts on a cache line.
 func TestNewDataShape(t *testing.T) {
 	for _, n := range []int{1, 1000, hugeMin/8 - 1, hugeMin / 8, 1026 * 1026, 130 * 130 * 130} {
 		d := newData(n)
@@ -31,69 +28,51 @@ func TestNewDataShape(t *testing.T) {
 	}
 }
 
-// A sweep's worth of consecutive large fields starts at distinct offsets
-// modulo 4 KiB and modulo 128 KiB (the L2 set period), each offset the
-// counter's step of the stagger.
-func TestNewDataStaggers(t *testing.T) {
-	const fields = 12
-	first := hugeFields.Load()
-	keep := make([][]float64, fields)
-	page, sets := map[uintptr]int{}, map[uintptr]int{}
-	for i := range keep {
-		keep[i] = newData(hugeMin / 8)
-		a := addr(keep[i])
-		if want := uintptr((first + uint64(i)) * stagger % hugePage); a%hugePage != want {
-			t.Fatalf("field %d starts %#x into its huge page, want %#x", i, a%hugePage, want)
-		}
-		if j, dup := page[a%4096]; dup {
-			t.Fatalf("fields %d and %d share offset %#x mod 4 KiB", j, i, a%4096)
-		}
-		if j, dup := sets[a%(128<<10)]; dup {
-			t.Fatalf("fields %d and %d share offset %#x mod 128 KiB", j, i, a%(128<<10))
-		}
-		page[a%4096], sets[a%(128<<10)] = i, i
-	}
-}
-
-// A field below hugeMin is make's plain slice: it takes no stagger slot.
-func TestSmallFieldsTakePlainPath(t *testing.T) {
-	before := hugeFields.Load()
-	newData(hugeMin/8 - 1)
-	NewField2D(mustGrid2D(t, 500, 500, 2))
-	if got := hugeFields.Load(); got != before {
-		t.Fatalf("small fields took %d stagger slots", got-before)
-	}
-	NewField3D(mustGrid3D(t, 80, 80, 80, 1))
-	if got := hugeFields.Load(); got != before+1 {
-		t.Fatalf("an 82³ field took %d stagger slots, want 1", got-before)
-	}
-}
-
-// Ranks allocate their fields at once: every start still gets its own
-// slot (run under -race too).
-func TestNewDataConcurrent(t *testing.T) {
-	const ranks, each = 4, 3
+// Two ranks of one hub process build their arenas at once: each slot
+// starts at the same offset into its huge page on both, as an arena of at
+// least hugeMin bytes starts on a huge-page boundary (run under -race
+// too).
+func TestArenaRanksShareOffsets(t *testing.T) {
+	const ranks, slots, n = 2, 9, 514 * 514
+	g := mustGrid2D(t, 512, 512, 1)
 	starts := make([][]uintptr, ranks)
 	var wg sync.WaitGroup
 	for r := range starts {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for range each {
-				d := newData(hugeMin / 8)
-				starts[r] = append(starts[r], addr(d)%hugePage)
+			a := NewArena(n, slots)
+			for i := range slots {
+				starts[r] = append(starts[r], addr(a.Field2D(i, g).Data)%hugePage)
 			}
 		}()
 	}
 	wg.Wait()
-	seen := map[uintptr]bool{}
-	for _, s := range starts {
-		for _, a := range s {
-			if seen[a] || a%64 != 0 {
-				t.Fatalf("start %#x into a huge page repeated or off a cache line", a)
-			}
-			seen[a] = true
+	for i := range slots {
+		if starts[0][i] != starts[1][i] {
+			t.Fatalf("slot %d starts %#x into its huge page on rank 0, %#x on rank 1", i, starts[0][i], starts[1][i])
 		}
+	}
+	if starts[0][0] != 0 {
+		t.Fatalf("slot 0 starts %#x into its huge page, want 0", starts[0][0])
+	}
+}
+
+// The kernel records the advice over an arena's whole huge pages (smaps'
+// hg flag), once for the whole arena.
+func TestArenaAdvisesHugePages(t *testing.T) {
+	if _, err := os.ReadFile("/sys/kernel/mm/transparent_hugepage/enabled"); err != nil {
+		t.Skip("kernel without transparent huge pages")
+	}
+	a := NewArena(514*514, 9)
+	start := addr(a.data)
+	lo := (start + hugePage - 1) &^ (hugePage - 1)
+	hi := (start + uintptr(len(a.data))*8) &^ (hugePage - 1)
+	if lo != start {
+		t.Fatalf("arena starts %#x, not on a huge page", start)
+	}
+	if m := mapping(t, lo); !m.flags["hg"] || m.end < hi {
+		t.Fatalf("mapping %#x-%#x (flags %v) does not carry hg over %#x-%#x", m.start, m.end, m.flags, lo, hi)
 	}
 }
 

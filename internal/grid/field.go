@@ -15,8 +15,9 @@ type Field2D struct {
 	Data []float64
 }
 
-// NewField2D allocates a zeroed field on g (see newData for where its
-// storage starts).
+// NewField2D allocates a zeroed field on g, on storage of its own (see
+// newData for where it starts); an instance's fields come from its Arena
+// instead.
 func NewField2D(g *Grid2D) *Field2D {
 	return &Field2D{Grid: g, Data: newData(g.Len())}
 }

@@ -9,13 +9,16 @@
 // read neighbour data without bounds checks. Interior cell (0,0) is the
 // bottom-left cell; halo cells carry negative indices down to -Halo.
 //
-// NewField2D and NewField3D are the one allocator of field storage. On
-// Linux a field of 4 MiB or more is an ordinary Go slice advised onto
-// 2 MiB transparent huge pages, each field starting at its own staggered
-// offset into its first huge page so that equal indices of different
-// fields do not share cache sets; smaller fields, and other platforms,
-// take a plain make. Either way a field is zeroed, GC-managed and has
-// len == cap.
+// Field storage comes from one of two allocators. An instance (one rank)
+// carves every field it holds from one Arena: a single allocation sized
+// at set-up, each field in its own slot at a staggered offset, so that
+// equal indices of different fields do not share cache sets; on Linux an
+// arena of 4 MiB or more starts on a 2 MiB boundary and is advised onto
+// transparent huge pages once. A field made outside an instance —
+// NewField2D, NewField3D, Clone — is allocated on its own: on Linux one
+// of 4 MiB or more is advised onto huge pages at a staggered start of its
+// own, smaller fields and other platforms take a plain make. Either way
+// a field is zeroed, GC-managed and has len == cap.
 package grid
 
 import (

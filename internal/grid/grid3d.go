@@ -115,8 +115,9 @@ type Field3D struct {
 	Data []float64
 }
 
-// NewField3D allocates a zeroed field on g (see newData for where its
-// storage starts).
+// NewField3D allocates a zeroed field on g, on storage of its own (see
+// newData for where it starts); an instance's fields come from its Arena
+// instead.
 func NewField3D(g *Grid3D) *Field3D {
 	return &Field3D{Grid: g, Data: newData(g.Len())}
 }

@@ -93,16 +93,24 @@ type Jacobi3D struct {
 // its outermost layer, where the stencil cannot be evaluated, so the
 // preconditioner remains valid on matrix-powers extended bounds.
 func NewJacobi(pool *par.Pool, op *stencil.Operator2D) *Jacobi {
-	g := op.Grid
-	d := grid.NewField2D(g)
-	op.InvDiagonal(pool, g.Interior().Expand(g.Halo-1, g), d)
-	return &Jacobi{invDiag: d}
+	return newJacobi(pool, op, grid.NewField2D(op.Grid))
 }
 
 // NewJacobi3D is NewJacobi on the 7-point operator.
 func NewJacobi3D(pool *par.Pool, op *stencil.Operator3D) *Jacobi3D {
+	return newJacobi3D(pool, op, grid.NewField3D(op.Grid))
+}
+
+// newJacobi is NewJacobi writing 1/diag(A) into d, a zeroed field on op's
+// grid.
+func newJacobi(pool *par.Pool, op *stencil.Operator2D, d *grid.Field2D) *Jacobi {
 	g := op.Grid
-	d := grid.NewField3D(g)
+	op.InvDiagonal(pool, g.Interior().Expand(g.Halo-1, g), d)
+	return &Jacobi{invDiag: d}
+}
+
+func newJacobi3D(pool *par.Pool, op *stencil.Operator3D, d *grid.Field3D) *Jacobi3D {
+	g := op.Grid
 	op.InvDiagonal(pool, g.Interior().Expand(g.Halo-1, g), d)
 	return &Jacobi3D{invDiag: d}
 }
@@ -193,17 +201,25 @@ type BlockJacobi3D struct{ strips }
 // NewBlockJacobi builds the strip preconditioner. blockSize <= 0 selects
 // the TeaLeaf default of 4.
 func NewBlockJacobi(pool *par.Pool, op *stencil.Operator2D, blockSize int) *BlockJacobi {
-	g := op.Grid
-	d := grid.NewField2D(g)
-	op.Diagonal(pool, g.Interior().Expand(g.Halo-1, g), d)
-	return &BlockJacobi{newStrips(d.Data, op.Ky.Data, blockSize)}
+	return newBlockJacobi(pool, op, grid.NewField2D(op.Grid), blockSize)
 }
 
 // NewBlockJacobi3D builds the z-strip preconditioner. blockSize <= 0
 // selects the TeaLeaf default of 4.
 func NewBlockJacobi3D(pool *par.Pool, op *stencil.Operator3D, blockSize int) *BlockJacobi3D {
+	return newBlockJacobi3D(pool, op, grid.NewField3D(op.Grid), blockSize)
+}
+
+// newBlockJacobi is NewBlockJacobi writing diag(A) into d, a zeroed field
+// on op's grid.
+func newBlockJacobi(pool *par.Pool, op *stencil.Operator2D, d *grid.Field2D, blockSize int) *BlockJacobi {
 	g := op.Grid
-	d := grid.NewField3D(g)
+	op.Diagonal(pool, g.Interior().Expand(g.Halo-1, g), d)
+	return &BlockJacobi{newStrips(d.Data, op.Ky.Data, blockSize)}
+}
+
+func newBlockJacobi3D(pool *par.Pool, op *stencil.Operator3D, d *grid.Field3D, blockSize int) *BlockJacobi3D {
+	g := op.Grid
 	op.Diagonal(pool, g.Interior().Expand(g.Halo-1, g), d)
 	return &BlockJacobi3D{newStrips(d.Data, op.Kz.Data, blockSize)}
 }
@@ -314,13 +330,19 @@ type Spec struct {
 	// would force an exchange per inner step and cancel the matrix-powers
 	// benefit (§IV-C2), so they are not deep-halo compatible.
 	DeepHalo bool
+	// Field reports that the preconditioner holds one grid-sized field
+	// (jac_diag's 1/diag(A), jac_block's diag(A)).
+	Field bool
+	// Folds reports a diagonal scaling that FoldableDiag hands the fused
+	// solver sweeps to fold, so a CG solve never materialises z = M⁻¹r.
+	Folds bool
 }
 
 // registry lists every preconditioner in deck-name order.
 var registry = []Spec{
-	{Name: "none", DeepHalo: true},
-	{Name: "jac_diag", DeepHalo: true},
-	{Name: "jac_block", DeepHalo: false},
+	{Name: "none", DeepHalo: true, Folds: true},
+	{Name: "jac_diag", DeepHalo: true, Field: true, Folds: true},
+	{Name: "jac_block", DeepHalo: false, Field: true},
 }
 
 // Specs returns the registry in deck-name order (a copy).
@@ -365,17 +387,27 @@ func lookup(name string) (Spec, error) {
 // FromName builds the 2D preconditioner named by a TeaLeaf input deck
 // value (tl_preconditioner_type), consulting the unified registry.
 func FromName(name string, pool *par.Pool, op *stencil.Operator2D) (Preconditioner, error) {
+	return FromNameInto(name, pool, op, nil)
+}
+
+// FromNameInto is FromName building the preconditioner's field
+// (Spec.Field) in d, a zeroed field on op's grid such as an instance's
+// arena slot; a nil d allocates it.
+func FromNameInto(name string, pool *par.Pool, op *stencil.Operator2D, d *grid.Field2D) (Preconditioner, error) {
 	s, err := lookup(name)
 	if err != nil {
 		return nil, err
+	}
+	if s.Field && d == nil {
+		d = grid.NewField2D(op.Grid)
 	}
 	switch s.Name {
 	case "none":
 		return NewNone(), nil
 	case "jac_diag":
-		return NewJacobi(pool, op), nil
+		return newJacobi(pool, op, d), nil
 	case "jac_block":
-		return NewBlockJacobi(pool, op, DefaultBlockSize), nil
+		return newBlockJacobi(pool, op, d, DefaultBlockSize), nil
 	}
 	return nil, fmt.Errorf("precond: %q is registered but has no constructor", s.Name)
 }
@@ -383,17 +415,25 @@ func FromName(name string, pool *par.Pool, op *stencil.Operator2D) (Precondition
 // FromName3D builds the 3D preconditioner named by a TeaLeaf input-deck
 // value, consulting the same registry as FromName.
 func FromName3D(name string, pool *par.Pool, op *stencil.Operator3D) (Preconditioner3D, error) {
+	return FromName3DInto(name, pool, op, nil)
+}
+
+// FromName3DInto is FromNameInto on the 7-point operator.
+func FromName3DInto(name string, pool *par.Pool, op *stencil.Operator3D, d *grid.Field3D) (Preconditioner3D, error) {
 	s, err := lookup(name)
 	if err != nil {
 		return nil, err
+	}
+	if s.Field && d == nil {
+		d = grid.NewField3D(op.Grid)
 	}
 	switch s.Name {
 	case "none":
 		return NewNone3D(), nil
 	case "jac_diag":
-		return NewJacobi3D(pool, op), nil
+		return newJacobi3D(pool, op, d), nil
 	case "jac_block":
-		return NewBlockJacobi3D(pool, op, DefaultBlockSize), nil
+		return newBlockJacobi3D(pool, op, d, DefaultBlockSize), nil
 	}
 	return nil, fmt.Errorf("precond: %q is registered but has no constructor", s.Name)
 }

@@ -247,8 +247,10 @@ func TestFromName(t *testing.T) {
 
 // The registry is the single source of truth: every entry must be
 // constructible in both dimensionalities, and the diagonal folding the
-// fused loops rely on and the deep-halo capability the solver's option
-// validation reads must be what each preconditioner is.
+// fused loops rely on (Folds), the deep-halo capability the solver's
+// option validation reads and the field an instance sizes its arena by
+// (Field: every preconditioner but the identity) must be what each
+// preconditioner is.
 func TestRegistryCapabilities(t *testing.T) {
 	op := testOperator(t, 6, 6, 1, 16)
 	op3 := testOperator3D(t, 4, 1)
@@ -266,8 +268,9 @@ func TestRegistryCapabilities(t *testing.T) {
 			t.Errorf("unexpected registry entry %q", s.Name)
 			continue
 		}
-		if s.DeepHalo != w.deepHalo {
-			t.Errorf("%s: registry DeepHalo=%v, want %v", s.Name, s.DeepHalo, w.deepHalo)
+		if s.DeepHalo != w.deepHalo || s.Folds != w.foldable || s.Field != (s.Name != "none") {
+			t.Errorf("%s: registry DeepHalo=%v Folds=%v Field=%v, want %v %v %v",
+				s.Name, s.DeepHalo, s.Folds, s.Field, w.deepHalo, w.foldable, s.Name != "none")
 		}
 		m, err := FromName(s.Name, par.Serial, op)
 		if err != nil {

@@ -4,27 +4,37 @@ import (
 	"fmt"
 
 	"tealeaf/internal/grid"
+	"tealeaf/internal/precond"
 )
 
 // Workspace holds a solver's work fields from one solve to the next, so
-// that a run of time steps allocates them once. A field is allocated the
+// that a run of time steps allocates them once. A field is made the
 // first time a solve takes its slot, on the operator's grid; every later
 // take clears it whole, halos included, so a reused field reads exactly
 // what a fresh allocation would, and a solve through a workspace is
 // bit-identical to one through fresh fields. A take on another grid
-// allocates the slot again.
+// makes the slot again.
 //
-// The zero value is ready to use and holds nothing, so a caller that
-// builds one at set-up allocates nothing until its first solve. A
-// Workspace serves one solve at a time. Solve, SolveCG and the other
-// package-level entry points run on a fresh Workspace of their own.
+// A workspace from NewWorkspace makes the first field of each slot its
+// solve kind takes (vecsFor) in an arena slot, so an instance's work
+// fields share its one allocation; the zero value, and a slot the kind
+// does not take, makes its fields with grid.NewField2D or NewField3D. The
+// zero value holds nothing, so a caller that builds one at set-up
+// allocates nothing until its first solve. A Workspace serves one solve
+// at a time. Solve, SolveCG and the other package-level entry points run
+// on a fresh Workspace of their own.
 type Workspace struct {
 	f2 [numVecs]*grid.Field2D
 	f3 [numVecs]*grid.Field3D
+	// arena holds the first field of each slot the kind takes: slot s's
+	// is arena slot at[s]−1, and at[s] == 0 for a slot it does not hold.
+	arena *grid.Arena
+	at    [numVecs]int
 }
 
 // The workspace's slots. Each engine takes its work fields from these,
-// and a field an engine no longer reads serves the next as it is:
+// and a field an engine no longer reads serves the next as it is (see
+// vecsFor for which slots each kind takes):
 //
 //   - CG takes r, w, p and s, and z for a preconditioner that does not
 //     fold (jac_block's explicit z = M⁻¹r, or PPCG's inner solve).
@@ -35,8 +45,9 @@ type Workspace struct {
 //     the inner solve rewrites w. Unfolded, its M⁻¹·rtemp scratch is
 //     alt, which each step's matvec has finished with. CG keeps s = A·p
 //     live across the inner solve, so PPCG takes all seven slots.
-//   - Chebyshev takes z for its scratch when CG folded the diagonal and
-//     left no z behind.
+//   - Chebyshev's CG bootstrap takes CG's slots, and its continuation
+//     takes z for its scratch when CG folded a diagonal and left no z
+//     behind; with the identity z is r.
 //   - Jacobi takes r for its final residual and w for the previous
 //     iterate.
 const (
@@ -49,6 +60,40 @@ const (
 	vecAlt
 	numVecs
 )
+
+// vecsFor returns the slots a solve of kind takes with the preconditioner
+// m, in slot order: the one statement of each engine's slot set, which
+// sizes an instance's arena (WorkspaceFields) and places its fields
+// (NewWorkspace).
+func vecsFor(kind Kind, m precond.Spec) []int {
+	switch kind {
+	case KindJacobi:
+		return []int{vecR, vecW}
+	case KindPPCG:
+		return []int{vecR, vecW, vecP, vecS, vecZ, vecSD, vecAlt}
+	}
+	vecs := []int{vecR, vecW, vecP, vecS}
+	if !m.Folds || kind == KindCheby && m.Field {
+		vecs = append(vecs, vecZ)
+	}
+	return vecs
+}
+
+// WorkspaceFields returns how many fields a solve of kind takes from its
+// workspace with the preconditioner m: the arena slots NewWorkspace
+// places them in.
+func WorkspaceFields(kind Kind, m precond.Spec) int { return len(vecsFor(kind, m)) }
+
+// NewWorkspace returns a workspace that makes the first field of each
+// slot a solve of kind with the preconditioner m takes in the arena,
+// from arena slot first on (WorkspaceFields of them).
+func NewWorkspace(arena *grid.Arena, first int, kind Kind, m precond.Spec) Workspace {
+	ws := Workspace{arena: arena}
+	for i, slot := range vecsFor(kind, m) {
+		ws.at[slot] = 1 + first + i
+	}
+	return ws
+}
 
 // Solve runs the kind of solver on p with the work fields of ws.
 func (ws *Workspace) Solve(kind Kind, p Problem, o Options) (Result, error) {
@@ -110,26 +155,48 @@ func solveCG[F comparable, B any](e *engine[F, B], m *innerCore[F, B], maxIters 
 	return res, err
 }
 
+// Data returns the storage of every field ws holds, in slot order.
+func (ws *Workspace) Data() [][]float64 {
+	var out [][]float64
+	for i := range numVecs {
+		if f := ws.f2[i]; f != nil {
+			out = append(out, f.Data)
+		}
+		if f := ws.f3[i]; f != nil {
+			out = append(out, f.Data)
+		}
+	}
+	return out
+}
+
 // vec2 takes slot's field on grid g.
 func (ws *Workspace) vec2(slot int, g *grid.Grid2D) *grid.Field2D {
 	f := ws.f2[slot]
-	if f == nil || f.Grid != g {
+	switch {
+	case f == nil && ws.at[slot] > 0:
+		f = ws.arena.Field2D(ws.at[slot]-1, g)
+	case f == nil || f.Grid != g:
 		f = grid.NewField2D(g)
-		ws.f2[slot] = f
+	default:
+		clear(f.Data)
 		return f
 	}
-	clear(f.Data)
+	ws.f2[slot] = f
 	return f
 }
 
 // vec3 takes slot's field on the 3D grid g.
 func (ws *Workspace) vec3(slot int, g *grid.Grid3D) *grid.Field3D {
 	f := ws.f3[slot]
-	if f == nil || f.Grid != g {
+	switch {
+	case f == nil && ws.at[slot] > 0:
+		f = ws.arena.Field3D(ws.at[slot]-1, g)
+	case f == nil || f.Grid != g:
 		f = grid.NewField3D(g)
-		ws.f3[slot] = f
+	default:
+		clear(f.Data)
 		return f
 	}
-	clear(f.Data)
+	ws.f3[slot] = f
 	return f
 }

@@ -137,14 +137,22 @@ func checkBuild(dt float64, coef Coefficient) error {
 // with w the per-cell conduction coefficient, then faces on the physical
 // boundary are zeroed (zero-flux boundary condition).
 func BuildOperator2D(pool *par.Pool, density *grid.Field2D, dt float64, coef Coefficient, phys PhysicalSides) (*Operator2D, error) {
+	g := density.Grid
+	return BuildOperator2DInto(pool, density, dt, coef, phys, grid.NewField2D(g), grid.NewField2D(g))
+}
+
+// BuildOperator2DInto is BuildOperator2D writing the face coefficients
+// into kx and ky: zeroed fields on density's grid, such as an instance's
+// arena slots.
+func BuildOperator2DInto(pool *par.Pool, density *grid.Field2D, dt float64, coef Coefficient, phys PhysicalSides, kx, ky *grid.Field2D) (*Operator2D, error) {
 	if err := checkBuild(dt, coef); err != nil {
 		return nil, err
 	}
 	g := density.Grid
 	op := &Operator2D{
 		Grid: g,
-		Kx:   grid.NewField2D(g),
-		Ky:   grid.NewField2D(g),
+		Kx:   kx,
+		Ky:   ky,
 		Rx:   dt / (g.DX * g.DX),
 		Ry:   dt / (g.DY * g.DY),
 	}
@@ -164,13 +172,21 @@ func BuildOperator2D(pool *par.Pool, density *grid.Field2D, dt float64, coef Coe
 // their neighbour-coupled coefficients so the distributed operator equals
 // the global one.
 func BuildOperator3D(pool *par.Pool, density *grid.Field3D, dt float64, coef Coefficient, phys PhysicalSides3D) (*Operator3D, error) {
+	g := density.Grid
+	return BuildOperator3DInto(pool, density, dt, coef, phys, grid.NewField3D(g), grid.NewField3D(g), grid.NewField3D(g))
+}
+
+// BuildOperator3DInto is BuildOperator3D writing the face coefficients
+// into kx, ky and kz: zeroed fields on density's grid, such as an
+// instance's arena slots.
+func BuildOperator3DInto(pool *par.Pool, density *grid.Field3D, dt float64, coef Coefficient, phys PhysicalSides3D, kx, ky, kz *grid.Field3D) (*Operator3D, error) {
 	if err := checkBuild(dt, coef); err != nil {
 		return nil, err
 	}
 	g := density.Grid
 	op := &Operator3D{
 		Grid: g,
-		Kx:   grid.NewField3D(g), Ky: grid.NewField3D(g), Kz: grid.NewField3D(g),
+		Kx:   kx, Ky: ky, Kz: kz,
 		Rx: dt / (g.DX * g.DX), Ry: dt / (g.DY * g.DY), Rz: dt / (g.DZ * g.DZ),
 	}
 	in := g.Interior()
