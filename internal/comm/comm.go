@@ -18,11 +18,16 @@
 // every dot-product reduction goes through it, so the same solver code
 // runs single-rank or multi-rank on any backend, and every communication
 // event is recorded in a stats.Trace for the performance model.
+//
+// The halo exchange is written once (exchange.go), for every backend and
+// both dimensions: it runs over a field's grid.Layout, in which a 2D
+// field is the nz = 1 case with no z halo, and over one decomposition
+// per Hub or TCP communicator, in which a 2D partition is one rank deep
+// in z. Exchange and Exchange3D, and each backend's GatherInterior and
+// GatherInterior3D, are adapters onto that code.
 package comm
 
 import (
-	"fmt"
-
 	"tealeaf/internal/grid"
 	"tealeaf/internal/stats"
 )
@@ -159,58 +164,18 @@ func (s *Serial) Physical3D() PhysicalSides3D {
 	return PhysicalSides3D{Left: true, Right: true, Down: true, Up: true, Back: true, Front: true}
 }
 
-// Exchange implements Communicator by reflecting all four sides. It
-// validates exactly as the multi-rank exchange does — depth against the
-// halo, and a shared grid shape across all fields — so a mixed-shape
-// multi-field exchange fails identically single- and multi-rank.
+// Exchange implements Communicator by reflecting all four sides. It runs
+// the multi-rank exchange's core with no neighbours, so it validates
+// exactly as that does — depth against the halo, and a shared grid shape
+// across all fields — and a mixed-shape multi-field exchange fails
+// identically single- and multi-rank.
 func (s *Serial) Exchange(depth int, fields ...*grid.Field2D) error {
-	if len(fields) == 0 {
-		return nil
-	}
-	g := fields[0].Grid
-	if depth < 1 || depth > g.Halo {
-		return fmt.Errorf("comm: exchange depth %d outside [1,%d]", depth, g.Halo)
-	}
-	if depth > g.NX || depth > g.NY {
-		// A zero-flux mirror deeper than the domain would read outside the
-		// interior — reject it like the multi-rank exchange does for
-		// sub-domains thinner than the depth.
-		return fmt.Errorf("comm: exchange depth %d exceeds the domain extent %dx%d", depth, g.NX, g.NY)
-	}
-	for _, f := range fields {
-		if f.Grid.NX != g.NX || f.Grid.NY != g.NY || f.Grid.Halo != g.Halo {
-			return fmt.Errorf("comm: all fields in one exchange must share grid shape")
-		}
-	}
-	for _, f := range fields {
-		f.ReflectHalos(depth)
-	}
-	s.trace.AddExchange(depth, 0, 0)
-	return nil
+	return exchange(nil, wholeDomain(2), &s.trace, 2, depth, fields)
 }
 
 // Exchange3D implements Communicator by reflecting all six faces.
 func (s *Serial) Exchange3D(depth int, fields ...*grid.Field3D) error {
-	if len(fields) == 0 {
-		return nil
-	}
-	g := fields[0].Grid
-	if depth < 1 || depth > g.Halo {
-		return fmt.Errorf("comm: exchange depth %d outside [1,%d]", depth, g.Halo)
-	}
-	if depth > g.NX || depth > g.NY || depth > g.NZ {
-		return fmt.Errorf("comm: exchange depth %d exceeds the domain extent %dx%dx%d", depth, g.NX, g.NY, g.NZ)
-	}
-	for _, f := range fields {
-		if f.Grid.NX != g.NX || f.Grid.NY != g.NY || f.Grid.NZ != g.NZ || f.Grid.Halo != g.Halo {
-			return fmt.Errorf("comm: all fields in one exchange must share grid shape")
-		}
-	}
-	for _, f := range fields {
-		f.ReflectHalos(depth)
-	}
-	s.trace.AddExchange(depth, 0, 0)
-	return nil
+	return exchange(nil, wholeDomain(3), &s.trace, 3, depth, fields)
 }
 
 // AllReduceSum implements Communicator.
@@ -258,35 +223,20 @@ func (s *Serial) Barrier() {}
 // GatherInterior implements Communicator: single-rank, the "gather" is a
 // straight interior copy into dst (which must match the local shape).
 func (s *Serial) GatherInterior(local *grid.Field2D, dst *grid.Field2D) error {
-	if dst == nil {
-		return fmt.Errorf("comm: rank 0 needs a destination field")
-	}
-	g := local.Grid
-	if dst.Grid.NX != g.NX || dst.Grid.NY != g.NY {
-		return fmt.Errorf("comm: destination %dx%d does not match global %dx%d",
-			dst.Grid.NX, dst.Grid.NY, g.NX, g.NY)
-	}
-	for k := 0; k < g.NY; k++ {
-		copy(dst.Row(k, 0, g.NX), local.Row(k, 0, g.NX))
-	}
-	return nil
+	return serialGather(2, local, dst)
 }
 
-// GatherInterior3D implements Communicator: the 3D twin of GatherInterior.
+// GatherInterior3D implements Communicator: GatherInterior for 3D fields.
 func (s *Serial) GatherInterior3D(local *grid.Field3D, dst *grid.Field3D) error {
-	if dst == nil {
-		return fmt.Errorf("comm: rank 0 needs a destination field")
+	return serialGather(3, local, dst)
+}
+
+func serialGather[F haloField](dims int, local, dst F) error {
+	lay := local.Layout()
+	if err := gatherDestination(dst, dims, lay.N); err != nil {
+		return err
 	}
-	g := local.Grid
-	if dst.Grid.NX != g.NX || dst.Grid.NY != g.NY || dst.Grid.NZ != g.NZ {
-		return fmt.Errorf("comm: destination %dx%dx%d does not match global %dx%dx%d",
-			dst.Grid.NX, dst.Grid.NY, dst.Grid.NZ, g.NX, g.NY, g.NZ)
-	}
-	for k := 0; k < g.NZ; k++ {
-		for j := 0; j < g.NY; j++ {
-			copy(dst.Row(j, k, 0, g.NX), local.Row(j, k, 0, g.NX))
-		}
-	}
+	placeInterior(dst.Layout(), dst.DataOrNil(), grid.Extent3D{}, lay, local.DataOrNil())
 	return nil
 }
 

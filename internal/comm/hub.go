@@ -10,13 +10,12 @@ import (
 	"tealeaf/internal/stats"
 )
 
-// Hub owns the shared state of a multi-rank run: the partition (2D or
-// 3D), the point-to-point mailboxes, and the collective accumulator.
-// Create one Hub per distributed solve, obtain one RankComm per rank with
-// Comm, and run each rank in its own goroutine.
+// Hub owns the shared state of a multi-rank run: the decomposition (2D
+// or 3D), the point-to-point mailboxes, and the collective accumulator.
+// Run and Run3D build one per distributed solve and run each rank, with
+// the RankComm that Comm returns, in its own goroutine.
 type Hub struct {
-	part  *grid.Partition   // set for 2D runs
-	part3 *grid.Partition3D // set for 3D runs
+	dec *decomposition
 	// mail[rank][side] delivers messages that arrive at rank from the
 	// given direction. Buffered so a rank can post all its sends for a
 	// phase before draining its receives.
@@ -29,31 +28,19 @@ type Hub struct {
 	collMu sync.Mutex
 	colls  map[int]*collective
 	gat    chan gatherMsg
-	gat3   chan gatherMsg3
 	// apart keeps the ranks off each other's CPUs (see place.Group); set
 	// by Run and Run3D, whose ranks change threads whenever a receive
-	// parks them, nil on a bare NewHub.
+	// parks them.
 	apart *place.Group
 }
 
-// NewHub builds the communication fabric for the given 2D partition.
-func NewHub(part *grid.Partition) *Hub {
-	return newHub(part, nil, part.Ranks())
-}
-
-// NewHub3D builds the communication fabric for the given 3D partition.
-func NewHub3D(part3 *grid.Partition3D) *Hub {
-	return newHub(nil, part3, part3.Ranks())
-}
-
-func newHub(part *grid.Partition, part3 *grid.Partition3D, n int) *Hub {
+func newHub(dec *decomposition) *Hub {
+	n := dec.ranks()
 	h := &Hub{
-		part:  part,
-		part3: part3,
-		mail:  make([][]chan []float64, n),
-		coll:  newCollective(n),
-		gat:   make(chan gatherMsg, n),
-		gat3:  make(chan gatherMsg3, n),
+		dec:  dec,
+		mail: make([][]chan []float64, n),
+		coll: newCollective(n),
+		gat:  make(chan gatherMsg, n),
 	}
 	for r := 0; r < n; r++ {
 		h.mail[r] = make([]chan []float64, grid.NumSides3D)
@@ -65,18 +52,7 @@ func newHub(part *grid.Partition, part3 *grid.Partition3D, n int) *Hub {
 }
 
 // Ranks returns the hub's rank count.
-func (h *Hub) Ranks() int {
-	if h.part3 != nil {
-		return h.part3.Ranks()
-	}
-	return h.part.Ranks()
-}
-
-// Partition returns the 2D partition the hub was built for (nil for 3D hubs).
-func (h *Hub) Partition() *grid.Partition { return h.part }
-
-// Partition3D returns the 3D partition the hub was built for (nil for 2D hubs).
-func (h *Hub) Partition3D() *grid.Partition3D { return h.part3 }
+func (h *Hub) Ranks() int { return h.dec.ranks() }
 
 // Comm returns the communicator endpoint for the given rank.
 func (h *Hub) Comm(rank int) *RankComm {
@@ -119,35 +95,11 @@ func (c *RankComm) Trace() *stats.Trace { return &c.trace }
 
 // Physical implements Communicator. The hub must have been built over a
 // 2D partition.
-func (c *RankComm) Physical() PhysicalSides {
-	p := c.hub.part
-	if p == nil {
-		panic("comm: Physical called on a 3D-partition communicator; use Physical3D")
-	}
-	return PhysicalSides{
-		Left:  p.OnBoundary(c.rank, grid.Left),
-		Right: p.OnBoundary(c.rank, grid.Right),
-		Down:  p.OnBoundary(c.rank, grid.Down),
-		Up:    p.OnBoundary(c.rank, grid.Up),
-	}
-}
+func (c *RankComm) Physical() PhysicalSides { return c.hub.dec.physical(c.rank) }
 
 // Physical3D implements Communicator. The hub must have been built over a
 // 3D partition.
-func (c *RankComm) Physical3D() PhysicalSides3D {
-	p := c.hub.part3
-	if p == nil {
-		panic("comm: Physical3D called on a 2D-partition communicator; use Physical")
-	}
-	return PhysicalSides3D{
-		Left:  p.OnBoundary(c.rank, grid.Left),
-		Right: p.OnBoundary(c.rank, grid.Right),
-		Down:  p.OnBoundary(c.rank, grid.Down),
-		Up:    p.OnBoundary(c.rank, grid.Up),
-		Back:  p.OnBoundary(c.rank, grid.Back),
-		Front: p.OnBoundary(c.rank, grid.Front),
-	}
-}
+func (c *RankComm) Physical3D() PhysicalSides3D { return c.hub.dec.physical3D(c.rank) }
 
 // hubSlabs carries exchange slabs over the Hub's buffered mailbox
 // channels; it is RankComm's slabTransport for the shared exchange core.
@@ -211,70 +163,15 @@ func (h hubSlabs) recvSlab(from int, side grid.Side, wantLen int) ([]float64, er
 // Exchange implements Communicator with the standard two-phase
 // corner-correct scheme — exactly TeaLeaf's update_halo ordering. The
 // phase core (validation, reflect/pack/send/recv/unpack) is shared with
-// the TCP backend in exchange.go; only the slab transport differs.
+// the TCP and Serial backends and with Exchange3D in exchange.go; only
+// the slab transport differs.
 func (c *RankComm) Exchange(depth int, fields ...*grid.Field2D) error {
-	if len(fields) == 0 {
-		return nil
-	}
-	if c.hub.part == nil {
-		return fmt.Errorf("comm: 2D exchange on a 3D-partition communicator")
-	}
-	messages, bytes, err := exchange2D(hubSlabs{c}, c.hub.part, c.rank, c.Physical(), depth, fields)
-	if err != nil {
-		return err
-	}
-	c.trace.AddExchange(depth, messages, bytes)
-	return nil
+	return exchange(hubSlabs{c}, c.hub.dec.rank(c.rank), &c.trace, 2, depth, fields)
 }
 
-// packX packs columns [x0,x1) over interior rows [0,NY) of every field.
-func packX(tr slabTransport, fields []*grid.Field2D, x0, x1, depth int) []float64 {
-	g := fields[0].Grid
-	msg := tr.slab(len(fields) * (x1 - x0) * g.NY)
-	for _, f := range fields {
-		for k := 0; k < g.NY; k++ {
-			msg = append(msg, f.Row(k, x0, x1)...)
-		}
-	}
-	return msg
-}
-
-func unpackX(fields []*grid.Field2D, msg []float64, x0, x1, depth int) {
-	g := fields[0].Grid
-	pos := 0
-	w := x1 - x0
-	for _, f := range fields {
-		for k := 0; k < g.NY; k++ {
-			copy(f.Row(k, x0, x1), msg[pos:pos+w])
-			pos += w
-		}
-	}
-}
-
-// packY packs rows [y0,y1) spanning [-depth, NX+depth) of every field,
-// including the x-halo columns (they carry the diagonal-corner data).
-func packY(tr slabTransport, fields []*grid.Field2D, y0, y1, depth int) []float64 {
-	g := fields[0].Grid
-	w := g.NX + 2*depth
-	msg := tr.slab(len(fields) * (y1 - y0) * w)
-	for _, f := range fields {
-		for k := y0; k < y1; k++ {
-			msg = append(msg, f.Row(k, -depth, g.NX+depth)...)
-		}
-	}
-	return msg
-}
-
-func unpackY(fields []*grid.Field2D, msg []float64, y0, y1, depth int) {
-	g := fields[0].Grid
-	w := g.NX + 2*depth
-	pos := 0
-	for _, f := range fields {
-		for k := y0; k < y1; k++ {
-			copy(f.Row(k, -depth, g.NX+depth), msg[pos:pos+w])
-			pos += w
-		}
-	}
+// Exchange3D implements Communicator: Exchange's core with its z phase.
+func (c *RankComm) Exchange3D(depth int, fields ...*grid.Field3D) error {
+	return exchange(hubSlabs{c}, c.hub.dec.rank(c.rank), &c.trace, 3, depth, fields)
 }
 
 // AllReduceSum implements Communicator.
@@ -505,8 +402,8 @@ func (h *collHandle) Finish() []float64 {
 
 // gatherMsg carries one rank's interior block to rank 0.
 type gatherMsg struct {
-	extent grid.Extent
-	data   []float64 // row-major, extent.NX() wide
+	extent grid.Extent3D
+	data   []float64 // in storage order, extent.NX() wide rows
 }
 
 // GatherInterior assembles the ranks' interior blocks into the provided
@@ -514,19 +411,24 @@ type gatherMsg struct {
 // rank must call it. Used for output and verification, not in solver inner
 // loops.
 func (c *RankComm) GatherInterior(local *grid.Field2D, dst *grid.Field2D) error {
-	if c.hub.part == nil {
-		return fmt.Errorf("comm: 2D gather on a 3D-partition communicator")
+	return hubGather(c, 2, local, dst)
+}
+
+// GatherInterior3D implements Communicator: GatherInterior for 3D fields.
+func (c *RankComm) GatherInterior3D(local *grid.Field3D, dst *grid.Field3D) error {
+	return hubGather(c, 3, local, dst)
+}
+
+// hubGather is the Hub's one gather: every rank posts its block on the
+// hub's gather channel and rank 0 drains them into dst by extent.
+func hubGather[F haloField](c *RankComm, dims int, local, dst F) error {
+	d := c.hub.dec
+	lay := local.Layout()
+	ext, err := d.gatherSource(dims, c.rank, lay)
+	if err != nil {
+		return err
 	}
-	ext := c.hub.part.ExtentOf(c.rank)
-	g := local.Grid
-	if g.NX != ext.NX() || g.NY != ext.NY() {
-		return fmt.Errorf("comm: local field %dx%d does not match extent %dx%d",
-			g.NX, g.NY, ext.NX(), ext.NY())
-	}
-	data := make([]float64, 0, ext.Cells())
-	for k := 0; k < g.NY; k++ {
-		data = append(data, local.Row(k, 0, g.NX)...)
-	}
+	data := appendBox(make([]float64, 0, ext.Cells()), lay, local.DataOrNil(), interior(lay))
 	c.hub.gat <- gatherMsg{extent: ext, data: data}
 	if c.rank != 0 {
 		// The trailing barrier keeps consecutive gathers from interleaving:
@@ -534,25 +436,12 @@ func (c *RankComm) GatherInterior(local *grid.Field2D, dst *grid.Field2D) error 
 		c.Barrier()
 		return nil
 	}
-	var err error
-	switch {
-	case dst == nil:
-		err = fmt.Errorf("comm: rank 0 needs a destination field")
-	case dst.Grid.NX != c.hub.part.NX || dst.Grid.NY != c.hub.part.NY:
-		err = fmt.Errorf("comm: destination %dx%d does not match global %dx%d",
-			dst.Grid.NX, dst.Grid.NY, c.hub.part.NX, c.hub.part.NY)
-	}
+	err = gatherDestination(dst, dims, d.n)
 	// Drain even on error so the other ranks' barrier is released.
 	for i := 0; i < c.Size(); i++ {
 		m := <-c.hub.gat
-		if err != nil {
-			continue
-		}
-		pos := 0
-		w := m.extent.NX()
-		for k := m.extent.Y0; k < m.extent.Y1; k++ {
-			copy(dst.Row(k, m.extent.X0, m.extent.X1), m.data[pos:pos+w])
-			pos += w
+		if err == nil {
+			copyBox(dst.Layout(), dst.DataOrNil(), grid.Bounds3D(m.extent), m.data)
 		}
 	}
 	c.Barrier()
@@ -565,7 +454,12 @@ func (c *RankComm) GatherInterior(local *grid.Field2D, dst *grid.Field2D) error 
 // the ranks on different CPUs (place.Spread: rank r, r CPUs on from the
 // caller's) and keeps them apart (place.Group).
 func Run(part *grid.Partition, fn func(c *RankComm) error) error {
-	return runRanks(NewHub(part), fn)
+	return runRanks(newHub(decompose(part)), fn)
+}
+
+// Run3D is Run over a 3D partition.
+func Run3D(part3 *grid.Partition3D, fn func(c *RankComm) error) error {
+	return runRanks(newHub(decompose3D(part3)), fn)
 }
 
 // runRanks runs fn on every rank of h, as Run and Run3D do. The ranks

@@ -38,8 +38,11 @@ import (
 // panic with a *TCPError — RunTCP and Protect convert that into an
 // ordinary error at the rank boundary.
 type TCP struct {
-	rank, size  int
-	peers       []string
+	rank, size int
+	peers      []string
+	dec        *decomposition
+	// part or part3 is the partition as configured: the geometry the
+	// handshake sends and checks.
 	part        *grid.Partition
 	part3       *grid.Partition3D
 	dialTimeout time.Duration
@@ -124,18 +127,18 @@ func newTCP(cfg TCPConfig, inProcess bool) (*TCP, error) {
 	if cfg.Rank < 0 || cfg.Rank >= n {
 		return nil, fmt.Errorf("comm: tcp: rank %d outside [0,%d)", cfg.Rank, n)
 	}
-	var ranks int
+	var dec *decomposition
 	switch {
 	case cfg.Part != nil && cfg.Part3 != nil:
 		return nil, fmt.Errorf("comm: tcp: set exactly one of Part and Part3, not both")
 	case cfg.Part != nil:
-		ranks = cfg.Part.Ranks()
+		dec = decompose(cfg.Part)
 	case cfg.Part3 != nil:
-		ranks = cfg.Part3.Ranks()
+		dec = decompose3D(cfg.Part3)
 	default:
 		return nil, fmt.Errorf("comm: tcp: a partition (Part or Part3) is required")
 	}
-	if ranks != n {
+	if ranks := dec.ranks(); ranks != n {
 		return nil, fmt.Errorf("comm: tcp: partition has %d ranks but the peer list has %d entries", ranks, n)
 	}
 	if cfg.DialTimeout <= 0 {
@@ -145,6 +148,7 @@ func newTCP(cfg TCPConfig, inProcess bool) (*TCP, error) {
 		rank:        cfg.Rank,
 		size:        n,
 		peers:       cfg.Peers,
+		dec:         dec,
 		part:        cfg.Part,
 		part3:       cfg.Part3,
 		dialTimeout: cfg.DialTimeout,
@@ -201,35 +205,11 @@ func (t *TCP) Trace() *stats.Trace { return &t.trace }
 
 // Physical implements Communicator. The communicator must have been built
 // over a 2D partition.
-func (t *TCP) Physical() PhysicalSides {
-	p := t.part
-	if p == nil {
-		panic("comm: Physical called on a 3D-partition communicator; use Physical3D")
-	}
-	return PhysicalSides{
-		Left:  p.OnBoundary(t.rank, grid.Left),
-		Right: p.OnBoundary(t.rank, grid.Right),
-		Down:  p.OnBoundary(t.rank, grid.Down),
-		Up:    p.OnBoundary(t.rank, grid.Up),
-	}
-}
+func (t *TCP) Physical() PhysicalSides { return t.dec.physical(t.rank) }
 
 // Physical3D implements Communicator. The communicator must have been
 // built over a 3D partition.
-func (t *TCP) Physical3D() PhysicalSides3D {
-	p := t.part3
-	if p == nil {
-		panic("comm: Physical3D called on a 2D-partition communicator; use Physical")
-	}
-	return PhysicalSides3D{
-		Left:  p.OnBoundary(t.rank, grid.Left),
-		Right: p.OnBoundary(t.rank, grid.Right),
-		Down:  p.OnBoundary(t.rank, grid.Down),
-		Up:    p.OnBoundary(t.rank, grid.Up),
-		Back:  p.OnBoundary(t.rank, grid.Back),
-		Front: p.OnBoundary(t.rank, grid.Front),
-	}
-}
+func (t *TCP) Physical3D() PhysicalSides3D { return t.dec.physical3D(t.rank) }
 
 // Close shuts the communicator down gracefully: a Bye frame is flushed on
 // every peer connection (so a peer still reading reports "peer shut down"
@@ -756,18 +736,12 @@ func (s tcpSlabs) recvSlab(from int, side grid.Side, wantLen int) ([]float64, er
 // literally the Hub's — shared in exchange.go — so the two backends are
 // bit-identical by construction; only the slab transport differs.
 func (t *TCP) Exchange(depth int, fields ...*grid.Field2D) error {
-	if len(fields) == 0 {
-		return nil
-	}
-	if t.part == nil {
-		return fmt.Errorf("comm: 2D exchange on a 3D-partition communicator")
-	}
-	messages, bytes, err := exchange2D(tcpSlabs{t}, t.part, t.rank, t.Physical(), depth, fields)
-	if err != nil {
-		return err
-	}
-	t.trace.AddExchange(depth, messages, bytes)
-	return nil
+	return exchange(tcpSlabs{t}, t.dec.rank(t.rank), &t.trace, 2, depth, fields)
+}
+
+// Exchange3D implements Communicator: Exchange's core with its z phase.
+func (t *TCP) Exchange3D(depth int, fields ...*grid.Field3D) error {
+	return exchange(tcpSlabs{t}, t.dec.rank(t.rank), &t.trace, 3, depth, fields)
 }
 
 // tcpReduceState is one in-flight reduction: startReduce posts the sends
@@ -1015,42 +989,37 @@ func (t *TCP) Protect(fn func() error) (err error) {
 // into dst by partition extent. The trailing barrier keeps consecutive
 // gathers from interleaving, exactly as in the Hub.
 func (t *TCP) GatherInterior(local *grid.Field2D, dst *grid.Field2D) error {
-	if t.part == nil {
-		return fmt.Errorf("comm: 2D gather on a 3D-partition communicator")
-	}
-	ext := t.part.ExtentOf(t.rank)
-	g := local.Grid
-	if g.NX != ext.NX() || g.NY != ext.NY() {
-		return fmt.Errorf("comm: local field %dx%d does not match extent %dx%d",
-			g.NX, g.NY, ext.NX(), ext.NY())
+	return tcpGather(t, 2, local, dst)
+}
+
+// GatherInterior3D implements Communicator: GatherInterior for 3D fields.
+func (t *TCP) GatherInterior3D(local *grid.Field3D, dst *grid.Field3D) error {
+	return tcpGather(t, 3, local, dst)
+}
+
+// tcpGather is the TCP backend's one gather.
+func tcpGather[F haloField](t *TCP, dims int, local, dst F) error {
+	d := t.dec
+	lay := local.Layout()
+	ext, err := d.gatherSource(dims, t.rank, lay)
+	if err != nil {
+		return err
 	}
 	if t.rank != 0 {
-		data := make([]float64, 0, ext.Cells())
-		for k := 0; k < g.NY; k++ {
-			data = append(data, local.Row(k, 0, g.NX)...)
-		}
+		data := appendBox(make([]float64, 0, ext.Cells()), lay, local.DataOrNil(), interior(lay))
 		if err := t.send(0, frameGather, 0, 0, data); err != nil {
 			return err
 		}
 		return t.Protect(func() error { t.Barrier(); return nil })
 	}
-	var err error
-	switch {
-	case dst == nil:
-		err = fmt.Errorf("comm: rank 0 needs a destination field")
-	case dst.Grid.NX != t.part.NX || dst.Grid.NY != t.part.NY:
-		err = fmt.Errorf("comm: destination %dx%d does not match global %dx%d",
-			dst.Grid.NX, dst.Grid.NY, t.part.NX, t.part.NY)
-	}
+	err = gatherDestination(dst, dims, d.n)
 	if err == nil {
-		for k := 0; k < g.NY; k++ {
-			copy(dst.Row(ext.Y0+k, ext.X0, ext.X1), local.Row(k, 0, g.NX))
-		}
+		placeInterior(dst.Layout(), dst.DataOrNil(), ext, lay, local.DataOrNil())
 	}
 	// Drain every peer's block even on error, so the streams stay in sync
 	// for the barrier and whatever follows.
 	for r := 1; r < t.size; r++ {
-		re := t.part.ExtentOf(r)
+		re := d.boxes[r]
 		data, rerr := t.recvFloats(r, frameGather, 0, 0, "gather")
 		if rerr != nil {
 			return rerr
@@ -1058,14 +1027,8 @@ func (t *TCP) GatherInterior(local *grid.Field2D, dst *grid.Field2D) error {
 		if len(data) != re.Cells() {
 			return fmt.Errorf("comm: tcp rank 0: gather block from rank %d has %d values, want %d", r, len(data), re.Cells())
 		}
-		if err != nil {
-			continue
-		}
-		pos := 0
-		w := re.NX()
-		for k := re.Y0; k < re.Y1; k++ {
-			copy(dst.Row(k, re.X0, re.X1), data[pos:pos+w])
-			pos += w
+		if err == nil {
+			copyBox(dst.Layout(), dst.DataOrNil(), grid.Bounds3D(re), data)
 		}
 	}
 	if berr := t.Protect(func() error { t.Barrier(); return nil }); berr != nil {

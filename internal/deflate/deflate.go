@@ -105,10 +105,10 @@ func New(pool *par.Pool, c comm.Communicator, op *stencil.Operator2D, geom Geome
 	if geom.GlobalNX == 0 && geom.GlobalNY == 0 {
 		geom.GlobalNX, geom.GlobalNY = g.NX, g.NY
 	}
+	lay := g.Layout()
 	d := &Deflation{op: op, projector: projector{
 		pool: pool, c: c, dims: 2,
-		n:  [3]int{g.NX, g.NY, 1},
-		st: [3]int{1, g.Stride(), 0}, org: g.Index(0, 0),
+		n: lay.N, st: lay.St, org: lay.Org,
 		in: box2(g.Interior()),
 		k:  [3][]float64{op.Kx.Data, op.Ky.Data, nil},
 	}}

@@ -38,11 +38,10 @@ func New3D(pool *par.Pool, c comm.Communicator, op *stencil.Operator3D, geom Geo
 	if geom.GlobalNX == 0 && geom.GlobalNY == 0 && geom.GlobalNZ == 0 {
 		geom.GlobalNX, geom.GlobalNY, geom.GlobalNZ = g.NX, g.NY, g.NZ
 	}
-	org := g.Index(0, 0, 0)
+	lay := g.Layout()
 	d := &Deflation3D{op: op, projector: projector{
 		pool: pool, c: c, dims: 3,
-		n:  [3]int{g.NX, g.NY, g.NZ},
-		st: [3]int{1, g.Index(0, 1, 0) - org, g.Index(0, 0, 1) - org}, org: org,
+		n: lay.N, st: lay.St, org: lay.Org,
 		in: g.Interior(),
 		k:  [3][]float64{op.Kx.Data, op.Ky.Data, op.Kz.Data},
 	}}

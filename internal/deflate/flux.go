@@ -32,8 +32,9 @@ type projector struct {
 	c    comm.Communicator
 	dims int
 
-	// Layout: cell (i,j,k) lives at org + k·st[2] + j·st[1] + i; n is the
-	// interior extent per axis; in is the interior (z ∈ [0, 1) in 2D).
+	// The grid's layout (grid.Layout): cell (i,j,k) lives at org +
+	// k·st[2] + j·st[1] + i; n is the interior extent per axis; in is the
+	// interior (z ∈ [0, 1) in 2D).
 	n, st [3]int
 	org   int
 	in    grid.Bounds3D

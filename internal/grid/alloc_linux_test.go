@@ -3,6 +3,7 @@ package grid
 import (
 	"bufio"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -84,7 +85,28 @@ func TestNewDataAdvisesHugePages(t *testing.T) {
 	if err != nil {
 		t.Skip("kernel without transparent huge pages")
 	}
-	d := newData(4 * hugePage / 8)
+	// The field must come from address space the heap has never used. One
+	// that reuses freed heap memory is zeroed by the runtime before the
+	// advice, so its pages are resident as 4 KiB pages already and no
+	// touch faults a huge page in. A buffer larger than all the heap's
+	// idle memory (the free part of HeapSys) fits in no free run, but the
+	// lowest run that can grow into fresh address space is the free tail
+	// of the heap, which may hold used pages; the runtime then zeroes the
+	// whole buffer. So a plug of that size takes the tail first, and the
+	// field, larger still, fits in no free run below the plug either: it
+	// comes from the fresh space above it. Each run in one process leaves
+	// both idle for the next, so the size triples per -count; past
+	// freshMax the run is skipped.
+	const freshMax = 256 << 20
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	n := max(4*hugePage, int(ms.HeapIdle)+2*hugePage)
+	if n > freshMax {
+		t.Skipf("the heap holds %d MiB idle: a field above it would be too large", ms.HeapIdle>>20)
+	}
+	plug := make([]byte, n)
+	d := newData(n / 8)
+	runtime.KeepAlive(plug)
 	start := addr(d)
 	lo := (start + hugePage - 1) &^ (hugePage - 1)
 	hi := (start + uintptr(len(d))*8) &^ (hugePage - 1)

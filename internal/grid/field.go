@@ -171,62 +171,3 @@ func (f *Field2D) MaxDiff(o *Field2D) float64 {
 	}
 	return m
 }
-
-// ReflectHalos fills halo cells with mirror copies of the nearest interior
-// cells (homogeneous Neumann boundary: zero normal flux). This is the
-// physical boundary condition TeaLeaf applies on the outer domain edge; on
-// internal rank boundaries the communicator overwrites halos with neighbour
-// data instead. Corners are filled after edges so deep stencils that read
-// diagonal halo cells (the matrix-powers extended bounds do) see coherent
-// values.
-func (f *Field2D) ReflectHalos(depth int) {
-	depth = min(depth, f.Grid.Halo)
-	f.reflectX(depth, 0, f.Grid.NY, true, true)
-	f.reflectY(depth, true, true)
-}
-
-// ReflectHalosSides mirrors only the requested sides (used on ranks whose
-// sub-domain touches the physical boundary on some sides only).
-func (f *Field2D) ReflectHalosSides(depth int, left, right, down, up bool) {
-	depth = min(depth, f.Grid.Halo)
-	f.reflectX(depth, -depth, f.Grid.NY+depth, left, right)
-	f.reflectY(depth, down, up)
-}
-
-// reflectX mirrors the x faces of rows [k0, k1): per row, per depth d
-// outward, the left cell then the right — the order the cells were
-// always written in, which matters only on grids thinner than the depth,
-// where a mirror reads a halo cell written a step before.
-func (f *Field2D) reflectX(depth, k0, k1 int, left, right bool) {
-	if !left && !right {
-		return
-	}
-	g, data := f.Grid, f.Data
-	for k := k0; k < k1; k++ {
-		o := g.Index(0, k)
-		for d := 1; d <= depth; d++ {
-			if left {
-				data[o-d] = data[o+d-1]
-			}
-			if right {
-				data[o+g.NX-1+d] = data[o+g.NX-d]
-			}
-		}
-	}
-}
-
-// reflectY mirrors the y faces as whole rows spanning the x halos: per
-// depth d outward, the row below then the row above.
-func (f *Field2D) reflectY(depth int, down, up bool) {
-	g, data := f.Grid, f.Data
-	w := g.NX + 2*depth
-	row := func(k int) []float64 { o := g.Index(-depth, k); return data[o : o+w] }
-	for d := 1; d <= depth; d++ {
-		if down {
-			copy(row(-d), row(d-1))
-		}
-		if up {
-			copy(row(g.NY-1+d), row(g.NY-d))
-		}
-	}
-}

@@ -19,6 +19,12 @@
 // of 4 MiB or more is advised onto huge pages at a staggered start of its
 // own, smaller fields and other platforms take a plain make. Either way
 // a field is zeroed, GC-managed and has len == cap.
+//
+// Both grids describe their fields' storage with one Layout: extents,
+// halos, strides and origin along three axes, a 2D grid being the nz = 1
+// case with no z halo and z stride 0. The zero-flux halo reflection, the
+// comm package's halo exchange and gathers, and the deflation projector
+// are each written once over it.
 package grid
 
 import (
@@ -43,8 +49,7 @@ type Grid2D struct {
 	// DX, DY are the uniform cell widths.
 	DX, DY float64
 
-	stride int // row stride of padded storage (NX + 2*Halo)
-	origin int // flat index of interior cell (0,0)
+	lay Layout // storage: row stride NX + 2*Halo, one plane
 }
 
 // NewGrid2D constructs a grid with nx × ny interior cells, halo-padded by
@@ -64,8 +69,7 @@ func NewGrid2D(nx, ny, halo int, xmin, xmax, ymin, ymax float64) (*Grid2D, error
 		DX: (xmax - xmin) / float64(nx),
 		DY: (ymax - ymin) / float64(ny),
 	}
-	g.stride = nx + 2*halo
-	g.origin = halo*g.stride + halo
+	g.lay = layout(nx, ny, 1, halo, 0)
 	return g, nil
 }
 
@@ -84,19 +88,19 @@ func UnitGrid2D(nx, ny, halo int) *Grid2D {
 }
 
 // Stride returns the padded row stride.
-func (g *Grid2D) Stride() int { return g.stride }
+func (g *Grid2D) Stride() int { return g.lay.St[1] }
 
 // Len returns the padded storage length for one field.
 func (g *Grid2D) Len() int { return (g.NX + 2*g.Halo) * (g.NY + 2*g.Halo) }
 
 // Index maps cell coordinates (j,k), with j ∈ [-Halo, NX+Halo) and
 // k ∈ [-Halo, NY+Halo), to a flat storage index.
-func (g *Grid2D) Index(j, k int) int { return g.origin + k*g.stride + j }
+func (g *Grid2D) Index(j, k int) int { return g.lay.Org + k*g.lay.St[1] + j }
 
 // Coords is the inverse of Index.
 func (g *Grid2D) Coords(idx int) (j, k int) {
 	// Work in padded coordinates, which are non-negative.
-	return idx%g.stride - g.Halo, idx/g.stride - g.Halo
+	return idx%g.lay.St[1] - g.Halo, idx/g.lay.St[1] - g.Halo
 }
 
 // InInterior reports whether (j,k) is an interior (non-halo) cell.

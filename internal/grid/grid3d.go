@@ -10,13 +10,13 @@ import (
 // stencil version of TeaLeaf; the paper focuses on 2D but notes that the
 // 3D implementation and results are analogous.
 type Grid3D struct {
-	NX, NY, NZ             int
-	Halo                   int
-	XMin, XMax             float64
-	YMin, YMax             float64
-	ZMin, ZMax             float64
-	DX, DY, DZ             float64
-	strideY, strideZ, orig int
+	NX, NY, NZ int
+	Halo       int
+	XMin, XMax float64
+	YMin, YMax float64
+	ZMin, ZMax float64
+	DX, DY, DZ float64
+	lay        Layout
 }
 
 // NewGrid3D constructs a 3D grid with the given interior cell counts,
@@ -37,9 +37,7 @@ func NewGrid3D(nx, ny, nz, halo int, xmin, xmax, ymin, ymax, zmin, zmax float64)
 		DY: (ymax - ymin) / float64(ny),
 		DZ: (zmax - zmin) / float64(nz),
 	}
-	g.strideY = nx + 2*halo
-	g.strideZ = g.strideY * (ny + 2*halo)
-	g.orig = halo*g.strideZ + halo*g.strideY + halo
+	g.lay = layout(nx, ny, nz, halo, halo)
 	return g, nil
 }
 
@@ -60,7 +58,7 @@ func (g *Grid3D) Len() int {
 // Index maps cell coordinates (i,j,k) to a flat storage index; halo cells
 // have negative coordinates.
 func (g *Grid3D) Index(i, j, k int) int {
-	return g.orig + k*g.strideZ + j*g.strideY + i
+	return g.lay.Off(i, j, k)
 }
 
 // Cells returns the number of interior cells.
@@ -214,67 +212,4 @@ func (f *Field3D) MaxDiff(o *Field3D) float64 {
 func (f *Field3D) Row(j, k, x0, x1 int) []float64 {
 	base := f.Grid.Index(x0, j, k)
 	return f.Data[base : base+(x1-x0)]
-}
-
-// ReflectHalos fills halo cells by mirroring interior cells on all six
-// faces (zero-flux boundary), edges and corners included.
-func (f *Field3D) ReflectHalos(depth int) {
-	f.ReflectHalosSides(depth, true, true, true, true, true, true)
-}
-
-// ReflectHalosSides mirrors only the requested sides (used on ranks whose
-// sub-domain touches the physical boundary on some sides only). The fill
-// order — x faces over interior rows, then y faces spanning the x halos,
-// then z faces spanning both — matches the three-phase exchange, so edge
-// and corner halo cells are coherent for deep stencils. The y and z
-// faces are whole-row copies; within a face the cells go in the order
-// they always did (which matters only on grids thinner than the depth,
-// where a mirror reads a halo cell written a step before).
-func (f *Field3D) ReflectHalosSides(depth int, left, right, down, up, back, front bool) {
-	g, data := f.Grid, f.Data
-	depth = min(depth, g.Halo)
-	w := g.NX + 2*depth
-	row := func(j, k int) []float64 { o := g.Index(-depth, j, k); return data[o : o+w] }
-	// X faces.
-	if left || right {
-		for k := -depth; k < g.NZ+depth; k++ {
-			for j := -depth; j < g.NY+depth; j++ {
-				o := g.Index(0, j, k)
-				for d := 1; d <= depth; d++ {
-					if left {
-						data[o-d] = data[o+d-1]
-					}
-					if right {
-						data[o+g.NX-1+d] = data[o+g.NX-d]
-					}
-				}
-			}
-		}
-	}
-	// Y faces (spanning x halos).
-	if down || up {
-		for k := -depth; k < g.NZ+depth; k++ {
-			for d := 1; d <= depth; d++ {
-				if down {
-					copy(row(-d, k), row(d-1, k))
-				}
-				if up {
-					copy(row(g.NY-1+d, k), row(g.NY-d, k))
-				}
-			}
-		}
-	}
-	// Z faces (spanning x and y halos).
-	if back || front {
-		for d := 1; d <= depth; d++ {
-			for j := -depth; j < g.NY+depth; j++ {
-				if back {
-					copy(row(j, -d), row(j, d-1))
-				}
-				if front {
-					copy(row(j, g.NZ-1+d), row(j, g.NZ-d))
-				}
-			}
-		}
-	}
 }

@@ -24,13 +24,13 @@ type Rows struct {
 
 // Rows returns the walker over b: one row per y, split along y.
 func (g *Grid2D) Rows(b Bounds) Rows {
-	return Rows{X0: b.X0, X1: b.X1, J0: 0, J1: 1, K0: b.Y0, K1: b.Y1, org: g.origin, sk: g.stride}
+	return Rows{X0: b.X0, X1: b.X1, J0: 0, J1: 1, K0: b.Y0, K1: b.Y1, org: g.lay.Org, sk: g.lay.St[1]}
 }
 
 // Rows returns the walker over b: NY rows per z-plane, split along z.
 func (g *Grid3D) Rows(b Bounds3D) Rows {
 	return Rows{X0: b.X0, X1: b.X1, J0: b.Y0, J1: b.Y1, K0: b.Z0, K1: b.Z1,
-		org: g.orig, sj: g.strideY, sk: g.strideZ}
+		org: g.lay.Org, sj: g.lay.St[1], sk: g.lay.St[2]}
 }
 
 // Empty reports whether the walker visits no cells.
