@@ -1,7 +1,7 @@
 // Command tealint runs the repo's static-analysis suite (see
-// internal/analysis): splitreduce, poolreentry, protectpanic, detloop
-// and tracerounds — the machine-checked forms of the codebase's
-// concurrency and determinism contracts.
+// internal/analysis): poolreentry, protectpanic, detloop and
+// tracerounds — the machine-checked forms of the codebase's concurrency
+// and determinism contracts.
 //
 // It speaks cmd/go's unit-checking (vettool) protocol, so the supported
 // way to run it over the whole repository is through the build system:
@@ -33,13 +33,11 @@ import (
 	"tealeaf/internal/analysis/load"
 	"tealeaf/internal/analysis/poolreentry"
 	"tealeaf/internal/analysis/protectpanic"
-	"tealeaf/internal/analysis/splitreduce"
 	"tealeaf/internal/analysis/tracerounds"
 )
 
 // suite is the full analyzer set, in reporting order.
 var suite = []*analysis.Analyzer{
-	splitreduce.Analyzer,
 	poolreentry.Analyzer,
 	protectpanic.Analyzer,
 	detloop.Analyzer,

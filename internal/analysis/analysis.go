@@ -6,9 +6,8 @@
 // dependencies and builds wherever the repo builds.
 //
 // The suite exists because the codebase's concurrency and determinism
-// contracts live in prose: "at most one reduction in flight" for the
-// split-phase AllReduceSumNStart/Finish, "comm goroutines never touch the
-// non-reentrant par.Pool", "*TCPError panics only under comm.Protect",
+// contracts live in prose: "par.Pool regions never dispatch nested
+// regions", "*TCPError panics only under comm.Protect",
 // "no order-nondeterministic iteration feeding float accumulation in the
 // numerics packages", and "solver loops reach the Communicator only
 // through the traced engine wrappers". Each analyzer turns one of those
@@ -48,9 +47,8 @@ type Pass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
 	// Files holds the package's syntax. Drivers exclude *_test.go files:
-	// the suite's contracts guard production solver paths, and the tests
-	// deliberately violate them to probe the runtime behaviour they pin
-	// (e.g. comm/split_test.go races Finish against exchanges).
+	// the suite's contracts guard production solver paths, and a test may
+	// break one on purpose to probe the runtime behaviour it pins.
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info

@@ -2,7 +2,7 @@
 // source trees and checks its diagnostics against // want comments, the
 // same convention as golang.org/x/tools/go/analysis/analysistest:
 //
-//	h := c.AllReduceSumNStart(vals) // want `second reduction started`
+//	t.Barrier() // want `Barrier can panic with \*TCPError`
 //
 // A want comment holds one or more quoted Go string literals, each a
 // regular expression; the analyzer must report exactly one diagnostic on

@@ -8,7 +8,7 @@
 //
 // It also enforces the comm-side half of the contract: package
 // internal/comm must not import internal/par at all, so comm's writer and
-// background-reduction goroutines can never touch a pool.
+// accept goroutines can never touch a pool.
 package poolreentry
 
 import (

@@ -14,8 +14,9 @@ func nakedBarrier(t *comm.TCP) {
 	t.Barrier() // want `\(\*comm.TCP\).Barrier can panic with \*TCPError`
 }
 
-// nakedSplit posts a split-phase round with no recovery scope.
-func nakedSplit(t *comm.TCP, vals []float64) comm.ReduceHandle {
+// nakedStart runs a round through the Start adapter with no recovery
+// scope.
+func nakedStart(t *comm.TCP, vals []float64) comm.ReduceHandle {
 	return t.AllReduceSumNStart(vals) // want `\(\*comm.TCP\).AllReduceSumNStart can panic with \*TCPError`
 }
 

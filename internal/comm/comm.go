@@ -55,25 +55,6 @@ type Communicator interface {
 	// iteration pay one allreduce latency for all of its dot products.
 	// The returned slice may alias vals; it never aliases another rank's
 	// result, so callers may mutate it freely.
-	AllReduceSumN(vals []float64) []float64
-	// AllReduceSumNStart begins the same fused reduction split-phase: it
-	// posts whatever messages this rank can send without waiting on peers
-	// and returns immediately, so the reduction's latency overlaps whatever
-	// the caller computes before Finish. It is exactly
-	// AllReduceSumNStartTagged with tag 0; the contract below governs both.
-	//
-	// Contract: several tagged reductions may be in flight per rank at
-	// once, but at most one per tag, and every rank must Start the same
-	// set of in-flight tags in the same order (tags are matched across
-	// ranks, not inferred from arrival order). Between the first Start and
-	// the last Finish the caller may run halo exchanges and local compute
-	// but no blocking collective (AllReduceSum*, Barrier, or gather);
-	// Start may not assume any peer has entered the reduction yet, so it
-	// must never block on peer data — all receives belong to Finish.
-	// In-flight handles may be Finished in any order; each Finish returns
-	// that round's fused sums (the slice may alias vals) and each round
-	// counts as the same single reduction round AllReduceSumN would have
-	// been.
 	//
 	// Determinism: every backend folds the ranks' contributions in a
 	// fixed, schedule-independent order — the Hub in ascending rank
@@ -83,14 +64,19 @@ type Communicator interface {
 	// of each rank's worker count. (Arrival order hides at 2 ranks
 	// because IEEE addition is commutative; at 3+ it is not associative
 	// and an arrival-order fold would leak scheduling into the last bits
-	// of every dot product.) The blocking AllReduceSum* share the same
-	// fold. The two backends' fold orders differ from each other, so
+	// of every dot product.) Every reduction method shares the fold. The
+	// two backends' fold orders differ from each other, so
 	// bit-reproducibility holds per backend, not across them.
+	AllReduceSumN(vals []float64) []float64
+	// AllReduceSumNStart is AllReduceSumN behind a handle: it blocks for
+	// the whole round (counted once, as AllReduceSumN counts it) and
+	// returns a handle whose Finish hands back the sums. No engine
+	// overlaps a reduction with compute (pipelined CG, the one that did,
+	// measured slower and was removed), so every backend runs it through
+	// one blocking adapter, kept only while code outside this package
+	// still names the method.
 	AllReduceSumNStart(vals []float64) ReduceHandle
-	// AllReduceSumNStartTagged is AllReduceSumNStart for one of several
-	// concurrently in-flight reduction rounds, distinguished by a small
-	// non-negative tag (backends may bound it; [0,16) is always safe).
-	// See AllReduceSumNStart for the shared in-flight contract.
+	// AllReduceSumNStartTagged is AllReduceSumNStart; the tag is ignored.
 	AllReduceSumNStartTagged(tag int, vals []float64) ReduceHandle
 	// AllReduceMax returns the maximum of x over all ranks.
 	AllReduceMax(x float64) float64
@@ -111,20 +97,34 @@ type Communicator interface {
 	Trace() *stats.Trace
 }
 
-// ReduceHandle is an in-flight split-phase reduction returned by
-// AllReduceSumNStart. Finish blocks until every rank's contribution has
-// been combined and returns the fused sums; it must be called exactly
-// once, from the same goroutine that called Start.
+// ReduceHandle is the result of AllReduceSumNStart: Finish returns the
+// fused sums.
 type ReduceHandle interface {
 	Finish() []float64
 }
 
-// doneHandle is a ReduceHandle whose result is already known at Start
-// time: the Serial backend (reductions are identities) and single-rank
-// TCP communicators.
+// doneHandle is a ReduceHandle whose round has already run.
 type doneHandle []float64
 
 func (h doneHandle) Finish() []float64 { return h }
+
+// blockingStart is every backend's AllReduceSumNStart{,Tagged}: the
+// blocking AllReduceSumN of the communicator it is embedded in, behind
+// an already-finished handle.
+type blockingStart struct {
+	sumN func(vals []float64) []float64
+}
+
+// AllReduceSumNStart implements Communicator: the blocking round.
+func (b blockingStart) AllReduceSumNStart(vals []float64) ReduceHandle {
+	return doneHandle(b.sumN(vals))
+}
+
+// AllReduceSumNStartTagged implements Communicator: the blocking round;
+// the tag is ignored.
+func (b blockingStart) AllReduceSumNStartTagged(_ int, vals []float64) ReduceHandle {
+	return doneHandle(b.sumN(vals))
+}
 
 // PhysicalSides mirrors stencil.PhysicalSides without importing it (comm
 // sits below stencil in the dependency order).
@@ -142,11 +142,16 @@ type PhysicalSides3D struct {
 // records every operation in its trace so single-rank runs produce the
 // same instrumentation as distributed ones.
 type Serial struct {
+	blockingStart
 	trace stats.Trace
 }
 
 // NewSerial returns a fresh single-rank communicator.
-func NewSerial() *Serial { return &Serial{} }
+func NewSerial() *Serial {
+	s := &Serial{}
+	s.blockingStart.sumN = s.AllReduceSumN
+	return s
+}
 
 // Rank implements Communicator.
 func (s *Serial) Rank() int { return 0 }
@@ -194,21 +199,6 @@ func (s *Serial) AllReduceSum2(x, y float64) (float64, float64) {
 func (s *Serial) AllReduceSumN(vals []float64) []float64 {
 	s.trace.AddReduction(len(vals))
 	return vals
-}
-
-// AllReduceSumNStart implements Communicator: single-rank, the result is
-// ready before Finish.
-func (s *Serial) AllReduceSumNStart(vals []float64) ReduceHandle {
-	s.trace.AddReduction(len(vals))
-	return doneHandle(vals)
-}
-
-// AllReduceSumNStartTagged implements Communicator: single-rank, every
-// tagged round is an identity ready before Finish, so any number can be
-// in flight.
-func (s *Serial) AllReduceSumNStartTagged(tag int, vals []float64) ReduceHandle {
-	s.trace.AddReduction(len(vals))
-	return doneHandle(vals)
 }
 
 // AllReduceMax implements Communicator.

@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -199,6 +200,90 @@ func TestAllReduceRepeated(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestHubReduceFoldRankOrder: the Hub folds contributions in rank order,
+// not arrival order — at 4 ranks, 1e16 + 1 + 1 + 1 read in any other
+// order differs in its last bits.
+func TestHubReduceFoldRankOrder(t *testing.T) {
+	part := grid.MustPartition(16, 16, 2, 2)
+	contrib := []float64{1e16, 1, 1, 1}
+	var want float64
+	for _, v := range contrib { // the rank-order fold, computed serially
+		want += v
+	}
+	err := Run(part, func(c *RankComm) error {
+		for iter := 0; iter < 500; iter++ {
+			if got := c.AllReduceSum(contrib[c.Rank()]); got != want {
+				t.Errorf("iter %d rank %d: sum = %v, want rank-order fold %v", iter, c.Rank(), got, want)
+				return nil
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStartIsTheBlockingRound: on every backend, AllReduceSumNStart and
+// AllReduceSumNStartTagged return AllReduceSumN's sums bit for bit and
+// add exactly one round to the trace. The contributions span 16 orders
+// of magnitude, so a different fold order shows in the last bits.
+func TestStartIsTheBlockingRound(t *testing.T) {
+	hub := func(px, py int) func(func(Communicator) error) error {
+		return func(fn func(Communicator) error) error {
+			return Run(grid.MustPartition(12, 12, px, py), func(c *RankComm) error { return fn(c) })
+		}
+	}
+	tcp := func(px int) func(func(Communicator) error) error {
+		return func(fn func(Communicator) error) error {
+			return RunTCP(grid.MustPartition(12, 12, px, 1), fn)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(func(Communicator) error) error
+	}{
+		{"serial", func(fn func(Communicator) error) error { return fn(NewSerial()) }},
+		{"hub2", hub(2, 1)},
+		{"hub3", hub(3, 1)},
+		{"hub4", hub(2, 2)},
+		{"tcp2", tcp(2)},
+		{"tcp3", tcp(3)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.run(func(c Communicator) error {
+				vals := func() []float64 {
+					r := float64(c.Rank())
+					return []float64{1e16 * (r + 1), 1 + r/3, -0.1 * r}
+				}
+				want := c.AllReduceSumN(vals())
+				for _, start := range []struct {
+					name string
+					fn   func([]float64) ReduceHandle
+				}{
+					{"AllReduceSumNStart", c.AllReduceSumNStart},
+					{"AllReduceSumNStartTagged", func(v []float64) ReduceHandle { return c.AllReduceSumNStartTagged(5, v) }},
+				} {
+					tr := c.Trace()
+					rounds, values := tr.Reductions, tr.ReducedValues
+					got := start.fn(vals()).Finish()
+					if !sameBits(got, want) {
+						return fmt.Errorf("rank %d: %s = %v, AllReduceSumN = %v", c.Rank(), start.name, got, want)
+					}
+					if tr.Reductions != rounds+1 || tr.ReducedValues != values+len(want) {
+						return fmt.Errorf("rank %d: %s added %d rounds / %d values to the trace, want 1 / %d",
+							c.Rank(), start.name, tr.Reductions-rounds, tr.ReducedValues-values, len(want))
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -21,13 +21,7 @@ type Hub struct {
 	// phase before draining its receives.
 	mail [][]chan []float64
 	coll *collective
-	// colls holds the per-tag collectives of tagged split-phase rounds
-	// (AllReduceSumNStartTagged): one generation-counted accumulator per
-	// tag, created lazily. Tag 0 maps to coll so tagged and untagged
-	// rounds on tag 0 share one generation sequence.
-	collMu sync.Mutex
-	colls  map[int]*collective
-	gat    chan gatherMsg
+	gat  chan gatherMsg
 	// apart keeps the ranks off each other's CPUs (see place.Group); set
 	// by Run and Run3D, whose ranks change threads whenever a receive
 	// parks them.
@@ -59,12 +53,15 @@ func (h *Hub) Comm(rank int) *RankComm {
 	if rank < 0 || rank >= h.Ranks() {
 		panic(fmt.Sprintf("comm: rank %d outside [0,%d)", rank, h.Ranks()))
 	}
-	return &RankComm{hub: h, rank: rank}
+	c := &RankComm{hub: h, rank: rank}
+	c.blockingStart.sumN = c.AllReduceSumN
+	return c
 }
 
 // RankComm is one rank's endpoint of a Hub. Methods must be called from
 // that rank's goroutine only.
 type RankComm struct {
+	blockingStart
 	hub   *Hub
 	rank  int
 	trace stats.Trace
@@ -194,46 +191,6 @@ func (c *RankComm) AllReduceSumN(vals []float64) []float64 {
 	return c.hub.coll.reduce(opSum, c.rank, vals...)
 }
 
-// AllReduceSumNStart implements Communicator split-phase: the
-// contribution joins the collective's current generation immediately
-// (without waiting for the other ranks), and Finish blocks on the
-// generation's completion. The Hub deliberately mirrors the TCP
-// semantics — Start never waits on a peer, Finish does all the waiting —
-// so the two backends cannot drift.
-func (c *RankComm) AllReduceSumNStart(vals []float64) ReduceHandle {
-	c.trace.AddReduction(len(vals))
-	return c.hub.coll.start(opSum, c.rank, vals)
-}
-
-// AllReduceSumNStartTagged implements Communicator: each tag gets its own
-// generation-counted collective, so several tagged rounds can be in
-// flight at once (at most one per tag per rank). Tag 0 is the untagged
-// AllReduceSumNStart collective.
-func (c *RankComm) AllReduceSumNStartTagged(tag int, vals []float64) ReduceHandle {
-	c.trace.AddReduction(len(vals))
-	return c.hub.collFor(tag).start(opSum, c.rank, vals)
-}
-
-// collFor returns the collective for a reduction tag, creating it on
-// first use. Tag 0 aliases the untagged collective by construction.
-func (h *Hub) collFor(tag int) *collective {
-	if tag == 0 {
-		return h.coll
-	}
-	h.collMu.Lock()
-	defer h.collMu.Unlock()
-	if h.colls == nil {
-		h.colls = make(map[int]*collective)
-	}
-	coll, ok := h.colls[tag]
-	if !ok {
-		coll = newCollective(h.Ranks())
-		coll.apart = h.apart
-		h.colls[tag] = coll
-	}
-	return coll
-}
-
 // AllReduceMax implements Communicator.
 func (c *RankComm) AllReduceMax(x float64) float64 {
 	c.trace.AddReduction(1)
@@ -272,10 +229,7 @@ type collective struct {
 	gen    atomic.Uint64
 	parked []bool
 	wake   []chan struct{}
-	// handles holds each rank's split-phase handle, reused round after
-	// round (one reduction in flight per rank and collective).
-	handles []collHandle
-	apart   *place.Group
+	apart  *place.Group
 }
 
 func newCollective(n int) *collective {
@@ -284,7 +238,6 @@ func newCollective(n int) *collective {
 		contrib: make([][]float64, n),
 		parked:  make([]bool, n),
 		wake:    make([]chan struct{}, n),
-		handles: make([]collHandle, n),
 	}
 	for r := range c.wake {
 		c.wake[r] = make(chan struct{}, 1)
@@ -304,23 +257,11 @@ const (
 // backing array (never the shared accumulator): AllReduceSumN documents
 // that callers may mutate the returned slice, so handing out one shared
 // slice would let rank A's mutation corrupt rank B's result.
-//
-// It is join followed by wait, as the split-phase path's start and
-// Finish are, so both share one generation protocol by construction.
+// It is join followed by wait.
 func (c *collective) reduce(op reduceOp, rank int, vals ...float64) []float64 {
 	c.wait(rank, c.join(op, rank, vals))
 	copy(vals, c.res)
 	return vals
-}
-
-// start contributes vals to the collective's current generation without
-// waiting for the other ranks — the Hub's half of the split-phase
-// contract (Start may not block on peers) — and returns the rank's handle,
-// whose Finish waits for the generation to complete.
-func (c *collective) start(op reduceOp, rank int, vals []float64) *collHandle {
-	h := &c.handles[rank]
-	*h = collHandle{coll: c, rank: rank, gen: c.join(op, rank, vals), vals: vals}
-	return h
 }
 
 // join adds vals to the current generation and returns its number. The
@@ -383,21 +324,6 @@ func (c *collective) wait(rank int, g uint64) {
 		}
 	}
 	c.apart.Check(rank) // the wait may have moved this goroutine to another thread
-}
-
-// collHandle is the Hub's in-flight split-phase reduction: the rank's
-// generation and the slice its result is copied back into.
-type collHandle struct {
-	coll *collective
-	rank int
-	gen  uint64
-	vals []float64
-}
-
-func (h *collHandle) Finish() []float64 {
-	h.coll.wait(h.rank, h.gen)
-	copy(h.vals, h.coll.res)
-	return h.vals
 }
 
 // gatherMsg carries one rank's interior block to rank 0.

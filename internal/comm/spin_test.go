@@ -14,8 +14,8 @@ import (
 const late = 3 * place.SpinWindow
 
 // lateRounds has rank 1 arrive late, rank 0 on time, at each wait a
-// rank's solve makes: a halo slab, a blocking reduction and a
-// split-phase one. Every value must still arrive.
+// rank's solve makes: a halo slab and a reduction. Every value must still
+// arrive.
 func lateRounds(c Communicator, f *grid.Field2D, x0 int) error {
 	g := f.Grid
 	for y := 0; y < g.NY; y++ {
@@ -44,10 +44,6 @@ func lateRounds(c Communicator, f *grid.Field2D, x0 int) error {
 	wait()
 	if a, b := c.AllReduceSum2(1, float64(c.Rank())); a != 2 || b != 1 {
 		return fmt.Errorf("rank %d: late AllReduceSum2 = (%v, %v), want (2, 1)", c.Rank(), a, b)
-	}
-	wait()
-	if s := c.AllReduceSumNStart([]float64{float64(c.Rank() + 1)}).Finish(); s[0] != 3 {
-		return fmt.Errorf("rank %d: late split-phase sum = %v, want 3", c.Rank(), s[0])
 	}
 	return nil
 }
@@ -86,7 +82,7 @@ func TestLatePeers(t *testing.T) {
 }
 
 // A warmed 2-rank Hub reduction round allocates nothing: the result
-// buffer, the wake channels and the split-phase handles are reused.
+// buffer and the wake channels are reused.
 // AllocsPerRun counts the whole process, so rank 1's share is in it.
 func TestHubReduceSteadyStateAllocs(t *testing.T) {
 	const runs = 100

@@ -38,6 +38,7 @@ import (
 // panic with a *TCPError — RunTCP and Protect convert that into an
 // ordinary error at the rank boundary.
 type TCP struct {
+	blockingStart
 	rank, size int
 	peers      []string
 	dec        *decomposition
@@ -57,9 +58,9 @@ type TCP struct {
 	release func()
 
 	// Driver-only scratch: the outgoing halo slab being packed, and the
-	// state and operand of the one blocking reduction that can be running.
+	// accumulator and operand of the one reduction that can be running.
 	pack    []float64
-	red     tcpReduceState
+	acc     []float64
 	scalars [2]float64
 
 	mu      sync.Mutex
@@ -156,6 +157,7 @@ func newTCP(cfg TCPConfig, inProcess bool) (*TCP, error) {
 		connSig:     make(chan struct{}),
 		acceptDone:  make(chan struct{}),
 	}
+	t.blockingStart.sumN = t.AllReduceSumN
 	ln := cfg.Listener
 	if ln == nil {
 		addr := cfg.ListenAddr
@@ -262,15 +264,6 @@ type peerConn struct {
 	sbuf []byte
 	vals []float64
 
-	// pending stashes frames that arrived ahead of the one the driver is
-	// reading for — the minimal MPI-style message matching that lets a
-	// split-phase reduction's butterfly frames interleave with halo
-	// exchange slabs on a connection shared by a rank that is both
-	// butterfly partner and grid neighbour. Each owns a copy of its
-	// payload. Only the driver goroutine touches it (overlapped exchanges
-	// hand the connection back before Finish runs), so it needs no lock.
-	pending []pendingFrame
-
 	mu   sync.Mutex
 	wake sync.Cond // signalled when queue or closing changes; L is &mu
 	// queue holds what the writer goroutine still has to put on the wire,
@@ -283,17 +276,6 @@ type peerConn struct {
 
 	closeOnce sync.Once
 }
-
-// pendingFrame is one stashed out-of-order frame.
-type pendingFrame struct {
-	typ, tag, inst byte
-	payload        []byte
-}
-
-// maxPendingFrames bounds the stash: legitimate interleavings (one
-// in-flight reduction plus one exchange phase) stay in single digits, so
-// growth past this is a protocol desync, not reordering.
-const maxPendingFrames = 64
 
 // newPeerConn takes over a handshaken connection. fr is the reader the
 // handshake used: it may already hold the peer's first frames.
@@ -398,7 +380,7 @@ func (pc *peerConn) shutdown() {
 		_ = pc.nc.SetWriteDeadline(time.Now().Add(2 * time.Second))
 		pc.mu.Lock()
 		if pc.sendErr == nil {
-			pc.queue = append(pc.queue, appendFloatFrame(nil, frameBye, 0, 0, nil))
+			pc.queue = append(pc.queue, appendFloatFrame(nil, frameBye, 0, nil))
 		}
 		pc.closing = true
 		pc.wake.Signal()
@@ -427,13 +409,13 @@ func (t *TCP) acceptLoop() {
 func (t *TCP) admit(nc net.Conn) {
 	_ = nc.SetDeadline(time.Now().Add(t.dialTimeout))
 	fr := frameReader{r: nc}
-	typ, _, _, payload, err := fr.next()
+	typ, _, payload, err := fr.next()
 	if err != nil {
 		_ = nc.Close()
 		return
 	}
 	reject := func(reason string) {
-		buf := appendFrameHeader(nil, frameReject, 0, 0, len(reason))
+		buf := appendFrameHeader(nil, frameReject, 0, len(reason))
 		_, _ = nc.Write(append(buf, reason...))
 		_ = nc.Close()
 	}
@@ -540,7 +522,7 @@ func (t *TCP) dial(peer int) (*peerConn, error) {
 		return fail(err)
 	}
 	fr := frameReader{r: nc}
-	typ, _, _, payload, err := fr.next()
+	typ, _, payload, err := fr.next()
 	if err != nil {
 		return fail(err)
 	}
@@ -610,9 +592,8 @@ func (t *TCP) waitForDial(peer int) (*peerConn, error) {
 // buffer and handed to peerConn.write, which never waits for the peer, so
 // matching send/send+recv/recv sequences between a pair cannot deadlock.
 // The frame is serialised before send returns, so the caller may reuse
-// vals at once. inst is the reduction-instance byte (zero outside
-// frameReduce).
-func (t *TCP) send(peer int, typ, tag, inst byte, vals []float64) error {
+// vals at once.
+func (t *TCP) send(peer int, typ, tag byte, vals []float64) error {
 	// Guard the frame cap on the sender, where the cause is nameable:
 	// without this a huge gather block would either trip the receiver's
 	// cap with a misleading "corrupt stream?" error or, past 2^29 values,
@@ -625,7 +606,7 @@ func (t *TCP) send(peer int, typ, tag, inst byte, vals []float64) error {
 	if err != nil {
 		return err
 	}
-	pc.sbuf = appendFloatFrame(pc.sbuf[:0], typ, tag, inst, vals)
+	pc.sbuf = appendFloatFrame(pc.sbuf[:0], typ, tag, vals)
 	err = pc.write(pc.sbuf)
 	if cap(pc.sbuf) > scratchStepBytes {
 		pc.sbuf = nil
@@ -636,52 +617,38 @@ func (t *TCP) send(peer int, typ, tag, inst byte, vals []float64) error {
 	return nil
 }
 
-// recvFloats reads the next (wantType, wantTag, wantInst) frame from
-// peer. A frame of a different type, tag or instance arriving first is
-// stashed on the connection and matched by a later read — split-phase
-// reductions legitimately put butterfly frames on the wire ahead of the
-// exchange slabs the driver reads next, and two tagged reductions in
-// flight interleave each other's butterfly steps. A Bye, a transport
-// failure, or a stash overflow is a descriptive error. The returned
+// recvFloats reads the next frame from peer, which must be a
+// (wantType, wantTag) frame: every collective receives from a peer in the
+// order that peer sent, so any other frame is a protocol desync. A Bye,
+// a transport failure or a desync is a descriptive error. The returned
 // slice is the connection's decode buffer: it is valid until the next
 // receive from the same peer.
-func (t *TCP) recvFloats(peer int, wantType, wantTag, wantInst byte, op string) ([]float64, error) {
+func (t *TCP) recvFloats(peer int, wantType, wantTag byte, op string) ([]float64, error) {
 	pc, err := t.conn(peer)
 	if err != nil {
 		return nil, err
 	}
-	for i, f := range pc.pending {
-		if f.typ == wantType && f.tag == wantTag && f.inst == wantInst {
-			pc.pending = slices.Delete(pc.pending, i, i+1) // zeroes the vacated slot: no pinned payload
-			return t.decode(pc, f.payload, op)
+	typ, tag, payload, err := pc.fr.next()
+	if err != nil {
+		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, net.ErrClosed) {
+			err = fmt.Errorf("comm: tcp rank %d: connection to rank %d lost during %s: %w", t.rank, peer, op, err)
+		} else {
+			err = fmt.Errorf("comm: tcp rank %d: reading from rank %d during %s: %w", t.rank, peer, op, err)
 		}
+		if serr := pc.sendError(); serr != nil {
+			err = fmt.Errorf("%w (an earlier send to rank %d failed: %v)", err, peer, serr)
+		}
+		return nil, err
 	}
-	for {
-		typ, tag, inst, payload, err := pc.fr.next()
-		if err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, net.ErrClosed) {
-				err = fmt.Errorf("comm: tcp rank %d: connection to rank %d lost during %s: %w", t.rank, peer, op, err)
-			} else {
-				err = fmt.Errorf("comm: tcp rank %d: reading from rank %d during %s: %w", t.rank, peer, op, err)
-			}
-			if serr := pc.sendError(); serr != nil {
-				err = fmt.Errorf("%w (an earlier send to rank %d failed: %v)", err, peer, serr)
-			}
-			return nil, err
-		}
-		if typ == frameBye {
-			return nil, fmt.Errorf("comm: tcp rank %d: rank %d shut down mid-%s", t.rank, peer, op)
-		}
-		if typ == wantType && tag == wantTag && inst == wantInst {
-			t.apart.Check(t.rank) // next may have parked this goroutine: it can be on another thread now
-			return t.decode(pc, payload, op)
-		}
-		if len(pc.pending) >= maxPendingFrames {
-			return nil, fmt.Errorf("comm: tcp rank %d: protocol desync during %s: %d frames stashed from rank %d while waiting for %s (tag %d, instance %d); latest was %s (tag %d, instance %d)",
-				t.rank, op, len(pc.pending), peer, frameTypeName(wantType), wantTag, wantInst, frameTypeName(typ), tag, inst)
-		}
-		pc.pending = append(pc.pending, pendingFrame{typ: typ, tag: tag, inst: inst, payload: append([]byte(nil), payload...)})
+	if typ == frameBye {
+		return nil, fmt.Errorf("comm: tcp rank %d: rank %d shut down mid-%s", t.rank, peer, op)
 	}
+	if typ != wantType || tag != wantTag {
+		return nil, fmt.Errorf("comm: tcp rank %d: protocol desync during %s: waiting for %s (tag %d) from rank %d, got %s (tag %d)",
+			t.rank, op, frameTypeName(wantType), wantTag, peer, frameTypeName(typ), tag)
+	}
+	t.apart.Check(t.rank) // next may have parked this goroutine: it can be on another thread now
+	return t.decode(pc, payload, op)
 }
 
 // decode unpacks a float payload into pc's reusable decode buffer.
@@ -716,11 +683,11 @@ func floatScratch(buf []float64) []float64 {
 }
 
 func (s tcpSlabs) sendSlab(to int, side grid.Side, msg []float64) error {
-	return s.t.send(to, frameExchange, byte(side), 0, msg)
+	return s.t.send(to, frameExchange, byte(side), msg)
 }
 
 func (s tcpSlabs) recvSlab(from int, side grid.Side, wantLen int) ([]float64, error) {
-	msg, err := s.t.recvFloats(from, frameExchange, byte(side), 0, "exchange")
+	msg, err := s.t.recvFloats(from, frameExchange, byte(side), "exchange")
 	if err != nil {
 		return nil, err
 	}
@@ -744,21 +711,6 @@ func (t *TCP) Exchange3D(depth int, fields ...*grid.Field3D) error {
 	return exchange(tcpSlabs{t}, t.dec.rank(t.rank), &t.trace, 3, depth, fields)
 }
 
-// tcpReduceState is one in-flight reduction: startReduce posts the sends
-// that need no peer data, finishReduce receives and completes the
-// butterfly. The blocking reduce is start immediately followed by finish.
-type tcpReduceState struct {
-	op   reduceOp
-	inst byte      // reduction-instance byte: the caller-level tag
-	vals []float64 // caller's slice; the result is copied back into it
-	acc  []float64 // private accumulator for butterfly ranks
-	p2   int       // largest power of two ≤ size
-	rem  int       // size − p2 (ranks folded in by the pre/post step)
-	// sentRounds counts the butterfly rounds whose send was already
-	// posted by startReduce (0 or 1); finishReduce posts the rest.
-	sentRounds int
-}
-
 func (t *TCP) combine(op reduceOp, acc, other []float64) error {
 	if len(other) != len(acc) {
 		return fmt.Errorf("comm: tcp rank %d: reduction value-count mismatch: we contributed %d values, a peer contributed %d (every rank must pass the same number of values to each reduction)",
@@ -777,44 +729,27 @@ func (t *TCP) combine(op reduceOp, acc, other []float64) error {
 	return nil
 }
 
-// startReduce posts this rank's opening sends of the recursive-doubling
-// butterfly — everything it can put on the wire without waiting on a
-// peer. Fold-in ranks (≥ p2) post their whole contribution; butterfly
-// ranks outside the fold-in window post their round-0 exchange (send
-// never waits for the peer, so this never blocks); ranks that
-// must first receive a folded contribution post nothing and do all their
-// work in finishReduce. send serialises the frame before it returns, so
-// later mutation of acc cannot corrupt a posted frame. st is filled in
-// from scratch except for acc's backing array, which is reused.
-func (t *TCP) startReduce(st *tcpReduceState, op reduceOp, inst byte, vals []float64) error {
-	*st = tcpReduceState{op: op, inst: inst, vals: vals, acc: st.acc[:0], p2: 1}
-	for st.p2*2 <= t.size {
-		st.p2 *= 2
+// reduce runs one fused allreduce over all ranks: log₂(P) rounds for
+// power-of-two rank counts; otherwise the trailing ranks fold their
+// contribution into a partner first and receive the result back after the
+// butterfly (the classic Rabenseifner pre/post step). Each round sends
+// before it receives, and send never waits for the peer, so partners
+// cannot deadlock; round tags catch schedule desync. Reductions cannot
+// nest (one driver goroutine), so they share one accumulator.
+func (t *TCP) reduce(op reduceOp, vals []float64) ([]float64, error) {
+	if t.size == 1 {
+		return vals, nil
 	}
-	st.rem = t.size - st.p2
-	if t.rank >= st.p2 {
-		return t.send(t.rank-st.p2, frameReduce, tagReduceFold, inst, vals)
+	p2 := 1 // largest power of two ≤ size
+	for p2*2 <= t.size {
+		p2 *= 2
 	}
-	st.acc = append(st.acc, vals...)
-	if t.rank < st.rem || st.p2 == 1 {
-		return nil
-	}
-	if err := t.send(t.rank^1, frameReduce, 0, inst, st.acc); err != nil {
-		return err
-	}
-	st.sentRounds = 1
-	return nil
-}
-
-// finishReduce completes the butterfly begun by startReduce: fold-in
-// ranks receive the finished result; butterfly ranks run the remaining
-// rounds (receiving round 0 from a partner whose send was already posted
-// at its own start) and send results back to their fold-in partners.
-// Round tags catch schedule desync.
-func (t *TCP) finishReduce(st *tcpReduceState) ([]float64, error) {
-	vals := st.vals
-	if t.rank >= st.p2 {
-		res, err := t.recvFloats(t.rank-st.p2, frameReduce, tagReduceResult, st.inst, "reduction")
+	rem := t.size - p2 // ranks folded in by the pre/post step
+	if t.rank >= p2 {
+		if err := t.send(t.rank-p2, frameReduce, tagReduceFold, vals); err != nil {
+			return nil, err
+		}
+		res, err := t.recvFloats(t.rank-p2, frameReduce, tagReduceResult, "reduction")
 		if err != nil {
 			return nil, err
 		}
@@ -824,58 +759,37 @@ func (t *TCP) finishReduce(st *tcpReduceState) ([]float64, error) {
 		copy(vals, res)
 		return vals, nil
 	}
-	acc := st.acc
-	if t.rank < st.rem {
-		other, err := t.recvFloats(t.rank+st.p2, frameReduce, tagReduceFold, st.inst, "reduction")
+	t.acc = append(t.acc[:0], vals...)
+	acc := t.acc
+	if t.rank < rem {
+		other, err := t.recvFloats(t.rank+p2, frameReduce, tagReduceFold, "reduction")
 		if err != nil {
 			return nil, err
 		}
-		if err := t.combine(st.op, acc, other); err != nil {
+		if err := t.combine(op, acc, other); err != nil {
 			return nil, err
 		}
 	}
-	round := 0
-	for mask := 1; mask < st.p2; mask <<= 1 {
+	for mask, round := 1, byte(0); mask < p2; mask, round = mask<<1, round+1 {
 		partner := t.rank ^ mask
-		if round >= st.sentRounds {
-			if err := t.send(partner, frameReduce, byte(round), st.inst, acc); err != nil {
-				return nil, err
-			}
+		if err := t.send(partner, frameReduce, round, acc); err != nil {
+			return nil, err
 		}
-		other, err := t.recvFloats(partner, frameReduce, byte(round), st.inst, "reduction")
+		other, err := t.recvFloats(partner, frameReduce, round, "reduction")
 		if err != nil {
 			return nil, err
 		}
-		if err := t.combine(st.op, acc, other); err != nil {
+		if err := t.combine(op, acc, other); err != nil {
 			return nil, err
 		}
-		round++
 	}
-	if t.rank < st.rem {
-		if err := t.send(t.rank+st.p2, frameReduce, tagReduceResult, st.inst, acc); err != nil {
+	if t.rank < rem {
+		if err := t.send(t.rank+p2, frameReduce, tagReduceResult, acc); err != nil {
 			return nil, err
 		}
 	}
 	copy(vals, acc)
 	return vals, nil
-}
-
-// reduce runs one fused allreduce over all ranks: log₂(P) rounds for
-// power-of-two rank counts; otherwise the trailing ranks fold their
-// contribution into a partner first and receive the result back after the
-// butterfly (the classic Rabenseifner pre/post step). It is literally
-// startReduce followed by finishReduce, so the blocking and split-phase
-// paths share one schedule by construction. Blocking reductions cannot
-// nest or overlap (one driver goroutine, no blocking collective while a
-// split-phase round is in flight), so they share one reusable state.
-func (t *TCP) reduce(op reduceOp, vals []float64) ([]float64, error) {
-	if t.size == 1 {
-		return vals, nil
-	}
-	if err := t.startReduce(&t.red, op, 0, vals); err != nil {
-		return nil, err
-	}
-	return t.finishReduce(&t.red)
 }
 
 // mustReduce adapts reduce to the error-free reduction contract: a
@@ -910,50 +824,6 @@ func (t *TCP) AllReduceSum2(x, y float64) (float64, float64) {
 func (t *TCP) AllReduceSumN(vals []float64) []float64 {
 	t.trace.AddReduction(len(vals))
 	return t.mustReduce(opSum, vals)
-}
-
-// AllReduceSumNStart implements Communicator split-phase: the opening
-// butterfly sends go on the wire immediately (written by this goroutine,
-// never blocking on a peer), and Finish performs the receives
-// and remaining rounds — so the reduction's wire latency overlaps
-// whatever the caller computes in between. Transport failures panic with
-// a *TCPError exactly as the blocking reductions do.
-func (t *TCP) AllReduceSumNStart(vals []float64) ReduceHandle {
-	return t.AllReduceSumNStartTagged(0, vals)
-}
-
-// AllReduceSumNStartTagged implements Communicator: the tag travels in
-// every butterfly frame's reduction-instance byte, so the steps of
-// distinct in-flight rounds match only their own round's frames and any
-// number of tagged reductions (one per tag) can overlap on the same peer
-// connections. The wire carries one byte, so tags must be in [0,256).
-func (t *TCP) AllReduceSumNStartTagged(tag int, vals []float64) ReduceHandle {
-	if tag < 0 || tag > 255 {
-		panic(fmt.Sprintf("comm: tcp rank %d: reduction tag %d outside [0,256)", t.rank, tag))
-	}
-	t.trace.AddReduction(len(vals))
-	if t.size == 1 {
-		return doneHandle(vals)
-	}
-	h := &tcpReduceHandle{t: t}
-	if err := t.startReduce(&h.st, opSum, byte(tag), vals); err != nil {
-		panic(&TCPError{Err: err})
-	}
-	return h
-}
-
-// tcpReduceHandle is the TCP backend's in-flight split-phase reduction.
-type tcpReduceHandle struct {
-	t  *TCP
-	st tcpReduceState
-}
-
-func (h *tcpReduceHandle) Finish() []float64 {
-	res, err := h.t.finishReduce(&h.st)
-	if err != nil {
-		panic(&TCPError{Err: err})
-	}
-	return res
 }
 
 // AllReduceMax implements Communicator.
@@ -1007,7 +877,7 @@ func tcpGather[F haloField](t *TCP, dims int, local, dst F) error {
 	}
 	if t.rank != 0 {
 		data := appendBox(make([]float64, 0, ext.Cells()), lay, local.DataOrNil(), interior(lay))
-		if err := t.send(0, frameGather, 0, 0, data); err != nil {
+		if err := t.send(0, frameGather, 0, data); err != nil {
 			return err
 		}
 		return t.Protect(func() error { t.Barrier(); return nil })
@@ -1020,7 +890,7 @@ func tcpGather[F haloField](t *TCP, dims int, local, dst F) error {
 	// for the barrier and whatever follows.
 	for r := 1; r < t.size; r++ {
 		re := d.boxes[r]
-		data, rerr := t.recvFloats(r, frameGather, 0, 0, "gather")
+		data, rerr := t.recvFloats(r, frameGather, 0, "gather")
 		if rerr != nil {
 			return rerr
 		}

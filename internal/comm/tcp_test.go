@@ -354,7 +354,7 @@ func TestTCPRankCollision(t *testing.T) {
 	if _, err := nc.Write(imposter.handshakeFor().encode(frameHello)); err != nil {
 		t.Fatal(err)
 	}
-	typ, _, _, payload, err := (&frameReader{r: nc}).next()
+	typ, _, payload, err := (&frameReader{r: nc}).next()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,9 +423,191 @@ func TestTCPMidExchangeDrop(t *testing.T) {
 	if err := c0.Exchange(1, f); err == nil || !strings.Contains(err.Error(), "sending exchange to rank 1") {
 		t.Errorf("want later sends to report the recorded send failure, got: %v", err)
 	}
-	_, recvErr := c0.recvFloats(1, frameExchange, byte(grid.Left), 0, "exchange")
+	_, recvErr := c0.recvFloats(1, frameExchange, byte(grid.Left), "exchange")
 	if recvErr == nil || !strings.Contains(recvErr.Error(), "an earlier send to rank 1 failed") {
 		t.Errorf("want the receive error to carry the recorded send failure, got: %v", recvErr)
+	}
+}
+
+// TestTCPReduceFailureThroughProtect: a blocking reduction whose peer
+// has gone returns a descriptive error through Protect, not a hang.
+func TestTCPReduceFailureThroughProtect(t *testing.T) {
+	if testing.Short() {
+		t.Skip("TCP test in -short mode")
+	}
+	c0, c1 := tcpPair(t)
+	round := func(c *TCP) error {
+		if got := c.AllReduceSumN([]float64{1}); got[0] != 2 {
+			return fmt.Errorf("rank %d: AllReduceSumN = %v, want [2]", c.rank, got)
+		}
+		return nil
+	}
+	errCh := make(chan error, 1)
+	go func() {
+		// The first round completes: both ranks are up.
+		if err := c0.Protect(func() error { return round(c0) }); err != nil {
+			errCh <- fmt.Errorf("first round: %w", err)
+			return
+		}
+		// The second finds the peer gone: the reduction panics with a
+		// *TCPError, which Protect hands back as an ordinary error.
+		errCh <- c0.Protect(func() error { return round(c0) })
+	}()
+	if err := c1.Protect(func() error { return round(c1) }); err != nil {
+		t.Fatalf("rank 1 first round: %v", err)
+	}
+	c1.Close() // rank 0's second round is posted against a dropped peer
+	var err error
+	select {
+	case err = <-errCh:
+	case <-time.After(20 * time.Second):
+		t.Fatal("reduction against a dropped peer still waiting after 20s")
+	}
+	if err == nil {
+		t.Fatal("reduction against a dropped peer succeeded")
+	}
+	msg := err.Error()
+	if !strings.Contains(msg, "rank 1") || !(strings.Contains(msg, "shut down") || strings.Contains(msg, "lost")) {
+		t.Errorf("want a descriptive connection-drop error through Protect, got: %v", err)
+	}
+}
+
+// TestTCPUnexpectedFrameIsDesync: every collective receives from a peer
+// in the order that peer sent, so a frame other than the one awaited
+// fails the receive at once with a desync error naming both.
+func TestTCPUnexpectedFrameIsDesync(t *testing.T) {
+	c0, c1 := tcpPair(t)
+	bothRanks(t, c0, c1, 10*time.Second, func(c *TCP) error {
+		if c.rank == 0 {
+			return c.send(1, frameReduce, 0, []float64{1})
+		}
+		_, err := c.recvFloats(0, frameExchange, byte(grid.Left), "exchange")
+		if err == nil || !strings.Contains(err.Error(), "protocol desync during exchange: waiting for exchange (tag 0) from rank 0, got reduce (tag 0)") {
+			t.Errorf("a reduce frame where an exchange slab was due: %v, want a desync error", err)
+		}
+		return nil
+	})
+}
+
+// TestTCPReduceFollowsButterflyFold: at every rank count from 2 to 7 the
+// TCP reduction's sums are, bit for bit, the fixed recursive-doubling
+// fold computed serially: each trailing rank's values added into its
+// partner below p2, then log₂(p2) rounds of acc[r] + acc[r^mask]. The
+// contributions span 20 orders of magnitude, so any other order shows.
+func TestTCPReduceFollowsButterflyFold(t *testing.T) {
+	contrib := func(r int) []float64 {
+		return []float64{math.Pow(10, float64(3*r)) + 0.1*float64(r), 1 / float64(r+3), -float64(r * r)}
+	}
+	for ranks := 2; ranks <= 7; ranks++ {
+		p2 := 1
+		for p2*2 <= ranks {
+			p2 *= 2
+		}
+		acc := make([][]float64, p2)
+		for r := range acc {
+			acc[r] = contrib(r)
+			if r+p2 < ranks {
+				for i, v := range contrib(r + p2) {
+					acc[r][i] += v
+				}
+			}
+		}
+		for mask := 1; mask < p2; mask <<= 1 {
+			next := make([][]float64, p2)
+			for r := range next {
+				next[r] = make([]float64, len(acc[r]))
+				for i := range next[r] {
+					next[r][i] = acc[r][i] + acc[r^mask][i]
+				}
+			}
+			acc = next
+		}
+		got := make([][]float64, ranks)
+		err := RunTCP(grid.MustPartition(2*ranks, 2, ranks, 1), func(c Communicator) error {
+			got[c.Rank()] = c.AllReduceSumN(contrib(c.Rank()))
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%d ranks: %v", ranks, err)
+		}
+		for r := range got {
+			if want := acc[r%p2]; !sameBits(got[r], want) {
+				t.Errorf("%d ranks, rank %d: sums %v, want the butterfly fold %v", ranks, r, got[r], want)
+			}
+		}
+	}
+}
+
+// TestTCPCollectivesKeepFrameOrder: a receive takes the next frame on its
+// connection or fails, so back-to-back collectives must put frames on
+// every connection in the order the peer reads them — also where a
+// butterfly partner is a grid neighbour (2×2) and where a trailing rank
+// folds in (3×1), with fast ranks running ahead into the next
+// collective. After 100 rounds of exchange, reduction, two-field
+// exchange, max and barrier, fields and sums match the Hub's up to the
+// last bits that the backends' different fold orders leave.
+func TestTCPCollectivesKeepFrameOrder(t *testing.T) {
+	const nx, ny, halo = 12, 10, 2
+	for _, layout := range [][2]int{{2, 2}, {3, 1}} {
+		part := grid.MustPartition(nx, ny, layout[0], layout[1])
+		gg := grid.UnitGrid2D(nx, ny, halo)
+		run := func(runner func(fn func(c Communicator) error) error) ([][]float64, error) {
+			outs := make([][]float64, part.Ranks())
+			err := runner(func(c Communicator) error {
+				ext := part.ExtentOf(c.Rank())
+				sub, err := gg.Sub(ext.X0, ext.X1, ext.Y0, ext.Y1)
+				if err != nil {
+					return err
+				}
+				f, g := grid.NewField2D(sub), grid.NewField2D(sub)
+				paint2D(f, ext)
+				paint2D(g, ext)
+				var sums []float64
+				for it := 0; it < 100; it++ {
+					if err := c.Exchange(1, f); err != nil {
+						return err
+					}
+					s := c.AllReduceSumN([]float64{f.At(0, 0), f.At(-1, -1), float64(it)})
+					for k := 0; k < sub.NY; k++ {
+						for j := 0; j < sub.NX; j++ {
+							f.Set(j, k, f.At(j, k)+s[0]*1e-9)
+							g.Set(j, k, g.At(j, k)-f.At(j-1, k))
+						}
+					}
+					if err := c.Exchange(2, f, g); err != nil {
+						return err
+					}
+					sums = append(sums, s...)
+					sums = append(sums, c.AllReduceMax(g.At(-1, 0)))
+					c.Barrier()
+				}
+				outs[c.Rank()] = append(append(sums, f.Data...), g.Data...)
+				return nil
+			})
+			return outs, err
+		}
+		hub, err := run(func(fn func(c Communicator) error) error {
+			return Run(part, func(c *RankComm) error { return fn(c) })
+		})
+		if err != nil {
+			t.Fatalf("hub %v: %v", layout, err)
+		}
+		tcp, err := run(func(fn func(c Communicator) error) error { return RunTCP(part, fn) })
+		if err != nil {
+			t.Fatalf("tcp %v: %v", layout, err)
+		}
+		for r := range hub {
+			if len(hub[r]) != len(tcp[r]) {
+				t.Fatalf("%v rank %d: %d values from the hub, %d from tcp", layout, r, len(hub[r]), len(tcp[r]))
+			}
+			for i := range hub[r] {
+				// The two backends fold sums in different orders, so the
+				// comparison allows the last bits to differ.
+				if d := math.Abs(hub[r][i] - tcp[r][i]); d > 1e-9*math.Max(1, math.Abs(hub[r][i])) {
+					t.Fatalf("%v rank %d: value %d: hub %v tcp %v", layout, r, i, hub[r][i], tcp[r][i])
+				}
+			}
+		}
 	}
 }
 

@@ -17,10 +17,7 @@ import (
 //	0       4     payload length in bytes (little-endian uint32)
 //	4       1     frame type (frameHello .. frameBye)
 //	5       1     tag (meaning depends on the type; see below)
-//	6       1     reduction instance (frameReduce only; must be zero on
-//	              every other type — it distinguishes concurrently
-//	              in-flight tagged reduction rounds)
-//	7       1     reserved, must be zero
+//	6       2     reserved, must be zero
 //	8       n     payload (float64 values, little-endian bit patterns,
 //	              except handshake frames, which carry the fields below)
 //
@@ -42,10 +39,7 @@ import (
 //     as a tag mismatch, not silent corruption.
 //   - frameReduce: one recursive-doubling reduction step. The tag is the
 //     round code (tagReduceFold / round index / tagReduceResult), so two
-//     ranks disagreeing about the reduction schedule fail loudly. The
-//     instance byte carries the caller-level reduction tag
-//     (AllReduceSumNStartTagged), so steps of distinct in-flight rounds
-//     never match each other even when their round codes collide.
+//     ranks disagreeing about the reduction schedule fail loudly.
 //   - frameGather: one rank's interior block travelling to rank 0.
 //   - frameBye: graceful shutdown notice sent by Close. A Bye arriving
 //     where data was expected reports "peer shut down" instead of a bare
@@ -72,8 +66,10 @@ const (
 // scanners, misdirected HTTP) before any geometry parsing.
 var wireMagic = [8]byte{'T', 'E', 'A', 'L', 'T', 'C', 'P', '1'}
 
-// wireVersion is bumped on any incompatible frame-format change.
-const wireVersion uint16 = 1
+// wireVersion is bumped on any incompatible frame-format change. Version
+// 2 reserves header byte 6, which a version 1 peer may set on its reduce
+// frames.
+const wireVersion uint16 = 2
 
 // maxFrameBytes caps a frame's payload so a corrupt or hostile length
 // prefix cannot trigger a multi-gigabyte allocation.
@@ -102,20 +98,18 @@ func frameTypeName(t byte) string {
 }
 
 // appendFrameHeader appends the 8-byte frame header for a payload of n
-// bytes. inst is the reduction-instance byte and must be zero for every
-// type but frameReduce.
-func appendFrameHeader(buf []byte, typ, tag, inst byte, n int) []byte {
+// bytes.
+func appendFrameHeader(buf []byte, typ, tag byte, n int) []byte {
 	var hdr [frameHeaderBytes]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(n))
 	hdr[4] = typ
 	hdr[5] = tag
-	hdr[6] = inst
 	return append(buf, hdr[:]...)
 }
 
 // appendFloatFrame appends a complete frame whose payload is vals to buf.
-func appendFloatFrame(buf []byte, typ, tag, inst byte, vals []float64) []byte {
-	buf = appendFrameHeader(slices.Grow(buf, frameHeaderBytes+8*len(vals)), typ, tag, inst, 8*len(vals))
+func appendFloatFrame(buf []byte, typ, tag byte, vals []float64) []byte {
+	buf = appendFrameHeader(slices.Grow(buf, frameHeaderBytes+8*len(vals)), typ, tag, 8*len(vals))
 	off := len(buf)
 	buf = buf[:off+8*len(vals)]
 	for i, v := range vals {
@@ -165,7 +159,7 @@ type frameReader struct {
 
 // next returns the next complete frame. The payload aliases the reader's
 // buffer and is valid only until the following call.
-func (fr *frameReader) next() (typ, tag, inst byte, payload []byte, err error) {
+func (fr *frameReader) next() (typ, tag byte, payload []byte, err error) {
 	if unread := fr.wr - fr.rd; len(fr.buf) > scratchStepBytes && unread <= scratchStepBytes {
 		// An outsized frame grew the buffer; keep only what is still unread.
 		kept := make([]byte, max(recvBufBytes, unread))
@@ -176,27 +170,24 @@ func (fr *frameReader) next() (typ, tag, inst byte, payload []byte, err error) {
 		fr.rd, fr.wr = 0, 0
 	}
 	if err := fr.fill(frameHeaderBytes); err != nil {
-		return 0, 0, 0, nil, err
+		return 0, 0, nil, err
 	}
 	hdr := fr.buf[fr.rd : fr.rd+frameHeaderBytes]
 	n := binary.LittleEndian.Uint32(hdr[0:4])
-	typ, tag, inst = hdr[4], hdr[5], hdr[6]
+	typ, tag = hdr[4], hdr[5]
 	if n > maxFrameBytes {
-		return 0, 0, 0, nil, fmt.Errorf("frame payload of %d bytes exceeds the %d-byte cap (corrupt stream?)", n, maxFrameBytes)
+		return 0, 0, nil, fmt.Errorf("frame payload of %d bytes exceeds the %d-byte cap (corrupt stream?)", n, maxFrameBytes)
 	}
-	if inst != 0 && typ != frameReduce {
-		return 0, 0, 0, nil, fmt.Errorf("non-zero reduction-instance byte on a %s frame (corrupt stream?)", frameTypeName(typ))
-	}
-	if hdr[7] != 0 {
-		return 0, 0, 0, nil, fmt.Errorf("non-zero reserved byte in frame header (corrupt stream?)")
+	if hdr[6] != 0 || hdr[7] != 0 {
+		return 0, 0, nil, fmt.Errorf("non-zero reserved byte in frame header (corrupt stream?)")
 	}
 	size := frameHeaderBytes + int(n)
 	if err := fr.fill(size); err != nil {
-		return 0, 0, 0, nil, fmt.Errorf("reading %d-byte payload: %w", n, err)
+		return 0, 0, nil, fmt.Errorf("reading %d-byte payload: %w", n, err)
 	}
 	payload = fr.buf[fr.rd+frameHeaderBytes : fr.rd+size]
 	fr.rd += size
-	return typ, tag, inst, payload, nil
+	return typ, tag, payload, nil
 }
 
 // fill reads until at least need unconsumed bytes are buffered. It
@@ -279,7 +270,7 @@ func (h handshake) encode(typ byte) []byte {
 		payload = binary.LittleEndian.AppendUint32(payload, uint32(v))
 	}
 	buf := make([]byte, 0, frameHeaderBytes+len(payload))
-	buf = appendFrameHeader(buf, typ, 0, 0, len(payload))
+	buf = appendFrameHeader(buf, typ, 0, len(payload))
 	return append(buf, payload...)
 }
 

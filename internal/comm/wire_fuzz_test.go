@@ -35,21 +35,22 @@ func (r *chunkReader) Read(p []byte) (int, error) {
 // into small reads changes nothing.
 func FuzzReadFrame(f *testing.F) {
 	hello := handshake{rank: 1, size: 4, dims: 2, nx: 256, ny: 256, px: 2, py: 2}.encode(frameHello)
-	f.Add(appendFloatFrame(nil, frameExchange, 2, 0, []float64{1, -2.5, 3e300}), uint8(3))
-	f.Add(appendFloatFrame(appendFloatFrame(nil, frameReduce, tagReduceFold, 7, []float64{0}), frameBye, 0, 0, nil), uint8(0))
+	f.Add(appendFloatFrame(nil, frameExchange, 2, []float64{1, -2.5, 3e300}), uint8(3))
+	f.Add(appendFloatFrame(appendFloatFrame(nil, frameReduce, tagReduceFold, []float64{0}), frameBye, 0, nil), uint8(0))
+	f.Add(withByte6(appendFloatFrame(nil, frameReduce, tagReduceFold, []float64{0}), 7), uint8(0))
 	f.Add(hello, uint8(7))
-	f.Add(append(appendFrameHeader(nil, frameReject, 0, 0, 5), "nope!"...), uint8(1))
+	f.Add(append(appendFrameHeader(nil, frameReject, 0, 5), "nope!"...), uint8(1))
 	f.Fuzz(func(t *testing.T, data []byte, chunk uint8) {
 		type frame struct {
-			typ, tag, inst byte
-			payload        []byte
+			typ, tag byte
+			payload  []byte
 		}
 		parse := func(r io.Reader) ([]frame, error) {
 			fr := frameReader{r: r}
 			var frames []frame
 			off := 0
 			for {
-				typ, tag, inst, payload, err := fr.next()
+				typ, tag, payload, err := fr.next()
 				if len(fr.buf) > len(data)+scratchStepBytes {
 					t.Fatalf("receive buffer grew to %d bytes on %d bytes of input", len(fr.buf), len(data))
 				}
@@ -61,13 +62,13 @@ func FuzzReadFrame(f *testing.F) {
 				}
 				end := off + frameHeaderBytes + len(payload)
 				if end > len(data) || !bytes.Equal(payload, data[off+frameHeaderBytes:end]) ||
-					typ != data[off+4] || tag != data[off+5] || inst != data[off+6] {
+					typ != data[off+4] || tag != data[off+5] {
 					t.Fatalf("frame at offset %d does not match the bytes it was read from", off)
 				}
-				if inst != 0 && typ != frameReduce {
-					t.Fatalf("accepted a %s frame with instance byte %d", frameTypeName(typ), inst)
+				if data[off+6] != 0 || data[off+7] != 0 {
+					t.Fatalf("accepted a %s frame with reserved bytes %d, %d", frameTypeName(typ), data[off+6], data[off+7])
 				}
-				frames = append(frames, frame{typ, tag, inst, bytes.Clone(payload)})
+				frames = append(frames, frame{typ, tag, bytes.Clone(payload)})
 				off = end
 			}
 		}

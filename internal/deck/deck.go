@@ -69,7 +69,6 @@ type Deck struct {
 	EigenCGIters int
 	Precond      string // none | jac_diag | jac_block
 	Coefficient  string // density | recip_density
-	ProfilerOn   bool
 	// UseDeflation composes subdomain deflation as an outer projector
 	// around the CG or PPCG solve (tl_use_deflation; §VII future work).
 	// Works in 2D and 3D, single- and multi-rank: the coarse space is
@@ -238,10 +237,7 @@ func (d *Deck) parseLine(line string) error {
 	case "tl_coefficient_recip_density":
 		d.Coefficient = "recip_density"
 		return nil
-	case "profiler_on":
-		d.ProfilerOn = true
-		return nil
-	case "test_problem", "visit_frequency", "summary_frequency":
+	case "profiler_on", "test_problem", "visit_frequency", "summary_frequency":
 		// Accepted, ignored: present in stock tea.in files but irrelevant
 		// to the solve.
 		_ = hasVal

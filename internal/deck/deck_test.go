@@ -61,9 +61,6 @@ func TestParseSampleDeck(t *testing.T) {
 	if d.Coefficient != "recip_density" {
 		t.Errorf("coefficient = %q", d.Coefficient)
 	}
-	if !d.ProfilerOn {
-		t.Error("profiler_on not parsed")
-	}
 	if len(d.States) != 4 {
 		t.Fatalf("states = %d", len(d.States))
 	}
@@ -236,11 +233,31 @@ func TestSteps(t *testing.T) {
 }
 
 func TestIgnoredLegacyOptions(t *testing.T) {
-	d, err := ParseString("*tea\nstate 1 density=1 energy=1\ntest_problem=5\nvisit_frequency=10\nsummary_frequency=1\n*endtea")
+	d, err := ParseString("*tea\nstate 1 density=1 energy=1\ntest_problem=5\nvisit_frequency=10\nsummary_frequency=1\nprofiler_on\n*endtea")
 	if err != nil {
 		t.Fatalf("legacy options must be accepted: %v", err)
 	}
 	_ = d
+}
+
+// TestStockDeckWithProfilerOnParses: a stock tea.in that switches the
+// Fortran profiler on parses to the same deck as one that does not.
+func TestStockDeckWithProfilerOnParses(t *testing.T) {
+	without := strings.Replace(sampleDeck, "profiler_on\n", "", 1)
+	if without == sampleDeck {
+		t.Fatal("sampleDeck no longer contains profiler_on")
+	}
+	a, err := ParseString(sampleDeck)
+	if err != nil {
+		t.Fatalf("stock deck with profiler_on: %v", err)
+	}
+	b, err := ParseString(without)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Format() != b.Format() {
+		t.Errorf("profiler_on changed the parsed deck:\n%s\nvs\n%s", a.Format(), b.Format())
+	}
 }
 
 func TestParseReaderError(t *testing.T) {

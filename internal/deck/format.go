@@ -42,9 +42,6 @@ func (d *Deck) Format() string {
 	w("tl_eigen_cg_iters=%d", d.EigenCGIters)
 	w("tl_preconditioner_type=%s", d.Precond)
 	w("tl_coefficient_%s", d.Coefficient)
-	if d.ProfilerOn {
-		w("profiler_on")
-	}
 	if d.UseDeflation {
 		w("tl_use_deflation")
 	}

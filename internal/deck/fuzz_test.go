@@ -79,7 +79,7 @@ func TestFormatIsValidatedOutput(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := d.Format()
-	for _, absent := range []string{"tl_use_deflation\n", "profiler_on", "radius="} {
+	for _, absent := range []string{"tl_use_deflation\n", "radius="} {
 		if strings.Contains(text, absent) {
 			t.Errorf("canonical form of a plain deck mentions %q:\n%s", absent, text)
 		}

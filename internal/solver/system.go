@@ -182,6 +182,10 @@ type engine[F comparable, B any] struct {
 	// red is reduceCG's buffer: the scalars and, deflated, one value per
 	// coarse block, every iteration.
 	red []float64
+	// xf is exchange's field list, refilled call after call: a caller's
+	// variadic slice passed on through the system's interface call would
+	// escape, and be allocated at every exchange.
+	xf []F
 }
 
 func newEngine[F comparable, B any](sys system[F, B], o Options, u, rhs F) *engine[F, B] {
@@ -194,7 +198,8 @@ func newEngine[F comparable, B any](sys system[F, B], o Options, u, rhs F) *engi
 
 // exchange refreshes halos through the communicator.
 func (e *engine[F, B]) exchange(depth int, fields ...F) error {
-	return e.sys.Exchange(depth, fields...)
+	e.xf = append(e.xf[:0], fields...)
+	return e.sys.Exchange(depth, e.xf...)
 }
 
 // dot computes a globally reduced dot product over the interior.
