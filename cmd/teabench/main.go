@@ -484,16 +484,15 @@ func smokeExperiment(cfg config) error {
 	}
 	fmt.Printf("2D  deflated  2x2 ranks: iters=%d (rank-invariant)\n", resD.Summary.TotalIterations)
 
-	// 3D deflation with the nested two-level hierarchy, distributed.
+	// 3D deflation, distributed.
 	ds3 := problem.StiffDeck3D(12)
 	ds3.UseDeflation = true
 	ds3.DeflationBlocks = 4
-	ds3.DeflationLevels = 2
 	resD3, err := core.RunDistributed3D(ds3, 2, 2, 1, 1, 1)
 	if err != nil {
 		return fmt.Errorf("3D distributed deflation: %w", err)
 	}
-	fmt.Printf("3D  deflated  12^3 levels=2 2x2x1 ranks: iters=%d\n\n", resD3.Summary.TotalIterations)
+	fmt.Printf("3D  deflated  12^3 2x2x1 ranks: iters=%d\n\n", resD3.Summary.TotalIterations)
 	return nil
 }
 

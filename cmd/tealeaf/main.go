@@ -58,7 +58,6 @@ var (
 	stiff   = flag.Bool("stiff", false, "use the built-in stiff near-steady deck (dt=10; the deflation regime) instead of the crooked pipe; honours -dims 3")
 	deflate = flag.Bool("deflate", false, "enable subdomain deflation (tl_use_deflation; cg/ppcg, 2D and 3D, single- or multi-rank)")
 	deflBlk = flag.Int("deflate-blocks", 0, "override deflation subdomains per direction (tl_deflation_blocks)")
-	deflLvl = flag.Int("deflate-levels", 0, "override nested deflation hierarchy depth (tl_deflation_levels)")
 	netMode = flag.String("net", "hub", "comm backend for decomposed runs: hub (goroutine ranks), tcp (this process is one rank; needs -rank/-peers), launch (fork local tcp ranks)")
 	rank    = flag.Int("rank", 0, "this process's rank (with -net tcp)")
 	peers   = flag.String("peers", "", "comma-separated host:port of every rank, indexed by rank (with -net tcp)")
@@ -117,12 +116,9 @@ func run() error {
 	if *deflBlk > 0 {
 		d.DeflationBlocks = *deflBlk
 	}
-	if *deflLvl > 0 {
-		d.DeflationLevels = *deflLvl
-	}
-	// Surface deck errors the overrides can make (deflation blocks and
-	// levels against the mesh, a halo depth on a solver other than PPCG)
-	// before any rank starts.
+	// Surface deck errors the overrides can make (deflation blocks against
+	// the mesh, a halo depth on a solver other than PPCG) before any rank
+	// starts.
 	if err := d.Validate(); err != nil {
 		return err
 	}
@@ -299,11 +295,7 @@ func deflNote(d *deck.Deck) string {
 	if !d.UseDeflation {
 		return ""
 	}
-	note := fmt.Sprintf(" deflation=%d", d.DeflationBlocks)
-	if d.DeflationLevels > 1 {
-		note += fmt.Sprintf(" levels=%d", d.DeflationLevels)
-	}
-	return note
+	return fmt.Sprintf(" deflation=%d", d.DeflationBlocks)
 }
 
 func writePPM(path string, f *grid.Field2D) error {

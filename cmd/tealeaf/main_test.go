@@ -39,7 +39,7 @@ func docFlagNames(t *testing.T) map[string]bool {
 // tealeaf registers on flag.CommandLine.
 func TestFlagTableDocumented(t *testing.T) {
 	documented := docFlagNames(t)
-	if len(documented) < 20 {
+	if len(documented) < 19 {
 		t.Fatalf("only %d documented flags found; the table parse looks broken", len(documented))
 	}
 	flag.CommandLine.VisitAll(func(f *flag.Flag) {

@@ -26,9 +26,9 @@
 // deflation (§VII future work) composes as a distributed outer projector
 // around the CG and PPCG solves in both dimensionalities — rank-local
 // restriction over the global coarse partition, one allreduce per
-// projection, an optional nested multi-level hierarchy — reachable from
-// deck keys (tl_use_deflation, tl_deflation_blocks, tl_deflation_levels)
-// through solver.Options.Deflation and Options.Deflation3D.
+// projection, one dense Cholesky coarse solve — reachable from deck keys
+// (tl_use_deflation, tl_deflation_blocks) through
+// solver.Options.Deflation and Options.Deflation3D.
 //
 // Entry points:
 //

@@ -60,13 +60,11 @@ func main() {
 	// exactly what the coarse deflation space removes.
 	plain := run("")
 	deflated := run("tl_use_deflation\ntl_deflation_blocks=8")
-	nested := run("tl_use_deflation\ntl_deflation_blocks=8\ntl_deflation_levels=2")
 
 	fmt.Printf("plain CG:    %d iterations, avg temperature %.6g\n",
 		plain.TotalIterations, plain.AvgTemperature)
 	fmt.Printf("deflated CG: %d iterations, avg temperature %.6g (8x8 subdomains)\n",
 		deflated.TotalIterations, deflated.AvgTemperature)
-	fmt.Printf("nested (2-level hierarchy): %d iterations\n", nested.TotalIterations)
 	fmt.Printf("iteration reduction: %.0f%%\n",
 		100*(1-float64(deflated.TotalIterations)/float64(plain.TotalIterations)))
 

@@ -33,12 +33,13 @@ var Analyzer = &analysis.Analyzer{
 // panicMethods are the *comm.TCP methods that panic with *TCPError on
 // transport failure (the error-free Communicator reduction surface).
 var panicMethods = map[string]bool{
-	"AllReduceSum":       true,
-	"AllReduceSum2":      true,
-	"AllReduceSumN":      true,
-	"AllReduceSumNStart": true,
-	"AllReduceMax":       true,
-	"Barrier":            true,
+	"AllReduceSum":             true,
+	"AllReduceSum2":            true,
+	"AllReduceSumN":            true,
+	"AllReduceSumNStart":       true,
+	"AllReduceSumNStartTagged": true,
+	"AllReduceMax":             true,
+	"Barrier":                  true,
 }
 
 // interval is a lexical scope: a protecting literal or a goroutine body.

@@ -20,6 +20,11 @@ func nakedStart(t *comm.TCP, vals []float64) comm.ReduceHandle {
 	return t.AllReduceSumNStart(vals) // want `\(\*comm.TCP\).AllReduceSumNStart can panic with \*TCPError`
 }
 
+// nakedStartTagged is the tagged form of the same round.
+func nakedStartTagged(t *comm.TCP, vals []float64) comm.ReduceHandle {
+	return t.AllReduceSumNStartTagged(1, vals) // want `\(\*comm.TCP\).AllReduceSumNStartTagged can panic with \*TCPError`
+}
+
 // goInsideProtect spawns a goroutine from a Protect literal: recover only
 // fires on the panicking goroutine, so the spawned calls are unprotected.
 func goInsideProtect(t *comm.TCP) error {

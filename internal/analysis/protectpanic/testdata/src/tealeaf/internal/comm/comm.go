@@ -23,6 +23,7 @@ type Communicator interface {
 	AllReduceSum2(x, y float64) (float64, float64)
 	AllReduceSumN(vals []float64) []float64
 	AllReduceSumNStart(vals []float64) ReduceHandle
+	AllReduceSumNStartTagged(tag int, vals []float64) ReduceHandle
 	AllReduceMax(x float64) float64
 	Barrier()
 }
@@ -40,16 +41,17 @@ type TCP struct{ rank int }
 // NewTCP mirrors comm.NewTCP.
 func NewTCP(cfg TCPConfig) (*TCP, error) { return &TCP{rank: cfg.Rank}, nil }
 
-func (t *TCP) Rank() int                                      { return t.rank }
-func (t *TCP) Size() int                                      { return 1 }
-func (t *TCP) Close()                                         {}
-func (t *TCP) Exchange(depth int, fs ...[]float64) error      { return nil }
-func (t *TCP) AllReduceSum(x float64) float64                 { return x }
-func (t *TCP) AllReduceSum2(x, y float64) (float64, float64)  { return x, y }
-func (t *TCP) AllReduceSumN(vals []float64) []float64         { return vals }
-func (t *TCP) AllReduceSumNStart(vals []float64) ReduceHandle { return nil }
-func (t *TCP) AllReduceMax(x float64) float64                 { return x }
-func (t *TCP) Barrier()                                       {}
+func (t *TCP) Rank() int                                                     { return t.rank }
+func (t *TCP) Size() int                                                     { return 1 }
+func (t *TCP) Close()                                                        {}
+func (t *TCP) Exchange(depth int, fs ...[]float64) error                     { return nil }
+func (t *TCP) AllReduceSum(x float64) float64                                { return x }
+func (t *TCP) AllReduceSum2(x, y float64) (float64, float64)                 { return x, y }
+func (t *TCP) AllReduceSumN(vals []float64) []float64                        { return vals }
+func (t *TCP) AllReduceSumNStart(vals []float64) ReduceHandle                { return nil }
+func (t *TCP) AllReduceSumNStartTagged(tag int, vals []float64) ReduceHandle { return nil }
+func (t *TCP) AllReduceMax(x float64) float64                                { return x }
+func (t *TCP) Barrier()                                                      {}
 
 // Protect mirrors (*comm.TCP).Protect: recovers *TCPError panics from fn.
 func (t *TCP) Protect(fn func() error) error { return fn() }

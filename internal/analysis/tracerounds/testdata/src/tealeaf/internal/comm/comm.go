@@ -19,6 +19,7 @@ type Communicator interface {
 	AllReduceSum2(x, y float64) (float64, float64)
 	AllReduceSumN(vals []float64) []float64
 	AllReduceSumNStart(vals []float64) ReduceHandle
+	AllReduceSumNStartTagged(tag int, vals []float64) ReduceHandle
 	AllReduceMax(x float64) float64
 	Barrier()
 	GatherInterior(local, dst []float64) error

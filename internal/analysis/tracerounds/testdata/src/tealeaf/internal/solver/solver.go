@@ -47,6 +47,8 @@ func (e *engine) runLoop(iters int, r []float64) float64 {
 		rr = sums[0]
 		h := e.c.AllReduceSumNStart([]float64{rr}) // want `direct Communicator AllReduceSumNStart in the solver`
 		rr = h.Finish()[0]
+		h = e.c.AllReduceSumNStartTagged(it, []float64{rr}) // want `direct Communicator AllReduceSumNStartTagged in the solver`
+		rr = h.Finish()[0]
 	}
 	return rr
 }

@@ -29,16 +29,17 @@ var Analyzer = &analysis.Analyzer{
 // collectives are the Communicator methods under the contract. Local
 // queries (Rank, Size, Trace, Physical*) are exempt.
 var collectives = map[string]bool{
-	"Exchange":           true,
-	"Exchange3D":         true,
-	"AllReduceSum":       true,
-	"AllReduceSum2":      true,
-	"AllReduceSumN":      true,
-	"AllReduceSumNStart": true,
-	"AllReduceMax":       true,
-	"Barrier":            true,
-	"GatherInterior":     true,
-	"GatherInterior3D":   true,
+	"Exchange":                 true,
+	"Exchange3D":               true,
+	"AllReduceSum":             true,
+	"AllReduceSum2":            true,
+	"AllReduceSumN":            true,
+	"AllReduceSumNStart":       true,
+	"AllReduceSumNStartTagged": true,
+	"AllReduceMax":             true,
+	"Barrier":                  true,
+	"GatherInterior":           true,
+	"GatherInterior3D":         true,
 }
 
 // wrappers is the allowed surface: receiver type name → method names

@@ -316,7 +316,7 @@ func (inst *Instance) deflation() error {
 	defl, err := deflate.New(inst.Pool, inst.Comm, inst.Op, deflate.Geometry{
 		GlobalNX: d.XCells, GlobalNY: d.YCells,
 		OffsetX: offset(g.XMin, d.XMin, g.DX), OffsetY: offset(g.YMin, d.YMin, g.DY),
-	}, deflate.Config{BX: d.DeflationBlocks, BY: d.DeflationBlocks, Levels: d.DeflationLevels})
+	}, deflate.Config{BX: d.DeflationBlocks, BY: d.DeflationBlocks})
 	if err != nil {
 		return err
 	}
@@ -330,8 +330,7 @@ func (inst *Instance3D) deflation() error {
 		GlobalNX: d.XCells, GlobalNY: d.YCells, GlobalNZ: d.ZCells,
 		OffsetX: offset(g.XMin, d.XMin, g.DX), OffsetY: offset(g.YMin, d.YMin, g.DY),
 		OffsetZ: offset(g.ZMin, d.ZMin, g.DZ),
-	}, deflate.Config{BX: d.DeflationBlocks, BY: d.DeflationBlocks, BZ: d.DeflationBlocks,
-		Levels: d.DeflationLevels})
+	}, deflate.Config{BX: d.DeflationBlocks, BY: d.DeflationBlocks, BZ: d.DeflationBlocks})
 	if err != nil {
 		return err
 	}

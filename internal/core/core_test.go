@@ -316,7 +316,7 @@ func TestStiffDeflatedDeckSteps(t *testing.T) {
 
 // Composition rules surface as actionable errors at instance build time:
 // deflation composes with cg and ppcg only (in 2D and 3D, distributed or
-// not), and the coarse geometry must fit the mesh and hierarchy.
+// not), and the coarse geometry must fit the mesh.
 func TestDeflationDeckRejectsBadCompositions(t *testing.T) {
 	d := problem.StiffDeck(32)
 	d.UseDeflation = true
@@ -335,13 +335,6 @@ func TestDeflationDeckRejectsBadCompositions(t *testing.T) {
 	d.DeflationBlocks = 64 // exceeds the mesh
 	if err := d.Validate(); err == nil {
 		t.Error("deflation blocks beyond the mesh must be rejected")
-	}
-	d = problem.StiffDeck(32)
-	d.UseDeflation = true
-	d.DeflationBlocks = 4
-	d.DeflationLevels = 4 // a 4-block direction supports at most 3 levels
-	if err := d.Validate(); err == nil {
-		t.Error("deflation levels beyond the hierarchy must be rejected")
 	}
 	// Previously walled off, now first-class: ppcg and distributed runs.
 	d = problem.StiffDeck(32)

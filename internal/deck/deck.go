@@ -5,11 +5,10 @@
 // starting with '!' or '#'.
 //
 // Beyond stock TeaLeaf, the dialect adds: dims/z_cells/zmin/zmax (3D
-// decks) and the deflation keys tl_use_deflation /
-// tl_deflation_blocks=N / tl_deflation_levels=L (subdomain deflation as
-// an outer Krylov projector; N coarse blocks per direction over the
-// global mesh, default 8, with an L-deep nested hierarchy — composes
-// with tl_use_cg and tl_use_ppcg in 2D and 3D, single- or multi-rank).
+// decks) and the deflation keys tl_use_deflation / tl_deflation_blocks=N
+// (subdomain deflation as an outer Krylov projector; N coarse blocks per
+// direction over the global mesh, default 8 — composes with tl_use_cg
+// and tl_use_ppcg in 2D and 3D, single- or multi-rank).
 package deck
 
 import (
@@ -80,11 +79,9 @@ type Deck struct {
 	// the indicator vectors of an N×N (2D) or N×N×N (3D) block partition
 	// of the global mesh.
 	DeflationBlocks int
-	// DeflationLevels is the nested coarse-hierarchy depth
-	// (tl_deflation_levels, default 1): 1 solves the coarse matrix by
-	// dense Cholesky; L > 1 deflates it recursively over blocks-of-blocks
-	// aggregations, with the dense solve only at the top — the paper's
-	// §VII "series of nested lower dimensional sub-spaces".
+	// DeflationLevels is set by no key and no caller: only the benchmark
+	// harness reads it, passing it on as deflate.Config.Levels, where 0
+	// is the one dense coarse solve.
 	DeflationLevels int
 
 	States []State
@@ -109,7 +106,6 @@ func Default() *Deck {
 		Precond:         "none",
 		Coefficient:     "density",
 		DeflationBlocks: 8,
-		DeflationLevels: 1,
 	}
 }
 
@@ -229,8 +225,6 @@ func (d *Deck) parseLine(line string) error {
 		return nil
 	case "tl_deflation_blocks":
 		return d.setInt(&d.DeflationBlocks, val)
-	case "tl_deflation_levels":
-		return d.setInt(&d.DeflationLevels, val)
 	case "tl_coefficient_density":
 		d.Coefficient = "density"
 		return nil
@@ -384,18 +378,9 @@ func (d *Deck) validateParsed() error {
 		if dims == 3 && bx > d.ZCells {
 			return fmt.Errorf("deck: tl_deflation_blocks %d exceeds the mesh in z (%d cells)", bx, d.ZCells)
 		}
-		levels := d.DeflationLevels
-		if levels == 0 {
-			levels = 1 // zero-value decks built in code
-		}
-		if levels < 1 {
-			return fmt.Errorf("deck: tl_deflation_levels must be >= 1, got %d", d.DeflationLevels)
-		}
-		// Each nesting step halves the block grid; the hierarchy bottoms
-		// out once every direction is a single block.
-		if maxHalvings(bx)+1 < levels {
-			return fmt.Errorf("deck: tl_deflation_levels %d exceeds the hierarchy of a %d-block partition (at most %d levels)",
-				levels, bx, maxHalvings(bx)+1)
+		if nc := math.Pow(float64(bx), float64(dims)); nc > maxDeflationSubdomains {
+			return fmt.Errorf("deck: tl_deflation_blocks %d gives %.0f subdomains, a %.0f×%.0f dense coarse matrix (%.0f MiB); at most %d subdomains (64 per direction in 2D, 16 in 3D)",
+				bx, nc, nc, nc, nc*nc*8/(1<<20), maxDeflationSubdomains)
 		}
 	}
 	// The first state is the background whatever its index: problem.Paint
@@ -433,19 +418,11 @@ func finiteAll(vs ...float64) bool {
 	return true
 }
 
-// maxHalvings counts how many times n can be ceil-halved before reaching
-// 1 — the number of nesting steps a deflation hierarchy over n blocks per
-// direction supports. The (n+1)/2 step must stay in lockstep with the
-// aggregation rule in internal/deflate (hierarchy.go, aggregations): deck
-// validation promises exactly what the constructor will accept.
-func maxHalvings(n int) int {
-	h := 0
-	for n > 1 {
-		n = (n + 1) / 2
-		h++
-	}
-	return h
-}
+// maxDeflationSubdomains is deflate.MaxSubdomains, the cap on the dense
+// coarse matrix's dimension: deck validation promises exactly what the
+// constructor will accept. It is a copy, held equal by a test, so that
+// deck keeps to the standard library.
+const maxDeflationSubdomains = 4096
 
 // Steps returns the number of time steps the deck requests: end_time
 // divided by the fixed dt, capped by end_step.

@@ -4,6 +4,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"tealeaf/internal/deflate"
 )
 
 const sampleDeck = `
@@ -294,32 +296,33 @@ func TestDeflationKeys(t *testing.T) {
 	if d.DeflationBlocks != 8 {
 		t.Errorf("default deflation blocks = %d, want 8", d.DeflationBlocks)
 	}
-	// tl_deflation_levels parses, defaults to 1, and is bounded by the
-	// hierarchy the block partition supports.
-	d, err = ParseString("*tea\nstate 1 density=1 energy=1\ntl_use_deflation\ntl_deflation_levels=2\n*endtea")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.DeflationLevels != 2 {
-		t.Errorf("deflation levels = %d, want 2", d.DeflationLevels)
-	}
-	if Default().DeflationLevels != 1 {
-		t.Errorf("default deflation levels = %d, want 1", Default().DeflationLevels)
-	}
 	// 3D decks now compose: tl_use_deflation must validate on dims=3.
 	if _, err := ParseString("*tea\ndims=3\nz_cells=8\nstate 1 density=1 energy=1\ntl_use_deflation\n*endtea"); err != nil {
 		t.Errorf("tl_use_deflation on a 3D deck must validate: %v", err)
 	}
 	// Composition errors at deck validation: over-fine partitions (in any
-	// direction, z included) and hierarchies deeper than the block grid.
+	// direction, z included).
 	if _, err := ParseString("*tea\nx_cells=4\ny_cells=4\nstate 1 density=1 energy=1\ntl_use_deflation\n*endtea"); err == nil {
 		t.Error("deflation blocks beyond the mesh must be rejected")
 	}
 	if _, err := ParseString("*tea\ndims=3\nz_cells=4\nstate 1 density=1 energy=1\ntl_use_deflation\ntl_deflation_blocks=8\n*endtea"); err == nil {
 		t.Error("deflation blocks beyond the z extent must be rejected")
 	}
-	if _, err := ParseString("*tea\nstate 1 density=1 energy=1\ntl_use_deflation\ntl_deflation_blocks=4\ntl_deflation_levels=4\n*endtea"); err == nil {
-		t.Error("deflation levels beyond the hierarchy must be rejected")
+}
+
+// tl_deflation_levels selected the nested coarse hierarchy, which was
+// removed: the key is now unknown like any other.
+func TestDeflationLevelsKeyRejected(t *testing.T) {
+	_, err := ParseString("*tea\nstate 1 density=1 energy=1\ntl_use_deflation\ntl_deflation_levels=2\n*endtea")
+	if err == nil || !strings.Contains(err.Error(), `unknown option "tl_deflation_levels"`) {
+		t.Errorf("err = %v, want an unknown-option error", err)
+	}
+}
+
+// The deck caps the coarse space at the constructor's limit.
+func TestDeflationSubdomainCapMatchesDeflate(t *testing.T) {
+	if maxDeflationSubdomains != deflate.MaxSubdomains {
+		t.Errorf("deck caps the coarse space at %d subdomains, deflate at %d", maxDeflationSubdomains, deflate.MaxSubdomains)
 	}
 }
 

@@ -46,7 +46,6 @@ func (d *Deck) Format() string {
 		w("tl_use_deflation")
 	}
 	w("tl_deflation_blocks=%d", d.DeflationBlocks)
-	w("tl_deflation_levels=%d", d.DeflationLevels)
 	for _, s := range d.States {
 		sb.WriteString(formatState(s, g))
 	}

@@ -71,10 +71,10 @@ func TestEveryRejectionPath(t *testing.T) {
 			"exceeds the mesh"},
 		{"deflation blocks exceed z mesh", deck(base, "dims=3", "x_cells=8", "y_cells=8", "z_cells=4", "tl_use_deflation"),
 			"exceeds the mesh in z"},
-		{"negative deflation levels", deck(base, "tl_use_deflation", "tl_deflation_blocks=8", "tl_deflation_levels=-1"),
-			"tl_deflation_levels must be >= 1"},
-		{"deflation levels exceed hierarchy", deck(base, "tl_use_deflation", "tl_deflation_blocks=4", "tl_deflation_levels=4"),
-			"exceeds the hierarchy"},
+		{"2D coarse space above the cap", deck(base, "x_cells=128", "y_cells=128", "tl_use_deflation", "tl_deflation_blocks=65"),
+			"4225×4225 dense coarse matrix (136 MiB)"},
+		{"3D coarse space above the cap", deck(base, "dims=3", "x_cells=32", "y_cells=32", "z_cells=32", "tl_use_deflation", "tl_deflation_blocks=17"),
+			"4913×4913 dense coarse matrix (184 MiB)"},
 
 		// Validate: states.
 		{"first state with geometry", deck("state 1 density=1 energy=1 geometry=rectangle xmax=1 ymax=1"),
@@ -112,7 +112,7 @@ func TestValidateAcceptsBoundaryValues(t *testing.T) {
 		"zero energy":         "*tea\nstate 1 density=1 energy=0\n*endtea",
 		"end_step only":       "*tea\nend_time=0\nend_step=3\nstate 1 density=1 energy=1\n*endtea",
 		"deflation one block": "*tea\ntl_use_deflation\ntl_deflation_blocks=1\nstate 1 density=1 energy=1\n*endtea",
-		"levels at hierarchy": "*tea\ntl_use_deflation\ntl_deflation_blocks=4\ntl_deflation_levels=3\nstate 1 density=1 energy=1\n*endtea",
+		"coarse space at cap": "*tea\nx_cells=64\ny_cells=64\ntl_use_deflation\ntl_deflation_blocks=64\nstate 1 density=1 energy=1\n*endtea",
 		"geometry later":      "*tea\nstate 1 density=1 energy=1\nstate 2 density=2 energy=3 geometry=point xcentre=5 ycentre=5\n*endtea",
 		"ppcg halo depth":     "*tea\ntl_use_ppcg\ntl_ppcg_halo_depth=4\nstate 1 density=1 energy=1\n*endtea",
 		"cg halo depth 1":     "*tea\ntl_use_cg\ntl_ppcg_halo_depth=1\nstate 1 density=1 energy=1\n*endtea",

@@ -11,11 +11,12 @@
 //	P = I − A·W·E⁻¹·Wᵀ,   E = Wᵀ·A·W  (the coarse Galerkin matrix),
 //
 // so the effective spectrum has its smallest eigenvalues removed and the
-// iteration count drops accordingly. E is tiny (one row per subdomain);
-// with Config.Levels == 1 it is factored once by dense Cholesky, and with
-// Levels > 1 it is itself deflated over a nested blocks-of-blocks
-// aggregation — the paper's "series of nested lower dimensional
-// sub-spaces" — with the dense solve only at the top of the hierarchy.
+// iteration count drops accordingly. E is small (one row per subdomain,
+// at most MaxSubdomains) and is factored once by dense Cholesky; each
+// coarse solve is two triangular solves. (A nested blocks-of-blocks
+// hierarchy over E — the paper's "series of nested lower dimensional
+// sub-spaces" — reached the same iteration counts and ran slower on
+// every deck it was timed on, so it was removed.)
 //
 // The projector is fully distributed and dimension-agnostic: one core
 // (flux.go, over flat padded indices) serves the 2D Deflation and the 3D
@@ -62,18 +63,21 @@ import (
 	"tealeaf/internal/stencil"
 )
 
+// MaxSubdomains caps the coarse-space dimension BX·BY(·BZ): E is dense,
+// nc×nc, so 4096 subdomains (64² in 2D, 16³ in 3D) already hold a
+// 128 MiB matrix whose factorisation takes tens of seconds.
+const MaxSubdomains = 4096
+
 // Config selects the coarse-space geometry: the block partition of the
-// global mesh and the depth of the nested hierarchy.
+// global mesh.
 type Config struct {
 	// BX, BY, BZ are the coarse subdomain counts per direction over the
 	// GLOBAL mesh (BZ is ignored in 2D). Each must be at least 1 and at
-	// most the global cell count in its direction.
+	// most the global cell count in its direction, and their product at
+	// most MaxSubdomains.
 	BX, BY, BZ int
-	// Levels is the nested-hierarchy depth (default 1): 1 solves the
-	// coarse matrix E directly by dense Cholesky; L > 1 deflates E itself
-	// over a blocks-of-blocks aggregation (halving each direction per
-	// level, dense solve only at the top). Each extra level needs at
-	// least one direction with more than one block to aggregate.
+	// Levels must be 0 or 1, the one dense Cholesky coarse solve; a
+	// larger value is an error.
 	Levels int
 }
 

@@ -34,18 +34,12 @@ func TestDeflation3DValidation(t *testing.T) {
 	if _, err := New3D(par.Serial, nil, op, Geometry3D{}, Config{BX: 24, BY: 3, BZ: 3}); err == nil {
 		t.Error("more subdomains than cells must error")
 	}
-	if _, err := New3D(par.Serial, nil, op, Geometry3D{}, Config{BX: 1, BY: 1, BZ: 1, Levels: 2}); err == nil {
-		t.Error("levels beyond the hierarchy must error")
-	}
 	d, err := New3D(par.Serial, nil, op, Geometry3D{}, Config{BX: 3, BY: 3, BZ: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d.Subdomains() != 27 {
 		t.Errorf("subdomains = %d", d.Subdomains())
-	}
-	if d.Levels() != 1 {
-		t.Errorf("levels = %d", d.Levels())
 	}
 }
 
@@ -86,8 +80,7 @@ func TestProjectW3DKillsCoarseComponent(t *testing.T) {
 }
 
 // 3D deflated CG through the solver composition: converges, matches the
-// plain solution, and cuts iterations in the stiff regime — for both the
-// two-level and nested hierarchies.
+// plain solution, and cuts iterations in the stiff regime.
 func TestDeflation3DReducesIterations(t *testing.T) {
 	const n = 16
 	op := stiffOperator3D(t, n)
@@ -105,22 +98,20 @@ func TestDeflation3DReducesIterations(t *testing.T) {
 	if err != nil || !plainRes.Converged {
 		t.Fatalf("plain 3D CG: %v %+v", err, plainRes)
 	}
-	for _, levels := range []int{1, 2} {
-		defl, err := New3D(par.Serial, nil, op, Geometry3D{}, Config{BX: 4, BY: 4, BZ: 4, Levels: levels})
-		if err != nil {
-			t.Fatal(err)
-		}
-		p := solver.Problem3D{Op: op, U: rhs.Clone(), RHS: rhs}
-		res, err := solver.SolveCG3D(p, solver.Options{Tol: 1e-9, Deflation3D: defl})
-		if err != nil || !res.Converged {
-			t.Fatalf("deflated 3D CG (levels=%d): %v %+v", levels, err, res)
-		}
-		if float64(res.Iterations) > 0.7*float64(plainRes.Iterations) {
-			t.Errorf("levels=%d: deflated 3D CG took %d iterations, plain %d — expected ≥30%% reduction",
-				levels, res.Iterations, plainRes.Iterations)
-		}
-		if d := p.U.MaxDiff(plain.U); d > 1e-6 {
-			t.Errorf("levels=%d: deflated 3D solution differs by %v", levels, d)
-		}
+	defl, err := New3D(par.Serial, nil, op, Geometry3D{}, Config{BX: 4, BY: 4, BZ: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := solver.Problem3D{Op: op, U: rhs.Clone(), RHS: rhs}
+	res, err := solver.SolveCG3D(p, solver.Options{Tol: 1e-9, Deflation3D: defl})
+	if err != nil || !res.Converged {
+		t.Fatalf("deflated 3D CG: %v %+v", err, res)
+	}
+	if float64(res.Iterations) > 0.7*float64(plainRes.Iterations) {
+		t.Errorf("deflated 3D CG took %d iterations, plain %d — expected ≥30%% reduction",
+			res.Iterations, plainRes.Iterations)
+	}
+	if d := p.U.MaxDiff(plain.U); d > 1e-6 {
+		t.Errorf("deflated 3D solution differs by %v", d)
 	}
 }

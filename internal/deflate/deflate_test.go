@@ -3,6 +3,7 @@ package deflate
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"tealeaf/internal/comm"
@@ -143,6 +144,28 @@ func TestDeflationValidation(t *testing.T) {
 	}
 	if d.Subdomains() != 16 {
 		t.Errorf("subdomains = %d", d.Subdomains())
+	}
+}
+
+// Levels above 1 selected the removed nested hierarchy: both
+// constructors refuse them rather than run the one level silently.
+func TestDeflationLevelsAboveOneRejected(t *testing.T) {
+	_, err := New(par.Serial, nil, pipeOperator(t, 16), Geometry{}, Config{BX: 4, BY: 4, Levels: 2})
+	if err == nil || !strings.Contains(err.Error(), "hierarchy was removed") {
+		t.Errorf("2D Levels 2: err = %v, want the removed-hierarchy error", err)
+	}
+	_, err = New3D(par.Serial, nil, stiffOperator3D(t, 12), Geometry3D{}, Config{BX: 3, BY: 3, BZ: 3, Levels: 2})
+	if err == nil || !strings.Contains(err.Error(), "hierarchy was removed") {
+		t.Errorf("3D Levels 2: err = %v, want the removed-hierarchy error", err)
+	}
+}
+
+// A coarse space above MaxSubdomains is refused before E is allocated,
+// with E's size in the error.
+func TestDeflationCoarseCap(t *testing.T) {
+	_, err := New(par.Serial, nil, pipeOperator(t, 128), Geometry{}, Config{BX: 65, BY: 65})
+	if err == nil || !strings.Contains(err.Error(), "4225×4225") {
+		t.Errorf("65x65 subdomains: err = %v, want the coarse-cap error naming E's size", err)
 	}
 }
 

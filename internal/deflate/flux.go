@@ -54,10 +54,8 @@ type projector struct {
 	// the interior.
 	xend []int
 
-	// coarse applies E⁻¹: dense Cholesky at levels == 1, the nested
-	// blocks-of-blocks hierarchy above.
-	coarse *hierarchy
-	levels int
+	// coarse is the dense Cholesky factorisation of E.
+	coarse *Cholesky
 	// cnt[c] is block c's global cell count.
 	cnt []float64
 	// cr is the coarse residual Wᵀ·w; the coarse solution is
@@ -84,6 +82,9 @@ func (p *projector) init(global, off [3]int, cfg Config) error {
 	for a := dims; a < 3; a++ {
 		p.nb[a], global[a], off[a] = 1, 1, 0
 	}
+	if cfg.Levels > 1 {
+		return fmt.Errorf("deflate: Levels %d: the nested coarse hierarchy was removed; E is factored by dense Cholesky (Levels 0 or 1)", cfg.Levels)
+	}
 	for a := 0; a < dims; a++ {
 		if p.nb[a] < 1 {
 			return errors.New("deflate: need at least one subdomain per direction")
@@ -97,13 +98,16 @@ func (p *projector) init(global, off [3]int, cfg Config) error {
 				dimsString(p.n[:dims]), off[:dims], dimsString(global[:dims]))
 		}
 	}
+	nc := p.nb[0] * p.nb[1] * p.nb[2]
+	if nc > MaxSubdomains {
+		return fmt.Errorf("deflate: %s subdomains give a %d×%d dense coarse matrix E (%.0f MiB); at most %d subdomains",
+			dimsString(p.nb[:dims]), nc, nc, float64(nc)*float64(nc)*8/(1<<20), MaxSubdomains)
+	}
 	bpart, err := grid.NewPartition3D(global[0], global[1], global[2], p.nb[0], p.nb[1], p.nb[2])
 	if err != nil {
 		return err
 	}
 	p.bst = [3]int{1, p.nb[0], p.nb[0] * p.nb[1]}
-	p.levels = max(cfg.Levels, 1)
-	nc := p.nb[0] * p.nb[1] * p.nb[2]
 	p.cr = make([]float64, nc)
 	p.cl = make([]float64, nc)
 
@@ -134,18 +138,32 @@ func (p *projector) block(a, q int) int { return p.blk[a][q+1] }
 // Subdomains returns the coarse-space dimension (the block count).
 func (p *projector) Subdomains() int { return len(p.cl) }
 
-// Levels returns the coarse-hierarchy depth (1 = dense two-level solve).
-func (p *projector) Levels() int { return p.coarse.levels() }
-
-// assemble builds and factors the coarse Galerkin matrix E = Wᵀ·A·W from
-// face sums: E[c,c'] = −ΣK over the faces blocks c and c' share, and
-// E[c,c] = |block c| + ΣK over all of c's block-boundary faces. Each rank
-// walks only its own block faces (a face belongs to its upper cell's
-// owner) in ascending cell order — O(block perimeter), serial, no pool —
-// and counts its own cells; one AllReduceSumN round of 4 values per block
-// hands every rank the identical sums, from which each builds the same
-// exactly symmetric E. Collective.
+// assemble builds the coarse Galerkin matrix E and factors it; the
+// factorisation is all the projector keeps. Collective.
 func (p *projector) assemble() error {
+	nc := len(p.cl)
+	e := p.coarseMatrix()
+	m := make([][]float64, nc)
+	for i := range m {
+		m[i] = e[i*nc : (i+1)*nc]
+	}
+	chol, err := NewCholesky(m)
+	if err != nil {
+		return fmt.Errorf("deflate: coarse matrix not SPD: %w", err)
+	}
+	p.coarse = chol
+	return nil
+}
+
+// coarseMatrix returns E = Wᵀ·A·W, row-major nc×nc, assembled from face
+// sums: E[c,c'] = −ΣK over the faces blocks c and c' share, and E[c,c] =
+// |block c| + ΣK over all of c's block-boundary faces. Each rank walks
+// only its own block faces (a face belongs to its upper cell's owner) in
+// ascending cell order — O(block perimeter), serial, no pool — and counts
+// its own cells; one AllReduceSumN round of 4 values per block hands
+// every rank the identical sums (kept as p.cnt), from which each builds
+// the same exactly symmetric E. Collective.
+func (p *projector) coarseMatrix() []float64 {
 	nc := len(p.cl)
 	// [cell counts | x-face ΣK | y-face ΣK | z-face ΣK], a face sum
 	// indexed by the upper of the two blocks it couples.
@@ -188,17 +206,7 @@ func (p *projector) assemble() error {
 			}
 		}
 	}
-
-	aggs, err := aggregations(p.levels, p.nb[:p.dims]...)
-	if err != nil {
-		return err
-	}
-	h, err := newHierarchy(e, nc, aggs)
-	if err != nil {
-		return fmt.Errorf("deflate: coarse matrix not SPD: %w", err)
-	}
-	p.coarse = h
-	return nil
+	return e
 }
 
 // whole returns the interior as one box.
@@ -227,7 +235,7 @@ func (p *projector) band(b grid.Bounds3D, lo, hi int) grid.Bounds3D {
 // E·1 is exactly the vector of block cell counts — every flux vanishes on
 // a constant — so the constant mode is split off in closed form,
 // λ̄ = Σb/Σ|c|, and only the deviation μ = E⁻¹·(b − λ̄·|c|) goes through
-// the hierarchy solve; b − λ̄·|c| stays in p.cr. The fluxes
+// the Cholesky solve; b − λ̄·|c| stays in p.cr. The fluxes
 // ΣK·(λ_c − λ_c') the correction applies then difference μ, not λ:
 // stored whole, λ would quantise them at ε·ΣK·|λ̄|, which on a stiff
 // operator is the projector's entire error. b may alias p.cr.
@@ -362,7 +370,7 @@ func laneSumGo(xs []float64, l *[8]float64) {
 
 // restrictSolve computes λ = E⁻¹·Wᵀ·v into p.cl: a rank-local
 // restriction, one AllReduceSumN round (the only communication a
-// projection performs), and the replicated hierarchy solve every rank
+// projection performs), and the replicated Cholesky solve every rank
 // executes identically.
 func (p *projector) restrictSolve(v []float64) {
 	p.restrict(v)
@@ -513,4 +521,16 @@ func (p *projector) fillLams() {
 			row[q] = p.lbar + cl[p.block(0, q)]
 		}
 	}
+}
+
+// dimsString renders per-direction counts as "AxBxC".
+func dimsString(dims []int) string {
+	s := ""
+	for i, d := range dims {
+		if i > 0 {
+			s += "x"
+		}
+		s += fmt.Sprint(d)
+	}
+	return s
 }

@@ -230,12 +230,13 @@ func oracleE(c fluxCase) []float64 {
 	return e
 }
 
-// The face-sum coarse matrix must be exactly symmetric and within 1e-12
-// (relative to ‖E‖∞) of the old indicator-and-Apply assembly.
+// The face-sum coarse matrix the assembly factors must be exactly
+// symmetric and within 1e-12 (relative to ‖E‖∞) of the old
+// indicator-and-Apply assembly.
 func TestFaceSumCoarseMatrix(t *testing.T) {
 	for _, c := range fluxCases(t, par.Serial) {
 		nc := c.p.Subdomains()
-		e := c.p.coarse.e
+		e := c.p.coarseMatrix()
 		want := oracleE(c)
 		var scale float64
 		for _, v := range want {

@@ -62,7 +62,6 @@ func GalleryDeflatedPointsDeck() *deck.Deck {
 	d.Eps = 1e-9
 	d.UseDeflation = true
 	d.DeflationBlocks = 2
-	d.DeflationLevels = 1
 	d.States = []deck.State{
 		{Index: 1, Density: 5.94, Energy: 0.205},
 		{Index: 2, Density: 0.358, Energy: 2.41, Geometry: deck.GeomRectangle,

@@ -33,7 +33,7 @@ const (
 // and cell sizes, density/recip_density conductivity, a background plus
 // up to four high-contrast regions (boxes, discs/spheres, points), the
 // implicit-step stiffness regime (via dt), cg/ppcg, all three
-// preconditioners, deep halos and the deflation hierarchy.
+// preconditioners, deep halos and deflation (2 or 4 blocks per direction).
 func Gen(r *rand.Rand) *deck.Deck {
 	d := deck.Default()
 	d.EndStep = 1 + r.Intn(genMaxSteps)
@@ -133,8 +133,8 @@ func Gen(r *rand.Rand) *deck.Deck {
 	if minCells >= 16 && r.Float64() < 0.25 {
 		d.UseDeflation = true
 		d.DeflationBlocks = 2 << r.Intn(2) // 2 or 4 blocks per direction
-		if d.DeflationBlocks == 4 && r.Float64() < 0.5 {
-			d.DeflationLevels = 2
+		if d.DeflationBlocks == 4 {
+			r.Float64() // the deleted hierarchy-depth draw, kept so seeds keep their decks
 		}
 	}
 

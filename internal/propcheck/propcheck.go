@@ -187,7 +187,7 @@ func deckAxes(d *deck.Deck) []string {
 		axes = append(axes, fmt.Sprintf("halo=%d", d.HaloDepth))
 	}
 	if d.UseDeflation {
-		axes = append(axes, fmt.Sprintf("deflation=%dx%d", d.DeflationBlocks, d.DeflationLevels))
+		axes = append(axes, fmt.Sprintf("deflation=%d", d.DeflationBlocks))
 	}
 	return axes
 }

@@ -294,7 +294,6 @@ func TestShrinkReachesFloors(t *testing.T) {
 	d.XCells, d.YCells = 24, 24
 	d.UseDeflation = true
 	d.DeflationBlocks = 4
-	d.DeflationLevels = 2
 	if err := d.Validate(); err != nil {
 		t.Fatalf("setup deck invalid: %v", err)
 	}

@@ -71,13 +71,6 @@ var shrinkSteps = []shrinkStep{
 		d.UseDeflation = false
 		return true
 	}},
-	{"flat-deflation", func(d *deck.Deck) bool {
-		if !d.UseDeflation || d.DeflationLevels <= 1 {
-			return false
-		}
-		d.DeflationLevels = 1
-		return true
-	}},
 	{"precond-none", func(d *deck.Deck) bool {
 		if d.Precond == "none" {
 			return false

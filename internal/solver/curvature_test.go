@@ -95,7 +95,6 @@ func deflatedDeck(rng *rand.Rand, dims int) *deck.Deck {
 		d.Solver, d.HaloDepth = "cg", 1
 		d.UseDeflation = true
 		d.DeflationBlocks = 2 << rng.Intn(2)
-		d.DeflationLevels = 1
 		d.EndStep = 1
 		return d
 	}

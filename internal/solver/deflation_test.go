@@ -28,10 +28,10 @@ func stiffProblem(t *testing.T, n int) Problem {
 	return Problem{Op: op, U: rhs.Clone(), RHS: rhs}
 }
 
-func newDeflation(t *testing.T, op *stencil.Operator2D, blocks, levels int) *deflate.Deflation {
+func newDeflation(t *testing.T, op *stencil.Operator2D, blocks int) *deflate.Deflation {
 	t.Helper()
 	d, err := deflate.New(par.Serial, nil, op, deflate.Geometry{},
-		deflate.Config{BX: blocks, BY: blocks, Levels: levels})
+		deflate.Config{BX: blocks, BY: blocks})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestDeflationVsPPCGOnStiffProblem(t *testing.T) {
 	}
 
 	deflP := stiffProblem(t, n)
-	deflRes, err := SolveCG(deflP, Options{Tol: tol, Deflation: newDeflation(t, deflP.Op, 8, 1)})
+	deflRes, err := SolveCG(deflP, Options{Tol: tol, Deflation: newDeflation(t, deflP.Op, 8)})
 	if err != nil || !deflRes.Converged {
 		t.Fatalf("deflated CG: %v %+v", err, deflRes)
 	}
@@ -91,7 +91,7 @@ func TestDeflationVsPPCGOnStiffProblem(t *testing.T) {
 // is rejected — each with an actionable error.
 func TestDeflationValidation(t *testing.T) {
 	p := stiffProblem(t, 16)
-	defl := newDeflation(t, p.Op, 4, 1)
+	defl := newDeflation(t, p.Op, 4)
 	if _, err := SolveChebyshev(p, Options{Deflation: defl}); err == nil {
 		t.Error("deflation with Chebyshev must be rejected")
 	}
@@ -108,7 +108,7 @@ func TestDeflationValidation(t *testing.T) {
 	// PPCG now composes: the solve must run and converge.
 	pp := stiffProblem(t, 16)
 	res, err := SolvePPCG(pp, Options{Tol: 1e-8, EigenCGIters: 8,
-		Deflation: newDeflation(t, pp.Op, 4, 1)})
+		Deflation: newDeflation(t, pp.Op, 4)})
 	if err != nil || !res.Converged {
 		t.Errorf("deflated PPCG must run: %v %+v", err, res)
 	}
@@ -126,7 +126,7 @@ func TestDeflationWithPreconditioner(t *testing.T) {
 	for _, name := range []string{"jac_diag", "jac_block"} {
 		p := stiffProblem(t, 32)
 		res, err := SolveCG(p, Options{Tol: 1e-9,
-			Deflation: newDeflation(t, p.Op, 4, 1),
+			Deflation: newDeflation(t, p.Op, 4),
 			Precond:   fusedPrecondFor(name, p)})
 		if err != nil || !res.Converged {
 			t.Fatalf("deflated %s CG: %v %+v", name, err, res)
@@ -148,7 +148,7 @@ func TestDeflationFusedMatchesClassic(t *testing.T) {
 	for _, name := range []string{"none", "jac_diag", "jac_block"} {
 		run := func(solve func(Problem, Options) (Result, error)) (Result, Problem) {
 			p := stiffProblem(t, n)
-			o := Options{Tol: 1e-10, Deflation: newDeflation(t, p.Op, 6, 1),
+			o := Options{Tol: 1e-10, Deflation: newDeflation(t, p.Op, 6),
 				Precond: fusedPrecondFor(name, p)}
 			res, err := solve(p, o)
 			if err != nil || !res.Converged {
@@ -164,37 +164,6 @@ func TestDeflationFusedMatchesClassic(t *testing.T) {
 		}
 		if d := pe.U.MaxDiff(po.U); d > 1e-8 {
 			t.Errorf("precond=%s: engine and oracle deflated solutions differ by %v", name, d)
-		}
-	}
-}
-
-// The nested multi-level hierarchy (tl_deflation_levels > 1) must
-// converge in no more iterations than the two-level dense solve — the
-// nested coarse solves are iterated to round-off, so the projector is
-// the same operator — and agree on the solution.
-func TestDeflationMultiLevelMatchesTwoLevel(t *testing.T) {
-	const n = 64
-	two := stiffProblem(t, n)
-	twoRes, err := SolveCG(two, Options{Tol: 1e-9, Deflation: newDeflation(t, two.Op, 8, 1)})
-	if err != nil || !twoRes.Converged {
-		t.Fatalf("two-level deflated CG: %v %+v", err, twoRes)
-	}
-	for _, levels := range []int{2, 3} {
-		p := stiffProblem(t, n)
-		defl := newDeflation(t, p.Op, 8, levels)
-		if got := defl.Levels(); got != levels {
-			t.Fatalf("hierarchy depth = %d, want %d", got, levels)
-		}
-		res, err := SolveCG(p, Options{Tol: 1e-9, Deflation: defl})
-		if err != nil || !res.Converged {
-			t.Fatalf("%d-level deflated CG: %v %+v", levels, err, res)
-		}
-		if res.Iterations > twoRes.Iterations {
-			t.Errorf("%d-level deflated CG took %d iterations, two-level %d — nesting must not regress",
-				levels, res.Iterations, twoRes.Iterations)
-		}
-		if d := p.U.MaxDiff(two.U); d > 1e-7 {
-			t.Errorf("%d-level solution differs from two-level by %v", levels, d)
 		}
 	}
 }
@@ -217,7 +186,7 @@ func TestDeflatedPPCGOnStiffProblem(t *testing.T) {
 	}
 	p := stiffProblem(t, n)
 	res, err := SolvePPCG(p, Options{Tol: tol, EigenCGIters: 10,
-		Deflation: newDeflation(t, p.Op, 8, 1)})
+		Deflation: newDeflation(t, p.Op, 8)})
 	if err != nil || !res.Converged {
 		t.Fatalf("deflated PPCG: %v %+v", err, res)
 	}

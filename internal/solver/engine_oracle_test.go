@@ -200,7 +200,7 @@ func genCase(t *testing.T, rng *rand.Rand, dims int, pc string, deflated bool) *
 		d.HaloDepth = 1
 	}
 	if deflated && !d.UseDeflation {
-		d.DeflationBlocks, d.DeflationLevels = 2, 1
+		d.DeflationBlocks = 2
 	}
 	d.UseDeflation = deflated
 	if err := d.Validate(); err != nil {

@@ -67,12 +67,12 @@ func TestSolversSurfaceExchangeFailure(t *testing.T) {
 		{name: "cg-fused", dims: 2, kind: KindCG, halo: 2},
 		{name: "cg-fused-jac_diag", dims: 2, kind: KindCG, halo: 2, setup: jacobi},
 		{name: "cg-fused-deflated", dims: 2, kind: KindCG, halo: 2, setup: func(p Problem, o *Options) {
-			o.Deflation = newDeflation(t, p.Op, 4, 1)
+			o.Deflation = newDeflation(t, p.Op, 4)
 		}},
 		{name: "cg-jac_block", dims: 2, kind: KindCG, halo: 2, setup: block},
 		{name: "cg-jac_block-deflated", dims: 2, kind: KindCG, halo: 2, setup: func(p Problem, o *Options) {
 			block(p, o)
-			o.Deflation = newDeflation(t, p.Op, 4, 1)
+			o.Deflation = newDeflation(t, p.Op, 4)
 		}},
 		{name: "chebyshev", dims: 2, kind: KindCheby, halo: 2, setup: jacobi},
 		{name: "chebyshev-jac_block", dims: 2, kind: KindCheby, halo: 2, setup: block},

@@ -82,7 +82,7 @@ func rankRun2D(t *testing.T, v engineVariant, ranks, workers int) (int, *grid.Fi
 		if v.deflated {
 			defl, err := deflate.New(par.Serial, c, op,
 				deflate.Geometry{GlobalNX: n, GlobalNY: n, OffsetX: ext.X0, OffsetY: ext.Y0},
-				deflate.Config{BX: 4, BY: 4, Levels: 1})
+				deflate.Config{BX: 4, BY: 4})
 			if err != nil {
 				return err
 			}
@@ -168,7 +168,7 @@ func rankRun3D(t *testing.T, v engineVariant, ranks, workers int) (int, *grid.Fi
 			defl, err := deflate.New3D(par.Serial, c, op,
 				deflate.Geometry3D{GlobalNX: n, GlobalNY: n, GlobalNZ: n,
 					OffsetX: ext.X0, OffsetY: ext.Y0, OffsetZ: ext.Z0},
-				deflate.Config{BX: 3, BY: 3, BZ: 3, Levels: 1})
+				deflate.Config{BX: 3, BY: 3, BZ: 3})
 			if err != nil {
 				return err
 			}
