@@ -36,8 +36,8 @@ func (s *sys2d) Exchange(depth int, fields ...[]float64) error {
 	return s.c.Exchange(depth, fields...)
 }
 
-// NewPowers only queries rank-local topology: Size is not a collective.
-func (s *sys2d) NewPowers() int { return s.c.Size() }
+// Powers only queries rank-local topology: Size is not a collective.
+func (s *sys2d) Powers() int { return s.c.Size() }
 
 // runLoop is an iteration loop: collectives must go through wrappers.
 func (e *engine) runLoop(iters int, r []float64) float64 {

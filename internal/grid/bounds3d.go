@@ -39,31 +39,6 @@ func (b Bounds3D) ExpandSides(left, right, down, up, back, front int, g *Grid3D)
 	return e.ClampPadded(g)
 }
 
-// ShrinkToward contracts b by d cells on each side, but never inside the
-// target bounds t — the 3D matrix-powers schedule step.
-func (b Bounds3D) ShrinkToward(d int, t Bounds3D) Bounds3D {
-	s := b
-	if s.X0 < t.X0 {
-		s.X0 = min(s.X0+d, t.X0)
-	}
-	if s.X1 > t.X1 {
-		s.X1 = max(s.X1-d, t.X1)
-	}
-	if s.Y0 < t.Y0 {
-		s.Y0 = min(s.Y0+d, t.Y0)
-	}
-	if s.Y1 > t.Y1 {
-		s.Y1 = max(s.Y1-d, t.Y1)
-	}
-	if s.Z0 < t.Z0 {
-		s.Z0 = min(s.Z0+d, t.Z0)
-	}
-	if s.Z1 > t.Z1 {
-		s.Z1 = max(s.Z1-d, t.Z1)
-	}
-	return s
-}
-
 // ClampPadded clamps b to the padded (addressable) region of g.
 func (b Bounds3D) ClampPadded(g *Grid3D) Bounds3D {
 	return Bounds3D{

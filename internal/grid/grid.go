@@ -157,7 +157,7 @@ func (g *Grid2D) Sub(x0, x1, y0, y1 int) (*Grid2D, error) {
 // Bounds is a half-open index rectangle [X0,X1) × [Y0,Y1) over cell
 // coordinates. It is the unit of iteration for all kernels: the interior is
 // Bounds{0, NX, 0, NY}, and the matrix-powers kernel runs kernels on
-// expanded bounds that shrink between halo exchanges.
+// expanded bounds that shrink step by step between halo exchanges.
 type Bounds struct {
 	X0, X1, Y0, Y1 int
 }
@@ -177,27 +177,6 @@ func (b Bounds) Expand(d int, g *Grid2D) Bounds {
 func (b Bounds) ExpandSides(left, right, down, up int, g *Grid2D) Bounds {
 	e := Bounds{b.X0 - left, b.X1 + right, b.Y0 - down, b.Y1 + up}
 	return e.ClampPadded(g)
-}
-
-// ShrinkToward contracts b by d cells on each side, but never inside the
-// target bounds t: sides already at or inside t's corresponding side stay.
-// This is the matrix-powers schedule step — extended bounds shrink toward
-// the interior as halo data goes stale, but never past the interior.
-func (b Bounds) ShrinkToward(d int, t Bounds) Bounds {
-	s := b
-	if s.X0 < t.X0 {
-		s.X0 = min(s.X0+d, t.X0)
-	}
-	if s.X1 > t.X1 {
-		s.X1 = max(s.X1-d, t.X1)
-	}
-	if s.Y0 < t.Y0 {
-		s.Y0 = min(s.Y0+d, t.Y0)
-	}
-	if s.Y1 > t.Y1 {
-		s.Y1 = max(s.Y1-d, t.Y1)
-	}
-	return s
 }
 
 // ClampPadded clamps b to the padded (addressable) region of g.

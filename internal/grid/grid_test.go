@@ -165,42 +165,29 @@ func TestBoundsOps(t *testing.T) {
 	}
 }
 
-func TestBoundsShrinkToward(t *testing.T) {
+func TestBoundsExpandSides(t *testing.T) {
 	g := MustGrid2D(8, 8, 4, 0, 1, 0, 1)
 	in := g.Interior()
 	// A rank with neighbours on right and up only: left/down sides are at
-	// the physical boundary and were never expanded.
-	b := in.ExpandSides(0, 3, 0, 3, g)
-	if b != (Bounds{0, 11, 0, 11}) {
+	// the physical boundary and are not expanded.
+	if b := in.ExpandSides(0, 3, 0, 3, g); b != (Bounds{0, 11, 0, 11}) {
 		t.Fatalf("ExpandSides = %v", b)
 	}
-	b = b.ShrinkToward(1, in)
-	if b != (Bounds{0, 10, 0, 10}) {
-		t.Fatalf("after 1 shrink = %v", b)
-	}
-	b = b.ShrinkToward(2, in)
-	if b != in {
-		t.Fatalf("after full shrink = %v, want %v", b, in)
-	}
-	// Shrinking past the target must stop at the target.
-	b = b.ShrinkToward(5, in)
-	if b != in {
-		t.Fatalf("shrink past target = %v", b)
+	// Growth past the padded region stops at it.
+	if b := in.ExpandSides(5, 0, 0, 9, g); b != (Bounds{-4, 8, 0, 12}) {
+		t.Fatalf("ExpandSides past the padding = %v", b)
 	}
 }
 
-func TestBoundsShrinkTowardNeverCrossesQuick(t *testing.T) {
+func TestBoundsExpandSidesStaysPaddedQuick(t *testing.T) {
 	g := MustGrid2D(12, 9, 4, 0, 1, 0, 1)
 	in := g.Interior()
-	f := func(l, r, d, u, steps uint8) bool {
-		b := in.ExpandSides(int(l%5), int(r%5), int(d%5), int(u%5), g)
-		for i := uint8(0); i < steps%8; i++ {
-			b = b.ShrinkToward(1, in)
-			if !in.Within(b) {
-				return false // must always still cover the interior
-			}
-		}
-		return true
+	pad := Bounds{-g.Halo, g.NX + g.Halo, -g.Halo, g.NY + g.Halo}
+	f := func(l, r, d, u uint8) bool {
+		b := in.ExpandSides(int(l%7), int(r%7), int(d%7), int(u%7), g)
+		// Each side grows by its extent, stopped at the padding.
+		want := Bounds{-min(int(l%7), g.Halo), g.NX + min(int(r%7), g.Halo), -min(int(d%7), g.Halo), g.NY + min(int(u%7), g.Halo)}
+		return b == want && in.Within(b) && b.Within(pad)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

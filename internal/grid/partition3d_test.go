@@ -1,6 +1,9 @@
 package grid
 
-import "testing"
+import (
+	"testing"
+	"testing/quick"
+)
 
 func TestPartition3DExtentsTile(t *testing.T) {
 	p := MustPartition3D(10, 7, 5, 3, 2, 2)
@@ -75,26 +78,41 @@ func TestPartition3DValidation(t *testing.T) {
 	}
 }
 
-func TestBounds3DShrinkTowardAndCells(t *testing.T) {
+func TestBounds3DExpandSidesAndCells(t *testing.T) {
 	g := UnitGrid3D(8, 8, 8, 3)
 	in := g.Interior()
 	b := in.ExpandSides(2, 2, 0, 2, 2, 0, g)
 	if b != (Bounds3D{-2, 10, 0, 10, -2, 8}) {
 		t.Fatalf("expanded = %v", b)
 	}
-	s := b.ShrinkToward(1, in)
-	if s != (Bounds3D{-1, 9, 0, 9, -1, 8}) {
-		t.Fatalf("shrunk = %v", s)
-	}
-	s = s.ShrinkToward(1, in).ShrinkToward(1, in)
-	if s != in {
-		t.Fatalf("shrinking must stop at the interior, got %v", s)
+	if c := in.ExpandSides(4, 0, 0, 0, 0, 5, g); c != (Bounds3D{-3, 8, 0, 8, 0, 11}) {
+		t.Fatalf("growth past the padding must stop at it, got %v", c)
 	}
 	if in.Cells() != 512 || (Bounds3D{0, 0, 0, 5, 0, 5}).Cells() != 0 {
 		t.Error("cells count wrong")
 	}
 	if !in.Within(b) || b.Within(in) {
 		t.Error("Within wrong")
+	}
+}
+
+func TestBounds3DExpandSidesStaysPaddedQuick(t *testing.T) {
+	g := UnitGrid3D(7, 5, 6, 3)
+	in := g.Interior()
+	pad := Bounds3D{-g.Halo, g.NX + g.Halo, -g.Halo, g.NY + g.Halo, -g.Halo, g.NZ + g.Halo}
+	f := func(e [6]uint8) bool {
+		var n [6]int
+		for i, v := range e {
+			n[i] = int(v % 6)
+		}
+		b := in.ExpandSides(n[0], n[1], n[2], n[3], n[4], n[5], g)
+		// Each side grows by its extent, stopped at the padding.
+		h := func(i int) int { return min(n[i], g.Halo) }
+		want := Bounds3D{-h(0), g.NX + h(1), -h(2), g.NY + h(3), -h(4), g.NZ + h(5)}
+		return b == want && in.Within(b) && b.Within(pad)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
 	}
 }
 

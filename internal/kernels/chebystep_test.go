@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"tealeaf/internal/grid"
-	"tealeaf/internal/halo"
 	. "tealeaf/internal/kernels"
 	"tealeaf/internal/par"
 	"tealeaf/internal/stencil"
@@ -339,15 +338,9 @@ func BenchmarkChebySteps(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sched, err := halo.NewSchedule(g, 4, halo.Sides{Right: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	sched.Refill()
 	var ring []grid.Bounds
-	for range 4 {
-		bb, _ := sched.Next()
-		ring = append(ring, bb)
+	for e := 3; e >= 0; e-- {
+		ring = append(ring, g.Interior().ExpandSides(0, e, 0, 0, g))
 	}
 	g2 := benchGrid(1024)
 	op2 := benchOp(g2)

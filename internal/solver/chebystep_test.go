@@ -384,13 +384,10 @@ func innerAllocs[F comparable, B any](t *testing.T, label string, e *engine[F, B
 	if err != nil {
 		t.Fatal(err)
 	}
-	powers, err := sys.NewPowers(o.HaloDepth)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bs := sys.Powers(o.HaloDepth)
 	w, z := sys.Vec(vecW), sys.Vec(vecZ)
 	st := &cgStep[F]{beta: 0.5, alpha: 1e-3, p: sys.Vec(vecP), s: sys.Vec(vecS)}
-	inner := newInnerCore(e, sched, powers)
+	inner := newInnerCore(e, sched, bs)
 	apply := func() {
 		if err := inner.apply(st, r, z, w); err != nil {
 			t.Fatal(err)
@@ -403,12 +400,6 @@ func innerAllocs[F comparable, B any](t *testing.T, label string, e *engine[F, B
 		sys.PPCGStep(e.in, st.beta, st.alpha, st.p, st.s, e.u, z, w, r, 1/sched.Theta, inner.minv, inner.sd, deflRows{})
 	})
 	x := []float64{1}
-	powers.Refill()
-	var bs []B
-	for range o.HaloDepth {
-		b, _ := powers.Next()
-		bs = append(bs, b)
-	}
 	for step := 0; step < o.InnerSteps; step += o.HaloDepth {
 		n := min(o.HaloDepth, o.InnerSteps-step)
 		steps := testing.AllocsPerRun(20, func() {

@@ -257,11 +257,7 @@ func solvePPCGClassicCore[F comparable, B any](e *engine[F, B]) (Result, error) 
 	if err != nil {
 		return result, err
 	}
-	powers, err := sys.NewPowers(o.HaloDepth)
-	if err != nil {
-		return result, err
-	}
-	inner := newInnerCore(e, sched, powers)
+	inner := newInnerCore(e, sched, sys.Powers(o.HaloDepth))
 	r, base := st.r, st.base
 	// The oracle's own fields: z for the inner correction, w for A·p, and
 	// rtemp for the inner solve's residual.

@@ -444,15 +444,10 @@ func solveChebyCore[F comparable, B any](e *engine[F, B]) (Result, error) {
 				return result, nil
 			}
 		}
-		if !isFinite(st.rr) {
-			return nonFinite(result, "chebyshev", "bootstrap ‖r‖²", st.rr)
-		}
-		est, err := eigen.EstimateFromCG(boot.Alphas, boot.Betas)
+		est, err := estimateSpectrum(&result, "chebyshev", boot, st.rr)
 		if err != nil {
-			return result, fmt.Errorf("solver: eigenvalue bootstrap failed: %w", err)
+			return result, err
 		}
-		result.Eigen = &est
-
 		sched, err := cheby.NewInterval(est.Min, est.Max)
 		if err != nil {
 			return result, fmt.Errorf("solver: chebyshev schedule: %w", err)
@@ -548,6 +543,24 @@ func solveChebyCore[F comparable, B any](e *engine[F, B]) (Result, error) {
 	}
 }
 
+// estimateSpectrum is the tail of the Chebyshev and PPCG eigenvalue
+// bootstrap: a non-finite bootstrap ‖r‖² ends the solve (nonFinite, into
+// res); otherwise the bootstrap's CG scalars estimate the extremal
+// eigenvalues of M⁻¹A (§III-D), which res.Eigen records.
+func estimateSpectrum(res *Result, solver string, boot Result, rr float64) (eigen.Estimate, error) {
+	if !isFinite(rr) {
+		var err error
+		*res, err = nonFinite(*res, solver, "bootstrap ‖r‖²", rr)
+		return eigen.Estimate{}, err
+	}
+	est, err := eigen.EstimateFromCG(boot.Alphas, boot.Betas)
+	if err != nil {
+		return est, fmt.Errorf("solver: eigenvalue bootstrap failed: %w", err)
+	}
+	res.Eigen = &est
+	return est, nil
+}
+
 func isFinite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // nonFinite ends a solve whose globally reduced scalar `name` came back
@@ -623,24 +636,16 @@ func solvePPCGCore[F comparable, B any](e *engine[F, B]) (Result, error) {
 		result.FinalResidual = boot.FinalResidual
 		return result, nil
 	}
-	if !isFinite(st.rr) {
-		return nonFinite(result, "ppcg", "bootstrap ‖r‖²", st.rr)
-	}
-	est, err := eigen.EstimateFromCG(boot.Alphas, boot.Betas)
+	est, err := estimateSpectrum(&result, "ppcg", boot, st.rr)
 	if err != nil {
-		return result, fmt.Errorf("solver: eigenvalue bootstrap failed: %w", err)
+		return result, err
 	}
-	result.Eigen = &est
 	sched, err := cheby.NewSchedule(est.Min, est.Max, o.InnerSteps)
 	if err != nil {
 		return result, fmt.Errorf("solver: chebyshev schedule: %w", err)
 	}
-	powers, err := e.sys.NewPowers(o.HaloDepth)
-	if err != nil {
-		return result, err
-	}
 
-	m := newInnerCore(e, sched, powers)
+	m := newInnerCore(e, sched, e.sys.Powers(o.HaloDepth))
 	outer, err := solveCG(e, m, o.MaxIters-result.Iterations, st.base)
 	result.Iterations += outer.Iterations
 	result.TotalInner = m.applies * o.InnerSteps
@@ -650,19 +655,21 @@ func solvePPCGCore[F comparable, B any](e *engine[F, B]) (Result, error) {
 }
 
 // innerCore is PPCG's preconditioner z ≈ B(A)·r: InnerSteps Chebyshev
-// smoothing steps (TeaLeaf's tl_ppcg inner solve), using the
-// matrix-powers schedule for its halo exchanges. It runs on the CG
-// engine's fields: its rtemp is the engine's w, which the step reads
-// before the set-up writes rtemp and the engine's matvec rewrites after
-// the solve, and its correction is the engine's z.
+// smoothing steps (TeaLeaf's tl_ppcg inner solve) in matrix-powers blocks,
+// one depth-d halo exchange per block. It runs on the CG engine's fields:
+// its rtemp is the engine's w, which the step reads before the set-up
+// writes rtemp and the engine's matvec rewrites after the solve, and its
+// correction is the engine's z.
 type innerCore[F comparable, B any] struct {
-	e      *engine[F, B]
-	sched  *cheby.Schedule
-	powers powersSched[B]
+	e     *engine[F, B]
+	sched *cheby.Schedule
+	// block is the bounds of a depth-d block's steps (system.Powers), the
+	// same for every block; a block of n < d steps runs on its first n.
+	block []B
 	// sd is the current search direction. On the fused path it ping-pongs
 	// with alt — within a block, step j reads sd for even j and alt for odd
 	// j, and the two handles swap after a block of odd length — so
-	// whichever field holds the direction when the halo runs out is the one
+	// whichever field holds the direction when a block starts is the one
 	// exchanged. Unfused, sd updates in place and alt is the matvec's
 	// target, then the M⁻¹·rtemp scratch.
 	sd, alt F
@@ -670,20 +677,16 @@ type innerCore[F comparable, B any] struct {
 	// = identity); fused reports whether the fused kernel path is usable.
 	minv  F
 	fused bool
-	// bs holds the current block's matrix-powers bounds, one per step,
-	// reused from block to block.
-	bs []B
 	// applies counts the inner solves run, for Result.TotalInner.
 	applies int
 }
 
-func newInnerCore[F comparable, B any](e *engine[F, B], sched *cheby.Schedule, powers powersSched[B]) *innerCore[F, B] {
+func newInnerCore[F comparable, B any](e *engine[F, B], sched *cheby.Schedule, block []B) *innerCore[F, B] {
 	minv, fused := e.sys.FoldableDiag()
 	return &innerCore[F, B]{
-		e: e, sched: sched, powers: powers,
+		e: e, sched: sched, block: block,
 		sd: e.sys.Vec(vecSD), alt: e.sys.Vec(vecAlt),
 		minv: minv, fused: fused,
-		bs: make([]B, 0, powers.Depth()),
 	}
 }
 
@@ -692,15 +695,19 @@ func newInnerCore[F comparable, B any](e *engine[F, B], sched *cheby.Schedule, p
 //
 //	rtemp = r;  sd = M⁻¹rtemp/θ;  z = sd
 //	repeat InnerSteps times:
-//	    rtemp ← rtemp − A·sd        (on matrix-powers bounds)
+//	    rtemp ← rtemp − A·sd        (on the block's bounds)
 //	    sd    ← α_k·sd + β_k·M⁻¹rtemp
 //	    z     ← z + sd              (interior only)
 //
-// leaving the polynomial-preconditioned residual in z. On the fused path
-// the step and the set-up are one pointwise sweep (PPCGStep) and the
-// steps one exchange buys are one pass over the grid (ChebySteps, traced
-// as a matvec per step over its bounds). Unfused, the step is the
-// engine's three vector sweeps.
+// leaving the polynomial-preconditioned residual in z. The steps run in
+// blocks of up to d: one depth-d exchange of sd and rtemp, then step j of
+// the block on block[j]. Every inner solve starts with a fresh exchange,
+// because rtemp and sd were rebuilt from the outer residual, so there are
+// ⌈InnerSteps/d⌉ exchanges. On the fused path the step and the set-up are
+// one pointwise sweep (PPCGStep) and a block's steps one pass over the
+// grid (ChebySteps, traced as a matvec per step over its bounds).
+// Unfused (jac_block, depth 1), the step is the engine's three vector
+// sweeps and each inner step five sweeps.
 func (s *innerCore[F, B]) apply(st *cgStep[F], r, z, w F) error {
 	e := s.e
 	sys := e.sys
@@ -715,92 +722,47 @@ func (s *innerCore[F, B]) apply(st *cgStep[F], r, z, w F) error {
 		// cell of sd and rtemp the extended bounds read.
 		sys.PPCGStep(in, st.beta, st.alpha, st.p, st.s, e.u, z, w, r, 1/s.sched.Theta, s.minv, s.sd, st.d)
 		e.vectorPass(in)
-		return s.fusedSteps(z, w)
-	}
-
-	if st != nil {
-		e.step(st, z, w, r)
-	}
-	// rtemp starts as a copy of r; the depth-d exchange below makes its
-	// halo consistent before any extended-bounds work.
-	sys.CopyAll(w, r)
-	e.vectorPass(in)
-	e.applyPrecond(in, w, s.alt)
-	sys.ScaleTo(in, 1/s.sched.Theta, s.alt, s.sd)
-	e.vectorPass(in)
-	sys.Copy(in, z, s.sd)
-	e.vectorPass(in)
-
-	// Force a fresh exchange at the start of every inner solve: rtemp and
-	// sd were rebuilt from the outer residual.
-	needExchange := true
-	for step := 0; step < e.o.InnerSteps; step++ {
-		var b B
-		if !needExchange {
-			var ok bool
-			b, ok = s.powers.Next()
-			needExchange = !ok
+	} else {
+		if st != nil {
+			e.step(st, z, w, r)
 		}
-		if needExchange {
-			if err := e.exchange(s.powers.Depth(), s.sd, w); err != nil {
-				return err
-			}
-			s.powers.Refill()
-			var ok bool
-			b, ok = s.powers.Next()
-			if !ok {
-				return fmt.Errorf("solver: matrix-powers schedule empty after refill")
-			}
-			needExchange = false
-		}
-
-		e.matvec(b, s.sd, s.alt)
-		sys.Axpy(b, -1, s.alt, w) // rtemp -= A·sd
-		e.vectorPass(b)
-
-		e.applyPrecond(b, w, s.alt)
-		// sd = α·sd + β·M⁻¹rtemp (AxpbyPre with the identity).
-		var zero F
-		sys.AxpbyPre(b, s.sched.Alpha[step], s.sd, s.sched.Beta[step], zero, s.alt)
-		e.vectorPass(b)
-
-		sys.Axpy(in, 1, s.sd, z) // z += sd (interior)
+		// rtemp starts as a copy of r; the depth-d exchange below makes its
+		// halo consistent before any extended-bounds work.
+		sys.CopyAll(w, r)
+		e.vectorPass(in)
+		e.applyPrecond(in, w, s.alt)
+		sys.ScaleTo(in, 1/s.sched.Theta, s.alt, s.sd)
+		e.vectorPass(in)
+		sys.Copy(in, z, s.sd)
 		e.vectorPass(in)
 	}
-	return nil
-}
 
-// fusedSteps runs the fused path's InnerSteps Chebyshev steps as blocks:
-// one depth-d exchange of sd and rtemp, then up to d steps on the
-// schedule's shrinking bounds in one ChebySteps pass, accumulating into
-// z. Every inner solve starts with a fresh exchange, because rtemp and sd
-// were rebuilt from the outer residual, so there are ⌈InnerSteps/d⌉
-// exchanges.
-func (s *innerCore[F, B]) fusedSteps(z, rtemp F) error {
-	e := s.e
 	for step := 0; step < e.o.InnerSteps; {
-		if err := e.exchange(s.powers.Depth(), s.sd, rtemp); err != nil {
+		if err := e.exchange(len(s.block), s.sd, w); err != nil {
 			return err
 		}
-		s.powers.Refill()
-		s.bs = s.bs[:0]
-		for len(s.bs) < e.o.InnerSteps-step {
-			b, ok := s.powers.Next()
-			if !ok {
-				break
+		bs := s.block[:min(len(s.block), e.o.InnerSteps-step)]
+		alphas, betas := s.sched.Alpha[step:step+len(bs)], s.sched.Beta[step:step+len(bs)]
+		if s.fused {
+			e.chebySteps(bs, alphas, betas, s.sd, s.alt, w, s.minv, z)
+			if len(bs)%2 == 1 {
+				s.sd, s.alt = s.alt, s.sd
 			}
-			s.bs = append(s.bs, b)
+		} else {
+			for j, b := range bs {
+				e.matvec(b, s.sd, s.alt)
+				sys.Axpy(b, -1, s.alt, w) // rtemp -= A·sd
+				e.vectorPass(b)
+				e.applyPrecond(b, w, s.alt)
+				// sd = α·sd + β·M⁻¹rtemp (AxpbyPre with the identity).
+				var zero F
+				sys.AxpbyPre(b, alphas[j], s.sd, betas[j], zero, s.alt)
+				e.vectorPass(b)
+				sys.Axpy(in, 1, s.sd, z) // z += sd (interior)
+				e.vectorPass(in)
+			}
 		}
-		n := len(s.bs)
-		if n == 0 {
-			return fmt.Errorf("solver: matrix-powers schedule empty after refill")
-		}
-		e.chebySteps(s.bs, s.sched.Alpha[step:step+n], s.sched.Beta[step:step+n],
-			s.sd, s.alt, rtemp, s.minv, z)
-		if n%2 == 1 {
-			s.sd, s.alt = s.alt, s.sd
-		}
-		step += n
+		step += len(bs)
 	}
 	return nil
 }

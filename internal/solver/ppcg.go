@@ -17,8 +17,8 @@ func SolvePPCG(p Problem, o Options) (Result, error) {
 
 // SolvePPCG3D runs the paper's headline solver on a 3D problem: the same
 // solvePPCGCore loop as the 2D SolvePPCG — the CG engine's outer
-// iteration, reduction-free inner Chebyshev smoothing with the 3D matrix-powers schedule at
-// HaloDepth > 1 — over the sys3d backend. Options.Deflation3D composes
+// iteration, reduction-free inner Chebyshev smoothing with 3D matrix-powers
+// blocks at HaloDepth > 1 — over the sys3d backend. Options.Deflation3D composes
 // the coarse-space projector exactly as Options.Deflation does in 2D.
 func SolvePPCG3D(p Problem3D, o Options) (Result, error) {
 	return new(Workspace).Solve3D(KindPPCG, p, o)

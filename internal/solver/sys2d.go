@@ -3,7 +3,6 @@ package solver
 import (
 	"tealeaf/internal/comm"
 	"tealeaf/internal/grid"
-	"tealeaf/internal/halo"
 	"tealeaf/internal/kernels"
 	"tealeaf/internal/par"
 	"tealeaf/internal/precond"
@@ -35,10 +34,25 @@ func (s *sys2d) Exchange(depth int, fields ...*grid.Field2D) error {
 	return s.c.Exchange(depth, fields...)
 }
 
-func (s *sys2d) NewPowers(depth int) (powersSched[grid.Bounds], error) {
+func (s *sys2d) Powers(depth int) []grid.Bounds {
 	phys := s.c.Physical()
-	adj := halo.Sides{Left: !phys.Left, Right: !phys.Right, Down: !phys.Down, Up: !phys.Up}
-	return halo.NewSchedule(s.op.Grid, depth, adj)
+	bs := make([]grid.Bounds, depth)
+	for j := range bs {
+		e := depth - 1 - j
+		bs[j] = s.Interior().ExpandSides(reach(phys.Left, e), reach(phys.Right, e),
+			reach(phys.Down, e), reach(phys.Up, e), s.op.Grid)
+	}
+	return bs
+}
+
+// reach is how far a matrix-powers step grows the interior into a side:
+// e cells into a rank neighbour's halo, none into a physical side, whose
+// halo is a zero-flux mirror rather than neighbour data.
+func reach(physical bool, e int) int {
+	if physical {
+		return 0
+	}
+	return e
 }
 
 func (s *sys2d) Alone() bool { return stencil.PhysicalSides(s.c.Physical()) == stencil.AllPhysical }

@@ -3,7 +3,6 @@ package solver
 import (
 	"tealeaf/internal/comm"
 	"tealeaf/internal/grid"
-	"tealeaf/internal/halo"
 	"tealeaf/internal/kernels"
 	"tealeaf/internal/par"
 	"tealeaf/internal/precond"
@@ -36,14 +35,15 @@ func (s *sys3d) Exchange(depth int, fields ...*grid.Field3D) error {
 	return s.c.Exchange3D(depth, fields...)
 }
 
-func (s *sys3d) NewPowers(depth int) (powersSched[grid.Bounds3D], error) {
+func (s *sys3d) Powers(depth int) []grid.Bounds3D {
 	phys := s.c.Physical3D()
-	adj := halo.Sides3D{
-		Left: !phys.Left, Right: !phys.Right,
-		Down: !phys.Down, Up: !phys.Up,
-		Back: !phys.Back, Front: !phys.Front,
+	bs := make([]grid.Bounds3D, depth)
+	for j := range bs {
+		e := depth - 1 - j
+		bs[j] = s.Interior().ExpandSides(reach(phys.Left, e), reach(phys.Right, e),
+			reach(phys.Down, e), reach(phys.Up, e), reach(phys.Back, e), reach(phys.Front, e), s.op.Grid)
 	}
-	return halo.NewSchedule3D(s.op.Grid, depth, adj)
+	return bs
 }
 
 func (s *sys3d) Alone() bool {

@@ -19,7 +19,7 @@ import (
 // fields, the stencil operator (plain, fused-dot and folded-
 // preconditioner forms), the BLAS1 and fused update kernels, the
 // configured preconditioner, halo exchange, and the matrix-powers
-// schedule. F is the field type (*grid.Field2D or *grid.Field3D) and B
+// block's bounds. F is the field type (*grid.Field2D or *grid.Field3D) and B
 // the bounds type (grid.Bounds or grid.Bounds3D).
 //
 // All kernel methods are rank-local and trace-free: the engine wraps them
@@ -38,9 +38,12 @@ type system[F comparable, B any] interface {
 
 	// Exchange refreshes halos to the given depth through the communicator.
 	Exchange(depth int, fields ...F) error
-	// NewPowers builds the matrix-powers exchange schedule for the given
-	// depth, with adjacency taken from the communicator's physical sides.
-	NewPowers(depth int) (powersSched[B], error)
+	// Powers returns the bounds of a depth-d matrix-powers block (§IV-C2):
+	// after a depth-d exchange, step j runs on the interior grown d−1−j
+	// cells into every side with a rank neighbour (the communicator's
+	// non-physical sides), so the last step runs on the interior. The list
+	// is the same for every block of a solve; depth lies in [1, GridHalo()].
+	Powers(depth int) []B
 	// Alone reports whether every side of the rank-local grid is physical:
 	// no rank neighbour, so no halo of it is ever another rank's data.
 	Alone() bool
@@ -127,14 +130,6 @@ type system[F comparable, B any] interface {
 
 	// Deflation returns the configured outer deflation projector, or nil.
 	Deflation() deflator[F]
-}
-
-// powersSched is the matrix-powers exchange schedule (halo.Schedule and
-// halo.Schedule3D both satisfy it for their bounds type).
-type powersSched[B any] interface {
-	Depth() int
-	Next() (B, bool)
-	Refill()
 }
 
 // deflator is the outer deflation projector the CG engine composes with

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"tealeaf/internal/grid"
-	"tealeaf/internal/halo"
 	"tealeaf/internal/par"
 )
 
@@ -147,12 +146,21 @@ func TestChebyStepsMatchStepwiseBitwise(t *testing.T) {
 	t.Run("3D", func(t *testing.T) { chebySteps3D(t, pools) })
 }
 
+// grow is e for a side with a rank neighbour, 0 for a physical side.
+func grow(neighbour bool, e int) int {
+	if neighbour {
+		return e
+	}
+	return 0
+}
+
 func chebySteps2D(t *testing.T, pools map[string]*par.Pool) {
-	sides := []halo.Sides{
+	// Which of left, right, down, up have a rank neighbour.
+	sides := [][4]bool{
 		{},
-		{Left: true, Up: true},
-		{Right: true, Down: true},
-		{Left: true, Right: true, Down: true, Up: true},
+		{true, false, false, true},
+		{false, true, true, false},
+		{true, true, true, true},
 	}
 	for _, mesh := range [][2]int{{9, 2}, {8, 13}, {7, 40}} {
 		g := grid.UnitGrid2D(mesh[0], mesh[1], 4)
@@ -166,14 +174,12 @@ func chebySteps2D(t *testing.T, pools map[string]*par.Pool) {
 				alphas, betas := chebyCoefs(steps)
 				for depth := steps; depth <= 4; depth++ {
 					for _, adj := range sides {
-						sched, err := halo.NewSchedule(g, depth, adj)
-						if err != nil {
-							t.Fatal(err)
-						}
-						sched.Refill()
+						// The first steps of a depth-d block: step j grows
+						// d−1−j cells into each neighbour side.
 						bs := make([]grid.Bounds, steps)
 						for j := range bs {
-							bs[j], _ = sched.Next()
+							e := depth - 1 - j
+							bs[j] = in.ExpandSides(grow(adj[0], e), grow(adj[1], e), grow(adj[2], e), grow(adj[3], e), g)
 						}
 						for _, pre := range []bool{false, true} {
 							label := fmt.Sprintf("%dx%d %s steps=%d depth=%d %+v minv=%v", mesh[0], mesh[1], name, steps, depth, adj, pre)
@@ -229,11 +235,12 @@ func chebySteps2DCase(t *testing.T, label string, op *Operator2D, pool *par.Pool
 }
 
 func chebySteps3D(t *testing.T, pools map[string]*par.Pool) {
-	sides := []halo.Sides3D{
+	// Which of left, right, down, up, back, front have a rank neighbour.
+	sides := [][6]bool{
 		{},
-		{Left: true, Up: true, Front: true},
-		{Right: true, Down: true, Back: true},
-		{Left: true, Right: true, Down: true, Up: true, Back: true, Front: true},
+		{true, false, false, true, false, true},
+		{false, true, true, false, true, false},
+		{true, true, true, true, true, true},
 	}
 	for _, mesh := range [][3]int{{5, 4, 2}, {4, 3, 19}} {
 		g := grid.UnitGrid3D(mesh[0], mesh[1], mesh[2], 4)
@@ -247,14 +254,11 @@ func chebySteps3D(t *testing.T, pools map[string]*par.Pool) {
 				alphas, betas := chebyCoefs(steps)
 				for depth := steps; depth <= 4; depth++ {
 					for _, adj := range sides {
-						sched, err := halo.NewSchedule3D(g, depth, adj)
-						if err != nil {
-							t.Fatal(err)
-						}
-						sched.Refill()
 						bs := make([]grid.Bounds3D, steps)
 						for j := range bs {
-							bs[j], _ = sched.Next()
+							e := depth - 1 - j
+							bs[j] = in.ExpandSides(grow(adj[0], e), grow(adj[1], e), grow(adj[2], e),
+								grow(adj[3], e), grow(adj[4], e), grow(adj[5], e), g)
 						}
 						for _, pre := range []bool{false, true} {
 							label := fmt.Sprintf("%dx%dx%d %s steps=%d depth=%d %+v minv=%v", mesh[0], mesh[1], mesh[2], name, steps, depth, adj, pre)
