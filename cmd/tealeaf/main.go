@@ -23,6 +23,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"tealeaf/internal/comm"
@@ -149,10 +150,7 @@ func run() error {
 		return run3D(d, nSteps, *px, *py, *pz, *workers, *quiet)
 	}
 
-	fmt.Printf("TeaLeaf (Go): %dx%d cells, solver=%s precond=%s%s eps=%.1e dt=%g, %d steps\n",
-		d.XCells, d.YCells, d.Solver, orNone(d.Precond), deflNote(d), d.Eps, d.InitialTimestep, nSteps)
-
-	fmt.Printf("decomposition: %dx%d ranks, %d workers/rank, leaves=%s\n", *px, *py, *workers, simd.Leaves())
+	printBanner(os.Stdout, d, nSteps, *px, *py, *pz, *workers, false)
 	if *px**py > 1 {
 		res, err := core.RunDistributed(d, *px, *py, nSteps, *workers)
 		if err != nil {
@@ -209,10 +207,7 @@ func run() error {
 // run3D drives a dims=3 deck end-to-end: the 7-point operator, the 3D
 // fused solvers, and (with -px/-py/-pz > 1) the distributed 3D rank layer.
 func run3D(d *deck.Deck, nSteps, px, py, pz, workers int, quiet bool) error {
-	fmt.Printf("TeaLeaf (Go): %dx%dx%d cells (3D), solver=%s precond=%s%s eps=%.1e dt=%g, %d steps\n",
-		d.XCells, d.YCells, d.ZCells, d.Solver, orNone(d.Precond), deflNote(d), d.Eps, d.InitialTimestep, nSteps)
-
-	fmt.Printf("decomposition: %dx%dx%d ranks, %d workers/rank, leaves=%s\n", px, py, pz, workers, simd.Leaves())
+	printBanner(os.Stdout, d, nSteps, px, py, pz, workers, false)
 	if px*py*pz > 1 {
 		res, err := core.RunDistributed3D(d, px, py, pz, nSteps, workers)
 		if err != nil {
@@ -290,12 +285,25 @@ func orNone(s string) string {
 	return s
 }
 
-// deflNote renders the deflation configuration for the run banner.
-func deflNote(d *deck.Deck) string {
-	if !d.UseDeflation {
-		return ""
+// printBanner prints the run banner: the mesh and solver configuration,
+// then the decomposition (px×py in 2D, px×py×pz in 3D), marked over tcp
+// for a rank of a real-network run.
+func printBanner(w io.Writer, d *deck.Deck, nSteps, px, py, pz, workers int, overTCP bool) {
+	cells, ranks := fmt.Sprintf("%dx%d cells", d.XCells, d.YCells), fmt.Sprintf("%dx%d", px, py)
+	if d.Dims == 3 {
+		cells = fmt.Sprintf("%dx%dx%d cells (3D)", d.XCells, d.YCells, d.ZCells)
+		ranks = fmt.Sprintf("%dx%dx%d", px, py, pz)
 	}
-	return fmt.Sprintf(" deflation=%d", d.DeflationBlocks)
+	defl, over := "", ""
+	if d.UseDeflation {
+		defl = fmt.Sprintf(" deflation=%d", d.DeflationBlocks)
+	}
+	if overTCP {
+		over = " over tcp"
+	}
+	fmt.Fprintf(w, "TeaLeaf (Go): %s, solver=%s precond=%s%s eps=%.1e dt=%g, %d steps\n",
+		cells, d.Solver, orNone(d.Precond), defl, d.Eps, d.InitialTimestep, nSteps)
+	fmt.Fprintf(w, "decomposition: %s ranks%s, %d workers/rank, leaves=%s\n", ranks, over, workers, simd.Leaves())
 }
 
 func writePPM(path string, f *grid.Field2D) error {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"os"
 	"path/filepath"
@@ -9,6 +10,8 @@ import (
 	"testing"
 
 	"tealeaf/internal/deck"
+	"tealeaf/internal/problem"
+	"tealeaf/internal/simd"
 )
 
 // docFlagNames returns the flag names the `tealeaf` flag table in
@@ -129,5 +132,46 @@ func TestSolverFlagOverDeckFileDepth(t *testing.T) {
 	}
 	if err := runTealeaf(t, "-quiet", path); err == nil || !strings.Contains(err.Error(), "tl_ppcg_halo_depth 3 is PPCG's inner matrix-powers depth") {
 		t.Errorf("tealeaf over a CG deck with tl_ppcg_halo_depth=3: err = %v, want the PPCG-only halo depth error", err)
+	}
+}
+
+// TestBannerForms pins the run banner's four forms — 2D and 3D, on hub
+// ranks and as a tcp rank — byte for byte (leaves= is the host's, so it
+// is filled in).
+func TestBannerForms(t *testing.T) {
+	pipe := func(solver string, defl int) *deck.Deck {
+		d := problem.CrookedPipeDeck(16, 16)
+		d.Solver, d.UseDeflation, d.DeflationBlocks = solver, defl > 0, defl
+		return d
+	}
+	box := func(defl bool) *deck.Deck {
+		d := problem.BenchmarkDeck3D(8)
+		d.UseDeflation = defl
+		return d
+	}
+	for _, tc := range []struct {
+		d                          *deck.Deck
+		steps, px, py, pz, workers int
+		tcp                        bool
+		want                       string
+	}{
+		{pipe("jacobi", 0), 2, 2, 2, 1, 1, false,
+			"TeaLeaf (Go): 16x16 cells, solver=jacobi precond=none eps=1.0e-10 dt=0.04, 2 steps\n" +
+				"decomposition: 2x2 ranks, 1 workers/rank, leaves=LEAVES\n"},
+		{box(true), 1, 2, 1, 1, 1, false,
+			"TeaLeaf (Go): 8x8x8 cells (3D), solver=ppcg precond=jac_diag deflation=8 eps=1.0e-10 dt=0.004, 1 steps\n" +
+				"decomposition: 2x1x1 ranks, 1 workers/rank, leaves=LEAVES\n"},
+		{pipe("cg", 2), 1, 2, 1, 1, 1, true,
+			"TeaLeaf (Go): 16x16 cells, solver=cg precond=none deflation=2 eps=1.0e-10 dt=0.04, 1 steps\n" +
+				"decomposition: 2x1 ranks over tcp, 1 workers/rank, leaves=LEAVES\n"},
+		{box(false), 1, 1, 1, 2, 1, true,
+			"TeaLeaf (Go): 8x8x8 cells (3D), solver=ppcg precond=jac_diag eps=1.0e-10 dt=0.004, 1 steps\n" +
+				"decomposition: 1x1x2 ranks over tcp, 1 workers/rank, leaves=LEAVES\n"},
+	} {
+		var b bytes.Buffer
+		printBanner(&b, tc.d, tc.steps, tc.px, tc.py, tc.pz, tc.workers, tc.tcp)
+		if want := strings.Replace(tc.want, "LEAVES", simd.Leaves(), 1); b.String() != want {
+			t.Errorf("banner:\n%s\nwant:\n%s", b.String(), want)
+		}
 	}
 }

@@ -29,7 +29,6 @@ import (
 	"tealeaf/internal/grid"
 	"tealeaf/internal/output"
 	"tealeaf/internal/place"
-	"tealeaf/internal/simd"
 )
 
 // runTCPRank runs one rank of a real-network solve in this process.
@@ -41,14 +40,19 @@ func runTCPRank(d *deck.Deck, nSteps, px, py, pz, workers, rank int, peerList st
 			return fmt.Errorf("-peers entry %d is empty", i)
 		}
 	}
-	ranks := px * py
+	var part *grid.Partition
+	var err error
 	if d.Dims == 3 {
-		ranks *= pz
+		part, err = grid.NewPartition3D(d.XCells, d.YCells, d.ZCells, px, py, pz)
+	} else {
+		part, err = grid.NewPartition(d.XCells, d.YCells, px, py)
 	}
-	if len(peers) != ranks {
+	if err != nil {
+		return err
+	}
+	if ranks := part.Ranks(); len(peers) != ranks {
 		return fmt.Errorf("-peers lists %d addresses but -px/-py/-pz describe %d ranks", len(peers), ranks)
-	}
-	if rank < 0 || rank >= ranks {
+	} else if rank < 0 || rank >= ranks {
 		return fmt.Errorf("-rank %d outside [0,%d)", rank, ranks)
 	}
 
@@ -58,43 +62,21 @@ func runTCPRank(d *deck.Deck, nSteps, px, py, pz, workers, rank int, peerList st
 	// balance load the ranks would otherwise share it.
 	place.Spread(place.Current(), rank)
 
-	cfg := comm.TCPConfig{Rank: rank, Peers: peers}
-	var part *grid.Partition
-	var part3 *grid.Partition3D
-	var err error
-	if d.Dims == 3 {
-		part3, err = grid.NewPartition3D(d.XCells, d.YCells, d.ZCells, px, py, pz)
-		cfg.Part3 = part3
-	} else {
-		part, err = grid.NewPartition(d.XCells, d.YCells, px, py)
-		cfg.Part = part
-	}
-	if err != nil {
-		return err
-	}
-	c, err := comm.NewTCP(cfg)
+	c, err := comm.NewTCP(comm.TCPConfig{Rank: rank, Peers: peers, Part: part})
 	if err != nil {
 		return err
 	}
 	defer c.Close()
 
 	if rank == 0 && !quiet {
-		if d.Dims == 3 {
-			fmt.Printf("TeaLeaf (Go): %dx%dx%d cells (3D), solver=%s precond=%s%s eps=%.1e dt=%g, %d steps\n",
-				d.XCells, d.YCells, d.ZCells, d.Solver, orNone(d.Precond), deflNote(d), d.Eps, d.InitialTimestep, nSteps)
-			fmt.Printf("decomposition: %dx%dx%d ranks over tcp, %d workers/rank, leaves=%s\n", px, py, pz, workers, simd.Leaves())
-		} else {
-			fmt.Printf("TeaLeaf (Go): %dx%d cells, solver=%s precond=%s%s eps=%.1e dt=%g, %d steps\n",
-				d.XCells, d.YCells, d.Solver, orNone(d.Precond), deflNote(d), d.Eps, d.InitialTimestep, nSteps)
-			fmt.Printf("decomposition: %dx%d ranks over tcp, %d workers/rank, leaves=%s\n", px, py, workers, simd.Leaves())
-		}
+		printBanner(os.Stdout, d, nSteps, px, py, pz, workers, true)
 	}
 
 	// Protect converts a transport failure inside a reduction (which the
 	// Communicator contract cannot return) into an ordinary error.
 	return c.Protect(func() error {
 		if d.Dims == 3 {
-			res, err := core.RunRank3D(d, part3, c, nSteps, workers)
+			res, err := core.RunRank3D(d, part, c, nSteps, workers)
 			if err != nil {
 				return err
 			}

@@ -44,7 +44,8 @@ type Communicator interface {
 	Exchange(depth int, fields ...*grid.Field2D) error
 	// Exchange3D is Exchange for 3D fields: six faces, with edge and
 	// corner halo cells made coherent by the three-phase ordering.
-	// Multi-rank communicators must have been built over a Partition3D.
+	// Multi-rank communicators must have been built over a 3D partition
+	// (grid.NewPartition3D).
 	Exchange3D(depth int, fields ...*grid.Field3D) error
 	// AllReduceSum returns the sum of x over all ranks.
 	AllReduceSum(x float64) float64
@@ -226,7 +227,7 @@ func serialGather[F haloField](dims int, local, dst F) error {
 	if err := gatherDestination(dst, dims, lay.N); err != nil {
 		return err
 	}
-	placeInterior(dst.Layout(), dst.DataOrNil(), grid.Extent3D{}, lay, local.DataOrNil())
+	placeInterior(dst.Layout(), dst.DataOrNil(), grid.Extent{}, lay, local.DataOrNil())
 	return nil
 }
 

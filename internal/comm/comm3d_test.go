@@ -31,7 +31,7 @@ func runExchange3DTest(t *testing.T, nx, ny, nz, px, py, pz, halo, depth int) {
 	part := grid.MustPartition3D(nx, ny, nz, px, py, pz)
 	gg := grid.UnitGrid3D(nx, ny, nz, halo)
 
-	err := Run3D(part, func(c *RankComm) error {
+	err := Run(part, func(c *RankComm) error {
 		ext := part.ExtentOf(c.Rank())
 		sub, err := gg.Sub(ext.X0, ext.X1, ext.Y0, ext.Y1, ext.Z0, ext.Z1)
 		if err != nil {
@@ -77,7 +77,7 @@ func TestExchange3DSingleRank(t *testing.T) { runExchange3DTest(t, 6, 6, 6, 1, 1
 
 func TestExchange3DMultipleFields(t *testing.T) {
 	part := grid.MustPartition3D(8, 8, 8, 2, 1, 2)
-	err := Run3D(part, func(c *RankComm) error {
+	err := Run(part, func(c *RankComm) error {
 		ext := part.ExtentOf(c.Rank())
 		sub := grid.UnitGrid3D(ext.NX(), ext.NY(), ext.NZ(), 2)
 		a := grid.NewField3D(sub)
@@ -146,7 +146,7 @@ func TestExchangeShapeMismatchSerialMatchesRank(t *testing.T) {
 		t.Error("serial mixed-shape 3D exchange must error")
 	}
 	part := grid.MustPartition3D(4, 4, 4, 1, 1, 1)
-	err := Run3D(part, func(c *RankComm) error {
+	err := Run(part, func(c *RankComm) error {
 		if err := c.Exchange3D(1, a3, b3); err == nil {
 			t.Error("rank mixed-shape 3D exchange must error")
 		}
@@ -171,7 +171,7 @@ func TestDimensionalityMismatches(t *testing.T) {
 	}
 	part3 := grid.MustPartition3D(4, 4, 4, 2, 1, 1)
 	f2 := grid.NewField2D(grid.UnitGrid2D(2, 4, 1))
-	err = Run3D(part3, func(c *RankComm) error {
+	err = Run(part3, func(c *RankComm) error {
 		if err := c.Exchange(1, f2); err == nil {
 			t.Error("2D exchange on 3D hub must error")
 		}
@@ -186,7 +186,7 @@ func TestGatherInterior3D(t *testing.T) {
 	nx, ny, nz := 6, 5, 4
 	part := grid.MustPartition3D(nx, ny, nz, 2, 1, 2)
 	gg := grid.UnitGrid3D(nx, ny, nz, 1)
-	err := Run3D(part, func(c *RankComm) error {
+	err := Run(part, func(c *RankComm) error {
 		ext := part.ExtentOf(c.Rank())
 		sub := grid.UnitGrid3D(ext.NX(), ext.NY(), ext.NZ(), 1)
 		f := grid.NewField3D(sub)
@@ -316,7 +316,7 @@ func TestExchangeDepthExceedsSubdomain(t *testing.T) {
 		t.Fatal(err)
 	}
 	part3 := grid.MustPartition3D(16, 16, 16, 1, 1, 8) // 2-thick slabs
-	err = Run3D(part3, func(c *RankComm) error {
+	err = Run(part3, func(c *RankComm) error {
 		ext := part3.ExtentOf(c.Rank())
 		sub := grid.UnitGrid3D(ext.NX(), ext.NY(), ext.NZ(), 4)
 		f := grid.NewField3D(sub)

@@ -335,7 +335,7 @@ func TestPhysicalSides(t *testing.T) {
 	part := grid.MustPartition(9, 9, 3, 3)
 	err := Run(part, func(c *RankComm) error {
 		p := c.Physical()
-		cx, cy := part.CoordsOf(c.Rank())
+		cx, cy, _ := part.CoordsOf(c.Rank())
 		if p.Left != (cx == 0) || p.Right != (cx == 2) || p.Down != (cy == 0) || p.Up != (cy == 2) {
 			t.Errorf("rank %d (%d,%d): wrong physical sides %+v", c.Rank(), cx, cy, p)
 		}

@@ -43,9 +43,9 @@ type haloField interface {
 	DataOrNil() []float64
 }
 
-// decomposition is a 2D or 3D partition in the one form the exchange and
-// the gathers read: a 2D partition is the nz = 1 case, one rank deep in
-// z with no z neighbours.
+// decomposition is a partition in the form the exchange and the gathers
+// read: each rank's box and neighbours. A 2D partition is the nz = 1
+// case, one rank deep in z with no z neighbours.
 type decomposition struct {
 	dims int
 	n    [3]int // global cells per axis
@@ -54,7 +54,7 @@ type decomposition struct {
 	// same verdict (a per-rank verdict could leave peers deadlocked
 	// mid-protocol).
 	min   [3]int
-	boxes []grid.Extent3D        // each rank's cells
+	boxes []grid.Extent          // each rank's cells
 	nbrs  [][grid.NumSides3D]int // each rank's neighbour across each side, -1 on the physical boundary
 }
 
@@ -62,31 +62,17 @@ type decomposition struct {
 var noNeighbours = [grid.NumSides3D]int{-1, -1, -1, -1, -1, -1}
 
 func decompose(p *grid.Partition) *decomposition {
-	d := &decomposition{dims: 2, n: [3]int{p.NX, p.NY, 1}}
-	d.min[0], d.min[1] = p.MinExtent()
-	for r := range p.Ranks() {
-		e := p.ExtentOf(r)
-		d.add(grid.Extent3D{X0: e.X0, X1: e.X1, Y0: e.Y0, Y1: e.Y1, Z1: 1}, r, grid.NumSides, p.Neighbor)
-	}
-	return d
-}
-
-func decompose3D(p *grid.Partition3D) *decomposition {
-	d := &decomposition{dims: 3, n: [3]int{p.NX, p.NY, p.NZ}}
+	d := &decomposition{dims: p.Dims(), n: [3]int{p.NX, p.NY, p.NZ}}
 	d.min[0], d.min[1], d.min[2] = p.MinExtent()
 	for r := range p.Ranks() {
-		d.add(p.ExtentOf(r), r, grid.NumSides3D, p.Neighbor)
+		var nb [grid.NumSides3D]int
+		for s := range grid.NumSides3D {
+			nb[s] = p.Neighbor(r, s)
+		}
+		d.boxes = append(d.boxes, p.ExtentOf(r))
+		d.nbrs = append(d.nbrs, nb)
 	}
 	return d
-}
-
-func (d *decomposition) add(box grid.Extent3D, r int, sides grid.Side, neighbor func(int, grid.Side) int) {
-	nb := noNeighbours
-	for s := range sides {
-		nb[s] = neighbor(r, s)
-	}
-	d.boxes = append(d.boxes, box)
-	d.nbrs = append(d.nbrs, nb)
 }
 
 func (d *decomposition) ranks() int { return len(d.boxes) }
@@ -307,9 +293,9 @@ func shape(dims int, n [3]int) string {
 // gatherSource checks a gather's local field against rank r's box and
 // returns the box; the first check is that the gather's dimensionality
 // is the decomposition's.
-func (d *decomposition) gatherSource(dims, r int, local grid.Layout) (grid.Extent3D, error) {
+func (d *decomposition) gatherSource(dims, r int, local grid.Layout) (grid.Extent, error) {
 	if dims != d.dims {
-		return grid.Extent3D{}, fmt.Errorf("comm: %dD gather on a %dD-partition communicator", dims, d.dims)
+		return grid.Extent{}, fmt.Errorf("comm: %dD gather on a %dD-partition communicator", dims, d.dims)
 	}
 	ext := d.boxes[r]
 	if want := [3]int{ext.NX(), ext.NY(), ext.NZ()}; local.N != want {
@@ -332,7 +318,7 @@ func gatherDestination[F haloField](dst F, dims int, n [3]int) error {
 
 // placeInterior copies the interior of src (layout sl) into dst (layout
 // dl), cell (0, 0, 0) landing on box b's low corner.
-func placeInterior(dl grid.Layout, dst []float64, b grid.Extent3D, sl grid.Layout, src []float64) {
+func placeInterior(dl grid.Layout, dst []float64, b grid.Extent, sl grid.Layout, src []float64) {
 	nx := sl.N[0]
 	for k := range sl.N[2] {
 		for j := range sl.N[1] {

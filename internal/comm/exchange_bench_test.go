@@ -26,11 +26,11 @@ func BenchmarkExchange(b *testing.B) {
 				return Run(part, func(c *RankComm) error { return fn(c) })
 			},
 			func(fn func(c Communicator) error) error {
-				return Run3D(part3, func(c *RankComm) error { return fn(c) })
+				return Run(part3, func(c *RankComm) error { return fn(c) })
 			}},
 		{"tcp",
 			func(fn func(c Communicator) error) error { return RunTCP(part, fn) },
-			func(fn func(c Communicator) error) error { return RunTCP3D(part3, fn) }},
+			func(fn func(c Communicator) error) error { return RunTCP(part3, fn) }},
 	}
 	for _, be := range backends {
 		for _, depth := range []int{1, 4} {

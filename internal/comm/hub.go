@@ -12,8 +12,8 @@ import (
 
 // Hub owns the shared state of a multi-rank run: the decomposition (2D
 // or 3D), the point-to-point mailboxes, and the collective accumulator.
-// Run and Run3D build one per distributed solve and run each rank, with
-// the RankComm that Comm returns, in its own goroutine.
+// Run builds one per distributed solve and runs each rank, with the
+// RankComm that Comm returns, in its own goroutine.
 type Hub struct {
 	dec *decomposition
 	// mail[rank][side] delivers messages that arrive at rank from the
@@ -23,8 +23,7 @@ type Hub struct {
 	coll *collective
 	gat  chan gatherMsg
 	// apart keeps the ranks off each other's CPUs (see place.Group); set
-	// by Run and Run3D, whose ranks change threads whenever a receive
-	// parks them.
+	// by Run, whose ranks change threads whenever a receive parks them.
 	apart *place.Group
 }
 
@@ -328,7 +327,7 @@ func (c *collective) wait(rank int, g uint64) {
 
 // gatherMsg carries one rank's interior block to rank 0.
 type gatherMsg struct {
-	extent grid.Extent3D
+	extent grid.Extent
 	data   []float64 // in storage order, extent.NX() wide rows
 }
 
@@ -374,23 +373,17 @@ func hubGather[F haloField](c *RankComm, dims int, local, dst F) error {
 	return err
 }
 
-// Run launches fn on every rank of the partition in its own goroutine and
-// waits for all of them; the returned error is the first non-nil error by
-// rank order. This is the `mpirun` of the package, and like one it starts
-// the ranks on different CPUs (place.Spread: rank r, r CPUs on from the
-// caller's) and keeps them apart (place.Group).
+// Run launches fn on every rank of the partition, 2D or 3D, in its own
+// goroutine and waits for all of them; the returned error is the first
+// non-nil error by rank order. This is the `mpirun` of the package, and
+// like one it starts the ranks on different CPUs (place.Spread: rank r,
+// r CPUs on from the caller's) and keeps them apart (place.Group).
 func Run(part *grid.Partition, fn func(c *RankComm) error) error {
 	return runRanks(newHub(decompose(part)), fn)
 }
 
-// Run3D is Run over a 3D partition.
-func Run3D(part3 *grid.Partition3D, fn func(c *RankComm) error) error {
-	return runRanks(newHub(decompose3D(part3)), fn)
-}
-
-// runRanks runs fn on every rank of h, as Run and Run3D do. The ranks
-// beside the caller's own thread are claimed on the host's CPUs while
-// they run.
+// runRanks runs fn on every rank of h, as Run does. The ranks beside the
+// caller's own thread are claimed on the host's CPUs while they run.
 func runRanks(h *Hub, fn func(c *RankComm) error) error {
 	n := h.Ranks()
 	defer place.Claim(n - 1)()

@@ -85,7 +85,7 @@ func TestHubExchangeSteadyStateAllocs(t *testing.T) {
 			} else {
 				part := grid.MustPartition3D(12, 8, 6, 2, 1, 1)
 				gg := grid.UnitGrid3D(12, 8, 6, 2)
-				err = Run3D(part, func(c *RankComm) error {
+				err = Run(part, func(c *RankComm) error {
 					ext := part.ExtentOf(c.Rank())
 					sub, err := gg.Sub(ext.X0, ext.X1, ext.Y0, ext.Y1, ext.Z0, ext.Z1)
 					if err != nil {

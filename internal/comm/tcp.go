@@ -42,10 +42,9 @@ type TCP struct {
 	rank, size int
 	peers      []string
 	dec        *decomposition
-	// part or part3 is the partition as configured: the geometry the
-	// handshake sends and checks.
+	// part is the partition as configured: the geometry the handshake
+	// sends and checks.
 	part        *grid.Partition
-	part3       *grid.Partition3D
 	dialTimeout time.Duration
 
 	ln    net.Listener
@@ -81,11 +80,10 @@ type TCPConfig struct {
 	// (including this rank's own entry). Every rank must receive the same
 	// list in the same order.
 	Peers []string
-	// Part / Part3 is the domain decomposition; exactly one must be set,
-	// and its rank count must equal len(Peers). Every peer must be built
-	// over the identical partition — the handshake verifies this.
-	Part  *grid.Partition
-	Part3 *grid.Partition3D
+	// Part is the domain decomposition, 2D or 3D; its rank count must
+	// equal len(Peers). Every peer must be built over the identical
+	// partition — the handshake verifies this.
+	Part *grid.Partition
 	// DialTimeout bounds connection establishment: how long to keep
 	// re-dialing a peer that is not up yet, and how long to wait for a
 	// lower-ranked peer to dial us. Default 10s.
@@ -128,17 +126,10 @@ func newTCP(cfg TCPConfig, inProcess bool) (*TCP, error) {
 	if cfg.Rank < 0 || cfg.Rank >= n {
 		return nil, fmt.Errorf("comm: tcp: rank %d outside [0,%d)", cfg.Rank, n)
 	}
-	var dec *decomposition
-	switch {
-	case cfg.Part != nil && cfg.Part3 != nil:
-		return nil, fmt.Errorf("comm: tcp: set exactly one of Part and Part3, not both")
-	case cfg.Part != nil:
-		dec = decompose(cfg.Part)
-	case cfg.Part3 != nil:
-		dec = decompose3D(cfg.Part3)
-	default:
-		return nil, fmt.Errorf("comm: tcp: a partition (Part or Part3) is required")
+	if cfg.Part == nil {
+		return nil, fmt.Errorf("comm: tcp: a partition (Part) is required")
 	}
+	dec := decompose(cfg.Part)
 	if ranks := dec.ranks(); ranks != n {
 		return nil, fmt.Errorf("comm: tcp: partition has %d ranks but the peer list has %d entries", ranks, n)
 	}
@@ -151,7 +142,6 @@ func newTCP(cfg TCPConfig, inProcess bool) (*TCP, error) {
 		peers:       cfg.Peers,
 		dec:         dec,
 		part:        cfg.Part,
-		part3:       cfg.Part3,
 		dialTimeout: cfg.DialTimeout,
 		conns:       make(map[int]*peerConn),
 		connSig:     make(chan struct{}),
@@ -907,21 +897,14 @@ func tcpGather[F haloField](t *TCP, dims int, local, dst F) error {
 	return err
 }
 
-// RunTCP launches fn on every rank of the partition, each rank backed by
-// its own real TCP communicator over loopback listeners — the in-process
-// `mpirun` of the TCP backend, and the harness the Hub-equivalence tests
-// drive. A *TCPError panic inside fn (a failed reduction) is converted to
-// that rank's error; the returned error is the first non-nil by rank.
+// RunTCP launches fn on every rank of the partition, 2D or 3D, each rank
+// backed by its own real TCP communicator over loopback listeners — the
+// in-process `mpirun` of the TCP backend, and the harness the
+// Hub-equivalence tests drive. A *TCPError panic inside fn (a failed
+// reduction) is converted to that rank's error; the returned error is
+// the first non-nil by rank.
 func RunTCP(part *grid.Partition, fn func(c Communicator) error) error {
-	return runTCPRanks(part, nil, part.Ranks(), fn)
-}
-
-// RunTCP3D is RunTCP over a 3D partition.
-func RunTCP3D(part3 *grid.Partition3D, fn func(c Communicator) error) error {
-	return runTCPRanks(nil, part3, part3.Ranks(), fn)
-}
-
-func runTCPRanks(part *grid.Partition, part3 *grid.Partition3D, n int, fn func(c Communicator) error) error {
+	n := part.Ranks()
 	lns := make([]net.Listener, n)
 	peers := make([]string, n)
 	for r := 0; r < n; r++ {
@@ -945,7 +928,7 @@ func runTCPRanks(part *grid.Partition, part3 *grid.Partition3D, n int, fn func(c
 			defer wg.Done()
 			place.Spread(cpu, rank) // as Run does
 			c, err := newTCP(TCPConfig{
-				Rank: rank, Peers: peers, Part: part, Part3: part3, Listener: lns[rank],
+				Rank: rank, Peers: peers, Part: part, Listener: lns[rank],
 			}, true)
 			if err != nil {
 				errs[rank] = err

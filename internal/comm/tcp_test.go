@@ -22,7 +22,7 @@ func paint2D(f *grid.Field2D, ext grid.Extent) {
 	}
 }
 
-func paint3D(f *grid.Field3D, ext grid.Extent3D) {
+func paint3D(f *grid.Field3D, ext grid.Extent) {
 	for k := 0; k < f.Grid.NZ; k++ {
 		for j := 0; j < f.Grid.NY; j++ {
 			for i := 0; i < f.Grid.NX; i++ {
@@ -156,13 +156,13 @@ func TestTCPMatchesHub3D(t *testing.T) {
 			return fields, gathered, err
 		}
 		hubF, hubG, err := run(func(fn func(c Communicator) error) error {
-			return Run3D(part, func(c *RankComm) error { return fn(c) })
+			return Run(part, func(c *RankComm) error { return fn(c) })
 		})
 		if err != nil {
 			t.Fatalf("hub depth %d: %v", depth, err)
 		}
 		tcpF, tcpG, err := run(func(fn func(c Communicator) error) error {
-			return RunTCP3D(part, fn)
+			return RunTCP(part, fn)
 		})
 		if err != nil {
 			t.Fatalf("tcp depth %d: %v", depth, err)

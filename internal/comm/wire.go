@@ -27,10 +27,11 @@ import (
 //     (lower) rank sends Hello, the accepting (higher) rank answers
 //     Welcome or Reject. The payload is the handshake block: an 8-byte
 //     magic, a protocol version, the sender's rank, the rank count, and
-//     the partition geometry (dims, NX, NY, NZ, PX, PY, PZ; z entries
-//     zero for 2D). Both sides verify the peer's geometry matches their
-//     own exactly — a mismatched handshake fails fast with a descriptive
-//     error instead of corrupting a solve. Tag is zero.
+//     the partition geometry (dims, NX, NY, NZ, PX, PY, PZ; a 2D
+//     partition, grid's nz = pz = 1 case, sends its z entries as zero).
+//     Both sides verify the peer's geometry matches their own exactly —
+//     a mismatched handshake fails fast with a descriptive error instead
+//     of corrupting a solve. Tag is zero.
 //   - frameReject: the accept side's handshake refusal; the payload is a
 //     human-readable reason (UTF-8).
 //   - frameExchange: one packed halo slab. The tag is the grid.Side of
@@ -240,15 +241,11 @@ type handshake struct {
 
 // handshakeFor captures this communicator's identity and geometry.
 func (t *TCP) handshakeFor() handshake {
-	h := handshake{rank: t.rank, size: t.size}
-	if t.part3 != nil {
-		h.dims = 3
-		h.nx, h.ny, h.nz = t.part3.NX, t.part3.NY, t.part3.NZ
-		h.px, h.py, h.pz = t.part3.PX, t.part3.PY, t.part3.PZ
-	} else {
-		h.dims = 2
-		h.nx, h.ny = t.part.NX, t.part.NY
-		h.px, h.py = t.part.PX, t.part.PY
+	p := t.part
+	h := handshake{rank: t.rank, size: t.size, dims: p.Dims(), nx: p.NX, ny: p.NY, px: p.PX, py: p.PY}
+	if h.dims == 3 {
+		// A 2D partition sends zero z entries (see encode).
+		h.nz, h.pz = p.NZ, p.PZ
 	}
 	return h
 }

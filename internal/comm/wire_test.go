@@ -2,10 +2,13 @@ package comm
 
 import (
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"io"
 	"strings"
 	"testing"
+
+	"tealeaf/internal/grid"
 )
 
 // roomReader is a chunkReader that records the most room any Read was
@@ -95,5 +98,31 @@ func TestFrameReaderBoundedGrowth(t *testing.T) {
 	}
 	if len(fr.buf) > len(claim)+scratchStepBytes {
 		t.Errorf("1 GiB claim with 100 KiB behind it grew the buffer to %d bytes", len(fr.buf))
+	}
+}
+
+// TestHandshakeBlockPinned pins the handshake frame of a 2D and a 3D TCP
+// rank byte for byte: a 2D partition, the nz = pz = 1 case, sends dims 2
+// with zero z entries, the block every wireVersion 2 peer expects.
+func TestHandshakeBlockPinned(t *testing.T) {
+	for _, tc := range []struct {
+		t        *TCP
+		typ      byte
+		hex, geo string
+	}{
+		{&TCP{rank: 1, size: 6, part: grid.MustPartition(30, 20, 3, 2)}, frameHello,
+			"2e000000010000005445414c5443503102000100000006000000020000001e0000001400000000000000030000000200000000000000",
+			"2D 30x20 cells over 3x2 ranks"},
+		{&TCP{rank: 5, size: 12, part: grid.MustPartition3D(10, 7, 5, 3, 2, 2)}, frameWelcome,
+			"2e000000020000005445414c544350310200050000000c000000030000000a0000000700000005000000030000000200000002000000",
+			"3D 10x7x5 cells over 3x2x2 ranks"},
+	} {
+		h := tc.t.handshakeFor()
+		if got := hex.EncodeToString(h.encode(tc.typ)); got != tc.hex {
+			t.Errorf("%v: handshake frame\n got %s\nwant %s", tc.t.part, got, tc.hex)
+		}
+		if g := h.geometry(); g != tc.geo {
+			t.Errorf("%v: geometry %q, want %q", tc.t.part, g, tc.geo)
+		}
 	}
 }

@@ -553,6 +553,9 @@ func WithBackend(b Backend) DistOption {
 // real-network run (cmd/tealeaf -net tcp); RunDistributed drives the same
 // code with one goroutine per rank.
 func RunRank(d *deck.Deck, part *grid.Partition, c comm.Communicator, steps, workersPerRank int) (*DistResult, error) {
+	if part.Dims() != 2 {
+		return nil, fmt.Errorf("core: RunRank needs a 2D partition, not %v", part)
+	}
 	if part.NX != d.XCells || part.NY != d.YCells {
 		return nil, fmt.Errorf("core: partition %dx%d does not match the deck's %dx%d cells",
 			part.NX, part.NY, d.XCells, d.YCells)
@@ -588,7 +591,10 @@ func RunRank(d *deck.Deck, part *grid.Partition, c comm.Communicator, steps, wor
 
 // RunRank3D is RunRank for a dims=3 deck over a box partition, and the
 // per-process entry point of a real-network dims=3 run.
-func RunRank3D(d *deck.Deck, part *grid.Partition3D, c comm.Communicator, steps, workersPerRank int) (*DistResult3D, error) {
+func RunRank3D(d *deck.Deck, part *grid.Partition, c comm.Communicator, steps, workersPerRank int) (*DistResult3D, error) {
+	if part.Dims() != 3 {
+		return nil, fmt.Errorf("core: RunRank3D needs a 3D partition, not %v", part)
+	}
 	if part.NX != d.XCells || part.NY != d.YCells || part.NZ != d.ZCells {
 		return nil, fmt.Errorf("core: partition %dx%dx%d does not match the deck's %dx%dx%d cells",
 			part.NX, part.NY, part.NZ, d.XCells, d.YCells, d.ZCells)
@@ -643,7 +649,7 @@ func RunDistributed(d *deck.Deck, px, py, steps, workersPerRank int, opts ...Dis
 	if err != nil {
 		return nil, err
 	}
-	return distribute(opts, part, comm.RunTCP, comm.Run, func(c comm.Communicator) (*DistResult, error) {
+	return distribute(opts, part, func(c comm.Communicator) (*DistResult, error) {
 		return RunRank(d, part, c, steps, workersPerRank)
 	})
 }
@@ -656,18 +662,14 @@ func RunDistributed3D(d *deck.Deck, px, py, pz, steps, workersPerRank int, opts 
 	if err != nil {
 		return nil, err
 	}
-	return distribute(opts, part, comm.RunTCP3D, comm.Run3D, func(c comm.Communicator) (*DistResult3D, error) {
+	return distribute(opts, part, func(c comm.Communicator) (*DistResult3D, error) {
 		return RunRank3D(d, part, c, steps, workersPerRank)
 	})
 }
 
 // distribute runs rank on every rank of part over the backend the options
-// select — tcp or hub, the comm package's runners for P — and returns
-// rank 0's result.
-func distribute[P any, R any](opts []DistOption, part P,
-	tcp func(P, func(comm.Communicator) error) error,
-	hub func(P, func(*comm.RankComm) error) error,
-	rank func(comm.Communicator) (*R, error)) (*R, error) {
+// select — comm.RunTCP or comm.Run — and returns rank 0's result.
+func distribute[R any](opts []DistOption, part *grid.Partition, rank func(comm.Communicator) (*R, error)) (*R, error) {
 	cfg := distConfig{backend: BackendHub}
 	for _, o := range opts {
 		o(&cfg)
@@ -686,9 +688,9 @@ func distribute[P any, R any](opts []DistOption, part P,
 	var err error
 	switch cfg.backend {
 	case BackendTCP:
-		err = tcp(part, body)
+		err = comm.RunTCP(part, body)
 	case BackendHub:
-		err = hub(part, func(c *comm.RankComm) error { return body(c) })
+		err = comm.Run(part, func(c *comm.RankComm) error { return body(c) })
 	default:
 		// An unknown backend must not silently run as a hub: callers
 		// comparing backends would then compare hub against hub.

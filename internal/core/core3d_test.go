@@ -2,7 +2,11 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
+
+	"tealeaf/internal/comm"
+	"tealeaf/internal/grid"
 
 	"tealeaf/internal/par"
 	"tealeaf/internal/problem"
@@ -111,5 +115,20 @@ func TestRunDistributed3DHybridWorkers(t *testing.T) {
 	}
 	if diff := flat.Energy.MaxDiff(hybrid.Energy); diff > 1e-9 {
 		t.Errorf("hybrid workers changed the answer by %v", diff)
+	}
+}
+
+// TestRunRankRejectsOtherDimsPartition: the rank entry points take the
+// one grid.Partition, so each refuses, by name, a partition of the other
+// dimensionality before it builds anything.
+func TestRunRankRejectsOtherDimsPartition(t *testing.T) {
+	d2, d3 := problem.CrookedPipeDeck(8, 8), problem.BenchmarkDeck3D(8)
+	if _, err := RunRank(d2, grid.MustPartition3D(8, 8, 1, 1, 1, 1), comm.NewSerial(), 1, 1); err == nil ||
+		!strings.Contains(err.Error(), "RunRank needs a 2D partition") {
+		t.Errorf("RunRank over a 3D partition: err = %v", err)
+	}
+	if _, err := RunRank3D(d3, grid.MustPartition(8, 8, 1, 1), comm.NewSerial(), 1, 1); err == nil ||
+		!strings.Contains(err.Error(), "RunRank3D needs a 3D partition") {
+		t.Errorf("RunRank3D over a 2D partition: err = %v", err)
 	}
 }

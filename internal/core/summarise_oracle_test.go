@@ -122,7 +122,7 @@ func TestSummariseMatchesOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		err = comm.Run3D(part, func(c *comm.RankComm) error {
+		err = comm.Run(part, func(c *comm.RankComm) error {
 			e := part.ExtentOf(c.Rank())
 			sub, err := gg.Sub(e.X0, e.X1, e.Y0, e.Y1, e.Z0, e.Z1)
 			if err != nil {

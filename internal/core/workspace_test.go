@@ -179,9 +179,9 @@ func stepRunOn(d *deck.Deck, l stepLayout, steps int) ([]int, uint64, error) {
 			return nil, 0, perr
 		}
 		if l.tcp {
-			err = comm.RunTCP3D(part, body)
+			err = comm.RunTCP(part, body)
 		} else {
-			err = comm.Run3D(part, func(c *comm.RankComm) error { return body(c) })
+			err = comm.Run(part, func(c *comm.RankComm) error { return body(c) })
 		}
 	default:
 		part, perr := grid.NewPartition(d.XCells, d.YCells, l.px, l.py)

@@ -54,31 +54,46 @@ func (s Side) String() string {
 	return fmt.Sprintf("side(%d)", int(s))
 }
 
-// Extent is a rank's rectangle of interior cells within the global grid,
-// given as half-open ranges.
+// The two z-direction sides of a 3D sub-domain, continuing the 2D Side
+// enumeration (Left/Right/Down/Up keep their values, so 2D code is
+// unaffected). Back faces -z, Front faces +z.
+const (
+	Back Side = NumSides + iota
+	Front
+	// NumSides3D is the side count of a 3D sub-domain.
+	NumSides3D
+)
+
+// Extent is a rank's box of interior cells within the global grid, given
+// as half-open ranges. A 2D extent is the one-plane case: Z0 = 0, Z1 = 1.
 type Extent struct {
-	X0, X1, Y0, Y1 int
+	X0, X1, Y0, Y1, Z0, Z1 int
 }
 
-// NX returns the sub-domain width in cells.
+// NX returns the sub-domain extent in x.
 func (e Extent) NX() int { return e.X1 - e.X0 }
 
-// NY returns the sub-domain height in cells.
+// NY returns the sub-domain extent in y.
 func (e Extent) NY() int { return e.Y1 - e.Y0 }
 
-// Cells returns the cell count of the extent.
-func (e Extent) Cells() int { return e.NX() * e.NY() }
+// NZ returns the sub-domain extent in z: 1 in 2D.
+func (e Extent) NZ() int { return e.Z1 - e.Z0 }
 
-// Partition is a PX × PY rectangular decomposition of an NX × NY global
-// grid, mirroring TeaLeaf's chunk decomposition. Rank r sits at
-// (r mod PX, r / PX); remainder cells are distributed one per low-index
-// rank so extents differ by at most one cell per dimension.
+// Cells returns the cell count of the extent.
+func (e Extent) Cells() int { return e.NX() * e.NY() * e.NZ() }
+
+// Partition is a PX × PY × PZ box decomposition of an NX × NY × NZ global
+// grid, mirroring TeaLeaf's chunk decomposition; a 2D partition is the
+// NZ = PZ = 1 case. Rank r sits at (r mod PX, (r/PX) mod PY, r/(PX·PY));
+// remainder cells go one per low-index rank so extents differ by at most
+// one cell per dimension.
 type Partition struct {
-	NX, NY int
-	PX, PY int
-	// xsplit[i] is the first global column owned by rank-column i;
-	// xsplit[PX] == NX. Similarly ysplit.
-	xsplit, ysplit []int
+	NX, NY, NZ int
+	PX, PY, PZ int
+	dims       int
+	// xsplit[i] is the first global x-index owned by rank-column i;
+	// xsplit[PX] == NX. Similarly ysplit, zsplit.
+	xsplit, ysplit, zsplit []int
 }
 
 // NewPartition builds a partition of an nx × ny grid over px × py ranks.
@@ -90,9 +105,7 @@ func NewPartition(nx, ny, px, py int) (*Partition, error) {
 	if px > nx || py > ny {
 		return nil, fmt.Errorf("grid: more ranks than cells (%dx%d over %dx%d)", nx, ny, px, py)
 	}
-	p := &Partition{NX: nx, NY: ny, PX: px, PY: py,
-		xsplit: splits(nx, px), ysplit: splits(ny, py)}
-	return p, nil
+	return newPartition(2, nx, ny, 1, px, py, 1), nil
 }
 
 // MustPartition is NewPartition that panics on error.
@@ -102,6 +115,35 @@ func MustPartition(nx, ny, px, py int) *Partition {
 		panic(err)
 	}
 	return p
+}
+
+// NewPartition3D builds a partition of an nx × ny × nz grid over
+// px × py × pz ranks. Every rank must receive at least one cell in each
+// dimension.
+func NewPartition3D(nx, ny, nz, px, py, pz int) (*Partition, error) {
+	if nx <= 0 || ny <= 0 || nz <= 0 || px <= 0 || py <= 0 || pz <= 0 {
+		return nil, fmt.Errorf("grid: 3D partition dims must be positive (%dx%dx%d over %dx%dx%d)",
+			nx, ny, nz, px, py, pz)
+	}
+	if px > nx || py > ny || pz > nz {
+		return nil, fmt.Errorf("grid: more ranks than cells (%dx%dx%d over %dx%dx%d)",
+			nx, ny, nz, px, py, pz)
+	}
+	return newPartition(3, nx, ny, nz, px, py, pz), nil
+}
+
+// MustPartition3D is NewPartition3D that panics on error.
+func MustPartition3D(nx, ny, nz, px, py, pz int) *Partition {
+	p, err := NewPartition3D(nx, ny, nz, px, py, pz)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
+func newPartition(dims, nx, ny, nz, px, py, pz int) *Partition {
+	return &Partition{NX: nx, NY: ny, NZ: nz, PX: px, PY: py, PZ: pz, dims: dims,
+		xsplit: splits(nx, px), ysplit: splits(ny, py), zsplit: splits(nz, pz)}
 }
 
 func splits(n, p int) []int {
@@ -114,53 +156,56 @@ func splits(n, p int) []int {
 	return s
 }
 
-// Ranks returns the total rank count PX*PY.
-func (p *Partition) Ranks() int { return p.PX * p.PY }
+// Dims returns the partition's dimensionality: 2 from NewPartition, 3
+// from NewPartition3D.
+func (p *Partition) Dims() int { return p.dims }
 
-// CoordsOf returns rank r's (column, row) in the process grid.
-func (p *Partition) CoordsOf(r int) (cx, cy int) { return r % p.PX, r / p.PX }
+// Ranks returns the total rank count PX·PY·PZ.
+func (p *Partition) Ranks() int { return p.PX * p.PY * p.PZ }
 
-// RankAt returns the rank at process-grid coordinates (cx, cy), or -1 if
-// the coordinates are outside the process grid.
-func (p *Partition) RankAt(cx, cy int) int {
-	if cx < 0 || cx >= p.PX || cy < 0 || cy >= p.PY {
-		return -1
-	}
-	return cy*p.PX + cx
+// CoordsOf returns rank r's (cx, cy, cz) in the process grid.
+func (p *Partition) CoordsOf(r int) (cx, cy, cz int) {
+	return r % p.PX, (r / p.PX) % p.PY, r / (p.PX * p.PY)
 }
 
-// ExtentOf returns the global cell rectangle owned by rank r.
+// RankAt returns the rank at process-grid coordinates (cx, cy, cz), or -1
+// if the coordinates fall outside the process grid.
+func (p *Partition) RankAt(cx, cy, cz int) int {
+	if cx < 0 || cx >= p.PX || cy < 0 || cy >= p.PY || cz < 0 || cz >= p.PZ {
+		return -1
+	}
+	return (cz*p.PY+cy)*p.PX + cx
+}
+
+// ExtentOf returns the global cell box owned by rank r.
 func (p *Partition) ExtentOf(r int) Extent {
-	cx, cy := p.CoordsOf(r)
+	cx, cy, cz := p.CoordsOf(r)
 	return Extent{
 		X0: p.xsplit[cx], X1: p.xsplit[cx+1],
 		Y0: p.ysplit[cy], Y1: p.ysplit[cy+1],
+		Z0: p.zsplit[cz], Z1: p.zsplit[cz+1],
 	}
 }
 
 // Neighbor returns the rank adjacent to r across side s, or -1 at the
-// physical domain boundary.
+// physical domain boundary (in 2D, always on Back and Front).
 func (p *Partition) Neighbor(r int, s Side) int {
-	cx, cy := p.CoordsOf(r)
+	cx, cy, cz := p.CoordsOf(r)
 	switch s {
 	case Left:
-		return p.RankAt(cx-1, cy)
+		return p.RankAt(cx-1, cy, cz)
 	case Right:
-		return p.RankAt(cx+1, cy)
+		return p.RankAt(cx+1, cy, cz)
 	case Down:
-		return p.RankAt(cx, cy-1)
+		return p.RankAt(cx, cy-1, cz)
 	case Up:
-		return p.RankAt(cx, cy+1)
+		return p.RankAt(cx, cy+1, cz)
+	case Back:
+		return p.RankAt(cx, cy, cz-1)
+	case Front:
+		return p.RankAt(cx, cy, cz+1)
 	}
 	panic(fmt.Sprintf("grid: invalid side %d", int(s)))
-}
-
-// OwnerOf returns the rank owning global cell (j,k).
-func (p *Partition) OwnerOf(j, k int) int {
-	if j < 0 || j >= p.NX || k < 0 || k >= p.NY {
-		return -1
-	}
-	return p.RankAt(searchSplit(p.xsplit, j), searchSplit(p.ysplit, k))
 }
 
 func searchSplit(s []int, v int) int {
@@ -176,26 +221,31 @@ func searchSplit(s []int, v int) int {
 	return lo
 }
 
-// ColumnOf returns the rank-column owning global column j (j must lie in
-// [0, NX)). Together with RowOf it gives per-axis ownership lookups, used
-// by the deflation coarse space to map cells to blocks without a full
-// OwnerOf rank computation.
-func (p *Partition) ColumnOf(j int) int { return searchSplit(p.xsplit, j) }
+// ColumnOf returns the rank-column owning global x-index i (i must lie in
+// [0, NX)). With RowOf and PlaneOf it gives per-axis ownership lookups,
+// used by the deflation coarse space to map cells to blocks.
+func (p *Partition) ColumnOf(i int) int { return searchSplit(p.xsplit, i) }
 
-// RowOf returns the rank-row owning global row k (k must lie in [0, NY)).
-func (p *Partition) RowOf(k int) int { return searchSplit(p.ysplit, k) }
+// RowOf returns the rank-row owning global y-index j (j must lie in [0, NY)).
+func (p *Partition) RowOf(j int) int { return searchSplit(p.ysplit, j) }
 
-// OnBoundary reports whether rank r's sub-domain touches the physical
-// domain boundary on side s.
-func (p *Partition) OnBoundary(r int, s Side) bool { return p.Neighbor(r, s) == -1 }
+// PlaneOf returns the rank-plane owning global z-index k (k must lie in
+// [0, NZ)).
+func (p *Partition) PlaneOf(k int) int { return searchSplit(p.zsplit, k) }
 
-// MinExtent returns the smallest per-rank cell counts in each dimension.
-// Remainder cells go to low-index ranks, so the minimum is the floor
-// division — identical on every rank, which lets collective operations
-// validate against it without diverging.
-func (p *Partition) MinExtent() (nx, ny int) { return p.NX / p.PX, p.NY / p.PY }
+// MinExtent returns the smallest per-rank cell counts in each dimension
+// (nz is 1 in 2D). Remainder cells go to low-index ranks, so the minimum
+// is the floor division — identical on every rank, which lets collective
+// operations validate against it without diverging.
+func (p *Partition) MinExtent() (nx, ny, nz int) {
+	return p.NX / p.PX, p.NY / p.PY, p.NZ / p.PZ
+}
 
 func (p *Partition) String() string {
+	if p.dims == 3 {
+		return fmt.Sprintf("Partition3D(%dx%dx%d cells over %dx%dx%d ranks)",
+			p.NX, p.NY, p.NZ, p.PX, p.PY, p.PZ)
+	}
 	return fmt.Sprintf("Partition(%dx%d cells over %dx%d ranks)", p.NX, p.NY, p.PX, p.PY)
 }
 

@@ -82,8 +82,8 @@ func TestPartitionNeighbors(t *testing.T) {
 	if n := p.Neighbor(5, Right); n != -1 {
 		t.Errorf("rank 5 right = %d, want -1", n)
 	}
-	if !p.OnBoundary(2, Right) || p.OnBoundary(1, Right) {
-		t.Error("OnBoundary wrong")
+	if p.Neighbor(2, Right) != -1 || p.Neighbor(1, Right) == -1 {
+		t.Error("boundary neighbours wrong")
 	}
 }
 
@@ -102,22 +102,21 @@ func TestPartitionNeighborSymmetry(t *testing.T) {
 	}
 }
 
-func TestPartitionOwnerOf(t *testing.T) {
+// TestPartitionAxisOwners: the per-axis lookups name, for every cell,
+// the rank whose extent holds it.
+func TestPartitionAxisOwners(t *testing.T) {
 	p := MustPartition(17, 13, 3, 5)
 	for k := 0; k < 13; k++ {
 		for j := 0; j < 17; j++ {
-			r := p.OwnerOf(j, k)
+			r := p.RankAt(p.ColumnOf(j), p.RowOf(k), 0)
 			if r < 0 || r >= p.Ranks() {
-				t.Fatalf("OwnerOf(%d,%d) = %d out of range", j, k, r)
+				t.Fatalf("owner of (%d,%d) = %d out of range", j, k, r)
 			}
 			e := p.ExtentOf(r)
 			if j < e.X0 || j >= e.X1 || k < e.Y0 || k >= e.Y1 {
-				t.Fatalf("OwnerOf(%d,%d) = %d whose extent %+v does not contain it", j, k, r, e)
+				t.Fatalf("owner of (%d,%d) = %d whose extent %+v does not contain it", j, k, r, e)
 			}
 		}
-	}
-	if p.OwnerOf(-1, 0) != -1 || p.OwnerOf(0, 13) != -1 {
-		t.Error("out-of-grid cells must have owner -1")
 	}
 }
 
@@ -125,7 +124,7 @@ func TestPartitionOwnerQuick(t *testing.T) {
 	p := MustPartition(101, 67, 7, 4)
 	f := func(ju, ku uint) bool {
 		j, k := int(ju%101), int(ku%67)
-		e := p.ExtentOf(p.OwnerOf(j, k))
+		e := p.ExtentOf(p.RankAt(p.ColumnOf(j), p.RowOf(k), 0))
 		return j >= e.X0 && j < e.X1 && k >= e.Y0 && k < e.Y1
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -164,12 +163,164 @@ func TestFactorNearSquare(t *testing.T) {
 func TestPartitionRankCoordsRoundTrip(t *testing.T) {
 	p := MustPartition(40, 40, 5, 8)
 	for r := 0; r < p.Ranks(); r++ {
-		cx, cy := p.CoordsOf(r)
-		if p.RankAt(cx, cy) != r {
+		cx, cy, cz := p.CoordsOf(r)
+		if cz != 0 || p.RankAt(cx, cy, cz) != r {
 			t.Fatalf("RankAt(CoordsOf(%d)) != %d", r, r)
 		}
 	}
-	if p.RankAt(-1, 0) != -1 || p.RankAt(0, 8) != -1 {
+	if p.RankAt(-1, 0, 0) != -1 || p.RankAt(0, 8, 0) != -1 || p.RankAt(0, 0, 1) != -1 {
 		t.Error("out-of-grid coords must map to -1")
+	}
+}
+
+func TestPartition3DExtentsTile(t *testing.T) {
+	p := MustPartition3D(10, 7, 5, 3, 2, 2)
+	if p.Ranks() != 12 {
+		t.Fatalf("ranks = %d", p.Ranks())
+	}
+	seen := make(map[[3]int]int)
+	cells := 0
+	for r := 0; r < p.Ranks(); r++ {
+		e := p.ExtentOf(r)
+		if e.NX() <= 0 || e.NY() <= 0 || e.NZ() <= 0 {
+			t.Fatalf("rank %d: empty extent %+v", r, e)
+		}
+		cells += e.Cells()
+		for k := e.Z0; k < e.Z1; k++ {
+			for j := e.Y0; j < e.Y1; j++ {
+				for i := e.X0; i < e.X1; i++ {
+					seen[[3]int{i, j, k}]++
+				}
+			}
+		}
+	}
+	if cells != 10*7*5 {
+		t.Errorf("total cells = %d, want %d", cells, 10*7*5)
+	}
+	for c, n := range seen {
+		if n != 1 {
+			t.Fatalf("cell %v owned %d times", c, n)
+		}
+	}
+}
+
+func TestPartition3DCoordsRoundTrip(t *testing.T) {
+	p := MustPartition3D(8, 8, 8, 2, 2, 2)
+	for r := 0; r < p.Ranks(); r++ {
+		cx, cy, cz := p.CoordsOf(r)
+		if got := p.RankAt(cx, cy, cz); got != r {
+			t.Errorf("rank %d -> (%d,%d,%d) -> %d", r, cx, cy, cz, got)
+		}
+	}
+	if p.RankAt(-1, 0, 0) != -1 || p.RankAt(0, 2, 0) != -1 || p.RankAt(0, 0, 2) != -1 {
+		t.Error("out-of-grid coordinates must map to -1")
+	}
+}
+
+func TestPartition3DNeighborsAndBoundary(t *testing.T) {
+	p := MustPartition3D(6, 6, 6, 2, 2, 2)
+	r := p.RankAt(0, 0, 0)
+	if p.Neighbor(r, Left) != -1 || p.Neighbor(r, Down) != -1 || p.Neighbor(r, Back) != -1 {
+		t.Error("corner rank must touch low boundaries")
+	}
+	if p.Neighbor(r, Right) == -1 || p.Neighbor(r, Up) == -1 || p.Neighbor(r, Front) == -1 {
+		t.Error("corner rank must have high-side neighbours")
+	}
+	for _, s := range []Side{Left, Right, Down, Up, Back, Front} {
+		n := p.Neighbor(r, s)
+		if n < 0 {
+			continue
+		}
+		if back := p.Neighbor(n, s.Opposite()); back != r {
+			t.Errorf("side %v: neighbour %d's %v neighbour is %d, want %d", s, n, s.Opposite(), back, r)
+		}
+	}
+}
+
+func TestPartition3DValidation(t *testing.T) {
+	if _, err := NewPartition3D(4, 4, 4, 5, 1, 1); err == nil {
+		t.Error("more ranks than cells must error")
+	}
+	if _, err := NewPartition3D(0, 4, 4, 1, 1, 1); err == nil {
+		t.Error("zero cells must error")
+	}
+}
+
+// TestPartition2DIsOnePlaneQuick: over random shapes, NewPartition is
+// NewPartition3D with nz = pz = 1 apart from Dims: the same extents, the
+// same neighbours on all six sides and the same MinExtent.
+func TestPartition2DIsOnePlaneQuick(t *testing.T) {
+	f := func(a, b, c, d uint8) bool {
+		nx, ny := 1+int(a%40), 1+int(b%40)
+		px, py := 1+int(c)%nx, 1+int(d)%ny
+		p2 := MustPartition(nx, ny, px, py)
+		p3 := MustPartition3D(nx, ny, 1, px, py, 1)
+		if p2.Dims() != 2 || p3.Dims() != 3 || p2.Ranks() != p3.Ranks() {
+			return false
+		}
+		ax, ay, az := p2.MinExtent()
+		bx, by, bz := p3.MinExtent()
+		if ax != bx || ay != by || az != 1 || bz != 1 {
+			return false
+		}
+		for r := range p2.Ranks() {
+			if e := p2.ExtentOf(r); e != p3.ExtentOf(r) || e.Z0 != 0 || e.Z1 != 1 {
+				return false
+			}
+			for s := Left; s < NumSides3D; s++ {
+				if p2.Neighbor(r, s) != p3.Neighbor(r, s) {
+					return false
+				}
+			}
+			if p2.Neighbor(r, Back) != -1 || p2.Neighbor(r, Front) != -1 {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPartitionOwnsEveryCellOnceQuick: over random 3D shapes, every cell
+// lies in exactly one rank's extent, the per-axis lookups name that rank,
+// and every neighbour link is answered across the opposite side.
+func TestPartitionOwnsEveryCellOnceQuick(t *testing.T) {
+	f := func(n, q [3]uint8) bool {
+		var nn, pp [3]int
+		for a := range 3 {
+			nn[a] = 1 + int(n[a]%9)
+			pp[a] = 1 + int(q[a])%nn[a]
+		}
+		p := MustPartition3D(nn[0], nn[1], nn[2], pp[0], pp[1], pp[2])
+		owners := make([]int, nn[0]*nn[1]*nn[2])
+		for r := range p.Ranks() {
+			e := p.ExtentOf(r)
+			for k := e.Z0; k < e.Z1; k++ {
+				for j := e.Y0; j < e.Y1; j++ {
+					for i := e.X0; i < e.X1; i++ {
+						owners[(k*nn[1]+j)*nn[0]+i]++
+						if p.RankAt(p.ColumnOf(i), p.RowOf(j), p.PlaneOf(k)) != r {
+							return false
+						}
+					}
+				}
+			}
+			for s := Left; s < NumSides3D; s++ {
+				if nb := p.Neighbor(r, s); nb != -1 && p.Neighbor(nb, s.Opposite()) != r {
+					return false
+				}
+			}
+		}
+		for _, c := range owners {
+			if c != 1 {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -28,7 +28,7 @@ func SolveCG(p Problem, o Options) (Result, error) {
 // SolveCG3D runs (preconditioned) conjugate gradients on a 3D problem:
 // the same runCGCore loop as the 2D SolveCG, over the sys3d backend. It
 // runs identically single-rank (reflective physical boundaries) and
-// distributed over a grid.Partition3D (face exchanges through the
+// distributed over a 3D grid.Partition (face exchanges through the
 // communicator).
 func SolveCG3D(p Problem3D, o Options) (Result, error) {
 	return new(Workspace).Solve3D(KindCG, p, o)

@@ -180,7 +180,7 @@ func stepSolve3D(t *testing.T, k stepKey) stepPin {
 	gathered := grid.NewField3D(gg)
 	denAt, rhsAt := stepFields(stepNX3, stepNY3, stepNZ, 11)
 	var pin stepPin
-	err := comm.Run3D(part, func(c *comm.RankComm) error {
+	err := comm.Run(part, func(c *comm.RankComm) error {
 		pool := par.NewPool(k.workers).WithGrain(1)
 		defer pool.Close()
 		ext := part.ExtentOf(c.Rank())

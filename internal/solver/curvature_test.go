@@ -110,7 +110,7 @@ func probeSolve(d *deck.Deck, ranks int, iters *int, check func(merged, twoPass,
 		if err != nil {
 			return err
 		}
-		return comm.Run3D(part, func(c *comm.RankComm) error {
+		return comm.Run(part, func(c *comm.RankComm) error {
 			gg, err := grid.NewGrid3D(d.XCells, d.YCells, d.ZCells, core.HaloFor(d), d.XMin, d.XMax, d.YMin, d.YMax, d.ZMin, d.ZMax)
 			if err != nil {
 				return err

@@ -188,7 +188,7 @@ func solveDistributed3D(t *testing.T, kind Kind, n, halo, depth, px, py, pz int)
 	iters := make([]int, part.Ranks())
 	var rank0Res Result
 	var rank0Comm *comm.RankComm
-	err := comm.Run3D(part, func(c *comm.RankComm) error {
+	err := comm.Run(part, func(c *comm.RankComm) error {
 		ext := part.ExtentOf(c.Rank())
 		sub, err := gg.Sub(ext.X0, ext.X1, ext.Y0, ext.Y1, ext.Z0, ext.Z1)
 		if err != nil {
@@ -273,10 +273,10 @@ func TestRankCountInvariance3D(t *testing.T) {
 	}
 }
 
-// The PR's acceptance scenario: a multi-rank 3D PPCG solve (comm.Run3D
-// over a Partition3D, point-Jacobi, HaloDepth ≥ 2) converges to the
-// single-rank solution within 1e-10, with trace counters confirming the
-// matrix-powers cadence — one depth-d exchange per d inner steps.
+// A multi-rank 3D PPCG solve (comm.Run over a 3D partition,
+// point-Jacobi, HaloDepth ≥ 2) converges to the single-rank solution
+// within 1e-10, with trace counters confirming the matrix-powers cadence
+// — one depth-d exchange per d inner steps.
 func TestDistributed3DPPCGMatrixPowersAcceptance(t *testing.T) {
 	const n, depth = 12, 2
 	halo := depth

@@ -50,7 +50,7 @@ func TestEngineExchangeAllocatesNothing(t *testing.T) {
 func TestEngineExchange3DAllocatesNothing(t *testing.T) {
 	part := grid.MustPartition3D(8, 8, 8, 1, 1, 2)
 	gg := grid.UnitGrid3D(8, 8, 8, 2)
-	engineExchangeAllocs(t, func(fn func(c *comm.RankComm) error) error { return comm.Run3D(part, fn) },
+	engineExchangeAllocs(t, func(fn func(c *comm.RankComm) error) error { return comm.Run(part, fn) },
 		func(c *comm.RankComm) (func(fields int) error, error) {
 			ext := part.ExtentOf(c.Rank())
 			sub, err := gg.Sub(ext.X0, ext.X1, ext.Y0, ext.Y1, ext.Z0, ext.Z1)

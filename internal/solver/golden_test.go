@@ -245,7 +245,7 @@ func goldenSolve3D(t *testing.T, kind Kind, ranks int, leg string) (int, float64
 	gg := grid.UnitGrid3D(n, n, n, goldenHalo)
 	gathered := grid.NewField3D(gg)
 	iters := make([]int, part.Ranks())
-	err := comm.Run3D(part, func(c *comm.RankComm) error {
+	err := comm.Run(part, func(c *comm.RankComm) error {
 		ext := part.ExtentOf(c.Rank())
 		sub, err := gg.Sub(ext.X0, ext.X1, ext.Y0, ext.Y1, ext.Z0, ext.Z1)
 		if err != nil {

@@ -34,8 +34,9 @@ func SolveJacobi3D(p Problem3D, o Options) (Result, error) {
 
 // solveJacobi is the one Jacobi loop, SolveJacobi's and SolveJacobi3D's:
 // exchange u, copy it to the previous iterate (a workspace field), sweep,
-// reduce the update's L1 norm, test. Only the per-cell sweep is per
-// dimensionality (system.JacobiSweep).
+// reduce the update's L1 norm, test. A non-finite norm ends the solve
+// with ErrBreakdown at the sweep that made it, as in every other solver.
+// Only the per-cell sweep is per dimensionality (system.JacobiSweep).
 func solveJacobi[F comparable, B any](e *engine[F, B]) (Result, error) {
 	var result Result
 	un := e.sys.Vec(vecW)
@@ -52,6 +53,9 @@ func solveJacobi[F comparable, B any](e *engine[F, B]) (Result, error) {
 		e.tr.AddDot(e.cells)
 		gerr := e.reduce(localErr)
 		result.Iterations++
+		if !isFinite(gerr) {
+			return nonFinite(result, "jacobi", "Σ|u⁺−u|", gerr)
+		}
 		if it == 0 {
 			err0 = gerr
 			if err0 == 0 {

@@ -664,7 +664,8 @@ type innerCore[F comparable, B any] struct {
 	e     *engine[F, B]
 	sched *cheby.Schedule
 	// block is the bounds of a depth-d block's steps (system.Powers), the
-	// same for every block; a block of n < d steps runs on its first n.
+	// same for every block; a block of n < d steps runs on its last n, the
+	// least extended.
 	block []B
 	// sd is the current search direction. On the fused path it ping-pongs
 	// with alt — within a block, step j reads sd for even j and alt for odd
@@ -700,10 +701,12 @@ func newInnerCore[F comparable, B any](e *engine[F, B], sched *cheby.Schedule, b
 //	    z     ← z + sd              (interior only)
 //
 // leaving the polynomial-preconditioned residual in z. The steps run in
-// blocks of up to d: one depth-d exchange of sd and rtemp, then step j of
-// the block on block[j]. Every inner solve starts with a fresh exchange,
-// because rtemp and sd were rebuilt from the outer residual, so there are
-// ⌈InnerSteps/d⌉ exchanges. On the fused path the step and the set-up are
+// blocks of up to d: one depth-d exchange of sd and rtemp, then the n
+// steps of the block on block[d−n:] (n < d only for the last block when
+// d does not divide InnerSteps), its last step on the interior. Every
+// inner solve starts with a fresh exchange, because rtemp and sd were
+// rebuilt from the outer residual, so there are ⌈InnerSteps/d⌉
+// exchanges. On the fused path the step and the set-up are
 // one pointwise sweep (PPCGStep) and a block's steps one pass over the
 // grid (ChebySteps, traced as a matvec per step over its bounds).
 // Unfused (jac_block, depth 1), the step is the engine's three vector
@@ -741,7 +744,7 @@ func (s *innerCore[F, B]) apply(st *cgStep[F], r, z, w F) error {
 		if err := e.exchange(len(s.block), s.sd, w); err != nil {
 			return err
 		}
-		bs := s.block[:min(len(s.block), e.o.InnerSteps-step)]
+		bs := s.block[len(s.block)-min(len(s.block), e.o.InnerSteps-step):]
 		alphas, betas := s.sched.Alpha[step:step+len(bs)], s.sched.Beta[step:step+len(bs)]
 		if s.fused {
 			e.chebySteps(bs, alphas, betas, s.sd, s.alt, w, s.minv, z)

@@ -66,6 +66,29 @@ func TestNonFiniteCGInputIsBreakdown(t *testing.T) {
 	}
 }
 
+// A NaN or Inf in one right-hand-side cell makes the first Jacobi
+// sweep's update norm non-finite, and the solve ends there with
+// ErrBreakdown instead of sweeping NaNs for the whole budget.
+func TestNonFiniteJacobiInputIsBreakdown(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+		p := buildProblem(t, 24, 20, 2, 3)
+		p.RHS.Set(5, 7, bad)
+		p3 := buildProblem3D(t, 8, 3)
+		p3.RHS.Set(2, 3, 4, bad)
+		o := Options{Tol: 1e-10, MaxIters: 500}
+		res, err := SolveJacobi(p, o)
+		wantBreakdown(t, fmt.Sprintf("jacobi 2D rhs=%v", bad), res, err)
+		if res.Iterations != 1 {
+			t.Errorf("jacobi 2D rhs=%v: ran %d iterations, want 1", bad, res.Iterations)
+		}
+		res, err = SolveJacobi3D(p3, o)
+		wantBreakdown(t, fmt.Sprintf("jacobi 3D rhs=%v", bad), res, err)
+		if res.Iterations != 1 {
+			t.Errorf("jacobi 3D rhs=%v: ran %d iterations, want 1", bad, res.Iterations)
+		}
+	}
+}
+
 // A NaN in one right-hand-side cell never gets past the bootstrap CG's
 // startup reduction (see TestNonFiniteCGInputIsBreakdown).
 func TestNonFiniteInputIsBreakdown(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 
 	"tealeaf/internal/comm"
 	"tealeaf/internal/grid"
+	"tealeaf/internal/par"
 	"tealeaf/internal/stencil"
 )
 
@@ -308,5 +309,71 @@ func TestPowers3DRedundantCells(t *testing.T) {
 	}
 	if got := redundantCells(powers3D(g, 0, 1), 512); got != 0 {
 		t.Errorf("depth 1 with no neighbours has %d redundant cells, want 0", got)
+	}
+}
+
+// TestPPCGShortBlockMatvecCells: with depth 4 and InnerSteps 10 every
+// inner solve runs blocks of 4, 4 and 2 steps, and the short block runs
+// on the block's last two bounds, the least extended (its last step on
+// the interior). So on each of two hub ranks the matvec cells are the
+// outer matvecs over the interior plus, per inner solve,
+// Σ cells(block[d−n+j]) over the three blocks.
+func TestPPCGShortBlockMatvecCells(t *testing.T) {
+	const nx, ny, depth, inner = 24, 20, 4, 10
+	part := grid.MustPartition(nx, ny, 2, 1)
+	gg := grid.UnitGrid2D(nx, ny, depth)
+	denAt, rhsAt := stepFields(nx, ny, 1, 7)
+	err := comm.Run(part, func(c *comm.RankComm) error {
+		ext := part.ExtentOf(c.Rank())
+		sub, err := gg.Sub(ext.X0, ext.X1, ext.Y0, ext.Y1)
+		if err != nil {
+			return err
+		}
+		den, rhs := grid.NewField2D(sub), grid.NewField2D(sub)
+		for j := 0; j < sub.NY; j++ {
+			for i := 0; i < sub.NX; i++ {
+				den.Set(i, j, denAt(ext.X0+i, ext.Y0+j, 0))
+				rhs.Set(i, j, rhsAt(ext.X0+i, ext.Y0+j, 0))
+			}
+		}
+		if err := c.Exchange(depth, den); err != nil {
+			return err
+		}
+		ph := c.Physical()
+		op, err := stencil.BuildOperator2D(par.Serial, den, 0.04, stencil.Conductivity,
+			stencil.PhysicalSides{Left: ph.Left, Right: ph.Right, Down: ph.Down, Up: ph.Up})
+		if err != nil {
+			return err
+		}
+		res, err := SolvePPCG(Problem{Op: op, U: rhs.Clone(), RHS: rhs},
+			Options{Tol: 1e-10, Comm: c, InnerSteps: inner, HaloDepth: depth})
+		if err != nil {
+			return err
+		}
+		if res.TotalInner == 0 || res.TotalInner%inner != 0 {
+			return fmt.Errorf("rank %d: %d inner steps, want a positive multiple of %d", c.Rank(), res.TotalInner, inner)
+		}
+		mask := 1 << grid.Right // rank 0's neighbour is on its right
+		if c.Rank() == 1 {
+			mask = 1 << grid.Left
+		}
+		block := walk2D(sub, depth, maskComm{mask: mask})
+		var perSolve int64
+		for _, n := range []int{4, 4, 2} {
+			for _, b := range block[depth-n:] {
+				perSolve += int64(b.Cells())
+			}
+		}
+		tr := c.Trace()
+		outer := int64(tr.Matvecs - res.TotalInner)
+		want := outer*int64(sub.NX*sub.NY) + int64(res.TotalInner/inner)*perSolve
+		if tr.MatvecCells != want {
+			t.Errorf("rank %d: %d matvec cells, want %d (%d outer matvecs, %d inner solves of %d cells)",
+				c.Rank(), tr.MatvecCells, want, outer, res.TotalInner/inner, perSolve)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

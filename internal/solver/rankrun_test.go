@@ -132,7 +132,7 @@ func rankRun3D(t *testing.T, v engineVariant, ranks, workers int) (int, *grid.Fi
 	gathered := grid.NewField3D(gg)
 	var iters int
 	var tr stats.Trace
-	err := comm.Run3D(part, func(c *comm.RankComm) error {
+	err := comm.Run(part, func(c *comm.RankComm) error {
 		ext := part.ExtentOf(c.Rank())
 		sub, err := gg.Sub(ext.X0, ext.X1, ext.Y0, ext.Y1, ext.Z0, ext.Z1)
 		if err != nil {

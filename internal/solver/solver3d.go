@@ -11,7 +11,7 @@ import (
 // Problem3D is one linear solve A·u = rhs on a rank-local 3D grid with
 // the 7-point operator. U holds the initial guess on entry and the
 // solution on exit. Like the 2D Problem, the same code runs single-rank
-// (comm.Serial) and distributed (a RankComm over a grid.Partition3D):
+// (comm.Serial) and distributed (a RankComm over a 3D grid.Partition):
 // every face exchange goes through Communicator.Exchange3D and every
 // global scalar through the allreduce family — and since the loop bodies
 // in loops.go are dimension-agnostic, "the 3D solver" is nothing more

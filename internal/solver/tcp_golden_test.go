@@ -75,7 +75,7 @@ func solveRanks2D(t *testing.T, kind Kind, nx, ny, halo, depth int, part *grid.P
 }
 
 // solveRanks3D is solveRanks2D for a 3D box decomposition.
-func solveRanks3D(t *testing.T, kind Kind, n, halo, depth int, part *grid.Partition3D,
+func solveRanks3D(t *testing.T, kind Kind, n, halo, depth int, part *grid.Partition,
 	runner func(fn func(c comm.Communicator) error) error) ([]int, *grid.Field3D) {
 	t.Helper()
 	gg := grid.UnitGrid3D(n, n, n, halo)
@@ -177,11 +177,11 @@ func TestTCPGoldenVsHub3D(t *testing.T) {
 				part := grid.MustPartition3D(n, n, n, p[0], p[1], p[2])
 				hubIters, hubU := solveRanks3D(t, kind, n, halo, depth, part,
 					func(fn func(c comm.Communicator) error) error {
-						return comm.Run3D(part, func(c *comm.RankComm) error { return fn(c) })
+						return comm.Run(part, func(c *comm.RankComm) error { return fn(c) })
 					})
 				tcpIters, tcpU := solveRanks3D(t, kind, n, halo, depth, part,
 					func(fn func(c comm.Communicator) error) error {
-						return comm.RunTCP3D(part, fn)
+						return comm.RunTCP(part, fn)
 					})
 				for r := range hubIters {
 					if d := tcpIters[r] - hubIters[r]; d < -1 || d > 1 {
